@@ -97,7 +97,7 @@ const FLOP_RTOL: f64 = 1e-9;
 const RESIDUAL_FLOOR: f64 = 1e-11;
 /// Absolute slack added to the total-wall gate so fixed scheduler jitter
 /// (thread spawn, first-touch faults) cannot trip it; a real 20% slowdown
-/// on the ~0.5s corpus dwarfs this.
+/// on the ~0.7s corpus dwarfs this.
 const WALL_ABS_SLACK: f64 = 0.01;
 
 fn usage() -> ! {

@@ -1,12 +1,18 @@
 //! Ordering study: nnz(L+U) produced by each fill-reducing ordering on
-//! every suite matrix (counts-only symbolic passes, so the full sweep is
-//! cheap). Shows why the `Auto` default (best of MD and ND per matrix)
-//! stands in for METIS across structure classes.
+//! every suite matrix, with the time to compute the ordering and the time
+//! of its counts-only symbolic pass, and which candidate `Auto` keeps.
+//! Shows why the `Auto` default (best of MD and ND per matrix) stands in
+//! for METIS across structure classes, and what that choice costs.
+
+use std::time::Instant;
 
 use pangulu_reorder::{fill_reducing_ordering, FillReducing};
-use pangulu_sparse::ops::{ensure_diagonal, symmetrize};
-use pangulu_sparse::permute::permute_symmetric;
-use pangulu_symbolic::counts::fill_counts_symmetric;
+use pangulu_sparse::ops::symmetrize;
+use pangulu_symbolic::counts::nnz_lu_within;
+
+fn millis(since: Instant) -> String {
+    format!("{:.2}", pangulu_bench::secs(since.elapsed()) * 1e3)
+}
 
 fn main() {
     let methods = [
@@ -14,25 +20,38 @@ fn main() {
         ("rcm", FillReducing::Rcm),
         ("amd", FillReducing::Amd),
         ("nd", FillReducing::NestedDissection),
-        ("auto", FillReducing::Auto),
     ];
+    let mut header = String::from("matrix");
+    for (name, _) in methods {
+        header += &format!(",{name}_nnz_lu,{name}_order_ms,{name}_count_ms");
+    }
+    header += ",auto_nnz_lu,auto_method,auto_ms";
+
     let mut rows = Vec::new();
     for name in pangulu_bench::suite() {
         let a = pangulu_bench::load(name);
-        let sym = ensure_diagonal(&symmetrize(&a).expect("symmetrize")).expect("diag");
+        let sym = symmetrize(&a).expect("symmetrize");
         let mut cells = vec![name.to_string()];
+        let mut perms = Vec::new();
         for (_, method) in methods {
+            let t = Instant::now();
             let perm = fill_reducing_ordering(&sym, method).expect("ordering");
-            let permuted = permute_symmetric(&sym, &perm).expect("permute");
-            let counts = fill_counts_symmetric(&permuted).expect("counts");
-            cells.push(counts.nnz_lu().to_string());
+            let order_ms = millis(t);
+            let t = Instant::now();
+            let nnz_lu = nnz_lu_within(&sym, &perm, usize::MAX).expect("counts").expect("no limit");
+            cells.extend([nnz_lu.to_string(), order_ms, millis(t)]);
+            perms.push(perm);
         }
+        // Auto computes the same four orderings and scores them with
+        // bounded counts; it returns one of them unchanged.
+        let t = Instant::now();
+        let auto = fill_reducing_ordering(&sym, FillReducing::Auto).expect("ordering");
+        let auto_ms = millis(t);
+        let nnz_lu = nnz_lu_within(&sym, &auto, usize::MAX).expect("counts").expect("no limit");
+        let kept = perms.iter().position(|p| *p == auto).expect("auto keeps a candidate");
+        cells.extend([nnz_lu.to_string(), methods[kept].0.to_string(), auto_ms]);
         rows.push(cells.join(","));
         eprintln!("[ordering] {name} done");
     }
-    pangulu_bench::emit_csv(
-        "ordering_study",
-        "matrix,natural_nnz_lu,rcm_nnz_lu,amd_nnz_lu,nd_nnz_lu,auto_nnz_lu",
-        &rows,
-    );
+    pangulu_bench::emit_csv("ordering_study", &header, &rows);
 }

@@ -84,22 +84,14 @@ pub fn secs(d: Duration) -> f64 {
 
 /// The golden smoke corpus shared by the `smoke` and `bench_refactor`
 /// regression bins: the same generators as `tests/solver_equivalence.rs`
-/// at larger sizes, so each factorisation lands in the
-/// tens-of-milliseconds range (sub-10ms runs are all spawn jitter) while
-/// staying fast enough for every CI invocation.
-pub fn smoke_corpus() -> Vec<(&'static str, CscMatrix)> {
-    smoke_corpus_scaled(1)
-}
-
-/// The smoke corpus with the generator dimensions scaled by `scale`.
-/// `scale = 1` is exactly [`smoke_corpus`] — the committed smoke
-/// baseline — while larger scales grow each matrix *towards its own
-/// bandwidth-bound regime*: the structured generators scale both of
-/// their shape dimensions (grid sides for the Laplacian, primal/dual
-/// split for KKT, band width for the banded matrix), so per-factor
-/// arithmetic outgrows the fixed spawn/probe/scheduling overheads and
-/// the mixed-precision and planned-replay speedups become visible
-/// (`bench_refactor` commits its baseline at scale 2 for that reason).
+/// at larger sizes, with the generator dimensions scaled by `scale`.
+/// Larger scales grow each matrix *towards its own bandwidth-bound
+/// regime*: the structured generators scale both of their shape
+/// dimensions (grid sides for the Laplacian, primal/dual split for KKT,
+/// band width for the banded matrix), so per-factor arithmetic outgrows
+/// the fixed spawn/probe/scheduling overheads and the mixed-precision and
+/// planned-replay speedups become visible. Both bins commit their
+/// baselines at scale 2 for that reason.
 pub fn smoke_corpus_scaled(scale: usize) -> Vec<(&'static str, CscMatrix)> {
     use pangulu_sparse::gen;
     let s = scale.max(1);

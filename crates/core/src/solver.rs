@@ -1165,6 +1165,7 @@ impl Solver {
             "phases: reorder {:.1?} | symbolic {:.1?} | preprocess {:.1?} | numeric {:.1?}",
             s.reorder_time, s.symbolic_time, s.preprocess_time, s.numeric_time
         );
+        let _ = writeln!(out, "ordering: {}", self.reordering.ordering_summary());
         if let Some(sym) = s.symbolic {
             let _ = writeln!(
                 out,
@@ -1514,7 +1515,9 @@ mod tests {
         let a = gen::laplacian_2d(8, 8);
         let solver = Solver::builder().ranks(2).build(&a).unwrap();
         let report = solver.report(&a);
-        for needle in ["input:", "phases:", "factor:", "comm:", "nnz(L+U)"] {
+        for needle in
+            ["input:", "phases:", "ordering: ", "natural ", "factor:", "comm:", "nnz(L+U)"]
+        {
             assert!(report.contains(needle), "missing {needle:?} in:\n{report}");
         }
     }

@@ -7,9 +7,11 @@
 //!
 //! * [`mc64`] — maximum-product bipartite transversal with dual-variable
 //!   row/column scaling (Duff–Koster algorithm family);
-//! * [`amd`] — minimum-degree ordering on the quotient elimination graph;
+//! * [`amd`] — approximate minimum degree on a compact quotient graph
+//!   (near-linear in the number of nonzeros);
 //! * [`nd`] — nested dissection via BFS level-structure separators
-//!   (the METIS stand-in), with minimum-degree ordered leaves;
+//!   (the METIS stand-in), leaves and separators ordered by the same
+//!   minimum-degree core;
 //! * [`rcm`] — reverse Cuthill–McKee, useful for banded problems and as a
 //!   cross-check in tests.
 //!
@@ -25,13 +27,14 @@ pub mod rcm;
 use pangulu_sparse::ops::symmetrize;
 use pangulu_sparse::permute::{permute, scale};
 use pangulu_sparse::{CscMatrix, Permutation, Result};
+use pangulu_symbolic::counts::nnz_lu_within;
 
 /// Which fill-reducing ordering to apply after the stability matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FillReducing {
     /// Keep the natural order (no fill reduction).
     Natural,
-    /// Minimum degree on the symmetrised pattern.
+    /// Approximate minimum degree on the symmetrised pattern.
     Amd,
     /// Nested dissection with minimum-degree leaves.
     NestedDissection,
@@ -39,16 +42,35 @@ pub enum FillReducing {
     Rcm,
     /// Try every ordering (natural, RCM, minimum degree, nested
     /// dissection) and keep whichever yields the least fill, measured by
-    /// a counts-only symbolic pass. This is the default — minimum-degree
-    /// family for irregular matrices, band-preserving orderings for the
-    /// dense-banded quantum-chemistry class, at the cost of a few cheap
-    /// symbolic count sweeps.
+    /// a counts-only symbolic pass that stops once a candidate has lost;
+    /// equal fill goes to the earlier of the four as listed. This is the
+    /// default — minimum-degree family for irregular matrices,
+    /// band-preserving orderings for the dense-banded quantum-chemistry
+    /// class, at the cost of a few cheap symbolic count sweeps.
     #[default]
     Auto,
 }
 
+/// What the counts-only pass found for one candidate of
+/// [`FillReducing::Auto`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CandidateFill {
+    /// nnz(L+U) under the candidate's permutation.
+    Counted(usize),
+    /// The count was given up once it passed this many entries — the
+    /// least fill of the candidates scored before it.
+    AbandonedAbove(usize),
+}
+
+/// One candidate ordering and how it scored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Candidate {
+    pub method: FillReducing,
+    pub fill: CandidateFill,
+}
+
 /// Output of the full reordering pipeline.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reordering {
     /// Row permutation (`perm[new] = old`), the MC64 matching composed with
     /// the fill-reducing permutation.
@@ -63,6 +85,45 @@ pub struct Reordering {
     /// The reordered, scaled matrix `P_r (D_r A D_c) P_c^T` ready for
     /// symbolic factorisation.
     pub matrix: CscMatrix,
+    /// The ordering that produced `col_perm`: the one asked for, or the
+    /// one [`FillReducing::Auto`] kept.
+    pub method: FillReducing,
+    /// `Auto`'s candidates in tie-rule order; empty for any other request.
+    pub candidates: Vec<Candidate>,
+}
+
+impl Reordering {
+    /// One line naming the ordering used and, under `Auto`, what each
+    /// candidate scored: `amd (natural >205948, rcm >205948, amd 205948, nd
+    /// >205948 nnz(L+U))`.
+    pub fn ordering_summary(&self) -> String {
+        let mut line = self.method.to_string();
+        let scores: Vec<String> = self
+            .candidates
+            .iter()
+            .map(|c| match c.fill {
+                CandidateFill::Counted(f) => format!("{} {f}", c.method),
+                CandidateFill::AbandonedAbove(f) => format!("{} >{f}", c.method),
+            })
+            .collect();
+        if !scores.is_empty() {
+            line += &format!(" ({} nnz(L+U))", scores.join(", "));
+        }
+        line
+    }
+}
+
+/// The name the CLI's `--ordering` takes for the method.
+impl std::fmt::Display for FillReducing {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            FillReducing::Natural => "natural",
+            FillReducing::Amd => "amd",
+            FillReducing::NestedDissection => "nd",
+            FillReducing::Rcm => "rcm",
+            FillReducing::Auto => "auto",
+        })
+    }
 }
 
 /// Runs the PanguLU reordering pipeline on a square matrix:
@@ -75,47 +136,76 @@ pub fn reorder_for_lu(a: &CscMatrix, fill: FillReducing) -> Result<Reordering> {
     let matched = permute(&scaled, &m.row_perm, &Permutation::identity(a.ncols()))?;
 
     let sym = symmetrize(&matched)?;
-    let fill_perm = fill_reducing_ordering(&sym, fill)?;
+    let (fill_perm, method, candidates) = choose_ordering(&sym, fill)?;
 
     let row_perm = fill_perm.compose(&m.row_perm);
-    let col_perm = fill_perm.clone();
     let matrix = permute(&matched, &fill_perm, &fill_perm)?;
-    Ok(Reordering { row_perm, col_perm, row_scale: m.row_scale, col_scale: m.col_scale, matrix })
+    Ok(Reordering {
+        row_perm,
+        col_perm: fill_perm,
+        row_scale: m.row_scale,
+        col_scale: m.col_scale,
+        matrix,
+        method,
+        candidates,
+    })
 }
 
 /// Computes a symmetric fill-reducing permutation of a (structurally
 /// symmetric) matrix pattern.
 pub fn fill_reducing_ordering(sym: &CscMatrix, method: FillReducing) -> Result<Permutation> {
-    match method {
-        FillReducing::Natural => Ok(Permutation::identity(sym.ncols())),
-        FillReducing::Amd => amd::amd_order(sym),
-        FillReducing::NestedDissection => nd::nested_dissection(sym, nd::NdOptions::default()),
-        FillReducing::Rcm => rcm::rcm_order(sym),
+    Ok(choose_ordering(sym, method)?.0)
+}
+
+/// `Auto`'s candidates in tie-rule order: of two candidates with equal
+/// fill the earlier one is kept.
+const CANDIDATES: [FillReducing; 4] =
+    [FillReducing::Natural, FillReducing::Rcm, FillReducing::Amd, FillReducing::NestedDissection];
+
+/// The order `Auto` scores [`CANDIDATES`] in — the usual winners first, so
+/// that the counts of the others stop at the winner's total. Which
+/// candidate is kept does not depend on this order.
+const SCORING_ORDER: [usize; 4] = [2, 3, 1, 0];
+
+/// The permutation for `method`, the method that produced it, and the
+/// candidates' scores when `method` is `Auto`.
+fn choose_ordering(
+    sym: &CscMatrix,
+    method: FillReducing,
+) -> Result<(Permutation, FillReducing, Vec<Candidate>)> {
+    let perm = match method {
+        FillReducing::Natural => Permutation::identity(sym.ncols()),
+        FillReducing::Amd => amd::amd_order(sym)?,
+        FillReducing::NestedDissection => nd::nested_dissection(sym, nd::NdOptions::default())?,
+        FillReducing::Rcm => rcm::rcm_order(sym)?,
         FillReducing::Auto => {
-            let candidates = [
-                Permutation::identity(sym.ncols()),
-                rcm::rcm_order(sym)?,
-                amd::amd_order(sym)?,
-                nd::nested_dissection(sym, nd::NdOptions::default())?,
-            ];
-            let mut best: Option<(usize, Permutation)> = None;
-            for cand in candidates {
-                let fill = fill_of(sym, &cand)?;
-                if best.as_ref().is_none_or(|(bf, _)| fill < *bf) {
-                    best = Some((fill, cand));
-                }
+            let mut best = (usize::MAX, 0, Permutation::identity(sym.ncols()));
+            let mut fills = [CandidateFill::AbandonedAbove(usize::MAX); 4];
+            for rank in SCORING_ORDER {
+                let perm = choose_ordering(sym, CANDIDATES[rank])?.0;
+                fills[rank] = match nnz_lu_within(sym, &perm, best.0)? {
+                    Some(fill) => {
+                        if (fill, rank) < (best.0, best.1) {
+                            best = (fill, rank, perm);
+                        }
+                        CandidateFill::Counted(fill)
+                    }
+                    None => CandidateFill::AbandonedAbove(best.0),
+                };
             }
-            Ok(best.expect("at least one candidate").1)
+            let candidates =
+                CANDIDATES.iter().zip(fills).map(|(&method, fill)| Candidate { method, fill });
+            return Ok((best.2, CANDIDATES[best.1], candidates.collect()));
         }
-    }
+    };
+    Ok((perm, method, Vec::new()))
 }
 
 /// nnz(L+U) the permutation would produce, via a counts-only symbolic
 /// pass (no fill pattern is materialised).
-fn fill_of(sym: &CscMatrix, perm: &Permutation) -> Result<usize> {
-    let permuted = pangulu_sparse::permute::permute_symmetric(sym, perm)?;
-    let with_diag = pangulu_sparse::ops::ensure_diagonal(&permuted)?;
-    Ok(pangulu_symbolic::counts::fill_counts_symmetric(&with_diag)?.nnz_lu())
+#[cfg(test)]
+pub(crate) fn fill_of(sym: &CscMatrix, perm: &Permutation) -> Result<usize> {
+    Ok(nnz_lu_within(sym, perm, usize::MAX)?.unwrap_or(usize::MAX))
 }
 
 #[cfg(test)]
@@ -162,6 +252,59 @@ mod tests {
             .min()
             .unwrap();
             assert_eq!(f(&auto), best, "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn auto_reports_the_winner_and_abandons_counts_above_it() {
+        let a = gen::circuit(400, 2);
+        let r = reorder_for_lu(&a, FillReducing::Auto).unwrap();
+        assert_eq!(r.candidates.iter().map(|c| c.method).collect::<Vec<_>>(), CANDIDATES);
+        let sym = symmetrize(&r.matrix).unwrap();
+        let kept = fill_of(&sym, &Permutation::identity(400)).unwrap();
+        for c in &r.candidates {
+            match c.fill {
+                CandidateFill::Counted(f) if c.method == r.method => assert_eq!(f, kept),
+                CandidateFill::Counted(f) => assert!(f >= kept, "{c:?} beats the winner"),
+                CandidateFill::AbandonedAbove(f) => assert!(f >= kept && c.method != r.method),
+            }
+        }
+        // Hubs make the natural order fill far more than minimum degree.
+        assert_eq!(r.method, FillReducing::Amd);
+        assert!(matches!(r.candidates[0].fill, CandidateFill::AbandonedAbove(_)));
+        assert!(r.ordering_summary().starts_with("amd (natural >"), "{}", r.ordering_summary());
+
+        let fixed = reorder_for_lu(&a, FillReducing::Rcm).unwrap();
+        assert_eq!((fixed.method, fixed.candidates.len()), (FillReducing::Rcm, 0));
+        assert_eq!(fixed.ordering_summary(), "rcm");
+    }
+
+    #[test]
+    fn auto_breaks_ties_towards_the_natural_order() {
+        // No ordering of a tridiagonal or a diagonal matrix fills at all.
+        for a in [gen::tridiagonal(30), CscMatrix::identity(5), CscMatrix::zeros(0, 0)] {
+            let (perm, method, _) = choose_ordering(&a, FillReducing::Auto).unwrap();
+            assert_eq!(method, FillReducing::Natural);
+            assert_eq!(perm, Permutation::identity(a.ncols()));
+        }
+    }
+
+    #[test]
+    fn reordering_is_a_function_of_the_input() {
+        for a in [gen::circuit(300, 4), gen::kkt(120, 50, 4), gen::laplacian_2d(17, 13)] {
+            let first = reorder_for_lu(&a, FillReducing::Auto).unwrap();
+            assert_eq!(first, reorder_for_lu(&a, FillReducing::Auto).unwrap());
+        }
+    }
+
+    #[test]
+    fn non_square_input_is_an_error() {
+        let a = CscMatrix::zeros(3, 5);
+        for method in [FillReducing::Amd, FillReducing::NestedDissection, FillReducing::Auto] {
+            assert!(matches!(
+                fill_reducing_ordering(&a, method),
+                Err(pangulu_sparse::SparseError::NotSquare { nrows: 3, ncols: 5 })
+            ));
         }
     }
 

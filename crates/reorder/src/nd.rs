@@ -7,7 +7,8 @@
 //! minimum degree ([`crate::amd`]), matching how graph-partitioning
 //! libraries switch to MD at the bottom of the recursion.
 
-use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
+use crate::amd::{order_graph, Graph};
+use pangulu_sparse::{CscMatrix, Permutation, Result};
 
 /// Options for the nested dissection recursion.
 #[derive(Debug, Clone, Copy)]
@@ -24,177 +25,179 @@ impl Default for NdOptions {
     }
 }
 
-/// Computes a nested-dissection permutation (`perm[new] = old`) of a
-/// structurally symmetric pattern.
+/// Computes a nested-dissection permutation (`perm[new] = old`) of the
+/// pattern of `A + Aᵀ`.
 pub fn nested_dissection(sym: &CscMatrix, opts: NdOptions) -> Result<Permutation> {
-    if !sym.is_square() {
-        return Err(SparseError::NotSquare { nrows: sym.nrows(), ncols: sym.ncols() });
-    }
+    let graph = Graph::from_pattern(sym)?;
     let n = sym.ncols();
-    // Global adjacency without diagonal.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (j, nbrs) in adj.iter_mut().enumerate() {
-        let (rows, _) = sym.col(j);
-        for &i in rows {
-            if i != j {
-                nbrs.push(i);
+    let mut d = Dissector {
+        graph,
+        opts,
+        owner: vec![0; n],
+        subgraphs: 0,
+        slot: vec![0; n],
+        queue: Vec::new(),
+        sub_xadj: Vec::new(),
+        sub_adj: Vec::new(),
+        order: Vec::with_capacity(n),
+    };
+    d.dissect((0..n).collect(), 0);
+    Permutation::from_vec(d.order)
+}
+
+/// The recursion's state. Subgraph membership is a stamp: the recursion
+/// step (or leaf) at work writes a fresh id into `owner` for its vertices,
+/// so "is this neighbour in my subgraph" is one array read and nothing is
+/// reset when the step returns.
+struct Dissector {
+    graph: Graph,
+    opts: NdOptions,
+    owner: Vec<usize>,
+    subgraphs: usize,
+    /// Per owned vertex: its BFS level during a search, its local index
+    /// while a leaf is ordered.
+    slot: Vec<usize>,
+    /// BFS visit order of the latest search.
+    queue: Vec<usize>,
+    sub_xadj: Vec<usize>,
+    sub_adj: Vec<usize>,
+    order: Vec<usize>,
+}
+
+const UNREACHED: usize = usize::MAX;
+
+impl Dissector {
+    fn claim(&mut self, vertices: &[usize]) -> usize {
+        self.subgraphs += 1;
+        for &g in vertices {
+            self.owner[g] = self.subgraphs;
+        }
+        self.subgraphs
+    }
+
+    /// Appends the ordering of `vertices` (global ids) to `order`,
+    /// separator last.
+    fn dissect(&mut self, vertices: Vec<usize>, depth: usize) {
+        if vertices.len() <= self.opts.leaf_size || depth >= self.opts.max_depth {
+            return self.order_leaf(&vertices);
+        }
+        let id = self.claim(&vertices);
+
+        // BFS levels from a pseudo-peripheral vertex of the first
+        // connected component.
+        let root = self.pseudo_peripheral(&vertices, id);
+        let levels = self.bfs_levels(&vertices, id, root).0;
+        if levels < 3 {
+            // Subgraph too tightly connected (or disconnected remainder):
+            // no useful separator, fall back to minimum degree.
+            return self.order_leaf(&vertices);
+        }
+
+        // Middle level is the separator; halves are everything before and
+        // after. Unreached vertices (other components) go to the first half.
+        let sep_level = levels / 2;
+        let (mut part_a, mut part_b, mut sep) = (Vec::new(), Vec::new(), Vec::new());
+        for &g in &vertices {
+            match self.slot[g] {
+                l if l == sep_level => sep.push(g),
+                l if l < sep_level || l == UNREACHED => part_a.push(g),
+                _ => part_b.push(g),
             }
         }
-    }
-    let mut order = Vec::with_capacity(n);
-    let all: Vec<usize> = (0..n).collect();
-    dissect(&adj, all, &opts, 0, &mut order);
-    Permutation::from_vec(order)
-}
-
-/// Recursive worker: appends the ordering of `vertices` (global ids) to
-/// `order`, separator-last.
-fn dissect(
-    adj: &[Vec<usize>],
-    vertices: Vec<usize>,
-    opts: &NdOptions,
-    depth: usize,
-    order: &mut Vec<usize>,
-) {
-    if vertices.len() <= opts.leaf_size || depth >= opts.max_depth {
-        order_leaf(adj, &vertices, order);
-        return;
-    }
-
-    // Membership map restricted to this subgraph.
-    let mut local: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::with_capacity(vertices.len());
-    for (li, &g) in vertices.iter().enumerate() {
-        local.insert(g, li);
-    }
-
-    // BFS levels from a pseudo-peripheral vertex of the first connected
-    // component.
-    let root = pseudo_peripheral(adj, &vertices, &local);
-    let (levels, level_of) = bfs_levels(adj, &vertices, &local, root);
-    if levels.len() < 3 {
-        // Subgraph too tightly connected (or disconnected remainder):
-        // no useful separator, fall back to minimum degree.
-        order_leaf(adj, &vertices, order);
-        return;
-    }
-
-    // Middle level is the separator; halves are everything before/after.
-    // Unreached vertices (other components) go to the first half.
-    let sep_level = levels.len() / 2;
-    let mut part_a: Vec<usize> = Vec::new();
-    let mut part_b: Vec<usize> = Vec::new();
-    let mut sep: Vec<usize> = Vec::new();
-    for &g in &vertices {
-        match level_of[local[&g]] {
-            Some(l) if l == sep_level => sep.push(g),
-            Some(l) if l < sep_level => part_a.push(g),
-            Some(_) => part_b.push(g),
-            None => part_a.push(g),
+        if part_a.is_empty() || part_b.is_empty() {
+            return self.order_leaf(&vertices);
         }
-    }
-    if part_a.is_empty() || part_b.is_empty() {
-        order_leaf(adj, &vertices, order);
-        return;
+        drop(vertices);
+
+        self.dissect(part_a, depth + 1);
+        self.dissect(part_b, depth + 1);
+        // Separator last, ordered among themselves by minimum degree.
+        self.order_leaf(&sep);
     }
 
-    dissect(adj, part_a, opts, depth + 1, order);
-    dissect(adj, part_b, opts, depth + 1, order);
-    // Separator last, ordered among themselves by minimum degree.
-    order_leaf(adj, &sep, order);
-}
+    /// Orders a leaf subgraph with minimum degree on the induced pattern.
+    fn order_leaf(&mut self, vertices: &[usize]) {
+        if vertices.len() <= 1 {
+            self.order.extend_from_slice(vertices);
+            return;
+        }
+        let id = self.claim(vertices);
+        for (li, &g) in vertices.iter().enumerate() {
+            self.slot[g] = li;
+        }
+        self.sub_xadj.clear();
+        self.sub_adj.clear();
+        self.sub_xadj.push(0);
+        for &g in vertices {
+            for &nb in &self.graph.adj[self.graph.xadj[g]..self.graph.xadj[g + 1]] {
+                if self.owner[nb] == id {
+                    self.sub_adj.push(self.slot[nb]);
+                }
+            }
+            self.sub_xadj.push(self.sub_adj.len());
+        }
+        let local = order_graph(&self.sub_xadj, &self.sub_adj).order;
+        self.order.extend(local.into_iter().map(|li| vertices[li]));
+    }
 
-/// Orders a leaf subgraph with minimum degree on the induced pattern.
-fn order_leaf(adj: &[Vec<usize>], vertices: &[usize], order: &mut Vec<usize>) {
-    if vertices.is_empty() {
-        return;
-    }
-    if vertices.len() == 1 {
-        order.push(vertices[0]);
-        return;
-    }
-    let mut local: std::collections::HashMap<usize, usize> =
-        std::collections::HashMap::with_capacity(vertices.len());
-    for (li, &g) in vertices.iter().enumerate() {
-        local.insert(g, li);
-    }
-    // Build the induced subpattern as a CSC matrix and reuse amd_order.
-    let m = vertices.len();
-    let mut coo = pangulu_sparse::CooMatrix::new(m, m);
-    for (li, &g) in vertices.iter().enumerate() {
-        coo.push(li, li, 1.0).expect("diag in bounds");
-        for &nb in &adj[g] {
-            if let Some(&lj) = local.get(&nb) {
-                coo.push(li, lj, 1.0).expect("edge in bounds");
+    /// Finds a pseudo-peripheral vertex: repeat BFS from the farthest
+    /// vertex until the eccentricity stops growing.
+    fn pseudo_peripheral(&mut self, vertices: &[usize], id: usize) -> usize {
+        let mut root = vertices[0];
+        let mut last_height = 0usize;
+        for _ in 0..4 {
+            let (levels, last_level_at) = self.bfs_levels(vertices, id, root);
+            if levels <= last_height {
+                break;
+            }
+            last_height = levels;
+            // Farthest vertex with minimal degree (classic GPS heuristic).
+            let xadj = &self.graph.xadj;
+            if let Some(&far) =
+                self.queue[last_level_at..].iter().min_by_key(|&&g| xadj[g + 1] - xadj[g])
+            {
+                root = far;
             }
         }
+        root
     }
-    let sub = coo.to_csc();
-    let p = crate::amd::amd_order(&sub).expect("square by construction");
-    for k in 0..m {
-        order.push(vertices[p.old_of(k)]);
-    }
-}
 
-/// Finds a pseudo-peripheral vertex: repeat BFS from the farthest vertex
-/// until the eccentricity stops growing.
-fn pseudo_peripheral(
-    adj: &[Vec<usize>],
-    vertices: &[usize],
-    local: &std::collections::HashMap<usize, usize>,
-) -> usize {
-    let mut root = vertices[0];
-    let mut last_height = 0usize;
-    for _ in 0..4 {
-        let (levels, _) = bfs_levels(adj, vertices, local, root);
-        if levels.len() <= last_height {
-            break;
+    /// BFS of the subgraph `id` from `root`: leaves each vertex's level in
+    /// `slot` (`UNREACHED` outside the root's component) and the visit
+    /// order in `queue`; returns the number of levels and where the last
+    /// one starts in `queue`.
+    fn bfs_levels(&mut self, vertices: &[usize], id: usize, root: usize) -> (usize, usize) {
+        for &g in vertices {
+            self.slot[g] = UNREACHED;
         }
-        last_height = levels.len();
-        // Farthest vertex with minimal degree (classic GPS heuristic).
-        let far = levels.last().expect("root level exists");
-        root = *far.iter().min_by_key(|&&g| adj[g].len()).expect("last level non-empty");
-    }
-    root
-}
-
-/// BFS level structure of the subgraph induced by `vertices`, rooted at
-/// `root`. Returns the levels (vectors of global ids) and, per local
-/// index, the level it was reached at (None if unreached).
-fn bfs_levels(
-    adj: &[Vec<usize>],
-    vertices: &[usize],
-    local: &std::collections::HashMap<usize, usize>,
-    root: usize,
-) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
-    let mut level_of: Vec<Option<usize>> = vec![None; vertices.len()];
-    let mut levels: Vec<Vec<usize>> = Vec::new();
-    let mut frontier = vec![root];
-    level_of[local[&root]] = Some(0);
-    let mut depth = 0usize;
-    while !frontier.is_empty() {
-        levels.push(frontier.clone());
-        let mut next = Vec::new();
-        for &g in &frontier {
-            for &nb in &adj[g] {
-                if let Some(&lnb) = local.get(&nb) {
-                    if level_of[lnb].is_none() {
-                        level_of[lnb] = Some(depth + 1);
-                        next.push(nb);
+        self.queue.clear();
+        self.queue.push(root);
+        self.slot[root] = 0;
+        let (mut levels, mut level_start) = (0, 0);
+        loop {
+            let level_end = self.queue.len();
+            for at in level_start..level_end {
+                let g = self.queue[at];
+                for &nb in &self.graph.adj[self.graph.xadj[g]..self.graph.xadj[g + 1]] {
+                    if self.owner[nb] == id && self.slot[nb] == UNREACHED {
+                        self.slot[nb] = levels + 1;
+                        self.queue.push(nb);
                     }
                 }
             }
+            levels += 1;
+            if self.queue.len() == level_end {
+                return (levels, level_start);
+            }
+            level_start = level_end;
         }
-        depth += 1;
-        frontier = next;
     }
-    (levels, level_of)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::amd::count_fill;
+    use crate::fill_of;
     use pangulu_sparse::gen;
 
     #[test]
@@ -208,8 +211,8 @@ mod tests {
     fn beats_natural_order_on_grid() {
         let a = gen::laplacian_2d(24, 24);
         let p = nested_dissection(&a, NdOptions::default()).unwrap();
-        let fill_nd = count_fill(&a, &p);
-        let fill_nat = count_fill(&a, &Permutation::identity(a.ncols()));
+        let fill_nd = fill_of(&a, &p).unwrap();
+        let fill_nat = fill_of(&a, &Permutation::identity(a.ncols())).unwrap();
         assert!(fill_nd < fill_nat, "ND {fill_nd} should beat natural {fill_nat}");
     }
 

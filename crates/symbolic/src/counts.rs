@@ -8,7 +8,7 @@
 //! only need these numbers, not the pattern itself.
 
 use crate::etree::EliminationTree;
-use pangulu_sparse::{CscMatrix, Result};
+use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
 
 /// Per-column strict-lower fill counts plus totals.
 #[derive(Debug, Clone)]
@@ -64,6 +64,63 @@ pub fn fill_counts_symmetric(sym: &CscMatrix) -> Result<FillCounts> {
     Ok(FillCounts { l_col_counts: counts, etree })
 }
 
+/// `nnz(L + U)` of the symmetric pattern `sym` reordered by `perm`
+/// (`perm[new] = old`), or `None` as soon as the running total passes
+/// `limit`. Neither the permuted matrix nor the fill is built: row `i` of
+/// the reordered pattern first extends the elimination tree, then walks its
+/// row subtree, which only needs the tree over the rows before it. The
+/// diagonal counts whether or not `sym` stores it.
+pub fn nnz_lu_within(sym: &CscMatrix, perm: &Permutation, limit: usize) -> Result<Option<usize>> {
+    let n = sym.ncols();
+    if !sym.is_square() {
+        return Err(SparseError::NotSquare { nrows: sym.nrows(), ncols: n });
+    }
+    if perm.len() != n {
+        return Err(SparseError::DimensionMismatch(format!(
+            "fill count: permutation of {} for a matrix of order {n}",
+            perm.len()
+        )));
+    }
+    let new_of = perm.inverse();
+    const ROOT: usize = usize::MAX;
+    let mut parent = vec![ROOT; n];
+    let mut ancestor = vec![ROOT; n];
+    let mut mark = vec![ROOT; n];
+    let mut total = n;
+    if total > limit {
+        return Ok(None);
+    }
+    for i in 0..n {
+        let (rows, _) = sym.col(perm.old_of(i));
+        // Liu's elimination-tree step with path compression.
+        for k in rows.iter().map(|&r| new_of.old_of(r)).filter(|&k| k < i) {
+            let mut j = k;
+            while ancestor[j] != i {
+                let up = std::mem::replace(&mut ancestor[j], i);
+                if up == ROOT {
+                    parent[j] = i;
+                    break;
+                }
+                j = up;
+            }
+        }
+        // Every unmarked vertex on the way from k up to i is an L(i, j).
+        mark[i] = i;
+        for k in rows.iter().map(|&r| new_of.old_of(r)).filter(|&k| k < i) {
+            let mut j = k;
+            while mark[j] != i {
+                mark[j] = i;
+                total += 2;
+                j = parent[j];
+            }
+        }
+        if total > limit {
+            return Ok(None);
+        }
+    }
+    Ok(Some(total))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,6 +143,38 @@ mod tests {
             }
             assert_eq!(counts.nnz_lu(), full.nnz_lu());
         }
+    }
+
+    #[test]
+    fn permuted_count_matches_materialised_count() {
+        for seed in 0..4u64 {
+            let a = sym(&gen::random_sparse(60, 0.06, seed));
+            // Reversal, a rotation, and the identity.
+            let perms = [
+                (0..60).rev().collect::<Vec<_>>(),
+                (0..60).map(|i| (i + 17) % 60).collect(),
+                (0..60).collect(),
+            ];
+            for p in perms {
+                let perm = Permutation::from_vec(p).unwrap();
+                let permuted = pangulu_sparse::permute::permute_symmetric(&a, &perm).unwrap();
+                let full = fill_counts_symmetric(&permuted).unwrap().nnz_lu();
+                assert_eq!(nnz_lu_within(&a, &perm, usize::MAX).unwrap(), Some(full));
+                assert_eq!(nnz_lu_within(&a, &perm, full).unwrap(), Some(full));
+                assert_eq!(nnz_lu_within(&a, &perm, full - 1).unwrap(), None);
+            }
+        }
+    }
+
+    #[test]
+    fn permuted_count_ignores_a_missing_diagonal() {
+        let a = gen::laplacian_2d(7, 5);
+        let no_diag = a.filter_entries(|i, j| i != j);
+        let perm = Permutation::identity(35);
+        assert_eq!(
+            nnz_lu_within(&no_diag, &perm, usize::MAX).unwrap(),
+            nnz_lu_within(&a, &perm, usize::MAX).unwrap()
+        );
     }
 
     #[test]
