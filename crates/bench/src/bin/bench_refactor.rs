@@ -20,8 +20,8 @@
 //!   bytes, tasks, kernel calls, copy/alloc counters, kernel-plan
 //!   counters), also gated exactly. With the executor workspace reused,
 //!   every receive in steady state is a pattern-cache hit;
-//! * a planned-vs-unplanned A/B: a second solver with kernel plans off
-//!   refactors the same values, **interleaved** rep-for-rep with the
+//! * a planned-vs-unplanned A/B: a second solver whose planned gates
+//!   are closed (`Thresholds::unplanned()`) refactors the same values, **interleaved** rep-for-rep with the
 //!   planned solver so both see the same machine state, and the minimum
 //!   unplanned wall time is reported as `wall_unplanned_seconds` next to
 //!   the planned `wall_seconds` (ratio in `planned_speedup`);
@@ -79,6 +79,7 @@ use pangulu_bench::{data_dir, secs, smoke_corpus_scaled};
 use pangulu_comm::{sockets_available, TransportKind};
 use pangulu_core::solver::{Precision, Solver};
 use pangulu_core::SchedulePolicy;
+use pangulu_kernels::Thresholds;
 use pangulu_metrics::json::Json;
 use pangulu_metrics::{PhaseCounters, RunReport};
 use pangulu_sparse::{gen, ops, CscMatrix};
@@ -197,7 +198,7 @@ fn run_one(name: &'static str, a: &CscMatrix, reps: usize, ab: TransportKind) ->
     let first = solver.stats().phases;
     let mut unplanned = Solver::builder()
         .ranks(RANKS)
-        .use_plans(false)
+        .thresholds(Thresholds::unplanned())
         .build(a)
         .unwrap_or_else(|e| panic!("{name}: unplanned factorisation failed: {e}"));
     let mut stealing = Solver::builder()

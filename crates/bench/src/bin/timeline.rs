@@ -9,7 +9,7 @@
 //! ```
 
 use pangulu_comm::ProcessGrid;
-use pangulu_core::dist::{factor_distributed_traced, ScheduleMode};
+use pangulu_core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode};
 use pangulu_core::layout::OwnerMap;
 use pangulu_core::task::Task;
 use pangulu_kernels::select::{KernelSelector, Thresholds};
@@ -28,8 +28,10 @@ fn main() {
     {
         let mut bm = prep.bm.clone();
         let owners = OwnerMap::balanced(&bm, ProcessGrid::new(ranks), &prep.tg);
-        let (stats, trace) =
-            factor_distributed_traced(&mut bm, &prep.tg, &owners, &sel, 1e-12, mode);
+        let cfg = FactorConfig::with_mode(mode).traced();
+        let run = factor_distributed_checked(&mut bm, &prep.tg, &owners, &sel, 1e-12, &cfg)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let (stats, trace) = (run.stats, run.trace);
 
         let mut rows = Vec::with_capacity(trace.len());
         for e in &trace {

@@ -42,7 +42,9 @@ use pangulu_comm::{
     BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet, TransportKind,
 };
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{flops, KernelPlans, KernelScratch, PlanEncoding, SsssmUpdate, TimedKernels};
+use pangulu_kernels::{
+    flops, KernelPlans, KernelScratch, PlanStats, Route, SsssmUpdate, TimedKernels,
+};
 use pangulu_metrics::{MemStats, RankMetrics, RunReport, SchedStats, TaskCounts};
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -108,7 +110,12 @@ pub struct FactorConfig {
     /// How long a rank may sit with nothing runnable and no incoming
     /// messages before the run aborts with a [`DistError`].
     pub stall_timeout: Duration,
-    /// Record per-kernel [`TraceEvent`]s.
+    /// Record per-kernel [`TraceEvent`]s. A traced run applies ready
+    /// SSSSM updates one at a time (trace events are defined on single
+    /// updates); an untraced [`ScheduleMode::SyncFree`] run fuses
+    /// consecutive ready updates the selector leaves unplanned into one
+    /// scatter → multi-axpy → gather pass. Both apply the updates in the
+    /// same ascending-step order, so the factors are bitwise identical.
     pub traced: bool,
     /// Record per-variant kernel tallies and model FLOPs into the
     /// [`RunReport`]. Off, every kernel call delegates straight to the
@@ -116,29 +123,6 @@ pub struct FactorConfig {
     /// zero-cost-when-disabled contract); the always-on busy/sync
     /// accounting and communication counters are kept either way.
     pub metrics: bool,
-    /// Fuse consecutive ready SSSSM updates on one target into a single
-    /// scatter → multi-axpy → gather pass (on by default). The fused pass
-    /// applies the updates in the same deterministic ascending-step
-    /// order, so factors are bitwise identical either way — the toggle
-    /// exists so tests can force one-at-a-time application and assert
-    /// exactly that. Batching is only engaged in
-    /// [`ScheduleMode::SyncFree`] runs without tracing: level-set
-    /// barriers and per-kernel trace events are both defined on single
-    /// updates.
-    pub ssssm_batching: bool,
-    /// Run kernels through precomputed index plans (on by default).
-    /// Plans are built lazily per task on a rank's first touch, cached
-    /// in the rank's workspace, and reused verbatim across
-    /// refactorisations; planned kernels are bitwise identical to the
-    /// unplanned variants. When on, ready SSSSM updates are applied
-    /// one-at-a-time through their plans instead of batch-fused (the
-    /// two orders are bitwise identical by the batching contract).
-    pub use_plans: bool,
-    /// Arena encoding of the kernel index plans (run segments by
-    /// default). Per-entry encoding keeps the flat per-slot layout; the
-    /// two replay bitwise identically, so the knob exists for the
-    /// determinism matrix and perf A/Bs, not for correctness.
-    pub plan_encoding: PlanEncoding,
     /// Transport backend the rank mailboxes run on (in-process channels
     /// by default). The factors and every deterministic counter are
     /// backend-invariant — the cross-backend conformance suite asserts
@@ -157,9 +141,6 @@ impl Default for FactorConfig {
             stall_timeout: Duration::from_secs(60),
             traced: false,
             metrics: true,
-            ssssm_batching: true,
-            use_plans: true,
-            plan_encoding: PlanEncoding::default(),
             transport: TransportKind::Channel,
         }
     }
@@ -204,28 +185,6 @@ impl FactorConfig {
     /// Toggles per-variant kernel metering (on by default).
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metrics = on;
-        self
-    }
-
-    /// Toggles fused application of consecutive ready SSSSM updates
-    /// (on by default; bitwise-neutral either way).
-    pub fn with_ssssm_batching(mut self, on: bool) -> Self {
-        self.ssssm_batching = on;
-        self
-    }
-
-    /// Toggles planned kernel execution (on by default; bitwise-neutral
-    /// either way).
-    pub fn with_plans(mut self, on: bool) -> Self {
-        self.use_plans = on;
-        self
-    }
-
-    /// Selects the plan-arena encoding (run segments by default;
-    /// bitwise-neutral either way). Plans already cached in a reused
-    /// workspace keep the layout they were built with.
-    pub fn with_plan_encoding(mut self, encoding: PlanEncoding) -> Self {
-        self.plan_encoding = encoding;
         self
     }
 
@@ -421,61 +380,12 @@ pub struct FactorRun {
     pub steals: Vec<StealRecord>,
 }
 
-/// Factorises `bm` in place across `owners.num_ranks()` rank threads.
-/// Panics if the run stalls (see [`factor_distributed_checked`] for the
-/// error-returning form).
-pub fn factor_distributed<S: Scalar>(
-    bm: &mut BlockMatrix<S>,
-    tg: &TaskGraph,
-    owners: &OwnerMap,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-    mode: ScheduleMode,
-) -> DistStats {
-    match factor_distributed_checked(
-        bm,
-        tg,
-        owners,
-        selector,
-        pivot_floor,
-        &FactorConfig::with_mode(mode),
-    ) {
-        Ok(run) => run.stats,
-        Err(e) => panic!("distributed factorisation failed: {e}"),
-    }
-}
-
-/// As [`factor_distributed`], additionally recording every executed
-/// kernel with wall-clock start/end offsets — the per-rank timeline used
-/// to verify at runtime that the synchronisation-free array never lets a
-/// kernel start before its dependencies finish.
-pub fn factor_distributed_traced<S: Scalar>(
-    bm: &mut BlockMatrix<S>,
-    tg: &TaskGraph,
-    owners: &OwnerMap,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-    mode: ScheduleMode,
-) -> (DistStats, Vec<TraceEvent>) {
-    match factor_distributed_checked(
-        bm,
-        tg,
-        owners,
-        selector,
-        pivot_floor,
-        &FactorConfig::with_mode(mode).traced(),
-    ) {
-        Ok(run) => (run.stats, run.trace),
-        Err(e) => panic!("distributed factorisation failed: {e}"),
-    }
-}
-
-/// The fully configurable entry point: runs the distributed numeric
-/// factorisation under `cfg` (scheduling mode, fault plan, stall
-/// timeout, tracing) and returns the stats, kernel timeline, and message
-/// logs. On a stall — e.g. a message permanently lost by the fault
-/// plan — every rank shuts down cooperatively and the first structured
-/// [`DistError`] is returned; `bm` is left untouched in that case.
+/// Factorises `bm` in place across `owners.num_ranks()` rank threads
+/// under `cfg` (scheduling mode, fault plan, stall timeout, tracing) and
+/// returns the stats, kernel timeline, and message logs. On a stall —
+/// e.g. a message permanently lost by the fault plan — every rank shuts
+/// down cooperatively and the first structured [`DistError`] is
+/// returned; `bm` is left untouched in that case.
 ///
 /// Builds a transient [`NumericWorkspace`] for the run; callers that
 /// factor the same pattern repeatedly should build the workspace once
@@ -525,7 +435,6 @@ pub fn factor_distributed_cached<S: Scalar>(
     assert_eq!(ws.num_blocks, bm.num_blocks(), "workspace was built for a different pattern");
     let start = Instant::now();
     for st in &mut ws.ranks {
-        st.plans.set_encoding(cfg.plan_encoding);
         st.reset(bm);
     }
     // A backend that cannot come up (e.g. sockets in a sandbox) is a
@@ -921,6 +830,18 @@ impl<S: Scalar> NumericWorkspace<S> {
         self.ranks.len()
     }
 
+    /// Memory and build accounting of the kernel plans, summed over the
+    /// ranks' pools.
+    pub fn plan_stats(&self) -> PlanStats {
+        self.ranks.iter().map(|st| st.plans.stats()).fold(PlanStats::default(), |acc, ps| {
+            PlanStats {
+                bytes: acc.bytes + ps.bytes,
+                build_ns: acc.build_ns.saturating_add(ps.build_ns),
+                builds: acc.builds + ps.builds,
+            }
+        })
+    }
+
     /// The cached critical-path priority vector, shared (not cloned) with
     /// every run on this workspace.
     pub fn priorities(&self) -> Arc<TaskPriorities> {
@@ -1013,11 +934,8 @@ struct Worker<'a, S: Scalar> {
     /// The rank's cached executor state (already reset for this run).
     st: &'a mut RankState<S>,
     /// Widest SSSSM fusion allowed (1 = one-at-a-time; see
-    /// [`FactorConfig::ssssm_batching`]).
+    /// [`FactorConfig::traced`]).
     max_batch: usize,
-    /// Run kernels through the rank's cached index plans (see
-    /// [`FactorConfig::use_plans`]).
-    use_plans: bool,
 
     /// Effective queue policy: the configured [`FactorConfig::policy`],
     /// forced to Fifo under [`ScheduleMode::LevelSet`] (the barrier
@@ -1102,11 +1020,10 @@ impl<'a, S: Scalar> Worker<'a, S> {
     ) -> Self {
         let rank = mailbox.rank();
         debug_assert_eq!(st.rank, rank, "rank state handed to the wrong mailbox");
-        let max_batch = if cfg.mode == ScheduleMode::SyncFree && cfg.ssssm_batching && !cfg.traced {
-            usize::MAX
-        } else {
-            1
-        };
+        // Level-set barriers and per-kernel trace events are both defined
+        // on single updates.
+        let max_batch =
+            if cfg.mode == ScheduleMode::SyncFree && !cfg.traced { usize::MAX } else { 1 };
         let policy =
             if cfg.mode == ScheduleMode::LevelSet { SchedulePolicy::Fifo } else { cfg.policy };
         let stealing =
@@ -1127,7 +1044,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
             first_err,
             st,
             max_batch,
-            use_plans: cfg.use_plans,
             policy,
             stealing,
             lookahead: cfg.lookahead,
@@ -1278,13 +1194,12 @@ impl<'a, S: Scalar> Worker<'a, S> {
             }
         }
 
-        if self.use_plans {
-            // End-of-run gauges: cumulative across every run that shared
-            // this rank state (plans persist across refactorisations).
-            let ps = self.st.plans.stats();
-            self.mem.plan_bytes = ps.bytes;
-            self.mem.plan_build_ns = ps.build_ns;
-        }
+        // End-of-run gauges: cumulative across every run that shared this
+        // rank state (plans persist across refactorisations).
+        let ps = self.st.plans.stats();
+        self.mem.plan_bytes = ps.bytes;
+        self.mem.plan_build_ns = ps.build_ns;
+        self.timed.add_counts_to(&mut self.mem);
         let sync_wait = self.mailbox.sync_wait() + self.barrier_wait;
         let metrics = RankMetrics {
             rank: self.rank,
@@ -1563,21 +1478,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 let id = self.bm.block_id(k, k).expect("diag exists");
                 let st = &mut *self.st;
                 let blk = st.my_blocks[id].as_mut().expect("getrf on owned block");
-                if self.use_plans
-                    && self.selector.planned_getrf(blk.nnz())
-                    && st.plans.fits(blk.nnz())
-                {
-                    let (p, arena) = st.plans.getrf_for(k, blk);
-                    self.perturbed += self.timed.getrf_planned(blk, p, arena, self.pivot_floor);
-                    self.mem.planned_calls += 1;
-                    self.mem.index_searches_avoided += p.searches_avoided;
-                    self.mem.plan_runs += p.runs;
-                    self.mem.run_axpy_entries += p.run_entries;
-                } else {
-                    let variant = self.selector.getrf(blk.nnz());
-                    self.perturbed +=
-                        self.timed.getrf(blk, variant, &mut st.scratch, self.pivot_floor);
-                }
+                let route = st.plans.route_getrf(self.selector, k, blk);
+                self.perturbed += self.timed.getrf(route, blk, &mut st.scratch, self.pivot_floor);
                 self.tasks.getrf += 1;
                 Post::Panel { id, step: k, role: BlockRole::DiagFactor }
             }
@@ -1590,21 +1492,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 let mut blk = st.my_blocks[id].take().expect("gessm on owned block");
                 let diag =
                     Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, k, k);
-                if self.use_plans
-                    && self.selector.planned_gessm(blk.nnz())
-                    && st.plans.fits(blk.nnz())
-                    && st.plans.fits(diag.nnz())
-                {
-                    let (p, arena) = st.plans.gessm_for(id, diag, &blk);
-                    self.timed.gessm_planned(diag, &mut blk, p, arena);
-                    self.mem.planned_calls += 1;
-                    self.mem.index_searches_avoided += p.searches_avoided;
-                    self.mem.plan_runs += p.runs;
-                    self.mem.run_axpy_entries += p.run_entries;
-                } else {
-                    let variant = self.selector.gessm(blk.nnz());
-                    self.timed.gessm(diag, &mut blk, variant, &mut st.scratch);
-                }
+                let route = st.plans.route_gessm(self.selector, id, diag, &blk);
+                self.timed.gessm(route, diag, &mut blk, &mut st.scratch);
                 st.my_blocks[id] = Some(blk);
                 self.tasks.gessm += 1;
                 Post::Panel { id, step: k, role: BlockRole::UPanel }
@@ -1615,21 +1504,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 let mut blk = st.my_blocks[id].take().expect("tstrf on owned block");
                 let diag =
                     Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, k, k);
-                if self.use_plans
-                    && self.selector.planned_tstrf(blk.nnz())
-                    && st.plans.fits(blk.nnz())
-                    && st.plans.fits(diag.nnz())
-                {
-                    let (p, arena) = st.plans.tstrf_for(id, diag, &blk);
-                    self.timed.tstrf_planned(diag, &mut blk, p, arena);
-                    self.mem.planned_calls += 1;
-                    self.mem.index_searches_avoided += p.searches_avoided;
-                    self.mem.plan_runs += p.runs;
-                    self.mem.run_axpy_entries += p.run_entries;
-                } else {
-                    let variant = self.selector.tstrf(blk.nnz());
-                    self.timed.tstrf(diag, &mut blk, variant, &mut st.scratch);
-                }
+                let route = st.plans.route_tstrf(self.selector, id, diag, &blk);
+                self.timed.tstrf(route, diag, &mut blk, &mut st.scratch);
                 st.my_blocks[id] = Some(blk);
                 self.tasks.tstrf += 1;
                 Post::Panel { id, step: k, role: BlockRole::LPanel }
@@ -1642,10 +1518,16 @@ impl<'a, S: Scalar> Worker<'a, S> {
                     Some(&k),
                     "popped SSSSM update is not at the target's cursor"
                 );
-                // Fuse the maximal run of consecutive ready updates from
-                // the cursor — identical application order to
-                // one-at-a-time, but the target column is scattered and
-                // gathered once per run instead of once per update.
+                // Take the maximal run of consecutive ready updates from
+                // the cursor and walk it in ascending-step order. Updates
+                // routed to a plan execute one at a time through their
+                // index maps; runs of variant-routed updates between them
+                // fuse into `ssssm_batch` segments, scattering and
+                // gathering the target column once per segment instead of
+                // once per update. Either way the subtraction sequence is
+                // that of one-at-a-time application, so the result is
+                // bitwise identical (see the batching contract on
+                // `ssssm_batch`).
                 let mut width = 1usize;
                 while width < self.max_batch
                     && pos + width < self.st.upd_order[cid].len()
@@ -1653,105 +1535,32 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 {
                     width += 1;
                 }
-                let mut target = self.st.my_blocks[cid].take().expect("ssssm on owned block");
-                if self.use_plans {
-                    // Planned path: walk the ready run in the same
-                    // ascending-step order the fused pass uses. Updates
-                    // the selector sends to a plan execute one at a time
-                    // through their index maps; runs of unplanned updates
-                    // between them fuse into `ssssm_batch` segments so
-                    // the dense-addressed variants keep their
-                    // scatter-once amortisation. Either way the
-                    // subtraction sequence is unchanged, so the result is
-                    // bitwise identical (see the batching contract on
-                    // `ssssm_batch`).
-                    let bm = self.bm;
-                    let st = &mut *self.st;
-                    let mut pending: Vec<SsssmUpdate<'_, S>> = Vec::with_capacity(width);
-                    for n in 0..width {
-                        let uk = st.upd_order[cid][pos + n];
-                        let a = Self::lookup_operand(
-                            bm,
-                            &st.my_blocks,
-                            &st.remote,
-                            &st.finished,
-                            i,
-                            uk,
-                        );
-                        let b = Self::lookup_operand(
-                            bm,
-                            &st.my_blocks,
-                            &st.remote,
-                            &st.finished,
-                            uk,
-                            j,
-                        );
-                        let fl = flops::ssssm_flops(a, b);
-                        if self.selector.planned_ssssm(fl) && st.plans.fits(target.nnz()) {
-                            if !pending.is_empty() {
-                                if pending.len() > 1 {
-                                    self.mem.ssssm_batches += 1;
-                                }
-                                self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
-                                pending.clear();
-                            }
-                            let gid = st.upd_gid[cid][pos + n] as usize;
-                            let (p, arena) = st.plans.ssssm_for(gid, a, b, &target);
-                            self.timed.ssssm_planned(a, b, &mut target, p, arena, fl);
-                            self.mem.planned_calls += 1;
-                            self.mem.index_searches_avoided += p.searches_avoided;
-                            self.mem.plan_runs += p.runs;
-                            self.mem.run_axpy_entries += p.run_entries;
-                        } else {
-                            pending.push(SsssmUpdate {
-                                a,
-                                b,
-                                variant: self.selector.ssssm(fl),
-                                model_flops: fl,
-                            });
+                let bm = self.bm;
+                let st = &mut *self.st;
+                let mut target = st.my_blocks[cid].take().expect("ssssm on owned block");
+                let mut pending: Vec<SsssmUpdate<'_, S>> = Vec::with_capacity(width);
+                for n in 0..width {
+                    let uk = st.upd_order[cid][pos + n];
+                    let a =
+                        Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, i, uk);
+                    let b =
+                        Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, uk, j);
+                    let fl = flops::ssssm_flops(a, b);
+                    let gid = st.upd_gid[cid][pos + n] as usize;
+                    match st.plans.route_ssssm(self.selector, gid, fl, a, b, &target) {
+                        route @ Route::Plan(..) => {
+                            self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
+                            pending.clear();
+                            self.timed.ssssm(route, a, b, &mut target, &mut st.scratch, fl);
+                        }
+                        Route::Variant(variant) => {
+                            pending.push(SsssmUpdate { a, b, variant, model_flops: fl })
                         }
                     }
-                    if !pending.is_empty() {
-                        if pending.len() > 1 {
-                            self.mem.ssssm_batches += 1;
-                        }
-                        self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
-                    }
-                } else {
-                    let bm = self.bm;
-                    let ks = &self.st.upd_order[cid][pos..pos + width];
-                    let updates: Vec<SsssmUpdate<'_, S>> = ks
-                        .iter()
-                        .map(|&uk| {
-                            let a = Self::lookup_operand(
-                                bm,
-                                &self.st.my_blocks,
-                                &self.st.remote,
-                                &self.st.finished,
-                                i,
-                                uk,
-                            );
-                            let b = Self::lookup_operand(
-                                bm,
-                                &self.st.my_blocks,
-                                &self.st.remote,
-                                &self.st.finished,
-                                uk,
-                                j,
-                            );
-                            let fl = flops::ssssm_flops(a, b);
-                            SsssmUpdate { a, b, variant: self.selector.ssssm(fl), model_flops: fl }
-                        })
-                        .collect();
-                    self.timed.ssssm_batch(&updates, &mut target, &mut self.st.scratch);
                 }
-                self.st.my_blocks[cid] = Some(target);
+                self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
+                st.my_blocks[cid] = Some(target);
                 self.tasks.ssssm += width as u64;
-                if width > 1 && !self.use_plans {
-                    // Fused segments on the planned path count at the
-                    // flush sites above.
-                    self.mem.ssssm_batches += 1;
-                }
                 Post::Update { cid, applied: width }
             }
         };
@@ -2106,8 +1915,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
     }
 
     /// Executes a granted run one update at a time in ascending-k order —
-    /// the same kernel decisions (selector variant, planned gate) the
-    /// victim would have made on the same operands, so the returned
+    /// the same route (plan or selector variant) the victim would have
+    /// taken on the same operands, so the returned
     /// values are bitwise identical to the victim executing locally (the
     /// batching contract makes one-at-a-time equal to any fused split).
     fn run_stolen_job(&mut self, mut job: StolenJob<S>) {
@@ -2119,18 +1928,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
             let a = Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, bi, uk);
             let b = Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, uk, bj);
             let fl = flops::ssssm_flops(a, b);
-            if self.use_plans && self.selector.planned_ssssm(fl) && st.plans.fits(job.target.nnz())
-            {
-                let (p, arena) = st.plans.ssssm_for(gid, a, b, &job.target);
-                self.timed.ssssm_planned(a, b, &mut job.target, p, arena, fl);
-                self.mem.planned_calls += 1;
-                self.mem.index_searches_avoided += p.searches_avoided;
-                self.mem.plan_runs += p.runs;
-                self.mem.run_axpy_entries += p.run_entries;
-            } else {
-                let upd = SsssmUpdate { a, b, variant: self.selector.ssssm(fl), model_flops: fl };
-                self.timed.ssssm_batch(&[upd], &mut job.target, &mut st.scratch);
-            }
+            let route = st.plans.route_ssssm(self.selector, gid, fl, a, b, &job.target);
+            self.timed.ssssm(route, a, b, &mut job.target, &mut st.scratch, fl);
             self.tasks.ssssm += 1;
             self.busy += t0.elapsed();
             if let (Some(origin), Some(start)) = (self.trace_origin, trace_start) {
@@ -2215,8 +2014,9 @@ mod tests {
 
         let mut dist_bm = bm0;
         let owners = OwnerMap::balanced(&dist_bm, ProcessGrid::new(p), &tg);
-        let stats = factor_distributed(&mut dist_bm, &tg, &owners, &sel, 0.0, mode);
-        assert_eq!(stats.busy.len(), p);
+        let cfg = FactorConfig::with_mode(mode);
+        let run = factor_distributed_checked(&mut dist_bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
+        assert_eq!(run.stats.busy.len(), p);
 
         let d1 = seq_bm.to_csc().to_dense();
         let d2 = dist_bm.to_csc().to_dense();
@@ -2258,9 +2058,10 @@ mod tests {
         let (a, mut bm, tg) = build(80, 8, 9);
         let sel = KernelSelector::new(a.nnz(), Thresholds::default());
         let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(4));
-        let stats = factor_distributed(&mut bm, &tg, &owners, &sel, 0.0, ScheduleMode::SyncFree);
-        assert!(stats.messages > 0, "4-rank run must communicate");
-        assert!(stats.bytes > 0);
+        let cfg = FactorConfig::default();
+        let run = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
+        assert!(run.stats.messages > 0, "4-rank run must communicate");
+        assert!(run.stats.bytes > 0);
     }
 
     #[test]
@@ -2284,33 +2085,24 @@ mod tests {
 
     #[test]
     fn planned_run_is_bitwise_identical_to_unplanned() {
+        // "Unplanned" is a selector whose planned gates are closed: no
+        // plan is built or replayed, and the factor keeps its bits.
         for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
             for p in [1usize, 4] {
                 let (a, bm0, tg) = build(60, 8, 15);
-                let sel = KernelSelector::new(a.nnz(), Thresholds::default());
                 let owners = OwnerMap::block_cyclic(&bm0, ProcessGrid::new(p));
                 let cfg = FactorConfig::with_mode(mode);
 
+                let sel = KernelSelector::new(a.nnz(), Thresholds::default());
                 let mut planned_bm = bm0.clone();
-                let run = factor_distributed_checked(
-                    &mut planned_bm,
-                    &tg,
-                    &owners,
-                    &sel,
-                    0.0,
-                    &cfg.clone().with_plans(true),
-                )
-                .unwrap();
+                let run =
+                    factor_distributed_checked(&mut planned_bm, &tg, &owners, &sel, 0.0, &cfg)
+                        .unwrap();
+                let closed = KernelSelector::new(a.nnz(), Thresholds::unplanned());
                 let mut plain_bm = bm0;
-                factor_distributed_checked(
-                    &mut plain_bm,
-                    &tg,
-                    &owners,
-                    &sel,
-                    0.0,
-                    &cfg.with_plans(false),
-                )
-                .unwrap();
+                let plain =
+                    factor_distributed_checked(&mut plain_bm, &tg, &owners, &closed, 0.0, &cfg)
+                        .unwrap();
                 assert_eq!(
                     planned_bm.to_csc().values(),
                     plain_bm.to_csc().values(),
@@ -2321,22 +2113,14 @@ mod tests {
                 assert!(mem.planned_calls > 0, "mode={mode:?} p={p}: no planned calls");
                 assert!(mem.index_searches_avoided > 0);
                 assert!(mem.plan_bytes > 0);
+
+                let mem = plain.report.total_mem();
+                assert_eq!(mem.planned_calls, 0, "mode={mode:?} p={p}");
+                assert_eq!(mem.index_searches_avoided, 0);
+                assert_eq!(mem.plan_bytes, 0);
+                assert_eq!(mem.plan_build_ns, 0);
             }
         }
-    }
-
-    #[test]
-    fn unplanned_run_reports_no_plan_counters() {
-        let (a, mut bm, tg) = build(60, 8, 16);
-        let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-        let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(2));
-        let cfg = FactorConfig::default().with_plans(false);
-        let run = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
-        let mem = run.report.total_mem();
-        assert_eq!(mem.planned_calls, 0);
-        assert_eq!(mem.index_searches_avoided, 0);
-        assert_eq!(mem.plan_bytes, 0);
-        assert_eq!(mem.plan_build_ns, 0);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use pangulu_kernels::{
-    flops, getrf, plan, select::KernelSelector, ssssm, trsm, KernelPlans, KernelScratch,
+    flops, getrf, select::KernelSelector, ssssm, trsm, KernelPlans, KernelScratch, TimedKernels,
 };
 use pangulu_sparse::Scalar;
 
@@ -58,6 +58,11 @@ impl NumericStats {
 /// right-looking sweep over elimination steps. `pivot_floor` is the static
 /// pivot perturbation threshold (0 disables perturbation and panics on a
 /// zero pivot).
+///
+/// This is the **unplanned reference sweep**: it never consults a kernel
+/// plan, only the Figure 8 trees, and exists so tests can hold every
+/// executor — planned or gate-closed — to its bits. The solver itself
+/// runs [`factor_sequential_planned`].
 pub fn factor_sequential<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -143,10 +148,11 @@ pub fn empty_plans<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> KernelPlan
 }
 
 /// Planned right-looking factorisation: the same task order as
-/// [`factor_sequential`], but every kernel whose planned gate the
-/// selector opens runs through its precomputed index plan. Plans are
-/// built lazily in `plans` on first touch and reused verbatim on later
-/// calls (the steady state of `Solver::refactor`). Results are bitwise
+/// [`factor_sequential`], but every task runs along the route `plans`
+/// decides for it — its precomputed index plan where the selector's
+/// planned gate is open, the tree's variant otherwise. Plans are built
+/// lazily in `plans` on first touch and reused verbatim on later calls
+/// (the steady state of `Solver::refactor`). Results are bitwise
 /// identical to the unplanned sweep.
 pub fn factor_sequential_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
@@ -157,6 +163,8 @@ pub fn factor_sequential_planned<S: Scalar>(
 ) -> NumericStats {
     let mut stats = NumericStats { flops: tg.total_flops(), ..Default::default() };
     let mut scratch = KernelScratch::with_capacity(bm.nb());
+    // Unmetered: this sweep times whole phases, not single kernels.
+    let mut kernels = TimedKernels::new(false);
     // Cursor over `tg.ssssm`, whose build order matches this sweep's
     // (step, L-row, U-column) traversal exactly.
     let mut upd_idx = 0usize;
@@ -165,40 +173,23 @@ pub fn factor_sequential_planned<S: Scalar>(
         let diag_id = bm.block_id(k, k).expect("diagonal block exists");
 
         let t0 = Instant::now();
-        let nnz = bm.block(diag_id).nnz();
         let blk = bm.block_mut(diag_id);
-        stats.perturbed_pivots += if selector.planned_getrf(nnz) && plans.fits(nnz) {
-            let (p, arena) = plans.getrf_for(k, blk);
-            plan::getrf_planned(blk, p, arena, pivot_floor)
-        } else {
-            getrf::getrf(blk, selector.getrf(nnz), &mut scratch, pivot_floor)
-        };
+        let route = plans.route_getrf(selector, k, blk);
+        stats.perturbed_pivots += kernels.getrf(route, blk, &mut scratch, pivot_floor);
         stats.getrf_time += t0.elapsed();
         stats.kernel_counts[0] += 1;
 
         let t1 = Instant::now();
         for &j in &tg.u_panels[k] {
             let b_id = bm.block_id(k, j).expect("U panel exists");
-            let nnz = bm.block(b_id).nnz();
             let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            if selector.planned_gessm(nnz) && plans.fits(nnz) && plans.fits(diag.nnz()) {
-                let (p, arena) = plans.gessm_for(b_id, diag, b);
-                plan::gessm_planned(diag, b, p, arena);
-            } else {
-                trsm::gessm(diag, b, selector.gessm(nnz), &mut scratch);
-            }
+            kernels.gessm(plans.route_gessm(selector, b_id, diag, b), diag, b, &mut scratch);
             stats.kernel_counts[1] += 1;
         }
         for &i in &tg.l_panels[k] {
             let b_id = bm.block_id(i, k).expect("L panel exists");
-            let nnz = bm.block(b_id).nnz();
             let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            if selector.planned_tstrf(nnz) && plans.fits(nnz) && plans.fits(diag.nnz()) {
-                let (p, arena) = plans.tstrf_for(b_id, diag, b);
-                plan::tstrf_planned(diag, b, p, arena);
-            } else {
-                trsm::tstrf(diag, b, selector.tstrf(nnz), &mut scratch);
-            }
+            kernels.tstrf(plans.route_tstrf(selector, b_id, diag, b), diag, b, &mut scratch);
             stats.kernel_counts[2] += 1;
         }
         stats.trsm_time += t1.elapsed();
@@ -211,93 +202,16 @@ pub fn factor_sequential_planned<S: Scalar>(
                     continue; // structurally empty product
                 };
                 let b_id = bm.block_id(k, j).expect("U panel exists");
-                let fl = flops::ssssm_flops(bm.block(a_id), bm.block(b_id));
                 debug_assert_eq!(tg.ssssm[upd_idx], (i, j, k), "update cursor out of sync");
                 let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
-                if selector.planned_ssssm(fl) && plans.fits(c.nnz()) {
-                    let (p, arena) = plans.ssssm_for(upd_idx, a, b, c);
-                    plan::ssssm_planned(a, b, c, p, arena);
-                } else {
-                    ssssm::ssssm(a, b, c, selector.ssssm(fl), &mut scratch);
-                }
+                let fl = flops::ssssm_flops(a, b);
+                let route = plans.route_ssssm(selector, upd_idx, fl, a, b, c);
+                kernels.ssssm(route, a, b, c, &mut scratch, fl);
                 upd_idx += 1;
                 stats.kernel_counts[3] += 1;
             }
         }
         stats.ssssm_time += t2.elapsed();
-    }
-    stats
-}
-
-/// Left-looking block factorisation: instead of scattering each step's
-/// updates right across the trailing matrix (right-looking, the paper's
-/// choice), each block column *gathers* all its pending updates just
-/// before its panel ops. Same kernels, same FLOPs, different locality and
-/// dependency shape — the classic design alternative the regular 2-D
-/// layout makes easy to express, provided here for ablation studies.
-pub fn factor_left_looking<S: Scalar>(
-    bm: &mut BlockMatrix<S>,
-    tg: &TaskGraph,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-) -> NumericStats {
-    let mut stats = NumericStats { flops: tg.total_flops(), ..Default::default() };
-    let mut scratch = KernelScratch::with_capacity(bm.nb());
-    let nblk = bm.nblk();
-
-    for col in 0..nblk {
-        // Walk the upper blocks (k, col), k < col, in ascending k. At each
-        // k the block's own updates (sources k' < k) have already been
-        // applied by earlier iterations, so it can be GESSM-finalised —
-        // and then immediately propagated into the rest of the column.
-        let uppers: Vec<usize> =
-            bm.col_blocks(col).map(|(bi, _)| bi).filter(|&bi| bi < col).collect();
-        for k in uppers {
-            let b_id = bm.block_id(k, col).expect("U panel exists");
-            let d_id = bm.block_id(k, k).expect("diag exists");
-            let t1 = Instant::now();
-            let variant = selector.gessm(bm.block(b_id).nnz());
-            {
-                let (diag, b) = bm.block_pair_mut(d_id, b_id);
-                trsm::gessm(diag, b, variant, &mut scratch);
-            }
-            stats.trsm_time += t1.elapsed();
-            stats.kernel_counts[1] += 1;
-
-            // Propagate U(k, col) down this column: targets (i, col) with
-            // L(i, k) present.
-            let t2 = Instant::now();
-            for &i in &tg.l_panels[k] {
-                let Some(c_id) = bm.block_id(i, col) else { continue };
-                let a_id = bm.block_id(i, k).expect("L operand");
-                let fl = flops::ssssm_flops(bm.block(a_id), bm.block(b_id));
-                let variant = selector.ssssm(fl);
-                let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
-                ssssm::ssssm(a, b, c, variant, &mut scratch);
-                stats.kernel_counts[3] += 1;
-            }
-            stats.ssssm_time += t2.elapsed();
-        }
-
-        // The diagonal and the L panels of this column are now fully
-        // updated: factor and solve.
-        let diag_id = bm.block_id(col, col).expect("diag exists");
-        let t0 = Instant::now();
-        let variant = selector.getrf(bm.block(diag_id).nnz());
-        stats.perturbed_pivots +=
-            getrf::getrf(bm.block_mut(diag_id), variant, &mut scratch, pivot_floor);
-        stats.getrf_time += t0.elapsed();
-        stats.kernel_counts[0] += 1;
-
-        let t1 = Instant::now();
-        for &i in &tg.l_panels[col] {
-            let b_id = bm.block_id(i, col).expect("L panel exists");
-            let variant = selector.tstrf(bm.block(b_id).nnz());
-            let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            trsm::tstrf(diag, b, variant, &mut scratch);
-            stats.kernel_counts[2] += 1;
-        }
-        stats.trsm_time += t1.elapsed();
     }
     stats
 }
@@ -408,51 +322,25 @@ mod tests {
     }
 
     #[test]
-    fn planned_with_baseline_selector_never_plans() {
-        // The baseline (non-adaptive) selector keeps every planned gate
-        // closed, so the planned entry point degrades to the unplanned
-        // sweep and builds nothing.
+    fn planned_sweep_behind_closed_gates_never_plans() {
+        // The baseline (non-adaptive) selector and gate-closed thresholds
+        // both keep every planned gate shut, so the planned entry point
+        // degrades to the unplanned sweep — same bits — and builds nothing.
         let a = ensure_diagonal(&gen::random_sparse(30, 0.2, 9)).unwrap();
         let f = filled(&a);
-        let mut bm = BlockMatrix::from_filled(&f, 8).unwrap();
-        let tg = TaskGraph::build(&bm);
-        let sel = KernelSelector::baseline(a.nnz());
-        let mut plans = empty_plans(&bm, &tg);
-        factor_sequential_planned(&mut bm, &tg, &sel, 0.0, &mut plans);
-        assert_eq!(plans.stats().builds, 0);
-        assert_eq!(plans.stats().bytes, 0);
-    }
-
-    #[test]
-    fn left_looking_matches_right_looking() {
-        for seed in 0..3 {
-            let a = ensure_diagonal(&gen::random_sparse(50, 0.12, seed)).unwrap();
-            let f = filled(&a);
-            for nb in [7, 12, 50] {
-                let tg;
-                let right = {
-                    let mut bm = BlockMatrix::from_filled(&f, nb).unwrap();
-                    tg = TaskGraph::build(&bm);
-                    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-                    factor_sequential(&mut bm, &tg, &sel, 0.0);
-                    bm.to_csc()
-                };
-                let left = {
-                    let mut bm = BlockMatrix::from_filled(&f, nb).unwrap();
-                    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-                    let stats = factor_left_looking(&mut bm, &tg, &sel, 0.0);
-                    // Same kernel counts in both sweeps.
-                    assert_eq!(stats.kernel_counts[3], tg.ssssm.len());
-                    bm.to_csc()
-                };
-                let diff = right.to_dense().max_abs_diff(&left.to_dense());
-                let scale = right.norm_max().max(1.0);
-                assert!(
-                    diff / scale < 1e-10,
-                    "seed {seed} nb {nb}: sweeps differ by {}",
-                    diff / scale
-                );
-            }
+        for sel in [
+            KernelSelector::baseline(a.nnz()),
+            KernelSelector::new(a.nnz(), Thresholds::unplanned()),
+        ] {
+            let mut reference = BlockMatrix::from_filled(&f, 8).unwrap();
+            let tg = TaskGraph::build(&reference);
+            factor_sequential(&mut reference, &tg, &sel, 0.0);
+            let mut bm = BlockMatrix::from_filled(&f, 8).unwrap();
+            let mut plans = empty_plans(&bm, &tg);
+            factor_sequential_planned(&mut bm, &tg, &sel, 0.0, &mut plans);
+            assert_eq!(bm.to_csc().values(), reference.to_csc().values());
+            assert_eq!(plans.stats().builds, 0);
+            assert_eq!(plans.stats().bytes, 0);
         }
     }
 

@@ -15,12 +15,12 @@
 //! * runnable tasks flow through a global injector of worklists; workers
 //!   pop, execute, and push whatever their completion unlocks.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{flops, getrf, plan, ssssm, trsm, KernelPlans, KernelScratch};
+use pangulu_kernels::{flops, KernelPlans, KernelScratch, TimedKernels};
 use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
@@ -80,35 +80,15 @@ impl<S: Scalar> SharedBlocks<S> {
     }
 }
 
-/// Factorises `bm` in place with `threads` shared-memory workers.
+/// Factorises `bm` in place with `threads` shared-memory workers, every
+/// task running along the route `plans` decides for it (its precomputed
+/// index plan where the selector's planned gate is open, the tree's
+/// variant otherwise). Missing plans are built eagerly (single-threaded,
+/// from patterns only) before the workers start, so the pool is
+/// immutable during execution and reused verbatim on later calls.
 /// Deterministic results are **not** guaranteed bit-for-bit when several
 /// SSSSM updates race for the same target (floating-point addition is
 /// not associative); tests use tolerances accordingly.
-pub fn factor_shared<S: Scalar>(
-    bm: &mut BlockMatrix<S>,
-    tg: &TaskGraph,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-    threads: usize,
-) -> NumericStats {
-    factor_shared_inner(bm, tg, selector, pivot_floor, threads, None)
-}
-
-/// Immutable planned-execution context shared by all workers: the plan
-/// pool (fully built before the threads start, so no locking is needed)
-/// plus the `(i, j, k) → task-graph update index` map that keys SSSSM
-/// plan slots.
-struct PlannedCtx<'a, S: Scalar> {
-    plans: &'a KernelPlans<S>,
-    ssssm_index: HashMap<(usize, usize, usize), usize>,
-}
-
-/// Planned shared-memory factorisation: same scheduler as
-/// [`factor_shared`], but kernels whose planned gate the selector opens
-/// run through precomputed index plans. Missing plans are built eagerly
-/// (single-threaded, from patterns only) before the workers start, so
-/// the pool is immutable during execution and reused verbatim on later
-/// calls.
 pub fn factor_shared_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -118,70 +98,7 @@ pub fn factor_shared_planned<S: Scalar>(
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
     build_all_plans(bm, tg, selector, plans);
-    let ctx = PlannedCtx {
-        plans,
-        ssssm_index: tg.ssssm.iter().enumerate().map(|(n, &t)| (t, n)).collect(),
-    };
-    factor_shared_inner(bm, tg, selector, pivot_floor, threads, Some(&ctx))
-}
-
-/// Builds every plan the selector's gates will let the workers consult.
-/// Patterns are fixed by the symbolic phase, so building from the
-/// unfactored blocks is identical to building lazily mid-factorisation;
-/// tasks whose planned gate is closed (the calibrated cuts send them to
-/// the dense-addressed variants) get no plan, keeping the pool's memory
-/// proportional to the planned working set — the same plans the
-/// distributed executor would build lazily.
-fn build_all_plans<S: Scalar>(
-    bm: &BlockMatrix<S>,
-    tg: &TaskGraph,
-    selector: &KernelSelector,
-    plans: &mut KernelPlans<S>,
-) {
-    for k in 0..bm.nblk() {
-        let diag_id = bm.block_id(k, k).expect("diag exists");
-        if selector.planned_getrf(bm.block(diag_id).nnz()) && plans.fits(bm.block(diag_id).nnz()) {
-            plans.getrf_for(k, bm.block(diag_id));
-        }
-        for &j in &tg.u_panels[k] {
-            let id = bm.block_id(k, j).expect("panel exists");
-            if selector.planned_gessm(bm.block(id).nnz())
-                && plans.fits(bm.block(id).nnz())
-                && plans.fits(bm.block(diag_id).nnz())
-            {
-                plans.gessm_for(id, bm.block(diag_id), bm.block(id));
-            }
-        }
-        for &i in &tg.l_panels[k] {
-            let id = bm.block_id(i, k).expect("panel exists");
-            if selector.planned_tstrf(bm.block(id).nnz())
-                && plans.fits(bm.block(id).nnz())
-                && plans.fits(bm.block(diag_id).nnz())
-            {
-                plans.tstrf_for(id, bm.block(diag_id), bm.block(id));
-            }
-        }
-    }
-    for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
-        let a_id = bm.block_id(i, k).expect("L operand");
-        let b_id = bm.block_id(k, j).expect("U operand");
-        if selector.planned_ssssm(flops::ssssm_flops(bm.block(a_id), bm.block(b_id))) {
-            let c_id = bm.block_id(i, j).expect("target");
-            if plans.fits(bm.block(c_id).nnz()) {
-                plans.ssssm_for(n, bm.block(a_id), bm.block(b_id), bm.block(c_id));
-            }
-        }
-    }
-}
-
-fn factor_shared_inner<S: Scalar>(
-    bm: &mut BlockMatrix<S>,
-    tg: &TaskGraph,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-    threads: usize,
-    planned: Option<&PlannedCtx<'_, S>>,
-) -> NumericStats {
+    let plans = &*plans;
     let threads = threads.max(1);
     let nblk = bm.nblk();
     let num_blocks = bm.num_blocks();
@@ -219,6 +136,7 @@ fn factor_shared_inner<S: Scalar>(
         for _ in 0..threads {
             s.spawn(|| {
                 let mut scratch = KernelScratch::<S>::with_capacity(nb);
+                let mut kernels = TimedKernels::new(false);
                 loop {
                     if remaining.load(Ordering::Acquire) == 0 {
                         break;
@@ -241,7 +159,8 @@ fn factor_shared_inner<S: Scalar>(
                         &perturbed,
                         task,
                         &mut scratch,
-                        planned,
+                        &mut kernels,
+                        plans,
                     );
                 }
             });
@@ -258,6 +177,40 @@ fn factor_shared_inner<S: Scalar>(
             tg.ssssm.len(),
         ],
         ..Default::default()
+    }
+}
+
+/// Routes every task once so each plan the selector's gates admit
+/// exists before the workers start. Patterns are fixed by the symbolic
+/// phase, so building from the unfactored blocks is identical to
+/// building lazily mid-factorisation; tasks whose planned gate is closed
+/// (the calibrated cuts send them to the dense-addressed variants) get
+/// no plan, keeping the pool's memory proportional to the planned
+/// working set — the same plans the distributed executor would build
+/// lazily.
+fn build_all_plans<S: Scalar>(
+    bm: &BlockMatrix<S>,
+    tg: &TaskGraph,
+    selector: &KernelSelector,
+    plans: &mut KernelPlans<S>,
+) {
+    for k in 0..bm.nblk() {
+        let diag = bm.block(bm.block_id(k, k).expect("diag exists"));
+        plans.route_getrf(selector, k, diag);
+        for &j in &tg.u_panels[k] {
+            let id = bm.block_id(k, j).expect("panel exists");
+            plans.route_gessm(selector, id, diag, bm.block(id));
+        }
+        for &i in &tg.l_panels[k] {
+            let id = bm.block_id(i, k).expect("panel exists");
+            plans.route_tstrf(selector, id, diag, bm.block(id));
+        }
+    }
+    for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
+        let a = bm.block(bm.block_id(i, k).expect("L operand"));
+        let b = bm.block(bm.block_id(k, j).expect("U operand"));
+        let c = bm.block(bm.block_id(i, j).expect("target"));
+        plans.route_ssssm(selector, n, flops::ssssm_flops(a, b), a, b, c);
     }
 }
 
@@ -311,7 +264,8 @@ fn execute_shared<S: Scalar>(
     perturbed: &AtomicUsize,
     task: Task,
     scratch: &mut KernelScratch<S>,
-    planned: Option<&PlannedCtx<'_, S>>,
+    kernels: &mut TimedKernels,
+    plans: &KernelPlans<S>,
 ) {
     match task {
         Task::Getrf { k } => {
@@ -319,14 +273,8 @@ fn execute_shared<S: Scalar>(
             claim(&state[id]);
             // Safety: exclusive via the claim latch.
             let blk = unsafe { shared.get_mut(id) };
-            let hit = planned.and_then(|ctx| {
-                selector.planned_getrf(blk.nnz()).then(|| ctx.plans.get_getrf(k)).flatten()
-            });
-            let n = if let Some((p, arena)) = hit {
-                plan::getrf_planned(blk, p, arena, pivot_floor)
-            } else {
-                getrf::getrf(blk, selector.getrf(blk.nnz()), scratch, pivot_floor)
-            };
+            let route = plans.prebuilt_getrf(selector, k, blk);
+            let n = kernels.getrf(route, blk, scratch, pivot_floor);
             perturbed.fetch_add(n, Ordering::Relaxed);
             state[id].finished.store(true, Ordering::Release);
             release(&state[id]);
@@ -357,14 +305,7 @@ fn execute_shared<S: Scalar>(
             // Safety: diag finished (immutable); target claimed.
             let diag = unsafe { shared.get(diag_id) };
             let blk = unsafe { shared.get_mut(id) };
-            let hit = planned.and_then(|ctx| {
-                selector.planned_gessm(blk.nnz()).then(|| ctx.plans.get_gessm(id)).flatten()
-            });
-            if let Some((p, arena)) = hit {
-                plan::gessm_planned(diag, blk, p, arena);
-            } else {
-                trsm::gessm(diag, blk, selector.gessm(blk.nnz()), scratch);
-            }
+            kernels.gessm(plans.prebuilt_gessm(selector, id, diag, blk), diag, blk, scratch);
             state[id].finished.store(true, Ordering::Release);
             release(&state[id]);
             remaining.fetch_sub(1, Ordering::AcqRel);
@@ -377,14 +318,7 @@ fn execute_shared<S: Scalar>(
             claim(&state[id]);
             let diag = unsafe { shared.get(diag_id) };
             let blk = unsafe { shared.get_mut(id) };
-            let hit = planned.and_then(|ctx| {
-                selector.planned_tstrf(blk.nnz()).then(|| ctx.plans.get_tstrf(id)).flatten()
-            });
-            if let Some((p, arena)) = hit {
-                plan::tstrf_planned(diag, blk, p, arena);
-            } else {
-                trsm::tstrf(diag, blk, selector.tstrf(blk.nnz()), scratch);
-            }
+            kernels.tstrf(plans.prebuilt_tstrf(selector, id, diag, blk), diag, blk, scratch);
             state[id].finished.store(true, Ordering::Release);
             release(&state[id]);
             remaining.fetch_sub(1, Ordering::AcqRel);
@@ -400,18 +334,8 @@ fn execute_shared<S: Scalar>(
             let b = unsafe { shared.get(b_id) };
             let c = unsafe { shared.get_mut(c_id) };
             let fl = flops::ssssm_flops(a, b);
-            let hit = planned.and_then(|ctx| {
-                if !selector.planned_ssssm(fl) {
-                    return None;
-                }
-                let &slot = ctx.ssssm_index.get(&(i, j, k))?;
-                ctx.plans.get_ssssm(slot)
-            });
-            if let Some((p, arena)) = hit {
-                plan::ssssm_planned(a, b, c, p, arena);
-            } else {
-                ssssm::ssssm(a, b, c, selector.ssssm(fl), scratch);
-            }
+            let slot = tg.ssssm_index(i, j, k).expect("queued update is in the task graph");
+            kernels.ssssm(plans.prebuilt_ssssm(selector, slot, fl, c), a, b, c, scratch, fl);
             release(&state[c_id]);
             remaining.fetch_sub(1, Ordering::AcqRel);
             let left = state[c_id].pending.fetch_sub(1, Ordering::AcqRel) - 1;
@@ -504,34 +428,30 @@ mod tests {
             let sel = KernelSelector::new(nnz, Thresholds::default());
             let mut seq_bm = bm0.clone();
             factor_sequential(&mut seq_bm, &tg, &sel, 0.0);
-            let mut par_bm = bm0;
-            factor_shared(&mut par_bm, &tg, &sel, 0.0, threads);
-            let diff = seq_bm.to_csc().to_dense().max_abs_diff(&par_bm.to_csc().to_dense());
             let scale = seq_bm.to_csc().norm_max().max(1.0);
-            assert!(diff / scale < 1e-10, "threads={threads} seed={seed}: diff {}", diff / scale);
-        }
-    }
+            let seq_dense = seq_bm.to_csc().to_dense();
 
-    #[test]
-    fn shared_planned_matches_sequential_and_prebuilds() {
-        for (threads, seed) in [(1usize, 21u64), (4, 22)] {
-            let (nnz, bm0, tg) = build(60, 8, seed);
-            let sel = KernelSelector::new(nnz, Thresholds::default());
-            let mut seq_bm = bm0.clone();
-            factor_sequential(&mut seq_bm, &tg, &sel, 0.0);
-            let mut par_bm = bm0;
+            let mut par_bm = bm0.clone();
             let mut plans = crate::seq::empty_plans(&par_bm, &tg);
             factor_shared_planned(&mut par_bm, &tg, &sel, 0.0, threads, &mut plans);
-            let diff = seq_bm.to_csc().to_dense().max_abs_diff(&par_bm.to_csc().to_dense());
-            let scale = seq_bm.to_csc().norm_max().max(1.0);
+            let diff = seq_dense.max_abs_diff(&par_bm.to_csc().to_dense());
             assert!(diff / scale < 1e-10, "threads={threads} seed={seed}: diff {}", diff / scale);
-            // Every task class got a plan, eagerly, before the workers ran.
+            // Every admitted task got a plan, eagerly, before the workers
+            // ran; a second factorisation reuses the pool without rebuilding.
             let builds = plans.stats().builds;
             assert!(builds > 0);
-            // A second factorisation reuses the pool without rebuilding.
-            let (_, mut bm2, _) = build(60, 8, seed);
-            factor_shared_planned(&mut bm2, &tg, &sel, 0.0, threads, &mut plans);
+            factor_shared_planned(&mut bm0.clone(), &tg, &sel, 0.0, threads, &mut plans);
             assert_eq!(plans.stats().builds, builds);
+
+            // Closed planned gates: same factor from the tree's variants
+            // alone, and nothing is ever built.
+            let closed = KernelSelector::new(nnz, Thresholds::unplanned());
+            let mut plain_bm = bm0;
+            let mut none = crate::seq::empty_plans(&plain_bm, &tg);
+            factor_shared_planned(&mut plain_bm, &tg, &closed, 0.0, threads, &mut none);
+            let diff = seq_dense.max_abs_diff(&plain_bm.to_csc().to_dense());
+            assert!(diff / scale < 1e-10, "threads={threads} seed={seed}: unplanned diff");
+            assert_eq!(none.stats().builds, 0);
         }
     }
 
@@ -539,7 +459,8 @@ mod tests {
     fn shared_memory_stats_count_tasks() {
         let (nnz, mut bm, tg) = build(50, 10, 3);
         let sel = KernelSelector::new(nnz, Thresholds::default());
-        let stats = factor_shared(&mut bm, &tg, &sel, 1e-12, 2);
+        let mut plans = crate::seq::empty_plans(&bm, &tg);
+        let stats = factor_shared_planned(&mut bm, &tg, &sel, 1e-12, 2, &mut plans);
         assert_eq!(stats.kernel_counts[0], bm.nblk());
         assert_eq!(stats.kernel_counts[3], tg.ssssm.len());
     }

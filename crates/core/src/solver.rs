@@ -29,7 +29,8 @@ use crate::dist::{
     SchedulePolicy,
 };
 use crate::layout::OwnerMap;
-use crate::seq::{empty_plans, factor_sequential, factor_sequential_planned, NumericStats};
+use crate::seq::{empty_plans, factor_sequential_planned, NumericStats};
+use crate::shared::factor_shared_planned;
 use crate::task::{TaskGraph, TaskPriorities};
 use crate::trisolve::{
     backward_substitute, backward_substitute_transpose, forward_substitute,
@@ -97,11 +98,6 @@ pub struct SolverOptions {
     /// with this many worker threads (PanguLU's multicore CPU mode)
     /// instead of the message-passing ranks; `ranks` is ignored.
     pub shared_threads: Option<usize>,
-    /// Run kernels through precomputed index plans (on by default).
-    /// Plans are part of the cached analysis: built on the first
-    /// factorisation, reused verbatim by every [`Solver::refactor`].
-    /// Bitwise identical to unplanned execution either way.
-    pub use_plans: bool,
     /// Transport backend the distributed phases run on (in-process
     /// channels by default). Factors, solutions and every deterministic
     /// counter are backend-invariant.
@@ -136,7 +132,6 @@ impl Default for SolverOptions {
             load_balance: true,
             distributed_solve: true,
             shared_threads: None,
-            use_plans: true,
             transport: TransportKind::default(),
             precision: Precision::default(),
             probe_every: 4,
@@ -224,13 +219,6 @@ impl SolverBuilder {
     /// worker threads instead of message-passing ranks.
     pub fn shared_threads(mut self, t: usize) -> Self {
         self.opts.shared_threads = Some(t.max(1));
-        self
-    }
-
-    /// Toggles planned kernel execution (on by default;
-    /// bitwise-neutral either way).
-    pub fn use_plans(mut self, on: bool) -> Self {
-        self.opts.use_plans = on;
         self
     }
 
@@ -358,11 +346,10 @@ impl SolverPlan {
 struct MixedState {
     /// The live f32 factors.
     factored32: BlockMatrix<f32>,
-    /// Multi-rank executor state of the f32 runs, cached for
-    /// [`Solver::refactor`] exactly like the f64 workspace.
-    workspace32: Option<NumericWorkspace<f32>>,
-    /// `u16`-indexed kernel plans of sequential/shared f32 runs.
-    kernel_plans32: Option<KernelPlans<f32>>,
+    /// Executor state of the f32 runs (`u16`-indexed kernel plans, rank
+    /// workspace), cached for [`Solver::refactor`] exactly like the f64
+    /// one.
+    numeric: NumericCache<f32>,
     /// The scaled permuted input `Pr·Dr·A·Dc·Pcᵀ` in f64 (fill slots
     /// zero), kept so the refinement loop can form exact f64 residuals
     /// in the inner domain; its values are refreshed in place on every
@@ -387,7 +374,6 @@ struct MixedState {
 }
 
 /// What one numeric-phase run produced, whichever executor ran it.
-#[derive(Default)]
 struct NumericSummary {
     perturbed_pivots: usize,
     numeric: Option<NumericStats>,
@@ -396,6 +382,16 @@ struct NumericSummary {
 }
 
 impl NumericSummary {
+    /// The summary of a sequential or shared-memory run.
+    fn in_process(ns: NumericStats) -> Self {
+        NumericSummary {
+            perturbed_pivots: ns.perturbed_pivots,
+            numeric: Some(ns),
+            dist: None,
+            report: None,
+        }
+    }
+
     fn apply(self, stats: &mut FactorStats) {
         stats.perturbed_pivots = self.perturbed_pivots;
         if self.numeric.is_some() {
@@ -410,64 +406,91 @@ impl NumericSummary {
     }
 }
 
-/// Runs the numeric phase in scalar type `S` over already scattered
-/// blocks, dispatching to the shared-memory, sequential or distributed
-/// executor exactly as the pipeline always has. A missing multi-rank
-/// workspace is built here and left in `workspace` for reuse.
-#[allow(clippy::too_many_arguments)]
-fn run_numeric<S: Scalar>(
-    bm: &mut BlockMatrix<S>,
-    tg: &TaskGraph,
-    owners: &OwnerMap,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-    opts: &SolverOptions,
-    workspace: &mut Option<NumericWorkspace<S>>,
-    kernel_plans: &mut Option<KernelPlans<S>>,
-) -> NumericSummary {
-    let mut out = NumericSummary::default();
-    if let Some(threads) = opts.shared_threads {
-        let ns = if let Some(plans) = kernel_plans.as_mut() {
-            crate::shared::factor_shared_planned(bm, tg, selector, pivot_floor, threads, plans)
+/// The pattern-dependent state of the one executor a solver runs its
+/// numeric phase on, in scalar type `S`: chosen once from
+/// [`SolverOptions`], built on the first factorisation and reused
+/// verbatim by every [`Solver::refactor`]. Kernel index plans are part
+/// of it whichever executor runs.
+enum NumericCache<S: Scalar> {
+    /// One rank: the planned sequential sweep and its plan pool.
+    Sequential(KernelPlans<S>),
+    /// Shared-memory worker threads over one eagerly built plan pool.
+    Shared { threads: usize, plans: KernelPlans<S> },
+    /// Message-passing ranks: the per-rank block tables, dependency
+    /// counters, schedules and plan pools live in the workspace.
+    Distributed { cfg: FactorConfig, workspace: NumericWorkspace<S> },
+}
+
+impl<S: Scalar> NumericCache<S> {
+    fn new(opts: &SolverOptions, bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
+        if let Some(threads) = opts.shared_threads {
+            NumericCache::Shared { threads, plans: empty_plans(bm, tg) }
+        } else if opts.ranks == 1 {
+            NumericCache::Sequential(empty_plans(bm, tg))
         } else {
-            crate::shared::factor_shared(bm, tg, selector, pivot_floor, threads)
-        };
-        out.perturbed_pivots = ns.perturbed_pivots;
-        out.numeric = Some(ns);
-    } else if opts.ranks == 1 {
-        let ns = if let Some(plans) = kernel_plans.as_mut() {
-            factor_sequential_planned(bm, tg, selector, pivot_floor, plans)
-        } else {
-            factor_sequential(bm, tg, selector, pivot_floor)
-        };
-        out.perturbed_pivots = ns.perturbed_pivots;
-        out.numeric = Some(ns);
-    } else {
-        // A fault-free run only stalls on an executor bug; keep the
-        // pre-report panic semantics of `factor_distributed` here.
-        if workspace.is_none() {
-            *workspace = Some(NumericWorkspace::new(bm, tg, owners));
+            NumericCache::Distributed {
+                cfg: FactorConfig::with_mode(opts.schedule)
+                    .with_policy(opts.policy)
+                    .with_lookahead(opts.lookahead)
+                    .with_transport(opts.transport),
+                workspace: NumericWorkspace::new(bm, tg, owners),
+            }
         }
-        let ws = workspace.as_mut().expect("workspace built above");
-        let run = factor_distributed_cached(
-            bm,
-            tg,
-            owners,
-            selector,
-            pivot_floor,
-            &FactorConfig::with_mode(opts.schedule)
-                .with_plans(opts.use_plans)
-                .with_policy(opts.policy)
-                .with_lookahead(opts.lookahead)
-                .with_transport(opts.transport),
-            ws,
-        )
-        .unwrap_or_else(|e| panic!("distributed factorisation failed: {e}"));
-        out.perturbed_pivots = run.stats.perturbed_pivots;
-        out.dist = Some(run.stats);
-        out.report = Some(run.report);
     }
-    out
+
+    /// Runs the numeric phase over already scattered blocks.
+    fn factor(
+        &mut self,
+        bm: &mut BlockMatrix<S>,
+        tg: &TaskGraph,
+        owners: &OwnerMap,
+        selector: &KernelSelector,
+        pivot_floor: f64,
+    ) -> NumericSummary {
+        match self {
+            NumericCache::Sequential(plans) => NumericSummary::in_process(
+                factor_sequential_planned(bm, tg, selector, pivot_floor, plans),
+            ),
+            NumericCache::Shared { threads, plans } => NumericSummary::in_process(
+                factor_shared_planned(bm, tg, selector, pivot_floor, *threads, plans),
+            ),
+            NumericCache::Distributed { cfg, workspace } => {
+                // A fault-free run only stalls on an executor bug.
+                let run = factor_distributed_cached(
+                    bm,
+                    tg,
+                    owners,
+                    selector,
+                    pivot_floor,
+                    cfg,
+                    workspace,
+                )
+                .unwrap_or_else(|e| panic!("distributed factorisation failed: {e}"));
+                NumericSummary {
+                    perturbed_pivots: run.stats.perturbed_pivots,
+                    numeric: None,
+                    dist: Some(run.stats),
+                    report: Some(run.report),
+                }
+            }
+        }
+    }
+
+    /// Memory and build accounting of the cached kernel plans.
+    fn plan_stats(&self) -> PlanStats {
+        match self {
+            NumericCache::Sequential(plans) | NumericCache::Shared { plans, .. } => plans.stats(),
+            NumericCache::Distributed { workspace, .. } => workspace.plan_stats(),
+        }
+    }
+
+    /// The workspace's critical-path priorities (multi-rank only).
+    fn priorities(&self) -> Option<Arc<TaskPriorities>> {
+        match self {
+            NumericCache::Distributed { workspace, .. } => Some(workspace.priorities()),
+            _ => None,
+        }
+    }
 }
 
 /// Solves `M z = w` against the f32 factors with f64 iterative
@@ -609,40 +632,31 @@ fn try_factor_mixed(
     precision: &mut PrecisionCounters,
 ) -> Option<(NumericSummary, MixedState)> {
     let prev_cadence = prev.as_ref().map(|s| (s.refactors_since_probe, s.probed_perturbed));
-    let (mut bm32, scaled_a, csc_map, mut workspace32, mut kernel_plans32) = match prev {
+    let (mut bm32, scaled_a, csc_map, mut numeric) = match prev {
         Some(mut state) => {
             narrow_into(bm, &mut state.factored32);
             bm.write_csc_values(&state.csc_map, &mut state.scaled_a);
-            (
-                state.factored32,
-                state.scaled_a,
-                state.csc_map,
-                state.workspace32,
-                state.kernel_plans32,
-            )
+            (state.factored32, state.scaled_a, state.csc_map, state.numeric)
         }
         None => {
             let scaled_a = bm.to_csc();
             let csc_map = bm.csc_value_map(&scaled_a);
-            (bm.cast::<f32>(), scaled_a, csc_map, None, None)
+            let bm32 = bm.cast::<f32>();
+            let numeric = NumericCache::new(opts, &bm32, tg, owners);
+            (bm32, scaled_a, csc_map, numeric)
         }
     };
-    if kernel_plans32.is_none()
-        && opts.use_plans
-        && (opts.ranks == 1 || opts.shared_threads.is_some())
-    {
-        kernel_plans32 = Some(empty_plans(&bm32, tg));
-    }
-    let summary = run_numeric(
-        &mut bm32,
-        tg,
-        owners,
-        selector,
-        pivot_floor,
-        opts,
-        &mut workspace32,
-        &mut kernel_plans32,
-    );
+    let summary = numeric.factor(&mut bm32, tg, owners, selector, pivot_floor);
+    let mut state = MixedState {
+        factored32: bm32,
+        numeric,
+        scaled_a,
+        csc_map,
+        refine_iters: AtomicU64::new(0),
+        refined_solves: AtomicU64::new(0),
+        refactors_since_probe: 0,
+        probed_perturbed: summary.perturbed_pivots,
+    };
     // Amortised acceptance probing: a refactorisation inside the cadence
     // window whose perturbed-pivot count matches the last probed run
     // skips the probe solve entirely — the factors were accepted K
@@ -654,42 +668,18 @@ fn try_factor_mixed(
         if !cadence_due && !drifted {
             precision.probe_skips += 1;
             precision.mixed_factors += 1;
-            return Some((
-                summary,
-                MixedState {
-                    factored32: bm32,
-                    workspace32,
-                    kernel_plans32,
-                    scaled_a,
-                    csc_map,
-                    refine_iters: AtomicU64::new(0),
-                    refined_solves: AtomicU64::new(0),
-                    refactors_since_probe: since + 1,
-                    probed_perturbed,
-                },
-            ));
+            state.refactors_since_probe = since + 1;
+            state.probed_perturbed = probed_perturbed;
+            return Some((summary, state));
         }
     }
-    let probed_perturbed = summary.perturbed_pivots;
-    let ones = vec![1.0f64; scaled_a.ncols()];
-    let (_, rel, iters) = refine_inner(&bm32, &scaled_a, &ones, REFINE_TOL, MAX_REFINE_ITERS);
+    let ones = vec![1.0f64; state.scaled_a.ncols()];
+    let (_, rel, iters) =
+        refine_inner(&state.factored32, &state.scaled_a, &ones, REFINE_TOL, MAX_REFINE_ITERS);
     precision.probe_refine_iters += iters as u64;
     if rel.is_finite() && rel <= PROBE_GATE {
         precision.mixed_factors += 1;
-        Some((
-            summary,
-            MixedState {
-                factored32: bm32,
-                workspace32,
-                kernel_plans32,
-                scaled_a,
-                csc_map,
-                refine_iters: AtomicU64::new(0),
-                refined_solves: AtomicU64::new(0),
-                refactors_since_probe: 0,
-                probed_perturbed,
-            },
-        ))
+        Some((summary, state))
     } else {
         precision.precision_fallbacks += 1;
         None
@@ -704,15 +694,12 @@ pub struct Solver {
     tg: TaskGraph,
     owners: OwnerMap,
     plan: SolverPlan,
-    /// Multi-rank solvers retain the executor's per-rank state (block
-    /// tables, dependency counters, schedules) so refactorisation reuses
-    /// it instead of rebuilding; `None` for sequential/shared solvers.
-    workspace: Option<NumericWorkspace>,
-    /// Kernel index plans of sequential/shared solvers, part of the
-    /// cached analysis (multi-rank plans live inside the workspace's
-    /// rank states). `None` when [`SolverOptions::use_plans`] is off or
-    /// the solver is multi-rank.
-    kernel_plans: Option<KernelPlans>,
+    /// The f64 executor state (kernel plans; per-rank block tables,
+    /// dependency counters and schedules), retained so refactorisation
+    /// reuses it instead of rebuilding. `None` only while a mixed
+    /// solver's f32 factors are live: the f64 state is built by the first
+    /// f64 run, i.e. at the transparent fallback.
+    numeric: Option<NumericCache<f64>>,
     /// The live f32 side of a mixed-precision solver; `None` in f64 mode
     /// and after a transparent fallback.
     mixed: Option<MixedState>,
@@ -779,8 +766,7 @@ impl Solver {
         };
         let pivot_floor = opts.pivot_floor_rel * reordering.matrix.norm_max().max(1.0);
         let t = Instant::now();
-        let mut workspace = None;
-        let mut kernel_plans = None;
+        let mut numeric = None;
         let mut mixed = None;
         if opts.precision == Precision::MixedF32 {
             if let Some((summary, state)) = try_factor_mixed(
@@ -803,19 +789,8 @@ impl Solver {
         }
         if mixed.is_none() {
             // f64 path — requested, or the mixed probe fell back to it.
-            kernel_plans = (opts.use_plans && (opts.ranks == 1 || opts.shared_threads.is_some()))
-                .then(|| empty_plans(&bm, &tg));
-            let summary = run_numeric(
-                &mut bm,
-                &tg,
-                &owners,
-                &selector,
-                pivot_floor,
-                &opts,
-                &mut workspace,
-                &mut kernel_plans,
-            );
-            summary.apply(&mut stats);
+            let cache = numeric.insert(NumericCache::new(&opts, &bm, &tg, &owners));
+            cache.factor(&mut bm, &tg, &owners, &selector, pivot_floor).apply(&mut stats);
         }
         if let Some(report) = stats.report.as_mut() {
             report.precision_fallbacks = stats.precision.precision_fallbacks;
@@ -826,13 +801,12 @@ impl Solver {
         // The analysis cache: pattern fingerprint plus the critical-path
         // priorities (shared with the workspace's copy on multi-rank
         // solvers — one allocation, never recomputed by `refactor`).
-        let priorities = if let Some(ws) = &workspace {
-            ws.priorities()
-        } else if let Some(ws32) = mixed.as_ref().and_then(|m| m.workspace32.as_ref()) {
-            ws32.priorities()
-        } else {
-            Arc::new(TaskPriorities::compute(&bm, &tg))
-        };
+        let priorities = match (&numeric, &mixed) {
+            (Some(cache), _) => cache.priorities(),
+            (None, Some(state)) => state.numeric.priorities(),
+            (None, None) => None,
+        }
+        .unwrap_or_else(|| Arc::new(TaskPriorities::compute(&bm, &tg)));
         let plan = SolverPlan {
             n,
             col_ptr: a.col_ptr().to_vec(),
@@ -849,8 +823,7 @@ impl Solver {
             tg,
             owners,
             plan,
-            workspace,
-            kernel_plans,
+            numeric,
             mixed,
             stats,
             n,
@@ -919,27 +892,14 @@ impl Solver {
         c
     }
 
-    /// Memory and build accounting of the kernel index plans:
-    /// sequential/shared solvers report their cached pool directly;
-    /// multi-rank solvers aggregate the per-rank pools via the run
-    /// report (`plan_bytes` / `plan_build_ns` in [`RunReport`]'s memory
-    /// stats; the build *count* is not in the wire format, so `builds`
-    /// reads 0 there). `None` when planned execution is off.
-    pub fn kernel_plan_stats(&self) -> Option<PlanStats> {
-        if let Some(plans) = self.kernel_plans.as_ref() {
-            return Some(plans.stats());
+    /// Memory and build accounting of the kernel index plans the live
+    /// executor state caches (summed over the ranks' pools on multi-rank
+    /// solvers). All zero when the selector's planned gates are closed.
+    pub fn kernel_plan_stats(&self) -> PlanStats {
+        match &self.mixed {
+            Some(state) => state.numeric.plan_stats(),
+            None => self.numeric.as_ref().map(NumericCache::plan_stats).unwrap_or_default(),
         }
-        if self.opts.use_plans {
-            if let Some(report) = self.stats.report.as_ref() {
-                let mem = report.total_mem();
-                return Some(PlanStats {
-                    bytes: mem.plan_bytes,
-                    build_ns: mem.plan_build_ns,
-                    builds: 0,
-                });
-            }
-        }
-        None
     }
 
     /// Refactors the system with new numerical values on the **same
@@ -1042,11 +1002,11 @@ impl Solver {
         let t = Instant::now();
         if let Some(state) = self.mixed.take() {
             // Fold the retiring state's solve counters into the lifetime
-            // totals before its atomics drop; the f32 executor state and
-            // plans carry over to the new factorisation.
+            // totals before its atomics drop; the f32 executor state
+            // carries over to the new factorisation.
             self.stats.precision.refine_iters += state.refine_iters.load(Ordering::Relaxed);
             self.stats.precision.refined_solves += state.refined_solves.load(Ordering::Relaxed);
-            match try_factor_mixed(
+            if let Some((summary, new_state)) = try_factor_mixed(
                 &self.factored,
                 &self.tg,
                 &self.owners,
@@ -1056,47 +1016,21 @@ impl Solver {
                 Some(state),
                 &mut self.stats.precision,
             ) {
-                Some((summary, new_state)) => {
-                    widen_into(&new_state.factored32, &mut self.factored);
-                    summary.apply(&mut self.stats);
-                    self.mixed = Some(new_state);
-                }
-                None => {
-                    // Transparent fallback: this and every future numeric
-                    // phase runs in f64. Sequential/shared solvers need
-                    // f64 plans and multi-rank ones an f64 workspace;
-                    // both are built once here and cached from then on.
-                    if self.opts.use_plans
-                        && (self.opts.ranks == 1 || self.opts.shared_threads.is_some())
-                        && self.kernel_plans.is_none()
-                    {
-                        self.kernel_plans = Some(empty_plans(&self.factored, &self.tg));
-                    }
-                    let summary = run_numeric(
-                        &mut self.factored,
-                        &self.tg,
-                        &self.owners,
-                        &selector,
-                        pivot_floor,
-                        &self.opts,
-                        &mut self.workspace,
-                        &mut self.kernel_plans,
-                    );
-                    summary.apply(&mut self.stats);
-                }
+                widen_into(&new_state.factored32, &mut self.factored);
+                summary.apply(&mut self.stats);
+                self.mixed = Some(new_state);
             }
-        } else {
-            let summary = run_numeric(
-                &mut self.factored,
-                &self.tg,
-                &self.owners,
-                &selector,
-                pivot_floor,
-                &self.opts,
-                &mut self.workspace,
-                &mut self.kernel_plans,
-            );
-            summary.apply(&mut self.stats);
+        }
+        if self.mixed.is_none() {
+            // f64 path — configured, or the transparent fallback: this
+            // and every future numeric phase of a fallen-back mixed
+            // solver runs in f64, on executor state built once here.
+            let cache = self.numeric.get_or_insert_with(|| {
+                NumericCache::new(&self.opts, &self.factored, &self.tg, &self.owners)
+            });
+            cache
+                .factor(&mut self.factored, &self.tg, &self.owners, &selector, pivot_floor)
+                .apply(&mut self.stats);
         }
         if let Some(report) = self.stats.report.as_mut() {
             report.precision_fallbacks = self.stats.precision.precision_fallbacks;
@@ -1400,19 +1334,28 @@ mod tests {
     }
 
     #[test]
-    fn plans_off_gives_bitwise_same_factor() {
+    fn closed_planned_gates_give_bitwise_same_factor_and_no_plans() {
         let a = gen::laplacian_2d(12, 12);
         for ranks in [1usize, 4] {
             let planned = Solver::builder().ranks(ranks).build(&a).unwrap();
-            let plain = Solver::builder().ranks(ranks).use_plans(false).build(&a).unwrap();
+            let plain = Solver::builder()
+                .ranks(ranks)
+                .thresholds(Thresholds::unplanned())
+                .build(&a)
+                .unwrap();
             assert_eq!(
                 planned.factored().to_csc().values(),
                 plain.factored().to_csc().values(),
                 "ranks={ranks}: planned factor diverged"
             );
-            let ps = planned.kernel_plan_stats().expect("plans on by default");
+            let ps = planned.kernel_plan_stats();
             assert!(ps.bytes > 0, "ranks={ranks}: no plan memory accounted");
-            assert!(plain.kernel_plan_stats().is_none());
+            assert!(ps.builds > 0, "ranks={ranks}: no plan builds accounted");
+            assert_eq!(plain.kernel_plan_stats(), PlanStats::default(), "ranks={ranks}");
+            if let Some(report) = plain.stats().report.as_ref() {
+                assert_eq!(report.total_mem().planned_calls, 0);
+                assert_eq!(report.total_mem().plan_bytes, 0);
+            }
         }
     }
 
@@ -1420,7 +1363,7 @@ mod tests {
     fn shared_solver_plans_report_stats() {
         let a = gen::laplacian_2d(12, 12);
         let solver = Solver::builder().shared_threads(3).build(&a).unwrap();
-        let ps = solver.kernel_plan_stats().expect("plans on by default");
+        let ps = solver.kernel_plan_stats();
         assert!(ps.bytes > 0);
         assert!(ps.builds > 0);
     }
@@ -1653,7 +1596,11 @@ mod tests {
         let base = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
         let want = factor32_bits(&base);
         let variants: Vec<Solver> = vec![
-            Solver::builder().precision(Precision::MixedF32).use_plans(false).build(&a).unwrap(),
+            Solver::builder()
+                .precision(Precision::MixedF32)
+                .thresholds(Thresholds::unplanned())
+                .build(&a)
+                .unwrap(),
             Solver::builder().precision(Precision::MixedF32).shared_threads(3).build(&a).unwrap(),
             Solver::builder().precision(Precision::MixedF32).ranks(4).build(&a).unwrap(),
             Solver::builder()

@@ -276,6 +276,14 @@ impl TaskGraph {
         chain
     }
 
+    /// Index of update `(i, j, k)` in [`TaskGraph::ssssm`] — the slot key
+    /// of its kernel plan. [`TaskGraph::build`] emits the triples in
+    /// ascending `(k, i, j)` order, so this is a binary search and no
+    /// executor needs a lookup table.
+    pub fn ssssm_index(&self, i: usize, j: usize, k: usize) -> Option<usize> {
+        self.ssssm.binary_search_by_key(&(k, i, j), |&(i, j, k)| (k, i, j)).ok()
+    }
+
     /// Destination ranks of a finished U-panel block `(k, j)`.
     pub fn u_panel_destinations<S: pangulu_sparse::Scalar>(
         &self,
@@ -421,9 +429,11 @@ mod tests {
     #[test]
     fn every_ssssm_has_lower_step_than_target_panel() {
         let (_, tg) = build(48, 8, 2);
-        for &(i, j, k) in &tg.ssssm {
+        for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
             assert!(k < i.min(j), "SSSSM ({i},{j},{k}) must precede step {}", i.min(j));
+            assert_eq!(tg.ssssm_index(i, j, k), Some(n), "update list must be (k, i, j)-sorted");
         }
+        assert_eq!(tg.ssssm_index(0, 0, 0), None);
     }
 
     #[test]

@@ -228,8 +228,8 @@ fn expected_tasks(tg: &TaskGraph) -> Vec<Task> {
 }
 
 /// Validates the kernel timeline alone (coverage, ownership, wall-clock
-/// dependency order). Usable directly on the trace returned by
-/// `factor_distributed_traced`. Assumes no work stealing happened: an
+/// dependency order). Usable directly on the [`FactorRun::trace`] of a
+/// [`crate::dist::FactorConfig::traced`] run. Assumes no work stealing happened: an
 /// SSSSM on a non-owner rank is a [`Violation::WrongRank`] here. Traces
 /// of stealing runs go through [`validate_run`], which knows which
 /// updates were legitimately handed off.

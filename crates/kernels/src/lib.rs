@@ -37,7 +37,7 @@ pub mod ssssm;
 pub mod timed;
 pub mod trsm;
 
-pub use plan::{GessmPlan, GetrfPlan, KernelPlans, PlanEncoding, PlanStats, SsssmPlan, TstrfPlan};
+pub use plan::{GessmPlan, GetrfPlan, KernelPlans, PlanStats, Route, SsssmPlan, TstrfPlan};
 pub use scratch::KernelScratch;
 pub use select::{KernelSelector, Thresholds};
 pub use ssssm::SsssmUpdate;

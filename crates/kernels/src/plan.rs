@@ -19,19 +19,25 @@
 //! unplanned kernels (`tests/planned_equivalence.rs` holds the crate to
 //! this on random closed patterns).
 //!
-//! **Run-segment encoding.** By default ([`PlanEncoding::Runs`]) a
-//! builder does not store one arena element per touched value slot: it
-//! compresses each entry's index list into maximal contiguous-run
-//! segments (start, len), found with [`pangulu_sparse::for_each_run`].
-//! Replay then executes one slice-level axpy per segment — loops over
-//! `&mut dst[t0..t0+len]` zipped with a contiguous source — which the
-//! compiler autovectorises, with `f32` getting twice the lanes per op.
-//! Because runs partition the index list left to right, the per-element
-//! arithmetic (mul-then-sub, ascending order, runtime zero skips) is
-//! unchanged, so run-planned replay stays bitwise identical to both the
-//! per-entry plans and the unplanned kernels. [`PlanEncoding::PerEntry`]
-//! keeps the flat per-slot layout for A/B tests and the determinism
-//! matrix.
+//! **Run-segment encoding.** A builder does not store one arena element
+//! per touched value slot: it compresses each entry's index list into
+//! maximal contiguous-run segments (start, len), found with
+//! [`pangulu_sparse::for_each_run`]. Replay then executes one slice-level
+//! axpy per segment — loops over `&mut dst[t0..t0+len]` zipped with a
+//! contiguous source — which the compiler autovectorises, with `f32`
+//! getting twice the lanes per op. Because runs partition the index list
+//! left to right, the per-element arithmetic (mul-then-sub, ascending
+//! order, runtime zero skips) is that of the entry-by-entry walk, so
+//! replay stays bitwise identical to the unplanned kernels.
+//!
+//! **One decision.** Whether a task replays a plan or runs the variant
+//! the Figure 8 tree picks is answered in exactly one place: the
+//! `route_*` / `prebuilt_*` lookups of [`KernelPlans`], from the
+//! [`KernelSelector`] planned gates and [`KernelPlans::fits`]. Executors
+//! hand the resulting [`Route`] to [`crate::TimedKernels`] and never test
+//! a gate themselves; closing the gates through
+//! [`crate::Thresholds::unplanned`] is how a run without plans is asked
+//! for.
 //!
 //! **Memory model.** Index lists live in one pooled arena per
 //! [`KernelPlans`], whose element type is the scalar's
@@ -39,8 +45,8 @@
 //! structural halving of `plan_bytes` in mixed-precision mode. Arena
 //! elements are value-array positions *within one block*, so they fit
 //! the narrow index whenever the block's nnz does; [`KernelPlans::fits`]
-//! is the guard call sites use to fall back (bitwise identically) to the
-//! unplanned kernels on oversized blocks. Each per-task plan holds small
+//! is the guard that routes oversized blocks (bitwise identically) to
+//! the unplanned kernels. Each per-task plan holds small
 //! structs-of-`u32`-offsets into the arena (arena offsets grow with the
 //! whole pool, so they stay wide). Plans are built lazily on first touch (one-shot factors do
 //! not pay for tasks a fault plan skipped) and reused verbatim across
@@ -56,22 +62,14 @@ use std::time::Instant;
 use pangulu_sparse::{for_each_run, CscMatrix, PlanIndex, Scalar};
 
 use crate::getrf::apply_floor;
+use crate::select::KernelSelector;
+use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 
 /// Narrows a block-local position into the arena's index type. Callers
 /// guarantee the fit via [`KernelPlans::fits`].
 #[inline(always)]
 fn idx<I: PlanIndex>(v: usize) -> I {
     I::from_usize(v)
-}
-
-/// Arena layout of a kernel plan's index lists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanEncoding {
-    /// One arena element per touched value slot (flat index lists).
-    PerEntry,
-    /// Maximal contiguous-run segments; replay runs slice-level axpys.
-    #[default]
-    Runs,
 }
 
 /// Compresses the sorted position list `tgts` into `(start, len)` run
@@ -129,10 +127,10 @@ pub struct SsssmEntry {
     pub a_lo: u32,
     /// Number of entries in `A(:, k)`.
     pub len: u32,
-    /// Arena offset of the target encoding in `c.values()`: `len` flat
-    /// slots when `runs == 0`, else `runs` `(start, len)` segment pairs.
+    /// Arena offset of the targets in `c.values()`: `runs` `(start, len)`
+    /// segment pairs.
     pub tgt_off: u32,
-    /// Run-segment count; `0` marks the per-entry arena layout.
+    /// Run-segment count.
     pub runs: u32,
 }
 
@@ -144,7 +142,7 @@ pub struct SsssmPlan {
     pub entries: Vec<SsssmEntry>,
     /// Index lookups the unplanned addressing would perform per call.
     pub searches_avoided: u64,
-    /// Run segments stored in the arena (0 under per-entry encoding).
+    /// Run segments stored in the arena.
     pub runs: u64,
     /// Entries executed as slice-loop continuations per replay.
     pub run_entries: u64,
@@ -155,13 +153,12 @@ pub struct SsssmPlan {
 pub struct GessmSrc {
     /// Absolute index of `x_k` in `b.values()`.
     pub x_idx: u32,
-    /// Arena offset of the propagation encoding: interleaved
-    /// `(l_idx, tgt_idx)` pairs when `runs == 0`, else `runs`
+    /// Arena offset of the propagation encoding: `runs`
     /// `(l_start, tgt_start, len)` triples.
     pub pair_off: u32,
-    /// Number of pairs (total propagation entries, either layout).
+    /// Number of `(l_idx, tgt_idx)` pairs the triples cover.
     pub pair_len: u32,
-    /// Run-segment count; `0` marks the per-entry arena layout.
+    /// Run-segment count.
     pub runs: u32,
 }
 
@@ -173,7 +170,7 @@ pub struct GessmPlan {
     pub srcs: Vec<GessmSrc>,
     /// Merge/binary-search positions resolved at plan time.
     pub searches_avoided: u64,
-    /// Run segments stored in the arena (0 under per-entry encoding).
+    /// Run segments stored in the arena.
     pub runs: u64,
     /// Entries executed as slice-loop continuations per replay.
     pub run_entries: u64,
@@ -200,12 +197,11 @@ pub struct TstrfUent {
     /// Absolute index of `U(k, j)` in `diag_lu.values()`.
     pub u_idx: u32,
     /// Arena offset of the update encoding (all indices absolute into
-    /// `b.values()`): interleaved `(src_idx, tgt_idx)` pairs when
-    /// `runs == 0`, else `runs` `(src_start, tgt_start, len)` triples.
+    /// `b.values()`): `runs` `(src_start, tgt_start, len)` triples.
     pub pair_off: u32,
-    /// Number of pairs (total update entries, either layout).
+    /// Number of `(src_idx, tgt_idx)` pairs the triples cover.
     pub pair_len: u32,
-    /// Run-segment count; `0` marks the per-entry arena layout.
+    /// Run-segment count.
     pub runs: u32,
 }
 
@@ -218,7 +214,7 @@ pub struct TstrfPlan {
     pub uents: Vec<TstrfUent>,
     /// Merge positions resolved at plan time.
     pub searches_avoided: u64,
-    /// Run segments stored in the arena (0 under per-entry encoding).
+    /// Run segments stored in the arena.
     pub runs: u64,
     /// Entries executed as slice-loop continuations per replay.
     pub run_entries: u64,
@@ -249,10 +245,10 @@ pub struct GetrfUent {
     pub src_lo: u32,
     /// Number of source entries.
     pub len: u32,
-    /// Arena offset of the target encoding, *within column `j`*: `len`
-    /// flat offsets when `runs == 0`, else `runs` `(start, len)` pairs.
+    /// Arena offset of the targets, *within column `j`*: `runs`
+    /// `(start, len)` pairs.
     pub tgt_off: u32,
-    /// Run-segment count; `0` marks the per-entry arena layout.
+    /// Run-segment count.
     pub runs: u32,
 }
 
@@ -265,7 +261,7 @@ pub struct GetrfPlan {
     pub uents: Vec<GetrfUent>,
     /// Binary-search lookups the un-planned addressing would perform.
     pub searches_avoided: u64,
-    /// Run segments stored in the arena (0 under per-entry encoding).
+    /// Run segments stored in the arena.
     pub runs: u64,
     /// Entries executed as slice-loop continuations per replay.
     pub run_entries: u64,
@@ -282,17 +278,6 @@ pub fn build_ssssm_plan<S: Scalar>(
     b: &CscMatrix<S>,
     c: &CscMatrix<S>,
     arena: &mut Vec<S::PlanIdx>,
-) -> SsssmPlan {
-    build_ssssm_plan_enc(a, b, c, arena, PlanEncoding::Runs)
-}
-
-/// [`build_ssssm_plan`] with an explicit arena encoding.
-pub fn build_ssssm_plan_enc<S: Scalar>(
-    a: &CscMatrix<S>,
-    b: &CscMatrix<S>,
-    c: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-    encoding: PlanEncoding,
 ) -> SsssmPlan {
     let mut plan = SsssmPlan::default();
     let a_ptr = a.col_ptr();
@@ -318,17 +303,9 @@ pub fn build_ssssm_plan_enc<S: Scalar>(
                 tgts.push(clo + pos);
             }
             let tgt_off = arena.len() as u32;
-            let runs = match encoding {
-                PlanEncoding::PerEntry => {
-                    arena.extend(tgts.iter().map(|&t| idx::<S::PlanIdx>(t)));
-                    0
-                }
-                PlanEncoding::Runs => push_run_segs(&tgts, arena),
-            };
-            if runs > 0 {
-                plan.runs += u64::from(runs);
-                plan.run_entries += run_entries_of(tgts.len(), runs);
-            }
+            let runs = push_run_segs(&tgts, arena);
+            plan.runs += u64::from(runs);
+            plan.run_entries += run_entries_of(tgts.len(), runs);
             plan.entries.push(SsssmEntry {
                 bp: (blo + off) as u32,
                 a_lo: alo as u32,
@@ -349,16 +326,6 @@ pub fn build_gessm_plan<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &CscMatrix<S>,
     arena: &mut Vec<S::PlanIdx>,
-) -> GessmPlan {
-    build_gessm_plan_enc(diag_lu, b, arena, PlanEncoding::Runs)
-}
-
-/// [`build_gessm_plan`] with an explicit arena encoding.
-pub fn build_gessm_plan_enc<S: Scalar>(
-    diag_lu: &CscMatrix<S>,
-    b: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-    encoding: PlanEncoding,
 ) -> GessmPlan {
     let mut plan = GessmPlan::default();
     let l_ptr = diag_lu.col_ptr();
@@ -386,20 +353,9 @@ pub fn build_gessm_plan_enc<S: Scalar>(
             }
             if !pairs.is_empty() {
                 let pair_off = arena.len() as u32;
-                let runs = match encoding {
-                    PlanEncoding::PerEntry => {
-                        for &(l, t) in &pairs {
-                            arena.push(idx(l));
-                            arena.push(idx(t));
-                        }
-                        0
-                    }
-                    PlanEncoding::Runs => push_pair_run_segs(&pairs, arena),
-                };
-                if runs > 0 {
-                    plan.runs += u64::from(runs);
-                    plan.run_entries += run_entries_of(pairs.len(), runs);
-                }
+                let runs = push_pair_run_segs(&pairs, arena);
+                plan.runs += u64::from(runs);
+                plan.run_entries += run_entries_of(pairs.len(), runs);
                 plan.srcs.push(GessmSrc {
                     x_idx: (blo + p) as u32,
                     pair_off,
@@ -422,16 +378,6 @@ pub fn build_tstrf_plan<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &CscMatrix<S>,
     arena: &mut Vec<S::PlanIdx>,
-) -> TstrfPlan {
-    build_tstrf_plan_enc(diag_lu, b, arena, PlanEncoding::Runs)
-}
-
-/// [`build_tstrf_plan`] with an explicit arena encoding.
-pub fn build_tstrf_plan_enc<S: Scalar>(
-    diag_lu: &CscMatrix<S>,
-    b: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-    encoding: PlanEncoding,
 ) -> TstrfPlan {
     let mut plan = TstrfPlan::default();
     let d_ptr = diag_lu.col_ptr();
@@ -467,20 +413,9 @@ pub fn build_tstrf_plan_enc<S: Scalar>(
             }
             if !pairs.is_empty() {
                 let pair_off = arena.len() as u32;
-                let runs = match encoding {
-                    PlanEncoding::PerEntry => {
-                        for &(s, t) in &pairs {
-                            arena.push(idx(s));
-                            arena.push(idx(t));
-                        }
-                        0
-                    }
-                    PlanEncoding::Runs => push_pair_run_segs(&pairs, arena),
-                };
-                if runs > 0 {
-                    plan.runs += u64::from(runs);
-                    plan.run_entries += run_entries_of(pairs.len(), runs);
-                }
+                let runs = push_pair_run_segs(&pairs, arena);
+                plan.runs += u64::from(runs);
+                plan.run_entries += run_entries_of(pairs.len(), runs);
                 plan.uents.push(TstrfUent {
                     u_idx: (dlo + q) as u32,
                     pair_off,
@@ -507,15 +442,6 @@ pub fn build_tstrf_plan_enc<S: Scalar>(
 /// Panics if an update target or a diagonal entry is missing from the
 /// pattern (closure violation).
 pub fn build_getrf_plan<S: Scalar>(a: &CscMatrix<S>, arena: &mut Vec<S::PlanIdx>) -> GetrfPlan {
-    build_getrf_plan_enc(a, arena, PlanEncoding::Runs)
-}
-
-/// [`build_getrf_plan`] with an explicit arena encoding.
-pub fn build_getrf_plan_enc<S: Scalar>(
-    a: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-    encoding: PlanEncoding,
-) -> GetrfPlan {
     let mut plan = GetrfPlan::default();
     let col_ptr = a.col_ptr();
     let row_idx = a.row_idx();
@@ -541,17 +467,9 @@ pub fn build_getrf_plan_enc<S: Scalar>(
                 tgts.push(pos);
             }
             let tgt_off = arena.len() as u32;
-            let runs = match encoding {
-                PlanEncoding::PerEntry => {
-                    arena.extend(tgts.iter().map(|&t| idx::<S::PlanIdx>(t)));
-                    0
-                }
-                PlanEncoding::Runs => push_run_segs(&tgts, arena),
-            };
-            if runs > 0 {
-                plan.runs += u64::from(runs);
-                plan.run_entries += run_entries_of(tgts.len(), runs);
-            }
+            let runs = push_run_segs(&tgts, arena);
+            plan.runs += u64::from(runs);
+            plan.run_entries += run_entries_of(tgts.len(), runs);
             plan.uents.push(GetrfUent {
                 u_rel: off_k as u32,
                 src_lo: start as u32,
@@ -591,24 +509,17 @@ pub fn ssssm_planned<S: Scalar>(
             continue;
         }
         let srcs = &avals[e.a_lo as usize..e.a_lo as usize + e.len as usize];
-        if e.runs == 0 {
-            let tgts = &arena[e.tgt_off as usize..e.tgt_off as usize + e.len as usize];
-            for (&t, &aik) in tgts.iter().zip(srcs) {
-                cvals[t.index()] -= aik * bkj;
+        // One slice axpy per (start, len) pair, the source consumed
+        // sequentially: the per-element order and arithmetic of the
+        // entry-by-entry walk, so bitwise identical to it.
+        let segs = &arena[e.tgt_off as usize..e.tgt_off as usize + 2 * e.runs as usize];
+        let mut s = 0usize;
+        for seg in segs.chunks_exact(2) {
+            let (t0, rl) = (seg[0].index(), seg[1].index());
+            for (c, &aik) in cvals[t0..t0 + rl].iter_mut().zip(&srcs[s..s + rl]) {
+                *c -= aik * bkj;
             }
-        } else {
-            // Run segments: one slice axpy per (start, len) pair, the
-            // source consumed sequentially. Same per-element order and
-            // arithmetic as the flat walk, so bitwise identical.
-            let segs = &arena[e.tgt_off as usize..e.tgt_off as usize + 2 * e.runs as usize];
-            let mut s = 0usize;
-            for seg in segs.chunks_exact(2) {
-                let (t0, rl) = (seg[0].index(), seg[1].index());
-                for (c, &aik) in cvals[t0..t0 + rl].iter_mut().zip(&srcs[s..s + rl]) {
-                    *c -= aik * bkj;
-                }
-                s += rl;
-            }
+            s += rl;
         }
     }
 }
@@ -628,21 +539,14 @@ pub fn gessm_planned<S: Scalar>(
         if xk == S::ZERO {
             continue;
         }
-        if s.runs == 0 {
-            let pairs = &arena[s.pair_off as usize..s.pair_off as usize + 2 * s.pair_len as usize];
-            for pr in pairs.chunks_exact(2) {
-                bvals[pr[1].index()] -= lvals[pr[0].index()] * xk;
-            }
-        } else {
-            // (l_start, tgt_start, len) triples: both cursors advance in
-            // lockstep inside a run, so the slice loop performs the same
-            // subtractions in the same order as the pair walk.
-            let trs = &arena[s.pair_off as usize..s.pair_off as usize + 3 * s.runs as usize];
-            for tr in trs.chunks_exact(3) {
-                let (l0, t0, rl) = (tr[0].index(), tr[1].index(), tr[2].index());
-                for (b, &l) in bvals[t0..t0 + rl].iter_mut().zip(&lvals[l0..l0 + rl]) {
-                    *b -= l * xk;
-                }
+        // (l_start, tgt_start, len) triples: both cursors advance in
+        // lockstep inside a run, so the slice loop performs the same
+        // subtractions in the same order as a pair-by-pair walk.
+        let trs = &arena[s.pair_off as usize..s.pair_off as usize + 3 * s.runs as usize];
+        for tr in trs.chunks_exact(3) {
+            let (l0, t0, rl) = (tr[0].index(), tr[1].index(), tr[2].index());
+            for (b, &l) in bvals[t0..t0 + rl].iter_mut().zip(&lvals[l0..l0 + rl]) {
+                *b -= l * xk;
             }
         }
     }
@@ -664,24 +568,16 @@ pub fn tstrf_planned<S: Scalar>(
             if ukj == S::ZERO {
                 continue;
             }
-            if ue.runs == 0 {
-                let pairs =
-                    &arena[ue.pair_off as usize..ue.pair_off as usize + 2 * ue.pair_len as usize];
-                for pr in pairs.chunks_exact(2) {
-                    bvals[pr[1].index()] -= bvals[pr[0].index()] * ukj;
-                }
-            } else {
-                // (src_start, tgt_start, len) triples, both absolute into
-                // b.values(). The source column k precedes the target
-                // column j in CSC order, so src_start + len <= tgt_start
-                // and the borrow split below is always valid.
-                let trs = &arena[ue.pair_off as usize..ue.pair_off as usize + 3 * ue.runs as usize];
-                for tr in trs.chunks_exact(3) {
-                    let (s0, t0, rl) = (tr[0].index(), tr[1].index(), tr[2].index());
-                    let (left, right) = bvals.split_at_mut(t0);
-                    for (t, &sv) in right[..rl].iter_mut().zip(&left[s0..s0 + rl]) {
-                        *t -= sv * ukj;
-                    }
+            // (src_start, tgt_start, len) triples, both absolute into
+            // b.values(). The source column k precedes the target column
+            // j in CSC order, so src_start + len <= tgt_start and the
+            // borrow split below is always valid.
+            let trs = &arena[ue.pair_off as usize..ue.pair_off as usize + 3 * ue.runs as usize];
+            for tr in trs.chunks_exact(3) {
+                let (s0, t0, rl) = (tr[0].index(), tr[1].index(), tr[2].index());
+                let (left, right) = bvals.split_at_mut(t0);
+                for (t, &sv) in right[..rl].iter_mut().zip(&left[s0..s0 + rl]) {
+                    *t -= sv * ukj;
                 }
             }
         }
@@ -712,23 +608,16 @@ pub fn getrf_planned<S: Scalar>(
                 continue;
             }
             let srcs = &left[ue.src_lo as usize..ue.src_lo as usize + ue.len as usize];
-            if ue.runs == 0 {
-                let tgts = &arena[ue.tgt_off as usize..ue.tgt_off as usize + ue.len as usize];
-                for (&t, &lik) in tgts.iter().zip(srcs) {
-                    vals_j[t.index()] -= lik * ukj;
+            // (start, len) pairs of offsets within column j, source
+            // consumed sequentially from the contiguous left slice.
+            let segs = &arena[ue.tgt_off as usize..ue.tgt_off as usize + 2 * ue.runs as usize];
+            let mut s = 0usize;
+            for seg in segs.chunks_exact(2) {
+                let (t0, rl) = (seg[0].index(), seg[1].index());
+                for (t, &lik) in vals_j[t0..t0 + rl].iter_mut().zip(&srcs[s..s + rl]) {
+                    *t -= lik * ukj;
                 }
-            } else {
-                // (start, len) pairs of offsets within column j, source
-                // consumed sequentially from the contiguous left slice.
-                let segs = &arena[ue.tgt_off as usize..ue.tgt_off as usize + 2 * ue.runs as usize];
-                let mut s = 0usize;
-                for seg in segs.chunks_exact(2) {
-                    let (t0, rl) = (seg[0].index(), seg[1].index());
-                    for (t, &lik) in vals_j[t0..t0 + rl].iter_mut().zip(&srcs[s..s + rl]) {
-                        *t -= lik * ukj;
-                    }
-                    s += rl;
-                }
+                s += rl;
             }
         }
         let diag = col.diag_rel as usize;
@@ -755,15 +644,27 @@ pub struct PlanStats {
     pub builds: u64,
 }
 
+/// How one task's kernel runs — the answer of the single
+/// planned-or-variant decision (see the module docs): replay the task's
+/// cached index plan, or run the variant the Figure 8 tree picks.
+#[derive(Debug, Clone, Copy)]
+pub enum Route<'p, P, I, V> {
+    /// Replay this plan against the pooled arena it indexes.
+    Plan(&'p P, &'p [I]),
+    /// Run the decision tree's variant.
+    Variant(V),
+}
+
 /// Per-rank (or per-solver) pool of kernel plans: one pooled index
 /// arena plus lazily built per-task plan slots.
 ///
 /// Slot keys are the caller's: GETRF by diagonal index, GESSM/TSTRF by
-/// target block id, SSSSM by task-graph update index. The `*_for`
-/// methods build on first touch and return the plan together with the
-/// arena it indexes; the `get_*` methods are the immutable counterparts
-/// for pre-built plans (shared-memory workers build eagerly, then read
-/// without locks).
+/// target block id, SSSSM by task-graph update index. The `route_*`
+/// methods decide planned-or-variant for one task, building the plan on
+/// first touch; the `prebuilt_*` methods are their immutable
+/// counterparts for pools filled ahead of time (shared-memory workers
+/// build eagerly, then read without locks) and fall back to the variant
+/// when no plan was built.
 #[derive(Debug, Default)]
 pub struct KernelPlans<S: Scalar = f64> {
     arena: Vec<S::PlanIdx>,
@@ -771,14 +672,12 @@ pub struct KernelPlans<S: Scalar = f64> {
     gessm: Vec<Option<GessmPlan>>,
     tstrf: Vec<Option<TstrfPlan>>,
     ssssm: Vec<Option<SsssmPlan>>,
-    encoding: PlanEncoding,
     builds: u64,
     build_ns: u64,
 }
 
 impl<S: Scalar> KernelPlans<S> {
-    /// Creates an empty pool with the given slot counts per class,
-    /// using the default run-segment arena encoding.
+    /// Creates an empty pool with the given slot counts per class.
     pub fn with_slots(getrf: usize, gessm: usize, tstrf: usize, ssssm: usize) -> Self {
         KernelPlans {
             arena: Vec::new(),
@@ -786,29 +685,9 @@ impl<S: Scalar> KernelPlans<S> {
             gessm: (0..gessm).map(|_| None).collect(),
             tstrf: (0..tstrf).map(|_| None).collect(),
             ssssm: (0..ssssm).map(|_| None).collect(),
-            encoding: PlanEncoding::default(),
             builds: 0,
             build_ns: 0,
         }
-    }
-
-    /// Overrides the arena encoding (must be set before the first build;
-    /// plans already built keep their layout). Used by the determinism
-    /// matrix to A/B run-segment replay against per-entry replay.
-    pub fn with_encoding(mut self, encoding: PlanEncoding) -> Self {
-        self.encoding = encoding;
-        self
-    }
-
-    /// In-place variant of [`KernelPlans::with_encoding`], for pools that
-    /// live inside a cached workspace.
-    pub fn set_encoding(&mut self, encoding: PlanEncoding) {
-        self.encoding = encoding;
-    }
-
-    /// The arena encoding this pool builds with.
-    pub fn encoding(&self) -> PlanEncoding {
-        self.encoding
     }
 
     /// `true` if a block with `nnz` stored entries can be planned in this
@@ -821,91 +700,147 @@ impl<S: Scalar> KernelPlans<S> {
         nnz <= <S::PlanIdx as PlanIndex>::MAX_INDEX
     }
 
-    /// The GETRF plan for `slot`, built from `a`'s pattern on first use.
-    pub fn getrf_for(&mut self, slot: usize, a: &CscMatrix<S>) -> (&GetrfPlan, &[S::PlanIdx]) {
-        if self.getrf[slot].is_none() {
-            let start = Instant::now();
-            let plan = build_getrf_plan_enc(a, &mut self.arena, self.encoding);
-            self.note_build(start);
-            self.getrf[slot] = Some(plan);
-        }
-        (self.getrf[slot].as_ref().expect("just built"), &self.arena)
+    fn plans_getrf(&self, sel: &KernelSelector, a: &CscMatrix<S>) -> bool {
+        sel.planned_getrf(a.nnz()) && self.fits(a.nnz())
     }
 
-    /// The GESSM plan for `slot`, built on first use.
-    pub fn gessm_for(
+    fn plans_gessm(&self, sel: &KernelSelector, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
+        sel.planned_gessm(b.nnz()) && self.fits(b.nnz()) && self.fits(diag_lu.nnz())
+    }
+
+    fn plans_tstrf(&self, sel: &KernelSelector, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
+        sel.planned_tstrf(b.nnz()) && self.fits(b.nnz()) && self.fits(diag_lu.nnz())
+    }
+
+    fn plans_ssssm(&self, sel: &KernelSelector, flops: f64, c: &CscMatrix<S>) -> bool {
+        sel.planned_ssssm(flops) && self.fits(c.nnz())
+    }
+
+    /// Routes the GETRF of diagonal block `a`; its plan is built from
+    /// `a`'s pattern on first use.
+    pub fn route_getrf(
         &mut self,
+        sel: &KernelSelector,
+        slot: usize,
+        a: &CscMatrix<S>,
+    ) -> Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant> {
+        if self.getrf[slot].is_none() && self.plans_getrf(sel, a) {
+            self.getrf[slot] = Some(self.timed_build(|arena| build_getrf_plan(a, arena)));
+        }
+        self.prebuilt_getrf(sel, slot, a)
+    }
+
+    /// Routes the GESSM `L X = B` on block `b`, building its plan on
+    /// first use.
+    pub fn route_gessm(
+        &mut self,
+        sel: &KernelSelector,
         slot: usize,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
-    ) -> (&GessmPlan, &[S::PlanIdx]) {
-        if self.gessm[slot].is_none() {
-            let start = Instant::now();
-            let plan = build_gessm_plan_enc(diag_lu, b, &mut self.arena, self.encoding);
-            self.note_build(start);
-            self.gessm[slot] = Some(plan);
+    ) -> Route<'_, GessmPlan, S::PlanIdx, TrsmVariant> {
+        if self.gessm[slot].is_none() && self.plans_gessm(sel, diag_lu, b) {
+            self.gessm[slot] = Some(self.timed_build(|arena| build_gessm_plan(diag_lu, b, arena)));
         }
-        (self.gessm[slot].as_ref().expect("just built"), &self.arena)
+        self.prebuilt_gessm(sel, slot, diag_lu, b)
     }
 
-    /// The TSTRF plan for `slot`, built on first use.
-    pub fn tstrf_for(
+    /// Routes the TSTRF `X U = B` on block `b`, building its plan on
+    /// first use.
+    pub fn route_tstrf(
         &mut self,
+        sel: &KernelSelector,
         slot: usize,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
-    ) -> (&TstrfPlan, &[S::PlanIdx]) {
-        if self.tstrf[slot].is_none() {
-            let start = Instant::now();
-            let plan = build_tstrf_plan_enc(diag_lu, b, &mut self.arena, self.encoding);
-            self.note_build(start);
-            self.tstrf[slot] = Some(plan);
+    ) -> Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant> {
+        if self.tstrf[slot].is_none() && self.plans_tstrf(sel, diag_lu, b) {
+            self.tstrf[slot] = Some(self.timed_build(|arena| build_tstrf_plan(diag_lu, b, arena)));
         }
-        (self.tstrf[slot].as_ref().expect("just built"), &self.arena)
+        self.prebuilt_tstrf(sel, slot, diag_lu, b)
     }
 
-    /// The SSSSM plan for `slot`, built on first use.
-    pub fn ssssm_for(
+    /// Routes the SSSSM `C ← C − A·B` of `flops` model FLOPs, building
+    /// its plan on first use.
+    pub fn route_ssssm(
         &mut self,
+        sel: &KernelSelector,
         slot: usize,
+        flops: f64,
         a: &CscMatrix<S>,
         b: &CscMatrix<S>,
         c: &CscMatrix<S>,
-    ) -> (&SsssmPlan, &[S::PlanIdx]) {
-        if self.ssssm[slot].is_none() {
-            let start = Instant::now();
-            let plan = build_ssssm_plan_enc(a, b, c, &mut self.arena, self.encoding);
-            self.note_build(start);
-            self.ssssm[slot] = Some(plan);
+    ) -> Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant> {
+        if self.ssssm[slot].is_none() && self.plans_ssssm(sel, flops, c) {
+            self.ssssm[slot] = Some(self.timed_build(|arena| build_ssssm_plan(a, b, c, arena)));
         }
-        (self.ssssm[slot].as_ref().expect("just built"), &self.arena)
+        self.prebuilt_ssssm(sel, slot, flops, c)
     }
 
-    /// Pre-built GETRF plan, if any (immutable, for shared workers).
-    pub fn get_getrf(&self, slot: usize) -> Option<(&GetrfPlan, &[S::PlanIdx])> {
-        self.getrf.get(slot)?.as_ref().map(|p| (p, self.arena.as_slice()))
+    /// [`KernelPlans::route_getrf`] over an already filled pool.
+    pub fn prebuilt_getrf(
+        &self,
+        sel: &KernelSelector,
+        slot: usize,
+        a: &CscMatrix<S>,
+    ) -> Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant> {
+        match self.getrf.get(slot).and_then(Option::as_ref) {
+            Some(p) if self.plans_getrf(sel, a) => Route::Plan(p, &self.arena),
+            _ => Route::Variant(sel.getrf(a.nnz())),
+        }
     }
 
-    /// Pre-built GESSM plan, if any.
-    pub fn get_gessm(&self, slot: usize) -> Option<(&GessmPlan, &[S::PlanIdx])> {
-        self.gessm.get(slot)?.as_ref().map(|p| (p, self.arena.as_slice()))
+    /// [`KernelPlans::route_gessm`] over an already filled pool.
+    pub fn prebuilt_gessm(
+        &self,
+        sel: &KernelSelector,
+        slot: usize,
+        diag_lu: &CscMatrix<S>,
+        b: &CscMatrix<S>,
+    ) -> Route<'_, GessmPlan, S::PlanIdx, TrsmVariant> {
+        match self.gessm.get(slot).and_then(Option::as_ref) {
+            Some(p) if self.plans_gessm(sel, diag_lu, b) => Route::Plan(p, &self.arena),
+            _ => Route::Variant(sel.gessm(b.nnz())),
+        }
     }
 
-    /// Pre-built TSTRF plan, if any.
-    pub fn get_tstrf(&self, slot: usize) -> Option<(&TstrfPlan, &[S::PlanIdx])> {
-        self.tstrf.get(slot)?.as_ref().map(|p| (p, self.arena.as_slice()))
+    /// [`KernelPlans::route_tstrf`] over an already filled pool.
+    pub fn prebuilt_tstrf(
+        &self,
+        sel: &KernelSelector,
+        slot: usize,
+        diag_lu: &CscMatrix<S>,
+        b: &CscMatrix<S>,
+    ) -> Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant> {
+        match self.tstrf.get(slot).and_then(Option::as_ref) {
+            Some(p) if self.plans_tstrf(sel, diag_lu, b) => Route::Plan(p, &self.arena),
+            _ => Route::Variant(sel.tstrf(b.nnz())),
+        }
     }
 
-    /// Pre-built SSSSM plan, if any.
-    pub fn get_ssssm(&self, slot: usize) -> Option<(&SsssmPlan, &[S::PlanIdx])> {
-        self.ssssm.get(slot)?.as_ref().map(|p| (p, self.arena.as_slice()))
+    /// [`KernelPlans::route_ssssm`] over an already filled pool.
+    pub fn prebuilt_ssssm(
+        &self,
+        sel: &KernelSelector,
+        slot: usize,
+        flops: f64,
+        c: &CscMatrix<S>,
+    ) -> Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant> {
+        match self.ssssm.get(slot).and_then(Option::as_ref) {
+            Some(p) if self.plans_ssssm(sel, flops, c) => Route::Plan(p, &self.arena),
+            _ => Route::Variant(sel.ssssm(flops)),
+        }
     }
 
-    fn note_build(&mut self, start: Instant) {
+    /// Runs one plan builder against the pooled arena, on the build clock.
+    fn timed_build<P>(&mut self, build: impl FnOnce(&mut Vec<S::PlanIdx>) -> P) -> P {
+        let start = Instant::now();
+        let plan = build(&mut self.arena);
         self.builds += 1;
         self.build_ns = self
             .build_ns
             .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        plan
     }
 
     /// Current plan-layer accounting.
@@ -935,7 +870,7 @@ mod tests {
     use crate::getrf::getrf;
     use crate::ssssm::ssssm;
     use crate::trsm::{gessm, tstrf};
-    use crate::{GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant};
+    use crate::{KernelScratch, Thresholds};
     use pangulu_sparse::gen;
     use pangulu_sparse::ops::ensure_diagonal;
     use pangulu_symbolic::symbolic_fill;
@@ -1032,25 +967,47 @@ mod tests {
         let mut s = KernelScratch::with_capacity(lu.nrows());
         getrf(&mut lu, GetrfVariant::CV1, &mut s, 0.0);
 
+        let sel = KernelSelector::new(1_000, Thresholds::default());
         let mut pool = KernelPlans::with_slots(1, 1, 0, 0);
         assert_eq!(pool.stats().builds, 0);
-        assert!(pool.get_getrf(0).is_none());
+        assert!(matches!(pool.prebuilt_getrf(&sel, 0, &diag), Route::Variant(_)));
 
-        pool.getrf_for(0, &diag);
-        pool.gessm_for(0, &lu, &upper);
+        assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Plan(..)));
+        assert!(matches!(pool.route_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
         let stats = pool.stats();
         assert_eq!(stats.builds, 2);
         assert!(stats.bytes > 0);
 
         // Re-touching is a lookup, not a rebuild.
-        pool.getrf_for(0, &diag);
-        pool.gessm_for(0, &lu, &upper);
+        pool.route_getrf(&sel, 0, &diag);
+        pool.route_gessm(&sel, 0, &lu, &upper);
         let again = pool.stats();
         assert_eq!(again.builds, 2);
         assert_eq!(again.bytes, stats.bytes);
         assert_eq!(again.build_ns, stats.build_ns);
-        assert!(pool.get_getrf(0).is_some());
-        assert!(pool.get_gessm(0).is_some());
+        assert!(matches!(pool.prebuilt_getrf(&sel, 0, &diag), Route::Plan(..)));
+        assert!(matches!(pool.prebuilt_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
+    }
+
+    #[test]
+    fn closed_gates_route_to_the_tree_variant_and_build_nothing() {
+        let (diag, upper, lower, tail) = setup(3);
+        let mut pool = KernelPlans::with_slots(1, 1, 1, 1);
+        // A pool filled under open gates still answers a gate-closed
+        // selector with the tree's variant: the selector decides per call.
+        let open = KernelSelector::new(1_000, Thresholds::default());
+        pool.route_getrf(&open, 0, &diag);
+        let builds = pool.stats().builds;
+        for sel in
+            [KernelSelector::new(1_000, Thresholds::unplanned()), KernelSelector::baseline(1_000)]
+        {
+            assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Variant(_)));
+            assert!(matches!(pool.route_gessm(&sel, 0, &diag, &upper), Route::Variant(_)));
+            assert!(matches!(pool.route_tstrf(&sel, 0, &diag, &lower), Route::Variant(_)));
+            let routed = pool.route_ssssm(&sel, 0, 10.0, &lower, &upper, &tail);
+            assert!(matches!(routed, Route::Variant(_)));
+        }
+        assert_eq!(pool.stats().builds, builds);
     }
 
     #[test]

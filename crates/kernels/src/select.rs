@@ -121,6 +121,20 @@ impl Thresholds {
             ssssm_planned: f64::INFINITY,
         }
     }
+
+    /// The calibrated defaults with all four planned gates closed (cuts
+    /// at 0): every task runs the variant its tree picks and no kernel
+    /// plan is ever built — the unplanned arm of A/B benches and of the
+    /// planned-vs-unplanned bitwise tests.
+    pub fn unplanned() -> Self {
+        Thresholds {
+            getrf_planned: 0.0,
+            gessm_planned: 0.0,
+            tstrf_planned: 0.0,
+            ssssm_planned: 0.0,
+            ..Thresholds::default()
+        }
+    }
 }
 
 /// Selects kernel variants per block; one instance per factorisation,
@@ -334,11 +348,14 @@ mod tests {
         assert!(adaptive.planned_ssssm(1e4));
         assert!(!adaptive.planned_ssssm(1e12));
 
-        let baseline = KernelSelector::baseline(1_000);
-        assert!(!baseline.planned_getrf(1));
-        assert!(!baseline.planned_gessm(1));
-        assert!(!baseline.planned_tstrf(1));
-        assert!(!baseline.planned_ssssm(1.0));
+        for closed in
+            [KernelSelector::baseline(1_000), KernelSelector::new(1_000, Thresholds::unplanned())]
+        {
+            assert!(!closed.planned_getrf(0));
+            assert!(!closed.planned_gessm(0));
+            assert!(!closed.planned_tstrf(0));
+            assert!(!closed.planned_ssssm(0.0));
+        }
 
         let closed = Thresholds { ssssm_planned: 100.0, ..Thresholds::default() };
         let s = KernelSelector::new(1_000, closed);

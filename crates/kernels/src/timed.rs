@@ -1,12 +1,13 @@
 //! Metered kernel entry points.
 //!
-//! [`TimedKernels`] wraps the four kernel classes behind a per-rank
-//! [`KernelTally`]: every invocation records its variant, elapsed time and
-//! model FLOPs (the [`crate::flops`] count evaluated on the actual
-//! operands — the "observed" side of the report's observed-vs-predicted
-//! FLOP comparison). Each rank of the distributed runtime owns one
-//! wrapper, so recording is two counter additions on a thread-local
-//! struct — no atomics, no locks.
+//! [`TimedKernels`] is the one place a routed task turns into a kernel
+//! call: it takes the [`Route`] the plan pool decided (replay a plan, or
+//! run the tree's variant), executes it, and records it in a per-rank
+//! [`KernelTally`] — variant, elapsed time and model FLOPs (the
+//! [`crate::flops`] count evaluated on the actual operands — the
+//! "observed" side of the report's observed-vs-predicted FLOP
+//! comparison). Each executor thread owns one wrapper, so recording is
+//! two counter additions on a thread-local struct — no atomics, no locks.
 //!
 //! Built disabled, every method delegates straight to the raw kernel:
 //! no clock reads, no FLOP walks, no tally writes. That is the
@@ -16,11 +17,11 @@
 use std::time::Instant;
 
 use pangulu_metrics::{
-    KernelTally, CLASS_GESSM, CLASS_GETRF, CLASS_SSSSM, CLASS_TSTRF, VARIANT_PLANNED,
+    KernelTally, MemStats, CLASS_GESSM, CLASS_GETRF, CLASS_SSSSM, CLASS_TSTRF, VARIANT_PLANNED,
 };
 use pangulu_sparse::{CscMatrix, Scalar};
 
-use crate::plan::{GessmPlan, GetrfPlan, SsssmPlan, TstrfPlan};
+use crate::plan::{GessmPlan, GetrfPlan, Route, SsssmPlan, TstrfPlan};
 use crate::scratch::KernelScratch;
 use crate::{flops, getrf, plan, ssssm, trsm, GetrfVariant, SsssmVariant, TrsmVariant};
 
@@ -54,18 +55,28 @@ fn ssssm_slot(v: SsssmVariant) -> usize {
     }
 }
 
-/// Per-rank metered front door to the kernel implementations.
+/// Per-executor front door to the kernel implementations: runs each task
+/// along the [`Route`] the plan pool decided, meters it when enabled, and
+/// counts plan replays and fused batches either way.
 #[derive(Debug, Default)]
 pub struct TimedKernels {
     enabled: bool,
     tally: KernelTally,
+    /// Plan replays through this door and what their plans held
+    /// (static per plan, so deterministic); see [`MemStats`].
+    planned_calls: u64,
+    searches_avoided: u64,
+    plan_runs: u64,
+    run_entries: u64,
+    /// [`TimedKernels::ssssm_batch`] calls that fused more than one update.
+    batches: u64,
 }
 
 impl TimedKernels {
     /// Creates a wrapper; `enabled = false` makes every call a plain
     /// delegation with no measurement at all.
     pub fn new(enabled: bool) -> Self {
-        TimedKernels { enabled, tally: KernelTally::default() }
+        TimedKernels { enabled, ..Default::default() }
     }
 
     /// Whether invocations are being recorded.
@@ -83,153 +94,132 @@ impl TimedKernels {
         self.tally
     }
 
-    /// Metered [`getrf::getrf`]; returns the perturbed-pivot count.
+    /// Adds this door's plan-replay and fused-batch counters to `mem`.
+    pub fn add_counts_to(&self, mem: &mut MemStats) {
+        mem.ssssm_batches += self.batches;
+        mem.planned_calls += self.planned_calls;
+        mem.index_searches_avoided += self.searches_avoided;
+        mem.plan_runs += self.plan_runs;
+        mem.run_axpy_entries += self.run_entries;
+    }
+
+    fn note_replay(&mut self, searches_avoided: u64, runs: u64, run_entries: u64) {
+        self.planned_calls += 1;
+        self.searches_avoided += searches_avoided;
+        self.plan_runs += runs;
+        self.run_entries += run_entries;
+    }
+
+    /// Opens a meter reading: the model FLOPs, then the clock.
+    fn start(&self, model_flops: impl FnOnce() -> f64) -> Option<(f64, Instant)> {
+        self.enabled.then(|| (model_flops(), Instant::now()))
+    }
+
+    fn stop(&mut self, class: usize, slot: usize, meter: Option<(f64, Instant)>) {
+        if let Some((fl, start)) = meter {
+            self.tally.record(class, slot, elapsed_nanos(start), fl);
+        }
+    }
+
+    /// Runs a GETRF task along `route`; returns the perturbed-pivot
+    /// count. A replay tallies under the `P_V1` slot with the same model
+    /// FLOPs as the unplanned kernel (identical arithmetic, so the
+    /// observed == predicted FLOPs invariant is preserved) — likewise
+    /// for the other three classes.
     pub fn getrf<S: Scalar>(
         &mut self,
+        route: Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant>,
         a: &mut CscMatrix<S>,
-        variant: GetrfVariant,
         scratch: &mut KernelScratch<S>,
         pivot_floor: f64,
     ) -> usize {
-        if !self.enabled {
-            return getrf::getrf(a, variant, scratch, pivot_floor);
-        }
-        let fl = flops::getrf_flops(a);
-        let start = Instant::now();
-        let perturbed = getrf::getrf(a, variant, scratch, pivot_floor);
-        self.tally.record(CLASS_GETRF, getrf_slot(variant), elapsed_nanos(start), fl);
+        let meter = self.start(|| flops::getrf_flops(a));
+        let (slot, perturbed) = match route {
+            Route::Plan(p, arena) => {
+                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                (VARIANT_PLANNED, plan::getrf_planned(a, p, arena, pivot_floor))
+            }
+            Route::Variant(v) => (getrf_slot(v), getrf::getrf(a, v, scratch, pivot_floor)),
+        };
+        self.stop(CLASS_GETRF, slot, meter);
         perturbed
     }
 
-    /// Metered [`trsm::gessm`].
+    /// Runs a GESSM task along `route`.
     pub fn gessm<S: Scalar>(
         &mut self,
+        route: Route<'_, GessmPlan, S::PlanIdx, TrsmVariant>,
         diag_lu: &CscMatrix<S>,
         b: &mut CscMatrix<S>,
-        variant: TrsmVariant,
         scratch: &mut KernelScratch<S>,
     ) {
-        if !self.enabled {
-            return trsm::gessm(diag_lu, b, variant, scratch);
-        }
-        let fl = flops::gessm_flops(diag_lu, b);
-        let start = Instant::now();
-        trsm::gessm(diag_lu, b, variant, scratch);
-        self.tally.record(CLASS_GESSM, trsm_slot(variant), elapsed_nanos(start), fl);
+        let meter = self.start(|| flops::gessm_flops(diag_lu, b));
+        let slot = match route {
+            Route::Plan(p, arena) => {
+                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                plan::gessm_planned(diag_lu, b, p, arena);
+                VARIANT_PLANNED
+            }
+            Route::Variant(v) => {
+                trsm::gessm(diag_lu, b, v, scratch);
+                trsm_slot(v)
+            }
+        };
+        self.stop(CLASS_GESSM, slot, meter);
     }
 
-    /// Metered [`trsm::tstrf`].
+    /// Runs a TSTRF task along `route`.
     pub fn tstrf<S: Scalar>(
         &mut self,
+        route: Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant>,
         diag_lu: &CscMatrix<S>,
         b: &mut CscMatrix<S>,
-        variant: TrsmVariant,
         scratch: &mut KernelScratch<S>,
     ) {
-        if !self.enabled {
-            return trsm::tstrf(diag_lu, b, variant, scratch);
-        }
-        let fl = flops::tstrf_flops(diag_lu, b);
-        let start = Instant::now();
-        trsm::tstrf(diag_lu, b, variant, scratch);
-        self.tally.record(CLASS_TSTRF, trsm_slot(variant), elapsed_nanos(start), fl);
+        let meter = self.start(|| flops::tstrf_flops(diag_lu, b));
+        let slot = match route {
+            Route::Plan(p, arena) => {
+                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                plan::tstrf_planned(diag_lu, b, p, arena);
+                VARIANT_PLANNED
+            }
+            Route::Variant(v) => {
+                trsm::tstrf(diag_lu, b, v, scratch);
+                trsm_slot(v)
+            }
+        };
+        self.stop(CLASS_TSTRF, slot, meter);
     }
 
-    /// Metered [`ssssm::ssssm`]. The scheduler already computed
-    /// [`flops::ssssm_flops`] for variant selection, so it is passed in
+    /// Runs an SSSSM task along `route`. The scheduler already computed
+    /// [`flops::ssssm_flops`] to route the task, so it is passed in
     /// rather than re-derived.
     pub fn ssssm<S: Scalar>(
         &mut self,
+        route: Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant>,
         a: &CscMatrix<S>,
         b: &CscMatrix<S>,
         c: &mut CscMatrix<S>,
-        variant: SsssmVariant,
         scratch: &mut KernelScratch<S>,
         model_flops: f64,
     ) {
-        if !self.enabled {
-            return ssssm::ssssm(a, b, c, variant, scratch);
-        }
-        let start = Instant::now();
-        ssssm::ssssm(a, b, c, variant, scratch);
-        self.tally.record(CLASS_SSSSM, ssssm_slot(variant), elapsed_nanos(start), model_flops);
+        let meter = self.start(|| model_flops);
+        let slot = match route {
+            Route::Plan(p, arena) => {
+                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                plan::ssssm_planned(a, b, c, p, arena);
+                VARIANT_PLANNED
+            }
+            Route::Variant(v) => {
+                ssssm::ssssm(a, b, c, v, scratch);
+                ssssm_slot(v)
+            }
+        };
+        self.stop(CLASS_SSSSM, slot, meter);
     }
 
-    /// Metered [`plan::getrf_planned`]; tallies under the `P_V1` slot
-    /// with the same model FLOPs as the unplanned kernel (planned
-    /// execution performs identical arithmetic, so the observed ==
-    /// predicted FLOPs invariant is preserved).
-    pub fn getrf_planned<S: Scalar>(
-        &mut self,
-        a: &mut CscMatrix<S>,
-        p: &GetrfPlan,
-        arena: &[S::PlanIdx],
-        pivot_floor: f64,
-    ) -> usize {
-        if !self.enabled {
-            return plan::getrf_planned(a, p, arena, pivot_floor);
-        }
-        let fl = flops::getrf_flops(a);
-        let start = Instant::now();
-        let perturbed = plan::getrf_planned(a, p, arena, pivot_floor);
-        self.tally.record(CLASS_GETRF, VARIANT_PLANNED, elapsed_nanos(start), fl);
-        perturbed
-    }
-
-    /// Metered [`plan::gessm_planned`].
-    pub fn gessm_planned<S: Scalar>(
-        &mut self,
-        diag_lu: &CscMatrix<S>,
-        b: &mut CscMatrix<S>,
-        p: &GessmPlan,
-        arena: &[S::PlanIdx],
-    ) {
-        if !self.enabled {
-            return plan::gessm_planned(diag_lu, b, p, arena);
-        }
-        let fl = flops::gessm_flops(diag_lu, b);
-        let start = Instant::now();
-        plan::gessm_planned(diag_lu, b, p, arena);
-        self.tally.record(CLASS_GESSM, VARIANT_PLANNED, elapsed_nanos(start), fl);
-    }
-
-    /// Metered [`plan::tstrf_planned`].
-    pub fn tstrf_planned<S: Scalar>(
-        &mut self,
-        diag_lu: &CscMatrix<S>,
-        b: &mut CscMatrix<S>,
-        p: &TstrfPlan,
-        arena: &[S::PlanIdx],
-    ) {
-        if !self.enabled {
-            return plan::tstrf_planned(diag_lu, b, p, arena);
-        }
-        let fl = flops::tstrf_flops(diag_lu, b);
-        let start = Instant::now();
-        plan::tstrf_planned(diag_lu, b, p, arena);
-        self.tally.record(CLASS_TSTRF, VARIANT_PLANNED, elapsed_nanos(start), fl);
-    }
-
-    /// Metered [`plan::ssssm_planned`]; the scheduler's model FLOPs are
-    /// passed through as for [`TimedKernels::ssssm`].
-    pub fn ssssm_planned<S: Scalar>(
-        &mut self,
-        a: &CscMatrix<S>,
-        b: &CscMatrix<S>,
-        c: &mut CscMatrix<S>,
-        p: &SsssmPlan,
-        arena: &[S::PlanIdx],
-        model_flops: f64,
-    ) {
-        if !self.enabled {
-            return plan::ssssm_planned(a, b, c, p, arena);
-        }
-        let start = Instant::now();
-        plan::ssssm_planned(a, b, c, p, arena);
-        self.tally.record(CLASS_SSSSM, VARIANT_PLANNED, elapsed_nanos(start), model_flops);
-    }
-
-    /// Metered [`ssssm::ssssm_batch`]: one fused pass over the target,
+    /// Metered [`ssssm::ssssm_batch`] (a no-op on an empty batch): one
+    /// fused pass over the target,
     /// but **per-update** tally records (under each update's selected
     /// variant and model FLOPs), so the task/kernel accounting stays 1:1
     /// whatever the batch width. The fused elapsed time is apportioned
@@ -241,11 +231,12 @@ impl TimedKernels {
         c: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
     ) {
-        if !self.enabled {
-            return ssssm::ssssm_batch(updates, c, scratch);
-        }
         if updates.is_empty() {
             return;
+        }
+        self.batches += u64::from(updates.len() > 1);
+        if !self.enabled {
+            return ssssm::ssssm_batch(updates, c, scratch);
         }
         let start = Instant::now();
         ssssm::ssssm_batch(updates, c, scratch);
@@ -295,7 +286,8 @@ mod tests {
 
         let mut via_timed = dense_block(6);
         let mut via_raw = via_timed.clone();
-        let p1 = timed.getrf(&mut via_timed, GetrfVariant::CV1, &mut scratch, 1e-12);
+        let p1 =
+            timed.getrf(Route::Variant(GetrfVariant::CV1), &mut via_timed, &mut scratch, 1e-12);
         let p2 = getrf::getrf(&mut via_raw, GetrfVariant::CV1, &mut scratch, 1e-12);
         assert_eq!(p1, p2);
         assert_eq!(via_timed.values(), via_raw.values());
@@ -303,7 +295,7 @@ mod tests {
         let diag = lower_block(6);
         let mut rhs_timed = dense_block(6);
         let mut rhs_raw = rhs_timed.clone();
-        timed.gessm(&diag, &mut rhs_timed, TrsmVariant::CV1, &mut scratch);
+        timed.gessm(Route::Variant(TrsmVariant::CV1), &diag, &mut rhs_timed, &mut scratch);
         trsm::gessm(&diag, &mut rhs_raw, TrsmVariant::CV1, &mut scratch);
         assert_eq!(rhs_timed.values(), rhs_raw.values());
 
@@ -314,7 +306,7 @@ mod tests {
         };
         let mut low_timed = dense_block(6);
         let mut low_raw = low_timed.clone();
-        timed.tstrf(&fac, &mut low_timed, TrsmVariant::CV2, &mut scratch);
+        timed.tstrf(Route::Variant(TrsmVariant::CV2), &fac, &mut low_timed, &mut scratch);
         trsm::tstrf(&fac, &mut low_raw, TrsmVariant::CV2, &mut scratch);
         assert_eq!(low_timed.values(), low_raw.values());
 
@@ -323,7 +315,7 @@ mod tests {
         let mut c_timed = dense_block(6);
         let mut c_raw = c_timed.clone();
         let fl = flops::ssssm_flops(&a, &b);
-        timed.ssssm(&a, &b, &mut c_timed, SsssmVariant::CV1, &mut scratch, fl);
+        timed.ssssm(Route::Variant(SsssmVariant::CV1), &a, &b, &mut c_timed, &mut scratch, fl);
         ssssm::ssssm(&a, &b, &mut c_raw, SsssmVariant::CV1, &mut scratch);
         assert_eq!(c_timed.values(), c_raw.values());
 
@@ -343,7 +335,7 @@ mod tests {
         let mut timed = TimedKernels::new(false);
         let mut scratch = KernelScratch::default();
         let mut blk = dense_block(5);
-        timed.getrf(&mut blk, GetrfVariant::CV1, &mut scratch, 1e-12);
+        timed.getrf(Route::Variant(GetrfVariant::CV1), &mut blk, &mut scratch, 1e-12);
         assert_eq!(timed.tally().total_calls(), 0);
         assert_eq!(timed.into_tally(), KernelTally::default());
     }
@@ -370,7 +362,7 @@ mod tests {
         let gplan = build_getrf_plan(&block, &mut arena);
         let mut via_timed = block.clone();
         let mut via_raw = block.clone();
-        let p1 = timed.getrf_planned(&mut via_timed, &gplan, &arena, 1e-12);
+        let p1 = timed.getrf(Route::Plan(&gplan, &arena), &mut via_timed, &mut scratch, 1e-12);
         let p2 = getrf::getrf(&mut via_raw, GetrfVariant::CV1, &mut scratch, 1e-12);
         assert_eq!(p1, p2);
         assert_eq!(via_timed.values(), via_raw.values());
@@ -382,7 +374,7 @@ mod tests {
         let mut c_timed = c0.clone();
         let mut c_raw = c0.clone();
         let fl = flops::ssssm_flops(&a, &b);
-        timed.ssssm_planned(&a, &b, &mut c_timed, &splan, &arena, fl);
+        timed.ssssm(Route::Plan(&splan, &arena), &a, &b, &mut c_timed, &mut scratch, fl);
         ssssm::ssssm(&a, &b, &mut c_raw, SsssmVariant::CV1, &mut scratch);
         assert_eq!(c_timed.values(), c_raw.values());
 
@@ -390,5 +382,13 @@ mod tests {
         assert!(labels.contains(&("GETRF", "P_V1")));
         assert!(labels.contains(&("SSSSM", "P_V1")));
         assert_eq!(timed.tally().calls_by_class(), [1, 0, 0, 1]);
+
+        // Replays are counted whether or not the meter is on.
+        let mut mem = MemStats::default();
+        timed.add_counts_to(&mut mem);
+        assert_eq!(mem.planned_calls, 2);
+        assert_eq!(mem.index_searches_avoided, gplan.searches_avoided + splan.searches_avoided);
+        assert_eq!(mem.plan_runs, gplan.runs + splan.runs);
+        assert_eq!(mem.run_axpy_entries, gplan.run_entries + splan.run_entries);
     }
 }

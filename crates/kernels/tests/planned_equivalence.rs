@@ -7,10 +7,10 @@
 use proptest::prelude::*;
 
 use pangulu_kernels::{
-    getrf, plan, ssssm, trsm, GetrfVariant, KernelScratch, PlanEncoding, SsssmVariant, TrsmVariant,
+    getrf, plan, reference, ssssm, trsm, GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant,
 };
 use pangulu_sparse::ops::ensure_diagonal;
-use pangulu_sparse::{CooMatrix, CscMatrix, Scalar};
+use pangulu_sparse::{CooMatrix, CscMatrix, DenseMatrix, Scalar};
 use pangulu_symbolic::symbolic_fill;
 
 /// A random diagonally dominant matrix of order `2 * nb`, filled and cut
@@ -191,12 +191,13 @@ proptest! {
     }
 }
 
-/// Runs all four kernels through both arena encodings in scalar type
-/// `S` and asserts each planned replay equals the unplanned `C_V1`
-/// reference bit for bit. The run-segmented encoding executes slice
-/// loops over the same element order (no reduction reorder, no FMA),
-/// so both encodings — and the scalar kernel — must agree exactly.
-fn assert_encodings_match<S: Scalar>(
+/// Runs all four kernels through their run-segment plans in scalar type
+/// `S` and asserts each replay equals the unplanned `C_V1` kernel bit
+/// for bit (slice loops over the same element order: no reduction
+/// reorder, no FMA) and the dense reference within roundoff — the
+/// independent oracle, since the unplanned kernels share the run-based
+/// slice loops.
+fn assert_replay_matches<S: Scalar>(
     diag: &CscMatrix<S>,
     upper: &CscMatrix<S>,
     lower: &CscMatrix<S>,
@@ -213,43 +214,56 @@ fn assert_encodings_match<S: Scalar>(
     let mut want_tail = tail.clone();
     ssssm::ssssm(&l_op, &u_op, &mut want_tail, SsssmVariant::CV1, &mut scratch);
 
-    for enc in [PlanEncoding::PerEntry, PlanEncoding::Runs] {
-        let mut arena = Vec::new();
-        let p = plan::build_getrf_plan_enc(diag, &mut arena, enc);
-        let mut got = diag.clone();
-        let got_perturbed = plan::getrf_planned(&mut got, &p, &arena, 1e-12);
-        assert_eq!(lu.values(), got.values(), "{enc:?} GETRF diverged");
-        assert_eq!(perturbed, got_perturbed, "{enc:?} GETRF pivot count diverged");
+    let tol = if S::WIDTH == 4 { 1e-4 } else { 1e-10 };
+    let near_dense = |got: &CscMatrix<S>, want: &DenseMatrix, kernel: &str| {
+        let rel = got.to_dense().max_abs_diff(want) / want.norm_max().max(1.0);
+        assert!(rel < tol, "{kernel} replay is {rel} off the dense reference");
+    };
+    let dense_lu = reference::ref_getrf(&diag.to_dense());
+    let dense_u = reference::ref_gessm(&dense_lu, &upper.to_dense());
+    let dense_l = reference::ref_tstrf(&dense_lu, &lower.to_dense());
+    let mut dense_tail = tail.to_dense();
+    reference::ref_ssssm(&dense_l, &dense_u, &mut dense_tail);
 
-        let p = plan::build_gessm_plan_enc(&lu, upper, &mut arena, enc);
-        let mut got = upper.clone();
-        plan::gessm_planned(&lu, &mut got, &p, &arena);
-        assert_eq!(u_op.values(), got.values(), "{enc:?} GESSM diverged");
+    let mut arena = Vec::new();
+    let p = plan::build_getrf_plan(diag, &mut arena);
+    let mut got = diag.clone();
+    let got_perturbed = plan::getrf_planned(&mut got, &p, &arena, 1e-12);
+    assert_eq!(lu.values(), got.values(), "GETRF diverged");
+    assert_eq!(perturbed, got_perturbed, "GETRF pivot count diverged");
+    near_dense(&got, &dense_lu, "GETRF");
 
-        let p = plan::build_tstrf_plan_enc(&lu, lower, &mut arena, enc);
-        let mut got = lower.clone();
-        plan::tstrf_planned(&lu, &mut got, &p, &arena);
-        assert_eq!(l_op.values(), got.values(), "{enc:?} TSTRF diverged");
+    let p = plan::build_gessm_plan(&lu, upper, &mut arena);
+    let mut got = upper.clone();
+    plan::gessm_planned(&lu, &mut got, &p, &arena);
+    assert_eq!(u_op.values(), got.values(), "GESSM diverged");
+    near_dense(&got, &dense_u, "GESSM");
 
-        let p = plan::build_ssssm_plan_enc(&l_op, &u_op, tail, &mut arena, enc);
-        let mut got = tail.clone();
-        plan::ssssm_planned(&l_op, &u_op, &mut got, &p, &arena);
-        assert_eq!(want_tail.values(), got.values(), "{enc:?} SSSSM diverged");
-    }
+    let p = plan::build_tstrf_plan(&lu, lower, &mut arena);
+    let mut got = lower.clone();
+    plan::tstrf_planned(&lu, &mut got, &p, &arena);
+    assert_eq!(l_op.values(), got.values(), "TSTRF diverged");
+    near_dense(&got, &dense_l, "TSTRF");
+
+    let p = plan::build_ssssm_plan(&l_op, &u_op, tail, &mut arena);
+    let mut got = tail.clone();
+    plan::ssssm_planned(&l_op, &u_op, &mut got, &p, &arena);
+    assert_eq!(want_tail.values(), got.values(), "SSSSM diverged");
+    near_dense(&got, &dense_tail, "SSSSM");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Run-segmented replay == per-entry replay == unplanned kernel,
-    /// bitwise, in both f64 and the mixed path's f32.
+    /// Run-segment replay == unplanned kernel, bitwise, and == dense
+    /// reference within roundoff, in both f64 and the mixed path's f32.
     #[test]
-    fn run_encoding_matches_per_entry_and_unplanned_both_widths(
+    fn run_replay_matches_unplanned_and_dense_both_widths(
         (nb, entries) in inputs()
     ) {
         let (diag, upper, lower, tail) = blocks(nb, &entries);
-        assert_encodings_match(&diag, &upper, &lower, &tail);
-        assert_encodings_match(
+        assert_replay_matches(&diag, &upper, &lower, &tail);
+        assert_replay_matches(
             &diag.cast::<f32>(),
             &upper.cast::<f32>(),
             &lower.cast::<f32>(),
@@ -257,15 +271,15 @@ proptest! {
         );
     }
 
-    /// The same cross-encoding × width pin on near-empty patterns:
-    /// empty columns and vanishing panels must replay identically.
+    /// The same pin on near-empty patterns: empty columns and vanishing
+    /// panels must replay identically.
     #[test]
-    fn run_encoding_degenerate_patterns_both_widths(
+    fn run_replay_degenerate_patterns_both_widths(
         (nb, entries) in sparse_inputs()
     ) {
         let (diag, upper, lower, tail) = blocks(nb, &entries);
-        assert_encodings_match(&diag, &upper, &lower, &tail);
-        assert_encodings_match(
+        assert_replay_matches(&diag, &upper, &lower, &tail);
+        assert_replay_matches(
             &diag.cast::<f32>(),
             &upper.cast::<f32>(),
             &lower.cast::<f32>(),
@@ -276,9 +290,9 @@ proptest! {
 
 /// Crafted degenerate shapes the random strategies rarely hit together:
 /// an all-gaps (alternating-row) panel column, a single-run column and
-/// empty columns, replayed through both encodings in both widths.
+/// empty columns, replayed in both widths.
 #[test]
-fn run_encoding_alternating_gaps_and_single_runs() {
+fn run_replay_alternating_gaps_and_single_runs() {
     let nb = 8;
     let mut entries = Vec::new();
     // Column nb+1 of the upper panel: alternating rows 0,2,4,6 (every
@@ -298,8 +312,8 @@ fn run_encoding_alternating_gaps_and_single_runs() {
         entries.push((nb + j, 3, 0.75 - j as f64 / 8.0));
     }
     let (diag, upper, lower, tail) = blocks(nb, &entries);
-    assert_encodings_match(&diag, &upper, &lower, &tail);
-    assert_encodings_match(
+    assert_replay_matches(&diag, &upper, &lower, &tail);
+    assert_replay_matches(
         &diag.cast::<f32>(),
         &upper.cast::<f32>(),
         &lower.cast::<f32>(),

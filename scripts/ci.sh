@@ -27,6 +27,10 @@
 #           baselines (see docs/OBSERVABILITY.md and docs/PERFORMANCE.md)
 #   bench-kernels  the kernel-plan gate alone: re-runs bench_kernels and
 #           diffs it against data/BENCH_kernels.json (docs/KERNEL_PLANS.md)
+#   benchmark-api  builds and tests the repo benchmark (benchmark/, its
+#           own workspace, compiled only against public items of
+#           crates/*), so an API change that breaks it fails here
+#           instead of in the benchmark driver; read-only on benchmark/
 #
 # Usage:
 #   scripts/ci.sh [seed-base]
@@ -102,7 +106,12 @@ stage_bench_kernels() {
     ./target/release/bench_compare data/BENCH_kernels.json "$fresh/BENCH_kernels.json"
 }
 
-all_stages=(fmt clippy build test doc trace sched transport precision bench bench-kernels)
+stage_benchmark_api() {
+    cargo test --release --offline --manifest-path benchmark/Cargo.toml
+}
+
+all_stages=(fmt clippy build test doc trace sched transport precision bench bench-kernels
+    benchmark-api)
 
 only=""
 if [[ "${1:-}" == "--stage" ]]; then

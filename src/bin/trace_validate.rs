@@ -16,7 +16,14 @@ use pangulu::kernels::select::{KernelSelector, Thresholds};
 use pangulu::sparse::gen;
 
 fn main() {
-    let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
+    let seed: u64 = match std::env::args().nth(1) {
+        None => 1,
+        Some(arg) => arg.parse().unwrap_or_else(|_| {
+            eprintln!("trace_validate: fault seed {arg:?} is not a non-negative integer");
+            eprintln!("usage: trace_validate [seed]");
+            std::process::exit(2);
+        }),
+    };
     let a = gen::laplacian_2d(24, 23);
     let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
     let bm = BlockMatrix::from_filled(&f, 12).unwrap();

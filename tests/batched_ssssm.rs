@@ -6,9 +6,10 @@
 //! message arrival timing, so the only acceptable behaviour is that the
 //! fused pass performs exactly the floating-point operations of applying
 //! each update one at a time in ascending elimination-step order — i.e.
-//! the factors must be **bitwise identical** to a run with batching
-//! forced off (`FactorConfig::with_ssssm_batching(false)`), whatever the
-//! grid shape and however a fault plan perturbs arrival timing/order.
+//! the factors must be **bitwise identical** to a traced run, which
+//! applies updates one at a time by construction (`FactorConfig::traced`),
+//! whatever the grid shape and however a fault plan perturbs arrival
+//! timing/order.
 
 use std::time::Duration;
 
@@ -35,7 +36,12 @@ fn problem(seed: u64) -> Problem {
     let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
     let bm = BlockMatrix::from_filled(&f, 9).unwrap();
     let tg = TaskGraph::build(&bm);
-    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+    // Planned gates closed: with them open the selector sends small
+    // updates through their index maps (splitting runs into planned calls
+    // and fused variant segments), and this suite guards the pure
+    // `ssssm_batch` path. Planned/unplanned bitwise identity — including
+    // the mixed segmented path — is covered by `tests/determinism.rs`.
+    let sel = KernelSelector::new(a.nnz(), Thresholds::unplanned());
     Problem { bm, tg, sel }
 }
 
@@ -54,38 +60,30 @@ fn jitter(seed: u64) -> FaultPlan {
     FaultPlan::reliable(seed).with_delays(0.5, Duration::from_micros(250)).with_reordering(3)
 }
 
-/// Batched factors are bitwise equal to forced one-at-a-time factors on
-/// every grid shape, with and without fault jitter, across five seeds.
-/// Also asserts the comparison has teeth: across the jittered runs at
-/// least one fused batch must actually have formed, and the forced-off
+/// Batched factors are bitwise equal to one-at-a-time (traced) factors
+/// on every grid shape, with and without fault jitter, across five
+/// seeds. Also asserts the comparison has teeth: across the jittered runs
+/// at least one fused batch must actually have formed, and the traced
 /// runs must never batch.
-///
-/// The kernel-plan layer is pinned off: with plans on the selector sends
-/// small updates through their index maps (splitting runs into planned
-/// calls and fused unplanned segments), and this test guards the pure
-/// `ssssm_batch` path. Planned/unplanned bitwise identity — including
-/// the mixed segmented path — is covered by `tests/determinism.rs`.
 #[test]
 fn batched_matches_one_at_a_time_bitwise() {
     let mut fused_total = 0u64;
     for seed in [31u64, 32, 33, 34, 35] {
         let prob = problem(seed);
         for (pr, pc) in GRIDS {
-            let base = FactorConfig::with_mode(ScheduleMode::SyncFree).with_plans(false);
-            let (batched, nb) = factor(&prob, pr, pc, &base.clone());
-            let (serial, ns) = factor(&prob, pr, pc, &base.clone().with_ssssm_batching(false));
-            assert_eq!(ns, 0, "seed {seed} {pr}x{pc}: batching-off run still fused");
+            let base = FactorConfig::with_mode(ScheduleMode::SyncFree);
+            let (batched, nb) = factor(&prob, pr, pc, &base);
+            let (serial, ns) = factor(&prob, pr, pc, &base.clone().traced());
+            assert_eq!(ns, 0, "seed {seed} {pr}x{pc}: traced run still fused");
             assert_eq!(
                 batched.values(),
                 serial.values(),
                 "seed {seed} {pr}x{pc}: batched SSSSM diverged from one-at-a-time"
             );
 
-            let jittered = FactorConfig::with_mode(ScheduleMode::SyncFree)
-                .with_plans(false)
-                .with_fault(jitter(seed * 7 + 1));
-            let (batched_j, nj) = factor(&prob, pr, pc, &jittered.clone());
-            let (serial_j, _) = factor(&prob, pr, pc, &jittered.with_ssssm_batching(false));
+            let jittered = base.with_fault(jitter(seed * 7 + 1));
+            let (batched_j, nj) = factor(&prob, pr, pc, &jittered);
+            let (serial_j, _) = factor(&prob, pr, pc, &jittered.traced());
             assert_eq!(
                 batched_j.values(),
                 serial_j.values(),
@@ -102,20 +100,13 @@ fn batched_matches_one_at_a_time_bitwise() {
     assert!(fused_total > 0, "no run ever fused a batch — the bitwise comparison is vacuous");
 }
 
-/// LevelSet mode never batches (its barriers are defined per update), so
-/// the toggle is a no-op there and both settings agree with SyncFree.
+/// LevelSet mode never batches (its barriers are defined per update) and
+/// agrees with SyncFree.
 #[test]
-fn levelset_is_unaffected_by_the_toggle() {
+fn levelset_never_batches() {
     let prob = problem(36);
     let (sync, _) = factor(&prob, 2, 2, &FactorConfig::with_mode(ScheduleMode::SyncFree));
-    for on in [true, false] {
-        let cfg = FactorConfig::with_mode(ScheduleMode::LevelSet).with_ssssm_batching(on);
-        let (f, fused) = factor(&prob, 2, 2, &cfg);
-        assert_eq!(fused, 0, "LevelSet fused a batch despite per-step barriers");
-        assert_eq!(
-            f.values(),
-            sync.values(),
-            "LevelSet batching={on}: factors diverged from SyncFree reference"
-        );
-    }
+    let (f, fused) = factor(&prob, 2, 2, &FactorConfig::with_mode(ScheduleMode::LevelSet));
+    assert_eq!(fused, 0, "LevelSet fused a batch despite per-step barriers");
+    assert_eq!(f.values(), sync.values(), "LevelSet factors diverged from SyncFree reference");
 }

@@ -49,6 +49,17 @@ fn rejects_missing_input() {
     assert!(!out.status.success());
 }
 
+/// A typo in the CI seed expression must not silently validate seed 1.
+#[test]
+fn trace_validate_rejects_a_non_numeric_seed() {
+    let out = Command::new(env!("CARGO_BIN_EXE_trace_validate"))
+        .arg("1+x")
+        .output()
+        .expect("run trace_validate");
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("usage: trace_validate [seed]"));
+}
+
 #[test]
 fn lists_generators() {
     let out = bin().arg("--list").output().expect("run pangulu");

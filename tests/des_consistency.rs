@@ -5,7 +5,7 @@
 
 use pangulu::comm::{PlatformProfile, ProcessGrid};
 use pangulu::core::des::{pangulu_sim_tasks, simulate, simulate_with_policy, SimMode, SimPolicy};
-use pangulu::core::dist::{factor_distributed, ScheduleMode};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::BlockMatrix;
@@ -33,7 +33,9 @@ fn des_message_traffic_matches_executor_exactly() {
         let sim = simulate(&sim_tasks, p, &prof, SimMode::SyncFree);
 
         let sel = KernelSelector::new(nnz, Thresholds::default());
-        let real = factor_distributed(&mut bm, &tg, &owners, &sel, 1e-12, ScheduleMode::SyncFree);
+        let cfg = FactorConfig::default();
+        let real =
+            factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg).unwrap().stats;
 
         assert_eq!(
             sim.messages, real.messages,
@@ -76,7 +78,9 @@ fn des_priority_policy_traffic_still_matches_executor_exactly() {
             simulate_with_policy(&sim_tasks, p, &prof, SimMode::SyncFree, SimPolicy::Priority);
 
         let sel = KernelSelector::new(nnz, Thresholds::default());
-        let real = factor_distributed(&mut bm, &tg, &owners, &sel, 1e-12, ScheduleMode::SyncFree);
+        let cfg = FactorConfig::default();
+        let real =
+            factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg).unwrap().stats;
 
         assert_eq!(sim.messages, real.messages, "p={p} seed={seed}: message counts diverged");
         assert_eq!(sim.bytes, real.bytes, "p={p} seed={seed}: payload bytes diverged");

@@ -14,7 +14,6 @@ use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
 use pangulu::core::BlockMatrix;
 use pangulu::kernels::select::{KernelSelector, Thresholds};
-use pangulu::kernels::PlanEncoding;
 use pangulu::sparse::gen;
 use pangulu::sparse::ops::{ensure_diagonal, relative_residual};
 use pangulu::sparse::CscMatrix;
@@ -48,11 +47,37 @@ fn factor_with_config(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) 
 }
 
 fn factor_run(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> (CscMatrix, FactorRun) {
+    factor_run_with(prob, &prob.sel, pr, pc, cfg)
+}
+
+fn factor_run_with(
+    prob: &Problem,
+    sel: &KernelSelector,
+    pr: usize,
+    pc: usize,
+    cfg: &FactorConfig,
+) -> (CscMatrix, FactorRun) {
     let mut bm = prob.bm.clone();
     let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
-    let run = factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, cfg)
+    let run = factor_distributed_checked(&mut bm, &prob.tg, &owners, sel, 1e-12, cfg)
         .unwrap_or_else(|e| panic!("{pr}x{pc} {:?}: {e}", cfg.mode));
     (bm.to_csc(), run)
+}
+
+/// The unplanned arm: the same run behind a selector whose planned gates
+/// are closed, so every task takes its tree variant — and, asserted
+/// here, no plan is ever built or replayed.
+fn factor_unplanned(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> CscMatrix {
+    let closed = KernelSelector::new(prob.a.nnz(), Thresholds::unplanned());
+    let (f, run) = factor_run_with(prob, &closed, pr, pc, cfg);
+    let mem = run.report.total_mem();
+    assert_eq!(
+        (mem.planned_calls, mem.plan_bytes),
+        (0, 0),
+        "{pr}x{pc} {:?}: closed gates still planned",
+        cfg.mode
+    );
+    f
 }
 
 const POLICIES: [SchedulePolicy; 3] =
@@ -118,8 +143,7 @@ fn planned_and_unplanned_factors_are_bitwise_identical() {
     for (pr, pc) in grids() {
         for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
             let planned = factor_with_config(&prob, pr, pc, &FactorConfig::with_mode(mode));
-            let unplanned =
-                factor_with_config(&prob, pr, pc, &FactorConfig::with_mode(mode).with_plans(false));
+            let unplanned = factor_unplanned(&prob, pr, pc, &FactorConfig::with_mode(mode));
             assert_eq!(
                 planned.values(),
                 unplanned.values(),
@@ -148,11 +172,11 @@ fn planned_factors_survive_adversarial_fault_plans() {
             2,
             &FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(fault.clone()),
         );
-        let unplanned = factor_with_config(
+        let unplanned = factor_unplanned(
             &prob,
             2,
             2,
-            &FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(fault).with_plans(false),
+            &FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(fault),
         );
         assert_eq!(
             planned.values(),
@@ -167,37 +191,20 @@ fn planned_factors_survive_adversarial_fault_plans() {
     }
 }
 
-/// The plan-arena encoding is bitwise-neutral too: the default
-/// run-segmented replay (slice-level axpy loops over maximal contiguous
-/// runs), the legacy per-entry replay and the unplanned walk all compute
-/// the same factors across grids × policies — and under adversarial
-/// fault plans. Runs partition each index list left to right, so the
-/// per-element order and arithmetic never change; this pins that.
+/// Run-segmented plan replay (slice-level axpy loops over maximal
+/// contiguous runs) and the unplanned walk compute the same factors
+/// across grids × policies — and under adversarial fault plans. Runs
+/// partition each index list left to right, so the per-element order and
+/// arithmetic never change; this pins that.
 #[test]
-fn run_planned_factors_are_bitwise_identical_across_encodings() {
+fn run_planned_factors_are_bitwise_identical_to_unplanned() {
     let prob = problem(12);
     let reference = factor_once(&prob, 1, 1, ScheduleMode::SyncFree);
     for (pr, pc) in grids() {
         for policy in POLICIES {
-            let base = FactorConfig::with_mode(ScheduleMode::SyncFree).with_policy(policy);
-            let run_planned = factor_with_config(
-                &prob,
-                pr,
-                pc,
-                &base.clone().with_plan_encoding(PlanEncoding::Runs),
-            );
-            let per_entry = factor_with_config(
-                &prob,
-                pr,
-                pc,
-                &base.clone().with_plan_encoding(PlanEncoding::PerEntry),
-            );
-            let unplanned = factor_with_config(&prob, pr, pc, &base.with_plans(false));
-            assert_eq!(
-                run_planned.values(),
-                per_entry.values(),
-                "{pr}x{pc} {policy:?}: run-segmented replay diverged from per-entry"
-            );
+            let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_policy(policy);
+            let run_planned = factor_with_config(&prob, pr, pc, &cfg);
+            let unplanned = factor_unplanned(&prob, pr, pc, &cfg);
             assert_eq!(
                 run_planned.values(),
                 unplanned.values(),
@@ -211,22 +218,14 @@ fn run_planned_factors_are_bitwise_identical_across_encodings() {
         }
     }
     for seed in [14u64, 15] {
-        let fault = FaultPlan::adversarial(seed);
-        for enc in [PlanEncoding::Runs, PlanEncoding::PerEntry] {
-            let f = factor_with_config(
-                &prob,
-                2,
-                2,
-                &FactorConfig::with_mode(ScheduleMode::SyncFree)
-                    .with_fault(fault.clone())
-                    .with_plan_encoding(enc),
-            );
-            assert_eq!(
-                reference.values(),
-                f.values(),
-                "fault seed {seed} {enc:?}: faulted factors differ from the reference"
-            );
-        }
+        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree)
+            .with_fault(FaultPlan::adversarial(seed));
+        let f = factor_with_config(&prob, 2, 2, &cfg);
+        assert_eq!(
+            reference.values(),
+            f.values(),
+            "fault seed {seed}: faulted factors differ from the reference"
+        );
     }
 }
 

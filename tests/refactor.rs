@@ -293,13 +293,13 @@ fn workspace_reuse_is_bitwise_stable_under_adversarial_faults() {
 fn kernel_plan_reuse_keeps_build_counters_flat() {
     let a = gen::circuit(300, 21);
     let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
-    let first = solver.kernel_plan_stats().expect("plans are on by default");
+    let first = solver.kernel_plan_stats();
     assert!(first.bytes > 0, "first factorisation built no plans");
     let first_phases = solver.stats().phases;
 
     for rep in 1..=3 {
         solver.refactor(&perturb(&a)).unwrap();
-        let s = solver.kernel_plan_stats().unwrap();
+        let s = solver.kernel_plan_stats();
         assert_eq!(s.bytes, first.bytes, "rep {rep}: plan arena grew on reuse");
         assert_eq!(s.build_ns, first.build_ns, "rep {rep}: plans were rebuilt on reuse");
         let mem = solver.stats().report.as_ref().unwrap().total_mem();
@@ -318,19 +318,19 @@ fn kernel_plan_reuse_keeps_build_counters_flat() {
 fn rejected_refactor_leaves_plans_intact() {
     let a = gen::laplacian_2d(8, 8);
     let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
-    let before = solver.kernel_plan_stats().expect("plans are on by default");
+    let before = solver.kernel_plan_stats();
     let bits = factor_bits(solver.factored());
 
     match solver.refactor(&gen::laplacian_2d(8, 9)) {
         Err(SparseError::PatternMismatch(_)) => {}
         other => panic!("expected PatternMismatch, got {other:?}"),
     }
-    let after = solver.kernel_plan_stats().unwrap();
+    let after = solver.kernel_plan_stats();
     assert_eq!((after.bytes, after.build_ns), (before.bytes, before.build_ns));
     assert_eq!(bits, factor_bits(solver.factored()), "rejected refactor mutated the factors");
 
     solver.refactor(&perturb(&a)).unwrap();
-    let s = solver.kernel_plan_stats().unwrap();
+    let s = solver.kernel_plan_stats();
     assert_eq!(
         (s.bytes, s.build_ns),
         (before.bytes, before.build_ns),

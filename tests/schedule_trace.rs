@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use pangulu::comm::ProcessGrid;
-use pangulu::core::dist::{factor_distributed_traced, ScheduleMode, TraceEvent};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode, TraceEvent};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::{Task, TaskGraph};
 use pangulu::core::BlockMatrix;
@@ -21,9 +21,9 @@ fn traced_run(p: usize, seed: u64) -> (TaskGraph, Vec<TraceEvent>) {
     let tg = TaskGraph::build(&bm);
     let owners = OwnerMap::balanced(&bm, ProcessGrid::new(p), &tg);
     let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-    let (_, trace) =
-        factor_distributed_traced(&mut bm, &tg, &owners, &sel, 1e-12, ScheduleMode::SyncFree);
-    (tg, trace)
+    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).traced();
+    let run = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg).unwrap();
+    (tg, run.trace)
 }
 
 #[test]
@@ -103,8 +103,8 @@ fn level_set_trace_respects_step_barriers() {
     let tg = TaskGraph::build(&bm);
     let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(3));
     let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-    let (_, trace) =
-        factor_distributed_traced(&mut bm, &tg, &owners, &sel, 1e-12, ScheduleMode::LevelSet);
+    let cfg = FactorConfig::with_mode(ScheduleMode::LevelSet).traced();
+    let trace = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg).unwrap().trace;
     // Under level-set scheduling, a step-k task can never start before
     // every step-(k-1) task has ended (the barrier).
     let mut step_end = vec![std::time::Duration::ZERO; bm.nblk() + 1];
