@@ -20,7 +20,7 @@ use pangulu_kernels::select::{KernelSelector, Thresholds};
 use pangulu_kernels::{KernelPlans, PlanStats};
 use pangulu_metrics::{PhaseCounters, PrecisionCounters, RunReport};
 use pangulu_reorder::{reorder_for_lu, FillReducing, Reordering};
-use pangulu_sparse::{CscMatrix, Result, Scalar, SparseError};
+use pangulu_sparse::{CscMatrix, Permutation, Result, Scalar, SparseError};
 use pangulu_symbolic::{stats::SymbolicStats, symbolic_fill};
 
 use crate::block::BlockMatrix;
@@ -33,8 +33,8 @@ use crate::seq::{empty_plans, factor_sequential_planned, NumericStats};
 use crate::shared::factor_shared_planned;
 use crate::task::{TaskGraph, TaskPriorities};
 use crate::trisolve::{
-    backward_substitute, backward_substitute_transpose, forward_substitute,
-    forward_substitute_transpose,
+    backward_substitute_panel, backward_substitute_transpose, forward_substitute_panel,
+    forward_substitute_transpose, PANEL_WIDTH,
 };
 
 /// Numeric precision of the factorisation (see `docs/PRECISION.md`).
@@ -493,92 +493,175 @@ impl<S: Scalar> NumericCache<S> {
     }
 }
 
-/// Solves `M z = w` against the f32 factors with f64 iterative
-/// refinement: sequential f32 triangular sweeps produce corrections,
-/// exact f64 residuals `w − M z` against the scaled permuted input `m`
-/// gate them. Returns the solution, the final relative ∞-norm residual
-/// and the number of corrections applied. Deterministic for a fixed
-/// `(factors, m, w)`: a correction that fails to reduce the residual is
-/// discarded and the loop stops.
+/// Gathers `k ≥ 1` right-hand sides into a row-major `n × k` panel,
+/// permuting and scaling in one pass:
+/// `panel[new · k + j] = bs[j][old] · scale[old]` with `old = perm[new]` —
+/// the same one multiply per entry as scaling first and permuting after,
+/// so the bits are those of the two-pass form. Every `bs[j]` must already
+/// be known to have length `perm.len()`.
+fn gather_scaled<B: AsRef<[f64]>>(perm: &Permutation, scale: &[f64], bs: &[B]) -> Vec<f64> {
+    let k = bs.len();
+    let mut panel = vec![0.0; perm.len() * k];
+    for (row, &old) in panel.chunks_exact_mut(k).zip(perm.as_slice()) {
+        let s = scale[old];
+        for (p, b) in row.iter_mut().zip(bs) {
+            *p = b.as_ref()[old] * s;
+        }
+    }
+    panel
+}
+
+/// The inverse of [`gather_scaled`] on the way out: scatters the `k ≥ 1`
+/// columns of a row-major panel through the inverse permutation, scaling
+/// as it goes: `out[j][old] = panel[new · k + j] · scale[old]`.
+fn scatter_scaled(perm: &Permutation, scale: &[f64], panel: &[f64], k: usize) -> Vec<Vec<f64>> {
+    let mut out = vec![vec![0.0; perm.len()]; k];
+    for (row, &old) in panel.chunks_exact(k).zip(perm.as_slice()) {
+        let s = scale[old];
+        for (x, &v) in out.iter_mut().zip(row) {
+            x[old] = v * s;
+        }
+    }
+    out
+}
+
+/// The f32 preconditioner of [`refine_inner`] over a set of `k ≥ 1`
+/// columns: narrows them into one row-major `n × k` f32 panel, runs both
+/// sweeps on it (one pass over the f32 factor each), and widens the
+/// result back into one vector per column.
+fn tri32_panel(factors32: &BlockMatrix<f32>, rs: &[&[f64]]) -> Vec<Vec<f64>> {
+    let (n, k) = (factors32.n(), rs.len());
+    let mut panel = vec![0.0f32; n * k];
+    for (i, row) in panel.chunks_exact_mut(k).enumerate() {
+        for (p, r) in row.iter_mut().zip(rs) {
+            *p = r[i] as f32;
+        }
+    }
+    forward_substitute_panel(factors32, &mut panel, k);
+    backward_substitute_panel(factors32, &mut panel, k);
+    let mut out = vec![vec![0.0f64; n]; k];
+    for (i, row) in panel.chunks_exact(k).enumerate() {
+        for (o, &v) in out.iter_mut().zip(row) {
+            o[i] = f64::from(v);
+        }
+    }
+    out
+}
+
+/// Solves `M z = w` for every column `w` of `ws` (at most
+/// [`PANEL_WIDTH`]) against the f32 factors with f64 iterative
+/// refinement: f32 panel sweeps produce corrections — one pass over the
+/// factor for all still-active columns — and exact f64 residuals
+/// `w − M z` against the scaled permuted input `m` gate them. Returns
+/// per column the solution, the final relative ∞-norm residual and the
+/// number of corrections applied. Deterministic for a fixed
+/// `(factors, m, w)` and independent of the other columns: a correction
+/// that fails to reduce a column's residual is discarded and that column
+/// stops.
 fn refine_inner(
     factors32: &BlockMatrix<f32>,
     m: &CscMatrix,
-    w: &[f64],
+    ws: &[Vec<f64>],
     tol: f64,
     max_iters: usize,
-) -> (Vec<f64>, f64, usize) {
-    let tri32 = |r: &[f64]| -> Vec<f64> {
-        let mut v: Vec<f32> = r.iter().map(|&x| x as f32).collect();
-        forward_substitute(factors32, &mut v);
-        backward_substitute(factors32, &mut v);
-        v.into_iter().map(f64::from).collect()
-    };
-    refine_with(tri32, m, w, tol, max_iters)
+) -> Vec<(Vec<f64>, f64, usize)> {
+    let apply_m =
+        |z: &[f64]| pangulu_sparse::ops::spmv(m, z).expect("analysis fixes the dimensions");
+    refine_with(|rs| tri32_panel(factors32, rs), apply_m, ws, tol, max_iters)
 }
 
-/// The transposed twin of [`refine_inner`]: solves `Mᵀ z = w` with the
-/// f32 transpose sweeps (`Uᵀ` then `Lᵀ`) as the preconditioner and exact
-/// f64 residuals against `mt = Mᵀ` — so mixed-mode transpose solves
-/// (and [`Solver::condest`]) recover the same f64 accuracy as forward
-/// solves. `mt` is the transposed scaled system, built by the caller.
+/// The transposed twin of [`refine_inner`] for one right-hand side:
+/// solves `Mᵀ z = w` with the f32 transpose sweeps (`Uᵀ` then `Lᵀ`) as
+/// the preconditioner and exact f64 residuals `w − Mᵀ z` — so mixed-mode
+/// transpose solves (and [`Solver::condest`]) recover the same f64
+/// accuracy as forward solves. `Mᵀ z` is formed from `m` itself
+/// (`spmv_t`), so no transposed copy of the system exists.
 fn refine_inner_transpose(
     factors32: &BlockMatrix<f32>,
-    mt: &CscMatrix,
-    w: &[f64],
+    m: &CscMatrix,
+    w: Vec<f64>,
     tol: f64,
     max_iters: usize,
 ) -> (Vec<f64>, f64, usize) {
-    let tri32 = |r: &[f64]| -> Vec<f64> {
-        let mut v: Vec<f32> = r.iter().map(|&x| x as f32).collect();
-        forward_substitute_transpose(factors32, &mut v);
-        backward_substitute_transpose(factors32, &mut v);
-        v.into_iter().map(f64::from).collect()
+    // The transposed sweeps have no panel form; columns go one by one.
+    let tri32 = |rs: &[&[f64]]| -> Vec<Vec<f64>> {
+        rs.iter()
+            .map(|r| {
+                let mut v: Vec<f32> = r.iter().map(|&x| x as f32).collect();
+                forward_substitute_transpose(factors32, &mut v);
+                backward_substitute_transpose(factors32, &mut v);
+                v.into_iter().map(f64::from).collect()
+            })
+            .collect()
     };
-    refine_with(tri32, mt, w, tol, max_iters)
+    let apply_mt =
+        |z: &[f64]| pangulu_sparse::ops::spmv_t(m, z).expect("analysis fixes the dimensions");
+    refine_with(tri32, apply_mt, &[w], tol, max_iters).pop().expect("one column in, one out")
 }
 
 /// The shared refinement loop of [`refine_inner`] /
-/// [`refine_inner_transpose`]: corrections from `tri32`, exact f64
-/// residuals `w − m z` gating them, stagnation keeping the best iterate
-/// bitwise.
+/// [`refine_inner_transpose`], batched over the columns of `ws`:
+/// `tri32` maps a set of columns to their corrections, exact f64
+/// residuals `w − apply_m(z)` gate them per column, stagnation keeps a
+/// column's best iterate bitwise. A column that converged, stagnated or
+/// ran out of iterations drops out of the (never empty) set handed to
+/// `tri32`; every column's result is what the loop gives for it alone.
 fn refine_with(
-    tri32: impl Fn(&[f64]) -> Vec<f64>,
-    m: &CscMatrix,
-    w: &[f64],
+    tri32: impl Fn(&[&[f64]]) -> Vec<Vec<f64>>,
+    apply_m: impl Fn(&[f64]) -> Vec<f64>,
+    ws: &[Vec<f64>],
     tol: f64,
     max_iters: usize,
-) -> (Vec<f64>, f64, usize) {
-    let norm_w = w.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-    if norm_w == 0.0 {
-        return (vec![0.0; w.len()], 0.0, 0);
-    }
-    let residual = |z: &[f64]| -> (Vec<f64>, f64) {
-        let mz = pangulu_sparse::ops::spmv(m, z).expect("analysis fixes the dimensions");
-        let r: Vec<f64> = w.iter().zip(&mz).map(|(p, q)| p - q).collect();
-        let rel = r.iter().fold(0.0f64, |acc, v| acc.max(v.abs())) / norm_w;
+) -> Vec<(Vec<f64>, f64, usize)> {
+    let norms: Vec<f64> =
+        ws.iter().map(|w| w.iter().fold(0.0f64, |acc, v| acc.max(v.abs()))).collect();
+    let residual = |j: usize, z: &[f64]| -> (Vec<f64>, f64) {
+        let mz = apply_m(z);
+        let r: Vec<f64> = ws[j].iter().zip(&mz).map(|(p, q)| p - q).collect();
+        let rel = r.iter().fold(0.0f64, |acc, v| acc.max(v.abs())) / norms[j];
         (r, rel)
     };
-    let mut z = tri32(w);
-    let (mut r, mut rel) = residual(&z);
-    let mut iters = 0usize;
-    while rel.is_finite() && rel > tol && iters < max_iters {
-        let prev = z.clone();
-        let dz = tri32(&r);
-        for (zi, di) in z.iter_mut().zip(&dz) {
-            *zi += *di;
-        }
-        iters += 1;
-        let (new_r, new_rel) = residual(&z);
-        if new_rel.partial_cmp(&rel) != Some(std::cmp::Ordering::Less) {
-            // Stagnation (or divergence, incl. NaN): keep the best
-            // iterate, bitwise.
-            z = prev;
-            break;
-        }
-        r = new_r;
-        rel = new_rel;
+    // A zero right-hand side is solved by zero and never enters a sweep.
+    let mut out: Vec<(Vec<f64>, f64, usize)> =
+        ws.iter().map(|w| (vec![0.0; w.len()], 0.0, 0)).collect();
+    let mut rs: Vec<Vec<f64>> = vec![Vec::new(); ws.len()];
+    let mut active: Vec<usize> = (0..ws.len()).filter(|&j| norms[j] != 0.0).collect();
+    if active.is_empty() {
+        return out;
     }
-    (z, rel, iters)
+    let tri32_of = |of: &[Vec<f64>], set: &[usize]| {
+        tri32(&set.iter().map(|&j| of[j].as_slice()).collect::<Vec<_>>())
+    };
+    for (&j, z) in active.iter().zip(tri32_of(ws, &active)) {
+        let (r, rel) = residual(j, &z);
+        rs[j] = r;
+        out[j] = (z, rel, 0);
+    }
+    loop {
+        active.retain(|&j| {
+            let (_, rel, iters) = &out[j];
+            rel.is_finite() && *rel > tol && *iters < max_iters
+        });
+        if active.is_empty() {
+            return out;
+        }
+        let mut improving = Vec::with_capacity(active.len());
+        for (&j, dz) in active.iter().zip(tri32_of(&rs, &active)) {
+            let (z, rel, iters) = &mut out[j];
+            let corrected: Vec<f64> = z.iter().zip(&dz).map(|(zi, di)| zi + di).collect();
+            *iters += 1;
+            let (new_r, new_rel) = residual(j, &corrected);
+            if new_rel.partial_cmp(rel) == Some(std::cmp::Ordering::Less) {
+                *z = corrected;
+                *rel = new_rel;
+                rs[j] = new_r;
+                improving.push(j);
+            }
+            // Otherwise stagnation (or divergence, incl. NaN): the column
+            // keeps its best iterate, bitwise, and stops.
+        }
+        active = improving;
+    }
 }
 
 /// Narrows every stored value of `src` into `dst`'s (same-pattern)
@@ -675,7 +758,9 @@ fn try_factor_mixed(
     }
     let ones = vec![1.0f64; state.scaled_a.ncols()];
     let (_, rel, iters) =
-        refine_inner(&state.factored32, &state.scaled_a, &ones, REFINE_TOL, MAX_REFINE_ITERS);
+        refine_inner(&state.factored32, &state.scaled_a, &[ones], REFINE_TOL, MAX_REFINE_ITERS)
+            .pop()
+            .expect("one column in, one out");
     precision.probe_refine_iters += iters as u64;
     if rel.is_finite() && rel <= PROBE_GATE {
         precision.mixed_factors += 1;
@@ -1052,35 +1137,49 @@ impl Solver {
                 self.n
             )));
         }
+        Ok(self.solve_panel(&[b]).pop().expect("one rhs in, one solution out"))
+    }
+
+    /// Solves `A x_j = b_j` for the right-hand sides of one panel (at
+    /// most [`PANEL_WIDTH`], every length already checked): one gather,
+    /// one pass over the factor per sweep, one scatter.
+    fn solve_panel<B: AsRef<[f64]>>(&self, bs: &[B]) -> Vec<Vec<f64>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
         let r = &self.reordering;
-        let scaled: Vec<f64> = b.iter().zip(&r.row_scale).map(|(v, d)| v * d).collect();
-        let w = r.row_perm.apply_vec(&scaled);
-        let z = if let Some(mx) = &self.mixed {
+        let inner = |b: &B| gather_scaled(&r.row_perm, &r.row_scale, &[b.as_ref()]);
+        let outer = |z: &[f64], k: usize| scatter_scaled(&r.col_perm, &r.col_scale, z, k);
+        if let Some(mx) = &self.mixed {
             // Mixed mode: the f32 triangular solve is only a preconditioner;
             // iterative refinement against the captured f64 scaled system
             // recovers full f64 accuracy (or stops at the stagnation point).
-            let (z, _rel, iters) =
-                refine_inner(&mx.factored32, &mx.scaled_a, &w, REFINE_TOL, MAX_REFINE_ITERS);
+            let ws: Vec<Vec<f64>> = bs.iter().map(inner).collect();
+            let refined =
+                refine_inner(&mx.factored32, &mx.scaled_a, &ws, REFINE_TOL, MAX_REFINE_ITERS);
+            let iters: usize = refined.iter().map(|(_, _, iters)| iters).sum();
             mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
-            mx.refined_solves.fetch_add(1, Ordering::Relaxed);
-            z
+            mx.refined_solves.fetch_add(refined.len() as u64, Ordering::Relaxed);
+            refined.iter().flat_map(|(z, _, _)| outer(z, 1)).collect()
         } else if self.distributed_solve {
-            crate::dist_solve::solve_distributed_on(
-                &self.factored,
-                &self.owners,
-                &w,
-                self.opts.transport,
-                None,
-            )
+            // The message-driven sweeps take one right-hand side at a time.
+            bs.iter()
+                .flat_map(|b| {
+                    let z = crate::dist_solve::solve_distributed_on(
+                        &self.factored,
+                        &self.owners,
+                        &inner(b),
+                        self.opts.transport,
+                        None,
+                    );
+                    outer(&z, 1)
+                })
+                .collect()
         } else {
-            let mut z = w;
-            forward_substitute(&self.factored, &mut z);
-            backward_substitute(&self.factored, &mut z);
-            z
-        };
-        let y = r.col_perm.apply_inv_vec(&z);
-        Ok(y.iter().zip(&r.col_scale).map(|(v, d)| v * d).collect())
+            let k = bs.len();
+            let mut panel = gather_scaled(&r.row_perm, &r.row_scale, bs);
+            forward_substitute_panel(&self.factored, &mut panel, k);
+            backward_substitute_panel(&self.factored, &mut panel, k);
+            outer(&panel, k)
+        }
     }
 
     /// A human-readable factorisation report: the input's diagnostics and
@@ -1221,12 +1320,15 @@ impl Solver {
         }
         // Aᵀ x = b  ⇔  Mᵀ (P_r D_r⁻¹ x) = P_c D_c b with M = L U.
         let r = &self.reordering;
-        let scaled: Vec<f64> = b.iter().zip(&r.col_scale).map(|(v, d)| v * d).collect();
-        let mut z = r.col_perm.apply_vec(&scaled);
+        let mut z = gather_scaled(&r.col_perm, &r.col_scale, &[b]);
         if let Some(mx) = &self.mixed {
-            let mt = mx.scaled_a.transpose();
-            let (zt, _rel, iters) =
-                refine_inner_transpose(&mx.factored32, &mt, &z, REFINE_TOL, MAX_REFINE_ITERS);
+            let (zt, _rel, iters) = refine_inner_transpose(
+                &mx.factored32,
+                &mx.scaled_a,
+                z,
+                REFINE_TOL,
+                MAX_REFINE_ITERS,
+            );
             mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
             mx.refined_solves.fetch_add(1, Ordering::Relaxed);
             z = zt;
@@ -1234,14 +1336,28 @@ impl Solver {
             forward_substitute_transpose(&self.factored, &mut z);
             backward_substitute_transpose(&self.factored, &mut z);
         }
-        let u = r.row_perm.apply_inv_vec(&z);
-        Ok(u.iter().zip(&r.row_scale).map(|(v, d)| v * d).collect())
+        Ok(scatter_scaled(&r.row_perm, &r.row_scale, &z, 1).pop().expect("one column"))
     }
 
     /// Solves several right-hand sides (columns of `bs`) against the one
-    /// factorisation.
+    /// factorisation, [`PANEL_WIDTH`] at a time: each panel is gathered
+    /// once, swept once forward and once backward — the factor is read
+    /// once per panel, not once per right-hand side — and scattered once.
+    /// Every solution is bitwise what [`Solver::solve`] returns for that
+    /// right-hand side alone (distributed solves: equal to the residual).
+    ///
+    /// All lengths are checked before any work starts; the error names
+    /// the first offending right-hand side.
     pub fn solve_multi(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
-        bs.iter().map(|b| self.solve(b)).collect()
+        if let Some((j, b)) = bs.iter().enumerate().find(|(_, b)| b.len() != self.n) {
+            return Err(SparseError::DimensionMismatch(format!(
+                "rhs {j} of {} has length {} vs matrix order {}",
+                bs.len(),
+                b.len(),
+                self.n
+            )));
+        }
+        Ok(bs.chunks(PANEL_WIDTH).flat_map(|panel| self.solve_panel(panel)).collect())
     }
 
     /// Solves `A x = b` with iterative refinement: repeats
@@ -1450,6 +1566,39 @@ mod tests {
         let xs = solver.solve_multi(&bs).unwrap();
         for (b, x) in bs.iter().zip(&xs) {
             assert_eq!(*x, solver.solve(b).unwrap());
+        }
+    }
+
+    #[test]
+    fn solve_multi_checks_every_length_before_solving_anything() {
+        let a = gen::laplacian_2d(8, 8);
+        // Mixed mode counts refined solves, so "no work was done" is observable.
+        let solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+        let mut bs: Vec<Vec<f64>> = (0..5).map(|s| gen::test_rhs(a.nrows(), s)).collect();
+        bs[4].pop();
+        let err = solver.solve_multi(&bs).unwrap_err();
+        assert_eq!(solver.precision_counters().refined_solves, 0, "rhs 0..4 were solved first");
+        assert!(matches!(err, SparseError::DimensionMismatch(_)), "{err}");
+    }
+
+    #[test]
+    fn solve_multi_error_names_the_offending_rhs() {
+        let a = gen::laplacian_2d(8, 8);
+        let solver = Solver::factor(&a).unwrap();
+        let mut bs = vec![vec![1.0; a.nrows()]; 4];
+        bs[2].push(0.0);
+        bs[3].clear();
+        let msg = solver.solve_multi(&bs).unwrap_err().to_string();
+        assert!(msg.contains("rhs 2 of 4") && msg.contains("65") && msg.contains("64"), "{msg}");
+    }
+
+    #[test]
+    fn solve_multi_of_nothing_is_nothing() {
+        let a = gen::laplacian_2d(8, 8);
+        for precision in [Precision::F64, Precision::MixedF32] {
+            let solver = Solver::builder().precision(precision).build(&a).unwrap();
+            assert_eq!(solver.solve_multi(&[]).unwrap(), Vec::<Vec<f64>>::new());
+            assert_eq!(solver.precision_counters().refined_solves, 0);
         }
     }
 

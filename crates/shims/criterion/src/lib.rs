@@ -2,7 +2,8 @@
 //!
 //! The build environment cannot reach crates.io. This crate keeps the
 //! `crates/bench` benchmarks compiling and runnable as smoke benches: it
-//! implements `Criterion::benchmark_group`, `BenchmarkGroup` knobs,
+//! implements `Criterion::benchmark_group`, `BenchmarkGroup` knobs
+//! (including `throughput`, reported as time per element),
 //! `Bencher::iter`, `BenchmarkId`, `black_box`, and the
 //! `criterion_group!`/`criterion_main!` macros. Timing is a single
 //! mean-of-N measurement printed to stdout — enough to spot gross
@@ -35,7 +36,12 @@ impl Criterion {
 
     /// Opens a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        BenchmarkGroup { name: name.into(), sample_size: self.sample_size, _parent: self }
+        BenchmarkGroup {
+            name: name.into(),
+            sample_size: self.sample_size,
+            elements: None,
+            _parent: self,
+        }
     }
 
     /// Runs a single benchmark outside any group.
@@ -44,15 +50,24 @@ impl Criterion {
         F: FnMut(&mut Bencher),
     {
         let n = self.sample_size;
-        run_one(&name.into(), n, f);
+        run_one(&name.into(), n, None, f);
         self
     }
+}
+
+/// How much work one iteration does; set with
+/// [`BenchmarkGroup::throughput`].
+pub enum Throughput {
+    /// One iteration processes this many elements; the shim adds the
+    /// mean time per element to the report line.
+    Elements(u64),
 }
 
 /// A named benchmark group with per-group settings.
 pub struct BenchmarkGroup<'a> {
     name: String,
     sample_size: usize,
+    elements: Option<u64>,
     _parent: &'a mut Criterion,
 }
 
@@ -60,6 +75,13 @@ impl BenchmarkGroup<'_> {
     /// Sets the number of timed iterations per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
+        self
+    }
+
+    /// Declares the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        let Throughput::Elements(n) = t;
+        self.elements = Some(n);
         self
     }
 
@@ -79,7 +101,7 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher),
     {
         let id = id.into();
-        run_one(&format!("{}/{}", self.name, id.label), self.sample_size, f);
+        run_one(&format!("{}/{}", self.name, id.label), self.sample_size, self.elements, f);
         self
     }
 
@@ -94,7 +116,8 @@ impl BenchmarkGroup<'_> {
         F: FnMut(&mut Bencher, &I),
     {
         let id = id.into();
-        run_one(&format!("{}/{}", self.name, id.label), self.sample_size, |b| f(b, input));
+        let label = format!("{}/{}", self.name, id.label);
+        run_one(&label, self.sample_size, self.elements, |b| f(b, input));
         self
     }
 
@@ -102,11 +125,17 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, mut f: F) {
+fn run_one<F: FnMut(&mut Bencher)>(label: &str, samples: usize, elements: Option<u64>, mut f: F) {
     let mut b = Bencher { total: Duration::ZERO, iters: 0, samples };
     f(&mut b);
     let mean = if b.iters == 0 { Duration::ZERO } else { b.total / b.iters as u32 };
-    println!("bench {label}: {mean:?}/iter over {} iters", b.iters);
+    match elements {
+        Some(n) if n > 0 => {
+            let each = mean.div_f64(n as f64);
+            println!("bench {label}: {mean:?}/iter ({each:?}/elem) over {} iters", b.iters);
+        }
+        _ => println!("bench {label}: {mean:?}/iter over {} iters", b.iters),
+    }
 }
 
 /// Passed to the benchmark closure; times the measured routine.

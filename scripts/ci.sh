@@ -23,6 +23,11 @@
 #           tests, the ill-conditioned fallback suite, and the
 #           golden-corpus mixed-precision equivalence assertions,
 #           and the probe-cadence tests (see docs/PRECISION.md)
+#   solve   solve-phase layer: the panel triangular solve must equal the
+#           per-RHS sweeps bit for bit under BOTH codegen profiles (debug
+#           has no vectorisation, release does): the trisolve/solve_multi
+#           unit tests and tests/solve_panel.rs, each run without and
+#           with --release (see docs/ALGORITHM.md §5)
 #   bench   benchmark-regression gates: smoke + refactor + kernel
 #           baselines (see docs/OBSERVABILITY.md and docs/PERFORMANCE.md)
 #   bench-kernels  the kernel-plan gate alone: re-runs bench_kernels and
@@ -94,6 +99,15 @@ stage_precision() {
     cargo test --release -q --test precision_fallback --test solver_equivalence
 }
 
+stage_solve() {
+    local profile
+    for profile in "" --release; do
+        echo "--- solve equivalence, profile: ${profile:-debug}"
+        cargo test $profile -q -p pangulu-core --lib -- trisolve solve_multi
+        cargo test $profile -q --test solve_panel
+    done
+}
+
 stage_bench() {
     scripts/bench_compare.sh
 }
@@ -110,7 +124,7 @@ stage_benchmark_api() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
-all_stages=(fmt clippy build test doc trace sched transport precision bench bench-kernels
+all_stages=(fmt clippy build test doc trace sched transport precision solve bench bench-kernels
     benchmark-api)
 
 only=""
