@@ -1,7 +1,10 @@
 //! Criterion benches of the Table 1 kernel variants on a representative
-//! harvested block set (the statistical companion of Figure 7).
+//! harvested block set (the statistical companion of Figure 7), and of
+//! the dense-tile lane `D_V1` beside the sparse CPU variants on full
+//! blocks (`ssssm/tile`, `gessm/tile`, `tstrf/tile`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use pangulu_bench::kernel_timing::random_block;
 use pangulu_core::block::BlockMatrix;
 use pangulu_kernels::{getrf, ssssm, trsm, GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant};
 use pangulu_sparse::CscMatrix;
@@ -126,5 +129,61 @@ fn bench_kernels(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_kernels);
+/// A benchmark group with this file's sampling settings.
+fn group<'a>(c: &'a mut Criterion, name: &str) -> criterion::BenchmarkGroup<'a> {
+    let mut g = c.benchmark_group(name);
+    g.sample_size(10);
+    g.warm_up_time(std::time::Duration::from_millis(500));
+    g.measurement_time(std::time::Duration::from_secs(2));
+    g
+}
+
+/// The dense-tile lane against the sparse CPU variants on completely
+/// filled blocks, at a small block size and at the kkt workloads' 119.
+fn bench_tile(c: &mut Criterion) {
+    let trsm_variants =
+        [(TrsmVariant::CV1, "C_V1"), (TrsmVariant::CV2, "C_V2"), (TrsmVariant::DV1, "D_V1")];
+    let ssssm_variants =
+        [(SsssmVariant::CV1, "C_V1"), (SsssmVariant::CV2, "C_V2"), (SsssmVariant::DV1, "D_V1")];
+    let mut scratch = KernelScratch::default();
+    for nb in [32usize, 119] {
+        let mut diag_lu = random_block(nb, nb, 1.0, 1);
+        getrf::getrf(&mut diag_lu, GetrfVariant::CV1, &mut scratch, 1e-12);
+        let panel = random_block(nb, nb, 1.0, 2);
+        let (a, b) = (random_block(nb, nb, 1.0, 3), random_block(nb, nb, 1.0, 4));
+
+        let mut g = group(c, "ssssm/tile");
+        for (v, label) in ssssm_variants {
+            g.bench_function(BenchmarkId::new(label, nb), |bch| {
+                bch.iter(|| {
+                    let mut c = panel.clone();
+                    ssssm::ssssm(&a, &b, &mut c, v, &mut scratch)
+                })
+            });
+        }
+        g.finish();
+        let mut g = group(c, "gessm/tile");
+        for (v, label) in trsm_variants {
+            g.bench_function(BenchmarkId::new(label, nb), |bch| {
+                bch.iter(|| {
+                    let mut blk = panel.clone();
+                    trsm::gessm(&diag_lu, &mut blk, v, &mut scratch)
+                })
+            });
+        }
+        g.finish();
+        let mut g = group(c, "tstrf/tile");
+        for (v, label) in trsm_variants {
+            g.bench_function(BenchmarkId::new(label, nb), |bch| {
+                bch.iter(|| {
+                    let mut blk = panel.clone();
+                    trsm::tstrf(&diag_lu, &mut blk, v, &mut scratch)
+                })
+            });
+        }
+        g.finish();
+    }
+}
+
+criterion_group!(benches, bench_kernels, bench_tile);
 criterion_main!(benches);

@@ -3,9 +3,15 @@
 //! Harvests and times kernels (as Figure 7), then reports, per tree edge,
 //! the crossover feature value where the "bigger" variant starts winning.
 //! The output doubles as a `Thresholds { .. }` literal that can be pasted
-//! into `pangulu_kernels::select`.
+//! into `pangulu_kernels::select`. The dense-tile lane is harvested next
+//! to the sparse variants on every full block; its measured fill-fraction
+//! crossover is printed for information (the shipped cut is the constant
+//! `TILE_MIN_FILL`, which cannot change an answer).
 
-use pangulu_bench::kernel_timing::{crossover, crossover_vs_best, harvest, HarvestCaps};
+use pangulu_bench::kernel_timing::{
+    crossover, crossover_vs_best, harvest, tile_fill_crossover, HarvestCaps,
+};
+use pangulu_kernels::select::TILE_MIN_FILL;
 
 fn main() {
     let mut samples = Vec::new();
@@ -58,6 +64,20 @@ fn main() {
             Some(v) => println!("//   {field}: {v:.3e},"),
             None => println!("//   {field}: (planned never beaten; keep the gate open)"),
         }
+    }
+    let tile_runs = samples.iter().filter(|s| s.class == "SSSSM" && s.variant == "D_V1").count();
+    let x = tile_fill_crossover(&samples);
+    let cell = x.map(|v| format!("{v:.1}")).unwrap_or_else(|| "none".into());
+    rows.push(format!("SSSSM,best,D_V1,TILE_MIN_FILL (const {TILE_MIN_FILL}),{cell}"));
+    match x {
+        Some(v) => println!(
+            "//   dense-tile lane wins from fill {v:.1} up on this host \
+             ({tile_runs} full-target updates; shipped TILE_MIN_FILL = {TILE_MIN_FILL})"
+        ),
+        None => println!(
+            "//   dense-tile lane: no winning fill decile in {tile_runs} full-target updates \
+             (shipped TILE_MIN_FILL = {TILE_MIN_FILL})"
+        ),
     }
     pangulu_bench::emit_csv(
         "fig08_calibration",

@@ -9,9 +9,11 @@ use std::time::Instant;
 
 use pangulu_core::block::BlockMatrix;
 use pangulu_core::task::TaskGraph;
+use pangulu_kernels::tile::is_full;
 use pangulu_kernels::{
     flops, getrf, plan, ssssm, trsm, GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant,
 };
+use pangulu_sparse::{CooMatrix, CscMatrix};
 
 /// One timed kernel invocation.
 #[derive(Debug, Clone)]
@@ -25,6 +27,11 @@ pub struct Sample {
     pub feature: f64,
     /// Best-of-3 execution time in seconds.
     pub seconds: f64,
+    /// The dense-tile lane's feature, set on every sample of an SSSSM
+    /// instance whose target block is full (the lane's precondition):
+    /// model FLOPs over the padded dense count `2·m·k·n`. `0.0` on all
+    /// other samples.
+    pub fill: f64,
 }
 
 /// Caps on harvested instances per kernel class (keeps runtimes sane on
@@ -60,6 +67,28 @@ const SSSSM_VARIANTS: [(SsssmVariant, &str); 4] = [
     (SsssmVariant::GV1, "G_V1"),
     (SsssmVariant::GV2, "G_V2"),
 ];
+
+/// A synthetic `m × n` block for the dense-tile lane's benches: each
+/// entry is kept with probability `fill` (`>= 1.0` keeps all), values in
+/// ±[0.25, 2), the diagonal lifted by `4·m` so a square full block
+/// factors without pivot trouble. Deterministic in `seed`.
+pub fn random_block(m: usize, n: usize, fill: f64, seed: u64) -> CscMatrix {
+    let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+    let mut unit = move || {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut coo = CooMatrix::new(m, n);
+    for j in 0..n {
+        for i in 0..m {
+            if fill >= 1.0 || unit() < fill {
+                let v = (0.25 + 1.75 * unit()) * if unit() < 0.5 { -1.0 } else { 1.0 };
+                coo.push(i, j, if i == j { v + 4.0 * m as f64 } else { v }).expect("in range");
+            }
+        }
+    }
+    coo.to_csc()
+}
 
 fn best_of_3(mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -98,6 +127,7 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     variant: label,
                     feature: nnz,
                     seconds: secs,
+                    fill: 0.0,
                 });
             }
             // Planned execution: the plan is built once outside the timed
@@ -109,7 +139,13 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                 let mut b = blk.clone();
                 plan::getrf_planned(&mut b, &p, &arena, 1e-12);
             });
-            samples.push(Sample { class: "GETRF", variant: "P_V1", feature: nnz, seconds: secs });
+            samples.push(Sample {
+                class: "GETRF",
+                variant: "P_V1",
+                feature: nnz,
+                seconds: secs,
+                fill: 0.0,
+            });
         }
         getrf::getrf(bm.block_mut(diag_id), GetrfVariant::CV1, &mut scratch, 1e-12);
 
@@ -130,6 +166,7 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                         variant: label,
                         feature: nnz,
                         seconds: secs,
+                        fill: 0.0,
                     });
                 }
                 let mut arena = Vec::new();
@@ -143,7 +180,21 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     variant: "P_V1",
                     feature: nnz,
                     seconds: secs,
+                    fill: 0.0,
                 });
+                if is_full(&diag) && is_full(&orig) {
+                    let secs = best_of_3(|| {
+                        let mut b = orig.clone();
+                        trsm::gessm(&diag, &mut b, TrsmVariant::DV1, &mut scratch);
+                    });
+                    samples.push(Sample {
+                        class: "GESSM",
+                        variant: "D_V1",
+                        feature: nnz,
+                        seconds: secs,
+                        fill: 0.0,
+                    });
+                }
             }
             let (diag, b) = bm.block_pair_mut(diag_id, b_id);
             trsm::gessm(diag, b, TrsmVariant::CV1, &mut scratch);
@@ -165,6 +216,7 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                         variant: label,
                         feature: nnz,
                         seconds: secs,
+                        fill: 0.0,
                     });
                 }
                 let mut arena = Vec::new();
@@ -178,7 +230,21 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     variant: "P_V1",
                     feature: nnz,
                     seconds: secs,
+                    fill: 0.0,
                 });
+                if is_full(&diag) && is_full(&orig) {
+                    let secs = best_of_3(|| {
+                        let mut b = orig.clone();
+                        trsm::tstrf(&diag, &mut b, TrsmVariant::DV1, &mut scratch);
+                    });
+                    samples.push(Sample {
+                        class: "TSTRF",
+                        variant: "D_V1",
+                        feature: nnz,
+                        seconds: secs,
+                        fill: 0.0,
+                    });
+                }
             }
             let (diag, b) = bm.block_pair_mut(diag_id, b_id);
             trsm::tstrf(diag, b, TrsmVariant::CV1, &mut scratch);
@@ -195,7 +261,12 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     let a = bm.block(a_id).clone();
                     let b = bm.block(b_id).clone();
                     let orig = bm.block(c_id).clone();
-                    for (v, label) in SSSSM_VARIANTS {
+                    // Tile-eligible instances (full target) carry their
+                    // fill on every variant's sample and add the lane's.
+                    let padded = 2.0 * (orig.nrows() * a.ncols() * orig.ncols()) as f64;
+                    let fill = if is_full(&orig) { fl / padded } else { 0.0 };
+                    let tile = (fill > 0.0).then_some((SsssmVariant::DV1, "D_V1"));
+                    for (v, label) in SSSSM_VARIANTS.into_iter().chain(tile) {
                         let secs = best_of_3(|| {
                             let mut c = orig.clone();
                             ssssm::ssssm(&a, &b, &mut c, v, &mut scratch);
@@ -205,6 +276,7 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                             variant: label,
                             feature: fl,
                             seconds: secs,
+                            fill,
                         });
                     }
                     let mut arena = Vec::new();
@@ -218,6 +290,7 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                         variant: "P_V1",
                         feature: fl,
                         seconds: secs,
+                        fill,
                     });
                 }
                 let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
@@ -268,14 +341,29 @@ pub fn crossover(samples: &[Sample], class: &str, small: &str, big: &str) -> Opt
 /// Comparing planned execution against `C_V1` alone would keep the gate
 /// open in exactly the region where the dense variants win.
 pub fn crossover_vs_best(samples: &[Sample], class: &str, planned: &str) -> Option<f64> {
-    // Per feature bucket: planned samples, and per-variant unplanned samples.
+    // The dense-tile samples exist only for full blocks; they have their
+    // own crossover (`tile_fill_crossover`) and stay out of this one.
+    let pool = samples.iter().filter(|s| s.class == class && s.variant != "D_V1");
+    medians_vs_best(pool, planned, |s| s.feature.max(1.0).log2() as i32)
+        .into_iter()
+        .find(|&(_, planned_t, best_other)| best_other < planned_t)
+        .map(|(b, ..)| 2f64.powi(b))
+}
+
+/// Buckets `pool` by `bucket` and returns, per bucket in ascending order,
+/// `(bucket, median seconds of variant, best median among the other
+/// variants)`; buckets missing either side are dropped.
+fn medians_vs_best<'a>(
+    pool: impl Iterator<Item = &'a Sample>,
+    variant: &str,
+    bucket: impl Fn(&Sample) -> i32,
+) -> Vec<(i32, f64, f64)> {
     type Bucket<'a> = (Vec<f64>, std::collections::HashMap<&'a str, Vec<f64>>);
     let mut buckets: std::collections::BTreeMap<i32, Bucket<'_>> =
         std::collections::BTreeMap::new();
-    for s in samples.iter().filter(|s| s.class == class) {
-        let b = s.feature.max(1.0).log2() as i32;
-        let e = buckets.entry(b).or_default();
-        if s.variant == planned {
+    for s in pool {
+        let e = buckets.entry(bucket(s)).or_default();
+        if s.variant == variant {
             e.0.push(s.seconds);
         } else {
             e.1.entry(s.variant).or_default().push(s.seconds);
@@ -285,23 +373,96 @@ pub fn crossover_vs_best(samples: &[Sample], class: &str, planned: &str) -> Opti
         v.sort_by(|a, b| a.partial_cmp(b).unwrap());
         v[v.len() / 2]
     };
-    for (b, (mut pv, others)) in buckets {
-        if pv.is_empty() || others.is_empty() {
-            continue;
+    buckets
+        .into_iter()
+        .filter(|(_, (own, others))| !own.is_empty() && !others.is_empty())
+        .map(|(b, (mut own, others))| {
+            let best_other =
+                others.into_values().map(|mut v| median(&mut v)).fold(f64::INFINITY, f64::min);
+            (b, median(&mut own), best_other)
+        })
+        .collect()
+}
+
+/// Model GFLOP/s of the sparse lane (`C_V1`, the calibrated tree's pick)
+/// and of the dense-tile lane (`D_V1`) on synthetic `nb³` updates with a
+/// full target and both operands kept at `density`: best of five passes
+/// over eight distinct operand triples (so no triple stays cache-resident
+/// between its two uses), model FLOPs both times — the padded count never
+/// enters.
+pub fn lane_gflops(nb: usize, density: f64, seed: u64) -> (f64, f64) {
+    let sets: Vec<_> = (0..8u64)
+        .map(|t| {
+            let s = seed.wrapping_mul(64).wrapping_add(t * 3);
+            (
+                random_block(nb, nb, density, s),
+                random_block(nb, nb, density, s + 1),
+                random_block(nb, nb, 1.0, s + 2),
+            )
+        })
+        .collect();
+    let model: f64 = sets.iter().map(|(a, b, _)| flops::ssssm_flops(a, b)).sum();
+    let mut scratch = KernelScratch::with_capacity(nb);
+    let mut rate = |v: SsssmVariant| {
+        let mut targets: Vec<CscMatrix> = sets.iter().map(|(.., c)| c.clone()).collect();
+        let mut best = f64::INFINITY;
+        for _ in 0..5 {
+            let t = Instant::now();
+            for ((a, b, _), c) in sets.iter().zip(&mut targets) {
+                ssssm::ssssm(a, b, c, v, &mut scratch);
+            }
+            best = best.min(t.elapsed().as_secs_f64());
         }
-        let planned_t = median(&mut pv);
-        let best_other =
-            others.into_values().map(|mut v| median(&mut v)).fold(f64::INFINITY, f64::min);
-        if best_other < planned_t {
-            return Some(2f64.powi(b));
-        }
-    }
-    None
+        model / best / 1e9
+    };
+    (rate(SsssmVariant::CV1), rate(SsssmVariant::DV1))
+}
+
+/// The fill fraction from which the dense-tile lane beats every sparse
+/// variant on the harvested tile-eligible SSSSM instances: the lower
+/// edge of the first fill decile whose `D_V1` median is under the best
+/// sparse median, `None` if the lane never wins. Informational — the
+/// shipped cut is `pangulu_kernels::select::TILE_MIN_FILL`.
+pub fn tile_fill_crossover(samples: &[Sample]) -> Option<f64> {
+    let pool = samples.iter().filter(|s| s.class == "SSSSM" && s.fill > 0.0 && s.variant != "P_V1");
+    medians_vs_best(pool, "D_V1", |s| ((s.fill * 10.0) as i32).min(9))
+        .into_iter()
+        .find(|&(_, tile_t, best_sparse)| tile_t < best_sparse)
+        .map(|(decile, ..)| f64::from(decile) / 10.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A filled-in matrix yields tile samples in all three classes, and
+    /// every tile-eligible SSSSM instance carries its fill.
+    #[test]
+    fn harvest_times_the_tile_lane_on_full_blocks() {
+        let a = pangulu_sparse::gen::kkt(400, 180, 7);
+        let prep = crate::prepare(&a, 1);
+        let filled = pangulu_symbolic::symbolic_fill(&prep.reordered)
+            .and_then(|f| f.filled_matrix(&prep.reordered))
+            .unwrap();
+        let mut bm = BlockMatrix::from_filled(&filled, 36).unwrap();
+        let tg = TaskGraph::build(&bm);
+        let caps = HarvestCaps { getrf: 100, trsm: 1000, ssssm: 2000 };
+        let samples = harvest(&mut bm, &tg, caps);
+        for class in ["GESSM", "TSTRF", "SSSSM"] {
+            assert!(
+                samples.iter().any(|s| s.class == class && s.variant == "D_V1"),
+                "no tile sample for {class}"
+            );
+        }
+        assert!(samples
+            .iter()
+            .filter(|s| s.variant == "D_V1" && s.class == "SSSSM")
+            .all(|s| { s.fill > 0.0 && s.fill <= 1.0 }));
+        // Informational output, but it must be a decile edge when present.
+        if let Some(x) = tile_fill_crossover(&samples) {
+            assert!((0.0..1.0).contains(&x));
+        }
+    }
 
     #[test]
     fn harvest_produces_all_classes() {
@@ -326,12 +487,14 @@ mod tests {
                 variant: "C_V1",
                 feature: f,
                 seconds: if e < 10 { 1.0 } else { 3.0 },
+                fill: 0.0,
             });
             samples.push(Sample {
                 class: "GETRF",
                 variant: "G_V1",
                 feature: f,
                 seconds: if e < 10 { 2.0 } else { 1.0 },
+                fill: 0.0,
             });
         }
         let x = crossover(&samples, "GETRF", "C_V1", "G_V1").unwrap();

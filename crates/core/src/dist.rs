@@ -1545,8 +1545,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
                         Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, i, uk);
                     let b =
                         Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, uk, j);
-                    let fl = flops::ssssm_flops(a, b);
                     let gid = st.upd_gid[cid][pos + n] as usize;
+                    let fl = self.tg.ssssm_flops[gid];
                     match st.plans.route_ssssm(self.selector, gid, fl, a, b, &target) {
                         route @ Route::Plan(..) => {
                             self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
@@ -1927,7 +1927,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
             let st = &mut *self.st;
             let a = Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, bi, uk);
             let b = Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, uk, bj);
-            let fl = flops::ssssm_flops(a, b);
+            let fl = self.tg.ssssm_flops[gid];
             let route = st.plans.route_ssssm(self.selector, gid, fl, a, b, &job.target);
             self.timed.ssssm(route, a, b, &mut job.target, &mut st.scratch, fl);
             self.tasks.ssssm += 1;

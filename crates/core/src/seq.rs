@@ -204,7 +204,7 @@ pub fn factor_sequential_planned<S: Scalar>(
                 let b_id = bm.block_id(k, j).expect("U panel exists");
                 debug_assert_eq!(tg.ssssm[upd_idx], (i, j, k), "update cursor out of sync");
                 let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
-                let fl = flops::ssssm_flops(a, b);
+                let fl = tg.ssssm_flops[upd_idx];
                 let route = plans.route_ssssm(selector, upd_idx, fl, a, b, c);
                 kernels.ssssm(route, a, b, c, &mut scratch, fl);
                 upd_idx += 1;

@@ -20,7 +20,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{flops, KernelPlans, KernelScratch, TimedKernels};
+use pangulu_kernels::{KernelPlans, KernelScratch, TimedKernels};
 use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
@@ -210,7 +210,7 @@ fn build_all_plans<S: Scalar>(
         let a = bm.block(bm.block_id(i, k).expect("L operand"));
         let b = bm.block(bm.block_id(k, j).expect("U operand"));
         let c = bm.block(bm.block_id(i, j).expect("target"));
-        plans.route_ssssm(selector, n, flops::ssssm_flops(a, b), a, b, c);
+        plans.route_ssssm(selector, n, tg.ssssm_flops[n], a, b, c);
     }
 }
 
@@ -333,9 +333,9 @@ fn execute_shared<S: Scalar>(
             let a = unsafe { shared.get(a_id) };
             let b = unsafe { shared.get(b_id) };
             let c = unsafe { shared.get_mut(c_id) };
-            let fl = flops::ssssm_flops(a, b);
             let slot = tg.ssssm_index(i, j, k).expect("queued update is in the task graph");
-            kernels.ssssm(plans.prebuilt_ssssm(selector, slot, fl, c), a, b, c, scratch, fl);
+            let fl = tg.ssssm_flops[slot];
+            kernels.ssssm(plans.prebuilt_ssssm(selector, slot, fl, a, c), a, b, c, scratch, fl);
             release(&state[c_id]);
             remaining.fetch_sub(1, Ordering::AcqRel);
             let left = state[c_id].pending.fetch_sub(1, Ordering::AcqRel) - 1;

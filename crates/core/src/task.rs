@@ -436,6 +436,32 @@ mod tests {
         assert_eq!(tg.ssssm_index(0, 0, 0), None);
     }
 
+    /// The executors route every SSSSM task on `ssssm_flops[n]` instead
+    /// of re-walking `B`; that shortcut is licensed by the stored value
+    /// being bit-equal to `flops::ssssm_flops` on the task's operands.
+    #[test]
+    fn stored_ssssm_flops_are_bit_equal_to_the_operand_walk() {
+        let filled = |a: &pangulu_sparse::CscMatrix| symbolic_fill(a).unwrap().filled_matrix(a);
+        for (name, a, nb) in [
+            ("random", ensure_diagonal(&gen::random_sparse(60, 0.1, 4)).unwrap(), 7),
+            ("kkt", gen::kkt(120, 50, 3), 13),
+            ("circuit", gen::circuit(200, 5), 16),
+        ] {
+            let bm = BlockMatrix::from_filled(&filled(&a).unwrap(), nb).unwrap();
+            let tg = TaskGraph::build(&bm);
+            assert!(!tg.ssssm.is_empty(), "{name}: no updates to check");
+            for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
+                let a_blk = bm.block(bm.block_id(i, k).unwrap());
+                let b_blk = bm.block(bm.block_id(k, j).unwrap());
+                assert_eq!(
+                    tg.ssssm_flops[n].to_bits(),
+                    flops::ssssm_flops(a_blk, b_blk).to_bits(),
+                    "{name}: update {n} = ({i},{j},{k})"
+                );
+            }
+        }
+    }
+
     #[test]
     fn priority_orders_steps_then_class() {
         let mut heap = std::collections::BinaryHeap::new();

@@ -25,7 +25,11 @@
 //! structurally exists; kernels `debug_assert` this instead of allocating.
 //!
 //! [`select`] implements the decision trees of Figure 8 that pick a
-//! variant per block from `nnz` / FLOP features.
+//! variant per block from `nnz` / FLOP features. One leaf is not in the
+//! paper's table: the **dense-tile lane** `D_V1` ([`tile`]), which
+//! blocks that fill-in has made completely dense take for SSSSM, GESSM
+//! and TSTRF — bitwise equal to the sparse variants, without their
+//! index traffic.
 
 pub mod flops;
 pub mod getrf;
@@ -34,6 +38,7 @@ pub mod reference;
 pub mod scratch;
 pub mod select;
 pub mod ssssm;
+pub mod tile;
 pub mod timed;
 pub mod trsm;
 
@@ -95,6 +100,11 @@ pub enum TrsmVariant {
     GV2,
     /// `G_V3`: Direct addressing, warp-level column teams, dense mapping.
     GV3,
+    /// `D_V1`: dense-tile lane — register-blocked dense solve straight
+    /// on the value arrays of a full factor block and a full panel block
+    /// (see [`tile`]). Not in Table 1; picked only by
+    /// [`KernelSelector::gessm_on`] / [`KernelSelector::tstrf_on`].
+    DV1,
 }
 
 /// SSSSM variants (Table 1).
@@ -110,9 +120,15 @@ pub enum SsssmVariant {
     GV1,
     /// `G_V2`: Direct addressing, warp-level column teams.
     GV2,
+    /// `D_V1`: dense-tile lane — register-blocked dense update straight
+    /// on the value array of a full target block (see [`tile`]). Not in
+    /// Table 1; picked only by [`KernelSelector::ssssm_on`].
+    DV1,
 }
 
-/// All 17 kernels as `(class, label)` pairs, for harness enumeration.
+/// All 17 kernels of Table 1 as `(class, label)` pairs, for harness
+/// enumeration (the dense-tile lane `D_V1` is this repo's, not the
+/// table's).
 pub const ALL_KERNELS: [(KernelClass, &str); 17] = [
     (KernelClass::Getrf, "C_V1"),
     (KernelClass::Getrf, "G_V1"),

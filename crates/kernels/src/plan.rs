@@ -33,9 +33,12 @@
 //! **One decision.** Whether a task replays a plan or runs the variant
 //! the Figure 8 tree picks is answered in exactly one place: the
 //! `route_*` / `prebuilt_*` lookups of [`KernelPlans`], from the
-//! [`KernelSelector`] planned gates and [`KernelPlans::fits`]. Executors
-//! hand the resulting [`Route`] to [`crate::TimedKernels`] and never test
-//! a gate themselves; closing the gates through
+//! [`KernelSelector`] planned gates and [`KernelPlans::fits`]. A task
+//! that does not replay a plan gets the selector's leaf for its blocks —
+//! the dense-tile lane when they are full, else the Figure 8 tree's pick
+//! (precedence: plan, then tile, then tree). Executors hand the
+//! resulting [`Route`] to [`crate::TimedKernels`] and never test a gate
+//! or a block's fullness themselves; closing the gates through
 //! [`crate::Thresholds::unplanned`] is how a run without plans is asked
 //! for.
 //!
@@ -651,7 +654,8 @@ pub struct PlanStats {
 pub enum Route<'p, P, I, V> {
     /// Replay this plan against the pooled arena it indexes.
     Plan(&'p P, &'p [I]),
-    /// Run the decision tree's variant.
+    /// Run the selector's leaf: the dense-tile lane or the decision
+    /// tree's variant.
     Variant(V),
 }
 
@@ -774,7 +778,7 @@ impl<S: Scalar> KernelPlans<S> {
         if self.ssssm[slot].is_none() && self.plans_ssssm(sel, flops, c) {
             self.ssssm[slot] = Some(self.timed_build(|arena| build_ssssm_plan(a, b, c, arena)));
         }
-        self.prebuilt_ssssm(sel, slot, flops, c)
+        self.prebuilt_ssssm(sel, slot, flops, a, c)
     }
 
     /// [`KernelPlans::route_getrf`] over an already filled pool.
@@ -800,7 +804,7 @@ impl<S: Scalar> KernelPlans<S> {
     ) -> Route<'_, GessmPlan, S::PlanIdx, TrsmVariant> {
         match self.gessm.get(slot).and_then(Option::as_ref) {
             Some(p) if self.plans_gessm(sel, diag_lu, b) => Route::Plan(p, &self.arena),
-            _ => Route::Variant(sel.gessm(b.nnz())),
+            _ => Route::Variant(sel.gessm_on(diag_lu, b)),
         }
     }
 
@@ -814,7 +818,7 @@ impl<S: Scalar> KernelPlans<S> {
     ) -> Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant> {
         match self.tstrf.get(slot).and_then(Option::as_ref) {
             Some(p) if self.plans_tstrf(sel, diag_lu, b) => Route::Plan(p, &self.arena),
-            _ => Route::Variant(sel.tstrf(b.nnz())),
+            _ => Route::Variant(sel.tstrf_on(diag_lu, b)),
         }
     }
 
@@ -824,11 +828,12 @@ impl<S: Scalar> KernelPlans<S> {
         sel: &KernelSelector,
         slot: usize,
         flops: f64,
+        a: &CscMatrix<S>,
         c: &CscMatrix<S>,
     ) -> Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant> {
         match self.ssssm.get(slot).and_then(Option::as_ref) {
             Some(p) if self.plans_ssssm(sel, flops, c) => Route::Plan(p, &self.arena),
-            _ => Route::Variant(sel.ssssm(flops)),
+            _ => Route::Variant(sel.ssssm_on(flops, a, c)),
         }
     }
 
@@ -1008,6 +1013,46 @@ mod tests {
             assert!(matches!(routed, Route::Variant(_)));
         }
         assert_eq!(pool.stats().builds, builds);
+    }
+
+    /// Gate precedence is plan, then tile, then tree: a full block small
+    /// enough for its planned gate still replays its plan; past the gate
+    /// it takes the dense-tile lane; a block with a hole falls to the tree.
+    #[test]
+    fn full_blocks_route_plan_then_tile_then_tree() {
+        let dense = |n: usize| crate::tile::dense_block(n, n, 0);
+        let sel = KernelSelector::new(1_000, Thresholds::default());
+        let mut pool = KernelPlans::<f64>::with_slots(0, 2, 2, 2);
+
+        let small = dense(8); // 64 nnz, 1 024 FLOPs: under every planned gate
+        assert!(matches!(pool.route_gessm(&sel, 0, &small, &small), Route::Plan(..)));
+        assert!(matches!(pool.route_tstrf(&sel, 0, &small, &small), Route::Plan(..)));
+        let routed = pool.route_ssssm(&sel, 0, 1024.0, &small, &small, &small);
+        assert!(matches!(routed, Route::Plan(..)));
+
+        let big = dense(40); // 1 600 nnz, 128 000 FLOPs: past the gates
+        let builds = pool.stats().builds;
+        assert!(matches!(pool.route_gessm(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
+        assert!(matches!(pool.route_tstrf(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
+        assert!(matches!(
+            pool.route_ssssm(&sel, 1, 128_000.0, &big, &big, &big),
+            Route::Variant(SsssmVariant::DV1)
+        ));
+        assert!(matches!(
+            pool.prebuilt_ssssm(&sel, 1, 128_000.0, &big, &big),
+            Route::Variant(SsssmVariant::DV1)
+        ));
+        assert_eq!(pool.stats().builds, builds, "the tile lane builds no plan");
+
+        let holed = big.filter_entries(|i, j| (i, j) != (7, 3));
+        assert!(matches!(
+            pool.route_gessm(&sel, 1, &big, &holed),
+            Route::Variant(TrsmVariant::CV2)
+        ));
+        assert!(matches!(
+            pool.route_ssssm(&sel, 1, 127_920.0, &big, &big, &holed),
+            Route::Variant(SsssmVariant::CV1)
+        ));
     }
 
     #[test]

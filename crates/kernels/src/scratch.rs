@@ -17,12 +17,23 @@ pub struct KernelScratch<S = f64> {
     /// Per-column contiguous-run list, found once per target column and
     /// reused across that column's whole k-loop (and its scatter/gather).
     pub runs: Vec<RunSeg>,
+    /// Dense-tile lane expansion tiles: an SSSSM operand that is not
+    /// full is scattered into one of these (column-major, zero-filled)
+    /// once per call. Empty until the lane first needs them, then at
+    /// most `nb²` scalars each, reused across calls.
+    pub tile_a: Vec<S>,
+    /// See [`KernelScratch::tile_a`]; the `B` operand's tile.
+    pub tile_b: Vec<S>,
 }
 
 impl<S: Scalar> KernelScratch<S> {
     /// Creates scratch sized for blocks of dimension `nb`.
     pub fn with_capacity(nb: usize) -> Self {
-        KernelScratch { dense: vec![S::ZERO; nb], stack: Vec::with_capacity(nb), runs: Vec::new() }
+        KernelScratch {
+            dense: vec![S::ZERO; nb],
+            stack: Vec::with_capacity(nb),
+            ..Default::default()
+        }
     }
 
     /// Ensures the dense buffer covers `n` rows (zero-filled).

@@ -7,8 +7,28 @@
 //! points are [`Thresholds`] fields so the calibration harness
 //! (`fig08_calibrate`) can re-fit them for this machine — the shipped
 //! defaults come from such a calibration run.
+//!
+//! One leaf is decided from structure rather than a threshold: the
+//! dense-tile lane `D_V1` ([`crate::tile`]) for blocks that fill-in has
+//! made completely dense — the `*_on` methods below, consulted (after the
+//! planned gates) by [`crate::KernelPlans`]' routing and nowhere else.
 
+use pangulu_sparse::{CscMatrix, Scalar};
+
+use crate::tile::is_full;
 use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
+
+/// The dense-tile lane's SSSSM cut: an update on a full target takes the
+/// lane when its model FLOPs are at least this fraction of the padded
+/// dense count `2·m·k·n` (so both operands are at least this full and
+/// expanding them pays).
+///
+/// A constant, not a [`Thresholds`] field: the lane is bitwise equal to
+/// the sparse variants, so the cut can never change an answer, and the
+/// measured sweep is flat from 0.5 down to 0.1 (docs/PERFORMANCE.md,
+/// "Dense-tile lane"); `fig08_calibrate` prints the crossover a host
+/// measures next to it.
+pub const TILE_MIN_FILL: f64 = 0.5;
 
 /// Tunable cut points of the four decision trees.
 ///
@@ -253,6 +273,51 @@ impl KernelSelector {
         self.adaptive && flops < self.thresholds.ssssm_planned
     }
 
+    /// Whether a panel solve on these blocks takes the dense-tile lane:
+    /// factor block and panel block both full. Structure only — no value
+    /// is read — and never for the baseline selector's fixed kernels.
+    fn tile_panel<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
+        self.adaptive && is_full(diag_lu) && is_full(b)
+    }
+
+    /// The GESSM leaf for `L X = B` on these blocks: the dense-tile lane
+    /// when both are full, else the Figure 8(b) tree.
+    pub fn gessm_on<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> TrsmVariant {
+        if self.tile_panel(diag_lu, b) {
+            TrsmVariant::DV1
+        } else {
+            self.gessm(b.nnz())
+        }
+    }
+
+    /// The TSTRF leaf for `X U = B` on these blocks: the dense-tile lane
+    /// when both are full, else the Figure 8(c) tree.
+    pub fn tstrf_on<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> TrsmVariant {
+        if self.tile_panel(diag_lu, b) {
+            TrsmVariant::DV1
+        } else {
+            self.tstrf(b.nnz())
+        }
+    }
+
+    /// The SSSSM leaf for `C ← C − A·B` of `flops` model FLOPs: the
+    /// dense-tile lane when the target is full and the update is at
+    /// least [`TILE_MIN_FILL`] of the padded dense product, else the
+    /// Figure 8(d) tree. Structure only, like the panel leaves.
+    pub fn ssssm_on<S: Scalar>(
+        &self,
+        flops: f64,
+        a: &CscMatrix<S>,
+        c: &CscMatrix<S>,
+    ) -> SsssmVariant {
+        let padded = 2.0 * (c.nrows() * a.ncols() * c.ncols()) as f64;
+        if self.adaptive && is_full(c) && flops >= TILE_MIN_FILL * padded {
+            SsssmVariant::DV1
+        } else {
+            self.ssssm(flops)
+        }
+    }
+
     /// Figure 8(d): SSSSM from the update's FLOP count.
     pub fn ssssm(&self, flops: f64) -> SsssmVariant {
         if !self.adaptive {
@@ -276,6 +341,7 @@ impl KernelSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tile::dense_block;
 
     #[test]
     fn getrf_tree_is_monotone() {
@@ -333,6 +399,32 @@ mod tests {
         assert_eq!(s.gessm(1_000_000), TrsmVariant::GV1);
         assert_eq!(s.tstrf(1_000_000), TrsmVariant::GV1);
         assert_eq!(s.ssssm(1e12), SsssmVariant::GV1);
+    }
+
+    #[test]
+    fn tile_leaf_needs_full_blocks_and_the_fill_cut() {
+        let s = KernelSelector::new(1_000, Thresholds::default());
+        let (full, wide) = (dense_block(8, 8, 0), dense_block(8, 5, 1));
+        let holed = full.filter_entries(|i, j| (i, j) != (3, 4));
+
+        assert_eq!(s.gessm_on(&full, &wide), TrsmVariant::DV1);
+        assert_eq!(s.gessm_on(&holed, &wide), s.gessm(wide.nnz()));
+        assert_eq!(s.gessm_on(&full, &holed), s.gessm(holed.nnz()));
+        assert_eq!(s.tstrf_on(&full, &full), TrsmVariant::DV1);
+        assert_eq!(s.tstrf_on(&full, &holed), s.tstrf(holed.nnz()));
+
+        // 8 x 8 x 5 update: padded count 2*8*8*5 = 640 FLOPs.
+        let at_cut = TILE_MIN_FILL * 640.0;
+        assert_eq!(s.ssssm_on(640.0, &full, &wide), SsssmVariant::DV1);
+        assert_eq!(s.ssssm_on(at_cut, &full, &wide), SsssmVariant::DV1);
+        assert_eq!(s.ssssm_on(at_cut - 2.0, &full, &wide), s.ssssm(at_cut - 2.0));
+        assert_eq!(s.ssssm_on(640.0, &full, &holed), s.ssssm(640.0), "target must be full");
+
+        // The fixed pre-selection kernels of the Figure 14 baseline stay.
+        let base = KernelSelector::baseline(1_000);
+        assert_eq!(base.gessm_on(&full, &wide), TrsmVariant::GV1);
+        assert_eq!(base.tstrf_on(&full, &full), TrsmVariant::GV1);
+        assert_eq!(base.ssssm_on(640.0, &full, &wide), SsssmVariant::GV1);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //!   per-column strategy ("adaptive multi-level");
 //! * `G_V2` — direct addressing, column teams with per-worker dense
 //!   buffers ("warp-level column").
+//!
+//! A fifth, `D_V1`, is not in the table: the dense-tile lane of
+//! [`crate::tile`] for updates whose target block is completely filled.
 
 use pangulu_sparse::{collect_runs, CscMatrix, RunSeg, Scalar};
 
@@ -22,7 +25,7 @@ use crate::scratch::{
     axpy_into_runs, find_in_col, gather_zero_runs, run_friendly, scatter_axpy, scatter_runs,
     KernelScratch,
 };
-use crate::SsssmVariant;
+use crate::{tile, SsssmVariant};
 
 /// Per-column updates above this count switch `C_V2`/`G_V1` from
 /// bin-search to merge walks.
@@ -72,6 +75,7 @@ pub fn ssssm<S: Scalar>(
                 update_col_dense(a, brows, bvals, crows, cvals, dense, runs)
             });
         }
+        SsssmVariant::DV1 => tile::ssssm_tile(a, b, c, scratch),
     }
 }
 
@@ -105,6 +109,12 @@ pub struct SsssmUpdate<'a, S = f64> {
 /// which the factorisation never stores (fill starts at `+0.0` and the
 /// kernels only subtract finite products). `tests/batched_ssssm.rs` holds
 /// the runtime to this across grids and fault seeds.
+///
+/// A batch holding a tile-routed (`D_V1`) update has a full target (the
+/// routing contract), whose columns are already the dense buffer: each
+/// update is applied in batch order straight on the value array — through
+/// the tile when routed to it, by direct slice axpy otherwise — which is
+/// one-at-a-time application itself.
 pub fn ssssm_batch<S: Scalar>(
     updates: &[SsssmUpdate<'_, S>],
     c: &mut CscMatrix<S>,
@@ -117,6 +127,15 @@ pub fn ssssm_batch<S: Scalar>(
         debug_assert_eq!(u.a.ncols(), u.b.nrows(), "SSSSM inner dimension mismatch");
         debug_assert_eq!(c.nrows(), u.a.nrows(), "SSSSM row mismatch");
         debug_assert_eq!(c.ncols(), u.b.ncols(), "SSSSM col mismatch");
+    }
+    if updates.iter().any(|u| u.variant == SsssmVariant::DV1) {
+        for u in updates {
+            match u.variant {
+                SsssmVariant::DV1 => tile::ssssm_tile(u.a, u.b, c, scratch),
+                _ => update_full_target(u.a, u.b, c),
+            }
+        }
+        return;
     }
     scratch.ensure(c.nrows());
     let KernelScratch { dense, runs, .. } = scratch;
@@ -141,6 +160,24 @@ pub fn ssssm_batch<S: Scalar>(
             }
         }
         gather_zero_runs(dense, runs, cvals);
+    }
+}
+
+/// One sparse-routed update on a full target: every column of `c` is a
+/// dense buffer in place, so the `C_V1` axpys run on it directly with no
+/// scatter and no gather — the same subtractions in the same order.
+fn update_full_target<S: Scalar>(a: &CscMatrix<S>, b: &CscMatrix<S>, c: &mut CscMatrix<S>) {
+    debug_assert!(tile::is_full(c), "a tile-routed batch certifies a full target");
+    for j in 0..c.ncols() {
+        let (brows, bvals) = b.col(j);
+        let (_, cvals) = c.col_mut(j);
+        for (&k, &bkj) in brows.iter().zip(bvals) {
+            if bkj == S::ZERO {
+                continue;
+            }
+            let (arows, avals) = a.col(k);
+            scatter_axpy(cvals, arows, avals, bkj);
+        }
     }
 }
 

@@ -18,6 +18,7 @@ use std::time::Instant;
 
 use pangulu_metrics::{
     KernelTally, MemStats, CLASS_GESSM, CLASS_GETRF, CLASS_SSSSM, CLASS_TSTRF, VARIANT_PLANNED,
+    VARIANT_TILE,
 };
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -42,6 +43,7 @@ fn trsm_slot(v: TrsmVariant) -> usize {
         TrsmVariant::GV1 => 2,
         TrsmVariant::GV2 => 3,
         TrsmVariant::GV3 => 4,
+        TrsmVariant::DV1 => VARIANT_TILE,
     }
 }
 
@@ -52,6 +54,7 @@ fn ssssm_slot(v: SsssmVariant) -> usize {
         SsssmVariant::CV2 => 1,
         SsssmVariant::GV1 => 2,
         SsssmVariant::GV2 => 3,
+        SsssmVariant::DV1 => VARIANT_TILE,
     }
 }
 
@@ -348,6 +351,44 @@ mod tests {
         assert_eq!(VARIANT_LABELS[trsm_slot(TrsmVariant::GV3)], "G_V3");
         assert_eq!(VARIANT_LABELS[ssssm_slot(SsssmVariant::CV2)], "C_V2");
         assert_eq!(VARIANT_LABELS[VARIANT_PLANNED], "P_V1");
+        assert_eq!(VARIANT_LABELS[trsm_slot(TrsmVariant::DV1)], "D_V1");
+        assert_eq!(VARIANT_LABELS[ssssm_slot(SsssmVariant::DV1)], "D_V1");
+    }
+
+    /// The tile lane tallies under its own label with the structural
+    /// model FLOPs (never the padded dense count), per update of a batch.
+    #[test]
+    fn tile_lane_records_dv1_with_model_flops() {
+        let mut timed = TimedKernels::new(true);
+        let mut scratch = KernelScratch::default();
+        let fac = {
+            let mut blk = dense_block(6);
+            getrf::getrf(&mut blk, GetrfVariant::CV1, &mut scratch, 1e-12);
+            blk
+        };
+        let mut panel = dense_block(6);
+        timed.gessm(Route::Variant(TrsmVariant::DV1), &fac, &mut panel, &mut scratch);
+        timed.tstrf(Route::Variant(TrsmVariant::DV1), &fac, &mut panel, &mut scratch);
+
+        // A holed operand: model FLOPs stay below the padded 2*6*6*6.
+        let a = dense_block(6).filter_entries(|i, j| !(i + j).is_multiple_of(4));
+        let b = dense_block(6);
+        let fl = flops::ssssm_flops(&a, &b);
+        assert!(fl < 432.0);
+        let mut c = dense_block(6);
+        timed.ssssm(Route::Variant(SsssmVariant::DV1), &a, &b, &mut c, &mut scratch, fl);
+        let batch = [
+            ssssm::SsssmUpdate { a: &a, b: &b, variant: SsssmVariant::DV1, model_flops: fl },
+            ssssm::SsssmUpdate { a: &a, b: &b, variant: SsssmVariant::CV1, model_flops: fl },
+        ];
+        timed.ssssm_batch(&batch, &mut c, &mut scratch);
+
+        let tile: Vec<_> = timed.tally().entries().filter(|(_, v, _)| *v == "D_V1").collect();
+        let calls = |class: &str| tile.iter().find(|(c, ..)| *c == class).map(|(.., s)| s.calls);
+        assert_eq!((calls("GESSM"), calls("TSTRF"), calls("SSSSM")), (Some(1), Some(1), Some(2)));
+        let ssssm_tile = tile.iter().find(|(c, ..)| *c == "SSSSM").unwrap().2;
+        assert_eq!(ssssm_tile.flops, 2.0 * fl);
+        assert_eq!(timed.tally().calls_by_class(), [0, 1, 1, 3]);
     }
 
     #[test]

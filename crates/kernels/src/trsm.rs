@@ -13,7 +13,8 @@
 //! `G_V1` bin-search column teams, `G_V2` bin-search row/dot-product
 //! formulation, `G_V3` direct column teams). Columns of the unknown are
 //! independent, which is what the "warp-level column" team variants
-//! exploit.
+//! exploit. A sixth, `D_V1`, is the dense-tile lane of [`crate::tile`]
+//! for a completely filled factor block and panel block.
 //!
 //! All writes stay inside `B`'s stored pattern (symbolic closure).
 
@@ -26,7 +27,7 @@ use crate::scratch::{
     axpy_into_runs, find_in_col, run_friendly, scatter_axpy, scatter_runs, try_direct_axpy,
     KernelScratch,
 };
-use crate::TrsmVariant;
+use crate::{tile, TrsmVariant};
 
 /// Solves `L X = B` in place (`B` becomes `X`); `diag_lu` is the packed
 /// factor of the diagonal block, of which only the strict lower part is
@@ -38,7 +39,10 @@ pub fn gessm<S: Scalar>(
     scratch: &mut KernelScratch<S>,
 ) {
     debug_assert_eq!(diag_lu.nrows(), b.nrows(), "GESSM dimension mismatch");
-    lower_solve(diag_lu, None, b, variant, scratch);
+    match variant {
+        TrsmVariant::DV1 => tile::gessm_tile(diag_lu, b),
+        sparse => lower_solve(diag_lu, None, b, sparse, scratch),
+    }
 }
 
 /// Solves `X U = B` in place (`B` becomes `X`); `diag_lu` is the packed
@@ -63,6 +67,7 @@ pub fn tstrf<S: Scalar>(
         TrsmVariant::GV1 => tstrf_unsync(diag_lu, b, TstrfAddr::BinSearch),
         TrsmVariant::GV2 => tstrf_unsync(diag_lu, b, TstrfAddr::RowDot),
         TrsmVariant::GV3 => tstrf_unsync(diag_lu, b, TstrfAddr::Dense),
+        TrsmVariant::DV1 => tile::tstrf_tile(diag_lu, b),
     }
 }
 
@@ -318,6 +323,7 @@ fn lower_solve<S: Scalar>(
                 solve_col_direct(l, diag, rows_c, vals_c, dense)
             })
         }
+        TrsmVariant::DV1 => unreachable!("gessm dispatches the dense-tile lane itself"),
     }
 }
 

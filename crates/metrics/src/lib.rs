@@ -46,11 +46,15 @@ pub const CLASS_LABELS: [&str; 4] = ["GETRF", "GESSM", "TSTRF", "SSSSM"];
 /// Kernel variant labels, indexed by [`KernelTally`] variant slot
 /// (Table 1's naming: CPU versions then team/"GPU-structured" versions,
 /// plus the analysis-time planned variant `P_V1` — see
-/// `docs/KERNEL_PLANS.md`).
-pub const VARIANT_LABELS: [&str; 6] = ["C_V1", "C_V2", "G_V1", "G_V2", "G_V3", "P_V1"];
+/// `docs/KERNEL_PLANS.md` — and the dense-tile lane `D_V1` that
+/// filled-in blocks take (`docs/ALGORITHM.md` §4)).
+pub const VARIANT_LABELS: [&str; 7] = ["C_V1", "C_V2", "G_V1", "G_V2", "G_V3", "P_V1", "D_V1"];
 
 /// Variant slot of the planned (precomputed index map) kernels.
 pub const VARIANT_PLANNED: usize = 5;
+
+/// Variant slot of the dense-tile lane (SSSSM / GESSM / TSTRF only).
+pub const VARIANT_TILE: usize = 6;
 
 /// Class slot of GETRF entries.
 pub const CLASS_GETRF: usize = 0;
@@ -73,10 +77,10 @@ pub struct KernelSlot {
     pub flops: f64,
 }
 
-/// Per-variant invocation tally: 4 kernel classes × up to 6 variants.
+/// Per-variant invocation tally: 4 kernel classes × up to 7 variants.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelTally {
-    slots: [[KernelSlot; 6]; 4],
+    slots: [[KernelSlot; VARIANT_LABELS.len()]; 4],
 }
 
 impl KernelTally {
@@ -880,10 +884,18 @@ mod tests {
 
     #[test]
     fn json_roundtrip_is_exact() {
-        let report = sample_report();
+        let mut report = sample_report();
+        // The widest slot of the tally (the dense-tile lane) round-trips
+        // under its own label like every other variant.
+        report.per_rank[1].kernels.record(CLASS_TSTRF, VARIANT_TILE, 700, 128.0);
         let text = report.to_json();
+        assert!(text.contains("\"D_V1\""), "tile label missing from the report JSON");
         let back = RunReport::from_json(&text).unwrap();
         assert_eq!(report, back);
+        assert!(back
+            .total_kernels()
+            .entries()
+            .any(|(c, v, s)| (c, v, s.calls) == ("TSTRF", "D_V1", 1)));
     }
 
     #[test]

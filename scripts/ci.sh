@@ -28,6 +28,13 @@
 #           has no vectorisation, release does): the trisolve/solve_multi
 #           unit tests and tests/solve_panel.rs, each run without and
 #           with --release (see docs/ALGORITHM.md §5)
+#   kernels  dense-tile lane layer: the lane must equal the sparse
+#           kernels bit for bit under BOTH codegen profiles (debug has no
+#           vectorisation, release does): the whole pangulu-kernels
+#           package (lib + planned_equivalence + tile_equivalence +
+#           kernel_properties) and the determinism / refactor rows that
+#           drive the lane through every executor, each run without and
+#           with --release (see docs/ALGORITHM.md §4)
 #   bench   benchmark-regression gates: smoke + refactor + kernel
 #           baselines (see docs/OBSERVABILITY.md and docs/PERFORMANCE.md)
 #   bench-kernels  the kernel-plan gate alone: re-runs bench_kernels and
@@ -108,6 +115,16 @@ stage_solve() {
     done
 }
 
+stage_kernels() {
+    local profile
+    for profile in "" --release; do
+        echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
+        cargo test $profile -q -p pangulu-kernels
+        cargo test $profile -q --test determinism --test refactor -- dense_tile
+        cargo test $profile -q --test solver_equivalence -- negative_zero
+    done
+}
+
 stage_bench() {
     scripts/bench_compare.sh
 }
@@ -124,8 +141,8 @@ stage_benchmark_api() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
-all_stages=(fmt clippy build test doc trace sched transport precision solve bench bench-kernels
-    benchmark-api)
+all_stages=(fmt clippy build test doc trace sched transport precision solve kernels bench
+    bench-kernels benchmark-api)
 
 only=""
 if [[ "${1:-}" == "--stage" ]]; then

@@ -399,3 +399,153 @@ fn residuals_hold_across_the_full_matrix() {
         }
     }
 }
+
+// ---- Dense-tile lane (`D_V1`) -------------------------------------------
+//
+// The rows above run 9-wide blocks, which always replay plans. These use
+// a matrix whose trailing blocks fill in completely at a block size past
+// the planned gates, so SSSSM / GESSM / TSTRF tasks take the dense-tile
+// lane in every executor. The oracle is `seq::factor_sequential`, the
+// unplanned reference sweep: it consults only the Figure 8 trees, never
+// `KernelPlans`, so it stays on the sparse variants.
+
+use pangulu::core::seq::{empty_plans, factor_sequential, factor_sequential_planned};
+use pangulu::core::shared::factor_shared_planned;
+use pangulu::kernels::{KernelPlans, Route, SsssmVariant, TrsmVariant};
+use pangulu::sparse::Scalar;
+
+const TILE_NB: usize = 33;
+
+/// `gen::kkt(200, 90, 7)` (the golden-corpus KKT system) cut at 33: the
+/// trailing 4 × 4 blocks are full.
+fn filled_problem() -> (BlockMatrix, TaskGraph, KernelSelector) {
+    let a = gen::kkt(200, 90, 7);
+    let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
+    let bm = BlockMatrix::from_filled(&f, TILE_NB).unwrap();
+    let tg = TaskGraph::build(&bm);
+    (bm, tg, KernelSelector::new(a.nnz(), Thresholds::default()))
+}
+
+fn value_bits<S: Scalar>(bm: &BlockMatrix<S>) -> Vec<u64> {
+    (0..bm.num_blocks())
+        .flat_map(|id| bm.block(id).values().iter().map(|v| v.to_f64().to_bits()))
+        .collect()
+}
+
+/// Tile-routed `[GESSM, TSTRF, SSSSM]` tasks according to a filled plan
+/// pool — what the unmetered sequential and shared executors ran.
+fn tile_routes<S: Scalar>(
+    plans: &KernelPlans<S>,
+    bm: &BlockMatrix<S>,
+    tg: &TaskGraph,
+    sel: &KernelSelector,
+) -> [u64; 3] {
+    let mut n = [0u64; 3];
+    for k in 0..bm.nblk() {
+        let diag = bm.block(bm.block_id(k, k).unwrap());
+        for &j in &tg.u_panels[k] {
+            let id = bm.block_id(k, j).unwrap();
+            let route = plans.prebuilt_gessm(sel, id, diag, bm.block(id));
+            n[0] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
+        }
+        for &i in &tg.l_panels[k] {
+            let id = bm.block_id(i, k).unwrap();
+            let route = plans.prebuilt_tstrf(sel, id, diag, bm.block(id));
+            n[1] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
+        }
+    }
+    for (slot, &(i, j, k)) in tg.ssssm.iter().enumerate() {
+        let a = bm.block(bm.block_id(i, k).unwrap());
+        let c = bm.block(bm.block_id(i, j).unwrap());
+        let route = plans.prebuilt_ssssm(sel, slot, tg.ssssm_flops[slot], a, c);
+        n[2] += u64::from(matches!(route, Route::Variant(SsssmVariant::DV1)));
+    }
+    n
+}
+
+/// `D_V1` calls `[GESSM, TSTRF, SSSSM]` in a distributed run's kernel tally.
+fn tile_calls(run: &FactorRun) -> [u64; 3] {
+    let tally = run.report.total_kernels();
+    ["GESSM", "TSTRF", "SSSSM"].map(|class| {
+        tally.entries().find(|(c, v, _)| *c == class && *v == "D_V1").map_or(0, |(.., s)| s.calls)
+    })
+}
+
+fn assert_lane_ran(calls: [u64; 3], tag: &str) {
+    assert!(calls.iter().all(|&c| c >= 1), "{tag}: a class never took the tile lane: {calls:?}");
+}
+
+/// Sequential / shared / distributed grids × schedule modes × policies ×
+/// an adversarial fault plan, in scalar type `S`: all bitwise equal to
+/// the sparse-variant reference sweep, with the lane active everywhere.
+fn dense_tile_rows<S: Scalar>() {
+    let (bm64, tg, sel) = filled_problem();
+    let bm0 = bm64.cast::<S>();
+    let w = S::LABEL;
+    let mut reference = bm0.clone();
+    factor_sequential(&mut reference, &tg, &sel, 1e-12);
+    let reference = value_bits(&reference);
+
+    let mut bm = bm0.clone();
+    let mut plans = empty_plans(&bm, &tg);
+    factor_sequential_planned(&mut bm, &tg, &sel, 1e-12, &mut plans);
+    assert_eq!(reference, value_bits(&bm), "{w} sequential: tile lane moved a bit");
+    assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} sequential"));
+
+    // One shared worker applies updates in a fixed order; several race
+    // for a target, which the executor documents as tolerance-only.
+    let mut bm = bm0.clone();
+    let mut plans = empty_plans(&bm, &tg);
+    factor_shared_planned(&mut bm, &tg, &sel, 1e-12, 1, &mut plans);
+    assert_eq!(reference, value_bits(&bm), "{w} shared x1: tile lane moved a bit");
+    assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} shared"));
+    let mut racy = bm0.clone();
+    factor_shared_planned(&mut racy, &tg, &sel, 1e-12, 3, &mut plans);
+    let tol = if S::WIDTH == 4 { 1e-3 } else { 1e-9 };
+    let (want, got) = (bm.to_csc().cast::<f64>(), racy.to_csc().cast::<f64>());
+    let diff = want.to_dense().max_abs_diff(&got.to_dense()) / want.norm_max().max(1.0);
+    assert!(diff < tol, "{w} shared x3: {diff} off the one-worker factors");
+
+    let run_dist = |pr: usize, pc: usize, cfg: &FactorConfig, tag: &str| {
+        let mut bm = bm0.clone();
+        let owners = OwnerMap::balanced(&bm64, ProcessGrid::with_shape(pr, pc), &tg);
+        let run = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, cfg)
+            .unwrap_or_else(|e| panic!("{w} {pr}x{pc} {tag}: {e}"));
+        assert_eq!(reference, value_bits(&bm), "{w} {pr}x{pc} {tag}: tile lane moved a bit");
+        assert_lane_ran(tile_calls(&run), &format!("{w} {pr}x{pc} {tag}"));
+        run
+    };
+    for (pr, pc) in grids() {
+        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
+            let run = run_dist(pr, pc, &FactorConfig::with_mode(mode), &format!("{mode:?}"));
+            // Model FLOPs, never the padded dense count.
+            assert_eq!(
+                run.report.observed_flops(),
+                run.report.predicted_flops,
+                "{w} {pr}x{pc} {mode:?}: observed != predicted FLOPs"
+            );
+        }
+    }
+    for policy in POLICIES {
+        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_policy(policy);
+        run_dist(2, 2, &cfg, &format!("{policy:?}"));
+        run_dist(
+            3,
+            2,
+            &cfg.clone().with_fault(FaultPlan::adversarial(21)),
+            &format!("{policy:?}+fault"),
+        );
+    }
+}
+
+#[test]
+fn dense_tile_lane_is_bitwise_neutral_everywhere_f64() {
+    dense_tile_rows::<f64>();
+}
+
+/// The `MixedF32` factorisation runs the same executors on `f32` blocks
+/// (8-row tiles instead of 4).
+#[test]
+fn dense_tile_lane_is_bitwise_neutral_everywhere_f32() {
+    dense_tile_rows::<f32>();
+}

@@ -418,3 +418,48 @@ fn phase_counters_track_cached_vs_recomputed_phases() {
     assert_eq!((steady.reorder_runs, steady.symbolic_runs, steady.preprocess_runs), (0, 0, 0));
     assert_eq!((steady.numeric_runs, steady.analysis_reuses), (2, 2));
 }
+
+/// `D_V1` calls `[GESSM, TSTRF, SSSSM]` of the solver's latest numeric run.
+fn tile_calls(solver: &Solver) -> [u64; 3] {
+    let tally = solver.stats().report.as_ref().expect("multi-rank report").total_kernels();
+    ["GESSM", "TSTRF", "SSSSM"].map(|class| {
+        tally.entries().find(|(c, v, _)| *c == class && *v == "D_V1").map_or(0, |(.., s)| s.calls)
+    })
+}
+
+/// Steady state with the dense-tile lane active: every refactorisation
+/// routes the same tasks through the lane, builds nothing (the lane has
+/// no plans; its expansion tiles live in the ranks' cached kernel
+/// scratch and are reused), and stays bitwise equal to a fresh
+/// factorisation of the same values.
+#[test]
+fn dense_tile_lane_steady_state_builds_nothing_new() {
+    let a = gen::kkt(400, 180, 7);
+    // Blocks of 36 put the filled trailing panels and updates past the
+    // planned gates (1 296 nnz, 93 312 FLOPs).
+    let opts = SolverOptions { block_size: Some(36), ..opts_for(4, ScheduleMode::SyncFree) };
+    let mut solver = Solver::factor_with(&a, opts).unwrap();
+    let first_plans = solver.kernel_plan_stats();
+    let first_tile = tile_calls(&solver);
+    assert!(first_tile.iter().all(|&c| c >= 1), "a class never took the tile lane: {first_tile:?}");
+    let original = factor_bits(solver.factored());
+
+    let a2 = perturb(&a);
+    for rep in 1..=3 {
+        solver.refactor(if rep % 2 == 1 { &a2 } else { &a }).unwrap();
+        if rep == 2 {
+            assert_eq!(original, factor_bits(solver.factored()), "refactor(a) != factor(a)");
+        }
+        let s = solver.kernel_plan_stats();
+        assert_eq!(s.bytes, first_plans.bytes, "rep {rep}: the lane grew the plan arena");
+        assert_eq!(s.build_ns, first_plans.build_ns, "rep {rep}: something was rebuilt");
+        assert_eq!(tile_calls(&solver), first_tile, "rep {rep}: tile routing drifted");
+        let report = solver.stats().report.as_ref().unwrap();
+        assert_eq!(report.observed_flops(), report.predicted_flops, "rep {rep}: model FLOPs");
+    }
+    // Rep 3 ran on `a2`: equal to a manual rebuild is covered above; the
+    // steady-state factors must at least solve their system.
+    let b = gen::test_rhs(a.nrows(), 5);
+    let x = solver.solve(&b).unwrap();
+    assert!(relative_residual(&a2, &x, &b).unwrap() < 1e-9);
+}

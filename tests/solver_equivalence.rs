@@ -147,6 +147,27 @@ fn golden_corpus_mixed_precision_meets_f64_bounds() {
     }
 }
 
+/// No factor entry of the golden corpus is `-0.0`, in either width.
+/// Both the fused SSSSM batch and the dense-tile lane are bitwise equal
+/// to one-at-a-time sparse updates only while no update target holds
+/// `-0.0` (subtracting a `(±0)·x` product would flip it to `+0.0`);
+/// docs/ALGORITHM.md §4 argues why a target never does — this pins the
+/// stronger observable fact on the corpus, zero-valued fill included.
+#[test]
+fn golden_corpus_factors_hold_no_negative_zero() {
+    for (name, _) in GOLDEN_BOUNDS {
+        let a = golden_matrix(name);
+        let wide = Solver::factor(&a).unwrap();
+        let mixed = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+        let (f64s, f32s) = (wide.factored(), mixed.factored32().expect("mixed keeps f32 factors"));
+        for id in 0..f64s.num_blocks() {
+            let neg64 = f64s.block(id).values().iter().filter(|v| v.to_bits() == 1 << 63).count();
+            let neg32 = f32s.block(id).values().iter().filter(|v| v.to_bits() == 1 << 31).count();
+            assert_eq!((neg64, neg32), (0, 0), "{name}: block {id} stores -0.0");
+        }
+    }
+}
+
 #[test]
 fn block_size_does_not_change_solution() {
     let a = gen::cage_like(250, 17);
