@@ -1196,6 +1196,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
 
         // End-of-run gauges: cumulative across every run that shared this
         // rank state (plans persist across refactorisations).
+        self.st.plans.shrink_to_fit();
         let ps = self.st.plans.stats();
         self.mem.plan_bytes = ps.bytes;
         self.mem.plan_build_ns = ps.build_ns;
@@ -1993,6 +1994,7 @@ mod tests {
     use crate::seq::factor_sequential;
     use pangulu_comm::ProcessGrid;
     use pangulu_kernels::select::Thresholds;
+    use pangulu_kernels::tile::is_full;
     use pangulu_sparse::gen;
     use pangulu_sparse::ops::ensure_diagonal;
     use pangulu_symbolic::symbolic_fill;
@@ -2126,7 +2128,9 @@ mod tests {
     #[test]
     fn planned_calls_cover_every_task_when_gates_are_open() {
         // With every planned gate pinned open, every kernel call on
-        // every rank goes through a plan. (The calibrated defaults
+        // every rank goes through a plan — except an SSSSM onto a full
+        // target, which never has one (a plan resolves nothing where
+        // row `r` sits at `j·m + r`). (The calibrated defaults
         // close the panel/SSSSM gates above their crossovers, so open
         // them explicitly — coverage here guards the executor wiring,
         // not the selector policy.)
@@ -2143,11 +2147,17 @@ mod tests {
         let run =
             factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &FactorConfig::default())
                 .unwrap();
+        let full_targets = tg
+            .ssssm
+            .iter()
+            .filter(|&&(i, j, _)| is_full(bm.block(bm.block_id(i, j).expect("target exists"))))
+            .count();
+        assert!(full_targets > 0 && full_targets < tg.ssssm.len(), "fixture covers both sides");
         let total_tasks = bm.nblk()
             + tg.u_panels.iter().map(|v| v.len()).sum::<usize>()
             + tg.l_panels.iter().map(|v| v.len()).sum::<usize>()
             + tg.ssssm.len();
-        assert_eq!(run.report.total_mem().planned_calls, total_tasks as u64);
+        assert_eq!(run.report.total_mem().planned_calls, (total_tasks - full_targets) as u64);
     }
 
     #[test]

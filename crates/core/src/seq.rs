@@ -213,6 +213,7 @@ pub fn factor_sequential_planned<S: Scalar>(
         }
         stats.ssssm_time += t2.elapsed();
     }
+    plans.shrink_to_fit();
     stats
 }
 

@@ -212,6 +212,7 @@ fn build_all_plans<S: Scalar>(
         let c = bm.block(bm.block_id(i, j).expect("target"));
         plans.route_ssssm(selector, n, tg.ssssm_flops[n], a, b, c);
     }
+    plans.shrink_to_fit();
 }
 
 fn blocks_ptr<S: Scalar>(bm: &mut BlockMatrix<S>) -> *mut CscMatrix<S> {

@@ -36,7 +36,11 @@
 //! [`KernelSelector`] planned gates and [`KernelPlans::fits`]. A task
 //! that does not replay a plan gets the selector's leaf for its blocks —
 //! the dense-tile lane when they are full, else the Figure 8 tree's pick
-//! (precedence: plan, then tile, then tree). Executors hand the
+//! (panel precedence: plan, then tile, then tree). SSSSM asks the target
+//! first: an update onto a full target never has a plan — positions
+//! there are `j·m + r`, a plan would resolve nothing — and takes the
+//! tile or the tree's pick, whose `C_V1` updates full columns in place;
+//! only a target with a hole goes plan, then tree. Executors hand the
 //! resulting [`Route`] to [`crate::TimedKernels`] and never test a gate
 //! or a block's fullness themselves; closing the gates through
 //! [`crate::Thresholds::unplanned`] is how a run without plans is asked
@@ -56,7 +60,9 @@
 //! refactorisations — no per-call allocation. [`KernelPlans::stats`]
 //! reports bytes from slice *lengths*, which are independent of build
 //! order, so `plan_bytes` is deterministic even though lazy build order
-//! under the distributed runtime is not.
+//! under the distributed runtime is not; builders leave their tables at
+//! capacity = length and [`KernelPlans::shrink_to_fit`] does the same for
+//! the arena, so after a factorisation it is also what the pool holds.
 //!
 //! [`Solver::refactor`]: ../../pangulu_core/solver/struct.Solver.html
 
@@ -66,6 +72,7 @@ use pangulu_sparse::{for_each_run, CscMatrix, PlanIndex, Scalar};
 
 use crate::getrf::apply_floor;
 use crate::select::KernelSelector;
+use crate::tile::is_full;
 use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 
 /// Narrows a block-local position into the arena's index type. Callers
@@ -319,6 +326,7 @@ pub fn build_ssssm_plan<S: Scalar>(
             plan.searches_avoided += (ahi - alo) as u64;
         }
     }
+    plan.entries.shrink_to_fit();
     plan
 }
 
@@ -369,6 +377,7 @@ pub fn build_gessm_plan<S: Scalar>(
             }
         }
     }
+    plan.srcs.shrink_to_fit();
     plan
 }
 
@@ -436,6 +445,8 @@ pub fn build_tstrf_plan<S: Scalar>(
             j_len: (jhi - jlo) as u32,
         });
     }
+    plan.cols.shrink_to_fit();
+    plan.uents.shrink_to_fit();
     plan
 }
 
@@ -491,6 +502,8 @@ pub fn build_getrf_plan<S: Scalar>(a: &CscMatrix<S>, arena: &mut Vec<S::PlanIdx>
             diag_rel: diag_rel as u32,
         });
     }
+    plan.cols.shrink_to_fit();
+    plan.uents.shrink_to_fit();
     plan
 }
 
@@ -716,8 +729,12 @@ impl<S: Scalar> KernelPlans<S> {
         sel.planned_tstrf(b.nnz()) && self.fits(b.nnz()) && self.fits(diag_lu.nnz())
     }
 
+    /// Never on a full target: there the position of row `r` in column
+    /// `j` is `j·m + r`, so a plan's run lists resolve nothing, yet they
+    /// were the bulk of plan memory. Such an update takes the selector's
+    /// leaf — the tile, or `C_V1` updating the full columns in place.
     fn plans_ssssm(&self, sel: &KernelSelector, flops: f64, c: &CscMatrix<S>) -> bool {
-        sel.planned_ssssm(flops) && self.fits(c.nnz())
+        sel.planned_ssssm(flops) && self.fits(c.nnz()) && !is_full(c)
     }
 
     /// Routes the GETRF of diagonal block `a`; its plan is built from
@@ -846,6 +863,16 @@ impl<S: Scalar> KernelPlans<S> {
             .build_ns
             .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         plan
+    }
+
+    /// Returns the arena's growth slack (it is grown by `push`, up to 2×
+    /// what it holds) to the allocator. Executors call it once at the end
+    /// of a factorisation; a no-op unless plans were built since the last
+    /// call. The per-task tables are exact-size from their builders, so
+    /// afterwards the pool holds exactly the bytes [`KernelPlans::stats`]
+    /// reports.
+    pub fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
     }
 
     /// Current plan-layer accounting.
@@ -1015,19 +1042,31 @@ mod tests {
         assert_eq!(pool.stats().builds, builds);
     }
 
-    /// Gate precedence is plan, then tile, then tree: a full block small
+    /// Panel precedence is plan, then tile, then tree: a full block small
     /// enough for its planned gate still replays its plan; past the gate
     /// it takes the dense-tile lane; a block with a hole falls to the tree.
+    /// SSSSM asks the target first: a full target never has a plan, under
+    /// any gate — it takes the tile, or `C_V1` (in place) below the fill
+    /// cut; only a target with a hole goes plan, then tree.
     #[test]
     fn full_blocks_route_plan_then_tile_then_tree() {
         let dense = |n: usize| crate::tile::dense_block(n, n, 0);
         let sel = KernelSelector::new(1_000, Thresholds::default());
-        let mut pool = KernelPlans::<f64>::with_slots(0, 2, 2, 2);
+        let mut pool = KernelPlans::<f64>::with_slots(0, 2, 2, 3);
 
         let small = dense(8); // 64 nnz, 1 024 FLOPs: under every planned gate
         assert!(matches!(pool.route_gessm(&sel, 0, &small, &small), Route::Plan(..)));
         assert!(matches!(pool.route_tstrf(&sel, 0, &small, &small), Route::Plan(..)));
+        let builds = pool.stats().builds;
         let routed = pool.route_ssssm(&sel, 0, 1024.0, &small, &small, &small);
+        assert!(matches!(routed, Route::Variant(SsssmVariant::DV1)));
+        // A diagonal `A`: 128 of the padded 1 024 FLOPs, under the fill cut.
+        let thin = small.filter_entries(|i, j| i == j);
+        let routed = pool.route_ssssm(&sel, 0, 128.0, &thin, &small, &small);
+        assert!(matches!(routed, Route::Variant(SsssmVariant::CV1)));
+        assert_eq!(pool.stats().builds, builds, "a full target builds no plan");
+        let holed = small.filter_entries(|i, j| (i, j) != (7, 3));
+        let routed = pool.route_ssssm(&sel, 2, 126.0, &thin, &holed, &holed);
         assert!(matches!(routed, Route::Plan(..)));
 
         let big = dense(40); // 1 600 nnz, 128 000 FLOPs: past the gates
@@ -1053,6 +1092,38 @@ mod tests {
             pool.route_ssssm(&sel, 1, 127_920.0, &big, &big, &holed),
             Route::Variant(SsssmVariant::CV1)
         ));
+    }
+
+    /// `plan_bytes` is what the pool holds, not a lower bound on it: the
+    /// builders leave every table at capacity == length and
+    /// `shrink_to_fit` does the same for the arena they all push into.
+    #[test]
+    fn pool_holds_exactly_what_it_reports() {
+        let (diag, upper, lower, _) = setup(2);
+        // The fixture's tail fills in completely, and a full target has no
+        // plan: update a block with a hole instead (diagonal × holed).
+        let holed = crate::tile::dense_block(8, 8, 0).filter_entries(|i, j| (i, j) != (7, 3));
+        let thin = holed.filter_entries(|i, j| i == j);
+        let sel = KernelSelector::new(1_000, Thresholds::default());
+        let mut pool = KernelPlans::<f64>::with_slots(1, 1, 1, 1);
+        pool.route_getrf(&sel, 0, &diag);
+        pool.route_gessm(&sel, 0, &diag, &upper);
+        pool.route_tstrf(&sel, 0, &diag, &lower);
+        pool.route_ssssm(&sel, 0, 126.0, &thin, &holed, &holed);
+        assert_eq!(pool.stats().builds, 4);
+        let bytes = pool.stats().bytes;
+        pool.shrink_to_fit();
+        assert_eq!(pool.stats().bytes, bytes, "the definition of plan_bytes is unchanged");
+
+        fn exact<T>(v: &Vec<T>) -> bool {
+            !v.is_empty() && v.capacity() == v.len()
+        }
+        assert!(exact(&pool.arena));
+        let (g, l, u, s) = (&pool.getrf[0], &pool.gessm[0], &pool.tstrf[0], &pool.ssssm[0]);
+        let (g, l) = (g.as_ref().unwrap(), l.as_ref().unwrap());
+        let (u, s) = (u.as_ref().unwrap(), s.as_ref().unwrap());
+        assert!(exact(&g.cols) && exact(&g.uents) && exact(&l.srcs));
+        assert!(exact(&u.cols) && exact(&u.uents) && exact(&s.entries));
     }
 
     #[test]

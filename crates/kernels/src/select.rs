@@ -10,8 +10,12 @@
 //!
 //! One leaf is decided from structure rather than a threshold: the
 //! dense-tile lane `D_V1` ([`crate::tile`]) for blocks that fill-in has
-//! made completely dense — the `*_on` methods below, consulted (after the
-//! planned gates) by [`crate::KernelPlans`]' routing and nowhere else.
+//! made completely dense — the `*_on` methods below, consulted by
+//! [`crate::KernelPlans`]' routing and nowhere else: after the planned
+//! gate for the panel solves, and for every SSSSM that replays no plan,
+//! which includes every update onto a full target (such a target never
+//! has a plan; under the fill cut it gets the tree's pick, and `C_V1`
+//! updates its full columns in place).
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -25,8 +29,10 @@ use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 ///
 /// A constant, not a [`Thresholds`] field: the lane is bitwise equal to
 /// the sparse variants, so the cut can never change an answer, and the
-/// measured sweep is flat from 0.5 down to 0.1 (docs/PERFORMANCE.md,
-/// "Dense-tile lane"); `fig08_calibrate` prints the crossover a host
+/// measured sweep is flat from 0.5 down to 0.1 — re-swept on the
+/// postordered block structure, where kkt has 18 updates between 0.35
+/// and 0.5 and none below (docs/PERFORMANCE.md, "Dense-tile lane" and
+/// "Reordering cost"); `fig08_calibrate` prints the crossover a host
 /// measures next to it.
 pub const TILE_MIN_FILL: f64 = 0.5;
 

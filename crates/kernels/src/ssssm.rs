@@ -53,6 +53,9 @@ pub fn ssssm<S: Scalar>(
             let KernelScratch { dense, runs, .. } = scratch;
             for j in 0..c.ncols() {
                 let (brows, bvals) = b.col(j);
+                if brows.is_empty() {
+                    continue;
+                }
                 let (crows, cvals) = c.col_mut(j);
                 update_col_dense(a, brows, bvals, crows, cvals, dense, runs);
             }
@@ -110,11 +113,12 @@ pub struct SsssmUpdate<'a, S = f64> {
 /// kernels only subtract finite products). `tests/batched_ssssm.rs` holds
 /// the runtime to this across grids and fault seeds.
 ///
-/// A batch holding a tile-routed (`D_V1`) update has a full target (the
-/// routing contract), whose columns are already the dense buffer: each
-/// update is applied in batch order straight on the value array — through
-/// the tile when routed to it, by direct slice axpy otherwise — which is
-/// one-at-a-time application itself.
+/// On a full target every column already is the dense buffer, so there is
+/// nothing to scatter or gather: each update is applied in batch order
+/// straight on the value array — through the tile when routed to it
+/// (`D_V1` implies a full target, the routing contract), through `C_V1`
+/// otherwise, which updates full columns in place — one-at-a-time
+/// application itself.
 pub fn ssssm_batch<S: Scalar>(
     updates: &[SsssmUpdate<'_, S>],
     c: &mut CscMatrix<S>,
@@ -128,12 +132,13 @@ pub fn ssssm_batch<S: Scalar>(
         debug_assert_eq!(c.nrows(), u.a.nrows(), "SSSSM row mismatch");
         debug_assert_eq!(c.ncols(), u.b.ncols(), "SSSSM col mismatch");
     }
-    if updates.iter().any(|u| u.variant == SsssmVariant::DV1) {
+    if tile::is_full(c) {
         for u in updates {
-            match u.variant {
-                SsssmVariant::DV1 => tile::ssssm_tile(u.a, u.b, c, scratch),
-                _ => update_full_target(u.a, u.b, c),
-            }
+            let direct = match u.variant {
+                SsssmVariant::DV1 => SsssmVariant::DV1,
+                _ => SsssmVariant::CV1,
+            };
+            ssssm(u.a, u.b, c, direct, scratch);
         }
         return;
     }
@@ -163,27 +168,35 @@ pub fn ssssm_batch<S: Scalar>(
     }
 }
 
-/// One sparse-routed update on a full target: every column of `c` is a
-/// dense buffer in place, so the `C_V1` axpys run on it directly with no
-/// scatter and no gather — the same subtractions in the same order.
-fn update_full_target<S: Scalar>(a: &CscMatrix<S>, b: &CscMatrix<S>, c: &mut CscMatrix<S>) {
-    debug_assert!(tile::is_full(c), "a tile-routed batch certifies a full target");
-    for j in 0..c.ncols() {
-        let (brows, bvals) = b.col(j);
-        let (_, cvals) = c.col_mut(j);
-        for (&k, &bkj) in brows.iter().zip(bvals) {
-            if bkj == S::ZERO {
-                continue;
+/// The `C_V1` axpys of one column applied in place on a **full** target
+/// column: the position of row `r` is `r`, so there is no run list to
+/// collect, no scatter and no gather — the same subtractions in the same
+/// order. A plain indexed loop (one contiguous slice loop when `A(:, k)`
+/// is full too): detecting runs per `A` column costs more than it saves
+/// on the short runs sparse operands have (docs/PERFORMANCE.md).
+#[inline]
+fn update_full_col<S: Scalar>(a: &CscMatrix<S>, brows: &[usize], bvals: &[S], cvals: &mut [S]) {
+    for (&k, &bkj) in brows.iter().zip(bvals) {
+        if bkj == S::ZERO {
+            continue;
+        }
+        let (arows, avals) = a.col(k);
+        if arows.len() == cvals.len() {
+            for (c, &aik) in cvals.iter_mut().zip(avals) {
+                *c -= aik * bkj;
             }
-            let (arows, avals) = a.col(k);
-            scatter_axpy(cvals, arows, avals, bkj);
+        } else {
+            for (&r, &aik) in arows.iter().zip(avals) {
+                cvals[r] -= aik * bkj;
+            }
         }
     }
 }
 
 /// Direct addressing: scatter the C column into a dense buffer, apply all
 /// sparse axpys, gather back. The column's run list is found once and
-/// reused by scatter and gather (one `copy_from_slice` per segment).
+/// reused by scatter and gather (one `copy_from_slice` per segment). A
+/// full column is its own dense buffer and is updated in place.
 fn update_col_dense<S: Scalar>(
     a: &CscMatrix<S>,
     brows: &[usize],
@@ -195,6 +208,9 @@ fn update_col_dense<S: Scalar>(
 ) {
     if brows.is_empty() || crows.is_empty() {
         return;
+    }
+    if crows.len() == a.nrows() {
+        return update_full_col(a, brows, bvals, cvals);
     }
     collect_runs(crows, runs);
     scatter_runs(dense, runs, cvals);

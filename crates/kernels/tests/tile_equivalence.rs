@@ -4,7 +4,8 @@
 //! filled) operands, operand values that are exactly `0.0` (the sparse
 //! kernels skip those, the tile multiplies through), `f64` and `f32`,
 //! and fused batches that interleave tile-routed and sparse-routed
-//! updates. The lane performs the same `c -= a·b` subtractions in the
+//! updates — and, next to it, of `C_V1` updating full target columns **in
+//! place** against `C_V1` scattering the same column. The lane performs the same `c -= a·b` subtractions in the
 //! same ascending-`k` order, so nothing here is a tolerance.
 //!
 //! CI runs this file in a debug and a release build: the claim must hold
@@ -231,6 +232,70 @@ proptest! {
         ssssm::ssssm_batch(&updates[..2], &mut split, &mut scratch);
         ssssm::ssssm_batch(&updates[2..], &mut split, &mut scratch);
         prop_assert_eq!(bits(&fused), bits(&split));
+    }
+}
+
+/// `blk` with one more (empty) row: the same stored entries, but no
+/// column is full any more, so `C_V1` takes its scatter / gather path.
+fn with_spare_row<S: Scalar>(blk: &CscMatrix<S>) -> CscMatrix<S> {
+    CscMatrix::from_parts(
+        blk.nrows() + 1,
+        blk.ncols(),
+        blk.col_ptr().to_vec(),
+        blk.row_idx().to_vec(),
+        blk.values().to_vec(),
+    )
+    .unwrap()
+}
+
+/// `C_V1` on `(a, b, c)` — in place on every full column of `c` — against
+/// `C_V1` on the same entries under a spare row (scatter on every
+/// column), and against `C_V2`'s search addressing.
+fn assert_in_place_equals_scatter<S: Scalar>(
+    a: &CscMatrix<S>,
+    b: &CscMatrix<S>,
+    c0: &CscMatrix<S>,
+    tag: &str,
+) {
+    let mut scratch = KernelScratch::<S>::default();
+    let mut in_place = c0.clone();
+    ssssm::ssssm(a, b, &mut in_place, SsssmVariant::CV1, &mut scratch);
+    let mut scattered = with_spare_row(c0);
+    ssssm::ssssm(&with_spare_row(a), b, &mut scattered, SsssmVariant::CV1, &mut scratch);
+    assert_eq!(bits(&scattered), bits(&in_place), "{tag} {}: in place != scatter", S::LABEL);
+    let mut searched = c0.clone();
+    ssssm::ssssm(a, b, &mut searched, SsssmVariant::CV2, &mut scratch);
+    assert_eq!(bits(&searched), bits(&in_place), "{tag} {}: in place != C_V2", S::LABEL);
+}
+
+/// In-place `C_V1` on full targets (sparse, half-full and full `A`
+/// columns — the last take the contiguous slice loop) and on targets
+/// where only some columns are full, with exact zeros in `B`.
+#[test]
+fn in_place_cv1_matches_scatter_cv1_on_full_and_partly_full_columns() {
+    for (i, &(m, k, n)) in
+        [(1, 1, 1), (5, 3, 7), (8, 8, 8), (69, 119, 33), (119, 40, 69)].iter().enumerate()
+    {
+        for (f, &fill_a) in [0.1, 0.5, 1.0].iter().enumerate() {
+            let rng = &mut Lcg(7_000 + 10 * i as u64 + f as u64);
+            let tag = format!("{m}x{k}x{n} fill_a {fill_a}");
+            let a = block(m, k, fill_a, 0.0, 0.0, rng);
+            let b = block(k, n, 0.4, 0.2, 0.0, rng);
+            let c = block(m, n, 1.0, 0.0, 0.0, rng);
+            assert_in_place_equals_scatter(&a, &b, &c, &tag);
+            assert_in_place_equals_scatter(&a.cast::<f32>(), &b.cast(), &c.cast(), &tag);
+
+            // Row `hole` is absent from `A`, so columns of the target may
+            // miss it: every third column does and is scattered, the
+            // others stay full and are updated in place, in one call.
+            let hole = m / 2;
+            let a = a.filter_entries(|r, _| r != hole);
+            let c = c.filter_entries(|r, j| r != hole || j % 3 != 0);
+            if m > 1 {
+                assert_in_place_equals_scatter(&a, &b, &c, &format!("{tag} partly full"));
+                assert_in_place_equals_scatter(&a.cast::<f32>(), &b.cast(), &c.cast(), &tag);
+            }
+        }
     }
 }
 

@@ -17,7 +17,10 @@
 //!
 //! The top-level [`reorder_for_lu`] runs the full PanguLU pipeline:
 //! MC64 row permutation + scaling, then a symmetric fill-reducing
-//! permutation of the result.
+//! permutation of the result. The minimum-degree and nested-dissection
+//! permutations come back postordered along the elimination tree (same
+//! fill, subtrees contiguous), which is what keeps the regular block grid
+//! of the later phases from being cut into tiny blocks.
 
 pub mod amd;
 pub mod mc64;
@@ -28,15 +31,18 @@ use pangulu_sparse::ops::symmetrize;
 use pangulu_sparse::permute::{permute, scale};
 use pangulu_sparse::{CscMatrix, Permutation, Result};
 use pangulu_symbolic::counts::nnz_lu_within;
+use pangulu_symbolic::etree::EliminationTree;
 
 /// Which fill-reducing ordering to apply after the stability matching.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FillReducing {
     /// Keep the natural order (no fill reduction).
     Natural,
-    /// Approximate minimum degree on the symmetrised pattern.
+    /// Approximate minimum degree on the symmetrised pattern, postordered
+    /// along the elimination tree.
     Amd,
-    /// Nested dissection with minimum-degree leaves.
+    /// Nested dissection with minimum-degree leaves, postordered along
+    /// the elimination tree.
     NestedDissection,
     /// Reverse Cuthill–McKee.
     Rcm,
@@ -175,8 +181,10 @@ fn choose_ordering(
 ) -> Result<(Permutation, FillReducing, Vec<Candidate>)> {
     let perm = match method {
         FillReducing::Natural => Permutation::identity(sym.ncols()),
-        FillReducing::Amd => amd::amd_order(sym)?,
-        FillReducing::NestedDissection => nd::nested_dissection(sym, nd::NdOptions::default())?,
+        FillReducing::Amd => postordered(sym, &amd::amd_order(sym)?)?,
+        FillReducing::NestedDissection => {
+            postordered(sym, &nd::nested_dissection(sym, nd::NdOptions::default())?)?
+        }
         FillReducing::Rcm => rcm::rcm_order(sym)?,
         FillReducing::Auto => {
             let mut best = (usize::MAX, 0, Permutation::identity(sym.ncols()));
@@ -199,6 +207,20 @@ fn choose_ordering(
         }
     };
     Ok((perm, method, Vec::new()))
+}
+
+/// `perm` re-sequenced as a postorder of the elimination (assembly) tree
+/// of the pattern it reorders — the last step of the published AMD, and
+/// what METIS's separator trees have by construction. Children come
+/// before parents and every subtree is one contiguous index range, so the
+/// columns of a subtree share blocks of the regular grid instead of being
+/// sprayed across it. Children are visited in ascending pivot position:
+/// the child eliminated last sits directly before its parent (measured —
+/// largest-subtree-first costs kkt 4× in numeric time). A postorder is an
+/// equivalent reordering: the filled graph, hence nnz(L+U), is unchanged.
+fn postordered(sym: &CscMatrix, perm: &Permutation) -> Result<Permutation> {
+    let tree = EliminationTree::from_permuted_pattern(sym, perm)?;
+    Permutation::from_vec(tree.postorder().into_iter().map(|v| perm.old_of(v)).collect())
 }
 
 /// nnz(L+U) the permutation would produce, via a counts-only symbolic
@@ -287,6 +309,70 @@ mod tests {
             assert_eq!(method, FillReducing::Natural);
             assert_eq!(perm, Permutation::identity(a.ncols()));
         }
+    }
+
+    /// The raw orderings `choose_ordering` postorders, for comparison: the
+    /// un-postordered pivot sequence lives on only here.
+    fn raw_orderings(sym: &CscMatrix) -> [(FillReducing, Permutation); 2] {
+        [
+            (FillReducing::Amd, amd::amd_order(sym).unwrap()),
+            (
+                FillReducing::NestedDissection,
+                nd::nested_dissection(sym, nd::NdOptions::default()).unwrap(),
+            ),
+        ]
+    }
+
+    #[test]
+    fn amd_and_nd_come_back_postordered_at_equal_fill() {
+        for a in [
+            gen::circuit(500, 2),
+            gen::kkt(150, 70, 3),
+            gen::laplacian_2d(19, 14),
+            gen::dense_banded(200, 9, 0.6, 4),
+        ] {
+            let sym = symmetrize(&a).unwrap();
+            for (method, raw) in raw_orderings(&sym) {
+                let perm = fill_reducing_ordering(&sym, method).unwrap();
+                assert_eq!(perm, postordered(&sym, &raw).unwrap(), "{method}: the last step");
+                assert_eq!(fill_of(&sym, &perm).unwrap(), fill_of(&sym, &raw).unwrap(), "{method}");
+                // Idempotent: a postordered permutation is its own postorder.
+                assert_eq!(postordered(&sym, &perm).unwrap(), perm, "{method}");
+            }
+        }
+    }
+
+    #[test]
+    fn postorder_moves_a_late_leaf_next_to_its_subtree() {
+        // An arrow pointing at vertex 4 with two arms {0, 2} and {1, 3}:
+        // eliminated 0, 1, 2, 3 the arms interleave; postordered, each arm
+        // is contiguous and the arm eliminated last sits before the root.
+        let mut coo = pangulu_sparse::CooMatrix::new(5, 5);
+        for (i, j) in [(0, 2), (1, 3), (2, 4), (3, 4)] {
+            coo.push(i, j, 1.0).unwrap();
+            coo.push(j, i, 1.0).unwrap();
+        }
+        let sym = coo.to_csc();
+        let post = postordered(&sym, &Permutation::identity(5)).unwrap();
+        assert_eq!(post.as_slice(), &[0, 2, 1, 3, 4]);
+    }
+
+    #[test]
+    fn chains_forests_natural_and_rcm_are_left_alone() {
+        // A chain and a forest of roots are already postordered.
+        for a in [gen::tridiagonal(30), CscMatrix::identity(5), CscMatrix::zeros(0, 0)] {
+            let id = Permutation::identity(a.ncols());
+            assert_eq!(postordered(&a, &id).unwrap(), id);
+        }
+        // Natural and RCM are returned as asked for, postorder or not.
+        let sym = symmetrize(&gen::circuit(300, 5)).unwrap();
+        let rcm = rcm::rcm_order(&sym).unwrap();
+        assert_ne!(postordered(&sym, &rcm).unwrap(), rcm, "the fixture can tell");
+        assert_eq!(fill_reducing_ordering(&sym, FillReducing::Rcm).unwrap(), rcm);
+        assert_eq!(
+            fill_reducing_ordering(&sym, FillReducing::Natural).unwrap(),
+            Permutation::identity(300)
+        );
     }
 
     #[test]

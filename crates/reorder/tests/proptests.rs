@@ -1,22 +1,29 @@
 //! Property tests of the reordering substrate.
 //!
-//! Three families of invariants the rest of the pipeline leans on:
+//! Four families of invariants the rest of the pipeline leans on:
 //!
 //! * every ordering (AMD, RCM, nested dissection, natural, auto) returns
 //!   a **bijective** permutation — a repeated or skipped index would
 //!   silently drop rows during the symbolic phase;
 //! * symmetric *patterns* stay symmetric under the symmetric orderings,
 //!   which `BlockMatrix` assumes when it mirrors block structure;
+//! * AMD and nested dissection come back **postordered** along the
+//!   elimination tree of the pattern they reorder — children before
+//!   parents, every subtree one contiguous index range — at exactly the
+//!   fill of the raw pivot sequence, which is what keeps the regular block
+//!   grid from being sprayed with tiny blocks;
 //! * MC64 matching/scaling leaves the diagonal structurally present and
 //!   numerically nonzero (matched entries scale to 1, everything else to
 //!   at most 1) — the property static pivoting relies on.
 
 use proptest::prelude::*;
 
-use pangulu_reorder::{fill_reducing_ordering, mc64, reorder_for_lu, FillReducing};
+use pangulu_reorder::{amd, fill_reducing_ordering, mc64, nd, rcm, reorder_for_lu, FillReducing};
 use pangulu_sparse::ops::symmetrize;
 use pangulu_sparse::permute::{permute, permute_symmetric, scale};
 use pangulu_sparse::{CooMatrix, CscMatrix, Permutation};
+use pangulu_symbolic::counts::nnz_lu_within;
+use pangulu_symbolic::etree::{EliminationTree, NO_PARENT};
 
 const ORDERINGS: [FillReducing; 5] = [
     FillReducing::Natural,
@@ -79,6 +86,66 @@ fn assert_pattern_symmetric(m: &CscMatrix, ctx: &str) {
     }
 }
 
+/// The postorder contract of [`fill_reducing_ordering`] on one symmetric
+/// pattern: AMD and ND are bijections with exactly the fill of their raw
+/// pivot sequence, every parent follows its children, every subtree is
+/// one contiguous index range (vertex `j`'s is `[j + 1 - size, j]`),
+/// postordering again is the identity, the result is deterministic, and
+/// natural / RCM come back as their own functions return them.
+fn assert_equal_fill_postorders(sym: &CscMatrix) {
+    let n = sym.ncols();
+    let fill = |p: &Permutation| nnz_lu_within(sym, p, usize::MAX).unwrap();
+    let raws = [
+        (FillReducing::Amd, amd::amd_order(sym).unwrap()),
+        (
+            FillReducing::NestedDissection,
+            nd::nested_dissection(sym, nd::NdOptions::default()).unwrap(),
+        ),
+    ];
+    for (method, raw) in raws {
+        let perm = fill_reducing_ordering(sym, method).unwrap();
+        assert_bijection(&perm, n, &format!("{method:?}"));
+        prop_assert_eq!(fill(&perm), fill(&raw), "{:?}: postorder changed the fill", method);
+        prop_assert_eq!(&perm, &fill_reducing_ordering(sym, method).unwrap(), "deterministic");
+
+        let tree = EliminationTree::from_permuted_pattern(sym, &perm).unwrap();
+        let (mut size, mut first) = (vec![1usize; n], (0..n).collect::<Vec<_>>());
+        for j in 0..n {
+            prop_assert_eq!(j + 1 - first[j], size[j], "{:?}: subtree of {} has a gap", method, j);
+            let p = tree.parent(j);
+            if p != NO_PARENT {
+                prop_assert!(p > j, "{:?}: parent {} before child {}", method, p, j);
+                size[p] += size[j];
+                first[p] = first[p].min(first[j]);
+            }
+        }
+        prop_assert_eq!(tree.postorder(), (0..n).collect::<Vec<_>>(), "{:?}: idempotent", method);
+    }
+    prop_assert_eq!(
+        fill_reducing_ordering(sym, FillReducing::Natural).unwrap(),
+        Permutation::identity(n)
+    );
+    prop_assert_eq!(
+        fill_reducing_ordering(sym, FillReducing::Rcm).unwrap(),
+        rcm::rcm_order(sym).unwrap()
+    );
+}
+
+/// The same contract on the generator classes the benchmark and the
+/// smoke corpus draw from.
+#[test]
+fn generator_patterns_are_equal_fill_postorders() {
+    use pangulu_sparse::gen;
+    for a in [
+        gen::circuit(700, 2),
+        gen::kkt(200, 90, 3),
+        gen::laplacian_2d(23, 17),
+        gen::dense_banded(250, 9, 0.6, 4),
+    ] {
+        assert_equal_fill_postorders(&symmetrize(&a).unwrap());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -107,6 +174,14 @@ proptest! {
             prop_assert_eq!(permuted.nnz(), sym.nnz(), "{:?}: nnz changed", method);
             assert_pattern_symmetric(&permuted, &format!("{method:?}"));
         }
+    }
+
+    /// AMD and ND are postorders of the elimination tree of the pattern
+    /// they reorder, with the fill of the raw pivot sequence; postordering
+    /// again changes nothing; natural and RCM are untouched.
+    #[test]
+    fn amd_and_nd_are_equal_fill_postorders((n, entries) in matrix_inputs()) {
+        assert_equal_fill_postorders(&symmetrize(&build(n, &entries)).unwrap());
     }
 
     /// MC64 produces a bijective row permutation, and under its scaling

@@ -7,7 +7,7 @@
 //! block-size heuristic and the `FillReducing::Auto` ordering comparison
 //! only need these numbers, not the pattern itself.
 
-use crate::etree::EliminationTree;
+use crate::etree::{link, EliminationTree, NO_PARENT};
 use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
 
 /// Per-column strict-lower fill counts plus totals.
@@ -57,7 +57,7 @@ pub fn fill_counts_symmetric(sym: &CscMatrix) -> Result<FillCounts> {
                 mark[j] = i;
                 counts[j] += 1; // L(i, j) exists
                 j = etree.parent(j);
-                debug_assert!(j != crate::etree::NO_PARENT);
+                debug_assert!(j != NO_PARENT);
             }
         }
     }
@@ -82,27 +82,17 @@ pub fn nnz_lu_within(sym: &CscMatrix, perm: &Permutation, limit: usize) -> Resul
         )));
     }
     let new_of = perm.inverse();
-    const ROOT: usize = usize::MAX;
-    let mut parent = vec![ROOT; n];
-    let mut ancestor = vec![ROOT; n];
-    let mut mark = vec![ROOT; n];
+    let mut parent = vec![NO_PARENT; n];
+    let mut ancestor = vec![NO_PARENT; n];
+    let mut mark = vec![NO_PARENT; n];
     let mut total = n;
     if total > limit {
         return Ok(None);
     }
     for i in 0..n {
         let (rows, _) = sym.col(perm.old_of(i));
-        // Liu's elimination-tree step with path compression.
         for k in rows.iter().map(|&r| new_of.old_of(r)).filter(|&k| k < i) {
-            let mut j = k;
-            while ancestor[j] != i {
-                let up = std::mem::replace(&mut ancestor[j], i);
-                if up == ROOT {
-                    parent[j] = i;
-                    break;
-                }
-                j = up;
-            }
+            link(&mut parent, &mut ancestor, k, i);
         }
         // Every unmarked vertex on the way from k up to i is an L(i, j).
         mark[i] = i;

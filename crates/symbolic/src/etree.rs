@@ -4,7 +4,7 @@
 //! computation and the level-set scheduling of the supernodal baseline
 //! (the paper's §2.2 and §3.3).
 
-use pangulu_sparse::{CscMatrix, Result, SparseError};
+use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
 
 /// Sentinel for "no parent" (tree roots).
 pub const NO_PARENT: usize = usize::MAX;
@@ -13,6 +13,22 @@ pub const NO_PARENT: usize = usize::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EliminationTree {
     parent: Vec<usize>,
+}
+
+/// Liu's step for an entry `(k, i)`, `k < i`: walks from `k` towards the
+/// root of its current tree, compressing the path to `i`, and hangs that
+/// root under `i`.
+#[inline]
+pub(crate) fn link(parent: &mut [usize], ancestor: &mut [usize], k: usize, i: usize) {
+    let mut j = k;
+    while ancestor[j] != i {
+        let up = std::mem::replace(&mut ancestor[j], i);
+        if up == NO_PARENT {
+            parent[j] = i;
+            break;
+        }
+        j = up;
+    }
 }
 
 impl EliminationTree {
@@ -26,24 +42,36 @@ impl EliminationTree {
         let mut parent = vec![NO_PARENT; n];
         let mut ancestor = vec![NO_PARENT; n];
         for i in 0..n {
-            let (rows, _) = sym.col(i);
-            for &k in rows {
-                if k >= i {
-                    break; // rows sorted; only the upper part (k < i) matters
-                }
-                // Walk from k towards the root, compressing paths to i.
-                let mut j = k;
-                loop {
-                    let anc = ancestor[j];
-                    if anc == i {
-                        break;
-                    }
-                    ancestor[j] = i;
-                    if anc == NO_PARENT {
-                        parent[j] = i;
-                        break;
-                    }
-                    j = anc;
+            // Rows are sorted; only the upper part (k < i) matters.
+            for &k in sym.col(i).0.iter().take_while(|&&k| k < i) {
+                link(&mut parent, &mut ancestor, k, i);
+            }
+        }
+        Ok(EliminationTree { parent })
+    }
+
+    /// The elimination tree of `sym` reordered symmetrically by `perm`
+    /// (`perm[new] = old`), vertices numbered in the new order. The
+    /// permuted matrix is not built: row `i` of the reordered pattern is
+    /// column `perm[i]` of `sym` read through the inverse permutation.
+    pub fn from_permuted_pattern(sym: &CscMatrix, perm: &Permutation) -> Result<Self> {
+        let n = sym.ncols();
+        if !sym.is_square() {
+            return Err(SparseError::NotSquare { nrows: sym.nrows(), ncols: n });
+        }
+        if perm.len() != n {
+            return Err(SparseError::DimensionMismatch(format!(
+                "elimination tree: permutation of {} for a matrix of order {n}",
+                perm.len()
+            )));
+        }
+        let new_of = perm.inverse();
+        let mut parent = vec![NO_PARENT; n];
+        let mut ancestor = vec![NO_PARENT; n];
+        for i in 0..n {
+            for k in sym.col(perm.old_of(i)).0.iter().map(|&r| new_of.old_of(r)) {
+                if k < i {
+                    link(&mut parent, &mut ancestor, k, i);
                 }
             }
         }
@@ -166,6 +194,26 @@ mod tests {
             let t = EliminationTree::from_symmetric_pattern(&a).unwrap();
             assert_eq!(t.parents(), brute_etree(&a).as_slice(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn permuted_tree_matches_the_materialised_permutation() {
+        for seed in 0..4u64 {
+            let a = symmetrize(&gen::random_sparse(50, 0.07, seed)).unwrap();
+            for p in
+                [(0..50).rev().collect::<Vec<_>>(), (0..50).map(|i| (i * 7 + 3) % 50).collect()]
+            {
+                let perm = Permutation::from_vec(p).unwrap();
+                let permuted = pangulu_sparse::permute::permute_symmetric(&a, &perm).unwrap();
+                assert_eq!(
+                    EliminationTree::from_permuted_pattern(&a, &perm).unwrap(),
+                    EliminationTree::from_symmetric_pattern(&permuted).unwrap(),
+                    "seed {seed}"
+                );
+            }
+        }
+        let wrong = Permutation::identity(3);
+        assert!(EliminationTree::from_permuted_pattern(&gen::tridiagonal(4), &wrong).is_err());
     }
 
     #[test]

@@ -35,6 +35,13 @@
 #           kernel_properties) and the determinism / refactor rows that
 #           drive the lane through every executor, each run without and
 #           with --release (see docs/ALGORITHM.md §4)
+#   ordering  fill-reducing-order layer: the reorder and symbolic
+#           packages (postorder properties: equal fill, contiguous
+#           subtrees, idempotent, deterministic) and the task-granularity
+#           ratchet of tests/granularity.rs — the ceiling that keeps a
+#           later ordering change from silently re-scattering the block
+#           grid — each run without and with --release (see
+#           docs/ALGORITHM.md §1)
 #   bench   benchmark-regression gates: smoke + refactor + kernel
 #           baselines (see docs/OBSERVABILITY.md and docs/PERFORMANCE.md)
 #   bench-kernels  the kernel-plan gate alone: re-runs bench_kernels and
@@ -125,6 +132,15 @@ stage_kernels() {
     done
 }
 
+stage_ordering() {
+    local profile
+    for profile in "" --release; do
+        echo "--- ordering properties and granularity ratchet, profile: ${profile:-debug}"
+        cargo test $profile -q -p pangulu-reorder -p pangulu-symbolic
+        cargo test $profile -q --test granularity
+    done
+}
+
 stage_bench() {
     scripts/bench_compare.sh
 }
@@ -141,8 +157,8 @@ stage_benchmark_api() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
-all_stages=(fmt clippy build test doc trace sched transport precision solve kernels bench
-    bench-kernels benchmark-api)
+all_stages=(fmt clippy build test doc trace sched transport precision solve kernels ordering
+    bench bench-kernels benchmark-api)
 
 only=""
 if [[ "${1:-}" == "--stage" ]]; then

@@ -110,3 +110,62 @@ fn levelset_never_batches() {
     assert_eq!(fused, 0, "LevelSet fused a batch despite per-step barriers");
     assert_eq!(f.values(), sync.values(), "LevelSet factors diverged from SyncFree reference");
 }
+
+/// A fused batch on a **full** target whose members are all
+/// sparse-routed (no `D_V1` among them): the target's columns already are
+/// the dense buffer, so the batch is applied in order straight on them —
+/// bitwise equal to one-at-a-time application, in both widths, whatever
+/// the members' variants and wherever the batch is split.
+#[test]
+fn all_sparse_batch_on_a_full_target_matches_one_at_a_time() {
+    use pangulu::kernels::ssssm::{ssssm, ssssm_batch};
+    use pangulu::kernels::{KernelScratch, SsssmUpdate, SsssmVariant};
+    use pangulu::sparse::Scalar;
+
+    fn check<S: Scalar>(ops: &[(CscMatrix<S>, CscMatrix<S>)], c0: &CscMatrix<S>) {
+        let variants = [SsssmVariant::CV1, SsssmVariant::CV2, SsssmVariant::CV2];
+        let updates: Vec<SsssmUpdate<'_, S>> = (ops.iter().zip(variants))
+            .map(|((a, b), variant)| SsssmUpdate { a, b, variant, model_flops: 0.0 })
+            .collect();
+        let mut scratch = KernelScratch::<S>::default();
+        let mut one_by_one = c0.clone();
+        for u in &updates {
+            ssssm(u.a, u.b, &mut one_by_one, u.variant, &mut scratch);
+        }
+        let bits = |m: &CscMatrix<S>| -> Vec<u64> {
+            m.values().iter().map(|v| v.to_f64().to_bits()).collect()
+        };
+        for cut in 0..=updates.len() {
+            let mut fused = c0.clone();
+            ssssm_batch(&updates[..cut], &mut fused, &mut scratch);
+            ssssm_batch(&updates[cut..], &mut fused, &mut scratch);
+            assert_eq!(bits(&one_by_one), bits(&fused), "{} split at {cut}", S::LABEL);
+        }
+    }
+
+    for seed in 0..4u64 {
+        // Operands at 15-60 % fill with exact zeros among B's values; the
+        // target is full, so any product lands in its pattern.
+        let (m, k, n) = (23, 17, 19);
+        let c0 = gen::random_sparse(m.max(n), 1.0, seed).sub_matrix(0..m, 0..n);
+        assert_eq!(c0.nnz(), m * n, "the target is full");
+        let ops: Vec<(CscMatrix, CscMatrix)> = (0..4u64)
+            .map(|t| {
+                let a = gen::random_sparse(m.max(k), 0.15 + 0.15 * t as f64, 10 * seed + t);
+                let b = gen::random_sparse(k.max(n), 0.3, 100 + 10 * seed + t);
+                let b = b.sub_matrix(0..k, 0..n);
+                let zeroed =
+                    b.values().iter().enumerate().map(|(e, &v)| if e % 5 == 0 { 0.0 } else { v });
+                (a.sub_matrix(0..m, 0..k), with_values(&b, zeroed.collect()))
+            })
+            .collect();
+        check(&ops, &c0);
+        let ops32: Vec<_> = ops.iter().map(|(a, b)| (a.cast::<f32>(), b.cast::<f32>())).collect();
+        check(&ops32, &c0.cast::<f32>());
+    }
+}
+
+fn with_values(m: &CscMatrix, values: Vec<f64>) -> CscMatrix {
+    CscMatrix::from_parts(m.nrows(), m.ncols(), m.col_ptr().to_vec(), m.row_idx().to_vec(), values)
+        .unwrap()
+}

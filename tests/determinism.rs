@@ -471,6 +471,50 @@ fn tile_calls(run: &FactorRun) -> [u64; 3] {
     })
 }
 
+/// SSSSM tasks by what the full-target rule has them run, from structure
+/// alone: `[plan replays, C_V1 in place on a full target]`. A full target
+/// never has a plan; below the tile's fill cut it takes `C_V1`, whose
+/// full columns are updated in place.
+fn ssssm_split<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> [u64; 2] {
+    let mut n = [0u64; 2];
+    for (&(i, j, k), &fl) in tg.ssssm.iter().zip(&tg.ssssm_flops) {
+        let c = bm.block(bm.block_id(i, j).unwrap());
+        let inner = bm.block(bm.block_id(i, k).unwrap()).ncols();
+        let padded = 2.0 * (c.nrows() * inner * c.ncols()) as f64;
+        if !pangulu::kernels::tile::is_full(c) {
+            n[0] += u64::from(fl < Thresholds::default().ssssm_planned);
+        } else if fl < pangulu::kernels::select::TILE_MIN_FILL * padded {
+            n[1] += 1;
+        }
+    }
+    n
+}
+
+/// The same split as a filled plan pool routes it — what the unmetered
+/// sequential and shared executors ran.
+fn ssssm_routes<S: Scalar>(
+    plans: &KernelPlans<S>,
+    bm: &BlockMatrix<S>,
+    tg: &TaskGraph,
+    sel: &KernelSelector,
+) -> [u64; 2] {
+    let mut n = [0u64; 2];
+    for (slot, &(i, j, k)) in tg.ssssm.iter().enumerate() {
+        let a = bm.block(bm.block_id(i, k).unwrap());
+        let c = bm.block(bm.block_id(i, j).unwrap());
+        let full = pangulu::kernels::tile::is_full(c);
+        match plans.prebuilt_ssssm(sel, slot, tg.ssssm_flops[slot], a, c) {
+            Route::Plan(..) => {
+                assert!(!full, "update {slot} replays a plan on a full target");
+                n[0] += 1;
+            }
+            Route::Variant(SsssmVariant::CV1) => n[1] += u64::from(full),
+            Route::Variant(_) => {}
+        }
+    }
+    n
+}
+
 fn assert_lane_ran(calls: [u64; 3], tag: &str) {
     assert!(calls.iter().all(|&c| c >= 1), "{tag}: a class never took the tile lane: {calls:?}");
 }
@@ -485,12 +529,18 @@ fn dense_tile_rows<S: Scalar>() {
     let mut reference = bm0.clone();
     factor_sequential(&mut reference, &tg, &sel, 1e-12);
     let reference = value_bits(&reference);
+    // The full-target rule is exercised too: some updates onto full
+    // targets fall under the tile's fill cut and run `C_V1` in place,
+    // and no plan replay is one of them.
+    let split = ssssm_split(&bm0, &tg);
+    assert!(split[0] >= 1 && split[1] >= 1, "{w}: fixture covers both sides: {split:?}");
 
     let mut bm = bm0.clone();
     let mut plans = empty_plans(&bm, &tg);
     factor_sequential_planned(&mut bm, &tg, &sel, 1e-12, &mut plans);
     assert_eq!(reference, value_bits(&bm), "{w} sequential: tile lane moved a bit");
     assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} sequential"));
+    assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} sequential");
 
     // One shared worker applies updates in a fixed order; several race
     // for a target, which the executor documents as tolerance-only.
@@ -499,6 +549,7 @@ fn dense_tile_rows<S: Scalar>() {
     factor_shared_planned(&mut bm, &tg, &sel, 1e-12, 1, &mut plans);
     assert_eq!(reference, value_bits(&bm), "{w} shared x1: tile lane moved a bit");
     assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} shared"));
+    assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} shared");
     let mut racy = bm0.clone();
     factor_shared_planned(&mut racy, &tg, &sel, 1e-12, 3, &mut plans);
     let tol = if S::WIDTH == 4 { 1e-3 } else { 1e-9 };
@@ -513,6 +564,13 @@ fn dense_tile_rows<S: Scalar>() {
             .unwrap_or_else(|e| panic!("{w} {pr}x{pc} {tag}: {e}"));
         assert_eq!(reference, value_bits(&bm), "{w} {pr}x{pc} {tag}: tile lane moved a bit");
         assert_lane_ran(tile_calls(&run), &format!("{w} {pr}x{pc} {tag}"));
+        let tally = run.report.total_kernels();
+        let calls = |variant: &str| {
+            let hit = tally.entries().find(|(c, v, _)| *c == "SSSSM" && *v == variant);
+            hit.map_or(0, |(.., s)| s.calls)
+        };
+        assert_eq!(calls("P_V1"), split[0], "{w} {pr}x{pc} {tag}: a full target replayed a plan");
+        assert!(calls("C_V1") >= split[1], "{w} {pr}x{pc} {tag}: in-place C_V1 did not run");
         run
     };
     for (pr, pc) in grids() {
