@@ -59,6 +59,12 @@ pub enum Precision {
 const REFINE_TOL: f64 = 1e-14;
 /// Correction cap per refinement loop.
 const MAX_REFINE_ITERS: usize = 40;
+/// Rows [`scatter_scaled`] transposes per block: 64 × 32 lanes is 16 KB,
+/// inside L1, and each output then grows by one 512-byte append per block
+/// (measured on `laplacian_2d(256, 256)`, k = 32: 3.3–3.7 ms against 6.9
+/// for an out-of-order scatter into zero-filled outputs and 9.0 for
+/// per-entry pushes).
+const SCATTER_ROWS: usize = 64;
 /// Factor-time probe gate: a mixed factorisation whose probe solve
 /// cannot refine below this inner residual falls back to f64.
 const PROBE_GATE: f64 = 1e-11;
@@ -410,8 +416,18 @@ impl NumericSummary {
 /// numeric phase on, in scalar type `S`: chosen once from
 /// [`SolverOptions`], built on the first factorisation and reused
 /// verbatim by every [`Solver::refactor`]. Kernel index plans are part
-/// of it whichever executor runs.
-enum NumericCache<S: Scalar> {
+/// of it whichever executor runs — from the second run on.
+struct NumericCache<S: Scalar> {
+    executor: Executor<S>,
+    /// Whether a numeric run has completed on this state. The first run
+    /// closes the planned gates (every task takes its tree variant or
+    /// the dense-tile lane, bitwise equal to its plan's replay), so a
+    /// caller who factors once builds no plan; the first refactorisation
+    /// builds them, like the scatter map.
+    warm: bool,
+}
+
+enum Executor<S: Scalar> {
     /// One rank: the planned sequential sweep and its plan pool.
     Sequential(KernelPlans<S>),
     /// Shared-memory worker threads over one eagerly built plan pool.
@@ -423,38 +439,61 @@ enum NumericCache<S: Scalar> {
 
 impl<S: Scalar> NumericCache<S> {
     fn new(opts: &SolverOptions, bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
-        if let Some(threads) = opts.shared_threads {
-            NumericCache::Shared { threads, plans: empty_plans(bm, tg) }
+        let executor = if let Some(threads) = opts.shared_threads {
+            Executor::Shared { threads, plans: empty_plans(bm, tg) }
         } else if opts.ranks == 1 {
-            NumericCache::Sequential(empty_plans(bm, tg))
+            Executor::Sequential(empty_plans(bm, tg))
         } else {
-            NumericCache::Distributed {
+            Executor::Distributed {
                 cfg: FactorConfig::with_mode(opts.schedule)
                     .with_policy(opts.policy)
                     .with_lookahead(opts.lookahead)
                     .with_transport(opts.transport),
                 workspace: NumericWorkspace::new(bm, tg, owners),
             }
-        }
+        };
+        NumericCache { executor, warm: false }
     }
 
-    /// Runs the numeric phase over already scattered blocks.
+    /// Runs the numeric phase over already scattered blocks of a matrix
+    /// with `nnz` input entries.
     fn factor(
         &mut self,
         bm: &mut BlockMatrix<S>,
         tg: &TaskGraph,
         owners: &OwnerMap,
-        selector: &KernelSelector,
+        opts: &SolverOptions,
+        nnz: usize,
         pivot_floor: f64,
     ) -> NumericSummary {
-        match self {
-            NumericCache::Sequential(plans) => NumericSummary::in_process(
-                factor_sequential_planned(bm, tg, selector, pivot_floor, plans),
-            ),
-            NumericCache::Shared { threads, plans } => NumericSummary::in_process(
+        let thresholds = if std::mem::replace(&mut self.warm, true) {
+            opts.thresholds
+        } else {
+            Thresholds {
+                getrf_planned: 0.0,
+                gessm_planned: 0.0,
+                tstrf_planned: 0.0,
+                ssssm_planned: 0.0,
+                ..opts.thresholds
+            }
+        };
+        let selector = &if opts.adaptive_kernels {
+            KernelSelector::new(nnz, thresholds)
+        } else {
+            KernelSelector::baseline(nnz)
+        };
+        match &mut self.executor {
+            Executor::Sequential(plans) => NumericSummary::in_process(factor_sequential_planned(
+                bm,
+                tg,
+                selector,
+                pivot_floor,
+                plans,
+            )),
+            Executor::Shared { threads, plans } => NumericSummary::in_process(
                 factor_shared_planned(bm, tg, selector, pivot_floor, *threads, plans),
             ),
-            NumericCache::Distributed { cfg, workspace } => {
+            Executor::Distributed { cfg, workspace } => {
                 // A fault-free run only stalls on an executor bug.
                 let run = factor_distributed_cached(
                     bm,
@@ -478,16 +517,16 @@ impl<S: Scalar> NumericCache<S> {
 
     /// Memory and build accounting of the cached kernel plans.
     fn plan_stats(&self) -> PlanStats {
-        match self {
-            NumericCache::Sequential(plans) | NumericCache::Shared { plans, .. } => plans.stats(),
-            NumericCache::Distributed { workspace, .. } => workspace.plan_stats(),
+        match &self.executor {
+            Executor::Sequential(plans) | Executor::Shared { plans, .. } => plans.stats(),
+            Executor::Distributed { workspace, .. } => workspace.plan_stats(),
         }
     }
 
     /// The workspace's critical-path priorities (multi-rank only).
     fn priorities(&self) -> Option<Arc<TaskPriorities>> {
-        match self {
-            NumericCache::Distributed { workspace, .. } => Some(workspace.priorities()),
+        match &self.executor {
+            Executor::Distributed { workspace, .. } => Some(workspace.priorities()),
             _ => None,
         }
     }
@@ -495,16 +534,18 @@ impl<S: Scalar> NumericCache<S> {
 
 /// Gathers `k ≥ 1` right-hand sides into a row-major `n × k` panel,
 /// permuting and scaling in one pass:
-/// `panel[new · k + j] = bs[j][old] · scale[old]` with `old = perm[new]` —
-/// the same one multiply per entry as scaling first and permuting after,
-/// so the bits are those of the two-pass form. Every `bs[j]` must already
-/// be known to have length `perm.len()`.
-fn gather_scaled<B: AsRef<[f64]>>(perm: &Permutation, scale: &[f64], bs: &[B]) -> Vec<f64> {
+/// `panel[pos[old] · k + j] = bs[j][old] · scale[old]`, `pos` being the
+/// inverse of the permutation applied (`pos[old] = new`) — the same one
+/// multiply per entry as scaling first and permuting after, so the bits
+/// are those of the two-pass form. The loop runs in the caller's index
+/// order: every `bs[j]` is read front to back and each panel row is one
+/// contiguous k-lane write. Every `bs[j]` must already be known to have
+/// length `pos.len()`.
+fn gather_scaled<B: AsRef<[f64]>>(pos: &Permutation, scale: &[f64], bs: &[B]) -> Vec<f64> {
     let k = bs.len();
-    let mut panel = vec![0.0; perm.len() * k];
-    for (row, &old) in panel.chunks_exact_mut(k).zip(perm.as_slice()) {
-        let s = scale[old];
-        for (p, b) in row.iter_mut().zip(bs) {
+    let mut panel = vec![0.0; pos.len() * k];
+    for (old, (&new, &s)) in pos.as_slice().iter().zip(scale).enumerate() {
+        for (p, b) in panel[new * k..(new + 1) * k].iter_mut().zip(bs) {
             *p = b.as_ref()[old] * s;
         }
     }
@@ -513,13 +554,21 @@ fn gather_scaled<B: AsRef<[f64]>>(perm: &Permutation, scale: &[f64], bs: &[B]) -
 
 /// The inverse of [`gather_scaled`] on the way out: scatters the `k ≥ 1`
 /// columns of a row-major panel through the inverse permutation, scaling
-/// as it goes: `out[j][old] = panel[new · k + j] · scale[old]`.
-fn scatter_scaled(perm: &Permutation, scale: &[f64], panel: &[f64], k: usize) -> Vec<Vec<f64>> {
-    let mut out = vec![vec![0.0; perm.len()]; k];
-    for (row, &old) in panel.chunks_exact(k).zip(perm.as_slice()) {
-        let s = scale[old];
-        for (x, &v) in out.iter_mut().zip(row) {
-            x[old] = v * s;
+/// as it goes: `out[j][old] = panel[pos[old] · k + j] · scale[old]`. Also
+/// in the caller's index order, [`SCATTER_ROWS`] rows at a time through a
+/// column-major tile, so every output grows by in-order block appends and
+/// nothing is zero-filled first.
+fn scatter_scaled(pos: &Permutation, scale: &[f64], panel: &[f64], k: usize) -> Vec<Vec<f64>> {
+    let mut out: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(pos.len())).collect();
+    let mut tile = vec![0.0; SCATTER_ROWS * k];
+    for (news, scales) in pos.as_slice().chunks(SCATTER_ROWS).zip(scale.chunks(SCATTER_ROWS)) {
+        for (i, (&new, &s)) in news.iter().zip(scales).enumerate() {
+            for (j, &v) in panel[new * k..(new + 1) * k].iter().enumerate() {
+                tile[j * SCATTER_ROWS + i] = v * s;
+            }
+        }
+        for (x, col) in out.iter_mut().zip(tile.chunks_exact(SCATTER_ROWS)) {
+            x.extend_from_slice(&col[..news.len()]);
         }
     }
     out
@@ -708,7 +757,7 @@ fn try_factor_mixed(
     bm: &BlockMatrix,
     tg: &TaskGraph,
     owners: &OwnerMap,
-    selector: &KernelSelector,
+    nnz: usize,
     pivot_floor: f64,
     opts: &SolverOptions,
     prev: Option<MixedState>,
@@ -729,7 +778,7 @@ fn try_factor_mixed(
             (bm32, scaled_a, csc_map, numeric)
         }
     };
-    let summary = numeric.factor(&mut bm32, tg, owners, selector, pivot_floor);
+    let summary = numeric.factor(&mut bm32, tg, owners, opts, nnz, pivot_floor);
     let mut state = MixedState {
         factored32: bm32,
         numeric,
@@ -775,6 +824,11 @@ fn try_factor_mixed(
 pub struct Solver {
     opts: SolverOptions,
     reordering: Reordering,
+    /// Inverses of `reordering.row_perm` / `col_perm` (`pos[old] = new`),
+    /// computed once: the solves' gather and scatter and the refactor
+    /// scatter map all walk the caller's index order through them.
+    row_pos: Permutation,
+    col_pos: Permutation,
     factored: BlockMatrix,
     tg: TaskGraph,
     owners: OwnerMap,
@@ -844,11 +898,6 @@ impl Solver {
         stats.num_blocks = bm.num_blocks();
 
         // Phase 4: numeric factorisation.
-        let selector = if opts.adaptive_kernels {
-            KernelSelector::new(a.nnz(), opts.thresholds)
-        } else {
-            KernelSelector::baseline(a.nnz())
-        };
         let pivot_floor = opts.pivot_floor_rel * reordering.matrix.norm_max().max(1.0);
         let t = Instant::now();
         let mut numeric = None;
@@ -858,7 +907,7 @@ impl Solver {
                 &bm,
                 &tg,
                 &owners,
-                &selector,
+                a.nnz(),
                 pivot_floor,
                 &opts,
                 None,
@@ -875,7 +924,7 @@ impl Solver {
         if mixed.is_none() {
             // f64 path — requested, or the mixed probe fell back to it.
             let cache = numeric.insert(NumericCache::new(&opts, &bm, &tg, &owners));
-            cache.factor(&mut bm, &tg, &owners, &selector, pivot_floor).apply(&mut stats);
+            cache.factor(&mut bm, &tg, &owners, &opts, a.nnz(), pivot_floor).apply(&mut stats);
         }
         if let Some(report) = stats.report.as_mut() {
             report.precision_fallbacks = stats.precision.precision_fallbacks;
@@ -903,6 +952,8 @@ impl Solver {
         Ok(Solver {
             distributed_solve: opts.distributed_solve && opts.ranks > 1,
             opts,
+            row_pos: reordering.row_perm.inverse(),
+            col_pos: reordering.col_perm.inverse(),
             reordering,
             factored: bm,
             tg,
@@ -979,11 +1030,24 @@ impl Solver {
 
     /// Memory and build accounting of the kernel index plans the live
     /// executor state caches (summed over the ranks' pools on multi-rank
-    /// solvers). All zero when the selector's planned gates are closed.
+    /// solvers). All zero until the first [`Solver::refactor`] — plans
+    /// are built on second use — and whenever the selector's planned
+    /// gates are closed.
     pub fn kernel_plan_stats(&self) -> PlanStats {
         match &self.mixed {
             Some(state) => state.numeric.plan_stats(),
             None => self.numeric.as_ref().map(NumericCache::plan_stats).unwrap_or_default(),
+        }
+    }
+
+    /// What the report says about the plan pool: its size, or why a
+    /// solver that has only been built holds none.
+    pub fn kernel_plans_summary(&self) -> String {
+        let ps = self.kernel_plan_stats();
+        if ps.bytes == 0 && self.stats.phases.numeric_runs == 1 {
+            "none yet (built by the first refactor)".to_string()
+        } else {
+            format!("{} bytes in {} plans", ps.bytes, ps.builds)
         }
     }
 
@@ -1028,16 +1092,13 @@ impl Solver {
         // First refactorisation: build the scatter map from input
         // nonzeros to factor-block slots through the cached permutations.
         if self.plan.scatter.is_none() {
-            let r = &self.reordering;
-            let row_inv = r.row_perm.inverse();
-            let col_inv = r.col_perm.inverse();
             let nb = self.factored.nb();
             let mut map = Vec::with_capacity(self.plan.row_idx.len());
             for j in 0..self.plan.n {
-                let new_c = col_inv.old_of(j);
+                let new_c = self.col_pos.old_of(j);
                 let (bj, lj) = (new_c / nb, new_c % nb);
                 for k in self.plan.col_ptr[j]..self.plan.col_ptr[j + 1] {
-                    let new_r = row_inv.old_of(self.plan.row_idx[k]);
+                    let new_r = self.row_pos.old_of(self.plan.row_idx[k]);
                     let (bi, li) = (new_r / nb, new_r % nb);
                     let id =
                         self.factored.block_id(bi, bj).expect("input entry inside fill pattern");
@@ -1078,11 +1139,6 @@ impl Solver {
 
         // Numeric phase only — reorder, symbolic and preprocess are all
         // served from the cache.
-        let selector = if self.opts.adaptive_kernels {
-            KernelSelector::new(a.nnz(), self.opts.thresholds)
-        } else {
-            KernelSelector::baseline(a.nnz())
-        };
         let pivot_floor = self.opts.pivot_floor_rel * norm.max(1.0);
         let t = Instant::now();
         if let Some(state) = self.mixed.take() {
@@ -1095,7 +1151,7 @@ impl Solver {
                 &self.factored,
                 &self.tg,
                 &self.owners,
-                &selector,
+                a.nnz(),
                 pivot_floor,
                 &self.opts,
                 Some(state),
@@ -1114,7 +1170,14 @@ impl Solver {
                 NumericCache::new(&self.opts, &self.factored, &self.tg, &self.owners)
             });
             cache
-                .factor(&mut self.factored, &self.tg, &self.owners, &selector, pivot_floor)
+                .factor(
+                    &mut self.factored,
+                    &self.tg,
+                    &self.owners,
+                    &self.opts,
+                    a.nnz(),
+                    pivot_floor,
+                )
                 .apply(&mut self.stats);
         }
         if let Some(report) = self.stats.report.as_mut() {
@@ -1146,8 +1209,8 @@ impl Solver {
     fn solve_panel<B: AsRef<[f64]>>(&self, bs: &[B]) -> Vec<Vec<f64>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
         let r = &self.reordering;
-        let inner = |b: &B| gather_scaled(&r.row_perm, &r.row_scale, &[b.as_ref()]);
-        let outer = |z: &[f64], k: usize| scatter_scaled(&r.col_perm, &r.col_scale, z, k);
+        let inner = |b: &B| gather_scaled(&self.row_pos, &r.row_scale, &[b.as_ref()]);
+        let outer = |z: &[f64], k: usize| scatter_scaled(&self.col_pos, &r.col_scale, z, k);
         if let Some(mx) = &self.mixed {
             // Mixed mode: the f32 triangular solve is only a preconditioner;
             // iterative refinement against the captured f64 scaled system
@@ -1175,7 +1238,7 @@ impl Solver {
                 .collect()
         } else {
             let k = bs.len();
-            let mut panel = gather_scaled(&r.row_perm, &r.row_scale, bs);
+            let mut panel = gather_scaled(&self.row_pos, &r.row_scale, bs);
             forward_substitute_panel(&self.factored, &mut panel, k);
             backward_substitute_panel(&self.factored, &mut panel, k);
             outer(&panel, k)
@@ -1211,6 +1274,7 @@ impl Solver {
                 self.factored.memory_bytes() as f64 / (1024.0 * 1024.0),
             );
         }
+        let _ = writeln!(out, "kernel plans: {}", self.kernel_plans_summary());
         if let Some(d) = &s.dist {
             let _ = writeln!(
                 out,
@@ -1320,7 +1384,7 @@ impl Solver {
         }
         // Aᵀ x = b  ⇔  Mᵀ (P_r D_r⁻¹ x) = P_c D_c b with M = L U.
         let r = &self.reordering;
-        let mut z = gather_scaled(&r.col_perm, &r.col_scale, &[b]);
+        let mut z = gather_scaled(&self.col_pos, &r.col_scale, &[b]);
         if let Some(mx) = &self.mixed {
             let (zt, _rel, iters) = refine_inner_transpose(
                 &mx.factored32,
@@ -1336,7 +1400,7 @@ impl Solver {
             forward_substitute_transpose(&self.factored, &mut z);
             backward_substitute_transpose(&self.factored, &mut z);
         }
-        Ok(scatter_scaled(&r.row_perm, &r.row_scale, &z, 1).pop().expect("one column"))
+        Ok(scatter_scaled(&self.row_pos, &r.row_scale, &z, 1).pop().expect("one column"))
     }
 
     /// Solves several right-hand sides (columns of `bs`) against the one
@@ -1451,19 +1515,26 @@ mod tests {
 
     #[test]
     fn closed_planned_gates_give_bitwise_same_factor_and_no_plans() {
+        // `build()` closes the planned gates itself (plans are built on
+        // second use), so the planned arm is the first refactorisation.
         let a = gen::laplacian_2d(12, 12);
         for ranks in [1usize, 4] {
-            let planned = Solver::builder().ranks(ranks).build(&a).unwrap();
-            let plain = Solver::builder()
+            let mut planned = Solver::builder().ranks(ranks).build(&a).unwrap();
+            let mut plain = Solver::builder()
                 .ranks(ranks)
                 .thresholds(Thresholds::unplanned())
                 .build(&a)
                 .unwrap();
-            assert_eq!(
-                planned.factored().to_csc().values(),
-                plain.factored().to_csc().values(),
-                "ranks={ranks}: planned factor diverged"
-            );
+            let first_run = planned.factored().to_csc();
+            assert_eq!(planned.kernel_plan_stats(), PlanStats::default(), "ranks={ranks}");
+            for solver in [&mut planned, &mut plain] {
+                solver.refactor(&a).unwrap();
+                assert_eq!(
+                    solver.factored().to_csc().values(),
+                    first_run.values(),
+                    "ranks={ranks}: planned, first-run and gate-closed factors must agree"
+                );
+            }
             let ps = planned.kernel_plan_stats();
             assert!(ps.bytes > 0, "ranks={ranks}: no plan memory accounted");
             assert!(ps.builds > 0, "ranks={ranks}: no plan builds accounted");
@@ -1471,6 +1542,7 @@ mod tests {
             if let Some(report) = plain.stats().report.as_ref() {
                 assert_eq!(report.total_mem().planned_calls, 0);
                 assert_eq!(report.total_mem().plan_bytes, 0);
+                assert!(planned.stats().report.as_ref().unwrap().total_mem().planned_calls > 0);
             }
         }
     }
@@ -1478,10 +1550,29 @@ mod tests {
     #[test]
     fn shared_solver_plans_report_stats() {
         let a = gen::laplacian_2d(12, 12);
-        let solver = Solver::builder().shared_threads(3).build(&a).unwrap();
+        let mut solver = Solver::builder().shared_threads(3).build(&a).unwrap();
+        assert_eq!(solver.kernel_plan_stats(), PlanStats::default(), "no plans after build()");
+        // The eager pool is built by the first refactorisation, once.
+        solver.refactor(&a).unwrap();
         let ps = solver.kernel_plan_stats();
         assert!(ps.bytes > 0);
         assert!(ps.builds > 0);
+        solver.refactor(&a).unwrap();
+        assert_eq!(solver.kernel_plan_stats().builds, ps.builds);
+    }
+
+    #[test]
+    fn a_precision_fallback_starts_plan_building_over() {
+        // The f32 cache had its first (plan-free) run at build(); the
+        // fallback's fresh f64 cache has its own.
+        let a = hilbert(10);
+        let mut solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+        assert_eq!(solver.effective_precision(), Precision::F64);
+        assert_eq!(solver.kernel_plan_stats(), PlanStats::default());
+        let bits = solver.factored().to_csc();
+        solver.refactor(&a).unwrap();
+        assert!(solver.kernel_plan_stats().builds > 0, "second f64 run builds plans");
+        assert_eq!(solver.factored().to_csc().values(), bits.values());
     }
 
     #[test]
@@ -1605,13 +1696,24 @@ mod tests {
     #[test]
     fn report_mentions_all_sections() {
         let a = gen::laplacian_2d(8, 8);
-        let solver = Solver::builder().ranks(2).build(&a).unwrap();
+        let mut solver = Solver::builder().ranks(2).build(&a).unwrap();
         let report = solver.report(&a);
-        for needle in
-            ["input:", "phases:", "ordering: ", "natural ", "factor:", "comm:", "nnz(L+U)"]
-        {
+        for needle in [
+            "input:",
+            "phases:",
+            "ordering: ",
+            "natural ",
+            "factor:",
+            "kernel plans: none yet (built by the first refactor)",
+            "comm:",
+            "nnz(L+U)",
+        ] {
             assert!(report.contains(needle), "missing {needle:?} in:\n{report}");
         }
+        solver.refactor(&a).unwrap();
+        let ps = solver.kernel_plan_stats();
+        let line = format!("kernel plans: {} bytes in {} plans\n", ps.bytes, ps.builds);
+        assert!(ps.bytes > 0 && solver.report(&a).contains(&line), "{}", solver.report(&a));
     }
 
     #[test]

@@ -21,10 +21,15 @@
 //!   (mass elimination).
 //! * **Degree lists** are intrusive doubly linked buckets: moving a
 //!   variable between degrees is O(1) and leaves no stale entries.
-//! * **Dense rows.** Variables of degree above `10·√n` are taken out of
-//!   the graph before the first pivot and ordered last; a handful of
-//!   circuit hubs would otherwise sit in hundreds of elements each and
-//!   dominate every degree update.
+//! * **Hubs.** A variable whose own list is longer than `√nnz` (`nnz` =
+//!   entries of the graph; never a list of 16 or fewer) is taken out of
+//!   the graph before the first pivot and ordered last. While a hub of
+//!   degree `d` stays in the graph, each elimination of one of its `d`
+//!   neighbours rescans its element list and its variable list — about
+//!   `d²` list reads over the run — so once `d² > nnz` keeping it costs
+//!   more than a pass over the whole input. The regular vertices are then
+//!   ordered without seeing the hubs' rows, which is the price: a few
+//!   percent of fill on circuit-like graphs, nothing elsewhere.
 //!
 //! The pivot sequence is the output order. The ordered pattern is
 //! `A + Aᵀ` without its diagonal, so a non-symmetric input is accepted.
@@ -79,14 +84,22 @@ impl Graph {
 /// Computes an approximate-minimum-degree permutation (`perm[new] = old`)
 /// of the pattern of `A + Aᵀ`; the diagonal is ignored.
 pub fn amd_order(sym: &CscMatrix) -> Result<Permutation> {
+    Ok(order_counted(sym)?.0)
+}
+
+/// [`amd_order`] plus the number of hubs it set aside.
+pub(crate) fn order_counted(sym: &CscMatrix) -> Result<(Permutation, usize)> {
     let g = Graph::from_pattern(sym)?;
-    Permutation::from_vec(order_graph(&g.xadj, &g.adj).order)
+    let o = order_graph(&g.xadj, &g.adj);
+    Ok((Permutation::from_vec(o.order)?, o.deferred))
 }
 
 /// An elimination order and what it cost to find.
 pub(crate) struct Ordered {
     /// `order[new] = old`.
     pub(crate) order: Vec<usize>,
+    /// Hubs set aside before the first pivot; they end the order.
+    pub(crate) deferred: usize,
     /// List entries read while ordering — the deterministic work measure
     /// the tests bound by a multiple of the input size.
     #[cfg_attr(not(test), allow(dead_code))]
@@ -160,8 +173,8 @@ pub(crate) fn order_graph(xadj: &[usize], adj: &[usize]) -> Ordered {
     let mut pe: Vec<usize> = xadj[..n].to_vec();
     let mut len: Vec<usize> = (0..n).map(|i| xadj[i + 1] - xadj[i]).collect();
     let mut elen = vec![0usize; n];
-    // Supervariable weight: 0 once merged, eliminated or set aside as
-    // dense; negated while the variable is in the pivot's element.
+    // Supervariable weight: 0 once merged, eliminated or set aside as a
+    // hub; negated while the variable is in the pivot's element.
     let mut nv = vec![1isize; n];
     // Variables: approximate external degree. Elements: weighted |Le|.
     let mut degree = len.clone();
@@ -176,19 +189,21 @@ pub(crate) fn order_graph(xadj: &[usize], adj: &[usize]) -> Ordered {
     let mut member_next = vec![NONE; n];
     let mut member_tail: Vec<usize> = (0..n).collect();
 
-    // Set the dense variables aside, then file the rest by degree.
-    let dense_above = ((10.0 * (n as f64).sqrt()) as usize).max(16);
-    let mut dense: Vec<usize> = (0..n).filter(|&i| len[i] > dense_above).collect();
-    for &d in &dense {
+    // Set the hubs aside — keeping a list of d > √nnz entries costs about
+    // d² rescans, more than one pass over the input — then file the rest
+    // by degree.
+    let mut hubs: Vec<usize> =
+        (0..n).filter(|&i| len[i] > 16 && len[i].saturating_mul(len[i]) > nnz).collect();
+    for &d in &hubs {
         nv[d] = 0;
         pe[d] = NONE;
     }
-    for &d in &dense {
+    for &d in &hubs {
         for &j in &adj[xadj[d]..xadj[d + 1]] {
             degree[j] = degree[j].saturating_sub(1);
         }
     }
-    let mut nel = dense.len();
+    let mut nel = hubs.len();
     for i in (0..n).rev() {
         if nv[i] == 0 {
             continue;
@@ -447,10 +462,11 @@ pub(crate) fn order_graph(xadj: &[usize], adj: &[usize]) -> Ordered {
         }
     }
 
-    // Dense variables last, lightest first.
-    dense.sort_by_key(|&d| xadj[d + 1] - xadj[d]);
-    order.extend(dense);
-    Ordered { order, scanned, compactions }
+    // Hubs last, lightest first.
+    hubs.sort_by_key(|&d| xadj[d + 1] - xadj[d]);
+    let deferred = hubs.len();
+    order.extend(hubs);
+    Ordered { order, deferred, scanned, compactions }
 }
 
 /// Slides every live list to the front of the arena, then the element
@@ -552,15 +568,68 @@ mod tests {
         }
     }
 
+    fn graph_order(a: &CscMatrix) -> Ordered {
+        let g = Graph::from_pattern(a).unwrap();
+        order_graph(&g.xadj, &g.adj)
+    }
+
     #[test]
-    fn star_with_dense_hub_orders_hub_last() {
-        // Hub degree 399 is above the dense threshold 10·√400 = 200.
-        let n = 400;
+    fn star_hub_longer_than_sqrt_nnz_is_set_aside_and_ordered_last() {
+        // 2·99 graph entries: the hub's list of 99 is longer than √198.
+        let n = 100;
         let edges: Vec<_> = (1..n).map(|i| (0, i)).collect();
         let a = symmetric_from_edges(n, &edges);
-        let p = amd_order(&a).unwrap();
-        assert_eq!(p.old_of(n - 1), 0);
+        let o = graph_order(&a);
+        assert_eq!((o.deferred, o.order[n - 1]), (1, 0));
+        // The leaves are isolated once the hub is gone: each is emitted
+        // exactly once, as an empty element, in index order.
+        assert_eq!(o.order[..n - 1], (1..n).collect::<Vec<_>>());
+        let p = Permutation::from_vec(o.order).unwrap();
         assert_eq!(fill_of(&a, &p).unwrap(), a.nnz(), "leaves first leaves no fill");
+    }
+
+    #[test]
+    fn nothing_is_set_aside_when_no_list_outgrows_sqrt_nnz() {
+        // Pinned permutations: graphs without hubs are ordered exactly as
+        // they were under the `10·√n` rule this one replaced.
+        let lap = gen::laplacian_2d(14, 14);
+        let kkt = symmetrize(&gen::kkt(130, 60, 0)).unwrap();
+        for (name, a, head, checksum) in [
+            ("lap2d", lap, [0usize, 13, 182, 195, 194, 181], 1_931_019usize),
+            ("kkt", kkt, [177, 0, 18, 23, 45, 54], 1_443_124),
+        ] {
+            let g = Graph::from_pattern(&a).unwrap();
+            let longest = (0..a.ncols()).map(|i| g.xadj[i + 1] - g.xadj[i]).max().unwrap();
+            assert!(longest * longest <= g.adj.len() || longest <= 16, "{name} has a hub");
+            let o = order_graph(&g.xadj, &g.adj);
+            assert_eq!(o.deferred, 0, "{name}");
+            assert_eq!(o.order[..6], head, "{name}");
+            let sum: usize = o.order.iter().enumerate().map(|(new, old)| (new + 1) * old).sum();
+            assert_eq!(sum, checksum, "{name}: permutation moved");
+        }
+    }
+
+    #[test]
+    fn hubs_come_last_lightest_first_and_short_lists_never_qualify() {
+        // Three hubs of degree 60, 40 and 50 over 200 leaves-with-a-chain;
+        // graph entries ≈ 700, so √nnz ≈ 26 and all three are hubs.
+        let n = 203;
+        let mut edges: Vec<_> = (4..n).map(|i| (i - 1, i)).collect();
+        for (hub, deg) in [(0usize, 60usize), (1, 40), (2, 50)] {
+            edges.extend((0..deg).map(|k| (hub, 3 + hub + 3 * k)));
+        }
+        let a = symmetric_from_edges(n, &edges);
+        let o = graph_order(&a);
+        assert_eq!(o.deferred, 3);
+        assert_eq!(o.order[n - 3..], [1, 2, 0], "lightest hub first");
+        Permutation::from_vec(o.order).unwrap();
+
+        // A 17-clique: every list has 16 entries, 16² > nnz is false anyway;
+        // an 8-star has a list of 7 > √14 but is under the floor of 16.
+        let clique: Vec<_> = (0..17).flat_map(|i| (0..i).map(move |j| (i, j))).collect();
+        assert_eq!(graph_order(&symmetric_from_edges(17, &clique)).deferred, 0);
+        let star: Vec<_> = (1..8).map(|i| (0, i)).collect();
+        assert_eq!(graph_order(&symmetric_from_edges(8, &star)).deferred, 0);
     }
 
     #[test]
@@ -648,11 +717,12 @@ mod tests {
     #[test]
     fn work_is_linear_in_the_input() {
         // Exact-degree minimum degree read about 4000 entries per input
-        // entry on circuit graphs and needed 74.9 s on the first of these.
-        // Its twelve hubs of degree just under the dense threshold sit in
-        // nearly every element, which is what the larger multiple allows.
+        // entry on circuit graphs and needed 74.9 s on the second of these;
+        // with circuit hubs left in the graph this loop read 184× the
+        // input. Measured now: circuit 2.4×.
         let cases = [
-            ("circuit", gen::circuit(20000, 1), 100),
+            ("circuit6k", gen::circuit(6000, 1), 10),
+            ("circuit20k", gen::circuit(20000, 1), 10),
             ("lap2d", gen::laplacian_2d(300, 300), 50),
             ("kkt", gen::kkt(8000, 3700, 1), 50),
         ];

@@ -96,14 +96,21 @@ pub struct Reordering {
     pub method: FillReducing,
     /// `Auto`'s candidates in tie-rule order; empty for any other request.
     pub candidates: Vec<Candidate>,
+    /// Hubs the kept ordering set aside and ordered last (see [`amd`]):
+    /// the rest was ordered without seeing their rows, which costs some
+    /// fill. 0 for `Natural` and `Rcm`.
+    pub deferred: usize,
 }
 
 impl Reordering {
-    /// One line naming the ordering used and, under `Auto`, what each
-    /// candidate scored: `amd (natural >205948, rcm >205948, amd 205948, nd
-    /// >205948 nnz(L+U))`.
+    /// One line naming the ordering used, the hubs it set aside, and under
+    /// `Auto` what each candidate scored: `amd, 30 hubs last (natural
+    /// >219280, rcm >219280, amd 219280, nd >219280 nnz(L+U))`.
     pub fn ordering_summary(&self) -> String {
         let mut line = self.method.to_string();
+        if self.deferred > 0 {
+            line += &format!(", {} hubs last", self.deferred);
+        }
         let scores: Vec<String> = self
             .candidates
             .iter()
@@ -142,7 +149,7 @@ pub fn reorder_for_lu(a: &CscMatrix, fill: FillReducing) -> Result<Reordering> {
     let matched = permute(&scaled, &m.row_perm, &Permutation::identity(a.ncols()))?;
 
     let sym = symmetrize(&matched)?;
-    let (fill_perm, method, candidates) = choose_ordering(&sym, fill)?;
+    let Chosen { perm: fill_perm, method, deferred, candidates } = choose_ordering(&sym, fill)?;
 
     let row_perm = fill_perm.compose(&m.row_perm);
     let matrix = permute(&matched, &fill_perm, &fill_perm)?;
@@ -154,13 +161,14 @@ pub fn reorder_for_lu(a: &CscMatrix, fill: FillReducing) -> Result<Reordering> {
         matrix,
         method,
         candidates,
+        deferred,
     })
 }
 
 /// Computes a symmetric fill-reducing permutation of a (structurally
 /// symmetric) matrix pattern.
 pub fn fill_reducing_ordering(sym: &CscMatrix, method: FillReducing) -> Result<Permutation> {
-    Ok(choose_ordering(sym, method)?.0)
+    Ok(choose_ordering(sym, method)?.perm)
 }
 
 /// `Auto`'s candidates in tie-rule order: of two candidates with equal
@@ -173,28 +181,39 @@ const CANDIDATES: [FillReducing; 4] =
 /// candidate is kept does not depend on this order.
 const SCORING_ORDER: [usize; 4] = [2, 3, 1, 0];
 
-/// The permutation for `method`, the method that produced it, and the
-/// candidates' scores when `method` is `Auto`.
-fn choose_ordering(
-    sym: &CscMatrix,
+/// What [`choose_ordering`] settled on.
+struct Chosen {
+    perm: Permutation,
+    /// The method that produced `perm`.
     method: FillReducing,
-) -> Result<(Permutation, FillReducing, Vec<Candidate>)> {
-    let perm = match method {
-        FillReducing::Natural => Permutation::identity(sym.ncols()),
-        FillReducing::Amd => postordered(sym, &amd::amd_order(sym)?)?,
-        FillReducing::NestedDissection => {
-            postordered(sym, &nd::nested_dissection(sym, nd::NdOptions::default())?)?
+    /// Hubs `perm`'s minimum-degree runs set aside.
+    deferred: usize,
+    /// The candidates' scores when `Auto` was asked for.
+    candidates: Vec<Candidate>,
+}
+
+/// The permutation for `method` and how it was arrived at.
+fn choose_ordering(sym: &CscMatrix, method: FillReducing) -> Result<Chosen> {
+    let (perm, deferred) = match method {
+        FillReducing::Natural => (Permutation::identity(sym.ncols()), 0),
+        FillReducing::Amd => {
+            let (raw, deferred) = amd::order_counted(sym)?;
+            (postordered(sym, &raw)?, deferred)
         }
-        FillReducing::Rcm => rcm::rcm_order(sym)?,
+        FillReducing::NestedDissection => {
+            let (raw, deferred) = nd::dissect_counted(sym, nd::NdOptions::default())?;
+            (postordered(sym, &raw)?, deferred)
+        }
+        FillReducing::Rcm => (rcm::rcm_order(sym)?, 0),
         FillReducing::Auto => {
-            let mut best = (usize::MAX, 0, Permutation::identity(sym.ncols()));
+            let mut best = (usize::MAX, 0, choose_ordering(sym, FillReducing::Natural)?);
             let mut fills = [CandidateFill::AbandonedAbove(usize::MAX); 4];
             for rank in SCORING_ORDER {
-                let perm = choose_ordering(sym, CANDIDATES[rank])?.0;
-                fills[rank] = match nnz_lu_within(sym, &perm, best.0)? {
+                let chosen = choose_ordering(sym, CANDIDATES[rank])?;
+                fills[rank] = match nnz_lu_within(sym, &chosen.perm, best.0)? {
                     Some(fill) => {
                         if (fill, rank) < (best.0, best.1) {
-                            best = (fill, rank, perm);
+                            best = (fill, rank, chosen);
                         }
                         CandidateFill::Counted(fill)
                     }
@@ -203,10 +222,10 @@ fn choose_ordering(
             }
             let candidates =
                 CANDIDATES.iter().zip(fills).map(|(&method, fill)| Candidate { method, fill });
-            return Ok((best.2, CANDIDATES[best.1], candidates.collect()));
+            return Ok(Chosen { candidates: candidates.collect(), ..best.2 });
         }
     };
-    Ok((perm, method, Vec::new()))
+    Ok(Chosen { perm, method, deferred, candidates: Vec::new() })
 }
 
 /// `perm` re-sequenced as a postorder of the elimination (assembly) tree
@@ -294,20 +313,23 @@ mod tests {
         // Hubs make the natural order fill far more than minimum degree.
         assert_eq!(r.method, FillReducing::Amd);
         assert!(matches!(r.candidates[0].fill, CandidateFill::AbandonedAbove(_)));
-        assert!(r.ordering_summary().starts_with("amd (natural >"), "{}", r.ordering_summary());
+        // … and its two hubs (lists longer than √nnz) are named in the summary.
+        assert_eq!(r.deferred, 2);
+        let summary = r.ordering_summary();
+        assert!(summary.starts_with("amd, 2 hubs last (natural >"), "{summary}");
 
         let fixed = reorder_for_lu(&a, FillReducing::Rcm).unwrap();
         assert_eq!((fixed.method, fixed.candidates.len()), (FillReducing::Rcm, 0));
-        assert_eq!(fixed.ordering_summary(), "rcm");
+        assert_eq!((fixed.deferred, fixed.ordering_summary().as_str()), (0, "rcm"));
     }
 
     #[test]
     fn auto_breaks_ties_towards_the_natural_order() {
         // No ordering of a tridiagonal or a diagonal matrix fills at all.
         for a in [gen::tridiagonal(30), CscMatrix::identity(5), CscMatrix::zeros(0, 0)] {
-            let (perm, method, _) = choose_ordering(&a, FillReducing::Auto).unwrap();
-            assert_eq!(method, FillReducing::Natural);
-            assert_eq!(perm, Permutation::identity(a.ncols()));
+            let chosen = choose_ordering(&a, FillReducing::Auto).unwrap();
+            assert_eq!(chosen.method, FillReducing::Natural);
+            assert_eq!(chosen.perm, Permutation::identity(a.ncols()));
         }
     }
 

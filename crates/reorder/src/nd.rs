@@ -28,6 +28,11 @@ impl Default for NdOptions {
 /// Computes a nested-dissection permutation (`perm[new] = old`) of the
 /// pattern of `A + Aᵀ`.
 pub fn nested_dissection(sym: &CscMatrix, opts: NdOptions) -> Result<Permutation> {
+    Ok(dissect_counted(sym, opts)?.0)
+}
+
+/// [`nested_dissection`] plus the number of hubs its leaves set aside.
+pub(crate) fn dissect_counted(sym: &CscMatrix, opts: NdOptions) -> Result<(Permutation, usize)> {
     let graph = Graph::from_pattern(sym)?;
     let n = sym.ncols();
     let mut d = Dissector {
@@ -40,9 +45,10 @@ pub fn nested_dissection(sym: &CscMatrix, opts: NdOptions) -> Result<Permutation
         sub_xadj: Vec::new(),
         sub_adj: Vec::new(),
         order: Vec::with_capacity(n),
+        deferred: 0,
     };
     d.dissect((0..n).collect(), 0);
-    Permutation::from_vec(d.order)
+    Ok((Permutation::from_vec(d.order)?, d.deferred))
 }
 
 /// The recursion's state. Subgraph membership is a stamp: the recursion
@@ -62,6 +68,8 @@ struct Dissector {
     sub_xadj: Vec<usize>,
     sub_adj: Vec<usize>,
     order: Vec<usize>,
+    /// Hubs the leaves' minimum-degree runs set aside.
+    deferred: usize,
 }
 
 const UNREACHED: usize = usize::MAX;
@@ -136,8 +144,9 @@ impl Dissector {
             }
             self.sub_xadj.push(self.sub_adj.len());
         }
-        let local = order_graph(&self.sub_xadj, &self.sub_adj).order;
-        self.order.extend(local.into_iter().map(|li| vertices[li]));
+        let local = order_graph(&self.sub_xadj, &self.sub_adj);
+        self.deferred += local.deferred;
+        self.order.extend(local.order.into_iter().map(|li| vertices[li]));
     }
 
     /// Finds a pseudo-peripheral vertex: repeat BFS from the farthest

@@ -1,6 +1,6 @@
 //! Property tests of the reordering substrate.
 //!
-//! Four families of invariants the rest of the pipeline leans on:
+//! Five families of invariants the rest of the pipeline leans on:
 //!
 //! * every ordering (AMD, RCM, nested dissection, natural, auto) returns
 //!   a **bijective** permutation — a repeated or skipped index would
@@ -12,6 +12,9 @@
 //!   parents, every subtree one contiguous index range — at exactly the
 //!   fill of the raw pivot sequence, which is what keeps the regular block
 //!   grid from being sprayed with tiny blocks;
+//! * graphs with planted **hubs** (lists longer than √nnz, which AMD sets
+//!   aside before its first pivot) are still ordered bijectively and
+//!   deterministically, hubs last;
 //! * MC64 matching/scaling leaves the diagonal structurally present and
 //!   numerically nonzero (matched entries scale to 1, everything else to
 //!   at most 1) — the property static pivoting relies on.
@@ -182,6 +185,44 @@ proptest! {
     #[test]
     fn amd_and_nd_are_equal_fill_postorders((n, entries) in matrix_inputs()) {
         assert_equal_fill_postorders(&symmetrize(&build(n, &entries)).unwrap());
+    }
+
+    /// Planted hubs — up to three vertices adjacent to at least two thirds
+    /// of the graph, so each list outgrows √nnz — are set aside, and every
+    /// ordering that runs the minimum-degree core stays a deterministic
+    /// bijection with the hubs (and only them) at the end of the raw order.
+    #[test]
+    fn planted_hubs_are_set_aside_and_orders_stay_bijective(
+        (n, entries, hubs) in (60usize..200).prop_flat_map(|n| (
+            Just(n),
+            proptest::collection::vec((0usize..256, 0usize..256, -5.0f64..5.0), 0..120),
+            proptest::collection::vec((0usize..256, 2 * n / 3..n), 1..4),
+        ))
+    ) {
+        let mut entries = entries;
+        for &(hub, degree) in &hubs {
+            entries.extend((1..=degree).flat_map(|k| [(hub, hub + k, 1.0), (hub + k, hub, 1.0)]));
+        }
+        let sym = symmetrize(&build(n, &entries)).unwrap();
+        let raw = amd::amd_order(&sym).unwrap();
+        assert_bijection(&raw, n, "raw amd");
+        prop_assert_eq!(&raw, &amd::amd_order(&sym).unwrap(), "raw amd: deterministic");
+        let degree = |v: usize| sym.col(v).0.len() - 1;
+        let is_hub = |v: usize| degree(v) > 16 && degree(v).pow(2) > sym.nnz() - n;
+        let planted = (0..n).filter(|&v| is_hub(v)).count();
+        prop_assert!(planted >= 1, "the fixture planted no hub");
+        for (new, &old) in raw.as_slice().iter().enumerate() {
+            prop_assert_eq!(is_hub(old), new >= n - planted, "vertex {} at {}", old, new);
+        }
+        let tail = &raw.as_slice()[n - planted..];
+        prop_assert!(tail.windows(2).all(|w| degree(w[0]) <= degree(w[1])), "lightest first");
+        for method in [FillReducing::Amd, FillReducing::NestedDissection, FillReducing::Auto] {
+            let p = fill_reducing_ordering(&sym, method).unwrap();
+            assert_bijection(&p, n, &format!("{method:?} with hubs"));
+            prop_assert_eq!(&p, &fill_reducing_ordering(&sym, method).unwrap());
+        }
+        // The pipeline's matching may move rows, never a hub's column.
+        prop_assert!(reorder_for_lu(&sym, FillReducing::Amd).unwrap().deferred >= 1);
     }
 
     /// MC64 produces a bijective row permutation, and under its scaling

@@ -34,10 +34,17 @@
 #           package (lib + planned_equivalence + tile_equivalence +
 #           kernel_properties) and the determinism / refactor rows that
 #           drive the lane through every executor, each run without and
-#           with --release (see docs/ALGORITHM.md §4)
+#           with --release (see docs/ALGORITHM.md §4); with them the
+#           plan-timing contract — no plan after build(), plans built by
+#           the first refactor, flat from the second, first-run variant
+#           route == later planned route on every executor and width
+#           (see docs/KERNEL_PLANS.md "When plans are built")
 #   ordering  fill-reducing-order layer: the reorder and symbolic
 #           packages (postorder properties: equal fill, contiguous
-#           subtrees, idempotent, deterministic) and the task-granularity
+#           subtrees, idempotent, deterministic; the `amd::` hub rule and
+#           its work bound, `order_graph` reads <= 10x its input on
+#           circuits, which is what keeps a later change from
+#           re-admitting the hubs) and the task-granularity
 #           ratchet of tests/granularity.rs — the ceiling that keeps a
 #           later ordering change from silently re-scattering the block
 #           grid — each run without and with --release (see
@@ -127,7 +134,8 @@ stage_kernels() {
     for profile in "" --release; do
         echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
         cargo test $profile -q -p pangulu-kernels
-        cargo test $profile -q --test determinism --test refactor -- dense_tile
+        cargo test $profile -q --test determinism --test refactor -- dense_tile plan
+        cargo test $profile -q -p pangulu-core --lib -- plan
         cargo test $profile -q --test solver_equivalence -- negative_zero
     done
 }

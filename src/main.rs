@@ -290,6 +290,7 @@ fn main() -> ExitCode {
         s.reorder_time, s.symbolic_time, s.preprocess_time, s.numeric_time
     );
     println!("ordering: {}", solver.reordering().ordering_summary());
+    println!("kernel plans: {}", solver.kernel_plans_summary());
     println!(
         "nnz(L+U) {} ({:.2}x fill) | {:.3e} flops | {:.2} gflop/s | nb {} | {} blocks",
         sym.nnz_lu,
@@ -373,6 +374,7 @@ fn main() -> ExitCode {
             ph.reorder_runs, ph.symbolic_runs, ph.preprocess_runs, ph.numeric_runs,
             ph.analysis_reuses
         );
+        println!("kernel plans: {}", solver.kernel_plans_summary());
         if cli.precision == Precision::MixedF32 {
             let pc = solver.precision_counters();
             println!(

@@ -78,3 +78,18 @@ fn level_set_schedule_flag_works() {
         .expect("run pangulu");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 }
+
+/// The report explains its own numbers: hubs set aside by the ordering,
+/// and a plan pool that is empty until the first refactorisation.
+#[test]
+fn report_names_deferred_hubs_and_when_plans_exist() {
+    let out =
+        bin().args(["--gen", "ASIC_680k", "--refactor-reps", "1"]).output().expect("run pangulu");
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("ordering: amd, 8 hubs last (natural >"), "{stdout}");
+    let plans: Vec<&str> = stdout.lines().filter(|l| l.starts_with("kernel plans: ")).collect();
+    assert_eq!(plans.len(), 2, "{stdout}");
+    assert_eq!(plans[0], "kernel plans: none yet (built by the first refactor)");
+    assert!(plans[1].ends_with(" plans") && !plans[1].contains(": 0 bytes"), "{stdout}");
+}

@@ -607,3 +607,72 @@ fn dense_tile_lane_is_bitwise_neutral_everywhere_f64() {
 fn dense_tile_lane_is_bitwise_neutral_everywhere_f32() {
     dense_tile_rows::<f32>();
 }
+
+// ---- Plans on second use -------------------------------------------------
+//
+// `Solver::build` routes its one numeric run with the planned gates closed
+// and the first `refactor` builds the plans, so the same solver runs the
+// variant route first and the planned route ever after. At the `Solver`
+// level, on every executor and in both widths, the two must agree: bit
+// for bit on the sequential and message-passing executors, and to the
+// shared executor's own contract (it applies same-target updates in
+// arrival order, so it is held to a tolerance, as in `shared.rs`) there.
+// (`A′` keeps the cached reordering and scalings of `A`, so `refactor(A)`
+// after it is comparable with `build(A)`.)
+
+#[test]
+fn first_run_variant_route_equals_later_planned_route_on_every_executor() {
+    use pangulu::prelude::*;
+    let a = gen::circuit(300, 21);
+    let a2 = {
+        let mut a2 = a.clone();
+        a2.values_mut().iter_mut().enumerate().for_each(|(k, v)| *v *= 1.0 + 0.01 * (k % 7) as f64);
+        a2
+    };
+    let values = |s: &Solver| -> Vec<f64> {
+        let bits = s.factored32().map_or_else(|| value_bits(s.factored()), value_bits);
+        bits.into_iter().map(f64::from_bits).collect()
+    };
+    type Configure = fn(SolverBuilder) -> SolverBuilder;
+    let executors: [(&str, bool, Configure); 4] = [
+        ("sequential", true, |b| b),
+        ("shared x3", false, |b| b.shared_threads(3)),
+        ("2 ranks", true, |b| b.ranks(2)),
+        ("4 ranks", true, |b| b.ranks(4)),
+    ];
+    for (precision, shared_tol) in [(Precision::F64, 1e-10), (Precision::MixedF32, 1e-4)] {
+        let mut reference: Option<Vec<f64>> = None;
+        for (tag, bitwise, configure) in executors {
+            let tag = format!("{tag} {precision:?}");
+            let same = |got: &[f64], want: &[f64], what: &str| {
+                if bitwise {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "{tag}: {what} moved a bit");
+                } else {
+                    let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                    let diff = got.iter().zip(want).fold(0.0f64, |m, (g, w)| m.max((g - w).abs()));
+                    assert!(diff <= shared_tol * scale, "{tag}: {what} off by {diff}");
+                }
+            };
+            let mut solver = configure(Solver::builder().precision(precision)).build(&a).unwrap();
+            assert_eq!(solver.effective_precision(), precision, "{tag}");
+            assert_eq!(solver.kernel_plan_stats().builds, 0, "{tag}: build() planned");
+            let first_run = values(&solver);
+            same(&first_run, reference.get_or_insert(first_run.clone()), "executor vs sequential");
+
+            solver.refactor(&a).unwrap();
+            let built = solver.kernel_plan_stats();
+            assert!(built.builds > 0, "{tag}: the first refactor built no plans");
+            same(&values(&solver), &first_run, "the plan-building run");
+
+            solver.refactor(&a2).unwrap();
+            assert_ne!(values(&solver), first_run, "{tag}: the fixture cannot tell");
+            solver.refactor(&a).unwrap();
+            assert_eq!(solver.kernel_plan_stats().builds, built.builds, "{tag}: rebuilt");
+            if let Some(report) = solver.stats().report.as_ref() {
+                assert!(report.total_mem().planned_calls > 0, "{tag}: nothing replayed");
+            }
+            same(&values(&solver), &first_run, "the plan-replaying run");
+        }
+    }
+}

@@ -33,7 +33,8 @@ fn blocked(a: &CscMatrix, nb: Option<usize>) -> (BlockMatrix, TaskGraph) {
 #[test]
 fn default_path_task_counts_stay_coarse() {
     for (name, a, ceiling) in [
-        ("circuit(6000)", gen::circuit(6000, 1), 2_000),
+        // 1 218 measured (1 416 before AMD set the 30 hubs aside).
+        ("circuit(6000)", gen::circuit(6000, 1), 1_500),
         ("laplacian_2d(64,64)", gen::laplacian_2d(64, 64), 1_500),
     ] {
         let r = reorder_for_lu(&a, FillReducing::Auto).unwrap();
