@@ -43,8 +43,7 @@ const SELF_TEST_SLOWDOWN: f64 = 1.2;
 /// f64 round-trip through JSON text. The phase counters pin the
 /// analyze/factor split: any recomputed analysis work in a steady-state
 /// refactorisation run shows up here as a hard failure, not a wall-time
-/// wobble. `lookahead_hits` and `priority_inversions` are
-/// timing-dependent and deliberately NOT gated. The codec counters are exact too: `frames_sent` is one frame
+/// wobble. The codec counters are exact too: `frames_sent` is one frame
 /// per mailbox send on a byte transport (zero on the in-process
 /// channel), and `codec_bytes_encoded` encodes every scatter payload
 /// exactly once — identical between the TCP and shm arms, so the gate

@@ -25,10 +25,6 @@
 //!   planned solver so both see the same machine state, and the minimum
 //!   unplanned wall time is reported as `wall_unplanned_seconds` next to
 //!   the planned `wall_seconds` (ratio in `planned_speedup`);
-//! * the gated arm runs the default `Priority` policy; its lookahead
-//!   hits are timing-dependent and not emitted, but the harness asserts
-//!   that the lookahead window engaged (hits summed over the reps > 0)
-//!   on the kkt and circuit matrices;
 //! * a transport A/B: a third solver refactors the same values over a
 //!   byte transport — TCP sockets when the environment allows binding
 //!   localhost listeners, otherwise (loudly logged) the shared-memory
@@ -128,8 +124,6 @@ struct RefactorResult {
     /// Minimum steady-state wall time with kernel plans off, measured
     /// interleaved with the planned reps.
     wall_unplanned_seconds: f64,
-    /// Lookahead hits of the gated arm, summed over its reps.
-    lookahead_hits: u64,
     /// Which byte transport the A/B arm actually ran ("tcp" or "shm").
     transport_ab: TransportKind,
     /// Minimum steady-state wall time over the byte transport,
@@ -205,7 +199,6 @@ fn run_one(name: &'static str, a: &CscMatrix, reps: usize, ab: TransportKind) ->
     let mut best_wired = f64::INFINITY;
     let mut best_mixed = f64::INFINITY;
     let mut best_numeric = f64::INFINITY;
-    let mut lookahead_hits = 0u64;
     for _ in 0..reps {
         // Interleave the A/B arms so cache and frequency state are
         // shared; min-of-reps on each side.
@@ -213,13 +206,6 @@ fn run_one(name: &'static str, a: &CscMatrix, reps: usize, ab: TransportKind) ->
         solver.refactor(a).unwrap_or_else(|e| panic!("{name}: refactorisation failed: {e}"));
         best_wall = best_wall.min(secs(t.elapsed()));
         best_numeric = best_numeric.min(secs(solver.stats().numeric_time));
-        lookahead_hits += solver
-            .stats()
-            .report
-            .as_ref()
-            .unwrap_or_else(|| panic!("{name}: multi-rank refactorisation produced no RunReport"))
-            .total_sched()
-            .lookahead_hits;
         let t = Instant::now();
         unplanned
             .refactor(a)
@@ -268,7 +254,6 @@ fn run_one(name: &'static str, a: &CscMatrix, reps: usize, ab: TransportKind) ->
         wall_first_seconds: wall_first,
         wall_seconds: best_wall,
         wall_unplanned_seconds: best_unplanned,
-        lookahead_hits,
         transport_ab: ab,
         transport_ab_wall_seconds: best_wired,
         frames_sent,
@@ -384,9 +369,6 @@ fn main() {
         let mem = r.report.total_mem();
         assert!(mem.planned_calls > 0, "{name}: planned run made no planned kernel calls");
         assert!(mem.index_searches_avoided > 0, "{name}: plans avoided no index searches");
-        if matches!(name, "kkt" | "circuit") {
-            assert!(r.lookahead_hits > 0, "{name}: Priority arm never used lookahead");
-        }
         assert_eq!(
             r.frames_sent,
             r.report.total_messages(),

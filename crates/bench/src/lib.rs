@@ -172,7 +172,6 @@ pub fn supernodal_sim_tasks(
                 flops: t.flops,
                 extra_cost: profile.gather_scatter_cost(t.gather_bytes),
                 step: t.level,
-                priority: 0.0,
                 deps: t
                     .deps
                     .iter()

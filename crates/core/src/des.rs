@@ -43,13 +43,9 @@ pub struct SimTask {
     pub flops: f64,
     /// Additional fixed cost (e.g. the baseline's gather/scatter).
     pub extra_cost: f64,
-    /// Elimination step / level (the Fifo ordering key, and the
+    /// Elimination step / level (the ready-queue ordering key, and the
     /// level-set grouping).
     pub step: usize,
-    /// Critical-path priority (longest FLOP-weighted path to a sink);
-    /// higher runs first under [`SimPolicy::Priority`]. Ignored (may be
-    /// 0) under [`SimPolicy::Fifo`].
-    pub priority: f64,
     /// Dependencies.
     pub deps: Vec<SimDep>,
 }
@@ -63,16 +59,6 @@ pub enum SimMode {
     /// A barrier after every step: step `s+1` starts only after every
     /// rank finished step `s` (the level-set baseline).
     LevelSet,
-}
-
-/// Ready-queue ordering of the simulation — the DES mirror of both
-/// policies of the executor's `SchedulePolicy`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimPolicy {
-    /// Lowest elimination step first (the legacy order).
-    Fifo,
-    /// Highest critical-path priority first, step order as tie-break.
-    Priority,
 }
 
 /// Outcome of a simulated run.
@@ -112,25 +98,14 @@ impl SimResult {
     }
 }
 
-/// Simulates the task list on `p` ranks under the given profile/policy,
-/// with the legacy [`SimPolicy::Fifo`] ready-queue order.
+/// Simulates the task list on `p` ranks under the given profile and
+/// barrier mode. Each rank's ready queue runs lowest step first — the
+/// executor's step-major order.
 pub fn simulate(
     tasks: &[SimTask],
     p: usize,
     profile: &PlatformProfile,
     mode: SimMode,
-) -> SimResult {
-    simulate_with_policy(tasks, p, profile, mode, SimPolicy::Fifo)
-}
-
-/// Simulates the task list on `p` ranks under the given profile, barrier
-/// mode and ready-queue policy.
-pub fn simulate_with_policy(
-    tasks: &[SimTask],
-    p: usize,
-    profile: &PlatformProfile,
-    mode: SimMode,
-    policy: SimPolicy,
 ) -> SimResult {
     // Cross-rank message accounting, deduplicated per (producer,
     // consumer-rank) exactly like the executor's destination lists.
@@ -166,7 +141,7 @@ pub fn simulate_with_policy(
     let makespan = match mode {
         SimMode::SyncFree => {
             let all: Vec<usize> = (0..tasks.len()).collect();
-            run_window(tasks, &all, 0.0, profile, policy, &mut finish, &mut busy)
+            run_window(tasks, &all, 0.0, profile, &mut finish, &mut busy)
         }
         SimMode::LevelSet => {
             let max_step = tasks.iter().map(|t| t.step).max().unwrap_or(0);
@@ -182,8 +157,7 @@ pub fn simulate_with_policy(
                     continue;
                 }
                 clock =
-                    run_window(tasks, step_tasks, clock, profile, policy, &mut finish, &mut busy)
-                        + barrier;
+                    run_window(tasks, step_tasks, clock, profile, &mut finish, &mut busy) + barrier;
             }
             clock
         }
@@ -201,7 +175,6 @@ fn run_window(
     window: &[usize],
     base: f64,
     profile: &PlatformProfile,
-    policy: SimPolicy,
     finish: &mut [f64],
     busy: &mut [f64],
 ) -> f64 {
@@ -233,10 +206,8 @@ fn run_window(
 
     // Event queue of (time, kind, pos): kind 0 = task ready, 1 = finish.
     let mut events: BinaryHeap<Reverse<(OrdF64, u8, usize)>> = BinaryHeap::new();
-    // Per-rank ready queue keyed (policy key, step, pos); the min-heap
-    // pops the smallest key, so Priority negates the critical-path
-    // length and Fifo pins the key at 0 — byte-for-byte the legacy
-    // (step, pos) order.
+    // Per-rank ready queue keyed (step, pos); the min-heap pops the
+    // lowest step first.
     let mut rank_ready: RankReady = std::collections::HashMap::new();
     let mut rank_busy_until: std::collections::HashMap<usize, f64> =
         std::collections::HashMap::new();
@@ -254,11 +225,7 @@ fn run_window(
                 // Task `pos` became ready.
                 let tid = window[pos];
                 let r = tasks[tid].rank;
-                let key = match policy {
-                    SimPolicy::Fifo => OrdF64(0.0),
-                    SimPolicy::Priority => OrdF64(-tasks[tid].priority),
-                };
-                rank_ready.entry(r).or_default().push(Reverse((key, tasks[tid].step, pos)));
+                rank_ready.entry(r).or_default().push(Reverse((tasks[tid].step, pos)));
                 try_start(
                     r,
                     now,
@@ -311,8 +278,8 @@ fn byte_of(tasks: &[SimTask], consumer: usize, producer: usize) -> usize {
     tasks[consumer].deps.iter().find(|d| d.task == producer).map(|d| d.bytes).unwrap_or(0)
 }
 
-/// Per-rank ready queues: min-heap over (policy key, step, pos).
-type RankReady = std::collections::HashMap<usize, BinaryHeap<Reverse<(OrdF64, usize, usize)>>>;
+/// Per-rank ready queues: min-heap over (step, pos).
+type RankReady = std::collections::HashMap<usize, BinaryHeap<Reverse<(usize, usize)>>>;
 
 #[allow(clippy::too_many_arguments)]
 fn try_start(
@@ -332,7 +299,7 @@ fn try_start(
         return; // rank still executing; revisited at its finish event
     }
     let Some(heap) = rank_ready.get_mut(&r) else { return };
-    let Some(Reverse((_, _, pos))) = heap.pop() else { return };
+    let Some(Reverse((_, pos))) = heap.pop() else { return };
     let tid = window[pos];
     let cost = profile.kernel_cost(tasks[tid].class, tasks[tid].flops) + tasks[tid].extra_cost;
     let start = now.max(free_at);
@@ -360,10 +327,6 @@ impl Ord for OrdF64 {
 /// payloads to the threaded executor.
 pub fn pangulu_sim_tasks(bm: &BlockMatrix, tg: &TaskGraph, owners: &OwnerMap) -> Vec<SimTask> {
     use pangulu_kernels::flops;
-    // The same analysis-time critical-path lengths the real executor's
-    // ready queues order by, so [`SimPolicy::Priority`] studies mirror
-    // [`crate::dist::SchedulePolicy::Priority`] exactly.
-    let prio = crate::task::TaskPriorities::compute(bm, tg);
     let mut tasks: Vec<SimTask> = Vec::new();
     // Panel-op task index per block id, filled below.
     let mut panel_task = vec![usize::MAX; bm.num_blocks()];
@@ -381,7 +344,6 @@ pub fn pangulu_sim_tasks(bm: &BlockMatrix, tg: &TaskGraph, owners: &OwnerMap) ->
             flops: tg.panel_flops[id],
             extra_cost: 0.0,
             step: bi.min(bj),
-            priority: prio.panel[id],
             deps: Vec::new(),
         });
     }
@@ -397,7 +359,7 @@ pub fn pangulu_sim_tasks(bm: &BlockMatrix, tg: &TaskGraph, owners: &OwnerMap) ->
         }
     }
     // SSSSM tasks.
-    for (gid, &(i, j, k)) in tg.ssssm.iter().enumerate() {
+    for &(i, j, k) in &tg.ssssm {
         let a_id = bm.block_id(i, k).expect("L operand");
         let b_id = bm.block_id(k, j).expect("U operand");
         let c_id = bm.block_id(i, j).expect("target");
@@ -409,7 +371,6 @@ pub fn pangulu_sim_tasks(bm: &BlockMatrix, tg: &TaskGraph, owners: &OwnerMap) ->
             flops: fl,
             extra_cost: 0.0,
             step: k,
-            priority: prio.ssssm[gid],
             deps: vec![
                 SimDep { task: panel_task[a_id], bytes: block_bytes(a_id) },
                 SimDep { task: panel_task[b_id], bytes: block_bytes(b_id) },
@@ -460,7 +421,6 @@ mod tests {
                 flops: 1e9,
                 extra_cost: 0.0,
                 step: 0,
-                priority: 0.0,
                 deps: vec![],
             })
             .collect();
@@ -485,7 +445,6 @@ mod tests {
                 flops: 1e8,
                 extra_cost: 0.0,
                 step: i,
-                priority: 0.0,
                 deps: if i == 0 { vec![] } else { vec![SimDep { task: i - 1, bytes: 1000 }] },
             });
         }
@@ -520,7 +479,6 @@ mod tests {
                 flops: 1e6,
                 extra_cost: 0.0,
                 step: 0,
-                priority: 0.0,
                 deps: vec![],
             },
             SimTask {
@@ -529,7 +487,6 @@ mod tests {
                 flops: 1e6,
                 extra_cost: 0.0,
                 step: 0,
-                priority: 0.0,
                 deps: vec![SimDep { task: 0, bytes: 800 }],
             },
             SimTask {
@@ -538,44 +495,12 @@ mod tests {
                 flops: 1e6,
                 extra_cost: 0.0,
                 step: 0,
-                priority: 0.0,
                 deps: vec![SimDep { task: 0, bytes: 800 }],
             },
         ];
         let r = simulate(&tasks, 2, &PlatformProfile::a100_like(), SimMode::SyncFree);
         assert_eq!(r.messages, 1);
         assert_eq!(r.bytes, 800);
-    }
-
-    #[test]
-    fn priority_policy_keeps_volume_and_fifo_delegates_exactly() {
-        let (bm, tg, owners) = build(200, 12, 4);
-        let tasks = pangulu_sim_tasks(&bm, &tg, &owners);
-        let prof = PlatformProfile::a100_like();
-        let fifo = simulate(&tasks, 4, &prof, SimMode::SyncFree);
-        let fifo2 = simulate_with_policy(&tasks, 4, &prof, SimMode::SyncFree, SimPolicy::Fifo);
-        assert_eq!(fifo.makespan, fifo2.makespan, "Fifo delegate must be the identical schedule");
-        let pri = simulate_with_policy(&tasks, 4, &prof, SimMode::SyncFree, SimPolicy::Priority);
-        // Queue order never changes what travels, only when work runs.
-        assert_eq!(pri.messages, fifo.messages);
-        assert_eq!(pri.bytes, fifo.bytes);
-        assert!(pri.makespan.is_finite() && pri.makespan > 0.0);
-    }
-
-    #[test]
-    fn sim_tasks_carry_strictly_decreasing_priorities_along_deps() {
-        let (bm, tg, owners) = build(150, 16, 2);
-        let tasks = pangulu_sim_tasks(&bm, &tg, &owners);
-        for t in &tasks {
-            for d in &t.deps {
-                assert!(
-                    tasks[d.task].priority > t.priority,
-                    "producer priority {} must exceed consumer priority {}",
-                    tasks[d.task].priority,
-                    t.priority
-                );
-            }
-        }
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! * [`ScheduleMode::SyncFree`] — the paper's synchronisation-free
 //!   strategy (§4.4): each rank keeps the synchronisation-free counter
 //!   array for its blocks, drains its mailbox without blocking while any
-//!   kernel is runnable, executes the highest-priority runnable kernel
-//!   (lowest elimination step first, GETRF before panel solves before
-//!   SSSSM), ships finished blocks to exactly the ranks whose pending
-//!   kernels consume them, and blocks on the mailbox only when nothing is
-//!   runnable — that blocked time is the measured synchronisation cost.
+//!   kernel is runnable, executes its runnable kernels in step-major
+//!   order (lowest elimination step first, GETRF before panel solves
+//!   before SSSSM, then target coordinates), ships finished blocks to
+//!   exactly the ranks whose pending kernels consume them, and blocks on
+//!   the mailbox only when nothing is runnable — that blocked time is the
+//!   measured synchronisation cost.
 //! * [`ScheduleMode::LevelSet`] — the SuperLU_DIST-style baseline: the
 //!   same data movement, but tasks of elimination step `k+1` may not
 //!   start until a barrier confirms every rank finished step `k`
@@ -45,12 +46,12 @@ use pangulu_kernels::select::KernelSelector;
 use pangulu_kernels::{
     flops, KernelPlans, KernelScratch, PlanStats, Route, SsssmUpdate, TimedKernels,
 };
-use pangulu_metrics::{MemStats, RankMetrics, RunReport, SchedStats, TaskCounts};
+use pangulu_metrics::{MemStats, RankMetrics, RunReport, TaskCounts};
 use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
 use crate::layout::OwnerMap;
-use crate::task::{PrioritisedTask, Task, TaskGraph, TaskPriorities};
+use crate::task::{PrioritisedTask, Task, TaskGraph};
 
 /// Scheduling policy of the executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,46 +62,11 @@ pub enum ScheduleMode {
     LevelSet,
 }
 
-/// How a rank orders its ready work within a [`ScheduleMode`]. Both
-/// policies preserve the per-target ascending-k SSSSM discipline, so the
-/// computed factors are bitwise identical across both (see
-/// `docs/SCHEDULING.md`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SchedulePolicy {
-    /// The legacy ready-queue order: elimination step, then kernel
-    /// class, then target coordinates. No lookahead window.
-    Fifo,
-    /// Order the ready queue by the analysis-time critical-path
-    /// priorities cached in the [`NumericWorkspace`], with the Fifo
-    /// order as deterministic tie-break; out-of-order work is bounded
-    /// by [`FactorConfig::lookahead`].
-    Priority,
-}
-
-impl Default for SchedulePolicy {
-    /// [`SchedulePolicy::Priority`]: bitwise identical to Fifo, faster
-    /// on wide DAGs.
-    fn default() -> Self {
-        SchedulePolicy::Priority
-    }
-}
-
 /// Full configuration of one distributed factorisation run.
 #[derive(Debug, Clone)]
 pub struct FactorConfig {
     /// Scheduling policy.
     pub mode: ScheduleMode,
-    /// Ready-queue ordering policy. [`ScheduleMode::LevelSet`]
-    /// always runs the queue in Fifo order (the barrier defines the
-    /// schedule), so the policy only takes effect under
-    /// [`ScheduleMode::SyncFree`].
-    pub policy: SchedulePolicy,
-    /// Out-of-order lookahead window of [`SchedulePolicy::Priority`]: a
-    /// rank may execute ready work up to this many elimination steps past
-    /// its lowest locally-unfinished step; work further ahead is parked
-    /// until the front advances. Ignored under [`SchedulePolicy::Fifo`], which
-    /// keeps the historical unbounded out-of-order drain.
-    pub lookahead: usize,
     /// Optional seeded fault plan applied to every message.
     pub fault: Option<FaultPlan>,
     /// How long a rank may sit with nothing runnable and no incoming
@@ -131,8 +97,6 @@ impl Default for FactorConfig {
     fn default() -> Self {
         FactorConfig {
             mode: ScheduleMode::SyncFree,
-            policy: SchedulePolicy::Priority,
-            lookahead: 8,
             fault: None,
             stall_timeout: Duration::from_secs(60),
             traced: false,
@@ -146,18 +110,6 @@ impl FactorConfig {
     /// Config for a plain run under the given mode.
     pub fn with_mode(mode: ScheduleMode) -> Self {
         FactorConfig { mode, ..Default::default() }
-    }
-
-    /// Sets the ready-queue policy (Priority by default).
-    pub fn with_policy(mut self, policy: SchedulePolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the out-of-order lookahead window of [`SchedulePolicy::Priority`].
-    pub fn with_lookahead(mut self, window: usize) -> Self {
-        self.lookahead = window;
-        self
     }
 
     /// Adds a fault plan.
@@ -413,7 +365,6 @@ pub fn factor_distributed_cached<S: Scalar>(
         .unwrap_or_else(|e| panic!("failed to build {} transport mesh: {e}", cfg.transport))
         .into_mailboxes();
     let barrier = StepBarrier::new(p);
-    let prios = ws.priorities.clone();
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<DistError>> = Mutex::new(None);
 
@@ -426,7 +377,6 @@ pub fn factor_distributed_cached<S: Scalar>(
                 .zip(ws.ranks.iter_mut())
                 .map(|(mb, st)| {
                     let barrier = &barrier;
-                    let prios = &prios;
                     let abort = &abort;
                     let first_err = &first_err;
                     s.spawn(move || {
@@ -439,7 +389,6 @@ pub fn factor_distributed_cached<S: Scalar>(
                             cfg,
                             mb,
                             st,
-                            prios,
                             barrier,
                             abort,
                             first_err,
@@ -744,11 +693,6 @@ impl<S: Scalar> RankState<S> {
 pub struct NumericWorkspace<S: Scalar = f64> {
     ranks: Vec<RankState<S>>,
     num_blocks: usize,
-    /// The analysis-time critical-path priority vector (see
-    /// [`TaskPriorities`]): computed once per pattern alongside the rest
-    /// of the workspace and shared by reference with every run, so a
-    /// numeric-only refactorisation never recomputes it.
-    priorities: Arc<TaskPriorities>,
 }
 
 impl<S: Scalar> NumericWorkspace<S> {
@@ -756,11 +700,7 @@ impl<S: Scalar> NumericWorkspace<S> {
     /// pattern of `bm` (values are re-read from `bm` at every run).
     pub fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
         let ranks = (0..owners.num_ranks()).map(|r| RankState::new(bm, tg, owners, r)).collect();
-        NumericWorkspace {
-            ranks,
-            num_blocks: bm.num_blocks(),
-            priorities: Arc::new(TaskPriorities::compute(bm, tg)),
-        }
+        NumericWorkspace { ranks, num_blocks: bm.num_blocks() }
     }
 
     /// Number of ranks the workspace was built for.
@@ -779,12 +719,6 @@ impl<S: Scalar> NumericWorkspace<S> {
             }
         })
     }
-
-    /// The cached critical-path priority vector, shared (not cloned) with
-    /// every run on this workspace.
-    pub fn priorities(&self) -> Arc<TaskPriorities> {
-        self.priorities.clone()
-    }
 }
 
 /// Bookkeeping emitted by the kernel part of [`Worker::execute`]; the
@@ -802,40 +736,6 @@ enum Post {
         cid: usize,
         applied: usize,
     },
-}
-
-/// A ready-queue entry: the task plus its cached critical-path priority.
-/// The heap is a max-heap over `(prio, legacy order)`, so higher
-/// priorities pop first and ties fall back to the historical
-/// step/class/target order — under [`SchedulePolicy::Fifo`] every entry
-/// carries `prio == 0.0` and the pop order is byte-for-byte the legacy
-/// one.
-#[derive(Debug, Clone, Copy)]
-struct QueueEntry {
-    prio: f64,
-    task: Task,
-}
-
-impl PartialEq for QueueEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == std::cmp::Ordering::Equal
-    }
-}
-
-impl Eq for QueueEntry {}
-
-impl PartialOrd for QueueEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for QueueEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.prio
-            .total_cmp(&other.prio)
-            .then_with(|| PrioritisedTask(self.task).cmp(&PrioritisedTask(other.task)))
-    }
 }
 
 /// Per-rank executor: the run-scoped view over a rank's cached
@@ -861,34 +761,12 @@ struct Worker<'a, S: Scalar> {
     /// [`FactorConfig::traced`]).
     max_batch: usize,
 
-    /// Effective queue policy: the configured [`FactorConfig::policy`],
-    /// forced to Fifo under [`ScheduleMode::LevelSet`] (the barrier
-    /// defines the schedule there).
-    policy: SchedulePolicy,
-    /// Out-of-order lookahead window ([`SchedulePolicy::Priority`] only).
-    lookahead: usize,
-    /// The cached analysis-time critical-path priorities.
-    prio: &'a TaskPriorities,
-
-    queue: BinaryHeap<QueueEntry>,
-    /// Entries popped past the lookahead horizon, parked until the local
-    /// step front advances.
-    deferred: Vec<QueueEntry>,
-    /// Lowest elimination step with unfinished owned work — the local
-    /// front the lookahead window is measured from.
-    front: usize,
+    /// Ready tasks, popped in step-major order (see [`PrioritisedTask`]).
+    queue: BinaryHeap<PrioritisedTask>,
     /// Level-set short-circuit: set when the heap top is known to belong
     /// to a later step, cleared on any push or step advance, so a blocked
     /// rank stops re-peeking the heap every scheduler iteration.
     levelset_blocked: bool,
-    /// Ready-queue census per elimination step (deferred entries
-    /// included) — the bookkeeping behind
-    /// [`SchedStats::priority_inversions`]...
-    queued_by_step: Vec<u32>,
-    /// ...and the lazily advanced lowest queued step.
-    min_queued_step: usize,
-    /// Scheduling observables (lookahead hits, priority inversions).
-    sched: SchedStats,
     remaining: usize,
     /// Level-set mode: tasks done per elimination step (owed totals live
     /// in [`RankState::step_total`]).
@@ -925,7 +803,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
         cfg: &FactorConfig,
         mailbox: Mailbox<S>,
         st: &'a mut RankState<S>,
-        prio: &'a TaskPriorities,
         barrier: &'a StepBarrier,
         abort: &'a AtomicBool,
         first_err: &'a Mutex<Option<DistError>>,
@@ -936,8 +813,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
         // on single updates.
         let max_batch =
             if cfg.mode == ScheduleMode::SyncFree && !cfg.traced { usize::MAX } else { 1 };
-        let policy =
-            if cfg.mode == ScheduleMode::LevelSet { SchedulePolicy::Fifo } else { cfg.policy };
         let remaining = st.remaining_init;
         Worker {
             rank,
@@ -954,16 +829,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
             first_err,
             st,
             max_batch,
-            policy,
-            lookahead: cfg.lookahead,
-            prio,
             queue: BinaryHeap::new(),
-            deferred: Vec::new(),
-            front: 0,
             levelset_blocked: false,
-            queued_by_step: vec![0u32; bm.nblk() + 1],
-            min_queued_step: bm.nblk() + 1,
-            sched: SchedStats::default(),
             remaining,
             step_done: vec![0usize; bm.nblk() + 1],
             current_step: 0,
@@ -1014,7 +881,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
 
     fn run(mut self) -> WorkerOutput {
         self.seed_initial_tasks();
-        self.advance_front();
         let slice = Duration::from_millis(50).min(self.stall_timeout);
         let mut idle = Duration::ZERO;
         loop {
@@ -1100,7 +966,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
             perturbed_pivots: self.perturbed as u64,
             tasks: self.tasks,
             mem: self.mem,
-            sched: self.sched,
             comm: self.mailbox.metrics(),
             kernels: std::mem::take(&mut self.timed).into_tally(),
         };
@@ -1174,21 +1039,11 @@ impl<'a, S: Scalar> Worker<'a, S> {
         missing
     }
 
-    /// Tasks runnable now (level-set mode restricts to the current step;
-    /// [`SchedulePolicy::Priority`] additionally bounds out-of-order work
-    /// by the lookahead window).
+    /// The next runnable task in step-major order (level-set mode
+    /// restricts it to the current step).
     fn pop_runnable(&mut self) -> Option<Task> {
         match self.mode {
-            ScheduleMode::SyncFree => loop {
-                let e = self.queue.pop()?;
-                if self.policy != SchedulePolicy::Fifo
-                    && e.task.step() > self.front.saturating_add(self.lookahead)
-                {
-                    self.deferred.push(e);
-                    continue;
-                }
-                return Some(self.note_pop(e.task));
-            },
+            ScheduleMode::SyncFree => self.queue.pop().map(|t| t.0),
             ScheduleMode::LevelSet => {
                 // The step gate is hoisted into a flag: once the top is
                 // known to belong to a later step, stop re-peeking (and
@@ -1198,10 +1053,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
                     return None;
                 }
                 match self.queue.peek() {
-                    Some(top) if top.task.step() == self.current_step => {
-                        let e = self.queue.pop().expect("peeked entry");
-                        Some(self.note_pop(e.task))
-                    }
+                    Some(top) if top.0.step() == self.current_step => self.queue.pop().map(|t| t.0),
                     Some(_) => {
                         self.levelset_blocked = true;
                         None
@@ -1212,77 +1064,10 @@ impl<'a, S: Scalar> Worker<'a, S> {
         }
     }
 
-    /// The cached critical-path priority of a task (panel priorities by
-    /// block id, update priorities by global update index).
-    fn task_priority(&self, task: Task) -> f64 {
-        match task {
-            Task::Getrf { k } => self.prio.panel[self.bm.block_id(k, k).expect("diag exists")],
-            Task::Gessm { k, j } => self.prio.panel[self.bm.block_id(k, j).expect("panel exists")],
-            Task::Tstrf { i, k } => self.prio.panel[self.bm.block_id(i, k).expect("panel exists")],
-            Task::Ssssm { i, j, k } => {
-                let cid = self.bm.block_id(i, j).expect("target exists");
-                let idx =
-                    self.st.upd_order[cid].binary_search(&k).expect("update in target's order");
-                self.prio.ssssm[self.st.upd_gid[cid][idx] as usize]
-            }
-        }
-    }
-
-    /// Queues a ready task under the active policy.
+    /// Queues a ready task.
     fn push_task(&mut self, task: Task) {
-        let prio = if self.policy == SchedulePolicy::Fifo { 0.0 } else { self.task_priority(task) };
-        let step = task.step();
-        self.queued_by_step[step] += 1;
-        if step < self.min_queued_step {
-            self.min_queued_step = step;
-        }
         self.levelset_blocked = false;
-        self.queue.push(QueueEntry { prio, task });
-    }
-
-    /// Pop-side bookkeeping: census decrement, priority-inversion and
-    /// lookahead-hit observables.
-    fn note_pop(&mut self, task: Task) -> Task {
-        let step = task.step();
-        self.queued_by_step[step] -= 1;
-        while self.min_queued_step < self.queued_by_step.len()
-            && self.queued_by_step[self.min_queued_step] == 0
-        {
-            self.min_queued_step += 1;
-        }
-        if self.min_queued_step < step {
-            self.sched.priority_inversions += 1;
-        }
-        if self.mode == ScheduleMode::SyncFree
-            && self.policy != SchedulePolicy::Fifo
-            && step > self.front
-        {
-            self.sched.lookahead_hits += 1;
-        }
-        task
-    }
-
-    /// Advances the local step front past completed steps and re-releases
-    /// parked work that the wider window now admits.
-    fn advance_front(&mut self) {
-        let start = self.front;
-        while self.front < self.st.step_total.len()
-            && self.step_done[self.front] >= self.st.step_total[self.front]
-        {
-            self.front += 1;
-        }
-        if self.front != start && !self.deferred.is_empty() {
-            let horizon = self.front.saturating_add(self.lookahead);
-            let mut i = 0;
-            while i < self.deferred.len() {
-                if self.deferred[i].task.step() <= horizon {
-                    let e = self.deferred.swap_remove(i);
-                    self.queue.push(e);
-                } else {
-                    i += 1;
-                }
-            }
-        }
+        self.queue.push(PrioritisedTask(task));
     }
 
     /// Queues blocks with zero indegree: diagonal blocks can GETRF right
@@ -1444,17 +1229,14 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 if self.st.counter[cid] == 0 {
                     self.maybe_queue_panel(cid);
                 }
-                self.advance_front();
             }
         }
     }
 
-    /// Book-keeping common to completed tasks (level-set accounting and
-    /// the lookahead front).
+    /// Book-keeping common to completed tasks (level-set accounting).
     fn task_done(&mut self, step: usize) {
         self.remaining -= 1;
         self.step_done[step] += 1;
-        self.advance_front();
     }
 
     /// Marks an owned block finished, ships it, and triggers dependents.

@@ -10,7 +10,7 @@
 //! * [`layout`] — the block-cyclic owner map and the static
 //!   load-balancing remap over elimination time slices (§4.2, Fig. 6c/d);
 //! * [`task`] — the kernel task graph: per-block SSSSM indegrees (the
-//!   synchronisation-free array of §4.4) and the critical-path priority
+//!   synchronisation-free array of §4.4) and the step-major ready-queue
 //!   order;
 //! * [`seq`] — single-rank right-looking block factorisation (the
 //!   "single GPU" configuration of Table 4);
@@ -43,6 +43,5 @@ pub mod trace_check;
 pub mod trisolve;
 
 pub use block::BlockMatrix;
-pub use dist::SchedulePolicy;
 pub use layout::OwnerMap;
 pub use solver::{Precision, Solver, SolverBuilder, SolverOptions, SolverPlan};

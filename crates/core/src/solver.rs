@@ -12,7 +12,6 @@
 //! number of right-hand sides against the factorisation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pangulu_comm::{ProcessGrid, TransportKind};
@@ -26,12 +25,11 @@ use pangulu_symbolic::{stats::SymbolicStats, symbolic_fill};
 use crate::block::BlockMatrix;
 use crate::dist::{
     factor_distributed_cached, DistStats, FactorConfig, NumericWorkspace, ScheduleMode,
-    SchedulePolicy,
 };
 use crate::layout::OwnerMap;
 use crate::seq::{empty_plans, factor_sequential_planned, NumericStats};
 use crate::shared::factor_shared_planned;
-use crate::task::{TaskGraph, TaskPriorities};
+use crate::task::TaskGraph;
 use crate::trisolve::{
     backward_substitute_panel, backward_substitute_transpose, forward_substitute_panel,
     forward_substitute_transpose, PANEL_WIDTH,
@@ -44,7 +42,7 @@ pub enum Precision {
     #[default]
     F64,
     /// Factor in f32 against the unchanged f64 analysis (reordering,
-    /// symbolic fill, block layout, priorities are all pattern-only),
+    /// symbolic fill and block layout are all pattern-only),
     /// halving wire payloads, scatter traffic and plan arenas; recover
     /// f64 accuracy at solve time with iterative refinement. A
     /// factor-time probe falls back to f64 transparently when the f32
@@ -80,14 +78,6 @@ pub struct SolverOptions {
     pub fill_reducing: FillReducing,
     /// Scheduling policy of the distributed executor.
     pub schedule: ScheduleMode,
-    /// Ready-queue ordering policy of the distributed executor: FIFO or
-    /// critical-path priority. Both policies produce bitwise-identical
-    /// factors.
-    pub policy: SchedulePolicy,
-    /// Out-of-order lookahead window of the distributed executor, in
-    /// block steps ahead of the factorisation front (ignored under
-    /// [`SchedulePolicy::Fifo`]).
-    pub lookahead: usize,
     /// Adaptive kernel selection on/off (Fig. 14 ablation).
     pub adaptive_kernels: bool,
     /// Decision-tree thresholds.
@@ -130,8 +120,6 @@ impl Default for SolverOptions {
             block_size: None,
             fill_reducing: FillReducing::Auto,
             schedule: ScheduleMode::SyncFree,
-            policy: SchedulePolicy::default(),
-            lookahead: FactorConfig::default().lookahead,
             adaptive_kernels: true,
             thresholds: Thresholds::default(),
             pivot_floor_rel: 1e-12,
@@ -173,20 +161,6 @@ impl SolverBuilder {
     /// Chooses the scheduling policy.
     pub fn schedule(mut self, s: ScheduleMode) -> Self {
         self.opts.schedule = s;
-        self
-    }
-
-    /// Chooses the ready-queue ordering policy (FIFO or critical-path
-    /// priority). Factors are bitwise identical under both policies.
-    pub fn schedule_policy(mut self, p: SchedulePolicy) -> Self {
-        self.opts.policy = p;
-        self
-    }
-
-    /// Bounds out-of-order execution to `window` elimination steps past
-    /// the factorisation front ([`SchedulePolicy::Priority`] only).
-    pub fn lookahead(mut self, window: usize) -> Self {
-        self.opts.lookahead = window;
         self
     }
 
@@ -320,11 +294,6 @@ pub struct SolverPlan {
     /// For input nonzero `k` (CSC order): `(block id, value index)` where
     /// the scaled, permuted entry lands in the factor's block storage.
     scatter: Option<Vec<(usize, usize)>>,
-    /// Critical-path task priorities over the elimination DAG, computed
-    /// once at analysis time and shared (same allocation) with the
-    /// executor's workspace on multi-rank solvers; [`Solver::refactor`]
-    /// never recomputes them.
-    priorities: Arc<TaskPriorities>,
 }
 
 impl SolverPlan {
@@ -336,11 +305,6 @@ impl SolverPlan {
     /// Nonzero count of the analysed pattern.
     pub fn nnz(&self) -> usize {
         self.row_idx.len()
-    }
-
-    /// The cached critical-path priorities of the elimination DAG.
-    pub fn priorities(&self) -> &Arc<TaskPriorities> {
-        &self.priorities
     }
 }
 
@@ -444,10 +408,7 @@ impl<S: Scalar> NumericCache<S> {
             Executor::Sequential(empty_plans(bm, tg))
         } else {
             Executor::Distributed {
-                cfg: FactorConfig::with_mode(opts.schedule)
-                    .with_policy(opts.policy)
-                    .with_lookahead(opts.lookahead)
-                    .with_transport(opts.transport),
+                cfg: FactorConfig::with_mode(opts.schedule).with_transport(opts.transport),
                 workspace: NumericWorkspace::new(bm, tg, owners),
             }
         };
@@ -519,14 +480,6 @@ impl<S: Scalar> NumericCache<S> {
         match &self.executor {
             Executor::Sequential(plans) | Executor::Shared { plans, .. } => plans.stats(),
             Executor::Distributed { workspace, .. } => workspace.plan_stats(),
-        }
-    }
-
-    /// The workspace's critical-path priorities (multi-rank only).
-    fn priorities(&self) -> Option<Arc<TaskPriorities>> {
-        match &self.executor {
-            Executor::Distributed { workspace, .. } => Some(workspace.priorities()),
-            _ => None,
         }
     }
 }
@@ -862,6 +815,9 @@ impl Solver {
         if !a.is_square() {
             return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
         }
+        if opts.ranks == 0 {
+            return Err(SparseError::InvalidStructure("ranks must be positive".into()));
+        }
         let n = a.ncols();
         let mut stats =
             FactorStats { phases: PhaseCounters::first_factor(), ..FactorStats::default() };
@@ -931,21 +887,11 @@ impl Solver {
         }
         stats.numeric_time = t.elapsed();
 
-        // The analysis cache: pattern fingerprint plus the critical-path
-        // priorities (shared with the workspace's copy on multi-rank
-        // solvers — one allocation, never recomputed by `refactor`).
-        let priorities = match (&numeric, &mixed) {
-            (Some(cache), _) => cache.priorities(),
-            (None, Some(state)) => state.numeric.priorities(),
-            (None, None) => None,
-        }
-        .unwrap_or_else(|| Arc::new(TaskPriorities::compute(&bm, &tg)));
         let plan = SolverPlan {
             n,
             col_ptr: a.col_ptr().to_vec(),
             row_idx: a.row_idx().to_vec(),
             scatter: None,
-            priorities,
         };
 
         Ok(Solver {
@@ -1592,6 +1538,18 @@ mod tests {
     }
 
     #[test]
+    fn rejects_zero_ranks() {
+        let a = gen::laplacian_2d(4, 4);
+        let err = Solver::factor_with(&a, SolverOptions { ranks: 0, ..Default::default() })
+            .err()
+            .expect("zero ranks must be an error, not a panic");
+        assert!(
+            matches!(&err, SparseError::InvalidStructure(msg) if msg == "ranks must be positive"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn transpose_solve_solves_transposed_system() {
         for (tag, a) in
             [("unsym", gen::random_sparse(60, 0.1, 3)), ("circuit", gen::circuit(200, 5))]
@@ -1856,14 +1814,7 @@ mod tests {
             Solver::builder()
                 .precision(Precision::MixedF32)
                 .ranks(4)
-                .schedule_policy(SchedulePolicy::Priority)
-                .lookahead(4)
-                .build(&a)
-                .unwrap(),
-            Solver::builder()
-                .precision(Precision::MixedF32)
-                .ranks(4)
-                .schedule_policy(SchedulePolicy::Fifo)
+                .schedule(ScheduleMode::LevelSet)
                 .build(&a)
                 .unwrap(),
         ];

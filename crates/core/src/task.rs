@@ -286,10 +286,13 @@ impl TaskGraph {
 /// Analysis-time critical-path priorities: every task's longest
 /// FLOP-weighted path to a sink of the task DAG, with
 /// [`flops::TASK_LAUNCH_COST`] added to each task so the length strictly
-/// decreases along every dependency edge. Computed once during analysis
-/// (it is a pure function of the sparsity pattern), cached next to the
-/// kernel plans in the solver's analysis, and read — never recomputed —
-/// by every factorisation and refactorisation.
+/// decreases along every dependency edge.
+///
+/// No executor and no simulator orders by it: every ready queue runs the
+/// step-major [`PrioritisedTask`] order (`docs/SCHEDULING.md`). It stays
+/// only because the benchmark's hand-driven pipeline still times a call
+/// to it; ROADMAP item 1(d) deletes it, with `tests/priorities.rs`, when
+/// that pipeline goes.
 ///
 /// The DAG edges are the executor's real dependencies:
 /// `GETRF(k) → {GESSM(k,j), TSTRF(i,k)}`, each panel → the SSSSM updates

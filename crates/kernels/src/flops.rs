@@ -11,8 +11,8 @@ use pangulu_sparse::{CscMatrix, Scalar};
 /// critical-path priority computation. Keeping it strictly positive
 /// guarantees every task's longest-path-to-sink length strictly exceeds
 /// each of its successors' even when a kernel's FLOP model rounds to
-/// zero (empty blocks), which the scheduler's strict-decrease invariant
-/// relies on.
+/// zero (empty blocks) — the strict-decrease invariant
+/// `tests/priorities.rs` checks.
 pub const TASK_LAUNCH_COST: f64 = 1.0;
 
 /// FLOPs of a GETRF on a diagonal block: for each column `j`, two flops

@@ -250,25 +250,6 @@ pub struct MemStats {
     pub plan_build_ns: u64,
 }
 
-/// Scheduling observables of the priority-driven task runtime (see
-/// `docs/SCHEDULING.md`): the out-of-order lookahead window.
-///
-/// Both counters depend on thread interleaving — how far a rank runs
-/// ahead of its step front and which queued task a pop bypasses are
-/// timing questions — so [`RunReport::without_timings`] zeroes the whole
-/// struct. Report documents written before the struct shrank to these
-/// two fields carry two more keys under `sched`; the reader ignores them.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Tasks executed past the rank's lowest unfinished elimination step
-    /// — work the lookahead window admitted out of order.
-    pub lookahead_hits: u64,
-    /// Pops that bypassed a queued task of a strictly lower elimination
-    /// step (the priority order preferring critical-path work over older
-    /// steps).
-    pub priority_inversions: u64,
-}
-
 /// Pipeline-phase accounting: how many times each phase of the
 /// five-phase pipeline actually ran over a solver's lifetime.
 ///
@@ -405,8 +386,6 @@ pub struct RankMetrics {
     pub tasks: TaskCounts,
     /// Hot-path copy/allocation accounting.
     pub mem: MemStats,
-    /// Scheduling observables (lookahead).
-    pub sched: SchedStats,
     /// Mailbox accounting.
     pub comm: CommMetrics,
     /// Per-variant kernel tally (empty when metrics were disabled).
@@ -510,16 +489,6 @@ impl RunReport {
         m
     }
 
-    /// Scheduling observables summed across ranks.
-    pub fn total_sched(&self) -> SchedStats {
-        let mut s = SchedStats::default();
-        for r in &self.per_rank {
-            s.lookahead_hits += r.sched.lookahead_hits;
-            s.priority_inversions += r.sched.priority_inversions;
-        }
-        s
-    }
-
     /// Kernel tally merged across ranks.
     pub fn total_kernels(&self) -> KernelTally {
         let mut t = KernelTally::default();
@@ -578,7 +547,6 @@ impl RunReport {
             r.comm.codec_bytes_encoded = 0;
             r.mem.ssssm_batches = 0;
             r.mem.plan_build_ns = 0;
-            r.sched = SchedStats::default();
             r.kernels.zero_timings();
         }
         out
@@ -692,13 +660,6 @@ fn rank_to_json(r: &RankMetrics) -> Json {
             ]),
         ),
         (
-            "sched",
-            Json::obj(vec![
-                ("lookahead_hits", Json::Num(r.sched.lookahead_hits as f64)),
-                ("priority_inversions", Json::Num(r.sched.priority_inversions as f64)),
-            ]),
-        ),
-        (
             "comm",
             Json::obj(vec![
                 ("msgs_sent", Json::Num(r.comm.msgs_sent as f64)),
@@ -717,11 +678,12 @@ fn rank_to_json(r: &RankMetrics) -> Json {
     ])
 }
 
+/// Parses one `per_rank` entry. Documents written while the executor had
+/// a lookahead window carry a `sched` object per rank; it is ignored.
 fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
     let tasks = j.req("tasks")?;
     let comm = j.req("comm")?;
     let mem = j.req("mem")?;
-    let sched = j.req("sched")?;
     let mut r = RankMetrics {
         rank: j.req_u64("rank")? as usize,
         busy_nanos: j.req_u64("busy_nanos")?,
@@ -749,10 +711,6 @@ fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
                 as u64,
             plan_bytes: mem.req_u64("plan_bytes")?,
             plan_build_ns: mem.req_u64("plan_build_ns")?,
-        },
-        sched: SchedStats {
-            lookahead_hits: sched.req_u64("lookahead_hits")?,
-            priority_inversions: sched.req_u64("priority_inversions")?,
         },
         comm: CommMetrics {
             msgs_sent: comm.req_u64("msgs_sent")?,
@@ -843,7 +801,6 @@ mod tests {
                         plan_bytes: 1024,
                         plan_build_ns: 900,
                     },
-                    sched: SchedStats { lookahead_hits: 5, priority_inversions: 4 },
                     comm: CommMetrics {
                         msgs_sent: 4,
                         bytes_sent: 512,
@@ -897,9 +854,6 @@ mod tests {
         assert_eq!(mem.run_axpy_entries, 35);
         assert_eq!(mem.plan_bytes, 1024);
         assert_eq!(mem.plan_build_ns, 900);
-        let sched = report.total_sched();
-        assert_eq!(sched.lookahead_hits, 5);
-        assert_eq!(sched.priority_inversions, 4);
         assert!((report.observed_flops() - 1344.0).abs() < 1e-12);
     }
 
@@ -921,11 +875,6 @@ mod tests {
         );
         assert_eq!(det.per_rank[0].mem.ssssm_batches, 0, "batch width is timing-dependent");
         assert_eq!(det.per_rank[0].mem.plan_build_ns, 0, "plan build time is a wall clock");
-        assert_eq!(
-            det.per_rank[0].sched,
-            SchedStats::default(),
-            "lookahead observables are interleaving-dependent"
-        );
         assert_eq!(det.per_rank[0].kernels.total_nanos(), 0);
         // Work counters untouched.
         assert_eq!(det.per_rank[0].tasks, report.per_rank[0].tasks);
@@ -950,8 +899,6 @@ mod tests {
         other.per_rank[0].comm.recv_timeouts = 8;
         other.per_rank[0].mem.ssssm_batches = 5;
         other.per_rank[0].mem.plan_build_ns = 123;
-        other.per_rank[0].sched.priority_inversions = 9;
-        other.per_rank[0].sched.lookahead_hits = 31;
         other.per_rank[0].comm.frames_sent = 17;
         other.per_rank[0].comm.codec_bytes_encoded = 4096;
         assert_eq!(other.without_timings(), det);

@@ -13,9 +13,10 @@
 #           scripts/panic_ceiling.txt (scripts/panic_sites.sh)
 #   trace   schedule-trace validator over a 5-seed fault sweep
 #           (see docs/FAULT_INJECTION.md)
-#   sched   scheduling-correctness layer: critical-path priority
-#           property tests, policy determinism matrix, and the 128-rank
-#           DES policy study (see docs/SCHEDULING.md)
+#   sched   scheduling-correctness layer: the determinism matrix
+#           (bitwise factors across grids x modes x fault plans), the
+#           DES <-> executor traffic identity, and refactorisation reuse
+#           (see docs/SCHEDULING.md)
 #   transport  cross-backend conformance layer: codec property tests,
 #           the wire-model accounting guard, peer-death failure modes,
 #           and the conformance suite over every transport backend
@@ -111,8 +112,7 @@ stage_trace() {
 }
 
 stage_sched() {
-    cargo test --release -q \
-        --test priorities --test determinism --test des_consistency --test refactor
+    cargo test --release -q --test determinism --test des_consistency --test refactor
 }
 
 stage_transport() {

@@ -10,7 +10,6 @@
 //!   -np, --ranks <p>       simulated MPI ranks                [default 1]
 //!       --nb <n>           tile size (default: heuristic)
 //!       --schedule <s>     sync-free | level-set       [default sync-free]
-//!       --policy <p>       fifo | priority            [default priority]
 //!       --transport <t>    channel | shm | tcp | uds       [default channel]
 //!       --ordering <o>     auto | amd | nd | rcm | natural  [default auto]
 //!       --no-balance       disable the static load balancer
@@ -31,7 +30,6 @@ use std::process::ExitCode;
 
 use pangulu::comm::TransportKind;
 use pangulu::core::dist::ScheduleMode;
-use pangulu::core::SchedulePolicy;
 use pangulu::prelude::*;
 use pangulu::reorder::FillReducing;
 use pangulu::sparse::gen::{self, PAPER_MATRICES};
@@ -44,7 +42,6 @@ struct Cli {
     ranks: usize,
     nb: Option<usize>,
     schedule: ScheduleMode,
-    policy: SchedulePolicy,
     transport: TransportKind,
     ordering: FillReducing,
     balance: bool,
@@ -71,7 +68,6 @@ usage: pangulu [OPTIONS] (-F <matrix.mtx> | --gen <name>)
   -np, --ranks <p>       simulated MPI ranks                [default 1]
       --nb <n>           tile size (default: heuristic)
       --schedule <s>     sync-free | level-set        [default sync-free]
-      --policy <p>       fifo | priority             [default priority]
       --transport <t>    channel | shm | tcp | uds        [default channel]
       --ordering <o>     auto | amd | nd | rcm | natural    [default auto]
       --no-balance       disable the static load balancer
@@ -97,7 +93,6 @@ fn parse_args() -> Cli {
         ranks: 1,
         nb: None,
         schedule: ScheduleMode::SyncFree,
-        policy: SchedulePolicy::default(),
         transport: TransportKind::default(),
         ordering: FillReducing::Auto,
         balance: true,
@@ -132,16 +127,6 @@ fn parse_args() -> Cli {
                     "level-set" => ScheduleMode::LevelSet,
                     other => {
                         eprintln!("unknown schedule {other:?}");
-                        usage()
-                    }
-                }
-            }
-            "--policy" => {
-                cli.policy = match next(&mut args, "--policy").as_str() {
-                    "fifo" => SchedulePolicy::Fifo,
-                    "priority" => SchedulePolicy::Priority,
-                    other => {
-                        eprintln!("unknown policy {other:?}");
                         usage()
                     }
                 }
@@ -183,7 +168,12 @@ fn parse_args() -> Cli {
                     next(&mut args, "--probe-every").parse().unwrap_or_else(|_| usage())
             }
             "--refine" => {
-                cli.refine = Some(next(&mut args, "--refine").parse().unwrap_or_else(|_| usage()))
+                let tol: f64 = next(&mut args, "--refine").parse().unwrap_or_else(|_| usage());
+                if !(tol.is_finite() && tol > 0.0) {
+                    eprintln!("--refine needs a positive finite tolerance, got {tol}");
+                    usage();
+                }
+                cli.refine = Some(tol);
             }
             "--refactor-reps" => {
                 cli.refactor_reps =
@@ -262,7 +252,6 @@ fn main() -> ExitCode {
     let mut builder = Solver::builder()
         .ranks(cli.ranks)
         .schedule(cli.schedule)
-        .schedule_policy(cli.policy)
         .transport(cli.transport)
         .fill_reducing(cli.ordering)
         .adaptive_kernels(cli.adaptive)
@@ -305,15 +294,6 @@ fn main() -> ExitCode {
             d.bytes / 1024,
             d.mean_sync_wait()
         );
-    }
-    if let Some(report) = &s.report {
-        let sc = report.total_sched();
-        if sc.lookahead_hits > 0 {
-            println!(
-                "sched: {} lookahead hits | {} inversions",
-                sc.lookahead_hits, sc.priority_inversions
-            );
-        }
     }
     if s.perturbed_pivots > 0 {
         println!("static pivoting perturbed {} pivots", s.perturbed_pivots);

@@ -57,18 +57,18 @@ fn unwritable_out_path_fails_without_panicking() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// A refinement tolerance that is not a positive finite number is a usage
+/// error: NaN would skip every correction and a tolerance ≤ 0 would run to
+/// the iteration cap.
 #[test]
-fn policy_flag_accepts_exactly_fifo_and_priority() {
-    for policy in ["fifo", "priority"] {
-        let out = bin()
-            .args(["--gen", "apache2", "-np", "2", "--policy", policy])
-            .output()
-            .expect("run pangulu");
-        assert!(out.status.success(), "{policy}: {}", String::from_utf8_lossy(&out.stderr));
+fn refine_rejects_a_tolerance_that_is_not_positive_and_finite() {
+    for tol in ["nan", "inf", "0", "-1e-9"] {
+        let out = bin().args(["--gen", "apache2", "--refine", tol]).output().expect("run pangulu");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{tol}: {stderr}");
+        assert!(stderr.contains("positive finite tolerance"), "{tol}: {stderr}");
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("refinement:"), "{tol}");
     }
-    let out = bin().args(["--gen", "apache2", "--policy", "lifo"]).output().expect("run pangulu");
-    assert_eq!(out.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown policy"));
 }
 
 #[test]

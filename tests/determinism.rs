@@ -6,9 +6,7 @@
 //! {1×1, 1×2, 2×2, 3×2} × {SyncFree, LevelSet} matrix.
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{
-    factor_distributed_checked, FactorConfig, FactorRun, ScheduleMode, SchedulePolicy,
-};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun, ScheduleMode};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
@@ -43,11 +41,7 @@ fn factor_once(prob: &Problem, pr: usize, pc: usize, mode: ScheduleMode) -> CscM
 }
 
 fn factor_with_config(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> CscMatrix {
-    factor_run(prob, pr, pc, cfg).0
-}
-
-fn factor_run(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> (CscMatrix, FactorRun) {
-    factor_run_with(prob, &prob.sel, pr, pc, cfg)
+    factor_run_with(prob, &prob.sel, pr, pc, cfg).0
 }
 
 fn factor_run_with(
@@ -79,8 +73,6 @@ fn factor_unplanned(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) ->
     );
     f
 }
-
-const POLICIES: [SchedulePolicy; 2] = [SchedulePolicy::Fifo, SchedulePolicy::Priority];
 
 /// Same seed, same grid, same mode → the factors are bitwise identical
 /// run to run, despite nondeterministic thread interleaving.
@@ -192,7 +184,7 @@ fn planned_factors_survive_adversarial_fault_plans() {
 
 /// Run-segmented plan replay (slice-level axpy loops over maximal
 /// contiguous runs) and the unplanned walk compute the same factors
-/// across grids × policies — and under adversarial fault plans. Runs
+/// across grids — and under adversarial fault plans. Runs
 /// partition each index list left to right, so the per-element order and
 /// arithmetic never change; this pins that.
 #[test]
@@ -200,21 +192,19 @@ fn run_planned_factors_are_bitwise_identical_to_unplanned() {
     let prob = problem(12);
     let reference = factor_once(&prob, 1, 1, ScheduleMode::SyncFree);
     for (pr, pc) in grids() {
-        for policy in POLICIES {
-            let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_policy(policy);
-            let run_planned = factor_with_config(&prob, pr, pc, &cfg);
-            let unplanned = factor_unplanned(&prob, pr, pc, &cfg);
-            assert_eq!(
-                run_planned.values(),
-                unplanned.values(),
-                "{pr}x{pc} {policy:?}: run-segmented replay diverged from unplanned"
-            );
-            assert_eq!(
-                reference.values(),
-                run_planned.values(),
-                "{pr}x{pc} {policy:?}: run-segmented factors differ from the 1x1 reference"
-            );
-        }
+        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree);
+        let run_planned = factor_with_config(&prob, pr, pc, &cfg);
+        let unplanned = factor_unplanned(&prob, pr, pc, &cfg);
+        assert_eq!(
+            run_planned.values(),
+            unplanned.values(),
+            "{pr}x{pc}: run-segmented replay diverged from unplanned"
+        );
+        assert_eq!(
+            reference.values(),
+            run_planned.values(),
+            "{pr}x{pc}: run-segmented factors differ from the 1x1 reference"
+        );
     }
     for seed in [14u64, 15] {
         let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree)
@@ -228,107 +218,46 @@ fn run_planned_factors_are_bitwise_identical_to_unplanned() {
     }
 }
 
-/// The scheduling policy changes only the order ready work is popped,
-/// never the arithmetic: Fifo and Priority compute factors bitwise equal
-/// to the 1×1 SyncFree reference on every grid.
+/// The scheduling policy — the schedule mode a `FactorConfig` carries,
+/// over the one ready-queue order — is bitwise-neutral on every grid:
+/// each cell matches the 1×1 SyncFree reference.
 #[test]
 fn factors_agree_across_scheduling_policies() {
     let prob = problem(7);
     let reference = factor_once(&prob, 1, 1, ScheduleMode::SyncFree);
     for (pr, pc) in grids() {
-        for policy in POLICIES {
-            let f = factor_with_config(
-                &prob,
-                pr,
-                pc,
-                &FactorConfig::with_mode(ScheduleMode::SyncFree).with_policy(policy),
-            );
+        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
+            let f = factor_with_config(&prob, pr, pc, &FactorConfig::with_mode(mode));
             assert_eq!(
                 reference.values(),
                 f.values(),
-                "{pr}x{pc} {policy:?}: factors differ from the 1x1 reference"
+                "{pr}x{pc} {mode:?}: factors differ from the 1x1 reference"
             );
         }
     }
 }
 
-/// Policies stay bitwise-neutral when an adversarial (lossless
-/// delay/reorder) fault plan perturbs message timing.
+/// Both scheduling modes stay bitwise-neutral when an adversarial
+/// (lossless delay/reorder) fault plan perturbs message timing.
 #[test]
 fn policies_survive_adversarial_fault_plans() {
     let prob = problem(8);
     let reference = factor_once(&prob, 2, 2, ScheduleMode::SyncFree);
     for seed in [11u64, 12, 13] {
         let fault = FaultPlan::adversarial(seed);
-        for policy in POLICIES {
+        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
             let f = factor_with_config(
                 &prob,
                 2,
                 2,
-                &FactorConfig::with_mode(ScheduleMode::SyncFree)
-                    .with_policy(policy)
-                    .with_fault(fault.clone()),
+                &FactorConfig::with_mode(mode).with_fault(fault.clone()),
             );
             assert_eq!(
                 reference.values(),
                 f.values(),
-                "fault seed {seed} {policy:?}: factors differ from the fault-free run"
+                "fault seed {seed} {mode:?}: factors differ from the fault-free run"
             );
         }
-    }
-}
-
-/// The lookahead window bounds *when* out-of-order work runs, not what
-/// it computes: every window — including 0, which degenerates to strict
-/// front-order execution — completes and matches the reference bitwise.
-#[test]
-fn lookahead_window_is_bitwise_neutral_including_zero() {
-    let prob = problem(9);
-    let reference = factor_once(&prob, 2, 2, ScheduleMode::SyncFree);
-    for window in [0usize, 1, 2, 64] {
-        let f = factor_with_config(
-            &prob,
-            2,
-            2,
-            &FactorConfig::with_mode(ScheduleMode::SyncFree)
-                .with_policy(SchedulePolicy::Priority)
-                .with_lookahead(window),
-        );
-        assert_eq!(
-            reference.values(),
-            f.values(),
-            "window {window}: factors differ from the reference"
-        );
-    }
-}
-
-/// LevelSet runs the queue in Fifo order regardless of the requested
-/// policy (the barrier defines the schedule): both policies must
-/// produce identical factors *and* identical counters — the regression
-/// guard for the blocked-top-task short-circuit in the LevelSet pop
-/// path, which must change how often the queue is peeked, never what is
-/// counted.
-#[test]
-fn levelset_ignores_policy_with_identical_counters() {
-    let prob = problem(10);
-    let (f_ref, run_ref) =
-        factor_run(&prob, 2, 2, &FactorConfig::with_mode(ScheduleMode::LevelSet));
-    let report_ref = run_ref.report.without_timings();
-    for policy in POLICIES {
-        let (f, run) = factor_run(
-            &prob,
-            2,
-            2,
-            &FactorConfig::with_mode(ScheduleMode::LevelSet).with_policy(policy),
-        );
-        assert_eq!(f_ref.values(), f.values(), "{policy:?}: LevelSet factors differ");
-        assert_eq!(
-            report_ref,
-            run.report.without_timings(),
-            "{policy:?}: LevelSet counters differ across policies"
-        );
-        let sched = run.report.total_sched();
-        assert_eq!(sched.lookahead_hits, 0, "{policy:?}: LevelSet never looks ahead");
     }
 }
 
@@ -481,8 +410,8 @@ fn assert_lane_ran(calls: [u64; 3], tag: &str) {
     assert!(calls.iter().all(|&c| c >= 1), "{tag}: a class never took the tile lane: {calls:?}");
 }
 
-/// Sequential / shared / distributed grids × schedule modes × policies ×
-/// an adversarial fault plan, in scalar type `S`: all bitwise equal to
+/// Sequential / shared / distributed grids × schedule modes × an
+/// adversarial fault plan, in scalar type `S`: all bitwise equal to
 /// the sparse-variant reference sweep, with the lane active everywhere.
 fn dense_tile_rows<S: Scalar>() {
     let (bm64, tg, sel) = filled_problem();
@@ -546,16 +475,9 @@ fn dense_tile_rows<S: Scalar>() {
             );
         }
     }
-    for policy in POLICIES {
-        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_policy(policy);
-        run_dist(2, 2, &cfg, &format!("{policy:?}"));
-        run_dist(
-            3,
-            2,
-            &cfg.clone().with_fault(FaultPlan::adversarial(21)),
-            &format!("{policy:?}+fault"),
-        );
-    }
+    let faulted =
+        FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(FaultPlan::adversarial(21));
+    run_dist(3, 2, &faulted, "SyncFree+fault");
 }
 
 #[test]

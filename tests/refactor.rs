@@ -366,50 +366,6 @@ fn rejected_refactor_leaves_plans_intact() {
     assert_eq!(bits, factor_bits(solver.factored()), "refactor(a) != factor(a)");
 }
 
-/// The critical-path priorities are part of the cached analysis: the
-/// exact same allocation (`Arc::ptr_eq`) serves every refactorisation
-/// rep, survives `PatternMismatch` rejections untouched, and — for
-/// multi-rank solvers — is shared with the executor workspace rather
-/// than recomputed per factorisation.
-#[test]
-fn refactor_reuses_cached_priorities_across_reps_and_rejections() {
-    let a = gen::circuit(300, 21);
-    for (tag, opts) in [
-        ("seq", opts_for(1, ScheduleMode::SyncFree)),
-        ("sync-free 2x2", opts_for(4, ScheduleMode::SyncFree)),
-    ] {
-        let mut solver = Solver::factor_with(&a, opts).unwrap();
-        let first = solver.plan().priorities().clone();
-        assert!(
-            !first.panel.is_empty() && !first.ssssm.is_empty(),
-            "{tag}: analysis produced no priorities"
-        );
-
-        for rep in 1..=3 {
-            solver.refactor(&perturb(&a)).unwrap();
-            assert!(
-                std::sync::Arc::ptr_eq(&first, solver.plan().priorities()),
-                "{tag} rep {rep}: refactor replaced the cached priorities"
-            );
-        }
-
-        match solver.refactor(&gen::laplacian_2d(8, 9)) {
-            Err(SparseError::PatternMismatch(_)) => {}
-            other => panic!("{tag}: expected PatternMismatch, got {other:?}"),
-        }
-        assert!(
-            std::sync::Arc::ptr_eq(&first, solver.plan().priorities()),
-            "{tag}: a rejected refactor touched the cached priorities"
-        );
-
-        solver.refactor(&a).unwrap();
-        assert!(
-            std::sync::Arc::ptr_eq(&first, solver.plan().priorities()),
-            "{tag}: the post-rejection refactor rebuilt the priorities"
-        );
-    }
-}
-
 /// The phase counters record exactly which phases ran: the first
 /// factorisation runs all four, every refactorisation adds one numeric
 /// run and one analysis reuse.

@@ -16,7 +16,7 @@
 use std::time::Duration;
 
 use pangulu::comm::{sockets_available, FaultPlan, TransportKind};
-use pangulu::core::dist::{FactorConfig, ScheduleMode, SchedulePolicy};
+use pangulu::core::dist::{FactorConfig, ScheduleMode};
 use pangulu::metrics::RunReport;
 
 #[path = "common/wire_fixture.rs"]
@@ -97,10 +97,8 @@ fn codec_counters_agree_across_byte_backends() {
     }
 }
 
-const POLICIES: [SchedulePolicy; 2] = [SchedulePolicy::Fifo, SchedulePolicy::Priority];
-
-/// The determinism matrix, cross-backend: for every grid × policy ×
-/// schedule mode, every backend produces bitwise-identical factors and
+/// The determinism matrix, cross-backend: for every grid × schedule
+/// mode, every backend produces bitwise-identical factors and
 /// an identical timing-free report — the same contract
 /// `tests/determinism.rs` enforces within one backend.
 #[test]
@@ -108,26 +106,23 @@ fn factors_bitwise_identical_across_backends() {
     let prob = problem(42, 80, 9);
     for (pr, pc) in [(2, 2), (1, 4)] {
         for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            for policy in POLICIES {
-                let mut reference: Option<(Vec<f64>, RunReport)> = None;
-                for kind in backends() {
-                    let cfg = cfg_on(kind, mode).with_policy(policy);
-                    let (values, report) = factor_values(&prob, pr, pc, &cfg);
-                    let projection = report.without_timings();
-                    match &reference {
-                        None => reference = Some((values, projection)),
-                        Some((ref_values, ref_projection)) => {
-                            assert!(
-                                ref_values == &values,
-                                "{kind}: {pr}x{pc} {mode:?} {policy:?} factors are not \
-                                 bitwise identical to the channel reference"
-                            );
-                            assert_eq!(
-                                ref_projection, &projection,
-                                "{kind}: {pr}x{pc} {mode:?} {policy:?} timing-free \
-                                 report differs from the channel reference"
-                            );
-                        }
+            let mut reference: Option<(Vec<f64>, RunReport)> = None;
+            for kind in backends() {
+                let (values, report) = factor_values(&prob, pr, pc, &cfg_on(kind, mode));
+                let projection = report.without_timings();
+                match &reference {
+                    None => reference = Some((values, projection)),
+                    Some((ref_values, ref_projection)) => {
+                        assert!(
+                            ref_values == &values,
+                            "{kind}: {pr}x{pc} {mode:?} factors are not bitwise identical \
+                             to the channel reference"
+                        );
+                        assert_eq!(
+                            ref_projection, &projection,
+                            "{kind}: {pr}x{pc} {mode:?} timing-free report differs from the \
+                             channel reference"
+                        );
                     }
                 }
             }
@@ -194,7 +189,7 @@ fn stall_timeout_error_is_structured_on_every_backend() {
 
 /// The mixed-precision column of the determinism matrix: factoring the
 /// same fixture in f32 keeps the cross-backend bitwise contract — every
-/// backend, every policy, both grids produce word-for-word identical
+/// backend on both grids produces word-for-word identical
 /// f32 factors — and every report is stamped with the 4-byte scalar
 /// width. This is the contract the mixed-precision solver leans on when
 /// it promises grid- and transport-independent f32 factors.
@@ -202,20 +197,18 @@ fn stall_timeout_error_is_structured_on_every_backend() {
 fn mixed_precision_factors_bitwise_identical_across_backends() {
     let prob = problem(42, 80, 9);
     for (pr, pc) in [(2, 2), (1, 4)] {
-        for policy in POLICIES {
-            let mut reference: Option<Vec<u32>> = None;
-            for kind in backends() {
-                let cfg = cfg_on(kind, ScheduleMode::SyncFree).with_policy(policy);
-                let (bits, report) = factor_values32(&prob, pr, pc, &cfg);
-                assert_eq!(report.scalar_width, 4, "{kind}: f32 run must report 4-byte scalars");
-                match &reference {
-                    None => reference = Some(bits),
-                    Some(ref_bits) => assert!(
-                        ref_bits == &bits,
-                        "{kind}: {pr}x{pc} {policy:?} f32 factors are not bitwise \
-                         identical to the channel reference"
-                    ),
-                }
+        let mut reference: Option<Vec<u32>> = None;
+        for kind in backends() {
+            let cfg = cfg_on(kind, ScheduleMode::SyncFree);
+            let (bits, report) = factor_values32(&prob, pr, pc, &cfg);
+            assert_eq!(report.scalar_width, 4, "{kind}: f32 run must report 4-byte scalars");
+            match &reference {
+                None => reference = Some(bits),
+                Some(ref_bits) => assert!(
+                    ref_bits == &bits,
+                    "{kind}: {pr}x{pc} f32 factors are not bitwise identical to the channel \
+                     reference"
+                ),
             }
         }
     }
