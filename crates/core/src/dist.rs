@@ -23,8 +23,9 @@
 //! timing (see `pangulu_comm::fault` and `crate::trace_check`):
 //!
 //! * **Deterministic update order** — the SSSSM updates targeting one
-//!   block are applied in ascending elimination-step order, regardless of
-//!   the order their operands arrive. Floating-point addition is not
+//!   block are applied one at a time in ascending elimination-step order,
+//!   regardless of the order their operands arrive (the rule every
+//!   executor in this crate follows). Floating-point addition is not
 //!   associative, so this is what makes the computed factors *bitwise*
 //!   identical across runs, grids, and fault schedules.
 //! * **Bounded stalls** — a rank that makes no progress for
@@ -43,9 +44,7 @@ use pangulu_comm::{
     BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet, TransportKind,
 };
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{
-    flops, KernelPlans, KernelScratch, PlanStats, Route, SsssmUpdate, TimedKernels,
-};
+use pangulu_kernels::{flops, KernelPlans, KernelScratch, PlanStats, TimedKernels};
 use pangulu_metrics::{MemStats, RankMetrics, RunReport, TaskCounts};
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -72,12 +71,7 @@ pub struct FactorConfig {
     /// How long a rank may sit with nothing runnable and no incoming
     /// messages before the run aborts with a [`DistError`].
     pub stall_timeout: Duration,
-    /// Record per-kernel [`TraceEvent`]s. A traced run applies ready
-    /// SSSSM updates one at a time (trace events are defined on single
-    /// updates); an untraced [`ScheduleMode::SyncFree`] run fuses
-    /// consecutive ready updates the selector leaves unplanned into one
-    /// scatter → multi-axpy → gather pass. Both apply the updates in the
-    /// same ascending-step order, so the factors are bitwise identical.
+    /// Record per-kernel [`TraceEvent`]s.
     pub traced: bool,
     /// Record per-variant kernel tallies and model FLOPs into the
     /// [`RunReport`]. Off, every kernel call delegates straight to the
@@ -578,18 +572,15 @@ struct RankState<S: Scalar> {
     /// by its coordinates, so one flag per block covers all three of the
     /// paper's dependency kinds.
     avail: Vec<bool>,
-    /// Deterministic update order: per target block id, the ascending
-    /// elimination steps of its SSSSM updates (empty when the block is
-    /// not an owned SSSSM target)...
-    upd_order: Vec<Vec<usize>>,
-    /// ...the index of the next update to apply...
-    upd_pos: Vec<usize>,
-    /// ...and, aligned with `upd_order[cid]`, whether each update's
-    /// operands have both arrived.
-    upd_ready: Vec<Vec<bool>>,
-    /// Aligned with `upd_order[cid]`: each update's global index into
-    /// [`TaskGraph::ssssm`] — the slot key of its kernel plan.
-    upd_gid: Vec<Vec<u32>>,
+    /// Deterministic update order: per target block id, the next update
+    /// to apply — an index into [`TaskGraph::ssssm`], advanced along
+    /// [`TaskGraph::next_on_target`] (`None` once the chain is done, and
+    /// for blocks that are not owned SSSSM targets)...
+    upd_next: Vec<Option<u32>>,
+    /// ...reset to each chain's head before every run...
+    upd_head: Vec<Option<u32>>,
+    /// ...and, per update, whether both its operands have arrived.
+    upd_ready: Vec<bool>,
     /// Precomputed kernel index plans, built lazily per task on this
     /// rank's first touch and — like the rest of this state — reused
     /// verbatim across numeric-only refactorisations.
@@ -622,25 +613,16 @@ impl<S: Scalar> RankState<S> {
                 step_total[bm.step_of(id)] += 1;
             }
         }
-        let mut upd_pairs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); nblocks];
+        let mut upd_head: Vec<Option<u32>> = vec![None; nblocks];
         for (gid, &(i, j, k)) in tg.ssssm.iter().enumerate() {
             let cid = bm.block_id(i, j).expect("ssssm target exists");
             if owners.owner_of(cid) == rank {
                 remaining += 1;
                 step_total[k] += 1;
-                upd_pairs[cid].push((k, gid as u32));
+                // The triples ascend in `k`: a target's first is its head.
+                upd_head[cid].get_or_insert(gid as u32);
             }
         }
-        for pairs in &mut upd_pairs {
-            // Each step appears at most once per target, so sorting the
-            // pairs orders by step exactly as before.
-            pairs.sort_unstable();
-        }
-        let upd_order: Vec<Vec<usize>> =
-            upd_pairs.iter().map(|p| p.iter().map(|&(k, _)| k).collect()).collect();
-        let upd_gid: Vec<Vec<u32>> =
-            upd_pairs.iter().map(|p| p.iter().map(|&(_, g)| g).collect()).collect();
-        let upd_ready: Vec<Vec<bool>> = upd_order.iter().map(|o| vec![false; o.len()]).collect();
         RankState {
             rank,
             my_blocks,
@@ -649,10 +631,9 @@ impl<S: Scalar> RankState<S> {
             counter: counter_init.clone(),
             queued: vec![false; nblocks],
             avail: vec![false; nblocks],
-            upd_order,
-            upd_pos: vec![0usize; nblocks],
-            upd_ready,
-            upd_gid,
+            upd_next: upd_head.clone(),
+            upd_head,
+            upd_ready: vec![false; tg.ssssm.len()],
             plans: KernelPlans::with_slots(bm.nblk(), nblocks, nblocks, tg.ssssm.len()),
             counter_init,
             remaining_init: remaining,
@@ -677,10 +658,8 @@ impl<S: Scalar> RankState<S> {
         self.counter.copy_from_slice(&self.counter_init);
         self.queued.fill(false);
         self.avail.fill(false);
-        self.upd_pos.fill(0);
-        for ready in &mut self.upd_ready {
-            ready.fill(false);
-        }
+        self.upd_next.copy_from_slice(&self.upd_head);
+        self.upd_ready.fill(false);
     }
 }
 
@@ -731,10 +710,11 @@ enum Post {
         step: usize,
         role: BlockRole,
     },
-    /// `applied` consecutive updates (from the target's cursor) done.
+    /// Update `gid` of step `step`, at the target's cursor, done.
     Update {
         cid: usize,
-        applied: usize,
+        gid: usize,
+        step: usize,
     },
 }
 
@@ -757,9 +737,6 @@ struct Worker<'a, S: Scalar> {
 
     /// The rank's cached executor state (already reset for this run).
     st: &'a mut RankState<S>,
-    /// Widest SSSSM fusion allowed (1 = one-at-a-time; see
-    /// [`FactorConfig::traced`]).
-    max_batch: usize,
 
     /// Ready tasks, popped in step-major order (see [`PrioritisedTask`]).
     queue: BinaryHeap<PrioritisedTask>,
@@ -809,10 +786,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
     ) -> Self {
         let rank = mailbox.rank();
         debug_assert_eq!(st.rank, rank, "rank state handed to the wrong mailbox");
-        // Level-set barriers and per-kernel trace events are both defined
-        // on single updates.
-        let max_batch =
-            if cfg.mode == ScheduleMode::SyncFree && !cfg.traced { usize::MAX } else { 1 };
         let remaining = st.remaining_init;
         Worker {
             rank,
@@ -828,7 +801,6 @@ impl<'a, S: Scalar> Worker<'a, S> {
             abort,
             first_err,
             st,
-            max_batch,
             queue: BinaryHeap::new(),
             levelset_blocked: false,
             remaining,
@@ -1017,10 +989,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
             if self.st.counter[id] > 0 {
                 // Outstanding SSSSM updates: report the head of the
                 // deterministic order (its operands are what block us).
-                let order = &self.st.upd_order[id];
-                let pos = self.st.upd_pos[id];
-                if pos < order.len() {
-                    let k = order[pos];
+                if let Some(g) = self.st.upd_next[id] {
+                    let (_, _, k) = self.tg.ssssm[g as usize];
                     if !self.avail_at(bi, k) {
                         missing.push(MissingDep::LOperand { i: bi, k, target: (bi, bj) });
                     }
@@ -1148,56 +1118,23 @@ impl<'a, S: Scalar> Worker<'a, S> {
             }
             Task::Ssssm { i, j, k } => {
                 let cid = self.bm.block_id(i, j).expect("target exists");
-                let pos = self.st.upd_pos[cid];
+                let gid = self.st.upd_next[cid].expect("a queued update is at its cursor") as usize;
                 debug_assert_eq!(
-                    self.st.upd_order[cid].get(pos),
-                    Some(&k),
-                    "popped SSSSM update is not at the target's cursor"
+                    self.tg.ssssm[gid],
+                    (i, j, k),
+                    "popped update is not the cursor's"
                 );
-                // Take the maximal run of consecutive ready updates from
-                // the cursor and walk it in ascending-step order. Updates
-                // routed to a plan execute one at a time through their
-                // index maps; runs of variant-routed updates between them
-                // fuse into `ssssm_batch` segments, scattering and
-                // gathering the target column once per segment instead of
-                // once per update. Either way the subtraction sequence is
-                // that of one-at-a-time application, so the result is
-                // bitwise identical (see the batching contract on
-                // `ssssm_batch`).
-                let mut width = 1usize;
-                while width < self.max_batch
-                    && pos + width < self.st.upd_order[cid].len()
-                    && self.st.upd_ready[cid][pos + width]
-                {
-                    width += 1;
-                }
                 let bm = self.bm;
                 let st = &mut *self.st;
                 let mut target = st.my_blocks[cid].take().expect("ssssm on owned block");
-                let mut pending: Vec<SsssmUpdate<'_, S>> = Vec::with_capacity(width);
-                for n in 0..width {
-                    let uk = st.upd_order[cid][pos + n];
-                    let a =
-                        Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, i, uk);
-                    let b =
-                        Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, uk, j);
-                    let gid = st.upd_gid[cid][pos + n] as usize;
-                    let fl = self.tg.ssssm_flops[gid];
-                    match st.plans.route_ssssm(self.selector, gid, fl, a, b, &target) {
-                        route @ Route::Plan(..) => {
-                            self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
-                            pending.clear();
-                            self.timed.ssssm(route, a, b, &mut target, &mut st.scratch, fl);
-                        }
-                        Route::Variant(variant) => {
-                            pending.push(SsssmUpdate { a, b, variant, model_flops: fl })
-                        }
-                    }
-                }
-                self.timed.ssssm_batch(&pending, &mut target, &mut st.scratch);
+                let a = Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, i, k);
+                let b = Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, k, j);
+                let fl = self.tg.ssssm_flops[gid];
+                let route = st.plans.route_ssssm(self.selector, gid, fl, a, b, &target);
+                self.timed.ssssm(route, a, b, &mut target, &mut st.scratch, fl);
                 st.my_blocks[cid] = Some(target);
-                self.tasks.ssssm += width as u64;
-                Post::Update { cid, applied: width }
+                self.tasks.ssssm += 1;
+                Post::Update { cid, gid, step: k }
             }
         };
         self.busy += t0.elapsed();
@@ -1209,22 +1146,16 @@ impl<'a, S: Scalar> Worker<'a, S> {
         }
         match post {
             Post::Panel { id, step, role } => self.finish_block(id, step, role),
-            Post::Update { cid, applied } => {
-                self.remaining -= applied;
-                for n in 0..applied {
-                    let step = self.st.upd_order[cid][self.st.upd_pos[cid] + n];
-                    self.step_done[step] += 1;
-                }
-                self.st.counter[cid] -= applied;
-                // Advance the deterministic per-target cursor past the
-                // whole batch and queue the next update if its operands
-                // already arrived.
-                self.st.upd_pos[cid] += applied;
-                let pos = self.st.upd_pos[cid];
-                if pos < self.st.upd_order[cid].len() && self.st.upd_ready[cid][pos] {
-                    let (bi, bj) = self.bm.block_coords(cid);
-                    let nk = self.st.upd_order[cid][pos];
-                    self.push_task(Task::Ssssm { i: bi, j: bj, k: nk });
+            Post::Update { cid, gid, step } => {
+                self.task_done(step);
+                self.st.counter[cid] -= 1;
+                // Advance the target's cursor along its chain and queue
+                // the next update if its operands already arrived.
+                let next = self.tg.next_on_target[gid];
+                self.st.upd_next[cid] = next;
+                if let Some(n) = next.map(|n| n as usize).filter(|&n| self.st.upd_ready[n]) {
+                    let (i, j, k) = self.tg.ssssm[n];
+                    self.push_task(Task::Ssssm { i, j, k });
                 }
                 if self.st.counter[cid] == 0 {
                     self.maybe_queue_panel(cid);
@@ -1304,15 +1235,14 @@ impl<'a, S: Scalar> Worker<'a, S> {
         self.on_block_available(msg.bi, msg.bj, msg.role);
     }
 
-    /// Marks the SSSSM update `(coords of cid, k)` as operand-complete
-    /// and queues it iff it is the next update in the target's
-    /// deterministic (ascending-`k`) application order.
-    fn update_ready(&mut self, cid: usize, k: usize) {
-        let idx = self.st.upd_order[cid].binary_search(&k).expect("update in target's order");
-        self.st.upd_ready[cid][idx] = true;
-        if idx == self.st.upd_pos[cid] {
-            let (bi, bj) = self.bm.block_coords(cid);
-            self.push_task(Task::Ssssm { i: bi, j: bj, k });
+    /// Marks the SSSSM update `(i, j, k)` onto owned block `cid` as
+    /// operand-complete and queues it iff it is at the target's cursor
+    /// (the deterministic ascending-`k` application order).
+    fn update_ready(&mut self, cid: usize, i: usize, j: usize, k: usize) {
+        let gid = self.tg.ssssm_index(i, j, k).expect("update in the task graph");
+        self.st.upd_ready[gid] = true;
+        if self.st.upd_next[cid] == Some(gid as u32) {
+            self.push_task(Task::Ssssm { i, j, k });
         }
     }
 
@@ -1347,7 +1277,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 for &j in &tg.u_panels[k] {
                     if let Some(cid) = bm.block_id(i, j) {
                         if self.owned(cid) && self.avail_at(k, j) {
-                            self.update_ready(cid, k);
+                            self.update_ready(cid, i, j, k);
                         }
                     }
                 }
@@ -1357,7 +1287,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 for &i in &tg.l_panels[k] {
                     if let Some(cid) = bm.block_id(i, j) {
                         if self.owned(cid) && self.avail_at(i, k) {
-                            self.update_ready(cid, k);
+                            self.update_ready(cid, i, j, k);
                         }
                     }
                 }

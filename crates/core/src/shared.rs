@@ -1,22 +1,25 @@
 //! Shared-memory parallel numeric factorisation.
 //!
 //! PanguLU also runs on multicore CPUs without MPI; this is that mode:
-//! the same synchronisation-free counter array as the distributed
-//! executor, but with worker threads sharing one block store instead of
-//! exchanging messages. Publication order is enforced the lock-free way
-//! the Atomics-and-Locks guide teaches:
+//! the synchronisation-free counter array of §4.4, with worker threads
+//! sharing one block store instead of exchanging messages. Every task —
+//! one panel operation per block, one update per SSSSM triple — owns an
+//! atomic count of the tasks it still waits for:
 //!
-//! * every block has an atomic counter (outstanding SSSSM updates) and a
-//!   `finished` flag; finished blocks are **immutable** and may be read
-//!   by any worker after an `Acquire` load of the flag;
-//! * in-progress target blocks are protected by a per-block spin claim
-//!   (an `AtomicBool`), because two SSSSM updates to the same target can
-//!   be runnable at once;
-//! * runnable tasks flow through a global injector of worklists; workers
-//!   pop, execute, and push whatever their completion unlocks.
+//! * a block's panel op waits on the last update of its target chain (if
+//!   it has updates) and on its diagonal factor (if it is off-diagonal);
+//! * update `g` waits on its two panel operands and on the previous
+//!   update onto the same target ([`TaskGraph::next_on_target`]).
+//!
+//! The finisher of a dependency decrements with `AcqRel`, and whoever
+//! brings a count to zero pushes the task onto the shared ready heap. A
+//! target's updates therefore run one at a time in ascending `k` — the
+//! rule of the sequential and distributed executors — so the factors are
+//! bitwise those of [`crate::seq::factor_sequential_planned`] at any
+//! thread count.
 
-use std::collections::{BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pangulu_kernels::select::KernelSelector;
@@ -27,52 +30,39 @@ use crate::block::BlockMatrix;
 use crate::seq::NumericStats;
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
-/// The scheduler: a priority heap plus the set of tasks ever queued.
-/// Claim-before-push under one lock resolves every "who queues it" race
-/// (two SSSSM operand finishers; a panel's last update racing its
-/// diagonal factor) — the loser's insert returns `false`.
-#[derive(Default)]
-struct Sched {
-    heap: BinaryHeap<PrioritisedTask>,
-    claimed: HashSet<Task>,
-}
-
-impl Sched {
-    fn push_once(&mut self, t: Task) {
-        if self.claimed.insert(t) {
-            self.heap.push(PrioritisedTask(t));
-        }
-    }
-}
-
-/// Per-block concurrency state.
-struct BlockState {
-    /// Outstanding SSSSM updates (the synchronisation-free array).
-    pending: AtomicUsize,
-    /// Exclusive-claim latch for writers.
-    claimed: AtomicBool,
-    /// Set (Release) when the block's panel op finished; readers Acquire.
-    finished: AtomicBool,
-}
-
 /// A mutable-shared view of the block store.
 ///
-/// Safety: writers hold the block's `claimed` latch; readers only touch
-/// blocks whose `finished` flag they observed with `Acquire`, which
-/// happens-after the writer's final store.
+/// Safety: a block is written only by the task its countdown admitted —
+/// each update after its predecessor on the target, the panel op after
+/// the last update — and read as an operand only by tasks its panel op
+/// released. The `AcqRel` countdown orders every write before the
+/// accesses it unlocks.
 struct SharedBlocks<S> {
     ptr: *mut CscMatrix<S>,
 }
 
+// SAFETY: the one field points into a block store that outlives the
+// scoped workers, and the countdown above serialises every access to a
+// block, so handing the pointer to other threads is sound.
 unsafe impl<S: Scalar> Send for SharedBlocks<S> {}
+// SAFETY: as for `Send`: shared use goes through `get` / `get_mut`,
+// whose callers uphold the countdown's one-writer rule.
 unsafe impl<S: Scalar> Sync for SharedBlocks<S> {}
 
 impl<S: Scalar> SharedBlocks<S> {
+    /// # Safety
+    ///
+    /// `id` indexes the store, and no task writes block `id` while the
+    /// returned reference lives.
     #[inline]
     unsafe fn get(&self, id: usize) -> &CscMatrix<S> {
         &*self.ptr.add(id)
     }
 
+    /// # Safety
+    ///
+    /// `id` indexes the store, and the caller is the one task the
+    /// countdown admitted to touch block `id`.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn get_mut(&self, id: usize) -> &mut CscMatrix<S> {
@@ -80,15 +70,29 @@ impl<S: Scalar> SharedBlocks<S> {
     }
 }
 
+/// One factorisation in flight: what every worker reads, and the
+/// countdown per task — panel ops by block id, then updates by their
+/// index into [`TaskGraph::ssssm`] offset by the block count.
+struct Run<'a, S: Scalar> {
+    bm: &'a BlockMatrix<S>,
+    tg: &'a TaskGraph,
+    selector: &'a KernelSelector,
+    plans: &'a KernelPlans<S>,
+    pivot_floor: f64,
+    blocks: SharedBlocks<S>,
+    waits: Vec<AtomicUsize>,
+    ready: Mutex<BinaryHeap<PrioritisedTask>>,
+    remaining: AtomicUsize,
+    perturbed: AtomicUsize,
+}
+
 /// Factorises `bm` in place with `threads` shared-memory workers, every
 /// task running along the route `plans` decides for it (its precomputed
 /// index plan where the selector's planned gate is open, the tree's
 /// variant otherwise). Missing plans are built eagerly (single-threaded,
 /// from patterns only) before the workers start, so the pool is
-/// immutable during execution and reused verbatim on later calls.
-/// Deterministic results are **not** guaranteed bit-for-bit when several
-/// SSSSM updates race for the same target (floating-point addition is
-/// not associative); tests use tolerances accordingly.
+/// immutable during execution and reused verbatim on later calls. The
+/// factors are bitwise equal to the sequential executor's.
 pub fn factor_shared_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -98,77 +102,47 @@ pub fn factor_shared_planned<S: Scalar>(
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
     build_all_plans(bm, tg, selector, plans);
-    let plans = &*plans;
-    let threads = threads.max(1);
     let nblk = bm.nblk();
     let num_blocks = bm.num_blocks();
-
-    let state: Vec<BlockState> = (0..num_blocks)
-        .map(|id| BlockState {
-            pending: AtomicUsize::new(tg.indegree[id]),
-            claimed: AtomicBool::new(false),
-            finished: AtomicBool::new(false),
-        })
-        .collect();
-    // Diagonal factors published (GETRF done), indexed by step.
-    let diag_ready: Vec<AtomicBool> = (0..nblk).map(|_| AtomicBool::new(false)).collect();
-
     if num_blocks == 0 {
         return NumericStats::default();
     }
-    let queue: Mutex<Sched> = Mutex::new(Sched::default());
-    {
-        let mut q = queue.lock().unwrap();
-        for id in 0..num_blocks {
-            let (bi, bj) = bm.block_coords(id);
-            if bi == bj && tg.indegree[id] == 0 {
-                q.push_once(Task::Getrf { k: bi });
-            }
+
+    let mut waits = Vec::with_capacity(num_blocks + tg.ssssm.len());
+    let mut seeds = BinaryHeap::new();
+    for id in 0..num_blocks {
+        let (bi, bj) = bm.block_coords(id);
+        let wait = usize::from(tg.indegree[id] > 0) + usize::from(bi != bj);
+        if wait == 0 {
+            seeds.push(PrioritisedTask(Task::Getrf { k: bi }));
         }
+        waits.push(AtomicUsize::new(wait));
     }
-    let remaining = AtomicUsize::new(num_blocks + tg.ssssm.len());
-    let perturbed = AtomicUsize::new(0);
-    let nb = bm.nb();
+    waits.extend(tg.ssssm.iter().map(|_| AtomicUsize::new(2)));
+    for next in tg.next_on_target.iter().flatten() {
+        *waits[num_blocks + *next as usize].get_mut() += 1;
+    }
 
-    let shared = SharedBlocks { ptr: blocks_ptr(bm) };
-
+    let run = Run {
+        blocks: SharedBlocks { ptr: blocks_ptr(bm) },
+        bm,
+        tg,
+        selector,
+        plans,
+        pivot_floor,
+        waits,
+        ready: Mutex::new(seeds),
+        remaining: AtomicUsize::new(num_blocks + tg.ssssm.len()),
+        perturbed: AtomicUsize::new(0),
+    };
     std::thread::scope(|s| {
-        for _ in 0..threads {
-            s.spawn(|| {
-                let mut scratch = KernelScratch::<S>::with_capacity(nb);
-                let mut kernels = TimedKernels::new(false);
-                loop {
-                    if remaining.load(Ordering::Acquire) == 0 {
-                        break;
-                    }
-                    let task = queue.lock().unwrap().heap.pop();
-                    let Some(PrioritisedTask(task)) = task else {
-                        std::thread::yield_now();
-                        continue;
-                    };
-                    execute_shared(
-                        bm,
-                        tg,
-                        selector,
-                        pivot_floor,
-                        &shared,
-                        &state,
-                        &diag_ready,
-                        &queue,
-                        &remaining,
-                        &perturbed,
-                        task,
-                        &mut scratch,
-                        &mut kernels,
-                        plans,
-                    );
-                }
-            });
+        for _ in 0..threads.max(1) {
+            s.spawn(|| run.work());
         }
     });
 
     NumericStats {
-        perturbed_pivots: perturbed.load(Ordering::Relaxed),
+        perturbed_pivots: run.perturbed.into_inner(),
         flops: tg.total_flops(),
         kernel_counts: [
             nblk,
@@ -220,187 +194,118 @@ fn blocks_ptr<S: Scalar>(bm: &mut BlockMatrix<S>) -> *mut CscMatrix<S> {
     bm.block_mut(0) as *mut CscMatrix<S>
 }
 
-/// Spins until the block's exclusive latch is taken.
-fn claim(state: &BlockState) {
-    let mut spins = 0u32;
-    while state.claimed.compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed).is_err()
-    {
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
+impl<S: Scalar> Run<'_, S> {
+    /// One worker: pop the lowest ready task, run it, queue what it freed.
+    fn work(&self) {
+        let mut scratch = KernelScratch::<S>::with_capacity(self.bm.nb());
+        let mut kernels = TimedKernels::new(false);
+        let mut freed = Vec::new();
+        while self.remaining.load(Ordering::Acquire) > 0 {
+            let popped = self.ready.lock().expect("ready heap poisoned").pop();
+            let Some(PrioritisedTask(task)) = popped else {
+                std::thread::yield_now();
+                continue;
+            };
+            self.execute(task, &mut scratch, &mut kernels, &mut freed);
+            if !freed.is_empty() {
+                let mut ready = self.ready.lock().expect("ready heap poisoned");
+                ready.extend(freed.drain(..).map(PrioritisedTask));
+            }
+            self.remaining.fetch_sub(1, Ordering::AcqRel);
         }
     }
-}
 
-fn release(state: &BlockState) {
-    state.claimed.store(false, Ordering::Release);
-}
-
-/// Spins until a block's `finished` flag is published.
-fn wait_finished(state: &BlockState) {
-    let mut spins = 0u32;
-    while !state.finished.load(Ordering::Acquire) {
-        spins += 1;
-        if spins < 64 {
-            std::hint::spin_loop();
-        } else {
-            std::thread::yield_now();
+    /// Counts down the wait of task `slot`; the finisher that reaches
+    /// zero collects it into `freed`.
+    fn release(&self, slot: usize, task: Task, freed: &mut Vec<Task>) {
+        if self.waits[slot].fetch_sub(1, Ordering::AcqRel) == 1 {
+            freed.push(task);
         }
     }
-}
 
-#[allow(clippy::too_many_arguments)]
-fn execute_shared<S: Scalar>(
-    bm: &BlockMatrix<S>,
-    tg: &TaskGraph,
-    selector: &KernelSelector,
-    pivot_floor: f64,
-    shared: &SharedBlocks<S>,
-    state: &[BlockState],
-    diag_ready: &[AtomicBool],
-    queue: &Mutex<Sched>,
-    remaining: &AtomicUsize,
-    perturbed: &AtomicUsize,
-    task: Task,
-    scratch: &mut KernelScratch<S>,
-    kernels: &mut TimedKernels,
-    plans: &KernelPlans<S>,
-) {
-    match task {
-        Task::Getrf { k } => {
-            let id = bm.block_id(k, k).expect("diag exists");
-            claim(&state[id]);
-            // Safety: exclusive via the claim latch.
-            let blk = unsafe { shared.get_mut(id) };
-            let route = plans.prebuilt_getrf(selector, k, blk);
-            let n = kernels.getrf(route, blk, scratch, pivot_floor);
-            perturbed.fetch_add(n, Ordering::Relaxed);
-            state[id].finished.store(true, Ordering::Release);
-            release(&state[id]);
-            diag_ready[k].store(true, Ordering::Release);
-            remaining.fetch_sub(1, Ordering::AcqRel);
-            // Release the panels of step k whose updates are already done
-            // (claim-before-push deduplicates against the racing SSSSM
-            // completion handler).
-            let mut q = queue.lock().unwrap();
-            for &j in &tg.u_panels[k] {
-                let pid = bm.block_id(k, j).expect("panel exists");
-                if state[pid].pending.load(Ordering::Acquire) == 0 {
-                    q.push_once(Task::Gessm { k, j });
+    fn execute(
+        &self,
+        task: Task,
+        scratch: &mut KernelScratch<S>,
+        kernels: &mut TimedKernels,
+        freed: &mut Vec<Task>,
+    ) {
+        let (bm, tg, sel, plans) = (self.bm, self.tg, self.selector, self.plans);
+        let first_update = bm.num_blocks(); // countdown slot of update 0
+        match task {
+            Task::Getrf { k } => {
+                let id = bm.block_id(k, k).expect("diag exists");
+                // SAFETY: every update onto (k, k) has finished and every
+                // reader of it waits on this GETRF.
+                let blk = unsafe { self.blocks.get_mut(id) };
+                let route = plans.prebuilt_getrf(sel, k, blk);
+                let n = kernels.getrf(route, blk, scratch, self.pivot_floor);
+                self.perturbed.fetch_add(n, Ordering::Relaxed);
+                for &j in &tg.u_panels[k] {
+                    let pid = bm.block_id(k, j).expect("panel exists");
+                    self.release(pid, Task::Gessm { k, j }, freed);
+                }
+                for &i in &tg.l_panels[k] {
+                    let pid = bm.block_id(i, k).expect("panel exists");
+                    self.release(pid, Task::Tstrf { i, k }, freed);
                 }
             }
-            for &i in &tg.l_panels[k] {
-                let pid = bm.block_id(i, k).expect("panel exists");
-                if state[pid].pending.load(Ordering::Acquire) == 0 {
-                    q.push_once(Task::Tstrf { i, k });
+            Task::Gessm { k, j } => {
+                let id = bm.block_id(k, j).expect("panel exists");
+                let diag_id = bm.block_id(k, k).expect("diag exists");
+                // SAFETY: GETRF(k) released this task, so the diagonal is
+                // final; the panel's updates have finished and its
+                // readers wait on this task.
+                let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
+                kernels.gessm(plans.prebuilt_gessm(sel, id, diag, blk), diag, blk, scratch);
+                for &i in &tg.l_panels[k] {
+                    if let Some(g) = tg.ssssm_index(i, j, k) {
+                        self.release(first_update + g, Task::Ssssm { i, j, k }, freed);
+                    }
                 }
             }
-        }
-        Task::Gessm { k, j } => {
-            let id = bm.block_id(k, j).expect("panel exists");
-            let diag_id = bm.block_id(k, k).expect("diag exists");
-            wait_finished(&state[diag_id]);
-            claim(&state[id]);
-            // Safety: diag finished (immutable); target claimed.
-            let diag = unsafe { shared.get(diag_id) };
-            let blk = unsafe { shared.get_mut(id) };
-            kernels.gessm(plans.prebuilt_gessm(selector, id, diag, blk), diag, blk, scratch);
-            state[id].finished.store(true, Ordering::Release);
-            release(&state[id]);
-            remaining.fetch_sub(1, Ordering::AcqRel);
-            schedule_ssssm_for_u(bm, tg, state, queue, k, j);
-        }
-        Task::Tstrf { i, k } => {
-            let id = bm.block_id(i, k).expect("panel exists");
-            let diag_id = bm.block_id(k, k).expect("diag exists");
-            wait_finished(&state[diag_id]);
-            claim(&state[id]);
-            let diag = unsafe { shared.get(diag_id) };
-            let blk = unsafe { shared.get_mut(id) };
-            kernels.tstrf(plans.prebuilt_tstrf(selector, id, diag, blk), diag, blk, scratch);
-            state[id].finished.store(true, Ordering::Release);
-            release(&state[id]);
-            remaining.fetch_sub(1, Ordering::AcqRel);
-            schedule_ssssm_for_l(bm, tg, state, queue, i, k);
-        }
-        Task::Ssssm { i, j, k } => {
-            let a_id = bm.block_id(i, k).expect("L operand");
-            let b_id = bm.block_id(k, j).expect("U operand");
-            let c_id = bm.block_id(i, j).expect("target");
-            // Operands are finished and immutable; target is claimed.
-            claim(&state[c_id]);
-            let a = unsafe { shared.get(a_id) };
-            let b = unsafe { shared.get(b_id) };
-            let c = unsafe { shared.get_mut(c_id) };
-            let slot = tg.ssssm_index(i, j, k).expect("queued update is in the task graph");
-            let fl = tg.ssssm_flops[slot];
-            kernels.ssssm(plans.prebuilt_ssssm(selector, slot, fl, a, c), a, b, c, scratch, fl);
-            release(&state[c_id]);
-            remaining.fetch_sub(1, Ordering::AcqRel);
-            let left = state[c_id].pending.fetch_sub(1, Ordering::AcqRel) - 1;
-            if left == 0 {
-                let (bi, bj) = bm.block_coords(c_id);
-                let next = match bi.cmp(&bj) {
-                    std::cmp::Ordering::Equal => Some(Task::Getrf { k: bi }),
-                    std::cmp::Ordering::Less => diag_ready[bi]
-                        .load(Ordering::Acquire)
-                        .then_some(Task::Gessm { k: bi, j: bj }),
-                    std::cmp::Ordering::Greater => diag_ready[bj]
-                        .load(Ordering::Acquire)
-                        .then_some(Task::Tstrf { i: bi, k: bj }),
+            Task::Tstrf { i, k } => {
+                let id = bm.block_id(i, k).expect("panel exists");
+                let diag_id = bm.block_id(k, k).expect("diag exists");
+                // SAFETY: as for GESSM.
+                let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
+                kernels.tstrf(plans.prebuilt_tstrf(sel, id, diag, blk), diag, blk, scratch);
+                for &j in &tg.u_panels[k] {
+                    if let Some(g) = tg.ssssm_index(i, j, k) {
+                        self.release(first_update + g, Task::Ssssm { i, j, k }, freed);
+                    }
+                }
+            }
+            Task::Ssssm { i, j, k } => {
+                let g = tg.ssssm_index(i, j, k).expect("queued update is in the task graph");
+                let c_id = bm.block_id(i, j).expect("target");
+                // SAFETY: both operand panels released this update and are
+                // final; the previous update onto (i, j) has finished, and
+                // the next one and the target's panel op wait on this one.
+                let (a, b, c) = unsafe {
+                    (
+                        self.blocks.get(bm.block_id(i, k).expect("L operand")),
+                        self.blocks.get(bm.block_id(k, j).expect("U operand")),
+                        self.blocks.get_mut(c_id),
+                    )
                 };
-                if let Some(t) = next {
-                    queue.lock().unwrap().push_once(t);
+                let fl = tg.ssssm_flops[g];
+                kernels.ssssm(plans.prebuilt_ssssm(sel, g, fl, a, c), a, b, c, scratch, fl);
+                match tg.next_on_target[g] {
+                    Some(next) => {
+                        let (i, j, k) = tg.ssssm[next as usize];
+                        self.release(first_update + next as usize, Task::Ssssm { i, j, k }, freed);
+                    }
+                    None => {
+                        let panel = match i.cmp(&j) {
+                            std::cmp::Ordering::Equal => Task::Getrf { k: i },
+                            std::cmp::Ordering::Less => Task::Gessm { k: i, j },
+                            std::cmp::Ordering::Greater => Task::Tstrf { i, k: j },
+                        };
+                        self.release(c_id, panel, freed);
+                    }
                 }
-                // If the diagonal was not ready, the GETRF completion
-                // handler will re-check this panel's counter and queue it.
             }
-        }
-    }
-}
-
-/// Schedules SSSSM tasks unlocked by the completion of `U(k, j)`: each
-/// becomes runnable once both panel operands have published; the second
-/// finisher wins the claim under the queue lock and pushes.
-fn schedule_ssssm_for_u<S: Scalar>(
-    bm: &BlockMatrix<S>,
-    tg: &TaskGraph,
-    state: &[BlockState],
-    queue: &Mutex<Sched>,
-    k: usize,
-    j: usize,
-) {
-    let mut q = queue.lock().unwrap();
-    for &i in &tg.l_panels[k] {
-        if bm.block_id(i, j).is_none() {
-            continue;
-        }
-        let a_id = bm.block_id(i, k).expect("L panel exists");
-        if state[a_id].finished.load(Ordering::Acquire) {
-            q.push_once(Task::Ssssm { i, j, k });
-        }
-    }
-}
-
-/// Schedules SSSSM tasks unlocked by the completion of `L(i, k)`.
-fn schedule_ssssm_for_l<S: Scalar>(
-    bm: &BlockMatrix<S>,
-    tg: &TaskGraph,
-    state: &[BlockState],
-    queue: &Mutex<Sched>,
-    i: usize,
-    k: usize,
-) {
-    let mut q = queue.lock().unwrap();
-    for &j in &tg.u_panels[k] {
-        if bm.block_id(i, j).is_none() {
-            continue;
-        }
-        let b_id = bm.block_id(k, j).expect("U panel exists");
-        if state[b_id].finished.load(Ordering::Acquire) {
-            q.push_once(Task::Ssssm { i, j, k });
         }
     }
 }
@@ -408,7 +313,7 @@ fn schedule_ssssm_for_l<S: Scalar>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::factor_sequential;
+    use crate::seq::{empty_plans, factor_sequential_planned};
     use pangulu_kernels::select::Thresholds;
     use pangulu_sparse::gen;
     use pangulu_sparse::ops::ensure_diagonal;
@@ -428,15 +333,13 @@ mod tests {
             let (nnz, bm0, tg) = build(60, 8, seed);
             let sel = KernelSelector::new(nnz, Thresholds::default());
             let mut seq_bm = bm0.clone();
-            factor_sequential(&mut seq_bm, &tg, &sel, 0.0);
-            let scale = seq_bm.to_csc().norm_max().max(1.0);
-            let seq_dense = seq_bm.to_csc().to_dense();
+            factor_sequential_planned(&mut seq_bm, &tg, &sel, 0.0, &mut empty_plans(&bm0, &tg));
+            let want = seq_bm.to_csc();
 
             let mut par_bm = bm0.clone();
-            let mut plans = crate::seq::empty_plans(&par_bm, &tg);
+            let mut plans = empty_plans(&par_bm, &tg);
             factor_shared_planned(&mut par_bm, &tg, &sel, 0.0, threads, &mut plans);
-            let diff = seq_dense.max_abs_diff(&par_bm.to_csc().to_dense());
-            assert!(diff / scale < 1e-10, "threads={threads} seed={seed}: diff {}", diff / scale);
+            assert_eq!(par_bm.to_csc().values(), want.values(), "threads={threads} seed={seed}");
             // Every admitted task got a plan, eagerly, before the workers
             // ran; a second factorisation reuses the pool without rebuilding.
             let builds = plans.stats().builds;
@@ -448,10 +351,9 @@ mod tests {
             // alone, and nothing is ever built.
             let closed = KernelSelector::new(nnz, Thresholds::unplanned());
             let mut plain_bm = bm0;
-            let mut none = crate::seq::empty_plans(&plain_bm, &tg);
+            let mut none = empty_plans(&plain_bm, &tg);
             factor_shared_planned(&mut plain_bm, &tg, &closed, 0.0, threads, &mut none);
-            let diff = seq_dense.max_abs_diff(&plain_bm.to_csc().to_dense());
-            assert!(diff / scale < 1e-10, "threads={threads} seed={seed}: unplanned diff");
+            assert_eq!(plain_bm.to_csc().values(), want.values(), "threads={threads}: unplanned");
             assert_eq!(none.stats().builds, 0);
         }
     }
@@ -460,7 +362,7 @@ mod tests {
     fn shared_memory_stats_count_tasks() {
         let (nnz, mut bm, tg) = build(50, 10, 3);
         let sel = KernelSelector::new(nnz, Thresholds::default());
-        let mut plans = crate::seq::empty_plans(&bm, &tg);
+        let mut plans = empty_plans(&bm, &tg);
         let stats = factor_shared_planned(&mut bm, &tg, &sel, 1e-12, 2, &mut plans);
         assert_eq!(stats.kernel_counts[0], bm.nblk());
         assert_eq!(stats.kernel_counts[3], tg.ssssm.len());

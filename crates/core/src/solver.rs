@@ -484,6 +484,18 @@ impl<S: Scalar> NumericCache<S> {
     }
 }
 
+/// Rejects a matrix holding a NaN or infinite value, naming the first
+/// one in column-major order.
+fn check_finite(a: &CscMatrix) -> Result<()> {
+    match a.values().iter().position(|v| !v.is_finite()) {
+        None => Ok(()),
+        Some(k) => {
+            let col = a.col_ptr().partition_point(|&p| p <= k) - 1;
+            Err(SparseError::NonFinite { row: a.row_idx()[k], col })
+        }
+    }
+}
+
 /// Gathers `k ≥ 1` right-hand sides into a row-major `n × k` panel,
 /// permuting and scaling in one pass:
 /// `panel[pos[old] · k + j] = bs[j][old] · scale[old]`, `pos` being the
@@ -818,6 +830,13 @@ impl Solver {
         if opts.ranks == 0 {
             return Err(SparseError::InvalidStructure("ranks must be positive".into()));
         }
+        if !(0.0..f64::INFINITY).contains(&opts.pivot_floor_rel) {
+            return Err(SparseError::InvalidStructure(format!(
+                "pivot_floor_rel must be finite and non-negative, got {}",
+                opts.pivot_floor_rel
+            )));
+        }
+        check_finite(a)?;
         let n = a.ncols();
         let mut stats =
             FactorStats { phases: PhaseCounters::first_factor(), ..FactorStats::default() };
@@ -996,26 +1015,9 @@ impl Solver {
         }
     }
 
-    /// Refactors the system with new numerical values on the **same
-    /// sparsity pattern**, reusing every pattern-dependent product of the
-    /// first factorisation — the reordering and scaling, the symbolic
-    /// fill, the block layout and owner map, and (multi-rank) the
-    /// executor's per-rank schedules and dependency counters. Only the
-    /// numeric phase runs; the resulting factors are bitwise identical
-    /// to a fresh [`Solver::factor_with`] of the same values under the
-    /// same reordering.
-    ///
-    /// `a` must have exactly the structure the solver was built from
-    /// (same order, same nonzero positions); anything else is rejected
-    /// with [`SparseError::PatternMismatch`] and the solver keeps its
-    /// current factors.
-    ///
-    /// Note the cached MC64 row matching and scalings were computed for
-    /// the *original* values. They stay valid for the modest value
-    /// changes this API targets (transient simulation, Newton steps);
-    /// wildly different values may cost accuracy — iterative refinement
-    /// recovers it, or factor from scratch.
-    pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
+    /// Rejects a matrix whose order or nonzero positions differ from the
+    /// analysed pattern.
+    fn check_pattern(&self, a: &CscMatrix) -> Result<()> {
         if a.nrows() != self.plan.n || a.ncols() != self.plan.n {
             return Err(SparseError::PatternMismatch(format!(
                 "matrix is {}x{}, the cached analysis is for order {}",
@@ -1033,6 +1035,32 @@ impl Solver {
                 self.plan.row_idx.len()
             )));
         }
+        Ok(())
+    }
+
+    /// Refactors the system with new numerical values on the **same
+    /// sparsity pattern**, reusing every pattern-dependent product of the
+    /// first factorisation — the reordering and scaling, the symbolic
+    /// fill, the block layout and owner map, and (multi-rank) the
+    /// executor's per-rank schedules and dependency counters. Only the
+    /// numeric phase runs; the resulting factors are bitwise identical
+    /// to a fresh [`Solver::factor_with`] of the same values under the
+    /// same reordering.
+    ///
+    /// `a` must have exactly the structure the solver was built from
+    /// (same order, same nonzero positions) and finite values; anything
+    /// else is rejected with [`SparseError::PatternMismatch`] or
+    /// [`SparseError::NonFinite`] and the solver keeps its current
+    /// factors.
+    ///
+    /// Note the cached MC64 row matching and scalings were computed for
+    /// the *original* values. They stay valid for the modest value
+    /// changes this API targets (transient simulation, Newton steps);
+    /// wildly different values may cost accuracy — iterative refinement
+    /// recovers it, or factor from scratch.
+    pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
+        self.check_pattern(a)?;
+        check_finite(a)?;
 
         // First refactorisation: build the scatter map from input
         // nonzeros to factor-block slots through the cached permutations.
@@ -1270,7 +1298,10 @@ impl Solver {
     /// `‖A⁻¹x‖₁` over sign vectors, each step costing one solve and one
     /// transpose solve against the existing factorisation. The estimate
     /// is a lower bound, usually within a small factor of the truth.
+    /// `a` must have the analysed pattern
+    /// ([`SparseError::PatternMismatch`] otherwise).
     pub fn condest(&self, a: &CscMatrix) -> Result<f64> {
+        self.check_pattern(a)?;
         let n = self.n;
         if n == 0 {
             return Ok(0.0);
@@ -1547,6 +1578,76 @@ mod tests {
             matches!(&err, SparseError::InvalidStructure(msg) if msg == "ranks must be positive"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn rejects_a_pivot_floor_that_is_not_a_finite_non_negative_number() {
+        let a = gen::laplacian_2d(4, 4);
+        for rel in [f64::NAN, f64::INFINITY, -1e-12] {
+            for err in [
+                Solver::factor_with(
+                    &a,
+                    SolverOptions { pivot_floor_rel: rel, ..Default::default() },
+                )
+                .err(),
+                Solver::builder().shared_threads(2).pivot_floor_rel(rel).build(&a).err(),
+            ] {
+                let err = err.expect("a bad pivot floor must be an error, not a panic");
+                assert!(
+                    matches!(&err, SparseError::InvalidStructure(m) if m.contains("pivot_floor_rel")),
+                    "{rel}: {err}"
+                );
+            }
+        }
+        assert!(Solver::builder().pivot_floor_rel(0.0).build(&a).is_ok(), "0 disables the floor");
+    }
+
+    /// A NaN or ±∞ entry is a structured error from `build` and from
+    /// `refactor`, which then keeps its factors bit for bit and still
+    /// solves the system it had.
+    #[test]
+    fn non_finite_values_are_rejected_before_any_state_changes() {
+        let a = gen::laplacian_2d(10, 10);
+        let b = gen::test_rhs(a.nrows(), 3);
+        let bits = |s: &Solver| -> Vec<u64> {
+            let f = s.factored32().map_or_else(|| s.factored().cast::<f64>(), |f| f.cast::<f64>());
+            f.to_csc().values().iter().map(|v| v.to_bits()).collect()
+        };
+        type Configure = fn(SolverBuilder) -> SolverBuilder;
+        let modes: [(&str, Configure); 3] = [
+            ("1 rank", |s| s),
+            ("2 ranks", |s| s.ranks(2)),
+            ("mixed", |s| s.precision(Precision::MixedF32)),
+        ];
+        for (tag, configure) in modes {
+            let mut solver = configure(Solver::builder()).build(&a).unwrap();
+            assert_eq!(solver.factored32().is_some(), tag == "mixed", "{tag}");
+            solver.refactor(&a).unwrap();
+            let factors = bits(&solver);
+            for (k, poison) in
+                [(0, f64::NAN), (57, f64::INFINITY), (a.nnz() - 1, f64::NEG_INFINITY)]
+            {
+                let mut bad = a.clone();
+                bad.values_mut()[k] = poison;
+                let col = a.col_ptr().partition_point(|&p| p <= k) - 1;
+                let want = SparseError::NonFinite { row: a.row_idx()[k], col };
+                assert_eq!(solver.refactor(&bad).unwrap_err(), want, "{tag} {poison}");
+                assert_eq!(configure(Solver::builder()).build(&bad).err(), Some(want), "{tag}");
+                assert_eq!(bits(&solver), factors, "{tag} {poison}: the factors moved");
+                let x = solver.solve(&b).unwrap();
+                assert!(relative_residual(&a, &x, &b).unwrap() < 1e-10, "{tag} {poison}");
+            }
+            assert_eq!(solver.stats().phases.numeric_runs, 2, "{tag}: a rejected refactor ran");
+        }
+    }
+
+    #[test]
+    fn condest_rejects_a_matrix_that_is_not_the_analysed_one() {
+        let solver = Solver::factor(&gen::laplacian_2d(6, 6)).unwrap();
+        for other in [gen::laplacian_2d(5, 5), gen::random_sparse(36, 0.2, 1)] {
+            let err = solver.condest(&other).unwrap_err();
+            assert!(matches!(err, SparseError::PatternMismatch(_)), "{err}");
+        }
     }
 
     #[test]

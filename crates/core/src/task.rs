@@ -97,6 +97,11 @@ pub struct TaskGraph {
     pub ssssm: Vec<(usize, usize, usize)>,
     /// FLOP weight of each SSSSM update, parallel to [`TaskGraph::ssssm`].
     pub ssssm_flops: Vec<f64>,
+    /// The per-target update chains, parallel to [`TaskGraph::ssssm`]:
+    /// the index of the next update (next larger `k`) onto the same
+    /// target block, `None` on a target's last update. Every executor
+    /// applies a target's updates one at a time along its chain.
+    pub next_on_target: Vec<Option<u32>>,
     /// The synchronisation-free array: per block id, the number of SSSSM
     /// updates it must receive before its panel operation.
     pub indegree: Vec<usize>,
@@ -130,6 +135,10 @@ impl TaskGraph {
 
         let mut ssssm = Vec::new();
         let mut ssssm_flops = Vec::new();
+        let mut next_on_target: Vec<Option<u32>> = Vec::new();
+        // Latest update seen per target: triples come out in ascending
+        // `k`, so linking each to its target's previous one forms the chain.
+        let mut last_on_target: Vec<Option<u32>> = vec![None; bm.num_blocks()];
         let mut indegree = vec![0usize; bm.num_blocks()];
         let mut update_flops = vec![0.0f64; bm.num_blocks()];
         // Per step k: SSSSM flops for the (i, j) pair reduce to a dot
@@ -157,6 +166,11 @@ impl TaskGraph {
             for (ai, &i) in l_panels[k].iter().enumerate() {
                 for (bj, &j) in u_panels[k].iter().enumerate() {
                     if let Some(c_id) = bm.block_id(i, j) {
+                        let g = u32::try_from(ssssm.len()).expect("update count fits u32");
+                        if let Some(prev) = last_on_target[c_id].replace(g) {
+                            next_on_target[prev as usize] = Some(g);
+                        }
+                        next_on_target.push(None);
                         ssssm.push((i, j, k));
                         indegree[c_id] += 1;
                         let fl: f64 =
@@ -193,6 +207,7 @@ impl TaskGraph {
             u_panels,
             ssssm,
             ssssm_flops,
+            next_on_target,
             indegree,
             panel_flops,
             update_flops,
@@ -318,39 +333,27 @@ impl TaskPriorities {
         let mut panel = vec![0.0f64; nblocks];
         let mut ssssm = vec![0.0f64; tg.ssssm.len()];
 
-        // Successor structures: per-panel fan-out into updates, per-step
-        // update lists, and per-target ascending-k chains. Built from the
-        // triples alone, so the result is independent of their order.
+        // Successor structures: per-panel fan-out into updates and
+        // per-step update lists; the chains are the task graph's own.
         let mut l_succ: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
         let mut u_succ: Vec<Vec<usize>> = vec![Vec::new(); nblocks];
         let mut by_step: Vec<Vec<usize>> = vec![Vec::new(); nblk];
-        let mut chains: Vec<Vec<(usize, usize)>> = vec![Vec::new(); nblocks];
         for (gid, &(i, j, k)) in tg.ssssm.iter().enumerate() {
             l_succ[bm.block_id(i, k).expect("L operand exists")].push(gid);
             u_succ[bm.block_id(k, j).expect("U operand exists")].push(gid);
             by_step[k].push(gid);
-            chains[bm.block_id(i, j).expect("target exists")].push((k, gid));
-        }
-        // Next update in each target's chain, else the target's panel op.
-        let mut next_in_chain: Vec<Option<usize>> = vec![None; tg.ssssm.len()];
-        let mut chain_target: Vec<usize> = vec![usize::MAX; tg.ssssm.len()];
-        for (cid, ch) in chains.iter_mut().enumerate() {
-            ch.sort_unstable(); // unique k per target: total order
-            for w in 0..ch.len() {
-                chain_target[ch[w].1] = cid;
-                if w + 1 < ch.len() {
-                    next_in_chain[ch[w].1] = Some(ch[w + 1].1);
-                }
-            }
         }
 
         for s in (0..nblk).rev() {
             // Updates of step s: successors (next chain update at a later
             // step, or the target panel at step min(i,j) > s) are done.
             for &gid in &by_step[s] {
-                let succ = match next_in_chain[gid] {
-                    Some(g) => ssssm[g],
-                    None => panel[chain_target[gid]],
+                let succ = match tg.next_on_target[gid] {
+                    Some(g) => ssssm[g as usize],
+                    None => {
+                        let (i, j, _) = tg.ssssm[gid];
+                        panel[bm.block_id(i, j).expect("target exists")]
+                    }
                 };
                 ssssm[gid] = tg.ssssm_flops[gid] + flops::TASK_LAUNCH_COST + succ;
             }
@@ -417,6 +420,33 @@ mod tests {
             assert_eq!(tg.ssssm_index(i, j, k), Some(n), "update list must be (k, i, j)-sorted");
         }
         assert_eq!(tg.ssssm_index(0, 0, 0), None);
+    }
+
+    #[test]
+    fn update_chains_link_each_target_in_ascending_k() {
+        let (bm, tg) = build(48, 8, 6);
+        // Walk every chain from its head: the steps ascend, the target is
+        // fixed, and together the chains cover each update exactly once.
+        let mut has_pred = vec![false; tg.ssssm.len()];
+        for next in tg.next_on_target.iter().flatten() {
+            assert!(!std::mem::replace(&mut has_pred[*next as usize], true), "two predecessors");
+        }
+        let mut seen = vec![0usize; bm.num_blocks()];
+        for head in (0..tg.ssssm.len()).filter(|&g| !has_pred[g]) {
+            let (i, j, mut k) = tg.ssssm[head];
+            let cid = bm.block_id(i, j).unwrap();
+            assert_eq!(seen[cid], 0, "({i},{j}) has two chains");
+            seen[cid] += 1;
+            let mut g = head;
+            while let Some(n) = tg.next_on_target[g] {
+                let (ni, nj, nk) = tg.ssssm[n as usize];
+                assert_eq!((ni, nj), (i, j), "a chain left its target");
+                assert!(nk > k, "chain of ({i},{j}) not ascending in k");
+                (g, k) = (n as usize, nk);
+                seen[cid] += 1;
+            }
+        }
+        assert_eq!(seen, tg.indegree, "chains must cover every update of every target");
     }
 
     /// The executors route every SSSSM task on `ssssm_flops[n]` instead

@@ -45,7 +45,6 @@ pub mod trsm;
 pub use plan::{GessmPlan, GetrfPlan, KernelPlans, PlanStats, Route, SsssmPlan, TstrfPlan};
 pub use scratch::KernelScratch;
 pub use select::{KernelSelector, Thresholds};
-pub use ssssm::SsssmUpdate;
 pub use timed::TimedKernels;
 
 /// The four kernel classes of the numeric factorisation.

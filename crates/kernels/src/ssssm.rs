@@ -82,92 +82,6 @@ pub fn ssssm<S: Scalar>(
     }
 }
 
-/// One pending update in a same-target batch: `C ← C − A·B` plus the
-/// per-update metadata the kernel meter records.
-#[derive(Debug, Clone, Copy)]
-pub struct SsssmUpdate<'a, S = f64> {
-    /// L-panel operand `(i, k)`.
-    pub a: &'a CscMatrix<S>,
-    /// U-panel operand `(k, j)`.
-    pub b: &'a CscMatrix<S>,
-    /// The variant the selector chose for this update. A singleton batch
-    /// runs it; wider batches fuse into the direct-addressing pass but
-    /// still tally under this variant, keeping the selector's decision
-    /// observable.
-    pub variant: SsssmVariant,
-    /// Model FLOPs, pre-computed by the scheduler for variant selection.
-    pub model_flops: f64,
-}
-
-/// Applies a batch of updates `C ← C − A_m·B_m` (same target `C`, batch
-/// order) in **one** scatter → multi-axpy → gather pass per column,
-/// instead of re-scattering the C column for every update.
-///
-/// Bitwise contract: the result is identical to applying the updates one
-/// at a time in batch order, whatever variants the selector chose. Every
-/// variant performs the same `c -= a_ik * b_kj` subtractions in the same
-/// order (ascending `k` within an update, ascending row within a column);
-/// the dense scatter and gather move values without arithmetic; and the
-/// per-entry zero-skips can only diverge on a target value of `-0.0`,
-/// which the factorisation never stores (fill starts at `+0.0` and the
-/// kernels only subtract finite products). `tests/batched_ssssm.rs` holds
-/// the runtime to this across grids and fault seeds.
-///
-/// On a full target every column already is the dense buffer, so there is
-/// nothing to scatter or gather: each update is applied in batch order
-/// straight on the value array — through the tile when routed to it
-/// (`D_V1` implies a full target, the routing contract), through `C_V1`
-/// otherwise, which updates full columns in place — one-at-a-time
-/// application itself.
-pub fn ssssm_batch<S: Scalar>(
-    updates: &[SsssmUpdate<'_, S>],
-    c: &mut CscMatrix<S>,
-    scratch: &mut KernelScratch<S>,
-) {
-    if let [u] = updates {
-        return ssssm(u.a, u.b, c, u.variant, scratch);
-    }
-    for u in updates {
-        debug_assert_eq!(u.a.ncols(), u.b.nrows(), "SSSSM inner dimension mismatch");
-        debug_assert_eq!(c.nrows(), u.a.nrows(), "SSSSM row mismatch");
-        debug_assert_eq!(c.ncols(), u.b.ncols(), "SSSSM col mismatch");
-    }
-    if tile::is_full(c) {
-        for u in updates {
-            let direct = match u.variant {
-                SsssmVariant::DV1 => SsssmVariant::DV1,
-                _ => SsssmVariant::CV1,
-            };
-            ssssm(u.a, u.b, c, direct, scratch);
-        }
-        return;
-    }
-    scratch.ensure(c.nrows());
-    let KernelScratch { dense, runs, .. } = scratch;
-    for j in 0..c.ncols() {
-        if updates.iter().all(|u| u.b.col_nnz(j) == 0) {
-            continue;
-        }
-        let (crows, cvals) = c.col_mut(j);
-        if crows.is_empty() {
-            continue;
-        }
-        collect_runs(crows, runs);
-        scatter_runs(dense, runs, cvals);
-        for u in updates {
-            let (brows, bvals) = u.b.col(j);
-            for (&k, &bkj) in brows.iter().zip(bvals) {
-                if bkj == S::ZERO {
-                    continue;
-                }
-                let (arows, avals) = u.a.col(k);
-                scatter_axpy(dense, arows, avals, bkj);
-            }
-        }
-        gather_zero_runs(dense, runs, cvals);
-    }
-}
-
 /// The `C_V1` axpys of one column applied in place on a **full** target
 /// column: the position of row `r` is `r`, so there is no run list to
 /// collect, no scatter and no gather — the same subtractions in the same
@@ -426,55 +340,6 @@ mod tests {
             ssssm(&a, &zb, &mut c, v, &mut s);
             assert_eq!(c.values(), c0.values(), "{v:?} modified C with zero B");
         }
-    }
-
-    /// A fused batch is bitwise-equal to one-at-a-time application, for
-    /// every per-update variant choice (the runtime mixes them).
-    #[test]
-    fn batch_matches_sequential_bitwise() {
-        for seed in 0..3 {
-            let (a, b, c0) = setup(seed);
-            let (a2, b2, _) = setup(seed + 100);
-            for (v1, v2) in [
-                (SsssmVariant::CV1, SsssmVariant::CV1),
-                (SsssmVariant::CV2, SsssmVariant::GV2),
-                (SsssmVariant::GV1, SsssmVariant::CV2),
-            ] {
-                let mut seq = c0.clone();
-                let mut s = KernelScratch::with_capacity(seq.nrows());
-                ssssm(&a, &b, &mut seq, v1, &mut s);
-                ssssm(&a2, &b2, &mut seq, v2, &mut s);
-
-                let mut fused = c0.clone();
-                let updates = [
-                    SsssmUpdate { a: &a, b: &b, variant: v1, model_flops: 0.0 },
-                    SsssmUpdate { a: &a2, b: &b2, variant: v2, model_flops: 0.0 },
-                ];
-                ssssm_batch(&updates, &mut fused, &mut s);
-                assert_eq!(
-                    seq.values(),
-                    fused.values(),
-                    "seed {seed} variants {v1:?}+{v2:?}: fused batch drifted"
-                );
-            }
-        }
-    }
-
-    /// Width-1 batches run the selected variant itself; empty batches are
-    /// no-ops.
-    #[test]
-    fn degenerate_batches() {
-        let (a, b, c0) = setup(7);
-        let mut s = KernelScratch::with_capacity(c0.nrows());
-        let mut direct = c0.clone();
-        ssssm(&a, &b, &mut direct, SsssmVariant::CV2, &mut s);
-        let mut single = c0.clone();
-        let upd = [SsssmUpdate { a: &a, b: &b, variant: SsssmVariant::CV2, model_flops: 0.0 }];
-        ssssm_batch(&upd, &mut single, &mut s);
-        assert_eq!(direct.values(), single.values());
-        let mut untouched = c0.clone();
-        ssssm_batch(&[], &mut untouched, &mut s);
-        assert_eq!(untouched.values(), c0.values());
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //! ascending-`k` order (TSTRF's division by `U(j,j)` stays last), plus
 //! subtractions of `(±0)·x` for padded structural zeros and for the
 //! values the sparse variants skip with `if bkj == 0`. Those leave `c`
-//! unchanged whenever `c` is not `-0.0` and `x` is finite — the premise
-//! [`crate::ssssm::ssssm_batch`] already rests on (fill starts at `+0.0`,
+//! unchanged whenever `c` is not `-0.0` and `x` is finite — and no update
+//! target holds `-0.0` (fill starts at `+0.0`,
 //! `x − y` is never `-0.0` for `x ≠ -0.0`, and a division, the one
 //! operation that can produce `-0.0`, is the last write an entry
 //! receives). With a non-finite operand `0·x` is NaN, so a poisoned

@@ -60,7 +60,7 @@ fn ssssm_slot(v: SsssmVariant) -> usize {
 
 /// Per-executor front door to the kernel implementations: runs each task
 /// along the [`Route`] the plan pool decided, meters it when enabled, and
-/// counts plan replays and fused batches either way.
+/// counts plan replays either way.
 #[derive(Debug, Default)]
 pub struct TimedKernels {
     enabled: bool,
@@ -71,8 +71,6 @@ pub struct TimedKernels {
     searches_avoided: u64,
     plan_runs: u64,
     run_entries: u64,
-    /// [`TimedKernels::ssssm_batch`] calls that fused more than one update.
-    batches: u64,
 }
 
 impl TimedKernels {
@@ -97,9 +95,8 @@ impl TimedKernels {
         self.tally
     }
 
-    /// Adds this door's plan-replay and fused-batch counters to `mem`.
+    /// Adds this door's plan-replay counters to `mem`.
     pub fn add_counts_to(&self, mem: &mut MemStats) {
-        mem.ssssm_batches += self.batches;
         mem.planned_calls += self.planned_calls;
         mem.index_searches_avoided += self.searches_avoided;
         mem.plan_runs += self.plan_runs;
@@ -220,37 +217,6 @@ impl TimedKernels {
         };
         self.stop(CLASS_SSSSM, slot, meter);
     }
-
-    /// Metered [`ssssm::ssssm_batch`] (a no-op on an empty batch): one
-    /// fused pass over the target,
-    /// but **per-update** tally records (under each update's selected
-    /// variant and model FLOPs), so the task/kernel accounting stays 1:1
-    /// whatever the batch width. The fused elapsed time is apportioned
-    /// evenly across the batch — only the nanoseconds, which the
-    /// determinism projection zeroes anyway.
-    pub fn ssssm_batch<S: Scalar>(
-        &mut self,
-        updates: &[ssssm::SsssmUpdate<'_, S>],
-        c: &mut CscMatrix<S>,
-        scratch: &mut KernelScratch<S>,
-    ) {
-        if updates.is_empty() {
-            return;
-        }
-        self.batches += u64::from(updates.len() > 1);
-        if !self.enabled {
-            return ssssm::ssssm_batch(updates, c, scratch);
-        }
-        let start = Instant::now();
-        ssssm::ssssm_batch(updates, c, scratch);
-        let total = elapsed_nanos(start);
-        let share = total / updates.len() as u64;
-        let remainder = total - share * updates.len() as u64;
-        for (idx, u) in updates.iter().enumerate() {
-            let nanos = if idx == 0 { share + remainder } else { share };
-            self.tally.record(CLASS_SSSSM, ssssm_slot(u.variant), nanos, u.model_flops);
-        }
-    }
 }
 
 fn elapsed_nanos(start: Instant) -> u64 {
@@ -356,7 +322,7 @@ mod tests {
     }
 
     /// The tile lane tallies under its own label with the structural
-    /// model FLOPs (never the padded dense count), per update of a batch.
+    /// model FLOPs (never the padded dense count), once per update.
     #[test]
     fn tile_lane_records_dv1_with_model_flops() {
         let mut timed = TimedKernels::new(true);
@@ -376,12 +342,9 @@ mod tests {
         let fl = flops::ssssm_flops(&a, &b);
         assert!(fl < 432.0);
         let mut c = dense_block(6);
-        timed.ssssm(Route::Variant(SsssmVariant::DV1), &a, &b, &mut c, &mut scratch, fl);
-        let batch = [
-            ssssm::SsssmUpdate { a: &a, b: &b, variant: SsssmVariant::DV1, model_flops: fl },
-            ssssm::SsssmUpdate { a: &a, b: &b, variant: SsssmVariant::CV1, model_flops: fl },
-        ];
-        timed.ssssm_batch(&batch, &mut c, &mut scratch);
+        for v in [SsssmVariant::DV1, SsssmVariant::DV1, SsssmVariant::CV1] {
+            timed.ssssm(Route::Variant(v), &a, &b, &mut c, &mut scratch, fl);
+        }
 
         let tile: Vec<_> = timed.tally().entries().filter(|(_, v, _)| *v == "D_V1").collect();
         let calls = |class: &str| tile.iter().find(|(c, ..)| *c == class).map(|(.., s)| s.calls);

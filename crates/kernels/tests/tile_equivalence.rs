@@ -2,20 +2,18 @@
 //! must be **bitwise identical** to the sparse variants `C_V1` and `C_V2`
 //! — every tile remainder in both dimensions, full and expanded (50–99 %
 //! filled) operands, operand values that are exactly `0.0` (the sparse
-//! kernels skip those, the tile multiplies through), `f64` and `f32`,
-//! and fused batches that interleave tile-routed and sparse-routed
-//! updates — and, next to it, of `C_V1` updating full target columns **in
-//! place** against `C_V1` scattering the same column. The lane performs the same `c -= a·b` subtractions in the
-//! same ascending-`k` order, so nothing here is a tolerance.
+//! kernels skip those, the tile multiplies through), `f64` and `f32` —
+//! and, next to it, of `C_V1` updating full target columns **in place**
+//! against `C_V1` scattering the same column. The lane performs the same
+//! `c -= a·b` subtractions in the same ascending-`k` order, so nothing
+//! here is a tolerance.
 //!
 //! CI runs this file in a debug and a release build: the claim must hold
 //! with and without vectorisation.
 
 use proptest::prelude::*;
 
-use pangulu_kernels::{
-    getrf, ssssm, trsm, GetrfVariant, KernelScratch, SsssmUpdate, SsssmVariant, TrsmVariant,
-};
+use pangulu_kernels::{getrf, ssssm, trsm, GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant};
 use pangulu_sparse::{CooMatrix, CscMatrix, Scalar};
 
 /// Block dimensions the issue names: tiny ones for the remainders, 69
@@ -186,52 +184,6 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check_shape(DIMS[mi], DIMS[ki], DIMS[ni], (fa, fb), zeros, seed);
-    }
-
-    /// A fused batch on one full target with tile-routed and
-    /// sparse-routed updates interleaved equals one-at-a-time
-    /// application of the same variants, and of `C_V1` throughout.
-    #[test]
-    fn interleaved_batches_match_one_at_a_time(
-        (mi, ki, ni) in (0usize..7, 0usize..7, 0usize..7),
-        seed in 0u64..1_000_000,
-    ) {
-        let (m, k, n) = (DIMS[mi], DIMS[ki], DIMS[ni]);
-        let rng = &mut Lcg(seed);
-        let c0 = block(m, n, 1.0, 0.0, 0.0, rng);
-        let plan = [
-            (1.0, 1.0, SsssmVariant::DV1),
-            (0.3, 0.4, SsssmVariant::CV1),
-            (0.7, 0.9, SsssmVariant::DV1),
-            (0.2, 0.5, SsssmVariant::CV2),
-            (0.95, 0.6, SsssmVariant::DV1),
-        ];
-        let ops: Vec<(CscMatrix, CscMatrix)> = plan
-            .iter()
-            .map(|&(fa, fb, _)| (block(m, k, fa, 0.0, 0.0, rng), block(k, n, fb, 0.1, 0.0, rng)))
-            .collect();
-        let updates: Vec<SsssmUpdate<'_>> = ops
-            .iter()
-            .zip(&plan)
-            .map(|((a, b), &(_, _, variant))| SsssmUpdate { a, b, variant, model_flops: 0.0 })
-            .collect();
-        let mut scratch = KernelScratch::default();
-
-        let mut fused = c0.clone();
-        ssssm::ssssm_batch(&updates, &mut fused, &mut scratch);
-        let mut one_by_one = c0.clone();
-        let mut all_cv1 = c0.clone();
-        for u in &updates {
-            ssssm::ssssm(u.a, u.b, &mut one_by_one, u.variant, &mut scratch);
-            ssssm::ssssm(u.a, u.b, &mut all_cv1, SsssmVariant::CV1, &mut scratch);
-        }
-        prop_assert_eq!(bits(&one_by_one), bits(&fused));
-        prop_assert_eq!(bits(&all_cv1), bits(&fused));
-        // Any split of the batch gives the same bits as well.
-        let mut split = c0.clone();
-        ssssm::ssssm_batch(&updates[..2], &mut split, &mut scratch);
-        ssssm::ssssm_batch(&updates[2..], &mut split, &mut scratch);
-        prop_assert_eq!(bits(&fused), bits(&split));
     }
 }
 

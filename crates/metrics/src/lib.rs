@@ -194,18 +194,16 @@ pub struct CommMetrics {
 /// Hot-path memory accounting, filled by the distributed executor.
 ///
 /// The copy/allocation-elimination work (Arc fan-out payloads, the
-/// per-rank pattern cache, pooled receive buffers, batched SSSSM) is
+/// per-rank pattern cache, pooled receive buffers) is
 /// only trustworthy if its effect is *visible*: these counters record
 /// what the runtime actually materialised and memcpy'd on the hot path,
 /// so `bench_compare` can gate copy regressions exactly, like the other
 /// work counters.
 ///
-/// All fields except [`MemStats::ssssm_batches`] and
-/// [`MemStats::plan_build_ns`] are deterministic for a fixed matrix,
-/// grid, owner map and fault plan (they derive from *which* blocks are
-/// shipped and *which* tasks execute, not *when*). `ssssm_batches` counts
-/// fused kernel invocations, which depend on message arrival timing, and
-/// `plan_build_ns` is a wall clock — both are zeroed by
+/// All fields except [`MemStats::plan_build_ns`] are deterministic for a
+/// fixed matrix, grid, owner map and fault plan (they derive from *which*
+/// blocks are shipped and *which* tasks execute, not *when*).
+/// `plan_build_ns` is a wall clock, zeroed by
 /// [`RunReport::without_timings`] along with the other
 /// scheduling-dependent observables.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -221,9 +219,6 @@ pub struct MemStats {
     /// Receives whose block already had its CSC structure cached on this
     /// rank, so only the values were swapped into the pooled buffer.
     pub pattern_cache_hits: u64,
-    /// Fused SSSSM kernel invocations that applied more than one update
-    /// in a single scatter → multi-axpy → gather pass. Timing-dependent.
-    pub ssssm_batches: u64,
     /// Kernel invocations that ran a planned (precomputed index map)
     /// variant instead of searching/scattering the pattern per call.
     pub planned_calls: u64,
@@ -478,7 +473,6 @@ impl RunReport {
             m.payload_allocs += r.mem.payload_allocs;
             m.bytes_copied += r.mem.bytes_copied;
             m.pattern_cache_hits += r.mem.pattern_cache_hits;
-            m.ssssm_batches += r.mem.ssssm_batches;
             m.planned_calls += r.mem.planned_calls;
             m.index_searches_avoided += r.mem.index_searches_avoided;
             m.plan_runs += r.mem.plan_runs;
@@ -545,7 +539,6 @@ impl RunReport {
             r.comm.undeliverable = 0;
             r.comm.frames_sent = 0;
             r.comm.codec_bytes_encoded = 0;
-            r.mem.ssssm_batches = 0;
             r.mem.plan_build_ns = 0;
             r.kernels.zero_timings();
         }
@@ -650,7 +643,6 @@ fn rank_to_json(r: &RankMetrics) -> Json {
                 ("payload_allocs", Json::Num(r.mem.payload_allocs as f64)),
                 ("bytes_copied", Json::Num(r.mem.bytes_copied as f64)),
                 ("pattern_cache_hits", Json::Num(r.mem.pattern_cache_hits as f64)),
-                ("ssssm_batches", Json::Num(r.mem.ssssm_batches as f64)),
                 ("planned_calls", Json::Num(r.mem.planned_calls as f64)),
                 ("index_searches_avoided", Json::Num(r.mem.index_searches_avoided as f64)),
                 ("plan_runs", Json::Num(r.mem.plan_runs as f64)),
@@ -679,7 +671,9 @@ fn rank_to_json(r: &RankMetrics) -> Json {
 }
 
 /// Parses one `per_rank` entry. Documents written while the executor had
-/// a lookahead window carry a `sched` object per rank; it is ignored.
+/// a lookahead window carry a `sched` object per rank, and ones written
+/// while it fused SSSSM updates a `mem.ssssm_batches` count; both are
+/// ignored.
 fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
     let tasks = j.req("tasks")?;
     let comm = j.req("comm")?;
@@ -701,7 +695,6 @@ fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
             payload_allocs: mem.req_u64("payload_allocs")?,
             bytes_copied: mem.req_u64("bytes_copied")?,
             pattern_cache_hits: mem.req_u64("pattern_cache_hits")?,
-            ssssm_batches: mem.req_u64("ssssm_batches")?,
             planned_calls: mem.req_u64("planned_calls")?,
             index_searches_avoided: mem.req_u64("index_searches_avoided")?,
             // Run-encoding counters postdate the schema's first cut;
@@ -793,7 +786,6 @@ mod tests {
                         payload_allocs: 2,
                         bytes_copied: 640,
                         pattern_cache_hits: 1,
-                        ssssm_batches: 1,
                         planned_calls: 3,
                         index_searches_avoided: 42,
                         plan_runs: 7,
@@ -847,7 +839,6 @@ mod tests {
         assert_eq!(mem.payload_allocs, 2);
         assert_eq!(mem.bytes_copied, 640);
         assert_eq!(mem.pattern_cache_hits, 1);
-        assert_eq!(mem.ssssm_batches, 1);
         assert_eq!(mem.planned_calls, 3);
         assert_eq!(mem.index_searches_avoided, 42);
         assert_eq!(mem.plan_runs, 7);
@@ -873,7 +864,6 @@ mod tests {
             det.per_rank[0].comm.codec_bytes_encoded, 0,
             "codec output is backend-dependent"
         );
-        assert_eq!(det.per_rank[0].mem.ssssm_batches, 0, "batch width is timing-dependent");
         assert_eq!(det.per_rank[0].mem.plan_build_ns, 0, "plan build time is a wall clock");
         assert_eq!(det.per_rank[0].kernels.total_nanos(), 0);
         // Work counters untouched.
@@ -897,7 +887,6 @@ mod tests {
         other.per_rank[0].busy_nanos = 77;
         other.per_rank[0].blocked_recvs = 12;
         other.per_rank[0].comm.recv_timeouts = 8;
-        other.per_rank[0].mem.ssssm_batches = 5;
         other.per_rank[0].mem.plan_build_ns = 123;
         other.per_rank[0].comm.frames_sent = 17;
         other.per_rank[0].comm.codec_bytes_encoded = 4096;

@@ -58,6 +58,9 @@ pub enum SparseError {
     /// the sparsity pattern the cached analysis was built for (different
     /// dimension, nonzero count, or nonzero positions).
     PatternMismatch(String),
+    /// A stored value is NaN or infinite; `(row, col)` is the first such
+    /// entry in column-major order.
+    NonFinite { row: usize, col: usize },
 }
 
 impl std::fmt::Display for SparseError {
@@ -74,6 +77,9 @@ impl std::fmt::Display for SparseError {
             }
             SparseError::DimensionMismatch(msg) => write!(f, "dimension mismatch: {msg}"),
             SparseError::PatternMismatch(msg) => write!(f, "sparsity pattern mismatch: {msg}"),
+            SparseError::NonFinite { row, col } => {
+                write!(f, "matrix entry ({row}, {col}) is not a finite number")
+            }
         }
     }
 }

@@ -14,9 +14,11 @@
 #   trace   schedule-trace validator over a 5-seed fault sweep
 #           (see docs/FAULT_INJECTION.md)
 #   sched   scheduling-correctness layer: the determinism matrix
-#           (bitwise factors across grids x modes x fault plans), the
-#           DES <-> executor traffic identity, and refactorisation reuse
-#           (see docs/SCHEDULING.md)
+#           (bitwise factors across grids x modes x fault plans x shared
+#           thread counts), the DES <-> executor traffic identity, and
+#           refactorisation reuse, each run without and with --release so
+#           the thread-count stress meets debug timing too (see
+#           docs/SCHEDULING.md)
 #   transport  cross-backend conformance layer: codec property tests,
 #           the wire-model accounting guard, peer-death failure modes,
 #           and the conformance suite over every transport backend
@@ -112,7 +114,11 @@ stage_trace() {
 }
 
 stage_sched() {
-    cargo test --release -q --test determinism --test des_consistency --test refactor
+    local profile
+    for profile in "" --release; do
+        echo "--- scheduling correctness, profile: ${profile:-debug}"
+        cargo test $profile -q --test determinism --test des_consistency --test refactor
+    done
 }
 
 stage_transport() {

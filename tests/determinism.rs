@@ -1,9 +1,10 @@
-//! Determinism regression guard: the distributed factorisation applies
-//! every block's SSSSM updates in ascending elimination-step order no
-//! matter when their operands arrive, so the computed L/U factors are
-//! *bitwise* identical across repeated runs — per grid shape and
-//! scheduling mode — and the residual stays small everywhere in the
-//! {1×1, 1×2, 2×2, 3×2} × {SyncFree, LevelSet} matrix.
+//! Determinism regression guard: every executor applies each block's
+//! SSSSM updates one at a time in ascending elimination-step order no
+//! matter when their operands become ready, so the computed L/U factors
+//! are *bitwise* identical across repeated runs — per grid shape and
+//! scheduling mode, and per shared-memory thread count — and the residual
+//! stays small everywhere in the {1×1, 1×2, 2×2, 3×2} × {SyncFree,
+//! LevelSet} matrix.
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
 use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun, ScheduleMode};
@@ -433,20 +434,14 @@ fn dense_tile_rows<S: Scalar>() {
     assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} sequential"));
     assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} sequential");
 
-    // One shared worker applies updates in a fixed order; several race
-    // for a target, which the executor documents as tolerance-only.
-    let mut bm = bm0.clone();
-    let mut plans = empty_plans(&bm, &tg);
-    factor_shared_planned(&mut bm, &tg, &sel, 1e-12, 1, &mut plans);
-    assert_eq!(reference, value_bits(&bm), "{w} shared x1: tile lane moved a bit");
-    assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} shared"));
-    assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} shared");
-    let mut racy = bm0.clone();
-    factor_shared_planned(&mut racy, &tg, &sel, 1e-12, 3, &mut plans);
-    let tol = if S::WIDTH == 4 { 1e-3 } else { 1e-9 };
-    let (want, got) = (bm.to_csc().cast::<f64>(), racy.to_csc().cast::<f64>());
-    let diff = want.to_dense().max_abs_diff(&got.to_dense()) / want.norm_max().max(1.0);
-    assert!(diff < tol, "{w} shared x3: {diff} off the one-worker factors");
+    for threads in [1, 3] {
+        let mut bm = bm0.clone();
+        let mut plans = empty_plans(&bm, &tg);
+        factor_shared_planned(&mut bm, &tg, &sel, 1e-12, threads, &mut plans);
+        assert_eq!(reference, value_bits(&bm), "{w} shared x{threads}: tile lane moved a bit");
+        assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} shared"));
+        assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} shared");
+    }
 
     let run_dist = |pr: usize, pc: usize, cfg: &FactorConfig, tag: &str| {
         let mut bm = bm0.clone();
@@ -497,11 +492,8 @@ fn dense_tile_lane_is_bitwise_neutral_everywhere_f32() {
 // `Solver::build` routes its one numeric run with the planned gates closed
 // and the first `refactor` builds the plans, so the same solver runs the
 // variant route first and the planned route ever after. At the `Solver`
-// level, on every executor and in both widths, the two must agree: bit
-// for bit on the sequential and message-passing executors, and to the
-// shared executor's own contract (it applies same-target updates in
-// arrival order, so it is held to a tolerance, as in `shared.rs`) there.
-// (`A′` keeps the cached reordering and scalings of `A`, so `refactor(A)`
+// level, on every executor and in both widths, the two must agree bit for
+// bit. (`A′` keeps the cached reordering and scalings of `A`, so `refactor(A)`
 // after it is comparable with `build(A)`.)
 
 #[test]
@@ -518,25 +510,19 @@ fn first_run_variant_route_equals_later_planned_route_on_every_executor() {
         bits.into_iter().map(f64::from_bits).collect()
     };
     type Configure = fn(SolverBuilder) -> SolverBuilder;
-    let executors: [(&str, bool, Configure); 4] = [
-        ("sequential", true, |b| b),
-        ("shared x3", false, |b| b.shared_threads(3)),
-        ("2 ranks", true, |b| b.ranks(2)),
-        ("4 ranks", true, |b| b.ranks(4)),
+    let executors: [(&str, Configure); 4] = [
+        ("sequential", |b| b),
+        ("shared x3", |b| b.shared_threads(3)),
+        ("2 ranks", |b| b.ranks(2)),
+        ("4 ranks", |b| b.ranks(4)),
     ];
-    for (precision, shared_tol) in [(Precision::F64, 1e-10), (Precision::MixedF32, 1e-4)] {
+    for precision in [Precision::F64, Precision::MixedF32] {
         let mut reference: Option<Vec<f64>> = None;
-        for (tag, bitwise, configure) in executors {
+        for (tag, configure) in executors {
             let tag = format!("{tag} {precision:?}");
             let same = |got: &[f64], want: &[f64], what: &str| {
-                if bitwise {
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(got), bits(want), "{tag}: {what} moved a bit");
-                } else {
-                    let scale = want.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-                    let diff = got.iter().zip(want).fold(0.0f64, |m, (g, w)| m.max((g - w).abs()));
-                    assert!(diff <= shared_tol * scale, "{tag}: {what} off by {diff}");
-                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(got), bits(want), "{tag}: {what} moved a bit");
             };
             let mut solver = configure(Solver::builder().precision(precision)).build(&a).unwrap();
             assert_eq!(solver.effective_precision(), precision, "{tag}");
@@ -559,4 +545,57 @@ fn first_run_variant_route_equals_later_planned_route_on_every_executor() {
             same(&values(&solver), &first_run, "the plan-replaying run");
         }
     }
+}
+
+// ---- Shared-memory executor under thread-count stress --------------------
+//
+// Each target's updates run one at a time in ascending `k`, so the shared
+// executor's factors are the sequential sweep's at any thread count —
+// however the workers interleave, run after run.
+
+fn reordered_problem(a: &CscMatrix, nb: usize) -> (BlockMatrix, TaskGraph, KernelSelector) {
+    use pangulu::reorder::{reorder_for_lu, FillReducing};
+    let m = reorder_for_lu(a, FillReducing::Auto).unwrap().matrix;
+    let f = pangulu::symbolic::symbolic_fill(&m).unwrap().filled_matrix(&m).unwrap();
+    let bm = BlockMatrix::from_filled(&f, nb).unwrap();
+    let tg = TaskGraph::build(&bm);
+    (bm, tg, KernelSelector::new(a.nnz(), Thresholds::default()))
+}
+
+fn shared_threads_stress<S: Scalar>(repeats: usize) {
+    for (name, a) in [
+        ("circuit(1500)", gen::circuit(1500, 3)),
+        ("kkt(400, 180)", gen::kkt(400, 180, 5)),
+        ("laplacian_2d(40, 40)", gen::laplacian_2d(40, 40)),
+    ] {
+        for nb in [7, 16, 33] {
+            let (bm64, tg, sel) = reordered_problem(&a, nb);
+            let bm0 = bm64.cast::<S>();
+            let mut seq = bm0.clone();
+            factor_sequential_planned(&mut seq, &tg, &sel, 1e-12, &mut empty_plans(&bm0, &tg));
+            let reference = value_bits(&seq);
+            for threads in 2..=8 {
+                let mut plans = empty_plans(&bm0, &tg);
+                for rep in 0..repeats {
+                    let mut bm = bm0.clone();
+                    factor_shared_planned(&mut bm, &tg, &sel, 1e-12, threads, &mut plans);
+                    assert!(
+                        reference == value_bits(&bm),
+                        "{} {name} nb {nb}: {threads} threads, run {rep} moved a bit",
+                        S::LABEL
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn shared_executor_is_bitwise_sequential_at_every_thread_count_f64() {
+    shared_threads_stress::<f64>(4);
+}
+
+#[test]
+fn shared_executor_is_bitwise_sequential_at_every_thread_count_f32() {
+    shared_threads_stress::<f32>(2);
 }

@@ -158,14 +158,16 @@ fn refactor_is_idempotent_and_reversible() {
     );
 }
 
-/// Shared-memory mode reuses the analysis too. Its executor applies
-/// same-target updates in arrival order, so bitwise reproducibility is
-/// not guaranteed — the contract here is the counters and the solution.
+/// Shared-memory mode reuses the analysis too, and, like every executor,
+/// applies each target's updates one at a time in ascending `k`: the
+/// counters show the skipped analysis, and refactoring back to the
+/// original values restores the original factors bit for bit.
 #[test]
 fn refactor_shared_memory_mode_solves_and_skips_analysis() {
     let a = gen::circuit(250, 13);
     let opts = SolverOptions { shared_threads: Some(3), ..SolverOptions::default() };
     let mut solver = Solver::factor_with(&a, opts).unwrap();
+    let original = factor_bits(solver.factored());
     let a2 = perturb(&a);
     solver.refactor(&a2).unwrap();
     let ph = solver.stats().phases;
@@ -174,6 +176,8 @@ fn refactor_shared_memory_mode_solves_and_skips_analysis() {
     let b = gen::test_rhs(a2.nrows(), 5);
     let x = solver.solve(&b).unwrap();
     assert!(relative_residual(&a2, &x, &b).unwrap() < 1e-8);
+    solver.refactor(&a).unwrap();
+    assert_eq!(original, factor_bits(solver.factored()), "shared refactor moved a bit");
 }
 
 /// Structurally different inputs are rejected with `PatternMismatch` and

@@ -148,8 +148,8 @@ fn golden_corpus_mixed_precision_meets_f64_bounds() {
 }
 
 /// No factor entry of the golden corpus is `-0.0`, in either width.
-/// Both the fused SSSSM batch and the dense-tile lane are bitwise equal
-/// to one-at-a-time sparse updates only while no update target holds
+/// The dense-tile lane is bitwise equal to the sparse updates only while
+/// no update target holds
 /// `-0.0` (subtracting a `(±0)·x` product would flip it to `+0.0`);
 /// docs/ALGORITHM.md §4 argues why a target never does — this pins the
 /// stronger observable fact on the corpus, zero-valued fill included.
