@@ -326,7 +326,6 @@ impl Ord for OrdF64 {
 /// block structure, task graph and owner map. Identical dependencies and
 /// payloads to the threaded executor.
 pub fn pangulu_sim_tasks(bm: &BlockMatrix, tg: &TaskGraph, owners: &OwnerMap) -> Vec<SimTask> {
-    use pangulu_kernels::flops;
     let mut tasks: Vec<SimTask> = Vec::new();
     // Panel-op task index per block id, filled below.
     let mut panel_task = vec![usize::MAX; bm.num_blocks()];
@@ -359,11 +358,10 @@ pub fn pangulu_sim_tasks(bm: &BlockMatrix, tg: &TaskGraph, owners: &OwnerMap) ->
         }
     }
     // SSSSM tasks.
-    for &(i, j, k) in &tg.ssssm {
+    for (&(i, j, k), &fl) in tg.ssssm.iter().zip(&tg.ssssm_flops) {
         let a_id = bm.block_id(i, k).expect("L operand");
         let b_id = bm.block_id(k, j).expect("U operand");
         let c_id = bm.block_id(i, j).expect("target");
-        let fl = flops::ssssm_flops(bm.block(a_id), bm.block(b_id));
         let tid = tasks.len();
         tasks.push(SimTask {
             rank: owners.owner_of(c_id),

@@ -44,7 +44,7 @@ use pangulu_comm::{
     BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet, TransportKind,
 };
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{flops, KernelPlans, KernelScratch, PlanStats, TimedKernels};
+use pangulu_kernels::{KernelPlans, KernelScratch, PlanStats, TimedKernels};
 use pangulu_metrics::{MemStats, RankMetrics, RunReport, TaskCounts};
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -74,10 +74,12 @@ pub struct FactorConfig {
     /// Record per-kernel [`TraceEvent`]s.
     pub traced: bool,
     /// Record per-variant kernel tallies and model FLOPs into the
-    /// [`RunReport`]. Off, every kernel call delegates straight to the
-    /// implementation — no clock reads, no FLOP walks (the
-    /// zero-cost-when-disabled contract); the always-on busy/sync
-    /// accounting and communication counters are kept either way.
+    /// [`RunReport`]. On, each kernel call costs two clock reads and one
+    /// tally add; its model FLOPs are the task graph's analysis-time
+    /// counts, never re-derived from block patterns. Off, every kernel
+    /// call delegates straight to the implementation; the always-on
+    /// busy/sync accounting and communication counters are kept either
+    /// way.
     pub metrics: bool,
     /// Transport backend the rank mailboxes run on (in-process channels
     /// by default). The factors and every deterministic counter are
@@ -417,7 +419,7 @@ pub fn factor_distributed_cached<S: Scalar>(
         report: RunReport {
             ranks: p,
             wall_nanos: duration_nanos(start.elapsed()),
-            predicted_flops: if cfg.metrics { predicted_total_flops(bm, tg) } else { 0.0 },
+            predicted_flops: if cfg.metrics { tg.total_flops() } else { 0.0 },
             scalar_width: S::WIDTH as u64,
             precision_fallbacks: 0,
             probe_skips: 0,
@@ -438,36 +440,6 @@ pub fn factor_distributed_cached<S: Scalar>(
     run.trace = trace;
     run.stats = stats_from_report(&run.report);
     Ok(run)
-}
-
-/// The symbolic-phase FLOP prediction: every task's model FLOP count
-/// evaluated on the (static) block patterns before any value changes.
-/// Kernels only ever write inside the stored pattern, so the metered
-/// "observed" FLOPs of a complete run must sum to exactly this — a
-/// consistency check the metrics tests lean on.
-pub fn predicted_total_flops<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> f64 {
-    let mut total = 0.0f64;
-    for id in 0..bm.num_blocks() {
-        let (bi, bj) = bm.block_coords(id);
-        let blk = bm.block(id);
-        match bi.cmp(&bj) {
-            std::cmp::Ordering::Equal => total += flops::getrf_flops(blk),
-            std::cmp::Ordering::Less => {
-                let diag = bm.block(bm.block_id(bi, bi).expect("diag block exists"));
-                total += flops::gessm_flops(diag, blk);
-            }
-            std::cmp::Ordering::Greater => {
-                let diag = bm.block(bm.block_id(bj, bj).expect("diag block exists"));
-                total += flops::tstrf_flops(diag, blk);
-            }
-        }
-    }
-    for &(i, j, k) in &tg.ssssm {
-        let a = bm.block(bm.block_id(i, k).expect("L operand exists"));
-        let b = bm.block(bm.block_id(k, j).expect("U operand exists"));
-        total += flops::ssssm_flops(a, b);
-    }
-    total
 }
 
 fn duration_nanos(d: Duration) -> u64 {
@@ -1085,7 +1057,9 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 let st = &mut *self.st;
                 let blk = st.my_blocks[id].as_mut().expect("getrf on owned block");
                 let route = st.plans.route_getrf(self.selector, k, blk);
-                self.perturbed += self.timed.getrf(route, blk, &mut st.scratch, self.pivot_floor);
+                let fl = self.tg.panel_flops[id];
+                self.perturbed +=
+                    self.timed.getrf(route, blk, &mut st.scratch, self.pivot_floor, fl);
                 self.tasks.getrf += 1;
                 Post::Panel { id, step: k, role: BlockRole::DiagFactor }
             }
@@ -1099,7 +1073,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 let diag =
                     Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, k, k);
                 let route = st.plans.route_gessm(self.selector, id, diag, &blk);
-                self.timed.gessm(route, diag, &mut blk, &mut st.scratch);
+                self.timed.gessm(route, diag, &mut blk, &mut st.scratch, self.tg.panel_flops[id]);
                 st.my_blocks[id] = Some(blk);
                 self.tasks.gessm += 1;
                 Post::Panel { id, step: k, role: BlockRole::UPanel }
@@ -1111,7 +1085,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 let diag =
                     Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, k, k);
                 let route = st.plans.route_tstrf(self.selector, id, diag, &blk);
-                self.timed.tstrf(route, diag, &mut blk, &mut st.scratch);
+                self.timed.tstrf(route, diag, &mut blk, &mut st.scratch, self.tg.panel_flops[id]);
                 st.my_blocks[id] = Some(blk);
                 self.tasks.tstrf += 1;
                 Post::Panel { id, step: k, role: BlockRole::LPanel }

@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use pangulu_kernels::{
-    flops, getrf, select::KernelSelector, ssssm, trsm, KernelPlans, KernelScratch, TimedKernels,
+    getrf, select::KernelSelector, ssssm, trsm, KernelPlans, KernelScratch, TimedKernels,
 };
 use pangulu_sparse::Scalar;
 
@@ -56,8 +56,8 @@ impl NumericStats {
 
 /// Factorises the blocked matrix in place (packed `L\U` per block) with a
 /// right-looking sweep over elimination steps. `pivot_floor` is the static
-/// pivot perturbation threshold (0 disables perturbation and panics on a
-/// zero pivot).
+/// pivot perturbation threshold (0 disables perturbation; zero pivots are
+/// then counted in `perturbed_pivots` and left in place).
 ///
 /// This is the **unplanned reference sweep**: it never consults a kernel
 /// plan, only the Figure 8 trees, and exists so tests can hold every
@@ -88,6 +88,9 @@ pub fn factor_sequential_partial<S: Scalar>(
     let stop_at = stop_at.min(bm.nblk());
     let mut stats = NumericStats { flops: tg.total_flops(), ..Default::default() };
     let mut scratch = KernelScratch::with_capacity(bm.nb());
+    // Cursor over `tg.ssssm`, whose build order matches this sweep's
+    // (step, L-row, U-column) traversal exactly.
+    let mut upd_idx = 0usize;
 
     for k in 0..stop_at {
         let diag_id = bm.block_id(k, k).expect("diagonal block exists");
@@ -127,10 +130,11 @@ pub fn factor_sequential_partial<S: Scalar>(
                     continue; // structurally empty product
                 };
                 let b_id = bm.block_id(k, j).expect("U panel exists");
-                let fl = flops::ssssm_flops(bm.block(a_id), bm.block(b_id));
-                let variant = selector.ssssm(fl);
+                debug_assert_eq!(tg.ssssm[upd_idx], (i, j, k), "update cursor out of sync");
+                let variant = selector.ssssm(tg.ssssm_flops[upd_idx]);
                 let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
                 ssssm::ssssm(a, b, c, variant, &mut scratch);
+                upd_idx += 1;
                 stats.kernel_counts[3] += 1;
             }
         }
@@ -175,7 +179,8 @@ pub fn factor_sequential_planned<S: Scalar>(
         let t0 = Instant::now();
         let blk = bm.block_mut(diag_id);
         let route = plans.route_getrf(selector, k, blk);
-        stats.perturbed_pivots += kernels.getrf(route, blk, &mut scratch, pivot_floor);
+        let fl = tg.panel_flops[diag_id];
+        stats.perturbed_pivots += kernels.getrf(route, blk, &mut scratch, pivot_floor, fl);
         stats.getrf_time += t0.elapsed();
         stats.kernel_counts[0] += 1;
 
@@ -183,13 +188,15 @@ pub fn factor_sequential_planned<S: Scalar>(
         for &j in &tg.u_panels[k] {
             let b_id = bm.block_id(k, j).expect("U panel exists");
             let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            kernels.gessm(plans.route_gessm(selector, b_id, diag, b), diag, b, &mut scratch);
+            let route = plans.route_gessm(selector, b_id, diag, b);
+            kernels.gessm(route, diag, b, &mut scratch, tg.panel_flops[b_id]);
             stats.kernel_counts[1] += 1;
         }
         for &i in &tg.l_panels[k] {
             let b_id = bm.block_id(i, k).expect("L panel exists");
             let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            kernels.tstrf(plans.route_tstrf(selector, b_id, diag, b), diag, b, &mut scratch);
+            let route = plans.route_tstrf(selector, b_id, diag, b);
+            kernels.tstrf(route, diag, b, &mut scratch, tg.panel_flops[b_id]);
             stats.kernel_counts[2] += 1;
         }
         stats.trsm_time += t1.elapsed();

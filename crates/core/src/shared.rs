@@ -239,7 +239,7 @@ impl<S: Scalar> Run<'_, S> {
                 // reader of it waits on this GETRF.
                 let blk = unsafe { self.blocks.get_mut(id) };
                 let route = plans.prebuilt_getrf(sel, k, blk);
-                let n = kernels.getrf(route, blk, scratch, self.pivot_floor);
+                let n = kernels.getrf(route, blk, scratch, self.pivot_floor, tg.panel_flops[id]);
                 self.perturbed.fetch_add(n, Ordering::Relaxed);
                 for &j in &tg.u_panels[k] {
                     let pid = bm.block_id(k, j).expect("panel exists");
@@ -257,7 +257,8 @@ impl<S: Scalar> Run<'_, S> {
                 // final; the panel's updates have finished and its
                 // readers wait on this task.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
-                kernels.gessm(plans.prebuilt_gessm(sel, id, diag, blk), diag, blk, scratch);
+                let route = plans.prebuilt_gessm(sel, id, diag, blk);
+                kernels.gessm(route, diag, blk, scratch, tg.panel_flops[id]);
                 for &i in &tg.l_panels[k] {
                     if let Some(g) = tg.ssssm_index(i, j, k) {
                         self.release(first_update + g, Task::Ssssm { i, j, k }, freed);
@@ -269,7 +270,8 @@ impl<S: Scalar> Run<'_, S> {
                 let diag_id = bm.block_id(k, k).expect("diag exists");
                 // SAFETY: as for GESSM.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
-                kernels.tstrf(plans.prebuilt_tstrf(sel, id, diag, blk), diag, blk, scratch);
+                let route = plans.prebuilt_tstrf(sel, id, diag, blk);
+                kernels.tstrf(route, diag, blk, scratch, tg.panel_flops[id]);
                 for &j in &tg.u_panels[k] {
                     if let Some(g) = tg.ssssm_index(i, j, k) {
                         self.release(first_update + g, Task::Ssssm { i, j, k }, freed);

@@ -83,7 +83,8 @@ pub struct SolverOptions {
     /// Decision-tree thresholds.
     pub thresholds: Thresholds,
     /// Static-pivot perturbation floor, relative to `max|A|`.
-    /// 0 disables perturbation (zero pivots then panic).
+    /// 0 disables perturbation: a zero pivot then fails the factorisation
+    /// with [`SparseError::ZeroPivot`].
     pub pivot_floor_rel: f64,
     /// Run the static load balancer (§4.2) over the cyclic map.
     pub load_balance: bool,
@@ -484,6 +485,18 @@ impl<S: Scalar> NumericCache<S> {
     }
 }
 
+/// The zero pivots a numeric run left in its factors: with the floor
+/// disabled every counted perturbation is a zero or NaN pivot kept as is.
+/// `floor` may be the absolute floor or `pivot_floor_rel`; they are zero
+/// together.
+fn zero_pivots(floor: f64, perturbed: usize) -> usize {
+    if floor == 0.0 {
+        perturbed
+    } else {
+        0
+    }
+}
+
 /// Rejects a matrix holding a NaN or infinite value, naming the first
 /// one in column-major order.
 fn check_finite(a: &CscMatrix) -> Result<()> {
@@ -743,6 +756,12 @@ fn try_factor_mixed(
         }
     };
     let summary = numeric.factor(&mut bm32, tg, owners, opts, nnz, pivot_floor);
+    if zero_pivots(pivot_floor, summary.perturbed_pivots) > 0 {
+        // An f32 zero pivot fails like a probe: the f64 run decides
+        // whether the matrix itself is singular.
+        precision.precision_fallbacks += 1;
+        return None;
+    }
     let mut state = MixedState {
         factored32: bm32,
         numeric,
@@ -913,7 +932,7 @@ impl Solver {
             scatter: None,
         };
 
-        Ok(Solver {
+        let solver = Solver {
             distributed_solve: opts.distributed_solve && opts.ranks > 1,
             opts,
             row_pos: reordering.row_perm.inverse(),
@@ -927,7 +946,9 @@ impl Solver {
             mixed,
             stats,
             n,
-        })
+        };
+        solver.check_factors()?;
+        Ok(solver)
     }
 
     /// Matrix order.
@@ -1053,6 +1074,11 @@ impl Solver {
     /// [`SparseError::NonFinite`] and the solver keeps its current
     /// factors.
     ///
+    /// With `pivot_floor_rel = 0` a zero pivot returns
+    /// [`SparseError::ZeroPivot`]; the factors are then unusable, and
+    /// every solve and [`Solver::condest`] returns the same error until a
+    /// later refactorisation succeeds.
+    ///
     /// Note the cached MC64 row matching and scalings were computed for
     /// the *original* values. They stay valid for the modest value
     /// changes this API targets (transient simulation, Newton steps);
@@ -1160,12 +1186,21 @@ impl Solver {
         self.stats.numeric_time = t.elapsed();
         self.stats.phases.numeric_runs += 1;
         self.stats.phases.analysis_reuses += 1;
-        Ok(())
+        self.check_factors()
+    }
+
+    /// Fails while the factors hold zero pivots (see [`Solver::refactor`]).
+    fn check_factors(&self) -> Result<()> {
+        match zero_pivots(self.opts.pivot_floor_rel, self.stats.perturbed_pivots) {
+            0 => Ok(()),
+            pivots => Err(SparseError::ZeroPivot { pivots }),
+        }
     }
 
     /// Solves `A x = b` (phase 5: `Ly = b'`, `Ux = y` plus the inverse
     /// reordering/scaling transforms).
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+        self.check_factors()?;
         if b.len() != self.n {
             return Err(SparseError::DimensionMismatch(format!(
                 "rhs length {} vs matrix order {}",
@@ -1351,6 +1386,7 @@ impl Solver {
     /// accuracy. Iterations fold into the lifetime
     /// [`PrecisionCounters::refine_iters`] / `refined_solves` totals.
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>> {
+        self.check_factors()?;
         if b.len() != self.n {
             return Err(SparseError::DimensionMismatch(format!(
                 "rhs length {} vs matrix order {}",
@@ -1389,6 +1425,7 @@ impl Solver {
     /// All lengths are checked before any work starts; the error names
     /// the first offending right-hand side.
     pub fn solve_multi(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
+        self.check_factors()?;
         if let Some((j, b)) = bs.iter().enumerate().find(|(_, b)| b.len() != self.n) {
             return Err(SparseError::DimensionMismatch(format!(
                 "rhs {j} of {} has length {} vs matrix order {}",
@@ -1639,6 +1676,82 @@ mod tests {
             }
             assert_eq!(solver.stats().phases.numeric_runs, 2, "{tag}: a rejected refactor ran");
         }
+    }
+
+    /// With the pivot floor disabled a zero pivot is a structured error:
+    /// `build` returns it, `refactor` returns it, and every solve and
+    /// `condest` refuse the unusable factors until a refactor succeeds.
+    #[test]
+    fn zero_pivot_without_floor_is_an_error_until_a_good_refactor() {
+        let ones =
+            CscMatrix::from_parts(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1.0; 4]).unwrap();
+        let a = gen::laplacian_2d(8, 8);
+        // Same pattern, row 5 numerically zero: its pivot is exactly zero
+        // under any scaling and elimination order.
+        let mut singular = a.clone();
+        for (k, v) in singular.values_mut().iter_mut().enumerate() {
+            if a.row_idx()[k] == 5 {
+                *v = 0.0;
+            }
+        }
+        let b = gen::test_rhs(a.nrows(), 4);
+        type Configure = fn(SolverBuilder) -> SolverBuilder;
+        let modes: [(&str, Configure); 3] = [
+            ("1 rank", |s| s),
+            ("2 ranks", |s| s.ranks(2)),
+            ("mixed", |s| s.precision(Precision::MixedF32)),
+        ];
+        let is_zero_pivot =
+            |e: Option<SparseError>| matches!(e, Some(SparseError::ZeroPivot { .. }));
+        for (tag, configure) in modes {
+            let builder = || configure(Solver::builder().pivot_floor_rel(0.0));
+            assert_eq!(builder().build(&ones).err(), Some(SparseError::ZeroPivot { pivots: 1 }));
+            assert!(is_zero_pivot(builder().build(&singular).err()), "{tag}: build");
+
+            let mut solver = builder().build(&a).unwrap();
+            assert!(is_zero_pivot(solver.refactor(&singular).err()), "{tag}: refactor");
+            assert!(is_zero_pivot(solver.solve(&b).err()), "{tag}: solve");
+            assert!(
+                is_zero_pivot(solver.solve_multi(std::slice::from_ref(&b)).err()),
+                "{tag}: solve_multi"
+            );
+            assert!(is_zero_pivot(solver.solve_transpose(&b).err()), "{tag}: solve_transpose");
+            assert!(is_zero_pivot(solver.solve_refined(&a, &b, 1e-12, 3).err()), "{tag}");
+            assert!(is_zero_pivot(solver.condest(&a).err()), "{tag}: condest");
+            if tag == "mixed" {
+                assert_eq!(solver.precision_counters().precision_fallbacks, 1, "f32 fell back");
+                assert_eq!(solver.effective_precision(), Precision::F64);
+            }
+
+            solver.refactor(&a).unwrap();
+            let x = solver.solve(&b).unwrap();
+            assert!(relative_residual(&a, &x, &b).unwrap() < 1e-10, "{tag}");
+            assert!(solver.condest(&a).unwrap().is_finite(), "{tag}");
+        }
+    }
+
+    /// A pivot that is zero only in f32 sends a mixed solver to f64 like
+    /// a failed probe, and the f64 factors solve the system.
+    #[test]
+    fn an_f32_only_zero_pivot_falls_back_to_f64() {
+        let eps = 2f64.powi(-30); // below f32 resolution at 1
+        let a = CscMatrix::from_parts(
+            2,
+            2,
+            vec![0, 2, 4],
+            vec![0, 1, 0, 1],
+            vec![1.0, 1.0, 1.0, 1.0 + eps],
+        )
+        .unwrap();
+        let solver = Solver::builder()
+            .precision(Precision::MixedF32)
+            .pivot_floor_rel(0.0)
+            .build(&a)
+            .unwrap();
+        assert_eq!(solver.effective_precision(), Precision::F64);
+        assert_eq!(solver.precision_counters().precision_fallbacks, 1);
+        let x = solver.solve(&[2.0, 2.0 + eps]).unwrap();
+        assert!(x.iter().all(|v| (v - 1.0).abs() < 1e-6), "{x:?}");
     }
 
     #[test]

@@ -449,19 +449,29 @@ mod tests {
         assert_eq!(seen, tg.indegree, "chains must cover every update of every target");
     }
 
+    /// The three block structures the stored-FLOP pins walk.
+    fn flop_pin_cases() -> Vec<(&'static str, BlockMatrix, TaskGraph)> {
+        let filled = |a: &pangulu_sparse::CscMatrix| symbolic_fill(a).unwrap().filled_matrix(a);
+        [
+            ("random", ensure_diagonal(&gen::random_sparse(60, 0.1, 4)).unwrap(), 7),
+            ("kkt", gen::kkt(120, 50, 3), 13),
+            ("circuit", gen::circuit(200, 5), 16),
+        ]
+        .into_iter()
+        .map(|(name, a, nb)| {
+            let bm = BlockMatrix::from_filled(&filled(&a).unwrap(), nb).unwrap();
+            let tg = TaskGraph::build(&bm);
+            (name, bm, tg)
+        })
+        .collect()
+    }
+
     /// The executors route every SSSSM task on `ssssm_flops[n]` instead
     /// of re-walking `B`; that shortcut is licensed by the stored value
     /// being bit-equal to `flops::ssssm_flops` on the task's operands.
     #[test]
     fn stored_ssssm_flops_are_bit_equal_to_the_operand_walk() {
-        let filled = |a: &pangulu_sparse::CscMatrix| symbolic_fill(a).unwrap().filled_matrix(a);
-        for (name, a, nb) in [
-            ("random", ensure_diagonal(&gen::random_sparse(60, 0.1, 4)).unwrap(), 7),
-            ("kkt", gen::kkt(120, 50, 3), 13),
-            ("circuit", gen::circuit(200, 5), 16),
-        ] {
-            let bm = BlockMatrix::from_filled(&filled(&a).unwrap(), nb).unwrap();
-            let tg = TaskGraph::build(&bm);
+        for (name, bm, tg) in flop_pin_cases() {
             assert!(!tg.ssssm.is_empty(), "{name}: no updates to check");
             for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
                 let a_blk = bm.block(bm.block_id(i, k).unwrap());
@@ -472,6 +482,32 @@ mod tests {
                     "{name}: update {n} = ({i},{j},{k})"
                 );
             }
+        }
+    }
+
+    /// The meter records `panel_flops[id]` for every panel task and the
+    /// report predicts their sum, so each stored value must be bit-equal
+    /// to the class's operand walk on that block.
+    #[test]
+    fn stored_panel_flops_are_bit_equal_to_the_operand_walk() {
+        for (name, bm, tg) in flop_pin_cases() {
+            let mut classes = [0usize; 3];
+            for id in 0..bm.num_blocks() {
+                let (bi, bj) = bm.block_coords(id);
+                let diag = bm.block(bm.block_id(bi.min(bj), bi.min(bj)).unwrap());
+                let (class, walk) = match bi.cmp(&bj) {
+                    Ordering::Equal => (0, flops::getrf_flops(bm.block(id))),
+                    Ordering::Less => (1, flops::gessm_flops(diag, bm.block(id))),
+                    Ordering::Greater => (2, flops::tstrf_flops(diag, bm.block(id))),
+                };
+                classes[class] += 1;
+                assert_eq!(
+                    tg.panel_flops[id].to_bits(),
+                    walk.to_bits(),
+                    "{name}: block {id} = ({bi},{bj})"
+                );
+            }
+            assert!(classes.iter().all(|&c| c > 0), "{name}: a panel class is missing");
         }
     }
 

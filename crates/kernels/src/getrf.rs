@@ -44,12 +44,13 @@ pub(crate) fn team_size() -> usize {
     })
 }
 
-/// Factorises `a` in place. Returns the number of perturbed pivots.
+/// Factorises `a` in place. Returns the number of perturbed pivots; with
+/// `pivot_floor == 0` that is the number of zero (or NaN) pivots, left in
+/// place, and a nonzero count means the factor is unusable.
 ///
 /// # Panics
 /// Panics if an update target is missing from the pattern (violation of
-/// the symbolic closure contract) or if a pivot is exactly zero while
-/// `pivot_floor == 0`.
+/// the symbolic closure contract).
 pub fn getrf<S: Scalar>(
     a: &mut CscMatrix<S>,
     variant: GetrfVariant,
@@ -66,14 +67,18 @@ pub fn getrf<S: Scalar>(
 
 /// Applies the static-pivot floor; returns 1 if the pivot was perturbed.
 /// The floor itself is always an `f64` magnitude; the replacement value is
-/// rounded into the working precision.
+/// rounded into the working precision. A floor of 0 perturbs nothing: a
+/// zero or NaN pivot is counted and left as it is, for the caller to
+/// report.
 #[inline]
 pub(crate) fn apply_floor<S: Scalar>(pivot: &mut S, pivot_floor: f64) -> usize {
     if pivot.abs().to_f64() >= pivot_floor && *pivot != S::ZERO {
         return 0;
     }
-    assert!(pivot_floor > 0.0, "zero pivot with no perturbation floor");
-    *pivot = if *pivot < S::ZERO { S::from_f64(-pivot_floor) } else { S::from_f64(pivot_floor) };
+    if pivot_floor > 0.0 {
+        *pivot =
+            if *pivot < S::ZERO { S::from_f64(-pivot_floor) } else { S::from_f64(pivot_floor) };
+    }
     1
 }
 
@@ -389,15 +394,27 @@ mod tests {
         assert_eq!(b.get(1, 1).abs(), 1e-8);
     }
 
+    /// Without a floor a zero pivot is counted and left at zero, in every
+    /// variant and on the planned replay, and nothing panics.
     #[test]
-    #[should_panic(expected = "zero pivot")]
-    fn zero_pivot_without_floor_panics() {
+    fn zero_pivot_without_floor_is_counted_not_perturbed() {
         let a =
             CscMatrix::from_parts(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1.0, 1.0, 1.0, 1.0])
                 .unwrap();
-        let mut b = a;
+        for v in [GetrfVariant::CV1, GetrfVariant::GV1, GetrfVariant::GV2] {
+            let mut b = a.clone();
+            let mut s = KernelScratch::with_capacity(2);
+            assert_eq!(getrf(&mut b, v, &mut s, 0.0), 1, "{v:?}");
+            assert_eq!(b.get(1, 1), 0.0, "{v:?}: the zero pivot was perturbed");
+        }
+        let mut arena = Vec::new();
+        let plan = crate::plan::build_getrf_plan(&a, &mut arena);
+        let mut b = a.clone();
+        assert_eq!(crate::plan::getrf_planned(&mut b, &plan, &arena, 0.0), 1);
+        assert_eq!(b.get(1, 1), 0.0);
+        let mut nan = a.with_constant_values(f64::NAN);
         let mut s = KernelScratch::with_capacity(2);
-        getrf(&mut b, GetrfVariant::CV1, &mut s, 0.0);
+        assert_eq!(getrf(&mut nan, GetrfVariant::CV1, &mut s, 0.0), 2, "NaN pivots count too");
     }
 
     #[test]

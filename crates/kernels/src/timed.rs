@@ -3,16 +3,18 @@
 //! [`TimedKernels`] is the one place a routed task turns into a kernel
 //! call: it takes the [`Route`] the plan pool decided (replay a plan, or
 //! run the tree's variant), executes it, and records it in a per-rank
-//! [`KernelTally`] — variant, elapsed time and model FLOPs (the
-//! [`crate::flops`] count evaluated on the actual operands — the
-//! "observed" side of the report's observed-vs-predicted FLOP
-//! comparison). Each executor thread owns one wrapper, so recording is
-//! two counter additions on a thread-local struct — no atomics, no locks.
+//! [`KernelTally`] — variant, elapsed time and model FLOPs. The caller
+//! passes each task's model FLOPs in: the [`crate::flops`] count the
+//! task graph computed once at analysis, never re-derived here. Each
+//! executor thread owns one wrapper, so an enabled meter costs two clock
+//! reads and one tally add per call on a thread-local struct — no
+//! pattern walks, no atomics, no locks.
 //!
 //! Built disabled, every method delegates straight to the raw kernel:
-//! no clock reads, no FLOP walks, no tally writes. That is the
-//! "zero-cost-when-disabled" half of the metrics contract (the CI smoke
-//! gate checks the wall-time delta stays under 2%).
+//! no clock reads, no tally writes. `tests/metrics.rs` proves metered and
+//! unmetered runs produce the same factor bits; the benchmark's
+//! `dist.meter_overhead` reports what the enabled meter costs a run
+//! (docs/PERFORMANCE.md "The kernel meter").
 
 use std::time::Instant;
 
@@ -24,7 +26,7 @@ use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::plan::{GessmPlan, GetrfPlan, Route, SsssmPlan, TstrfPlan};
 use crate::scratch::KernelScratch;
-use crate::{flops, getrf, plan, ssssm, trsm, GetrfVariant, SsssmVariant, TrsmVariant};
+use crate::{getrf, plan, ssssm, trsm, GetrfVariant, SsssmVariant, TrsmVariant};
 
 /// Tally slot of a GETRF variant (`VARIANT_LABELS` index).
 fn getrf_slot(v: GetrfVariant) -> usize {
@@ -110,9 +112,9 @@ impl TimedKernels {
         self.run_entries += run_entries;
     }
 
-    /// Opens a meter reading: the model FLOPs, then the clock.
-    fn start(&self, model_flops: impl FnOnce() -> f64) -> Option<(f64, Instant)> {
-        self.enabled.then(|| (model_flops(), Instant::now()))
+    /// Opens a meter reading: the task's model FLOPs and the clock.
+    fn start(&self, model_flops: f64) -> Option<(f64, Instant)> {
+        self.enabled.then(|| (model_flops, Instant::now()))
     }
 
     fn stop(&mut self, class: usize, slot: usize, meter: Option<(f64, Instant)>) {
@@ -122,18 +124,20 @@ impl TimedKernels {
     }
 
     /// Runs a GETRF task along `route`; returns the perturbed-pivot
-    /// count. A replay tallies under the `P_V1` slot with the same model
-    /// FLOPs as the unplanned kernel (identical arithmetic, so the
-    /// observed == predicted FLOPs invariant is preserved) — likewise
-    /// for the other three classes.
+    /// count. `model_flops` is what the meter records for the call (the
+    /// task graph's count for this block); a replay tallies under the
+    /// `P_V1` slot with the same model FLOPs as the unplanned kernel
+    /// (identical arithmetic, so the observed == predicted FLOPs
+    /// invariant is preserved) — likewise for the other three classes.
     pub fn getrf<S: Scalar>(
         &mut self,
         route: Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant>,
         a: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
         pivot_floor: f64,
+        model_flops: f64,
     ) -> usize {
-        let meter = self.start(|| flops::getrf_flops(a));
+        let meter = self.start(model_flops);
         let (slot, perturbed) = match route {
             Route::Plan(p, arena) => {
                 self.note_replay(p.searches_avoided, p.runs, p.run_entries);
@@ -152,8 +156,9 @@ impl TimedKernels {
         diag_lu: &CscMatrix<S>,
         b: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
+        model_flops: f64,
     ) {
-        let meter = self.start(|| flops::gessm_flops(diag_lu, b));
+        let meter = self.start(model_flops);
         let slot = match route {
             Route::Plan(p, arena) => {
                 self.note_replay(p.searches_avoided, p.runs, p.run_entries);
@@ -175,8 +180,9 @@ impl TimedKernels {
         diag_lu: &CscMatrix<S>,
         b: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
+        model_flops: f64,
     ) {
-        let meter = self.start(|| flops::tstrf_flops(diag_lu, b));
+        let meter = self.start(model_flops);
         let slot = match route {
             Route::Plan(p, arena) => {
                 self.note_replay(p.searches_avoided, p.runs, p.run_entries);
@@ -191,9 +197,8 @@ impl TimedKernels {
         self.stop(CLASS_TSTRF, slot, meter);
     }
 
-    /// Runs an SSSSM task along `route`. The scheduler already computed
-    /// [`flops::ssssm_flops`] to route the task, so it is passed in
-    /// rather than re-derived.
+    /// Runs an SSSSM task along `route`, metered with `model_flops` (the
+    /// task graph's count, which also routed the task).
     pub fn ssssm<S: Scalar>(
         &mut self,
         route: Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant>,
@@ -203,7 +208,7 @@ impl TimedKernels {
         scratch: &mut KernelScratch<S>,
         model_flops: f64,
     ) {
-        let meter = self.start(|| model_flops);
+        let meter = self.start(model_flops);
         let slot = match route {
             Route::Plan(p, arena) => {
                 self.note_replay(p.searches_avoided, p.runs, p.run_entries);
@@ -226,6 +231,7 @@ fn elapsed_nanos(start: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flops;
     use pangulu_sparse::CooMatrix;
 
     fn lower_block(n: usize) -> CscMatrix {
@@ -255,8 +261,9 @@ mod tests {
 
         let mut via_timed = dense_block(6);
         let mut via_raw = via_timed.clone();
+        let fl = flops::getrf_flops(&via_timed);
         let p1 =
-            timed.getrf(Route::Variant(GetrfVariant::CV1), &mut via_timed, &mut scratch, 1e-12);
+            timed.getrf(Route::Variant(GetrfVariant::CV1), &mut via_timed, &mut scratch, 1e-12, fl);
         let p2 = getrf::getrf(&mut via_raw, GetrfVariant::CV1, &mut scratch, 1e-12);
         assert_eq!(p1, p2);
         assert_eq!(via_timed.values(), via_raw.values());
@@ -264,7 +271,8 @@ mod tests {
         let diag = lower_block(6);
         let mut rhs_timed = dense_block(6);
         let mut rhs_raw = rhs_timed.clone();
-        timed.gessm(Route::Variant(TrsmVariant::CV1), &diag, &mut rhs_timed, &mut scratch);
+        let fl = flops::gessm_flops(&diag, &rhs_timed);
+        timed.gessm(Route::Variant(TrsmVariant::CV1), &diag, &mut rhs_timed, &mut scratch, fl);
         trsm::gessm(&diag, &mut rhs_raw, TrsmVariant::CV1, &mut scratch);
         assert_eq!(rhs_timed.values(), rhs_raw.values());
 
@@ -275,7 +283,8 @@ mod tests {
         };
         let mut low_timed = dense_block(6);
         let mut low_raw = low_timed.clone();
-        timed.tstrf(Route::Variant(TrsmVariant::CV2), &fac, &mut low_timed, &mut scratch);
+        let fl = flops::tstrf_flops(&fac, &low_timed);
+        timed.tstrf(Route::Variant(TrsmVariant::CV2), &fac, &mut low_timed, &mut scratch, fl);
         trsm::tstrf(&fac, &mut low_raw, TrsmVariant::CV2, &mut scratch);
         assert_eq!(low_timed.values(), low_raw.values());
 
@@ -304,9 +313,57 @@ mod tests {
         let mut timed = TimedKernels::new(false);
         let mut scratch = KernelScratch::default();
         let mut blk = dense_block(5);
-        timed.getrf(Route::Variant(GetrfVariant::CV1), &mut blk, &mut scratch, 1e-12);
+        timed.getrf(Route::Variant(GetrfVariant::CV1), &mut blk, &mut scratch, 1e-12, 1.0);
         assert_eq!(timed.tally().total_calls(), 0);
         assert_eq!(timed.into_tally(), KernelTally::default());
+    }
+
+    /// The meter records the caller's `model_flops` verbatim: sentinels
+    /// no operand walk could produce come back exactly, per class, on
+    /// both the variant and the planned route.
+    #[test]
+    fn meter_records_the_given_model_flops_verbatim() {
+        use crate::plan::{build_gessm_plan, build_ssssm_plan};
+
+        let mut timed = TimedKernels::new(true);
+        let mut scratch = KernelScratch::default();
+        let mut arena = Vec::new();
+        let fac = {
+            let mut blk = dense_block(5);
+            getrf::getrf(&mut blk, GetrfVariant::CV1, &mut scratch, 1e-12);
+            blk
+        };
+        let (a, b) = (dense_block(5), dense_block(5));
+        let sentinels = [0.25, 1.0e15, 7.5, 3.0e-3];
+
+        timed.getrf(
+            Route::Variant(GetrfVariant::CV1),
+            &mut dense_block(5),
+            &mut scratch,
+            1e-12,
+            sentinels[0],
+        );
+        let mut panel = dense_block(5);
+        let gplan = build_gessm_plan(&fac, &panel, &mut arena);
+        timed.gessm(Route::Plan(&gplan, &arena), &fac, &mut panel, &mut scratch, sentinels[1]);
+        timed.tstrf(
+            Route::Variant(TrsmVariant::CV2),
+            &fac,
+            &mut dense_block(5),
+            &mut scratch,
+            sentinels[2],
+        );
+        let mut c = dense_block(5);
+        let splan = build_ssssm_plan(&a, &b, &c, &mut arena);
+        timed.ssssm(Route::Plan(&splan, &arena), &a, &b, &mut c, &mut scratch, sentinels[3]);
+
+        let mut by_class = [0.0f64; 4];
+        for (class, _, slot) in timed.tally().entries() {
+            let c = pangulu_metrics::CLASS_LABELS.iter().position(|&l| l == class).unwrap();
+            by_class[c] += slot.flops;
+        }
+        assert_eq!(by_class.map(f64::to_bits), sentinels.map(f64::to_bits));
+        assert_eq!(timed.tally().calls_by_class(), [1, 1, 1, 1]);
     }
 
     #[test]
@@ -333,8 +390,9 @@ mod tests {
             blk
         };
         let mut panel = dense_block(6);
-        timed.gessm(Route::Variant(TrsmVariant::DV1), &fac, &mut panel, &mut scratch);
-        timed.tstrf(Route::Variant(TrsmVariant::DV1), &fac, &mut panel, &mut scratch);
+        let (gfl, tfl) = (flops::gessm_flops(&fac, &panel), flops::tstrf_flops(&fac, &panel));
+        timed.gessm(Route::Variant(TrsmVariant::DV1), &fac, &mut panel, &mut scratch, gfl);
+        timed.tstrf(Route::Variant(TrsmVariant::DV1), &fac, &mut panel, &mut scratch, tfl);
 
         // A holed operand: model FLOPs stay below the padded 2*6*6*6.
         let a = dense_block(6).filter_entries(|i, j| !(i + j).is_multiple_of(4));
@@ -366,7 +424,8 @@ mod tests {
         let gplan = build_getrf_plan(&block, &mut arena);
         let mut via_timed = block.clone();
         let mut via_raw = block.clone();
-        let p1 = timed.getrf(Route::Plan(&gplan, &arena), &mut via_timed, &mut scratch, 1e-12);
+        let fl = flops::getrf_flops(&block);
+        let p1 = timed.getrf(Route::Plan(&gplan, &arena), &mut via_timed, &mut scratch, 1e-12, fl);
         let p2 = getrf::getrf(&mut via_raw, GetrfVariant::CV1, &mut scratch, 1e-12);
         assert_eq!(p1, p2);
         assert_eq!(via_timed.values(), via_raw.values());

@@ -11,7 +11,8 @@
 //!   retries and permanent drops;
 //! * `pangulu-kernels` fills a [`KernelTally`] — invocation counts,
 //!   elapsed time and model FLOPs per kernel variant
-//!   (GETRF/GESSM/TSTRF/SSSSM × C/G versions);
+//!   (GETRF/GESSM/TSTRF/SSSSM × C/G versions); the model FLOPs are the
+//!   task graph's analysis-time counts, handed in per call;
 //! * `pangulu-core` assembles one [`RankMetrics`] per rank (sync-wait vs
 //!   compute breakdown, tasks executed by kind, stall diagnostics) and
 //!   aggregates them into the serialisable [`RunReport`] that
@@ -29,9 +30,14 @@
 //! `tests/metrics.rs` holds the runtime to equality under it.
 //!
 //! **Cost contract.** Recording is plain counter arithmetic on rank-local
-//! structs (no atomics, no locks, no allocation per event); when a layer
-//! is constructed with metrics disabled it skips even that, so a disabled
-//! build adds no measurable overhead (the CI smoke gate checks < 2%).
+//! structs (no atomics, no locks, no allocation per event). An enabled
+//! kernel meter costs two clock reads and one tally add per task: no
+//! layer re-derives a FLOP count while running. A layer constructed with
+//! metrics disabled skips even that. No gate times the disabled meter;
+//! `tests/metrics.rs` proves metered and unmetered runs give the same
+//! factor bits, and the benchmark's `dist.meter_overhead` (meter on /
+//! off) reports what the enabled meter costs, 0.81–1.02 on the 2-rank
+//! `refactor.circuit.r2` (docs/PERFORMANCE.md "The kernel meter").
 //!
 //! The JSON schema produced by [`RunReport::to_json`] is documented in
 //! `docs/OBSERVABILITY.md`.

@@ -10,6 +10,11 @@ use std::path::Path;
 
 use crate::{CooMatrix, CscMatrix, Result, SparseError};
 
+/// Most entries a reader reserves room for on the word of a size line;
+/// beyond it storage grows from the entries actually read, so a hostile
+/// header cannot make the reader allocate.
+const RESERVE_CAP: usize = 1 << 16;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Field {
     Real,
@@ -98,12 +103,14 @@ pub fn read_matrix_market_from(reader: impl BufRead) -> Result<CscMatrix> {
         return Err(SparseError::Parse(format!("size line needs 3 numbers: {size_line}")));
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
+    // The CSC column pointer holds `ncols + 1` words; refuse a column
+    // count whose pointer array could not even be sized.
+    if ncols.checked_add(1).is_none_or(|c| std::alloc::Layout::array::<usize>(c).is_err()) {
+        return Err(SparseError::Parse(format!("column count {ncols} is too large")));
+    }
 
-    let mut coo = CooMatrix::with_capacity(
-        nrows,
-        ncols,
-        if symmetry == Symmetry::General { nnz } else { nnz * 2 },
-    );
+    let stored = if symmetry == Symmetry::General { nnz } else { nnz.saturating_mul(2) };
+    let mut coo = CooMatrix::with_capacity(nrows, ncols, stored.min(RESERVE_CAP));
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -205,7 +212,10 @@ pub fn read_matrix_market_dense_from(reader: impl BufRead) -> Result<crate::Dens
         return Err(SparseError::Parse(format!("array size line needs 2 numbers: {size_line}")));
     }
     let (nrows, ncols) = (dims[0], dims[1]);
-    let mut data = Vec::with_capacity(nrows * ncols);
+    let len = nrows
+        .checked_mul(ncols)
+        .ok_or_else(|| SparseError::Parse(format!("array size {nrows} x {ncols} overflows")))?;
+    let mut data = Vec::with_capacity(len.min(RESERVE_CAP));
     for line in lines {
         let line = line?;
         for tok in line.split_whitespace() {
@@ -216,12 +226,8 @@ pub fn read_matrix_market_dense_from(reader: impl BufRead) -> Result<crate::Dens
             data.push(v);
         }
     }
-    if data.len() != nrows * ncols {
-        return Err(SparseError::Parse(format!(
-            "expected {} values, found {}",
-            nrows * ncols,
-            data.len()
-        )));
+    if data.len() != len {
+        return Err(SparseError::Parse(format!("expected {len} values, found {}", data.len())));
     }
     // Matrix Market arrays are column-major, as is DenseMatrix.
     Ok(crate::DenseMatrix::from_column_major(nrows, ncols, data))
@@ -321,6 +327,47 @@ mod tests {
     fn dense_array_rejects_wrong_count() {
         let data = "%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n";
         assert!(read_matrix_market_dense_from(data.as_bytes()).is_err());
+    }
+
+    fn parse_error(r: Result<impl std::fmt::Debug>) -> String {
+        match r {
+            Err(SparseError::Parse(msg)) => msg,
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn column_count_overflowing_the_pointer_array_is_a_parse_error() {
+        let max = usize::MAX;
+        for ncols in [max, max - 1, 1 << 62, (isize::MAX as usize) / 8] {
+            let data = format!(
+                "%%MatrixMarket matrix coordinate real general\n{max} {ncols} 1\n1 1 1.0\n"
+            );
+            let msg = parse_error(read_matrix_market_from(data.as_bytes()));
+            assert!(msg.contains("column count"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn huge_entry_count_reserves_nothing_and_is_a_parse_error() {
+        let max = usize::MAX;
+        for symmetry in ["general", "symmetric", "skew-symmetric"] {
+            let data =
+                format!("%%MatrixMarket matrix coordinate real {symmetry}\n2 2 {max}\n1 1 1.0\n");
+            let msg = parse_error(read_matrix_market_from(data.as_bytes()));
+            assert!(msg.contains(&format!("expected {max} entries, found 1")), "{msg}");
+        }
+    }
+
+    #[test]
+    fn dense_size_whose_product_overflows_is_a_parse_error() {
+        let data = "%%MatrixMarket matrix array real general\n4294967296 4294967296\n1.0\n";
+        let msg = parse_error(read_matrix_market_dense_from(data.as_bytes()));
+        assert!(msg.contains("overflows"), "{msg}");
+        // A product that fits but was never written reserves nothing.
+        let data = format!("%%MatrixMarket matrix array real general\n{} 2\n1.0\n", 1usize << 40);
+        let msg = parse_error(read_matrix_market_dense_from(data.as_bytes()));
+        assert!(msg.contains("found 1"), "{msg}");
     }
 
     #[test]

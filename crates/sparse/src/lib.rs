@@ -61,6 +61,10 @@ pub enum SparseError {
     /// A stored value is NaN or infinite; `(row, col)` is the first such
     /// entry in column-major order.
     NonFinite { row: usize, col: usize },
+    /// The numeric factorisation met `pivots` zero (or NaN) pivots with the
+    /// static-pivot floor disabled (`pivot_floor_rel = 0`): the matrix is
+    /// numerically singular and the factors are unusable.
+    ZeroPivot { pivots: usize },
 }
 
 impl std::fmt::Display for SparseError {
@@ -80,6 +84,11 @@ impl std::fmt::Display for SparseError {
             SparseError::NonFinite { row, col } => {
                 write!(f, "matrix entry ({row}, {col}) is not a finite number")
             }
+            SparseError::ZeroPivot { pivots } => write!(
+                f,
+                "{pivots} zero pivot(s) with the pivot floor disabled: the matrix is \
+                 numerically singular (a positive pivot_floor_rel perturbs them)"
+            ),
         }
     }
 }

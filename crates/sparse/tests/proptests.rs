@@ -39,6 +39,80 @@ fn gcd(a: usize, b: usize) -> usize {
     }
 }
 
+/// A size or index token for the Matrix Market readers: mostly small,
+/// otherwise one whose arithmetic overflows (`n + 1`, `8·(n + 1)`,
+/// `2·n`, `rows · cols`) or that is no count at all. Every large column
+/// count here is one the reader must refuse, so no case allocates by a
+/// header's word.
+fn mm_count() -> impl Strategy<Value = String> {
+    const HOSTILE: [&str; 8] = [
+        "18446744073709551615",
+        "18446744073709551614",
+        "4611686018427387904",
+        "9223372036854775808",
+        "1152921504606846975",
+        "-1",
+        "1.5",
+        "x",
+    ];
+    (0usize..16).prop_map(|i| if i < 8 { (i % 5).to_string() } else { HOSTILE[i - 8].to_string() })
+}
+
+fn mm_value() -> impl Strategy<Value = &'static str> {
+    const VALUES: [&str; 6] = ["1.5", "-2", "0", "nan", "inf", "x"];
+    (0usize..VALUES.len()).prop_map(|i| VALUES[i])
+}
+
+/// Entry or value lines: up to five of them, each `i j v` (a pattern
+/// file ignores `v`; a short line is its own error).
+fn mm_lines() -> impl Strategy<Value = Vec<String>> {
+    proptest::collection::vec(
+        (mm_count(), mm_count(), mm_value(), 0usize..4)
+            .prop_map(|(i, j, v, cut)| [i, j, v.to_string()][..3 - cut.min(2)].join(" ")),
+        0..6,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever the size line and entry lines say, the coordinate reader
+    /// returns a valid matrix or an error; it never panics.
+    #[test]
+    fn matrix_market_reader_never_panics_on_hostile_sizes(
+        (field, symmetry) in (0usize..3, 0usize..3),
+        size in proptest::collection::vec(mm_count(), 2..5),
+        lines in mm_lines(),
+    ) {
+        let field = ["real", "integer", "pattern"][field];
+        let symmetry = ["general", "symmetric", "skew-symmetric"][symmetry];
+        let text = format!(
+            "%%MatrixMarket matrix coordinate {field} {symmetry}\n{}\n{}\n",
+            size.join(" "),
+            lines.join("\n")
+        );
+        if let Ok(m) = pangulu_sparse::io::read_matrix_market_from(text.as_bytes()) {
+            m.validate().unwrap();
+        }
+    }
+
+    /// The same for the dense `array` reader.
+    #[test]
+    fn dense_matrix_market_reader_never_panics_on_hostile_sizes(
+        size in proptest::collection::vec(mm_count(), 1..4),
+        lines in mm_lines(),
+    ) {
+        let text = format!(
+            "%%MatrixMarket matrix array real general\n{}\n{}\n",
+            size.join(" "),
+            lines.join("\n")
+        );
+        if let Ok(m) = pangulu_sparse::io::read_matrix_market_dense_from(text.as_bytes()) {
+            prop_assert!(m.nrows() * m.ncols() <= 15);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -19,9 +19,12 @@
 #           refactorisation reuse, each run without and with --release so
 #           the thread-count stress meets debug timing too (see
 #           docs/SCHEDULING.md)
-#   transport  cross-backend conformance layer: codec property tests,
-#           the wire-model accounting guard, peer-death failure modes,
-#           and the conformance suite over every transport backend
+#   transport  wire model and metrics invariants (observed == predicted
+#           FLOPs): codec property tests, the wire-model accounting guard,
+#           the metrics suite (observed == predicted model FLOPs on every
+#           grid x precision x schedule mode, deterministic work
+#           counters), peer-death failure modes, and the cross-backend
+#           conformance suite over every transport backend
 #           (channel/shm always; TCP/UDS when the environment permits
 #           binding localhost sockets — skipped loudly otherwise; see
 #           docs/TRANSPORT.md)
@@ -124,7 +127,7 @@ stage_sched() {
 stage_transport() {
     cargo test --release -q -p pangulu-comm
     cargo test --release -q \
-        --test transport_conformance --test wire_model --test failure_modes
+        --test transport_conformance --test wire_model --test metrics --test failure_modes
 }
 
 stage_precision() {

@@ -12,18 +12,17 @@
 use std::time::Duration;
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{
-    factor_distributed_checked, predicted_total_flops, FactorConfig, ScheduleMode,
-};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
 use pangulu::core::BlockMatrix;
+use pangulu::kernels::flops;
 use pangulu::kernels::select::{KernelSelector, Thresholds};
 use pangulu::metrics::RunReport;
 use pangulu::sparse::gen;
 use pangulu::sparse::ops::{ensure_diagonal, relative_residual};
-use pangulu::sparse::CscMatrix;
+use pangulu::sparse::{CscMatrix, Scalar};
 
 struct Problem {
     a: CscMatrix,
@@ -107,23 +106,63 @@ fn timings_are_present_and_sane() {
     }
 }
 
+/// Independent oracle: every task's model FLOPs walked from the block
+/// patterns of the precision under test, at test time — the meter and
+/// the report only read the task graph's stored counts.
+fn operand_walk_flops<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> f64 {
+    let mut total = 0.0f64;
+    for id in 0..bm.num_blocks() {
+        let (bi, bj) = bm.block_coords(id);
+        let blk = bm.block(id);
+        let diag = bm.block(bm.block_id(bi.min(bj), bi.min(bj)).unwrap());
+        total += match bi.cmp(&bj) {
+            std::cmp::Ordering::Equal => flops::getrf_flops(blk),
+            std::cmp::Ordering::Less => flops::gessm_flops(diag, blk),
+            std::cmp::Ordering::Greater => flops::tstrf_flops(diag, blk),
+        };
+    }
+    for &(i, j, k) in &tg.ssssm {
+        let a = bm.block(bm.block_id(i, k).unwrap());
+        let b = bm.block(bm.block_id(k, j).unwrap());
+        total += flops::ssssm_flops(a, b);
+    }
+    total
+}
+
+fn observed_flops_rows<S: Scalar>(prob: &Problem) {
+    let bm0 = prob.bm.cast::<S>();
+    let expected = operand_walk_flops(&bm0, &prob.tg);
+    assert!(expected > 0.0);
+    assert_eq!(prob.tg.total_flops(), expected, "task graph disagrees with the walk");
+    for (rows, cols) in [(1, 2), (2, 1), (2, 2)] {
+        let owners = OwnerMap::balanced(&prob.bm, ProcessGrid::with_shape(rows, cols), &prob.tg);
+        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
+            let mut bm = bm0.clone();
+            let cfg = FactorConfig::with_mode(mode);
+            let r = factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, &cfg)
+                .unwrap_or_else(|e| panic!("factorisation failed: {e}"))
+                .report;
+            let tag = format!("{}x{} {mode:?} f{}", rows, cols, 8 * S::WIDTH);
+            assert_eq!(r.predicted_flops, expected, "{tag}: prediction changed");
+            assert_eq!(
+                r.observed_flops(),
+                expected,
+                "{tag}: observed FLOPs diverge from the model"
+            );
+        }
+    }
+}
+
 /// Kernels only ever write inside static block patterns, and the model
-/// FLOP counts derive from those same patterns — so the FLOPs observed
-/// by the meter must sum to the prediction *exactly*.
+/// FLOP counts derive from those same patterns — so the prediction, the
+/// task graph's stored counts and an independent operand walk agree
+/// *exactly*, and so do the FLOPs the meter observes, on every grid,
+/// schedule mode and precision.
 #[test]
 fn observed_flops_match_prediction_exactly() {
     let prob = problem(23);
-    let expected = predicted_total_flops(&prob.bm, &prob.tg);
-    assert!(expected > 0.0);
-    for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-        let (r, _) = factor(&prob, &FactorConfig::with_mode(mode));
-        assert_eq!(r.predicted_flops, expected, "{mode:?}: prediction changed");
-        assert_eq!(
-            r.observed_flops(),
-            expected,
-            "{mode:?}: observed FLOPs diverge from the static model"
-        );
-    }
+    observed_flops_rows::<f64>(&prob);
+    observed_flops_rows::<f32>(&prob);
 }
 
 /// Task and message accounting is self-consistent: every rank's kernel
