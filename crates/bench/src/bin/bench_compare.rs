@@ -46,8 +46,7 @@ const SELF_TEST_SLOWDOWN: f64 = 1.2;
 /// wobble. The codec counters are exact too: `frames_sent` is one frame
 /// per mailbox send on a byte transport (zero on the in-process
 /// channel), and `codec_bytes_encoded` encodes every scatter payload
-/// exactly once — identical between the TCP and shm arms, so the gate
-/// holds whichever backend the bench environment could run.
+/// exactly once.
 const EXACT_KEYS: [&str; 17] = [
     "msgs",
     "bytes",

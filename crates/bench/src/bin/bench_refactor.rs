@@ -25,15 +25,12 @@
 //!   planned solver so both see the same machine state, and the minimum
 //!   unplanned wall time is reported as `wall_unplanned_seconds` next to
 //!   the planned `wall_seconds` (ratio in `planned_speedup`);
-//! * a transport A/B: a third solver refactors the same values over a
-//!   byte transport — TCP sockets when the environment allows binding
-//!   localhost listeners, otherwise (loudly logged) the shared-memory
-//!   rings, which charge the codec identically — again interleaved
-//!   rep-for-rep. `transport_ab_wall_seconds` is informational (socket
-//!   latency is machine state), but the arm's `frames_sent` and
-//!   `codec_bytes_encoded` are deterministic — one frame per mailbox
-//!   send, every scatter payload encoded exactly once — and
-//!   `bench_compare` gates them exactly on either fallback;
+//! * a transport A/B: a third solver refactors the same values over the
+//!   shared-memory byte rings, again interleaved rep-for-rep.
+//!   `transport_ab_wall_seconds` is informational, but the arm's
+//!   `frames_sent` and `codec_bytes_encoded` are deterministic — one
+//!   frame per mailbox send, every scatter payload encoded exactly
+//!   once — and `bench_compare` gates them exactly;
 //! * a precision A/B: a fourth solver factors in mixed precision
 //!   (f32 factors, iteratively refined solves), again interleaved
 //!   rep-for-rep. `mixed_wall_seconds` and `mixed_speedup` are
@@ -66,7 +63,7 @@
 use std::time::Instant;
 
 use pangulu_bench::{data_dir, secs, smoke_corpus_scaled};
-use pangulu_comm::{sockets_available, TransportKind};
+use pangulu_comm::TransportKind;
 use pangulu_core::solver::{Precision, Solver};
 use pangulu_kernels::Thresholds;
 use pangulu_metrics::json::Json;
@@ -75,6 +72,9 @@ use pangulu_sparse::{gen, ops, CscMatrix};
 
 /// Rank grid used for every run: 2x2, matching the smoke benchmark.
 const RANKS: usize = 4;
+
+/// The byte transport of the A/B arm.
+const AB_TRANSPORT: TransportKind = TransportKind::Shm;
 
 /// JSON schema tag checked by `bench_compare`.
 pub const SCHEMA: &str = "pangulu-bench-refactor-v1";
@@ -124,13 +124,11 @@ struct RefactorResult {
     /// Minimum steady-state wall time with kernel plans off, measured
     /// interleaved with the planned reps.
     wall_unplanned_seconds: f64,
-    /// Which byte transport the A/B arm actually ran ("tcp" or "shm").
-    transport_ab: TransportKind,
     /// Minimum steady-state wall time over the byte transport,
     /// interleaved with the channel arms.
     transport_ab_wall_seconds: f64,
     /// Codec counters of one steady-state byte-transport run; both are
-    /// deterministic and identical between the TCP and shm fallbacks.
+    /// deterministic.
     frames_sent: u64,
     codec_bytes_encoded: u64,
     /// Mixed-precision A/B arm: minimum steady-state wall time,
@@ -155,22 +153,8 @@ struct RefactorResult {
     phases: PhaseCounters,
 }
 
-/// The byte transport for the A/B arm: TCP when the environment lets us
-/// bind localhost listeners, otherwise the shared-memory rings (which
-/// drive the same codec and charge identical deterministic counters).
-fn ab_transport() -> TransportKind {
-    if sockets_available() {
-        TransportKind::Tcp
-    } else {
-        eprintln!(
-            "bench_refactor: note: cannot bind localhost sockets; \
-             transport A/B arm falls back to shm rings"
-        );
-        TransportKind::Shm
-    }
-}
-
-fn run_one(name: &'static str, a: &CscMatrix, reps: usize, ab: TransportKind) -> RefactorResult {
+fn run_one(name: &'static str, a: &CscMatrix, reps: usize) -> RefactorResult {
+    let ab = AB_TRANSPORT;
     let start = Instant::now();
     let mut solver = Solver::builder()
         .ranks(RANKS)
@@ -254,7 +238,6 @@ fn run_one(name: &'static str, a: &CscMatrix, reps: usize, ab: TransportKind) ->
         wall_first_seconds: wall_first,
         wall_seconds: best_wall,
         wall_unplanned_seconds: best_unplanned,
-        transport_ab: ab,
         transport_ab_wall_seconds: best_wired,
         frames_sent,
         codec_bytes_encoded,
@@ -320,9 +303,8 @@ fn matrix_json(r: &RefactorResult) -> Json {
         ("numeric_runs".into(), num(r.phases.numeric_runs as f64)),
         ("analysis_reuses".into(), num(r.phases.analysis_reuses as f64)),
         // Transport A/B (byte-transport arm). The wall is informational;
-        // the codec counters are deterministic and exact-gated — they
-        // are identical whether the arm ran TCP or the shm fallback.
-        ("transport_ab".into(), Json::Str(r.transport_ab.to_string())),
+        // the codec counters are deterministic and exact-gated.
+        ("transport_ab".into(), Json::Str(AB_TRANSPORT.to_string())),
         ("transport_ab_wall_seconds".into(), num(r.transport_ab_wall_seconds)),
         ("frames_sent".into(), num(r.frames_sent as f64)),
         ("codec_bytes_encoded".into(), num(r.codec_bytes_encoded as f64)),
@@ -345,10 +327,9 @@ fn matrix_json(r: &RefactorResult) -> Json {
 fn main() {
     let reps = reps();
     let scale = corpus_scale();
-    let ab = ab_transport();
     let mut results = Vec::new();
     for (name, a) in smoke_corpus_scaled(scale) {
-        let r = run_one(name, &a, reps, ab);
+        let r = run_one(name, &a, reps);
         println!(
             "{:<14} n {:>5}  nnz {:>6}  first {:>8.4}s  steady {:>8.4}s  ({:>4.1}x)  \
              unplanned {:>8.4}s  resid {:.3e}",

@@ -1,7 +1,7 @@
 //! Versioned, length-prefixed binary frame codec for [`BlockMsg`]s.
 //!
-//! The byte-oriented transport backends (shared-memory rings, TCP/UDS
-//! sockets) ship every [`WireEnvelope`] as one *frame*:
+//! The byte-oriented transport backend (shared-memory rings) ships every
+//! [`WireEnvelope`] as one *frame*:
 //!
 //! ```text
 //! ┌──────────────┬───────────────────────────────────────────────┐
@@ -44,7 +44,7 @@
 //! as a structured [`CodecError`] — never a panic, never an
 //! out-of-bounds read. The
 //! [`FrameDecoder`] reassembles frames from an arbitrary byte stream
-//! (sockets deliver frames split and coalesced at will).
+//! (a ring read may split a frame or carry several).
 //!
 //! Fan-out stays one-serialise: [`PayloadMemo`] caches the encoded bytes
 //! of the most recent `Arc<[S]>` payload, so a finished block scattered

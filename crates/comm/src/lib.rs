@@ -13,8 +13,7 @@
 //!   per-edge accounting and fault injection lives here, above the
 //!   transport, so the wire-model counters are backend-invariant;
 //! * [`transport`] — the pluggable backends underneath the mailboxes:
-//!   in-process channels, shared-memory byte rings, and localhost
-//!   TCP/Unix-domain sockets;
+//!   in-process channels and shared-memory byte rings;
 //! * [`codec`] — the versioned binary frame format the byte-moving
 //!   backends ship blocks in (length-prefixed, magic + version header,
 //!   encode-once payload fan-out);
@@ -40,6 +39,4 @@ pub use fault::{EdgeRng, Fate, FaultPlan};
 pub use grid::ProcessGrid;
 pub use mailbox::{DeliveryRecord, Mailbox, MailboxSet};
 pub use msg::{BlockMsg, BlockRole};
-pub use transport::{
-    sockets_available, PeerClosed, Transport, TransportKind, TransportStats, WireEnvelope,
-};
+pub use transport::{PeerClosed, Transport, TransportKind, TransportStats, WireEnvelope};

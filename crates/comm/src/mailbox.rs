@@ -10,11 +10,10 @@
 //! The mailbox is deliberately the *only* layer that observes traffic:
 //! per-edge accounting, the fault plan, reorder buffers, the holdback
 //! heap and the delivery logs all live here, **above** the transport.
-//! Whether an envelope crosses an in-process channel, a shared-memory
-//! ring or a TCP socket, it is charged, logged and fault-injected by the
-//! same code — that is what makes the wire-model counters
-//! backend-invariant (proven end-to-end by the cross-backend conformance
-//! suite).
+//! Whether an envelope crosses an in-process channel or a shared-memory
+//! ring, it is charged, logged and fault-injected by the same code —
+//! that is what makes the wire-model counters backend-invariant (proven
+//! end-to-end by the cross-backend conformance suite).
 //!
 //! Two deliberate wrinkles:
 //!
@@ -43,7 +42,6 @@
 //! schedule-trace validator's exactly-once delivery check.
 
 use std::collections::BinaryHeap;
-use std::io;
 use std::time::{Duration, Instant};
 
 use pangulu_metrics::{CommMetrics, EdgeStat};
@@ -112,27 +110,19 @@ impl<S: Scalar> MailboxSet<S> {
     /// in-process channel backend, with a reliable (fault-free) plan.
     pub fn new(p: usize) -> Self {
         Self::with_transport(p, TransportKind::Channel, None)
-            .expect("the channel backend cannot fail to build")
     }
 
     /// As [`MailboxSet::new`], but every send runs through the seeded
     /// fault plan.
     pub fn with_faults(p: usize, plan: FaultPlan) -> Self {
         Self::with_transport(p, TransportKind::Channel, Some(plan))
-            .expect("the channel backend cannot fail to build")
     }
 
     /// Creates mailboxes on the chosen transport backend, optionally
-    /// fault-injected. Only the socket backends can fail (a sandbox may
-    /// forbid binding); callers surface that loudly rather than silently
-    /// falling back to another backend.
-    pub fn with_transport(
-        p: usize,
-        kind: TransportKind,
-        plan: Option<FaultPlan>,
-    ) -> io::Result<Self> {
+    /// fault-injected.
+    pub fn with_transport(p: usize, kind: TransportKind, plan: Option<FaultPlan>) -> Self {
         assert!(p > 0, "mailbox world needs at least one rank");
-        let endpoints = transport::build_endpoints::<S>(kind, p)?;
+        let endpoints = transport::build_endpoints::<S>(kind, p);
         let mailboxes = endpoints
             .into_iter()
             .enumerate()
@@ -164,7 +154,7 @@ impl<S: Scalar> MailboxSet<S> {
                 lost_log: Vec::new(),
             })
             .collect();
-        Ok(MailboxSet { mailboxes })
+        MailboxSet { mailboxes }
     }
 
     /// Takes the per-rank mailboxes (one per worker thread).
@@ -690,7 +680,7 @@ mod tests {
     #[test]
     fn loopback_is_charged_logged_and_delivered() {
         for kind in [TransportKind::Channel, TransportKind::Shm] {
-            let mut boxes = MailboxSet::with_transport(2, kind, None).unwrap().into_mailboxes();
+            let mut boxes = MailboxSet::with_transport(2, kind, None).into_mailboxes();
             let mb = &mut boxes[0];
             mb.send(0, msg(4));
             assert_eq!(mb.sent_msgs(), 1, "{kind}");
@@ -739,7 +729,7 @@ mod tests {
     #[test]
     fn backend_roundtrip_through_mailboxes() {
         for kind in [TransportKind::Channel, TransportKind::Shm] {
-            let mut boxes = MailboxSet::with_transport(2, kind, None).unwrap().into_mailboxes();
+            let mut boxes = MailboxSet::with_transport(2, kind, None).into_mailboxes();
             let mut b1 = boxes.pop().unwrap();
             let mut b0 = boxes.pop().unwrap();
             assert_eq!(b0.transport_kind(), kind);

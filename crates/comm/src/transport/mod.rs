@@ -5,13 +5,13 @@
 //! (per-edge accounting, the fault plan, reorder buffers, the holdback
 //! heap, delivery logs, sync-wait attribution) lives **above** it, in
 //! [`crate::mailbox::Mailbox`]. That split is what makes the wire-model
-//! counters backend-invariant by construction: a channel hop, a
-//! shared-memory ring and a TCP socket are charged identically because
-//! the charging code never sees which one is underneath. The
-//! cross-backend conformance suite (`tests/transport_conformance.rs`)
-//! proves the construction end-to-end.
+//! counters backend-invariant by construction: a channel hop and a
+//! shared-memory ring are charged identically because the charging code
+//! never sees which one is underneath. The cross-backend conformance
+//! suite (`tests/transport_conformance.rs`) proves the construction
+//! end-to-end.
 //!
-//! Three backends ship:
+//! Two backends ship:
 //!
 //! * [`channel`] — the historical in-process `std::sync::mpsc` mailboxes;
 //!   envelopes move by pointer, nothing is serialised.
@@ -21,17 +21,12 @@
 //!   processes over an `mmap`ed segment; the ring layout deliberately
 //!   holds no pointers so it is process-ready, and the harness drives it
 //!   from the rank threads (std offers no fork).
-//! * [`sock`] — length-prefixed frames over real localhost TCP (ephemeral
-//!   ports) or Unix-domain sockets, nonblocking both ways with sender-side
-//!   outboxes so a full kernel buffer can never deadlock two ranks
-//!   sending to each other.
 //!
 //! Envelopes carry the fault layer's injected latency as relative
 //! `delay_nanos`, never an absolute `Instant` — an instant is meaningless
 //! on the far side of a process boundary, so *every* backend (channel
 //! included) has the receiver re-anchor the delay at arrival time.
 
-use std::io;
 use std::time::Duration;
 
 use pangulu_sparse::Scalar;
@@ -40,7 +35,6 @@ use crate::msg::BlockMsg;
 
 pub mod channel;
 pub mod shm;
-pub mod sock;
 
 /// Which backend a mailbox set runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -50,27 +44,16 @@ pub enum TransportKind {
     Channel,
     /// Shared-memory byte rings with codec frames.
     Shm,
-    /// Localhost TCP sockets with codec frames.
-    Tcp,
-    /// Unix-domain sockets with codec frames.
-    Uds,
 }
 
 impl TransportKind {
     /// All backends, in conformance-suite order.
-    pub const ALL: [TransportKind; 4] =
-        [TransportKind::Channel, TransportKind::Shm, TransportKind::Tcp, TransportKind::Uds];
+    pub const ALL: [TransportKind; 2] = [TransportKind::Channel, TransportKind::Shm];
 
     /// True when the backend moves codec frames (so the codec counters
     /// can be nonzero).
     pub fn uses_codec(self) -> bool {
         !matches!(self, TransportKind::Channel)
-    }
-
-    /// True when the backend needs OS sockets (and can therefore be
-    /// unavailable in a sandbox).
-    pub fn needs_sockets(self) -> bool {
-        matches!(self, TransportKind::Tcp | TransportKind::Uds)
     }
 }
 
@@ -81,9 +64,7 @@ impl std::str::FromStr for TransportKind {
         match s {
             "channel" => Ok(TransportKind::Channel),
             "shm" => Ok(TransportKind::Shm),
-            "tcp" => Ok(TransportKind::Tcp),
-            "uds" => Ok(TransportKind::Uds),
-            other => Err(format!("unknown transport {other:?} (channel | shm | tcp | uds)")),
+            other => Err(format!("unknown transport {other:?} (channel | shm)")),
         }
     }
 }
@@ -93,8 +74,6 @@ impl std::fmt::Display for TransportKind {
         f.write_str(match self {
             TransportKind::Channel => "channel",
             TransportKind::Shm => "shm",
-            TransportKind::Tcp => "tcp",
-            TransportKind::Uds => "uds",
         })
     }
 }
@@ -181,15 +160,10 @@ pub trait Transport<S: Scalar = f64>: Send {
 }
 
 /// Builds the all-to-all endpoints of a `p`-rank world on the chosen
-/// backend. Only the socket backends can fail (e.g. a sandbox that
-/// forbids binding); callers surface that loudly rather than silently
-/// falling back.
-pub fn build_endpoints<S: Scalar>(
-    kind: TransportKind,
-    p: usize,
-) -> io::Result<Vec<Box<dyn Transport<S>>>> {
+/// backend.
+pub fn build_endpoints<S: Scalar>(kind: TransportKind, p: usize) -> Vec<Box<dyn Transport<S>>> {
     assert!(p > 0, "transport world needs at least one rank");
-    Ok(match kind {
+    match kind {
         TransportKind::Channel => channel::build::<S>(p)
             .into_iter()
             .map(|t| Box::new(t) as Box<dyn Transport<S>>)
@@ -197,18 +171,7 @@ pub fn build_endpoints<S: Scalar>(
         TransportKind::Shm => {
             shm::build::<S>(p).into_iter().map(|t| Box::new(t) as Box<dyn Transport<S>>).collect()
         }
-        TransportKind::Tcp | TransportKind::Uds => sock::build::<S>(kind, p)?
-            .into_iter()
-            .map(|t| Box::new(t) as Box<dyn Transport<S>>)
-            .collect(),
-    })
-}
-
-/// Whether this process may bind localhost sockets — the gate the
-/// TCP/UDS conformance arms use to skip (loudly) in sandboxes that
-/// forbid them.
-pub fn sockets_available() -> bool {
-    std::net::TcpListener::bind("127.0.0.1:0").is_ok()
+    }
 }
 
 /// Poll interval of the byte backends' blocking receives.

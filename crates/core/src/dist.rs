@@ -84,8 +84,7 @@ pub struct FactorConfig {
     /// Transport backend the rank mailboxes run on (in-process channels
     /// by default). The factors and every deterministic counter are
     /// backend-invariant — the cross-backend conformance suite asserts
-    /// bitwise-identical results over channels, shared-memory rings and
-    /// sockets.
+    /// bitwise-identical results over channels and shared-memory rings.
     pub transport: TransportKind,
 }
 
@@ -355,11 +354,8 @@ pub fn factor_distributed_cached<S: Scalar>(
     for st in &mut ws.ranks {
         st.reset(bm);
     }
-    // A backend that cannot come up (e.g. sockets in a sandbox) is a
-    // loud environment error, never a silent fallback to another one.
-    let mailboxes = MailboxSet::<S>::with_transport(p, cfg.transport, cfg.fault.clone())
-        .unwrap_or_else(|e| panic!("failed to build {} transport mesh: {e}", cfg.transport))
-        .into_mailboxes();
+    let mailboxes =
+        MailboxSet::<S>::with_transport(p, cfg.transport, cfg.fault.clone()).into_mailboxes();
     let barrier = StepBarrier::new(p);
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<DistError>> = Mutex::new(None);

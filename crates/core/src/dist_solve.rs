@@ -10,6 +10,13 @@
 //! this with the blocks right of the diagonal. There is no global
 //! ordering or barrier — dependency counting alone drives both sweeps,
 //! the same counter-array idea as the numeric factorisation's §4.4.
+//!
+//! The [`crate::Solver`] does not call this module: every solve runs the
+//! panel sweeps of [`crate::trisolve`] on the factor, which is faster and
+//! bitwise equal to the 1-rank result, while partials here are added in
+//! arrival order and can differ in the last bit from run to run. It
+//! stays only because `benchmark/src/pipeline.rs`, the benchmark's copy
+//! of the pipeline, still times it; both go together.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,30 +38,13 @@ enum Sweep {
     Backward,
 }
 
-/// Solves `L U x = b` across `owners.num_ranks()` rank threads; `bm`
-/// holds the factored tiles. Returns `x`.
-pub fn solve_distributed<S: Scalar>(bm: &BlockMatrix<S>, owners: &OwnerMap, b: &[S]) -> Vec<S> {
-    solve_distributed_on(bm, owners, b, TransportKind::Channel, None)
-}
-
-/// As [`solve_distributed`], but every message runs through the seeded
-/// fault plan — delays, reordering and retry draws included. The sweeps
-/// tolerate any plan whose retry budget eventually delivers every
-/// message (e.g. [`FaultPlan::adversarial`]); a plan with permanent
-/// drops makes the blocked rank panic via its stall guard instead of
-/// hanging.
-pub fn solve_distributed_with_faults<S: Scalar>(
-    bm: &BlockMatrix<S>,
-    owners: &OwnerMap,
-    b: &[S],
-    fault: Option<&FaultPlan>,
-) -> Vec<S> {
-    solve_distributed_on(bm, owners, b, TransportKind::Channel, fault)
-}
-
-/// The general entry point: both sweeps on the chosen transport backend,
-/// optionally fault-injected. The solution is bitwise identical across
-/// backends (the conformance contract).
+/// Solves `L U x = b` across `owners.num_ranks()` rank threads on the
+/// chosen transport backend; `bm` holds the factored tiles. Under a
+/// fault plan every message runs through its delays, reordering and
+/// retry draws; the sweeps tolerate any plan whose retry budget
+/// eventually delivers every message (e.g. [`FaultPlan::adversarial`]),
+/// and a plan with permanent drops makes the blocked rank panic via its
+/// stall guard instead of hanging. Returns `x`.
 pub fn solve_distributed_on<S: Scalar>(
     bm: &BlockMatrix<S>,
     owners: &OwnerMap,
@@ -97,9 +87,7 @@ fn run_sweep<S: Scalar>(
         }
     }
 
-    let mailboxes = MailboxSet::<S>::with_transport(p, transport, fault.cloned())
-        .unwrap_or_else(|e| panic!("failed to build {transport} transport mesh: {e}"))
-        .into_mailboxes();
+    let mailboxes = MailboxSet::<S>::with_transport(p, transport, fault.cloned()).into_mailboxes();
     let mut solved: Vec<(usize, Vec<S>)> = Vec::with_capacity(nblk);
     std::thread::scope(|s| {
         let handles: Vec<_> = mailboxes
@@ -333,7 +321,7 @@ mod tests {
             let mut expect = b.clone();
             forward_substitute(&bm, &mut expect);
             backward_substitute(&bm, &mut expect);
-            let got = solve_distributed(&bm, &owners, &b);
+            let got = solve_distributed_on(&bm, &owners, &b, TransportKind::Channel, None);
             for (i, (g, e)) in got.iter().zip(&expect).enumerate() {
                 assert!((g - e).abs() < 1e-12, "p={p} seed={seed} idx {i}: {g} vs {e}");
             }
@@ -353,7 +341,7 @@ mod tests {
         let mut expect = b.clone();
         forward_substitute(&bm, &mut expect);
         backward_substitute(&bm, &mut expect);
-        let got = solve_distributed(&bm, &owners, &b);
+        let got = solve_distributed_on(&bm, &owners, &b, TransportKind::Channel, None);
         for (g, e) in got.iter().zip(&expect) {
             assert!((g - e).abs() < 1e-10);
         }

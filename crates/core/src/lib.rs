@@ -22,7 +22,10 @@
 //!   respected every dependency, ran each task exactly once on its
 //!   owner, and delivered each block message exactly once per
 //!   destination — the oracle behind the fault-injection test matrix;
-//! * [`trisolve`] — block forward/backward substitution (phase 5);
+//! * [`trisolve`] — block forward/backward substitution (phase 5), the
+//!   solve every [`Solver`] runs in every mode;
+//! * [`dist_solve`] — the message-driven distributed solve, which the
+//!   [`Solver`] no longer calls;
 //! * [`des`] — the discrete-event simulator that replays the real task
 //!   DAG under the platform cost model for the 1→128 rank scalability
 //!   experiments (Figs. 5, 12, 13, 14);

@@ -88,16 +88,13 @@ pub struct SolverOptions {
     pub pivot_floor_rel: f64,
     /// Run the static load balancer (§4.2) over the cyclic map.
     pub load_balance: bool,
-    /// Run the triangular solves distributed across the ranks (phase 5);
-    /// single-rank solvers always solve sequentially.
-    pub distributed_solve: bool,
     /// When set, the numeric phase runs on the shared-memory executor
     /// with this many worker threads (PanguLU's multicore CPU mode)
     /// instead of the message-passing ranks; `ranks` is ignored.
     pub shared_threads: Option<usize>,
-    /// Transport backend the distributed phases run on (in-process
-    /// channels by default). Factors, solutions and every deterministic
-    /// counter are backend-invariant.
+    /// Transport backend the multi-rank numeric phase runs on
+    /// (in-process channels by default). Factors, solutions and every
+    /// deterministic counter are backend-invariant.
     pub transport: TransportKind,
     /// Numeric precision of the factorisation: full f64, or the mixed
     /// f32-factor/refined-solve path.
@@ -125,7 +122,6 @@ impl Default for SolverOptions {
             thresholds: Thresholds::default(),
             pivot_floor_rel: 1e-12,
             load_balance: true,
-            distributed_solve: true,
             shared_threads: None,
             transport: TransportKind::default(),
             precision: Precision::default(),
@@ -189,12 +185,6 @@ impl SolverBuilder {
         self
     }
 
-    /// Toggles the distributed triangular solve (multi-rank solvers only).
-    pub fn distributed_solve(mut self, on: bool) -> Self {
-        self.opts.distributed_solve = on;
-        self
-    }
-
     /// Runs the numeric phase on the shared-memory executor with `t`
     /// worker threads instead of message-passing ranks.
     pub fn shared_threads(mut self, t: usize) -> Self {
@@ -202,7 +192,7 @@ impl SolverBuilder {
         self
     }
 
-    /// Selects the transport backend of the distributed phases
+    /// Selects the transport backend of the multi-rank numeric phase
     /// (in-process channels by default; bitwise-neutral by the
     /// conformance contract).
     pub fn transport(mut self, kind: TransportKind) -> Self {
@@ -825,7 +815,6 @@ pub struct Solver {
     /// The live f32 side of a mixed-precision solver; `None` in f64 mode
     /// and after a transparent fallback.
     mixed: Option<MixedState>,
-    distributed_solve: bool,
     stats: FactorStats,
     n: usize,
 }
@@ -933,7 +922,6 @@ impl Solver {
         };
 
         let solver = Solver {
-            distributed_solve: opts.distributed_solve && opts.ranks > 1,
             opts,
             row_pos: reordering.row_perm.inverse(),
             col_pos: reordering.col_perm.inverse(),
@@ -1217,33 +1205,21 @@ impl Solver {
     fn solve_panel<B: AsRef<[f64]>>(&self, bs: &[B]) -> Vec<Vec<f64>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
         let r = &self.reordering;
-        let inner = |b: &B| gather_scaled(&self.row_pos, &r.row_scale, &[b.as_ref()]);
         let outer = |z: &[f64], k: usize| scatter_scaled(&self.col_pos, &r.col_scale, z, k);
         if let Some(mx) = &self.mixed {
             // Mixed mode: the f32 triangular solve is only a preconditioner;
             // iterative refinement against the captured f64 scaled system
             // recovers full f64 accuracy (or stops at the stagnation point).
-            let ws: Vec<Vec<f64>> = bs.iter().map(inner).collect();
+            let ws: Vec<Vec<f64>> = bs
+                .iter()
+                .map(|b| gather_scaled(&self.row_pos, &r.row_scale, &[b.as_ref()]))
+                .collect();
             let refined =
                 refine_inner(&mx.factored32, &mx.scaled_a, &ws, REFINE_TOL, MAX_REFINE_ITERS);
             let iters: usize = refined.iter().map(|(_, _, iters)| iters).sum();
             mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
             mx.refined_solves.fetch_add(refined.len() as u64, Ordering::Relaxed);
             refined.iter().flat_map(|(z, _, _)| outer(z, 1)).collect()
-        } else if self.distributed_solve {
-            // The message-driven sweeps take one right-hand side at a time.
-            bs.iter()
-                .flat_map(|b| {
-                    let z = crate::dist_solve::solve_distributed_on(
-                        &self.factored,
-                        &self.owners,
-                        &inner(b),
-                        self.opts.transport,
-                        None,
-                    );
-                    outer(&z, 1)
-                })
-                .collect()
         } else {
             let k = bs.len();
             let mut panel = gather_scaled(&self.row_pos, &r.row_scale, bs);
@@ -1420,7 +1396,7 @@ impl Solver {
     /// once, swept once forward and once backward — the factor is read
     /// once per panel, not once per right-hand side — and scattered once.
     /// Every solution is bitwise what [`Solver::solve`] returns for that
-    /// right-hand side alone (distributed solves: equal to the residual).
+    /// right-hand side alone, in every execution mode and precision.
     ///
     /// All lengths are checked before any work starts; the error names
     /// the first offending right-hand side.

@@ -9,7 +9,8 @@
 #   test    cargo test -q --workspace (includes the root package)
 #   doc     rustdoc with warnings fatal (broken intra-doc links etc.)
 #   panics  panic-site ratchet: per-crate count of unwrap/expect/panic!/
-#           unreachable! in non-test code must not exceed
+#           unreachable!/assert!/assert_eq!/assert_ne! (not debug_assert*)
+#           in non-test code must not exceed
 #           scripts/panic_ceiling.txt (scripts/panic_sites.sh)
 #   trace   schedule-trace validator over a 5-seed fault sweep
 #           (see docs/FAULT_INJECTION.md)
@@ -24,19 +25,19 @@
 #           the metrics suite (observed == predicted model FLOPs on every
 #           grid x precision x schedule mode, deterministic work
 #           counters), peer-death failure modes, and the cross-backend
-#           conformance suite over every transport backend
-#           (channel/shm always; TCP/UDS when the environment permits
-#           binding localhost sockets — skipped loudly otherwise; see
-#           docs/TRANSPORT.md)
+#           conformance suite over both transport backends, channel and
+#           shm (see docs/TRANSPORT.md)
 #   precision  mixed-precision layer: the solver's mixed/fallback unit
 #           tests, the ill-conditioned fallback suite, and the
 #           golden-corpus mixed-precision equivalence assertions,
 #           and the probe-cadence tests (see docs/PRECISION.md)
 #   solve   solve-phase layer: the panel triangular solve must equal the
-#           per-RHS sweeps bit for bit under BOTH codegen profiles (debug
-#           has no vectorisation, release does): the trisolve/solve_multi
-#           unit tests and tests/solve_panel.rs, each run without and
-#           with --release (see docs/ALGORITHM.md §5)
+#           per-RHS sweeps bit for bit, and every execution mode (ranks,
+#           schedule, shared threads, transport, owner map) must solve
+#           like the 1-rank solver bit for bit, under BOTH codegen
+#           profiles (debug has no vectorisation, release does): the
+#           trisolve/solve_multi unit tests and tests/solve_panel.rs, each
+#           run without and with --release (see docs/ALGORITHM.md §5)
 #   kernels  dense-tile lane layer: the lane must equal the sparse
 #           kernels bit for bit under BOTH codegen profiles (debug has no
 #           vectorisation, release does): the whole pangulu-kernels

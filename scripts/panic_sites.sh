@@ -1,13 +1,16 @@
 #!/usr/bin/env bash
-# Panic-site ratchet: counts `.unwrap()`, `.expect(`, `panic!(` and
-# `unreachable!(` in the non-test library code of every crate and
-# compares each count against its ceiling in scripts/panic_ceiling.txt.
+# Panic-site ratchet: counts `.unwrap()`, `.expect(`, `panic!(`,
+# `unreachable!(`, `assert!(`, `assert_eq!(` and `assert_ne!(` in the
+# non-test library code of every crate and compares each count against
+# its ceiling in scripts/panic_ceiling.txt.
 #
 #   * Scope: crates/<name>/src/**/*.rs per crate (the vendored shims
 #     under crates/shims/ are excluded) and src/**/*.rs as the root
 #     package `pangulu`.
 #   * Test code does not count: a file stops counting at its first
 #     `#[cfg(test)]` line. Integration tests live outside src/ anyway.
+#   * `debug_assert!` and its `_eq` / `_ne` forms do not count: release
+#     builds compile them out.
 #   * A count above its ceiling fails the check. A count below it passes
 #     and prints the new value, so the ceiling can be lowered in the same
 #     change that removed the sites.
@@ -25,6 +28,7 @@ count_file() {
             n += gsub(/\.expect\(/, "&")
             n += gsub(/panic!\(/, "&")
             n += gsub(/unreachable!\(/, "&")
+            n += gsub(/(^|[^_[:alnum:]])assert(_eq|_ne)?!\(/, "&")
         }
         END { print n + 0 }
     ' "$1"

@@ -10,7 +10,7 @@
 //!   -np, --ranks <p>       simulated MPI ranks                [default 1]
 //!       --nb <n>           tile size (default: heuristic)
 //!       --schedule <s>     sync-free | level-set       [default sync-free]
-//!       --transport <t>    channel | shm | tcp | uds       [default channel]
+//!       --transport <t>    channel | shm                   [default channel]
 //!       --ordering <o>     auto | amd | nd | rcm | natural  [default auto]
 //!       --no-balance       disable the static load balancer
 //!       --no-adaptive      disable decision-tree kernel selection
@@ -68,7 +68,7 @@ usage: pangulu [OPTIONS] (-F <matrix.mtx> | --gen <name>)
   -np, --ranks <p>       simulated MPI ranks                [default 1]
       --nb <n>           tile size (default: heuristic)
       --schedule <s>     sync-free | level-set        [default sync-free]
-      --transport <t>    channel | shm | tcp | uds        [default channel]
+      --transport <t>    channel | shm                    [default channel]
       --ordering <o>     auto | amd | nd | rcm | natural    [default auto]
       --no-balance       disable the static load balancer
       --no-adaptive      disable decision-tree kernel selection
@@ -239,15 +239,6 @@ fn main() -> ExitCode {
         }
     };
     println!("matrix: {} x {}, {} nonzeros", a.nrows(), a.ncols(), a.nnz());
-
-    if cli.transport.needs_sockets() && !pangulu::comm::sockets_available() {
-        eprintln!(
-            "error: --transport {} needs localhost sockets, which this environment forbids \
-             (try --transport shm)",
-            cli.transport
-        );
-        return ExitCode::from(2);
-    }
 
     let mut builder = Solver::builder()
         .ranks(cli.ranks)

@@ -1,6 +1,6 @@
 //! The distributed triangular solve under adversarial fault injection.
 //!
-//! `solve_distributed_with_faults` runs both dependency-counted sweeps
+//! `solve_distributed_on` runs both dependency-counted sweeps
 //! with every inter-rank message passing through a seeded
 //! [`FaultPlan::adversarial`] schedule (delays, reordering, droppable
 //! sends with a retry budget large enough that delivery is eventual).
@@ -11,9 +11,9 @@
 //! faulted solution must still solve the original system — for every
 //! seed, on square and non-square grids.
 
-use pangulu::comm::{FaultPlan, ProcessGrid};
+use pangulu::comm::{FaultPlan, ProcessGrid, TransportKind};
 use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
-use pangulu::core::dist_solve::{solve_distributed, solve_distributed_with_faults};
+use pangulu::core::dist_solve::solve_distributed_on;
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
@@ -74,7 +74,7 @@ fn adversarial_faults_do_not_change_the_solution() {
     assert!(resid < 1e-8, "sequential reference residual {resid}");
     for seed in 0..10u64 {
         let plan = FaultPlan::adversarial(seed);
-        let x = solve_distributed_with_faults(&f.bm, &owners, &b, Some(&plan));
+        let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind::Channel, Some(&plan));
         assert_close(&x, &reference, &format!("seed {seed}"));
         let r = relative_residual(&f.a, &x, &b).unwrap();
         assert!(r < 1e-8, "seed {seed}: faulted solve residual {r}");
@@ -92,20 +92,22 @@ fn adversarial_faults_across_grid_shapes() {
             let b = gen::test_rhs(f.bm.n(), 100 + seed);
             let reference = sequential_solve(&f.bm, &b);
             let plan = FaultPlan::adversarial(seed);
-            let x = solve_distributed_with_faults(&f.bm, &owners, &b, Some(&plan));
+            let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind::Channel, Some(&plan));
             assert_close(&x, &reference, &format!("{pr}x{pc} seed {seed}"));
         }
     }
 }
 
-/// The fault-free entry point stays equivalent to the faulted one with
-/// `None` — both agreeing with the sequential sweeps.
+/// With no fault plan, on either transport, the solve agrees with the
+/// sequential sweeps.
 #[test]
 fn fault_free_path_is_unchanged() {
     let f = factored(33);
     let owners = OwnerMap::balanced(&f.bm, ProcessGrid::with_shape(2, 2), &f.tg);
     let b = gen::test_rhs(f.bm.n(), 5);
     let reference = sequential_solve(&f.bm, &b);
-    assert_close(&solve_distributed(&f.bm, &owners, &b), &reference, "no-fault entry");
-    assert_close(&solve_distributed_with_faults(&f.bm, &owners, &b, None), &reference, "None plan");
+    for kind in TransportKind::ALL {
+        let x = solve_distributed_on(&f.bm, &owners, &b, kind, None);
+        assert_close(&x, &reference, &format!("{kind}, no plan"));
+    }
 }

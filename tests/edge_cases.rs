@@ -2,9 +2,9 @@
 //! block sizes, rank counts exceeding the block grid, and tiny systems
 //! through every executor.
 
-use pangulu::comm::ProcessGrid;
+use pangulu::comm::{ProcessGrid, TransportKind};
 use pangulu::core::dist::ScheduleMode;
-use pangulu::core::dist_solve::solve_distributed;
+use pangulu::core::dist_solve::solve_distributed_on;
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::seq::factor_sequential;
 use pangulu::core::task::TaskGraph;
@@ -69,7 +69,7 @@ fn distributed_solve_single_block() {
     factor_sequential(&mut bm, &tg, &sel, 0.0);
     let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(3));
     let b = gen::test_rhs(12, 4);
-    let x = solve_distributed(&bm, &owners, &b);
+    let x = solve_distributed_on(&bm, &owners, &b, TransportKind::Channel, None);
     // One block: the whole solve happens on the diagonal owner.
     let mut expect = b.clone();
     pangulu::core::trisolve::forward_substitute(&bm, &mut expect);

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use pangulu::comm::{sockets_available, FaultPlan, ProcessGrid, TransportKind};
+use pangulu::comm::{FaultPlan, ProcessGrid, TransportKind};
 use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
@@ -89,13 +89,6 @@ fn numerically_singular_with_floor_still_answers() {
 /// that turns any hang into a test failure.
 #[test]
 fn peer_death_mid_factorisation_yields_structured_error_on_every_backend() {
-    let mut kinds = vec![TransportKind::Channel, TransportKind::Shm];
-    if sockets_available() {
-        kinds.push(TransportKind::Tcp);
-        kinds.push(TransportKind::Uds);
-    } else {
-        eprintln!("SKIP: sockets unavailable; peer-death coverage runs on channel/shm only");
-    }
     let a = ensure_diagonal(&gen::random_sparse(96, 0.10, 41)).unwrap();
     let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
     let bm0 = BlockMatrix::from_filled(&f, 10).unwrap();
@@ -106,7 +99,7 @@ fn peer_death_mid_factorisation_yields_structured_error_on_every_backend() {
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
         let mut outcomes = Vec::new();
-        for kind in kinds {
+        for kind in TransportKind::ALL {
             // Rank 1 dies after its third receive; everyone else keeps
             // going until the missing blocks trip the stall timeout.
             let cfg = FactorConfig::default()

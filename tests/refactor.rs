@@ -49,14 +49,6 @@ fn opts_for(ranks: usize, schedule: ScheduleMode) -> SolverOptions {
     SolverOptions { ranks, schedule, ..SolverOptions::default() }
 }
 
-fn opts_ranks(tag: &str) -> usize {
-    if tag == "seq" {
-        1
-    } else {
-        2
-    }
-}
-
 /// refactor(same values) must equal a fresh factorisation of the same
 /// matrix bit-for-bit, in every deterministic execution mode, and the
 /// solve vectors must match exactly too.
@@ -78,12 +70,13 @@ fn refactor_same_values_is_bitwise_identical_to_fresh_factor() {
         );
         let b = gen::test_rhs(a.nrows(), 7);
         let xr = solver.solve(&b).unwrap();
-        if opts_ranks(tag) == 1 {
-            // The sequential substitution is a deterministic function of
-            // the (identical) factors; the distributed solve reduces
-            // across ranks in racy order, so it gets a residual check.
-            assert_eq!(xr, fresh.solve(&b).unwrap(), "{tag}: solve vectors differ");
-        }
+        // Every mode solves with the same sweeps over the (identical)
+        // factors, so the solution is a deterministic function of them.
+        assert_eq!(
+            xr.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            fresh.solve(&b).unwrap().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            "{tag}: solve vectors differ"
+        );
         assert!(relative_residual(&a, &xr, &b).unwrap() < 1e-8, "{tag}: refactored solve residual");
     }
 }

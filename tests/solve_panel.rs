@@ -6,9 +6,16 @@
 //! whatever the column holds (exact zeros of either sign, unit vectors,
 //! NaN, Inf), in f64 and in f32, in debug and in release builds (the
 //! `solve` CI stage runs this file under both).
+//!
+//! Every execution mode solves with those same sweeps over factors that
+//! are bitwise equal across executors, so a solver's answers are also
+//! the 1-rank solver's bit for bit, whatever its ranks, schedule mode,
+//! shared threads, transport or owner map.
 
 use proptest::prelude::*;
 
+use pangulu::comm::TransportKind;
+use pangulu::core::dist::ScheduleMode;
 use pangulu::core::trisolve::{
     backward_substitute, backward_substitute_panel, forward_substitute, forward_substitute_panel,
     PANEL_WIDTH,
@@ -103,6 +110,39 @@ fn assert_same_bits<S: Scalar>(what: &str, got: &[Vec<S>], want: &[Vec<S>]) {
     }
 }
 
+/// One draw of the execution options: `exec` 0..8 is 1..=4 ranks under
+/// either schedule mode, 8..10 the shared executor with 2 or 3 threads.
+fn execution(exec: usize, transport: usize, balance: bool) -> SolverBuilder {
+    let builder = Solver::builder().transport(TransportKind::ALL[transport]).load_balance(balance);
+    match exec {
+        0..8 => {
+            let mode = [ScheduleMode::SyncFree, ScheduleMode::LevelSet][exec % 2];
+            builder.ranks(exec / 2 + 1).schedule(mode)
+        }
+        _ => builder.shared_threads(exec - 6),
+    }
+}
+
+/// `solve`, `solve_transpose` and `solve_multi` at 1, 3 and 33
+/// right-hand sides (two panels) of `s`, bit for bit against `reference`.
+fn assert_solves_match(what: &str, s: &Solver, reference: &Solver, seed: u64) {
+    let b = gen::test_rhs(s.n(), seed);
+    assert!(same_bits(&s.solve(&b).unwrap(), &reference.solve(&b).unwrap()), "{what}: solve");
+    assert!(
+        same_bits(&s.solve_transpose(&b).unwrap(), &reference.solve_transpose(&b).unwrap()),
+        "{what}: solve_transpose"
+    );
+    for k in [1, 3, 33] {
+        let bs = rhs_set(s.n(), k, seed);
+        let got = s.solve_multi(&bs).unwrap();
+        assert_same_bits(
+            &format!("{what}: solve_multi k={k}"),
+            &got,
+            &reference.solve_multi(&bs).unwrap(),
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(18))]
 
@@ -155,6 +195,38 @@ proptest! {
             }
         }
     }
+
+    /// Execution options change no bit of any solve, in f64 and mixed
+    /// precision: at a fixed block size every solve equals the 1-rank
+    /// solver's. The same draws at a random block size, from 1 to past
+    /// the matrix order, solve without panicking and hold the same
+    /// equality.
+    #[test]
+    fn every_execution_mode_solves_bitwise_like_one_rank(
+        which in 0usize..3,
+        exec in 0usize..10,
+        transport in 0usize..2,
+        balance in 0usize..2,
+        mixed in 0usize..2,
+        nb_random in 1usize..140,
+        seed in 0u64..1000,
+    ) {
+        let a = matrix(which);
+        let precision = if mixed == 1 { Precision::MixedF32 } else { Precision::F64 };
+        for nb in [12, nb_random] {
+            let what = format!(
+                "matrix {which}, nb {nb}, exec {exec}, {}, balance {balance}, {precision:?}",
+                TransportKind::ALL[transport]
+            );
+            let s = execution(exec, transport, balance == 1)
+                .precision(precision)
+                .block_size(nb)
+                .build(&a)
+                .unwrap();
+            let one = Solver::builder().precision(precision).block_size(nb).build(&a).unwrap();
+            assert_solves_match(&what, &s, &one, seed);
+        }
+    }
 }
 
 /// A column's bits do not depend on its neighbours: a NaN column and an
@@ -195,20 +267,20 @@ fn a_column_is_independent_of_its_panel() {
     }
 }
 
-/// The message-driven distributed solve keeps its per-RHS loop; batched
-/// and looped answers agree to the residual (partials sum in arrival
-/// order, so not to the bit).
+/// A multi-rank solver solves with the same panel sweeps as a 1-rank
+/// one: its batched answers are its looped answers, and both are the
+/// 1-rank solver's, bit for bit.
 #[test]
-fn distributed_solve_multi_matches_its_loop_to_the_residual() {
+fn multi_rank_solve_multi_equals_its_loop_bitwise() {
     let a = gen::laplacian_2d(14, 13);
-    let s = Solver::builder().ranks(4).block_size(12).distributed_solve(true).build(&a).unwrap();
+    let s = Solver::builder().ranks(4).block_size(12).build(&a).unwrap();
+    let one = Solver::builder().block_size(12).build(&a).unwrap();
     let bs: Vec<Vec<f64>> = (0..5).map(|j| gen::test_rhs(a.nrows(), 60 + j)).collect();
     let xs = s.solve_multi(&bs).unwrap();
     assert_eq!(xs.len(), bs.len());
     for (x, b) in xs.iter().zip(&bs) {
         assert!(relative_residual(&a, x, b).unwrap() < 1e-12);
-        let y = s.solve(b).unwrap();
-        let scale = y.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-        assert!(x.iter().zip(&y).all(|(p, q)| (p - q).abs() <= 1e-11 * scale));
+        assert!(same_bits(x, &s.solve(b).unwrap()), "batched vs looped");
+        assert!(same_bits(x, &one.solve(b).unwrap()), "4 ranks vs 1 rank");
     }
 }

@@ -4,18 +4,15 @@
 //! every observable of a distributed run — factored values, per-edge
 //! comm accounting, task/kernel tallies, fault-injection outcomes,
 //! structured stall errors — must be identical whether the envelopes
-//! travel over in-process channels, shared-memory rings, or real
-//! sockets. This suite proves it by re-running the wire-model fixture
-//! table, the determinism matrix, adversarial fault sweeps, and the
-//! stall-timeout error path over **every** backend and asserting
-//! bitwise-identical factors plus identical deterministic counters.
-//!
-//! Socket backends are skipped (loudly) when the environment forbids
-//! binding localhost listeners; channel and shared-memory always run.
+//! travel over in-process channels or shared-memory rings. This suite
+//! proves it by re-running the wire-model fixture table, the determinism
+//! matrix, adversarial fault sweeps, and the stall-timeout error path
+//! over **every** backend and asserting bitwise-identical factors plus
+//! identical deterministic counters.
 
 use std::time::Duration;
 
-use pangulu::comm::{sockets_available, FaultPlan, TransportKind};
+use pangulu::comm::{FaultPlan, TransportKind};
 use pangulu::core::dist::{FactorConfig, ScheduleMode};
 use pangulu::metrics::RunReport;
 
@@ -26,34 +23,17 @@ use wire_fixture::{
     GRIDS, PROBLEMS,
 };
 
-/// Every backend available in this environment. Channel and Shm are
-/// unconditional; Tcp/Uds require permission to bind localhost sockets
-/// and are skipped with a loud note when the sandbox forbids it.
-fn backends() -> Vec<TransportKind> {
-    let mut kinds = vec![TransportKind::Channel, TransportKind::Shm];
-    if sockets_available() {
-        kinds.push(TransportKind::Tcp);
-        kinds.push(TransportKind::Uds);
-    } else {
-        eprintln!(
-            "SKIP: cannot bind localhost sockets in this environment; \
-             conformance runs on channel/shm only"
-        );
-    }
-    kinds
-}
-
 fn cfg_on(kind: TransportKind, mode: ScheduleMode) -> FactorConfig {
     FactorConfig::with_mode(mode).with_transport(kind)
 }
 
 /// The full 65-edge wire-model fixture table holds verbatim on every
 /// backend: per-edge msgs/bytes are charged by the mailbox above the
-/// transport, so moving the envelopes onto rings or sockets must not
+/// transport, so moving the envelopes onto rings must not
 /// shift a single byte of accounting.
 #[test]
 fn fixture_edge_table_holds_on_every_backend() {
-    for kind in backends() {
+    for kind in TransportKind::ALL {
         for (seed, n, nb) in PROBLEMS {
             let prob = problem(seed, n, nb);
             for (pr, pc) in GRIDS {
@@ -69,31 +49,30 @@ fn fixture_edge_table_holds_on_every_backend() {
     }
 }
 
-/// Fault-free byte backends (shm vs sockets) agree on the codec
-/// counters too: same frames on the wire, same encoded bytes, with the
-/// payload of each scatter encoded exactly once. The channel backend
-/// reports zero for both — envelopes never leave process memory.
+/// Fault-free byte backends charge the codec deterministically: one
+/// frame per mailbox send and the payload of each scatter encoded
+/// exactly once, so both counters are the same under either schedule
+/// mode. The channel backend reports zero for both — envelopes never
+/// leave process memory.
 #[test]
 fn codec_counters_agree_across_byte_backends() {
     let prob = problem(42, 80, 9);
-    let mut byte_backend_totals: Vec<(TransportKind, u64, u64)> = Vec::new();
-    for kind in backends() {
-        let report = factor(&prob, 2, 2, &cfg_on(kind, ScheduleMode::SyncFree));
-        let frames: u64 = report.per_rank.iter().map(|r| r.comm.frames_sent).sum();
-        let bytes: u64 = report.per_rank.iter().map(|r| r.comm.codec_bytes_encoded).sum();
-        let msgs: u64 = report.per_rank.iter().map(|r| r.comm.msgs_sent).sum();
-        if kind.uses_codec() {
-            assert_eq!(frames, msgs, "{kind}: every mailbox send becomes exactly one frame");
-            assert!(bytes > 0, "{kind}: encoded bytes must be charged");
-            byte_backend_totals.push((kind, frames, bytes));
-        } else {
-            assert_eq!((frames, bytes), (0, 0), "{kind}: no wire, no codec counters");
+    for kind in TransportKind::ALL {
+        let mut totals = Vec::new();
+        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
+            let report = factor(&prob, 2, 2, &cfg_on(kind, mode));
+            let frames: u64 = report.per_rank.iter().map(|r| r.comm.frames_sent).sum();
+            let bytes: u64 = report.per_rank.iter().map(|r| r.comm.codec_bytes_encoded).sum();
+            let msgs: u64 = report.per_rank.iter().map(|r| r.comm.msgs_sent).sum();
+            if kind.uses_codec() {
+                assert_eq!(frames, msgs, "{kind}: every mailbox send becomes exactly one frame");
+                assert!(bytes > 0, "{kind}: encoded bytes must be charged");
+            } else {
+                assert_eq!((frames, bytes), (0, 0), "{kind}: no wire, no codec counters");
+            }
+            totals.push((frames, bytes));
         }
-    }
-    if let Some(&(k0, f0, b0)) = byte_backend_totals.first() {
-        for &(k, f, b) in &byte_backend_totals[1..] {
-            assert_eq!((f0, b0), (f, b), "{k0} and {k} disagree on codec counters");
-        }
+        assert_eq!(totals[0], totals[1], "{kind}: codec counters depend on the schedule mode");
     }
 }
 
@@ -107,7 +86,7 @@ fn factors_bitwise_identical_across_backends() {
     for (pr, pc) in [(2, 2), (1, 4)] {
         for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
             let mut reference: Option<(Vec<f64>, RunReport)> = None;
-            for kind in backends() {
+            for kind in TransportKind::ALL {
                 let (values, report) = factor_values(&prob, pr, pc, &cfg_on(kind, mode));
                 let projection = report.without_timings();
                 match &reference {
@@ -147,7 +126,7 @@ fn fault_plan_sweep_is_backend_invariant() {
     ];
     for (pi, plan) in plans.iter().enumerate() {
         let mut reference: Option<RunReport> = None;
-        for kind in backends() {
+        for kind in TransportKind::ALL {
             let cfg = cfg_on(kind, ScheduleMode::SyncFree).with_fault(plan.clone());
             let (values, report) = factor_values(&prob, 2, 2, &cfg);
             assert!(
@@ -172,7 +151,7 @@ fn fault_plan_sweep_is_backend_invariant() {
 #[test]
 fn stall_timeout_error_is_structured_on_every_backend() {
     let prob = problem(42, 80, 9);
-    for kind in backends() {
+    for kind in TransportKind::ALL {
         let cfg = cfg_on(kind, ScheduleMode::SyncFree)
             .with_fault(FaultPlan::reliable(1).with_drops(1.0, 0, Duration::ZERO))
             .with_stall_timeout(Duration::from_millis(400));
@@ -198,7 +177,7 @@ fn mixed_precision_factors_bitwise_identical_across_backends() {
     let prob = problem(42, 80, 9);
     for (pr, pc) in [(2, 2), (1, 4)] {
         let mut reference: Option<Vec<u32>> = None;
-        for kind in backends() {
+        for kind in TransportKind::ALL {
             let cfg = cfg_on(kind, ScheduleMode::SyncFree);
             let (bits, report) = factor_values32(&prob, pr, pc, &cfg);
             assert_eq!(report.scalar_width, 4, "{kind}: f32 run must report 4-byte scalars");
@@ -231,7 +210,7 @@ fn mixed_precision_halves_codec_payload_on_every_byte_backend() {
     let bytes = |r: &RunReport| r.per_rank.iter().map(|p| p.comm.bytes_sent).sum::<u64>();
     let frames = |r: &RunReport| r.per_rank.iter().map(|p| p.comm.frames_sent).sum::<u64>();
     let codec = |r: &RunReport| r.per_rank.iter().map(|p| p.comm.codec_bytes_encoded).sum::<u64>();
-    for kind in backends() {
+    for kind in TransportKind::ALL {
         let cfg = cfg_on(kind, ScheduleMode::SyncFree);
         let (_, r64) = factor_values(&prob, 2, 2, &cfg);
         let (_, r32) = factor_values32(&prob, 2, 2, &cfg);

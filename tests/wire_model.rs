@@ -22,11 +22,11 @@
 //!
 //! The cross-backend conformance suite
 //! (`tests/transport_conformance.rs`) re-runs the same fixture table
-//! over the shared-memory and socket backends.
+//! over the shared-memory backend.
 
 use std::time::Duration;
 
-use pangulu::comm::{sockets_available, BlockMsg, BlockRole, FaultPlan, MailboxSet, TransportKind};
+use pangulu::comm::{BlockMsg, BlockRole, FaultPlan, MailboxSet, TransportKind};
 use pangulu::core::dist::{FactorConfig, ScheduleMode};
 use pangulu::metrics::{CommMetrics, RunReport};
 
@@ -126,18 +126,11 @@ fn factor_fixture_has_no_self_edges() {
 /// self-partials directly, bypassing this accounting entirely.
 #[test]
 fn loopback_charges_are_backend_invariant() {
-    let mut kinds = vec![TransportKind::Channel, TransportKind::Shm];
-    if sockets_available() {
-        kinds.push(TransportKind::Tcp);
-        kinds.push(TransportKind::Uds);
-    } else {
-        eprintln!("SKIP: sockets unavailable, loopback invariance checked on channel/shm only");
-    }
     let drop_all = FaultPlan::reliable(3).with_drops(1.0, 0, Duration::ZERO);
     let mut reference: Option<CommMetrics> = None;
-    for &kind in &kinds {
+    for kind in TransportKind::ALL {
         let mut boxes =
-            MailboxSet::with_transport(2, kind, Some(drop_all.clone())).unwrap().into_mailboxes();
+            MailboxSet::with_transport(2, kind, Some(drop_all.clone())).into_mailboxes();
         let mb = &mut boxes[0];
         for bi in 0..5 {
             mb.send(
