@@ -28,6 +28,10 @@ pub struct BlockMatrix<S: Scalar = f64> {
     blk_row_idx: Vec<usize>,
     /// The intra-block sub-matrices, in first-layer order.
     blocks: Vec<CscMatrix<S>>,
+    /// Per unknown `i`, where its diagonal entry sits in column
+    /// `i mod nb` of its diagonal block (an offset into that column's
+    /// rows). Pattern-only, so refactorisation never invalidates it.
+    diag_pos: Vec<usize>,
 }
 
 impl BlockMatrix<f64> {
@@ -69,7 +73,9 @@ impl BlockMatrix<f64> {
 
 impl<S: Scalar> BlockMatrix<S> {
     /// Cuts a filled (closed-pattern) matrix of any precision into
-    /// `nb x nb` tiles. See [`BlockMatrix::from_filled`].
+    /// `nb x nb` tiles. See [`BlockMatrix::from_filled`]. Every diagonal
+    /// entry must be stored (symbolic factorisation always stores it);
+    /// a pattern without one is [`SparseError::InvalidStructure`].
     pub fn from_filled_generic(filled: &CscMatrix<S>, nb: usize) -> Result<Self> {
         if !filled.is_square() {
             return Err(SparseError::NotSquare { nrows: filled.nrows(), ncols: filled.ncols() });
@@ -90,6 +96,7 @@ impl<S: Scalar> BlockMatrix<S> {
 
         // Row → block-row map avoids a division per stored entry.
         let row_block: Vec<u32> = (0..n).map(|i| (i / nb) as u32).collect();
+        let mut diag_pos = vec![usize::MAX; n];
 
         for bj in 0..nblk {
             let col_lo = bj * nb;
@@ -141,6 +148,7 @@ impl<S: Scalar> BlockMatrix<S> {
             for p in &block_col_ptrs {
                 cursor.extend_from_slice(&p[..bcols]);
             }
+            let block_diag_pos = &mut diag_pos[col_lo..col_hi];
             for j in col_lo..col_hi {
                 let (rows, vals) = filled.col(j);
                 let lc = j - col_lo;
@@ -150,6 +158,9 @@ impl<S: Scalar> BlockMatrix<S> {
                     let dst = cursor[s * bcols + lc];
                     block_rows[s][dst] = i - bi * nb;
                     block_vals[s][dst] = v;
+                    if i == j {
+                        block_diag_pos[lc] = dst - block_col_ptrs[s][lc];
+                    }
                     cursor[s * bcols + lc] += 1;
                 }
             }
@@ -169,7 +180,12 @@ impl<S: Scalar> BlockMatrix<S> {
             blk_col_ptr.push(blk_row_idx.len());
         }
 
-        Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks })
+        if let Some(j) = diag_pos.iter().position(|&p| p == usize::MAX) {
+            return Err(SparseError::InvalidStructure(format!(
+                "diagonal entry ({j}, {j}) is not stored"
+            )));
+        }
+        Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
     }
 
     /// Global matrix order.
@@ -225,6 +241,14 @@ impl<S: Scalar> BlockMatrix<S> {
         &mut self.blocks[id]
     }
 
+    /// Where each column's diagonal entry sits in diagonal block
+    /// `(bk, bk)`: entry `c` is the offset of row `c` within that block's
+    /// column `c`, so `d.col(c).1[pos[c]]` is the pivot. Built at tiling.
+    pub(crate) fn diag_positions(&self, bk: usize) -> &[usize] {
+        let lo = bk * self.nb;
+        &self.diag_pos[lo..(lo + self.nb).min(self.n)]
+    }
+
     /// Clones the structure into another precision: patterns are shared
     /// verbatim, every value is rounded through `f64`. This is the
     /// precision-drop entry point of the mixed-precision path (an
@@ -238,6 +262,7 @@ impl<S: Scalar> BlockMatrix<S> {
             blk_col_ptr: self.blk_col_ptr.clone(),
             blk_row_idx: self.blk_row_idx.clone(),
             blocks: self.blocks.iter().map(|b| b.cast()).collect(),
+            diag_pos: self.diag_pos.clone(),
         }
     }
 
@@ -490,6 +515,45 @@ mod tests {
         let bm = BlockMatrix::from_filled(&f, 10).unwrap();
         let lower_bound = f.nnz() * (std::mem::size_of::<f64>() + std::mem::size_of::<usize>());
         assert!(bm.memory_bytes() >= lower_bound);
+    }
+
+    #[test]
+    fn diag_positions_equal_a_search_for_every_unknown() {
+        let lap = gen::laplacian_2d(9, 7);
+        let circ = gen::circuit(120, 3);
+        let patterns = [
+            symbolic_fill(&lap).unwrap().filled_matrix(&lap).unwrap(),
+            symbolic_fill(&circ).unwrap().filled_matrix(&circ).unwrap(),
+            filled(50, 0.08, 11),
+        ];
+        for f in &patterns {
+            for nb in [1, 6, 16, f.nrows()] {
+                let bm = BlockMatrix::from_filled(f, nb).unwrap();
+                let bm32 = bm.cast::<f32>();
+                for bk in 0..bm.nblk() {
+                    let d = bm.block(bm.block_id(bk, bk).unwrap());
+                    let pos = bm.diag_positions(bk);
+                    assert_eq!(pos.len(), d.ncols());
+                    for (c, &p) in pos.iter().enumerate() {
+                        assert_eq!(Ok(p), d.col(c).0.binary_search(&c), "nb {nb} block {bk}");
+                    }
+                    assert_eq!(bm32.diag_positions(bk), pos, "cast keeps the table");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn missing_diagonal_is_an_invalid_structure() {
+        // [[1, 2], [3, 0]] with (1, 1) not stored.
+        let f =
+            CscMatrix::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 0], vec![1.0, 3.0, 2.0]).unwrap();
+        for nb in [1, 2, 3] {
+            match BlockMatrix::from_filled(&f, nb) {
+                Err(SparseError::InvalidStructure(msg)) => assert!(msg.contains("(1, 1)"), "{msg}"),
+                other => panic!("nb {nb}: expected InvalidStructure, got {other:?}"),
+            }
+        }
     }
 
     #[test]

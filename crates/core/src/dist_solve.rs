@@ -241,9 +241,10 @@ impl<S: Scalar> SweepWorker<'_, S> {
         let rank = self.mailbox.rank();
         let mut seg = acc.remove(&k).expect("segment accumulator");
         let diag = self.bm.block(self.bm.block_id(k, k).expect("diag"));
+        let dpos = self.bm.diag_positions(k);
         match self.sweep {
-            Sweep::Forward => solve_diag_lower(diag, &mut seg),
-            Sweep::Backward => solve_diag_upper(diag, &mut seg),
+            Sweep::Forward => solve_diag_lower(diag, dpos, &mut seg),
+            Sweep::Backward => solve_diag_upper(diag, dpos, &mut seg),
         }
         // Broadcast to the ranks owning the blocks this segment feeds.
         // Self-sends go through the mailbox too: the receive loop is the

@@ -32,7 +32,7 @@ use crate::shared::factor_shared_planned;
 use crate::task::TaskGraph;
 use crate::trisolve::{
     backward_substitute_panel, backward_substitute_transpose, forward_substitute_panel,
-    forward_substitute_transpose, PANEL_WIDTH,
+    forward_substitute_transpose, sweep_lanes, PANEL_WIDTH,
 };
 
 /// Numeric precision of the factorisation (see `docs/PRECISION.md`).
@@ -1259,6 +1259,7 @@ impl Solver {
             );
         }
         let _ = writeln!(out, "kernel plans: {}", self.kernel_plans_summary());
+        let _ = writeln!(out, "solve: panel sweeps, {} lanes", sweep_lanes());
         if let Some(d) = &s.dist {
             let _ = writeln!(
                 out,
@@ -1861,6 +1862,15 @@ mod tests {
         let ps = solver.kernel_plan_stats();
         let line = format!("kernel plans: {} bytes in {} plans\n", ps.bytes, ps.builds);
         assert!(ps.bytes > 0 && solver.report(&a).contains(&line), "{}", solver.report(&a));
+    }
+
+    #[test]
+    fn report_names_the_sweep_instance() {
+        let a = gen::laplacian_2d(8, 8);
+        let report = Solver::factor(&a).unwrap().report(&a);
+        let line = format!("solve: panel sweeps, {} lanes\n", sweep_lanes());
+        assert!(report.contains(&line), "missing {line:?} in:\n{report}");
+        assert!(["avx2", "portable"].contains(&sweep_lanes()));
     }
 
     #[test]

@@ -13,6 +13,13 @@
 //! [`backward_substitute`] are the 1-lane instance (a plain vector *is* a
 //! 1-lane panel) with the lane count fixed at compile time, so they
 //! compile to the scalar loop; see docs/ALGORITHM.md §5.
+//!
+//! Every plain sweep enters through one dispatch point, `sweep_panel`:
+//! on an x86-64 CPU with AVX2 it runs the core compiled for AVX2,
+//! elsewhere the portable build of the same code, bit for bit alike
+//! ([`crate::Solver::report`] names the one in use). Each column's
+//! diagonal entry is read from a table the [`BlockMatrix`] builds at
+//! tiling, never searched for.
 
 use crate::block::BlockMatrix;
 use pangulu_sparse::{CscMatrix, Scalar};
@@ -73,24 +80,34 @@ fn push_column<S: Scalar>(x: &mut [S], tgt: usize, rows: &[usize], vals: &[S], x
 /// In-block solve on the `ncols × k` panel segment `x` of one diagonal
 /// block: unit-lower `L(k,k) y = x` (ascending columns, entries below
 /// the diagonal) or, with `UPPER`, `U(k,k) x = y` (descending columns,
-/// divide by the stored diagonal, entries above it). Inlined into its
-/// callers, so a lane count they know at compile time is known here.
+/// divide by the stored diagonal, entries above it). `dpos` is the
+/// block's diagonal-position table ([`BlockMatrix::diag_positions`]).
+/// A column with nothing on its side of the diagonal is skipped before
+/// its lanes are copied. Inlined into its callers, so a lane count they
+/// know at compile time is known here.
 #[inline(always)]
-fn solve_diag<S: Scalar, const UPPER: bool>(d: &CscMatrix<S>, x: &mut [S], k: usize) {
+fn solve_diag<S: Scalar, const UPPER: bool>(
+    d: &CscMatrix<S>,
+    dpos: &[usize],
+    x: &mut [S],
+    k: usize,
+) {
     let n = d.ncols();
     for step in 0..n {
         let c = if UPPER { n - 1 - step } else { step };
         let (rows, vals) = d.col(c);
         let off_diag = if UPPER {
-            let dpos = rows.binary_search(&c).expect("diagonal entry stored");
-            let pivot = vals[dpos];
+            let pivot = vals[dpos[c]];
             for xl in &mut x[c * k..(c + 1) * k] {
                 *xl /= pivot;
             }
-            0..dpos
+            0..dpos[c]
         } else {
-            rows.partition_point(|&r| r <= c)..rows.len()
+            dpos[c] + 1..rows.len()
         };
+        if off_diag.is_empty() {
+            continue;
+        }
         let xc = lanes_of(x, c, k);
         push_column(x, 0, &rows[off_diag.clone()], &vals[off_diag], &xc[..k]);
     }
@@ -101,6 +118,9 @@ fn solve_diag<S: Scalar, const UPPER: bool>(d: &CscMatrix<S>, x: &mut [S], k: us
 /// with `UPPER`, `U X = Y` (descending, blocks above). A non-zero
 /// `FIXED` is the lane count, known at compile time so that every lane
 /// loop has a constant trip count; `FIXED == 0` takes it from `k`.
+/// Always inlined, so each caller of [`sweep_widths`] compiles its own
+/// copy for the instruction set it enables.
+#[inline(always)]
 fn sweep<S: Scalar, const FIXED: usize, const UPPER: bool>(
     bm: &BlockMatrix<S>,
     x: &mut [S],
@@ -115,7 +135,8 @@ fn sweep<S: Scalar, const FIXED: usize, const UPPER: bool>(
         let bk = if UPPER { nblk - 1 - step } else { step };
         let diag = bm.block(bm.block_id(bk, bk).expect("diagonal block exists"));
         let base = bk * nb;
-        solve_diag::<S, UPPER>(diag, &mut x[base * k..(base + diag.ncols()) * k], k);
+        let seg = &mut x[base * k..(base + diag.ncols()) * k];
+        solve_diag::<S, UPPER>(diag, bm.diag_positions(bk), seg, k);
         // Push through the panel blocks of block column bk:
         // x_i -= L(i,bk)·x_bk below the diagonal, U(i,bk)·x_bk above it.
         for (bi, id) in bm.col_blocks(bk) {
@@ -124,34 +145,98 @@ fn sweep<S: Scalar, const FIXED: usize, const UPPER: bool>(
             }
             let blk = bm.block(id);
             for c in 0..blk.ncols() {
-                let xc = lanes_of(x, base + c, k);
                 let (rows, vals) = blk.col(c);
+                if rows.is_empty() {
+                    continue;
+                }
+                let xc = lanes_of(x, base + c, k);
                 push_column(x, bi * nb, rows, vals, &xc[..k]);
             }
         }
     }
 }
 
-/// In-block unit-lower solve on a segment (`L(k,k) y = x` in place).
-pub(crate) fn solve_diag_lower<S: Scalar>(d: &CscMatrix<S>, x: &mut [S]) {
-    solve_diag::<S, false>(d, x, 1);
+/// Picks the compiled-in lane count for a `k`-lane panel: the two widths
+/// every steady caller uses — 1 (single right-hand sides) and
+/// [`PANEL_WIDTH`] (every full panel of a batch) — have their lane count
+/// compiled in; the ragged last panel of a batch runs the run-time-width
+/// instance. Called directly, this is the portable instance.
+#[inline(always)]
+fn sweep_widths<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k: usize) {
+    match k {
+        1 => sweep::<S, 1, UPPER>(bm, x, k),
+        PANEL_WIDTH => sweep::<S, PANEL_WIDTH, UPPER>(bm, x, k),
+        _ => sweep::<S, 0, UPPER>(bm, x, k),
+    }
+}
+
+/// [`sweep_widths`] compiled for AVX2 (4 f64 / 8 f32 lanes per vector
+/// instead of SSE2's 2 / 4). Only `avx2` is enabled, not `fma`: every
+/// lane still performs a separate multiply and subtract, so the bits are
+/// the portable instance's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k: usize) {
+    sweep_widths::<S, UPPER>(bm, x, k);
+}
+
+/// Whether the sweeps run their AVX2 instance on this CPU.
+fn avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The instruction set the plain sweeps run on this CPU: `"avx2"` or
+/// `"portable"` (what [`crate::Solver::report`] prints). Both give the
+/// same bits.
+pub(crate) fn sweep_lanes() -> &'static str {
+    if avx2() {
+        "avx2"
+    } else {
+        "portable"
+    }
+}
+
+/// The one dispatch point of the plain sweeps: every entry below runs
+/// through here, and on an AVX2 CPU it takes the AVX2 instance, else the
+/// portable one. Kernels that want wider vectors reuse this pattern.
+fn sweep_panel<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if avx2() {
+        // SAFETY: `sweep_avx2` enables only `avx2`, which the CPU was
+        // just detected to support.
+        return unsafe { sweep_avx2::<S, UPPER>(bm, x, k) };
+    }
+    sweep_widths::<S, UPPER>(bm, x, k);
+}
+
+/// In-block unit-lower solve on a segment (`L(k,k) y = x` in place);
+/// `dpos` is the block's [`BlockMatrix::diag_positions`].
+pub(crate) fn solve_diag_lower<S: Scalar>(d: &CscMatrix<S>, dpos: &[usize], x: &mut [S]) {
+    solve_diag::<S, false>(d, dpos, x, 1);
 }
 
 /// In-block upper solve on a segment (`U(k,k) x = y` in place).
-pub(crate) fn solve_diag_upper<S: Scalar>(d: &CscMatrix<S>, x: &mut [S]) {
-    solve_diag::<S, true>(d, x, 1);
+pub(crate) fn solve_diag_upper<S: Scalar>(d: &CscMatrix<S>, dpos: &[usize], x: &mut [S]) {
+    solve_diag::<S, true>(d, dpos, x, 1);
 }
 
 /// Solves `L y = b` in place, where `L` is the unit-lower factor stored in
 /// the blocked packed form.
 pub fn forward_substitute<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S]) {
-    sweep::<S, 1, false>(bm, x, 1);
+    sweep_panel::<S, false>(bm, x, 1);
 }
 
 /// Solves `U x = y` in place, where `U` is the upper factor (diagonal
 /// included) stored in the blocked packed form.
 pub fn backward_substitute<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S]) {
-    sweep::<S, 1, true>(bm, x, 1);
+    sweep_panel::<S, true>(bm, x, 1);
 }
 
 /// Solves `L Y = B` in place for `k` right-hand sides at once. `x` is
@@ -168,18 +253,6 @@ pub fn forward_substitute_panel<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S], k: 
 /// [`backward_substitute`].
 pub fn backward_substitute_panel<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S], k: usize) {
     sweep_panel::<S, true>(bm, x, k);
-}
-
-/// Picks the sweep instance for a `k`-lane panel: the two widths every
-/// steady caller uses — 1 (single right-hand sides) and [`PANEL_WIDTH`]
-/// (every full panel of a batch) — have their lane count compiled in;
-/// the ragged last panel of a batch runs the run-time-width instance.
-fn sweep_panel<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k: usize) {
-    match k {
-        1 => sweep::<S, 1, UPPER>(bm, x, k),
-        PANEL_WIDTH => sweep::<S, PANEL_WIDTH, UPPER>(bm, x, k),
-        _ => sweep::<S, 0, UPPER>(bm, x, k),
-    }
 }
 
 /// Solves `Uᵀ y = b` in place — the first half of a transpose solve
@@ -212,9 +285,8 @@ pub fn forward_substitute_transpose<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S])
         // Solve Uᵀ(k,k) y_k = x_k: ascending columns, dot over the
         // column's strict-upper entries (which are Uᵀ's row entries).
         let d = bm.block(bm.block_id(k, k).expect("diagonal block"));
-        for c in 0..d.ncols() {
+        for (c, &dpos) in bm.diag_positions(k).iter().enumerate() {
             let (rows, vals) = d.col(c);
-            let dpos = rows.binary_search(&c).expect("diagonal entry stored");
             let mut acc = x[base + c];
             for (&r, &v) in rows[..dpos].iter().zip(&vals[..dpos]) {
                 acc -= v * x[base + r];
@@ -251,9 +323,9 @@ pub fn backward_substitute_transpose<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S]
         // Solve Lᵀ(k,k) x_k = y_k: descending columns, dot over the
         // column's strict-lower entries; unit diagonal.
         let d = bm.block(bm.block_id(k, k).expect("diagonal block"));
-        for c in (0..d.ncols()).rev() {
+        for (c, &dpos) in bm.diag_positions(k).iter().enumerate().rev() {
             let (rows, vals) = d.col(c);
-            let start = rows.partition_point(|&r| r <= c);
+            let start = dpos + 1;
             let mut acc = x[base + c];
             for (&r, &v) in rows[start..].iter().zip(&vals[start..]) {
                 acc -= v * x[base + r];
@@ -327,12 +399,25 @@ mod tests {
         }
     }
 
-    /// Every instance of the core — compiled-in widths 1 and
-    /// `PANEL_WIDTH`, run-time widths between — gives each lane the bits
-    /// of the scalar oracle, in f64 and f32, zero-skip branches included.
+    /// One sweep of a `k`-lane panel.
+    type Sweep<S> = fn(&BlockMatrix<S>, &mut [S], usize);
+
+    /// Both dispatch outcomes — the instance `sweep_panel` picks on this
+    /// CPU (AVX2 where present) and the portable one, `sweep_widths`
+    /// called from code compiled without `target_feature` — at every
+    /// kind of width (compiled-in 1 and `PANEL_WIDTH`, run-time widths
+    /// between) give each lane the bits of the scalar oracle, in f64 and
+    /// f32, zero-skip branches included.
     #[test]
-    fn every_lane_matches_the_scalar_oracle_bitwise() {
+    fn both_sweep_instances_match_the_scalar_oracle_bitwise() {
         fn check<S: Scalar>(bm: &BlockMatrix<S>) {
+            let dispatched: [Sweep<S>; 2] = [sweep_panel::<S, false>, sweep_panel::<S, true>];
+            let portable: [Sweep<S>; 2] = [sweep_widths::<S, false>, sweep_widths::<S, true>];
+            for [forward, backward] in [dispatched, portable] {
+                check_instance(bm, forward, backward);
+            }
+        }
+        fn check_instance<S: Scalar>(bm: &BlockMatrix<S>, forward: Sweep<S>, backward: Sweep<S>) {
             let n = bm.n();
             for k in [1, 2, 7, PANEL_WIDTH] {
                 // Lane j: noise, but zero above row j (so early columns see
@@ -350,9 +435,9 @@ mod tests {
                         panel[i * k + j] = v;
                     }
                 }
-                forward_substitute_panel(bm, &mut panel, k);
+                forward(bm, &mut panel, k);
                 let after_forward = panel.clone();
-                backward_substitute_panel(bm, &mut panel, k);
+                backward(bm, &mut panel, k);
                 for j in 0..k {
                     let mut want = lane(j);
                     reference_sweep(bm, &mut want, false);
@@ -368,6 +453,10 @@ mod tests {
             check(&bm);
             check(&bm.cast::<f32>());
         }
+        match sweep_lanes() {
+            "avx2" => println!("sweep instances checked: avx2 and portable"),
+            _ => println!("sweep instances checked: portable only (this CPU has no AVX2)"),
+        }
     }
 
     #[test]
@@ -376,11 +465,12 @@ mod tests {
         // One block: the in-block solves are the whole sweeps.
         let bm = factored(&a, a.nrows());
         let d = bm.block(bm.block_id(0, 0).unwrap());
+        let dpos = bm.diag_positions(0);
         let (mut got, mut want) = (gen::test_rhs(a.nrows(), 5), gen::test_rhs(a.nrows(), 5));
-        solve_diag_lower(d, &mut got);
+        solve_diag_lower(d, dpos, &mut got);
         reference_sweep(&bm, &mut want, false);
         assert_eq!(got, want);
-        solve_diag_upper(d, &mut got);
+        solve_diag_upper(d, dpos, &mut got);
         reference_sweep(&bm, &mut want, true);
         assert_eq!(got, want);
     }

@@ -34,9 +34,13 @@
 //! see docs/PERFORMANCE.md "Dense-tile lane". Remainders run through the
 //! same micro-kernel at halved heights and widths (…, 2, 1), never
 //! through a scalar clean-up loop, so every shape keeps the order *and*
-//! the speed. Portable Rust: no `unsafe`, no `target_feature`; the
+//! the speed. Portable Rust, with no `target_feature` of its own: the
 //! baseline SSE2 code generation already removes the index traffic that
-//! was the loss, wider vectors are a separate (smaller) prize.
+//! was the loss, and wider vectors are a separate, smaller prize. Runtime
+//! ISA dispatch for this lane should reuse the one dispatch point the
+//! triangular solve has, `sweep_panel` in `pangulu-core`'s `trisolve`: an
+//! `#[target_feature(enable = "avx2")]` instance of the same generic code,
+//! taken behind one `is_x86_feature_detected!` check.
 
 use pangulu_sparse::{CscMatrix, Scalar};
 

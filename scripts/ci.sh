@@ -36,8 +36,11 @@
 #           schedule, shared threads, transport, owner map) must solve
 #           like the 1-rank solver bit for bit, under BOTH codegen
 #           profiles (debug has no vectorisation, release does): the
-#           trisolve/solve_multi unit tests and tests/solve_panel.rs, each
-#           run without and with --release (see docs/ALGORITHM.md §5)
+#           trisolve/solve_multi unit tests (the AVX2 and the portable
+#           sweep instance each against the scalar oracle; the log names
+#           the instances this runner checked), the block tests (the
+#           diagonal-position table) and tests/solve_panel.rs, each run
+#           without and with --release (see docs/ALGORITHM.md §5)
 #   kernels  dense-tile lane layer: the lane must equal the sparse
 #           kernels bit for bit under BOTH codegen profiles (debug has no
 #           vectorisation, release does): the whole pangulu-kernels
@@ -141,7 +144,11 @@ stage_solve() {
     local profile
     for profile in "" --release; do
         echo "--- solve equivalence, profile: ${profile:-debug}"
-        cargo test $profile -q -p pangulu-core --lib -- trisolve solve_multi
+        # Prints which sweep instances this runner checked (avx2 + portable,
+        # or portable only).
+        cargo test $profile -q -p pangulu-core --lib -- both_sweep_instances --nocapture
+        cargo test $profile -q -p pangulu-core --lib -- \
+            trisolve solve_multi block:: sweep_instance --skip both_sweep_instances
         cargo test $profile -q --test solve_panel
     done
 }
