@@ -50,6 +50,7 @@ use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
 use crate::layout::OwnerMap;
+use crate::shared::{join_all, AbortOnUnwind};
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
 /// Scheduling policy of the executor.
@@ -325,9 +326,9 @@ pub fn factor_distributed_checked<S: Scalar>(
 ///
 /// * each rank's owned-block value storage (reset in place from `bm`
 ///   at the start of every run — no per-run clone of the block tables);
-/// * the synchronisation-free dependency counters, per-target SSSSM
-///   update orders, and per-step task totals (copied from immutable
-///   analysis arrays instead of being rebuilt from the task graph);
+/// * the synchronisation-free countdown and per-step task totals (the
+///   countdown re-armed from [`TaskGraph::wait`] instead of being rebuilt
+///   from the task graph);
 /// * the receive-side pattern shells: remote blocks delivered in an
 ///   earlier run keep their CSC structure, so every steady-state receive
 ///   is a values-only memcpy ([`MemStats::pattern_cache_hits`]);
@@ -352,7 +353,7 @@ pub fn factor_distributed_cached<S: Scalar>(
     assert_eq!(ws.num_blocks, bm.num_blocks(), "workspace was built for a different pattern");
     let start = Instant::now();
     for st in &mut ws.ranks {
-        st.reset(bm);
+        st.reset(bm, tg);
     }
     let mailboxes =
         MailboxSet::<S>::with_transport(p, cfg.transport, cfg.fault.clone()).into_mailboxes();
@@ -360,8 +361,7 @@ pub fn factor_distributed_cached<S: Scalar>(
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<DistError>> = Mutex::new(None);
 
-    let mut worker_outputs: Vec<WorkerOutput> = Vec::with_capacity(p);
-    {
+    let worker_outputs = {
         let bm_ref: &BlockMatrix<S> = bm;
         std::thread::scope(|s| {
             let handles: Vec<_> = mailboxes
@@ -372,6 +372,7 @@ pub fn factor_distributed_cached<S: Scalar>(
                     let abort = &abort;
                     let first_err = &first_err;
                     s.spawn(move || {
+                        let _abort_on_unwind = AbortOnUnwind(abort);
                         let mut w = Worker::new(
                             bm_ref,
                             tg,
@@ -390,11 +391,9 @@ pub fn factor_distributed_cached<S: Scalar>(
                     })
                 })
                 .collect();
-            for h in handles {
-                worker_outputs.push(h.join().expect("rank thread panicked"));
-            }
-        });
-    }
+            join_all(handles)
+        })
+    };
 
     if let Some(err) = first_err.into_inner().expect("error slot poisoned") {
         return Err(err);
@@ -529,33 +528,17 @@ struct RankState<S: Scalar> {
     /// any subsequent refactorisation — memcpys values into the cached
     /// shell (counted as [`MemStats::pattern_cache_hits`]).
     remote: Vec<Option<CscMatrix<S>>>,
-    /// Finished owned blocks (panel op done), by block id.
-    finished: Vec<bool>,
-    /// Synchronisation-free counters for owned blocks, by block id.
-    counter: Vec<usize>,
-    /// Owned blocks already queued for their panel op, by block id.
-    queued: Vec<bool>,
+    /// The countdown, by task slot: the waits still outstanding, re-armed
+    /// from [`TaskGraph::wait`] before every run. Only the slots of tasks
+    /// this rank owns move.
+    wait: Vec<u32>,
     /// Operand availability (owned-finished or received), by block id —
-    /// a block's role (diagonal factor, L-panel, U-panel) is determined
-    /// by its coordinates, so one flag per block covers all three of the
-    /// paper's dependency kinds.
+    /// read only by the stall diagnosis.
     avail: Vec<bool>,
-    /// Deterministic update order: per target block id, the next update
-    /// to apply — an index into [`TaskGraph::ssssm`], advanced along
-    /// [`TaskGraph::next_on_target`] (`None` once the chain is done, and
-    /// for blocks that are not owned SSSSM targets)...
-    upd_next: Vec<Option<u32>>,
-    /// ...reset to each chain's head before every run...
-    upd_head: Vec<Option<u32>>,
-    /// ...and, per update, whether both its operands have arrived.
-    upd_ready: Vec<bool>,
     /// Precomputed kernel index plans, built lazily per task on this
     /// rank's first touch and — like the rest of this state — reused
     /// verbatim across numeric-only refactorisations.
     plans: KernelPlans<S>,
-    /// The immutable analysis copy of the dependency counters, used by
-    /// [`RankState::reset`] instead of re-walking the task graph.
-    counter_init: Vec<usize>,
     /// Tasks this rank owes per run (panel ops + SSSSM updates).
     remaining_init: usize,
     /// Level-set mode: tasks owed per elimination step.
@@ -570,40 +553,28 @@ impl<S: Scalar> RankState<S> {
         // Clone owned blocks (the "distribute the matrix" preprocessing
         // step — each rank stores only what it computes on, §4.2).
         let mut my_blocks: Vec<Option<CscMatrix<S>>> = vec![None; nblocks];
-        let mut counter_init = vec![0usize; nblocks];
         let mut remaining = 0usize;
         let mut step_total = vec![0usize; bm.nblk() + 1];
         for id in 0..nblocks {
             if owners.owner_of(id) == rank {
                 my_blocks[id] = Some(bm.block(id).clone());
-                counter_init[id] = tg.indegree[id];
                 remaining += 1; // the block's panel op
                 step_total[bm.step_of(id)] += 1;
             }
         }
-        let mut upd_head: Vec<Option<u32>> = vec![None; nblocks];
-        for (gid, &(i, j, k)) in tg.ssssm.iter().enumerate() {
-            let cid = bm.block_id(i, j).expect("ssssm target exists");
-            if owners.owner_of(cid) == rank {
+        for (g, &(_, _, k)) in tg.ssssm.iter().enumerate() {
+            if owners.owner_of(tg.block_of(nblocks + g)) == rank {
                 remaining += 1;
                 step_total[k] += 1;
-                // The triples ascend in `k`: a target's first is its head.
-                upd_head[cid].get_or_insert(gid as u32);
             }
         }
         RankState {
             rank,
             my_blocks,
             remote: vec![None; nblocks],
-            finished: vec![false; nblocks],
-            counter: counter_init.clone(),
-            queued: vec![false; nblocks],
+            wait: tg.wait.clone(),
             avail: vec![false; nblocks],
-            upd_next: upd_head.clone(),
-            upd_head,
-            upd_ready: vec![false; tg.ssssm.len()],
             plans: KernelPlans::with_slots(bm.nblk(), nblocks, nblocks, tg.ssssm.len()),
-            counter_init,
             remaining_init: remaining,
             step_total,
             scratch: KernelScratch::with_capacity(bm.nb()),
@@ -611,30 +582,26 @@ impl<S: Scalar> RankState<S> {
     }
 
     /// Re-arms the state for another run on the same pattern: owned block
-    /// values are copied from `bm` in place, the dependency counters are
-    /// restored from the immutable analysis copy, and every progress flag
-    /// is cleared. The remote pattern shells keep their structure (their
-    /// stale values are only ever read after a fresh receive overwrites
-    /// them — `avail` gates every operand lookup).
-    fn reset(&mut self, bm: &BlockMatrix<S>) {
+    /// values are copied from `bm` in place, the countdown is restored
+    /// from `tg.wait`, and the availability flags are cleared. The remote
+    /// pattern shells keep their structure (their stale values are only
+    /// ever read after a fresh receive overwrites them — the countdown
+    /// admits a task only once its operands arrived).
+    fn reset(&mut self, bm: &BlockMatrix<S>, tg: &TaskGraph) {
         for (id, slot) in self.my_blocks.iter_mut().enumerate() {
             if let Some(b) = slot {
                 b.values_mut().copy_from_slice(bm.block(id).values());
             }
         }
-        self.finished.fill(false);
-        self.counter.copy_from_slice(&self.counter_init);
-        self.queued.fill(false);
+        self.wait.copy_from_slice(&tg.wait);
         self.avail.fill(false);
-        self.upd_next.copy_from_slice(&self.upd_head);
-        self.upd_ready.fill(false);
     }
 }
 
 /// The cached per-rank executor state of a distributed factorisation:
-/// one `RankState` per rank (owned-block tables, dependency counters,
-/// deterministic SSSSM orders, receive-side pattern shells, kernel
-/// scratch). Build it once per (pattern, grid, owner map) and pass it to
+/// one `RankState` per rank (owned-block tables, the countdown,
+/// receive-side pattern shells, kernel scratch). Build it once per
+/// (pattern, grid, owner map) and pass it to
 /// [`factor_distributed_cached`] for every same-pattern factorisation;
 /// steady-state runs then do no pattern-dependent setup at all.
 pub struct NumericWorkspace<S: Scalar = f64> {
@@ -668,26 +635,8 @@ impl<S: Scalar> NumericWorkspace<S> {
     }
 }
 
-/// Bookkeeping emitted by the kernel part of [`Worker::execute`]; the
-/// trace event is recorded between the kernel and this follow-up so the
-/// producer's `end` timestamp is on the clock before any consumer can
-/// observe the result.
-enum Post {
-    Panel {
-        id: usize,
-        step: usize,
-        role: BlockRole,
-    },
-    /// Update `gid` of step `step`, at the target's cursor, done.
-    Update {
-        cid: usize,
-        gid: usize,
-        step: usize,
-    },
-}
-
 /// Per-rank executor: the run-scoped view over a rank's cached
-/// [`RankState`] (block tables, counters, schedules) plus everything that
+/// [`RankState`] (block tables, the countdown) plus everything that
 /// is fresh per run (mailbox, task queue, metrics, trace).
 struct Worker<'a, S: Scalar> {
     rank: usize,
@@ -806,21 +755,23 @@ impl<'a, S: Scalar> Worker<'a, S> {
         bm: &BlockMatrix<S>,
         my_blocks: &'b [Option<CscMatrix<S>>],
         remote: &'b [Option<CscMatrix<S>>],
-        finished: &[bool],
         bi: usize,
         bj: usize,
     ) -> &'b CscMatrix<S> {
         let id = bm.block_id(bi, bj).expect("operand block exists");
-        if let Some(b) = my_blocks[id].as_ref() {
-            debug_assert!(finished[id], "operand used before finished");
-            b
-        } else {
-            remote[id].as_ref().expect("operand block neither owned nor received")
+        match my_blocks[id].as_ref() {
+            Some(b) => b,
+            None => remote[id].as_ref().expect("operand block neither owned nor received"),
         }
     }
 
     fn run(mut self) -> WorkerOutput {
-        self.seed_initial_tasks();
+        // The GETRFs of diagonal blocks without updates wait on nothing.
+        for id in 0..self.bm.num_blocks() {
+            if self.st.wait[id] == 0 && self.owned(id) {
+                self.push_task(id);
+            }
+        }
         let slice = Duration::from_millis(50).min(self.stall_timeout);
         let mut idle = Duration::ZERO;
         loop {
@@ -836,9 +787,9 @@ impl<'a, S: Scalar> Worker<'a, S> {
             if got_msg {
                 idle = Duration::ZERO;
             }
-            if let Some(task) = self.pop_runnable() {
+            if let Some((task, slot)) = self.pop_runnable() {
                 idle = Duration::ZERO;
-                self.execute(task);
+                self.execute(task, slot);
                 continue;
             }
             if self.remaining == 0 && self.mode == ScheduleMode::SyncFree {
@@ -945,33 +896,34 @@ impl<'a, S: Scalar> Worker<'a, S> {
 
     /// Lists the operand blocks this rank is still waiting for, capped.
     fn diagnose_missing(&self, cap: usize) -> Vec<MissingDep> {
+        let (bm, tg, nblocks) = (self.bm, self.tg, self.bm.num_blocks());
+        // Per owned target, the step of its lowest update still waiting:
+        // nothing is runnable, so the updates before it have all run.
+        let mut next_update: Vec<Option<usize>> = vec![None; nblocks];
+        for (g, &(_, _, k)) in tg.ssssm.iter().enumerate() {
+            let cid = tg.block_of(nblocks + g);
+            if self.st.wait[nblocks + g] > 0 && self.owned(cid) {
+                next_update[cid].get_or_insert(k);
+            }
+        }
         let mut missing = Vec::new();
-        for id in 0..self.bm.num_blocks() {
+        for id in (0..nblocks).filter(|&id| self.st.wait[id] > 0 && self.owned(id)) {
             if missing.len() >= cap {
                 break;
             }
-            if self.st.my_blocks[id].is_none() || self.st.finished[id] {
-                continue;
-            }
-            let (bi, bj) = self.bm.block_coords(id);
-            if self.st.counter[id] > 0 {
-                // Outstanding SSSSM updates: report the head of the
-                // deterministic order (its operands are what block us).
-                if let Some(g) = self.st.upd_next[id] {
-                    let (_, _, k) = self.tg.ssssm[g as usize];
-                    if !self.avail_at(bi, k) {
-                        missing.push(MissingDep::LOperand { i: bi, k, target: (bi, bj) });
-                    }
-                    if missing.len() < cap && !self.avail_at(k, bj) {
-                        missing.push(MissingDep::UOperand { k, j: bj, target: (bi, bj) });
-                    }
+            let (bi, bj) = bm.block_coords(id);
+            let step = bi.min(bj);
+            if let Some(k) = next_update[id] {
+                // Outstanding updates: the next one's operands block us.
+                if !self.avail_at(bi, k) {
+                    missing.push(MissingDep::LOperand { i: bi, k, target: (bi, bj) });
                 }
-            } else if !self.st.queued[id] {
-                // Updates done, panel not queued: the diagonal is missing.
-                let k = bi.min(bj);
-                if bi != bj && !self.avail_at(k, k) {
-                    missing.push(MissingDep::Diag { k, block: (bi, bj) });
+                if missing.len() < cap && !self.avail_at(k, bj) {
+                    missing.push(MissingDep::UOperand { k, j: bj, target: (bi, bj) });
                 }
+            } else if bi != bj && !self.avail_at(step, step) {
+                // Updates done, panel still waiting: the diagonal is missing.
+                missing.push(MissingDep::Diag { k: step, block: (bi, bj) });
             }
         }
         missing
@@ -979,9 +931,9 @@ impl<'a, S: Scalar> Worker<'a, S> {
 
     /// The next runnable task in step-major order (level-set mode
     /// restricts it to the current step).
-    fn pop_runnable(&mut self) -> Option<Task> {
+    fn pop_runnable(&mut self) -> Option<(Task, usize)> {
         match self.mode {
-            ScheduleMode::SyncFree => self.queue.pop().map(|t| t.0),
+            ScheduleMode::SyncFree => self.queue.pop().map(|t| (t.task(), t.slot)),
             ScheduleMode::LevelSet => {
                 // The step gate is hoisted into a flag: once the top is
                 // known to belong to a later step, stop re-peeking (and
@@ -991,7 +943,9 @@ impl<'a, S: Scalar> Worker<'a, S> {
                     return None;
                 }
                 match self.queue.peek() {
-                    Some(top) if top.0.step() == self.current_step => self.queue.pop().map(|t| t.0),
+                    Some(top) if top.task().step() == self.current_step => {
+                        self.queue.pop().map(|t| (t.task(), t.slot))
+                    }
                     Some(_) => {
                         self.levelset_blocked = true;
                         None
@@ -1002,109 +956,77 @@ impl<'a, S: Scalar> Worker<'a, S> {
         }
     }
 
-    /// Queues a ready task.
-    fn push_task(&mut self, task: Task) {
+    /// Queues the task in `slot`, whose countdown reached zero.
+    fn push_task(&mut self, slot: usize) {
         self.levelset_blocked = false;
-        self.queue.push(PrioritisedTask(task));
+        self.queue.push(PrioritisedTask::new(self.tg.task_at(self.bm, slot), slot));
     }
 
-    /// Queues blocks with zero indegree: diagonal blocks can GETRF right
-    /// away; panels additionally wait for their diagonal factor.
-    fn seed_initial_tasks(&mut self) {
-        for id in 0..self.bm.num_blocks() {
-            if self.st.my_blocks[id].is_some() && self.st.counter[id] == 0 {
-                self.maybe_queue_panel(id);
+    /// Counts down this rank's tasks that the finished task `slot`
+    /// releases — whether it ran here or its block was received — and
+    /// queues each one that reaches zero.
+    fn release(&mut self, slot: usize) {
+        let tg = self.tg;
+        for &s in tg.releases(slot) {
+            let s = s as usize;
+            if self.owned(tg.block_of(s)) {
+                self.st.wait[s] -= 1;
+                if self.st.wait[s] == 0 {
+                    self.push_task(s);
+                }
             }
         }
     }
 
-    /// Queues the panel operation of block `id` if its updates are done
-    /// and its diagonal dependency is satisfied.
-    fn maybe_queue_panel(&mut self, id: usize) {
-        if self.st.queued[id] || self.st.counter[id] > 0 {
-            return;
-        }
-        let (bi, bj) = self.bm.block_coords(id);
-        let task = match bi.cmp(&bj) {
-            std::cmp::Ordering::Equal => Task::Getrf { k: bi },
-            std::cmp::Ordering::Less => {
-                if !self.avail_at(bi, bi) {
-                    return; // GESSM waits for the diagonal factor of row bi
-                }
-                Task::Gessm { k: bi, j: bj }
-            }
-            std::cmp::Ordering::Greater => {
-                if !self.avail_at(bj, bj) {
-                    return;
-                }
-                Task::Tstrf { i: bi, k: bj }
-            }
-        };
-        self.st.queued[id] = true;
-        self.push_task(task);
-    }
-
-    fn execute(&mut self, task: Task) {
+    fn execute(&mut self, task: Task, slot: usize) {
         let trace_start = self.trace_origin.map(|origin| origin.elapsed());
         let t0 = Instant::now();
-        let post = match task {
+        let (bm, tg) = (self.bm, self.tg);
+        let id = tg.block_of(slot);
+        let st = &mut *self.st;
+        // The role a finished panel block is shipped in; updates ship nothing.
+        let role = match task {
             Task::Getrf { k } => {
-                let id = self.bm.block_id(k, k).expect("diag exists");
-                let st = &mut *self.st;
                 let blk = st.my_blocks[id].as_mut().expect("getrf on owned block");
                 let route = st.plans.route_getrf(self.selector, k, blk);
-                let fl = self.tg.panel_flops[id];
+                let fl = tg.panel_flops[id];
                 self.perturbed +=
                     self.timed.getrf(route, blk, &mut st.scratch, self.pivot_floor, fl);
                 self.tasks.getrf += 1;
-                Post::Panel { id, step: k, role: BlockRole::DiagFactor }
+                Some(BlockRole::DiagFactor)
             }
-            Task::Gessm { k, j } => {
-                let id = self.bm.block_id(k, j).expect("panel exists");
+            Task::Gessm { k, .. } => {
                 // Take the target out of its slot so the diagonal factor
                 // can be borrowed from the same table — no per-task clone
                 // of the diagonal CSC.
-                let st = &mut *self.st;
                 let mut blk = st.my_blocks[id].take().expect("gessm on owned block");
-                let diag =
-                    Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, k, k);
+                let diag = Self::lookup_operand(bm, &st.my_blocks, &st.remote, k, k);
                 let route = st.plans.route_gessm(self.selector, id, diag, &blk);
-                self.timed.gessm(route, diag, &mut blk, &mut st.scratch, self.tg.panel_flops[id]);
+                self.timed.gessm(route, diag, &mut blk, &mut st.scratch, tg.panel_flops[id]);
                 st.my_blocks[id] = Some(blk);
                 self.tasks.gessm += 1;
-                Post::Panel { id, step: k, role: BlockRole::UPanel }
+                Some(BlockRole::UPanel)
             }
-            Task::Tstrf { i, k } => {
-                let id = self.bm.block_id(i, k).expect("panel exists");
-                let st = &mut *self.st;
+            Task::Tstrf { k, .. } => {
                 let mut blk = st.my_blocks[id].take().expect("tstrf on owned block");
-                let diag =
-                    Self::lookup_operand(self.bm, &st.my_blocks, &st.remote, &st.finished, k, k);
+                let diag = Self::lookup_operand(bm, &st.my_blocks, &st.remote, k, k);
                 let route = st.plans.route_tstrf(self.selector, id, diag, &blk);
-                self.timed.tstrf(route, diag, &mut blk, &mut st.scratch, self.tg.panel_flops[id]);
+                self.timed.tstrf(route, diag, &mut blk, &mut st.scratch, tg.panel_flops[id]);
                 st.my_blocks[id] = Some(blk);
                 self.tasks.tstrf += 1;
-                Post::Panel { id, step: k, role: BlockRole::LPanel }
+                Some(BlockRole::LPanel)
             }
             Task::Ssssm { i, j, k } => {
-                let cid = self.bm.block_id(i, j).expect("target exists");
-                let gid = self.st.upd_next[cid].expect("a queued update is at its cursor") as usize;
-                debug_assert_eq!(
-                    self.tg.ssssm[gid],
-                    (i, j, k),
-                    "popped update is not the cursor's"
-                );
-                let bm = self.bm;
-                let st = &mut *self.st;
-                let mut target = st.my_blocks[cid].take().expect("ssssm on owned block");
-                let a = Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, i, k);
-                let b = Self::lookup_operand(bm, &st.my_blocks, &st.remote, &st.finished, k, j);
-                let fl = self.tg.ssssm_flops[gid];
-                let route = st.plans.route_ssssm(self.selector, gid, fl, a, b, &target);
+                let g = slot - bm.num_blocks();
+                let mut target = st.my_blocks[id].take().expect("ssssm on owned block");
+                let a = Self::lookup_operand(bm, &st.my_blocks, &st.remote, i, k);
+                let b = Self::lookup_operand(bm, &st.my_blocks, &st.remote, k, j);
+                let fl = tg.ssssm_flops[g];
+                let route = st.plans.route_ssssm(self.selector, g, fl, a, b, &target);
                 self.timed.ssssm(route, a, b, &mut target, &mut st.scratch, fl);
-                st.my_blocks[cid] = Some(target);
+                st.my_blocks[id] = Some(target);
                 self.tasks.ssssm += 1;
-                Post::Update { cid, gid, step: k }
+                None
             }
         };
         self.busy += t0.elapsed();
@@ -1114,49 +1036,25 @@ impl<'a, S: Scalar> Worker<'a, S> {
         if let (Some(origin), Some(start)) = (self.trace_origin, trace_start) {
             self.trace.push(TraceEvent { rank: self.rank, task, start, end: origin.elapsed() });
         }
-        match post {
-            Post::Panel { id, step, role } => self.finish_block(id, step, role),
-            Post::Update { cid, gid, step } => {
-                self.task_done(step);
-                self.st.counter[cid] -= 1;
-                // Advance the target's cursor along its chain and queue
-                // the next update if its operands already arrived.
-                let next = self.tg.next_on_target[gid];
-                self.st.upd_next[cid] = next;
-                if let Some(n) = next.map(|n| n as usize).filter(|&n| self.st.upd_ready[n]) {
-                    let (i, j, k) = self.tg.ssssm[n];
-                    self.push_task(Task::Ssssm { i, j, k });
-                }
-                if self.st.counter[cid] == 0 {
-                    self.maybe_queue_panel(cid);
-                }
-            }
-        }
-    }
-
-    /// Book-keeping common to completed tasks (level-set accounting).
-    fn task_done(&mut self, step: usize) {
         self.remaining -= 1;
-        self.step_done[step] += 1;
+        self.step_done[task.step()] += 1;
+        if let Some(role) = role {
+            self.st.avail[id] = true;
+            self.ship(id, role);
+        }
+        self.release(slot);
     }
 
-    /// Marks an owned block finished, ships it, and triggers dependents.
-    fn finish_block(&mut self, id: usize, step: usize, role: BlockRole) {
-        self.st.finished[id] = true;
-        self.task_done(step);
+    /// Ships finished block `id` to every other rank that owns a task it
+    /// releases.
+    fn ship(&mut self, id: usize, role: BlockRole) {
         let (bi, bj) = self.bm.block_coords(id);
-        let dests = match role {
-            BlockRole::DiagFactor => self.tg.diag_destinations(self.bm, self.owners, bi),
-            BlockRole::LPanel => self.tg.l_panel_destinations(self.bm, self.owners, bi, bj),
-            BlockRole::UPanel => self.tg.u_panel_destinations(self.bm, self.owners, bi, bj),
-            other => unreachable!("factorisation never produces {other:?}"),
-        };
         // Serialise the block once for the whole fan-out; the Arc clones
         // handed to each mailbox share the buffer. When every dependent is
         // local no payload is materialised at all. The mailbox still
         // charges full per-edge bytes — the wire cost model is unchanged.
         let mut payload: Option<Arc<[S]>> = None;
-        for dest in dests {
+        for dest in self.tg.destinations(self.owners, id) {
             if dest == self.rank {
                 continue;
             }
@@ -1172,10 +1070,10 @@ impl<'a, S: Scalar> Worker<'a, S> {
             };
             self.mailbox.send(dest, BlockMsg { bi, bj, role, values });
         }
-        // Local trigger (a rank is trivially a "destination" of itself).
-        self.on_block_available(bi, bj, role);
     }
 
+    /// A finished remote block arrived: it releases here what its panel op
+    /// released on its owner.
     fn handle_msg(&mut self, msg: BlockMsg<S>) {
         let id = self.bm.block_id(msg.bi, msg.bj).expect("pattern of shipped block is replicated");
         match &mut self.st.remote[id] {
@@ -1202,68 +1100,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
             }
         }
         self.mem.bytes_copied += (msg.values.len() * S::WIDTH) as u64;
-        self.on_block_available(msg.bi, msg.bj, msg.role);
-    }
-
-    /// Marks the SSSSM update `(i, j, k)` onto owned block `cid` as
-    /// operand-complete and queues it iff it is at the target's cursor
-    /// (the deterministic ascending-`k` application order).
-    fn update_ready(&mut self, cid: usize, i: usize, j: usize, k: usize) {
-        let gid = self.tg.ssssm_index(i, j, k).expect("update in the task graph");
-        self.st.upd_ready[gid] = true;
-        if self.st.upd_next[cid] == Some(gid as u32) {
-            self.push_task(Task::Ssssm { i, j, k });
-        }
-    }
-
-    /// A block (local or remote) became available in the given role:
-    /// release whatever it gates (Fig. 9's dependency-breaking rules).
-    fn on_block_available(&mut self, bi: usize, bj: usize, role: BlockRole) {
-        // Copy the shared references out so iterating the task graph does
-        // not freeze `self` (the old code materialised Vecs per event to
-        // work around exactly that borrow).
-        let bm = self.bm;
-        let tg = self.tg;
-        let id = bm.block_id(bi, bj).expect("available block exists in the pattern");
         self.st.avail[id] = true;
-        match role {
-            BlockRole::DiagFactor => {
-                let k = bi;
-                // Release owned panels of block row / column k whose
-                // updates are already done.
-                for id in tg.u_panels[k].iter().filter_map(|&j| bm.block_id(k, j)) {
-                    if self.owned(id) {
-                        self.maybe_queue_panel(id);
-                    }
-                }
-                for id in tg.l_panels[k].iter().filter_map(|&i| bm.block_id(i, k)) {
-                    if self.owned(id) {
-                        self.maybe_queue_panel(id);
-                    }
-                }
-            }
-            BlockRole::LPanel => {
-                let (i, k) = (bi, bj);
-                for &j in &tg.u_panels[k] {
-                    if let Some(cid) = bm.block_id(i, j) {
-                        if self.owned(cid) && self.avail_at(k, j) {
-                            self.update_ready(cid, i, j, k);
-                        }
-                    }
-                }
-            }
-            BlockRole::UPanel => {
-                let (k, j) = (bi, bj);
-                for &i in &tg.l_panels[k] {
-                    if let Some(cid) = bm.block_id(i, j) {
-                        if self.owned(cid) && self.avail_at(i, k) {
-                            self.update_ready(cid, i, j, k);
-                        }
-                    }
-                }
-            }
-            other => panic!("unexpected message role {other:?} during factorisation"),
-        }
+        self.release(id);
     }
 }
 

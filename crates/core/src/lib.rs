@@ -9,15 +9,22 @@
 //!   post-symbolic density;
 //! * [`layout`] — the block-cyclic owner map and the static
 //!   load-balancing remap over elimination time slices (§4.2, Fig. 6c/d);
-//! * [`task`] — the kernel task graph: per-block SSSSM indegrees (the
-//!   synchronisation-free array of §4.4) and the step-major ready-queue
-//!   order;
-//! * [`seq`] — single-rank right-looking block factorisation (the
-//!   "single GPU" configuration of Table 4);
+//! * [`task`] — the kernel task graph and the one dependency rule every
+//!   executor runs (the synchronisation-free array of §4.4): each task's
+//!   initial wait, the tasks a finished task releases, and from them the
+//!   ranks a finished block is shipped to; plus the step-major
+//!   ready-queue order;
+//! * [`shared`] — the countdown engine over one block store: its
+//!   one-worker instance is the one-rank executor, more workers the
+//!   multicore mode;
+//! * [`seq`] — the one-rank entry point (the "single GPU" configuration
+//!   of Table 4), and the unplanned right-looking sweep every executor is
+//!   tested against, which also leaves Schur complements;
 //! * [`dist`] — the multi-rank executor: threads as MPI ranks, block
-//!   messages over mailboxes, and both scheduling policies — the
-//!   synchronisation-free strategy of §4.4 and the level-set barrier
-//!   baseline it is ablated against (Fig. 14);
+//!   messages over mailboxes, each rank a countdown over the tasks it
+//!   owns, and both scheduling policies — the synchronisation-free
+//!   strategy of §4.4 and the level-set barrier baseline it is ablated
+//!   against (Fig. 14);
 //! * [`trace_check`] — the schedule-trace validator: proves a traced run
 //!   respected every dependency, ran each task exactly once on its
 //!   owner, and delivered each block message exactly once per

@@ -1,20 +1,21 @@
 //! Single-rank right-looking block factorisation.
 //!
-//! This is the "single GPU" configuration of the paper's Table 4 and the
-//! correctness reference for the distributed executor: same kernels, same
-//! block structure, trivially deterministic order.
+//! This is the "single GPU" configuration of the paper's Table 4. The
+//! unplanned sweeps here are the correctness reference every executor is
+//! held to (same kernels, same block structure, trivially deterministic
+//! order) and the partial, Schur-complement factorisation; the planned
+//! one-rank factorisation is the countdown engine run by one worker.
 
 use std::time::{Duration, Instant};
 
-use pangulu_kernels::{
-    getrf, select::KernelSelector, ssssm, trsm, KernelPlans, KernelScratch, TimedKernels,
-};
+use pangulu_kernels::{getrf, select::KernelSelector, ssssm, trsm, KernelPlans, KernelScratch};
 use pangulu_sparse::Scalar;
 
 use crate::block::BlockMatrix;
 use crate::task::TaskGraph;
 
-/// Timing and counting statistics of a numeric factorisation.
+/// Timing and counting statistics of a numeric factorisation. The times
+/// are kernel time per class, summed over the workers that ran them.
 #[derive(Debug, Clone, Default)]
 pub struct NumericStats {
     /// Time spent in GETRF kernels.
@@ -151,13 +152,14 @@ pub fn empty_plans<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> KernelPlan
     KernelPlans::with_slots(bm.nblk(), bm.num_blocks(), bm.num_blocks(), tg.ssssm.len())
 }
 
-/// Planned right-looking factorisation: the same task order as
-/// [`factor_sequential`], but every task runs along the route `plans`
-/// decides for it — its precomputed index plan where the selector's
-/// planned gate is open, the tree's variant otherwise. Plans are built
-/// lazily in `plans` on first touch and reused verbatim on later calls
+/// The planned factorisation of the solver's one-rank mode: the countdown
+/// engine's one-worker instance ([`crate::shared::factor_shared_planned`]
+/// at one worker, on the caller's thread). Every task runs along the route
+/// `plans` decides for it — its precomputed index plan where the
+/// selector's planned gate is open, the tree's variant otherwise. Missing
+/// plans are built on the first call and reused verbatim on later calls
 /// (the steady state of `Solver::refactor`). Results are bitwise
-/// identical to the unplanned sweep.
+/// identical to the unplanned sweep [`factor_sequential`].
 pub fn factor_sequential_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -165,63 +167,7 @@ pub fn factor_sequential_planned<S: Scalar>(
     pivot_floor: f64,
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
-    let mut stats = NumericStats { flops: tg.total_flops(), ..Default::default() };
-    let mut scratch = KernelScratch::with_capacity(bm.nb());
-    // Unmetered: this sweep times whole phases, not single kernels.
-    let mut kernels = TimedKernels::new(false);
-    // Cursor over `tg.ssssm`, whose build order matches this sweep's
-    // (step, L-row, U-column) traversal exactly.
-    let mut upd_idx = 0usize;
-
-    for k in 0..bm.nblk() {
-        let diag_id = bm.block_id(k, k).expect("diagonal block exists");
-
-        let t0 = Instant::now();
-        let blk = bm.block_mut(diag_id);
-        let route = plans.route_getrf(selector, k, blk);
-        let fl = tg.panel_flops[diag_id];
-        stats.perturbed_pivots += kernels.getrf(route, blk, &mut scratch, pivot_floor, fl);
-        stats.getrf_time += t0.elapsed();
-        stats.kernel_counts[0] += 1;
-
-        let t1 = Instant::now();
-        for &j in &tg.u_panels[k] {
-            let b_id = bm.block_id(k, j).expect("U panel exists");
-            let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            let route = plans.route_gessm(selector, b_id, diag, b);
-            kernels.gessm(route, diag, b, &mut scratch, tg.panel_flops[b_id]);
-            stats.kernel_counts[1] += 1;
-        }
-        for &i in &tg.l_panels[k] {
-            let b_id = bm.block_id(i, k).expect("L panel exists");
-            let (diag, b) = bm.block_pair_mut(diag_id, b_id);
-            let route = plans.route_tstrf(selector, b_id, diag, b);
-            kernels.tstrf(route, diag, b, &mut scratch, tg.panel_flops[b_id]);
-            stats.kernel_counts[2] += 1;
-        }
-        stats.trsm_time += t1.elapsed();
-
-        let t2 = Instant::now();
-        for &i in &tg.l_panels[k] {
-            let a_id = bm.block_id(i, k).expect("L panel exists");
-            for &j in &tg.u_panels[k] {
-                let Some(c_id) = bm.block_id(i, j) else {
-                    continue; // structurally empty product
-                };
-                let b_id = bm.block_id(k, j).expect("U panel exists");
-                debug_assert_eq!(tg.ssssm[upd_idx], (i, j, k), "update cursor out of sync");
-                let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
-                let fl = tg.ssssm_flops[upd_idx];
-                let route = plans.route_ssssm(selector, upd_idx, fl, a, b, c);
-                kernels.ssssm(route, a, b, c, &mut scratch, fl);
-                upd_idx += 1;
-                stats.kernel_counts[3] += 1;
-            }
-        }
-        stats.ssssm_time += t2.elapsed();
-    }
-    plans.shrink_to_fit();
-    stats
+    crate::shared::factor_shared_planned(bm, tg, selector, pivot_floor, 1, plans)
 }
 
 #[cfg(test)]

@@ -1,26 +1,22 @@
-//! Shared-memory parallel numeric factorisation.
+//! The countdown engine: the synchronisation-free counter array of §4.4
+//! over one shared block store.
 //!
-//! PanguLU also runs on multicore CPUs without MPI; this is that mode:
-//! the synchronisation-free counter array of §4.4, with worker threads
-//! sharing one block store instead of exchanging messages. Every task —
-//! one panel operation per block, one update per SSSSM triple — owns an
-//! atomic count of the tasks it still waits for:
-//!
-//! * a block's panel op waits on the last update of its target chain (if
-//!   it has updates) and on its diagonal factor (if it is off-diagonal);
-//! * update `g` waits on its two panel operands and on the previous
-//!   update onto the same target ([`TaskGraph::next_on_target`]).
-//!
-//! The finisher of a dependency decrements with `AcqRel`, and whoever
-//! brings a count to zero pushes the task onto the shared ready heap. A
-//! target's updates therefore run one at a time in ascending `k` — the
-//! rule of the sequential and distributed executors — so the factors are
-//! bitwise those of [`crate::seq::factor_sequential_planned`] at any
-//! thread count.
+//! PanguLU also runs on multicore CPUs without MPI; this is that mode,
+//! and its one-worker instance, run on the caller's thread, is the
+//! sequential executor ([`crate::seq::factor_sequential_planned`]). Every
+//! task — one panel operation per block, one update per SSSSM triple —
+//! owns an atomic count set from [`TaskGraph::wait`]. The finisher of a
+//! task counts down, with `AcqRel`, every task [`TaskGraph::releases`]
+//! lists, and whoever brings a count to zero pushes that task onto the
+//! shared ready heap. A target's updates therefore run one at a time in
+//! ascending `k` — the rule of the distributed executor too — so the
+//! factors are bitwise the same at any worker count.
 
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
+use std::thread::ScopedJoinHandle;
+use std::time::{Duration, Instant};
 
 use pangulu_kernels::select::KernelSelector;
 use pangulu_kernels::{KernelPlans, KernelScratch, TimedKernels};
@@ -70,9 +66,40 @@ impl<S: Scalar> SharedBlocks<S> {
     }
 }
 
+/// Raises a run's abort flag when the thread holding it unwinds, so the
+/// other workers or ranks of a run whose task panicked stop instead of
+/// waiting for work that will never come.
+pub(crate) struct AbortOnUnwind<'a>(pub(crate) &'a AtomicBool);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Joins every scoped worker and re-raises the first one's own panic, so
+/// the caller sees the failing task's message, not a generic join error.
+pub(crate) fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
+    let mut out = Vec::with_capacity(handles.len());
+    let mut first_panic = None;
+    for h in handles {
+        match h.join() {
+            Ok(v) => out.push(v),
+            Err(payload) => {
+                first_panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+    out
+}
+
 /// One factorisation in flight: what every worker reads, and the
-/// countdown per task — panel ops by block id, then updates by their
-/// index into [`TaskGraph::ssssm`] offset by the block count.
+/// countdown per task slot.
 struct Run<'a, S: Scalar> {
     bm: &'a BlockMatrix<S>,
     tg: &'a TaskGraph,
@@ -80,19 +107,22 @@ struct Run<'a, S: Scalar> {
     plans: &'a KernelPlans<S>,
     pivot_floor: f64,
     blocks: SharedBlocks<S>,
-    waits: Vec<AtomicUsize>,
+    waits: Vec<AtomicU32>,
     ready: Mutex<BinaryHeap<PrioritisedTask>>,
     remaining: AtomicUsize,
     perturbed: AtomicUsize,
+    abort: AtomicBool,
 }
 
-/// Factorises `bm` in place with `threads` shared-memory workers, every
-/// task running along the route `plans` decides for it (its precomputed
-/// index plan where the selector's planned gate is open, the tree's
-/// variant otherwise). Missing plans are built eagerly (single-threaded,
-/// from patterns only) before the workers start, so the pool is
-/// immutable during execution and reused verbatim on later calls. The
-/// factors are bitwise equal to the sequential executor's.
+/// Factorises `bm` in place with `threads` workers sharing one block
+/// store; one worker runs on the caller's thread. Every task runs along
+/// the route `plans` decides for it (its precomputed index plan where the
+/// selector's planned gate is open, the tree's variant otherwise). Missing
+/// plans are built eagerly (single-threaded, from patterns only) before
+/// the workers start, so the pool is immutable during execution and
+/// reused verbatim on later calls. The factors are bitwise equal to the
+/// unplanned sweep's ([`crate::seq::factor_sequential`]) at any worker
+/// count. The phase times are kernel time summed over the workers.
 pub fn factor_shared_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -102,27 +132,14 @@ pub fn factor_shared_planned<S: Scalar>(
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
     build_all_plans(bm, tg, selector, plans);
-    let nblk = bm.nblk();
     let num_blocks = bm.num_blocks();
     if num_blocks == 0 {
         return NumericStats::default();
     }
-
-    let mut waits = Vec::with_capacity(num_blocks + tg.ssssm.len());
-    let mut seeds = BinaryHeap::new();
-    for id in 0..num_blocks {
-        let (bi, bj) = bm.block_coords(id);
-        let wait = usize::from(tg.indegree[id] > 0) + usize::from(bi != bj);
-        if wait == 0 {
-            seeds.push(PrioritisedTask(Task::Getrf { k: bi }));
-        }
-        waits.push(AtomicUsize::new(wait));
-    }
-    waits.extend(tg.ssssm.iter().map(|_| AtomicUsize::new(2)));
-    for next in tg.next_on_target.iter().flatten() {
-        *waits[num_blocks + *next as usize].get_mut() += 1;
-    }
-
+    let seeds = (0..num_blocks)
+        .filter(|&id| tg.wait[id] == 0)
+        .map(|id| PrioritisedTask::new(tg.task_at(bm, id), id))
+        .collect();
     let run = Run {
         blocks: SharedBlocks { ptr: blocks_ptr(bm) },
         bm,
@@ -130,27 +147,32 @@ pub fn factor_shared_planned<S: Scalar>(
         selector,
         plans,
         pivot_floor,
-        waits,
+        waits: tg.wait.iter().map(|&w| AtomicU32::new(w)).collect(),
         ready: Mutex::new(seeds),
-        remaining: AtomicUsize::new(num_blocks + tg.ssssm.len()),
+        remaining: AtomicUsize::new(tg.wait.len()),
         perturbed: AtomicUsize::new(0),
+        abort: AtomicBool::new(false),
     };
-    std::thread::scope(|s| {
-        for _ in 0..threads.max(1) {
-            s.spawn(|| run.work());
-        }
-    });
+    let times = if threads <= 1 {
+        vec![run.work()]
+    } else {
+        std::thread::scope(|s| join_all((0..threads).map(|_| s.spawn(|| run.work())).collect()))
+    };
+    let [getrf_time, trsm_time, ssssm_time] =
+        times.into_iter().fold([Duration::ZERO; 3], |a, t| [a[0] + t[0], a[1] + t[1], a[2] + t[2]]);
 
     NumericStats {
+        getrf_time,
+        trsm_time,
+        ssssm_time,
         perturbed_pivots: run.perturbed.into_inner(),
         flops: tg.total_flops(),
         kernel_counts: [
-            nblk,
+            bm.nblk(),
             tg.u_panels.iter().map(|v| v.len()).sum(),
             tg.l_panels.iter().map(|v| v.len()).sum(),
             tg.ssssm.len(),
         ],
-        ..Default::default()
     }
 }
 
@@ -183,7 +205,7 @@ fn build_all_plans<S: Scalar>(
     for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
         let a = bm.block(bm.block_id(i, k).expect("L operand"));
         let b = bm.block(bm.block_id(k, j).expect("U operand"));
-        let c = bm.block(bm.block_id(i, j).expect("target"));
+        let c = bm.block(tg.block_of(bm.num_blocks() + n));
         plans.route_ssssm(selector, n, tg.ssssm_flops[n], a, b, c);
     }
     plans.shrink_to_fit();
@@ -195,63 +217,61 @@ fn blocks_ptr<S: Scalar>(bm: &mut BlockMatrix<S>) -> *mut CscMatrix<S> {
 }
 
 impl<S: Scalar> Run<'_, S> {
-    /// One worker: pop the lowest ready task, run it, queue what it freed.
-    fn work(&self) {
+    /// One worker: pop the lowest ready task, run it, count down what it
+    /// releases. Returns the worker's kernel time per class: GETRF, the
+    /// panel solves, SSSSM.
+    fn work(&self) -> [Duration; 3] {
+        let _abort_on_unwind = AbortOnUnwind(&self.abort);
         let mut scratch = KernelScratch::<S>::with_capacity(self.bm.nb());
         let mut kernels = TimedKernels::new(false);
+        let mut times = [Duration::ZERO; 3];
+        // Tasks this worker freed, queued when it next takes the lock.
         let mut freed = Vec::new();
-        while self.remaining.load(Ordering::Acquire) > 0 {
-            let popped = self.ready.lock().expect("ready heap poisoned").pop();
-            let Some(PrioritisedTask(task)) = popped else {
+        while self.remaining.load(Ordering::Acquire) > 0 && !self.abort.load(Ordering::Relaxed) {
+            let popped = {
+                let mut ready = self.ready.lock().expect("ready heap poisoned");
+                ready.extend(freed.drain(..));
+                ready.pop()
+            };
+            let Some(ready) = popped else {
                 std::thread::yield_now();
                 continue;
             };
-            self.execute(task, &mut scratch, &mut kernels, &mut freed);
-            if !freed.is_empty() {
-                let mut ready = self.ready.lock().expect("ready heap poisoned");
-                ready.extend(freed.drain(..).map(PrioritisedTask));
+            let (task, slot) = (ready.task(), ready.slot);
+            let t0 = Instant::now();
+            self.execute(task, slot, &mut scratch, &mut kernels);
+            times[usize::from(task.class_rank())] += t0.elapsed();
+            for &s in self.tg.releases(slot) {
+                let s = s as usize;
+                if self.waits[s].fetch_sub(1, Ordering::AcqRel) == 1 {
+                    freed.push(PrioritisedTask::new(self.tg.task_at(self.bm, s), s));
+                }
             }
             self.remaining.fetch_sub(1, Ordering::AcqRel);
         }
+        times
     }
 
-    /// Counts down the wait of task `slot`; the finisher that reaches
-    /// zero collects it into `freed`.
-    fn release(&self, slot: usize, task: Task, freed: &mut Vec<Task>) {
-        if self.waits[slot].fetch_sub(1, Ordering::AcqRel) == 1 {
-            freed.push(task);
-        }
-    }
-
+    /// Runs the kernel of `task`, whose countdown just reached zero.
     fn execute(
         &self,
         task: Task,
+        slot: usize,
         scratch: &mut KernelScratch<S>,
         kernels: &mut TimedKernels,
-        freed: &mut Vec<Task>,
     ) {
         let (bm, tg, sel, plans) = (self.bm, self.tg, self.selector, self.plans);
-        let first_update = bm.num_blocks(); // countdown slot of update 0
+        let id = tg.block_of(slot);
         match task {
             Task::Getrf { k } => {
-                let id = bm.block_id(k, k).expect("diag exists");
                 // SAFETY: every update onto (k, k) has finished and every
                 // reader of it waits on this GETRF.
                 let blk = unsafe { self.blocks.get_mut(id) };
                 let route = plans.prebuilt_getrf(sel, k, blk);
                 let n = kernels.getrf(route, blk, scratch, self.pivot_floor, tg.panel_flops[id]);
                 self.perturbed.fetch_add(n, Ordering::Relaxed);
-                for &j in &tg.u_panels[k] {
-                    let pid = bm.block_id(k, j).expect("panel exists");
-                    self.release(pid, Task::Gessm { k, j }, freed);
-                }
-                for &i in &tg.l_panels[k] {
-                    let pid = bm.block_id(i, k).expect("panel exists");
-                    self.release(pid, Task::Tstrf { i, k }, freed);
-                }
             }
-            Task::Gessm { k, j } => {
-                let id = bm.block_id(k, j).expect("panel exists");
+            Task::Gessm { k, .. } => {
                 let diag_id = bm.block_id(k, k).expect("diag exists");
                 // SAFETY: GETRF(k) released this task, so the diagonal is
                 // final; the panel's updates have finished and its
@@ -259,28 +279,16 @@ impl<S: Scalar> Run<'_, S> {
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
                 let route = plans.prebuilt_gessm(sel, id, diag, blk);
                 kernels.gessm(route, diag, blk, scratch, tg.panel_flops[id]);
-                for &i in &tg.l_panels[k] {
-                    if let Some(g) = tg.ssssm_index(i, j, k) {
-                        self.release(first_update + g, Task::Ssssm { i, j, k }, freed);
-                    }
-                }
             }
-            Task::Tstrf { i, k } => {
-                let id = bm.block_id(i, k).expect("panel exists");
+            Task::Tstrf { k, .. } => {
                 let diag_id = bm.block_id(k, k).expect("diag exists");
                 // SAFETY: as for GESSM.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
                 let route = plans.prebuilt_tstrf(sel, id, diag, blk);
                 kernels.tstrf(route, diag, blk, scratch, tg.panel_flops[id]);
-                for &j in &tg.u_panels[k] {
-                    if let Some(g) = tg.ssssm_index(i, j, k) {
-                        self.release(first_update + g, Task::Ssssm { i, j, k }, freed);
-                    }
-                }
             }
             Task::Ssssm { i, j, k } => {
-                let g = tg.ssssm_index(i, j, k).expect("queued update is in the task graph");
-                let c_id = bm.block_id(i, j).expect("target");
+                let g = slot - bm.num_blocks();
                 // SAFETY: both operand panels released this update and are
                 // final; the previous update onto (i, j) has finished, and
                 // the next one and the target's panel op wait on this one.
@@ -288,25 +296,11 @@ impl<S: Scalar> Run<'_, S> {
                     (
                         self.blocks.get(bm.block_id(i, k).expect("L operand")),
                         self.blocks.get(bm.block_id(k, j).expect("U operand")),
-                        self.blocks.get_mut(c_id),
+                        self.blocks.get_mut(id),
                     )
                 };
                 let fl = tg.ssssm_flops[g];
                 kernels.ssssm(plans.prebuilt_ssssm(sel, g, fl, a, c), a, b, c, scratch, fl);
-                match tg.next_on_target[g] {
-                    Some(next) => {
-                        let (i, j, k) = tg.ssssm[next as usize];
-                        self.release(first_update + next as usize, Task::Ssssm { i, j, k }, freed);
-                    }
-                    None => {
-                        let panel = match i.cmp(&j) {
-                            std::cmp::Ordering::Equal => Task::Getrf { k: i },
-                            std::cmp::Ordering::Less => Task::Gessm { k: i, j },
-                            std::cmp::Ordering::Greater => Task::Tstrf { i, k: j },
-                        };
-                        self.release(c_id, panel, freed);
-                    }
-                }
             }
         }
     }
@@ -315,7 +309,7 @@ impl<S: Scalar> Run<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::seq::{empty_plans, factor_sequential_planned};
+    use crate::seq::{empty_plans, factor_sequential};
     use pangulu_kernels::select::Thresholds;
     use pangulu_sparse::gen;
     use pangulu_sparse::ops::ensure_diagonal;
@@ -335,7 +329,7 @@ mod tests {
             let (nnz, bm0, tg) = build(60, 8, seed);
             let sel = KernelSelector::new(nnz, Thresholds::default());
             let mut seq_bm = bm0.clone();
-            factor_sequential_planned(&mut seq_bm, &tg, &sel, 0.0, &mut empty_plans(&bm0, &tg));
+            factor_sequential(&mut seq_bm, &tg, &sel, 0.0);
             let want = seq_bm.to_csc();
 
             let mut par_bm = bm0.clone();

@@ -27,7 +27,7 @@ use crate::dist::{
     factor_distributed_cached, DistStats, FactorConfig, NumericWorkspace, ScheduleMode,
 };
 use crate::layout::OwnerMap;
-use crate::seq::{empty_plans, factor_sequential_planned, NumericStats};
+use crate::seq::{empty_plans, NumericStats};
 use crate::shared::factor_shared_planned;
 use crate::task::TaskGraph;
 use crate::trisolve::{
@@ -382,21 +382,22 @@ struct NumericCache<S: Scalar> {
 }
 
 enum Executor<S: Scalar> {
-    /// One rank: the planned sequential sweep and its plan pool.
-    Sequential(KernelPlans<S>),
-    /// Shared-memory worker threads over one eagerly built plan pool.
+    /// The countdown engine over one block store: one worker on the
+    /// caller's thread for one rank, else shared-memory worker threads,
+    /// with one eagerly built plan pool.
     Shared { threads: usize, plans: KernelPlans<S> },
-    /// Message-passing ranks: the per-rank block tables, dependency
-    /// counters, schedules and plan pools live in the workspace.
+    /// Message-passing ranks: the per-rank block tables, countdowns and
+    /// plan pools live in the workspace.
     Distributed { cfg: FactorConfig, workspace: NumericWorkspace<S> },
 }
 
 impl<S: Scalar> NumericCache<S> {
     fn new(opts: &SolverOptions, bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
-        let executor = if let Some(threads) = opts.shared_threads {
-            Executor::Shared { threads, plans: empty_plans(bm, tg) }
-        } else if opts.ranks == 1 {
-            Executor::Sequential(empty_plans(bm, tg))
+        let executor = if opts.shared_threads.is_some() || opts.ranks == 1 {
+            Executor::Shared {
+                threads: opts.shared_threads.unwrap_or(1),
+                plans: empty_plans(bm, tg),
+            }
         } else {
             Executor::Distributed {
                 cfg: FactorConfig::with_mode(opts.schedule).with_transport(opts.transport),
@@ -434,13 +435,6 @@ impl<S: Scalar> NumericCache<S> {
             KernelSelector::baseline(nnz)
         };
         match &mut self.executor {
-            Executor::Sequential(plans) => NumericSummary::in_process(factor_sequential_planned(
-                bm,
-                tg,
-                selector,
-                pivot_floor,
-                plans,
-            )),
             Executor::Shared { threads, plans } => NumericSummary::in_process(
                 factor_shared_planned(bm, tg, selector, pivot_floor, *threads, plans),
             ),
@@ -469,7 +463,7 @@ impl<S: Scalar> NumericCache<S> {
     /// Memory and build accounting of the cached kernel plans.
     fn plan_stats(&self) -> PlanStats {
         match &self.executor {
-            Executor::Sequential(plans) | Executor::Shared { plans, .. } => plans.stats(),
+            Executor::Shared { plans, .. } => plans.stats(),
             Executor::Distributed { workspace, .. } => workspace.plan_stats(),
         }
     }
@@ -1944,6 +1938,21 @@ mod tests {
         let xs = seq.solve(&b).unwrap();
         for (p, q) in x.iter().zip(&xs) {
             assert!((p - q).abs() < 1e-8);
+        }
+    }
+
+    #[test]
+    fn shared_threads_report_numeric_phase_times() {
+        let a = gen::laplacian_2d(30, 30);
+        for threads in [1, 2] {
+            let solver = Solver::builder().shared_threads(threads).build(&a).unwrap();
+            let ns = solver.stats().numeric.as_ref().expect("in-process numeric stats");
+            assert!(ns.kernel_counts.iter().all(|&c| c > 0), "{threads}: fixture lacks a class");
+            for (class, t) in
+                [("GETRF", ns.getrf_time), ("TRSM", ns.trsm_time), ("SSSSM", ns.ssssm_time)]
+            {
+                assert!(t > Duration::ZERO, "{threads} threads: no {class} time");
+            }
         }
     }
 

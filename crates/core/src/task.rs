@@ -9,9 +9,12 @@
 //!
 //! [`TaskGraph`] precomputes everything the executors and the DES need:
 //! per-step panel lists, SSSSM triples, indegrees, per-block FLOP weights
-//! and the destinations each finished block must be shipped to.
+//! and the one dependency rule every executor runs: each task's initial
+//! wait ([`TaskGraph::wait`]) and the tasks a finished task releases
+//! ([`TaskGraph::releases`]), from which the ranks a finished block is
+//! shipped to follow ([`TaskGraph::destinations`]).
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 
 use pangulu_kernels::flops;
 
@@ -54,7 +57,7 @@ impl Task {
 
     /// Kernel-class rank for priority ties: GETRF first, then the panel
     /// solves, then SSSSM (critical path first, §4.4).
-    fn class_rank(&self) -> u8 {
+    pub(crate) fn class_rank(&self) -> u8 {
         match self {
             Task::Getrf { .. } => 0,
             Task::Gessm { .. } | Task::Tstrf { .. } => 1,
@@ -63,22 +66,32 @@ impl Task {
     }
 }
 
-/// Priority wrapper: lower step first, then class rank, then target for
-/// determinism. `BinaryHeap` is a max-heap, so the `Ord` is reversed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PrioritisedTask(pub Task);
-
-impl Ord for PrioritisedTask {
-    fn cmp(&self, other: &Self) -> Ordering {
-        let a = (self.0.step(), self.0.class_rank(), self.0.target());
-        let b = (other.0.step(), other.0.class_rank(), other.0.target());
-        b.cmp(&a) // reversed: smallest first out of the max-heap
-    }
+/// A ready-queue entry: the task's step-major key — lower step first,
+/// then class rank, then target for determinism — and its countdown slot
+/// (see [`TaskGraph::wait`]). `BinaryHeap` is a max-heap, so the key is
+/// reversed; it is computed once, when the task is queued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct PrioritisedTask {
+    key: Reverse<(usize, u8, (usize, usize))>,
+    /// The task's countdown slot.
+    pub slot: usize,
 }
 
-impl PartialOrd for PrioritisedTask {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+impl PrioritisedTask {
+    /// The queue entry of `task`, whose countdown slot is `slot`.
+    pub fn new(task: Task, slot: usize) -> Self {
+        PrioritisedTask { key: Reverse((task.step(), task.class_rank(), task.target())), slot }
+    }
+
+    /// The queued task, rebuilt from its key.
+    pub fn task(&self) -> Task {
+        let Reverse((k, class, (i, j))) = self.key;
+        match class {
+            0 => Task::Getrf { k },
+            1 if i == k => Task::Gessm { k, j },
+            1 => Task::Tstrf { i, k },
+            _ => Task::Ssssm { i, j, k },
+        }
     }
 }
 
@@ -109,6 +122,18 @@ pub struct TaskGraph {
     pub panel_flops: Vec<f64>,
     /// Total FLOP weight of the SSSSM updates targeting each block id.
     pub update_flops: Vec<f64>,
+    /// The initial wait of every task, by slot: panel ops by block id,
+    /// then update `g` at `num_blocks + g`. A panel op waits on the last
+    /// update of its target chain, if it has one, and on its diagonal
+    /// factor, if it is off-diagonal; an update waits on its two operands
+    /// and on its chain predecessor, if it has one.
+    pub wait: Vec<u32>,
+    /// Block id of each update's target, parallel to [`TaskGraph::ssssm`].
+    update_target: Vec<u32>,
+    /// The release lists in CSR form: the slots `releases(s)` lists are
+    /// `release_idx[release_ptr[s]..release_ptr[s + 1]]`.
+    release_ptr: Vec<usize>,
+    release_idx: Vec<u32>,
 }
 
 impl TaskGraph {
@@ -133,36 +158,49 @@ impl TaskGraph {
             u.sort_unstable();
         }
 
+        let num_blocks = bm.num_blocks();
         let mut ssssm = Vec::new();
         let mut ssssm_flops = Vec::new();
         let mut next_on_target: Vec<Option<u32>> = Vec::new();
+        let mut update_target: Vec<u32> = Vec::new();
         // Latest update seen per target: triples come out in ascending
         // `k`, so linking each to its target's previous one forms the chain.
-        let mut last_on_target: Vec<Option<u32>> = vec![None; bm.num_blocks()];
-        let mut indegree = vec![0usize; bm.num_blocks()];
-        let mut update_flops = vec![0.0f64; bm.num_blocks()];
+        let mut last_on_target: Vec<Option<u32>> = vec![None; num_blocks];
+        let mut indegree = vec![0usize; num_blocks];
+        let mut update_flops = vec![0.0f64; num_blocks];
+        // The dependency rule as (releasing slot, released slot) edges.
+        let mut edges: Vec<(usize, u32)> = Vec::new();
         // Per step k: SSSSM flops for the (i, j) pair reduce to a dot
         // product of A(i,k)'s per-column nnz with B(k,j)'s per-row entry
         // counts over the inner dimension — O(nb) per pair instead of
         // O(nnz(B)).
         let mut a_colnnz: Vec<Vec<f64>> = Vec::new();
         let mut b_rowcnt: Vec<Vec<f64>> = Vec::new();
+        let (mut l_ids, mut u_ids) = (Vec::new(), Vec::new());
         for k in 0..nblk {
-            let width_k = bm.block(bm.block_id(k, k).expect("diag exists")).ncols();
+            let diag = bm.block_id(k, k).expect("diag exists");
+            let width_k = bm.block(diag).ncols();
+            l_ids.clear();
             a_colnnz.clear();
             for &i in &l_panels[k] {
-                let a = bm.block(bm.block_id(i, k).expect("L panel exists"));
+                let id = bm.block_id(i, k).expect("L panel exists");
+                let a = bm.block(id);
+                l_ids.push(id);
                 a_colnnz.push((0..a.ncols()).map(|c| a.col_nnz(c) as f64).collect());
             }
+            u_ids.clear();
             b_rowcnt.clear();
             for &j in &u_panels[k] {
-                let b = bm.block(bm.block_id(k, j).expect("U panel exists"));
+                let id = bm.block_id(k, j).expect("U panel exists");
                 let mut cnt = vec![0.0f64; width_k];
-                for &r in b.row_idx() {
+                for &r in bm.block(id).row_idx() {
                     cnt[r] += 1.0;
                 }
+                u_ids.push(id);
                 b_rowcnt.push(cnt);
             }
+            // GETRF(k) releases the panel solves of its step.
+            edges.extend(u_ids.iter().chain(&l_ids).map(|&id| (diag, id as u32)));
             for (ai, &i) in l_panels[k].iter().enumerate() {
                 for (bj, &j) in u_panels[k].iter().enumerate() {
                     if let Some(c_id) = bm.block_id(i, j) {
@@ -171,8 +209,11 @@ impl TaskGraph {
                             next_on_target[prev as usize] = Some(g);
                         }
                         next_on_target.push(None);
+                        update_target.push(c_id as u32);
                         ssssm.push((i, j, k));
                         indegree[c_id] += 1;
+                        let slot = (num_blocks + g as usize) as u32;
+                        edges.extend([(l_ids[ai], slot), (u_ids[bj], slot)]);
                         let fl: f64 =
                             a_colnnz[ai].iter().zip(&b_rowcnt[bj]).map(|(a, b)| a * b).sum::<f64>()
                                 * 2.0;
@@ -184,8 +225,30 @@ impl TaskGraph {
                 }
             }
         }
+        // An update releases the next one on its target's chain, the
+        // chain's last update the target's panel op.
+        for (g, next) in next_on_target.iter().enumerate() {
+            let released = next.map_or(update_target[g], |n| (num_blocks + n as usize) as u32);
+            edges.push((num_blocks + g, released));
+        }
+        let num_slots = num_blocks + ssssm.len();
+        let mut wait = vec![0u32; num_slots];
+        let mut release_ptr = vec![0usize; num_slots + 1];
+        for &(from, to) in &edges {
+            release_ptr[from + 1] += 1;
+            wait[to as usize] += 1;
+        }
+        for s in 0..num_slots {
+            release_ptr[s + 1] += release_ptr[s];
+        }
+        let mut fill = release_ptr.clone();
+        let mut release_idx = vec![0u32; edges.len()];
+        for (from, to) in edges {
+            release_idx[fill[from]] = to;
+            fill[from] += 1;
+        }
 
-        let mut panel_flops = vec![0.0f64; bm.num_blocks()];
+        let mut panel_flops = vec![0.0f64; num_blocks];
         for (id, pf) in panel_flops.iter_mut().enumerate() {
             let (bi, bj) = bm.block_coords(id);
             *pf = match bi.cmp(&bj) {
@@ -211,7 +274,54 @@ impl TaskGraph {
             indegree,
             panel_flops,
             update_flops,
+            wait,
+            update_target,
+            release_ptr,
+            release_idx,
         }
+    }
+
+    /// The tasks a finished task `slot` releases — the one dependency
+    /// rule of every executor: each listed slot's wait drops by one, and
+    /// whoever brings it to zero queues that task. GETRF(k) releases the
+    /// panel solves of step `k`; a panel solve releases the updates that
+    /// read it; an update releases the next update onto its target, or,
+    /// as the chain's last, the target's panel op.
+    pub fn releases(&self, slot: usize) -> &[u32] {
+        &self.release_idx[self.release_ptr[slot]..self.release_ptr[slot + 1]]
+    }
+
+    /// The block the task in `slot` writes.
+    pub fn block_of(&self, slot: usize) -> usize {
+        // `indegree` has one entry per block: update slots start there.
+        match slot.checked_sub(self.indegree.len()) {
+            Some(g) => self.update_target[g] as usize,
+            None => slot,
+        }
+    }
+
+    /// The task in `slot`.
+    pub fn task_at<S: pangulu_sparse::Scalar>(&self, bm: &BlockMatrix<S>, slot: usize) -> Task {
+        if let Some(g) = slot.checked_sub(bm.num_blocks()) {
+            let (i, j, k) = self.ssssm[g];
+            return Task::Ssssm { i, j, k };
+        }
+        let (i, j) = bm.block_coords(slot);
+        match i.cmp(&j) {
+            Ordering::Equal => Task::Getrf { k: i },
+            Ordering::Less => Task::Gessm { k: i, j },
+            Ordering::Greater => Task::Tstrf { i, k: j },
+        }
+    }
+
+    /// The ranks that must hold block `id` once its panel op finished:
+    /// the owners of the tasks it releases, sorted and de-duplicated.
+    pub fn destinations(&self, owners: &OwnerMap, id: usize) -> Vec<usize> {
+        let mut dests: Vec<usize> =
+            self.releases(id).iter().map(|&s| owners.owner_of(self.block_of(s as usize))).collect();
+        dests.sort_unstable();
+        dests.dedup();
+        dests
     }
 
     /// Total task count (one panel op per block plus the SSSSMs).
@@ -228,73 +338,6 @@ impl TaskGraph {
     /// static load balancer migrates (§4.2).
     pub fn block_weight(&self, id: usize) -> f64 {
         self.panel_flops[id] + self.update_flops[id]
-    }
-
-    /// Destination ranks that must receive the factored diagonal block
-    /// `k`: the owners of its row and column panels.
-    pub fn diag_destinations<S: pangulu_sparse::Scalar>(
-        &self,
-        bm: &BlockMatrix<S>,
-        owners: &OwnerMap,
-        k: usize,
-    ) -> Vec<usize> {
-        let mut dests: Vec<usize> = self.l_panels[k]
-            .iter()
-            .map(|&i| owners.owner_of(bm.block_id(i, k).expect("panel exists")))
-            .chain(
-                self.u_panels[k]
-                    .iter()
-                    .map(|&j| owners.owner_of(bm.block_id(k, j).expect("panel exists"))),
-            )
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
-        dests
-    }
-
-    /// Destination ranks of a finished L-panel block `(i, k)`: the owners
-    /// of every SSSSM target `(i, j)` it feeds.
-    pub fn l_panel_destinations<S: pangulu_sparse::Scalar>(
-        &self,
-        bm: &BlockMatrix<S>,
-        owners: &OwnerMap,
-        i: usize,
-        k: usize,
-    ) -> Vec<usize> {
-        let mut dests: Vec<usize> = self.u_panels[k]
-            .iter()
-            .filter_map(|&j| bm.block_id(i, j))
-            .map(|cid| owners.owner_of(cid))
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
-        dests
-    }
-
-    /// Index of update `(i, j, k)` in [`TaskGraph::ssssm`] — the slot key
-    /// of its kernel plan. [`TaskGraph::build`] emits the triples in
-    /// ascending `(k, i, j)` order, so this is a binary search and no
-    /// executor needs a lookup table.
-    pub fn ssssm_index(&self, i: usize, j: usize, k: usize) -> Option<usize> {
-        self.ssssm.binary_search_by_key(&(k, i, j), |&(i, j, k)| (k, i, j)).ok()
-    }
-
-    /// Destination ranks of a finished U-panel block `(k, j)`.
-    pub fn u_panel_destinations<S: pangulu_sparse::Scalar>(
-        &self,
-        bm: &BlockMatrix<S>,
-        owners: &OwnerMap,
-        k: usize,
-        j: usize,
-    ) -> Vec<usize> {
-        let mut dests: Vec<usize> = self.l_panels[k]
-            .iter()
-            .filter_map(|&i| bm.block_id(i, j))
-            .map(|cid| owners.owner_of(cid))
-            .collect();
-        dests.sort_unstable();
-        dests.dedup();
-        dests
     }
 }
 
@@ -415,11 +458,11 @@ mod tests {
     #[test]
     fn every_ssssm_has_lower_step_than_target_panel() {
         let (_, tg) = build(48, 8, 2);
-        for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
+        for &(i, j, k) in &tg.ssssm {
             assert!(k < i.min(j), "SSSSM ({i},{j},{k}) must precede step {}", i.min(j));
-            assert_eq!(tg.ssssm_index(i, j, k), Some(n), "update list must be (k, i, j)-sorted");
         }
-        assert_eq!(tg.ssssm_index(0, 0, 0), None);
+        let keys: Vec<_> = tg.ssssm.iter().map(|&(i, j, k)| (k, i, j)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "update list must be (k, i, j)-sorted");
     }
 
     #[test]
@@ -514,15 +557,17 @@ mod tests {
     #[test]
     fn priority_orders_steps_then_class() {
         let mut heap = std::collections::BinaryHeap::new();
-        heap.push(PrioritisedTask(Task::Ssssm { i: 3, j: 3, k: 0 }));
-        heap.push(PrioritisedTask(Task::Getrf { k: 0 }));
-        heap.push(PrioritisedTask(Task::Gessm { k: 0, j: 2 }));
-        heap.push(PrioritisedTask(Task::Getrf { k: 1 }));
-        let order: Vec<Task> = std::iter::from_fn(|| heap.pop().map(|p| p.0)).collect();
+        heap.push(PrioritisedTask::new(Task::Ssssm { i: 3, j: 3, k: 0 }, 0));
+        heap.push(PrioritisedTask::new(Task::Getrf { k: 0 }, 1));
+        heap.push(PrioritisedTask::new(Task::Gessm { k: 0, j: 2 }, 2));
+        heap.push(PrioritisedTask::new(Task::Tstrf { i: 2, k: 0 }, 3));
+        heap.push(PrioritisedTask::new(Task::Getrf { k: 1 }, 4));
+        let order: Vec<Task> = std::iter::from_fn(|| heap.pop().map(|p| p.task())).collect();
         assert_eq!(order[0], Task::Getrf { k: 0 });
         assert_eq!(order[1], Task::Gessm { k: 0, j: 2 });
-        assert_eq!(order[2], Task::Ssssm { i: 3, j: 3, k: 0 });
-        assert_eq!(order[3], Task::Getrf { k: 1 });
+        assert_eq!(order[2], Task::Tstrf { i: 2, k: 0 });
+        assert_eq!(order[3], Task::Ssssm { i: 3, j: 3, k: 0 });
+        assert_eq!(order[4], Task::Getrf { k: 1 });
     }
 
     #[test]
@@ -567,18 +612,75 @@ mod tests {
         }
     }
 
-    #[test]
-    fn destinations_cover_dependents() {
-        let (bm, tg) = build(64, 8, 4);
-        let owners = OwnerMap::block_cyclic(&bm, pangulu_comm::ProcessGrid::new(4));
-        for k in 0..bm.nblk() {
-            let dests = tg.diag_destinations(&bm, &owners, k);
-            for &i in &tg.l_panels[k] {
-                let o = owners.owner_of(bm.block_id(i, k).unwrap());
-                assert!(dests.contains(&o));
+    /// The consumers of a finished panel block by the paper's rules,
+    /// walked from the panel lists: a diagonal factor feeds its step's
+    /// panels, an L-panel `(i, k)` the targets `(i, j)`, a U-panel
+    /// `(k, j)` the targets `(i, j)`.
+    fn consumer_blocks(bm: &BlockMatrix, tg: &TaskGraph, id: usize) -> Vec<usize> {
+        let (bi, bj) = bm.block_coords(id);
+        let k = bi.min(bj);
+        match bi.cmp(&bj) {
+            Ordering::Equal => (tg.u_panels[k].iter().map(|&j| (k, j)))
+                .chain(tg.l_panels[k].iter().map(|&i| (i, k)))
+                .filter_map(|(i, j)| bm.block_id(i, j))
+                .collect(),
+            Ordering::Greater => {
+                tg.u_panels[k].iter().filter_map(|&j| bm.block_id(bi, j)).collect()
             }
-            for w in dests.windows(2) {
-                assert!(w[0] < w[1], "destinations must be sorted+deduped");
+            Ordering::Less => tg.l_panels[k].iter().filter_map(|&i| bm.block_id(i, bj)).collect(),
+        }
+    }
+
+    fn step_class(t: Task) -> (usize, u8) {
+        (t.step(), t.class_rank())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        /// The one dependency rule over random block structures: each
+        /// task's initial wait is the number of tasks that release it and
+        /// matches the rule's definition, every release goes to a strictly
+        /// later (step, class), and a finished block's destinations are
+        /// the owners of its consumers.
+        #[test]
+        fn releases_are_the_dependency_rule(
+            (n, nb, seed, ranks) in (8usize..90, 1usize..24, 0u64..1000, 1usize..7)
+        ) {
+            let (bm, tg) = build(n, nb, seed);
+            let nblocks = bm.num_blocks();
+            assert_eq!(tg.wait.len(), tg.num_tasks(nblocks));
+            let mut released = vec![0u32; tg.wait.len()];
+            for slot in 0..tg.wait.len() {
+                let from = tg.task_at(&bm, slot);
+                assert_eq!(bm.block_id(from.target().0, from.target().1), Some(tg.block_of(slot)));
+                for &s in tg.releases(slot) {
+                    let to = tg.task_at(&bm, s as usize);
+                    assert!(step_class(to) > step_class(from), "{from:?} releases {to:?}");
+                    released[s as usize] += 1;
+                }
+            }
+            assert_eq!(released, tg.wait, "waits are the release in-degrees");
+            let mut has_pred = vec![false; tg.ssssm.len()];
+            for &next in tg.next_on_target.iter().flatten() {
+                has_pred[next as usize] = true;
+            }
+            for (slot, &wait) in tg.wait.iter().enumerate() {
+                let rule = match tg.task_at(&bm, slot) {
+                    Task::Ssssm { .. } => 2 + u32::from(has_pred[slot - nblocks]),
+                    t => {
+                        let (bi, bj) = t.target();
+                        u32::from(tg.indegree[slot] > 0) + u32::from(bi != bj)
+                    }
+                };
+                assert_eq!(wait, rule, "slot {slot}");
+            }
+            let owners = OwnerMap::block_cyclic(&bm, pangulu_comm::ProcessGrid::new(ranks));
+            for id in 0..nblocks {
+                let mut want: Vec<usize> =
+                    consumer_blocks(&bm, &tg, id).into_iter().map(|b| owners.owner_of(b)).collect();
+                want.sort_unstable();
+                want.dedup();
+                assert_eq!(tg.destinations(&owners, id), want, "block {id}");
             }
         }
     }

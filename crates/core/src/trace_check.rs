@@ -30,6 +30,7 @@
 //! an adversarial [`pangulu_comm::FaultPlan`] shows the full blast
 //! radius at once.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 use std::time::Duration;
@@ -381,44 +382,23 @@ fn check_dep(report: &mut TraceReport, e: &TraceEvent, dep: Task, dep_end: Optio
 }
 
 /// The remote transfers the task graph prescribes: each finished block to
-/// every rank owning a kernel that consumes it, minus the producer itself.
+/// every rank owning a task it releases, minus the producer itself.
 fn expected_transfers(
     bm: &BlockMatrix,
     tg: &TaskGraph,
     owners: &OwnerMap,
 ) -> HashMap<DeliveryRecord, usize> {
     let mut expected: HashMap<DeliveryRecord, usize> = HashMap::new();
-    for k in 0..tg.nblk {
-        let diag_id = bm.block_id(k, k).expect("diagonal block exists");
-        let from = owners.owner_of(diag_id);
-        for to in tg.diag_destinations(bm, owners, k) {
-            if to != from {
-                *expected
-                    .entry(DeliveryRecord::new(from, to, k, k, BlockRole::DiagFactor))
-                    .or_insert(0) += 1;
-            }
-        }
-        for &j in &tg.u_panels[k] {
-            let id = bm.block_id(k, j).expect("U panel exists");
-            let from = owners.owner_of(id);
-            for to in tg.u_panel_destinations(bm, owners, k, j) {
-                if to != from {
-                    *expected
-                        .entry(DeliveryRecord::new(from, to, k, j, BlockRole::UPanel))
-                        .or_insert(0) += 1;
-                }
-            }
-        }
-        for &i in &tg.l_panels[k] {
-            let id = bm.block_id(i, k).expect("L panel exists");
-            let from = owners.owner_of(id);
-            for to in tg.l_panel_destinations(bm, owners, i, k) {
-                if to != from {
-                    *expected
-                        .entry(DeliveryRecord::new(from, to, i, k, BlockRole::LPanel))
-                        .or_insert(0) += 1;
-                }
-            }
+    for id in 0..bm.num_blocks() {
+        let (bi, bj) = bm.block_coords(id);
+        let role = match bi.cmp(&bj) {
+            Ordering::Equal => BlockRole::DiagFactor,
+            Ordering::Less => BlockRole::UPanel,
+            Ordering::Greater => BlockRole::LPanel,
+        };
+        let from = owners.owner_of(id);
+        for to in tg.destinations(owners, id).into_iter().filter(|&to| to != from) {
+            *expected.entry(DeliveryRecord::new(from, to, bi, bj, role)).or_insert(0) += 1;
         }
     }
     expected

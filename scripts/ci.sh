@@ -16,10 +16,12 @@
 #           (see docs/FAULT_INJECTION.md)
 #   sched   scheduling-correctness layer: the determinism matrix
 #           (bitwise factors across grids x modes x fault plans x shared
-#           thread counts), the DES <-> executor traffic identity, and
-#           refactorisation reuse, each run without and with --release so
-#           the thread-count stress meets debug timing too (see
-#           docs/SCHEDULING.md)
+#           thread counts), the DES <-> executor traffic identity,
+#           refactorisation reuse, the stall diagnosis under faults and the
+#           schedule-trace replay, and the executors' and the dependency
+#           rule's unit tests (seq:: shared:: dist:: task::), each run
+#           without and with --release so the thread-count stress meets
+#           debug timing too (see docs/SCHEDULING.md)
 #   transport  wire model and metrics invariants (observed == predicted
 #           FLOPs): codec property tests, the wire-model accounting guard,
 #           the metrics suite (observed == predicted model FLOPs on every
@@ -124,7 +126,9 @@ stage_sched() {
     local profile
     for profile in "" --release; do
         echo "--- scheduling correctness, profile: ${profile:-debug}"
-        cargo test $profile -q --test determinism --test des_consistency --test refactor
+        cargo test $profile -q --test determinism --test des_consistency --test refactor \
+            --test fault_injection --test schedule_trace
+        cargo test $profile -q -p pangulu-core --lib -- seq:: shared:: dist:: task::
     done
 }
 

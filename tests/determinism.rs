@@ -114,22 +114,15 @@ fn factors_agree_across_grids_and_modes() {
 
 /// Kernel plans are bitwise-neutral: with plans disabled, every grid ×
 /// mode cell still computes the exact factors of the planned default —
-/// including the sequential reference (the planned sequential sweep, the
-/// 1×1 distributed run, and the unplanned runs all agree bitwise).
+/// including the sequential reference (the unplanned sequential sweep,
+/// the 1×1 distributed run, and the unplanned runs all agree bitwise).
 #[test]
 fn planned_and_unplanned_factors_are_bitwise_identical() {
     let prob = problem(5);
 
-    // Sequential planned sweep as the schedule-free reference.
+    // The unplanned sequential sweep as the schedule-free reference.
     let mut seq_bm = prob.bm.clone();
-    let mut plans = pangulu::core::seq::empty_plans(&seq_bm, &prob.tg);
-    pangulu::core::seq::factor_sequential_planned(
-        &mut seq_bm,
-        &prob.tg,
-        &prob.sel,
-        1e-12,
-        &mut plans,
-    );
+    pangulu::core::seq::factor_sequential(&mut seq_bm, &prob.tg, &prob.sel, 1e-12);
     let reference = seq_bm.to_csc();
 
     for (pr, pc) in grids() {
@@ -550,8 +543,9 @@ fn first_run_variant_route_equals_later_planned_route_on_every_executor() {
 // ---- Shared-memory executor under thread-count stress --------------------
 //
 // Each target's updates run one at a time in ascending `k`, so the shared
-// executor's factors are the sequential sweep's at any thread count —
-// however the workers interleave, run after run.
+// executor's factors are the unplanned sequential sweep's at any thread
+// count — however the workers interleave, run after run. The reference is
+// not the planned one-rank path, which is this engine at one worker.
 
 fn reordered_problem(a: &CscMatrix, nb: usize) -> (BlockMatrix, TaskGraph, KernelSelector) {
     use pangulu::reorder::{reorder_for_lu, FillReducing};
@@ -572,7 +566,7 @@ fn shared_threads_stress<S: Scalar>(repeats: usize) {
             let (bm64, tg, sel) = reordered_problem(&a, nb);
             let bm0 = bm64.cast::<S>();
             let mut seq = bm0.clone();
-            factor_sequential_planned(&mut seq, &tg, &sel, 1e-12, &mut empty_plans(&bm0, &tg));
+            factor_sequential(&mut seq, &tg, &sel, 1e-12);
             let reference = value_bits(&seq);
             for threads in 2..=8 {
                 let mut plans = empty_plans(&bm0, &tg);

@@ -125,3 +125,65 @@ fn peer_death_mid_factorisation_yields_structured_error_on_every_backend() {
         assert!(text.contains("missing"), "{kind}: error names missing operands: {text}");
     }
 }
+
+/// Runs `factor` on its own thread and returns the message it panicked
+/// with, failing if it neither panics nor returns within `limit`.
+fn panic_message_within(limit: Duration, factor: impl FnOnce() + Send + 'static) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(factor));
+        let msg = out.err().map(|p| match p.downcast::<String>() {
+            Ok(s) => *s,
+            Err(p) => p.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+        });
+        let _ = tx.send(msg);
+    });
+    match rx.recv_timeout(limit) {
+        Ok(Some(msg)) => msg,
+        Ok(None) => panic!("the run finished without panicking"),
+        Err(_) => panic!("no panic within {limit:?}: the run hangs"),
+    }
+}
+
+/// A 9 × 9 matrix in 3 × 3 blocks whose one step-0 update, onto block
+/// (1, 1), needs fill entry (4, 3) that was never added (the matrix was
+/// not symbolically filled). `C_V2` finds its target by binary search
+/// there and panics; every other task waits on that update, directly or
+/// through GETRF(1), and both ranks of any two-rank map own one of them.
+fn unfilled_problem() -> (BlockMatrix, TaskGraph, KernelSelector) {
+    let mut coo = CooMatrix::new(9, 9);
+    for i in 0..9 {
+        coo.push(i, i, 4.0).unwrap();
+    }
+    for (i, j) in [(4, 0), (0, 3), (5, 3), (6, 3), (3, 6)] {
+        coo.push(i, j, 1.0).unwrap();
+    }
+    let a = coo.to_csc();
+    let bm = BlockMatrix::from_filled(&a, 3).unwrap();
+    let tg = TaskGraph::build(&bm);
+    let c_v2 = Thresholds { ssssm_cpu: f64::INFINITY, ssssm_cv1: 0.0, ..Thresholds::unplanned() };
+    (bm, tg, KernelSelector::new(a.nnz(), c_v2))
+}
+
+#[test]
+fn a_panicking_task_ends_a_shared_run_with_its_own_panic() {
+    use pangulu::core::seq::empty_plans;
+    use pangulu::core::shared::factor_shared_planned;
+    let (mut bm, tg, sel) = unfilled_problem();
+    let msg = panic_message_within(Duration::from_secs(10), move || {
+        let mut plans = empty_plans(&bm, &tg);
+        factor_shared_planned(&mut bm, &tg, &sel, 0.0, 2, &mut plans);
+    });
+    assert!(msg.contains("SSSSM update target missing"), "not the task's own panic: {msg}");
+}
+
+#[test]
+fn a_panicking_task_ends_a_distributed_run_with_its_own_panic() {
+    let (mut bm, tg, sel) = unfilled_problem();
+    let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(2));
+    let msg = panic_message_within(Duration::from_secs(10), move || {
+        let cfg = FactorConfig::default();
+        let _ = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &cfg);
+    });
+    assert!(msg.contains("SSSSM update target missing"), "not the task's own panic: {msg}");
+}
