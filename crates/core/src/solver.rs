@@ -16,7 +16,8 @@ use std::time::{Duration, Instant};
 
 use pangulu_comm::{ProcessGrid, TransportKind};
 use pangulu_kernels::select::{KernelSelector, Thresholds};
-use pangulu_kernels::{KernelPlans, PlanStats};
+use pangulu_kernels::tile::{tile_rows, TILE_COLS};
+use pangulu_kernels::{isa, KernelPlans, PlanStats};
 use pangulu_metrics::{PhaseCounters, PrecisionCounters, RunReport};
 use pangulu_reorder::{reorder_for_lu, FillReducing, Reordering};
 use pangulu_sparse::{CscMatrix, Permutation, Result, Scalar, SparseError};
@@ -32,7 +33,7 @@ use crate::shared::factor_shared_planned;
 use crate::task::TaskGraph;
 use crate::trisolve::{
     backward_substitute_panel, backward_substitute_transpose, forward_substitute_panel,
-    forward_substitute_transpose, sweep_lanes, PANEL_WIDTH,
+    forward_substitute_transpose, PANEL_WIDTH,
 };
 
 /// Numeric precision of the factorisation (see `docs/PRECISION.md`).
@@ -1253,7 +1254,13 @@ impl Solver {
             );
         }
         let _ = writeln!(out, "kernel plans: {}", self.kernel_plans_summary());
-        let _ = writeln!(out, "solve: panel sweeps, {} lanes", sweep_lanes());
+        let _ = writeln!(
+            out,
+            "lanes: {} (dense tile {}x{TILE_COLS} f64 / {}x{TILE_COLS} f32, panel sweeps)",
+            isa::lanes(),
+            tile_rows::<f64>(),
+            tile_rows::<f32>(),
+        );
         if let Some(d) = &s.dist {
             let _ = writeln!(
                 out,
@@ -1862,9 +1869,11 @@ mod tests {
     fn report_names_the_sweep_instance() {
         let a = gen::laplacian_2d(8, 8);
         let report = Solver::factor(&a).unwrap().report(&a);
-        let line = format!("solve: panel sweeps, {} lanes\n", sweep_lanes());
-        assert!(report.contains(&line), "missing {line:?} in:\n{report}");
-        assert!(["avx2", "portable"].contains(&sweep_lanes()));
+        let line = match isa::lanes() {
+            "avx2" => "lanes: avx2 (dense tile 8x4 f64 / 16x4 f32, panel sweeps)\n",
+            _ => "lanes: portable (dense tile 4x4 f64 / 8x4 f32, panel sweeps)\n",
+        };
+        assert!(report.contains(line), "missing {line:?} in:\n{report}");
     }
 
     #[test]

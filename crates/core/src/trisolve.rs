@@ -15,13 +15,14 @@
 //! compile to the scalar loop; see docs/ALGORITHM.md §5.
 //!
 //! Every plain sweep enters through one dispatch point, `sweep_panel`:
-//! on an x86-64 CPU with AVX2 it runs the core compiled for AVX2,
-//! elsewhere the portable build of the same code, bit for bit alike
-//! ([`crate::Solver::report`] names the one in use). Each column's
-//! diagonal entry is read from a table the [`BlockMatrix`] builds at
-//! tiling, never searched for.
+//! on an x86-64 CPU with AVX2 ([`pangulu_kernels::isa`]) it runs the core
+//! compiled for AVX2, elsewhere the portable build of the same code, bit
+//! for bit alike ([`crate::Solver::report`] names the one in use). Each
+//! column's diagonal entry is read from a table the [`BlockMatrix`]
+//! builds at tiling, never searched for.
 
 use crate::block::BlockMatrix;
+use pangulu_kernels::isa;
 use pangulu_sparse::{CscMatrix, Scalar};
 
 /// Widest panel a single sweep takes. Chosen by the width sweep in
@@ -180,35 +181,13 @@ fn sweep_avx2<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k:
     sweep_widths::<S, UPPER>(bm, x, k);
 }
 
-/// Whether the sweeps run their AVX2 instance on this CPU.
-fn avx2() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        std::is_x86_feature_detected!("avx2")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
-
-/// The instruction set the plain sweeps run on this CPU: `"avx2"` or
-/// `"portable"` (what [`crate::Solver::report`] prints). Both give the
-/// same bits.
-pub(crate) fn sweep_lanes() -> &'static str {
-    if avx2() {
-        "avx2"
-    } else {
-        "portable"
-    }
-}
-
 /// The one dispatch point of the plain sweeps: every entry below runs
-/// through here, and on an AVX2 CPU it takes the AVX2 instance, else the
-/// portable one. Kernels that want wider vectors reuse this pattern.
+/// through here, and where [`isa::avx2`] holds it takes the AVX2
+/// instance, else the portable one — the pattern the dense-tile lane's
+/// dispatch follows too.
 fn sweep_panel<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k: usize) {
     #[cfg(target_arch = "x86_64")]
-    if avx2() {
+    if isa::avx2() {
         // SAFETY: `sweep_avx2` enables only `avx2`, which the CPU was
         // just detected to support.
         return unsafe { sweep_avx2::<S, UPPER>(bm, x, k) };
@@ -453,7 +432,7 @@ mod tests {
             check(&bm);
             check(&bm.cast::<f32>());
         }
-        match sweep_lanes() {
+        match isa::lanes() {
             "avx2" => println!("sweep instances checked: avx2 and portable"),
             _ => println!("sweep instances checked: portable only (this CPU has no AVX2)"),
         }

@@ -33,6 +33,7 @@
 
 pub mod flops;
 pub mod getrf;
+pub mod isa;
 pub mod plan;
 pub mod reference;
 pub mod scratch;

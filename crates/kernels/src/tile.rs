@@ -29,29 +29,52 @@
 //! `tests/planned_equivalence.rs` holds the lane to the sparse variants
 //! bit for bit, in `f64` and `f32`, debug and release.
 //!
-//! **Tile shapes.** `NR = 4` columns; `MR = 4` rows for `f64` and 8 for
-//! `f32` (the same bytes per tile column, twice the lanes) — measured,
-//! see docs/PERFORMANCE.md "Dense-tile lane". Remainders run through the
-//! same micro-kernel at halved heights and widths (…, 2, 1), never
-//! through a scalar clean-up loop, so every shape keeps the order *and*
-//! the speed. Portable Rust, with no `target_feature` of its own: the
-//! baseline SSE2 code generation already removes the index traffic that
-//! was the loss, and wider vectors are a separate, smaller prize. Runtime
-//! ISA dispatch for this lane should reuse the one dispatch point the
-//! triangular solve has, `sweep_panel` in `pangulu-core`'s `trisolve`: an
-//! `#[target_feature(enable = "avx2")]` instance of the same generic code,
-//! taken behind one `is_x86_feature_detected!` check.
+//! **Instances and tile shapes.** The three entry points share one
+//! dispatch point: on a CPU with AVX2 ([`crate::isa::avx2`]) they run an
+//! `#[target_feature(enable = "avx2")]` instance of the generic sweep,
+//! elsewhere its portable (SSE2) instance — the pattern of `pangulu-core`'s
+//! `sweep_panel`. The tile shape belongs to the instance: `NR = 4`
+//! columns in both; `MR = 4` rows for `f64` and 8 for `f32` in the
+//! portable one ([`TILE_ROWS_F64`]), 8 and 16 in the AVX2 one
+//! ([`TILE_ROWS_F64_AVX2`]) — eight vector accumulators either way, `f32`
+//! holding the same bytes per tile column as `f64` at twice the lanes.
+//! The taller tile, not the wider vectors alone, is what pays (measured,
+//! see docs/PERFORMANCE.md "Dense-tile lane"). Only `avx2` is enabled,
+//! never `fma`, so both instances perform the same multiplies and
+//! subtractions in the same order and give the same bits. Remainders run
+//! through the same micro-kernel at halved heights and widths (…, 2, 1),
+//! never through a scalar clean-up loop, so every shape keeps the order
+//! *and* the speed.
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
+use crate::isa;
 use crate::scratch::KernelScratch;
 
-/// Tile columns held in locals across the `k` loop (both scalar widths).
+/// Tile columns held in locals across the `k` loop (every instance, both
+/// scalar widths).
 pub const TILE_COLS: usize = 4;
-/// Tile rows for `f64` blocks.
+/// `f64` tile rows of the portable instance; its `f32` tiles are twice
+/// as tall.
 pub const TILE_ROWS_F64: usize = 4;
-/// Tile rows for `f32` blocks.
-pub const TILE_ROWS_F32: usize = 8;
+/// `f64` tile rows of the AVX2 instance; its `f32` tiles are twice as
+/// tall.
+pub const TILE_ROWS_F64_AVX2: usize = 8;
+
+/// Tile rows for `S` in the instance whose `f64` tiles are `rows_f64`
+/// tall: `f32` fits twice the lanes in the same bytes.
+const fn tile_height<S: Scalar>(rows_f64: usize) -> usize {
+    if S::WIDTH == 4 {
+        2 * rows_f64
+    } else {
+        rows_f64
+    }
+}
+
+/// Tile rows for `S` in the instance this CPU runs.
+pub fn tile_rows<S: Scalar>() -> usize {
+    tile_height::<S>(if isa::avx2() { TILE_ROWS_F64_AVX2 } else { TILE_ROWS_F64 })
+}
 
 /// The three operations of the lane, each on an `m × n` column-major
 /// unknown/target `x` that the sweep owns mutably.
@@ -168,21 +191,25 @@ fn row_tiles<S: Scalar, const MR: usize, const NR: usize>(
     }
 }
 
-/// One `NR`-wide column group: full-height tiles first, the row
-/// remainder at halved heights.
+/// One `NR`-wide column group: full-height tiles first (the instance's
+/// height for `S`, at most 16), the row remainder at halved heights.
 #[inline(always)]
-fn col_group<S: Scalar, const NR: usize>(
+fn col_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
     op: Op<'_, S>,
     x: &mut [S],
     m: usize,
     n: usize,
     j0: usize,
 ) {
+    let top = tile_height::<S>(ROWS_F64);
     let mut i0 = 0;
-    if S::WIDTH == 4 {
-        row_tiles::<S, TILE_ROWS_F32, NR>(op, x, m, n, &mut i0, j0);
+    if top >= 16 {
+        row_tiles::<S, 16, NR>(op, x, m, n, &mut i0, j0);
     }
-    row_tiles::<S, TILE_ROWS_F64, NR>(op, x, m, n, &mut i0, j0);
+    if top >= 8 {
+        row_tiles::<S, 8, NR>(op, x, m, n, &mut i0, j0);
+    }
+    row_tiles::<S, 4, NR>(op, x, m, n, &mut i0, j0);
     row_tiles::<S, 2, NR>(op, x, m, n, &mut i0, j0);
     row_tiles::<S, 1, NR>(op, x, m, n, &mut i0, j0);
 }
@@ -193,20 +220,43 @@ fn col_group<S: Scalar, const NR: usize>(
 /// it — this one order gives both, and SSSSM does not care. The `NR`
 /// columns of `B` stay in L1 while `A` streams past once per group;
 /// measured against rows-outer it is ≈ 20 % faster at `nb = 119`.
+/// `ROWS_F64` names the instance ([`TILE_ROWS_F64`] or
+/// [`TILE_ROWS_F64_AVX2`]).
 #[inline(always)]
-fn sweep<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+fn sweep<S: Scalar, const ROWS_F64: usize>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
     let mut j0 = 0;
     while j0 + TILE_COLS <= n {
-        col_group::<S, TILE_COLS>(op, x, m, n, j0);
+        col_group::<S, ROWS_F64, TILE_COLS>(op, x, m, n, j0);
         j0 += TILE_COLS;
     }
     if j0 + 2 <= n {
-        col_group::<S, 2>(op, x, m, n, j0);
+        col_group::<S, ROWS_F64, 2>(op, x, m, n, j0);
         j0 += 2;
     }
     if j0 < n {
-        col_group::<S, 1>(op, x, m, n, j0);
+        col_group::<S, ROWS_F64, 1>(op, x, m, n, j0);
     }
+}
+
+/// [`sweep`] compiled for AVX2 with its taller tile. Only `avx2` is
+/// enabled, not `fma`, so the bits are the portable instance's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sweep_avx2<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+    sweep::<S, TILE_ROWS_F64_AVX2>(op, x, m, n);
+}
+
+/// The lane's one dispatch point: the AVX2 instance where the CPU has
+/// it, else the portable one.
+#[inline(always)]
+fn sweep_dispatched<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if isa::avx2() {
+        // SAFETY: `sweep_avx2` enables only `avx2`, which the CPU was
+        // just detected to support.
+        return unsafe { sweep_avx2(op, x, m, n) };
+    }
+    sweep::<S, TILE_ROWS_F64>(op, x, m, n);
 }
 
 /// Whether `blk` stores every entry of its shape, i.e. its value array
@@ -252,7 +302,7 @@ pub(crate) fn ssssm_tile<S: Scalar>(
     let (m, n) = (c.nrows(), c.ncols());
     let KernelScratch { tile_a, tile_b, .. } = scratch;
     let op = Op::Ssssm { a: dense_view(a, tile_a), b: dense_view(b, tile_b), k: a.ncols() };
-    sweep(op, c.values_mut(), m, n);
+    sweep_dispatched(op, c.values_mut(), m, n);
 }
 
 /// Dense-tile `L X = B` on a full factor block and a full panel block.
@@ -263,7 +313,7 @@ pub(crate) fn ssssm_tile<S: Scalar>(
 pub(crate) fn gessm_tile<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>) {
     assert!(is_full(diag_lu) && is_full(b), "dense-tile GESSM routed to blocks that are not full");
     let (m, n) = (b.nrows(), b.ncols());
-    sweep(Op::Gessm { l: diag_lu.values() }, b.values_mut(), m, n);
+    sweep_dispatched(Op::Gessm { l: diag_lu.values() }, b.values_mut(), m, n);
 }
 
 /// Dense-tile `X U = B` on a full factor block and a full panel block.
@@ -274,7 +324,7 @@ pub(crate) fn gessm_tile<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>
 pub(crate) fn tstrf_tile<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>) {
     assert!(is_full(diag_lu) && is_full(b), "dense-tile TSTRF routed to blocks that are not full");
     let (m, n) = (b.nrows(), b.ncols());
-    sweep(Op::Tstrf { u: diag_lu.values() }, b.values_mut(), m, n);
+    sweep_dispatched(Op::Tstrf { u: diag_lu.values() }, b.values_mut(), m, n);
 }
 
 /// Test fixture shared by this crate's unit tests: a full `m × n` block
@@ -295,51 +345,105 @@ pub(crate) fn dense_block(m: usize, n: usize, salt: usize) -> CscMatrix {
 mod tests {
     use super::*;
 
-    /// The naive per-entry loops the lane must reproduce bit for bit.
+    /// The naive per-entry loops the lane must reproduce bit for bit:
+    /// every target entry's subtractions in ascending `k`, TSTRF's
+    /// division last.
+    fn naive<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+        for j in 0..n {
+            match op {
+                Op::Ssssm { a, b, k } => {
+                    for r in 0..m {
+                        for kk in 0..k {
+                            x[j * m + r] -= a[kk * m + r] * b[j * k + kk];
+                        }
+                    }
+                }
+                Op::Gessm { l } => {
+                    for kk in 0..m {
+                        for r in kk + 1..m {
+                            x[j * m + r] -= l[kk * m + r] * x[j * m + kk];
+                        }
+                    }
+                }
+                Op::Tstrf { u } => {
+                    for kk in 0..j {
+                        for r in 0..m {
+                            x[j * m + r] -= x[kk * m + r] * u[j * n + kk];
+                        }
+                    }
+                    for r in 0..m {
+                        x[j * m + r] /= u[j * n + j];
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn sweep_matches_naive_ascending_k_loops_on_every_remainder() {
         for (m, k, n) in [(1, 1, 1), (3, 2, 5), (7, 9, 6), (13, 4, 11), (16, 16, 16)] {
             let (a, b, c0) = (dense_block(m, k, 1), dense_block(k, n, 2), dense_block(m, n, 3));
             let mut want = c0.values().to_vec();
-            for j in 0..n {
-                for r in 0..m {
-                    for kk in 0..k {
-                        want[j * m + r] -= a.values()[kk * m + r] * b.values()[j * k + kk];
-                    }
-                }
-            }
+            naive(Op::Ssssm { a: a.values(), b: b.values(), k }, &mut want, m, n);
             let mut c = c0.clone();
             ssssm_tile(&a, &b, &mut c, &mut KernelScratch::default());
             assert_eq!(c.values(), &want[..], "SSSSM {m}x{k}x{n}");
 
             let lu = dense_block(m, m, 4);
             let mut want = c0.values().to_vec();
-            for j in 0..n {
-                for kk in 0..m {
-                    for r in kk + 1..m {
-                        want[j * m + r] -= lu.values()[kk * m + r] * want[j * m + kk];
-                    }
-                }
-            }
+            naive(Op::Gessm { l: lu.values() }, &mut want, m, n);
             let mut x = c0.clone();
             gessm_tile(&lu, &mut x);
             assert_eq!(x.values(), &want[..], "GESSM {m}x{n}");
 
             let lu = dense_block(n, n, 5);
             let mut want = c0.values().to_vec();
-            for j in 0..n {
-                for kk in 0..j {
-                    for r in 0..m {
-                        want[j * m + r] -= want[kk * m + r] * lu.values()[j * n + kk];
-                    }
-                }
-                for r in 0..m {
-                    want[j * m + r] /= lu.values()[j * n + j];
-                }
-            }
+            naive(Op::Tstrf { u: lu.values() }, &mut want, m, n);
             let mut x = c0.clone();
             tstrf_tile(&lu, &mut x);
             assert_eq!(x.values(), &want[..], "TSTRF {m}x{n}");
+        }
+    }
+
+    /// One sweep of the lane over an `m × n` unknown.
+    type Sweep<S> = for<'a> fn(Op<'a, S>, &mut [S], usize, usize);
+
+    /// Both dispatch outcomes — the instance the entry points pick on
+    /// this CPU (AVX2 where present, with its taller tile) and the
+    /// portable one called directly — give the naive loops' bits for
+    /// SSSSM, GESSM and TSTRF, in `f64` and `f32`, at every height up to
+    /// one past the tallest tile and every width up to one past a tile.
+    #[test]
+    fn both_tile_instances_match_the_naive_loops_bitwise() {
+        fn check<S: Scalar>(instance: Sweep<S>) {
+            let dense = |m: usize, n: usize, salt: usize| -> Vec<S> {
+                dense_block(m, n, salt).values().iter().map(|&v| S::from_f64(v)).collect()
+            };
+            let bits = |x: &[S]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+            for m in 1..=17 {
+                for n in 1..=5 {
+                    let c0 = dense(m, n, 3);
+                    let (lu_m, lu_n) = (dense(m, m, 4), dense(n, n, 5));
+                    let mut ops = vec![Op::Gessm { l: &lu_m }, Op::Tstrf { u: &lu_n }];
+                    let operands: Vec<_> =
+                        [1, 6, 17].map(|k| (k, dense(m, k, 1), dense(k, n, 2))).into();
+                    ops.extend(operands.iter().map(|(k, a, b)| Op::Ssssm { a, b, k: *k }));
+                    for op in ops {
+                        let (mut got, mut want) = (c0.clone(), c0.clone());
+                        instance(op, &mut got, m, n);
+                        naive(op, &mut want, m, n);
+                        assert_eq!(bits(&got), bits(&want), "{} {m}x{n}", S::LABEL);
+                    }
+                }
+            }
+        }
+        check::<f64>(sweep_dispatched::<f64>);
+        check::<f64>(sweep::<f64, TILE_ROWS_F64>);
+        check::<f32>(sweep_dispatched::<f32>);
+        check::<f32>(sweep::<f32, TILE_ROWS_F64>);
+        match isa::lanes() {
+            "avx2" => println!("tile instances checked: avx2 and portable"),
+            _ => println!("tile instances checked: portable only (this CPU has no AVX2)"),
         }
     }
 

@@ -16,9 +16,11 @@ use proptest::prelude::*;
 use pangulu_kernels::{getrf, ssssm, trsm, GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant};
 use pangulu_sparse::{CooMatrix, CscMatrix, Scalar};
 
-/// Block dimensions the issue names: tiny ones for the remainders, 69
-/// (kkt's last block row) and 119 (its block size).
-const DIMS: [usize; 8] = [1, 2, 3, 5, 7, 8, 69, 119];
+/// Named block dimensions: tiny ones for the remainders, 15–17 (one
+/// below, at and one past the AVX2 instance's 16-row `f32` tile and two
+/// of its 8-row `f64` tiles), 69 (kkt's last block row) and 119 (its
+/// block size).
+const DIMS: [usize; 11] = [1, 2, 3, 5, 7, 8, 15, 16, 17, 69, 119];
 
 struct Lcg(u64);
 
@@ -146,8 +148,9 @@ fn check_shape(m: usize, k: usize, n: usize, fills: (f64, f64), zero_share: f64,
     );
 }
 
-/// Every remainder of the 8- and 4-row tiles and of the 4-column tile,
-/// with full and with expanded operands.
+/// Every row remainder of both instances' tiles (up to one past the AVX2
+/// instance's 16-row `f32` tile) and of the 4-column tile, with full and
+/// with expanded operands.
 #[test]
 fn every_tile_remainder_matches_the_sparse_variants() {
     for m in 1..=17 {
@@ -179,7 +182,7 @@ proptest! {
     /// random shares of exact zeros.
     #[test]
     fn named_rectangular_shapes_match_the_sparse_variants(
-        (mi, ki, ni) in (0usize..8, 0usize..8, 0usize..8),
+        (mi, ki, ni) in (0..DIMS.len(), 0..DIMS.len(), 0..DIMS.len()),
         (fa, fb, zeros) in (0.5f64..0.99, 0.5f64..0.99, 0.0f64..0.3),
         seed in 0u64..1_000_000,
     ) {

@@ -45,11 +45,14 @@
 #           without and with --release (see docs/ALGORITHM.md §5)
 #   kernels  dense-tile lane layer: the lane must equal the sparse
 #           kernels bit for bit under BOTH codegen profiles (debug has no
-#           vectorisation, release does): the whole pangulu-kernels
-#           package (lib + planned_equivalence + tile_equivalence +
-#           kernel_properties) and the determinism / refactor rows that
-#           drive the lane through every executor, each run without and
-#           with --release (see docs/ALGORITHM.md §4); with them the
+#           vectorisation, release does): the AVX2 and the portable tile
+#           instance each against the naive loops (the log line `tile
+#           instances checked: ...` says which ones this runner ran),
+#           the whole pangulu-kernels package (lib + planned_equivalence
+#           + tile_equivalence + kernel_properties) and the determinism /
+#           refactor rows that drive the lane through every executor,
+#           each run without and with --release (see docs/ALGORITHM.md
+#           §4); with them the
 #           plan-timing contract — no plan after build(), plans built by
 #           the first refactor, flat from the second, first-run variant
 #           route == later planned route on every executor and width
@@ -161,7 +164,10 @@ stage_kernels() {
     local profile
     for profile in "" --release; do
         echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
-        cargo test $profile -q -p pangulu-kernels
+        # Prints which tile instances this runner checked (avx2 + portable,
+        # or portable only).
+        cargo test $profile -q -p pangulu-kernels --lib -- both_tile_instances --nocapture
+        cargo test $profile -q -p pangulu-kernels -- --skip both_tile_instances
         cargo test $profile -q --test determinism --test refactor -- dense_tile plan
         cargo test $profile -q -p pangulu-core --lib -- plan
         cargo test $profile -q --test solver_equivalence -- negative_zero
