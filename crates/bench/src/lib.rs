@@ -66,7 +66,7 @@ pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
 /// The output directory: `PANGULU_DATA_DIR` if set (the smoke tests use
 /// a scratch directory so restricted runs never clobber the committed
 /// CSVs), else `data/` beside the workspace root.
-pub fn data_dir() -> PathBuf {
+fn data_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("PANGULU_DATA_DIR") {
         return PathBuf::from(dir);
     }
@@ -80,29 +80,6 @@ pub fn data_dir() -> PathBuf {
 /// Duration in fractional seconds (for CSV cells).
 pub fn secs(d: Duration) -> f64 {
     d.as_secs_f64()
-}
-
-/// The golden smoke corpus shared by the `smoke` and `bench_refactor`
-/// regression bins: the same generators as `tests/solver_equivalence.rs`
-/// at larger sizes, with the generator dimensions scaled by `scale`.
-/// Larger scales grow each matrix *towards its own bandwidth-bound
-/// regime*: the structured generators scale both of their shape
-/// dimensions (grid sides for the Laplacian, primal/dual split for KKT,
-/// band width for the banded matrix), so per-factor arithmetic outgrows
-/// the fixed spawn/probe/scheduling overheads and the mixed-precision and
-/// planned-replay speedups become visible. Both bins commit their
-/// baselines at scale 2 for that reason.
-pub fn smoke_corpus_scaled(scale: usize) -> Vec<(&'static str, CscMatrix)> {
-    use pangulu_sparse::gen;
-    let s = scale.max(1);
-    vec![
-        ("laplacian_2d", gen::laplacian_2d(64 * s, 64 * s)),
-        ("circuit", gen::circuit(3000 * s, 21)),
-        ("fem_blocked", gen::fem_blocked(240 * s, 5, 2, 13)),
-        ("kkt", gen::kkt(1200 * s, 560 * s, 7)),
-        ("cage_like", gen::cage_like(1600 * s, 17)),
-        ("dense_banded", gen::dense_banded(1000 * s, 12 * s, 0.5, 9)),
-    ]
 }
 
 /// A prepared PanguLU factorisation input: reordered matrix, filled

@@ -310,10 +310,10 @@ impl<S: Scalar> Mailbox<S> {
 
     /// Releases every message still sitting in this rank's reorder
     /// buffers (in send order), then pushes any transport-buffered bytes
-    /// toward peers. Executors call this before blocking and before
-    /// exiting so a buffered message can never be stranded by an idle or
-    /// finished sender.
-    pub fn flush_pending(&mut self) {
+    /// toward peers as far as the wire has room. Executors call this
+    /// before blocking, so a buffered message can never be stranded by
+    /// an idle sender. True when the transport holds nothing back.
+    pub fn flush_pending(&mut self) -> bool {
         if let Some(edges) = self.edges.as_mut() {
             for (to, edge) in edges.iter_mut().enumerate() {
                 if edge.buffer.is_empty() {
@@ -339,7 +339,18 @@ impl<S: Scalar> Mailbox<S> {
                 }
             }
         }
-        self.transport.flush();
+        self.transport.flush()
+    }
+
+    /// As [`Mailbox::flush_pending`], but returns only once the transport
+    /// holds nothing back (what an endpoint holds back dies with it), so
+    /// executors call it before leaving a run. It receives meanwhile, and
+    /// a peer owed bytes either reads them or leaves, closing its rings.
+    pub fn flush_all(&mut self) {
+        while !self.flush_pending() {
+            self.pump();
+            std::thread::sleep(transport::POLL_INTERVAL);
+        }
     }
 
     /// Parks an envelope in the holdback heap, re-anchoring its relative
@@ -756,5 +767,30 @@ mod tests {
                 assert_eq!(metrics.codec_bytes_encoded, 0, "{kind}");
             }
         }
+    }
+
+    /// A sender that finishes while its shm ring is full must not take
+    /// the overflow with it: 16 frames of 64 KiB overflow the 256 KiB
+    /// ring, the sender drops its endpoint right after `flush_all`, and
+    /// the reader only starts polling after that could have happened.
+    #[test]
+    fn flush_all_hands_every_frame_over_before_the_sender_leaves() {
+        let mut boxes = MailboxSet::with_transport(2, TransportKind::Shm, None).into_mailboxes();
+        let mut b1 = boxes.pop().unwrap();
+        let mut b0 = boxes.pop().unwrap();
+        std::thread::scope(|s| {
+            s.spawn(move || {
+                for i in 0..16 {
+                    let values = vec![i as f64; 8192].into();
+                    b0.send(1, BlockMsg { bi: i, bj: 0, role: BlockRole::LPanel, values });
+                }
+                b0.flush_all();
+            });
+            std::thread::sleep(Duration::from_millis(50));
+            for i in 0..16 {
+                let got = b1.recv(Duration::from_secs(5)).expect("a frame stranded by its sender");
+                assert_eq!(got.bi, i);
+            }
+        });
     }
 }

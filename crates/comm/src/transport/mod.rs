@@ -134,9 +134,9 @@ impl std::error::Error for PeerClosed {}
 ///   `recv_timeout` blocks up to the timeout for one. Neither reorders
 ///   an edge; cross-edge interleaving is unspecified (the executor's
 ///   determinism never depends on it).
-/// * `flush` pushes any sender-side buffered bytes toward peers; called
-///   before an endpoint blocks or exits so buffering can never strand a
-///   message.
+/// * `flush` pushes sender-side buffered bytes toward peers as far as the
+///   wire has room and reports whether any are still held back; an
+///   endpoint repeats it before exiting ([`crate::Mailbox::flush_all`]).
 /// * `sever` simulates this endpoint's death: peers' subsequent sends
 ///   fail with [`PeerClosed`] and nothing is received any more. Used by
 ///   the peer-death fault injection and its tests.
@@ -149,8 +149,11 @@ pub trait Transport<S: Scalar = f64>: Send {
     fn try_recv(&mut self) -> Option<WireEnvelope<S>>;
     /// Blocks up to `timeout` for the next envelope.
     fn recv_timeout(&mut self, timeout: Duration) -> Option<WireEnvelope<S>>;
-    /// Pushes sender-side buffered bytes toward peers.
-    fn flush(&mut self) {}
+    /// Pushes sender-side buffered bytes toward peers; true when none is
+    /// held back any more.
+    fn flush(&mut self) -> bool {
+        true
+    }
     /// Simulates this endpoint's death (see trait docs).
     fn sever(&mut self);
     /// Wire-level counters (all zero for the channel backend).

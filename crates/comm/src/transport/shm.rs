@@ -261,12 +261,14 @@ impl<S: Scalar> Transport<S> for ShmTransport<S> {
         }
     }
 
-    fn flush(&mut self) {
+    fn flush(&mut self) -> bool {
         for to in 0..self.out.len() {
             if to != self.rank {
+                // A closed peer's bytes are dropped: nothing is held back.
                 let _ = self.drain_staged(to);
             }
         }
+        self.staged.iter().all(VecDeque::is_empty)
     }
 
     fn sever(&mut self) {

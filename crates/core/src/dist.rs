@@ -477,8 +477,10 @@ impl StepBarrier {
         StepBarrier { parties, state: Mutex::new((0, 0)), cv: Condvar::new() }
     }
 
-    /// Waits for all parties; returns `false` if the run aborted.
-    fn wait(&self, abort: &AtomicBool) -> bool {
+    /// Waits for all parties; returns `false` if the run aborted. While
+    /// it waits it runs `idle` about once a millisecond, holding the
+    /// barrier's lock, so `idle` must not block.
+    fn wait(&self, abort: &AtomicBool, mut idle: impl FnMut()) -> bool {
         let mut st = self.state.lock().expect("barrier poisoned");
         let gen = st.1;
         st.0 += 1;
@@ -492,12 +494,11 @@ impl StepBarrier {
             if abort.load(AtomicOrdering::Relaxed) {
                 return false;
             }
-            let (guard, _) =
-                self.cv.wait_timeout(st, Duration::from_millis(10)).expect("barrier poisoned");
-            st = guard;
+            st = self.cv.wait_timeout(st, Duration::from_millis(1)).expect("barrier poisoned").0;
             if st.1 != gen {
                 return true;
             }
+            idle();
         }
     }
 }
@@ -793,8 +794,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 continue;
             }
             if self.remaining == 0 && self.mode == ScheduleMode::SyncFree {
-                // Hand any still-buffered sends over before leaving.
-                self.mailbox.flush_pending();
+                // Hand every still-buffered send over before leaving.
+                self.mailbox.flush_all();
                 break;
             }
             if self.mode == ScheduleMode::LevelSet {
@@ -805,7 +806,12 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 {
                     self.mailbox.flush_pending();
                     let t = Instant::now();
-                    let ok = self.barrier.wait(self.abort);
+                    // Keep pushing buffered sends while waiting: a peer
+                    // may need them to finish this step.
+                    let mailbox = &mut self.mailbox;
+                    let ok = self.barrier.wait(self.abort, || {
+                        mailbox.flush_pending();
+                    });
                     self.barrier_wait += t.elapsed();
                     if !ok {
                         break;

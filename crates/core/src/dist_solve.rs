@@ -215,7 +215,7 @@ impl<S: Scalar> SweepWorker<'_, S> {
             }
         }
         // Ship anything still buffered before this rank's receiver drops.
-        self.mailbox.flush_pending();
+        self.mailbox.flush_all();
         out
     }
 

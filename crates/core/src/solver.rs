@@ -503,15 +503,35 @@ fn check_finite(a: &CscMatrix) -> Result<()> {
 /// order: every `bs[j]` is read front to back and each panel row is one
 /// contiguous k-lane write. Every `bs[j]` must already be known to have
 /// length `pos.len()`.
-fn gather_scaled<B: AsRef<[f64]>>(pos: &Permutation, scale: &[f64], bs: &[B]) -> Vec<f64> {
+///
+/// The same pass checks every entry: a NaN or infinite one fails with
+/// [`SparseError::NonFinite`] `{ row, col: rhs0 + j }` for the first such
+/// entry of the lowest-indexed `bs[j]`, `rhs0` being the caller's index
+/// of `bs[0]`.
+fn gather_scaled<B: AsRef<[f64]>>(
+    pos: &Permutation,
+    scale: &[f64],
+    bs: &[B],
+    rhs0: usize,
+) -> Result<Vec<f64>> {
     let k = bs.len();
     let mut panel = vec![0.0; pos.len() * k];
+    let mut finite = true;
     for (old, (&new, &s)) in pos.as_slice().iter().zip(scale).enumerate() {
         for (p, b) in panel[new * k..(new + 1) * k].iter_mut().zip(bs) {
-            *p = b.as_ref()[old] * s;
+            let v = b.as_ref()[old];
+            finite &= v.is_finite();
+            *p = v * s;
         }
     }
-    panel
+    if !finite {
+        for (j, b) in bs.iter().enumerate() {
+            if let Some(row) = b.as_ref().iter().position(|v| !v.is_finite()) {
+                return Err(SparseError::NonFinite { row, col: rhs0 + j });
+            }
+        }
+    }
+    Ok(panel)
 }
 
 /// The inverse of [`gather_scaled`] on the way out: scatters the `k ≥ 1`
@@ -1181,7 +1201,8 @@ impl Solver {
     }
 
     /// Solves `A x = b` (phase 5: `Ly = b'`, `Ux = y` plus the inverse
-    /// reordering/scaling transforms).
+    /// reordering/scaling transforms). A NaN or infinite `b[i]` fails
+    /// with [`SparseError::NonFinite`] `{ row: i, col: 0 }`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.check_factors()?;
         if b.len() != self.n {
@@ -1191,36 +1212,46 @@ impl Solver {
                 self.n
             )));
         }
-        Ok(self.solve_panel(&[b]).pop().expect("one rhs in, one solution out"))
+        let gathered = self.gather_panel(&[b], 0)?;
+        Ok(self.solve_panel(gathered, 1).pop().expect("one rhs in, one solution out"))
     }
 
-    /// Solves `A x_j = b_j` for the right-hand sides of one panel (at
-    /// most [`PANEL_WIDTH`], every length already checked): one gather,
-    /// one pass over the factor per sweep, one scatter.
-    fn solve_panel<B: AsRef<[f64]>>(&self, bs: &[B]) -> Vec<Vec<f64>> {
+    /// Gathers the `k ≤` [`PANEL_WIDTH`] right-hand sides of one panel
+    /// (every length already checked, `rhs0` the caller's index of
+    /// `bs[0]`) into the factor's order, for [`Solver::solve_panel`]: one
+    /// row-major `n × k` panel, or in mixed mode one vector per right-hand
+    /// side. A non-finite entry fails here, before any sweep runs or any
+    /// precision counter moves.
+    fn gather_panel<B: AsRef<[f64]>>(&self, bs: &[B], rhs0: usize) -> Result<Vec<Vec<f64>>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
+        let (pos, scale) = (&self.row_pos, &self.reordering.row_scale);
+        if self.mixed.is_some() {
+            bs.iter().enumerate().map(|(j, b)| gather_scaled(pos, scale, &[b], rhs0 + j)).collect()
+        } else {
+            Ok(vec![gather_scaled(pos, scale, bs, rhs0)?])
+        }
+    }
+
+    /// Solves `A x_j = b_j` for the `k` right-hand sides of one gathered
+    /// panel: one pass over the factor per sweep, one scatter.
+    fn solve_panel(&self, mut gathered: Vec<Vec<f64>>, k: usize) -> Vec<Vec<f64>> {
         let r = &self.reordering;
         let outer = |z: &[f64], k: usize| scatter_scaled(&self.col_pos, &r.col_scale, z, k);
         if let Some(mx) = &self.mixed {
             // Mixed mode: the f32 triangular solve is only a preconditioner;
             // iterative refinement against the captured f64 scaled system
             // recovers full f64 accuracy (or stops at the stagnation point).
-            let ws: Vec<Vec<f64>> = bs
-                .iter()
-                .map(|b| gather_scaled(&self.row_pos, &r.row_scale, &[b.as_ref()]))
-                .collect();
             let refined =
-                refine_inner(&mx.factored32, &mx.scaled_a, &ws, REFINE_TOL, MAX_REFINE_ITERS);
+                refine_inner(&mx.factored32, &mx.scaled_a, &gathered, REFINE_TOL, MAX_REFINE_ITERS);
             let iters: usize = refined.iter().map(|(_, _, iters)| iters).sum();
             mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
             mx.refined_solves.fetch_add(refined.len() as u64, Ordering::Relaxed);
             refined.iter().flat_map(|(z, _, _)| outer(z, 1)).collect()
         } else {
-            let k = bs.len();
-            let mut panel = gather_scaled(&self.row_pos, &r.row_scale, bs);
-            forward_substitute_panel(&self.factored, &mut panel, k);
-            backward_substitute_panel(&self.factored, &mut panel, k);
-            outer(&panel, k)
+            let panel = &mut gathered[0];
+            forward_substitute_panel(&self.factored, panel, k);
+            backward_substitute_panel(&self.factored, panel, k);
+            outer(panel, k)
         }
     }
 
@@ -1363,6 +1394,7 @@ impl Solver {
     /// transpose solves (and hence [`Solver::condest`]) recover full f64
     /// accuracy. Iterations fold into the lifetime
     /// [`PrecisionCounters::refine_iters`] / `refined_solves` totals.
+    /// A non-finite `b` fails as in [`Solver::solve`].
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>> {
         self.check_factors()?;
         if b.len() != self.n {
@@ -1374,7 +1406,7 @@ impl Solver {
         }
         // Aᵀ x = b  ⇔  Mᵀ (P_r D_r⁻¹ x) = P_c D_c b with M = L U.
         let r = &self.reordering;
-        let mut z = gather_scaled(&self.col_pos, &r.col_scale, &[b]);
+        let mut z = gather_scaled(&self.col_pos, &r.col_scale, &[b], 0)?;
         if let Some(mx) = &self.mixed {
             let (zt, _rel, iters) = refine_inner_transpose(
                 &mx.factored32,
@@ -1400,8 +1432,10 @@ impl Solver {
     /// Every solution is bitwise what [`Solver::solve`] returns for that
     /// right-hand side alone, in every execution mode and precision.
     ///
-    /// All lengths are checked before any work starts; the error names
-    /// the first offending right-hand side.
+    /// All lengths, then all values, are checked before any sweep runs;
+    /// the error names the first offending right-hand side. A NaN or
+    /// infinite entry fails with [`SparseError::NonFinite`] `{ row, col }`,
+    /// `col` being the index of its right-hand side.
     pub fn solve_multi(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         self.check_factors()?;
         if let Some((j, b)) = bs.iter().enumerate().find(|(_, b)| b.len() != self.n) {
@@ -1412,7 +1446,12 @@ impl Solver {
                 self.n
             )));
         }
-        Ok(bs.chunks(PANEL_WIDTH).flat_map(|panel| self.solve_panel(panel)).collect())
+        let panels = bs
+            .chunks(PANEL_WIDTH)
+            .enumerate()
+            .map(|(p, panel)| Ok((self.gather_panel(panel, p * PANEL_WIDTH)?, panel.len())))
+            .collect::<Result<Vec<_>>>()?;
+        Ok(panels.into_iter().flat_map(|(gathered, k)| self.solve_panel(gathered, k)).collect())
     }
 
     /// Solves `A x = b` with iterative refinement: repeats

@@ -1,6 +1,6 @@
 //! A minimal JSON value type with a writer and a recursive-descent
-//! parser — just enough for [`crate::RunReport`] and the benchmark
-//! artifacts (`BENCH_smoke.json`). The build environment has no
+//! parser — just enough for [`crate::RunReport`] (`--report-json`) and
+//! the repo benchmark's reports. The build environment has no
 //! crates.io access, so there is no serde; numbers are `f64` (every
 //! counter the reports store fits losslessly below 2^53).
 

@@ -203,8 +203,8 @@ pub struct CommMetrics {
 /// per-rank pattern cache, pooled receive buffers) is
 /// only trustworthy if its effect is *visible*: these counters record
 /// what the runtime actually materialised and memcpy'd on the hot path,
-/// so `bench_compare` can gate copy regressions exactly, like the other
-/// work counters.
+/// so the golden counts test (`tests/golden_counts.rs`) can pin copy
+/// regressions exactly, like the other work counters.
 ///
 /// All fields except [`MemStats::plan_build_ns`] are deterministic for a
 /// fixed matrix, grid, owner map and fault plan (they derive from *which*
@@ -261,7 +261,8 @@ pub struct MemStats {
 /// These counters make that promise checkable exactly, not by wall
 /// clock: a first factorisation records one run of each phase; each
 /// `refactor` adds one numeric run and one analysis reuse and nothing
-/// else. `bench_compare` gates them with the other exact work counters.
+/// else. `tests/golden_counts.rs` pins them with the other exact work
+/// counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseCounters {
     /// Reordering-phase executions (MC64 + fill-reducing permutation).
@@ -291,8 +292,8 @@ impl PhaseCounters {
     }
 
     /// The work done since an earlier snapshot (elementwise difference) —
-    /// how `bench_refactor` isolates the steady-state refactor reps from
-    /// the first factorisation.
+    /// how `tests/golden_counts.rs` isolates the steady-state refactors
+    /// from the first factorisation.
     pub fn since(&self, earlier: &PhaseCounters) -> PhaseCounters {
         PhaseCounters {
             reorder_runs: self.reorder_runs - earlier.reorder_runs,

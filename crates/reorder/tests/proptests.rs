@@ -135,7 +135,7 @@ fn assert_equal_fill_postorders(sym: &CscMatrix) {
 }
 
 /// The same contract on the generator classes the benchmark and the
-/// smoke corpus draw from.
+/// golden-counts corpus draw from.
 #[test]
 fn generator_patterns_are_equal_fill_postorders() {
     use pangulu_sparse::gen;

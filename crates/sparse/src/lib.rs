@@ -59,7 +59,8 @@ pub enum SparseError {
     /// dimension, nonzero count, or nonzero positions).
     PatternMismatch(String),
     /// A stored value is NaN or infinite; `(row, col)` is the first such
-    /// entry in column-major order.
+    /// entry in column-major order. For a right-hand side handed to a
+    /// solve, `col` is the index of the right-hand side.
     NonFinite { row: usize, col: usize },
     /// The numeric factorisation met `pivots` zero (or NaN) pivots with the
     /// static-pivot floor disabled (`pivot_floor_rel = 0`): the matrix is

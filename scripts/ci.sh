@@ -18,8 +18,11 @@
 #           (bitwise factors across grids x modes x fault plans x shared
 #           thread counts), the DES <-> executor traffic identity,
 #           refactorisation reuse, the stall diagnosis under faults and the
-#           schedule-trace replay, and the executors' and the dependency
-#           rule's unit tests (seq:: shared:: dist:: task::), each run
+#           schedule-trace replay, the golden work counters of the
+#           regression corpus (tests/golden_counts.rs: messages, bytes,
+#           tasks, kernel and plan counters, exact), and the executors'
+#           and the dependency rule's unit tests (seq:: shared:: dist::
+#           task::), each run
 #           without and with --release so the thread-count stress meets
 #           debug timing too (see docs/SCHEDULING.md)
 #   transport  wire model and metrics invariants (observed == predicted
@@ -67,10 +70,6 @@
 #           later ordering change from silently re-scattering the block
 #           grid — each run without and with --release (see
 #           docs/ALGORITHM.md §1)
-#   bench   benchmark-regression gates: smoke + refactor + kernel
-#           baselines (see docs/OBSERVABILITY.md and docs/PERFORMANCE.md)
-#   bench-kernels  the kernel-plan gate alone: re-runs bench_kernels and
-#           diffs it against data/BENCH_kernels.json (docs/KERNEL_PLANS.md)
 #   benchmark-api  builds and tests the repo benchmark (benchmark/, its
 #           own workspace, compiled only against public items of
 #           crates/*), so an API change that breaks it fails here
@@ -130,7 +129,7 @@ stage_sched() {
     for profile in "" --release; do
         echo "--- scheduling correctness, profile: ${profile:-debug}"
         cargo test $profile -q --test determinism --test des_consistency --test refactor \
-            --test fault_injection --test schedule_trace
+            --test fault_injection --test schedule_trace --test golden_counts
         cargo test $profile -q -p pangulu-core --lib -- seq:: shared:: dist:: task::
     done
 }
@@ -183,24 +182,12 @@ stage_ordering() {
     done
 }
 
-stage_bench() {
-    scripts/bench_compare.sh
-}
-
-stage_bench_kernels() {
-    local fresh="${PANGULU_BENCH_FRESH_DIR:-target/bench-fresh}"
-    mkdir -p "$fresh"
-    cargo build --release -q -p pangulu-bench --bin bench_kernels --bin bench_compare
-    PANGULU_DATA_DIR="$fresh" ./target/release/bench_kernels
-    ./target/release/bench_compare data/BENCH_kernels.json "$fresh/BENCH_kernels.json"
-}
-
 stage_benchmark_api() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 all_stages=(fmt clippy build test doc panics trace sched transport precision solve kernels ordering
-    bench bench-kernels benchmark-api)
+    benchmark-api)
 
 only=""
 if [[ "${1:-}" == "--stage" ]]; then

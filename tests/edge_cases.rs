@@ -11,8 +11,8 @@ use pangulu::core::task::TaskGraph;
 use pangulu::core::BlockMatrix;
 use pangulu::kernels::select::{KernelSelector, Thresholds};
 use pangulu::prelude::*;
-use pangulu::sparse::gen;
 use pangulu::sparse::ops::relative_residual;
+use pangulu::sparse::{gen, SparseError};
 
 #[test]
 fn two_by_two_system_through_every_executor() {
@@ -116,4 +116,30 @@ fn dense_matrix_as_worst_case_input() {
     let b = gen::test_rhs(40, 3);
     let x = solver.solve(&b).unwrap();
     assert!(relative_residual(&a, &x, &b).unwrap() < 1e-10);
+}
+
+#[test]
+fn non_finite_right_hand_sides_are_rejected_in_every_precision() {
+    let a = gen::laplacian_2d(8, 8);
+    let n = a.nrows();
+    for precision in [Precision::F64, Precision::MixedF32] {
+        let solver = Solver::builder().precision(precision).build(&a).unwrap();
+        assert_eq!(solver.effective_precision(), precision);
+        let before = solver.precision_counters();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut b = gen::test_rhs(n, 5);
+            b[17] = bad;
+            let want = SparseError::NonFinite { row: 17, col: 0 };
+            assert_eq!(solver.solve(&b), Err(want.clone()), "{precision:?} {bad}");
+            assert_eq!(solver.solve_transpose(&b), Err(want.clone()), "{precision:?} {bad}");
+            assert_eq!(solver.solve_refined(&a, &b, 1e-14, 3).map(|_| ()), Err(want));
+            // Past the first panel, the error names the right-hand side and
+            // no panel is solved.
+            let mut bs = vec![gen::test_rhs(n, 6); 40];
+            bs[35] = b;
+            let got = solver.solve_multi(&bs);
+            assert_eq!(got, Err(SparseError::NonFinite { row: 17, col: 35 }), "{precision:?}");
+        }
+        assert_eq!(solver.precision_counters(), before, "{precision:?}: counters moved");
+    }
 }

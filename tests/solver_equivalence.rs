@@ -35,8 +35,8 @@ fn pangulu_agrees_with_supernodal_baseline() {
 /// at recording time, times a 100x safety margin. A failure here means a
 /// genuine accuracy regression, not test noise: the observed residuals
 /// sit near 1e-16, ten orders under the loosest bound.
-/// `data/BENCH_smoke.json` tracks the same corpus (at larger sizes) for
-/// the wall-clock gate; see docs/OBSERVABILITY.md.
+/// `tests/golden_counts.rs` pins the work counters of the same corpus (at
+/// larger sizes); see docs/OBSERVABILITY.md.
 const GOLDEN_BOUNDS: [(&str, f64); 6] = [
     ("laplacian_2d", 1e-13),
     ("circuit", 1e-12),

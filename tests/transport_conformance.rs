@@ -109,6 +109,22 @@ fn factors_bitwise_identical_across_backends() {
     }
 }
 
+/// Blocks larger than a shared-memory ring (256 KiB per edge) overflow
+/// into the sender's staging queue, which drains only while the sender
+/// keeps pushing. A rank waiting at a level-set barrier, or done with a
+/// sync-free run, must go on pushing, since a peer may still need what
+/// it holds back. Both modes finish and equal the channel factors.
+#[test]
+fn ring_overflow_finishes_in_both_modes() {
+    let prob = problem(43, 600, 200);
+    for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
+        let cfg = |kind| cfg_on(kind, mode).with_stall_timeout(Duration::from_secs(10));
+        let (channel, _) = factor_values(&prob, 2, 2, &cfg(TransportKind::Channel));
+        let (shm, _) = factor_values(&prob, 2, 2, &cfg(TransportKind::Shm));
+        assert!(channel == shm, "{mode:?}: shm factors differ from the channel reference");
+    }
+}
+
 /// Adversarial fault plans (delays, reordering, retried drops) are
 /// drawn per-edge from payload-independent RNG streams, so every
 /// backend sees the same fates: factors stay bitwise identical to a

@@ -54,7 +54,7 @@ fn per_edge_accounting_matches_prechange_fixture() {
     }
 }
 
-/// Edge sums reconcile with the rank totals the smoke bench reports, so
+/// Edge sums reconcile with the rank totals `tests/golden_counts.rs` pins, so
 /// the fixture pins the aggregate counters too.
 #[test]
 fn edge_sums_match_rank_totals() {
