@@ -69,7 +69,7 @@ fn bench_solve(c: &mut Criterion) {
         });
         let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(4));
         g.bench_function(BenchmarkId::new("distributed_4_ranks", name), |bch| {
-            bch.iter(|| solve_distributed_on(&bm, &owners, &b, TransportKind::Channel, None))
+            bch.iter(|| solve_distributed_on(&bm, &owners, &b, TransportKind, None))
         });
     }
     g.finish();

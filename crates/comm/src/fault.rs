@@ -1,4 +1,4 @@
-//! Deterministic fault injection for the mailbox transport.
+//! Deterministic fault injection for the rank mailboxes.
 //!
 //! The synchronisation-free scheduler (paper §4.4) is correct only if it
 //! tolerates *any* message timing: the dependency counters must gate every
@@ -47,7 +47,7 @@ pub struct FaultPlan {
     /// Payload shaping in bytes per second; `None` means infinite.
     pub bandwidth: Option<f64>,
     /// Scheduled death of one rank: `(victim, after_recvs)` severs the
-    /// victim's transport once it has delivered that many messages. The
+    /// victim's channel once it has delivered that many messages. The
     /// victim receives nothing from then on and its peers' sends fail;
     /// the executor's stall detector must surface the starvation as a
     /// structured error, never a hang.

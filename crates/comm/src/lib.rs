@@ -8,15 +8,10 @@
 //!
 //! * [`grid`] — the 2-D process grid and block-cyclic owner map (§4.2);
 //! * [`msg`] — the block messages the numeric factorisation exchanges;
-//! * [`mailbox`] — per-rank mailboxes with non-blocking probe and blocking
-//!   receive (the "wait for a sub-matrix block" state of Fig. 10); all
-//!   per-edge accounting and fault injection lives here, above the
-//!   transport, so the wire-model counters are backend-invariant;
-//! * [`transport`] — the pluggable backends underneath the mailboxes:
-//!   in-process channels and shared-memory byte rings;
-//! * [`codec`] — the versioned binary frame format the byte-moving
-//!   backends ship blocks in (length-prefixed, magic + version header,
-//!   encode-once payload fan-out);
+//! * [`mailbox`] — per-rank mailboxes over in-process channels, with
+//!   non-blocking probe and blocking receive (the "wait for a sub-matrix
+//!   block" state of Fig. 10); all per-edge accounting and fault
+//!   injection lives here;
 //! * [`cost`] — the communication/compute cost model and the two platform
 //!   profiles (A100-class, MI50-class) used by the discrete-event
 //!   scalability simulator;
@@ -25,18 +20,14 @@
 //!   stress the synchronisation-free scheduler under adversarial message
 //!   timing.
 
-pub mod codec;
 pub mod cost;
 pub mod fault;
 pub mod grid;
 pub mod mailbox;
 pub mod msg;
-pub mod transport;
 
-pub use codec::{CodecError, FrameDecoder};
 pub use cost::PlatformProfile;
 pub use fault::{EdgeRng, Fate, FaultPlan};
 pub use grid::ProcessGrid;
-pub use mailbox::{DeliveryRecord, Mailbox, MailboxSet};
+pub use mailbox::{DeliveryRecord, Mailbox, MailboxSet, TransportKind};
 pub use msg::{BlockMsg, BlockRole};
-pub use transport::{PeerClosed, Transport, TransportKind, TransportStats, WireEnvelope};

@@ -1,47 +1,45 @@
-//! Per-rank mailboxes over a pluggable [`Transport`] backend.
+//! Per-rank mailboxes over in-process channels.
 //!
-//! Each rank owns one transport endpoint and can send to every other
+//! Each rank owns one `std::sync::mpsc` receiver and a sender to every
 //! rank; this is the thread-as-MPI-rank comm layer. The numeric
 //! factorisation uses [`Mailbox::try_recv`] to drain without blocking
 //! while kernels are runnable, and [`Mailbox::recv`] to block when the
 //! task queue is empty — the time spent blocked is the measured
 //! synchronisation time (Fig. 13).
 //!
-//! The mailbox is deliberately the *only* layer that observes traffic:
-//! per-edge accounting, the fault plan, reorder buffers, the holdback
-//! heap and the delivery logs all live here, **above** the transport.
-//! Whether an envelope crosses an in-process channel or a shared-memory
-//! ring, it is charged, logged and fault-injected by the same code —
-//! that is what makes the wire-model counters backend-invariant (proven
-//! end-to-end by the cross-backend conformance suite).
+//! The mailbox is the *only* layer that observes traffic: per-edge
+//! accounting, the fault plan, reorder buffers, the holdback heap and the
+//! delivery logs all live here. Envelopes move by pointer; nothing is
+//! serialised, and the wire model charges each send its
+//! [`BlockMsg::payload_bytes`] as the modelled MPI transport would.
 //!
 //! Two deliberate wrinkles:
 //!
 //! * **Loopback.** A send to the own rank is charged full freight on the
 //!   diagonal edge and logged like any other send, but it is delivered
 //!   through this rank's own holdback heap, never through the fault
-//!   layer or the transport. Self-traffic is therefore identical on
-//!   every backend and immune to drop/delay plans — a rank cannot lose a
-//!   message to itself.
+//!   layer or the channel. Self-traffic is therefore immune to
+//!   drop/delay plans — a rank cannot lose a message to itself.
 //! * **Injected delays travel as relative nanoseconds.** The fault layer
 //!   stamps `delay_nanos` on the envelope; the *receiver* re-anchors it
-//!   at arrival time. An absolute `Instant` would be meaningless on the
-//!   far side of a process boundary, so no backend ships one.
+//!   at arrival time, so a delay counts from when the message reaches
+//!   the receiving rank, not from when it was sent.
 //!
 //! A [`MailboxSet`] built with [`MailboxSet::with_faults`] threads every
 //! message through the deterministic fault layer ([`crate::fault`]):
 //! messages acquire a delivery delay (delay/shaping/backoff), may be
 //! held in a bounded per-edge reorder buffer, or may be permanently lost
 //! once their retry budget is exhausted. A plan may also schedule a
-//! *peer death*: the victim rank severs its transport after a fixed
-//! number of deliveries, its peers' sends start failing, and the
-//! executor's stall detector surfaces the resulting starvation as a
-//! structured error.
+//! *peer death*: the victim rank severs its channel after a fixed number
+//! of deliveries, its peers' sends start failing, and the executor's
+//! stall detector surfaces the resulting starvation as a structured
+//! error.
 //!
 //! Every mailbox also keeps send/receive logs — the raw material of the
 //! schedule-trace validator's exactly-once delivery check.
 
 use std::collections::BinaryHeap;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
 use pangulu_metrics::{CommMetrics, EdgeStat};
@@ -49,7 +47,28 @@ use pangulu_sparse::Scalar;
 
 use crate::fault::{EdgeRng, Fate, FaultPlan};
 use crate::msg::{BlockMsg, BlockRole};
-use crate::transport::{self, Transport, TransportKind, WireEnvelope};
+
+/// The transport the mailboxes run on. It carries no choice: every
+/// mailbox runs on in-process channels (docs/TRANSPORT.md). It remains
+/// only because `pangulu_core::dist_solve::solve_distributed_on` takes
+/// one and the repository benchmark passes `TransportKind::default()`
+/// there; it goes with that caller.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub struct TransportKind;
+
+/// A message in flight: the block plus the routing and fault metadata
+/// the receiver needs.
+struct Envelope<S: Scalar> {
+    /// Sending rank.
+    from: usize,
+    /// Sender-side sequence number (per sending mailbox) — the stable
+    /// tiebreak of the receiver's holdback ordering.
+    seq: u64,
+    /// Injected delivery delay, applied by the receiver relative to
+    /// arrival time.
+    delay_nanos: u64,
+    msg: BlockMsg<S>,
+}
 
 /// One logged message transfer (sender or receiver side).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,7 +90,7 @@ struct HeldMsg<S: Scalar> {
     /// `None` delivers immediately; `Some(t)` not before `t` — computed
     /// at arrival from the envelope's relative `delay_nanos`.
     due: Option<Instant>,
-    env: WireEnvelope<S>,
+    env: Envelope<S>,
 }
 
 impl<S: Scalar> PartialEq for HeldMsg<S> {
@@ -97,7 +116,7 @@ impl<S: Scalar> Ord for HeldMsg<S> {
 struct Edge<S: Scalar> {
     rng: EdgeRng,
     /// Bounded reorder buffer (only used when `reorder_depth > 0`).
-    buffer: Vec<WireEnvelope<S>>,
+    buffer: Vec<Envelope<S>>,
 }
 
 /// Builder for the full set of rank mailboxes.
@@ -106,30 +125,29 @@ pub struct MailboxSet<S: Scalar = f64> {
 }
 
 impl<S: Scalar> MailboxSet<S> {
-    /// Creates mailboxes for `p` ranks, all-to-all connected over the
-    /// in-process channel backend, with a reliable (fault-free) plan.
+    /// Creates mailboxes for `p` ranks, all-to-all connected, with a
+    /// reliable (fault-free) plan.
     pub fn new(p: usize) -> Self {
-        Self::with_transport(p, TransportKind::Channel, None)
+        Self::build(p, None)
     }
 
     /// As [`MailboxSet::new`], but every send runs through the seeded
     /// fault plan.
     pub fn with_faults(p: usize, plan: FaultPlan) -> Self {
-        Self::with_transport(p, TransportKind::Channel, Some(plan))
+        Self::build(p, Some(plan))
     }
 
-    /// Creates mailboxes on the chosen transport backend, optionally
-    /// fault-injected.
-    pub fn with_transport(p: usize, kind: TransportKind, plan: Option<FaultPlan>) -> Self {
+    fn build(p: usize, plan: Option<FaultPlan>) -> Self {
         assert!(p > 0, "mailbox world needs at least one rank");
-        let endpoints = transport::build_endpoints::<S>(kind, p);
-        let mailboxes = endpoints
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| channel()).unzip();
+        let mailboxes = receivers
             .into_iter()
             .enumerate()
-            .map(|(rank, transport)| Mailbox {
+            .map(|(rank, receiver)| Mailbox {
                 rank,
                 world: p,
-                transport,
+                receiver,
+                senders: senders.clone(),
                 plan: plan.clone(),
                 edges: plan.as_ref().map(|pl| {
                     (0..p)
@@ -163,17 +181,22 @@ impl<S: Scalar> MailboxSet<S> {
     }
 }
 
-/// One rank's endpoint: its transport plus the accounting/fault state.
+/// One rank's endpoint: its channel ends plus the accounting/fault state.
 pub struct Mailbox<S: Scalar = f64> {
     rank: usize,
     world: usize,
-    transport: Box<dyn Transport<S>>,
+    receiver: Receiver<Envelope<S>>,
+    /// Senders to every rank. The own rank's keeps this receiver's
+    /// channel alive, so a blocking receive never sees `Disconnected`
+    /// while the mailbox lives (until [`Mailbox::sever`]).
+    senders: Vec<Sender<Envelope<S>>>,
     plan: Option<FaultPlan>,
     edges: Option<Vec<Edge<S>>>,
     /// Received-but-not-yet-due messages, and loopback deliveries.
     holdback: BinaryHeap<HeldMsg<S>>,
     send_seq: u64,
-    /// Set once the scheduled peer death has fired on this rank.
+    /// Set once the scheduled peer death has fired on this rank; a dead
+    /// rank's own sends fail too.
     died: bool,
     sync_wait: Duration,
     sent_msgs: u64,
@@ -204,22 +227,9 @@ impl<S: Scalar> Mailbox<S> {
         self.world
     }
 
-    /// Which transport backend this mailbox runs on.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.transport.kind()
-    }
-
-    /// Severs the underlying transport, simulating this rank's death:
-    /// peers' sends start failing and nothing arrives any more. Test and
-    /// fault-injection hook.
-    pub fn sever_transport(&mut self) {
-        self.transport.sever();
-        self.died = true;
-    }
-
     /// Sends a block to `to`. Sending to self is allowed and charged
     /// like any other send, but delivered through this rank's own
-    /// holdback, bypassing the fault layer and the transport (see the
+    /// holdback, bypassing the fault layer and the channel (see the
     /// module docs). Under a fault plan a remote message may be delayed,
     /// reordered behind later sends, or — once its retry budget is
     /// exhausted — permanently lost; the runtime's recv-timeout path is
@@ -233,8 +243,7 @@ impl<S: Scalar> Mailbox<S> {
         self.edge_bytes[to] += bytes;
         let record = DeliveryRecord { from: self.rank, to, bi: msg.bi, bj: msg.bj, role: msg.role };
         self.send_seq += 1;
-        let mut env =
-            WireEnvelope { from: self.rank as u32, seq: self.send_seq, delay_nanos: 0, msg };
+        let mut env = Envelope { from: self.rank, seq: self.send_seq, delay_nanos: 0, msg };
 
         if to == self.rank {
             self.sent_log.push(record);
@@ -242,131 +251,97 @@ impl<S: Scalar> Mailbox<S> {
             return;
         }
 
-        if let (Some(plan), Some(edges)) = (self.plan.as_ref(), self.edges.as_mut()) {
-            let edge = &mut edges[to];
-            match plan.fate(&mut edge.rng, env.msg.payload_bytes()) {
-                Fate::Lost => {
-                    self.dropped_msgs += 1;
-                    self.lost_log.push(record);
-                    return;
+        let out = match (self.plan.as_ref(), self.edges.as_mut()) {
+            (Some(plan), Some(edges)) => {
+                let edge = &mut edges[to];
+                match plan.fate(&mut edge.rng, env.msg.payload_bytes()) {
+                    Fate::Lost => {
+                        self.dropped_msgs += 1;
+                        self.lost_log.push(record);
+                        return;
+                    }
+                    Fate::Deliver { delay, retries } => {
+                        self.retried_sends += retries as u64;
+                        env.delay_nanos = delay.as_nanos().min(u64::MAX as u128) as u64;
+                    }
                 }
-                Fate::Deliver { delay, retries } => {
-                    self.retried_sends += retries as u64;
-                    env.delay_nanos = delay.as_nanos().min(u64::MAX as u128) as u64;
-                }
-            }
-            if plan.reorder_depth > 0 {
-                edge.buffer.push(env);
-                if edge.buffer.len() > plan.reorder_depth {
-                    let idx = edge.rng.below(edge.buffer.len() as u64) as usize;
-                    let out = edge.buffer.swap_remove(idx);
+                if plan.reorder_depth == 0 {
+                    env
+                } else {
+                    edge.buffer.push(env);
+                    if edge.buffer.len() <= plan.reorder_depth {
+                        return;
+                    }
                     // The released envelope is generally NOT the one just
-                    // pushed — log what actually goes on the wire.
-                    let out_record = DeliveryRecord {
-                        from: self.rank,
-                        to,
-                        bi: out.msg.bi,
-                        bj: out.msg.bj,
-                        role: out.msg.role,
-                    };
-                    Self::transmit(
-                        self.transport.as_mut(),
-                        to,
-                        out,
-                        out_record,
-                        &mut self.sent_log,
-                        &mut self.undeliverable,
-                    );
+                    // pushed — the log records what actually goes out.
+                    let idx = edge.rng.below(edge.buffer.len() as u64) as usize;
+                    edge.buffer.swap_remove(idx)
                 }
-                return;
             }
-        }
-        Self::transmit(
-            self.transport.as_mut(),
-            to,
-            env,
-            record,
-            &mut self.sent_log,
-            &mut self.undeliverable,
-        );
+            _ => env,
+        };
+        self.transmit(to, out);
     }
 
-    fn transmit(
-        transport: &mut dyn Transport<S>,
-        to: usize,
-        env: WireEnvelope<S>,
-        record: DeliveryRecord,
-        sent_log: &mut Vec<DeliveryRecord>,
-        undeliverable: &mut u64,
-    ) {
-        // A send can only fail when the receiving endpoint has already
-        // shut down — legitimate while a run is aborting after a
-        // DistError or a peer death, so it is counted, not propagated.
-        match transport.send(to, env) {
-            Ok(()) => sent_log.push(record),
-            Err(_) => *undeliverable += 1,
+    /// Hands `env` to rank `to`'s channel and logs it as sent. A send
+    /// fails only when the receiving rank has already shut down or one end
+    /// is severed — legitimate while a run is aborting after a DistError
+    /// or a peer death, so it is counted, not propagated.
+    fn transmit(&mut self, to: usize, env: Envelope<S>) {
+        let record = DeliveryRecord {
+            from: env.from,
+            to,
+            bi: env.msg.bi,
+            bj: env.msg.bj,
+            role: env.msg.role,
+        };
+        if !self.died && self.senders[to].send(env).is_ok() {
+            self.sent_log.push(record);
+        } else {
+            self.undeliverable += 1;
         }
     }
 
     /// Releases every message still sitting in this rank's reorder
-    /// buffers (in send order), then pushes any transport-buffered bytes
-    /// toward peers as far as the wire has room. Executors call this
-    /// before blocking, so a buffered message can never be stranded by
-    /// an idle sender. True when the transport holds nothing back.
-    pub fn flush_pending(&mut self) -> bool {
-        if let Some(edges) = self.edges.as_mut() {
-            for (to, edge) in edges.iter_mut().enumerate() {
-                if edge.buffer.is_empty() {
-                    continue;
-                }
-                edge.buffer.sort_by_key(|e| e.seq);
-                for env in edge.buffer.drain(..) {
-                    let record = DeliveryRecord {
-                        from: self.rank,
-                        to,
-                        bi: env.msg.bi,
-                        bj: env.msg.bj,
-                        role: env.msg.role,
-                    };
-                    Self::transmit(
-                        self.transport.as_mut(),
-                        to,
-                        env,
-                        record,
-                        &mut self.sent_log,
-                        &mut self.undeliverable,
-                    );
-                }
+    /// buffers, in send order. Executors call this before blocking and
+    /// before leaving a run, so a buffered message can never be stranded
+    /// by an idle or finished sender.
+    pub fn flush_pending(&mut self) {
+        let Some(mut edges) = self.edges.take() else {
+            return;
+        };
+        for (to, edge) in edges.iter_mut().enumerate() {
+            edge.buffer.sort_by_key(|e| e.seq);
+            for env in edge.buffer.drain(..) {
+                self.transmit(to, env);
             }
         }
-        self.transport.flush()
-    }
-
-    /// As [`Mailbox::flush_pending`], but returns only once the transport
-    /// holds nothing back (what an endpoint holds back dies with it), so
-    /// executors call it before leaving a run. It receives meanwhile, and
-    /// a peer owed bytes either reads them or leaves, closing its rings.
-    pub fn flush_all(&mut self) {
-        while !self.flush_pending() {
-            self.pump();
-            std::thread::sleep(transport::POLL_INTERVAL);
-        }
+        self.edges = Some(edges);
     }
 
     /// Parks an envelope in the holdback heap, re-anchoring its relative
     /// injected delay at arrival time.
-    fn hold(&mut self, env: WireEnvelope<S>) {
+    fn hold(&mut self, env: Envelope<S>) {
         let due =
             (env.delay_nanos > 0).then(|| Instant::now() + Duration::from_nanos(env.delay_nanos));
         self.holdback.push(HeldMsg { due, env });
         self.max_queue_depth = self.max_queue_depth.max(self.holdback.len() as u64);
     }
 
-    /// Moves everything queued on the transport into the holdback heap.
+    /// Moves everything queued on the channel into the holdback heap.
     fn pump(&mut self) {
-        while let Some(env) = self.transport.try_recv() {
+        while let Ok(env) = self.receiver.try_recv() {
             self.hold(env);
         }
+    }
+
+    /// Simulates this rank's death: swapping the receiver for a
+    /// senderless one makes every peer's send fail, as a vanished
+    /// process would, and this rank receives nothing ever again.
+    fn sever(&mut self) {
+        self.receiver = channel().1;
+        self.holdback.clear();
+        self.died = true;
     }
 
     /// Fires the scheduled peer death once this rank has delivered
@@ -381,9 +356,7 @@ impl<S: Scalar> Mailbox<S> {
             return;
         };
         if self.rank == victim && self.recv_log.len() as u64 >= after {
-            self.transport.sever();
-            self.holdback.clear();
-            self.died = true;
+            self.sever();
         }
     }
 
@@ -398,7 +371,7 @@ impl<S: Scalar> Mailbox<S> {
         }
         let held = self.holdback.pop().expect("peeked holdback entry");
         self.recv_log.push(DeliveryRecord {
-            from: held.env.from as usize,
+            from: held.env.from,
             to: self.rank,
             bi: held.env.msg.bi,
             bj: held.env.msg.bj,
@@ -441,8 +414,14 @@ impl<S: Scalar> Mailbox<S> {
                     wait = wait.min(until.max(Duration::from_micros(100)));
                 }
             }
-            if let Some(env) = self.transport.recv_timeout(wait) {
-                self.hold(env);
+            match self.receiver.recv_timeout(wait) {
+                Ok(env) => self.hold(env),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Only reachable after `sever`; burn the wait instead of
+                // spinning.
+                Err(RecvTimeoutError::Disconnected) => {
+                    std::thread::sleep(wait.min(Duration::from_millis(1)))
+                }
             }
         };
         self.sync_wait += start.elapsed();
@@ -486,12 +465,8 @@ impl<S: Scalar> Mailbox<S> {
     }
 
     /// Snapshot of this rank's communication accounting as a structured
-    /// [`CommMetrics`] record (zero-traffic edges omitted). The logical
-    /// per-edge charges come from the mailbox layer and are
-    /// backend-invariant; the codec counters come straight from the
-    /// transport and are zero on the channel backend.
+    /// [`CommMetrics`] record (zero-traffic edges omitted).
     pub fn metrics(&self) -> CommMetrics {
-        let wire = self.transport.stats();
         CommMetrics {
             msgs_sent: self.sent_msgs,
             bytes_sent: self.sent_bytes,
@@ -500,8 +475,6 @@ impl<S: Scalar> Mailbox<S> {
             recv_timeouts: self.recv_timeouts,
             undeliverable: self.undeliverable,
             max_queue_depth: self.max_queue_depth,
-            frames_sent: wire.frames_sent,
-            codec_bytes_encoded: wire.codec_bytes_encoded,
             edges: self
                 .edge_msgs
                 .iter()
@@ -513,7 +486,7 @@ impl<S: Scalar> Mailbox<S> {
         }
     }
 
-    /// Messages actually handed to the transport (or the loopback path),
+    /// Messages actually handed to a peer's channel (or the loopback path),
     /// by destination and block.
     pub fn sent_log(&self) -> &[DeliveryRecord] {
         &self.sent_log
@@ -690,20 +663,17 @@ mod tests {
 
     #[test]
     fn loopback_is_charged_logged_and_delivered() {
-        for kind in [TransportKind::Channel, TransportKind::Shm] {
-            let mut boxes = MailboxSet::with_transport(2, kind, None).into_mailboxes();
-            let mb = &mut boxes[0];
-            mb.send(0, msg(4));
-            assert_eq!(mb.sent_msgs(), 1, "{kind}");
-            assert_eq!(mb.sent_log().len(), 1, "{kind}");
-            let m = mb.metrics();
-            assert_eq!(m.edges.len(), 1, "{kind}: loopback charged on the diagonal edge");
-            assert_eq!(m.edges[0].to, 0, "{kind}");
-            assert_eq!(m.frames_sent, 0, "{kind}: loopback never reaches the transport");
-            let got = mb.try_recv().expect("self-delivery");
-            assert_eq!(got.bi, 4);
-            assert_eq!(mb.recv_log().len(), 1, "{kind}");
-        }
+        let mut boxes = MailboxSet::<f64>::new(2).into_mailboxes();
+        let mb = &mut boxes[0];
+        mb.send(0, msg(4));
+        assert_eq!(mb.sent_msgs(), 1);
+        assert_eq!(mb.sent_log().len(), 1);
+        let m = mb.metrics();
+        assert_eq!(m.edges.len(), 1, "loopback charged on the diagonal edge");
+        assert_eq!(m.edges[0].to, 0);
+        let got = mb.try_recv().expect("self-delivery");
+        assert_eq!(got.bi, 4);
+        assert_eq!(mb.recv_log().len(), 1);
     }
 
     #[test]
@@ -738,59 +708,16 @@ mod tests {
     }
 
     #[test]
-    fn backend_roundtrip_through_mailboxes() {
-        for kind in [TransportKind::Channel, TransportKind::Shm] {
-            let mut boxes = MailboxSet::with_transport(2, kind, None).into_mailboxes();
-            let mut b1 = boxes.pop().unwrap();
-            let mut b0 = boxes.pop().unwrap();
-            assert_eq!(b0.transport_kind(), kind);
-            for i in 0..8 {
-                b0.send(1, msg(i));
-            }
-            b0.flush_pending();
-            let mut got = Vec::new();
-            while got.len() < 8 {
-                if let Some(m) = b1.recv(Duration::from_secs(5)) {
-                    got.push(m.bi);
-                } else {
-                    panic!("{kind}: delivery stalled");
-                }
-            }
-            assert_eq!(got, (0..8).collect::<Vec<_>>());
-            let metrics = b0.metrics();
-            assert_eq!(metrics.msgs_sent, 8);
-            if kind.uses_codec() {
-                assert_eq!(metrics.frames_sent, 8, "{kind}");
-                assert!(metrics.codec_bytes_encoded > 0, "{kind}");
-            } else {
-                assert_eq!(metrics.frames_sent, 0, "{kind}");
-                assert_eq!(metrics.codec_bytes_encoded, 0, "{kind}");
-            }
-        }
-    }
-
-    /// A sender that finishes while its shm ring is full must not take
-    /// the overflow with it: 16 frames of 64 KiB overflow the 256 KiB
-    /// ring, the sender drops its endpoint right after `flush_all`, and
-    /// the reader only starts polling after that could have happened.
-    #[test]
-    fn flush_all_hands_every_frame_over_before_the_sender_leaves() {
-        let mut boxes = MailboxSet::with_transport(2, TransportKind::Shm, None).into_mailboxes();
+    fn blocking_receives_keep_edge_order() {
+        let mut boxes = MailboxSet::<f64>::new(2).into_mailboxes();
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
-        std::thread::scope(|s| {
-            s.spawn(move || {
-                for i in 0..16 {
-                    let values = vec![i as f64; 8192].into();
-                    b0.send(1, BlockMsg { bi: i, bj: 0, role: BlockRole::LPanel, values });
-                }
-                b0.flush_all();
-            });
-            std::thread::sleep(Duration::from_millis(50));
-            for i in 0..16 {
-                let got = b1.recv(Duration::from_secs(5)).expect("a frame stranded by its sender");
-                assert_eq!(got.bi, i);
-            }
-        });
+        for i in 0..8 {
+            b0.send(1, msg(i));
+        }
+        let got: Vec<usize> =
+            (0..8).map(|_| b1.recv(Duration::from_secs(5)).expect("delivery stalled").bi).collect();
+        assert_eq!(got, (0..8).collect::<Vec<_>>());
+        assert_eq!(b0.metrics().msgs_sent, 8);
     }
 }

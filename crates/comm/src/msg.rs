@@ -41,8 +41,7 @@ pub enum BlockRole {
 
 /// A block shipped between ranks. Generic over the element precision:
 /// an f32 factorisation ships 4-byte elements, halving the payload cost
-/// of every edge, and the codec stamps the element width into each frame
-/// header so a mismatched receiver rejects rather than reinterprets.
+/// of every edge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMsg<S: Scalar = f64> {
     /// Block row index.

@@ -40,9 +40,7 @@ use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pangulu_comm::{
-    BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet, TransportKind,
-};
+use pangulu_comm::{BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet};
 use pangulu_kernels::select::KernelSelector;
 use pangulu_kernels::{KernelPlans, KernelScratch, PlanStats, TimedKernels};
 use pangulu_metrics::{MemStats, RankMetrics, RunReport, TaskCounts};
@@ -82,11 +80,6 @@ pub struct FactorConfig {
     /// busy/sync accounting and communication counters are kept either
     /// way.
     pub metrics: bool,
-    /// Transport backend the rank mailboxes run on (in-process channels
-    /// by default). The factors and every deterministic counter are
-    /// backend-invariant — the cross-backend conformance suite asserts
-    /// bitwise-identical results over channels and shared-memory rings.
-    pub transport: TransportKind,
 }
 
 impl Default for FactorConfig {
@@ -97,7 +90,6 @@ impl Default for FactorConfig {
             stall_timeout: Duration::from_secs(60),
             traced: false,
             metrics: true,
-            transport: TransportKind::Channel,
         }
     }
 }
@@ -129,13 +121,6 @@ impl FactorConfig {
     /// Toggles per-variant kernel metering (on by default).
     pub fn with_metrics(mut self, on: bool) -> Self {
         self.metrics = on;
-        self
-    }
-
-    /// Selects the transport backend (in-process channels by default;
-    /// bitwise-neutral by the conformance contract).
-    pub fn with_transport(mut self, kind: TransportKind) -> Self {
-        self.transport = kind;
         self
     }
 }
@@ -355,8 +340,11 @@ pub fn factor_distributed_cached<S: Scalar>(
     for st in &mut ws.ranks {
         st.reset(bm, tg);
     }
-    let mailboxes =
-        MailboxSet::<S>::with_transport(p, cfg.transport, cfg.fault.clone()).into_mailboxes();
+    let mailboxes = cfg
+        .fault
+        .clone()
+        .map_or_else(|| MailboxSet::<S>::new(p), |plan| MailboxSet::with_faults(p, plan))
+        .into_mailboxes();
     let barrier = StepBarrier::new(p);
     let abort = AtomicBool::new(false);
     let first_err: Mutex<Option<DistError>> = Mutex::new(None);
@@ -477,10 +465,8 @@ impl StepBarrier {
         StepBarrier { parties, state: Mutex::new((0, 0)), cv: Condvar::new() }
     }
 
-    /// Waits for all parties; returns `false` if the run aborted. While
-    /// it waits it runs `idle` about once a millisecond, holding the
-    /// barrier's lock, so `idle` must not block.
-    fn wait(&self, abort: &AtomicBool, mut idle: impl FnMut()) -> bool {
+    /// Waits for all parties; returns `false` if the run aborted.
+    fn wait(&self, abort: &AtomicBool) -> bool {
         let mut st = self.state.lock().expect("barrier poisoned");
         let gen = st.1;
         st.0 += 1;
@@ -494,11 +480,10 @@ impl StepBarrier {
             if abort.load(AtomicOrdering::Relaxed) {
                 return false;
             }
-            st = self.cv.wait_timeout(st, Duration::from_millis(1)).expect("barrier poisoned").0;
+            st = self.cv.wait_timeout(st, Duration::from_millis(10)).expect("barrier poisoned").0;
             if st.1 != gen {
                 return true;
             }
-            idle();
         }
     }
 }
@@ -794,8 +779,8 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 continue;
             }
             if self.remaining == 0 && self.mode == ScheduleMode::SyncFree {
-                // Hand every still-buffered send over before leaving.
-                self.mailbox.flush_all();
+                // Hand any still-buffered sends over before leaving.
+                self.mailbox.flush_pending();
                 break;
             }
             if self.mode == ScheduleMode::LevelSet {
@@ -806,12 +791,7 @@ impl<'a, S: Scalar> Worker<'a, S> {
                 {
                     self.mailbox.flush_pending();
                     let t = Instant::now();
-                    // Keep pushing buffered sends while waiting: a peer
-                    // may need them to finish this step.
-                    let mailbox = &mut self.mailbox;
-                    let ok = self.barrier.wait(self.abort, || {
-                        mailbox.flush_pending();
-                    });
+                    let ok = self.barrier.wait(self.abort);
                     self.barrier_wait += t.elapsed();
                     if !ok {
                         break;

@@ -14,7 +14,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-use pangulu_comm::{ProcessGrid, TransportKind};
+use pangulu_comm::ProcessGrid;
 use pangulu_kernels::select::{KernelSelector, Thresholds};
 use pangulu_kernels::tile::{tile_rows, TILE_COLS};
 use pangulu_kernels::{isa, KernelPlans, PlanStats};
@@ -93,10 +93,6 @@ pub struct SolverOptions {
     /// with this many worker threads (PanguLU's multicore CPU mode)
     /// instead of the message-passing ranks; `ranks` is ignored.
     pub shared_threads: Option<usize>,
-    /// Transport backend the multi-rank numeric phase runs on
-    /// (in-process channels by default). Factors, solutions and every
-    /// deterministic counter are backend-invariant.
-    pub transport: TransportKind,
     /// Numeric precision of the factorisation: full f64, or the mixed
     /// f32-factor/refined-solve path.
     pub precision: Precision,
@@ -124,7 +120,6 @@ impl Default for SolverOptions {
             pivot_floor_rel: 1e-12,
             load_balance: true,
             shared_threads: None,
-            transport: TransportKind::default(),
             precision: Precision::default(),
             probe_every: 4,
         }
@@ -190,14 +185,6 @@ impl SolverBuilder {
     /// worker threads instead of message-passing ranks.
     pub fn shared_threads(mut self, t: usize) -> Self {
         self.opts.shared_threads = Some(t.max(1));
-        self
-    }
-
-    /// Selects the transport backend of the multi-rank numeric phase
-    /// (in-process channels by default; bitwise-neutral by the
-    /// conformance contract).
-    pub fn transport(mut self, kind: TransportKind) -> Self {
-        self.opts.transport = kind;
         self
     }
 
@@ -401,7 +388,7 @@ impl<S: Scalar> NumericCache<S> {
             }
         } else {
             Executor::Distributed {
-                cfg: FactorConfig::with_mode(opts.schedule).with_transport(opts.transport),
+                cfg: FactorConfig::with_mode(opts.schedule),
                 workspace: NumericWorkspace::new(bm, tg, owners),
             }
         };

@@ -171,9 +171,9 @@ pub struct EdgeStat {
 /// One rank's communication accounting, filled by its mailbox.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommMetrics {
-    /// Messages handed to the transport (drops included).
+    /// Messages sent (drops included).
     pub msgs_sent: u64,
-    /// Payload bytes handed to the transport.
+    /// Payload bytes sent (drops included).
     pub bytes_sent: u64,
     /// Transmission retries consumed by the fault layer.
     pub retried_sends: u64,
@@ -185,14 +185,6 @@ pub struct CommMetrics {
     pub undeliverable: u64,
     /// Deepest observed receive-queue depth (pending + held-back).
     pub max_queue_depth: u64,
-    /// Codec frames the transport backend actually wrote toward peers.
-    /// Zero on the in-process channel backend (nothing is serialised);
-    /// zeroed by `without_timings` so backends stay comparable.
-    pub frames_sent: u64,
-    /// Bytes freshly produced by the wire codec: frame headers plus the
-    /// payload once per distinct scatter (the encode-once fan-out).
-    /// Zero on the channel backend; zeroed by `without_timings`.
-    pub codec_bytes_encoded: u64,
     /// Per-destination traffic, ascending by rank; zero edges omitted.
     pub edges: Vec<EdgeStat>,
 }
@@ -528,11 +520,9 @@ impl RunReport {
     /// field (run wall time, per-rank busy/sync/idle, per-variant kernel
     /// nanoseconds) *and* every scheduling-dependent observable
     /// (blocked-receive count, receive timeouts, peak queue depth,
-    /// shutdown-race undeliverables) *and* every backend-dependent wire
-    /// counter (codec frames/bytes — zero on the channel backend by
-    /// construction) zeroed. Two runs with the same matrix, grid, owner
-    /// map and fault plan must compare equal under it, whatever
-    /// transport backend either ran on.
+    /// shutdown-race undeliverables) zeroed. Two runs with the same
+    /// matrix, grid, owner map and fault plan must compare equal under
+    /// it.
     pub fn without_timings(&self) -> RunReport {
         let mut out = self.clone();
         out.wall_nanos = 0;
@@ -544,8 +534,6 @@ impl RunReport {
             r.comm.recv_timeouts = 0;
             r.comm.max_queue_depth = 0;
             r.comm.undeliverable = 0;
-            r.comm.frames_sent = 0;
-            r.comm.codec_bytes_encoded = 0;
             r.mem.plan_build_ns = 0;
             r.kernels.zero_timings();
         }
@@ -668,8 +656,6 @@ fn rank_to_json(r: &RankMetrics) -> Json {
                 ("recv_timeouts", Json::Num(r.comm.recv_timeouts as f64)),
                 ("undeliverable", Json::Num(r.comm.undeliverable as f64)),
                 ("max_queue_depth", Json::Num(r.comm.max_queue_depth as f64)),
-                ("frames_sent", Json::Num(r.comm.frames_sent as f64)),
-                ("codec_bytes_encoded", Json::Num(r.comm.codec_bytes_encoded as f64)),
                 ("edges", Json::Arr(edges)),
             ]),
         ),
@@ -678,9 +664,10 @@ fn rank_to_json(r: &RankMetrics) -> Json {
 }
 
 /// Parses one `per_rank` entry. Documents written while the executor had
-/// a lookahead window carry a `sched` object per rank, and ones written
-/// while it fused SSSSM updates a `mem.ssssm_batches` count; both are
-/// ignored.
+/// a lookahead window carry a `sched` object per rank, ones written while
+/// it fused SSSSM updates a `mem.ssssm_batches` count, and ones written
+/// while a shared-memory transport existed two more `comm` counters; all
+/// are ignored.
 fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
     let tasks = j.req("tasks")?;
     let comm = j.req("comm")?;
@@ -720,8 +707,6 @@ fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
             recv_timeouts: comm.req_u64("recv_timeouts")?,
             undeliverable: comm.req_u64("undeliverable")?,
             max_queue_depth: comm.req_u64("max_queue_depth")?,
-            frames_sent: comm.req_u64("frames_sent")?,
-            codec_bytes_encoded: comm.req_u64("codec_bytes_encoded")?,
             edges: Vec::new(),
         },
         kernels: KernelTally::default(),
@@ -808,8 +793,6 @@ mod tests {
                         recv_timeouts: 2,
                         undeliverable: 0,
                         max_queue_depth: 3,
-                        frames_sent: 4,
-                        codec_bytes_encoded: 736,
                         edges: vec![EdgeStat { to: 1, msgs: 4, bytes: 512 }],
                     },
                     kernels,
@@ -833,6 +816,14 @@ mod tests {
             .total_kernels()
             .entries()
             .any(|(c, v, s)| (c, v, s.calls) == ("TSTRF", "D_V1", 1)));
+        // A document written while the shared-memory transport existed
+        // carries its two wire counters per rank; they are ignored.
+        let old = text.replace(
+            "\"max_queue_depth\":",
+            "\"frames_sent\": 4, \"codec_bytes_encoded\": 736, \"max_queue_depth\":",
+        );
+        assert_eq!(old.matches("codec_bytes_encoded").count(), report.per_rank.len());
+        assert_eq!(RunReport::from_json(&old).unwrap(), report);
     }
 
     #[test]
@@ -866,11 +857,6 @@ mod tests {
         assert_eq!(det.per_rank[0].blocked_recvs, 0);
         assert_eq!(det.per_rank[0].comm.recv_timeouts, 0);
         assert_eq!(det.per_rank[0].comm.max_queue_depth, 0);
-        assert_eq!(det.per_rank[0].comm.frames_sent, 0, "wire framing is backend-dependent");
-        assert_eq!(
-            det.per_rank[0].comm.codec_bytes_encoded, 0,
-            "codec output is backend-dependent"
-        );
         assert_eq!(det.per_rank[0].mem.plan_build_ns, 0, "plan build time is a wall clock");
         assert_eq!(det.per_rank[0].kernels.total_nanos(), 0);
         // Work counters untouched.
@@ -895,8 +881,6 @@ mod tests {
         other.per_rank[0].blocked_recvs = 12;
         other.per_rank[0].comm.recv_timeouts = 8;
         other.per_rank[0].mem.plan_build_ns = 123;
-        other.per_rank[0].comm.frames_sent = 17;
-        other.per_rank[0].comm.codec_bytes_encoded = 4096;
         assert_eq!(other.without_timings(), det);
     }
 

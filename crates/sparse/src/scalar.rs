@@ -1,7 +1,7 @@
 //! The numeric value type of the solver stack.
 //!
 //! Everything numeric in the stack — matrix values, kernel arithmetic,
-//! wire payloads, plan arenas — is generic over [`Scalar`], with `f64`
+//! message payloads, plan arenas — is generic over [`Scalar`], with `f64`
 //! as the default type parameter so existing call sites compile
 //! unchanged. The only implementations are `f64` (the reference
 //! precision) and `f32` (the mixed-precision factorisation path, whose
@@ -9,9 +9,7 @@
 //!
 //! The trait deliberately exposes *width* alongside arithmetic:
 //! [`Scalar::WIDTH`] drives payload and copy accounting, and
-//! [`Scalar::WIDTH_TAG`] is stamped into every wire frame header so a
-//! receiver expecting one element width rejects frames carrying the
-//! other instead of reinterpreting bytes. [`Scalar::PlanIdx`] picks the
+//! [`Scalar::PlanIdx`] picks the
 //! index width of kernel plan arenas (`u32` for `f64`, `u16` for `f32`),
 //! which is what halves `plan_bytes` in mixed mode.
 
@@ -61,8 +59,7 @@ impl PlanIndex for u16 {
 
 /// A floating-point element type the solver can factor in.
 ///
-/// Sealed in spirit: only `f32` and `f64` make sense, and the codec's
-/// width tag has exactly two legal values.
+/// Sealed in spirit: only `f32` and `f64` make sense.
 pub trait Scalar:
     Copy
     + Send
@@ -90,8 +87,6 @@ pub trait Scalar:
     const ONE: Self;
     /// Element width in bytes (4 or 8); drives payload accounting.
     const WIDTH: usize;
-    /// Width tag stamped into wire frame headers (equals `WIDTH`).
-    const WIDTH_TAG: u8;
     /// Human-readable precision label ("f64" / "f32") for reports.
     const LABEL: &'static str;
     /// Plan-arena index type (`u32` for f64, `u16` for f32).
@@ -103,17 +98,12 @@ pub trait Scalar:
     fn to_f64(self) -> f64;
     /// Absolute value.
     fn abs(self) -> Self;
-    /// Appends the little-endian bytes of `self` to `out`.
-    fn write_le(self, out: &mut Vec<u8>);
-    /// Reads one element from exactly `WIDTH` little-endian bytes.
-    fn read_le(bytes: &[u8]) -> Self;
 }
 
 impl Scalar for f64 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const WIDTH: usize = 8;
-    const WIDTH_TAG: u8 = 8;
     const LABEL: &'static str = "f64";
     type PlanIdx = u32;
 
@@ -129,21 +119,12 @@ impl Scalar for f64 {
     fn abs(self) -> Self {
         f64::abs(self)
     }
-    #[inline]
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        f64::from_le_bytes(bytes.try_into().expect("8-byte element"))
-    }
 }
 
 impl Scalar for f32 {
     const ZERO: Self = 0.0;
     const ONE: Self = 1.0;
     const WIDTH: usize = 4;
-    const WIDTH_TAG: u8 = 4;
     const LABEL: &'static str = "f32";
     type PlanIdx = u16;
 
@@ -159,14 +140,6 @@ impl Scalar for f32 {
     fn abs(self) -> Self {
         f32::abs(self)
     }
-    #[inline]
-    fn write_le(self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_le_bytes());
-    }
-    #[inline]
-    fn read_le(bytes: &[u8]) -> Self {
-        f32::from_le_bytes(bytes.try_into().expect("4-byte element"))
-    }
 }
 
 #[cfg(test)]
@@ -174,23 +147,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn widths_and_tags() {
+    fn widths() {
         assert_eq!(<f64 as Scalar>::WIDTH, std::mem::size_of::<f64>());
         assert_eq!(<f32 as Scalar>::WIDTH, std::mem::size_of::<f32>());
-        assert_eq!(<f64 as Scalar>::WIDTH_TAG, 8);
-        assert_eq!(<f32 as Scalar>::WIDTH_TAG, 4);
-    }
-
-    #[test]
-    fn le_roundtrip() {
-        let mut buf = Vec::new();
-        1.5f64.write_le(&mut buf);
-        assert_eq!(buf.len(), 8);
-        assert_eq!(f64::read_le(&buf), 1.5);
-        buf.clear();
-        (-0.25f32).write_le(&mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(f32::read_le(&buf), -0.25);
     }
 
     #[test]

@@ -25,20 +25,20 @@
 #           task::), each run
 #           without and with --release so the thread-count stress meets
 #           debug timing too (see docs/SCHEDULING.md)
-#   transport  wire model and metrics invariants (observed == predicted
-#           FLOPs): codec property tests, the wire-model accounting guard,
-#           the metrics suite (observed == predicted model FLOPs on every
-#           grid x precision x schedule mode, deterministic work
-#           counters), peer-death failure modes, and the cross-backend
-#           conformance suite over both transport backends, channel and
-#           shm (see docs/TRANSPORT.md)
+#   comm    comm layer, wire model and metrics invariants: the
+#           pangulu-comm package (mailboxes, fault layer, loopback rule),
+#           the wire-model accounting guard (the per-edge fixture table,
+#           f64 and f32), the metrics suite (observed == predicted model
+#           FLOPs on every grid x precision x schedule mode, deterministic
+#           work counters) and peer-death failure modes (see
+#           docs/TRANSPORT.md)
 #   precision  mixed-precision layer: the solver's mixed/fallback unit
 #           tests, the ill-conditioned fallback suite, and the
 #           golden-corpus mixed-precision equivalence assertions,
 #           and the probe-cadence tests (see docs/PRECISION.md)
 #   solve   solve-phase layer: the panel triangular solve must equal the
 #           per-RHS sweeps bit for bit, and every execution mode (ranks,
-#           schedule, shared threads, transport, owner map) must solve
+#           schedule, shared threads, owner map) must solve
 #           like the 1-rank solver bit for bit, under BOTH codegen
 #           profiles (debug has no vectorisation, release does): the
 #           trisolve/solve_multi unit tests (the AVX2 and the portable
@@ -134,10 +134,9 @@ stage_sched() {
     done
 }
 
-stage_transport() {
+stage_comm() {
     cargo test --release -q -p pangulu-comm
-    cargo test --release -q \
-        --test transport_conformance --test wire_model --test metrics --test failure_modes
+    cargo test --release -q --test wire_model --test metrics --test failure_modes
 }
 
 stage_precision() {
@@ -186,7 +185,7 @@ stage_benchmark_api() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
-all_stages=(fmt clippy build test doc panics trace sched transport precision solve kernels ordering
+all_stages=(fmt clippy build test doc panics trace sched comm precision solve kernels ordering
     benchmark-api)
 
 only=""

@@ -10,7 +10,6 @@
 //!   -np, --ranks <p>       simulated MPI ranks                [default 1]
 //!       --nb <n>           tile size (default: heuristic)
 //!       --schedule <s>     sync-free | level-set       [default sync-free]
-//!       --transport <t>    channel | shm                   [default channel]
 //!       --ordering <o>     auto | amd | nd | rcm | natural  [default auto]
 //!       --no-balance       disable the static load balancer
 //!       --no-adaptive      disable decision-tree kernel selection
@@ -28,7 +27,6 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use pangulu::comm::TransportKind;
 use pangulu::core::dist::ScheduleMode;
 use pangulu::prelude::*;
 use pangulu::reorder::FillReducing;
@@ -42,7 +40,6 @@ struct Cli {
     ranks: usize,
     nb: Option<usize>,
     schedule: ScheduleMode,
-    transport: TransportKind,
     ordering: FillReducing,
     balance: bool,
     adaptive: bool,
@@ -68,7 +65,6 @@ usage: pangulu [OPTIONS] (-F <matrix.mtx> | --gen <name>)
   -np, --ranks <p>       simulated MPI ranks                [default 1]
       --nb <n>           tile size (default: heuristic)
       --schedule <s>     sync-free | level-set        [default sync-free]
-      --transport <t>    channel | shm                    [default channel]
       --ordering <o>     auto | amd | nd | rcm | natural    [default auto]
       --no-balance       disable the static load balancer
       --no-adaptive      disable decision-tree kernel selection
@@ -93,7 +89,6 @@ fn parse_args() -> Cli {
         ranks: 1,
         nb: None,
         schedule: ScheduleMode::SyncFree,
-        transport: TransportKind::default(),
         ordering: FillReducing::Auto,
         balance: true,
         adaptive: true,
@@ -130,13 +125,6 @@ fn parse_args() -> Cli {
                         usage()
                     }
                 }
-            }
-            "--transport" => {
-                cli.transport =
-                    next(&mut args, "--transport").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        usage()
-                    })
             }
             "--ordering" => {
                 cli.ordering = match next(&mut args, "--ordering").as_str() {
@@ -243,7 +231,6 @@ fn main() -> ExitCode {
     let mut builder = Solver::builder()
         .ranks(cli.ranks)
         .schedule(cli.schedule)
-        .transport(cli.transport)
         .fill_reducing(cli.ordering)
         .adaptive_kernels(cli.adaptive)
         .load_balance(cli.balance)

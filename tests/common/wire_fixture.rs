@@ -1,12 +1,10 @@
 //! Shared wire-model fixture: the two factorisation problems, the grid
 //! shapes, and the per-edge message/byte table captured from the
 //! pre-Arc-fan-out implementation. Used by `tests/wire_model.rs` (the
-//! accounting-invariance guard) and `tests/transport_conformance.rs`
-//! (which re-asserts the same table over every transport backend).
+//! accounting-invariance guard).
 //!
-//! Included via `#[path]` from each test target, so keep everything
-//! `pub` and side-effect free.
-#![allow(dead_code)]
+//! Included via `#[path]`, so keep everything `pub` and side-effect
+//! free.
 
 use pangulu::comm::ProcessGrid;
 use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
@@ -21,8 +19,7 @@ use pangulu::sparse::ops::ensure_diagonal;
 /// `(seed, grid, from, to, msgs, bytes)` for every non-empty edge of the
 /// two fixture problems on each grid shape, captured from the
 /// implementation that built one payload `Vec` per destination. The Arc
-/// fan-out must reproduce these numbers exactly — on every transport
-/// backend.
+/// fan-out must reproduce these numbers exactly.
 pub const EXPECTED_EDGES: &[(u64, &str, usize, usize, u64, u64)] = &[
     (41, "2x2", 0, 1, 15, 9480),
     (41, "2x2", 0, 2, 15, 9480),
@@ -115,43 +112,21 @@ pub fn problem(seed: u64, n: usize, nb: usize) -> Problem {
 
 /// Factors a fixture problem on a `pr x pc` grid and returns the report.
 pub fn factor(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> RunReport {
-    factor_values(prob, pr, pc, cfg).1
-}
-
-/// As [`factor`], but also returns the factored block values — the raw
-/// material of the cross-backend bitwise-identity assertions.
-pub fn factor_values(
-    prob: &Problem,
-    pr: usize,
-    pc: usize,
-    cfg: &FactorConfig,
-) -> (Vec<f64>, RunReport) {
     let mut bm = prob.bm.clone();
     let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
-    let report = factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, cfg)
-        .unwrap_or_else(|e| panic!("{pr}x{pc} ({:?} transport): {e}", cfg.transport))
-        .report;
-    (bm.to_csc().values().to_vec(), report)
+    factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, cfg)
+        .unwrap_or_else(|e| panic!("{pr}x{pc}: {e}"))
+        .report
 }
 
-/// As [`factor_values`], but running the numeric phase in f32 — the
-/// mixed-precision column of the conformance suite. The owner map comes
-/// from the f64 pattern (layout is value-free, so it is identical), and
-/// the returned words are the raw f32 factor bits for exact
-/// cross-backend comparison.
-pub fn factor_values32(
-    prob: &Problem,
-    pr: usize,
-    pc: usize,
-    cfg: &FactorConfig,
-) -> (Vec<u32>, RunReport) {
+/// As [`factor`], but running the numeric phase in f32. The owner map
+/// comes from the f64 pattern (layout is value-free, so it is identical).
+pub fn factor32(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> RunReport {
     let mut bm = prob.bm.cast::<f32>();
     let owners = OwnerMap::balanced(&prob.bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
-    let report = factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, cfg)
-        .unwrap_or_else(|e| panic!("{pr}x{pc} f32 ({:?} transport): {e}", cfg.transport))
-        .report;
-    let bits = bm.to_csc().values().iter().map(|v| v.to_bits()).collect();
-    (bits, report)
+    factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, cfg)
+        .unwrap_or_else(|e| panic!("{pr}x{pc} f32: {e}"))
+        .report
 }
 
 /// The expected `(from, to, msgs, bytes)` rows for one problem/grid.

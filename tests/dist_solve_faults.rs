@@ -74,7 +74,7 @@ fn adversarial_faults_do_not_change_the_solution() {
     assert!(resid < 1e-8, "sequential reference residual {resid}");
     for seed in 0..10u64 {
         let plan = FaultPlan::adversarial(seed);
-        let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind::Channel, Some(&plan));
+        let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind, Some(&plan));
         assert_close(&x, &reference, &format!("seed {seed}"));
         let r = relative_residual(&f.a, &x, &b).unwrap();
         assert!(r < 1e-8, "seed {seed}: faulted solve residual {r}");
@@ -92,22 +92,19 @@ fn adversarial_faults_across_grid_shapes() {
             let b = gen::test_rhs(f.bm.n(), 100 + seed);
             let reference = sequential_solve(&f.bm, &b);
             let plan = FaultPlan::adversarial(seed);
-            let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind::Channel, Some(&plan));
+            let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind, Some(&plan));
             assert_close(&x, &reference, &format!("{pr}x{pc} seed {seed}"));
         }
     }
 }
 
-/// With no fault plan, on either transport, the solve agrees with the
-/// sequential sweeps.
+/// With no fault plan the solve agrees with the sequential sweeps.
 #[test]
 fn fault_free_path_is_unchanged() {
     let f = factored(33);
     let owners = OwnerMap::balanced(&f.bm, ProcessGrid::with_shape(2, 2), &f.tg);
     let b = gen::test_rhs(f.bm.n(), 5);
     let reference = sequential_solve(&f.bm, &b);
-    for kind in TransportKind::ALL {
-        let x = solve_distributed_on(&f.bm, &owners, &b, kind, None);
-        assert_close(&x, &reference, &format!("{kind}, no plan"));
-    }
+    let x = solve_distributed_on(&f.bm, &owners, &b, TransportKind, None);
+    assert_close(&x, &reference, "no plan");
 }

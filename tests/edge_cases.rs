@@ -69,7 +69,7 @@ fn distributed_solve_single_block() {
     factor_sequential(&mut bm, &tg, &sel, 0.0);
     let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(3));
     let b = gen::test_rhs(12, 4);
-    let x = solve_distributed_on(&bm, &owners, &b, TransportKind::Channel, None);
+    let x = solve_distributed_on(&bm, &owners, &b, TransportKind, None);
     // One block: the whole solve happens on the diagonal owner.
     let mut expect = b.clone();
     pangulu::core::trisolve::forward_substitute(&bm, &mut expect);

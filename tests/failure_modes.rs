@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use pangulu::comm::{FaultPlan, ProcessGrid, TransportKind};
+use pangulu::comm::{FaultPlan, ProcessGrid};
 use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
@@ -82,11 +82,11 @@ fn numerically_singular_with_floor_still_answers() {
     assert!(resid > 1e-6, "a singular system cannot be solved accurately: {resid}");
 }
 
-/// A peer rank dying mid-factorisation (its transport severed, its
+/// A peer rank dying mid-factorisation (its channel severed, its
 /// pending messages gone) must surface as a [`DistError`] naming the
-/// blocked rank and the operand blocks it never received — on every
-/// transport backend, within the stall timeout, under a hard watchdog
-/// that turns any hang into a test failure.
+/// blocked rank and the operand blocks it never received — within the
+/// stall timeout, under a hard watchdog that turns any hang into a test
+/// failure.
 #[test]
 fn peer_death_mid_factorisation_yields_structured_error_on_every_backend() {
     let a = ensure_diagonal(&gen::random_sparse(96, 0.10, 41)).unwrap();
@@ -98,32 +98,25 @@ fn peer_death_mid_factorisation_yields_structured_error_on_every_backend() {
 
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
-        let mut outcomes = Vec::new();
-        for kind in TransportKind::ALL {
-            // Rank 1 dies after its third receive; everyone else keeps
-            // going until the missing blocks trip the stall timeout.
-            let cfg = FactorConfig::default()
-                .with_transport(kind)
-                .with_fault(FaultPlan::reliable(5).with_peer_death(1, 3))
-                .with_stall_timeout(Duration::from_millis(500));
-            let mut bm = bm0.clone();
-            let err = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg)
-                .expect_err("run must fail when a peer dies mid-factorisation");
-            outcomes.push((kind, err));
-        }
-        done_tx.send(outcomes).unwrap();
+        // Rank 1 dies after its third receive; everyone else keeps going
+        // until the missing blocks trip the stall timeout.
+        let cfg = FactorConfig::default()
+            .with_fault(FaultPlan::reliable(5).with_peer_death(1, 3))
+            .with_stall_timeout(Duration::from_millis(500));
+        let mut bm = bm0;
+        let err = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg)
+            .expect_err("run must fail when a peer dies mid-factorisation");
+        done_tx.send(err).unwrap();
     });
     // Watchdog: a dead peer must produce an error, never a hang.
-    let outcomes = done_rx
+    let err = done_rx
         .recv_timeout(Duration::from_secs(60))
-        .expect("peer-death runs hung past the watchdog");
+        .expect("peer-death run hung past the watchdog");
     handle.join().unwrap();
-    for (kind, err) in outcomes {
-        assert!(!err.missing.is_empty(), "{kind}: error must name the missing blocks: {err}");
-        let text = err.to_string();
-        assert!(text.contains("rank"), "{kind}: error names the blocked rank: {text}");
-        assert!(text.contains("missing"), "{kind}: error names missing operands: {text}");
-    }
+    assert!(!err.missing.is_empty(), "error must name the missing blocks: {err}");
+    let text = err.to_string();
+    assert!(text.contains("rank"), "error names the blocked rank: {text}");
+    assert!(text.contains("missing"), "error names missing operands: {text}");
 }
 
 /// Runs `factor` on its own thread and returns the message it panicked

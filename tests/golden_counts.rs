@@ -7,7 +7,6 @@
 //! or, if the change is deliberate, paste the measured rows the failure
 //! prints over the constants. Time is not checked: `benchmark/` owns it.
 
-use pangulu::comm::TransportKind;
 use pangulu::core::block::BlockMatrix;
 use pangulu::core::task::TaskGraph;
 use pangulu::kernels::{
@@ -29,9 +28,9 @@ const RESIDUAL_FLOOR: f64 = 1e-11;
 const HEADER_BYTES: u64 = 24;
 
 /// The exact keys of a row, in the order of [`Row::exact`]: traffic,
-/// tasks, kernel calls (total, then per class), copy and plan counters,
-/// phase runs and the byte transport's codec counters.
-const KEYS: [&str; 23] = [
+/// tasks, kernel calls (total, then per class), copy and plan counters
+/// and phase runs.
+const KEYS: [&str; 21] = [
     "msgs",
     "bytes",
     "tasks",
@@ -53,8 +52,6 @@ const KEYS: [&str; 23] = [
     "preprocess_runs",
     "numeric_runs",
     "analysis_reuses",
-    "frames_sent",
-    "codec_bytes_encoded",
 ];
 const FLOP_KEYS: [&str; 2] = ["observed_flops", "predicted_flops"];
 
@@ -83,7 +80,7 @@ const LAPLACIAN_2D: Golden = Golden {
     smoke: Row {
         exact: [
             1079, 9065320, 2048, 2048, 85, 323, 323, 1317, 14458192, 714, 0, 0, 0, 0, 0, 0, 1, 1,
-            1, 1, 0, 0, 0,
+            1, 1, 0,
         ],
         flops: [43275220.0, 43275220.0],
         residual: 6.636231043087432e-15,
@@ -91,7 +88,7 @@ const LAPLACIAN_2D: Golden = Golden {
     refactor: Row {
         exact: [
             1079, 9065320, 2048, 2048, 85, 323, 323, 1317, 14458192, 714, 1079, 1823, 7511322,
-            18526828, 791916, 6719406, 0, 0, 0, 5, 5, 1079, 5483508,
+            18526828, 791916, 6719406, 0, 0, 0, 5, 5,
         ],
         flops: [43275220.0, 43275220.0],
         residual: 6.624044340585632e-15,
@@ -104,7 +101,7 @@ const CIRCUIT: Golden = Golden {
     smoke: Row {
         exact: [
             712, 2967984, 1194, 1194, 54, 196, 196, 748, 4714312, 445, 0, 0, 0, 0, 0, 0, 1, 1, 1,
-            1, 0, 0, 0,
+            1, 0,
         ],
         flops: [5816518.0, 5816518.0],
         residual: 2.669956254999057e-16,
@@ -112,7 +109,7 @@ const CIRCUIT: Golden = Golden {
     refactor: Row {
         exact: [
             712, 2967984, 1194, 1194, 54, 196, 196, 748, 4714312, 445, 712, 845, 473304, 4122680,
-            202367, 270937, 0, 0, 0, 5, 5, 712, 1806136,
+            202367, 270937, 0, 0, 0, 5, 5,
         ],
         flops: [5816518.0, 5816518.0],
         residual: 2.678999027185755e-16,
@@ -125,7 +122,6 @@ const FEM_BLOCKED: Golden = Golden {
     smoke: Row {
         exact: [
             349, 1558392, 552, 552, 32, 98, 98, 324, 2438624, 225, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0,
-            0, 0,
         ],
         flops: [2918525.0, 2918525.0],
         residual: 2.90012226210888e-16,
@@ -133,7 +129,7 @@ const FEM_BLOCKED: Golden = Golden {
     refactor: Row {
         exact: [
             349, 1558392, 552, 552, 32, 98, 98, 324, 2438624, 225, 349, 527, 1202679, 3758552,
-            143436, 1059243, 0, 0, 0, 5, 5, 349, 909548,
+            143436, 1059243, 0, 0, 0, 5, 5,
         ],
         flops: [2918525.0, 2918525.0],
         residual: 2.8993928746604734e-16,
@@ -146,7 +142,7 @@ const KKT: Golden = Golden {
     smoke: Row {
         exact: [
             850, 12801312, 3228, 3228, 30, 262, 262, 2674, 23131688, 553, 0, 0, 0, 0, 0, 0, 1, 1,
-            1, 1, 0, 0, 0,
+            1, 1, 0,
         ],
         flops: [906155072.0, 906155072.0],
         residual: 8.297152136892869e-16,
@@ -154,7 +150,7 @@ const KKT: Golden = Golden {
     refactor: Row {
         exact: [
             850, 12801312, 3228, 3228, 30, 262, 262, 2674, 23131688, 553, 850, 1438, 5467581,
-            6313988, 363090, 5104491, 0, 0, 0, 5, 5, 850, 10401776,
+            6313988, 363090, 5104491, 0, 0, 0, 5, 5,
         ],
         flops: [906155072.0, 906155072.0],
         residual: 8.286217847511829e-16,
@@ -167,7 +163,7 @@ const CAGE_LIKE: Golden = Golden {
     smoke: Row {
         exact: [
             490, 5500016, 1442, 1442, 29, 167, 167, 1079, 9625440, 362, 0, 0, 0, 0, 0, 0, 1, 1, 1,
-            1, 0, 0, 0,
+            1, 0,
         ],
         flops: [142202518.0, 142202518.0],
         residual: 3.0803149887842485e-16,
@@ -175,7 +171,7 @@ const CAGE_LIKE: Golden = Golden {
     refactor: Row {
         exact: [
             490, 5500016, 1442, 1442, 29, 167, 167, 1079, 9625440, 362, 490, 906, 4063413, 9591248,
-            561183, 3502230, 0, 0, 0, 5, 5, 490, 4166584,
+            561183, 3502230, 0, 0, 0, 5, 5,
         ],
         flops: [142202518.0, 142202518.0],
         residual: 3.0865232502335987e-16,
@@ -187,8 +183,7 @@ const CAGE_LIKE: Golden = Golden {
 const DENSE_BANDED: Golden = Golden {
     smoke: Row {
         exact: [
-            98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0,
-            0,
+            98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0,
         ],
         flops: [2137197.0, 2137197.0],
         residual: 3.577619340292426e-16,
@@ -196,7 +191,7 @@ const DENSE_BANDED: Golden = Golden {
     refactor: Row {
         exact: [
             98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 98, 113, 1045813, 1982212, 88828,
-            956985, 0, 0, 0, 5, 5, 98, 697840,
+            956985, 0, 0, 0, 5, 5,
         ],
         flops: [2137197.0, 2137197.0],
         residual: 3.577619340292426e-16,
@@ -209,9 +204,6 @@ const DENSE_BANDED: Golden = Golden {
 fn row(report: &RunReport, phases: PhaseCounters, residual: f64) -> Row {
     let mem = report.total_mem();
     let [getrf, gessm, tstrf, ssssm] = report.total_kernels().calls_by_class();
-    let comm = |f: fn(&pangulu::metrics::CommMetrics) -> u64| {
-        report.per_rank.iter().map(|r| f(&r.comm)).sum::<u64>()
-    };
     Row {
         exact: [
             report.total_messages(),
@@ -235,8 +227,6 @@ fn row(report: &RunReport, phases: PhaseCounters, residual: f64) -> Row {
             phases.preprocess_runs,
             phases.numeric_runs,
             phases.analysis_reuses,
-            comm(|c| c.frames_sent),
-            comm(|c| c.codec_bytes_encoded),
         ],
         flops: [report.observed_flops(), report.predicted_flops],
         residual,
@@ -285,14 +275,7 @@ fn check(name: &str, a: &CscMatrix, want: &Golden) {
     for _ in 0..REFACTORS {
         solver.refactor(a).unwrap();
     }
-    let mut wired = Solver::builder().ranks(RANKS).transport(TransportKind::Shm).build(a).unwrap();
-    wired.refactor(a).unwrap();
-    let mut refactor =
-        row(report(&solver), solver.stats().phases.since(&first), residual(&solver, a));
-    // The channel transport frames and encodes nothing; the codec counters
-    // are the byte transport's.
-    refactor.exact[21..]
-        .copy_from_slice(&row(report(&wired), wired.stats().phases, 0.0).exact[21..]);
+    let refactor = row(report(&solver), solver.stats().phases.since(&first), residual(&solver, a));
 
     let mut mixed = Solver::builder().ranks(RANKS).precision(Precision::MixedF32).build(a).unwrap();
     for _ in 0..REFACTORS {
@@ -336,7 +319,6 @@ fn check(name: &str, a: &CscMatrix, want: &Golden) {
     // Relations every re-baselined row must still satisfy.
     let msgs = refactor.exact[0];
     assert_eq!(m.total_messages(), msgs, "{name}: mixed and f64 traffic differ in messages");
-    assert_eq!(refactor.exact[21], msgs, "{name}: the byte transport framed other messages");
     // Every scatter value narrows 8 -> 4 bytes; headers do not.
     let headers = HEADER_BYTES * msgs;
     assert_eq!(

@@ -10,11 +10,10 @@
 //! Every execution mode solves with those same sweeps over factors that
 //! are bitwise equal across executors, so a solver's answers are also
 //! the 1-rank solver's bit for bit, whatever its ranks, schedule mode,
-//! shared threads, transport or owner map.
+//! shared threads or owner map.
 
 use proptest::prelude::*;
 
-use pangulu::comm::TransportKind;
 use pangulu::core::dist::ScheduleMode;
 use pangulu::core::trisolve::{
     backward_substitute, backward_substitute_panel, forward_substitute, forward_substitute_panel,
@@ -112,8 +111,8 @@ fn assert_same_bits<S: Scalar>(what: &str, got: &[Vec<S>], want: &[Vec<S>]) {
 
 /// One draw of the execution options: `exec` 0..8 is 1..=4 ranks under
 /// either schedule mode, 8..10 the shared executor with 2 or 3 threads.
-fn execution(exec: usize, transport: usize, balance: bool) -> SolverBuilder {
-    let builder = Solver::builder().transport(TransportKind::ALL[transport]).load_balance(balance);
+fn execution(exec: usize, balance: bool) -> SolverBuilder {
+    let builder = Solver::builder().load_balance(balance);
     match exec {
         0..8 => {
             let mode = [ScheduleMode::SyncFree, ScheduleMode::LevelSet][exec % 2];
@@ -205,7 +204,6 @@ proptest! {
     fn every_execution_mode_solves_bitwise_like_one_rank(
         which in 0usize..3,
         exec in 0usize..10,
-        transport in 0usize..2,
         balance in 0usize..2,
         mixed in 0usize..2,
         nb_random in 1usize..140,
@@ -214,11 +212,9 @@ proptest! {
         let a = matrix(which);
         let precision = if mixed == 1 { Precision::MixedF32 } else { Precision::F64 };
         for nb in [12, nb_random] {
-            let what = format!(
-                "matrix {which}, nb {nb}, exec {exec}, {}, balance {balance}, {precision:?}",
-                TransportKind::ALL[transport]
-            );
-            let s = execution(exec, transport, balance == 1)
+            let what =
+                format!("matrix {which}, nb {nb}, exec {exec}, balance {balance}, {precision:?}");
+            let s = execution(exec, balance == 1)
                 .precision(precision)
                 .block_size(nb)
                 .build(&a)

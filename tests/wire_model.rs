@@ -10,45 +10,61 @@
 //! 1. per-edge `CommMetrics` msgs/bytes are asserted against expected
 //!    values captured from the pre-Arc implementation (the fixture table
 //!    in `tests/common/wire_fixture.rs`) — any drift means the sharing
-//!    leaked into the accounting;
+//!    leaked into the accounting. An f32 factorisation sends the same
+//!    messages with half the payload per value;
 //! 2. the timing-free projection `RunReport::without_timings()` is
 //!    identical across fault plans that only perturb delivery timing and
 //!    order (delays + reordering, no drops), including the new
 //!    [`pangulu::metrics::MemStats`] counters;
 //! 3. loopback (rank → same rank) sends are charged full freight on the
-//!    diagonal edge identically on every transport backend — placement
-//!    on the owner map must never make traffic disappear from the
-//!    accounting.
-//!
-//! The cross-backend conformance suite
-//! (`tests/transport_conformance.rs`) re-runs the same fixture table
-//! over the shared-memory backend.
+//!    diagonal edge — placement on the owner map must never make traffic
+//!    disappear from the accounting.
 
 use std::time::Duration;
 
-use pangulu::comm::{BlockMsg, BlockRole, FaultPlan, MailboxSet, TransportKind};
+use pangulu::comm::{BlockMsg, BlockRole, FaultPlan, MailboxSet};
 use pangulu::core::dist::{FactorConfig, ScheduleMode};
-use pangulu::metrics::{CommMetrics, RunReport};
+use pangulu::metrics::RunReport;
 
 #[path = "common/wire_fixture.rs"]
 mod wire_fixture;
-use wire_fixture::{expected_edges, factor, observed_edges, problem, GRIDS, PROBLEMS};
+use wire_fixture::{expected_edges, factor, factor32, observed_edges, problem, GRIDS, PROBLEMS};
+
+/// Bytes of one message header, the same at every precision.
+const HEADER_BYTES: u64 = 24;
 
 /// Per-edge message and byte counts match the pre-Arc accounting
 /// exactly: one shared payload buffer still charges every edge its full
-/// wire freight.
+/// wire freight. The same problem factored in f32 reports 4-byte scalars
+/// and sends the same messages on every edge, each carrying half the
+/// payload bytes behind the same header.
 #[test]
 fn per_edge_accounting_matches_prechange_fixture() {
+    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree);
     for (seed, n, nb) in PROBLEMS {
         let prob = problem(seed, n, nb);
         for (pr, pc) in GRIDS {
             let grid = format!("{pr}x{pc}");
-            let report = factor(&prob, pr, pc, &FactorConfig::with_mode(ScheduleMode::SyncFree));
+            let expected = expected_edges(seed, &grid);
             assert_eq!(
-                observed_edges(&report),
-                expected_edges(seed, &grid),
+                observed_edges(&factor(&prob, pr, pc, &cfg)),
+                expected,
                 "seed {seed} grid {grid}: per-edge msgs/bytes drifted from the \
                  pre-change wire model"
+            );
+            let r32 = factor32(&prob, pr, pc, &cfg);
+            assert_eq!(r32.scalar_width, 4, "seed {seed} grid {grid}: f32 run must report 4");
+            let halved: Vec<_> = expected
+                .iter()
+                .map(|&(from, to, msgs, bytes)| {
+                    let headers = HEADER_BYTES * msgs;
+                    (from, to, msgs, headers + (bytes - headers) / 2)
+                })
+                .collect();
+            assert_eq!(
+                observed_edges(&r32),
+                halved,
+                "seed {seed} grid {grid}: f32 traffic is not the f64 messages at half payload"
             );
         }
     }
@@ -120,38 +136,26 @@ fn factor_fixture_has_no_self_edges() {
 }
 
 /// Loopback regression: a send to the own rank is charged and logged on
-/// the diagonal edge with exactly the same msgs/bytes on every backend,
-/// is immune to drop-all fault plans, and never reaches the wire (zero
-/// frames). Before the transport split, the distributed solve applied
-/// self-partials directly, bypassing this accounting entirely.
+/// the diagonal edge at full freight and is immune to drop-all fault
+/// plans. The distributed solve once applied self-partials directly,
+/// bypassing this accounting entirely.
 #[test]
 fn loopback_charges_are_backend_invariant() {
     let drop_all = FaultPlan::reliable(3).with_drops(1.0, 0, Duration::ZERO);
-    let mut reference: Option<CommMetrics> = None;
-    for kind in TransportKind::ALL {
-        let mut boxes =
-            MailboxSet::with_transport(2, kind, Some(drop_all.clone())).into_mailboxes();
-        let mb = &mut boxes[0];
-        for bi in 0..5 {
-            mb.send(
-                0,
-                BlockMsg { bi, bj: bi, role: BlockRole::Partial, values: vec![1.0; 16].into() },
-            );
-        }
-        for bi in 0..5 {
-            let got = mb.try_recv().unwrap_or_else(|| panic!("{kind}: loopback delivery {bi}"));
-            assert_eq!(got.bi, bi, "{kind}: loopback FIFO");
-        }
-        assert_eq!(mb.dropped_msgs(), 0, "{kind}: drop-all plan must not touch loopback");
-        assert_eq!(mb.recv_log().len(), 5, "{kind}");
-        let m = mb.metrics();
-        assert_eq!(m.frames_sent, 0, "{kind}: loopback must never reach the wire");
-        assert_eq!(m.codec_bytes_encoded, 0, "{kind}");
-        assert_eq!(m.edges.len(), 1, "{kind}: exactly the diagonal edge");
-        assert_eq!(m.edges[0].to, 0, "{kind}");
-        match &reference {
-            None => reference = Some(m),
-            Some(r) => assert_eq!(r, &m, "{kind}: loopback accounting differs across backends"),
-        }
+    let mut boxes = MailboxSet::with_faults(2, drop_all).into_mailboxes();
+    let mb = &mut boxes[0];
+    let msg = |bi| BlockMsg { bi, bj: bi, role: BlockRole::Partial, values: vec![1.0; 16].into() };
+    for bi in 0..5 {
+        mb.send(0, msg(bi));
     }
+    for bi in 0..5 {
+        let got = mb.try_recv().unwrap_or_else(|| panic!("loopback delivery {bi}"));
+        assert_eq!(got.bi, bi, "loopback FIFO");
+    }
+    assert_eq!(mb.dropped_msgs(), 0, "drop-all plan must not touch loopback");
+    assert_eq!(mb.recv_log().len(), 5);
+    let m = mb.metrics();
+    assert_eq!(m.edges.len(), 1, "exactly the diagonal edge");
+    assert_eq!(m.edges[0].to, 0);
+    assert_eq!((m.edges[0].msgs, m.edges[0].bytes), (5, 5 * msg(0).payload_bytes() as u64));
 }
