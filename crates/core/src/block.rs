@@ -241,6 +241,11 @@ impl<S: Scalar> BlockMatrix<S> {
         &mut self.blocks[id]
     }
 
+    /// The block store, indexed by block id.
+    pub(crate) fn blocks_mut(&mut self) -> &mut [CscMatrix<S>] {
+        &mut self.blocks
+    }
+
     /// Where each column's diagonal entry sits in diagonal block
     /// `(bk, bk)`: entry `c` is the offset of row `c` within that block's
     /// column `c`, so `d.col(c).1[pos[c]]` is the pivot. Built at tiling.

@@ -1,23 +1,26 @@
 //! The multi-rank numeric factorisation: threads as MPI ranks, block
-//! messages over mailboxes, and two scheduling policies:
+//! messages over mailboxes, and two scheduling policies.
+//!
+//! A rank is the countdown engine's one-worker instance
+//! ([`crate::shared`]) over the rank's own block table, counting down the
+//! tasks it owns; this module is the message edge around it:
 //!
 //! * [`ScheduleMode::SyncFree`] — the paper's synchronisation-free
-//!   strategy (§4.4): each rank keeps the synchronisation-free counter
-//!   array for its blocks, drains its mailbox without blocking while any
-//!   kernel is runnable, executes its runnable kernels in step-major
-//!   order (lowest elimination step first, GETRF before panel solves
-//!   before SSSSM, then target coordinates), ships finished blocks to
-//!   exactly the ranks whose pending kernels consume them, and blocks on
-//!   the mailbox only when nothing is runnable — that blocked time is the
-//!   measured synchronisation cost.
+//!   strategy (§4.4): each rank drains its mailbox without blocking while
+//!   any kernel is runnable, runs its runnable kernels in the engine's
+//!   step-major order (lowest elimination step first, GETRF before panel
+//!   solves before SSSSM, then target coordinates), ships finished blocks
+//!   to exactly the ranks whose pending kernels consume them, and blocks
+//!   on the mailbox only when nothing is runnable — that blocked time is
+//!   the measured synchronisation cost.
 //! * [`ScheduleMode::LevelSet`] — the SuperLU_DIST-style baseline: the
 //!   same data movement, but tasks of elimination step `k+1` may not
 //!   start until a barrier confirms every rank finished step `k`
 //!   (§3.3). The ablation of Fig. 14 toggles this.
 //!
-//! Ranks share **no** mutable state: each worker clones its owned blocks
-//! out of the input structure, and remote operands exist only as received
-//! copies — the same discipline an MPI implementation is forced into.
+//! Ranks share **no** mutable state: each rank's table holds clones of
+//! its owned blocks, and remote operands exist only as received copies —
+//! the same discipline an MPI implementation is forced into.
 //!
 //! Two properties make the executor testable under adversarial message
 //! timing (see `pangulu_comm::fault` and `crate::trace_check`):
@@ -34,7 +37,6 @@
 //!   missing operand blocks, instead of hanging. A permanently dropped
 //!   message therefore surfaces as a diagnosable error.
 
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,13 +44,13 @@ use std::time::{Duration, Instant};
 
 use pangulu_comm::{BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet};
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{KernelPlans, KernelScratch, PlanStats, TimedKernels};
-use pangulu_metrics::{MemStats, RankMetrics, RunReport, TaskCounts};
+use pangulu_kernels::{KernelPlans, PlanStats};
+use pangulu_metrics::{MemStats, RankMetrics, RunReport};
 use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
 use crate::layout::OwnerMap;
-use crate::shared::{join_all, AbortOnUnwind};
+use crate::shared::{join_all, AbortOnUnwind, Engine, Owner, SharedBlocks, Worker};
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
 /// Scheduling policy of the executor.
@@ -309,15 +311,13 @@ pub fn factor_distributed_checked<S: Scalar>(
 /// per-rank executor state supplied by the caller. The workspace caches
 /// everything a numeric-only refactorisation can reuse:
 ///
-/// * each rank's owned-block value storage (reset in place from `bm`
-///   at the start of every run — no per-run clone of the block tables);
-/// * the synchronisation-free countdown and per-step task totals (the
-///   countdown re-armed from [`TaskGraph::wait`] instead of being rebuilt
-///   from the task graph);
+/// * each rank's block table (owned values reset in place from `bm` at
+///   the start of every run — no per-run clone of the blocks);
 /// * the receive-side pattern shells: remote blocks delivered in an
 ///   earlier run keep their CSC structure, so every steady-state receive
 ///   is a values-only memcpy ([`MemStats::pattern_cache_hits`]);
-/// * each rank's pooled kernel scratch arena.
+/// * each rank's kernel plans, built for the tasks it owns on its first
+///   run, and its per-step task totals.
 ///
 /// The run is bitwise identical to a fresh [`factor_distributed_checked`]
 /// on the same `bm` values — reuse only skips pattern-dependent setup,
@@ -337,65 +337,45 @@ pub fn factor_distributed_cached<S: Scalar>(
     assert_eq!(ws.ranks.len(), p, "workspace was built for a different rank count");
     assert_eq!(ws.num_blocks, bm.num_blocks(), "workspace was built for a different pattern");
     let start = Instant::now();
-    for st in &mut ws.ranks {
-        st.reset(bm, tg);
+    for id in 0..bm.num_blocks() {
+        let table = &mut ws.ranks[owners.owner_of(id)].table;
+        table[id].values_mut().copy_from_slice(bm.block(id).values());
     }
     let mailboxes = cfg
         .fault
         .clone()
         .map_or_else(|| MailboxSet::<S>::new(p), |plan| MailboxSet::with_faults(p, plan))
         .into_mailboxes();
-    let barrier = StepBarrier::new(p);
-    let abort = AtomicBool::new(false);
-    let first_err: Mutex<Option<DistError>> = Mutex::new(None);
-
-    let worker_outputs = {
-        let bm_ref: &BlockMatrix<S> = bm;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = mailboxes
-                .into_iter()
-                .zip(ws.ranks.iter_mut())
-                .map(|(mb, st)| {
-                    let barrier = &barrier;
-                    let abort = &abort;
-                    let first_err = &first_err;
-                    s.spawn(move || {
-                        let _abort_on_unwind = AbortOnUnwind(abort);
-                        let mut w = Worker::new(
-                            bm_ref,
-                            tg,
-                            owners,
-                            selector,
-                            pivot_floor,
-                            cfg,
-                            mb,
-                            st,
-                            barrier,
-                            abort,
-                            first_err,
-                        );
-                        w.trace_origin = Some(start).filter(|_| cfg.traced);
-                        w.run()
-                    })
-                })
-                .collect();
-            join_all(handles)
-        })
+    let ctx = RunCtx {
+        bm,
+        tg,
+        owners,
+        selector,
+        pivot_floor,
+        cfg,
+        barrier: StepBarrier::new(p),
+        abort: AtomicBool::new(false),
+        first_err: Mutex::new(None),
+        trace_origin: Some(start).filter(|_| cfg.traced),
     };
+    let rank_outputs = std::thread::scope(|s| {
+        let ctx = &ctx;
+        let handles = (mailboxes.into_iter().zip(ws.ranks.iter_mut()))
+            .map(|(mb, st)| s.spawn(move || run_rank(ctx, mb, st)))
+            .collect();
+        join_all(handles)
+    });
 
-    if let Some(err) = first_err.into_inner().expect("error slot poisoned") {
+    if let Some(err) = ctx.first_err.into_inner().expect("error slot poisoned") {
         return Err(err);
     }
 
     // Copy the factored values back into the shared structure; the
     // workspace keeps its block tables (and the remote pattern shells)
     // for the next same-pattern run.
-    for st in &ws.ranks {
-        for (id, blk) in st.my_blocks.iter().enumerate() {
-            if let Some(b) = blk {
-                bm.block_mut(id).values_mut().copy_from_slice(b.values());
-            }
-        }
+    for id in 0..bm.num_blocks() {
+        let table = &ws.ranks[owners.owner_of(id)].table;
+        bm.block_mut(id).values_mut().copy_from_slice(table[id].values());
     }
 
     let mut run = FactorRun {
@@ -411,7 +391,7 @@ pub fn factor_distributed_cached<S: Scalar>(
         ..Default::default()
     };
     let mut trace = Vec::new();
-    for out in worker_outputs {
+    for out in rank_outputs {
         run.report.per_rank.push(out.metrics);
         trace.extend(out.trace);
         run.sent.extend(out.sent);
@@ -488,9 +468,25 @@ impl StepBarrier {
     }
 }
 
+/// What every rank of one run reads.
+struct RunCtx<'a, S: Scalar> {
+    bm: &'a BlockMatrix<S>,
+    tg: &'a TaskGraph,
+    owners: &'a OwnerMap,
+    selector: &'a KernelSelector,
+    pivot_floor: f64,
+    cfg: &'a FactorConfig,
+    barrier: StepBarrier,
+    abort: AtomicBool,
+    /// The first rank's stall diagnosis; it aborts the run.
+    first_err: Mutex<Option<DistError>>,
+    /// When set, kernels are recorded relative to this origin.
+    trace_origin: Option<Instant>,
+}
+
 /// What one rank hands back. The factored block values stay in the
 /// rank's [`RankState`] (written back by the caller on success).
-struct WorkerOutput {
+struct RankOutput {
     metrics: RankMetrics,
     trace: Vec<TraceEvent>,
     sent: Vec<DeliveryRecord>,
@@ -503,90 +499,49 @@ struct WorkerOutput {
 /// refactorisations. See [`NumericWorkspace`].
 struct RankState<S: Scalar> {
     rank: usize,
-    /// This rank's working copies of its owned blocks, indexed by block
-    /// id. A slot is `None` only for unowned blocks (and transiently for
-    /// the kernel target while a panel/SSSSM task runs on it, which is
-    /// what lets operands be borrowed from the table without cloning).
-    my_blocks: Vec<Option<CscMatrix<S>>>,
-    /// The receive-side pattern cache: remote blocks, indexed by block
-    /// id. The first receive for a block builds its CSC structure from
-    /// the replicated pattern; every later receive — in the same run or
-    /// any subsequent refactorisation — memcpys values into the cached
-    /// shell (counted as [`MemStats::pattern_cache_hits`]).
-    remote: Vec<Option<CscMatrix<S>>>,
-    /// The countdown, by task slot: the waits still outstanding, re-armed
-    /// from [`TaskGraph::wait`] before every run. Only the slots of tasks
-    /// this rank owns move.
-    wait: Vec<u32>,
+    /// The store the rank's engine runs over, indexed by block id. Owned
+    /// blocks are cloned when the workspace is built (each rank stores
+    /// what it computes on, §4.2) and their values reset from `bm` before
+    /// every run. A remote block's slot stays an empty `0 × 0`
+    /// placeholder until its first receive gives it the replicated
+    /// pattern; every later receive — in the same run or any later
+    /// refactorisation — memcpys values into that shell (counted as
+    /// [`MemStats::pattern_cache_hits`]).
+    table: Vec<CscMatrix<S>>,
     /// Operand availability (owned-finished or received), by block id —
     /// read only by the stall diagnosis.
     avail: Vec<bool>,
-    /// Precomputed kernel index plans, built lazily per task on this
-    /// rank's first touch and — like the rest of this state — reused
-    /// verbatim across numeric-only refactorisations.
+    /// Kernel index plans of the tasks this rank owns, built by its first
+    /// run and — like the rest of this state — reused verbatim across
+    /// numeric-only refactorisations.
     plans: KernelPlans<S>,
-    /// Tasks this rank owes per run (panel ops + SSSSM updates).
-    remaining_init: usize,
     /// Level-set mode: tasks owed per elimination step.
     step_total: Vec<usize>,
-    /// Pooled dense kernel scratch, persistent across runs.
-    scratch: KernelScratch<S>,
 }
 
 impl<S: Scalar> RankState<S> {
     fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap, rank: usize) -> Self {
         let nblocks = bm.num_blocks();
-        // Clone owned blocks (the "distribute the matrix" preprocessing
-        // step — each rank stores only what it computes on, §4.2).
-        let mut my_blocks: Vec<Option<CscMatrix<S>>> = vec![None; nblocks];
-        let mut remaining = 0usize;
+        let owned = |id: usize| owners.owner_of(id) == rank;
         let mut step_total = vec![0usize; bm.nblk() + 1];
-        for id in 0..nblocks {
-            if owners.owner_of(id) == rank {
-                my_blocks[id] = Some(bm.block(id).clone());
-                remaining += 1; // the block's panel op
-                step_total[bm.step_of(id)] += 1;
-            }
-        }
-        for (g, &(_, _, k)) in tg.ssssm.iter().enumerate() {
-            if owners.owner_of(tg.block_of(nblocks + g)) == rank {
-                remaining += 1;
-                step_total[k] += 1;
-            }
+        for slot in (0..tg.wait.len()).filter(|&s| owned(tg.block_of(s))) {
+            step_total[tg.task_at(bm, slot).step()] += 1;
         }
         RankState {
             rank,
-            my_blocks,
-            remote: vec![None; nblocks],
-            wait: tg.wait.clone(),
+            table: (0..nblocks)
+                .map(|id| if owned(id) { bm.block(id).clone() } else { CscMatrix::zeros(0, 0) })
+                .collect(),
             avail: vec![false; nblocks],
             plans: KernelPlans::with_slots(bm.nblk(), nblocks, nblocks, tg.ssssm.len()),
-            remaining_init: remaining,
             step_total,
-            scratch: KernelScratch::with_capacity(bm.nb()),
         }
-    }
-
-    /// Re-arms the state for another run on the same pattern: owned block
-    /// values are copied from `bm` in place, the countdown is restored
-    /// from `tg.wait`, and the availability flags are cleared. The remote
-    /// pattern shells keep their structure (their stale values are only
-    /// ever read after a fresh receive overwrites them — the countdown
-    /// admits a task only once its operands arrived).
-    fn reset(&mut self, bm: &BlockMatrix<S>, tg: &TaskGraph) {
-        for (id, slot) in self.my_blocks.iter_mut().enumerate() {
-            if let Some(b) = slot {
-                b.values_mut().copy_from_slice(bm.block(id).values());
-            }
-        }
-        self.wait.copy_from_slice(&tg.wait);
-        self.avail.fill(false);
     }
 }
 
 /// The cached per-rank executor state of a distributed factorisation:
-/// one `RankState` per rank (owned-block tables, the countdown,
-/// receive-side pattern shells, kernel scratch). Build it once per
+/// one `RankState` per rank (block table with the receive-side pattern
+/// shells, kernel plans, per-step task totals). Build it once per
 /// (pattern, grid, owner map) and pass it to
 /// [`factor_distributed_cached`] for every same-pattern factorisation;
 /// steady-state runs then do no pattern-dependent setup at all.
@@ -621,190 +576,132 @@ impl<S: Scalar> NumericWorkspace<S> {
     }
 }
 
-/// Per-rank executor: the run-scoped view over a rank's cached
-/// [`RankState`] (block tables, the countdown) plus everything that
-/// is fresh per run (mailbox, task queue, metrics, trace).
-struct Worker<'a, S: Scalar> {
-    rank: usize,
-    bm: &'a BlockMatrix<S>,
-    tg: &'a TaskGraph,
-    owners: &'a OwnerMap,
-    selector: &'a KernelSelector,
-    pivot_floor: f64,
-    mode: ScheduleMode,
-    stall_timeout: Duration,
+/// One rank's thread: the countdown engine's one-worker instance over the
+/// rank's block table, counting down the tasks the rank owns, inside the
+/// rank's message edge.
+fn run_rank<S: Scalar>(
+    ctx: &RunCtx<'_, S>,
     mailbox: Mailbox<S>,
-    barrier: &'a StepBarrier,
-    abort: &'a AtomicBool,
-    first_err: &'a Mutex<Option<DistError>>,
+    st: &mut RankState<S>,
+) -> RankOutput {
+    let _abort_on_unwind = AbortOnUnwind(&ctx.abort);
+    let RankState { rank, table, avail, plans, step_total } = st;
+    let rank = *rank;
+    debug_assert_eq!(mailbox.rank(), rank, "rank state handed to the wrong mailbox");
+    avail.fill(false);
+    // SAFETY: the table has one block per block id (`RankState::new`),
+    // and `table` is not touched again in this function, so only the
+    // engine, which `edge.run()` consumes below, reaches it.
+    let blocks = unsafe { SharedBlocks::new(table) };
+    let engine = Engine::new(
+        ctx.bm,
+        blocks,
+        ctx.tg,
+        ctx.selector,
+        ctx.pivot_floor,
+        plans,
+        Owner::Rank(ctx.owners, rank),
+    );
+    let edge = Rank {
+        ctx,
+        rank,
+        engine,
+        worker: Worker::new(ctx.bm.nb(), ctx.cfg.metrics),
+        mailbox,
+        avail,
+        step_total,
+        step_done: vec![0; ctx.bm.nblk() + 1],
+        current_step: 0,
+        barrier_wait: Duration::ZERO,
+        mem: MemStats::default(),
+        blocked_recvs: 0,
+        max_idle: Duration::ZERO,
+        trace: Vec::new(),
+    };
+    let mut out = edge.run();
+    // End-of-run gauges: cumulative across every run that shared this
+    // rank state (plans persist across refactorisations).
+    let ps = plans.stats();
+    out.metrics.mem.plan_bytes = ps.bytes;
+    out.metrics.mem.plan_build_ns = ps.build_ns;
+    out
+}
 
-    /// The rank's cached executor state (already reset for this run).
-    st: &'a mut RankState<S>,
-
-    /// Ready tasks, popped in step-major order (see [`PrioritisedTask`]).
-    queue: BinaryHeap<PrioritisedTask>,
-    /// Level-set short-circuit: set when the heap top is known to belong
-    /// to a later step, cleared on any push or step advance, so a blocked
-    /// rank stops re-peeking the heap every scheduler iteration.
-    levelset_blocked: bool,
-    remaining: usize,
-    /// Level-set mode: tasks done per elimination step (owed totals live
-    /// in [`RankState::step_total`]).
+/// The message edge of one rank around its engine: the mailbox drain and
+/// blocking receive, shipping finished panel blocks, the level-set gate,
+/// the stall diagnosis and the trace.
+struct Rank<'a, S: Scalar> {
+    ctx: &'a RunCtx<'a, S>,
+    rank: usize,
+    engine: Engine<'a, S>,
+    /// The engine's one worker: scratch, kernel meter and account.
+    worker: Worker<S>,
+    mailbox: Mailbox<S>,
+    avail: &'a mut [bool],
+    /// Level-set mode: tasks owed per elimination step, and done so far.
+    step_total: &'a [usize],
     step_done: Vec<usize>,
     current_step: usize,
-
-    /// Metered kernel front door (a plain pass-through when
-    /// [`FactorConfig::metrics`] is off).
-    timed: TimedKernels,
-    busy: Duration,
     barrier_wait: Duration,
-    perturbed: usize,
-    /// Tasks executed on this rank, by kernel kind.
-    tasks: TaskCounts,
     /// Hot-path copy/allocation accounting.
     mem: MemStats,
     /// Times this rank entered the blocking-receive path.
     blocked_recvs: u64,
     /// Longest observed no-progress streak.
     max_idle: Duration,
-    /// When set, kernels are recorded relative to this origin.
-    trace_origin: Option<Instant>,
     trace: Vec<TraceEvent>,
 }
 
-impl<'a, S: Scalar> Worker<'a, S> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        bm: &'a BlockMatrix<S>,
-        tg: &'a TaskGraph,
-        owners: &'a OwnerMap,
-        selector: &'a KernelSelector,
-        pivot_floor: f64,
-        cfg: &FactorConfig,
-        mailbox: Mailbox<S>,
-        st: &'a mut RankState<S>,
-        barrier: &'a StepBarrier,
-        abort: &'a AtomicBool,
-        first_err: &'a Mutex<Option<DistError>>,
-    ) -> Self {
-        let rank = mailbox.rank();
-        debug_assert_eq!(st.rank, rank, "rank state handed to the wrong mailbox");
-        let remaining = st.remaining_init;
-        Worker {
-            rank,
-            bm,
-            tg,
-            owners,
-            selector,
-            pivot_floor,
-            mode: cfg.mode,
-            stall_timeout: cfg.stall_timeout,
-            mailbox,
-            barrier,
-            abort,
-            first_err,
-            st,
-            queue: BinaryHeap::new(),
-            levelset_blocked: false,
-            remaining,
-            step_done: vec![0usize; bm.nblk() + 1],
-            current_step: 0,
-            timed: TimedKernels::new(cfg.metrics),
-            busy: Duration::ZERO,
-            barrier_wait: Duration::ZERO,
-            perturbed: 0,
-            tasks: TaskCounts::default(),
-            mem: MemStats::default(),
-            blocked_recvs: 0,
-            max_idle: Duration::ZERO,
-            trace_origin: None,
-            trace: Vec::new(),
-        }
-    }
-
-    fn owned(&self, id: usize) -> bool {
-        self.owners.owner_of(id) == self.rank
-    }
-
+impl<S: Scalar> Rank<'_, S> {
     /// Whether block `(bi, bj)` is available as an operand (owned and
     /// finished, or received).
     fn avail_at(&self, bi: usize, bj: usize) -> bool {
-        self.bm.block_id(bi, bj).is_some_and(|id| self.st.avail[id])
+        self.ctx.bm.block_id(bi, bj).is_some_and(|id| self.avail[id])
     }
 
-    /// Fetches an operand block — an owned finished block or a received
-    /// remote copy — borrowing straight from the operand tables. An
-    /// associated fn (not a method) so callers holding `&mut` borrows of
-    /// *other* `Worker` fields (the kernel meter, the scratch arena, a
-    /// taken-out target) can still resolve operands without cloning.
-    fn lookup_operand<'b>(
-        bm: &BlockMatrix<S>,
-        my_blocks: &'b [Option<CscMatrix<S>>],
-        remote: &'b [Option<CscMatrix<S>>],
-        bi: usize,
-        bj: usize,
-    ) -> &'b CscMatrix<S> {
-        let id = bm.block_id(bi, bj).expect("operand block exists");
-        match my_blocks[id].as_ref() {
-            Some(b) => b,
-            None => remote[id].as_ref().expect("operand block neither owned nor received"),
-        }
-    }
-
-    fn run(mut self) -> WorkerOutput {
-        // The GETRFs of diagonal blocks without updates wait on nothing.
-        for id in 0..self.bm.num_blocks() {
-            if self.st.wait[id] == 0 && self.owned(id) {
-                self.push_task(id);
-            }
-        }
-        let slice = Duration::from_millis(50).min(self.stall_timeout);
+    fn run(mut self) -> RankOutput {
+        let (mode, stall_timeout) = (self.ctx.cfg.mode, self.ctx.cfg.stall_timeout);
+        let nblk = self.ctx.bm.nblk();
+        let slice = Duration::from_millis(50).min(stall_timeout);
         let mut idle = Duration::ZERO;
-        loop {
-            if self.abort.load(AtomicOrdering::Relaxed) {
-                break;
-            }
+        while !self.ctx.abort.load(AtomicOrdering::Relaxed) {
             // Drain the mailbox without blocking (Fig. 10, step 1).
-            let mut got_msg = false;
             while let Some(msg) = self.mailbox.try_recv() {
-                self.handle_msg(msg);
-                got_msg = true;
-            }
-            if got_msg {
+                self.receive(msg);
                 idle = Duration::ZERO;
             }
-            if let Some((task, slot)) = self.pop_runnable() {
+            let max_step = match mode {
+                ScheduleMode::SyncFree => usize::MAX,
+                ScheduleMode::LevelSet => self.current_step,
+            };
+            if let Some(ready) = self.engine.pop(&mut self.worker, max_step) {
                 idle = Duration::ZERO;
-                self.execute(task, slot);
+                self.run_task(ready);
                 continue;
             }
-            if self.remaining == 0 && self.mode == ScheduleMode::SyncFree {
+            if self.engine.remaining() == 0 && mode == ScheduleMode::SyncFree {
                 // Hand any still-buffered sends over before leaving.
                 self.mailbox.flush_pending();
                 break;
             }
-            if self.mode == ScheduleMode::LevelSet {
-                // Step finished locally? Barrier, then advance.
-                if self.current_step <= self.bm.nblk()
-                    && self.step_done[self.current_step.min(self.bm.nblk())]
-                        == self.st.step_total[self.current_step.min(self.bm.nblk())]
-                {
-                    self.mailbox.flush_pending();
-                    let t = Instant::now();
-                    let ok = self.barrier.wait(self.abort);
-                    self.barrier_wait += t.elapsed();
-                    if !ok {
-                        break;
-                    }
-                    idle = Duration::ZERO;
-                    self.current_step += 1;
-                    self.levelset_blocked = false;
-                    if self.current_step >= self.bm.nblk() {
-                        debug_assert_eq!(self.remaining, 0, "tasks left after final step");
-                        break;
-                    }
-                    continue;
+            if mode == ScheduleMode::LevelSet
+                && self.step_done[self.current_step] == self.step_total[self.current_step]
+            {
+                // Step finished locally: barrier, then advance.
+                self.mailbox.flush_pending();
+                let t = Instant::now();
+                let ok = self.ctx.barrier.wait(&self.ctx.abort);
+                self.barrier_wait += t.elapsed();
+                if !ok {
+                    break;
                 }
+                idle = Duration::ZERO;
+                self.current_step += 1;
+                if self.current_step >= nblk {
+                    debug_assert_eq!(self.engine.remaining(), 0, "tasks left after final step");
+                    break;
+                }
+                continue;
             }
             // Nothing runnable: release buffered sends, then block on the
             // mailbox (the measured synchronisation wait, Fig. 10 step 3a).
@@ -812,13 +709,13 @@ impl<'a, S: Scalar> Worker<'a, S> {
             self.blocked_recvs += 1;
             match self.mailbox.recv(slice) {
                 Some(m) => {
-                    self.handle_msg(m);
+                    self.receive(m);
                     idle = Duration::ZERO;
                 }
                 None => {
                     idle += slice;
                     self.max_idle = self.max_idle.max(idle);
-                    if idle >= self.stall_timeout {
+                    if idle >= stall_timeout {
                         self.report_stall(idle);
                         break;
                     }
@@ -826,74 +723,87 @@ impl<'a, S: Scalar> Worker<'a, S> {
             }
         }
 
-        // End-of-run gauges: cumulative across every run that shared this
-        // rank state (plans persist across refactorisations).
-        self.st.plans.shrink_to_fit();
-        let ps = self.st.plans.stats();
-        self.mem.plan_bytes = ps.bytes;
-        self.mem.plan_build_ns = ps.build_ns;
-        self.timed.add_counts_to(&mut self.mem);
+        self.worker.kernels.add_counts_to(&mut self.mem);
         let sync_wait = self.mailbox.sync_wait() + self.barrier_wait;
         let metrics = RankMetrics {
             rank: self.rank,
-            busy_nanos: duration_nanos(self.busy),
+            busy_nanos: duration_nanos(self.worker.times.iter().sum()),
             sync_wait_nanos: duration_nanos(sync_wait),
             blocked_recvs: self.blocked_recvs,
             max_idle_nanos: duration_nanos(self.max_idle),
-            perturbed_pivots: self.perturbed as u64,
-            tasks: self.tasks,
+            perturbed_pivots: self.worker.perturbed as u64,
+            tasks: self.worker.tasks,
             mem: self.mem,
             comm: self.mailbox.metrics(),
-            kernels: std::mem::take(&mut self.timed).into_tally(),
+            kernels: self.worker.kernels.into_tally(),
         };
         let (sent, received, lost) = self.mailbox.into_logs();
-        WorkerOutput { metrics, trace: self.trace, sent, received, lost }
+        RankOutput { metrics, trace: self.trace, sent, received, lost }
+    }
+
+    /// Runs a popped task on the engine, records it, and ships the block
+    /// a panel op finished.
+    fn run_task(&mut self, ready: PrioritisedTask) {
+        let trace_start = self.ctx.trace_origin.map(|origin| origin.elapsed());
+        let task = self.engine.run(&mut self.worker, ready);
+        // The trace event must be on the record *before* the result is
+        // shipped: otherwise a remote consumer can receive the block,
+        // start, and log a start time earlier than this producer's end.
+        if let (Some(origin), Some(start)) = (self.ctx.trace_origin, trace_start) {
+            self.trace.push(TraceEvent { rank: self.rank, task, start, end: origin.elapsed() });
+        }
+        self.step_done[task.step()] += 1;
+        let role = match task {
+            Task::Getrf { .. } => BlockRole::DiagFactor,
+            Task::Gessm { .. } => BlockRole::UPanel,
+            Task::Tstrf { .. } => BlockRole::LPanel,
+            Task::Ssssm { .. } => return,
+        };
+        // A panel op's slot is its block's id.
+        self.avail[ready.slot] = true;
+        self.ship(ready.slot, role);
     }
 
     /// Builds the stall diagnosis, publishes it (first error wins), and
     /// raises the abort flag so every rank shuts down.
     fn report_stall(&mut self, waited: Duration) {
-        let missing = self.diagnose_missing(8);
         let err = DistError {
             rank: self.rank,
             step: self.lowest_unfinished_step(),
-            remaining: self.remaining,
+            remaining: self.engine.remaining(),
             waited,
-            missing,
+            missing: self.diagnose_missing(8),
             lost_sends: self.mailbox.lost_log().len(),
         };
-        let mut slot = self.first_err.lock().expect("error slot poisoned");
-        if slot.is_none() {
-            *slot = Some(err);
-        }
-        drop(slot);
-        self.abort.store(true, AtomicOrdering::Relaxed);
+        self.ctx.first_err.lock().expect("error slot poisoned").get_or_insert(err);
+        self.ctx.abort.store(true, AtomicOrdering::Relaxed);
     }
 
     /// The lowest elimination step with unfinished owned work.
     fn lowest_unfinished_step(&self) -> usize {
-        match self.mode {
+        match self.ctx.cfg.mode {
             ScheduleMode::LevelSet => self.current_step,
             ScheduleMode::SyncFree => (0..self.step_done.len())
-                .find(|&s| self.step_done[s] < self.st.step_total[s])
+                .find(|&s| self.step_done[s] < self.step_total[s])
                 .unwrap_or(self.current_step),
         }
     }
 
     /// Lists the operand blocks this rank is still waiting for, capped.
     fn diagnose_missing(&self, cap: usize) -> Vec<MissingDep> {
-        let (bm, tg, nblocks) = (self.bm, self.tg, self.bm.num_blocks());
+        let (bm, tg, nblocks) = (self.ctx.bm, self.ctx.tg, self.ctx.bm.num_blocks());
+        let owned = |id: usize| self.ctx.owners.owner_of(id) == self.rank;
         // Per owned target, the step of its lowest update still waiting:
         // nothing is runnable, so the updates before it have all run.
         let mut next_update: Vec<Option<usize>> = vec![None; nblocks];
         for (g, &(_, _, k)) in tg.ssssm.iter().enumerate() {
             let cid = tg.block_of(nblocks + g);
-            if self.st.wait[nblocks + g] > 0 && self.owned(cid) {
+            if self.engine.waiting(nblocks + g) && owned(cid) {
                 next_update[cid].get_or_insert(k);
             }
         }
         let mut missing = Vec::new();
-        for id in (0..nblocks).filter(|&id| self.st.wait[id] > 0 && self.owned(id)) {
+        for id in (0..nblocks).filter(|&id| self.engine.waiting(id) && owned(id)) {
             if missing.len() >= cap {
                 break;
             }
@@ -915,140 +825,23 @@ impl<'a, S: Scalar> Worker<'a, S> {
         missing
     }
 
-    /// The next runnable task in step-major order (level-set mode
-    /// restricts it to the current step).
-    fn pop_runnable(&mut self) -> Option<(Task, usize)> {
-        match self.mode {
-            ScheduleMode::SyncFree => self.queue.pop().map(|t| (t.task(), t.slot)),
-            ScheduleMode::LevelSet => {
-                // The step gate is hoisted into a flag: once the top is
-                // known to belong to a later step, stop re-peeking (and
-                // re-comparing) until a push or a step advance can change
-                // the answer.
-                if self.levelset_blocked {
-                    return None;
-                }
-                match self.queue.peek() {
-                    Some(top) if top.task().step() == self.current_step => {
-                        self.queue.pop().map(|t| (t.task(), t.slot))
-                    }
-                    Some(_) => {
-                        self.levelset_blocked = true;
-                        None
-                    }
-                    None => None,
-                }
-            }
-        }
-    }
-
-    /// Queues the task in `slot`, whose countdown reached zero.
-    fn push_task(&mut self, slot: usize) {
-        self.levelset_blocked = false;
-        self.queue.push(PrioritisedTask::new(self.tg.task_at(self.bm, slot), slot));
-    }
-
-    /// Counts down this rank's tasks that the finished task `slot`
-    /// releases — whether it ran here or its block was received — and
-    /// queues each one that reaches zero.
-    fn release(&mut self, slot: usize) {
-        let tg = self.tg;
-        for &s in tg.releases(slot) {
-            let s = s as usize;
-            if self.owned(tg.block_of(s)) {
-                self.st.wait[s] -= 1;
-                if self.st.wait[s] == 0 {
-                    self.push_task(s);
-                }
-            }
-        }
-    }
-
-    fn execute(&mut self, task: Task, slot: usize) {
-        let trace_start = self.trace_origin.map(|origin| origin.elapsed());
-        let t0 = Instant::now();
-        let (bm, tg) = (self.bm, self.tg);
-        let id = tg.block_of(slot);
-        let st = &mut *self.st;
-        // The role a finished panel block is shipped in; updates ship nothing.
-        let role = match task {
-            Task::Getrf { k } => {
-                let blk = st.my_blocks[id].as_mut().expect("getrf on owned block");
-                let route = st.plans.route_getrf(self.selector, k, blk);
-                let fl = tg.panel_flops[id];
-                self.perturbed +=
-                    self.timed.getrf(route, blk, &mut st.scratch, self.pivot_floor, fl);
-                self.tasks.getrf += 1;
-                Some(BlockRole::DiagFactor)
-            }
-            Task::Gessm { k, .. } => {
-                // Take the target out of its slot so the diagonal factor
-                // can be borrowed from the same table — no per-task clone
-                // of the diagonal CSC.
-                let mut blk = st.my_blocks[id].take().expect("gessm on owned block");
-                let diag = Self::lookup_operand(bm, &st.my_blocks, &st.remote, k, k);
-                let route = st.plans.route_gessm(self.selector, id, diag, &blk);
-                self.timed.gessm(route, diag, &mut blk, &mut st.scratch, tg.panel_flops[id]);
-                st.my_blocks[id] = Some(blk);
-                self.tasks.gessm += 1;
-                Some(BlockRole::UPanel)
-            }
-            Task::Tstrf { k, .. } => {
-                let mut blk = st.my_blocks[id].take().expect("tstrf on owned block");
-                let diag = Self::lookup_operand(bm, &st.my_blocks, &st.remote, k, k);
-                let route = st.plans.route_tstrf(self.selector, id, diag, &blk);
-                self.timed.tstrf(route, diag, &mut blk, &mut st.scratch, tg.panel_flops[id]);
-                st.my_blocks[id] = Some(blk);
-                self.tasks.tstrf += 1;
-                Some(BlockRole::LPanel)
-            }
-            Task::Ssssm { i, j, k } => {
-                let g = slot - bm.num_blocks();
-                let mut target = st.my_blocks[id].take().expect("ssssm on owned block");
-                let a = Self::lookup_operand(bm, &st.my_blocks, &st.remote, i, k);
-                let b = Self::lookup_operand(bm, &st.my_blocks, &st.remote, k, j);
-                let fl = tg.ssssm_flops[g];
-                let route = st.plans.route_ssssm(self.selector, g, fl, a, b, &target);
-                self.timed.ssssm(route, a, b, &mut target, &mut st.scratch, fl);
-                st.my_blocks[id] = Some(target);
-                self.tasks.ssssm += 1;
-                None
-            }
-        };
-        self.busy += t0.elapsed();
-        // The trace event must be on the record *before* the result is
-        // shipped: otherwise a remote consumer can receive the block,
-        // start, and log a start time earlier than this producer's end.
-        if let (Some(origin), Some(start)) = (self.trace_origin, trace_start) {
-            self.trace.push(TraceEvent { rank: self.rank, task, start, end: origin.elapsed() });
-        }
-        self.remaining -= 1;
-        self.step_done[task.step()] += 1;
-        if let Some(role) = role {
-            self.st.avail[id] = true;
-            self.ship(id, role);
-        }
-        self.release(slot);
-    }
-
     /// Ships finished block `id` to every other rank that owns a task it
     /// releases.
     fn ship(&mut self, id: usize, role: BlockRole) {
-        let (bi, bj) = self.bm.block_coords(id);
+        let (bi, bj) = self.ctx.bm.block_coords(id);
         // Serialise the block once for the whole fan-out; the Arc clones
         // handed to each mailbox share the buffer. When every dependent is
         // local no payload is materialised at all. The mailbox still
         // charges full per-edge bytes — the wire cost model is unchanged.
         let mut payload: Option<Arc<[S]>> = None;
-        for dest in self.tg.destinations(self.owners, id) {
+        for dest in self.ctx.tg.destinations(self.ctx.owners, id) {
             if dest == self.rank {
                 continue;
             }
             let values = match &payload {
                 Some(p) => p.clone(),
                 None => {
-                    let vals =
-                        self.st.my_blocks[id].as_ref().expect("finished block present").values();
+                    let vals = self.engine.block_mut(id).values();
                     self.mem.payload_allocs += 1;
                     self.mem.bytes_copied += std::mem::size_of_val(vals) as u64;
                     payload.insert(Arc::from(vals)).clone()
@@ -1058,36 +851,23 @@ impl<'a, S: Scalar> Worker<'a, S> {
         }
     }
 
-    /// A finished remote block arrived: it releases here what its panel op
-    /// released on its owner.
-    fn handle_msg(&mut self, msg: BlockMsg<S>) {
-        let id = self.bm.block_id(msg.bi, msg.bj).expect("pattern of shipped block is replicated");
-        match &mut self.st.remote[id] {
-            Some(cached) => {
-                // Pattern cache hit: the CSC structure is already built;
-                // memcpy the values into the cached block's buffer.
-                let dst = cached.values_mut();
-                assert_eq!(msg.values.len(), dst.len(), "shipped values do not match pattern");
-                dst.copy_from_slice(&msg.values);
-                self.mem.pattern_cache_hits += 1;
-            }
-            slot => {
-                // First receive: build the structure from the replicated
-                // pattern once; later receives for this block reuse it.
-                let tpl = self.bm.block(id);
-                assert_eq!(msg.values.len(), tpl.nnz(), "shipped values do not match pattern");
-                *slot = Some(CscMatrix::from_parts_unchecked(
-                    tpl.nrows(),
-                    tpl.ncols(),
-                    tpl.col_ptr().to_vec(),
-                    tpl.row_idx().to_vec(),
-                    msg.values.to_vec(),
-                ));
-            }
+    /// A finished remote block arrived: store it in the table, then count
+    /// down here what its panel op released on its owner.
+    fn receive(&mut self, msg: BlockMsg<S>) {
+        let bm = self.ctx.bm;
+        let id = bm.block_id(msg.bi, msg.bj).expect("pattern of shipped block is replicated");
+        let blk = self.engine.block_mut(id);
+        if blk.ncols() == 0 {
+            // First receive: the placeholder takes the replicated pattern
+            // once; later receives for this block reuse it.
+            *blk = bm.block(id).clone();
+        } else {
+            self.mem.pattern_cache_hits += 1;
         }
+        blk.values_mut().copy_from_slice(&msg.values);
         self.mem.bytes_copied += (msg.values.len() * S::WIDTH) as u64;
-        self.st.avail[id] = true;
-        self.release(id);
+        self.avail[id] = true;
+        self.engine.release(&mut self.worker, id);
     }
 }
 

@@ -14,17 +14,20 @@
 //!   initial wait, the tasks a finished task releases, and from them the
 //!   ranks a finished block is shipped to; plus the step-major
 //!   ready-queue order;
-//! * [`shared`] — the countdown engine over one block store: its
-//!   one-worker instance is the one-rank executor, more workers the
-//!   multicore mode;
+//! * [`shared`] — the one task-execution core, the countdown engine:
+//!   kernel dispatch, the countdown and release over the tasks of one
+//!   owner, the ready heap, the plan build and the per-worker account,
+//!   over one block store. Its one-worker instance is the one-rank
+//!   executor, more workers the multicore mode, and each distributed
+//!   rank;
 //! * [`seq`] — the one-rank entry point (the "single GPU" configuration
 //!   of Table 4), and the unplanned right-looking sweep every executor is
 //!   tested against, which also leaves Schur complements;
-//! * [`dist`] — the multi-rank executor: threads as MPI ranks, block
-//!   messages over mailboxes, each rank a countdown over the tasks it
-//!   owns, and both scheduling policies — the synchronisation-free
-//!   strategy of §4.4 and the level-set barrier baseline it is ablated
-//!   against (Fig. 14);
+//! * [`dist`] — the message edge around the engine: threads as MPI
+//!   ranks, each the engine's one-worker instance over its own block
+//!   table for the tasks it owns, block messages over mailboxes, and both
+//!   scheduling policies — the synchronisation-free strategy of §4.4 and
+//!   the level-set barrier baseline it is ablated against (Fig. 14);
 //! * [`trace_check`] — the schedule-trace validator: proves a traced run
 //!   respected every dependency, ran each task exactly once on its
 //!   owner, and delivered each block message exactly once per

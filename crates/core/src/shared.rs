@@ -1,16 +1,23 @@
-//! The countdown engine: the synchronisation-free counter array of §4.4
-//! over one shared block store.
+//! The countdown engine: the synchronisation-free counter array of §4.4,
+//! and the one task-execution core of the numeric phase.
 //!
-//! PanguLU also runs on multicore CPUs without MPI; this is that mode,
-//! and its one-worker instance, run on the caller's thread, is the
-//! sequential executor ([`crate::seq::factor_sequential_planned`]). Every
-//! task — one panel operation per block, one update per SSSSM triple —
-//! owns an atomic count set from [`TaskGraph::wait`]. The finisher of a
-//! task counts down, with `AcqRel`, every task [`TaskGraph::releases`]
-//! lists, and whoever brings a count to zero pushes that task onto the
-//! shared ready heap. A target's updates therefore run one at a time in
-//! ascending `k` — the rule of the distributed executor too — so the
-//! factors are bitwise the same at any worker count.
+//! Every task — one panel operation per block, one update per SSSSM
+//! triple — owns an atomic count set from [`TaskGraph::wait`]. The
+//! finisher of a task counts down, with `AcqRel`, every task
+//! [`TaskGraph::releases`] lists, and whoever brings a count to zero
+//! queues that task on the ready heap, popped in step-major order. A
+//! target's updates therefore run one at a time in ascending `k`, so the
+//! factors are bitwise the same at any worker count and on any grid.
+//!
+//! An engine runs over one block store and counts down the tasks of one
+//! owner. In the multicore mode the owner is everyone: the workers share
+//! the solver's block store, and the one-worker instance on the caller's
+//! thread is the sequential executor
+//! ([`crate::seq::factor_sequential_planned`]). In the multi-rank mode
+//! ([`crate::dist`]) each rank is a one-worker instance over its own
+//! block table that counts down the tasks it owns, and the mailbox is an
+//! edge around it: a received block counts down what its panel op
+//! released, exactly as a finished local task does.
 
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
@@ -20,32 +27,50 @@ use std::time::{Duration, Instant};
 
 use pangulu_kernels::select::KernelSelector;
 use pangulu_kernels::{KernelPlans, KernelScratch, TimedKernels};
+use pangulu_metrics::TaskCounts;
 use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
+use crate::layout::OwnerMap;
 use crate::seq::NumericStats;
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
-/// A mutable-shared view of the block store.
+/// A mutable-shared view of a block store, indexed by block id.
 ///
 /// Safety: a block is written only by the task its countdown admitted —
 /// each update after its predecessor on the target, the panel op after
 /// the last update — and read as an operand only by tasks its panel op
 /// released. The `AcqRel` countdown orders every write before the
-/// accesses it unlocks.
-struct SharedBlocks<S> {
+/// accesses it unlocks. The one write outside a task is a rank's receive
+/// path ([`Engine::block_mut`]): a rank runs one worker, so it stores a
+/// received block on that worker's own thread, between two tasks, and
+/// only then counts down the tasks that read it.
+pub(crate) struct SharedBlocks<S> {
     ptr: *mut CscMatrix<S>,
+    len: usize,
 }
 
-// SAFETY: the one field points into a block store that outlives the
-// scoped workers, and the countdown above serialises every access to a
-// block, so handing the pointer to other threads is sound.
+// SAFETY: `ptr` points into a block store of `len` blocks that outlives
+// the scoped workers, and the countdown above serialises every access to
+// a block, so handing the pointer to other threads is sound.
 unsafe impl<S: Scalar> Send for SharedBlocks<S> {}
 // SAFETY: as for `Send`: shared use goes through `get` / `get_mut`,
-// whose callers uphold the countdown's one-writer rule.
+// whose callers uphold the countdown's one-writer rule; the one other
+// access, `Engine::block_mut`, needs `&mut Engine`, so it is never shared.
 unsafe impl<S: Scalar> Sync for SharedBlocks<S> {}
 
 impl<S: Scalar> SharedBlocks<S> {
+    /// A view of `store` for an engine over a block matrix `bm`.
+    ///
+    /// # Safety
+    ///
+    /// `store` holds one block per block id of `bm`, outlives the engine
+    /// the view is handed to, and is reached only through that engine
+    /// while it lives.
+    pub(crate) unsafe fn new(store: &mut [CscMatrix<S>]) -> Self {
+        SharedBlocks { ptr: store.as_mut_ptr(), len: store.len() }
+    }
+
     /// # Safety
     ///
     /// `id` indexes the store, and no task writes block `id` while the
@@ -98,20 +123,69 @@ pub(crate) fn join_all<T>(handles: Vec<ScopedJoinHandle<'_, T>>) -> Vec<T> {
     out
 }
 
-/// One factorisation in flight: what every worker reads, and the
-/// countdown per task slot.
-struct Run<'a, S: Scalar> {
+/// Whose tasks an engine counts down and runs.
+#[derive(Clone, Copy)]
+pub(crate) enum Owner<'a> {
+    /// Every task: the one-rank and multicore modes.
+    All,
+    /// The tasks that write a block this rank owns under the map.
+    Rank(&'a OwnerMap, usize),
+}
+
+impl Owner<'_> {
+    fn owns(self, id: usize) -> bool {
+        match self {
+            Owner::All => true,
+            Owner::Rank(map, rank) => map.owner_of(id) == rank,
+        }
+    }
+}
+
+/// One worker's kernel scratch and account: the kernel meter, kernel time
+/// per class, tasks run by kind and perturbed pivots. [`NumericStats`]
+/// and a rank's `RankMetrics` are both read off it.
+pub(crate) struct Worker<S: Scalar> {
+    scratch: KernelScratch<S>,
+    /// The kernel front door (metering when built enabled).
+    pub(crate) kernels: TimedKernels,
+    /// Kernel time per class: GETRF, the panel solves, SSSSM.
+    pub(crate) times: [Duration; 3],
+    /// Tasks run, by kernel kind.
+    pub(crate) tasks: TaskCounts,
+    /// Statically perturbed pivots.
+    pub(crate) perturbed: usize,
+    /// Tasks this worker freed, queued when it next takes the heap's lock.
+    freed: Vec<PrioritisedTask>,
+}
+
+impl<S: Scalar> Worker<S> {
+    /// A worker for blocks of dimension `nb`; `metered` turns the kernel
+    /// meter on.
+    pub(crate) fn new(nb: usize, metered: bool) -> Self {
+        Worker {
+            scratch: KernelScratch::with_capacity(nb),
+            kernels: TimedKernels::new(metered),
+            times: [Duration::ZERO; 3],
+            tasks: TaskCounts::default(),
+            perturbed: 0,
+            freed: Vec::new(),
+        }
+    }
+}
+
+/// One factorisation in flight over one block store: what every worker
+/// reads, the countdown per task slot, and the ready heap.
+pub(crate) struct Engine<'a, S: Scalar> {
     bm: &'a BlockMatrix<S>,
     tg: &'a TaskGraph,
     selector: &'a KernelSelector,
     plans: &'a KernelPlans<S>,
     pivot_floor: f64,
+    owner: Owner<'a>,
     blocks: SharedBlocks<S>,
     waits: Vec<AtomicU32>,
     ready: Mutex<BinaryHeap<PrioritisedTask>>,
     remaining: AtomicUsize,
-    perturbed: AtomicUsize,
-    abort: AtomicBool,
 }
 
 /// Factorises `bm` in place with `threads` workers sharing one block
@@ -131,145 +205,200 @@ pub fn factor_shared_planned<S: Scalar>(
     threads: usize,
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
-    build_all_plans(bm, tg, selector, plans);
-    let num_blocks = bm.num_blocks();
-    if num_blocks == 0 {
-        return NumericStats::default();
-    }
-    let seeds = (0..num_blocks)
-        .filter(|&id| tg.wait[id] == 0)
-        .map(|id| PrioritisedTask::new(tg.task_at(bm, id), id))
-        .collect();
-    let run = Run {
-        blocks: SharedBlocks { ptr: blocks_ptr(bm) },
-        bm,
-        tg,
-        selector,
-        plans,
-        pivot_floor,
-        waits: tg.wait.iter().map(|&w| AtomicU32::new(w)).collect(),
-        ready: Mutex::new(seeds),
-        remaining: AtomicUsize::new(tg.wait.len()),
-        perturbed: AtomicUsize::new(0),
-        abort: AtomicBool::new(false),
-    };
-    let times = if threads <= 1 {
-        vec![run.work()]
+    // SAFETY: the store is `bm`'s own, one block per id; the engine is
+    // dropped before this function returns, and until then `bm` is only
+    // read for its patterns and coordinates, never its blocks' values.
+    let blocks = unsafe { SharedBlocks::new(bm.blocks_mut()) };
+    let engine = Engine::new(bm, blocks, tg, selector, pivot_floor, plans, Owner::All);
+    let abort = AtomicBool::new(false);
+    let workers = if threads <= 1 {
+        vec![engine.work(&abort)]
     } else {
-        std::thread::scope(|s| join_all((0..threads).map(|_| s.spawn(|| run.work())).collect()))
+        std::thread::scope(|s| {
+            join_all((0..threads).map(|_| s.spawn(|| engine.work(&abort))).collect())
+        })
     };
-    let [getrf_time, trsm_time, ssssm_time] =
-        times.into_iter().fold([Duration::ZERO; 3], |a, t| [a[0] + t[0], a[1] + t[1], a[2] + t[2]]);
-
-    NumericStats {
-        getrf_time,
-        trsm_time,
-        ssssm_time,
-        perturbed_pivots: run.perturbed.into_inner(),
-        flops: tg.total_flops(),
-        kernel_counts: [
-            bm.nblk(),
-            tg.u_panels.iter().map(|v| v.len()).sum(),
-            tg.l_panels.iter().map(|v| v.len()).sum(),
-            tg.ssssm.len(),
-        ],
+    let mut stats = NumericStats { flops: tg.total_flops(), ..Default::default() };
+    for w in &workers {
+        stats.getrf_time += w.times[0];
+        stats.trsm_time += w.times[1];
+        stats.ssssm_time += w.times[2];
+        stats.perturbed_pivots += w.perturbed;
+        let TaskCounts { getrf, gessm, tstrf, ssssm } = w.tasks;
+        for (total, n) in stats.kernel_counts.iter_mut().zip([getrf, gessm, tstrf, ssssm]) {
+            *total += n as usize;
+        }
     }
+    stats
 }
 
-/// Routes every task once so each plan the selector's gates admit
-/// exists before the workers start. Patterns are fixed by the symbolic
-/// phase, so building from the unfactored blocks is identical to
-/// building lazily mid-factorisation; tasks whose planned gate is closed
+/// Builds, for every task `owner` owns, the plan the selector's gates
+/// admit, so the pool exists before any task runs. Patterns are fixed by
+/// the symbolic phase, so the unfactored blocks give the same plans a
+/// task would build mid-factorisation; tasks whose planned gate is closed
 /// (the calibrated cuts send them to the dense-addressed variants) get
 /// no plan, keeping the pool's memory proportional to the planned
-/// working set — the same plans the distributed executor would build
-/// lazily.
-fn build_all_plans<S: Scalar>(
+/// working set.
+fn build_plans<S: Scalar>(
     bm: &BlockMatrix<S>,
     tg: &TaskGraph,
     selector: &KernelSelector,
     plans: &mut KernelPlans<S>,
+    owner: Owner<'_>,
 ) {
     for k in 0..bm.nblk() {
-        let diag = bm.block(bm.block_id(k, k).expect("diag exists"));
-        plans.route_getrf(selector, k, diag);
+        let diag_id = bm.block_id(k, k).expect("diag exists");
+        let diag = bm.block(diag_id);
+        if owner.owns(diag_id) {
+            plans.build_getrf(selector, k, diag);
+        }
         for &j in &tg.u_panels[k] {
             let id = bm.block_id(k, j).expect("panel exists");
-            plans.route_gessm(selector, id, diag, bm.block(id));
+            if owner.owns(id) {
+                plans.build_gessm(selector, id, diag, bm.block(id));
+            }
         }
         for &i in &tg.l_panels[k] {
             let id = bm.block_id(i, k).expect("panel exists");
-            plans.route_tstrf(selector, id, diag, bm.block(id));
+            if owner.owns(id) {
+                plans.build_tstrf(selector, id, diag, bm.block(id));
+            }
         }
     }
     for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
-        let a = bm.block(bm.block_id(i, k).expect("L operand"));
-        let b = bm.block(bm.block_id(k, j).expect("U operand"));
-        let c = bm.block(tg.block_of(bm.num_blocks() + n));
-        plans.route_ssssm(selector, n, tg.ssssm_flops[n], a, b, c);
+        let id = tg.block_of(bm.num_blocks() + n);
+        if owner.owns(id) {
+            let a = bm.block(bm.block_id(i, k).expect("L operand"));
+            let b = bm.block(bm.block_id(k, j).expect("U operand"));
+            plans.build_ssssm(selector, n, tg.ssssm_flops[n], a, b, bm.block(id));
+        }
     }
     plans.shrink_to_fit();
 }
 
-fn blocks_ptr<S: Scalar>(bm: &mut BlockMatrix<S>) -> *mut CscMatrix<S> {
-    // The block store is a dense slice; ids index it directly.
-    bm.block_mut(0) as *mut CscMatrix<S>
-}
-
-impl<S: Scalar> Run<'_, S> {
-    /// One worker: pop the lowest ready task, run it, count down what it
-    /// releases. Returns the worker's kernel time per class: GETRF, the
-    /// panel solves, SSSSM.
-    fn work(&self) -> [Duration; 3] {
-        let _abort_on_unwind = AbortOnUnwind(&self.abort);
-        let mut scratch = KernelScratch::<S>::with_capacity(self.bm.nb());
-        let mut kernels = TimedKernels::new(false);
-        let mut times = [Duration::ZERO; 3];
-        // Tasks this worker freed, queued when it next takes the lock.
-        let mut freed = Vec::new();
-        while self.remaining.load(Ordering::Acquire) > 0 && !self.abort.load(Ordering::Relaxed) {
-            let popped = {
-                let mut ready = self.ready.lock().expect("ready heap poisoned");
-                ready.extend(freed.drain(..));
-                ready.pop()
-            };
-            let Some(ready) = popped else {
-                std::thread::yield_now();
-                continue;
-            };
-            let (task, slot) = (ready.task(), ready.slot);
-            let t0 = Instant::now();
-            self.execute(task, slot, &mut scratch, &mut kernels);
-            times[usize::from(task.class_rank())] += t0.elapsed();
-            for &s in self.tg.releases(slot) {
-                let s = s as usize;
-                if self.waits[s].fetch_sub(1, Ordering::AcqRel) == 1 {
-                    freed.push(PrioritisedTask::new(self.tg.task_at(self.bm, s), s));
-                }
-            }
-            self.remaining.fetch_sub(1, Ordering::AcqRel);
+impl<'a, S: Scalar> Engine<'a, S> {
+    /// Arms a run of the tasks `owner` owns over the store `blocks`
+    /// (blocks indexed as in `bm`, whose patterns they share): builds
+    /// their missing plans into `plans`, sets every countdown from
+    /// [`TaskGraph::wait`] and queues the owned tasks that wait on
+    /// nothing.
+    pub(crate) fn new(
+        bm: &'a BlockMatrix<S>,
+        blocks: SharedBlocks<S>,
+        tg: &'a TaskGraph,
+        selector: &'a KernelSelector,
+        pivot_floor: f64,
+        plans: &'a mut KernelPlans<S>,
+        owner: Owner<'a>,
+    ) -> Self {
+        build_plans(bm, tg, selector, plans, owner);
+        let seeds = (0..bm.num_blocks())
+            .filter(|&id| tg.wait[id] == 0 && owner.owns(id))
+            .map(|id| PrioritisedTask::new(tg.task_at(bm, id), id))
+            .collect();
+        let owned = (0..tg.wait.len()).filter(|&s| owner.owns(tg.block_of(s))).count();
+        Engine {
+            bm,
+            tg,
+            selector,
+            plans,
+            pivot_floor,
+            owner,
+            blocks,
+            waits: tg.wait.iter().map(|&w| AtomicU32::new(w)).collect(),
+            ready: Mutex::new(seeds),
+            remaining: AtomicUsize::new(owned),
         }
-        times
+    }
+
+    /// Owned tasks that have not finished.
+    pub(crate) fn remaining(&self) -> usize {
+        self.remaining.load(Ordering::Acquire)
+    }
+
+    /// Whether the task in `slot` still waits on a task or a block.
+    pub(crate) fn waiting(&self, slot: usize) -> bool {
+        self.waits[slot].load(Ordering::Relaxed) > 0
+    }
+
+    /// Queues the tasks `w` freed, then pops the lowest ready task if its
+    /// elimination step is at most `max_step` (a level-set gate;
+    /// `usize::MAX` for none).
+    pub(crate) fn pop(&self, w: &mut Worker<S>, max_step: usize) -> Option<PrioritisedTask> {
+        let mut ready = self.ready.lock().expect("ready heap poisoned");
+        ready.extend(w.freed.drain(..));
+        if ready.peek()?.task().step() > max_step {
+            return None;
+        }
+        ready.pop()
+    }
+
+    /// Runs a popped task on `w`'s account, then counts down what it
+    /// releases. Returns the task.
+    pub(crate) fn run(&self, w: &mut Worker<S>, ready: PrioritisedTask) -> Task {
+        let (task, slot) = (ready.task(), ready.slot);
+        let t0 = Instant::now();
+        self.execute(task, slot, w);
+        w.times[usize::from(task.class_rank())] += t0.elapsed();
+        self.release(w, slot);
+        self.remaining.fetch_sub(1, Ordering::AcqRel);
+        task
+    }
+
+    /// Counts down the owned tasks that the finished task `slot` releases
+    /// — whether it ran here or, on a rank, its block was received — and
+    /// frees on `w` each one that reaches zero.
+    pub(crate) fn release(&self, w: &mut Worker<S>, slot: usize) {
+        for &s in self.tg.releases(slot) {
+            let s = s as usize;
+            if self.owner.owns(self.tg.block_of(s))
+                && self.waits[s].fetch_sub(1, Ordering::AcqRel) == 1
+            {
+                w.freed.push(PrioritisedTask::new(self.tg.task_at(self.bm, s), s));
+            }
+        }
+    }
+
+    /// Block `id` of the store, between tasks: a rank ships a finished
+    /// block from here and stores a received one here.
+    pub(crate) fn block_mut(&mut self, id: usize) -> &mut CscMatrix<S> {
+        // SAFETY: `&mut self` proves no worker holds the engine, so no
+        // task is running and nothing else reaches the store, which holds
+        // `len` blocks (`SharedBlocks::new`); the index below is checked.
+        let store = unsafe { std::slice::from_raw_parts_mut(self.blocks.ptr, self.blocks.len) };
+        &mut store[id]
+    }
+
+    /// One worker of the multicore mode: pop, run, repeat until every
+    /// task has run or another worker's task panicked.
+    fn work(&self, abort: &AtomicBool) -> Worker<S> {
+        let _abort_on_unwind = AbortOnUnwind(abort);
+        let mut w = Worker::new(self.bm.nb(), false);
+        while self.remaining() > 0 && !abort.load(Ordering::Relaxed) {
+            match self.pop(&mut w, usize::MAX) {
+                Some(ready) => {
+                    self.run(&mut w, ready);
+                }
+                None => std::thread::yield_now(),
+            }
+        }
+        w
     }
 
     /// Runs the kernel of `task`, whose countdown just reached zero.
-    fn execute(
-        &self,
-        task: Task,
-        slot: usize,
-        scratch: &mut KernelScratch<S>,
-        kernels: &mut TimedKernels,
-    ) {
+    fn execute(&self, task: Task, slot: usize, w: &mut Worker<S>) {
         let (bm, tg, sel, plans) = (self.bm, self.tg, self.selector, self.plans);
         let id = tg.block_of(slot);
+        let scratch = &mut w.scratch;
         match task {
             Task::Getrf { k } => {
                 // SAFETY: every update onto (k, k) has finished and every
                 // reader of it waits on this GETRF.
                 let blk = unsafe { self.blocks.get_mut(id) };
-                let route = plans.prebuilt_getrf(sel, k, blk);
-                let n = kernels.getrf(route, blk, scratch, self.pivot_floor, tg.panel_flops[id]);
-                self.perturbed.fetch_add(n, Ordering::Relaxed);
+                let route = plans.route_getrf(sel, k, blk);
+                let fl = tg.panel_flops[id];
+                w.perturbed += w.kernels.getrf(route, blk, scratch, self.pivot_floor, fl);
+                w.tasks.getrf += 1;
             }
             Task::Gessm { k, .. } => {
                 let diag_id = bm.block_id(k, k).expect("diag exists");
@@ -277,15 +406,17 @@ impl<S: Scalar> Run<'_, S> {
                 // final; the panel's updates have finished and its
                 // readers wait on this task.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
-                let route = plans.prebuilt_gessm(sel, id, diag, blk);
-                kernels.gessm(route, diag, blk, scratch, tg.panel_flops[id]);
+                let route = plans.route_gessm(sel, id, diag, blk);
+                w.kernels.gessm(route, diag, blk, scratch, tg.panel_flops[id]);
+                w.tasks.gessm += 1;
             }
             Task::Tstrf { k, .. } => {
                 let diag_id = bm.block_id(k, k).expect("diag exists");
                 // SAFETY: as for GESSM.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
-                let route = plans.prebuilt_tstrf(sel, id, diag, blk);
-                kernels.tstrf(route, diag, blk, scratch, tg.panel_flops[id]);
+                let route = plans.route_tstrf(sel, id, diag, blk);
+                w.kernels.tstrf(route, diag, blk, scratch, tg.panel_flops[id]);
+                w.tasks.tstrf += 1;
             }
             Task::Ssssm { i, j, k } => {
                 let g = slot - bm.num_blocks();
@@ -300,7 +431,8 @@ impl<S: Scalar> Run<'_, S> {
                     )
                 };
                 let fl = tg.ssssm_flops[g];
-                kernels.ssssm(plans.prebuilt_ssssm(sel, g, fl, a, c), a, b, c, scratch, fl);
+                w.kernels.ssssm(plans.route_ssssm(sel, g, fl, a, c), a, b, c, scratch, fl);
+                w.tasks.ssssm += 1;
             }
         }
     }

@@ -374,8 +374,8 @@ enum Executor<S: Scalar> {
     /// caller's thread for one rank, else shared-memory worker threads,
     /// with one eagerly built plan pool.
     Shared { threads: usize, plans: KernelPlans<S> },
-    /// Message-passing ranks: the per-rank block tables, countdowns and
-    /// plan pools live in the workspace.
+    /// Message-passing ranks, each the engine's one-worker instance: the
+    /// per-rank block tables and plan pools live in the workspace.
     Distributed { cfg: FactorConfig, workspace: NumericWorkspace<S> },
 }
 

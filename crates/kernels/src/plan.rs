@@ -32,7 +32,7 @@
 //!
 //! **One decision.** Whether a task replays a plan or runs the variant
 //! the Figure 8 tree picks is answered in exactly one place: the
-//! `route_*` / `prebuilt_*` lookups of [`KernelPlans`], from the
+//! `route_*` lookups of [`KernelPlans`], from the
 //! [`KernelSelector`] planned gates and [`KernelPlans::fits`]. A task
 //! that does not replay a plan gets the selector's leaf for its blocks —
 //! the dense-tile lane when they are full, else the Figure 8 tree's pick
@@ -55,12 +55,12 @@
 //! is the guard that routes oversized blocks (bitwise identically) to
 //! the unplanned kernels. Each per-task plan holds small
 //! structs-of-`u32`-offsets into the arena (arena offsets grow with the
-//! whole pool, so they stay wide). Plans are built lazily on first touch (one-shot factors do
-//! not pay for tasks a fault plan skipped) and reused verbatim across
-//! refactorisations — no per-call allocation. [`KernelPlans::stats`]
+//! whole pool, so they stay wide). The `build_*` methods fill a pool
+//! before the tasks run — the executor builds the plans of every task
+//! it owns in one pass — and the plans are reused verbatim across
+//! refactorisations, with no per-call allocation. [`KernelPlans::stats`]
 //! reports bytes from slice *lengths*, which are independent of build
-//! order, so `plan_bytes` is deterministic even though lazy build order
-//! under the distributed runtime is not; builders leave their tables at
+//! order, so `plan_bytes` is deterministic; builders leave their tables at
 //! capacity = length and [`KernelPlans::shrink_to_fit`] does the same for
 //! the arena, so after a factorisation it is also what the pool holds.
 //!
@@ -652,7 +652,7 @@ pub fn getrf_planned<S: Scalar>(
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
     /// Bytes held by the arena and the per-task plan tables (from slice
-    /// lengths, so independent of lazy build order).
+    /// lengths, so independent of build order).
     pub bytes: u64,
     /// Cumulative wall time spent building plans, in nanoseconds.
     pub build_ns: u64,
@@ -673,15 +673,15 @@ pub enum Route<'p, P, I, V> {
 }
 
 /// Per-rank (or per-solver) pool of kernel plans: one pooled index
-/// arena plus lazily built per-task plan slots.
+/// arena plus per-task plan slots.
 ///
 /// Slot keys are the caller's: GETRF by diagonal index, GESSM/TSTRF by
-/// target block id, SSSSM by task-graph update index. The `route_*`
-/// methods decide planned-or-variant for one task, building the plan on
-/// first touch; the `prebuilt_*` methods are their immutable
-/// counterparts for pools filled ahead of time (shared-memory workers
-/// build eagerly, then read without locks) and fall back to the variant
-/// when no plan was built.
+/// target block id, SSSSM by task-graph update index. The `build_*`
+/// methods fill a slot from the task's block patterns where the gates
+/// admit a plan, before any task runs; the `route_*` methods then decide
+/// planned-or-variant for one task without writing the pool (so workers
+/// read it without locks), falling back to the variant when no plan was
+/// built.
 #[derive(Debug, Default)]
 pub struct KernelPlans<S: Scalar = f64> {
     arena: Vec<S::PlanIdx>,
@@ -737,53 +737,45 @@ impl<S: Scalar> KernelPlans<S> {
         sel.planned_ssssm(flops) && self.fits(c.nnz()) && !is_full(c)
     }
 
-    /// Routes the GETRF of diagonal block `a`; its plan is built from
-    /// `a`'s pattern on first use.
-    pub fn route_getrf(
-        &mut self,
-        sel: &KernelSelector,
-        slot: usize,
-        a: &CscMatrix<S>,
-    ) -> Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant> {
+    /// Builds the GETRF plan of diagonal block `a` into `slot`, if the
+    /// gates admit one and the slot is empty.
+    pub fn build_getrf(&mut self, sel: &KernelSelector, slot: usize, a: &CscMatrix<S>) {
         if self.getrf[slot].is_none() && self.plans_getrf(sel, a) {
             self.getrf[slot] = Some(self.timed_build(|arena| build_getrf_plan(a, arena)));
         }
-        self.prebuilt_getrf(sel, slot, a)
     }
 
-    /// Routes the GESSM `L X = B` on block `b`, building its plan on
-    /// first use.
-    pub fn route_gessm(
+    /// Builds the plan of the GESSM `L X = B` on block `b`, as
+    /// [`KernelPlans::build_getrf`].
+    pub fn build_gessm(
         &mut self,
         sel: &KernelSelector,
         slot: usize,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
-    ) -> Route<'_, GessmPlan, S::PlanIdx, TrsmVariant> {
+    ) {
         if self.gessm[slot].is_none() && self.plans_gessm(sel, diag_lu, b) {
             self.gessm[slot] = Some(self.timed_build(|arena| build_gessm_plan(diag_lu, b, arena)));
         }
-        self.prebuilt_gessm(sel, slot, diag_lu, b)
     }
 
-    /// Routes the TSTRF `X U = B` on block `b`, building its plan on
-    /// first use.
-    pub fn route_tstrf(
+    /// Builds the plan of the TSTRF `X U = B` on block `b`, as
+    /// [`KernelPlans::build_getrf`].
+    pub fn build_tstrf(
         &mut self,
         sel: &KernelSelector,
         slot: usize,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
-    ) -> Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant> {
+    ) {
         if self.tstrf[slot].is_none() && self.plans_tstrf(sel, diag_lu, b) {
             self.tstrf[slot] = Some(self.timed_build(|arena| build_tstrf_plan(diag_lu, b, arena)));
         }
-        self.prebuilt_tstrf(sel, slot, diag_lu, b)
     }
 
-    /// Routes the SSSSM `C ← C − A·B` of `flops` model FLOPs, building
-    /// its plan on first use.
-    pub fn route_ssssm(
+    /// Builds the plan of the SSSSM `C ← C − A·B` of `flops` model FLOPs,
+    /// as [`KernelPlans::build_getrf`].
+    pub fn build_ssssm(
         &mut self,
         sel: &KernelSelector,
         slot: usize,
@@ -791,15 +783,15 @@ impl<S: Scalar> KernelPlans<S> {
         a: &CscMatrix<S>,
         b: &CscMatrix<S>,
         c: &CscMatrix<S>,
-    ) -> Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant> {
+    ) {
         if self.ssssm[slot].is_none() && self.plans_ssssm(sel, flops, c) {
             self.ssssm[slot] = Some(self.timed_build(|arena| build_ssssm_plan(a, b, c, arena)));
         }
-        self.prebuilt_ssssm(sel, slot, flops, a, c)
     }
 
-    /// [`KernelPlans::route_getrf`] over an already filled pool.
-    pub fn prebuilt_getrf(
+    /// Routes the GETRF of diagonal block `a`: its plan if one was built,
+    /// else the selector's variant.
+    pub fn route_getrf(
         &self,
         sel: &KernelSelector,
         slot: usize,
@@ -811,8 +803,9 @@ impl<S: Scalar> KernelPlans<S> {
         }
     }
 
-    /// [`KernelPlans::route_gessm`] over an already filled pool.
-    pub fn prebuilt_gessm(
+    /// Routes the GESSM `L X = B` on block `b`, as
+    /// [`KernelPlans::route_getrf`].
+    pub fn route_gessm(
         &self,
         sel: &KernelSelector,
         slot: usize,
@@ -825,8 +818,9 @@ impl<S: Scalar> KernelPlans<S> {
         }
     }
 
-    /// [`KernelPlans::route_tstrf`] over an already filled pool.
-    pub fn prebuilt_tstrf(
+    /// Routes the TSTRF `X U = B` on block `b`, as
+    /// [`KernelPlans::route_getrf`].
+    pub fn route_tstrf(
         &self,
         sel: &KernelSelector,
         slot: usize,
@@ -839,8 +833,9 @@ impl<S: Scalar> KernelPlans<S> {
         }
     }
 
-    /// [`KernelPlans::route_ssssm`] over an already filled pool.
-    pub fn prebuilt_ssssm(
+    /// Routes the SSSSM `C ← C − A·B` of `flops` model FLOPs, as
+    /// [`KernelPlans::route_getrf`].
+    pub fn route_ssssm(
         &self,
         sel: &KernelSelector,
         slot: usize,
@@ -993,7 +988,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_builds_lazily_and_reuses() {
+    fn pool_builds_once_and_reuses() {
         let (diag, upper, ..) = setup(3);
         let mut lu = diag.clone();
         let mut s = KernelScratch::with_capacity(lu.nrows());
@@ -1002,23 +997,20 @@ mod tests {
         let sel = KernelSelector::new(1_000, Thresholds::default());
         let mut pool = KernelPlans::with_slots(1, 1, 0, 0);
         assert_eq!(pool.stats().builds, 0);
-        assert!(matches!(pool.prebuilt_getrf(&sel, 0, &diag), Route::Variant(_)));
+        assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Variant(_)));
 
-        assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Plan(..)));
-        assert!(matches!(pool.route_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
+        pool.build_getrf(&sel, 0, &diag);
+        pool.build_gessm(&sel, 0, &lu, &upper);
         let stats = pool.stats();
         assert_eq!(stats.builds, 2);
         assert!(stats.bytes > 0);
 
-        // Re-touching is a lookup, not a rebuild.
-        pool.route_getrf(&sel, 0, &diag);
-        pool.route_gessm(&sel, 0, &lu, &upper);
-        let again = pool.stats();
-        assert_eq!(again.builds, 2);
-        assert_eq!(again.bytes, stats.bytes);
-        assert_eq!(again.build_ns, stats.build_ns);
-        assert!(matches!(pool.prebuilt_getrf(&sel, 0, &diag), Route::Plan(..)));
-        assert!(matches!(pool.prebuilt_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
+        // Building a filled slot again is a no-op.
+        pool.build_getrf(&sel, 0, &diag);
+        pool.build_gessm(&sel, 0, &lu, &upper);
+        assert_eq!(pool.stats(), stats);
+        assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Plan(..)));
+        assert!(matches!(pool.route_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
     }
 
     #[test]
@@ -1028,16 +1020,18 @@ mod tests {
         // A pool filled under open gates still answers a gate-closed
         // selector with the tree's variant: the selector decides per call.
         let open = KernelSelector::new(1_000, Thresholds::default());
-        pool.route_getrf(&open, 0, &diag);
+        pool.build_getrf(&open, 0, &diag);
         let builds = pool.stats().builds;
         for sel in
             [KernelSelector::new(1_000, Thresholds::unplanned()), KernelSelector::baseline(1_000)]
         {
+            pool.build_gessm(&sel, 0, &diag, &upper);
+            pool.build_tstrf(&sel, 0, &diag, &lower);
+            pool.build_ssssm(&sel, 0, 10.0, &lower, &upper, &tail);
             assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Variant(_)));
             assert!(matches!(pool.route_gessm(&sel, 0, &diag, &upper), Route::Variant(_)));
             assert!(matches!(pool.route_tstrf(&sel, 0, &diag, &lower), Route::Variant(_)));
-            let routed = pool.route_ssssm(&sel, 0, 10.0, &lower, &upper, &tail);
-            assert!(matches!(routed, Route::Variant(_)));
+            assert!(matches!(pool.route_ssssm(&sel, 0, 10.0, &lower, &tail), Route::Variant(_)));
         }
         assert_eq!(pool.stats().builds, builds);
     }
@@ -1055,41 +1049,46 @@ mod tests {
         let mut pool = KernelPlans::<f64>::with_slots(0, 2, 2, 3);
 
         let small = dense(8); // 64 nnz, 1 024 FLOPs: under every planned gate
+        pool.build_gessm(&sel, 0, &small, &small);
+        pool.build_tstrf(&sel, 0, &small, &small);
         assert!(matches!(pool.route_gessm(&sel, 0, &small, &small), Route::Plan(..)));
         assert!(matches!(pool.route_tstrf(&sel, 0, &small, &small), Route::Plan(..)));
         let builds = pool.stats().builds;
-        let routed = pool.route_ssssm(&sel, 0, 1024.0, &small, &small, &small);
+        pool.build_ssssm(&sel, 0, 1024.0, &small, &small, &small);
+        let routed = pool.route_ssssm(&sel, 0, 1024.0, &small, &small);
         assert!(matches!(routed, Route::Variant(SsssmVariant::DV1)));
         // A diagonal `A`: 128 of the padded 1 024 FLOPs, under the fill cut.
         let thin = small.filter_entries(|i, j| i == j);
-        let routed = pool.route_ssssm(&sel, 0, 128.0, &thin, &small, &small);
+        pool.build_ssssm(&sel, 0, 128.0, &thin, &small, &small);
+        let routed = pool.route_ssssm(&sel, 0, 128.0, &thin, &small);
         assert!(matches!(routed, Route::Variant(SsssmVariant::CV1)));
         assert_eq!(pool.stats().builds, builds, "a full target builds no plan");
         let holed = small.filter_entries(|i, j| (i, j) != (7, 3));
-        let routed = pool.route_ssssm(&sel, 2, 126.0, &thin, &holed, &holed);
-        assert!(matches!(routed, Route::Plan(..)));
+        pool.build_ssssm(&sel, 2, 126.0, &thin, &holed, &holed);
+        assert!(matches!(pool.route_ssssm(&sel, 2, 126.0, &thin, &holed), Route::Plan(..)));
 
         let big = dense(40); // 1 600 nnz, 128 000 FLOPs: past the gates
         let builds = pool.stats().builds;
+        pool.build_gessm(&sel, 1, &big, &big);
+        pool.build_tstrf(&sel, 1, &big, &big);
+        pool.build_ssssm(&sel, 1, 128_000.0, &big, &big, &big);
         assert!(matches!(pool.route_gessm(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
         assert!(matches!(pool.route_tstrf(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
         assert!(matches!(
-            pool.route_ssssm(&sel, 1, 128_000.0, &big, &big, &big),
-            Route::Variant(SsssmVariant::DV1)
-        ));
-        assert!(matches!(
-            pool.prebuilt_ssssm(&sel, 1, 128_000.0, &big, &big),
+            pool.route_ssssm(&sel, 1, 128_000.0, &big, &big),
             Route::Variant(SsssmVariant::DV1)
         ));
         assert_eq!(pool.stats().builds, builds, "the tile lane builds no plan");
 
         let holed = big.filter_entries(|i, j| (i, j) != (7, 3));
+        pool.build_gessm(&sel, 1, &big, &holed);
+        pool.build_ssssm(&sel, 1, 127_920.0, &big, &big, &holed);
         assert!(matches!(
             pool.route_gessm(&sel, 1, &big, &holed),
             Route::Variant(TrsmVariant::CV2)
         ));
         assert!(matches!(
-            pool.route_ssssm(&sel, 1, 127_920.0, &big, &big, &holed),
+            pool.route_ssssm(&sel, 1, 127_920.0, &big, &holed),
             Route::Variant(SsssmVariant::CV1)
         ));
     }
@@ -1106,10 +1105,10 @@ mod tests {
         let thin = holed.filter_entries(|i, j| i == j);
         let sel = KernelSelector::new(1_000, Thresholds::default());
         let mut pool = KernelPlans::<f64>::with_slots(1, 1, 1, 1);
-        pool.route_getrf(&sel, 0, &diag);
-        pool.route_gessm(&sel, 0, &diag, &upper);
-        pool.route_tstrf(&sel, 0, &diag, &lower);
-        pool.route_ssssm(&sel, 0, 126.0, &thin, &holed, &holed);
+        pool.build_getrf(&sel, 0, &diag);
+        pool.build_gessm(&sel, 0, &diag, &upper);
+        pool.build_tstrf(&sel, 0, &diag, &lower);
+        pool.build_ssssm(&sel, 0, 126.0, &thin, &holed, &holed);
         assert_eq!(pool.stats().builds, 4);
         let bytes = pool.stats().bytes;
         pool.shrink_to_fit();

@@ -20,9 +20,11 @@
 #           refactorisation reuse, the stall diagnosis under faults and the
 #           schedule-trace replay, the golden work counters of the
 #           regression corpus (tests/golden_counts.rs: messages, bytes,
-#           tasks, kernel and plan counters, exact), and the executors'
-#           and the dependency rule's unit tests (seq:: shared:: dist::
-#           task::), each run
+#           tasks, kernel and plan counters, exact), the panicking-task
+#           failure modes (a task that panics ends a shared or a
+#           distributed run promptly; tests/failure_modes.rs), and the
+#           engine's, the rank edge's and the dependency rule's unit tests
+#           (seq:: shared:: dist:: task::), each run
 #           without and with --release so the thread-count stress meets
 #           debug timing too (see docs/SCHEDULING.md)
 #   comm    comm layer, wire model and metrics invariants: the
@@ -129,7 +131,8 @@ stage_sched() {
     for profile in "" --release; do
         echo "--- scheduling correctness, profile: ${profile:-debug}"
         cargo test $profile -q --test determinism --test des_consistency --test refactor \
-            --test fault_injection --test schedule_trace --test golden_counts
+            --test fault_injection --test schedule_trace --test golden_counts \
+            --test failure_modes
         cargo test $profile -q -p pangulu-core --lib -- seq:: shared:: dist:: task::
     done
 }

@@ -330,19 +330,19 @@ fn tile_routes<S: Scalar>(
         let diag = bm.block(bm.block_id(k, k).unwrap());
         for &j in &tg.u_panels[k] {
             let id = bm.block_id(k, j).unwrap();
-            let route = plans.prebuilt_gessm(sel, id, diag, bm.block(id));
+            let route = plans.route_gessm(sel, id, diag, bm.block(id));
             n[0] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
         }
         for &i in &tg.l_panels[k] {
             let id = bm.block_id(i, k).unwrap();
-            let route = plans.prebuilt_tstrf(sel, id, diag, bm.block(id));
+            let route = plans.route_tstrf(sel, id, diag, bm.block(id));
             n[1] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
         }
     }
     for (slot, &(i, j, k)) in tg.ssssm.iter().enumerate() {
         let a = bm.block(bm.block_id(i, k).unwrap());
         let c = bm.block(bm.block_id(i, j).unwrap());
-        let route = plans.prebuilt_ssssm(sel, slot, tg.ssssm_flops[slot], a, c);
+        let route = plans.route_ssssm(sel, slot, tg.ssssm_flops[slot], a, c);
         n[2] += u64::from(matches!(route, Route::Variant(SsssmVariant::DV1)));
     }
     n
@@ -388,7 +388,7 @@ fn ssssm_routes<S: Scalar>(
         let a = bm.block(bm.block_id(i, k).unwrap());
         let c = bm.block(bm.block_id(i, j).unwrap());
         let full = pangulu::kernels::tile::is_full(c);
-        match plans.prebuilt_ssssm(sel, slot, tg.ssssm_flops[slot], a, c) {
+        match plans.route_ssssm(sel, slot, tg.ssssm_flops[slot], a, c) {
             Route::Plan(..) => {
                 assert!(!full, "update {slot} replays a plan on a full target");
                 n[0] += 1;
@@ -487,17 +487,13 @@ fn dense_tile_lane_is_bitwise_neutral_everywhere_f32() {
 // variant route first and the planned route ever after. At the `Solver`
 // level, on every executor and in both widths, the two must agree bit for
 // bit. (`A′` keeps the cached reordering and scalings of `A`, so `refactor(A)`
-// after it is comparable with `build(A)`.)
+// after it is comparable with `build(A)`.) Every executor also builds the
+// same plan pool — the same bytes from the same number of builds — whether
+// one engine plans every task or each rank plans the tasks it owns.
 
 #[test]
 fn first_run_variant_route_equals_later_planned_route_on_every_executor() {
     use pangulu::prelude::*;
-    let a = gen::circuit(300, 21);
-    let a2 = {
-        let mut a2 = a.clone();
-        a2.values_mut().iter_mut().enumerate().for_each(|(k, v)| *v *= 1.0 + 0.01 * (k % 7) as f64);
-        a2
-    };
     let values = |s: &Solver| -> Vec<f64> {
         let bits = s.factored32().map_or_else(|| value_bits(s.factored()), value_bits);
         bits.into_iter().map(f64::from_bits).collect()
@@ -509,33 +505,57 @@ fn first_run_variant_route_equals_later_planned_route_on_every_executor() {
         ("2 ranks", |b| b.ranks(2)),
         ("4 ranks", |b| b.ranks(4)),
     ];
-    for precision in [Precision::F64, Precision::MixedF32] {
-        let mut reference: Option<Vec<f64>> = None;
-        for (tag, configure) in executors {
-            let tag = format!("{tag} {precision:?}");
-            let same = |got: &[f64], want: &[f64], what: &str| {
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(got), bits(want), "{tag}: {what} moved a bit");
-            };
-            let mut solver = configure(Solver::builder().precision(precision)).build(&a).unwrap();
-            assert_eq!(solver.effective_precision(), precision, "{tag}");
-            assert_eq!(solver.kernel_plan_stats().builds, 0, "{tag}: build() planned");
-            let first_run = values(&solver);
-            same(&first_run, reference.get_or_insert(first_run.clone()), "executor vs sequential");
+    for (name, a) in
+        [("circuit(300, 21)", gen::circuit(300, 21)), ("kkt(400, 180, 5)", gen::kkt(400, 180, 5))]
+    {
+        let a2 = {
+            let mut a2 = a.clone();
+            a2.values_mut()
+                .iter_mut()
+                .enumerate()
+                .for_each(|(k, v)| *v *= 1.0 + 0.01 * (k % 7) as f64);
+            a2
+        };
+        for precision in [Precision::F64, Precision::MixedF32] {
+            let mut reference: Option<Vec<f64>> = None;
+            let mut reference_pool: Option<(u64, u64)> = None;
+            for (tag, configure) in executors {
+                let tag = format!("{name} {tag} {precision:?}");
+                let same = |got: &[f64], want: &[f64], what: &str| {
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(got), bits(want), "{tag}: {what} moved a bit");
+                };
+                let mut solver =
+                    configure(Solver::builder().precision(precision)).build(&a).unwrap();
+                assert_eq!(solver.effective_precision(), precision, "{tag}");
+                assert_eq!(solver.kernel_plan_stats().builds, 0, "{tag}: build() planned");
+                let first_run = values(&solver);
+                same(
+                    &first_run,
+                    reference.get_or_insert(first_run.clone()),
+                    "executor vs sequential",
+                );
 
-            solver.refactor(&a).unwrap();
-            let built = solver.kernel_plan_stats();
-            assert!(built.builds > 0, "{tag}: the first refactor built no plans");
-            same(&values(&solver), &first_run, "the plan-building run");
+                solver.refactor(&a).unwrap();
+                let built = solver.kernel_plan_stats();
+                assert!(built.builds > 0, "{tag}: the first refactor built no plans");
+                let pool = (built.bytes, built.builds);
+                assert_eq!(
+                    pool,
+                    *reference_pool.get_or_insert(pool),
+                    "{tag}: plan pool (bytes, builds)"
+                );
+                same(&values(&solver), &first_run, "the plan-building run");
 
-            solver.refactor(&a2).unwrap();
-            assert_ne!(values(&solver), first_run, "{tag}: the fixture cannot tell");
-            solver.refactor(&a).unwrap();
-            assert_eq!(solver.kernel_plan_stats().builds, built.builds, "{tag}: rebuilt");
-            if let Some(report) = solver.stats().report.as_ref() {
-                assert!(report.total_mem().planned_calls > 0, "{tag}: nothing replayed");
+                solver.refactor(&a2).unwrap();
+                assert_ne!(values(&solver), first_run, "{tag}: the fixture cannot tell");
+                solver.refactor(&a).unwrap();
+                assert_eq!(solver.kernel_plan_stats().builds, built.builds, "{tag}: rebuilt");
+                if let Some(report) = solver.stats().report.as_ref() {
+                    assert!(report.total_mem().planned_calls > 0, "{tag}: nothing replayed");
+                }
+                same(&values(&solver), &first_run, "the plan-replaying run");
             }
-            same(&values(&solver), &first_run, "the plan-replaying run");
         }
     }
 }

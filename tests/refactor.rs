@@ -296,7 +296,8 @@ fn assert_no_plans_yet(solver: &Solver, tag: &str) {
 /// Kernel plans live in the cached analysis and are built on second use:
 /// the first factorisation builds and replays none (a caller who factors
 /// once never pays for them), the first refactorisation builds them
-/// (lazily, per executed task), and from the second on the cumulative
+/// (each rank for the tasks it owns, before any task runs), and from the
+/// second on the cumulative
 /// plan-build counters (`plan_bytes`, `plan_build_ns`) stay exactly flat
 /// — while the analyze/factor phase split is unchanged throughout.
 #[test]
