@@ -1,5 +1,6 @@
 //! Figure 14: the two-optimisation ablation (paper: 128 ranks) —
-//! (1) baseline: level-set scheduling + fixed `C_V1` kernels,
+//! (1) baseline: level-set scheduling + the fixed bin-search kernels
+//!     (`G_V1` of every class, `KernelSelector::baseline`),
 //! (2) + adaptive kernel selection,
 //! (3) + synchronisation-free scheduling.
 //!

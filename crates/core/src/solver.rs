@@ -79,8 +79,6 @@ pub struct SolverOptions {
     pub fill_reducing: FillReducing,
     /// Scheduling policy of the distributed executor.
     pub schedule: ScheduleMode,
-    /// Adaptive kernel selection on/off (Fig. 14 ablation).
-    pub adaptive_kernels: bool,
     /// Decision-tree thresholds.
     pub thresholds: Thresholds,
     /// Static-pivot perturbation floor, relative to `max|A|`.
@@ -115,7 +113,6 @@ impl Default for SolverOptions {
             block_size: None,
             fill_reducing: FillReducing::Auto,
             schedule: ScheduleMode::SyncFree,
-            adaptive_kernels: true,
             thresholds: Thresholds::default(),
             pivot_floor_rel: 1e-12,
             load_balance: true,
@@ -154,12 +151,6 @@ impl SolverBuilder {
     /// Chooses the scheduling policy.
     pub fn schedule(mut self, s: ScheduleMode) -> Self {
         self.opts.schedule = s;
-        self
-    }
-
-    /// Toggles adaptive kernel selection.
-    pub fn adaptive_kernels(mut self, on: bool) -> Self {
-        self.opts.adaptive_kernels = on;
         self
     }
 
@@ -417,11 +408,7 @@ impl<S: Scalar> NumericCache<S> {
                 ..opts.thresholds
             }
         };
-        let selector = &if opts.adaptive_kernels {
-            KernelSelector::new(nnz, thresholds)
-        } else {
-            KernelSelector::baseline(nnz)
-        };
+        let selector = &KernelSelector::new(nnz, thresholds);
         match &mut self.executor {
             Executor::Shared { threads, plans } => NumericSummary::in_process(
                 factor_shared_planned(bm, tg, selector, pivot_floor, *threads, plans),

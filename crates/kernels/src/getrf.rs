@@ -5,44 +5,31 @@
 //! the diagonal are `U`, entries strictly below are `L` (unit diagonal
 //! implied).
 //!
-//! Three variants (Table 1):
-//! * `C_V1` — sequential left-looking columns, dense scatter/gather
-//!   ("Direct" addressing);
-//! * `G_V1` — the SFLU scheme: columns claimed in order by a team of
-//!   workers, each spinning on per-column ready flags ("un-sync"), with
-//!   binary-search addressing into the sparse pattern;
-//! * `G_V2` — SFLU claiming with per-worker dense buffers ("Direct").
+//! Three variants (Table 1), all left-looking over the columns in
+//! ascending order (the SFLU column order) and differing in how an update
+//! finds its target:
+//! * `C_V1` — a dense working column, scatter/gather ("Direct"
+//!   addressing);
+//! * `G_V1` — binary search into the column's sparse pattern
+//!   ("Bin-search"), no dense buffer;
+//! * `G_V2` — SFLU with a dense working column ("Direct"): the same loop
+//!   as `C_V1`.
+//!
+//! The paper runs the `G_V*` kernels as GPU thread teams; here every
+//! variant runs on the thread of the task that calls it, and the parallelism
+//! is the executor's (workers or ranks), one level only.
 //!
 //! Static pivoting: pivots with `|p| < pivot_floor` are replaced by
 //! `±pivot_floor` (the SuperLU_DIST convention); the replacement count is
 //! returned so the solver can report it.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-use pangulu_sparse::{collect_runs, CscMatrix, Scalar};
+use pangulu_sparse::{collect_runs, CscMatrix, RunSeg, Scalar};
 
 use crate::scratch::{
     axpy_into_runs, find_in_col, gather_zero_runs, run_friendly, scatter_axpy, scatter_runs,
     KernelScratch,
 };
 use crate::GetrfVariant;
-
-/// Number of worker threads the "GPU" (team) kernels use.
-///
-/// Defaults to the available parallelism; `PANGULU_TEAM` overrides it
-/// (tests use this to force the multi-worker code paths on single-core
-/// machines, where they would otherwise collapse to the sequential
-/// fallback).
-pub(crate) fn team_size() -> usize {
-    static TEAM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *TEAM.get_or_init(|| {
-        std::env::var("PANGULU_TEAM")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
-    })
-}
 
 /// Factorises `a` in place. Returns the number of perturbed pivots; with
 /// `pivot_floor == 0` that is the number of zero (or NaN) pivots, left in
@@ -59,9 +46,8 @@ pub fn getrf<S: Scalar>(
 ) -> usize {
     assert!(a.is_square(), "GETRF requires a square block");
     match variant {
-        GetrfVariant::CV1 => getrf_cv1(a, scratch, pivot_floor),
-        GetrfVariant::GV1 => getrf_sflu(a, pivot_floor, false),
-        GetrfVariant::GV2 => getrf_sflu(a, pivot_floor, true),
+        GetrfVariant::CV1 | GetrfVariant::GV2 => getrf_cv1(a, scratch, pivot_floor),
+        GetrfVariant::GV1 => getrf_binsearch(a, &mut scratch.runs, pivot_floor),
     }
 }
 
@@ -82,7 +68,7 @@ pub(crate) fn apply_floor<S: Scalar>(pivot: &mut S, pivot_floor: f64) -> usize {
     1
 }
 
-/// `C_V1`: sequential left-looking with a dense working column. Sources
+/// `C_V1` / `G_V2`: left-looking with a dense working column. Sources
 /// (columns `< j`) live strictly left of the split point, so the borrow
 /// split is allocation-free.
 fn getrf_cv1<S: Scalar>(
@@ -127,166 +113,25 @@ fn getrf_cv1<S: Scalar>(
     perturbed
 }
 
-/// Shared-value-array view for the SFLU workers.
-///
-/// Safety: column `j`'s value range is written only by the worker that
-/// claimed `j`; other workers read it only after `ready[j]` is observed
-/// `true` with `Acquire`, which synchronises with the writer's `Release`
-/// store. The pattern arrays are never written.
-struct SfluShared<'m, S> {
-    col_ptr: &'m [usize],
-    row_idx: &'m [usize],
-    values: *mut S,
-}
-
-unsafe impl<S: Scalar> Send for SfluShared<'_, S> {}
-unsafe impl<S: Scalar> Sync for SfluShared<'_, S> {}
-
-impl<S: Scalar> SfluShared<'_, S> {
-    #[inline]
-    fn col_rows(&self, j: usize) -> &[usize] {
-        &self.row_idx[self.col_ptr[j]..self.col_ptr[j + 1]]
-    }
-
-    /// Immutable view of a *finished* column's values.
-    #[inline]
-    unsafe fn col_vals(&self, j: usize) -> &[S] {
-        std::slice::from_raw_parts(
-            self.values.add(self.col_ptr[j]),
-            self.col_ptr[j + 1] - self.col_ptr[j],
-        )
-    }
-
-    /// Mutable view of the claimed column's values.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn col_vals_mut(&self, j: usize) -> &mut [S] {
-        std::slice::from_raw_parts_mut(
-            self.values.add(self.col_ptr[j]),
-            self.col_ptr[j + 1] - self.col_ptr[j],
-        )
-    }
-}
-
-/// `G_V1` / `G_V2`: the synchronisation-free SFLU scheme. Workers claim
-/// columns in ascending order from an atomic counter; a claimed column
-/// spins (with `hint::spin_loop`) until each upper-pattern dependency
-/// column is published. Deadlock-free: the lowest claimed-unfinished
-/// column only depends on finished columns.
-fn getrf_sflu<S: Scalar>(a: &mut CscMatrix<S>, pivot_floor: f64, dense_mapping: bool) -> usize {
-    let n = a.ncols();
-    let workers = team_size().min(n.max(1));
-    if workers <= 1 {
-        // Single worker: identical traversal without the atomics.
-        let mut scratch = KernelScratch::with_capacity(n);
-        return if dense_mapping {
-            getrf_cv1(a, &mut scratch, pivot_floor)
-        } else {
-            getrf_binsearch_seq(a, pivot_floor)
-        };
-    }
-
-    let col_ptr: Vec<usize> = a.col_ptr().to_vec();
-    let row_idx: Vec<usize> = a.row_idx().to_vec();
-    let shared =
-        SfluShared { col_ptr: &col_ptr, row_idx: &row_idx, values: a.values_mut().as_mut_ptr() };
-    let ready: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let next = AtomicUsize::new(0);
-    let perturbed = AtomicUsize::new(0);
-
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut dense = if dense_mapping { vec![S::ZERO; n] } else { Vec::new() };
-                let mut runs = Vec::new();
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= n {
-                        break;
-                    }
-                    let rows_j = shared.col_rows(j);
-                    // Safety: we claimed column j.
-                    let vals_j = unsafe { shared.col_vals_mut(j) };
-                    // Column j's run list, found once and reused across
-                    // the k-loop (bin-search) or scatter/gather (dense).
-                    collect_runs(rows_j, &mut runs);
-                    let widened = !dense_mapping && run_friendly(&runs, rows_j.len());
-                    if dense_mapping {
-                        scatter_runs(&mut dense, &runs, vals_j);
-                    }
-                    for (off_k, &k) in rows_j.iter().enumerate() {
-                        if k >= j {
-                            break;
-                        }
-                        // Wait for dependency column k to be published.
-                        // Spin briefly, then yield: on an oversubscribed
-                        // machine the publisher needs the core.
-                        let mut spins = 0u32;
-                        while !ready[k].load(Ordering::Acquire) {
-                            spins += 1;
-                            if spins < 64 {
-                                std::hint::spin_loop();
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                        let ukj = if dense_mapping { dense[k] } else { vals_j[off_k] };
-                        if ukj == S::ZERO {
-                            continue;
-                        }
-                        let rows_k = shared.col_rows(k);
-                        // Safety: column k is finished (ready flag).
-                        let vals_k = unsafe { shared.col_vals(k) };
-                        let start = rows_k.partition_point(|&i| i <= k);
-                        if dense_mapping {
-                            scatter_axpy(&mut dense, &rows_k[start..], &vals_k[start..], ukj);
-                        } else if widened {
-                            axpy_into_runs(&runs, vals_j, &rows_k[start..], &vals_k[start..], ukj);
-                        } else {
-                            for (&i, &lik) in rows_k[start..].iter().zip(&vals_k[start..]) {
-                                let pos = find_in_col(rows_j, i)
-                                    .expect("GETRF update target missing: pattern not closed");
-                                vals_j[pos] -= lik * ukj;
-                            }
-                        }
-                    }
-                    // Pivot, scale, publish.
-                    let diag_off = find_in_col(rows_j, j).expect("diagonal entry missing");
-                    let mut pivot = if dense_mapping { dense[j] } else { vals_j[diag_off] };
-                    perturbed.fetch_add(apply_floor(&mut pivot, pivot_floor), Ordering::Relaxed);
-                    if dense_mapping {
-                        dense[j] = pivot;
-                        for &i in &rows_j[diag_off + 1..] {
-                            dense[i] /= pivot;
-                        }
-                        gather_zero_runs(&mut dense, &runs, vals_j);
-                    } else {
-                        vals_j[diag_off] = pivot;
-                        for v in &mut vals_j[diag_off + 1..] {
-                            *v /= pivot;
-                        }
-                    }
-                    ready[j].store(true, Ordering::Release);
-                }
-            });
-        }
-    });
-    perturbed.load(Ordering::Relaxed)
-}
-
-/// Sequential bin-search traversal (the 1-worker body of `G_V1`).
-fn getrf_binsearch_seq<S: Scalar>(a: &mut CscMatrix<S>, pivot_floor: f64) -> usize {
+/// `G_V1`: the SFLU column order with bin-search addressing — each update
+/// of column `j` locates its target by searching `j`'s sparse pattern
+/// (or a run-mapped slice axpy when the pattern is run-friendly), so no
+/// dense working column is needed.
+fn getrf_binsearch<S: Scalar>(
+    a: &mut CscMatrix<S>,
+    runs: &mut Vec<RunSeg>,
+    pivot_floor: f64,
+) -> usize {
     let n = a.ncols();
     let mut perturbed = 0usize;
-    let mut runs = Vec::new();
     let (col_ptr, row_idx, values) = a.parts_mut();
     for j in 0..n {
         let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
         let (left, right) = values.split_at_mut(lo);
         let vals_j = &mut right[..hi - lo];
         let rows_j = &row_idx[lo..hi];
-        collect_runs(rows_j, &mut runs);
-        let widened = run_friendly(&runs, rows_j.len());
+        collect_runs(rows_j, runs);
+        let widened = run_friendly(runs, rows_j.len());
         for (off_k, &k) in rows_j.iter().enumerate() {
             if k >= j {
                 break;
@@ -300,7 +145,7 @@ fn getrf_binsearch_seq<S: Scalar>(a: &mut CscMatrix<S>, pivot_floor: f64) -> usi
             let vals_k = &left[klo..khi];
             let start = rows_k.partition_point(|&i| i <= k);
             if widened {
-                axpy_into_runs(&runs, vals_j, &rows_k[start..], &vals_k[start..], ukj);
+                axpy_into_runs(runs, vals_j, &rows_k[start..], &vals_k[start..], ukj);
                 continue;
             }
             for (&i, &lik) in rows_k[start..].iter().zip(&vals_k[start..]) {

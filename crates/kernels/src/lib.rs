@@ -13,11 +13,12 @@
 //!
 //! Each comes in several variants differing in *addressing method*
 //! (`Direct` dense scatter/gather, `Bin-search` into the sparse pattern,
-//! `Merge` two-pointer walks) and *parallelisation* (sequential CPU,
-//! data-parallel "warp-level column" teams, lock-free "un-sync SFLU"
-//! claim-in-order columns) — 17 kernels in total, mirroring Table 1. The
-//! paper's CUDA/ROCm kernels are re-expressed as CPU implementations with
-//! the same algorithmic structure (see `DESIGN.md`, substitution table).
+//! `Merge` two-pointer walks) — 17 kernels in total, mirroring Table 1.
+//! The paper's `G_V*` kernels get their parallelism from the GPU that
+//! runs them; here every variant runs on the thread of the task that
+//! calls it, keeps Table 1's addressing method, and leaves the
+//! parallelism to the executor (workers or ranks) — one level only, no
+//! thread teams inside a kernel (see `DESIGN.md`, substitution table).
 //!
 //! **Pattern contract.** Every kernel writes only into the block's stored
 //! pattern. The symbolic phase guarantees the global `L+U` pattern is
@@ -79,9 +80,10 @@ pub enum GetrfVariant {
     /// `C_V1`: Direct addressing, row-ordered sequential, dense mapping.
     #[default]
     CV1,
-    /// `G_V1`: Bin-search addressing, un-sync SFLU claim-in-order columns.
+    /// `G_V1`: Bin-search addressing, SFLU column order.
     GV1,
-    /// `G_V2`: Direct addressing, un-sync SFLU, per-column dense mapping.
+    /// `G_V2`: Direct addressing, SFLU column order, per-column dense
+    /// mapping (`C_V1`'s loop).
     GV2,
 }
 
@@ -93,12 +95,12 @@ pub enum TrsmVariant {
     CV1,
     /// `C_V2`: Direct addressing, sequential column order, dense mapping.
     CV2,
-    /// `G_V1`: Bin-search addressing, warp-level column teams.
+    /// `G_V1`: Bin-search addressing, column at a time.
     GV1,
-    /// `G_V2`: Bin-search addressing, un-sync row-oriented (dot-product
+    /// `G_V2`: Bin-search addressing, row-oriented (dot-product
     /// formulation over the factor's rows).
     GV2,
-    /// `G_V3`: Direct addressing, warp-level column teams, dense mapping.
+    /// `G_V3`: Direct addressing, dense mapping (`C_V2`'s loop).
     GV3,
     /// `D_V1`: dense-tile lane — register-blocked dense solve straight
     /// on the value arrays of a full factor block and a full panel block
@@ -116,9 +118,10 @@ pub enum SsssmVariant {
     CV1,
     /// `C_V2`: Bin-search addressing, adaptive split-bin per column.
     CV2,
-    /// `G_V1`: Bin-search addressing, adaptive multi-level parallelism.
+    /// `G_V1`: Bin-search addressing, adaptive split-bin per column
+    /// (`C_V2`'s loop).
     GV1,
-    /// `G_V2`: Direct addressing, warp-level column teams.
+    /// `G_V2`: Direct addressing, result mapped dense (`C_V1`'s loop).
     GV2,
     /// `D_V1`: dense-tile lane — register-blocked dense update straight
     /// on the value array of a full target block (see [`tile`]). Not in

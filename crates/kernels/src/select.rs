@@ -83,9 +83,10 @@ pub struct Thresholds {
 impl Default for Thresholds {
     fn default() -> Self {
         // Calibrated by `fig08_calibrate` on the reference single-core
-        // container. Two honest findings of that run: (1) the team ("G")
-        // variants never win without real cores, so their cut points sit
-        // at infinity — re-calibrate on a multi-core host; (2) the
+        // container. Two honest findings of that run: (1) no "G" variant
+        // wins a bucket — each runs on the task's thread, either a CPU
+        // variant's loop or a bin-search one that loses to direct and
+        // merge addressing — so their cut points sit at infinity; (2) the
         // addressing-method crossovers (the paper's real decision axis)
         // land at: GESSM merge → dense around 4e3 nnz, TSTRF and SSSSM
         // prefer their V2 addressing from small sizes up.
@@ -387,8 +388,8 @@ mod tests {
 
     #[test]
     fn calibrated_defaults_stay_on_cpu_variants() {
-        // The shipped calibration (single-core host): team kernels are
-        // never selected; the addressing method still adapts.
+        // The shipped calibration: "G" kernels are never selected; the
+        // addressing method still adapts.
         let s = KernelSelector::new(1_000, Thresholds::default());
         assert_eq!(s.getrf(1_000_000), GetrfVariant::CV1);
         assert_eq!(s.gessm(100), TrsmVariant::CV1);

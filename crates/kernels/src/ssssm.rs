@@ -7,14 +7,18 @@
 //! no gather/scatter of a dense workspace as in SuperLU_DIST (paper §5.4).
 //!
 //! Four variants (Table 1):
-//! * `C_V1` — direct addressing, sequential, dense mapping of the result
-//!   column, with columns visited in approximately equal-FLOP chunks;
+//! * `C_V1` — direct addressing, dense mapping of the result column, with
+//!   columns visited in approximately equal-FLOP chunks;
 //! * `C_V2` — bin-search addressing with an adaptive per-column switch to
 //!   merge walks when the column is update-heavy ("split-bin");
-//! * `G_V1` — bin-search addressing, column teams with the same adaptive
-//!   per-column strategy ("adaptive multi-level");
-//! * `G_V2` — direct addressing, column teams with per-worker dense
-//!   buffers ("warp-level column").
+//! * `G_V1` — bin-search addressing with the same adaptive per-column
+//!   strategy ("adaptive multi-level"): `C_V2`'s loop;
+//! * `G_V2` — direct addressing with a dense buffer per column
+//!   ("warp-level column"): `C_V1`'s loop.
+//!
+//! The paper runs the `G_V*` kernels as GPU column teams; here every
+//! variant runs on its task's thread and keeps only its addressing
+//! method. The parallelism is the executor's (workers or ranks).
 //!
 //! A fifth, `D_V1`, is not in the table: the dense-tile lane of
 //! [`crate::tile`] for updates whose target block is completely filled.
@@ -48,7 +52,7 @@ pub fn ssssm<S: Scalar>(
     debug_assert_eq!(c.nrows(), a.nrows(), "SSSSM row mismatch");
     debug_assert_eq!(c.ncols(), b.ncols(), "SSSSM col mismatch");
     match variant {
-        SsssmVariant::CV1 => {
+        SsssmVariant::CV1 | SsssmVariant::GV2 => {
             scratch.ensure(c.nrows());
             let KernelScratch { dense, runs, .. } = scratch;
             for j in 0..c.ncols() {
@@ -60,23 +64,12 @@ pub fn ssssm<S: Scalar>(
                 update_col_dense(a, brows, bvals, crows, cvals, dense, runs);
             }
         }
-        SsssmVariant::CV2 => {
+        SsssmVariant::CV2 | SsssmVariant::GV1 => {
             for j in 0..c.ncols() {
                 let (brows, bvals) = b.col(j);
                 let (crows, cvals) = c.col_mut(j);
                 update_col_adaptive(a, brows, bvals, crows, cvals, &mut scratch.runs);
             }
-        }
-        SsssmVariant::GV1 => {
-            parallel_cols(b, c, 0, |brows, bvals, crows, cvals, _, runs| {
-                update_col_adaptive(a, brows, bvals, crows, cvals, runs)
-            });
-        }
-        SsssmVariant::GV2 => {
-            let nrows = c.nrows();
-            parallel_cols(b, c, nrows, |brows, bvals, crows, cvals, dense, runs| {
-                update_col_dense(a, brows, bvals, crows, cvals, dense, runs)
-            });
         }
         SsssmVariant::DV1 => tile::ssssm_tile(a, b, c, scratch),
     }
@@ -225,61 +218,6 @@ fn update_col_merge<S: Scalar>(
             cur += 1;
         }
     }
-}
-
-/// Column-team driver: claims columns of `c` (paired with the same column
-/// of `b`) from an atomic counter across a worker team, giving each worker
-/// a private dense buffer. Value ranges per column are disjoint, so the
-/// raw-pointer writes are race-free.
-fn parallel_cols<S: Scalar, F>(b: &CscMatrix<S>, c: &mut CscMatrix<S>, dense_len: usize, f: F)
-where
-    F: Fn(&[usize], &[S], &[usize], &mut [S], &mut [S], &mut Vec<RunSeg>) + Sync,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    let ncols = c.ncols();
-    let workers = crate::getrf::team_size().min(ncols.max(1));
-    let (col_ptr, row_idx, values) = c.parts_mut();
-    if workers <= 1 {
-        let mut dense = vec![S::ZERO; dense_len];
-        let mut runs = Vec::new();
-        for j in 0..ncols {
-            let (brows, bvals) = b.col(j);
-            let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
-            f(brows, bvals, &row_idx[lo..hi], &mut values[lo..hi], &mut dense, &mut runs);
-        }
-        return;
-    }
-    struct SharedVals<S>(*mut S);
-    unsafe impl<S: Scalar> Send for SharedVals<S> {}
-    unsafe impl<S: Scalar> Sync for SharedVals<S> {}
-    impl<S> SharedVals<S> {
-        fn get(&self) -> *mut S {
-            self.0
-        }
-    }
-    let vptr = SharedVals(values.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut dense = vec![S::ZERO; dense_len];
-                let mut runs = Vec::new();
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= ncols {
-                        break;
-                    }
-                    let (brows, bvals) = b.col(j);
-                    let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
-                    // Safety: column j is claimed by exactly one worker and
-                    // columns are disjoint value ranges.
-                    let cvals =
-                        unsafe { std::slice::from_raw_parts_mut(vptr.get().add(lo), hi - lo) };
-                    f(brows, bvals, &row_idx[lo..hi], cvals, &mut dense, &mut runs);
-                }
-            });
-        }
-    });
 }
 
 #[cfg(test)]

@@ -10,19 +10,18 @@
 //!   engine parameterised by the diagonal mode.
 //!
 //! Each has the five variants of Table 1 (`C_V1` merge, `C_V2` direct,
-//! `G_V1` bin-search column teams, `G_V2` bin-search row/dot-product
-//! formulation, `G_V3` direct column teams). Columns of the unknown are
-//! independent, which is what the "warp-level column" team variants
-//! exploit. A sixth, `D_V1`, is the dense-tile lane of [`crate::tile`]
-//! for a completely filled factor block and panel block.
+//! `G_V1` bin-search, `G_V2` bin-search row/dot-product formulation,
+//! `G_V3` direct). The paper runs the `G_V*` kernels as GPU column teams;
+//! here every variant runs on its task's thread and keeps only its
+//! addressing method, so `G_V3` runs `C_V2`'s loop. The parallelism is
+//! the executor's (workers or ranks). A sixth, `D_V1`, is the dense-tile
+//! lane of [`crate::tile`] for a completely filled factor block and panel
+//! block.
 //!
 //! All writes stay inside `B`'s stored pattern (symbolic closure).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use pangulu_sparse::{collect_runs, for_each_run, CscMatrix, CsrMatrix, RunSeg, Scalar};
 
-use crate::getrf::team_size;
 use crate::scratch::{
     axpy_into_runs, find_in_col, run_friendly, scatter_axpy, scatter_runs, try_direct_axpy,
     KernelScratch,
@@ -51,9 +50,9 @@ pub fn gessm<S: Scalar>(
 /// Runs natively on the CSC blocks (as PanguLU's TSTRF does), left-looking
 /// over the columns of `B`:
 /// `X(:,j) = (B(:,j) − Σ_{k<j, U(k,j)≠0} X(:,k)·U(k,j)) / U(j,j)`.
-/// Unlike GESSM, the columns are *dependent*, so the team variants use the
-/// un-sync claim-in-order scheme (ready flag per column) instead of free
-/// column parallelism.
+/// Unlike GESSM, the columns are *dependent*: every variant visits them in
+/// ascending order (the un-sync claim order) and differs only in how an
+/// update finds its target.
 pub fn tstrf<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &mut CscMatrix<S>,
@@ -63,16 +62,15 @@ pub fn tstrf<S: Scalar>(
     debug_assert_eq!(diag_lu.ncols(), b.ncols(), "TSTRF dimension mismatch");
     match variant {
         TrsmVariant::CV1 => tstrf_seq(diag_lu, b, TstrfAddr::Merge, scratch),
-        TrsmVariant::CV2 => tstrf_seq(diag_lu, b, TstrfAddr::Dense, scratch),
-        TrsmVariant::GV1 => tstrf_unsync(diag_lu, b, TstrfAddr::BinSearch),
-        TrsmVariant::GV2 => tstrf_unsync(diag_lu, b, TstrfAddr::RowDot),
-        TrsmVariant::GV3 => tstrf_unsync(diag_lu, b, TstrfAddr::Dense),
+        TrsmVariant::CV2 | TrsmVariant::GV3 => tstrf_seq(diag_lu, b, TstrfAddr::Dense, scratch),
+        TrsmVariant::GV1 => tstrf_seq(diag_lu, b, TstrfAddr::BinSearch, scratch),
+        TrsmVariant::GV2 => tstrf_seq(diag_lu, b, TstrfAddr::RowDot, scratch),
         TrsmVariant::DV1 => tile::tstrf_tile(diag_lu, b),
     }
 }
 
 /// Addressing method of the TSTRF column update.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 enum TstrfAddr {
     Merge,
     BinSearch,
@@ -190,7 +188,9 @@ fn tstrf_col<'a, S: Scalar>(
     }
 }
 
-/// Sequential TSTRF (`C_V1` merge / `C_V2` dense).
+/// TSTRF over the columns of `B` in ascending order, with the given
+/// addressing (`C_V1` merge, `C_V2`/`G_V3` dense, `G_V1` bin-search,
+/// `G_V2` row dot products).
 fn tstrf_seq<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &mut CscMatrix<S>,
@@ -216,75 +216,6 @@ fn tstrf_seq<S: Scalar>(
     }
 }
 
-/// Un-sync TSTRF (`G_V*`): workers claim columns in ascending order and
-/// spin on per-column ready flags for their dependencies — the same
-/// synchronisation-free pattern as the SFLU GETRF.
-fn tstrf_unsync<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>, addr: TstrfAddr) {
-    let nrows = b.nrows();
-    let ncols = b.ncols();
-    let workers = team_size().min(ncols.max(1));
-    if workers <= 1 {
-        let mut scratch = KernelScratch::with_capacity(nrows);
-        return tstrf_seq(diag_lu, b, addr, &mut scratch);
-    }
-    let (col_ptr, row_idx, values) = b.parts_mut();
-    let vptr = SharedVals(values.as_mut_ptr());
-    let ready: Vec<std::sync::atomic::AtomicBool> =
-        (0..ncols).map(|_| std::sync::atomic::AtomicBool::new(false)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut dense =
-                    if addr == TstrfAddr::Dense { vec![S::ZERO; nrows] } else { Vec::new() };
-                let mut runs = Vec::new();
-                loop {
-                    let j = next.fetch_add(1, Ordering::Relaxed);
-                    if j >= ncols {
-                        break;
-                    }
-                    let (uk_rows, uk_vals, ujj) = upper_of(diag_lu, j);
-                    // Wait for every dependency column to be published.
-                    for &k in uk_rows {
-                        let mut spins = 0u32;
-                        while !ready[k].load(Ordering::Acquire) {
-                            spins += 1;
-                            if spins < 64 {
-                                std::hint::spin_loop();
-                            } else {
-                                std::thread::yield_now();
-                            }
-                        }
-                    }
-                    let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
-                    // Safety: column j is claimed exactly once; source
-                    // columns are read only after their Release store.
-                    let vals_j =
-                        unsafe { std::slice::from_raw_parts_mut(vptr.get().add(lo), hi - lo) };
-                    let get_col = |k: usize| -> (&[usize], &[S]) {
-                        let (klo, khi) = (col_ptr[k], col_ptr[k + 1]);
-                        let kv =
-                            unsafe { std::slice::from_raw_parts(vptr.get().add(klo), khi - klo) };
-                        (&row_idx[klo..khi], kv)
-                    };
-                    tstrf_col(
-                        uk_rows,
-                        uk_vals,
-                        ujj,
-                        &row_idx[lo..hi],
-                        vals_j,
-                        get_col,
-                        addr,
-                        &mut dense,
-                        &mut runs,
-                    );
-                    ready[j].store(true, Ordering::Release);
-                }
-            });
-        }
-    });
-}
-
 /// Forward substitution engine: solves `(L or D+L) X = B` in place on `B`.
 /// `diag` of `None` means unit diagonal (GESSM); `Some(d)` divides by
 /// `d[k]` before propagating (TSTRF's transposed system).
@@ -302,7 +233,7 @@ fn lower_solve<S: Scalar>(
                 solve_col_merge(l, diag, rows_c, vals_c);
             }
         }
-        TrsmVariant::CV2 => {
+        TrsmVariant::CV2 | TrsmVariant::GV3 => {
             scratch.ensure(b.nrows());
             for c in 0..b.ncols() {
                 let (rows_c, vals_c) = b.col_mut(c);
@@ -310,18 +241,18 @@ fn lower_solve<S: Scalar>(
             }
         }
         TrsmVariant::GV1 => {
-            parallel_columns(b, 0, |rows_c, vals_c, _| solve_col_binsearch(l, diag, rows_c, vals_c))
+            for c in 0..b.ncols() {
+                let (rows_c, vals_c) = b.col_mut(c);
+                solve_col_binsearch(l, diag, rows_c, vals_c);
+            }
         }
         TrsmVariant::GV2 => {
             // Row/dot-product formulation needs the factor by rows.
             let l_csr = l.to_csr();
-            parallel_columns(b, 0, |rows_c, vals_c, _| solve_col_dot(&l_csr, diag, rows_c, vals_c))
-        }
-        TrsmVariant::GV3 => {
-            let nrows = b.nrows();
-            parallel_columns(b, nrows, |rows_c, vals_c, dense| {
-                solve_col_direct(l, diag, rows_c, vals_c, dense)
-            })
+            for c in 0..b.ncols() {
+                let (rows_c, vals_c) = b.col_mut(c);
+                solve_col_dot(&l_csr, diag, rows_c, vals_c);
+            }
         }
         TrsmVariant::DV1 => unreachable!("gessm dispatches the dense-tile lane itself"),
     }
@@ -451,57 +382,6 @@ fn solve_col_dot<S: Scalar>(
             Some(d) => acc / d[i],
             None => acc,
         };
-    }
-}
-
-/// Runs `f(rows, vals, dense)` once per column of `b`, claiming columns
-/// from an atomic counter across a worker team. Each worker gets a private
-/// dense buffer of `dense_len` zeros. Columns are disjoint value ranges,
-/// so the raw-pointer writes are race-free.
-fn parallel_columns<S: Scalar, F>(b: &mut CscMatrix<S>, dense_len: usize, f: F)
-where
-    F: Fn(&[usize], &mut [S], &mut [S]) + Sync,
-{
-    let ncols = b.ncols();
-    let workers = team_size().min(ncols.max(1));
-    let (col_ptr, row_idx, values) = b.parts_mut();
-    if workers <= 1 {
-        let mut dense = vec![S::ZERO; dense_len];
-        for c in 0..ncols {
-            let (lo, hi) = (col_ptr[c], col_ptr[c + 1]);
-            f(&row_idx[lo..hi], &mut values[lo..hi], &mut dense);
-        }
-        return;
-    }
-    let vptr = SharedVals(values.as_mut_ptr());
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| {
-                let mut dense = vec![S::ZERO; dense_len];
-                loop {
-                    let c = next.fetch_add(1, Ordering::Relaxed);
-                    if c >= ncols {
-                        break;
-                    }
-                    let (lo, hi) = (col_ptr[c], col_ptr[c + 1]);
-                    // Safety: column c is claimed by exactly one worker and
-                    // columns are disjoint ranges of the value array.
-                    let vals_c =
-                        unsafe { std::slice::from_raw_parts_mut(vptr.get().add(lo), hi - lo) };
-                    f(&row_idx[lo..hi], vals_c, &mut dense);
-                }
-            });
-        }
-    });
-}
-
-struct SharedVals<S>(*mut S);
-unsafe impl<S: Scalar> Send for SharedVals<S> {}
-unsafe impl<S: Scalar> Sync for SharedVals<S> {}
-impl<S> SharedVals<S> {
-    fn get(&self) -> *mut S {
-        self.0
     }
 }
 

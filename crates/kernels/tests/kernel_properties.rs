@@ -1,6 +1,7 @@
 //! Property tests of the kernel family: on random closed-pattern blocks,
-//! every variant of a kernel class must agree with the dense reference
-//! (and hence with every other variant).
+//! every variant of a kernel class must agree with the dense reference,
+//! and bit for bit with the class's `C_V1` — the decision trees choose
+//! speed only, never a different factor.
 
 use proptest::prelude::*;
 
@@ -111,8 +112,14 @@ fn blocks_with_zero_pivots(
     )
 }
 
+/// Whether two blocks of one pattern hold the same value bits.
+fn same_bits(a: &CscMatrix, b: &CscMatrix) -> bool {
+    a.values().iter().map(|x| x.to_bits()).eq(b.values().iter().map(|x| x.to_bits()))
+}
+
 /// Runs the full kernel chain (GETRF → GESSM/TSTRF → SSSSM), comparing
-/// every variant of every class against the dense reference.
+/// every variant of every class against the dense reference and, bit for
+/// bit, against the class's `C_V1`.
 fn check_kernel_chain(
     nb: usize,
     diag: CscMatrix,
@@ -122,37 +129,43 @@ fn check_kernel_chain(
 ) {
     let mut scratch = KernelScratch::with_capacity(nb);
     let expect_lu = reference::ref_getrf(&diag.to_dense());
-    let mut lu = diag;
+    let mut lu = diag.clone();
+    getrf::getrf(&mut lu, GetrfVariant::CV1, &mut scratch, 0.0);
     for v in [GetrfVariant::CV1, GetrfVariant::GV1, GetrfVariant::GV2] {
-        let mut b = lu.clone();
+        let mut b = diag.clone();
         getrf::getrf(&mut b, v, &mut scratch, 0.0);
         assert!(b.to_dense().max_abs_diff(&expect_lu) < 1e-9, "GETRF {v:?}");
+        assert!(same_bits(&b, &lu), "GETRF {v:?}: bits differ from C_V1");
     }
-    getrf::getrf(&mut lu, GetrfVariant::CV1, &mut scratch, 0.0);
 
     let expect_u = reference::ref_gessm(&lu.to_dense(), &upper.to_dense());
     let expect_l = reference::ref_tstrf(&lu.to_dense(), &lower.to_dense());
+    let mut u_op = upper.clone();
+    trsm::gessm(&lu, &mut u_op, TrsmVariant::CV1, &mut scratch);
+    let mut l_op = lower.clone();
+    trsm::tstrf(&lu, &mut l_op, TrsmVariant::CV1, &mut scratch);
     for v in
         [TrsmVariant::CV1, TrsmVariant::CV2, TrsmVariant::GV1, TrsmVariant::GV2, TrsmVariant::GV3]
     {
         let mut b = upper.clone();
         trsm::gessm(&lu, &mut b, v, &mut scratch);
         assert!(b.to_dense().max_abs_diff(&expect_u) < 1e-9, "GESSM {v:?}");
+        assert!(same_bits(&b, &u_op), "GESSM {v:?}: bits differ from C_V1");
         let mut b = lower.clone();
         trsm::tstrf(&lu, &mut b, v, &mut scratch);
         assert!(b.to_dense().max_abs_diff(&expect_l) < 1e-9, "TSTRF {v:?}");
+        assert!(same_bits(&b, &l_op), "TSTRF {v:?}: bits differ from C_V1");
     }
 
-    let mut u_op = upper;
-    trsm::gessm(&lu, &mut u_op, TrsmVariant::CV1, &mut scratch);
-    let mut l_op = lower;
-    trsm::tstrf(&lu, &mut l_op, TrsmVariant::CV1, &mut scratch);
     let mut expect = tail.to_dense();
     reference::ref_ssssm(&l_op.to_dense(), &u_op.to_dense(), &mut expect);
+    let mut c_cv1 = tail.clone();
+    ssssm::ssssm(&l_op, &u_op, &mut c_cv1, SsssmVariant::CV1, &mut scratch);
     for v in [SsssmVariant::CV1, SsssmVariant::CV2, SsssmVariant::GV1, SsssmVariant::GV2] {
         let mut c = tail.clone();
         ssssm::ssssm(&l_op, &u_op, &mut c, v, &mut scratch);
         assert!(c.to_dense().max_abs_diff(&expect) < 1e-9, "SSSSM {v:?}");
+        assert!(same_bits(&c, &c_cv1), "SSSSM {v:?}: bits differ from C_V1");
     }
 }
 
@@ -164,10 +177,13 @@ proptest! {
         let (diag, ..) = blocks(nb, &entries);
         let expect = reference::ref_getrf(&diag.to_dense());
         let mut scratch = KernelScratch::with_capacity(nb);
+        let mut cv1 = diag.clone();
+        getrf::getrf(&mut cv1, GetrfVariant::CV1, &mut scratch, 0.0);
         for v in [GetrfVariant::CV1, GetrfVariant::GV1, GetrfVariant::GV2] {
             let mut b = diag.clone();
             getrf::getrf(&mut b, v, &mut scratch, 0.0);
             prop_assert!(b.to_dense().max_abs_diff(&expect) < 1e-9, "{v:?}");
+            prop_assert!(same_bits(&b, &cv1), "{v:?}: bits differ from C_V1");
         }
     }
 
@@ -179,6 +195,10 @@ proptest! {
         getrf::getrf(&mut lu, GetrfVariant::CV1, &mut scratch, 0.0);
         let expect_u = reference::ref_gessm(&lu.to_dense(), &upper.to_dense());
         let expect_l = reference::ref_tstrf(&lu.to_dense(), &lower.to_dense());
+        let mut cv1_u = upper.clone();
+        trsm::gessm(&lu, &mut cv1_u, TrsmVariant::CV1, &mut scratch);
+        let mut cv1_l = lower.clone();
+        trsm::tstrf(&lu, &mut cv1_l, TrsmVariant::CV1, &mut scratch);
         for v in [
             TrsmVariant::CV1,
             TrsmVariant::CV2,
@@ -189,9 +209,11 @@ proptest! {
             let mut b = upper.clone();
             trsm::gessm(&lu, &mut b, v, &mut scratch);
             prop_assert!(b.to_dense().max_abs_diff(&expect_u) < 1e-9, "GESSM {v:?}");
+            prop_assert!(same_bits(&b, &cv1_u), "GESSM {v:?}: bits differ from C_V1");
             let mut b = lower.clone();
             trsm::tstrf(&lu, &mut b, v, &mut scratch);
             prop_assert!(b.to_dense().max_abs_diff(&expect_l) < 1e-9, "TSTRF {v:?}");
+            prop_assert!(same_bits(&b, &cv1_l), "TSTRF {v:?}: bits differ from C_V1");
         }
     }
 
@@ -207,10 +229,13 @@ proptest! {
         trsm::tstrf(&lu, &mut l_op, TrsmVariant::CV1, &mut scratch);
         let mut expect = tail.to_dense();
         reference::ref_ssssm(&l_op.to_dense(), &u_op.to_dense(), &mut expect);
+        let mut cv1 = tail.clone();
+        ssssm::ssssm(&l_op, &u_op, &mut cv1, SsssmVariant::CV1, &mut scratch);
         for v in [SsssmVariant::CV1, SsssmVariant::CV2, SsssmVariant::GV1, SsssmVariant::GV2] {
             let mut c = tail.clone();
             ssssm::ssssm(&l_op, &u_op, &mut c, v, &mut scratch);
             prop_assert!(c.to_dense().max_abs_diff(&expect) < 1e-9, "{v:?}");
+            prop_assert!(same_bits(&c, &cv1), "{v:?}: bits differ from C_V1");
         }
     }
 
@@ -247,7 +272,8 @@ proptest! {
     fn singular_pivots_are_perturbed_identically((nb, entries, zeros) in singular_inputs()) {
         // Zero out a prefix of the diagonal: every GETRF variant must
         // perturb the same pivots (SuperLU_DIST static-pivoting rule),
-        // report the same count, and produce the same finite factors.
+        // report the same count, and produce `C_V1`'s finite factors, bit
+        // for bit.
         let (diag, ..) = blocks_with_zero_pivots(nb, &entries, zeros);
         let floor = 1e-8;
         let mut scratch = KernelScratch::with_capacity(nb);
@@ -265,6 +291,7 @@ proptest! {
                 b.to_dense().max_abs_diff(&results[0].1.to_dense()) < 1e-9,
                 "perturbed factors must agree across variants"
             );
+            prop_assert!(same_bits(b, &results[0].1), "perturbed factors differ from C_V1's bits");
         }
     }
 

@@ -50,7 +50,7 @@ use json::{Json, JsonError};
 pub const CLASS_LABELS: [&str; 4] = ["GETRF", "GESSM", "TSTRF", "SSSSM"];
 
 /// Kernel variant labels, indexed by [`KernelTally`] variant slot
-/// (Table 1's naming: CPU versions then team/"GPU-structured" versions,
+/// (Table 1's naming: CPU versions then the "GPU" versions,
 /// plus the analysis-time planned variant `P_V1` — see
 /// `docs/KERNEL_PLANS.md` — and the dense-tile lane `D_V1` that
 /// filled-in blocks take (`docs/ALGORITHM.md` §4)).

@@ -48,13 +48,19 @@
 #           the instances this runner checked), the block tests (the
 #           diagonal-position table) and tests/solve_panel.rs, each run
 #           without and with --release (see docs/ALGORITHM.md §5)
-#   kernels  dense-tile lane layer: the lane must equal the sparse
-#           kernels bit for bit under BOTH codegen profiles (debug has no
-#           vectorisation, release does): the AVX2 and the portable tile
-#           instance each against the naive loops (the log line `tile
-#           instances checked: ...` says which ones this runner ran),
-#           the whole pangulu-kernels package (lib + planned_equivalence
-#           + tile_equivalence + kernel_properties) and the determinism /
+#   kernels  kernel layer. One level of parallelism first:
+#           crates/kernels/src may hold no `std::thread`, no `Atomic*` and
+#           no `unsafe impl` — every kernel runs on its task's thread and
+#           the executor owns the cores (the tile lane's one `unsafe` call
+#           to its AVX2 instance stays legal). Then the dense-tile lane
+#           must equal the sparse kernels bit for bit under BOTH codegen
+#           profiles (debug has no vectorisation, release does): the AVX2
+#           and the portable tile instance each against the naive loops
+#           (the log line `tile instances checked: ...` says which ones
+#           this runner ran), the whole pangulu-kernels package (lib +
+#           planned_equivalence + tile_equivalence + kernel_properties,
+#           where every Table 1 variant must give its class's `C_V1`
+#           bits) and the determinism /
 #           refactor rows that drive the lane through every executor,
 #           each run without and with --release (see docs/ALGORITHM.md
 #           §4); with them the
@@ -163,6 +169,12 @@ stage_solve() {
 
 stage_kernels() {
     local profile
+    echo "--- one level of parallelism: no threads, atomics or unsafe impls in the kernels"
+    if grep -rnE 'std::thread|Atomic|unsafe impl' crates/kernels/src; then
+        echo "ci.sh: crates/kernels/src spawns threads or shares state across them;" \
+            "kernels run on their task's thread" >&2
+        return 1
+    fi
     for profile in "" --release; do
         echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
         # Prints which tile instances this runner checked (avx2 + portable,

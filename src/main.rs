@@ -12,7 +12,6 @@
 //!       --schedule <s>     sync-free | level-set       [default sync-free]
 //!       --ordering <o>     auto | amd | nd | rcm | natural  [default auto]
 //!       --no-balance       disable the static load balancer
-//!       --no-adaptive      disable decision-tree kernel selection
 //!       --precision <p>    f64 | mixed (f32 factor + refined solve)
 //!                                                            [default f64]
 //!       --probe-every <k>  mixed acceptance-probe cadence     [default 4]
@@ -42,7 +41,6 @@ struct Cli {
     schedule: ScheduleMode,
     ordering: FillReducing,
     balance: bool,
-    adaptive: bool,
     precision: Precision,
     probe_every: usize,
     refine: Option<f64>,
@@ -67,7 +65,6 @@ usage: pangulu [OPTIONS] (-F <matrix.mtx> | --gen <name>)
       --schedule <s>     sync-free | level-set        [default sync-free]
       --ordering <o>     auto | amd | nd | rcm | natural    [default auto]
       --no-balance       disable the static load balancer
-      --no-adaptive      disable decision-tree kernel selection
       --precision <p>    f64 | mixed (f32 factor + refined solve)
                                                            [default f64]
       --probe-every <k>  mixed acceptance-probe cadence: probe on the
@@ -91,7 +88,6 @@ fn parse_args() -> Cli {
         schedule: ScheduleMode::SyncFree,
         ordering: FillReducing::Auto,
         balance: true,
-        adaptive: true,
         precision: Precision::F64,
         probe_every: 4,
         refine: None,
@@ -150,7 +146,6 @@ fn parse_args() -> Cli {
                     }
                 }
             }
-            "--no-adaptive" => cli.adaptive = false,
             "--probe-every" => {
                 cli.probe_every =
                     next(&mut args, "--probe-every").parse().unwrap_or_else(|_| usage())
@@ -232,7 +227,6 @@ fn main() -> ExitCode {
         .ranks(cli.ranks)
         .schedule(cli.schedule)
         .fill_reducing(cli.ordering)
-        .adaptive_kernels(cli.adaptive)
         .load_balance(cli.balance)
         .precision(cli.precision)
         .probe_every(cli.probe_every);

@@ -1,6 +1,8 @@
 //! Cross-solver equivalence: PanguLU and the supernodal baseline factor
-//! the same systems and must agree on the solutions; block size and
-//! kernel-selection choices must not change results.
+//! the same systems and must agree on the solutions; the block size must
+//! not change results. (That kernel selection cannot change a factor is
+//! checked bit for bit per kernel in `pangulu-kernels`'
+//! `kernel_properties.rs`.)
 
 use pangulu::prelude::*;
 use pangulu::sparse::gen;
@@ -184,19 +186,6 @@ fn block_size_does_not_change_solution() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn kernel_selection_does_not_change_solution() {
-    let a = gen::dense_banded(200, 12, 0.5, 9);
-    let b = gen::test_rhs(a.nrows(), 6);
-    let adaptive = Solver::builder().adaptive_kernels(true).build(&a).unwrap();
-    let baseline = Solver::builder().adaptive_kernels(false).build(&a).unwrap();
-    let xa = adaptive.solve(&b).unwrap();
-    let xb = baseline.solve(&b).unwrap();
-    for (p, q) in xa.iter().zip(&xb) {
-        assert!((p - q).abs() < 1e-9);
     }
 }
 
