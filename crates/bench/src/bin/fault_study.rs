@@ -1,7 +1,6 @@
 //! Sync-wait-under-faults study: how much synchronisation time the
 //! synchronisation-free scheduler accumulates as injected communication
-//! faults get more severe, versus the level-set baseline on the same
-//! matrix and grid.
+//! faults get more severe.
 //!
 //! For each severity level the same seeded `FaultPlan` shape is scaled
 //! up (delay probability/magnitude, reorder depth, transient-drop rate)
@@ -13,7 +12,7 @@
 use std::time::Duration;
 
 use pangulu_comm::{FaultPlan, ProcessGrid};
-use pangulu_core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode};
+use pangulu_core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu_core::layout::OwnerMap;
 
 /// One severity step of the sweep: `level` in 0..=4, 0 = fault-free.
@@ -45,31 +44,29 @@ fn main() {
             a.nnz(),
             pangulu_kernels::select::Thresholds::default(),
         );
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            for level in 0..=4u32 {
-                let mut bm = prep.bm.clone();
-                let mut cfg = FactorConfig::with_mode(mode);
-                if let Some(plan) = plan_at(level, 1000 + level as u64) {
-                    cfg = cfg.with_fault(plan);
-                }
-                let run = factor_distributed_checked(&mut bm, &prep.tg, &owners, &sel, 1e-8, &cfg)
-                    .unwrap_or_else(|e| panic!("{name} {mode:?} level {level}: {e}"));
-                let st = &run.stats;
-                rows.push(format!(
-                    "{name},{mode:?},{level},{:.6},{:.6},{},{},{}",
-                    st.wall_time.as_secs_f64(),
-                    st.mean_sync_wait().as_secs_f64(),
-                    st.messages,
-                    st.retried_sends,
-                    st.recv_timeouts,
-                ));
-                eprintln!("[fault_study] {name} {mode:?} severity {level} done");
+        for level in 0..=4u32 {
+            let mut bm = prep.bm.clone();
+            let mut cfg = FactorConfig::default();
+            if let Some(plan) = plan_at(level, 1000 + level as u64) {
+                cfg = cfg.with_fault(plan);
             }
+            let run = factor_distributed_checked(&mut bm, &prep.tg, &owners, &sel, 1e-8, &cfg)
+                .unwrap_or_else(|e| panic!("{name} level {level}: {e}"));
+            let st = &run.stats;
+            rows.push(format!(
+                "{name},{level},{:.6},{:.6},{},{},{}",
+                st.wall_time.as_secs_f64(),
+                st.mean_sync_wait().as_secs_f64(),
+                st.messages,
+                st.retried_sends,
+                st.recv_timeouts,
+            ));
+            eprintln!("[fault_study] {name} severity {level} done");
         }
     }
     pangulu_bench::emit_csv(
         "fault_study",
-        "matrix,mode,severity,wall_s,mean_sync_wait_s,messages,retries,recv_timeouts",
+        "matrix,severity,wall_s,mean_sync_wait_s,messages,retries,recv_timeouts",
         &rows,
     );
 }

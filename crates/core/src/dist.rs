@@ -1,22 +1,18 @@
-//! The multi-rank numeric factorisation: threads as MPI ranks, block
-//! messages over mailboxes, and two scheduling policies.
+//! The multi-rank numeric factorisation: threads as MPI ranks and block
+//! messages over mailboxes, under the paper's synchronisation-free
+//! schedule (§4.4).
 //!
 //! A rank is the countdown engine's one-worker instance
 //! ([`crate::shared`]) over the rank's own block table, counting down the
-//! tasks it owns; this module is the message edge around it:
-//!
-//! * [`ScheduleMode::SyncFree`] — the paper's synchronisation-free
-//!   strategy (§4.4): each rank drains its mailbox without blocking while
-//!   any kernel is runnable, runs its runnable kernels in the engine's
-//!   step-major order (lowest elimination step first, GETRF before panel
-//!   solves before SSSSM, then target coordinates), ships finished blocks
-//!   to exactly the ranks whose pending kernels consume them, and blocks
-//!   on the mailbox only when nothing is runnable — that blocked time is
-//!   the measured synchronisation cost.
-//! * [`ScheduleMode::LevelSet`] — the SuperLU_DIST-style baseline: the
-//!   same data movement, but tasks of elimination step `k+1` may not
-//!   start until a barrier confirms every rank finished step `k`
-//!   (§3.3). The ablation of Fig. 14 toggles this.
+//! tasks it owns; this module is the message edge around it. Each rank
+//! drains its mailbox without blocking while any kernel is runnable, runs
+//! its runnable kernels in the engine's step-major order (lowest
+//! elimination step first, GETRF before panel solves before SSSSM, then
+//! target coordinates), ships finished blocks to exactly the ranks whose
+//! pending kernels consume them, and blocks on the mailbox only when
+//! nothing is runnable — that blocked time is the measured
+//! synchronisation cost. Ranks order their work by dependencies alone:
+//! there is no step barrier.
 //!
 //! Ranks share **no** mutable state: each rank's table holds clones of
 //! its owned blocks, and remote operands exist only as received copies —
@@ -39,7 +35,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pangulu_comm::{BlockMsg, BlockRole, DeliveryRecord, FaultPlan, Mailbox, MailboxSet};
@@ -53,20 +49,9 @@ use crate::layout::OwnerMap;
 use crate::shared::{join_all, AbortOnUnwind, Engine, Owner, SharedBlocks, Worker};
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
-/// Scheduling policy of the executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleMode {
-    /// Synchronisation-free counter-array scheduling (paper §4.4).
-    SyncFree,
-    /// Per-elimination-step barriers (level-set baseline, §3.3).
-    LevelSet,
-}
-
 /// Full configuration of one distributed factorisation run.
 #[derive(Debug, Clone)]
 pub struct FactorConfig {
-    /// Scheduling policy.
-    pub mode: ScheduleMode,
     /// Optional seeded fault plan applied to every message.
     pub fault: Option<FaultPlan>,
     /// How long a rank may sit with nothing runnable and no incoming
@@ -87,7 +72,6 @@ pub struct FactorConfig {
 impl Default for FactorConfig {
     fn default() -> Self {
         FactorConfig {
-            mode: ScheduleMode::SyncFree,
             fault: None,
             stall_timeout: Duration::from_secs(60),
             traced: false,
@@ -97,11 +81,6 @@ impl Default for FactorConfig {
 }
 
 impl FactorConfig {
-    /// Config for a plain run under the given mode.
-    pub fn with_mode(mode: ScheduleMode) -> Self {
-        FactorConfig { mode, ..Default::default() }
-    }
-
     /// Adds a fault plan.
     pub fn with_fault(mut self, plan: FaultPlan) -> Self {
         self.fault = Some(plan);
@@ -178,8 +157,8 @@ impl fmt::Display for MissingDep {
 pub struct DistError {
     /// The rank that first exceeded the stall timeout.
     pub rank: usize,
-    /// Its current elimination step (level-set mode) or the lowest step
-    /// with unfinished work.
+    /// The lowest elimination step of a task the rank owns that was still
+    /// waiting.
     pub step: usize,
     /// Tasks the rank still owed when it gave up.
     pub remaining: usize,
@@ -224,7 +203,7 @@ pub struct DistStats {
     pub wall_time: Duration,
     /// Per-rank time spent executing kernels.
     pub busy: Vec<Duration>,
-    /// Per-rank time spent blocked waiting for messages or barriers.
+    /// Per-rank time spent blocked waiting for messages.
     pub sync_wait: Vec<Duration>,
     /// Total messages sent.
     pub messages: u64,
@@ -286,7 +265,7 @@ pub struct FactorRun {
 }
 
 /// Factorises `bm` in place across `owners.num_ranks()` rank threads
-/// under `cfg` (scheduling mode, fault plan, stall timeout, tracing) and
+/// under `cfg` (fault plan, stall timeout, tracing, metering) and
 /// returns the stats, kernel timeline, and message logs. On a stall —
 /// e.g. a message permanently lost by the fault plan — every rank shuts
 /// down cooperatively and the first structured [`DistError`] is
@@ -317,7 +296,7 @@ pub fn factor_distributed_checked<S: Scalar>(
 ///   earlier run keep their CSC structure, so every steady-state receive
 ///   is a values-only memcpy ([`MemStats::pattern_cache_hits`]);
 /// * each rank's kernel plans, built for the tasks it owns on its first
-///   run, and its per-step task totals.
+///   run.
 ///
 /// The run is bitwise identical to a fresh [`factor_distributed_checked`]
 /// on the same `bm` values — reuse only skips pattern-dependent setup,
@@ -353,7 +332,6 @@ pub fn factor_distributed_cached<S: Scalar>(
         selector,
         pivot_floor,
         cfg,
-        barrier: StepBarrier::new(p),
         abort: AtomicBool::new(false),
         first_err: Mutex::new(None),
         trace_origin: Some(start).filter(|_| cfg.traced),
@@ -430,44 +408,6 @@ fn stats_from_report(report: &RunReport) -> DistStats {
     stats
 }
 
-/// A reusable, abort-aware step barrier: like [`std::sync::Barrier`] but
-/// a waiter returns `false` (instead of blocking forever) once the abort
-/// flag is raised — which is what keeps a [`DistError`] on one rank from
-/// deadlocking the level-set mode's lockstep ranks.
-struct StepBarrier {
-    parties: usize,
-    state: Mutex<(usize, u64)>, // (arrived, generation)
-    cv: Condvar,
-}
-
-impl StepBarrier {
-    fn new(parties: usize) -> Self {
-        StepBarrier { parties, state: Mutex::new((0, 0)), cv: Condvar::new() }
-    }
-
-    /// Waits for all parties; returns `false` if the run aborted.
-    fn wait(&self, abort: &AtomicBool) -> bool {
-        let mut st = self.state.lock().expect("barrier poisoned");
-        let gen = st.1;
-        st.0 += 1;
-        if st.0 == self.parties {
-            st.0 = 0;
-            st.1 += 1;
-            self.cv.notify_all();
-            return true;
-        }
-        loop {
-            if abort.load(AtomicOrdering::Relaxed) {
-                return false;
-            }
-            st = self.cv.wait_timeout(st, Duration::from_millis(10)).expect("barrier poisoned").0;
-            if st.1 != gen {
-                return true;
-            }
-        }
-    }
-}
-
 /// What every rank of one run reads.
 struct RunCtx<'a, S: Scalar> {
     bm: &'a BlockMatrix<S>,
@@ -476,7 +416,6 @@ struct RunCtx<'a, S: Scalar> {
     selector: &'a KernelSelector,
     pivot_floor: f64,
     cfg: &'a FactorConfig,
-    barrier: StepBarrier,
     abort: AtomicBool,
     /// The first rank's stall diagnosis; it aborts the run.
     first_err: Mutex<Option<DistError>>,
@@ -515,18 +454,12 @@ struct RankState<S: Scalar> {
     /// run and — like the rest of this state — reused verbatim across
     /// numeric-only refactorisations.
     plans: KernelPlans<S>,
-    /// Level-set mode: tasks owed per elimination step.
-    step_total: Vec<usize>,
 }
 
 impl<S: Scalar> RankState<S> {
     fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap, rank: usize) -> Self {
         let nblocks = bm.num_blocks();
         let owned = |id: usize| owners.owner_of(id) == rank;
-        let mut step_total = vec![0usize; bm.nblk() + 1];
-        for slot in (0..tg.wait.len()).filter(|&s| owned(tg.block_of(s))) {
-            step_total[tg.task_at(bm, slot).step()] += 1;
-        }
         RankState {
             rank,
             table: (0..nblocks)
@@ -534,17 +467,16 @@ impl<S: Scalar> RankState<S> {
                 .collect(),
             avail: vec![false; nblocks],
             plans: KernelPlans::with_slots(bm.nblk(), nblocks, nblocks, tg.ssssm.len()),
-            step_total,
         }
     }
 }
 
 /// The cached per-rank executor state of a distributed factorisation:
 /// one `RankState` per rank (block table with the receive-side pattern
-/// shells, kernel plans, per-step task totals). Build it once per
-/// (pattern, grid, owner map) and pass it to
-/// [`factor_distributed_cached`] for every same-pattern factorisation;
-/// steady-state runs then do no pattern-dependent setup at all.
+/// shells, kernel plans). Build it once per (pattern, grid, owner map)
+/// and pass it to [`factor_distributed_cached`] for every same-pattern
+/// factorisation; steady-state runs then do no pattern-dependent setup at
+/// all.
 pub struct NumericWorkspace<S: Scalar = f64> {
     ranks: Vec<RankState<S>>,
     num_blocks: usize,
@@ -585,7 +517,7 @@ fn run_rank<S: Scalar>(
     st: &mut RankState<S>,
 ) -> RankOutput {
     let _abort_on_unwind = AbortOnUnwind(&ctx.abort);
-    let RankState { rank, table, avail, plans, step_total } = st;
+    let RankState { rank, table, avail, plans } = st;
     let rank = *rank;
     debug_assert_eq!(mailbox.rank(), rank, "rank state handed to the wrong mailbox");
     avail.fill(false);
@@ -609,10 +541,6 @@ fn run_rank<S: Scalar>(
         worker: Worker::new(ctx.bm.nb(), ctx.cfg.metrics),
         mailbox,
         avail,
-        step_total,
-        step_done: vec![0; ctx.bm.nblk() + 1],
-        current_step: 0,
-        barrier_wait: Duration::ZERO,
         mem: MemStats::default(),
         blocked_recvs: 0,
         max_idle: Duration::ZERO,
@@ -628,8 +556,8 @@ fn run_rank<S: Scalar>(
 }
 
 /// The message edge of one rank around its engine: the mailbox drain and
-/// blocking receive, shipping finished panel blocks, the level-set gate,
-/// the stall diagnosis and the trace.
+/// blocking receive, shipping finished panel blocks, the stall diagnosis
+/// and the trace.
 struct Rank<'a, S: Scalar> {
     ctx: &'a RunCtx<'a, S>,
     rank: usize,
@@ -638,11 +566,6 @@ struct Rank<'a, S: Scalar> {
     worker: Worker<S>,
     mailbox: Mailbox<S>,
     avail: &'a mut [bool],
-    /// Level-set mode: tasks owed per elimination step, and done so far.
-    step_total: &'a [usize],
-    step_done: Vec<usize>,
-    current_step: usize,
-    barrier_wait: Duration,
     /// Hot-path copy/allocation accounting.
     mem: MemStats,
     /// Times this rank entered the blocking-receive path.
@@ -660,8 +583,7 @@ impl<S: Scalar> Rank<'_, S> {
     }
 
     fn run(mut self) -> RankOutput {
-        let (mode, stall_timeout) = (self.ctx.cfg.mode, self.ctx.cfg.stall_timeout);
-        let nblk = self.ctx.bm.nblk();
+        let stall_timeout = self.ctx.cfg.stall_timeout;
         let slice = Duration::from_millis(50).min(stall_timeout);
         let mut idle = Duration::ZERO;
         while !self.ctx.abort.load(AtomicOrdering::Relaxed) {
@@ -670,38 +592,15 @@ impl<S: Scalar> Rank<'_, S> {
                 self.receive(msg);
                 idle = Duration::ZERO;
             }
-            let max_step = match mode {
-                ScheduleMode::SyncFree => usize::MAX,
-                ScheduleMode::LevelSet => self.current_step,
-            };
-            if let Some(ready) = self.engine.pop(&mut self.worker, max_step) {
+            if let Some(ready) = self.engine.pop(&mut self.worker) {
                 idle = Duration::ZERO;
                 self.run_task(ready);
                 continue;
             }
-            if self.engine.remaining() == 0 && mode == ScheduleMode::SyncFree {
+            if self.engine.remaining() == 0 {
                 // Hand any still-buffered sends over before leaving.
                 self.mailbox.flush_pending();
                 break;
-            }
-            if mode == ScheduleMode::LevelSet
-                && self.step_done[self.current_step] == self.step_total[self.current_step]
-            {
-                // Step finished locally: barrier, then advance.
-                self.mailbox.flush_pending();
-                let t = Instant::now();
-                let ok = self.ctx.barrier.wait(&self.ctx.abort);
-                self.barrier_wait += t.elapsed();
-                if !ok {
-                    break;
-                }
-                idle = Duration::ZERO;
-                self.current_step += 1;
-                if self.current_step >= nblk {
-                    debug_assert_eq!(self.engine.remaining(), 0, "tasks left after final step");
-                    break;
-                }
-                continue;
             }
             // Nothing runnable: release buffered sends, then block on the
             // mailbox (the measured synchronisation wait, Fig. 10 step 3a).
@@ -724,11 +623,10 @@ impl<S: Scalar> Rank<'_, S> {
         }
 
         self.worker.kernels.add_counts_to(&mut self.mem);
-        let sync_wait = self.mailbox.sync_wait() + self.barrier_wait;
         let metrics = RankMetrics {
             rank: self.rank,
             busy_nanos: duration_nanos(self.worker.times.iter().sum()),
-            sync_wait_nanos: duration_nanos(sync_wait),
+            sync_wait_nanos: duration_nanos(self.mailbox.sync_wait()),
             blocked_recvs: self.blocked_recvs,
             max_idle_nanos: duration_nanos(self.max_idle),
             perturbed_pivots: self.worker.perturbed as u64,
@@ -752,7 +650,6 @@ impl<S: Scalar> Rank<'_, S> {
         if let (Some(origin), Some(start)) = (self.ctx.trace_origin, trace_start) {
             self.trace.push(TraceEvent { rank: self.rank, task, start, end: origin.elapsed() });
         }
-        self.step_done[task.step()] += 1;
         let role = match task {
             Task::Getrf { .. } => BlockRole::DiagFactor,
             Task::Gessm { .. } => BlockRole::UPanel,
@@ -779,14 +676,17 @@ impl<S: Scalar> Rank<'_, S> {
         self.ctx.abort.store(true, AtomicOrdering::Relaxed);
     }
 
-    /// The lowest elimination step with unfinished owned work.
+    /// The lowest elimination step of an owned task still waiting. At a
+    /// stall nothing is runnable, so every unfinished owned task waits.
     fn lowest_unfinished_step(&self) -> usize {
-        match self.ctx.cfg.mode {
-            ScheduleMode::LevelSet => self.current_step,
-            ScheduleMode::SyncFree => (0..self.step_done.len())
-                .find(|&s| self.step_done[s] < self.step_total[s])
-                .unwrap_or(self.current_step),
-        }
+        let (bm, tg) = (self.ctx.bm, self.ctx.tg);
+        (0..tg.wait.len())
+            .filter(|&s| {
+                self.engine.waiting(s) && self.ctx.owners.owner_of(tg.block_of(s)) == self.rank
+            })
+            .map(|s| tg.task_at(bm, s).step())
+            .min()
+            .unwrap_or(0)
     }
 
     /// Lists the operand blocks this rank is still waiting for, capped.
@@ -890,52 +790,49 @@ mod tests {
         (a, bm, tg)
     }
 
-    fn check_against_sequential(p: usize, mode: ScheduleMode, seed: u64) {
+    /// Holds both owner maps — the paper's block-cyclic map and the
+    /// balanced map the solver builds — to the sequential factor's bits.
+    fn check_against_sequential(p: usize, seed: u64) {
         let (a, bm0, tg) = build(60, 8, seed);
         let sel = KernelSelector::new(a.nnz(), Thresholds::default());
 
         let mut seq_bm = bm0.clone();
         factor_sequential(&mut seq_bm, &tg, &sel, 0.0);
+        let want = seq_bm.to_csc();
 
-        let mut dist_bm = bm0;
-        let owners = OwnerMap::balanced(&dist_bm, ProcessGrid::new(p), &tg);
-        let cfg = FactorConfig::with_mode(mode);
-        let run = factor_distributed_checked(&mut dist_bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
-        assert_eq!(run.stats.busy.len(), p);
-
-        let d1 = seq_bm.to_csc().to_dense();
-        let d2 = dist_bm.to_csc().to_dense();
-        let diff = d1.max_abs_diff(&d2);
-        let scale = d1.norm_max().max(1.0);
-        assert!(
-            diff / scale < 1e-10,
-            "p={p} mode={mode:?} seed={seed}: factors differ by {}",
-            diff / scale
-        );
+        let grid = ProcessGrid::new(p);
+        for (map, owners) in [
+            ("block-cyclic", OwnerMap::block_cyclic(&bm0, grid)),
+            ("balanced", OwnerMap::balanced(&bm0, grid, &tg)),
+        ] {
+            let mut dist_bm = bm0.clone();
+            let cfg = FactorConfig::default();
+            let run =
+                factor_distributed_checked(&mut dist_bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
+            assert_eq!(run.stats.busy.len(), p);
+            assert_eq!(
+                dist_bm.to_csc().values(),
+                want.values(),
+                "p={p} map={map} seed={seed}: factor diverged from the sequential bits"
+            );
+        }
     }
 
     #[test]
     fn single_rank_sync_free_matches_sequential() {
-        check_against_sequential(1, ScheduleMode::SyncFree, 1);
+        check_against_sequential(1, 1);
     }
 
     #[test]
     fn four_ranks_sync_free_matches_sequential() {
         for seed in [2, 3] {
-            check_against_sequential(4, ScheduleMode::SyncFree, seed);
+            check_against_sequential(4, seed);
         }
     }
 
     #[test]
     fn six_ranks_sync_free_matches_sequential() {
-        check_against_sequential(6, ScheduleMode::SyncFree, 4);
-    }
-
-    #[test]
-    fn level_set_matches_sequential() {
-        for p in [2, 4] {
-            check_against_sequential(p, ScheduleMode::LevelSet, 5);
-        }
+        check_against_sequential(6, 4);
     }
 
     #[test]
@@ -952,7 +849,7 @@ mod tests {
     #[test]
     fn oversubscribed_ranks_still_correct() {
         // More ranks than block rows: some ranks own nothing.
-        check_against_sequential(8, ScheduleMode::SyncFree, 7);
+        check_against_sequential(8, 7);
     }
 
     #[test]
@@ -972,39 +869,35 @@ mod tests {
     fn planned_run_is_bitwise_identical_to_unplanned() {
         // "Unplanned" is a selector whose planned gates are closed: no
         // plan is built or replayed, and the factor keeps its bits.
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            for p in [1usize, 4] {
-                let (a, bm0, tg) = build(60, 8, 15);
-                let owners = OwnerMap::block_cyclic(&bm0, ProcessGrid::new(p));
-                let cfg = FactorConfig::with_mode(mode);
+        for p in [1usize, 4] {
+            let (a, bm0, tg) = build(60, 8, 15);
+            let owners = OwnerMap::block_cyclic(&bm0, ProcessGrid::new(p));
+            let cfg = FactorConfig::default();
 
-                let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-                let mut planned_bm = bm0.clone();
-                let run =
-                    factor_distributed_checked(&mut planned_bm, &tg, &owners, &sel, 0.0, &cfg)
-                        .unwrap();
-                let closed = KernelSelector::new(a.nnz(), Thresholds::unplanned());
-                let mut plain_bm = bm0;
-                let plain =
-                    factor_distributed_checked(&mut plain_bm, &tg, &owners, &closed, 0.0, &cfg)
-                        .unwrap();
-                assert_eq!(
-                    planned_bm.to_csc().values(),
-                    plain_bm.to_csc().values(),
-                    "mode={mode:?} p={p}: planned factor diverged"
-                );
+            let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+            let mut planned_bm = bm0.clone();
+            let run =
+                factor_distributed_checked(&mut planned_bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
+            let closed = KernelSelector::new(a.nnz(), Thresholds::unplanned());
+            let mut plain_bm = bm0;
+            let plain = factor_distributed_checked(&mut plain_bm, &tg, &owners, &closed, 0.0, &cfg)
+                .unwrap();
+            assert_eq!(
+                planned_bm.to_csc().values(),
+                plain_bm.to_csc().values(),
+                "p={p}: planned factor diverged"
+            );
 
-                let mem = run.report.total_mem();
-                assert!(mem.planned_calls > 0, "mode={mode:?} p={p}: no planned calls");
-                assert!(mem.index_searches_avoided > 0);
-                assert!(mem.plan_bytes > 0);
+            let mem = run.report.total_mem();
+            assert!(mem.planned_calls > 0, "p={p}: no planned calls");
+            assert!(mem.index_searches_avoided > 0);
+            assert!(mem.plan_bytes > 0);
 
-                let mem = plain.report.total_mem();
-                assert_eq!(mem.planned_calls, 0, "mode={mode:?} p={p}");
-                assert_eq!(mem.index_searches_avoided, 0);
-                assert_eq!(mem.plan_bytes, 0);
-                assert_eq!(mem.plan_build_ns, 0);
-            }
+            let mem = plain.report.total_mem();
+            assert_eq!(mem.planned_calls, 0, "p={p}");
+            assert_eq!(mem.index_searches_avoided, 0);
+            assert_eq!(mem.plan_bytes, 0);
+            assert_eq!(mem.plan_build_ns, 0);
         }
     }
 

@@ -25,9 +25,9 @@
 //!   tested against, which also leaves Schur complements;
 //! * [`dist`] — the message edge around the engine: threads as MPI
 //!   ranks, each the engine's one-worker instance over its own block
-//!   table for the tasks it owns, block messages over mailboxes, and both
-//!   scheduling policies — the synchronisation-free strategy of §4.4 and
-//!   the level-set barrier baseline it is ablated against (Fig. 14);
+//!   table for the tasks it owns, block messages over mailboxes, under
+//!   the synchronisation-free schedule of §4.4 (the level-set baseline it
+//!   is ablated against in Fig. 14 lives in [`des`]);
 //! * [`trace_check`] — the schedule-trace validator: proves a traced run
 //!   respected every dependency, ran each task exactly once on its
 //!   owner, and delivered each block message exactly once per

@@ -321,15 +321,10 @@ impl<'a, S: Scalar> Engine<'a, S> {
         self.waits[slot].load(Ordering::Relaxed) > 0
     }
 
-    /// Queues the tasks `w` freed, then pops the lowest ready task if its
-    /// elimination step is at most `max_step` (a level-set gate;
-    /// `usize::MAX` for none).
-    pub(crate) fn pop(&self, w: &mut Worker<S>, max_step: usize) -> Option<PrioritisedTask> {
+    /// Queues the tasks `w` freed, then pops the lowest ready task.
+    pub(crate) fn pop(&self, w: &mut Worker<S>) -> Option<PrioritisedTask> {
         let mut ready = self.ready.lock().expect("ready heap poisoned");
         ready.extend(w.freed.drain(..));
-        if ready.peek()?.task().step() > max_step {
-            return None;
-        }
         ready.pop()
     }
 
@@ -375,7 +370,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
         let _abort_on_unwind = AbortOnUnwind(abort);
         let mut w = Worker::new(self.bm.nb(), false);
         while self.remaining() > 0 && !abort.load(Ordering::Relaxed) {
-            match self.pop(&mut w, usize::MAX) {
+            match self.pop(&mut w) {
                 Some(ready) => {
                     self.run(&mut w, ready);
                 }

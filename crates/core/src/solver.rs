@@ -7,9 +7,9 @@
 //!        →  triangular solve
 //! ```
 //!
-//! [`Solver::builder`] configures ranks, block size, scheduling mode,
-//! kernel selection and pivoting; [`Solver::solve`] then answers any
-//! number of right-hand sides against the factorisation.
+//! [`Solver::builder`] configures ranks, block size, kernel selection
+//! and pivoting; [`Solver::solve`] then answers any number of right-hand
+//! sides against the factorisation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -24,9 +24,7 @@ use pangulu_sparse::{CscMatrix, Permutation, Result, Scalar, SparseError};
 use pangulu_symbolic::{stats::SymbolicStats, symbolic_fill};
 
 use crate::block::BlockMatrix;
-use crate::dist::{
-    factor_distributed_cached, DistStats, FactorConfig, NumericWorkspace, ScheduleMode,
-};
+use crate::dist::{factor_distributed_cached, FactorConfig, NumericWorkspace};
 use crate::layout::OwnerMap;
 use crate::seq::{empty_plans, NumericStats};
 use crate::shared::factor_shared_planned;
@@ -77,16 +75,12 @@ pub struct SolverOptions {
     pub block_size: Option<usize>,
     /// Fill-reducing ordering (default: best of AMD and nested dissection).
     pub fill_reducing: FillReducing,
-    /// Scheduling policy of the distributed executor.
-    pub schedule: ScheduleMode,
     /// Decision-tree thresholds.
     pub thresholds: Thresholds,
     /// Static-pivot perturbation floor, relative to `max|A|`.
     /// 0 disables perturbation: a zero pivot then fails the factorisation
     /// with [`SparseError::ZeroPivot`].
     pub pivot_floor_rel: f64,
-    /// Run the static load balancer (§4.2) over the cyclic map.
-    pub load_balance: bool,
     /// When set, the numeric phase runs on the shared-memory executor
     /// with this many worker threads (PanguLU's multicore CPU mode)
     /// instead of the message-passing ranks; `ranks` is ignored.
@@ -112,10 +106,8 @@ impl Default for SolverOptions {
             ranks: 1,
             block_size: None,
             fill_reducing: FillReducing::Auto,
-            schedule: ScheduleMode::SyncFree,
             thresholds: Thresholds::default(),
             pivot_floor_rel: 1e-12,
-            load_balance: true,
             shared_threads: None,
             precision: Precision::default(),
             probe_every: 4,
@@ -145,18 +137,6 @@ impl SolverBuilder {
     /// Chooses the fill-reducing ordering.
     pub fn fill_reducing(mut self, f: FillReducing) -> Self {
         self.opts.fill_reducing = f;
-        self
-    }
-
-    /// Chooses the scheduling policy.
-    pub fn schedule(mut self, s: ScheduleMode) -> Self {
-        self.opts.schedule = s;
-        self
-    }
-
-    /// Toggles the static load balancer.
-    pub fn load_balance(mut self, on: bool) -> Self {
-        self.opts.load_balance = on;
         self
     }
 
@@ -215,8 +195,6 @@ pub struct FactorStats {
     pub numeric_time: Duration,
     /// Symbolic statistics (nnz(L+U), FLOPs — Table 3).
     pub symbolic: Option<SymbolicStats>,
-    /// Distributed-executor statistics (multi-rank runs).
-    pub dist: Option<DistStats>,
     /// The structured per-rank metrics report (multi-rank runs).
     pub report: Option<RunReport>,
     /// Sequential kernel statistics (single-rank runs, Table 4).
@@ -316,28 +294,19 @@ struct MixedState {
 struct NumericSummary {
     perturbed_pivots: usize,
     numeric: Option<NumericStats>,
-    dist: Option<DistStats>,
     report: Option<RunReport>,
 }
 
 impl NumericSummary {
     /// The summary of a sequential or shared-memory run.
     fn in_process(ns: NumericStats) -> Self {
-        NumericSummary {
-            perturbed_pivots: ns.perturbed_pivots,
-            numeric: Some(ns),
-            dist: None,
-            report: None,
-        }
+        NumericSummary { perturbed_pivots: ns.perturbed_pivots, numeric: Some(ns), report: None }
     }
 
     fn apply(self, stats: &mut FactorStats) {
         stats.perturbed_pivots = self.perturbed_pivots;
         if self.numeric.is_some() {
             stats.numeric = self.numeric;
-        }
-        if self.dist.is_some() {
-            stats.dist = self.dist;
         }
         if self.report.is_some() {
             stats.report = self.report;
@@ -367,7 +336,7 @@ enum Executor<S: Scalar> {
     Shared { threads: usize, plans: KernelPlans<S> },
     /// Message-passing ranks, each the engine's one-worker instance: the
     /// per-rank block tables and plan pools live in the workspace.
-    Distributed { cfg: FactorConfig, workspace: NumericWorkspace<S> },
+    Distributed { workspace: NumericWorkspace<S> },
 }
 
 impl<S: Scalar> NumericCache<S> {
@@ -378,10 +347,7 @@ impl<S: Scalar> NumericCache<S> {
                 plans: empty_plans(bm, tg),
             }
         } else {
-            Executor::Distributed {
-                cfg: FactorConfig::with_mode(opts.schedule),
-                workspace: NumericWorkspace::new(bm, tg, owners),
-            }
+            Executor::Distributed { workspace: NumericWorkspace::new(bm, tg, owners) }
         };
         NumericCache { executor, warm: false }
     }
@@ -413,7 +379,7 @@ impl<S: Scalar> NumericCache<S> {
             Executor::Shared { threads, plans } => NumericSummary::in_process(
                 factor_shared_planned(bm, tg, selector, pivot_floor, *threads, plans),
             ),
-            Executor::Distributed { cfg, workspace } => {
+            Executor::Distributed { workspace } => {
                 // A fault-free run only stalls on an executor bug.
                 let run = factor_distributed_cached(
                     bm,
@@ -421,14 +387,13 @@ impl<S: Scalar> NumericCache<S> {
                     owners,
                     selector,
                     pivot_floor,
-                    cfg,
+                    &FactorConfig::default(),
                     workspace,
                 )
                 .unwrap_or_else(|e| panic!("distributed factorisation failed: {e}"));
                 NumericSummary {
                     perturbed_pivots: run.stats.perturbed_pivots,
                     numeric: None,
-                    dist: Some(run.stats),
                     report: Some(run.report),
                 }
             }
@@ -439,7 +404,7 @@ impl<S: Scalar> NumericCache<S> {
     fn plan_stats(&self) -> PlanStats {
         match &self.executor {
             Executor::Shared { plans, .. } => plans.stats(),
-            Executor::Distributed { workspace, .. } => workspace.plan_stats(),
+            Executor::Distributed { workspace } => workspace.plan_stats(),
         }
     }
 }
@@ -858,11 +823,7 @@ impl Solver {
         let filled = fill.filled_matrix(&reordering.matrix)?;
         let mut bm = BlockMatrix::from_filled(&filled, nb)?;
         let tg = TaskGraph::build(&bm);
-        let owners = if opts.load_balance {
-            OwnerMap::balanced(&bm, grid, &tg)
-        } else {
-            OwnerMap::block_cyclic(&bm, grid)
-        };
+        let owners = OwnerMap::balanced(&bm, grid, &tg);
         stats.preprocess_time = t.elapsed();
         stats.block_size = nb;
         stats.nblk = bm.nblk();
@@ -1266,13 +1227,13 @@ impl Solver {
             tile_rows::<f64>(),
             tile_rows::<f32>(),
         );
-        if let Some(d) = &s.dist {
+        if let Some(r) = &s.report {
             let _ = writeln!(
                 out,
-                "comm: {} msgs, {} KiB, mean sync wait {:.1?}",
-                d.messages,
-                d.bytes / 1024,
-                d.mean_sync_wait()
+                "comm: {} msgs, {} KiB, mean sync wait {:.0}%",
+                r.total_messages(),
+                r.total_bytes() / 1024,
+                100.0 * r.mean_sync_fraction()
             );
         }
         if s.perturbed_pivots > 0 {
@@ -1490,14 +1451,6 @@ mod tests {
         let a = gen::circuit(300, 11);
         let opts = SolverOptions { ranks: 4, ..Default::default() };
         check_solve(&a, opts, 1e-8);
-    }
-
-    #[test]
-    fn level_set_schedule_solves() {
-        let a = gen::laplacian_2d(12, 12);
-        let opts =
-            SolverOptions { ranks: 2, schedule: ScheduleMode::LevelSet, ..Default::default() };
-        check_solve(&a, opts, 1e-10);
     }
 
     #[test]
@@ -2030,7 +1983,7 @@ mod tests {
     #[test]
     fn mixed_f32_factors_bitwise_identical_across_modes() {
         // The determinism contract extends to the f32 factors: sequential,
-        // shared-memory and every multi-rank schedule produce the same bits.
+        // shared-memory and multi-rank runs produce the same bits.
         let a = gen::circuit(300, 21);
         let base = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
         let want = factor32_bits(&base);
@@ -2042,12 +1995,6 @@ mod tests {
                 .unwrap(),
             Solver::builder().precision(Precision::MixedF32).shared_threads(3).build(&a).unwrap(),
             Solver::builder().precision(Precision::MixedF32).ranks(4).build(&a).unwrap(),
-            Solver::builder()
-                .precision(Precision::MixedF32)
-                .ranks(4)
-                .schedule(ScheduleMode::LevelSet)
-                .build(&a)
-                .unwrap(),
         ];
         for (i, s) in variants.iter().enumerate() {
             assert_eq!(factor32_bits(s), want, "variant {i} diverged");

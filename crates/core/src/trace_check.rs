@@ -467,7 +467,7 @@ pub fn validate_run(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::{factor_distributed_checked, FactorConfig, ScheduleMode};
+    use crate::dist::{factor_distributed_checked, FactorConfig};
     use crate::task::TaskGraph;
     use pangulu_comm::ProcessGrid;
     use pangulu_kernels::select::{KernelSelector, Thresholds};
@@ -488,7 +488,7 @@ mod tests {
             &owners,
             &sel,
             1e-12,
-            &FactorConfig::with_mode(ScheduleMode::SyncFree).traced(),
+            &FactorConfig::default().traced(),
         )
         .unwrap();
         (bm, tg, owners, run)

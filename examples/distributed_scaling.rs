@@ -1,7 +1,7 @@
 //! Distributed execution and scalability projection.
 //!
-//! Factors one matrix on increasing (thread-simulated) rank counts with
-//! both scheduling policies, reporting the real message/sync statistics,
+//! Factors one matrix on increasing (thread-simulated) rank counts under
+//! the sync-free schedule, reporting the real message/sync statistics,
 //! then projects the same task DAG to 1→128 ranks with the discrete-event
 //! simulator under the A100-class platform profile — a miniature of the
 //! paper's Figure 12 methodology.
@@ -12,7 +12,6 @@
 
 use pangulu::comm::{PlatformProfile, ProcessGrid};
 use pangulu::core::des::{pangulu_sim_tasks, simulate, SimMode};
-use pangulu::core::dist::ScheduleMode;
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::prelude::*;
@@ -23,27 +22,19 @@ fn main() {
     println!("kkt system: {} unknowns, {} nonzeros\n", a.nrows(), a.nnz());
 
     // Real multi-rank runs (threads as MPI ranks).
-    println!("ranks  schedule   numeric    msgs    sync-wait   residual");
+    println!("ranks   numeric    msgs   sync-wait   residual");
     for &ranks in &[1usize, 2, 4] {
-        for (label, mode) in
-            [("sync-free", ScheduleMode::SyncFree), ("level-set", ScheduleMode::LevelSet)]
-        {
-            let solver =
-                Solver::builder().ranks(ranks).schedule(mode).build(&a).expect("factorisation");
-            let b = gen::test_rhs(a.nrows(), 5);
-            let x = solver.solve(&b).expect("solve");
-            let resid = ops::relative_residual(&a, &x, &b).unwrap();
-            let s = solver.stats();
-            let (msgs, sync) = s
-                .dist
-                .as_ref()
-                .map(|d| (d.messages, format!("{:.1?}", d.mean_sync_wait())))
-                .unwrap_or((0, "-".into()));
-            println!(
-                "{ranks:>5}  {label:<9}  {:>8.1?}  {msgs:>6}  {sync:>9}  {resid:.2e}",
-                s.numeric_time
-            );
-        }
+        let solver = Solver::builder().ranks(ranks).build(&a).expect("factorisation");
+        let b = gen::test_rhs(a.nrows(), 5);
+        let x = solver.solve(&b).expect("solve");
+        let resid = ops::relative_residual(&a, &x, &b).unwrap();
+        let s = solver.stats();
+        let (msgs, sync) = s
+            .report
+            .as_ref()
+            .map(|r| (r.total_messages(), format!("{:.0}%", 100.0 * r.mean_sync_fraction())))
+            .unwrap_or((0, "-".into()));
+        println!("{ranks:>5}  {:>8.1?}  {msgs:>6}  {sync:>9}  {resid:.2e}", s.numeric_time);
     }
 
     // DES projection over the same task DAG (the Figure 12 machinery).

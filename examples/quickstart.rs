@@ -29,12 +29,12 @@ fn main() {
         "fill: nnz(L+U) = {} ({:.2}x of A), {:.2e} flops, tile size {}",
         sym.nnz_lu, sym.fill_ratio, sym.flops, s.block_size
     );
-    if let Some(d) = &s.dist {
+    if let Some(r) = &s.report {
         println!(
-            "ranks: {} messages, {} KiB shipped, mean sync wait {:.1?}",
-            d.messages,
-            d.bytes / 1024,
-            d.mean_sync_wait()
+            "ranks: {} messages, {} KiB shipped, mean sync wait {:.0}%",
+            r.total_messages(),
+            r.total_bytes() / 1024,
+            100.0 * r.mean_sync_fraction()
         );
     }
 

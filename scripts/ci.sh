@@ -14,8 +14,11 @@
 #           scripts/panic_ceiling.txt (scripts/panic_sites.sh)
 #   trace   schedule-trace validator over a 5-seed fault sweep
 #           (see docs/FAULT_INJECTION.md)
-#   sched   scheduling-correctness layer: the determinism matrix
-#           (bitwise factors across grids x modes x fault plans x shared
+#   sched   scheduling-correctness layer. Sync-free only first:
+#           crates/core/src/{dist,shared}.rs may hold no `Condvar` and no
+#           `Barrier` — ranks and workers synchronise only through the
+#           countdown and the mailbox (§4.4). Then the determinism matrix
+#           (bitwise factors across grids x fault plans x shared
 #           thread counts), the DES <-> executor traffic identity,
 #           refactorisation reuse, the stall diagnosis under faults and the
 #           schedule-trace replay, the golden work counters of the
@@ -31,7 +34,7 @@
 #           pangulu-comm package (mailboxes, fault layer, loopback rule),
 #           the wire-model accounting guard (the per-edge fixture table,
 #           f64 and f32), the metrics suite (observed == predicted model
-#           FLOPs on every grid x precision x schedule mode, deterministic
+#           FLOPs on every grid x precision, deterministic
 #           work counters) and peer-death failure modes (see
 #           docs/TRANSPORT.md)
 #   precision  mixed-precision layer: the solver's mixed/fallback unit
@@ -40,7 +43,7 @@
 #           and the probe-cadence tests (see docs/PRECISION.md)
 #   solve   solve-phase layer: the panel triangular solve must equal the
 #           per-RHS sweeps bit for bit, and every execution mode (ranks,
-#           schedule, shared threads, owner map) must solve
+#           shared threads) must solve
 #           like the 1-rank solver bit for bit, under BOTH codegen
 #           profiles (debug has no vectorisation, release does): the
 #           trisolve/solve_multi unit tests (the AVX2 and the portable
@@ -134,6 +137,12 @@ stage_trace() {
 
 stage_sched() {
     local profile
+    echo "--- sync-free only: no condition variables or barriers in the executor"
+    if grep -nE 'Condvar|Barrier' crates/core/src/dist.rs crates/core/src/shared.rs; then
+        echo "ci.sh: the executor synchronises outside the countdown and the mailbox;" \
+            "ranks run the sync-free schedule only" >&2
+        return 1
+    fi
     for profile in "" --release; do
         echo "--- scheduling correctness, profile: ${profile:-debug}"
         cargo test $profile -q --test determinism --test des_consistency --test refactor \

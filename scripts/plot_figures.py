@@ -251,25 +251,24 @@ def mapping():
 
 
 def timeline():
-    for policy in ["sync_free", "level_set"]:
-        data = rows("timeline_" + policy)
-        fig, ax = plt.subplots(figsize=(10, 4))
-        colors = {"GETRF": "tab:red", "GESSM": "tab:blue", "TSTRF": "tab:green", "SSSSM": "tab:orange"}
-        for r in data:
-            ax.barh(
-                int(r["rank"]),
-                float(r["end_s"]) - float(r["start_s"]),
-                left=float(r["start_s"]),
-                height=0.8,
-                color=colors[r["kernel"]],
-                linewidth=0,
-            )
-        ax.set_xlabel("time (s)")
-        ax.set_ylabel("rank")
-        handles = [plt.Rectangle((0, 0), 1, 1, color=c) for c in colors.values()]
-        ax.legend(handles, colors.keys(), fontsize=8)
-        fig.suptitle(f"Execution timeline ({policy.replace('_', '-')})")
-        save(fig, "timeline_" + policy)
+    data = rows("timeline_sync_free")
+    fig, ax = plt.subplots(figsize=(10, 4))
+    colors = {"GETRF": "tab:red", "GESSM": "tab:blue", "TSTRF": "tab:green", "SSSSM": "tab:orange"}
+    for r in data:
+        ax.barh(
+            int(r["rank"]),
+            float(r["end_s"]) - float(r["start_s"]),
+            left=float(r["start_s"]),
+            height=0.8,
+            color=colors[r["kernel"]],
+            linewidth=0,
+        )
+    ax.set_xlabel("time (s)")
+    ax.set_ylabel("rank")
+    handles = [plt.Rectangle((0, 0), 1, 1, color=c) for c in colors.values()]
+    ax.legend(handles, colors.keys(), fontsize=8)
+    fig.suptitle("Execution timeline (sync-free)")
+    save(fig, "timeline_sync_free")
 
 
 ALL = {

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trace_check::validate_run;
@@ -36,7 +36,7 @@ fn main() {
         "[trace_validate] seed {seed}: delay_prob {:.2}, reorder_depth {}, drop_prob {:.2}",
         plan.delay_prob, plan.reorder_depth, plan.drop_prob
     );
-    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree)
+    let cfg = FactorConfig::default()
         .with_fault(plan)
         .with_stall_timeout(Duration::from_secs(60))
         .traced();

@@ -9,9 +9,7 @@
 //!       --scale <k>        generator scale factor             [default 1]
 //!   -np, --ranks <p>       simulated MPI ranks                [default 1]
 //!       --nb <n>           tile size (default: heuristic)
-//!       --schedule <s>     sync-free | level-set       [default sync-free]
 //!       --ordering <o>     auto | amd | nd | rcm | natural  [default auto]
-//!       --no-balance       disable the static load balancer
 //!       --precision <p>    f64 | mixed (f32 factor + refined solve)
 //!                                                            [default f64]
 //!       --probe-every <k>  mixed acceptance-probe cadence     [default 4]
@@ -26,7 +24,6 @@
 use std::io::Write;
 use std::process::ExitCode;
 
-use pangulu::core::dist::ScheduleMode;
 use pangulu::prelude::*;
 use pangulu::reorder::FillReducing;
 use pangulu::sparse::gen::{self, PAPER_MATRICES};
@@ -38,9 +35,7 @@ struct Cli {
     scale: usize,
     ranks: usize,
     nb: Option<usize>,
-    schedule: ScheduleMode,
     ordering: FillReducing,
-    balance: bool,
     precision: Precision,
     probe_every: usize,
     refine: Option<f64>,
@@ -62,9 +57,7 @@ usage: pangulu [OPTIONS] (-F <matrix.mtx> | --gen <name>)
       --scale <k>        generator scale factor             [default 1]
   -np, --ranks <p>       simulated MPI ranks                [default 1]
       --nb <n>           tile size (default: heuristic)
-      --schedule <s>     sync-free | level-set        [default sync-free]
       --ordering <o>     auto | amd | nd | rcm | natural    [default auto]
-      --no-balance       disable the static load balancer
       --precision <p>    f64 | mixed (f32 factor + refined solve)
                                                            [default f64]
       --probe-every <k>  mixed acceptance-probe cadence: probe on the
@@ -85,9 +78,7 @@ fn parse_args() -> Cli {
         scale: 1,
         ranks: 1,
         nb: None,
-        schedule: ScheduleMode::SyncFree,
         ordering: FillReducing::Auto,
-        balance: true,
         precision: Precision::F64,
         probe_every: 4,
         refine: None,
@@ -112,16 +103,6 @@ fn parse_args() -> Cli {
                 cli.ranks = next(&mut args, "--ranks").parse().unwrap_or_else(|_| usage())
             }
             "--nb" => cli.nb = Some(next(&mut args, "--nb").parse().unwrap_or_else(|_| usage())),
-            "--schedule" => {
-                cli.schedule = match next(&mut args, "--schedule").as_str() {
-                    "sync-free" => ScheduleMode::SyncFree,
-                    "level-set" => ScheduleMode::LevelSet,
-                    other => {
-                        eprintln!("unknown schedule {other:?}");
-                        usage()
-                    }
-                }
-            }
             "--ordering" => {
                 cli.ordering = match next(&mut args, "--ordering").as_str() {
                     "auto" => FillReducing::Auto,
@@ -135,7 +116,6 @@ fn parse_args() -> Cli {
                     }
                 }
             }
-            "--no-balance" => cli.balance = false,
             "--precision" => {
                 cli.precision = match next(&mut args, "--precision").as_str() {
                     "f64" => Precision::F64,
@@ -225,9 +205,7 @@ fn main() -> ExitCode {
 
     let mut builder = Solver::builder()
         .ranks(cli.ranks)
-        .schedule(cli.schedule)
         .fill_reducing(cli.ordering)
-        .load_balance(cli.balance)
         .precision(cli.precision)
         .probe_every(cli.probe_every);
     if let Some(nb) = cli.nb {
@@ -258,13 +236,13 @@ fn main() -> ExitCode {
         s.block_size,
         s.num_blocks
     );
-    if let Some(d) = &s.dist {
+    if let Some(r) = &s.report {
         println!(
-            "ranks {} | {} msgs | {} KiB | mean sync wait {:.1?}",
+            "ranks {} | {} msgs | {} KiB | mean sync wait {:.0}%",
             cli.ranks,
-            d.messages,
-            d.bytes / 1024,
-            d.mean_sync_wait()
+            r.total_messages(),
+            r.total_bytes() / 1024,
+            100.0 * r.mean_sync_fraction()
         );
     }
     if s.perturbed_pivots > 0 {

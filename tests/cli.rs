@@ -98,15 +98,6 @@ fn lists_generators() {
     }
 }
 
-#[test]
-fn level_set_schedule_flag_works() {
-    let out = bin()
-        .args(["--gen", "apache2", "-np", "3", "--schedule", "level-set", "--nb", "60"])
-        .output()
-        .expect("run pangulu");
-    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-}
-
 /// The report explains its own numbers: hubs set aside by the ordering,
 /// and a plan pool that is empty until the first refactorisation.
 #[test]

@@ -1,13 +1,12 @@
 //! Determinism regression guard: every executor applies each block's
 //! SSSSM updates one at a time in ascending elimination-step order no
 //! matter when their operands become ready, so the computed L/U factors
-//! are *bitwise* identical across repeated runs — per grid shape and
-//! scheduling mode, and per shared-memory thread count — and the residual
-//! stays small everywhere in the {1×1, 1×2, 2×2, 3×2} × {SyncFree,
-//! LevelSet} matrix.
+//! are *bitwise* identical across repeated runs — per grid shape, and
+//! per shared-memory thread count — and the residual stays small on every
+//! grid of {1×1, 1×2, 2×2, 3×2}.
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun, ScheduleMode};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
@@ -37,8 +36,8 @@ fn problem(seed: u64) -> Problem {
     Problem { a, bm, tg, sel }
 }
 
-fn factor_once(prob: &Problem, pr: usize, pc: usize, mode: ScheduleMode) -> CscMatrix {
-    factor_with_config(prob, pr, pc, &FactorConfig::with_mode(mode))
+fn factor_once(prob: &Problem, pr: usize, pc: usize) -> CscMatrix {
+    factor_with_config(prob, pr, pc, &FactorConfig::default())
 }
 
 fn factor_with_config(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) -> CscMatrix {
@@ -55,7 +54,7 @@ fn factor_run_with(
     let mut bm = prob.bm.clone();
     let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
     let run = factor_distributed_checked(&mut bm, &prob.tg, &owners, sel, 1e-12, cfg)
-        .unwrap_or_else(|e| panic!("{pr}x{pc} {:?}: {e}", cfg.mode));
+        .unwrap_or_else(|e| panic!("{pr}x{pc}: {e}"));
     (bm.to_csc(), run)
 }
 
@@ -69,51 +68,42 @@ fn factor_unplanned(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) ->
     assert_eq!(
         (mem.planned_calls, mem.plan_bytes),
         (0, 0),
-        "{pr}x{pc} {:?}: closed gates still planned",
-        cfg.mode
+        "{pr}x{pc}: closed gates still planned"
     );
     f
 }
 
-/// Same seed, same grid, same mode → the factors are bitwise identical
-/// run to run, despite nondeterministic thread interleaving.
+/// Same seed, same grid → the factors are bitwise identical run to run,
+/// despite nondeterministic thread interleaving.
 #[test]
 fn repeated_runs_are_bitwise_identical() {
     let prob = problem(1);
     for (pr, pc) in grids() {
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let f1 = factor_once(&prob, pr, pc, mode);
-            let f2 = factor_once(&prob, pr, pc, mode);
-            assert_eq!(
-                f1.values(),
-                f2.values(),
-                "{pr}x{pc} {mode:?}: factors changed between identical runs"
-            );
-        }
+        let f1 = factor_once(&prob, pr, pc);
+        let f2 = factor_once(&prob, pr, pc);
+        assert_eq!(f1.values(), f2.values(), "{pr}x{pc}: factors changed between identical runs");
     }
 }
 
-/// The deterministic (ascending-k) update order is also grid- and
-/// mode-independent, so every cell of the matrix computes the *same*
-/// factors — compared bitwise against the 1×1 SyncFree reference.
+/// The deterministic (ascending-k) update order is also grid-independent,
+/// so every grid computes the *same* factors — compared bitwise against
+/// the 1×1 reference.
 #[test]
 fn factors_agree_across_grids_and_modes() {
     let prob = problem(2);
-    let reference = factor_once(&prob, 1, 1, ScheduleMode::SyncFree);
+    let reference = factor_once(&prob, 1, 1);
     for (pr, pc) in grids() {
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let f = factor_once(&prob, pr, pc, mode);
-            assert_eq!(
-                reference.values(),
-                f.values(),
-                "{pr}x{pc} {mode:?}: factors differ from the 1x1 reference"
-            );
-        }
+        let f = factor_once(&prob, pr, pc);
+        assert_eq!(
+            reference.values(),
+            f.values(),
+            "{pr}x{pc}: factors differ from the 1x1 reference"
+        );
     }
 }
 
-/// Kernel plans are bitwise-neutral: with plans disabled, every grid ×
-/// mode cell still computes the exact factors of the planned default —
+/// Kernel plans are bitwise-neutral: with plans disabled, every grid
+/// still computes the exact factors of the planned default —
 /// including the sequential reference (the unplanned sequential sweep,
 /// the 1×1 distributed run, and the unplanned runs all agree bitwise).
 #[test]
@@ -126,20 +116,14 @@ fn planned_and_unplanned_factors_are_bitwise_identical() {
     let reference = seq_bm.to_csc();
 
     for (pr, pc) in grids() {
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let planned = factor_with_config(&prob, pr, pc, &FactorConfig::with_mode(mode));
-            let unplanned = factor_unplanned(&prob, pr, pc, &FactorConfig::with_mode(mode));
-            assert_eq!(
-                planned.values(),
-                unplanned.values(),
-                "{pr}x{pc} {mode:?}: plans changed the factors"
-            );
-            assert_eq!(
-                reference.values(),
-                planned.values(),
-                "{pr}x{pc} {mode:?}: planned factors differ from the sequential reference"
-            );
-        }
+        let planned = factor_with_config(&prob, pr, pc, &FactorConfig::default());
+        let unplanned = factor_unplanned(&prob, pr, pc, &FactorConfig::default());
+        assert_eq!(planned.values(), unplanned.values(), "{pr}x{pc}: plans changed the factors");
+        assert_eq!(
+            reference.values(),
+            planned.values(),
+            "{pr}x{pc}: planned factors differ from the sequential reference"
+        );
     }
 }
 
@@ -148,21 +132,12 @@ fn planned_and_unplanned_factors_are_bitwise_identical() {
 #[test]
 fn planned_factors_survive_adversarial_fault_plans() {
     let prob = problem(6);
-    let reference = factor_once(&prob, 2, 2, ScheduleMode::SyncFree);
+    let reference = factor_once(&prob, 2, 2);
     for seed in [7u64, 8, 9] {
         let fault = FaultPlan::adversarial(seed);
-        let planned = factor_with_config(
-            &prob,
-            2,
-            2,
-            &FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(fault.clone()),
-        );
-        let unplanned = factor_unplanned(
-            &prob,
-            2,
-            2,
-            &FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(fault),
-        );
+        let planned =
+            factor_with_config(&prob, 2, 2, &FactorConfig::default().with_fault(fault.clone()));
+        let unplanned = factor_unplanned(&prob, 2, 2, &FactorConfig::default().with_fault(fault));
         assert_eq!(
             planned.values(),
             unplanned.values(),
@@ -184,9 +159,9 @@ fn planned_factors_survive_adversarial_fault_plans() {
 #[test]
 fn run_planned_factors_are_bitwise_identical_to_unplanned() {
     let prob = problem(12);
-    let reference = factor_once(&prob, 1, 1, ScheduleMode::SyncFree);
+    let reference = factor_once(&prob, 1, 1);
     for (pr, pc) in grids() {
-        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree);
+        let cfg = FactorConfig::default();
         let run_planned = factor_with_config(&prob, pr, pc, &cfg);
         let unplanned = factor_unplanned(&prob, pr, pc, &cfg);
         assert_eq!(
@@ -201,8 +176,7 @@ fn run_planned_factors_are_bitwise_identical_to_unplanned() {
         );
     }
     for seed in [14u64, 15] {
-        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree)
-            .with_fault(FaultPlan::adversarial(seed));
+        let cfg = FactorConfig::default().with_fault(FaultPlan::adversarial(seed));
         let f = factor_with_config(&prob, 2, 2, &cfg);
         assert_eq!(
             reference.values(),
@@ -212,75 +186,75 @@ fn run_planned_factors_are_bitwise_identical_to_unplanned() {
     }
 }
 
-/// The scheduling policy — the schedule mode a `FactorConfig` carries,
-/// over the one ready-queue order — is bitwise-neutral on every grid:
-/// each cell matches the 1×1 SyncFree reference.
+/// The scheduling policy — which rank's ready queue a task lands in
+/// (block-cyclic or balanced ownership), and whether kernel calls are
+/// traced and tallied on the way — is bitwise-neutral on every grid:
+/// each cell matches the 1×1 reference.
 #[test]
 fn factors_agree_across_scheduling_policies() {
     let prob = problem(7);
-    let reference = factor_once(&prob, 1, 1, ScheduleMode::SyncFree);
+    let reference = factor_once(&prob, 1, 1);
+    let configs = [
+        ("default", FactorConfig::default()),
+        ("traced", FactorConfig::default().traced()),
+        ("no-metrics", FactorConfig::default().with_metrics(false)),
+    ];
     for (pr, pc) in grids() {
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let f = factor_with_config(&prob, pr, pc, &FactorConfig::with_mode(mode));
-            assert_eq!(
-                reference.values(),
-                f.values(),
-                "{pr}x{pc} {mode:?}: factors differ from the 1x1 reference"
-            );
+        let grid = ProcessGrid::with_shape(pr, pc);
+        let maps = [
+            ("block-cyclic", OwnerMap::block_cyclic(&prob.bm, grid)),
+            ("balanced", OwnerMap::balanced(&prob.bm, grid, &prob.tg)),
+        ];
+        for (map, owners) in &maps {
+            for (tag, cfg) in &configs {
+                let mut bm = prob.bm.clone();
+                factor_distributed_checked(&mut bm, &prob.tg, owners, &prob.sel, 1e-12, cfg)
+                    .unwrap_or_else(|e| panic!("{pr}x{pc} {map} {tag}: {e}"));
+                assert_eq!(
+                    reference.values(),
+                    bm.to_csc().values(),
+                    "{pr}x{pc} {map} {tag}: factors differ from the 1x1 reference"
+                );
+            }
         }
     }
 }
 
-/// Both scheduling modes stay bitwise-neutral when an adversarial
+/// The sync-free schedule stays bitwise-neutral when an adversarial
 /// (lossless delay/reorder) fault plan perturbs message timing.
 #[test]
 fn policies_survive_adversarial_fault_plans() {
     let prob = problem(8);
-    let reference = factor_once(&prob, 2, 2, ScheduleMode::SyncFree);
+    let reference = factor_once(&prob, 2, 2);
     for seed in [11u64, 12, 13] {
-        let fault = FaultPlan::adversarial(seed);
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let f = factor_with_config(
-                &prob,
-                2,
-                2,
-                &FactorConfig::with_mode(mode).with_fault(fault.clone()),
-            );
-            assert_eq!(
-                reference.values(),
-                f.values(),
-                "fault seed {seed} {mode:?}: factors differ from the fault-free run"
-            );
-        }
+        let cfg = FactorConfig::default().with_fault(FaultPlan::adversarial(seed));
+        let f = factor_with_config(&prob, 2, 2, &cfg);
+        assert_eq!(
+            reference.values(),
+            f.values(),
+            "fault seed {seed}: factors differ from the fault-free run"
+        );
     }
 }
 
-/// Every cell of the grid × mode matrix produces usable factors: solve
-/// and check the residual against the original matrix.
+/// Every grid produces usable factors: solve and check the residual
+/// against the original matrix.
 #[test]
 fn residuals_hold_across_the_full_matrix() {
     for seed in [3u64, 4] {
         let prob = problem(seed);
         let b = gen::test_rhs(prob.a.nrows(), seed);
         for (pr, pc) in grids() {
-            for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-                let mut bm = prob.bm.clone();
-                let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
-                factor_distributed_checked(
-                    &mut bm,
-                    &prob.tg,
-                    &owners,
-                    &prob.sel,
-                    1e-12,
-                    &FactorConfig::with_mode(mode),
-                )
-                .unwrap_or_else(|e| panic!("seed {seed} {pr}x{pc} {mode:?}: {e}"));
-                let mut x = b.clone();
-                forward_substitute(&bm, &mut x);
-                backward_substitute(&bm, &mut x);
-                let r = relative_residual(&prob.a, &x, &b).unwrap();
-                assert!(r < 1e-8, "seed {seed} {pr}x{pc} {mode:?}: residual {r}");
-            }
+            let mut bm = prob.bm.clone();
+            let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
+            let cfg = FactorConfig::default();
+            factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, &cfg)
+                .unwrap_or_else(|e| panic!("seed {seed} {pr}x{pc}: {e}"));
+            let mut x = b.clone();
+            forward_substitute(&bm, &mut x);
+            backward_substitute(&bm, &mut x);
+            let r = relative_residual(&prob.a, &x, &b).unwrap();
+            assert!(r < 1e-8, "seed {seed} {pr}x{pc}: residual {r}");
         }
     }
 }
@@ -404,8 +378,8 @@ fn assert_lane_ran(calls: [u64; 3], tag: &str) {
     assert!(calls.iter().all(|&c| c >= 1), "{tag}: a class never took the tile lane: {calls:?}");
 }
 
-/// Sequential / shared / distributed grids × schedule modes × an
-/// adversarial fault plan, in scalar type `S`: all bitwise equal to
+/// Sequential / shared / distributed grids × an adversarial fault
+/// plan, in scalar type `S`: all bitwise equal to
 /// the sparse-variant reference sweep, with the lane active everywhere.
 fn dense_tile_rows<S: Scalar>() {
     let (bm64, tg, sel) = filled_problem();
@@ -453,19 +427,16 @@ fn dense_tile_rows<S: Scalar>() {
         run
     };
     for (pr, pc) in grids() {
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let run = run_dist(pr, pc, &FactorConfig::with_mode(mode), &format!("{mode:?}"));
-            // Model FLOPs, never the padded dense count.
-            assert_eq!(
-                run.report.observed_flops(),
-                run.report.predicted_flops,
-                "{w} {pr}x{pc} {mode:?}: observed != predicted FLOPs"
-            );
-        }
+        let run = run_dist(pr, pc, &FactorConfig::default(), "fault-free");
+        // Model FLOPs, never the padded dense count.
+        assert_eq!(
+            run.report.observed_flops(),
+            run.report.predicted_flops,
+            "{w} {pr}x{pc}: observed != predicted FLOPs"
+        );
     }
-    let faulted =
-        FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(FaultPlan::adversarial(21));
-    run_dist(3, 2, &faulted, "SyncFree+fault");
+    let faulted = FactorConfig::default().with_fault(FaultPlan::adversarial(21));
+    run_dist(3, 2, &faulted, "fault");
 }
 
 #[test]

@@ -3,7 +3,6 @@
 //! through every executor.
 
 use pangulu::comm::{ProcessGrid, TransportKind};
-use pangulu::core::dist::ScheduleMode;
 use pangulu::core::dist_solve::solve_distributed_on;
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::seq::factor_sequential;
@@ -48,12 +47,7 @@ fn more_ranks_than_blocks() {
     // 2x2 block grid, 8 ranks: most ranks own nothing and must exit
     // cleanly in both the factorisation and the distributed solve.
     let a = gen::cage_like(60, 5);
-    let solver = Solver::builder()
-        .block_size(30)
-        .ranks(8)
-        .schedule(ScheduleMode::SyncFree)
-        .build(&a)
-        .unwrap();
+    let solver = Solver::builder().block_size(30).ranks(8).build(&a).unwrap();
     let b = gen::test_rhs(60, 2);
     let x = solver.solve(&b).unwrap();
     assert!(relative_residual(&a, &x, &b).unwrap() < 1e-10);
@@ -94,14 +88,9 @@ fn grid_shapes_cover_prime_rank_counts() {
 }
 
 #[test]
-fn level_set_with_many_ranks_and_tiny_blocks() {
+fn many_ranks_and_tiny_blocks() {
     let a = gen::laplacian_2d(9, 9);
-    let solver = Solver::builder()
-        .block_size(5)
-        .ranks(6)
-        .schedule(ScheduleMode::LevelSet)
-        .build(&a)
-        .unwrap();
+    let solver = Solver::builder().block_size(5).ranks(6).build(&a).unwrap();
     let b = gen::test_rhs(81, 6);
     let x = solver.solve(&b).unwrap();
     assert!(relative_residual(&a, &x, &b).unwrap() < 1e-11);

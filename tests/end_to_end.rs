@@ -2,7 +2,6 @@
 //! factor, solve, check residuals; sequential and distributed runs must
 //! produce the same factors.
 
-use pangulu::core::dist::ScheduleMode;
 use pangulu::prelude::*;
 use pangulu::sparse::gen::{self, PAPER_MATRICES};
 use pangulu::sparse::ops::relative_residual;
@@ -43,32 +42,6 @@ fn distributed_factor_matches_sequential() {
         let diff = xs.iter().zip(&xd).map(|(p, q)| (p - q).abs()).fold(0.0f64, f64::max);
         let scale = xs.iter().map(|v| v.abs()).fold(1.0f64, f64::max);
         assert!(diff / scale < 1e-10, "{name}: solutions differ by {diff}");
-    }
-}
-
-#[test]
-fn level_set_and_sync_free_agree() {
-    let a = gen::circuit(400, 3);
-    let b = gen::test_rhs(a.nrows(), 3);
-    let sf = Solver::builder().ranks(3).schedule(ScheduleMode::SyncFree).build(&a).unwrap();
-    let ls = Solver::builder().ranks(3).schedule(ScheduleMode::LevelSet).build(&a).unwrap();
-    let xs = sf.solve(&b).unwrap();
-    let xl = ls.solve(&b).unwrap();
-    for (p, q) in xs.iter().zip(&xl) {
-        assert!((p - q).abs() < 1e-10);
-    }
-}
-
-#[test]
-fn load_balancing_does_not_change_results() {
-    let a = gen::fem_blocked(70, 4, 2, 5);
-    let b = gen::test_rhs(a.nrows(), 4);
-    let on = Solver::builder().ranks(4).load_balance(true).build(&a).unwrap();
-    let off = Solver::builder().ranks(4).load_balance(false).build(&a).unwrap();
-    let x1 = on.solve(&b).unwrap();
-    let x2 = off.solve(&b).unwrap();
-    for (p, q) in x1.iter().zip(&x2) {
-        assert!((p - q).abs() < 1e-10);
     }
 }
 

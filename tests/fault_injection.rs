@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun, ScheduleMode};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun, MissingDep};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trace_check::validate_run;
@@ -67,7 +67,7 @@ fn twenty_adversarial_fault_plans_on_2x2_grid() {
     for seed in 0..20u64 {
         let plan = FaultPlan::adversarial(seed);
         assert!(plan.is_active(), "adversarial plan {seed} must inject something");
-        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(plan).traced();
+        let cfg = FactorConfig::default().with_fault(plan).traced();
         let (factored, owners, run) = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: run failed: {e}"));
         let report = validate_run(&prob.bm, &prob.tg, &owners, &run);
@@ -81,7 +81,7 @@ fn twenty_adversarial_fault_plans_on_2x2_grid() {
     }
 }
 
-/// Each fault class in isolation, both scheduling modes.
+/// Each fault class in isolation.
 #[test]
 fn single_fault_classes_keep_runs_valid() {
     let prob = problem();
@@ -91,15 +91,13 @@ fn single_fault_classes_keep_runs_valid() {
         ("drop+retry", FaultPlan::reliable(13).with_drops(0.4, 30, Duration::from_micros(100))),
         ("shaping", FaultPlan::reliable(14).with_shaping(Duration::from_micros(200), 5e7)),
     ];
-    for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-        for (name, plan) in &plans {
-            let cfg = FactorConfig::with_mode(mode).with_fault(plan.clone()).traced();
-            let (factored, owners, run) = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg)
-                .unwrap_or_else(|e| panic!("{name}/{mode:?}: {e}"));
-            let report = validate_run(&prob.bm, &prob.tg, &owners, &run);
-            assert!(report.is_valid(), "{name}/{mode:?}: {:?}", report.violations.first());
-            assert_residual(&prob, &factored, &format!("{name}/{mode:?}"));
-        }
+    for (name, plan) in &plans {
+        let cfg = FactorConfig::default().with_fault(plan.clone()).traced();
+        let (factored, owners, run) = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let report = validate_run(&prob.bm, &prob.tg, &owners, &run);
+        assert!(report.is_valid(), "{name}: {:?}", report.violations.first());
+        assert_residual(&prob, &factored, name);
     }
 }
 
@@ -110,7 +108,7 @@ fn single_fault_classes_keep_runs_valid() {
 fn retries_do_not_duplicate_deliveries() {
     let prob = problem();
     let plan = FaultPlan::reliable(21).with_drops(0.5, 40, Duration::from_micros(50));
-    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(plan).traced();
+    let cfg = FactorConfig::default().with_fault(plan).traced();
     let (_, owners, run) = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg).unwrap();
     assert!(run.stats.retried_sends > 0, "a 50% drop rate must force retries");
     assert_eq!(run.stats.dropped_msgs, 0, "the retry budget must absorb every drop");
@@ -125,7 +123,7 @@ fn same_fault_seed_reproduces_identical_factors() {
     let prob = problem();
     let run_once = || {
         let plan = FaultPlan::adversarial(5);
-        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(plan);
+        let cfg = FactorConfig::default().with_fault(plan);
         let (bm, _, _) = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg).unwrap();
         bm.to_csc()
     };
@@ -142,9 +140,8 @@ fn permanent_message_loss_yields_structured_error() {
     let prob = problem();
     // Certain drop, zero retries: the very first remote send is lost.
     let plan = FaultPlan::reliable(31).with_drops(1.0, 0, Duration::ZERO);
-    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree)
-        .with_fault(plan)
-        .with_stall_timeout(Duration::from_millis(400));
+    let cfg =
+        FactorConfig::default().with_fault(plan).with_stall_timeout(Duration::from_millis(400));
     let t0 = Instant::now();
     let err = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg)
         .expect_err("total message loss must fail the run");
@@ -153,23 +150,19 @@ fn permanent_message_loss_yields_structured_error() {
     assert!(err.rank < 4, "error names a real rank");
     assert!(!err.missing.is_empty(), "error lists the missing operand blocks");
     assert!(err.lost_sends > 0 || err.remaining > 0);
+    // Each missing operand gates an owned task of its step `k` that is
+    // still waiting, so the stalled rank's lowest waiting step is at most
+    // every such `k`.
+    for m in &err.missing {
+        let k = match *m {
+            MissingDep::Diag { k, .. }
+            | MissingDep::LOperand { k, .. }
+            | MissingDep::UOperand { k, .. } => k,
+        };
+        assert!(err.step <= k, "step {} is past the missing operand {m}", err.step);
+    }
     let text = err.to_string();
     assert!(text.contains("rank") && text.contains("missing"), "diagnostic text: {text}");
-}
-
-/// Loss under LevelSet must also error out (the step barrier is
-/// abortable), not deadlock the other ranks.
-#[test]
-fn permanent_loss_does_not_deadlock_level_set() {
-    let prob = problem();
-    let plan = FaultPlan::reliable(33).with_drops(1.0, 0, Duration::ZERO);
-    let cfg = FactorConfig::with_mode(ScheduleMode::LevelSet)
-        .with_fault(plan)
-        .with_stall_timeout(Duration::from_millis(400));
-    let t0 = Instant::now();
-    let err = factor(&prob, ProcessGrid::with_shape(2, 2), &cfg).expect_err("must fail");
-    assert!(t0.elapsed() < Duration::from_secs(30), "level-set ranks must not deadlock");
-    assert!(err.remaining > 0);
 }
 
 /// Faults on bigger grids: a 3×2 grid with moderate chaos still passes
@@ -179,7 +172,7 @@ fn adversarial_faults_on_3x2_grid() {
     let prob = problem();
     for seed in [100u64, 101, 102] {
         let plan = FaultPlan::adversarial(seed);
-        let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).with_fault(plan).traced();
+        let cfg = FactorConfig::default().with_fault(plan).traced();
         let (factored, owners, run) = factor(&prob, ProcessGrid::with_shape(3, 2), &cfg)
             .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         let report = validate_run(&prob.bm, &prob.tg, &owners, &run);

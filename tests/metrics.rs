@@ -12,7 +12,7 @@
 use std::time::Duration;
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
@@ -60,17 +60,15 @@ fn jitter_plan(seed: u64) -> FaultPlan {
 #[test]
 fn work_counters_are_deterministic_under_fault_jitter() {
     let prob = problem(21);
-    for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-        let cfg = FactorConfig::with_mode(mode).with_fault(jitter_plan(7));
-        let (r1, f1) = factor(&prob, &cfg);
-        let (r2, f2) = factor(&prob, &cfg);
-        assert_eq!(f1.values(), f2.values(), "{mode:?}: factors drifted");
-        assert_eq!(
-            r1.without_timings(),
-            r2.without_timings(),
-            "{mode:?}: work counters drifted between identical runs"
-        );
-    }
+    let cfg = FactorConfig::default().with_fault(jitter_plan(7));
+    let (r1, f1) = factor(&prob, &cfg);
+    let (r2, f2) = factor(&prob, &cfg);
+    assert_eq!(f1.values(), f2.values(), "factors drifted");
+    assert_eq!(
+        r1.without_timings(),
+        r2.without_timings(),
+        "work counters drifted between identical runs"
+    );
 }
 
 /// The timings stripped by the projection are present and sane in the
@@ -136,28 +134,22 @@ fn observed_flops_rows<S: Scalar>(prob: &Problem) {
     assert_eq!(prob.tg.total_flops(), expected, "task graph disagrees with the walk");
     for (rows, cols) in [(1, 2), (2, 1), (2, 2)] {
         let owners = OwnerMap::balanced(&prob.bm, ProcessGrid::with_shape(rows, cols), &prob.tg);
-        for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-            let mut bm = bm0.clone();
-            let cfg = FactorConfig::with_mode(mode);
-            let r = factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, &cfg)
-                .unwrap_or_else(|e| panic!("factorisation failed: {e}"))
-                .report;
-            let tag = format!("{}x{} {mode:?} f{}", rows, cols, 8 * S::WIDTH);
-            assert_eq!(r.predicted_flops, expected, "{tag}: prediction changed");
-            assert_eq!(
-                r.observed_flops(),
-                expected,
-                "{tag}: observed FLOPs diverge from the model"
-            );
-        }
+        let mut bm = bm0.clone();
+        let cfg = FactorConfig::default();
+        let r = factor_distributed_checked(&mut bm, &prob.tg, &owners, &prob.sel, 1e-12, &cfg)
+            .unwrap_or_else(|e| panic!("factorisation failed: {e}"))
+            .report;
+        let tag = format!("{}x{} f{}", rows, cols, 8 * S::WIDTH);
+        assert_eq!(r.predicted_flops, expected, "{tag}: prediction changed");
+        assert_eq!(r.observed_flops(), expected, "{tag}: observed FLOPs diverge from the model");
     }
 }
 
 /// Kernels only ever write inside static block patterns, and the model
 /// FLOP counts derive from those same patterns — so the prediction, the
 /// task graph's stored counts and an independent operand walk agree
-/// *exactly*, and so do the FLOPs the meter observes, on every grid,
-/// schedule mode and precision.
+/// *exactly*, and so do the FLOPs the meter observes, on every grid and
+/// precision.
 #[test]
 fn observed_flops_match_prediction_exactly() {
     let prob = problem(23);

@@ -2,7 +2,7 @@
 //! cached analysis (reordering, symbolic fill, block layout, owner map,
 //! executor schedules) and still produce factors **bitwise identical** to
 //! a full pipeline run on the same values — across rank counts and
-//! schedule modes, and at the executor level also under adversarial
+//! grids, and at the executor level also under adversarial
 //! (lossless) fault plans. Structurally different inputs must be
 //! rejected with `SparseError::PatternMismatch`, leaving the solver
 //! untouched.
@@ -10,7 +10,6 @@
 use pangulu::comm::{FaultPlan, ProcessGrid};
 use pangulu::core::dist::{
     factor_distributed_cached, factor_distributed_checked, FactorConfig, NumericWorkspace,
-    ScheduleMode,
 };
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
@@ -45,8 +44,8 @@ fn perturb(a: &CscMatrix) -> CscMatrix {
         .unwrap()
 }
 
-fn opts_for(ranks: usize, schedule: ScheduleMode) -> SolverOptions {
-    SolverOptions { ranks, schedule, ..SolverOptions::default() }
+fn opts_for(ranks: usize) -> SolverOptions {
+    SolverOptions { ranks, ..SolverOptions::default() }
 }
 
 /// refactor(same values) must equal a fresh factorisation of the same
@@ -55,11 +54,7 @@ fn opts_for(ranks: usize, schedule: ScheduleMode) -> SolverOptions {
 #[test]
 fn refactor_same_values_is_bitwise_identical_to_fresh_factor() {
     let a = gen::circuit(300, 21);
-    for (tag, opts) in [
-        ("seq", opts_for(1, ScheduleMode::SyncFree)),
-        ("sync-free 2x2", opts_for(4, ScheduleMode::SyncFree)),
-        ("level-set 1x2", opts_for(2, ScheduleMode::LevelSet)),
-    ] {
+    for (tag, opts) in [("seq", opts_for(1)), ("2x2", opts_for(4)), ("1x2", opts_for(2))] {
         let fresh = Solver::factor_with(&a, opts.clone()).unwrap();
         let mut solver = Solver::factor_with(&a, opts).unwrap();
         solver.refactor(&a).unwrap_or_else(|e| panic!("{tag}: refactor failed: {e}"));
@@ -90,7 +85,7 @@ fn refactor_same_values_is_bitwise_identical_to_fresh_factor() {
 fn refactor_new_values_matches_manual_rebuild_with_cached_reordering() {
     let a = gen::circuit(300, 21);
     let a2 = perturb(&a);
-    let opts = opts_for(4, ScheduleMode::SyncFree);
+    let opts = opts_for(4);
     let mut solver = Solver::factor_with(&a, opts).unwrap();
     let nb = solver.stats().block_size;
     solver.refactor(&a2).unwrap();
@@ -107,15 +102,8 @@ fn refactor_new_values_matches_manual_rebuild_with_cached_reordering() {
     let owners = OwnerMap::balanced(&bm, ProcessGrid::new(4), &tg);
     let sel = KernelSelector::new(a2.nnz(), Thresholds::default());
     let pivot_floor = 1e-12 * permuted.norm_max().max(1.0);
-    factor_distributed_checked(
-        &mut bm,
-        &tg,
-        &owners,
-        &sel,
-        pivot_floor,
-        &FactorConfig::with_mode(ScheduleMode::SyncFree),
-    )
-    .unwrap();
+    factor_distributed_checked(&mut bm, &tg, &owners, &sel, pivot_floor, &FactorConfig::default())
+        .unwrap();
 
     assert_eq!(
         factor_bits(solver.factored()),
@@ -135,7 +123,7 @@ fn refactor_new_values_matches_manual_rebuild_with_cached_reordering() {
 fn refactor_is_idempotent_and_reversible() {
     let a = gen::laplacian_2d(14, 13);
     let a2 = perturb(&a);
-    let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
+    let mut solver = Solver::factor_with(&a, opts_for(4)).unwrap();
     let original = factor_bits(solver.factored());
 
     solver.refactor(&a2).unwrap();
@@ -179,7 +167,7 @@ fn refactor_shared_memory_mode_solves_and_skips_analysis() {
 fn refactor_rejects_pattern_mismatch() {
     let a = gen::laplacian_2d(8, 8);
     let n = a.nrows();
-    let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
+    let mut solver = Solver::factor_with(&a, opts_for(4)).unwrap();
     let before = factor_bits(solver.factored());
 
     let expect_mismatch = |res: pangulu::sparse::Result<()>, tag: &str| match res {
@@ -244,23 +232,15 @@ fn workspace_reuse_is_bitwise_stable_under_adversarial_faults() {
 
     // Reference: a plain fault-free checked run.
     let mut reference = bm0.clone();
-    factor_distributed_checked(
-        &mut reference,
-        &tg,
-        &owners,
-        &sel,
-        1e-12,
-        &FactorConfig::with_mode(ScheduleMode::SyncFree),
-    )
-    .unwrap();
+    factor_distributed_checked(&mut reference, &tg, &owners, &sel, 1e-12, &FactorConfig::default())
+        .unwrap();
     let reference_bits = factor_bits(&reference);
 
     for seed in [1u64, 2] {
         let mut ws = NumericWorkspace::new(&bm0, &tg, &owners);
         let mut hits_first = 0;
         for round in 0..2 {
-            let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree)
-                .with_fault(FaultPlan::adversarial(seed));
+            let cfg = FactorConfig::default().with_fault(FaultPlan::adversarial(seed));
             let mut bm = bm0.clone();
             let run = factor_distributed_cached(&mut bm, &tg, &owners, &sel, 1e-12, &cfg, &mut ws)
                 .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
@@ -303,7 +283,7 @@ fn assert_no_plans_yet(solver: &Solver, tag: &str) {
 #[test]
 fn kernel_plan_reuse_keeps_build_counters_flat() {
     let a = gen::circuit(300, 21);
-    let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
+    let mut solver = Solver::factor_with(&a, opts_for(4)).unwrap();
     assert_no_plans_yet(&solver, "after build()");
     let first_phases = solver.stats().phases;
 
@@ -334,7 +314,7 @@ fn kernel_plan_reuse_keeps_build_counters_flat() {
 #[test]
 fn rejected_refactor_leaves_plans_intact() {
     let a = gen::laplacian_2d(8, 8);
-    let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
+    let mut solver = Solver::factor_with(&a, opts_for(4)).unwrap();
     let bits = factor_bits(solver.factored());
     let reject = |solver: &mut Solver| match solver.refactor(&gen::laplacian_2d(8, 9)) {
         Err(SparseError::PatternMismatch(_)) => {}
@@ -370,7 +350,7 @@ fn rejected_refactor_leaves_plans_intact() {
 #[test]
 fn phase_counters_track_cached_vs_recomputed_phases() {
     let a = gen::laplacian_2d(10, 10);
-    let mut solver = Solver::factor_with(&a, opts_for(4, ScheduleMode::SyncFree)).unwrap();
+    let mut solver = Solver::factor_with(&a, opts_for(4)).unwrap();
     let first = solver.stats().phases;
     assert_eq!(
         (
@@ -423,7 +403,7 @@ fn dense_tile_lane_steady_state_builds_nothing_new() {
     let a = gen::kkt(400, 180, 7);
     // Blocks of 36 put the filled trailing panels and updates past the
     // planned gates (1 296 nnz, 93 312 FLOPs).
-    let opts = SolverOptions { block_size: Some(36), ..opts_for(4, ScheduleMode::SyncFree) };
+    let opts = SolverOptions { block_size: Some(36), ..opts_for(4) };
     let mut solver = Solver::factor_with(&a, opts).unwrap();
     assert_no_plans_yet(&solver, "after build()");
     let first_tile = tile_calls(&solver);

@@ -6,7 +6,7 @@
 use std::collections::HashMap;
 
 use pangulu::comm::ProcessGrid;
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig, ScheduleMode, TraceEvent};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, TraceEvent};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::{Task, TaskGraph};
 use pangulu::core::BlockMatrix;
@@ -21,7 +21,7 @@ fn traced_run(p: usize, seed: u64) -> (TaskGraph, Vec<TraceEvent>) {
     let tg = TaskGraph::build(&bm);
     let owners = OwnerMap::balanced(&bm, ProcessGrid::new(p), &tg);
     let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree).traced();
+    let cfg = FactorConfig::default().traced();
     let run = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg).unwrap();
     (tg, run.trace)
 }
@@ -91,40 +91,6 @@ fn no_kernel_starts_before_its_dependencies_finish() {
                     );
                 }
             }
-        }
-    }
-}
-
-#[test]
-fn level_set_trace_respects_step_barriers() {
-    let a = ensure_diagonal(&gen::random_sparse(60, 0.12, 9)).unwrap();
-    let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
-    let mut bm = BlockMatrix::from_filled(&f, 10).unwrap();
-    let tg = TaskGraph::build(&bm);
-    let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(3));
-    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-    let cfg = FactorConfig::with_mode(ScheduleMode::LevelSet).traced();
-    let trace = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg).unwrap().trace;
-    // Under level-set scheduling, a step-k task can never start before
-    // every step-(k-1) task has ended (the barrier).
-    let mut step_end = vec![std::time::Duration::ZERO; bm.nblk() + 1];
-    for e in &trace {
-        let s = e.task.step();
-        if e.end > step_end[s] {
-            step_end[s] = e.end;
-        }
-    }
-    for e in &trace {
-        let s = e.task.step();
-        if s > 0 {
-            assert!(
-                e.start >= step_end[s - 1],
-                "step {s} task {:?} started at {:?}, before the step-{} barrier at {:?}",
-                e.task,
-                e.start,
-                s - 1,
-                step_end[s - 1]
-            );
         }
     }
 }

@@ -9,12 +9,11 @@
 //!
 //! Every execution mode solves with those same sweeps over factors that
 //! are bitwise equal across executors, so a solver's answers are also
-//! the 1-rank solver's bit for bit, whatever its ranks, schedule mode,
-//! shared threads or owner map.
+//! the 1-rank solver's bit for bit, whatever its ranks or shared
+//! threads.
 
 use proptest::prelude::*;
 
-use pangulu::core::dist::ScheduleMode;
 use pangulu::core::trisolve::{
     backward_substitute, backward_substitute_panel, forward_substitute, forward_substitute_panel,
     PANEL_WIDTH,
@@ -109,16 +108,12 @@ fn assert_same_bits<S: Scalar>(what: &str, got: &[Vec<S>], want: &[Vec<S>]) {
     }
 }
 
-/// One draw of the execution options: `exec` 0..8 is 1..=4 ranks under
-/// either schedule mode, 8..10 the shared executor with 2 or 3 threads.
-fn execution(exec: usize, balance: bool) -> SolverBuilder {
-    let builder = Solver::builder().load_balance(balance);
+/// One draw of the execution options: `exec` 0..4 is 1..=4 ranks,
+/// 4..6 the shared executor with 2 or 3 threads.
+fn execution(exec: usize) -> SolverBuilder {
     match exec {
-        0..8 => {
-            let mode = [ScheduleMode::SyncFree, ScheduleMode::LevelSet][exec % 2];
-            builder.ranks(exec / 2 + 1).schedule(mode)
-        }
-        _ => builder.shared_threads(exec - 6),
+        0..4 => Solver::builder().ranks(exec + 1),
+        _ => Solver::builder().shared_threads(exec - 2),
     }
 }
 
@@ -203,8 +198,7 @@ proptest! {
     #[test]
     fn every_execution_mode_solves_bitwise_like_one_rank(
         which in 0usize..3,
-        exec in 0usize..10,
-        balance in 0usize..2,
+        exec in 0usize..6,
         mixed in 0usize..2,
         nb_random in 1usize..140,
         seed in 0u64..1000,
@@ -212,9 +206,8 @@ proptest! {
         let a = matrix(which);
         let precision = if mixed == 1 { Precision::MixedF32 } else { Precision::F64 };
         for nb in [12, nb_random] {
-            let what =
-                format!("matrix {which}, nb {nb}, exec {exec}, balance {balance}, {precision:?}");
-            let s = execution(exec, balance == 1)
+            let what = format!("matrix {which}, nb {nb}, exec {exec}, {precision:?}");
+            let s = execution(exec)
                 .precision(precision)
                 .block_size(nb)
                 .build(&a)

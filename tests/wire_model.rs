@@ -23,7 +23,7 @@
 use std::time::Duration;
 
 use pangulu::comm::{BlockMsg, BlockRole, FaultPlan, MailboxSet};
-use pangulu::core::dist::{FactorConfig, ScheduleMode};
+use pangulu::core::dist::FactorConfig;
 use pangulu::metrics::RunReport;
 
 #[path = "common/wire_fixture.rs"]
@@ -40,7 +40,7 @@ const HEADER_BYTES: u64 = 24;
 /// payload bytes behind the same header.
 #[test]
 fn per_edge_accounting_matches_prechange_fixture() {
-    let cfg = FactorConfig::with_mode(ScheduleMode::SyncFree);
+    let cfg = FactorConfig::default();
     for (seed, n, nb) in PROBLEMS {
         let prob = problem(seed, n, nb);
         for (pr, pc) in GRIDS {
@@ -87,7 +87,7 @@ fn edge_sums_match_rank_totals() {
 /// Timing-only fault plans (delays + reordering, no drops) leave the
 /// whole timing-free projection — per-edge comm, tasks, kernel tallies,
 /// and the copy/alloc `MemStats` counters — identical to a fault-free
-/// run, across both scheduling modes.
+/// run.
 #[test]
 fn without_timings_equal_across_fault_plans() {
     let plans: Vec<Option<FaultPlan>> = vec![
@@ -99,18 +99,16 @@ fn without_timings_equal_across_fault_plans() {
         Some(FaultPlan::reliable(99).with_reordering(2)),
     ];
     let prob = problem(42, 80, 9);
-    for mode in [ScheduleMode::SyncFree, ScheduleMode::LevelSet] {
-        let mut projections: Vec<RunReport> = Vec::new();
-        for plan in &plans {
-            let mut cfg = FactorConfig::with_mode(mode);
-            if let Some(p) = plan {
-                cfg = cfg.with_fault(p.clone());
-            }
-            projections.push(factor(&prob, 2, 2, &cfg).without_timings());
+    let mut projections: Vec<RunReport> = Vec::new();
+    for plan in &plans {
+        let mut cfg = FactorConfig::default();
+        if let Some(p) = plan {
+            cfg = cfg.with_fault(p.clone());
         }
-        for (i, p) in projections.iter().enumerate().skip(1) {
-            assert_eq!(&projections[0], p, "{mode:?}: plan {i} changed the timing-free report");
-        }
+        projections.push(factor(&prob, 2, 2, &cfg).without_timings());
+    }
+    for (i, p) in projections.iter().enumerate().skip(1) {
+        assert_eq!(&projections[0], p, "plan {i} changed the timing-free report");
     }
 }
 
