@@ -10,6 +10,7 @@
 //! empty (the skip is free).
 
 use pangulu_sparse::{CscMatrix, Result, Scalar, SparseError};
+use pangulu_symbolic::FilledPattern;
 
 /// The blocked form of the filled matrix, generic over the element
 /// precision (`f64` by default; `f32` on the mixed-precision path, which
@@ -54,7 +55,12 @@ impl BlockMatrix<f64> {
         nb.clamp(1, max_nb.max(1)).clamp(1, 512).max(4.min(n))
     }
 
-    /// Cuts a filled (closed-pattern) matrix into `nb x nb` tiles.
+    /// Cuts a filled (closed-pattern) matrix into `nb x nb` tiles: the
+    /// tiler reads each column's strict-lower rows and mirrors them for
+    /// the upper part, then the loader copies every stored value in. The
+    /// pattern must therefore be structurally symmetric with every
+    /// diagonal entry stored — symbolic factorisation always gives such a
+    /// pattern; anything else is [`SparseError::InvalidStructure`].
     ///
     /// # Examples
     /// ```
@@ -67,125 +73,287 @@ impl BlockMatrix<f64> {
     /// assert_eq!(bm.to_csc(), filled);      // lossless tiling
     /// ```
     pub fn from_filled(filled: &CscMatrix, nb: usize) -> Result<Self> {
-        Self::from_filled_generic(filled, nb)
-    }
-}
-
-impl<S: Scalar> BlockMatrix<S> {
-    /// Cuts a filled (closed-pattern) matrix of any precision into
-    /// `nb x nb` tiles. See [`BlockMatrix::from_filled`]. Every diagonal
-    /// entry must be stored (symbolic factorisation always stores it);
-    /// a pattern without one is [`SparseError::InvalidStructure`].
-    pub fn from_filled_generic(filled: &CscMatrix<S>, nb: usize) -> Result<Self> {
         if !filled.is_square() {
             return Err(SparseError::NotSquare { nrows: filled.nrows(), ncols: filled.ncols() });
         }
-        if nb == 0 {
-            return Err(SparseError::InvalidStructure("block size must be positive".into()));
-        }
         let n = filled.ncols();
-        let nblk = n.div_ceil(nb);
-
-        // Pass 1: count entries per block within each block column, so the
-        // intra-block CSC arrays can be sized exactly.
-        // Process one block column at a time to keep the working set small.
-        let mut blk_col_ptr = Vec::with_capacity(nblk + 1);
-        blk_col_ptr.push(0usize);
-        let mut blk_row_idx: Vec<usize> = Vec::new();
-        let mut blocks: Vec<CscMatrix<S>> = Vec::new();
-
-        // Row → block-row map avoids a division per stored entry.
-        let row_block: Vec<u32> = (0..n).map(|i| (i / nb) as u32).collect();
-        let mut diag_pos = vec![usize::MAX; n];
-
-        for bj in 0..nblk {
-            let col_lo = bj * nb;
-            let col_hi = (col_lo + nb).min(n);
-            let bcols = col_hi - col_lo;
-            // Entry counts per (present block row, local column), in one
-            // flat buffer (`slot * bcols + local_col`) to avoid nested-Vec
-            // indirection on the per-entry hot path.
-            let mut counts: Vec<usize> = Vec::new();
-            let mut present: Vec<usize> = Vec::new(); // block rows, discovery order
-            let mut slot_of = vec![usize::MAX; nblk];
-            for j in col_lo..col_hi {
-                let (rows, _) = filled.col(j);
-                for &i in rows {
-                    let bi = row_block[i] as usize;
-                    let mut s = slot_of[bi];
-                    if s == usize::MAX {
-                        s = present.len();
-                        slot_of[bi] = s;
-                        present.push(bi);
-                        counts.resize(counts.len() + bcols, 0);
-                    }
-                    counts[s * bcols + (j - col_lo)] += 1;
-                }
-            }
-            // Block rows must be sorted for the first-layer CSC invariant.
-            let mut order: Vec<usize> = (0..present.len()).collect();
-            order.sort_unstable_by_key(|&s| present[s]);
-
-            // Build intra-block col_ptr arrays and scatter entries.
-            let mut block_col_ptrs: Vec<Vec<usize>> = (0..present.len())
-                .map(|s| {
-                    let mut p = Vec::with_capacity(bcols + 1);
-                    p.push(0usize);
-                    let mut acc = 0usize;
-                    for c in 0..bcols {
-                        acc += counts[s * bcols + c];
-                        p.push(acc);
-                    }
-                    p
-                })
-                .collect();
-            let mut block_rows: Vec<Vec<usize>> =
-                block_col_ptrs.iter().map(|p| vec![0usize; *p.last().unwrap()]).collect();
-            let mut block_vals: Vec<Vec<S>> =
-                block_col_ptrs.iter().map(|p| vec![S::ZERO; *p.last().unwrap()]).collect();
-            // Flat write cursors, one per (slot, local column).
-            let mut cursor: Vec<usize> = Vec::with_capacity(present.len() * bcols);
-            for p in &block_col_ptrs {
-                cursor.extend_from_slice(&p[..bcols]);
-            }
-            let block_diag_pos = &mut diag_pos[col_lo..col_hi];
-            for j in col_lo..col_hi {
-                let (rows, vals) = filled.col(j);
-                let lc = j - col_lo;
-                for (&i, &v) in rows.iter().zip(vals) {
-                    let bi = row_block[i] as usize;
-                    let s = slot_of[bi];
-                    let dst = cursor[s * bcols + lc];
-                    block_rows[s][dst] = i - bi * nb;
-                    block_vals[s][dst] = v;
-                    if i == j {
-                        block_diag_pos[lc] = dst - block_col_ptrs[s][lc];
-                    }
-                    cursor[s * bcols + lc] += 1;
-                }
-            }
-
-            for &s in &order {
-                let bi = present[s];
-                let brows = ((bi * nb + nb).min(n)) - bi * nb;
-                blk_row_idx.push(bi);
-                blocks.push(CscMatrix::from_parts_unchecked(
-                    brows,
-                    bcols,
-                    std::mem::take(&mut block_col_ptrs[s]),
-                    std::mem::take(&mut block_rows[s]),
-                    std::mem::take(&mut block_vals[s]),
-                ));
-            }
-            blk_col_ptr.push(blk_row_idx.len());
-        }
-
-        if let Some(j) = diag_pos.iter().position(|&p| p == usize::MAX) {
+        if let Some(j) = (0..n).find(|&j| filled.find(j, j).is_none()) {
             return Err(SparseError::InvalidStructure(format!(
                 "diagonal entry ({j}, {j}) is not stored"
             )));
         }
+        let mut bm = Self::tile(n, nb, |j| {
+            let rows = filled.col(j).0;
+            &rows[rows.partition_point(|&i| i <= j)..]
+        })?;
+        bm.load(filled)?;
+        if bm.nnz() != filled.nnz() {
+            return Err(SparseError::InvalidStructure(format!(
+                "pattern is not structurally symmetric: {} stored entries, {} once the \
+                 strict lower part is mirrored",
+                filled.nnz(),
+                bm.nnz()
+            )));
+        }
+        Ok(bm)
+    }
+
+    /// Builds the block store straight from symbolic factorisation's
+    /// strict-lower pattern (paper §4.1 steps 2–3) and loads `a`'s values
+    /// into it; fill-in slots hold explicit zeros. Equal, entry for entry,
+    /// to `from_filled(&fill.filled_matrix(a)?, nb)`, without the global
+    /// filled CSC: besides the tiles, the build holds only arrays of
+    /// length `n` or less. An entry of `a` outside the pattern, or a
+    /// malformed pattern, is [`SparseError::InvalidStructure`].
+    ///
+    /// # Examples
+    /// ```
+    /// # fn main() -> pangulu_sparse::Result<()> {
+    /// use pangulu_core::BlockMatrix;
+    /// let a = pangulu_sparse::gen::laplacian_2d(6, 6);
+    /// let fill = pangulu_symbolic::symbolic_fill(&a)?;
+    /// let bm = BlockMatrix::from_fill(&fill, &a, 9)?;
+    /// assert_eq!(bm.to_csc(), fill.filled_matrix(&a)?);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn from_fill(fill: &FilledPattern, a: &CscMatrix, nb: usize) -> Result<Self> {
+        let n = fill.n;
+        let ptr = &fill.l_col_ptr;
+        if ptr.len() != n + 1
+            || ptr.windows(2).any(|w| w[0] > w[1])
+            || ptr[n] > fill.l_row_idx.len()
+        {
+            return Err(SparseError::InvalidStructure(format!(
+                "fill pattern has {} column pointers for order {n}",
+                ptr.len()
+            )));
+        }
+        let mut bm = Self::tile(n, nb, |j| fill.l_col(j))?;
+        bm.load(a)?;
+        Ok(bm)
+    }
+}
+
+impl<S: Scalar> BlockMatrix<S> {
+    /// The tiler: builds the zero-valued block store of the pattern
+    /// `L + I + Lᵀ`, `lower(j)` giving the strict-lower rows of column
+    /// `j`. One ascending sweep over block columns fills each tile column
+    /// with its upper rows first — mirrored from the lower tiles of
+    /// earlier block columns, which are already built — then the
+    /// diagonal, then `L(:, j)`. Every tile is allocated at its exact
+    /// size; the other buffers are indexed by unknown, local column or
+    /// block row, so none outgrows `n`.
+    fn tile<'p>(n: usize, nb: usize, lower: impl Fn(usize) -> &'p [usize]) -> Result<Self> {
+        const NONE: usize = usize::MAX;
+        if nb == 0 {
+            return Err(SparseError::InvalidStructure("block size must be positive".into()));
+        }
+        let nblk = n.div_ceil(nb);
+        let mut blk_col_ptr = Vec::with_capacity(nblk + 1);
+        blk_col_ptr.push(0usize);
+        let mut blk_row_idx: Vec<usize> = Vec::new();
+        let mut blocks: Vec<CscMatrix<S>> = Vec::new();
+        let mut diag_pos = Vec::with_capacity(n);
+        // Mirror queue: every block column with lower tiles left to mirror
+        // waits in the list of the block row of the next one, `next_tile`
+        // being that tile's id.
+        let mut waiting = vec![NONE; nblk];
+        let mut waiting_link = vec![NONE; nblk];
+        let mut next_tile = vec![0usize; nblk];
+        let mut upper: Vec<usize> = Vec::new();
+        // Per block column: the local-column cursors of the diagonal tile
+        // and, per lower tile in discovery order, its block row, column
+        // pointers and rows.
+        let mut cursor: Vec<usize> = Vec::with_capacity(nb.min(n));
+        let mut slot_of = vec![NONE; nblk];
+        let mut found: Vec<usize> = Vec::new();
+        let mut ptrs: Vec<Vec<usize>> = Vec::new();
+        let mut rows: Vec<Vec<usize>> = Vec::new();
+        for bj in 0..nblk {
+            let (col_lo, col_hi) = (bj * nb, (bj * nb + nb).min(n));
+            let bcols = col_hi - col_lo;
+            let in_block = |j: usize| lower(j).partition_point(|&i| i < col_hi);
+
+            // Upper tiles (bi, bj), bi < bj: mirrors of lower tiles (bj, bi).
+            upper.clear();
+            let mut bi = std::mem::replace(&mut waiting[bj], NONE);
+            while bi != NONE {
+                upper.push(bi);
+                bi = waiting_link[bi];
+            }
+            upper.sort_unstable();
+            for &bi in &upper {
+                let id = next_tile[bi];
+                blocks.push(mirrored(&blocks[id]));
+                blk_row_idx.push(bi);
+                next_tile[bi] = id + 1;
+                if id + 1 < blk_col_ptr[bi + 1] {
+                    let row = blk_row_idx[id + 1];
+                    waiting_link[bi] = std::mem::replace(&mut waiting[row], bi);
+                }
+            }
+
+            // Diagonal tile: mirrored in-block rows, the diagonal, then
+            // the in-block part of L(:, j).
+            cursor.clear();
+            cursor.resize(bcols, 0);
+            for j in col_lo..col_hi {
+                let col = lower(j);
+                if col.first().is_some_and(|&i| i <= j)
+                    || col.last().is_some_and(|&i| i >= n)
+                    || col.windows(2).any(|w| w[0] >= w[1])
+                {
+                    return Err(SparseError::InvalidStructure(format!(
+                        "strict-lower rows of column {j} are not increasing in ({j}, {n})"
+                    )));
+                }
+                for &i in &col[..in_block(j)] {
+                    cursor[i - col_lo] += 1;
+                }
+            }
+            let mut col_ptr = Vec::with_capacity(bcols + 1);
+            col_ptr.push(0usize);
+            for (lc, c) in cursor.iter_mut().enumerate() {
+                let start = col_ptr[lc];
+                col_ptr.push(start + *c + 1 + in_block(col_lo + lc));
+                *c = start;
+            }
+            let mut diag_rows = vec![0usize; col_ptr[bcols]];
+            for k in col_lo..col_hi {
+                for &i in &lower(k)[..in_block(k)] {
+                    diag_rows[cursor[i - col_lo]] = k - col_lo;
+                    cursor[i - col_lo] += 1;
+                }
+            }
+            for (lc, &at) in cursor.iter().enumerate() {
+                let j = col_lo + lc;
+                diag_pos.push(at - col_ptr[lc]);
+                diag_rows[at] = lc;
+                for (dst, &i) in diag_rows[at + 1..].iter_mut().zip(&lower(j)[..in_block(j)]) {
+                    *dst = i - col_lo;
+                }
+            }
+            let len = diag_rows.len();
+            blocks.push(CscMatrix::from_parts_unchecked(
+                bcols,
+                bcols,
+                col_ptr,
+                diag_rows,
+                vec![S::ZERO; len],
+            ));
+            blk_row_idx.push(bj);
+
+            // Lower tiles (bi, bj), bi > bj: count per local column, then
+            // place each row of L(:, j) below the diagonal block.
+            found.clear();
+            for j in col_lo..col_hi {
+                for &i in &lower(j)[in_block(j)..] {
+                    let bi = i / nb;
+                    let mut s = slot_of[bi];
+                    if s == NONE {
+                        s = found.len();
+                        slot_of[bi] = s;
+                        found.push(bi);
+                        if ptrs.len() == s {
+                            ptrs.push(Vec::new());
+                        }
+                        ptrs[s].clear();
+                        ptrs[s].resize(bcols + 1, 0);
+                    }
+                    ptrs[s][j - col_lo + 1] += 1;
+                }
+            }
+            rows.resize_with(found.len(), Vec::new);
+            for (p, r) in ptrs.iter_mut().zip(rows.iter_mut()).take(found.len()) {
+                for lc in 0..bcols {
+                    p[lc + 1] += p[lc];
+                }
+                *r = vec![0usize; p[bcols]];
+            }
+            for j in col_lo..col_hi {
+                let lc = j - col_lo;
+                for &i in &lower(j)[in_block(j)..] {
+                    let bi = i / nb;
+                    let s = slot_of[bi];
+                    // `ptrs[s][lc]` is the next free slot of local column
+                    // `lc`; the shift below restores the pointers.
+                    rows[s][ptrs[s][lc]] = i - bi * nb;
+                    ptrs[s][lc] += 1;
+                }
+            }
+            let first_lower = blocks.len();
+            found.sort_unstable();
+            for &bi in &found {
+                let s = std::mem::replace(&mut slot_of[bi], NONE);
+                let mut col_ptr = std::mem::take(&mut ptrs[s]);
+                col_ptr.rotate_right(1);
+                col_ptr[0] = 0;
+                let tile_rows = std::mem::take(&mut rows[s]);
+                let (brows, len) = ((bi * nb + nb).min(n) - bi * nb, tile_rows.len());
+                blocks.push(CscMatrix::from_parts_unchecked(
+                    brows,
+                    bcols,
+                    col_ptr,
+                    tile_rows,
+                    vec![S::ZERO; len],
+                ));
+                blk_row_idx.push(bi);
+            }
+            if let Some(&row) = found.first() {
+                next_tile[bj] = first_lower;
+                waiting_link[bj] = std::mem::replace(&mut waiting[row], bj);
+            }
+            blk_col_ptr.push(blk_row_idx.len());
+        }
         Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
+    }
+
+    /// The loader: copies every stored value of `a` into its tile slot.
+    /// Slots `a` does not store keep their value. An entry outside the
+    /// tiled pattern is [`SparseError::InvalidStructure`].
+    fn load(&mut self, a: &CscMatrix<S>) -> Result<()> {
+        if a.nrows() != self.n || a.ncols() != self.n {
+            return Err(SparseError::DimensionMismatch(format!(
+                "matrix is {}x{}, the block store has order {}",
+                a.nrows(),
+                a.ncols(),
+                self.n
+            )));
+        }
+        let nb = self.nb;
+        for j in 0..self.n {
+            let (bj, lc) = (j / nb, j % nb);
+            let (mut id, end) = (self.blk_col_ptr[bj], self.blk_col_ptr[bj + 1]);
+            let (rows, vals) = a.col(j);
+            for (&i, &v) in rows.iter().zip(vals) {
+                let bi = i / nb;
+                while id < end && self.blk_row_idx[id] < bi {
+                    id += 1;
+                }
+                let slot = match self.blk_row_idx.get(id) {
+                    Some(&row) if id < end && row == bi => {
+                        let (tile_rows, tile_vals) = self.blocks[id].col_mut(lc);
+                        tile_rows.binary_search(&(i - bi * nb)).ok().map(|p| &mut tile_vals[p])
+                    }
+                    _ => None,
+                };
+                *slot.ok_or_else(|| outside(i, j))? = v;
+            }
+        }
+        Ok(())
+    }
+
+    /// Where global entry `(i, j)` is stored: its block id and the offset
+    /// into that block's values. An entry outside the pattern is
+    /// [`SparseError::InvalidStructure`].
+    pub(crate) fn slot(&self, i: usize, j: usize) -> Result<(usize, usize)> {
+        let nb = self.nb;
+        (i.max(j) < self.n)
+            .then(|| self.block_id(i / nb, j / nb))
+            .flatten()
+            .and_then(|id| self.blocks[id].find(i % nb, j % nb).map(|p| (id, p)))
+            .ok_or_else(|| outside(i, j))
     }
 
     /// Global matrix order.
@@ -421,6 +589,33 @@ impl<S: Scalar> BlockMatrix<S> {
     }
 }
 
+/// The error for an entry `(i, j)` the block store has no slot for.
+fn outside(i: usize, j: usize) -> SparseError {
+    SparseError::InvalidStructure(format!("entry ({i}, {j}) is outside the fill pattern"))
+}
+
+/// The pattern of `src`ᵀ, zero-valued: each column's rows come out
+/// increasing because `src`'s columns are read in order.
+fn mirrored<S: Scalar>(src: &CscMatrix<S>) -> CscMatrix<S> {
+    let (m, k) = (src.nrows(), src.ncols());
+    let mut col_ptr = vec![0usize; m + 1];
+    for &r in src.row_idx() {
+        col_ptr[r + 1] += 1;
+    }
+    for c in 0..m {
+        col_ptr[c + 1] += col_ptr[c];
+    }
+    let mut next = col_ptr[..m].to_vec();
+    let mut rows = vec![0usize; src.nnz()];
+    for c in 0..k {
+        for &r in src.col(c).0 {
+            rows[next[r]] = c;
+            next[r] += 1;
+        }
+    }
+    CscMatrix::from_parts_unchecked(k, m, col_ptr, rows, vec![S::ZERO; src.nnz()])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,6 +754,78 @@ mod tests {
                 other => panic!("nb {nb}: expected InvalidStructure, got {other:?}"),
             }
         }
+    }
+
+    /// Equal first layer, diagonal table, tile shapes, patterns and
+    /// value bits.
+    fn assert_same_store(x: &BlockMatrix, y: &BlockMatrix, what: &str) {
+        assert_eq!((x.n, x.nb, x.nblk), (y.n, y.nb, y.nblk), "{what}");
+        assert_eq!(x.blk_col_ptr, y.blk_col_ptr, "{what}");
+        assert_eq!(x.blk_row_idx, y.blk_row_idx, "{what}");
+        assert_eq!(x.diag_pos, y.diag_pos, "{what}");
+        assert_eq!(x.blocks.len(), y.blocks.len(), "{what}");
+        let bits = |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (id, (p, q)) in x.blocks.iter().zip(&y.blocks).enumerate() {
+            assert_eq!((p.nrows(), p.ncols()), (q.nrows(), q.ncols()), "{what}: block {id}");
+            assert_eq!(p.col_ptr(), q.col_ptr(), "{what}: block {id}");
+            assert_eq!(p.row_idx(), q.row_idx(), "{what}: block {id}");
+            assert_eq!(bits(p), bits(q), "{what}: block {id}");
+        }
+    }
+
+    #[test]
+    fn from_fill_equals_tiling_the_filled_matrix_on_every_paper_analog() {
+        for pm in gen::PAPER_MATRICES {
+            let a = gen::paper_matrix(pm.name, 1).sub_matrix(0..120, 0..120);
+            let fill = symbolic_fill(&a).unwrap();
+            let filled = fill.filled_matrix(&a).unwrap();
+            let n = a.ncols();
+            for nb in [1, 3, 16, n, n + 5] {
+                let what = format!("{} nb {nb}", pm.name);
+                let reference = BlockMatrix::from_filled(&filled, nb).unwrap();
+                assert_eq!(reference.to_csc(), filled, "{what}: tiling is lossless");
+                for id in 0..reference.num_blocks() {
+                    reference.block(id).validate().unwrap();
+                }
+                let tiled = BlockMatrix::from_fill(&fill, &a, nb).unwrap();
+                assert_same_store(&tiled, &reference, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn from_fill_rejects_what_it_cannot_tile() {
+        let a = gen::laplacian_2d(5, 4);
+        let fill = symbolic_fill(&a).unwrap();
+        let invalid = |r: Result<BlockMatrix>, needle: &str| match r {
+            Err(SparseError::InvalidStructure(msg)) => assert!(msg.contains(needle), "{msg}"),
+            other => panic!("expected InvalidStructure naming {needle:?}, got {other:?}"),
+        };
+        // (19, 0) lies outside the band the natural-order fill stays in.
+        let mut coo = a.to_coo();
+        coo.push(19, 0, 1.0).unwrap();
+        invalid(BlockMatrix::from_fill(&fill, &coo.to_csc(), 4), "(19, 0)");
+        invalid(BlockMatrix::from_fill(&fill, &a, 0), "block size");
+        invalid(BlockMatrix::from_filled(&fill.filled_matrix(&a).unwrap(), 0), "block size");
+        let mut short = fill.clone();
+        short.l_col_ptr.pop();
+        invalid(BlockMatrix::from_fill(&short, &a, 4), "column pointers");
+        let mut unsorted = fill.clone();
+        let (lo, hi) = (unsorted.l_col_ptr[0], unsorted.l_col_ptr[1]);
+        unsorted.l_row_idx[lo..hi].reverse();
+        invalid(BlockMatrix::from_fill(&unsorted, &a, 4), "column 0");
+        let wrong_order = gen::laplacian_2d(4, 4);
+        assert!(matches!(
+            BlockMatrix::from_fill(&fill, &wrong_order, 4),
+            Err(SparseError::DimensionMismatch(_))
+        ));
+        // [[1, 2], [0, 1]]: (0, 1) stored, its mirror (1, 0) not.
+        let upper =
+            CscMatrix::from_parts(2, 2, vec![0, 1, 3], vec![0, 0, 1], vec![1.0, 2.0, 1.0]).unwrap();
+        invalid(BlockMatrix::from_filled(&upper, 1), "(0, 1)");
+        let lower =
+            CscMatrix::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![1.0, 2.0, 1.0]).unwrap();
+        invalid(BlockMatrix::from_filled(&lower, 2), "symmetric");
     }
 
     #[test]

@@ -267,14 +267,14 @@ struct MixedState {
     /// workspace), cached for [`Solver::refactor`] exactly like the f64
     /// one.
     numeric: NumericCache<f32>,
-    /// The scaled permuted input `Pr·Dr·A·Dc·Pcᵀ` in f64 (fill slots
-    /// zero), kept so the refinement loop can form exact f64 residuals
-    /// in the inner domain; its values are refreshed in place on every
-    /// refactorisation through `csc_map`.
+    /// The scaled permuted input `Pr·Dr·A·Dc·Pcᵀ` in f64 on A's own
+    /// pattern, kept so the refinement loop can form exact f64 residuals
+    /// in the inner domain; its values are re-read from the unfactored
+    /// block store on every factorisation through `a_slots`.
     scaled_a: CscMatrix,
-    /// Pattern-only map from block entries to `scaled_a` value slots
-    /// (see [`BlockMatrix::csc_value_map`]), built once.
-    csc_map: Vec<usize>,
+    /// Per entry of `scaled_a`, the (block id, value offset) it is
+    /// loaded into (see [`BlockMatrix::slot`]); pattern-only, built once.
+    a_slots: Vec<(usize, usize)>,
     /// Refinement iterations across solves ([`Solver::solve`] takes
     /// `&self`, hence atomics).
     refine_iters: AtomicU64,
@@ -665,9 +665,11 @@ fn widen_into(src: &BlockMatrix<f32>, dst: &mut BlockMatrix) {
 /// returns `None` and the caller re-factors in f64 — counted, never
 /// surfaced as an error.
 ///
-/// `prev` is the retiring state of a refactorisation: its f32 buffers,
-/// residual matrix, value map, executor workspace and kernel plans are
-/// all reused in place, so the steady state allocates nothing.
+/// `pattern` is the scaled permuted input whose pattern the residuals
+/// use; its values are re-read from `bm`. `prev` is the retiring state
+/// of a refactorisation: its f32 buffers, residual matrix, slot map,
+/// executor workspace and kernel plans are all reused in place, so the
+/// steady state allocates nothing.
 ///
 /// Refactorisations amortise the probe: the solve only reruns every
 /// [`SolverOptions::probe_every`]-th refactorisation or when the
@@ -676,6 +678,7 @@ fn widen_into(src: &BlockMatrix<f32>, dst: &mut BlockMatrix) {
 #[allow(clippy::too_many_arguments)]
 fn try_factor_mixed(
     bm: &BlockMatrix,
+    pattern: &CscMatrix,
     tg: &TaskGraph,
     owners: &OwnerMap,
     nnz: usize,
@@ -683,34 +686,36 @@ fn try_factor_mixed(
     opts: &SolverOptions,
     prev: Option<MixedState>,
     precision: &mut PrecisionCounters,
-) -> Option<(NumericSummary, MixedState)> {
+) -> Result<Option<(NumericSummary, MixedState)>> {
     let prev_cadence = prev.as_ref().map(|s| (s.refactors_since_probe, s.probed_perturbed));
-    let (mut bm32, scaled_a, csc_map, mut numeric) = match prev {
+    let (mut bm32, mut scaled_a, a_slots, mut numeric) = match prev {
         Some(mut state) => {
             narrow_into(bm, &mut state.factored32);
-            bm.write_csc_values(&state.csc_map, &mut state.scaled_a);
-            (state.factored32, state.scaled_a, state.csc_map, state.numeric)
+            (state.factored32, state.scaled_a, state.a_slots, state.numeric)
         }
         None => {
-            let scaled_a = bm.to_csc();
-            let csc_map = bm.csc_value_map(&scaled_a);
+            let a_slots =
+                pattern.iter().map(|(i, j, _)| bm.slot(i, j)).collect::<Result<Vec<_>>>()?;
             let bm32 = bm.cast::<f32>();
             let numeric = NumericCache::new(opts, &bm32, tg, owners);
-            (bm32, scaled_a, csc_map, numeric)
+            (bm32, pattern.clone(), a_slots, numeric)
         }
     };
+    for (v, &(id, p)) in scaled_a.values_mut().iter_mut().zip(&a_slots) {
+        *v = bm.block(id).values()[p];
+    }
     let summary = numeric.factor(&mut bm32, tg, owners, opts, nnz, pivot_floor);
     if zero_pivots(pivot_floor, summary.perturbed_pivots) > 0 {
         // An f32 zero pivot fails like a probe: the f64 run decides
         // whether the matrix itself is singular.
         precision.precision_fallbacks += 1;
-        return None;
+        return Ok(None);
     }
     let mut state = MixedState {
         factored32: bm32,
         numeric,
         scaled_a,
-        csc_map,
+        a_slots,
         refine_iters: AtomicU64::new(0),
         refined_solves: AtomicU64::new(0),
         refactors_since_probe: 0,
@@ -729,7 +734,7 @@ fn try_factor_mixed(
             precision.mixed_factors += 1;
             state.refactors_since_probe = since + 1;
             state.probed_perturbed = probed_perturbed;
-            return Some((summary, state));
+            return Ok(Some((summary, state)));
         }
     }
     let ones = vec![1.0f64; state.scaled_a.ncols()];
@@ -740,10 +745,10 @@ fn try_factor_mixed(
     precision.probe_refine_iters += iters as u64;
     if rel.is_finite() && rel <= PROBE_GATE {
         precision.mixed_factors += 1;
-        Some((summary, state))
+        Ok(Some((summary, state)))
     } else {
         precision.precision_fallbacks += 1;
-        None
+        Ok(None)
     }
 }
 
@@ -820,8 +825,8 @@ impl Solver {
         let nb = opts.block_size.unwrap_or_else(|| {
             BlockMatrix::choose_block_size(n, fill.nnz_lu(), grid.pr().max(grid.pc()))
         });
-        let filled = fill.filled_matrix(&reordering.matrix)?;
-        let mut bm = BlockMatrix::from_filled(&filled, nb)?;
+        let mut bm = BlockMatrix::from_fill(&fill, &reordering.matrix, nb)?;
+        drop(fill);
         let tg = TaskGraph::build(&bm);
         let owners = OwnerMap::balanced(&bm, grid, &tg);
         stats.preprocess_time = t.elapsed();
@@ -837,6 +842,7 @@ impl Solver {
         if opts.precision == Precision::MixedF32 {
             if let Some((summary, state)) = try_factor_mixed(
                 &bm,
+                &reordering.matrix,
                 &tg,
                 &owners,
                 a.nnz(),
@@ -844,11 +850,11 @@ impl Solver {
                 &opts,
                 None,
                 &mut stats.precision,
-            ) {
+            )? {
                 // Publish the exact widened f64 image of the f32 factors
                 // so reports, determinants and bitwise comparisons read
                 // the same numbers the refinement loop solves against.
-                bm = state.factored32.cast::<f64>();
+                widen_into(&state.factored32, &mut bm);
                 summary.apply(&mut stats);
                 mixed = Some(state);
             }
@@ -1029,22 +1035,12 @@ impl Solver {
         // First refactorisation: build the scatter map from input
         // nonzeros to factor-block slots through the cached permutations.
         if self.plan.scatter.is_none() {
-            let nb = self.factored.nb();
             let mut map = Vec::with_capacity(self.plan.row_idx.len());
             for j in 0..self.plan.n {
                 let new_c = self.col_pos.old_of(j);
-                let (bj, lj) = (new_c / nb, new_c % nb);
                 for k in self.plan.col_ptr[j]..self.plan.col_ptr[j + 1] {
                     let new_r = self.row_pos.old_of(self.plan.row_idx[k]);
-                    let (bi, li) = (new_r / nb, new_r % nb);
-                    let id =
-                        self.factored.block_id(bi, bj).expect("input entry inside fill pattern");
-                    let idx = self
-                        .factored
-                        .block(id)
-                        .find(li, lj)
-                        .expect("input entry inside fill pattern");
-                    map.push((id, idx));
+                    map.push(self.factored.slot(new_r, new_c)?);
                 }
             }
             self.plan.scatter = Some(map);
@@ -1086,6 +1082,7 @@ impl Solver {
             self.stats.precision.refined_solves += state.refined_solves.load(Ordering::Relaxed);
             if let Some((summary, new_state)) = try_factor_mixed(
                 &self.factored,
+                &self.reordering.matrix,
                 &self.tg,
                 &self.owners,
                 a.nnz(),
@@ -1093,7 +1090,7 @@ impl Solver {
                 &self.opts,
                 Some(state),
                 &mut self.stats.precision,
-            ) {
+            )? {
                 widen_into(&new_state.factored32, &mut self.factored);
                 summary.apply(&mut self.stats);
                 self.mixed = Some(new_state);
@@ -1174,7 +1171,7 @@ impl Solver {
         let outer = |z: &[f64], k: usize| scatter_scaled(&self.col_pos, &r.col_scale, z, k);
         if let Some(mx) = &self.mixed {
             // Mixed mode: the f32 triangular solve is only a preconditioner;
-            // iterative refinement against the captured f64 scaled system
+            // iterative refinement against the f64 scaled input
             // recovers full f64 accuracy (or stops at the stagnation point).
             let refined =
                 refine_inner(&mx.factored32, &mx.scaled_a, &gathered, REFINE_TOL, MAX_REFINE_ITERS);
@@ -2200,6 +2197,44 @@ mod tests {
             c.probe_refine_iters > probed || c.precision_fallbacks == 1,
             "probe solve must have run"
         );
+    }
+
+    #[test]
+    fn residuals_on_the_input_pattern_equal_residuals_on_the_filled_pattern() {
+        type Refined = (Vec<f64>, f64, usize);
+        let bits = |out: &[Refined]| -> Vec<(Vec<u64>, u64, usize)> {
+            out.iter()
+                .map(|(z, rel, iters)| {
+                    (z.iter().map(|v| v.to_bits()).collect(), rel.to_bits(), *iters)
+                })
+                .collect()
+        };
+        for (tag, a) in [
+            ("kkt", gen::kkt(200, 90, 7)),
+            ("circuit", gen::circuit(300, 21)),
+            ("laplacian", gen::laplacian_2d(15, 14)),
+        ] {
+            let solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+            let mx = solver.mixed.as_ref().expect("f32 factors accepted");
+            let m = &solver.reordering.matrix;
+            // The filled-pattern reference: the unfactored store with every
+            // fill slot (zero), reassembled.
+            let fill = symbolic_fill(m).unwrap();
+            let filled = BlockMatrix::from_fill(&fill, m, solver.factored().nb()).unwrap().to_csc();
+            assert_eq!(mx.scaled_a.nnz(), m.nnz(), "{tag}");
+            assert!(filled.nnz() > m.nnz(), "{tag}: the filled pattern has fill");
+            let n = a.nrows();
+            let ws: Vec<Vec<f64>> =
+                (0..4).map(|seed| gen::test_rhs(n, seed)).chain([vec![1.0; n]]).collect();
+            let own = refine_inner(&mx.factored32, &mx.scaled_a, &ws, REFINE_TOL, MAX_REFINE_ITERS);
+            let full = refine_inner(&mx.factored32, &filled, &ws, REFINE_TOL, MAX_REFINE_ITERS);
+            assert_eq!(bits(&own), bits(&full), "{tag}");
+            assert!(own.iter().any(|(_, _, iters)| *iters > 0), "{tag}: refinement ran");
+            for w in &ws {
+                let t = |m| refine_inner_transpose(&mx.factored32, m, w.clone(), REFINE_TOL, 32);
+                assert_eq!(bits(&[t(&mx.scaled_a)]), bits(&[t(&filled)]), "{tag} transpose");
+            }
+        }
     }
 
     #[test]

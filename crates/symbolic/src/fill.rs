@@ -9,7 +9,7 @@
 
 use crate::etree::EliminationTree;
 use pangulu_sparse::ops::{ensure_diagonal, symmetrize};
-use pangulu_sparse::{CscMatrix, Result};
+use pangulu_sparse::{CscMatrix, Result, SparseError};
 
 /// The symbolic factorisation result: the strict-lower fill pattern of L
 /// (columns), the elimination tree, and summary statistics. `U`'s pattern
@@ -40,8 +40,10 @@ impl FilledPattern {
 
     /// Builds the full `L+U` pattern (diagonal included) as a CSC matrix
     /// whose values hold the entries of `a` where `a` has them and explicit
-    /// zeros at fill positions. This is the matrix the blocking stage
-    /// partitions; the numeric phase factorises it in place.
+    /// zeros at fill positions: the global scalar image of what the
+    /// blocking stage tiles. The solver tiles straight from the pattern
+    /// and never builds it (`BlockMatrix::from_fill` in `pangulu-core`);
+    /// it is the reference that tiling is checked against.
     pub fn filled_matrix(&self, a: &CscMatrix) -> Result<CscMatrix> {
         let n = self.n;
         debug_assert_eq!(a.ncols(), n);
@@ -60,7 +62,7 @@ impl FilledPattern {
         for j in 0..n {
             upper_counts[j + 1] += upper_counts[j];
         }
-        let mut upper_rows = vec![0usize; *upper_counts.last().unwrap()];
+        let mut upper_rows = vec![0usize; upper_counts[n]];
         let mut next = upper_counts.clone();
         for j in 0..n {
             // Iterating columns ascending writes each upper column's rows
@@ -75,7 +77,6 @@ impl FilledPattern {
         let mut col_ptr = Vec::with_capacity(n + 1);
         col_ptr.push(0usize);
         let mut row_idx = Vec::with_capacity(total);
-        let mut values = vec![0.0f64; total];
         for j in 0..n {
             // Upper rows (all < j), then diagonal, then strict lower.
             row_idx.extend_from_slice(&upper_rows[upper_counts[j]..upper_counts[j + 1]]);
@@ -83,12 +84,16 @@ impl FilledPattern {
             row_idx.extend_from_slice(self.l_col(j));
             col_ptr.push(row_idx.len());
         }
-        let mut filled = CscMatrix::from_parts(n, n, col_ptr, row_idx, values.split_off(0))?;
+        let mut filled = CscMatrix::from_parts(n, n, col_ptr, row_idx, vec![0.0; total])?;
         // Scatter the numeric values of `a` into the pattern.
         for j in 0..n {
             let (rows, vals) = a.col(j);
             for (&i, &v) in rows.iter().zip(vals) {
-                let pos = filled.find(i, j).expect("fill pattern must contain every entry of A");
+                let pos = filled.find(i, j).ok_or_else(|| {
+                    SparseError::InvalidStructure(format!(
+                        "entry ({i}, {j}) is outside the fill pattern"
+                    ))
+                })?;
                 filled.values_mut()[pos] = v;
             }
         }

@@ -139,7 +139,8 @@ fn panic_message_within(limit: Duration, factor: impl FnOnce() + Send + 'static)
 }
 
 /// A 9 × 9 matrix in 3 × 3 blocks whose one step-0 update, onto block
-/// (1, 1), needs fill entry (4, 3) that was never added (the matrix was
+/// (1, 1), needs fill entries (4, 3) and (3, 4) that were never added
+/// (the pattern is structurally symmetric, as tiling requires, but was
 /// not symbolically filled). `C_V2` finds its target by binary search
 /// there and panics; every other task waits on that update, directly or
 /// through GETRF(1), and both ranks of any two-rank map own one of them.
@@ -148,8 +149,9 @@ fn unfilled_problem() -> (BlockMatrix, TaskGraph, KernelSelector) {
     for i in 0..9 {
         coo.push(i, i, 4.0).unwrap();
     }
-    for (i, j) in [(4, 0), (0, 3), (5, 3), (6, 3), (3, 6)] {
+    for (i, j) in [(4, 0), (3, 0), (5, 3), (6, 3)] {
         coo.push(i, j, 1.0).unwrap();
+        coo.push(j, i, 1.0).unwrap();
     }
     let a = coo.to_csc();
     let bm = BlockMatrix::from_filled(&a, 3).unwrap();
