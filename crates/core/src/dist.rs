@@ -3,8 +3,8 @@
 //! schedule (§4.4).
 //!
 //! A rank is the countdown engine's one-worker instance
-//! ([`crate::shared`]) over the rank's own block table, counting down the
-//! tasks it owns; this module is the message edge around it. Each rank
+//! ([`crate::shared`]) over the blocks it owns, counting down the tasks
+//! it owns; this module is the message edge around it. Each rank
 //! drains its mailbox without blocking while any kernel is runnable, runs
 //! its runnable kernels in the engine's step-major order (lowest
 //! elimination step first, GETRF before panel solves before SSSSM, then
@@ -14,9 +14,12 @@
 //! synchronisation cost. Ranks order their work by dependencies alone:
 //! there is no step barrier.
 //!
-//! Ranks share **no** mutable state: each rank's table holds clones of
-//! its owned blocks, and remote operands exist only as received copies —
-//! the same discipline an MPI implementation is forced into.
+//! Each rank factors the blocks it owns in place, in the solver's one
+//! block store (a process stores the blocks it computes on, §4.2). Owned
+//! sets are disjoint, so ranks write disjoint blocks of that store, and a
+//! rank reads a remote operand only from the copy its message delivered
+//! into the rank's own table — the discipline an MPI implementation is
+//! forced into.
 //!
 //! Two properties make the executor testable under adversarial message
 //! timing (see `pangulu_comm::fault` and `crate::trace_check`):
@@ -46,7 +49,7 @@ use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::block::BlockMatrix;
 use crate::layout::OwnerMap;
-use crate::shared::{join_all, AbortOnUnwind, Engine, Owner, SharedBlocks, Worker};
+use crate::shared::{build_plans, join_all, AbortOnUnwind, Engine, Owner, SharedBlocks, Worker};
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
 /// Full configuration of one distributed factorisation run.
@@ -269,7 +272,8 @@ pub struct FactorRun {
 /// returns the stats, kernel timeline, and message logs. On a stall —
 /// e.g. a message permanently lost by the fault plan — every rank shuts
 /// down cooperatively and the first structured [`DistError`] is
-/// returned; `bm` is left untouched in that case.
+/// returned; `bm` then holds partly factored values, so scatter the
+/// matrix into it again before the next run.
 ///
 /// Builds a transient [`NumericWorkspace`] for the run; callers that
 /// factor the same pattern repeatedly should build the workspace once
@@ -290,19 +294,21 @@ pub fn factor_distributed_checked<S: Scalar>(
 /// per-rank executor state supplied by the caller. The workspace caches
 /// everything a numeric-only refactorisation can reuse:
 ///
-/// * each rank's block table (owned values reset in place from `bm` at
-///   the start of every run — no per-run clone of the blocks);
 /// * the receive-side pattern shells: remote blocks delivered in an
 ///   earlier run keep their CSC structure, so every steady-state receive
 ///   is a values-only memcpy ([`MemStats::pattern_cache_hits`]);
 /// * each rank's kernel plans, built for the tasks it owns on its first
-///   run.
+///   run;
+/// * each block's remote destinations.
 ///
-/// The run is bitwise identical to a fresh [`factor_distributed_checked`]
-/// on the same `bm` values — reuse only skips pattern-dependent setup,
-/// never changes the deterministic ascending-step application order.
-/// On [`DistError`] the workspace is left dirty but safe: the next run's
-/// reset restores every flag and value from `bm`.
+/// Owned blocks are factored in place in `bm`; the workspace holds no
+/// copy of them. The run is bitwise identical to a fresh
+/// [`factor_distributed_checked`] on the same `bm` values — reuse only
+/// skips pattern-dependent setup, never changes the deterministic
+/// ascending-step application order. On [`DistError`] `bm` holds partly
+/// factored values and the workspace stays usable: a received shell only
+/// ever holds values its next receive overwrites, and every flag is reset
+/// when a run starts. Scatter the matrix into `bm` again and run.
 pub fn factor_distributed_cached<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -316,10 +322,11 @@ pub fn factor_distributed_cached<S: Scalar>(
     assert_eq!(ws.ranks.len(), p, "workspace was built for a different rank count");
     assert_eq!(ws.num_blocks, bm.num_blocks(), "workspace was built for a different pattern");
     let start = Instant::now();
-    for id in 0..bm.num_blocks() {
-        let table = &mut ws.ranks[owners.owner_of(id)].table;
-        table[id].values_mut().copy_from_slice(bm.block(id).values());
+    for st in &mut ws.ranks {
+        build_plans(bm, tg, selector, &mut st.plans, Owner::Rank(owners, st.rank));
     }
+    let store = bm.blocks_mut().as_mut_ptr();
+    let bm: &BlockMatrix<S> = bm;
     let mailboxes = cfg
         .fault
         .clone()
@@ -329,6 +336,8 @@ pub fn factor_distributed_cached<S: Scalar>(
         bm,
         tg,
         owners,
+        dest_ptr: &ws.dest_ptr,
+        dests: &ws.dests,
         selector,
         pivot_floor,
         cfg,
@@ -339,21 +348,24 @@ pub fn factor_distributed_cached<S: Scalar>(
     let rank_outputs = std::thread::scope(|s| {
         let ctx = &ctx;
         let handles = (mailboxes.into_iter().zip(ws.ranks.iter_mut()))
-            .map(|(mb, st)| s.spawn(move || run_rank(ctx, mb, st)))
+            .map(|(mb, st)| {
+                // SAFETY: `store` is `bm`'s block store and the table has
+                // one slot per block id (`RankState::new`); both outlive
+                // the scope. Each rank's engine owns a disjoint set of ids
+                // and reaches the rest only through its own table, and
+                // from here to the end of the scope `bm` is read only for
+                // its coordinates and `run_rank` leaves `st.table` alone.
+                let blocks = unsafe {
+                    SharedBlocks::new(Owner::Rank(owners, st.rank), store, &mut st.table)
+                };
+                s.spawn(move || run_rank(ctx, mb, st, blocks))
+            })
             .collect();
         join_all(handles)
     });
 
     if let Some(err) = ctx.first_err.into_inner().expect("error slot poisoned") {
         return Err(err);
-    }
-
-    // Copy the factored values back into the shared structure; the
-    // workspace keeps its block tables (and the remote pattern shells)
-    // for the next same-pattern run.
-    for id in 0..bm.num_blocks() {
-        let table = &ws.ranks[owners.owner_of(id)].table;
-        bm.block_mut(id).values_mut().copy_from_slice(table[id].values());
     }
 
     let mut run = FactorRun {
@@ -413,6 +425,10 @@ struct RunCtx<'a, S: Scalar> {
     bm: &'a BlockMatrix<S>,
     tg: &'a TaskGraph,
     owners: &'a OwnerMap,
+    /// Block `id`'s remote destinations are
+    /// `dests[dest_ptr[id]..dest_ptr[id + 1]]` ([`NumericWorkspace`]).
+    dest_ptr: &'a [usize],
+    dests: &'a [usize],
     selector: &'a KernelSelector,
     pivot_floor: f64,
     cfg: &'a FactorConfig,
@@ -423,8 +439,7 @@ struct RunCtx<'a, S: Scalar> {
     trace_origin: Option<Instant>,
 }
 
-/// What one rank hands back. The factored block values stay in the
-/// rank's [`RankState`] (written back by the caller on success).
+/// What one rank hands back; the blocks it factored are in `bm`.
 struct RankOutput {
     metrics: RankMetrics,
     trace: Vec<TraceEvent>,
@@ -438,14 +453,13 @@ struct RankOutput {
 /// refactorisations. See [`NumericWorkspace`].
 struct RankState<S: Scalar> {
     rank: usize,
-    /// The store the rank's engine runs over, indexed by block id. Owned
-    /// blocks are cloned when the workspace is built (each rank stores
-    /// what it computes on, §4.2) and their values reset from `bm` before
-    /// every run. A remote block's slot stays an empty `0 × 0`
-    /// placeholder until its first receive gives it the replicated
-    /// pattern; every later receive — in the same run or any later
-    /// refactorisation — memcpys values into that shell (counted as
-    /// [`MemStats::pattern_cache_hits`]).
+    /// The remote blocks' copies, indexed by block id: the rank's engine
+    /// reads a block it does not own from here, and factors the blocks it
+    /// owns in `bm` itself, so their slots stay empty `0 × 0`
+    /// placeholders. A remote block's slot stays one until its first
+    /// receive gives it the replicated pattern; every later receive — in
+    /// the same run or any later refactorisation — memcpys values into
+    /// that shell (counted as [`MemStats::pattern_cache_hits`]).
     table: Vec<CscMatrix<S>>,
     /// Operand availability (owned-finished or received), by block id —
     /// read only by the stall diagnosis.
@@ -457,37 +471,49 @@ struct RankState<S: Scalar> {
 }
 
 impl<S: Scalar> RankState<S> {
-    fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap, rank: usize) -> Self {
+    fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, rank: usize) -> Self {
         let nblocks = bm.num_blocks();
-        let owned = |id: usize| owners.owner_of(id) == rank;
         RankState {
             rank,
-            table: (0..nblocks)
-                .map(|id| if owned(id) { bm.block(id).clone() } else { CscMatrix::zeros(0, 0) })
-                .collect(),
+            table: (0..nblocks).map(|_| CscMatrix::zeros(0, 0)).collect(),
             avail: vec![false; nblocks],
             plans: KernelPlans::with_slots(bm.nblk(), nblocks, nblocks, tg.ssssm.len()),
         }
     }
 }
 
-/// The cached per-rank executor state of a distributed factorisation:
-/// one `RankState` per rank (block table with the receive-side pattern
-/// shells, kernel plans). Build it once per (pattern, grid, owner map)
-/// and pass it to [`factor_distributed_cached`] for every same-pattern
-/// factorisation; steady-state runs then do no pattern-dependent setup at
-/// all.
+/// The cached executor state of a distributed factorisation: one
+/// `RankState` per rank (the remote blocks' pattern shells, kernel plans)
+/// and each block's remote destinations. It holds no copy of the blocks a
+/// rank owns: ranks factor those in `bm`. Build it once per (pattern,
+/// grid, owner map) and pass it to [`factor_distributed_cached`] for
+/// every same-pattern factorisation; steady-state runs then do no
+/// pattern-dependent setup at all.
 pub struct NumericWorkspace<S: Scalar = f64> {
     ranks: Vec<RankState<S>>,
     num_blocks: usize,
+    /// Offsets into `dests`, one run per block id.
+    dest_ptr: Vec<usize>,
+    /// Per block, the ranks other than its owner that it is shipped to:
+    /// [`TaskGraph::destinations`] without the owner, ascending.
+    dests: Vec<usize>,
 }
 
 impl<S: Scalar> NumericWorkspace<S> {
     /// Builds the per-rank state for `owners.num_ranks()` ranks over the
-    /// pattern of `bm` (values are re-read from `bm` at every run).
+    /// pattern of `bm`.
     pub fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
-        let ranks = (0..owners.num_ranks()).map(|r| RankState::new(bm, tg, owners, r)).collect();
-        NumericWorkspace { ranks, num_blocks: bm.num_blocks() }
+        let ranks = (0..owners.num_ranks()).map(|r| RankState::new(bm, tg, r)).collect();
+        let mut dest_ptr = Vec::with_capacity(bm.num_blocks() + 1);
+        let mut dests = Vec::new();
+        dest_ptr.push(0);
+        for id in 0..bm.num_blocks() {
+            let owner = owners.owner_of(id);
+            dests.extend(tg.destinations(owners, id).into_iter().filter(|&r| r != owner));
+            dest_ptr.push(dests.len());
+        }
+        dests.shrink_to_fit();
+        NumericWorkspace { ranks, num_blocks: bm.num_blocks(), dest_ptr, dests }
     }
 
     /// Number of ranks the workspace was built for.
@@ -508,32 +534,22 @@ impl<S: Scalar> NumericWorkspace<S> {
     }
 }
 
-/// One rank's thread: the countdown engine's one-worker instance over the
-/// rank's block table, counting down the tasks the rank owns, inside the
-/// rank's message edge.
-fn run_rank<S: Scalar>(
-    ctx: &RunCtx<'_, S>,
+/// One rank's thread: the countdown engine's one-worker instance over
+/// `blocks` — the rank's owned blocks in `bm` and its table of remote
+/// copies — counting down the tasks the rank owns, inside the rank's
+/// message edge.
+fn run_rank<'a, S: Scalar>(
+    ctx: &'a RunCtx<'a, S>,
     mailbox: Mailbox<S>,
-    st: &mut RankState<S>,
+    st: &'a mut RankState<S>,
+    blocks: SharedBlocks<'a, S>,
 ) -> RankOutput {
     let _abort_on_unwind = AbortOnUnwind(&ctx.abort);
-    let RankState { rank, table, avail, plans } = st;
+    let RankState { rank, avail, plans, .. } = st;
     let rank = *rank;
     debug_assert_eq!(mailbox.rank(), rank, "rank state handed to the wrong mailbox");
     avail.fill(false);
-    // SAFETY: the table has one block per block id (`RankState::new`),
-    // and `table` is not touched again in this function, so only the
-    // engine, which `edge.run()` consumes below, reaches it.
-    let blocks = unsafe { SharedBlocks::new(table) };
-    let engine = Engine::new(
-        ctx.bm,
-        blocks,
-        ctx.tg,
-        ctx.selector,
-        ctx.pivot_floor,
-        plans,
-        Owner::Rank(ctx.owners, rank),
-    );
+    let engine = Engine::new(ctx.bm, blocks, ctx.tg, ctx.selector, ctx.pivot_floor, plans);
     let edge = Rank {
         ctx,
         rank,
@@ -726,22 +742,20 @@ impl<S: Scalar> Rank<'_, S> {
     }
 
     /// Ships finished block `id` to every other rank that owns a task it
-    /// releases.
+    /// releases, in ascending rank order.
     fn ship(&mut self, id: usize, role: BlockRole) {
-        let (bi, bj) = self.ctx.bm.block_coords(id);
+        let ctx = self.ctx;
+        let (bi, bj) = ctx.bm.block_coords(id);
         // Serialise the block once for the whole fan-out; the Arc clones
         // handed to each mailbox share the buffer. When every dependent is
         // local no payload is materialised at all. The mailbox still
         // charges full per-edge bytes — the wire cost model is unchanged.
         let mut payload: Option<Arc<[S]>> = None;
-        for dest in self.ctx.tg.destinations(self.ctx.owners, id) {
-            if dest == self.rank {
-                continue;
-            }
+        for &dest in &ctx.dests[ctx.dest_ptr[id]..ctx.dest_ptr[id + 1]] {
             let values = match &payload {
                 Some(p) => p.clone(),
                 None => {
-                    let vals = self.engine.block_mut(id).values();
+                    let vals = self.engine.finished(id).values();
                     self.mem.payload_allocs += 1;
                     self.mem.bytes_copied += std::mem::size_of_val(vals) as u64;
                     payload.insert(Arc::from(vals)).clone()
@@ -756,15 +770,9 @@ impl<S: Scalar> Rank<'_, S> {
     fn receive(&mut self, msg: BlockMsg<S>) {
         let bm = self.ctx.bm;
         let id = bm.block_id(msg.bi, msg.bj).expect("pattern of shipped block is replicated");
-        let blk = self.engine.block_mut(id);
-        if blk.ncols() == 0 {
-            // First receive: the placeholder takes the replicated pattern
-            // once; later receives for this block reuse it.
-            *blk = bm.block(id).clone();
-        } else {
+        if self.engine.store_received(id, &msg.values) {
             self.mem.pattern_cache_hits += 1;
         }
-        blk.values_mut().copy_from_slice(&msg.values);
         self.mem.bytes_copied += (msg.values.len() * S::WIDTH) as u64;
         self.avail[id] = true;
         self.engine.release(&mut self.worker, id);
@@ -934,6 +942,48 @@ mod tests {
             + tg.l_panels.iter().map(|v| v.len()).sum::<usize>()
             + tg.ssssm.len();
         assert_eq!(run.report.total_mem().planned_calls, (total_tasks - full_targets) as u64);
+    }
+
+    #[test]
+    fn rank_tables_hold_only_received_copies() {
+        // A rank factors its own blocks in `bm`: after a 2 × 2 run its
+        // table's owned slots are still placeholders, and every slot that
+        // is not is a block shipped to it.
+        let (a, mut bm, tg) = build(80, 8, 5);
+        let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+        let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(2, 2), &tg);
+        let mut ws = NumericWorkspace::new(&bm, &tg, &owners);
+        factor_distributed_cached(
+            &mut bm,
+            &tg,
+            &owners,
+            &sel,
+            0.0,
+            &FactorConfig::default(),
+            &mut ws,
+        )
+        .unwrap();
+        let mut received = 0;
+        for st in &ws.ranks {
+            for (id, slot) in st.table.iter().enumerate() {
+                if owners.owner_of(id) == st.rank {
+                    assert_eq!(
+                        (slot.nrows(), slot.ncols()),
+                        (0, 0),
+                        "rank {}: owned {id}",
+                        st.rank
+                    );
+                } else if slot.ncols() > 0 {
+                    assert!(
+                        tg.destinations(&owners, id).contains(&st.rank),
+                        "rank {}: {id}",
+                        st.rank
+                    );
+                    received += 1;
+                }
+            }
+        }
+        assert!(received > 0, "a 2 × 2 run ships blocks");
     }
 
     #[test]

@@ -14,8 +14,9 @@
 //! the solver's block store, and the one-worker instance on the caller's
 //! thread is the sequential executor
 //! ([`crate::seq::factor_sequential_planned`]). In the multi-rank mode
-//! ([`crate::dist`]) each rank is a one-worker instance over its own
-//! block table that counts down the tasks it owns, and the mailbox is an
+//! ([`crate::dist`]) each rank is a one-worker instance that counts down
+//! the tasks it owns, over the solver's store for the blocks it owns and
+//! its own table of received copies for the rest, and the mailbox is an
 //! edge around it: a received block counts down what its panel op
 //! released, exactly as a finished local task does.
 
@@ -35,59 +36,88 @@ use crate::layout::OwnerMap;
 use crate::seq::NumericStats;
 use crate::task::{PrioritisedTask, Task, TaskGraph};
 
-/// A mutable-shared view of a block store, indexed by block id.
+/// A mutable-shared view of the blocks one engine runs over, indexed by
+/// block id: the solver's store for the blocks the engine's owner owns,
+/// and, on a rank, the rank's own table for the others — the copies of
+/// remote blocks that arrived as messages.
 ///
 /// Safety: a block is written only by the task its countdown admitted —
 /// each update after its predecessor on the target, the panel op after
 /// the last update — and read as an operand only by tasks its panel op
 /// released. The `AcqRel` countdown orders every write before the
-/// accesses it unlocks. The one write outside a task is a rank's receive
-/// path ([`Engine::block_mut`]): a rank runs one worker, so it stores a
-/// received block on that worker's own thread, between two tasks, and
-/// only then counts down the tasks that read it.
-pub(crate) struct SharedBlocks<S> {
-    ptr: *mut CscMatrix<S>,
-    len: usize,
+/// accesses it unlocks. Owned sets are disjoint, so the ranks of one run
+/// write disjoint blocks of the one store. The writes outside a task are
+/// a rank's receive path ([`Engine::store_received`]): a rank runs one
+/// worker, so it stores a received block in its own table on that
+/// worker's own thread, between two tasks, and only then counts down the
+/// tasks that read it.
+pub(crate) struct SharedBlocks<'a, S> {
+    store: *mut CscMatrix<S>,
+    table: *mut CscMatrix<S>,
+    owner: Owner<'a>,
 }
 
-// SAFETY: `ptr` points into a block store of `len` blocks that outlives
-// the scoped workers, and the countdown above serialises every access to
-// a block, so handing the pointer to other threads is sound.
-unsafe impl<S: Scalar> Send for SharedBlocks<S> {}
+// SAFETY: both pointers point at block stores that outlive the scoped
+// workers or ranks, and the countdown above serialises every access to a
+// block, so handing the pointers to other threads is sound.
+unsafe impl<S: Scalar> Send for SharedBlocks<'_, S> {}
 // SAFETY: as for `Send`: shared use goes through `get` / `get_mut`,
-// whose callers uphold the countdown's one-writer rule; the one other
-// access, `Engine::block_mut`, needs `&mut Engine`, so it is never shared.
-unsafe impl<S: Scalar> Sync for SharedBlocks<S> {}
+// whose callers uphold the countdown's one-writer rule; the accesses
+// outside a task, `Engine::{finished, store_received}`, need
+// `&mut Engine`, so they are never shared.
+unsafe impl<S: Scalar> Sync for SharedBlocks<'_, S> {}
 
-impl<S: Scalar> SharedBlocks<S> {
-    /// A view of `store` for an engine over a block matrix `bm`.
+impl<'a, S: Scalar> SharedBlocks<'a, S> {
+    /// A view for an engine that counts down `owner`'s tasks over a block
+    /// matrix `bm`: the blocks `owner` owns live in `store`, the others
+    /// in `table` (empty under [`Owner::All`], which owns every block).
     ///
     /// # Safety
     ///
-    /// `store` holds one block per block id of `bm`, outlives the engine
-    /// the view is handed to, and is reached only through that engine
-    /// while it lives.
-    pub(crate) unsafe fn new(store: &mut [CscMatrix<S>]) -> Self {
-        SharedBlocks { ptr: store.as_mut_ptr(), len: store.len() }
+    /// `store` points at `bm`'s block store, one block per block id;
+    /// `table`, unless `owner` is [`Owner::All`], holds one slot per
+    /// block id too. Both outlive the engine the view is handed to. Each
+    /// block id is reached by at most one engine, its owner's, through
+    /// the store: views handed to engines that live at the same time have
+    /// disjoint owners. A remote id is reached only through that rank's
+    /// own table, except that its owner's finished block may be read in
+    /// the store once the message carrying it has arrived
+    /// ([`Engine::store_received`]). Nothing else reaches either store
+    /// while the engine lives; in particular no `&mut` to the whole store
+    /// exists.
+    pub(crate) unsafe fn new(
+        owner: Owner<'a>,
+        store: *mut CscMatrix<S>,
+        table: &mut [CscMatrix<S>],
+    ) -> Self {
+        SharedBlocks { store, table: table.as_mut_ptr(), owner }
+    }
+
+    /// Where block `id` lives: the store if the owner owns it, else the
+    /// table.
+    #[inline]
+    fn slot(&self, id: usize) -> *mut CscMatrix<S> {
+        let base = if self.owner.owns(id) { self.store } else { self.table };
+        base.wrapping_add(id)
     }
 
     /// # Safety
     ///
-    /// `id` indexes the store, and no task writes block `id` while the
-    /// returned reference lives.
+    /// `id` is a block id of the store, and no task writes block `id`
+    /// while the returned reference lives.
     #[inline]
     unsafe fn get(&self, id: usize) -> &CscMatrix<S> {
-        &*self.ptr.add(id)
+        &*self.slot(id)
     }
 
     /// # Safety
     ///
-    /// `id` indexes the store, and the caller is the one task the
-    /// countdown admitted to touch block `id`.
+    /// `id` is a block id of the store, and the caller is the one task
+    /// the countdown admitted to touch block `id`.
     #[inline]
     #[allow(clippy::mut_from_ref)]
     unsafe fn get_mut(&self, id: usize) -> &mut CscMatrix<S> {
-        &mut *self.ptr.add(id)
+        &mut *self.slot(id)
     }
 }
 
@@ -181,8 +211,7 @@ pub(crate) struct Engine<'a, S: Scalar> {
     selector: &'a KernelSelector,
     plans: &'a KernelPlans<S>,
     pivot_floor: f64,
-    owner: Owner<'a>,
-    blocks: SharedBlocks<S>,
+    blocks: SharedBlocks<'a, S>,
     waits: Vec<AtomicU32>,
     ready: Mutex<BinaryHeap<PrioritisedTask>>,
     remaining: AtomicUsize,
@@ -205,11 +234,13 @@ pub fn factor_shared_planned<S: Scalar>(
     threads: usize,
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
-    // SAFETY: the store is `bm`'s own, one block per id; the engine is
-    // dropped before this function returns, and until then `bm` is only
-    // read for its patterns and coordinates, never its blocks' values.
-    let blocks = unsafe { SharedBlocks::new(bm.blocks_mut()) };
-    let engine = Engine::new(bm, blocks, tg, selector, pivot_floor, plans, Owner::All);
+    build_plans(bm, tg, selector, plans, Owner::All);
+    // SAFETY: the store is `bm`'s own, one block per id, and `Owner::All`
+    // reaches every id through it; the engine is dropped before this
+    // function returns, and until then `bm` is only read for its
+    // coordinates, never its blocks.
+    let blocks = unsafe { SharedBlocks::new(Owner::All, bm.blocks_mut().as_mut_ptr(), &mut []) };
+    let engine = Engine::new(bm, blocks, tg, selector, pivot_floor, plans);
     let abort = AtomicBool::new(false);
     let workers = if threads <= 1 {
         vec![engine.work(&abort)]
@@ -238,8 +269,9 @@ pub fn factor_shared_planned<S: Scalar>(
 /// task would build mid-factorisation; tasks whose planned gate is closed
 /// (the calibrated cuts send them to the dense-addressed variants) get
 /// no plan, keeping the pool's memory proportional to the planned
-/// working set.
-fn build_plans<S: Scalar>(
+/// working set. It reads the patterns of `bm`'s blocks, so it runs before
+/// any engine over `bm`'s store does.
+pub(crate) fn build_plans<S: Scalar>(
     bm: &BlockMatrix<S>,
     tg: &TaskGraph,
     selector: &KernelSelector,
@@ -277,21 +309,20 @@ fn build_plans<S: Scalar>(
 }
 
 impl<'a, S: Scalar> Engine<'a, S> {
-    /// Arms a run of the tasks `owner` owns over the store `blocks`
-    /// (blocks indexed as in `bm`, whose patterns they share): builds
-    /// their missing plans into `plans`, sets every countdown from
-    /// [`TaskGraph::wait`] and queues the owned tasks that wait on
+    /// Arms a run of the tasks the owner of `blocks` owns over that view
+    /// (blocks indexed as in `bm`, whose patterns they share), with their
+    /// plans already in `plans` ([`build_plans`]): sets every countdown
+    /// from [`TaskGraph::wait`] and queues the owned tasks that wait on
     /// nothing.
     pub(crate) fn new(
         bm: &'a BlockMatrix<S>,
-        blocks: SharedBlocks<S>,
+        blocks: SharedBlocks<'a, S>,
         tg: &'a TaskGraph,
         selector: &'a KernelSelector,
         pivot_floor: f64,
-        plans: &'a mut KernelPlans<S>,
-        owner: Owner<'a>,
+        plans: &'a KernelPlans<S>,
     ) -> Self {
-        build_plans(bm, tg, selector, plans, owner);
+        let owner = blocks.owner;
         let seeds = (0..bm.num_blocks())
             .filter(|&id| tg.wait[id] == 0 && owner.owns(id))
             .map(|id| PrioritisedTask::new(tg.task_at(bm, id), id))
@@ -303,7 +334,6 @@ impl<'a, S: Scalar> Engine<'a, S> {
             selector,
             plans,
             pivot_floor,
-            owner,
             blocks,
             waits: tg.wait.iter().map(|&w| AtomicU32::new(w)).collect(),
             ready: Mutex::new(seeds),
@@ -346,7 +376,7 @@ impl<'a, S: Scalar> Engine<'a, S> {
     pub(crate) fn release(&self, w: &mut Worker<S>, slot: usize) {
         for &s in self.tg.releases(slot) {
             let s = s as usize;
-            if self.owner.owns(self.tg.block_of(s))
+            if self.blocks.owner.owns(self.tg.block_of(s))
                 && self.waits[s].fetch_sub(1, Ordering::AcqRel) == 1
             {
                 w.freed.push(PrioritisedTask::new(self.tg.task_at(self.bm, s), s));
@@ -354,14 +384,37 @@ impl<'a, S: Scalar> Engine<'a, S> {
         }
     }
 
-    /// Block `id` of the store, between tasks: a rank ships a finished
-    /// block from here and stores a received one here.
-    pub(crate) fn block_mut(&mut self, id: usize) -> &mut CscMatrix<S> {
+    /// Owned block `id` once its panel op has run, between tasks: a rank
+    /// ships it from here.
+    pub(crate) fn finished(&mut self, id: usize) -> &CscMatrix<S> {
+        debug_assert!(id < self.bm.num_blocks() && self.blocks.owner.owns(id));
         // SAFETY: `&mut self` proves no worker holds the engine, so no
-        // task is running and nothing else reaches the store, which holds
-        // `len` blocks (`SharedBlocks::new`); the index below is checked.
-        let store = unsafe { std::slice::from_raw_parts_mut(self.blocks.ptr, self.blocks.len) };
-        &mut store[id]
+        // task is running; `id` is a block id whose panel op, its last
+        // write, has run.
+        unsafe { self.blocks.get(id) }
+    }
+
+    /// Stores remote block `id`'s received `values` in the rank's table,
+    /// between tasks. The first receive gives the table's `0 × 0`
+    /// placeholder the block's pattern, copied from the store; every later
+    /// one — in the same run or any later refactorisation — copies values
+    /// into that shell. Returns whether the shell was already there.
+    pub(crate) fn store_received(&mut self, id: usize, values: &[S]) -> bool {
+        debug_assert!(id < self.bm.num_blocks() && !self.blocks.owner.owns(id));
+        // SAFETY: `&mut self` proves no task is running; the owner does
+        // not own `id`, so its slot is in the rank's own table, which only
+        // this engine reaches.
+        let slot = unsafe { self.blocks.get_mut(id) };
+        let cached = slot.ncols() > 0;
+        if !cached {
+            // SAFETY: `values` arrived in a message the block's owner sent
+            // after its panel op, the block's last write in the run, so
+            // that op happens before this read of the block in the store,
+            // and the owner only reads the block from then on.
+            *slot = unsafe { &*self.blocks.store.add(id) }.with_constant_values(S::ZERO);
+        }
+        slot.values_mut().copy_from_slice(values);
+        cached
     }
 
     /// One worker of the multicore mode: pop, run, repeat until every

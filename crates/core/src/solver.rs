@@ -334,8 +334,9 @@ enum Executor<S: Scalar> {
     /// caller's thread for one rank, else shared-memory worker threads,
     /// with one eagerly built plan pool.
     Shared { threads: usize, plans: KernelPlans<S> },
-    /// Message-passing ranks, each the engine's one-worker instance: the
-    /// per-rank block tables and plan pools live in the workspace.
+    /// Message-passing ranks, each the engine's one-worker instance over
+    /// the store's owned blocks: the per-rank tables of received copies
+    /// and plan pools live in the workspace.
     Distributed { workspace: NumericWorkspace<S> },
 }
 
@@ -765,7 +766,7 @@ pub struct Solver {
     tg: TaskGraph,
     owners: OwnerMap,
     plan: SolverPlan,
-    /// The f64 executor state (kernel plans; per-rank block tables,
+    /// The f64 executor state (kernel plans; per-rank received copies,
     /// dependency counters and schedules), retained so refactorisation
     /// reuses it instead of rebuilding. `None` only while a mixed
     /// solver's f32 factors are live: the f64 state is built by the first

@@ -20,6 +20,7 @@ use pangulu::prelude::*;
 use pangulu::sparse::ops::relative_residual;
 use pangulu::sparse::permute::{permute, scale};
 use pangulu::sparse::{gen, CscMatrix, SparseError};
+use std::time::Duration;
 
 /// Every stored factor value as raw bits, per block — the comparison that
 /// distinguishes "bitwise identical" from "numerically close".
@@ -260,6 +261,39 @@ fn workspace_reuse_is_bitwise_stable_under_adversarial_faults() {
             }
         }
     }
+}
+
+/// A stalled run leaves `bm` partly factored but the workspace reusable:
+/// after a warm run and a run that loses every message, a fresh copy of
+/// the matrix factored fault-free on the same workspace gives the
+/// reference bits.
+#[test]
+fn stalled_run_leaves_the_workspace_reusable() {
+    let a = gen::laplacian_2d(9, 8);
+    let filled = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
+    let bm0 = BlockMatrix::from_filled(&filled, 9).unwrap();
+    let tg = TaskGraph::build(&bm0);
+    let owners = OwnerMap::balanced(&bm0, ProcessGrid::with_shape(2, 2), &tg);
+    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+    let clean = FactorConfig::default();
+    let mut reference = bm0.clone();
+    factor_distributed_checked(&mut reference, &tg, &owners, &sel, 1e-12, &clean).unwrap();
+
+    let mut ws = NumericWorkspace::new(&bm0, &tg, &owners);
+    factor_distributed_cached(&mut bm0.clone(), &tg, &owners, &sel, 1e-12, &clean, &mut ws)
+        .unwrap();
+    let lossy = FactorConfig::default()
+        .with_fault(FaultPlan::reliable(3).with_drops(1.0, 0, Duration::ZERO))
+        .with_stall_timeout(Duration::from_millis(200));
+    let mut stalled = bm0.clone();
+    let err = factor_distributed_cached(&mut stalled, &tg, &owners, &sel, 1e-12, &lossy, &mut ws)
+        .expect_err("a run that loses every message stalls");
+    assert!(!err.missing.is_empty(), "{err}");
+    assert_ne!(factor_bits(&stalled), factor_bits(&bm0), "the stalled run factored in place");
+
+    let mut bm = bm0.clone();
+    factor_distributed_cached(&mut bm, &tg, &owners, &sel, 1e-12, &clean, &mut ws).unwrap();
+    assert_eq!(factor_bits(&bm), factor_bits(&reference), "run after a stall drifted");
 }
 
 /// Planned kernel calls of the solver's latest numeric run (multi-rank).
