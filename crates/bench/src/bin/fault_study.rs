@@ -3,10 +3,10 @@
 //! faults get more severe.
 //!
 //! For each severity level the same seeded `FaultPlan` shape is scaled
-//! up (delay probability/magnitude, reorder depth, transient-drop rate)
-//! and the **real** multi-threaded executor runs a 2×2-grid numeric
-//! factorisation; the CSV reports wall time, mean sync wait, retries and
-//! message counts. Usage: `cargo run --release --bin fault_study`.
+//! up (delay probability/magnitude, reorder depth) and the **real**
+//! multi-threaded executor runs a 2×2-grid numeric factorisation; the
+//! CSV reports wall time, mean sync wait, message counts and receive
+//! timeouts. Usage: `cargo run --release --bin fault_study`.
 //! `PANGULU_MATRICES` / `PANGULU_SCALE` restrict or scale the suite.
 
 use std::time::Duration;
@@ -24,8 +24,7 @@ fn plan_at(level: u32, seed: u64) -> Option<FaultPlan> {
     Some(
         FaultPlan::reliable(seed)
             .with_delays(0.2 * s + 0.1, Duration::from_micros((1500.0 * s) as u64 + 50))
-            .with_reordering(level as usize)
-            .with_drops(0.25 * s, 40, Duration::from_micros(60)),
+            .with_reordering(level as usize),
     )
 }
 
@@ -54,11 +53,10 @@ fn main() {
                 .unwrap_or_else(|e| panic!("{name} level {level}: {e}"));
             let st = &run.stats;
             rows.push(format!(
-                "{name},{level},{:.6},{:.6},{},{},{}",
+                "{name},{level},{:.6},{:.6},{},{}",
                 st.wall_time.as_secs_f64(),
                 st.mean_sync_wait().as_secs_f64(),
                 st.messages,
-                st.retried_sends,
                 st.recv_timeouts,
             ));
             eprintln!("[fault_study] {name} severity {level} done");
@@ -66,7 +64,7 @@ fn main() {
     }
     pangulu_bench::emit_csv(
         "fault_study",
-        "matrix,severity,wall_s,mean_sync_wait_s,messages,retries,recv_timeouts",
+        "matrix,severity,wall_s,mean_sync_wait_s,messages,recv_timeouts",
         &rows,
     );
 }

@@ -2,9 +2,9 @@
 //!
 //! The synchronisation-free scheduler (paper §4.4) is correct only if it
 //! tolerates *any* message timing: the dependency counters must gate every
-//! kernel no matter how late, reordered, or retried the block messages
-//! arrive. A [`FaultPlan`] makes that adversarial timing reproducible: it
-//! seeds a per-edge RNG and perturbs every `send` with
+//! kernel no matter how late or reordered the block messages arrive. A
+//! [`FaultPlan`] makes that adversarial timing reproducible: it seeds a
+//! per-edge RNG and perturbs every remote `send` with
 //!
 //! * **latency/bandwidth shaping** — a fixed per-message latency plus a
 //!   payload-proportional transfer time;
@@ -12,16 +12,16 @@
 //!   uniform delay in `[0, max_delay]`;
 //! * **bounded reordering** — messages on an edge are held in a buffer of
 //!   `reorder_depth` and released in pseudo-random order (a message can be
-//!   overtaken by at most `reorder_depth` later ones);
-//! * **transient drop with sender-side retry** — each transmission
-//!   attempt is dropped with `drop_prob`; the sender retries up to
-//!   `max_retries` times, each retry adding `retry_backoff` of delay.
-//!   A message whose retry budget is exhausted is **permanently lost**,
-//!   which the runtime must surface as a structured error, never a hang.
+//!   overtaken by at most `reorder_depth` later ones).
 //!
-//! Fates are drawn from [`EdgeRng`], seeded from
-//! `(plan.seed, from, to)` — two runs with the same plan draw the same
-//! fate sequence on every edge.
+//! An in-process channel, like the paper's MPI transport, never drops a
+//! message, so no plan loses one by chance. A plan can lose exactly one on
+//! purpose ([`FaultPlan::with_loss`]); the runtime's stall detector must
+//! surface that as a structured error, never a hang.
+//!
+//! Fates are drawn from [`EdgeRng`], seeded from `(plan.seed, from, to)`
+//! — two runs with the same plan draw the same fate sequence on every
+//! edge.
 
 use std::time::Duration;
 
@@ -36,22 +36,16 @@ pub struct FaultPlan {
     pub max_delay: Duration,
     /// Reorder-buffer depth per edge; `0` disables reordering.
     pub reorder_depth: usize,
-    /// Probability that a single transmission attempt is dropped.
-    pub drop_prob: f64,
-    /// Sender-side retries before a message is permanently lost.
-    pub max_retries: u32,
-    /// Delay added per retry attempt (linear backoff).
-    pub retry_backoff: Duration,
     /// Fixed latency added to every message.
     pub latency: Duration,
     /// Payload shaping in bytes per second; `None` means infinite.
     pub bandwidth: Option<f64>,
-    /// Scheduled death of one rank: `(victim, after_recvs)` severs the
-    /// victim's channel once it has delivered that many messages. The
-    /// victim receives nothing from then on and its peers' sends fail;
-    /// the executor's stall detector must surface the starvation as a
-    /// structured error, never a hang.
-    pub peer_death: Option<(usize, u64)>,
+    /// `(from, to, nth)`: the one message the plan loses — the `nth`
+    /// remote send on edge `from → to`, counted from 0 in send order
+    /// (before the reorder buffer). It is charged on the wire like any
+    /// send but never reaches the channel. A send to the own rank is
+    /// never lost.
+    pub loss: Option<(usize, usize, u64)>,
 }
 
 impl Default for FaultPlan {
@@ -61,12 +55,9 @@ impl Default for FaultPlan {
             delay_prob: 0.0,
             max_delay: Duration::ZERO,
             reorder_depth: 0,
-            drop_prob: 0.0,
-            max_retries: 0,
-            retry_backoff: Duration::ZERO,
             latency: Duration::ZERO,
             bandwidth: None,
-            peer_death: None,
+            loss: None,
         }
     }
 }
@@ -91,15 +82,6 @@ impl FaultPlan {
         self
     }
 
-    /// Adds transient drops with a sender-side retry budget.
-    pub fn with_drops(mut self, prob: f64, max_retries: u32, backoff: Duration) -> Self {
-        assert!((0.0..=1.0).contains(&prob), "drop probability out of range");
-        self.drop_prob = prob;
-        self.max_retries = max_retries;
-        self.retry_backoff = backoff;
-        self
-    }
-
     /// Adds latency/bandwidth shaping.
     pub fn with_shaping(mut self, latency: Duration, bytes_per_sec: f64) -> Self {
         self.latency = latency;
@@ -107,17 +89,17 @@ impl FaultPlan {
         self
     }
 
-    /// Schedules the death of `victim` after it has delivered
-    /// `after_recvs` messages (see the `peer_death` field docs).
-    pub fn with_peer_death(mut self, victim: usize, after_recvs: u64) -> Self {
-        self.peer_death = Some((victim, after_recvs));
+    /// Loses the `nth` remote send on edge `from → to` (see the `loss`
+    /// field docs).
+    pub fn with_loss(mut self, from: usize, to: usize, nth: u64) -> Self {
+        self.loss = Some((from, to, nth));
         self
     }
 
-    /// Derives a mixed adversarial plan from a single seed: every fault
-    /// class is enabled with seed-dependent severity, with a retry budget
-    /// generous enough that no message is permanently lost. This is the
-    /// generator behind the seeded fault-schedule test matrices.
+    /// Derives a mixed adversarial plan from a single seed: every timing
+    /// fault is enabled with seed-dependent severity, and nothing is
+    /// lost. This is the generator behind the seeded fault-schedule test
+    /// matrices.
     pub fn adversarial(seed: u64) -> Self {
         let mut rng = EdgeRng::new(seed, 0xFA, 0x17);
         FaultPlan {
@@ -125,16 +107,13 @@ impl FaultPlan {
             delay_prob: 0.2 + 0.6 * rng.next_f64(),
             max_delay: Duration::from_micros(200 + rng.below(4_000)),
             reorder_depth: rng.below(5) as usize,
-            drop_prob: 0.05 + 0.25 * rng.next_f64(),
-            max_retries: 25,
-            retry_backoff: Duration::from_micros(50 + rng.below(300)),
             latency: Duration::from_micros(rng.below(300)),
             bandwidth: if rng.next_f64() < 0.5 {
                 Some(2e8 + 8e8 * rng.next_f64()) // 200 MB/s .. 1 GB/s
             } else {
                 None
             },
-            peer_death: None,
+            loss: None,
         }
     }
 
@@ -142,10 +121,9 @@ impl FaultPlan {
     pub fn is_active(&self) -> bool {
         self.delay_prob > 0.0
             || self.reorder_depth > 0
-            || self.drop_prob > 0.0
             || self.latency > Duration::ZERO
             || self.bandwidth.is_some()
-            || self.peer_death.is_some()
+            || self.loss.is_some()
     }
 
     /// The transfer time the shaping parameters charge for a payload.
@@ -155,6 +133,16 @@ impl FaultPlan {
             d += Duration::from_secs_f64(bytes as f64 / bw.max(1.0));
         }
         d
+    }
+
+    /// Draws the fate of the next message on an edge: its delivery delay
+    /// (`ZERO` means immediately).
+    pub fn fate(&self, rng: &mut EdgeRng, payload_bytes: usize) -> Duration {
+        let mut delay = self.transfer_time(payload_bytes);
+        if self.delay_prob > 0.0 && rng.next_f64() < self.delay_prob {
+            delay += Duration::from_secs_f64(self.max_delay.as_secs_f64() * rng.next_f64());
+        }
+        delay
     }
 }
 
@@ -202,38 +190,6 @@ impl EdgeRng {
     }
 }
 
-/// What the fault layer decided to do with one message.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fate {
-    /// Deliver after the given delay (`ZERO` means immediately), having
-    /// consumed the given number of retries.
-    Deliver { delay: Duration, retries: u32 },
-    /// The retry budget is exhausted: the message is permanently lost.
-    Lost,
-}
-
-impl FaultPlan {
-    /// Draws the fate of the next message on an edge.
-    pub fn fate(&self, rng: &mut EdgeRng, payload_bytes: usize) -> Fate {
-        // Transmission attempts: each is dropped with `drop_prob`.
-        let mut retries = 0u32;
-        if self.drop_prob > 0.0 {
-            while rng.next_f64() < self.drop_prob {
-                retries += 1;
-                if retries > self.max_retries {
-                    return Fate::Lost;
-                }
-            }
-        }
-        let mut delay = self.transfer_time(payload_bytes);
-        if self.delay_prob > 0.0 && rng.next_f64() < self.delay_prob {
-            delay += Duration::from_secs_f64(self.max_delay.as_secs_f64() * rng.next_f64());
-        }
-        delay += self.retry_backoff * retries;
-        Fate::Deliver { delay, retries }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,21 +215,12 @@ mod tests {
     }
 
     #[test]
-    fn zero_retry_budget_loses_messages() {
-        let plan = FaultPlan::reliable(3).with_drops(1.0, 0, Duration::ZERO);
-        let mut rng = EdgeRng::new(3, 0, 1);
-        assert_eq!(plan.fate(&mut rng, 8), Fate::Lost);
-    }
-
-    #[test]
     fn reliable_plan_is_inert() {
         let plan = FaultPlan::reliable(0);
         assert!(!plan.is_active());
         let mut rng = EdgeRng::new(0, 0, 1);
-        assert_eq!(
-            plan.fate(&mut rng, 1 << 20),
-            Fate::Deliver { delay: Duration::ZERO, retries: 0 }
-        );
+        assert_eq!(plan.fate(&mut rng, 1 << 20), Duration::ZERO);
+        assert!(plan.with_loss(0, 1, 0).is_active(), "a loss alone perturbs a run");
     }
 
     #[test]
@@ -288,6 +235,7 @@ mod tests {
     fn adversarial_plans_vary_with_seed() {
         let a = FaultPlan::adversarial(1);
         let b = FaultPlan::adversarial(2);
-        assert!(a.delay_prob != b.delay_prob || a.drop_prob != b.drop_prob);
+        assert!(a.delay_prob != b.delay_prob || a.max_delay != b.max_delay);
+        assert!(a.loss.is_none() && b.loss.is_none(), "adversarial plans lose nothing");
     }
 }

@@ -3,8 +3,12 @@
 //! The paper runs on MPI ranks, four per node, one GPU each. This crate
 //! provides the message-passing runtime the solver runs on instead
 //! (see `DESIGN.md`, substitution table): **ranks are OS threads** with
-//! typed mailboxes, block payloads are copied into messages exactly as MPI
-//! would, and there is no shared mutable state between ranks.
+//! per-rank mailboxes over in-process channels. Ranks write disjoint
+//! blocks of one store — each factors the blocks it owns in place — and
+//! remote operands arrive as message copies: a rank never reads another
+//! rank's block except from the message that carried it, exactly like
+//! MPI. One fan-out shares a single read-only payload among its
+//! destinations.
 //!
 //! * [`grid`] — the 2-D process grid and block-cyclic owner map (§4.2);
 //! * [`msg`] — the block messages the numeric factorisation exchanges;
@@ -16,9 +20,9 @@
 //!   profiles (A100-class, MI50-class) used by the discrete-event
 //!   scalability simulator;
 //! * [`fault`] — deterministic fault injection (delay, bounded
-//!   reordering, transient drop with retry, bandwidth shaping) used to
-//!   stress the synchronisation-free scheduler under adversarial message
-//!   timing.
+//!   reordering, latency/bandwidth shaping, and one named lost message)
+//!   used to stress the synchronisation-free scheduler under adversarial
+//!   message timing.
 
 pub mod cost;
 pub mod fault;
@@ -27,7 +31,7 @@ pub mod mailbox;
 pub mod msg;
 
 pub use cost::PlatformProfile;
-pub use fault::{EdgeRng, Fate, FaultPlan};
+pub use fault::{EdgeRng, FaultPlan};
 pub use grid::ProcessGrid;
 pub use mailbox::{DeliveryRecord, Mailbox, MailboxSet, TransportKind};
 pub use msg::{BlockMsg, BlockRole};

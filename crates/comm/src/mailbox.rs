@@ -19,33 +19,30 @@
 //!   diagonal edge and logged like any other send, but it is delivered
 //!   through this rank's own holdback heap, never through the fault
 //!   layer or the channel. Self-traffic is therefore immune to
-//!   drop/delay plans — a rank cannot lose a message to itself.
+//!   delay and loss plans — a rank cannot lose a message to itself.
 //! * **Injected delays travel as relative nanoseconds.** The fault layer
 //!   stamps `delay_nanos` on the envelope; the *receiver* re-anchors it
 //!   at arrival time, so a delay counts from when the message reaches
 //!   the receiving rank, not from when it was sent.
 //!
 //! A [`MailboxSet`] built with [`MailboxSet::with_faults`] threads every
-//! message through the deterministic fault layer ([`crate::fault`]):
-//! messages acquire a delivery delay (delay/shaping/backoff), may be
-//! held in a bounded per-edge reorder buffer, or may be permanently lost
-//! once their retry budget is exhausted. A plan may also schedule a
-//! *peer death*: the victim rank severs its channel after a fixed number
-//! of deliveries, its peers' sends start failing, and the executor's
-//! stall detector surfaces the resulting starvation as a structured
-//! error.
+//! remote message through the deterministic fault layer ([`crate::fault`]):
+//! messages acquire a delivery delay (delay/shaping) and may be held in a
+//! bounded per-edge reorder buffer. A plan may also name the one message
+//! it loses; the executor's stall detector surfaces the resulting
+//! starvation as a structured error.
 //!
 //! Every mailbox also keeps send/receive logs — the raw material of the
 //! schedule-trace validator's exactly-once delivery check.
 
 use std::collections::BinaryHeap;
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::time::{Duration, Instant};
 
 use pangulu_metrics::{CommMetrics, EdgeStat};
 use pangulu_sparse::Scalar;
 
-use crate::fault::{EdgeRng, Fate, FaultPlan};
+use crate::fault::{EdgeRng, FaultPlan};
 use crate::msg::{BlockMsg, BlockRole};
 
 /// The transport the mailboxes run on. It carries no choice: every
@@ -156,20 +153,15 @@ impl<S: Scalar> MailboxSet<S> {
                 }),
                 holdback: BinaryHeap::new(),
                 send_seq: 0,
-                died: false,
                 sync_wait: Duration::ZERO,
                 sent_msgs: 0,
                 sent_bytes: 0,
                 edge_msgs: vec![0; p],
                 edge_bytes: vec![0; p],
                 max_queue_depth: 0,
-                retried_sends: 0,
-                dropped_msgs: 0,
-                undeliverable: 0,
                 recv_timeouts: 0,
                 sent_log: Vec::new(),
                 recv_log: Vec::new(),
-                lost_log: Vec::new(),
             })
             .collect();
         MailboxSet { mailboxes }
@@ -188,32 +180,25 @@ pub struct Mailbox<S: Scalar = f64> {
     receiver: Receiver<Envelope<S>>,
     /// Senders to every rank. The own rank's keeps this receiver's
     /// channel alive, so a blocking receive never sees `Disconnected`
-    /// while the mailbox lives (until [`Mailbox::sever`]).
+    /// while the mailbox lives.
     senders: Vec<Sender<Envelope<S>>>,
     plan: Option<FaultPlan>,
     edges: Option<Vec<Edge<S>>>,
     /// Received-but-not-yet-due messages, and loopback deliveries.
     holdback: BinaryHeap<HeldMsg<S>>,
     send_seq: u64,
-    /// Set once the scheduled peer death has fired on this rank; a dead
-    /// rank's own sends fail too.
-    died: bool,
     sync_wait: Duration,
     sent_msgs: u64,
     sent_bytes: u64,
-    /// Messages sent per destination rank (drops included).
+    /// Messages sent per destination rank (a lost one included).
     edge_msgs: Vec<u64>,
     /// Payload bytes sent per destination rank.
     edge_bytes: Vec<u64>,
     /// Deepest observed receive queue (pending + held-back messages).
     max_queue_depth: u64,
-    retried_sends: u64,
-    dropped_msgs: u64,
-    undeliverable: u64,
     recv_timeouts: u64,
     sent_log: Vec<DeliveryRecord>,
     recv_log: Vec<DeliveryRecord>,
-    lost_log: Vec<DeliveryRecord>,
 }
 
 impl<S: Scalar> Mailbox<S> {
@@ -231,9 +216,9 @@ impl<S: Scalar> Mailbox<S> {
     /// like any other send, but delivered through this rank's own
     /// holdback, bypassing the fault layer and the channel (see the
     /// module docs). Under a fault plan a remote message may be delayed,
-    /// reordered behind later sends, or — once its retry budget is
-    /// exhausted — permanently lost; the runtime's recv-timeout path is
-    /// responsible for surfacing a loss as a structured error.
+    /// reordered behind later sends, or — if it is the plan's `loss` —
+    /// charged but never transmitted; the runtime's recv-timeout path is
+    /// responsible for surfacing that loss as a structured error.
     pub fn send(&mut self, to: usize, msg: BlockMsg<S>) {
         assert!(to < self.world, "destination rank {to} out of range");
         let bytes = msg.payload_bytes() as u64;
@@ -253,18 +238,12 @@ impl<S: Scalar> Mailbox<S> {
 
         let out = match (self.plan.as_ref(), self.edges.as_mut()) {
             (Some(plan), Some(edges)) => {
-                let edge = &mut edges[to];
-                match plan.fate(&mut edge.rng, env.msg.payload_bytes()) {
-                    Fate::Lost => {
-                        self.dropped_msgs += 1;
-                        self.lost_log.push(record);
-                        return;
-                    }
-                    Fate::Deliver { delay, retries } => {
-                        self.retried_sends += retries as u64;
-                        env.delay_nanos = delay.as_nanos().min(u64::MAX as u128) as u64;
-                    }
+                if plan.loss == Some((self.rank, to, self.edge_msgs[to] - 1)) {
+                    return;
                 }
+                let edge = &mut edges[to];
+                let delay = plan.fate(&mut edge.rng, env.msg.payload_bytes());
+                env.delay_nanos = delay.as_nanos().min(u64::MAX as u128) as u64;
                 if plan.reorder_depth == 0 {
                     env
                 } else {
@@ -284,9 +263,9 @@ impl<S: Scalar> Mailbox<S> {
     }
 
     /// Hands `env` to rank `to`'s channel and logs it as sent. A send
-    /// fails only when the receiving rank has already shut down or one end
-    /// is severed — legitimate while a run is aborting after a DistError
-    /// or a peer death, so it is counted, not propagated.
+    /// fails only when the receiving rank has already shut down —
+    /// legitimate while a run is aborting after a DistError, so it is
+    /// neither logged nor propagated.
     fn transmit(&mut self, to: usize, env: Envelope<S>) {
         let record = DeliveryRecord {
             from: env.from,
@@ -295,10 +274,8 @@ impl<S: Scalar> Mailbox<S> {
             bj: env.msg.bj,
             role: env.msg.role,
         };
-        if !self.died && self.senders[to].send(env).is_ok() {
+        if self.senders[to].send(env).is_ok() {
             self.sent_log.push(record);
-        } else {
-            self.undeliverable += 1;
         }
     }
 
@@ -335,31 +312,6 @@ impl<S: Scalar> Mailbox<S> {
         }
     }
 
-    /// Simulates this rank's death: swapping the receiver for a
-    /// senderless one makes every peer's send fail, as a vanished
-    /// process would, and this rank receives nothing ever again.
-    fn sever(&mut self) {
-        self.receiver = channel().1;
-        self.holdback.clear();
-        self.died = true;
-    }
-
-    /// Fires the scheduled peer death once this rank has delivered
-    /// enough messages. Called on the receive paths — death is observed
-    /// when the victim next goes to its mailbox, like a process dying
-    /// between MPI calls.
-    fn maybe_die(&mut self) {
-        if self.died {
-            return;
-        }
-        let Some((victim, after)) = self.plan.as_ref().and_then(|pl| pl.peer_death) else {
-            return;
-        };
-        if self.rank == victim && self.recv_log.len() as u64 >= after {
-            self.sever();
-        }
-    }
-
     /// Pops the earliest held message whose due time has passed.
     fn pop_ripe(&mut self) -> Option<BlockMsg<S>> {
         let ripe = match self.holdback.peek() {
@@ -383,7 +335,6 @@ impl<S: Scalar> Mailbox<S> {
     /// Non-blocking receive. Messages still under an injected delay stay
     /// invisible until their due time.
     pub fn try_recv(&mut self) -> Option<BlockMsg<S>> {
-        self.maybe_die();
         self.pump();
         self.pop_ripe()
     }
@@ -393,7 +344,6 @@ impl<S: Scalar> Mailbox<S> {
     /// `None` on timeout (and counts it — the caller's stall detector
     /// builds on these).
     pub fn recv(&mut self, timeout: Duration) -> Option<BlockMsg<S>> {
-        self.maybe_die();
         let start = Instant::now();
         let deadline = start + timeout;
         let out = loop {
@@ -414,14 +364,10 @@ impl<S: Scalar> Mailbox<S> {
                     wait = wait.min(until.max(Duration::from_micros(100)));
                 }
             }
-            match self.receiver.recv_timeout(wait) {
-                Ok(env) => self.hold(env),
-                Err(RecvTimeoutError::Timeout) => {}
-                // Only reachable after `sever`; burn the wait instead of
-                // spinning.
-                Err(RecvTimeoutError::Disconnected) => {
-                    std::thread::sleep(wait.min(Duration::from_millis(1)))
-                }
+            // The own sender keeps the channel open, so the only error is
+            // the timeout.
+            if let Ok(env) = self.receiver.recv_timeout(wait) {
+                self.hold(env);
             }
         };
         self.sync_wait += start.elapsed();
@@ -433,8 +379,7 @@ impl<S: Scalar> Mailbox<S> {
         self.sync_wait
     }
 
-    /// Number of messages sent by this rank (including retried and
-    /// permanently dropped ones).
+    /// Number of messages sent by this rank (including a lost one).
     pub fn sent_msgs(&self) -> u64 {
         self.sent_msgs
     }
@@ -442,21 +387,6 @@ impl<S: Scalar> Mailbox<S> {
     /// Total bytes sent by this rank.
     pub fn sent_bytes(&self) -> u64 {
         self.sent_bytes
-    }
-
-    /// Transmission retries the fault layer consumed on this rank's sends.
-    pub fn retried_sends(&self) -> u64 {
-        self.retried_sends
-    }
-
-    /// Messages permanently lost after exhausting their retry budget.
-    pub fn dropped_msgs(&self) -> u64 {
-        self.dropped_msgs
-    }
-
-    /// Sends that failed because the receiver had already shut down.
-    pub fn undeliverable(&self) -> u64 {
-        self.undeliverable
     }
 
     /// Number of [`Mailbox::recv`] calls that returned `None` on timeout.
@@ -470,10 +400,7 @@ impl<S: Scalar> Mailbox<S> {
         CommMetrics {
             msgs_sent: self.sent_msgs,
             bytes_sent: self.sent_bytes,
-            retried_sends: self.retried_sends,
-            dropped_msgs: self.dropped_msgs,
             recv_timeouts: self.recv_timeouts,
-            undeliverable: self.undeliverable,
             max_queue_depth: self.max_queue_depth,
             edges: self
                 .edge_msgs
@@ -497,14 +424,9 @@ impl<S: Scalar> Mailbox<S> {
         &self.recv_log
     }
 
-    /// Messages permanently lost by the fault layer on this rank's sends.
-    pub fn lost_log(&self) -> &[DeliveryRecord] {
-        &self.lost_log
-    }
-
-    /// Consumes the mailbox, returning `(sent, received, lost)` logs.
-    pub fn into_logs(self) -> (Vec<DeliveryRecord>, Vec<DeliveryRecord>, Vec<DeliveryRecord>) {
-        (self.sent_log, self.recv_log, self.lost_log)
+    /// Consumes the mailbox, returning its `(sent, received)` logs.
+    pub fn into_logs(self) -> (Vec<DeliveryRecord>, Vec<DeliveryRecord>) {
+        (self.sent_log, self.recv_log)
     }
 }
 
@@ -612,15 +534,23 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_retry_budget_drops_permanently() {
-        let plan = FaultPlan::reliable(3).with_drops(1.0, 2, Duration::ZERO);
-        let mut boxes = MailboxSet::with_faults(2, plan).into_mailboxes();
+    fn a_loss_drops_only_the_nth_message_on_its_edge() {
+        let plan = FaultPlan::reliable(3).with_loss(1, 0, 2);
+        let mut boxes = MailboxSet::with_faults(3, plan).into_mailboxes();
+        let mut b2 = boxes.pop().unwrap();
         let mut b1 = boxes.pop().unwrap();
         let mut b0 = boxes.pop().unwrap();
-        b1.send(0, msg(9));
-        assert_eq!(b1.dropped_msgs(), 1);
-        assert_eq!(b1.lost_log().len(), 1);
-        assert!(b0.recv(Duration::from_millis(50)).is_none());
+        for i in 0..6 {
+            b1.send(0, msg(i));
+            b1.send(2, msg(10 + i));
+        }
+        let got: Vec<usize> = std::iter::from_fn(|| b0.try_recv()).map(|m| m.bi).collect();
+        assert_eq!(got, [0, 1, 3, 4, 5], "only send #2 on 1 → 0 is lost; the rest in FIFO order");
+        let other: Vec<usize> = std::iter::from_fn(|| b2.try_recv()).map(|m| m.bi).collect();
+        assert_eq!(other, (10..16).collect::<Vec<_>>(), "another edge loses nothing");
+        assert_eq!(b1.sent_log().len(), 11, "the lost message is not logged as sent");
+        let m = b1.metrics();
+        assert_eq!((m.msgs_sent, m.edges[0].msgs), (12, 6), "the lost message is charged");
     }
 
     #[test]
@@ -677,34 +607,15 @@ mod tests {
     }
 
     #[test]
-    fn loopback_is_immune_to_drop_plans() {
-        let plan = FaultPlan::reliable(5).with_drops(1.0, 0, Duration::ZERO);
+    fn loopback_is_immune_to_loss_plans() {
+        let plan = FaultPlan::reliable(5).with_loss(0, 0, 0);
         let mut boxes = MailboxSet::with_faults(1, plan).into_mailboxes();
         let mb = &mut boxes[0];
-        mb.send(0, msg(11));
-        assert_eq!(mb.dropped_msgs(), 0, "a rank cannot lose a message to itself");
-        assert_eq!(mb.try_recv().expect("self-delivery").bi, 11);
-    }
-
-    #[test]
-    fn peer_death_severs_after_quota_and_fails_peer_sends() {
-        let plan = FaultPlan::reliable(7).with_peer_death(0, 2);
-        let mut boxes = MailboxSet::with_faults(2, plan).into_mailboxes();
-        let mut b1 = boxes.pop().unwrap();
-        let mut b0 = boxes.pop().unwrap();
-        b1.send(0, msg(0));
-        b1.send(0, msg(1));
-        b1.send(0, msg(2));
-        assert!(b0.try_recv().is_some());
-        assert!(b0.try_recv().is_some());
-        // Quota reached: the next visit to the mailbox fires the death.
-        assert!(b0.try_recv().is_none(), "a dead rank receives nothing");
-        assert!(b0.recv(Duration::from_millis(10)).is_none());
-        // Peers' subsequent sends fail and are counted undeliverable.
-        b1.send(0, msg(3));
-        b1.flush_pending();
-        b1.send(0, msg(4));
-        assert!(b1.undeliverable() > 0, "sends to the dead rank must fail");
+        for i in 0..3 {
+            mb.send(0, msg(i));
+        }
+        let got: Vec<usize> = std::iter::from_fn(|| mb.try_recv()).map(|m| m.bi).collect();
+        assert_eq!(got, [0, 1, 2], "a rank cannot lose a message to itself");
     }
 
     #[test]

@@ -33,8 +33,9 @@
 //! * **Bounded stalls** — a rank that makes no progress for
 //!   [`FactorConfig::stall_timeout`] aborts the whole run with a
 //!   structured [`DistError`] naming the blocked rank and the exact
-//!   missing operand blocks, instead of hanging. A permanently dropped
-//!   message therefore surfaces as a diagnosable error.
+//!   missing operand blocks, instead of hanging. A message a fault plan
+//!   loses ([`FaultPlan::with_loss`]) therefore surfaces as a diagnosable
+//!   error.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -169,9 +170,6 @@ pub struct DistError {
     pub waited: Duration,
     /// The operand blocks it was waiting for (capped).
     pub missing: Vec<MissingDep>,
-    /// Messages the fault layer permanently dropped on this rank's sends
-    /// (sender-side view, available when the stalled rank also sent).
-    pub lost_sends: usize,
 }
 
 impl fmt::Display for DistError {
@@ -189,9 +187,6 @@ impl fmt::Display for DistError {
                 }
                 write!(f, "{m}")?;
             }
-        }
-        if self.lost_sends > 0 {
-            write!(f, " ({} messages permanently dropped by the fault plan)", self.lost_sends)?;
         }
         Ok(())
     }
@@ -214,10 +209,6 @@ pub struct DistStats {
     pub bytes: u64,
     /// Statically perturbed pivots across ranks.
     pub perturbed_pivots: usize,
-    /// Transmission retries consumed by the fault layer.
-    pub retried_sends: u64,
-    /// Messages permanently dropped by the fault layer.
-    pub dropped_msgs: u64,
     /// Blocking receives that timed out across ranks.
     pub recv_timeouts: u64,
 }
@@ -263,14 +254,12 @@ pub struct FactorRun {
     pub sent: Vec<DeliveryRecord>,
     /// Every message delivered, receiver-side view.
     pub received: Vec<DeliveryRecord>,
-    /// Messages permanently dropped by the fault layer.
-    pub lost: Vec<DeliveryRecord>,
 }
 
 /// Factorises `bm` in place across `owners.num_ranks()` rank threads
 /// under `cfg` (fault plan, stall timeout, tracing, metering) and
 /// returns the stats, kernel timeline, and message logs. On a stall —
-/// e.g. a message permanently lost by the fault plan — every rank shuts
+/// e.g. a message the fault plan loses — every rank shuts
 /// down cooperatively and the first structured [`DistError`] is
 /// returned; `bm` then holds partly factored values, so scatter the
 /// matrix into it again before the next run.
@@ -386,7 +375,6 @@ pub fn factor_distributed_cached<S: Scalar>(
         trace.extend(out.trace);
         run.sent.extend(out.sent);
         run.received.extend(out.received);
-        run.lost.extend(out.lost);
     }
     run.report.per_rank.sort_by_key(|r| r.rank);
     trace.sort_by_key(|e| e.start);
@@ -413,8 +401,6 @@ fn stats_from_report(report: &RunReport) -> DistStats {
         stats.messages += r.comm.msgs_sent;
         stats.bytes += r.comm.bytes_sent;
         stats.perturbed_pivots += r.perturbed_pivots as usize;
-        stats.retried_sends += r.comm.retried_sends;
-        stats.dropped_msgs += r.comm.dropped_msgs;
         stats.recv_timeouts += r.comm.recv_timeouts;
     }
     stats
@@ -445,7 +431,6 @@ struct RankOutput {
     trace: Vec<TraceEvent>,
     sent: Vec<DeliveryRecord>,
     received: Vec<DeliveryRecord>,
-    lost: Vec<DeliveryRecord>,
 }
 
 /// One rank's pattern-dependent executor state, built once per
@@ -651,8 +636,8 @@ impl<S: Scalar> Rank<'_, S> {
             comm: self.mailbox.metrics(),
             kernels: self.worker.kernels.into_tally(),
         };
-        let (sent, received, lost) = self.mailbox.into_logs();
-        RankOutput { metrics, trace: self.trace, sent, received, lost }
+        let (sent, received) = self.mailbox.into_logs();
+        RankOutput { metrics, trace: self.trace, sent, received }
     }
 
     /// Runs a popped task on the engine, records it, and ships the block
@@ -686,7 +671,6 @@ impl<S: Scalar> Rank<'_, S> {
             remaining: self.engine.remaining(),
             waited,
             missing: self.diagnose_missing(8),
-            lost_sends: self.mailbox.lost_log().len(),
         };
         self.ctx.first_err.lock().expect("error slot poisoned").get_or_insert(err);
         self.ctx.abort.store(true, AtomicOrdering::Relaxed);
@@ -869,8 +853,7 @@ mod tests {
             factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &FactorConfig::default())
                 .unwrap();
         assert_eq!(run.sent.len(), run.received.len(), "all sends delivered");
-        assert!(run.lost.is_empty());
-        assert!(run.stats.dropped_msgs == 0);
+        assert_eq!(run.sent.len() as u64, run.stats.messages, "every send is logged");
     }
 
     #[test]
@@ -991,13 +974,23 @@ mod tests {
         let (a, mut bm, tg) = build(60, 8, 2);
         let sel = KernelSelector::new(a.nnz(), Thresholds::default());
         let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(4));
-        // Drop every message permanently: zero retry budget, certain drop.
+        // Lose the first message on an edge a fault-free run uses.
+        let clean = factor_distributed_checked(
+            &mut bm.clone(),
+            &tg,
+            &owners,
+            &sel,
+            0.0,
+            &FactorConfig::default(),
+        )
+        .unwrap();
+        let edge = clean.sent.iter().find(|r| r.from != r.to).expect("a 4-rank run communicates");
         let cfg = FactorConfig::default()
-            .with_fault(FaultPlan::reliable(1).with_drops(1.0, 0, Duration::ZERO))
+            .with_fault(FaultPlan::reliable(1).with_loss(edge.from, edge.to, 0))
             .with_stall_timeout(Duration::from_millis(400));
         let t0 = Instant::now();
         let err = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &cfg)
-            .expect_err("run must fail when all messages are lost");
+            .expect_err("run must fail when a message is lost");
         assert!(t0.elapsed() < Duration::from_secs(30), "error must beat the old 60s hang");
         assert!(!err.missing.is_empty(), "error must name missing blocks: {err}");
         let text = err.to_string();

@@ -43,11 +43,10 @@ enum Sweep {
 /// ignored: [`TransportKind`] stays in the signature only because the
 /// repository benchmark's pipeline passes `TransportKind::default()`,
 /// and both go with that caller. Under a
-/// fault plan every message runs through its delays, reordering and
-/// retry draws; the sweeps tolerate any plan whose retry budget
-/// eventually delivers every message (e.g. [`FaultPlan::adversarial`]),
-/// and a plan with permanent drops makes the blocked rank panic via its
-/// stall guard instead of hanging. Returns `x`.
+/// fault plan every remote message runs through its delays and
+/// reordering, which the sweeps tolerate (e.g. [`FaultPlan::adversarial`]);
+/// a plan that loses a message makes the blocked rank panic via its stall
+/// guard instead of hanging. Returns `x`.
 pub fn solve_distributed_on<S: Scalar>(
     bm: &BlockMatrix<S>,
     owners: &OwnerMap,

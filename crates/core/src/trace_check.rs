@@ -88,7 +88,7 @@ pub enum Violation {
         dep_end: Duration,
     },
     /// A message the task graph prescribes was never transmitted (or was
-    /// permanently lost by the fault layer).
+    /// the one a fault plan loses).
     MissingSend {
         /// The prescribed transfer.
         rec: DeliveryRecord,

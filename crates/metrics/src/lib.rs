@@ -7,8 +7,8 @@
 //! every layer records into:
 //!
 //! * `pangulu-comm` fills a [`CommMetrics`] per mailbox — message counts
-//!   and bytes per edge, the deepest observed mailbox queue, fault-plan
-//!   retries and permanent drops;
+//!   and bytes per edge, receive timeouts and the deepest observed
+//!   mailbox queue;
 //! * `pangulu-kernels` fills a [`KernelTally`] — invocation counts,
 //!   elapsed time and model FLOPs per kernel variant
 //!   (GETRF/GESSM/TSTRF/SSSSM × C/G versions); the model FLOPs are the
@@ -20,12 +20,11 @@
 //!
 //! **Determinism contract.** For a fixed matrix, grid, owner map and
 //! fault plan, the *work* counters — messages/bytes per edge, tasks by
-//! kind, kernel invocations and variants, model FLOPs, perturbed pivots,
-//! fault-layer retries/drops — are run-to-run identical.
+//! kind, kernel invocations and variants, model FLOPs, perturbed pivots —
+//! are run-to-run identical.
 //! Wall-clock durations are not, and neither are the scheduling-dependent
 //! observables (how often a rank blocked, receive timeouts, the deepest
-//! queue moment, shutdown-race undeliverables): they depend on thread
-//! interleaving. [`RunReport::without_timings`] zeroes exactly those
+//! queue moment): they depend on thread interleaving. [`RunReport::without_timings`] zeroes exactly those
 //! non-deterministic fields, and the metrics-determinism test in
 //! `tests/metrics.rs` holds the runtime to equality under it.
 //!
@@ -162,7 +161,7 @@ impl KernelTally {
 pub struct EdgeStat {
     /// Destination rank.
     pub to: usize,
-    /// Messages sent on the edge (permanent drops included).
+    /// Messages sent on the edge (a fault plan's lost message included).
     pub msgs: u64,
     /// Payload bytes sent on the edge.
     pub bytes: u64,
@@ -171,18 +170,12 @@ pub struct EdgeStat {
 /// One rank's communication accounting, filled by its mailbox.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CommMetrics {
-    /// Messages sent (drops included).
+    /// Messages sent (a fault plan's lost message included).
     pub msgs_sent: u64,
-    /// Payload bytes sent (drops included).
+    /// Payload bytes sent (a fault plan's lost message included).
     pub bytes_sent: u64,
-    /// Transmission retries consumed by the fault layer.
-    pub retried_sends: u64,
-    /// Messages permanently dropped by the fault layer.
-    pub dropped_msgs: u64,
     /// Blocking receives that timed out.
     pub recv_timeouts: u64,
-    /// Sends that failed because the receiver already shut down.
-    pub undeliverable: u64,
     /// Deepest observed receive-queue depth (pending + held-back).
     pub max_queue_depth: u64,
     /// Per-destination traffic, ascending by rank; zero edges omitted.
@@ -519,8 +512,8 @@ impl RunReport {
     /// The deterministic projection: this report with every wall-clock
     /// field (run wall time, per-rank busy/sync/idle, per-variant kernel
     /// nanoseconds) *and* every scheduling-dependent observable
-    /// (blocked-receive count, receive timeouts, peak queue depth,
-    /// shutdown-race undeliverables) zeroed. Two runs with the same
+    /// (blocked-receive count, receive timeouts, peak queue depth)
+    /// zeroed. Two runs with the same
     /// matrix, grid, owner map and fault plan must compare equal under
     /// it.
     pub fn without_timings(&self) -> RunReport {
@@ -533,7 +526,6 @@ impl RunReport {
             r.blocked_recvs = 0;
             r.comm.recv_timeouts = 0;
             r.comm.max_queue_depth = 0;
-            r.comm.undeliverable = 0;
             r.mem.plan_build_ns = 0;
             r.kernels.zero_timings();
         }
@@ -651,10 +643,7 @@ fn rank_to_json(r: &RankMetrics) -> Json {
             Json::obj(vec![
                 ("msgs_sent", Json::Num(r.comm.msgs_sent as f64)),
                 ("bytes_sent", Json::Num(r.comm.bytes_sent as f64)),
-                ("retried_sends", Json::Num(r.comm.retried_sends as f64)),
-                ("dropped_msgs", Json::Num(r.comm.dropped_msgs as f64)),
                 ("recv_timeouts", Json::Num(r.comm.recv_timeouts as f64)),
-                ("undeliverable", Json::Num(r.comm.undeliverable as f64)),
                 ("max_queue_depth", Json::Num(r.comm.max_queue_depth as f64)),
                 ("edges", Json::Arr(edges)),
             ]),
@@ -665,9 +654,11 @@ fn rank_to_json(r: &RankMetrics) -> Json {
 
 /// Parses one `per_rank` entry. Documents written while the executor had
 /// a lookahead window carry a `sched` object per rank, ones written while
-/// it fused SSSSM updates a `mem.ssssm_batches` count, and ones written
-/// while a shared-memory transport existed two more `comm` counters; all
-/// are ignored.
+/// it fused SSSSM updates a `mem.ssssm_batches` count, ones written
+/// while a shared-memory transport existed two more `comm` counters, and
+/// ones written while the fault layer modelled a lossy network
+/// `comm.retried_sends`, `comm.dropped_msgs` and `comm.undeliverable`;
+/// all are ignored.
 fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
     let tasks = j.req("tasks")?;
     let comm = j.req("comm")?;
@@ -702,10 +693,7 @@ fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
         comm: CommMetrics {
             msgs_sent: comm.req_u64("msgs_sent")?,
             bytes_sent: comm.req_u64("bytes_sent")?,
-            retried_sends: comm.req_u64("retried_sends")?,
-            dropped_msgs: comm.req_u64("dropped_msgs")?,
             recv_timeouts: comm.req_u64("recv_timeouts")?,
-            undeliverable: comm.req_u64("undeliverable")?,
             max_queue_depth: comm.req_u64("max_queue_depth")?,
             edges: Vec::new(),
         },
@@ -788,10 +776,7 @@ mod tests {
                     comm: CommMetrics {
                         msgs_sent: 4,
                         bytes_sent: 512,
-                        retried_sends: 1,
-                        dropped_msgs: 0,
                         recv_timeouts: 2,
-                        undeliverable: 0,
                         max_queue_depth: 3,
                         edges: vec![EdgeStat { to: 1, msgs: 4, bytes: 512 }],
                     },
@@ -871,7 +856,6 @@ mod tests {
         assert_eq!(det.per_rank[0].mem.plan_bytes, 1024);
         assert_eq!(det.per_rank[0].comm.msgs_sent, 4);
         assert_eq!(det.per_rank[0].comm.bytes_sent, 512);
-        assert_eq!(det.per_rank[0].comm.retried_sends, 1);
         assert_eq!(det.per_rank[0].comm.edges, report.per_rank[0].comm.edges);
         assert_eq!(det.per_rank[0].kernels.total_calls(), 3);
         // Idempotent and equal across "runs" differing only in timing.

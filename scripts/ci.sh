@@ -153,6 +153,12 @@ stage_sched() {
 }
 
 stage_comm() {
+    echo "--- timing faults only: no retry, backoff, sever or peer death in the comm layer"
+    if grep -rniE 'retr(y|ies|ied)|backoff|\bsever(s|ed|ing)?\b|peer[_ ]?death' crates/comm/src; then
+        echo "ci.sh: crates/comm/src models a lossy network; a plan perturbs timing" \
+            "and loses at most one named message" >&2
+        return 1
+    fi
     cargo test --release -q -p pangulu-comm
     cargo test --release -q --test wire_model --test metrics --test failure_modes
 }

@@ -33,8 +33,13 @@ fn main() {
 
     let plan = FaultPlan::adversarial(seed);
     eprintln!(
-        "[trace_validate] seed {seed}: delay_prob {:.2}, reorder_depth {}, drop_prob {:.2}",
-        plan.delay_prob, plan.reorder_depth, plan.drop_prob
+        "[trace_validate] seed {seed}: delay_prob {:.2}, max_delay {:?}, reorder_depth {}, \
+         latency {:?}, bandwidth {}",
+        plan.delay_prob,
+        plan.max_delay,
+        plan.reorder_depth,
+        plan.latency,
+        plan.bandwidth.map_or_else(|| "unshaped".to_string(), |bw| format!("{:.0} MB/s", bw / 1e6)),
     );
     let cfg = FactorConfig::default()
         .with_fault(plan)
@@ -51,12 +56,13 @@ fn main() {
     };
     let report = validate_run(&bm, &tg, &owners, &run);
     println!(
-        "[trace_validate] {} tasks, {} prescribed transfers, {} trace events, {} messages, {} retries",
+        "[trace_validate] {} tasks, {} prescribed transfers, {} trace events, {} messages, \
+         max queue depth {}",
         report.tasks_checked,
         report.transfers_checked,
         run.trace.len(),
         run.stats.messages,
-        run.stats.retried_sends,
+        run.report.per_rank.iter().map(|r| r.comm.max_queue_depth).max().unwrap_or(0),
     );
     if report.is_valid() {
         println!("[trace_validate] OK: zero violations");

@@ -1,11 +1,11 @@
 //! Failure-path tests: the solver must reject unusable inputs with
-//! errors, not wrong answers — and a distributed run must survive the
-//! death of a peer rank with a structured stall error, never a hang.
+//! errors, not wrong answers — and a distributed run that loses a message
+//! must end in a structured stall error, never a hang.
 
 use std::time::Duration;
 
-use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig};
+use pangulu::comm::{DeliveryRecord, FaultPlan, ProcessGrid};
+use pangulu::core::dist::{factor_distributed_checked, FactorConfig, MissingDep};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::BlockMatrix;
@@ -82,38 +82,67 @@ fn numerically_singular_with_floor_still_answers() {
     assert!(resid > 1e-6, "a singular system cannot be solved accurately: {resid}");
 }
 
-/// A peer rank dying mid-factorisation (its channel severed, its
-/// pending messages gone) must surface as a [`DistError`] naming the
-/// blocked rank and the operand blocks it never received — within the
-/// stall timeout, under a hard watchdog that turns any hang into a test
-/// failure.
+/// A single message lost mid-factorisation must surface as a
+/// [`DistError`](pangulu::core::dist::DistError) naming the blocked rank
+/// and the operand blocks it never received — within the stall timeout,
+/// under a hard watchdog that turns any hang into a test failure. The
+/// lost block is the only message on its edge, so it is known exactly,
+/// and nothing below its elimination step can be missing: no block of an
+/// earlier step depends on it.
 #[test]
-fn peer_death_mid_factorisation_yields_structured_error_on_every_backend() {
+fn a_lost_message_mid_factorisation_yields_structured_error() {
     let a = ensure_diagonal(&gen::random_sparse(96, 0.10, 41)).unwrap();
     let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
-    let bm0 = BlockMatrix::from_filled(&f, 10).unwrap();
+    // At nb = 16 (6 × 6 blocks) one edge of the 2 × 2 grid carries a
+    // single block.
+    let bm0 = BlockMatrix::from_filled(&f, 16).unwrap();
     let tg = TaskGraph::build(&bm0);
     let sel = KernelSelector::new(a.nnz(), Thresholds::default());
     let owners = OwnerMap::balanced(&bm0, ProcessGrid::with_shape(2, 2), &tg);
 
+    // Which blocks an edge carries does not depend on timing; pick an
+    // edge that carries exactly one, past the first elimination step.
+    let clean = factor_distributed_checked(
+        &mut bm0.clone(),
+        &tg,
+        &owners,
+        &sel,
+        1e-12,
+        &FactorConfig::default(),
+    )
+    .unwrap();
+    let edge_len =
+        |r: &DeliveryRecord| clean.sent.iter().filter(|s| (s.from, s.to) == (r.from, r.to)).count();
+    let lost = *clean
+        .sent
+        .iter()
+        .find(|r| r.from != r.to && r.bi.min(r.bj) > 0 && edge_len(r) == 1)
+        .expect("the fixture has an edge that carries a single block");
+    let lost_step = lost.bi.min(lost.bj);
+
     let (done_tx, done_rx) = std::sync::mpsc::channel();
     let handle = std::thread::spawn(move || {
-        // Rank 1 dies after its third receive; everyone else keeps going
-        // until the missing blocks trip the stall timeout.
         let cfg = FactorConfig::default()
-            .with_fault(FaultPlan::reliable(5).with_peer_death(1, 3))
+            .with_fault(FaultPlan::reliable(5).with_loss(lost.from, lost.to, 0))
             .with_stall_timeout(Duration::from_millis(500));
         let mut bm = bm0;
         let err = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, &cfg)
-            .expect_err("run must fail when a peer dies mid-factorisation");
+            .expect_err("run must fail when a message is lost");
         done_tx.send(err).unwrap();
     });
-    // Watchdog: a dead peer must produce an error, never a hang.
-    let err = done_rx
-        .recv_timeout(Duration::from_secs(60))
-        .expect("peer-death run hung past the watchdog");
+    // Watchdog: a lost message must produce an error, never a hang.
+    let err =
+        done_rx.recv_timeout(Duration::from_secs(60)).expect("lossy run hung past the watchdog");
     handle.join().unwrap();
     assert!(!err.missing.is_empty(), "error must name the missing blocks: {err}");
+    for m in &err.missing {
+        let k = match *m {
+            MissingDep::Diag { k, .. }
+            | MissingDep::LOperand { k, .. }
+            | MissingDep::UOperand { k, .. } => k,
+        };
+        assert!(k >= lost_step, "{m} precedes the lost block {lost:?} (step {lost_step})");
+    }
     let text = err.to_string();
     assert!(text.contains("rank"), "error names the blocked rank: {text}");
     assert!(text.contains("missing"), "error names missing operands: {text}");

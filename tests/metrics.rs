@@ -197,12 +197,19 @@ fn run_report_json_round_trips() {
 
 /// A report written while the executor still counted scheduling
 /// observables carries a `sched` object per rank (with four keys in the
-/// oldest documents). The schema name did not change, so the reader must
-/// still accept it: `sched` is ignored and every other field reads back.
+/// oldest documents), and one written while the fault layer modelled a
+/// lossy network three more `comm` counters. The schema name did not
+/// change, so the reader must still accept both: the extra keys are
+/// ignored, every other field reads back, and a re-serialised report
+/// carries none of them.
 #[test]
 fn legacy_report_with_extra_sched_keys_parses() {
     let text = include_str!("../data/run_report_v1_legacy_sched.json");
     assert_eq!(text.matches("\"sched\": {").count(), 2, "fixture has one sched object per rank");
+    const LOSS_KEYS: [&str; 3] = ["retried_sends", "dropped_msgs", "undeliverable"];
+    for key in LOSS_KEYS {
+        assert!(text.contains(&format!("\"{key}\"")), "fixture carries the old `comm.{key}`");
+    }
     let r = RunReport::from_json(text).expect("legacy report parses");
     assert_eq!(r.ranks, 2);
     assert_eq!(r.per_rank.len(), 2);
@@ -214,6 +221,9 @@ fn legacy_report_with_extra_sched_keys_parses() {
     // round-trips exactly.
     let current = r.to_json();
     assert!(!current.contains("\"sched\""), "current documents carry no sched object");
+    for key in LOSS_KEYS {
+        assert!(!current.contains(&format!("\"{key}\"")), "current documents carry no {key}");
+    }
     assert_eq!(RunReport::from_json(&current).expect("parse back"), r);
 }
 

@@ -1,11 +1,13 @@
 //! A correctness oracle that is not the solver: a dense LU with partial
 //! pivoting, written here, solves each structure class of the paper's
-//! corpus with a planted solution, and every execution mode and precision
-//! of the solver must agree with it. The bitwise tests compare the
-//! solver with itself, so they cannot see an error every path shares —
-//! in scaling, permutation, symbolic fill or the sweeps. This test can.
+//! corpus with a planted solution, and every execution mode, precision and
+//! fill-reducing ordering of the solver must agree with it. The bitwise
+//! tests compare the solver with itself, so they cannot see an error every
+//! path shares — in scaling, permutation, symbolic fill or the sweeps.
+//! This test can.
 
 use pangulu::prelude::*;
+use pangulu::reorder::FillReducing;
 use pangulu::sparse::ops::spmv;
 use pangulu::sparse::{gen, CscMatrix};
 
@@ -82,6 +84,12 @@ fn corpus() -> Vec<(&'static str, CscMatrix)> {
 /// `c` in the backward-error bound `c·n·ε`.
 const C: f64 = 4.0;
 
+/// The default best-of-four choice, then AMD and nested dissection each
+/// forced: an error in one ordering's permutation must not hide behind
+/// another ordering winning under `Auto`.
+const ORDERINGS: [FillReducing; 3] =
+    [FillReducing::Auto, FillReducing::Amd, FillReducing::NestedDissection];
+
 #[test]
 fn every_mode_agrees_with_a_dense_pivoted_lu() {
     let modes = [
@@ -99,19 +107,26 @@ fn every_mode_agrees_with_a_dense_pivoted_lu() {
         let bound = C * n as f64 * f64::EPSILON;
         assert!(backward_error(&a, &x_dense, &b) <= bound, "{class}: the dense oracle itself");
         for (mode, builder) in &modes {
-            for precision in [Precision::F64, Precision::MixedF32] {
-                let tag = format!("{class} {mode} {precision:?}");
-                let solver = builder.clone().precision(precision).build(&a).unwrap();
-                let x = solver.solve(&b).unwrap();
-                let eta = backward_error(&a, &x, &b);
-                assert!(eta <= bound, "{tag}: backward error {eta:.2e} > {bound:.2e}");
-                let kappa = solver.condest(&a).unwrap();
-                let diff: Vec<f64> = x.iter().zip(&x_dense).map(|(p, q)| p - q).collect();
-                let fwd = norm_inf(&diff) / norm_inf(&x_dense);
-                assert!(
-                    fwd <= kappa * bound,
-                    "{tag}: differs from the dense solution by {fwd:.2e} > condest {kappa:.2e} × {bound:.2e}"
-                );
+            for ordering in ORDERINGS {
+                for precision in [Precision::F64, Precision::MixedF32] {
+                    let tag = format!("{class} {mode} {ordering:?} {precision:?}");
+                    let solver = builder
+                        .clone()
+                        .fill_reducing(ordering)
+                        .precision(precision)
+                        .build(&a)
+                        .unwrap();
+                    let x = solver.solve(&b).unwrap();
+                    let eta = backward_error(&a, &x, &b);
+                    assert!(eta <= bound, "{tag}: backward error {eta:.2e} > {bound:.2e}");
+                    let kappa = solver.condest(&a).unwrap();
+                    let diff: Vec<f64> = x.iter().zip(&x_dense).map(|(p, q)| p - q).collect();
+                    let fwd = norm_inf(&diff) / norm_inf(&x_dense);
+                    assert!(
+                        fwd <= kappa * bound,
+                        "{tag}: differs from the dense solution by {fwd:.2e} > condest {kappa:.2e} × {bound:.2e}"
+                    );
+                }
             }
         }
     }

@@ -264,9 +264,9 @@ fn workspace_reuse_is_bitwise_stable_under_adversarial_faults() {
 }
 
 /// A stalled run leaves `bm` partly factored but the workspace reusable:
-/// after a warm run and a run that loses every message, a fresh copy of
-/// the matrix factored fault-free on the same workspace gives the
-/// reference bits.
+/// after a warm run and a run that loses a message, a fresh copy of the
+/// matrix factored fault-free on the same workspace gives the reference
+/// bits.
 #[test]
 fn stalled_run_leaves_the_workspace_reusable() {
     let a = gen::laplacian_2d(9, 8);
@@ -277,17 +277,19 @@ fn stalled_run_leaves_the_workspace_reusable() {
     let sel = KernelSelector::new(a.nnz(), Thresholds::default());
     let clean = FactorConfig::default();
     let mut reference = bm0.clone();
-    factor_distributed_checked(&mut reference, &tg, &owners, &sel, 1e-12, &clean).unwrap();
+    let run =
+        factor_distributed_checked(&mut reference, &tg, &owners, &sel, 1e-12, &clean).unwrap();
+    let edge = run.sent.iter().find(|r| r.from != r.to).expect("a 2 × 2 run communicates");
 
     let mut ws = NumericWorkspace::new(&bm0, &tg, &owners);
     factor_distributed_cached(&mut bm0.clone(), &tg, &owners, &sel, 1e-12, &clean, &mut ws)
         .unwrap();
     let lossy = FactorConfig::default()
-        .with_fault(FaultPlan::reliable(3).with_drops(1.0, 0, Duration::ZERO))
+        .with_fault(FaultPlan::reliable(3).with_loss(edge.from, edge.to, 0))
         .with_stall_timeout(Duration::from_millis(200));
     let mut stalled = bm0.clone();
     let err = factor_distributed_cached(&mut stalled, &tg, &owners, &sel, 1e-12, &lossy, &mut ws)
-        .expect_err("a run that loses every message stalls");
+        .expect_err("a run that loses a message stalls");
     assert!(!err.missing.is_empty(), "{err}");
     assert_ne!(factor_bits(&stalled), factor_bits(&bm0), "the stalled run factored in place");
 
