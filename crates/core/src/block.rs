@@ -97,14 +97,18 @@ impl BlockMatrix<f64> {
         }
         Ok(bm)
     }
+}
 
+impl<S: Scalar> BlockMatrix<S> {
     /// Builds the block store straight from symbolic factorisation's
     /// strict-lower pattern (paper §4.1 steps 2–3) and loads `a`'s values
-    /// into it; fill-in slots hold explicit zeros. Equal, entry for entry,
-    /// to `from_filled(&fill.filled_matrix(a)?, nb)`, without the global
-    /// filled CSC: besides the tiles, the build holds only arrays of
-    /// length `n` or less. An entry of `a` outside the pattern, or a
-    /// malformed pattern, is [`SparseError::InvalidStructure`].
+    /// into it, each rounded once into `S`; fill-in slots hold explicit
+    /// zeros. Equal, entry for entry, to
+    /// `from_filled(&fill.filled_matrix(a)?, nb).cast::<S>()`, without the
+    /// global filled CSC or an f64 store: besides the tiles, the build
+    /// holds only arrays of length `n` or less. An entry of `a` outside
+    /// the pattern, or a malformed pattern, is
+    /// [`SparseError::InvalidStructure`].
     ///
     /// # Examples
     /// ```
@@ -133,9 +137,7 @@ impl BlockMatrix<f64> {
         bm.load(a)?;
         Ok(bm)
     }
-}
 
-impl<S: Scalar> BlockMatrix<S> {
     /// The tiler: builds the zero-valued block store of the pattern
     /// `L + I + Lᵀ`, `lower(j)` giving the strict-lower rows of column
     /// `j`. One ascending sweep over block columns fills each tile column
@@ -309,10 +311,11 @@ impl<S: Scalar> BlockMatrix<S> {
         Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
     }
 
-    /// The loader: copies every stored value of `a` into its tile slot.
-    /// Slots `a` does not store keep their value. An entry outside the
-    /// tiled pattern is [`SparseError::InvalidStructure`].
-    fn load(&mut self, a: &CscMatrix<S>) -> Result<()> {
+    /// The loader: rounds every stored value of `a` into its tile slot
+    /// (`S::from_f64`, the identity for f64). Slots `a` does not store
+    /// keep their value. An entry outside the tiled pattern is
+    /// [`SparseError::InvalidStructure`].
+    pub(crate) fn load(&mut self, a: &CscMatrix) -> Result<()> {
         if a.nrows() != self.n || a.ncols() != self.n {
             return Err(SparseError::DimensionMismatch(format!(
                 "matrix is {}x{}, the block store has order {}",
@@ -338,7 +341,7 @@ impl<S: Scalar> BlockMatrix<S> {
                     }
                     _ => None,
                 };
-                *slot.ok_or_else(|| outside(i, j))? = v;
+                *slot.ok_or_else(|| outside(i, j))? = S::from_f64(v);
             }
         }
         Ok(())
@@ -409,6 +412,13 @@ impl<S: Scalar> BlockMatrix<S> {
         &mut self.blocks[id]
     }
 
+    /// Zeroes every stored value; the pattern stays.
+    pub(crate) fn clear_values(&mut self) {
+        for b in &mut self.blocks {
+            b.values_mut().fill(S::ZERO);
+        }
+    }
+
     /// The block store, indexed by block id.
     pub(crate) fn blocks_mut(&mut self) -> &mut [CscMatrix<S>] {
         &mut self.blocks
@@ -422,11 +432,20 @@ impl<S: Scalar> BlockMatrix<S> {
         &self.diag_pos[lo..(lo + self.nb).min(self.n)]
     }
 
+    /// The stored diagonal, unknown by unknown: each entry read at its
+    /// [`BlockMatrix::diag_positions`] offset, no search within a column.
+    pub(crate) fn diagonal(&self) -> impl Iterator<Item = S> + '_ {
+        let diag_blocks = (0..self.nblk).filter_map(|bk| Some((bk, self.block_id(bk, bk)?)));
+        diag_blocks.flat_map(|(bk, id)| {
+            let d = &self.blocks[id];
+            self.diag_positions(bk).iter().enumerate().map(move |(c, &p)| d.col(c).1[p])
+        })
+    }
+
     /// Clones the structure into another precision: patterns are shared
-    /// verbatim, every value is rounded through `f64`. This is the
-    /// precision-drop entry point of the mixed-precision path (an
-    /// `f64 → f32 → f64` round trip of f32-representable values is
-    /// exact).
+    /// verbatim, every value is rounded through `f64`. Widening f32
+    /// values is exact, which is how a mixed-precision solver publishes
+    /// the f64 image of its f32 factors.
     pub fn cast<T: Scalar>(&self) -> BlockMatrix<T> {
         BlockMatrix {
             n: self.n,
@@ -590,7 +609,7 @@ impl<S: Scalar> BlockMatrix<S> {
 }
 
 /// The error for an entry `(i, j)` the block store has no slot for.
-fn outside(i: usize, j: usize) -> SparseError {
+pub(crate) fn outside(i: usize, j: usize) -> SparseError {
     SparseError::InvalidStructure(format!("entry ({i}, {j}) is outside the fill pattern"))
 }
 
@@ -739,6 +758,8 @@ mod tests {
                     }
                     assert_eq!(bm32.diag_positions(bk), pos, "cast keeps the table");
                 }
+                let want: Vec<f64> = (0..f.ncols()).map(|i| f.get(i, i)).collect();
+                assert_eq!(bm.diagonal().collect::<Vec<_>>(), want, "nb {nb}");
             }
         }
     }
@@ -789,6 +810,10 @@ mod tests {
                 }
                 let tiled = BlockMatrix::from_fill(&fill, &a, nb).unwrap();
                 assert_same_store(&tiled, &reference, &what);
+                // Tiled straight into f32: the f64 store's values, rounded once.
+                let tiled32 = BlockMatrix::<f32>::from_fill(&fill, &a, nb).unwrap();
+                let rounded = reference.cast::<f32>().cast::<f64>();
+                assert_same_store(&tiled32.cast::<f64>(), &rounded, &format!("{what} f32"));
             }
         }
     }
@@ -816,7 +841,7 @@ mod tests {
         invalid(BlockMatrix::from_fill(&unsorted, &a, 4), "column 0");
         let wrong_order = gen::laplacian_2d(4, 4);
         assert!(matches!(
-            BlockMatrix::from_fill(&fill, &wrong_order, 4),
+            BlockMatrix::<f64>::from_fill(&fill, &wrong_order, 4),
             Err(SparseError::DimensionMismatch(_))
         ));
         // [[1, 2], [0, 1]]: (0, 1) stored, its mirror (1, 0) not.

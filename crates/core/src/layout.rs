@@ -11,6 +11,7 @@
 //! lists static; see `DESIGN.md` for the trade-off note.
 
 use pangulu_comm::ProcessGrid;
+use pangulu_sparse::Scalar;
 
 use crate::block::BlockMatrix;
 use crate::task::TaskGraph;
@@ -24,7 +25,7 @@ pub struct OwnerMap {
 
 impl OwnerMap {
     /// The plain 2-D block-cyclic assignment.
-    pub fn block_cyclic(bm: &BlockMatrix, grid: ProcessGrid) -> Self {
+    pub fn block_cyclic<S: Scalar>(bm: &BlockMatrix<S>, grid: ProcessGrid) -> Self {
         let owners = (0..bm.num_blocks())
             .map(|id| {
                 let (bi, bj) = bm.block_coords(id);
@@ -101,7 +102,7 @@ impl OwnerMap {
     /// The static load-balancing remap: walk time slices in order and
     /// swap the slice's block sets between the (cumulatively) heaviest
     /// and lightest ranks whenever that lowers the running maximum.
-    pub fn balanced(bm: &BlockMatrix, grid: ProcessGrid, tg: &TaskGraph) -> Self {
+    pub fn balanced<S: Scalar>(bm: &BlockMatrix<S>, grid: ProcessGrid, tg: &TaskGraph) -> Self {
         let mut map = Self::block_cyclic(bm, grid);
         let p = map.num_ranks();
         if p <= 1 {

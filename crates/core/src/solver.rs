@@ -12,6 +12,7 @@
 //! sides against the factorisation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use pangulu_comm::ProcessGrid;
@@ -21,9 +22,9 @@ use pangulu_kernels::{isa, KernelPlans, PlanStats};
 use pangulu_metrics::{PhaseCounters, PrecisionCounters, RunReport};
 use pangulu_reorder::{reorder_for_lu, FillReducing, Reordering};
 use pangulu_sparse::{CscMatrix, Permutation, Result, Scalar, SparseError};
-use pangulu_symbolic::{stats::SymbolicStats, symbolic_fill};
+use pangulu_symbolic::{stats::SymbolicStats, symbolic_fill, FilledPattern};
 
-use crate::block::BlockMatrix;
+use crate::block::{outside, BlockMatrix};
 use crate::dist::{factor_distributed_cached, FactorConfig, NumericWorkspace};
 use crate::layout::OwnerMap;
 use crate::seq::{empty_plans, NumericStats};
@@ -256,10 +257,19 @@ impl SolverPlan {
     }
 }
 
-/// The f32 side of a mixed-precision solver. The public
-/// [`Solver::factored`] always holds the exact widened f64 image of
-/// these factors, so reports, determinants and bitwise comparisons read
-/// the same numbers the refinement loop solves against.
+/// The one factor store of a [`Solver`], in the precision its factors
+/// hold, with the executor state its numeric runs reuse.
+#[allow(clippy::large_enum_variant)] // one per solver, never in a collection
+enum Factors {
+    /// f64 factors: configured, or a mixed solver after its fallback.
+    F64 { bm: BlockMatrix, numeric: NumericCache<f64> },
+    /// The f32 factors of a mixed-precision solver.
+    Mixed(MixedState),
+}
+
+/// A mixed-precision solver's state: its f32 factors are the only
+/// resident ones. The f64 image [`Solver::factored`] returns is widened
+/// on demand, and an f64 store exists only after a fallback.
 struct MixedState {
     /// The live f32 factors.
     factored32: BlockMatrix<f32>,
@@ -268,13 +278,16 @@ struct MixedState {
     /// one.
     numeric: NumericCache<f32>,
     /// The scaled permuted input `Pr·Dr·A·Dc·Pcᵀ` in f64 on A's own
-    /// pattern, kept so the refinement loop can form exact f64 residuals
-    /// in the inner domain; its values are re-read from the unfactored
-    /// block store on every factorisation through `a_slots`.
+    /// pattern: the refinement loop forms exact f64 residuals in the
+    /// inner domain on it, and a fallback loads the f64 store from it.
     scaled_a: CscMatrix,
-    /// Per entry of `scaled_a`, the (block id, value offset) it is
-    /// loaded into (see [`BlockMatrix::slot`]); pattern-only, built once.
-    a_slots: Vec<(usize, usize)>,
+    /// Per input nonzero (CSC order), its offset in `scaled_a`'s values;
+    /// pattern-only, built with the scatter map by the first
+    /// [`Solver::refactor`].
+    a_pos: Vec<usize>,
+    /// The exact widened f64 image of `factored32`, built by the first
+    /// [`Solver::factored`] call after each factorisation.
+    widened: OnceLock<BlockMatrix>,
     /// Refinement iterations across solves ([`Solver::solve`] takes
     /// `&self`, hence atomics).
     refine_iters: AtomicU64,
@@ -314,19 +327,29 @@ impl NumericSummary {
     }
 }
 
+/// One numeric phase's inputs besides the block store: the cached
+/// analysis, the input's nonzero count (the selector's density) and the
+/// absolute pivot floor.
+struct NumericRun<'a> {
+    tg: &'a TaskGraph,
+    owners: &'a OwnerMap,
+    opts: &'a SolverOptions,
+    nnz: usize,
+    pivot_floor: f64,
+}
+
 /// The pattern-dependent state of the one executor a solver runs its
-/// numeric phase on, in scalar type `S`: chosen once from
-/// [`SolverOptions`], built on the first factorisation and reused
-/// verbatim by every [`Solver::refactor`]. Kernel index plans are part
-/// of it whichever executor runs — from the second run on.
+/// numeric phase on, in scalar type `S`: chosen from [`SolverOptions`],
+/// built by the first factorisation and reused verbatim by every
+/// [`Solver::refactor`]. Kernel index plans are part of it whichever
+/// executor runs — from the second run on.
 struct NumericCache<S: Scalar> {
-    executor: Executor<S>,
-    /// Whether a numeric run has completed on this state. The first run
-    /// closes the planned gates (every task takes its tree variant or
-    /// the dense-tile lane, bitwise equal to its plan's replay), so a
-    /// caller who factors once builds no plan; the first refactorisation
-    /// builds them, like the scatter map.
-    warm: bool,
+    /// `None` until the first run. That run closes the planned gates
+    /// (every task takes its tree variant or the dense-tile lane, bitwise
+    /// equal to its plan's replay), so a caller who factors once builds
+    /// no plan; the first refactorisation builds them, like the scatter
+    /// map.
+    executor: Option<Executor<S>>,
 }
 
 enum Executor<S: Scalar> {
@@ -341,30 +364,14 @@ enum Executor<S: Scalar> {
 }
 
 impl<S: Scalar> NumericCache<S> {
-    fn new(opts: &SolverOptions, bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
-        let executor = if opts.shared_threads.is_some() || opts.ranks == 1 {
-            Executor::Shared {
-                threads: opts.shared_threads.unwrap_or(1),
-                plans: empty_plans(bm, tg),
-            }
-        } else {
-            Executor::Distributed { workspace: NumericWorkspace::new(bm, tg, owners) }
-        };
-        NumericCache { executor, warm: false }
+    fn new() -> Self {
+        NumericCache { executor: None }
     }
 
-    /// Runs the numeric phase over already scattered blocks of a matrix
-    /// with `nnz` input entries.
-    fn factor(
-        &mut self,
-        bm: &mut BlockMatrix<S>,
-        tg: &TaskGraph,
-        owners: &OwnerMap,
-        opts: &SolverOptions,
-        nnz: usize,
-        pivot_floor: f64,
-    ) -> NumericSummary {
-        let thresholds = if std::mem::replace(&mut self.warm, true) {
+    /// Runs the numeric phase over the already loaded blocks `bm`.
+    fn factor(&mut self, bm: &mut BlockMatrix<S>, run: &NumericRun) -> NumericSummary {
+        let (opts, tg, owners) = (run.opts, run.tg, run.owners);
+        let thresholds = if self.executor.is_some() {
             opts.thresholds
         } else {
             Thresholds {
@@ -375,27 +382,37 @@ impl<S: Scalar> NumericCache<S> {
                 ..opts.thresholds
             }
         };
-        let selector = &KernelSelector::new(nnz, thresholds);
-        match &mut self.executor {
+        let selector = &KernelSelector::new(run.nnz, thresholds);
+        let executor = self.executor.get_or_insert_with(|| {
+            if opts.shared_threads.is_some() || opts.ranks == 1 {
+                Executor::Shared {
+                    threads: opts.shared_threads.unwrap_or(1),
+                    plans: empty_plans(bm, tg),
+                }
+            } else {
+                Executor::Distributed { workspace: NumericWorkspace::new(bm, tg, owners) }
+            }
+        });
+        match executor {
             Executor::Shared { threads, plans } => NumericSummary::in_process(
-                factor_shared_planned(bm, tg, selector, pivot_floor, *threads, plans),
+                factor_shared_planned(bm, tg, selector, run.pivot_floor, *threads, plans),
             ),
             Executor::Distributed { workspace } => {
                 // A fault-free run only stalls on an executor bug.
-                let run = factor_distributed_cached(
+                let out = factor_distributed_cached(
                     bm,
                     tg,
                     owners,
                     selector,
-                    pivot_floor,
+                    run.pivot_floor,
                     &FactorConfig::default(),
                     workspace,
                 )
                 .unwrap_or_else(|e| panic!("distributed factorisation failed: {e}"));
                 NumericSummary {
-                    perturbed_pivots: run.stats.perturbed_pivots,
+                    perturbed_pivots: out.stats.perturbed_pivots,
                     numeric: None,
-                    report: Some(run.report),
+                    report: Some(out.report),
                 }
             }
         }
@@ -404,8 +421,9 @@ impl<S: Scalar> NumericCache<S> {
     /// Memory and build accounting of the cached kernel plans.
     fn plan_stats(&self) -> PlanStats {
         match &self.executor {
-            Executor::Shared { plans, .. } => plans.stats(),
-            Executor::Distributed { workspace } => workspace.plan_stats(),
+            Some(Executor::Shared { plans, .. }) => plans.stats(),
+            Some(Executor::Distributed { workspace }) => workspace.plan_stats(),
+            None => PlanStats::default(),
         }
     }
 }
@@ -635,122 +653,154 @@ fn refine_with(
     }
 }
 
-/// Narrows every stored value of `src` into `dst`'s (same-pattern)
-/// blocks — the refactor-path equivalent of `src.cast::<f32>()` without
-/// the allocation.
-fn narrow_into(src: &BlockMatrix, dst: &mut BlockMatrix<f32>) {
-    for id in 0..src.num_blocks() {
-        let s = src.block(id).values();
-        for (d, v) in dst.block_mut(id).values_mut().iter_mut().zip(s) {
-            *d = *v as f32;
+impl Factors {
+    /// Where entry `(i, j)` of the scaled permuted matrix is stored in
+    /// the live store (see [`BlockMatrix::slot`]).
+    fn slot(&self, i: usize, j: usize) -> Result<(usize, usize)> {
+        match self {
+            Factors::F64 { bm, .. } => bm.slot(i, j),
+            Factors::Mixed(mx) => mx.factored32.slot(i, j),
         }
+    }
+
+    /// Runs the numeric phase on the loaded store. Mixed factors must
+    /// pass the acceptance probe (see [`MixedState::accept`]); an f32
+    /// zero pivot or a failed probe falls back to f64, counted and never
+    /// surfaced as an error: the f32 store's pattern, zeroed and loaded
+    /// with `scaled_a`, holds the same scaled values in the same slots as
+    /// an f64 store that was never narrowed, and is factored on new f64
+    /// executor state. `refactor` marks a refactorisation (the probe
+    /// cadence counts those).
+    fn factor(&mut self, run: &NumericRun, refactor: bool, stats: &mut FactorStats) -> Result<()> {
+        match self {
+            Factors::F64 { bm, numeric } => numeric.factor(bm, run).apply(stats),
+            Factors::Mixed(mx) => {
+                let summary = mx.numeric.factor(&mut mx.factored32, run);
+                let perturbed = summary.perturbed_pivots;
+                // An f32 zero pivot fails like a probe: the f64 run
+                // decides whether the matrix itself is singular.
+                if zero_pivots(run.pivot_floor, perturbed) == 0
+                    && mx.accept(refactor, perturbed, run.opts.probe_every, &mut stats.precision)
+                {
+                    summary.apply(stats);
+                } else {
+                    let c = &mut stats.precision;
+                    c.precision_fallbacks += 1;
+                    c.refine_iters += mx.refine_iters.load(Ordering::Relaxed);
+                    c.refined_solves += mx.refined_solves.load(Ordering::Relaxed);
+                    let mut bm = mx.factored32.cast::<f64>();
+                    bm.clear_values();
+                    bm.load(&mx.scaled_a)?;
+                    *self = Factors::F64 { bm, numeric: NumericCache::new() };
+                    return self.factor(run, refactor, stats);
+                }
+            }
+        }
+        if let Some(report) = stats.report.as_mut() {
+            report.precision_fallbacks = stats.precision.precision_fallbacks;
+            report.probe_skips = stats.precision.probe_skips;
+        }
+        Ok(())
     }
 }
 
-/// Widens every stored f32 value of `src` into `dst`'s (same-pattern)
-/// f64 blocks, exactly — the in-place equivalent of `src.cast::<f64>()`.
-fn widen_into(src: &BlockMatrix<f32>, dst: &mut BlockMatrix) {
-    for id in 0..src.num_blocks() {
-        let s = src.block(id).values();
-        for (d, v) in dst.block_mut(id).values_mut().iter_mut().zip(s) {
-            *d = f64::from(*v);
+impl MixedState {
+    /// A mixed state over freshly loaded f32 tiles of `scaled_a`.
+    fn new(factored32: BlockMatrix<f32>, scaled_a: CscMatrix) -> Self {
+        MixedState {
+            factored32,
+            numeric: NumericCache::new(),
+            scaled_a,
+            a_pos: Vec::new(),
+            widened: OnceLock::new(),
+            refine_iters: AtomicU64::new(0),
+            refined_solves: AtomicU64::new(0),
+            refactors_since_probe: 0,
+            probed_perturbed: 0,
         }
     }
-}
 
-/// Attempts the f32 numeric phase of a mixed-precision solver: casts
-/// the scattered f64 blocks down, factors them against the unchanged
-/// analysis, then probes the factors with one deterministic refinement
-/// solve (all-ones right-hand side in the inner domain). On success the
-/// run summary and the live [`MixedState`] come back; a stalled probe
-/// returns `None` and the caller re-factors in f64 — counted, never
-/// surfaced as an error.
-///
-/// `pattern` is the scaled permuted input whose pattern the residuals
-/// use; its values are re-read from `bm`. `prev` is the retiring state
-/// of a refactorisation: its f32 buffers, residual matrix, slot map,
-/// executor workspace and kernel plans are all reused in place, so the
-/// steady state allocates nothing.
-///
-/// Refactorisations amortise the probe: the solve only reruns every
-/// [`SolverOptions::probe_every`]-th refactorisation or when the
-/// perturbed-pivot count drifts from the last probed run; skips are
-/// counted in [`PrecisionCounters::probe_skips`].
-#[allow(clippy::too_many_arguments)]
-fn try_factor_mixed(
-    bm: &BlockMatrix,
-    pattern: &CscMatrix,
-    tg: &TaskGraph,
-    owners: &OwnerMap,
-    nnz: usize,
-    pivot_floor: f64,
-    opts: &SolverOptions,
-    prev: Option<MixedState>,
-    precision: &mut PrecisionCounters,
-) -> Result<Option<(NumericSummary, MixedState)>> {
-    let prev_cadence = prev.as_ref().map(|s| (s.refactors_since_probe, s.probed_perturbed));
-    let (mut bm32, mut scaled_a, a_slots, mut numeric) = match prev {
-        Some(mut state) => {
-            narrow_into(bm, &mut state.factored32);
-            (state.factored32, state.scaled_a, state.a_slots, state.numeric)
-        }
-        None => {
-            let a_slots =
-                pattern.iter().map(|(i, j, _)| bm.slot(i, j)).collect::<Result<Vec<_>>>()?;
-            let bm32 = bm.cast::<f32>();
-            let numeric = NumericCache::new(opts, &bm32, tg, owners);
-            (bm32, pattern.clone(), a_slots, numeric)
-        }
-    };
-    for (v, &(id, p)) in scaled_a.values_mut().iter_mut().zip(&a_slots) {
-        *v = bm.block(id).values()[p];
-    }
-    let summary = numeric.factor(&mut bm32, tg, owners, opts, nnz, pivot_floor);
-    if zero_pivots(pivot_floor, summary.perturbed_pivots) > 0 {
-        // An f32 zero pivot fails like a probe: the f64 run decides
-        // whether the matrix itself is singular.
-        precision.precision_fallbacks += 1;
-        return Ok(None);
-    }
-    let mut state = MixedState {
-        factored32: bm32,
-        numeric,
-        scaled_a,
-        a_slots,
-        refine_iters: AtomicU64::new(0),
-        refined_solves: AtomicU64::new(0),
-        refactors_since_probe: 0,
-        probed_perturbed: summary.perturbed_pivots,
-    };
-    // Amortised acceptance probing: a refactorisation inside the cadence
-    // window whose perturbed-pivot count matches the last probed run
-    // skips the probe solve entirely — the factors were accepted K
-    // refactors ago and nothing structural about the pivoting changed.
-    // The first factorisation (no `prev`) always probes.
-    if let Some((since, probed_perturbed)) = prev_cadence {
-        let cadence_due = since + 1 >= opts.probe_every.max(1);
-        let drifted = summary.perturbed_pivots != probed_perturbed;
-        if !cadence_due && !drifted {
+    /// The acceptance probe of just-factored f32 factors: one
+    /// deterministic refinement solve (all-ones right-hand side in the
+    /// inner domain) must reach [`PROBE_GATE`]. Returns whether the
+    /// factors are kept.
+    ///
+    /// Refactorisations amortise it: the solve only reruns every
+    /// `probe_every`-th refactorisation or when the perturbed-pivot count
+    /// drifts from the last probed run; skips are counted in
+    /// [`PrecisionCounters::probe_skips`]. The first factorisation always
+    /// probes.
+    fn accept(
+        &mut self,
+        refactor: bool,
+        perturbed: usize,
+        probe_every: usize,
+        precision: &mut PrecisionCounters,
+    ) -> bool {
+        // Inside the cadence window with the pivoting unchanged, the
+        // factors accepted at the last probe need no new one.
+        let cadence_due = self.refactors_since_probe + 1 >= probe_every.max(1);
+        if refactor && !cadence_due && perturbed == self.probed_perturbed {
             precision.probe_skips += 1;
             precision.mixed_factors += 1;
-            state.refactors_since_probe = since + 1;
-            state.probed_perturbed = probed_perturbed;
-            return Ok(Some((summary, state)));
+            self.refactors_since_probe += 1;
+            return true;
+        }
+        self.refactors_since_probe = 0;
+        self.probed_perturbed = perturbed;
+        let ones = vec![1.0f64; self.scaled_a.ncols()];
+        let (_, rel, iters) =
+            refine_inner(&self.factored32, &self.scaled_a, &[ones], REFINE_TOL, MAX_REFINE_ITERS)
+                .pop()
+                .expect("one column in, one out");
+        precision.probe_refine_iters += iters as u64;
+        let kept = rel.is_finite() && rel <= PROBE_GATE;
+        if kept {
+            precision.mixed_factors += 1;
+        }
+        kept
+    }
+}
+
+/// Tiles the symbolic pattern into a block store of `m`'s values in
+/// precision `S` (fill slots zero), derives the task graph and the
+/// balanced owner map from it, and records the block grid in `stats`.
+fn preprocess<S: Scalar>(
+    fill: FilledPattern,
+    m: &CscMatrix,
+    nb: usize,
+    grid: ProcessGrid,
+    stats: &mut FactorStats,
+) -> Result<(BlockMatrix<S>, TaskGraph, OwnerMap)> {
+    let bm = BlockMatrix::from_fill(&fill, m, nb)?;
+    drop(fill);
+    let tg = TaskGraph::build(&bm);
+    let owners = OwnerMap::balanced(&bm, grid, &tg);
+    (stats.block_size, stats.nblk, stats.num_blocks) = (nb, bm.nblk(), bm.num_blocks());
+    Ok((bm, tg, owners))
+}
+
+/// The log-absolute-determinant and sign of `A` from the pivots `U_ii`
+/// (unknown order) of its factors under the reordering `r`.
+fn log_abs_det_of(r: &Reordering, pivots: impl Iterator<Item = f64>) -> (f64, i8) {
+    let mut log_abs = 0.0f64;
+    let mut sign: i8 = r.row_perm.parity() * r.col_perm.parity();
+    for u in pivots {
+        if u == 0.0 {
+            return (f64::NEG_INFINITY, 0);
+        }
+        log_abs += u.abs().ln();
+        if u < 0.0 {
+            sign = -sign;
         }
     }
-    let ones = vec![1.0f64; state.scaled_a.ncols()];
-    let (_, rel, iters) =
-        refine_inner(&state.factored32, &state.scaled_a, &[ones], REFINE_TOL, MAX_REFINE_ITERS)
-            .pop()
-            .expect("one column in, one out");
-    precision.probe_refine_iters += iters as u64;
-    if rel.is_finite() && rel <= PROBE_GATE {
-        precision.mixed_factors += 1;
-        Ok(Some((summary, state)))
-    } else {
-        precision.precision_fallbacks += 1;
-        Ok(None)
+    for &dr in &r.row_scale {
+        log_abs -= dr.ln();
     }
+    for &dc in &r.col_scale {
+        log_abs -= dc.ln();
+    }
+    (log_abs, sign)
 }
 
 /// A factored system ready to solve right-hand sides.
@@ -762,19 +812,10 @@ pub struct Solver {
     /// scatter map all walk the caller's index order through them.
     row_pos: Permutation,
     col_pos: Permutation,
-    factored: BlockMatrix,
+    factors: Factors,
     tg: TaskGraph,
     owners: OwnerMap,
     plan: SolverPlan,
-    /// The f64 executor state (kernel plans; per-rank received copies,
-    /// dependency counters and schedules), retained so refactorisation
-    /// reuses it instead of rebuilding. `None` only while a mixed
-    /// solver's f32 factors are live: the f64 state is built by the first
-    /// f64 run, i.e. at the transparent fallback.
-    numeric: Option<NumericCache<f64>>,
-    /// The live f32 side of a mixed-precision solver; `None` in f64 mode
-    /// and after a transparent fallback.
-    mixed: Option<MixedState>,
     stats: FactorStats,
     n: usize,
 }
@@ -820,55 +861,37 @@ impl Solver {
         stats.symbolic = Some(pangulu_symbolic::stats::stats_from_fill(&reordering.matrix, &fill));
         stats.symbolic_time = t.elapsed();
 
-        // Phase 3: preprocess — blocking, owner map, load balancing.
+        // Phase 3: preprocess — blocking, owner map, load balancing. The
+        // one block store is tiled straight into the precision the factors
+        // will hold.
         let t = Instant::now();
         let grid = ProcessGrid::new(opts.ranks);
         let nb = opts.block_size.unwrap_or_else(|| {
             BlockMatrix::choose_block_size(n, fill.nnz_lu(), grid.pr().max(grid.pc()))
         });
-        let mut bm = BlockMatrix::from_fill(&fill, &reordering.matrix, nb)?;
-        drop(fill);
-        let tg = TaskGraph::build(&bm);
-        let owners = OwnerMap::balanced(&bm, grid, &tg);
+        let m = &reordering.matrix;
+        let (mut factors, tg, owners) = match opts.precision {
+            Precision::F64 => {
+                let (bm, tg, owners) = preprocess(fill, m, nb, grid, &mut stats)?;
+                (Factors::F64 { bm, numeric: NumericCache::new() }, tg, owners)
+            }
+            Precision::MixedF32 => {
+                let (bm32, tg, owners) = preprocess(fill, m, nb, grid, &mut stats)?;
+                (Factors::Mixed(MixedState::new(bm32, m.clone())), tg, owners)
+            }
+        };
         stats.preprocess_time = t.elapsed();
-        stats.block_size = nb;
-        stats.nblk = bm.nblk();
-        stats.num_blocks = bm.num_blocks();
 
         // Phase 4: numeric factorisation.
-        let pivot_floor = opts.pivot_floor_rel * reordering.matrix.norm_max().max(1.0);
+        let run = NumericRun {
+            tg: &tg,
+            owners: &owners,
+            opts: &opts,
+            nnz: a.nnz(),
+            pivot_floor: opts.pivot_floor_rel * m.norm_max().max(1.0),
+        };
         let t = Instant::now();
-        let mut numeric = None;
-        let mut mixed = None;
-        if opts.precision == Precision::MixedF32 {
-            if let Some((summary, state)) = try_factor_mixed(
-                &bm,
-                &reordering.matrix,
-                &tg,
-                &owners,
-                a.nnz(),
-                pivot_floor,
-                &opts,
-                None,
-                &mut stats.precision,
-            )? {
-                // Publish the exact widened f64 image of the f32 factors
-                // so reports, determinants and bitwise comparisons read
-                // the same numbers the refinement loop solves against.
-                widen_into(&state.factored32, &mut bm);
-                summary.apply(&mut stats);
-                mixed = Some(state);
-            }
-        }
-        if mixed.is_none() {
-            // f64 path — requested, or the mixed probe fell back to it.
-            let cache = numeric.insert(NumericCache::new(&opts, &bm, &tg, &owners));
-            cache.factor(&mut bm, &tg, &owners, &opts, a.nnz(), pivot_floor).apply(&mut stats);
-        }
-        if let Some(report) = stats.report.as_mut() {
-            report.precision_fallbacks = stats.precision.precision_fallbacks;
-            report.probe_skips = stats.precision.probe_skips;
-        }
+        factors.factor(&run, false, &mut stats)?;
         stats.numeric_time = t.elapsed();
 
         let plan = SolverPlan {
@@ -883,12 +906,10 @@ impl Solver {
             row_pos: reordering.row_perm.inverse(),
             col_pos: reordering.col_perm.inverse(),
             reordering,
-            factored: bm,
+            factors,
             tg,
             owners,
             plan,
-            numeric,
-            mixed,
             stats,
             n,
         };
@@ -906,9 +927,17 @@ impl Solver {
         &self.stats
     }
 
-    /// The factored block matrix (packed `L\U` tiles).
+    /// The factored block matrix (packed `L\U` tiles) in f64. While a
+    /// mixed-precision solver's f32 factors are live this is their exact
+    /// widened image, built by the first call after each factorisation
+    /// and kept until the next one: a copy the size of the factors that
+    /// only callers of this method pay for. The solver itself reads
+    /// [`Solver::factored32`].
     pub fn factored(&self) -> &BlockMatrix {
-        &self.factored
+        match &self.factors {
+            Factors::F64 { bm, .. } => bm,
+            Factors::Mixed(mx) => mx.widened.get_or_init(|| mx.factored32.cast()),
+        }
     }
 
     /// The reordering that was applied.
@@ -931,19 +960,20 @@ impl Solver {
     /// including after a transparent fallback (see
     /// [`Solver::precision_counters`]).
     pub fn effective_precision(&self) -> Precision {
-        if self.mixed.is_some() {
-            Precision::MixedF32
-        } else {
-            Precision::F64
+        match self.factors {
+            Factors::F64 { .. } => Precision::F64,
+            Factors::Mixed(_) => Precision::MixedF32,
         }
     }
 
     /// The live f32 factors of a mixed-precision solver (`None` in f64
-    /// mode and after a fallback). [`Solver::factored`] always holds
-    /// their exact widened f64 image, so bitwise factor comparisons can
-    /// read either.
+    /// mode and after a fallback) — its only resident factor store.
+    /// [`Solver::factored`] widens them exactly on demand.
     pub fn factored32(&self) -> Option<&BlockMatrix<f32>> {
-        self.mixed.as_ref().map(|m| &m.factored32)
+        match &self.factors {
+            Factors::F64 { .. } => None,
+            Factors::Mixed(mx) => Some(&mx.factored32),
+        }
     }
 
     /// Mixed-precision accounting over the solver's lifetime: the
@@ -951,7 +981,7 @@ impl Solver {
     /// refinement work of every solve so far.
     pub fn precision_counters(&self) -> PrecisionCounters {
         let mut c = self.stats.precision;
-        if let Some(m) = &self.mixed {
+        if let Factors::Mixed(m) = &self.factors {
             c.refine_iters += m.refine_iters.load(Ordering::Relaxed);
             c.refined_solves += m.refined_solves.load(Ordering::Relaxed);
         }
@@ -964,9 +994,9 @@ impl Solver {
     /// are built on second use — and whenever the selector's planned
     /// gates are closed.
     pub fn kernel_plan_stats(&self) -> PlanStats {
-        match &self.mixed {
-            Some(state) => state.numeric.plan_stats(),
-            None => self.numeric.as_ref().map(NumericCache::plan_stats).unwrap_or_default(),
+        match &self.factors {
+            Factors::F64 { numeric, .. } => numeric.plan_stats(),
+            Factors::Mixed(mx) => mx.numeric.plan_stats(),
         }
     }
 
@@ -1034,28 +1064,45 @@ impl Solver {
         check_finite(a)?;
 
         // First refactorisation: build the scatter map from input
-        // nonzeros to factor-block slots through the cached permutations.
+        // nonzeros to factor-block slots through the cached permutations
+        // and, for mixed factors, the map to `scaled_a`'s values.
         if self.plan.scatter.is_none() {
+            let scaled_a = match &self.factors {
+                Factors::F64 { .. } => None,
+                Factors::Mixed(mx) => Some(&mx.scaled_a),
+            };
             let mut map = Vec::with_capacity(self.plan.row_idx.len());
+            let mut a_pos = Vec::with_capacity(scaled_a.map_or(0, CscMatrix::nnz));
             for j in 0..self.plan.n {
                 let new_c = self.col_pos.old_of(j);
                 for k in self.plan.col_ptr[j]..self.plan.col_ptr[j + 1] {
                     let new_r = self.row_pos.old_of(self.plan.row_idx[k]);
-                    map.push(self.factored.slot(new_r, new_c)?);
+                    map.push(self.factors.slot(new_r, new_c)?);
+                    if let Some(m) = scaled_a {
+                        a_pos.push(m.find(new_r, new_c).ok_or_else(|| outside(new_r, new_c))?);
+                    }
                 }
             }
             self.plan.scatter = Some(map);
+            if let Factors::Mixed(mx) = &mut self.factors {
+                mx.a_pos = a_pos;
+            }
         }
 
-        // Reset the factor storage to the scaled, permuted input: zero
-        // every slot (fill-in positions hold explicit zeros before the
-        // numeric phase), then scatter `v · d_r[i] · d_c[j]` — the exact
+        // Reset the live store to the scaled, permuted input: zero every
+        // slot (fill-in positions hold explicit zeros before the numeric
+        // phase), then scatter `v · d_r[i] · d_c[j]` — the exact
         // arithmetic `scale` applies, so the rebuilt blocks are bitwise
-        // what the full pipeline would produce. The max-abs norm for the
-        // pivot floor is folded in during the same sweep (max is
+        // what the full pipeline would produce; mixed factors take it
+        // rounded to f32, and `scaled_a` takes it as is. The max-abs norm
+        // for the pivot floor is folded in during the same sweep (max is
         // order-independent, so it matches `norm_max()` bit-for-bit).
-        for id in 0..self.factored.num_blocks() {
-            self.factored.block_mut(id).values_mut().fill(0.0);
+        match &mut self.factors {
+            Factors::F64 { bm, .. } => bm.clear_values(),
+            Factors::Mixed(mx) => {
+                mx.widened.take();
+                mx.factored32.clear_values();
+            }
         }
         let scatter = self.plan.scatter.as_ref().expect("scatter map built above");
         let r = &self.reordering;
@@ -1067,58 +1114,28 @@ impl Solver {
                 let scaled = vals[k] * r.row_scale[self.plan.row_idx[k]] * cj;
                 norm = norm.max(scaled.abs());
                 let (id, idx) = scatter[k];
-                self.factored.block_mut(id).values_mut()[idx] = scaled;
+                match &mut self.factors {
+                    Factors::F64 { bm, .. } => bm.block_mut(id).values_mut()[idx] = scaled,
+                    Factors::Mixed(mx) => {
+                        mx.factored32.block_mut(id).values_mut()[idx] = scaled as f32;
+                        mx.scaled_a.values_mut()[mx.a_pos[k]] = scaled;
+                    }
+                }
             }
         }
 
         // Numeric phase only — reorder, symbolic and preprocess are all
-        // served from the cache.
-        let pivot_floor = self.opts.pivot_floor_rel * norm.max(1.0);
+        // served from the cache. A mixed solver that falls back runs this
+        // and every later numeric phase in f64.
+        let run = NumericRun {
+            tg: &self.tg,
+            owners: &self.owners,
+            opts: &self.opts,
+            nnz: a.nnz(),
+            pivot_floor: self.opts.pivot_floor_rel * norm.max(1.0),
+        };
         let t = Instant::now();
-        if let Some(state) = self.mixed.take() {
-            // Fold the retiring state's solve counters into the lifetime
-            // totals before its atomics drop; the f32 executor state
-            // carries over to the new factorisation.
-            self.stats.precision.refine_iters += state.refine_iters.load(Ordering::Relaxed);
-            self.stats.precision.refined_solves += state.refined_solves.load(Ordering::Relaxed);
-            if let Some((summary, new_state)) = try_factor_mixed(
-                &self.factored,
-                &self.reordering.matrix,
-                &self.tg,
-                &self.owners,
-                a.nnz(),
-                pivot_floor,
-                &self.opts,
-                Some(state),
-                &mut self.stats.precision,
-            )? {
-                widen_into(&new_state.factored32, &mut self.factored);
-                summary.apply(&mut self.stats);
-                self.mixed = Some(new_state);
-            }
-        }
-        if self.mixed.is_none() {
-            // f64 path — configured, or the transparent fallback: this
-            // and every future numeric phase of a fallen-back mixed
-            // solver runs in f64, on executor state built once here.
-            let cache = self.numeric.get_or_insert_with(|| {
-                NumericCache::new(&self.opts, &self.factored, &self.tg, &self.owners)
-            });
-            cache
-                .factor(
-                    &mut self.factored,
-                    &self.tg,
-                    &self.owners,
-                    &self.opts,
-                    a.nnz(),
-                    pivot_floor,
-                )
-                .apply(&mut self.stats);
-        }
-        if let Some(report) = self.stats.report.as_mut() {
-            report.precision_fallbacks = self.stats.precision.precision_fallbacks;
-            report.probe_skips = self.stats.precision.probe_skips;
-        }
+        self.factors.factor(&run, true, &mut self.stats)?;
         self.stats.numeric_time = t.elapsed();
         self.stats.phases.numeric_runs += 1;
         self.stats.phases.analysis_reuses += 1;
@@ -1158,7 +1175,7 @@ impl Solver {
     fn gather_panel<B: AsRef<[f64]>>(&self, bs: &[B], rhs0: usize) -> Result<Vec<Vec<f64>>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
         let (pos, scale) = (&self.row_pos, &self.reordering.row_scale);
-        if self.mixed.is_some() {
+        if self.factored32().is_some() {
             bs.iter().enumerate().map(|(j, b)| gather_scaled(pos, scale, &[b], rhs0 + j)).collect()
         } else {
             Ok(vec![gather_scaled(pos, scale, bs, rhs0)?])
@@ -1170,21 +1187,30 @@ impl Solver {
     fn solve_panel(&self, mut gathered: Vec<Vec<f64>>, k: usize) -> Vec<Vec<f64>> {
         let r = &self.reordering;
         let outer = |z: &[f64], k: usize| scatter_scaled(&self.col_pos, &r.col_scale, z, k);
-        if let Some(mx) = &self.mixed {
-            // Mixed mode: the f32 triangular solve is only a preconditioner;
-            // iterative refinement against the f64 scaled input
-            // recovers full f64 accuracy (or stops at the stagnation point).
-            let refined =
-                refine_inner(&mx.factored32, &mx.scaled_a, &gathered, REFINE_TOL, MAX_REFINE_ITERS);
-            let iters: usize = refined.iter().map(|(_, _, iters)| iters).sum();
-            mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
-            mx.refined_solves.fetch_add(refined.len() as u64, Ordering::Relaxed);
-            refined.iter().flat_map(|(z, _, _)| outer(z, 1)).collect()
-        } else {
-            let panel = &mut gathered[0];
-            forward_substitute_panel(&self.factored, panel, k);
-            backward_substitute_panel(&self.factored, panel, k);
-            outer(panel, k)
+        match &self.factors {
+            Factors::Mixed(mx) => {
+                // The f32 triangular solve is only a preconditioner;
+                // iterative refinement against the f64 scaled input
+                // recovers full f64 accuracy (or stops at the stagnation
+                // point).
+                let refined = refine_inner(
+                    &mx.factored32,
+                    &mx.scaled_a,
+                    &gathered,
+                    REFINE_TOL,
+                    MAX_REFINE_ITERS,
+                );
+                let iters: usize = refined.iter().map(|(_, _, iters)| iters).sum();
+                mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
+                mx.refined_solves.fetch_add(refined.len() as u64, Ordering::Relaxed);
+                refined.iter().flat_map(|(z, _, _)| outer(z, 1)).collect()
+            }
+            Factors::F64 { bm, .. } => {
+                let panel = &mut gathered[0];
+                forward_substitute_panel(bm, panel, k);
+                backward_substitute_panel(bm, panel, k);
+                outer(panel, k)
+            }
         }
     }
 
@@ -1206,15 +1232,20 @@ impl Solver {
         );
         let _ = writeln!(out, "ordering: {}", self.reordering.ordering_summary());
         if let Some(sym) = s.symbolic {
+            // The store that is live, in the precision it holds.
+            let (bytes, label) = match &self.factors {
+                Factors::F64 { bm, .. } => (bm.memory_bytes(), f64::LABEL),
+                Factors::Mixed(mx) => (mx.factored32.memory_bytes(), f32::LABEL),
+            };
             let _ = writeln!(
                 out,
-                "factor: nnz(L+U) {} ({:.2}x fill), {:.3e} flops, tile {} ({} blocks, {:.1} MiB)",
+                "factor: nnz(L+U) {} ({:.2}x fill), {:.3e} flops, tile {} ({} blocks, {:.1} MiB {label})",
                 sym.nnz_lu,
                 sym.fill_ratio,
                 sym.flops,
                 s.block_size,
                 s.num_blocks,
-                self.factored.memory_bytes() as f64 / (1024.0 * 1024.0),
+                bytes as f64 / (1024.0 * 1024.0),
             );
         }
         let _ = writeln!(out, "kernel plans: {}", self.kernel_plans_summary());
@@ -1245,29 +1276,12 @@ impl Solver {
     /// (the MC64 scalings are strictly positive). Returns
     /// `(ln|det A|, sign)` with sign in `{-1, 0, +1}`.
     pub fn log_abs_det(&self) -> (f64, i8) {
-        let r = &self.reordering;
-        let mut log_abs = 0.0f64;
-        let mut sign: i8 = r.row_perm.parity() * r.col_perm.parity();
-        for k in 0..self.factored.nblk() {
-            let d = self.factored.block(self.factored.block_id(k, k).expect("diag block"));
-            for c in 0..d.ncols() {
-                let u = d.get(c, c);
-                if u == 0.0 {
-                    return (f64::NEG_INFINITY, 0);
-                }
-                log_abs += u.abs().ln();
-                if u < 0.0 {
-                    sign = -sign;
-                }
+        match &self.factors {
+            Factors::F64 { bm, .. } => log_abs_det_of(&self.reordering, bm.diagonal()),
+            Factors::Mixed(mx) => {
+                log_abs_det_of(&self.reordering, mx.factored32.diagonal().map(f64::from))
             }
         }
-        for &dr in &r.row_scale {
-            log_abs -= dr.ln();
-        }
-        for &dc in &r.col_scale {
-            log_abs -= dc.ln();
-        }
-        (log_abs, sign)
     }
 
     /// Estimates the 1-norm condition number `κ₁(A) = ‖A‖₁·‖A⁻¹‖₁` with
@@ -1340,20 +1354,23 @@ impl Solver {
         // Aᵀ x = b  ⇔  Mᵀ (P_r D_r⁻¹ x) = P_c D_c b with M = L U.
         let r = &self.reordering;
         let mut z = gather_scaled(&self.col_pos, &r.col_scale, &[b], 0)?;
-        if let Some(mx) = &self.mixed {
-            let (zt, _rel, iters) = refine_inner_transpose(
-                &mx.factored32,
-                &mx.scaled_a,
-                z,
-                REFINE_TOL,
-                MAX_REFINE_ITERS,
-            );
-            mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
-            mx.refined_solves.fetch_add(1, Ordering::Relaxed);
-            z = zt;
-        } else {
-            forward_substitute_transpose(&self.factored, &mut z);
-            backward_substitute_transpose(&self.factored, &mut z);
+        match &self.factors {
+            Factors::Mixed(mx) => {
+                let (zt, _rel, iters) = refine_inner_transpose(
+                    &mx.factored32,
+                    &mx.scaled_a,
+                    z,
+                    REFINE_TOL,
+                    MAX_REFINE_ITERS,
+                );
+                mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
+                mx.refined_solves.fetch_add(1, Ordering::Relaxed);
+                z = zt;
+            }
+            Factors::F64 { bm, .. } => {
+                forward_substitute_transpose(bm, &mut z);
+                backward_substitute_transpose(bm, &mut z);
+            }
         }
         Ok(scatter_scaled(&self.row_pos, &r.row_scale, &z, 1).pop().expect("one column"))
     }
@@ -1809,24 +1826,34 @@ mod tests {
     #[test]
     fn report_mentions_all_sections() {
         let a = gen::laplacian_2d(8, 8);
-        let mut solver = Solver::builder().ranks(2).build(&a).unwrap();
-        let report = solver.report(&a);
-        for needle in [
-            "input:",
-            "phases:",
-            "ordering: ",
-            "natural ",
-            "factor:",
-            "kernel plans: none yet (built by the first refactor)",
-            "comm:",
-            "nnz(L+U)",
-        ] {
-            assert!(report.contains(needle), "missing {needle:?} in:\n{report}");
+        for precision in [Precision::F64, Precision::MixedF32] {
+            let mut solver = Solver::builder().ranks(2).precision(precision).build(&a).unwrap();
+            assert_eq!(solver.effective_precision(), precision);
+            // The factor line sizes the live store, in its precision.
+            let (mib, label) = match solver.factored32() {
+                Some(f) => (f.memory_bytes(), "f32"),
+                None => (solver.factored().memory_bytes(), "f64"),
+            };
+            let store = format!(" blocks, {:.1} MiB {label})\n", mib as f64 / (1024.0 * 1024.0));
+            let report = solver.report(&a);
+            for needle in [
+                "input:",
+                "phases:",
+                "ordering: ",
+                "natural ",
+                "factor:",
+                &store,
+                "kernel plans: none yet (built by the first refactor)",
+                "comm:",
+                "nnz(L+U)",
+            ] {
+                assert!(report.contains(needle), "missing {needle:?} in:\n{report}");
+            }
+            solver.refactor(&a).unwrap();
+            let ps = solver.kernel_plan_stats();
+            let line = format!("kernel plans: {} bytes in {} plans\n", ps.bytes, ps.builds);
+            assert!(ps.bytes > 0 && solver.report(&a).contains(&line), "{}", solver.report(&a));
         }
-        solver.refactor(&a).unwrap();
-        let ps = solver.kernel_plan_stats();
-        let line = format!("kernel plans: {} bytes in {} plans\n", ps.bytes, ps.builds);
-        assert!(ps.bytes > 0 && solver.report(&a).contains(&line), "{}", solver.report(&a));
     }
 
     #[test]
@@ -1999,16 +2026,44 @@ mod tests {
         }
     }
 
+    /// `factored()` of a mixed solver is the exact widened image of the
+    /// live f32 factors — also after a refactorisation moved them.
     #[test]
     fn widened_factors_match_f32_image_exactly() {
         let a = gen::laplacian_2d(12, 12);
-        let solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
-        let f32bm = solver.factored32().unwrap();
-        let f64bm = solver.factored();
-        for id in 0..f64bm.num_blocks() {
-            for (wide, narrow) in f64bm.block(id).values().iter().zip(f32bm.block(id).values()) {
-                assert_eq!(*wide, *narrow as f64, "widening must be exact");
+        let mut solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+        for round in 0..2 {
+            let f32bm = solver.factored32().unwrap();
+            let f64bm = solver.factored();
+            assert_eq!(f64bm.num_blocks(), f32bm.num_blocks());
+            for id in 0..f64bm.num_blocks() {
+                let (wide, narrow) = (f64bm.block(id).values(), f32bm.block(id).values());
+                assert_eq!(wide.len(), narrow.len());
+                for (w, n) in wide.iter().zip(narrow) {
+                    assert_eq!(*w, f64::from(*n), "round {round}: widening must be exact");
+                }
             }
+            solver.refactor(&rescaled(&a, 1.5)).unwrap();
+        }
+    }
+
+    /// A mixed solver reads its pivots from the f32 store, widening them
+    /// one at a time; the determinant is bit for bit the one the widened
+    /// f64 image gives through a per-entry search of each diagonal block.
+    #[test]
+    fn mixed_log_abs_det_equals_the_widened_factors_determinant() {
+        for a in [gen::laplacian_2d(12, 11), gen::circuit(300, 21), gen::kkt(200, 90, 7)] {
+            let solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+            assert_eq!(solver.effective_precision(), Precision::MixedF32);
+            let wide = solver.factored();
+            let pivots = (0..wide.nblk()).flat_map(|k| {
+                let d = wide.block(wide.block_id(k, k).unwrap());
+                (0..d.ncols()).map(move |c| d.get(c, c))
+            });
+            let want = log_abs_det_of(&solver.reordering, pivots);
+            let got = solver.log_abs_det();
+            assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
+            assert!(got.0.is_finite() && got.1 != 0);
         }
     }
 
@@ -2216,12 +2271,12 @@ mod tests {
             ("laplacian", gen::laplacian_2d(15, 14)),
         ] {
             let solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
-            let mx = solver.mixed.as_ref().expect("f32 factors accepted");
+            let Factors::Mixed(mx) = &solver.factors else { panic!("{tag}: f32 factors rejected") };
             let m = &solver.reordering.matrix;
             // The filled-pattern reference: the unfactored store with every
             // fill slot (zero), reassembled.
             let fill = symbolic_fill(m).unwrap();
-            let filled = BlockMatrix::from_fill(&fill, m, solver.factored().nb()).unwrap().to_csc();
+            let filled = BlockMatrix::from_fill(&fill, m, mx.factored32.nb()).unwrap().to_csc();
             assert_eq!(mx.scaled_a.nnz(), m.nnz(), "{tag}");
             assert!(filled.nnz() > m.nnz(), "{tag}: the filled pattern has fill");
             let n = a.nrows();

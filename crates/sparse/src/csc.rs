@@ -313,9 +313,8 @@ impl<S: Scalar> CscMatrix<S> {
     }
 
     /// Re-types the matrix into another scalar precision: the pattern is
-    /// shared bit-for-bit, every value is rounded through `f64`.
-    /// `cast::<f32>()` is the precision drop of the mixed factorisation
-    /// path; casting back widens exactly.
+    /// shared bit-for-bit, every value is rounded through `f64`, so
+    /// casting f32 values back widens them exactly.
     pub fn cast<T: Scalar>(&self) -> CscMatrix<T> {
         CscMatrix {
             nrows: self.nrows,

@@ -166,7 +166,8 @@ stage_comm() {
 stage_precision() {
     cargo test --release -q -p pangulu-core --lib -- \
         mixed precision scalar_width fallback falls_back widened probe
-    cargo test --release -q --test precision_fallback --test solver_equivalence
+    cargo test --release -q --test precision_fallback --test solver_equivalence \
+        --test build_peak --test oracle
 }
 
 stage_solve() {

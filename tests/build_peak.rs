@@ -1,9 +1,10 @@
 //! The analysis holds nothing the size of L+U besides the factor itself:
 //! the heap peak of `Solver::build` stays close to the bytes the solver
-//! keeps once it is built, and a multi-rank solver keeps no second copy
-//! of the factor. A counting global allocator measures both, so
-//! this file is its own test binary with one test in it — no other test
-//! allocates while it counts.
+//! keeps once it is built, a multi-rank solver keeps no second copy of
+//! the factor, and a mixed-precision solver keeps one factor store, in
+//! f32. A counting global allocator measures all three, so this file is
+//! its own test binary with one test in it — no other test allocates
+//! while it counts.
 
 use pangulu::core::{Precision, Solver};
 use pangulu::sparse::{gen, CscMatrix};
@@ -87,7 +88,20 @@ fn kept_bytes(a: &CscMatrix, ranks: usize) -> usize {
     kept
 }
 
-/// Measured: 1.10 (kkt), 1.05 (lap2d) and 1.00 (kkt, mixed). The bound
+/// The bytes a solver keeps after `build` and two refactorisations (its
+/// kernel plans exist from the first), counted above what was live
+/// before it started; the solver comes back with them.
+fn steady_bytes(a: &CscMatrix, precision: Precision) -> (usize, Solver) {
+    let before = LIVE.load(Relaxed);
+    let mut solver = Solver::builder().precision(precision).build(a).unwrap();
+    for _ in 0..2 {
+        solver.refactor(a).unwrap();
+    }
+    assert_eq!(solver.effective_precision(), precision, "no fallback");
+    (LIVE.load(Relaxed) - before, solver)
+}
+
+/// Measured: 1.10 (kkt), 1.05 (lap2d) and 1.06 (kkt, mixed). The bound
 /// sits between those and what a build that holds a global filled CSC
 /// beside the tiles, and publishes mixed factors through a widened
 /// copy, reads: 1.98, 1.81 and 1.66.
@@ -114,4 +128,39 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     let ratio = kept_bytes(&circuit, 2) as f64 / kept_bytes(&circuit, 1) as f64;
     eprintln!("circuit: live after build, 2 ranks / 1 rank = {ratio:.3}");
     assert!(ratio < RANKS_BOUND, "circuit: 2 ranks keep {ratio:.3}x 1 rank (bound {RANKS_BOUND})");
+
+    // A mixed solver keeps its f32 factors and no f64 store beside them.
+    // Measured: 0.86; with an f64 store resident beside the f32 one it
+    // reads 1.44.
+    const MIXED_BOUND: f64 = 0.9;
+    let (f64_bytes, f64_solver) = steady_bytes(&kkt, Precision::F64);
+    drop(f64_solver);
+    let (mixed_bytes, mixed) = steady_bytes(&kkt, Precision::MixedF32);
+    let ratio = mixed_bytes as f64 / f64_bytes as f64;
+    eprintln!("kkt: live after build + 2 refactors, mixed / f64 = {ratio:.3}");
+    assert!(
+        ratio < MIXED_BOUND,
+        "kkt: mixed keeps {ratio:.3}x the f64 solver (bound {MIXED_BOUND})"
+    );
+
+    // Reading the factors allocates no f64 store: the determinant, the
+    // condition estimate, a transpose solve and the report run on the f32
+    // one. Only `factored()` builds the widened image.
+    let store = mixed.factored32().expect("mixed factors").memory_bytes();
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    let b = gen::test_rhs(kkt.nrows(), 1);
+    let readings = (
+        mixed.log_abs_det(),
+        mixed.condest(&kkt).unwrap(),
+        mixed.solve_transpose(&b).unwrap(),
+        mixed.report(&kkt),
+    );
+    let (grew, peak) = (LIVE.load(Relaxed) - live, PEAK.load(Relaxed) - live);
+    eprintln!("kkt mixed: readings grew live by {grew} B, peak by {peak} B; f32 store {store} B");
+    assert!(grew < store / 2 && peak < store / 2, "reading the factors built a store");
+    let widened = mixed.factored().memory_bytes();
+    let grew = LIVE.load(Relaxed) - live;
+    assert!(grew >= widened, "factored() widened without allocating ({grew} B)");
+    drop(readings);
 }

@@ -94,3 +94,79 @@ fn fallback_does_not_leak_across_solvers() {
     assert_eq!(s_good.effective_precision(), Precision::MixedF32);
     assert_eq!(s_good.precision_counters().precision_fallbacks, 0);
 }
+
+/// `hilbert(10)` beside an uncoupled 6 × 6 grid Laplacian: the Hilbert
+/// block sends the probe to f64, the grid block brings fill slots (which
+/// the dense Hilbert matrix alone has none of).
+fn hilbert_beside_grid() -> CscMatrix {
+    let grid = gen::laplacian_2d(6, 6);
+    let mut coo = CooMatrix::new(46, 46);
+    for (i, j, v) in grid.iter() {
+        coo.push(i, j, v).unwrap();
+    }
+    for (i, j, v) in hilbert(10).iter() {
+        coo.push(36 + i, 36 + j, v).unwrap();
+    }
+    coo.to_csc()
+}
+
+/// Same pattern, values scaled entry by entry.
+fn perturbed(a: &CscMatrix, by: impl Fn(usize) -> f64) -> CscMatrix {
+    let values = a.values().iter().enumerate().map(|(k, v)| v * by(k)).collect();
+    CscMatrix::from_parts(a.nrows(), a.ncols(), a.col_ptr().to_vec(), a.row_idx().to_vec(), values)
+        .unwrap()
+}
+
+/// `a + I` on `a`'s pattern (every diagonal entry stored).
+fn plus_identity(a: &CscMatrix) -> CscMatrix {
+    let mut b = a.clone();
+    for j in 0..a.ncols() {
+        let k = a.find(j, j).expect("diagonal stored");
+        b.values_mut()[k] += 1.0;
+    }
+    b
+}
+
+/// The bits of every stored factor value, through the f64 image.
+fn factor_bits(s: &Solver) -> Vec<u64> {
+    s.factored().to_csc().values().iter().map(|v| v.to_bits()).collect()
+}
+
+/// A fallback rebuilds the f64 store from the scaled input the mixed
+/// solver keeps on A's own pattern, not from a resident f64 copy of the
+/// factors; its factors are bit for bit an f64 solver's — after `build`,
+/// after a refactorisation with perturbed values, and when the fallback
+/// itself happens at a refactorisation.
+#[test]
+fn fallback_factors_are_bitwise_the_f64_solvers() {
+    for (tag, a) in [("hilbert", hilbert(10)), ("hilbert + grid", hilbert_beside_grid())] {
+        let nudged = perturbed(&a, |k| 1.0 + 1e-3 * (k % 7) as f64);
+        // Same pattern, well conditioned.
+        let good = plus_identity(&a);
+        for ranks in [1usize, 2] {
+            let f64_solver = || Solver::builder().ranks(ranks);
+            let mixed_solver = || f64_solver().precision(Precision::MixedF32);
+            let what = format!("{tag}, ranks {ranks}");
+
+            let mut mixed = mixed_solver().build(&a).unwrap();
+            let mut f64s = f64_solver().build(&a).unwrap();
+            assert_eq!(mixed.effective_precision(), Precision::F64, "{what}");
+            assert_eq!(factor_bits(&mixed), factor_bits(&f64s), "{what}: after build");
+            mixed.refactor(&nudged).unwrap();
+            f64s.refactor(&nudged).unwrap();
+            assert_eq!(factor_bits(&mixed), factor_bits(&f64s), "{what}: after a refactor");
+
+            // Accepted at build, rejected by the probe of the refactorisation.
+            let mut mixed = mixed_solver().probe_every(1).build(&good).unwrap();
+            let mut f64s = f64_solver().build(&good).unwrap();
+            assert_eq!(mixed.effective_precision(), Precision::MixedF32, "{what}");
+            mixed.refactor(&a).unwrap();
+            f64s.refactor(&a).unwrap();
+            assert_eq!(mixed.effective_precision(), Precision::F64, "{what}");
+            assert_eq!(mixed.precision_counters().precision_fallbacks, 1, "{what}");
+            assert_eq!(factor_bits(&mixed), factor_bits(&f64s), "{what}: refactor fallback");
+        }
+        let nnz_lu = Solver::factor(&a).unwrap().stats().symbolic.unwrap().nnz_lu;
+        assert_eq!(nnz_lu > a.nnz(), tag != "hilbert", "{tag}: fill slots");
+    }
+}
