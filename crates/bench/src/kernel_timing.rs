@@ -134,18 +134,19 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
             // closure — steady state amortises the build to zero.
             let blk = bm.block(diag_id).clone();
             let mut arena = Vec::new();
-            let p = plan::build_getrf_plan(&blk, &mut arena);
-            let secs = best_of_3(|| {
-                let mut b = blk.clone();
-                plan::getrf_planned(&mut b, &p, &arena, 1e-12);
-            });
-            samples.push(Sample {
-                class: "GETRF",
-                variant: "P_V1",
-                feature: nnz,
-                seconds: secs,
-                fill: 0.0,
-            });
+            if let Some(p) = plan::build_getrf_plan(&blk, &mut arena) {
+                let secs = best_of_3(|| {
+                    let mut b = blk.clone();
+                    plan::getrf_planned(&mut b, &p, &arena, &mut scratch, 1e-12);
+                });
+                samples.push(Sample {
+                    class: "GETRF",
+                    variant: "P_V1",
+                    feature: nnz,
+                    seconds: secs,
+                    fill: 0.0,
+                });
+            }
         }
         getrf::getrf(bm.block_mut(diag_id), GetrfVariant::CV1, &mut scratch, 1e-12);
 
@@ -170,18 +171,19 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     });
                 }
                 let mut arena = Vec::new();
-                let p = plan::build_gessm_plan(&diag, &orig, &mut arena);
-                let secs = best_of_3(|| {
-                    let mut b = orig.clone();
-                    plan::gessm_planned(&diag, &mut b, &p, &arena);
-                });
-                samples.push(Sample {
-                    class: "GESSM",
-                    variant: "P_V1",
-                    feature: nnz,
-                    seconds: secs,
-                    fill: 0.0,
-                });
+                if let Some(p) = plan::build_gessm_plan(&diag, &orig, &mut arena) {
+                    let secs = best_of_3(|| {
+                        let mut b = orig.clone();
+                        plan::gessm_planned(&diag, &mut b, &p, &arena);
+                    });
+                    samples.push(Sample {
+                        class: "GESSM",
+                        variant: "P_V1",
+                        feature: nnz,
+                        seconds: secs,
+                        fill: 0.0,
+                    });
+                }
                 if is_full(&diag) && is_full(&orig) {
                     let secs = best_of_3(|| {
                         let mut b = orig.clone();
@@ -220,18 +222,19 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     });
                 }
                 let mut arena = Vec::new();
-                let p = plan::build_tstrf_plan(&diag, &orig, &mut arena);
-                let secs = best_of_3(|| {
-                    let mut b = orig.clone();
-                    plan::tstrf_planned(&diag, &mut b, &p, &arena);
-                });
-                samples.push(Sample {
-                    class: "TSTRF",
-                    variant: "P_V1",
-                    feature: nnz,
-                    seconds: secs,
-                    fill: 0.0,
-                });
+                if let Some(p) = plan::build_tstrf_plan(&diag, &orig, &mut arena) {
+                    let secs = best_of_3(|| {
+                        let mut b = orig.clone();
+                        plan::tstrf_planned(&diag, &mut b, &p, &arena);
+                    });
+                    samples.push(Sample {
+                        class: "TSTRF",
+                        variant: "P_V1",
+                        feature: nnz,
+                        seconds: secs,
+                        fill: 0.0,
+                    });
+                }
                 if is_full(&diag) && is_full(&orig) {
                     let secs = best_of_3(|| {
                         let mut b = orig.clone();
@@ -280,18 +283,19 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                         });
                     }
                     let mut arena = Vec::new();
-                    let p = plan::build_ssssm_plan(&a, &b, &orig, &mut arena);
-                    let secs = best_of_3(|| {
-                        let mut c = orig.clone();
-                        plan::ssssm_planned(&a, &b, &mut c, &p, &arena);
-                    });
-                    samples.push(Sample {
-                        class: "SSSSM",
-                        variant: "P_V1",
-                        feature: fl,
-                        seconds: secs,
-                        fill,
-                    });
+                    if let Some(p) = plan::build_ssssm_plan(&a, &b, &orig, &mut arena) {
+                        let secs = best_of_3(|| {
+                            let mut c = orig.clone();
+                            plan::ssssm_planned(&a, &b, &mut c, &p, &arena);
+                        });
+                        samples.push(Sample {
+                            class: "SSSSM",
+                            variant: "P_V1",
+                            feature: fl,
+                            seconds: secs,
+                            fill,
+                        });
+                    }
                 }
                 let (a, b, c) = bm.ssssm_operands(a_id, b_id, c_id);
                 ssssm::ssssm(a, b, c, SsssmVariant::CV1, &mut scratch);

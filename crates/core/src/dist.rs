@@ -286,8 +286,8 @@ pub fn factor_distributed_checked<S: Scalar>(
 /// * the receive-side pattern shells: remote blocks delivered in an
 ///   earlier run keep their CSC structure, so every steady-state receive
 ///   is a values-only memcpy ([`MemStats::pattern_cache_hits`]);
-/// * each rank's kernel plans, built for the tasks it owns on its first
-///   run;
+/// * the kernel plans, built on the first run for every task and read
+///   by every rank;
 /// * each block's remote destinations.
 ///
 /// Owned blocks are factored in place in `bm`; the workspace holds no
@@ -311,9 +311,7 @@ pub fn factor_distributed_cached<S: Scalar>(
     assert_eq!(ws.ranks.len(), p, "workspace was built for a different rank count");
     assert_eq!(ws.num_blocks, bm.num_blocks(), "workspace was built for a different pattern");
     let start = Instant::now();
-    for st in &mut ws.ranks {
-        build_plans(bm, tg, selector, &mut st.plans, Owner::Rank(owners, st.rank));
-    }
+    build_plans(bm, tg, selector, &mut ws.plans);
     let store = bm.blocks_mut().as_mut_ptr();
     let bm: &BlockMatrix<S> = bm;
     let mailboxes = cfg
@@ -327,6 +325,7 @@ pub fn factor_distributed_cached<S: Scalar>(
         owners,
         dest_ptr: &ws.dest_ptr,
         dests: &ws.dests,
+        plans: &ws.plans,
         selector,
         pivot_floor,
         cfg,
@@ -415,6 +414,7 @@ struct RunCtx<'a, S: Scalar> {
     /// `dests[dest_ptr[id]..dest_ptr[id + 1]]` ([`NumericWorkspace`]).
     dest_ptr: &'a [usize],
     dests: &'a [usize],
+    plans: &'a KernelPlans<S>,
     selector: &'a KernelSelector,
     pivot_floor: f64,
     cfg: &'a FactorConfig,
@@ -449,33 +449,31 @@ struct RankState<S: Scalar> {
     /// Operand availability (owned-finished or received), by block id —
     /// read only by the stall diagnosis.
     avail: Vec<bool>,
-    /// Kernel index plans of the tasks this rank owns, built by its first
-    /// run and — like the rest of this state — reused verbatim across
-    /// numeric-only refactorisations.
-    plans: KernelPlans<S>,
 }
 
 impl<S: Scalar> RankState<S> {
-    fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, rank: usize) -> Self {
-        let nblocks = bm.num_blocks();
+    fn new(nblocks: usize, rank: usize) -> Self {
         RankState {
             rank,
             table: (0..nblocks).map(|_| CscMatrix::zeros(0, 0)).collect(),
             avail: vec![false; nblocks],
-            plans: KernelPlans::with_slots(bm.nblk(), nblocks, nblocks, tg.ssssm.len()),
         }
     }
 }
 
 /// The cached executor state of a distributed factorisation: one
-/// `RankState` per rank (the remote blocks' pattern shells, kernel plans)
-/// and each block's remote destinations. It holds no copy of the blocks a
-/// rank owns: ranks factor those in `bm`. Build it once per (pattern,
-/// grid, owner map) and pass it to [`factor_distributed_cached`] for
-/// every same-pattern factorisation; steady-state runs then do no
-/// pattern-dependent setup at all.
+/// `RankState` per rank (the remote blocks' pattern shells), the kernel
+/// plans every rank reads and each block's remote destinations. It holds
+/// no copy of the blocks a rank owns: ranks factor those in `bm`. Build
+/// it once per (pattern, grid, owner map) and pass it to
+/// [`factor_distributed_cached`] for every same-pattern factorisation;
+/// steady-state runs then do no pattern-dependent setup at all.
 pub struct NumericWorkspace<S: Scalar = f64> {
     ranks: Vec<RankState<S>>,
+    /// One pool for every rank: built before the ranks start, then only
+    /// read, and — like the rest of this state — reused verbatim across
+    /// numeric-only refactorisations.
+    plans: KernelPlans<S>,
     num_blocks: usize,
     /// Offsets into `dests`, one run per block id.
     dest_ptr: Vec<usize>,
@@ -488,7 +486,7 @@ impl<S: Scalar> NumericWorkspace<S> {
     /// Builds the per-rank state for `owners.num_ranks()` ranks over the
     /// pattern of `bm`.
     pub fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap) -> Self {
-        let ranks = (0..owners.num_ranks()).map(|r| RankState::new(bm, tg, r)).collect();
+        let ranks = (0..owners.num_ranks()).map(|r| RankState::new(bm.num_blocks(), r)).collect();
         let mut dest_ptr = Vec::with_capacity(bm.num_blocks() + 1);
         let mut dests = Vec::new();
         dest_ptr.push(0);
@@ -498,7 +496,8 @@ impl<S: Scalar> NumericWorkspace<S> {
             dest_ptr.push(dests.len());
         }
         dests.shrink_to_fit();
-        NumericWorkspace { ranks, num_blocks: bm.num_blocks(), dest_ptr, dests }
+        let plans = crate::seq::empty_plans(bm, tg);
+        NumericWorkspace { ranks, plans, num_blocks: bm.num_blocks(), dest_ptr, dests }
     }
 
     /// Number of ranks the workspace was built for.
@@ -506,16 +505,9 @@ impl<S: Scalar> NumericWorkspace<S> {
         self.ranks.len()
     }
 
-    /// Memory and build accounting of the kernel plans, summed over the
-    /// ranks' pools.
+    /// Memory and build accounting of the kernel plans.
     pub fn plan_stats(&self) -> PlanStats {
-        self.ranks.iter().map(|st| st.plans.stats()).fold(PlanStats::default(), |acc, ps| {
-            PlanStats {
-                bytes: acc.bytes + ps.bytes,
-                build_ns: acc.build_ns.saturating_add(ps.build_ns),
-                builds: acc.builds + ps.builds,
-            }
-        })
+        self.plans.stats()
     }
 }
 
@@ -530,11 +522,11 @@ fn run_rank<'a, S: Scalar>(
     blocks: SharedBlocks<'a, S>,
 ) -> RankOutput {
     let _abort_on_unwind = AbortOnUnwind(&ctx.abort);
-    let RankState { rank, avail, plans, .. } = st;
+    let RankState { rank, avail, .. } = st;
     let rank = *rank;
     debug_assert_eq!(mailbox.rank(), rank, "rank state handed to the wrong mailbox");
     avail.fill(false);
-    let engine = Engine::new(ctx.bm, blocks, ctx.tg, ctx.selector, ctx.pivot_floor, plans);
+    let engine = Engine::new(ctx.bm, blocks, ctx.tg, ctx.selector, ctx.pivot_floor, ctx.plans);
     let edge = Rank {
         ctx,
         rank,
@@ -548,11 +540,14 @@ fn run_rank<'a, S: Scalar>(
         trace: Vec::new(),
     };
     let mut out = edge.run();
-    // End-of-run gauges: cumulative across every run that shared this
-    // rank state (plans persist across refactorisations).
-    let ps = plans.stats();
-    out.metrics.mem.plan_bytes = ps.bytes;
-    out.metrics.mem.plan_build_ns = ps.build_ns;
+    // End-of-run gauges of the one pool, cumulative across every run that
+    // shared the workspace (plans persist across refactorisations), on
+    // rank 0's row so that the report's totals count the pool once.
+    if rank == 0 {
+        let ps = ctx.plans.stats();
+        out.metrics.mem.plan_bytes = ps.bytes;
+        out.metrics.mem.plan_build_ns = ps.build_ns;
+    }
     out
 }
 

@@ -27,7 +27,7 @@ use std::thread::ScopedJoinHandle;
 use std::time::{Duration, Instant};
 
 use pangulu_kernels::select::KernelSelector;
-use pangulu_kernels::{KernelPlans, KernelScratch, TimedKernels};
+use pangulu_kernels::{KernelPlans, KernelScratch, PlanTask, TimedKernels};
 use pangulu_metrics::TaskCounts;
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -234,7 +234,7 @@ pub fn factor_shared_planned<S: Scalar>(
     threads: usize,
     plans: &mut KernelPlans<S>,
 ) -> NumericStats {
-    build_plans(bm, tg, selector, plans, Owner::All);
+    build_plans(bm, tg, selector, plans);
     // SAFETY: the store is `bm`'s own, one block per id, and `Owner::All`
     // reaches every id through it; the engine is dropped before this
     // function returns, and until then `bm` is only read for its
@@ -263,49 +263,40 @@ pub fn factor_shared_planned<S: Scalar>(
     stats
 }
 
-/// Builds, for every task `owner` owns, the plan the selector's gates
-/// admit, so the pool exists before any task runs. Patterns are fixed by
-/// the symbolic phase, so the unfactored blocks give the same plans a
-/// task would build mid-factorisation; tasks whose planned gate is closed
-/// (the calibrated cuts send them to the dense-addressed variants) get
-/// no plan, keeping the pool's memory proportional to the planned
-/// working set. It reads the patterns of `bm`'s blocks, so it runs before
-/// any engine over `bm`'s store does.
+/// Builds, for every task, the plan the selector's gates admit, so the
+/// pool exists before any task runs. Patterns are fixed by the symbolic
+/// phase, so the unfactored blocks give the same plans a task would build
+/// mid-factorisation; tasks whose planned gate is closed (the calibrated
+/// cuts send them to the dense-addressed variants) get no plan, keeping
+/// the pool's memory proportional to the planned working set. It reads
+/// the patterns of `bm`'s blocks, so it runs before any engine over
+/// `bm`'s store does.
 pub(crate) fn build_plans<S: Scalar>(
     bm: &BlockMatrix<S>,
     tg: &TaskGraph,
     selector: &KernelSelector,
     plans: &mut KernelPlans<S>,
-    owner: Owner<'_>,
 ) {
-    for k in 0..bm.nblk() {
-        let diag_id = bm.block_id(k, k).expect("diag exists");
-        let diag = bm.block(diag_id);
-        if owner.owns(diag_id) {
-            plans.build_getrf(selector, k, diag);
-        }
-        for &j in &tg.u_panels[k] {
-            let id = bm.block_id(k, j).expect("panel exists");
-            if owner.owns(id) {
-                plans.build_gessm(selector, id, diag, bm.block(id));
+    plans.build(selector, |add| {
+        for k in 0..bm.nblk() {
+            let diag = bm.block(bm.block_id(k, k).expect("diag exists"));
+            add(PlanTask::Getrf { slot: k, a: diag });
+            for &j in &tg.u_panels[k] {
+                let id = bm.block_id(k, j).expect("panel exists");
+                add(PlanTask::Gessm { slot: id, diag_lu: diag, b: bm.block(id) });
+            }
+            for &i in &tg.l_panels[k] {
+                let id = bm.block_id(i, k).expect("panel exists");
+                add(PlanTask::Tstrf { slot: id, diag_lu: diag, b: bm.block(id) });
             }
         }
-        for &i in &tg.l_panels[k] {
-            let id = bm.block_id(i, k).expect("panel exists");
-            if owner.owns(id) {
-                plans.build_tstrf(selector, id, diag, bm.block(id));
-            }
-        }
-    }
-    for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
-        let id = tg.block_of(bm.num_blocks() + n);
-        if owner.owns(id) {
+        for (n, &(i, j, k)) in tg.ssssm.iter().enumerate() {
             let a = bm.block(bm.block_id(i, k).expect("L operand"));
             let b = bm.block(bm.block_id(k, j).expect("U operand"));
-            plans.build_ssssm(selector, n, tg.ssssm_flops[n], a, b, bm.block(id));
+            let (flops, c) = (tg.ssssm_flops[n], bm.block(tg.block_of(bm.num_blocks() + n)));
+            add(PlanTask::Ssssm { slot: n, flops, a, b, c });
         }
-    }
-    plans.shrink_to_fit();
+    });
 }
 
 impl<'a, S: Scalar> Engine<'a, S> {

@@ -989,8 +989,8 @@ impl Solver {
     }
 
     /// Memory and build accounting of the kernel index plans the live
-    /// executor state caches (summed over the ranks' pools on multi-rank
-    /// solvers). All zero until the first [`Solver::refactor`] — plans
+    /// executor state caches (one pool, which every rank of a multi-rank
+    /// solver reads). All zero until the first [`Solver::refactor`] — plans
     /// are built on second use — and whenever the selector's planned
     /// gates are closed.
     pub fn kernel_plan_stats(&self) -> PlanStats {

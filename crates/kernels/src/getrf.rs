@@ -253,9 +253,10 @@ mod tests {
             assert_eq!(b.get(1, 1), 0.0, "{v:?}: the zero pivot was perturbed");
         }
         let mut arena = Vec::new();
-        let plan = crate::plan::build_getrf_plan(&a, &mut arena);
+        let plan = crate::plan::build_getrf_plan(&a, &mut arena).unwrap();
         let mut b = a.clone();
-        assert_eq!(crate::plan::getrf_planned(&mut b, &plan, &arena, 0.0), 1);
+        let mut s = KernelScratch::default();
+        assert_eq!(crate::plan::getrf_planned(&mut b, &plan, &arena, &mut s, 0.0), 1);
         assert_eq!(b.get(1, 1), 0.0);
         let mut nan = a.with_constant_values(f64::NAN);
         let mut s = KernelScratch::with_capacity(2);

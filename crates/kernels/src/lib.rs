@@ -44,7 +44,7 @@ pub mod tile;
 pub mod timed;
 pub mod trsm;
 
-pub use plan::{GessmPlan, GetrfPlan, KernelPlans, PlanStats, Route, SsssmPlan, TstrfPlan};
+pub use plan::{KernelPlans, Plan, PlanStats, PlanTask, Route};
 pub use scratch::KernelScratch;
 pub use select::{KernelSelector, Thresholds};
 pub use timed::TimedKernels;

@@ -5,10 +5,9 @@
 //! gathers a dense working column, GESSM/TSTRF run merge walks between
 //! the factor and the unknown, GETRF binary-searches its update targets.
 //! A *plan* performs that discovery once per task and stores the result
-//! as flat index arrays, so a repeated factorisation (and the steady
-//! state of [`Solver::refactor`]) runs pure indexed arithmetic — the
-//! same trick circuit-simulation solvers use for repeated factorisation
-//! speed.
+//! as run segments, so a repeated factorisation (and the steady state of
+//! [`Solver::refactor`]) runs pure indexed arithmetic — the same trick
+//! circuit-simulation solvers use for repeated factorisation speed.
 //!
 //! **Bitwise contract.** Each planned entry point performs *exactly* the
 //! `C_V1` subtraction sequence: same per-column order, same ascending
@@ -19,21 +18,24 @@
 //! unplanned kernels (`tests/planned_equivalence.rs` holds the crate to
 //! this on random closed patterns).
 //!
-//! **Run-segment encoding.** A builder does not store one arena element
-//! per touched value slot: it compresses each entry's index list into
-//! maximal contiguous-run segments (start, len), found with
-//! [`pangulu_sparse::for_each_run`]. Replay then executes one slice-level
-//! axpy per segment — loops over `&mut dst[t0..t0+len]` zipped with a
-//! contiguous source — which the compiler autovectorises, with `f32`
-//! getting twice the lanes per op. Because runs partition the index list
-//! left to right, the per-element arithmetic (mul-then-sub, ascending
-//! order, runtime zero skips) is that of the entry-by-entry walk, so
-//! replay stays bitwise identical to the unplanned kernels.
+//! **Run segments.** A replay is a walk over the kernel's *steps* — one
+//! per source entry that updates something: an `A(:, k)` scaled by one
+//! `B(k, j)` (SSSSM), an `L(:, k)` scaled by one solved `x_k` (GESSM), a
+//! source column scaled by one `U(k, j)` (TSTRF, GETRF). A builder
+//! compresses each step's target positions into maximal contiguous runs:
+//! `(tgt, len)` pairs where the source is consumed in order (SSSSM,
+//! GETRF), `(src, tgt, len)` triples where both sides must advance in
+//! lockstep (GESSM, TSTRF). Replay executes one slice-level axpy per
+//! segment — `&mut dst[t0..t0+len]` zipped with a contiguous source —
+//! which the compiler autovectorises, `f32` getting twice the lanes per
+//! op. Runs partition each step's positions left to right, so the
+//! per-element arithmetic (mul-then-sub, ascending order, runtime zero
+//! skips) is that of the entry-by-entry walk.
 //!
 //! **One decision.** Whether a task replays a plan or runs the variant
 //! the Figure 8 tree picks is answered in exactly one place: the
 //! `route_*` lookups of [`KernelPlans`], from the
-//! [`KernelSelector`] planned gates and [`KernelPlans::fits`]. A task
+//! [`KernelSelector`] planned gates and the slots the pool built. A task
 //! that does not replay a plan gets the selector's leaf for its blocks —
 //! the dense-tile lane when they are full, else the Figure 8 tree's pick
 //! (panel precedence: plan, then tile, then tree). SSSSM asks the target
@@ -46,238 +48,484 @@
 //! [`crate::Thresholds::unplanned`] is how a run without plans is asked
 //! for.
 //!
-//! **Memory model.** Index lists live in one pooled arena per
-//! [`KernelPlans`], whose element type is the scalar's
-//! [`Scalar::PlanIdx`] — `u32` for `f64`, `u16` for `f32`, which is the
-//! structural halving of `plan_bytes` in mixed-precision mode. Arena
-//! elements are value-array positions *within one block*, so they fit
-//! the narrow index whenever the block's nnz does; [`KernelPlans::fits`]
-//! is the guard that routes oversized blocks (bitwise identically) to
-//! the unplanned kernels. Each per-task plan holds small
-//! structs-of-`u32`-offsets into the arena (arena offsets grow with the
-//! whole pool, so they stay wide). The `build_*` methods fill a pool
-//! before the tasks run — the executor builds the plans of every task
-//! it owns in one pass — and the plans are reused verbatim across
-//! refactorisations, with no per-call allocation. [`KernelPlans::stats`]
-//! reports bytes from slice *lengths*, which are independent of build
-//! order, so `plan_bytes` is deterministic; builders leave their tables at
-//! capacity = length and [`KernelPlans::shrink_to_fit`] does the same for
-//! the arena, so after a factorisation it is also what the pool holds.
+//! **Memory model.** A pool holds one `u16` arena and one slot table per
+//! kernel class. A plan lists the block columns that have work: for
+//! each, the column's index (GETRF lists every column, so it needs none),
+//! the diagonal position for GETRF and TSTRF, the step count, one
+//! `(entry, runs)` pair per step — the offset of the step's source entry
+//! in its column and its run count — and then the steps' segments. Every
+//! element is an offset relative to a block column, a count or a length,
+//! so it fits `u16` whenever the blocks' dimensions are at most 65 535
+//! ([`fits`]; a larger block runs its variant, bitwise identically).
+//! Everything else — where a column and a step's scalar sit in the value
+//! arrays, where a step's source column starts, where the next column's
+//! entries begin — the replay derives from the operands' `col_ptr` and
+//! `row_idx` as it walks. A slot is a [`Plan`]: the arena offset of its
+//! first element and the three counters one replay adds to the run's
+//! totals. A class's table is allocated by its first plan, so a pool
+//! whose gates admit nothing holds no bytes. [`KernelPlans::build`]
+//! sizes the arena in a counting pass before it writes, so the arena and
+//! the tables are allocated once at their exact size, and
+//! [`KernelPlans::stats`] reports what the pool holds. Plans are reused
+//! verbatim across refactorisations, with no per-call allocation.
 //!
 //! [`Solver::refactor`]: ../../pangulu_core/solver/struct.Solver.html
 
+use std::marker::PhantomData;
 use std::time::Instant;
 
-use pangulu_sparse::{for_each_run, CscMatrix, PlanIndex, Scalar};
+use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::getrf::apply_floor;
+use crate::scratch::KernelScratch;
 use crate::select::KernelSelector;
 use crate::tile::is_full;
 use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 
-/// Narrows a block-local position into the arena's index type. Callers
-/// guarantee the fit via [`KernelPlans::fits`].
-#[inline(always)]
-fn idx<I: PlanIndex>(v: usize) -> I {
-    I::from_usize(v)
-}
-
-/// Compresses the sorted position list `tgts` into `(start, len)` run
-/// segments appended to `arena`; returns the segment count. Used by the
-/// SSSSM/GETRF builders, whose sources advance sequentially so only the
-/// target positions need encoding.
-fn push_run_segs<I: PlanIndex>(tgts: &[usize], arena: &mut Vec<I>) -> u32 {
-    let mut runs = 0u32;
-    for_each_run(tgts, |r| {
-        arena.push(idx(r.start));
-        arena.push(idx(r.len));
-        runs += 1;
-    });
-    runs
-}
-
-/// Compresses `(src, tgt)` index pairs into `(src_start, tgt_start, len)`
-/// triples appended to `arena` — a run requires *both* indices to advance
-/// in lockstep. Returns the triple count. Used by the GESSM/TSTRF
-/// builders, whose merge walks pair a source slot with a target slot.
-fn push_pair_run_segs<I: PlanIndex>(pairs: &[(usize, usize)], arena: &mut Vec<I>) -> u32 {
-    let mut runs = 0u32;
-    let mut p = 0;
-    while p < pairs.len() {
-        let (s0, t0) = pairs[p];
-        let mut q = p + 1;
-        while q < pairs.len() && pairs[q] == (s0 + (q - p), t0 + (q - p)) {
-            q += 1;
-        }
-        arena.push(idx(s0));
-        arena.push(idx(t0));
-        arena.push(idx(q - p));
-        runs += 1;
-        p = q;
-    }
-    runs
-}
-
-/// Entries a run segmentation absorbs beyond each segment's head: a
-/// `total`-entry list split into `runs` maximal segments executes
-/// `total - runs` elements as slice-loop continuations instead of
-/// per-entry indexed steps. Zero for a fully scattered list.
+/// `true` if blocks whose rows and columns number at most `dim` can be
+/// planned: every arena element — a column index, an offset within a
+/// block column, a count or a run length — is then at most 65 535.
 #[inline]
-fn run_entries_of(total: usize, runs: u32) -> u64 {
-    debug_assert!(runs as usize <= total);
-    (total - runs as usize) as u64
+pub fn fits(dim: usize) -> bool {
+    dim <= usize::from(u16::MAX)
 }
 
-/// One SSSSM product term: all of `A(:, k)` scaled by one `B(k, j)`.
-#[derive(Debug, Clone, Copy)]
-pub struct SsssmEntry {
-    /// Absolute index of `B(k, j)` in `b.values()`.
-    pub bp: u32,
-    /// Absolute start of `A(:, k)` in `a.values()`.
-    pub a_lo: u32,
-    /// Number of entries in `A(:, k)`.
-    pub len: u32,
-    /// Arena offset of the targets in `c.values()`: `runs` `(start, len)`
-    /// segment pairs.
-    pub tgt_off: u32,
-    /// Run-segment count.
+/// `true` if an update `C ← C − A·B` can be planned (`A` has `C`'s rows).
+fn fits_update<S: Scalar>(b: &CscMatrix<S>, c: &CscMatrix<S>) -> bool {
+    fits(b.nrows()) && fits(c.nrows()) && fits(c.ncols())
+}
+
+/// `true` if a panel solve against `diag_lu` on block `b` can be planned.
+fn fits_panel<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
+    fits(diag_lu.nrows()) && fits(b.nrows()) && fits(b.ncols())
+}
+
+/// A built plan: where its steps start in its pool's arena, and what one
+/// replay of it adds to the run's counters (static per plan, hence
+/// deterministic).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Plan {
+    off: u32,
+    /// Index lookups the unplanned addressing performs per call.
+    pub searches_avoided: u32,
+    /// Run segments one replay executes.
     pub runs: u32,
+    /// Entries one replay executes as slice-loop continuations rather
+    /// than as the head of a segment.
+    pub run_entries: u32,
 }
 
-/// Scatter plan for one SSSSM task `C ← C − A·B`.
-#[derive(Debug, Clone, Default)]
-pub struct SsssmPlan {
-    /// Product terms in kernel order (column-ascending, then B-entry,
-    /// then A-entry ascending).
-    pub entries: Vec<SsssmEntry>,
-    /// Index lookups the unplanned addressing would perform per call.
-    pub searches_avoided: u64,
-    /// Run segments stored in the arena.
-    pub runs: u64,
-    /// Entries executed as slice-loop continuations per replay.
-    pub run_entries: u64,
+impl Plan {
+    /// The empty slot.
+    const NONE: Plan = Plan { off: u32::MAX, searches_avoided: 0, runs: 0, run_entries: 0 };
+
+    fn is_built(&self) -> bool {
+        self.off != u32::MAX
+    }
 }
 
-/// One solved unknown `x_k` of a GESSM column and its propagation pairs.
-#[derive(Debug, Clone, Copy)]
-pub struct GessmSrc {
-    /// Absolute index of `x_k` in `b.values()`.
-    pub x_idx: u32,
-    /// Arena offset of the propagation encoding: `runs`
-    /// `(l_start, tgt_start, len)` triples.
-    pub pair_off: u32,
-    /// Number of `(l_idx, tgt_idx)` pairs the triples cover.
-    pub pair_len: u32,
-    /// Run-segment count.
-    pub runs: u32,
+/// An arena element: callers have checked the blocks with [`fits`].
+#[inline]
+fn narrow(v: usize) -> u16 {
+    debug_assert!(fits(v), "arena element {v} does not fit u16");
+    v as u16
 }
 
-/// Row-match plan for one GESSM task `L X = B`.
-#[derive(Debug, Clone, Default)]
-pub struct GessmPlan {
-    /// Propagation steps in kernel order (column-ascending, then entry
-    /// order within the column).
-    pub srcs: Vec<GessmSrc>,
-    /// Merge/binary-search positions resolved at plan time.
-    pub searches_avoided: u64,
-    /// Run segments stored in the arena.
-    pub runs: u64,
-    /// Entries executed as slice-loop continuations per replay.
-    pub run_entries: u64,
+/// Where a builder writes its arena elements: the arena itself, or a
+/// [`Count`] that sizes it before anything is written.
+trait Out {
+    fn len(&self) -> usize;
+    fn push(&mut self, v: usize);
+    fn extend(&mut self, vs: &[u16]);
+    /// Overwrites the element at `at`, written earlier as a placeholder.
+    fn set(&mut self, at: usize, v: usize);
+    fn truncate(&mut self, len: usize);
 }
 
-/// One column of a TSTRF plan.
-#[derive(Debug, Clone, Copy)]
-pub struct TstrfCol {
-    /// First entry of this column's updates in [`TstrfPlan::uents`].
-    pub u_off: u32,
-    /// Number of updates.
-    pub u_len: u32,
-    /// Absolute index of `U(j, j)` in `diag_lu.values()`.
-    pub ujj_idx: u32,
-    /// Absolute start of column `j` in `b.values()`.
-    pub j_lo: u32,
-    /// Number of entries in column `j` of `b` (all divided by `ujj`).
-    pub j_len: u32,
+impl Out for Vec<u16> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    fn push(&mut self, v: usize) {
+        Vec::push(self, narrow(v));
+    }
+    fn extend(&mut self, vs: &[u16]) {
+        self.extend_from_slice(vs);
+    }
+    fn set(&mut self, at: usize, v: usize) {
+        self[at] = narrow(v);
+    }
+    fn truncate(&mut self, len: usize) {
+        Vec::truncate(self, len);
+    }
 }
 
-/// One upper-factor entry `U(k, j)` driving a TSTRF column update.
-#[derive(Debug, Clone, Copy)]
-pub struct TstrfUent {
-    /// Absolute index of `U(k, j)` in `diag_lu.values()`.
-    pub u_idx: u32,
-    /// Arena offset of the update encoding (all indices absolute into
-    /// `b.values()`): `runs` `(src_start, tgt_start, len)` triples.
-    pub pair_off: u32,
-    /// Number of `(src_idx, tgt_idx)` pairs the triples cover.
-    pub pair_len: u32,
-    /// Run-segment count.
-    pub runs: u32,
+/// An arena that only counts its elements.
+struct Count(usize);
+
+impl Out for Count {
+    fn len(&self) -> usize {
+        self.0
+    }
+    fn push(&mut self, _: usize) {
+        self.0 += 1;
+    }
+    fn extend(&mut self, vs: &[u16]) {
+        self.0 += vs.len();
+    }
+    fn set(&mut self, _: usize, _: usize) {}
+    fn truncate(&mut self, len: usize) {
+        self.0 = len;
+    }
 }
 
-/// Row-match plan for one TSTRF task `X U = B`.
-#[derive(Debug, Clone, Default)]
-pub struct TstrfPlan {
-    /// Columns in ascending order (their dependencies point left).
-    pub cols: Vec<TstrfCol>,
-    /// Update terms, grouped per column via [`TstrfCol::u_off`].
-    pub uents: Vec<TstrfUent>,
-    /// Merge positions resolved at plan time.
-    pub searches_avoided: u64,
-    /// Run segments stored in the arena.
-    pub runs: u64,
-    /// Entries executed as slice-loop continuations per replay.
-    pub run_entries: u64,
+/// What one plan's replay counts, summed over its steps as it is built.
+#[derive(Default)]
+struct Tally {
+    searches: u64,
+    runs: u64,
+    run_entries: u64,
 }
 
-/// One column of a GETRF plan.
-#[derive(Debug, Clone, Copy)]
-pub struct GetrfCol {
-    /// Absolute start of column `j` in `a.values()`.
-    pub lo: u32,
-    /// Number of entries in column `j`.
-    pub len: u32,
-    /// First entry of this column's updates in [`GetrfPlan::uents`].
-    pub u_off: u32,
-    /// Number of updates.
-    pub u_len: u32,
-    /// Offset of the diagonal entry within column `j`.
-    pub diag_rel: u32,
+/// One column's steps, gathered before they are written: each step's
+/// `(entry, runs)` pair — the offset of its source entry in its column and
+/// its run count — and all their segments: the maximal runs of a step's
+/// `(src, tgt)` position pairs in which both advance by one. With
+/// `triples` unset the source is consumed in order and only `(tgt, len)`
+/// is kept.
+struct ColSteps {
+    triples: bool,
+    steps: Vec<u16>,
+    segs: Vec<u16>,
+    /// The step being gathered: its pairs, its runs and its open run.
+    pairs: usize,
+    step_runs: usize,
+    open: Option<(usize, usize, usize)>,
 }
 
-/// One upper entry `U(k, j)` driving a GETRF column update.
-#[derive(Debug, Clone, Copy)]
-pub struct GetrfUent {
-    /// Offset of `U(k, j)` within column `j` (it is read from the
-    /// in-progress column, so it cannot be an absolute source index).
-    pub u_rel: u32,
-    /// Absolute start of the strict-lower part of `A(:, k)`.
-    pub src_lo: u32,
-    /// Number of source entries.
-    pub len: u32,
-    /// Arena offset of the targets, *within column `j`*: `runs`
-    /// `(start, len)` pairs.
-    pub tgt_off: u32,
-    /// Run-segment count.
-    pub runs: u32,
+impl ColSteps {
+    fn new(triples: bool) -> Self {
+        ColSteps {
+            triples,
+            steps: Vec::new(),
+            segs: Vec::new(),
+            pairs: 0,
+            step_runs: 0,
+            open: None,
+        }
+    }
+
+    /// Adds the pair `(src, tgt)` to the step being gathered.
+    fn add(&mut self, src: usize, tgt: usize) {
+        self.add_run(src, tgt, 1);
+    }
+
+    /// Adds the `n` pairs `(src + i, tgt + i)`.
+    fn add_run(&mut self, src: usize, tgt: usize, n: usize) {
+        self.pairs += n;
+        match &mut self.open {
+            Some((s, t, len)) if src == *s + *len && tgt == *t + *len => *len += n,
+            _ => {
+                self.flush();
+                self.open = Some((src, tgt, n));
+            }
+        }
+    }
+
+    /// Adds the step's sources `rows`, consumed in order, at their offsets
+    /// in the sorted target column `tgt`, one run at a time. Contiguous
+    /// rows that `tgt` holds contiguously are one run, found with one
+    /// search: the common dense case.
+    ///
+    /// # Panics
+    /// Panics if a row is missing from `tgt`: the pattern is not closed,
+    /// which the unplanned dense path would silently corrupt on.
+    fn add_sources(&mut self, tgt: &[usize], rows: &[usize]) {
+        // The offset of `row`, at or after `from`: usually `from` itself.
+        let offset = |row: usize, from: usize| match tgt.get(from) {
+            Some(&r) if r == row => from,
+            _ => {
+                from + tgt[from..]
+                    .binary_search(&row)
+                    .expect("plan target missing: pattern not closed")
+            }
+        };
+        let (Some(&first), Some(&last)) = (rows.first(), rows.last()) else {
+            return;
+        };
+        let (p0, span) = (offset(first, 0), rows.len() - 1);
+        if last - first == span && tgt.get(p0 + span) == Some(&last) {
+            return self.add_run(0, p0, rows.len());
+        }
+        let (mut q0, mut p_start, mut p_prev) = (0, p0, p0);
+        for (q, &i) in rows.iter().enumerate().skip(1) {
+            let p = offset(i, p_prev + 1);
+            if p != p_prev + 1 {
+                self.add_run(q0, p_start, q - q0);
+                (q0, p_start) = (q, p);
+            }
+            p_prev = p;
+        }
+        self.add_run(q0, p_start, rows.len() - q0);
+    }
+
+    fn flush(&mut self) {
+        if let Some((s, t, len)) = self.open.take() {
+            if self.triples {
+                self.segs.push(narrow(s));
+            }
+            self.segs.extend_from_slice(&[narrow(t), narrow(len)]);
+            self.step_runs += 1;
+        }
+    }
+
+    /// Ends the step of the column's `entry`-th source entry; a step with
+    /// no pair is dropped.
+    fn end_step(&mut self, entry: usize, tally: &mut Tally) {
+        self.flush();
+        if self.pairs > 0 {
+            self.steps.extend_from_slice(&[narrow(entry), narrow(self.step_runs)]);
+            tally.searches += self.pairs as u64;
+            tally.runs += self.step_runs as u64;
+            tally.run_entries += (self.pairs - self.step_runs) as u64;
+        }
+        self.pairs = 0;
+        self.step_runs = 0;
+    }
+
+    fn is_empty(&self) -> bool {
+        self.steps.is_empty()
+    }
+
+    /// Writes the column — `head`, its step count, each step's `(entry,
+    /// runs)` pair, then the segments — and clears it. The replay finds a
+    /// step's segments without reading the steps before it.
+    fn write(&mut self, out: &mut impl Out, head: &[usize]) {
+        for &v in head {
+            out.push(v);
+        }
+        out.push(self.steps.len() / 2);
+        out.extend(&self.steps);
+        out.extend(&self.segs);
+        self.steps.clear();
+        self.segs.clear();
+    }
+
+    /// Writes the column — `head`, then each step's run count followed by
+    /// its segments — and clears it: for a replay that derives which
+    /// entries have steps.
+    fn write_inline(&mut self, out: &mut impl Out, head: usize) {
+        out.push(head);
+        let width = if self.triples { 3 } else { 2 };
+        let mut segs = &self.segs[..];
+        for step in self.steps.chunks_exact(2) {
+            let (these, rest) = segs.split_at(width * usize::from(step[1]));
+            out.push(usize::from(step[1]));
+            out.extend(these);
+            segs = rest;
+        }
+        self.steps.clear();
+        self.segs.clear();
+    }
 }
 
-/// Pivot/update plan for one GETRF task.
-#[derive(Debug, Clone, Default)]
-pub struct GetrfPlan {
-    /// Columns in ascending order.
-    pub cols: Vec<GetrfCol>,
-    /// Update terms, grouped per column via [`GetrfCol::u_off`].
-    pub uents: Vec<GetrfUent>,
-    /// Binary-search lookups the un-planned addressing would perform.
-    pub searches_avoided: u64,
-    /// Run segments stored in the arena.
-    pub runs: u64,
-    /// Entries executed as slice-loop continuations per replay.
-    pub run_entries: u64,
+/// Runs one builder into `out` if its blocks fit; the plan, or `None`
+/// (and `out` as it was) when the blocks or its counters do not fit.
+fn record<O: Out>(
+    out: &mut O,
+    blocks_fit: bool,
+    steps: impl FnOnce(&mut O) -> Tally,
+) -> Option<Plan> {
+    if !blocks_fit {
+        return None;
+    }
+    let start = out.len();
+    let t = steps(out);
+    let plan = (|| {
+        Some(Plan {
+            off: u32::try_from(start).ok().filter(|&o| o != Plan::NONE.off)?,
+            searches_avoided: u32::try_from(t.searches).ok()?,
+            runs: u32::try_from(t.runs).ok()?,
+            run_entries: u32::try_from(t.run_entries).ok()?,
+        })
+    })();
+    if plan.is_none() {
+        out.truncate(start);
+    }
+    plan
 }
 
-/// Builds the scatter plan for `C ← C − A·B` (patterns only).
+/// Counts a plan's active columns into a placeholder ahead of them.
+struct Cols {
+    head: usize,
+    n: usize,
+}
+
+impl Cols {
+    fn open(out: &mut impl Out) -> Self {
+        let head = out.len();
+        out.push(0);
+        Cols { head, n: 0 }
+    }
+
+    fn close(self, out: &mut impl Out) {
+        out.set(self.head, self.n);
+    }
+}
+
+/// SSSSM `C ← C − A·B`: the active columns `j` of `C`, each with one step
+/// per `B(k, j)` whose `A(:, k)` is not empty — its offset in `B(:, j)`,
+/// and `(tgt, len)` pairs, `tgt` relative to `C(:, j)`.
+fn ssssm_steps<S: Scalar>(
+    a: &CscMatrix<S>,
+    b: &CscMatrix<S>,
+    c: &CscMatrix<S>,
+    out: &mut impl Out,
+) -> Tally {
+    let mut tally = Tally::default();
+    let mut col = ColSteps::new(false);
+    let mut cols = Cols::open(out);
+    for j in 0..c.ncols() {
+        let (crows, _) = c.col(j);
+        if crows.is_empty() {
+            continue;
+        }
+        for (p, &k) in b.col(j).0.iter().enumerate() {
+            col.add_sources(crows, a.col(k).0);
+            col.end_step(p, &mut tally);
+        }
+        if !col.is_empty() {
+            col.write(out, &[j]);
+            cols.n += 1;
+        }
+    }
+    cols.close(out);
+    tally
+}
+
+/// GESSM `L X = B`: the active columns `c` of `B`, each with one step per
+/// `B(k, c)` whose solved `x_k` updates something — its offset in
+/// `B(:, c)`, and `(src, tgt, len)` triples relative to `L(:, k)` and
+/// `B(:, c)`. The walk simulates the `C_V1` merge (unmatched source rows
+/// are skipped exactly as the kernel's cursor skips them).
+fn gessm_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut impl Out) -> Tally {
+    let mut tally = Tally::default();
+    let mut col = ColSteps::new(true);
+    let mut cols = Cols::open(out);
+    for c in 0..b.ncols() {
+        let (rows_c, _) = b.col(c);
+        for (p, &k) in rows_c.iter().enumerate() {
+            let (col_k, _) = diag_lu.col(k);
+            let start = col_k.partition_point(|&i| i <= k);
+            let tail = &rows_c[p + 1..];
+            let mut cur = 0usize;
+            for (q, &i) in col_k[start..].iter().enumerate() {
+                while cur < tail.len() && tail[cur] < i {
+                    cur += 1;
+                }
+                if cur < tail.len() && tail[cur] == i {
+                    col.add(start + q, p + 1 + cur);
+                    cur += 1;
+                } else {
+                    debug_assert!(false, "GESSM plan target missing: pattern not closed");
+                }
+            }
+            col.end_step(p, &mut tally);
+        }
+        if !col.is_empty() {
+            col.write(out, &[c]);
+            cols.n += 1;
+        }
+    }
+    cols.close(out);
+    tally
+}
+
+/// TSTRF `X U = B`: the non-empty columns `j` of `B`, each with the
+/// position of `U(j, j)` in its column and one step per `U(k, j)` above
+/// it whose `B(:, k)` updates column `j` — its offset in `U(:, j)`, and
+/// `(src, tgt, len)` triples relative to `B(:, k)` and `B(:, j)`. The
+/// walk simulates the `C_V1` merge.
+///
+/// # Panics
+/// Panics if the factor's diagonal entry is structurally missing.
+fn tstrf_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut impl Out) -> Tally {
+    let mut tally = Tally::default();
+    let mut col = ColSteps::new(true);
+    let mut cols = Cols::open(out);
+    for j in 0..b.ncols() {
+        let (rows_j, _) = b.col(j);
+        if rows_j.is_empty() {
+            continue;
+        }
+        let (d_col, _) = diag_lu.col(j);
+        let dpos = d_col.partition_point(|&r| r < j);
+        assert!(d_col.get(dpos) == Some(&j), "TSTRF plan: diagonal entry missing");
+        for (q, &k) in d_col[..dpos].iter().enumerate() {
+            let mut cur = 0usize;
+            for (t, &r) in b.col(k).0.iter().enumerate() {
+                while cur < rows_j.len() && rows_j[cur] < r {
+                    cur += 1;
+                }
+                if cur < rows_j.len() && rows_j[cur] == r {
+                    col.add(t, cur);
+                    cur += 1;
+                } else {
+                    debug_assert!(false, "TSTRF plan target missing: pattern not closed");
+                }
+            }
+            col.end_step(q, &mut tally);
+        }
+        col.write(out, &[j, dpos]);
+        cols.n += 1;
+    }
+    cols.close(out);
+    tally
+}
+
+/// GETRF: every column `j`, with the position of its diagonal and one
+/// step per `U(k, j)` whose column `k` has entries below its diagonal —
+/// its run count and `(tgt, len)` pairs relative to column `j`. Which
+/// `U(k, j)` have a step the replay derives from the diagonal positions
+/// it has passed.
+///
+/// # Panics
+/// Panics if a diagonal entry is missing from the pattern.
+fn getrf_steps<S: Scalar>(a: &CscMatrix<S>, out: &mut impl Out) -> Tally {
+    let mut tally = Tally::default();
+    let mut col = ColSteps::new(false);
+    for j in 0..a.ncols() {
+        let (rows_j, _) = a.col(j);
+        let diag = rows_j.partition_point(|&r| r < j);
+        assert!(rows_j.get(diag) == Some(&j), "GETRF plan: diagonal entry missing");
+        for (u, &k) in rows_j[..diag].iter().enumerate() {
+            let (col_k, _) = a.col(k);
+            col.add_sources(rows_j, &col_k[col_k.partition_point(|&i| i <= k)..]);
+            col.end_step(u, &mut tally);
+        }
+        col.write_inline(out, diag);
+    }
+    tally
+}
+
+/// Writes the plan of `task` into `out` if its blocks fit.
+fn write_plan<S: Scalar, O: Out>(task: &PlanTask<'_, S>, out: &mut O) -> Option<Plan> {
+    match *task {
+        PlanTask::Getrf { a, .. } => record(out, fits(a.nrows()), |o| getrf_steps(a, o)),
+        PlanTask::Gessm { diag_lu, b, .. } => {
+            record(out, fits_panel(diag_lu, b), |o| gessm_steps(diag_lu, b, o))
+        }
+        PlanTask::Tstrf { diag_lu, b, .. } => {
+            record(out, fits_panel(diag_lu, b), |o| tstrf_steps(diag_lu, b, o))
+        }
+        PlanTask::Ssssm { a, b, c, .. } => {
+            record(out, fits_update(b, c), |o| ssssm_steps(a, b, c, o))
+        }
+    }
+}
+
+/// Builds the plan of `C ← C − A·B` (patterns only) into `arena`; `None`
+/// if a block dimension exceeds what [`fits`] admits.
 ///
 /// # Panics
 /// Panics if a product entry has no slot in `C`'s pattern (violation of
@@ -287,224 +535,90 @@ pub fn build_ssssm_plan<S: Scalar>(
     a: &CscMatrix<S>,
     b: &CscMatrix<S>,
     c: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-) -> SsssmPlan {
-    let mut plan = SsssmPlan::default();
-    let a_ptr = a.col_ptr();
-    let a_rows = a.row_idx();
-    let mut tgts: Vec<usize> = Vec::new();
-    for j in 0..c.ncols() {
-        let (brows, _) = b.col(j);
-        let (crows, _) = c.col(j);
-        if brows.is_empty() || crows.is_empty() {
-            continue;
-        }
-        let blo = b.col_ptr()[j];
-        let clo = c.col_ptr()[j];
-        for (off, &k) in brows.iter().enumerate() {
-            let (alo, ahi) = (a_ptr[k], a_ptr[k + 1]);
-            if alo == ahi {
-                continue;
-            }
-            tgts.clear();
-            for &i in &a_rows[alo..ahi] {
-                let pos =
-                    crows.binary_search(&i).expect("SSSSM plan target missing: pattern not closed");
-                tgts.push(clo + pos);
-            }
-            let tgt_off = arena.len() as u32;
-            let runs = push_run_segs(&tgts, arena);
-            plan.runs += u64::from(runs);
-            plan.run_entries += run_entries_of(tgts.len(), runs);
-            plan.entries.push(SsssmEntry {
-                bp: (blo + off) as u32,
-                a_lo: alo as u32,
-                len: (ahi - alo) as u32,
-                tgt_off,
-                runs,
-            });
-            plan.searches_avoided += (ahi - alo) as u64;
-        }
-    }
-    plan.entries.shrink_to_fit();
-    plan
+    arena: &mut Vec<u16>,
+) -> Option<Plan> {
+    write_plan(&PlanTask::Ssssm { slot: 0, flops: 0.0, a, b, c }, arena)
 }
 
-/// Builds the row-match plan for `L X = B`, simulating the `C_V1` merge
-/// walk (unmatched source rows are skipped exactly as the kernel's
-/// cursor skips them).
+/// Builds the plan of `L X = B` into `arena`, as [`build_ssssm_plan`].
 pub fn build_gessm_plan<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-) -> GessmPlan {
-    let mut plan = GessmPlan::default();
-    let l_ptr = diag_lu.col_ptr();
-    let l_rows = diag_lu.row_idx();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for c in 0..b.ncols() {
-        let (rows_c, _) = b.col(c);
-        let blo = b.col_ptr()[c];
-        for (p, &k) in rows_c.iter().enumerate() {
-            let (klo, khi) = (l_ptr[k], l_ptr[k + 1]);
-            let start = klo + l_rows[klo..khi].partition_point(|&i| i <= k);
-            let tail = &rows_c[p + 1..];
-            pairs.clear();
-            let mut cur = 0usize;
-            for (q, &i) in l_rows[start..khi].iter().enumerate() {
-                while cur < tail.len() && tail[cur] < i {
-                    cur += 1;
-                }
-                if cur < tail.len() && tail[cur] == i {
-                    pairs.push((start + q, blo + p + 1 + cur));
-                    cur += 1;
-                } else {
-                    debug_assert!(false, "GESSM plan target missing: pattern not closed");
-                }
-            }
-            if !pairs.is_empty() {
-                let pair_off = arena.len() as u32;
-                let runs = push_pair_run_segs(&pairs, arena);
-                plan.runs += u64::from(runs);
-                plan.run_entries += run_entries_of(pairs.len(), runs);
-                plan.srcs.push(GessmSrc {
-                    x_idx: (blo + p) as u32,
-                    pair_off,
-                    pair_len: pairs.len() as u32,
-                    runs,
-                });
-                plan.searches_avoided += pairs.len() as u64;
-            }
-        }
-    }
-    plan.srcs.shrink_to_fit();
-    plan
+    arena: &mut Vec<u16>,
+) -> Option<Plan> {
+    write_plan(&PlanTask::Gessm { slot: 0, diag_lu, b }, arena)
 }
 
-/// Builds the row-match plan for `X U = B`, simulating the `C_V1`
-/// (merge-addressing) sequential TSTRF.
+/// Builds the plan of `X U = B` into `arena`, as [`build_ssssm_plan`].
 ///
 /// # Panics
 /// Panics if the factor's diagonal entry is structurally missing.
 pub fn build_tstrf_plan<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &CscMatrix<S>,
-    arena: &mut Vec<S::PlanIdx>,
-) -> TstrfPlan {
-    let mut plan = TstrfPlan::default();
-    let d_ptr = diag_lu.col_ptr();
-    let d_rows = diag_lu.row_idx();
-    let b_ptr = b.col_ptr();
-    let b_rows = b.row_idx();
-    let mut pairs: Vec<(usize, usize)> = Vec::new();
-    for j in 0..b.ncols() {
-        let (jlo, jhi) = (b_ptr[j], b_ptr[j + 1]);
-        if jlo == jhi {
-            continue;
-        }
-        let rows_j = &b_rows[jlo..jhi];
-        let (dlo, dhi) = (d_ptr[j], d_ptr[j + 1]);
-        let dpos = d_rows[dlo..dhi].partition_point(|&r| r < j);
-        assert!(dpos < dhi - dlo && d_rows[dlo + dpos] == j, "TSTRF plan: diagonal entry missing");
-        let u_off = plan.uents.len() as u32;
-        for q in 0..dpos {
-            let k = d_rows[dlo + q];
-            let (klo, khi) = (b_ptr[k], b_ptr[k + 1]);
-            pairs.clear();
-            let mut cur = 0usize;
-            for (t, &r) in b_rows[klo..khi].iter().enumerate() {
-                while cur < rows_j.len() && rows_j[cur] < r {
-                    cur += 1;
-                }
-                if cur < rows_j.len() && rows_j[cur] == r {
-                    pairs.push((klo + t, jlo + cur));
-                    cur += 1;
-                } else {
-                    debug_assert!(false, "TSTRF plan target missing: pattern not closed");
-                }
-            }
-            if !pairs.is_empty() {
-                let pair_off = arena.len() as u32;
-                let runs = push_pair_run_segs(&pairs, arena);
-                plan.runs += u64::from(runs);
-                plan.run_entries += run_entries_of(pairs.len(), runs);
-                plan.uents.push(TstrfUent {
-                    u_idx: (dlo + q) as u32,
-                    pair_off,
-                    pair_len: pairs.len() as u32,
-                    runs,
-                });
-                plan.searches_avoided += pairs.len() as u64;
-            }
-        }
-        plan.cols.push(TstrfCol {
-            u_off,
-            u_len: plan.uents.len() as u32 - u_off,
-            ujj_idx: (dlo + dpos) as u32,
-            j_lo: jlo as u32,
-            j_len: (jhi - jlo) as u32,
-        });
-    }
-    plan.cols.shrink_to_fit();
-    plan.uents.shrink_to_fit();
-    plan
+    arena: &mut Vec<u16>,
+) -> Option<Plan> {
+    write_plan(&PlanTask::Tstrf { slot: 0, diag_lu, b }, arena)
 }
 
-/// Builds the pivot/update plan for a GETRF diagonal block.
+/// Builds the pivot/update plan of a GETRF diagonal block into `arena`,
+/// as [`build_ssssm_plan`].
 ///
 /// # Panics
 /// Panics if an update target or a diagonal entry is missing from the
 /// pattern (closure violation).
-pub fn build_getrf_plan<S: Scalar>(a: &CscMatrix<S>, arena: &mut Vec<S::PlanIdx>) -> GetrfPlan {
-    let mut plan = GetrfPlan::default();
-    let col_ptr = a.col_ptr();
-    let row_idx = a.row_idx();
-    let mut tgts: Vec<usize> = Vec::new();
-    for j in 0..a.ncols() {
-        let (lo, hi) = (col_ptr[j], col_ptr[j + 1]);
-        let rows_j = &row_idx[lo..hi];
-        let u_off = plan.uents.len() as u32;
-        for (off_k, &k) in rows_j.iter().enumerate() {
-            if k >= j {
-                break;
-            }
-            let (klo, khi) = (col_ptr[k], col_ptr[k + 1]);
-            let start = klo + row_idx[klo..khi].partition_point(|&i| i <= k);
-            if start == khi {
-                continue;
-            }
-            tgts.clear();
-            for &i in &row_idx[start..khi] {
-                let pos = rows_j
-                    .binary_search(&i)
-                    .expect("GETRF plan target missing: pattern not closed");
-                tgts.push(pos);
-            }
-            let tgt_off = arena.len() as u32;
-            let runs = push_run_segs(&tgts, arena);
-            plan.runs += u64::from(runs);
-            plan.run_entries += run_entries_of(tgts.len(), runs);
-            plan.uents.push(GetrfUent {
-                u_rel: off_k as u32,
-                src_lo: start as u32,
-                len: (khi - start) as u32,
-                tgt_off,
-                runs,
-            });
-            plan.searches_avoided += (khi - start) as u64;
-        }
-        let diag_rel = rows_j.binary_search(&j).expect("GETRF plan: diagonal entry missing");
-        plan.cols.push(GetrfCol {
-            lo: lo as u32,
-            len: (hi - lo) as u32,
-            u_off,
-            u_len: plan.uents.len() as u32 - u_off,
-            diag_rel: diag_rel as u32,
-        });
+pub fn build_getrf_plan<S: Scalar>(a: &CscMatrix<S>, arena: &mut Vec<u16>) -> Option<Plan> {
+    write_plan(&PlanTask::Getrf { slot: 0, a }, arena)
+}
+
+/// A replay's read position in its plan's arena elements.
+struct Cursor<'a> {
+    arena: &'a [u16],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(plan: &Plan, arena: &'a [u16]) -> Self {
+        Cursor { arena, at: plan.off as usize }
     }
-    plan.cols.shrink_to_fit();
-    plan.uents.shrink_to_fit();
-    plan
+
+    #[inline(always)]
+    fn next(&mut self) -> usize {
+        let v = self.arena[self.at];
+        self.at += 1;
+        usize::from(v)
+    }
+
+    /// The next `n` elements.
+    #[inline(always)]
+    fn take(&mut self, n: usize) -> &'a [u16] {
+        let s = &self.arena[self.at..self.at + n];
+        self.at += n;
+        s
+    }
+
+    /// A column's steps: `(entry offset, run count)` pairs. They come
+    /// before the segments, so a step's segments are found without
+    /// waiting on the step before it.
+    #[inline(always)]
+    fn steps(&mut self) -> std::slice::ChunksExact<'a, u16> {
+        let n = self.next();
+        self.take(2 * n).chunks_exact(2)
+    }
+}
+
+/// One segment's update `dst -= src · coef`, element by element in
+/// ascending order: the per-entry walk's arithmetic. Most segments are a
+/// single entry, which skips the slice loop's set-up.
+#[inline(always)]
+fn axpy<S: Scalar>(dst: &mut [S], src: &[S], coef: S) {
+    if let ([d], [v]) = (&mut *dst, src) {
+        *d -= *v * coef;
+        return;
+    }
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d -= v * coef;
+    }
 }
 
 /// Planned `C ← C − A·B`: pure indexed arithmetic, bitwise identical to
@@ -513,29 +627,34 @@ pub fn ssssm_planned<S: Scalar>(
     a: &CscMatrix<S>,
     b: &CscMatrix<S>,
     c: &mut CscMatrix<S>,
-    plan: &SsssmPlan,
-    arena: &[S::PlanIdx],
+    plan: &Plan,
+    arena: &[u16],
 ) {
-    let avals = a.values();
-    let bvals = b.values();
-    let cvals = c.values_mut();
-    for e in &plan.entries {
-        let bkj = bvals[e.bp as usize];
-        if bkj == S::ZERO {
-            continue;
-        }
-        let srcs = &avals[e.a_lo as usize..e.a_lo as usize + e.len as usize];
-        // One slice axpy per (start, len) pair, the source consumed
-        // sequentially: the per-element order and arithmetic of the
-        // entry-by-entry walk, so bitwise identical to it.
-        let segs = &arena[e.tgt_off as usize..e.tgt_off as usize + 2 * e.runs as usize];
-        let mut s = 0usize;
-        for seg in segs.chunks_exact(2) {
-            let (t0, rl) = (seg[0].index(), seg[1].index());
-            for (c, &aik) in cvals[t0..t0 + rl].iter_mut().zip(&srcs[s..s + rl]) {
-                *c -= aik * bkj;
+    let mut cur = Cursor::new(plan, arena);
+    let (a_ptr, avals) = (a.col_ptr(), a.values());
+    let (b_ptr, b_rows, bvals) = (b.col_ptr(), b.row_idx(), b.values());
+    let (c_ptr, _, cvals) = c.parts_mut();
+    for _ in 0..cur.next() {
+        let j = cur.next();
+        let col = &mut cvals[c_ptr[j]..c_ptr[j + 1]];
+        let (rows_j, vals_j) = (&b_rows[b_ptr[j]..b_ptr[j + 1]], &bvals[b_ptr[j]..b_ptr[j + 1]]);
+        for step in cur.steps() {
+            let (e, r) = (usize::from(step[0]), step[1]);
+            let segs = cur.take(2 * usize::from(r));
+            let bkj = vals_j[e];
+            if bkj == S::ZERO {
+                continue;
             }
-            s += rl;
+            // One slice axpy per (tgt, len) pair, the source consumed
+            // sequentially: the per-element order and arithmetic of the
+            // entry-by-entry walk, so bitwise identical to it.
+            let srcs = &avals[a_ptr[rows_j[e]]..];
+            let mut s = 0usize;
+            for seg in segs.chunks_exact(2) {
+                let (t0, rl) = (usize::from(seg[0]), usize::from(seg[1]));
+                axpy(&mut col[t0..t0 + rl], &srcs[s..s + rl], bkj);
+                s += rl;
+            }
         }
     }
 }
@@ -545,24 +664,30 @@ pub fn ssssm_planned<S: Scalar>(
 pub fn gessm_planned<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &mut CscMatrix<S>,
-    plan: &GessmPlan,
-    arena: &[S::PlanIdx],
+    plan: &Plan,
+    arena: &[u16],
 ) {
-    let lvals = diag_lu.values();
-    let bvals = b.values_mut();
-    for s in &plan.srcs {
-        let xk = bvals[s.x_idx as usize];
-        if xk == S::ZERO {
-            continue;
-        }
-        // (l_start, tgt_start, len) triples: both cursors advance in
-        // lockstep inside a run, so the slice loop performs the same
-        // subtractions in the same order as a pair-by-pair walk.
-        let trs = &arena[s.pair_off as usize..s.pair_off as usize + 3 * s.runs as usize];
-        for tr in trs.chunks_exact(3) {
-            let (l0, t0, rl) = (tr[0].index(), tr[1].index(), tr[2].index());
-            for (b, &l) in bvals[t0..t0 + rl].iter_mut().zip(&lvals[l0..l0 + rl]) {
-                *b -= l * xk;
+    let mut cur = Cursor::new(plan, arena);
+    let (l_ptr, lvals) = (diag_lu.col_ptr(), diag_lu.values());
+    let (b_ptr, b_rows, bvals) = b.parts_mut();
+    for _ in 0..cur.next() {
+        let blo = b_ptr[cur.next()];
+        for step in cur.steps() {
+            let (e, r) = (step[0], step[1]);
+            let trs = cur.take(3 * usize::from(r));
+            let p = blo + usize::from(e);
+            let xk = bvals[p];
+            if xk == S::ZERO {
+                continue;
+            }
+            // (src, tgt, len) triples: both cursors advance in lockstep
+            // inside a run, so the slice loop performs the same
+            // subtractions in the same order as a pair-by-pair walk.
+            let klo = l_ptr[b_rows[p]];
+            for tr in trs.chunks_exact(3) {
+                let (l0, t0) = (klo + usize::from(tr[0]), blo + usize::from(tr[1]));
+                let rl = usize::from(tr[2]);
+                axpy(&mut bvals[t0..t0 + rl], &lvals[l0..l0 + rl], xk);
             }
         }
     }
@@ -573,70 +698,85 @@ pub fn gessm_planned<S: Scalar>(
 pub fn tstrf_planned<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &mut CscMatrix<S>,
-    plan: &TstrfPlan,
-    arena: &[S::PlanIdx],
+    plan: &Plan,
+    arena: &[u16],
 ) {
-    let dvals = diag_lu.values();
-    let bvals = b.values_mut();
-    for col in &plan.cols {
-        for ue in &plan.uents[col.u_off as usize..col.u_off as usize + col.u_len as usize] {
-            let ukj = dvals[ue.u_idx as usize];
+    let mut cur = Cursor::new(plan, arena);
+    let (d_ptr, d_rows, dvals) = (diag_lu.col_ptr(), diag_lu.row_idx(), diag_lu.values());
+    let (b_ptr, _, bvals) = b.parts_mut();
+    for _ in 0..cur.next() {
+        let j = cur.next();
+        let (jlo, jhi, dlo) = (b_ptr[j], b_ptr[j + 1], d_ptr[j]);
+        let dpos = cur.next();
+        for step in cur.steps() {
+            let (e, r) = (step[0], step[1]);
+            let trs = cur.take(3 * usize::from(r));
+            let q = dlo + usize::from(e);
+            let ukj = dvals[q];
             if ukj == S::ZERO {
                 continue;
             }
-            // (src_start, tgt_start, len) triples, both absolute into
-            // b.values(). The source column k precedes the target column
-            // j in CSC order, so src_start + len <= tgt_start and the
-            // borrow split below is always valid.
-            let trs = &arena[ue.pair_off as usize..ue.pair_off as usize + 3 * ue.runs as usize];
+            // The source column k precedes column j in CSC order, so it
+            // lies wholly left of the split.
+            let klo = b_ptr[d_rows[q]];
+            let (left, right) = bvals.split_at_mut(jlo);
             for tr in trs.chunks_exact(3) {
-                let (s0, t0, rl) = (tr[0].index(), tr[1].index(), tr[2].index());
-                let (left, right) = bvals.split_at_mut(t0);
-                for (t, &sv) in right[..rl].iter_mut().zip(&left[s0..s0 + rl]) {
-                    *t -= sv * ukj;
-                }
+                let (s0, t0) = (klo + usize::from(tr[0]), usize::from(tr[1]));
+                let rl = usize::from(tr[2]);
+                axpy(&mut right[t0..t0 + rl], &left[s0..s0 + rl], ukj);
             }
         }
-        let ujj = dvals[col.ujj_idx as usize];
-        for v in &mut bvals[col.j_lo as usize..col.j_lo as usize + col.j_len as usize] {
+        let ujj = dvals[dlo + dpos];
+        for v in &mut bvals[jlo..jhi] {
             *v /= ujj;
         }
     }
 }
 
 /// Planned GETRF: bitwise identical to [`crate::getrf::getrf`] with
-/// `C_V1`. Returns the perturbed-pivot count.
+/// `C_V1`. Returns the perturbed-pivot count. `scratch` keeps each
+/// column's diagonal position as the replay passes it, which is where
+/// later columns' sources start.
 pub fn getrf_planned<S: Scalar>(
     a: &mut CscMatrix<S>,
-    plan: &GetrfPlan,
-    arena: &[S::PlanIdx],
+    plan: &Plan,
+    arena: &[u16],
+    scratch: &mut KernelScratch<S>,
     pivot_floor: f64,
 ) -> usize {
+    let mut cur = Cursor::new(plan, arena);
     let mut perturbed = 0usize;
-    let (_, _, values) = a.parts_mut();
-    for col in &plan.cols {
-        let lo = col.lo as usize;
+    let diags = &mut scratch.stack;
+    diags.clear();
+    let (col_ptr, row_idx, values) = a.parts_mut();
+    for j in 0..col_ptr.len() - 1 {
+        let lo = col_ptr[j];
+        let diag = cur.next();
+        diags.push(diag);
         let (left, right) = values.split_at_mut(lo);
-        let vals_j = &mut right[..col.len as usize];
-        for ue in &plan.uents[col.u_off as usize..col.u_off as usize + col.u_len as usize] {
-            let ukj = vals_j[ue.u_rel as usize];
+        let vals_j = &mut right[..col_ptr[j + 1] - lo];
+        for (u, &k) in row_idx[lo..lo + diag].iter().enumerate() {
+            // The source: column k below its diagonal, if anything.
+            let (start, end) = (col_ptr[k] + diags[k] + 1, col_ptr[k + 1]);
+            if start == end {
+                continue;
+            }
+            let n = 2 * cur.next();
+            let segs = cur.take(n);
+            let ukj = vals_j[u];
             if ukj == S::ZERO {
                 continue;
             }
-            let srcs = &left[ue.src_lo as usize..ue.src_lo as usize + ue.len as usize];
-            // (start, len) pairs of offsets within column j, source
-            // consumed sequentially from the contiguous left slice.
-            let segs = &arena[ue.tgt_off as usize..ue.tgt_off as usize + 2 * ue.runs as usize];
+            // (tgt, len) pairs of offsets within column j, the source
+            // consumed sequentially.
+            let srcs = &left[start..end];
             let mut s = 0usize;
             for seg in segs.chunks_exact(2) {
-                let (t0, rl) = (seg[0].index(), seg[1].index());
-                for (t, &lik) in vals_j[t0..t0 + rl].iter_mut().zip(&srcs[s..s + rl]) {
-                    *t -= lik * ukj;
-                }
+                let (t0, rl) = (usize::from(seg[0]), usize::from(seg[1]));
+                axpy(&mut vals_j[t0..t0 + rl], &srcs[s..s + rl], ukj);
                 s += rl;
             }
         }
-        let diag = col.diag_rel as usize;
         let mut pivot = vals_j[diag];
         perturbed += apply_floor(&mut pivot, pivot_floor);
         vals_j[diag] = pivot;
@@ -651,8 +791,8 @@ pub fn getrf_planned<S: Scalar>(
 /// except `build_ns` (a wall clock, zeroed by the metrics projection).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Bytes held by the arena and the per-task plan tables (from slice
-    /// lengths, so independent of build order).
+    /// Bytes the pool holds: its arena and its slot tables (allocated at
+    /// their exact size, so lengths and capacities agree).
     pub bytes: u64,
     /// Cumulative wall time spent building plans, in nanoseconds.
     pub build_ns: u64,
@@ -662,131 +802,174 @@ pub struct PlanStats {
 
 /// How one task's kernel runs — the answer of the single
 /// planned-or-variant decision (see the module docs): replay the task's
-/// cached index plan, or run the variant the Figure 8 tree picks.
+/// plan, or run the variant the Figure 8 tree picks.
 #[derive(Debug, Clone, Copy)]
-pub enum Route<'p, P, I, V> {
-    /// Replay this plan against the pooled arena it indexes.
-    Plan(&'p P, &'p [I]),
+pub enum Route<'p, V> {
+    /// Replay this plan against the pool's arena.
+    Plan(&'p Plan, &'p [u16]),
     /// Run the selector's leaf: the dense-tile lane or the decision
     /// tree's variant.
     Variant(V),
 }
 
-/// Per-rank (or per-solver) pool of kernel plans: one pooled index
-/// arena plus per-task plan slots.
+/// One task [`KernelPlans::build`] may plan: its slot and the blocks its
+/// kernel reads and writes. Slot keys are the caller's: GETRF by diagonal
+/// index, GESSM/TSTRF by target block id, SSSSM by task-graph update
+/// index.
+#[derive(Debug, Clone, Copy)]
+pub enum PlanTask<'a, S: Scalar> {
+    /// Factor diagonal block `a`.
+    Getrf { slot: usize, a: &'a CscMatrix<S> },
+    /// Solve `L X = B` on block `b`.
+    Gessm { slot: usize, diag_lu: &'a CscMatrix<S>, b: &'a CscMatrix<S> },
+    /// Solve `X U = B` on block `b`.
+    Tstrf { slot: usize, diag_lu: &'a CscMatrix<S>, b: &'a CscMatrix<S> },
+    /// Update `C ← C − A·B` of `flops` model FLOPs.
+    Ssssm { slot: usize, flops: f64, a: &'a CscMatrix<S>, b: &'a CscMatrix<S>, c: &'a CscMatrix<S> },
+}
+
+/// One class's slot table, allocated at its full length by the class's
+/// first plan.
+#[derive(Debug, Default)]
+struct Slots {
+    len: usize,
+    plans: Vec<Plan>,
+}
+
+impl Slots {
+    fn get(&self, slot: usize) -> Option<&Plan> {
+        self.plans.get(slot).filter(|p| p.is_built())
+    }
+
+    fn set(&mut self, slot: usize, plan: Plan) {
+        if self.plans.is_empty() {
+            self.plans = vec![Plan::NONE; self.len];
+        }
+        self.plans[slot] = plan;
+    }
+}
+
+/// A solver's (or a distributed workspace's) pool of kernel plans: one
+/// `u16` arena plus one slot table per class.
 ///
-/// Slot keys are the caller's: GETRF by diagonal index, GESSM/TSTRF by
-/// target block id, SSSSM by task-graph update index. The `build_*`
-/// methods fill a slot from the task's block patterns where the gates
-/// admit a plan, before any task runs; the `route_*` methods then decide
+/// [`KernelPlans::build`] fills the slots of the tasks whose gates admit
+/// a plan, before any task runs; the `route_*` methods then decide
 /// planned-or-variant for one task without writing the pool (so workers
 /// read it without locks), falling back to the variant when no plan was
 /// built.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct KernelPlans<S: Scalar = f64> {
-    arena: Vec<S::PlanIdx>,
-    getrf: Vec<Option<GetrfPlan>>,
-    gessm: Vec<Option<GessmPlan>>,
-    tstrf: Vec<Option<TstrfPlan>>,
-    ssssm: Vec<Option<SsssmPlan>>,
+    arena: Vec<u16>,
+    getrf: Slots,
+    gessm: Slots,
+    tstrf: Slots,
+    ssssm: Slots,
     builds: u64,
     build_ns: u64,
+    scalar: PhantomData<fn() -> S>,
+}
+
+impl<S: Scalar> Default for KernelPlans<S> {
+    fn default() -> Self {
+        Self::with_slots(0, 0, 0, 0)
+    }
 }
 
 impl<S: Scalar> KernelPlans<S> {
-    /// Creates an empty pool with the given slot counts per class.
+    /// Creates an empty pool with the given slot counts per class; it
+    /// allocates nothing until a plan is built.
     pub fn with_slots(getrf: usize, gessm: usize, tstrf: usize, ssssm: usize) -> Self {
+        let slots = |len| Slots { len, plans: Vec::new() };
         KernelPlans {
             arena: Vec::new(),
-            getrf: (0..getrf).map(|_| None).collect(),
-            gessm: (0..gessm).map(|_| None).collect(),
-            tstrf: (0..tstrf).map(|_| None).collect(),
-            ssssm: (0..ssssm).map(|_| None).collect(),
+            getrf: slots(getrf),
+            gessm: slots(gessm),
+            tstrf: slots(tstrf),
+            ssssm: slots(ssssm),
             builds: 0,
             build_ns: 0,
+            scalar: PhantomData,
         }
     }
 
-    /// `true` if a block with `nnz` stored entries can be planned in this
-    /// pool's index width. `f64` pools use `u32` indices (always fits in
-    /// practice); `f32` pools use `u16` and decline blocks with more than
-    /// 65535 entries — those run the unplanned kernels, which are bitwise
-    /// identical, so the fallback is invisible to results.
-    #[inline]
-    pub fn fits(&self, nnz: usize) -> bool {
-        nnz <= <S::PlanIdx as PlanIndex>::MAX_INDEX
+    fn plans_getrf(sel: &KernelSelector, a: &CscMatrix<S>) -> bool {
+        sel.planned_getrf(a.nnz())
     }
 
-    fn plans_getrf(&self, sel: &KernelSelector, a: &CscMatrix<S>) -> bool {
-        sel.planned_getrf(a.nnz()) && self.fits(a.nnz())
+    fn plans_gessm(sel: &KernelSelector, b: &CscMatrix<S>) -> bool {
+        sel.planned_gessm(b.nnz())
     }
 
-    fn plans_gessm(&self, sel: &KernelSelector, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
-        sel.planned_gessm(b.nnz()) && self.fits(b.nnz()) && self.fits(diag_lu.nnz())
-    }
-
-    fn plans_tstrf(&self, sel: &KernelSelector, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
-        sel.planned_tstrf(b.nnz()) && self.fits(b.nnz()) && self.fits(diag_lu.nnz())
+    fn plans_tstrf(sel: &KernelSelector, b: &CscMatrix<S>) -> bool {
+        sel.planned_tstrf(b.nnz())
     }
 
     /// Never on a full target: there the position of row `r` in column
     /// `j` is `j·m + r`, so a plan's run lists resolve nothing, yet they
     /// were the bulk of plan memory. Such an update takes the selector's
     /// leaf — the tile, or `C_V1` updating the full columns in place.
-    fn plans_ssssm(&self, sel: &KernelSelector, flops: f64, c: &CscMatrix<S>) -> bool {
-        sel.planned_ssssm(flops) && self.fits(c.nnz()) && !is_full(c)
+    fn plans_ssssm(sel: &KernelSelector, flops: f64, c: &CscMatrix<S>) -> bool {
+        sel.planned_ssssm(flops) && !is_full(c)
     }
 
-    /// Builds the GETRF plan of diagonal block `a` into `slot`, if the
-    /// gates admit one and the slot is empty.
-    pub fn build_getrf(&mut self, sel: &KernelSelector, slot: usize, a: &CscMatrix<S>) {
-        if self.getrf[slot].is_none() && self.plans_getrf(sel, a) {
-            self.getrf[slot] = Some(self.timed_build(|arena| build_getrf_plan(a, arena)));
+    /// Whether `task` still needs a plan: its slot is empty and the
+    /// selector's gate admits one.
+    fn wants(&self, sel: &KernelSelector, task: &PlanTask<'_, S>) -> bool {
+        match *task {
+            PlanTask::Getrf { slot, a } => {
+                self.getrf.get(slot).is_none() && Self::plans_getrf(sel, a)
+            }
+            PlanTask::Gessm { slot, b, .. } => {
+                self.gessm.get(slot).is_none() && Self::plans_gessm(sel, b)
+            }
+            PlanTask::Tstrf { slot, b, .. } => {
+                self.tstrf.get(slot).is_none() && Self::plans_tstrf(sel, b)
+            }
+            PlanTask::Ssssm { slot, flops, c, .. } => {
+                self.ssssm.get(slot).is_none() && Self::plans_ssssm(sel, flops, c)
+            }
         }
     }
 
-    /// Builds the plan of the GESSM `L X = B` on block `b`, as
-    /// [`KernelPlans::build_getrf`].
-    pub fn build_gessm(
-        &mut self,
-        sel: &KernelSelector,
-        slot: usize,
-        diag_lu: &CscMatrix<S>,
-        b: &CscMatrix<S>,
-    ) {
-        if self.gessm[slot].is_none() && self.plans_gessm(sel, diag_lu, b) {
-            self.gessm[slot] = Some(self.timed_build(|arena| build_gessm_plan(diag_lu, b, arena)));
+    /// Builds the plan of every task `tasks` names whose slot is empty
+    /// and whose gate admits one. `tasks` hands each task to the sink it
+    /// is given and is called twice when something is to be built: a
+    /// counting pass sizes the arena, then the arena is reserved at its
+    /// exact length and the plans are written. A call that finds nothing
+    /// to build costs one pass over `tasks` and leaves the build clock
+    /// alone.
+    pub fn build(&mut self, sel: &KernelSelector, tasks: impl Fn(&mut dyn FnMut(PlanTask<'_, S>))) {
+        let start = Instant::now();
+        let mut count = Count(self.arena.len());
+        let mut new = 0usize;
+        tasks(&mut |t| {
+            if self.wants(sel, &t) && write_plan(&t, &mut count).is_some() {
+                new += 1;
+            }
+        });
+        if new == 0 {
+            return;
         }
-    }
-
-    /// Builds the plan of the TSTRF `X U = B` on block `b`, as
-    /// [`KernelPlans::build_getrf`].
-    pub fn build_tstrf(
-        &mut self,
-        sel: &KernelSelector,
-        slot: usize,
-        diag_lu: &CscMatrix<S>,
-        b: &CscMatrix<S>,
-    ) {
-        if self.tstrf[slot].is_none() && self.plans_tstrf(sel, diag_lu, b) {
-            self.tstrf[slot] = Some(self.timed_build(|arena| build_tstrf_plan(diag_lu, b, arena)));
-        }
-    }
-
-    /// Builds the plan of the SSSSM `C ← C − A·B` of `flops` model FLOPs,
-    /// as [`KernelPlans::build_getrf`].
-    pub fn build_ssssm(
-        &mut self,
-        sel: &KernelSelector,
-        slot: usize,
-        flops: f64,
-        a: &CscMatrix<S>,
-        b: &CscMatrix<S>,
-        c: &CscMatrix<S>,
-    ) {
-        if self.ssssm[slot].is_none() && self.plans_ssssm(sel, flops, c) {
-            self.ssssm[slot] = Some(self.timed_build(|arena| build_ssssm_plan(a, b, c, arena)));
-        }
+        self.arena.reserve_exact(count.0 - self.arena.len());
+        tasks(&mut |t| {
+            if !self.wants(sel, &t) {
+                return;
+            }
+            if let Some(plan) = write_plan(&t, &mut self.arena) {
+                let (table, slot) = match t {
+                    PlanTask::Getrf { slot, .. } => (&mut self.getrf, slot),
+                    PlanTask::Gessm { slot, .. } => (&mut self.gessm, slot),
+                    PlanTask::Tstrf { slot, .. } => (&mut self.tstrf, slot),
+                    PlanTask::Ssssm { slot, .. } => (&mut self.ssssm, slot),
+                };
+                table.set(slot, plan);
+                self.builds += 1;
+            }
+        });
+        debug_assert_eq!(self.arena.len(), count.0, "the counting pass sized the arena");
+        self.build_ns = self
+            .build_ns
+            .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
     }
 
     /// Routes the GETRF of diagonal block `a`: its plan if one was built,
@@ -796,9 +979,9 @@ impl<S: Scalar> KernelPlans<S> {
         sel: &KernelSelector,
         slot: usize,
         a: &CscMatrix<S>,
-    ) -> Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant> {
-        match self.getrf.get(slot).and_then(Option::as_ref) {
-            Some(p) if self.plans_getrf(sel, a) => Route::Plan(p, &self.arena),
+    ) -> Route<'_, GetrfVariant> {
+        match self.getrf.get(slot) {
+            Some(p) if Self::plans_getrf(sel, a) => Route::Plan(p, &self.arena),
             _ => Route::Variant(sel.getrf(a.nnz())),
         }
     }
@@ -811,9 +994,9 @@ impl<S: Scalar> KernelPlans<S> {
         slot: usize,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
-    ) -> Route<'_, GessmPlan, S::PlanIdx, TrsmVariant> {
-        match self.gessm.get(slot).and_then(Option::as_ref) {
-            Some(p) if self.plans_gessm(sel, diag_lu, b) => Route::Plan(p, &self.arena),
+    ) -> Route<'_, TrsmVariant> {
+        match self.gessm.get(slot) {
+            Some(p) if Self::plans_gessm(sel, b) => Route::Plan(p, &self.arena),
             _ => Route::Variant(sel.gessm_on(diag_lu, b)),
         }
     }
@@ -826,9 +1009,9 @@ impl<S: Scalar> KernelPlans<S> {
         slot: usize,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
-    ) -> Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant> {
-        match self.tstrf.get(slot).and_then(Option::as_ref) {
-            Some(p) if self.plans_tstrf(sel, diag_lu, b) => Route::Plan(p, &self.arena),
+    ) -> Route<'_, TrsmVariant> {
+        match self.tstrf.get(slot) {
+            Some(p) if Self::plans_tstrf(sel, b) => Route::Plan(p, &self.arena),
             _ => Route::Variant(sel.tstrf_on(diag_lu, b)),
         }
     }
@@ -842,51 +1025,18 @@ impl<S: Scalar> KernelPlans<S> {
         flops: f64,
         a: &CscMatrix<S>,
         c: &CscMatrix<S>,
-    ) -> Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant> {
-        match self.ssssm.get(slot).and_then(Option::as_ref) {
-            Some(p) if self.plans_ssssm(sel, flops, c) => Route::Plan(p, &self.arena),
+    ) -> Route<'_, SsssmVariant> {
+        match self.ssssm.get(slot) {
+            Some(p) if Self::plans_ssssm(sel, flops, c) => Route::Plan(p, &self.arena),
             _ => Route::Variant(sel.ssssm_on(flops, a, c)),
         }
     }
 
-    /// Runs one plan builder against the pooled arena, on the build clock.
-    fn timed_build<P>(&mut self, build: impl FnOnce(&mut Vec<S::PlanIdx>) -> P) -> P {
-        let start = Instant::now();
-        let plan = build(&mut self.arena);
-        self.builds += 1;
-        self.build_ns = self
-            .build_ns
-            .saturating_add(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        plan
-    }
-
-    /// Returns the arena's growth slack (it is grown by `push`, up to 2×
-    /// what it holds) to the allocator. Executors call it once at the end
-    /// of a factorisation; a no-op unless plans were built since the last
-    /// call. The per-task tables are exact-size from their builders, so
-    /// afterwards the pool holds exactly the bytes [`KernelPlans::stats`]
-    /// reports.
-    pub fn shrink_to_fit(&mut self) {
-        self.arena.shrink_to_fit();
-    }
-
     /// Current plan-layer accounting.
     pub fn stats(&self) -> PlanStats {
-        let mut bytes = std::mem::size_of_val(self.arena.as_slice());
-        for p in self.getrf.iter().flatten() {
-            bytes += std::mem::size_of_val(p.cols.as_slice())
-                + std::mem::size_of_val(p.uents.as_slice());
-        }
-        for p in self.gessm.iter().flatten() {
-            bytes += std::mem::size_of_val(p.srcs.as_slice());
-        }
-        for p in self.tstrf.iter().flatten() {
-            bytes += std::mem::size_of_val(p.cols.as_slice())
-                + std::mem::size_of_val(p.uents.as_slice());
-        }
-        for p in self.ssssm.iter().flatten() {
-            bytes += std::mem::size_of_val(p.entries.as_slice());
-        }
+        let tables = [&self.getrf, &self.gessm, &self.tstrf, &self.ssssm];
+        let bytes = std::mem::size_of_val(self.arena.as_slice())
+            + tables.iter().map(|t| std::mem::size_of_val(t.plans.as_slice())).sum::<usize>();
         PlanStats { bytes: bytes as u64, build_ns: self.build_ns, builds: self.builds }
     }
 }
@@ -922,14 +1072,14 @@ mod tests {
         for seed in 0..4 {
             let (diag, ..) = setup(seed);
             let mut arena = Vec::new();
-            let plan = build_getrf_plan(&diag, &mut arena);
+            let plan = build_getrf_plan(&diag, &mut arena).unwrap();
             assert!(plan.searches_avoided > 0);
 
             let mut unplanned = diag.clone();
             let mut s = KernelScratch::with_capacity(unplanned.nrows());
             let p0 = getrf(&mut unplanned, GetrfVariant::CV1, &mut s, 0.0);
             let mut planned = diag.clone();
-            let p1 = getrf_planned(&mut planned, &plan, &arena, 0.0);
+            let p1 = getrf_planned(&mut planned, &plan, &arena, &mut s, 0.0);
             assert_eq!(p0, p1);
             assert_eq!(unplanned.values(), planned.values(), "seed {seed}: GETRF drifted");
         }
@@ -944,8 +1094,8 @@ mod tests {
             getrf(&mut lu, GetrfVariant::CV1, &mut s, 0.0);
 
             let mut arena = Vec::new();
-            let gplan = build_gessm_plan(&lu, &upper, &mut arena);
-            let tplan = build_tstrf_plan(&lu, &lower, &mut arena);
+            let gplan = build_gessm_plan(&lu, &upper, &mut arena).unwrap();
+            let tplan = build_tstrf_plan(&lu, &lower, &mut arena).unwrap();
             assert!(gplan.searches_avoided > 0);
             assert!(tplan.searches_avoided > 0);
 
@@ -976,7 +1126,7 @@ mod tests {
             tstrf(&lu, &mut l, TrsmVariant::CV1, &mut s);
 
             let mut arena = Vec::new();
-            let plan = build_ssssm_plan(&l, &u, &tail, &mut arena);
+            let plan = build_ssssm_plan(&l, &u, &tail, &mut arena).unwrap();
             assert!(plan.searches_avoided > 0);
 
             let mut c0 = tail.clone();
@@ -985,6 +1135,29 @@ mod tests {
             ssssm_planned(&l, &u, &mut c1, &plan, &arena);
             assert_eq!(c0.values(), c1.values(), "seed {seed}: SSSSM drifted");
         }
+    }
+
+    /// Every class's plan in one arena: its element count is what the
+    /// counting pass predicts, each step's run count leads its segments,
+    /// and no element exceeds its block's rows.
+    #[test]
+    fn counting_pass_sizes_the_arena_exactly() {
+        let (diag, upper, lower, tail) = setup(1);
+        let mut arena = Vec::new();
+        let mut count = Count(0);
+        let tasks = [
+            PlanTask::Getrf { slot: 0, a: &diag },
+            PlanTask::Gessm { slot: 0, diag_lu: &diag, b: &upper },
+            PlanTask::Tstrf { slot: 0, diag_lu: &diag, b: &lower },
+            PlanTask::Ssssm { slot: 0, flops: 0.0, a: &lower, b: &upper, c: &tail },
+        ];
+        for t in &tasks {
+            let counted = write_plan(t, &mut count).unwrap();
+            let written = write_plan(t, &mut arena).unwrap();
+            assert_eq!(counted, written);
+            assert_eq!(arena.len(), count.0);
+        }
+        assert!(arena.iter().all(|&v| usize::from(v) <= 16));
     }
 
     #[test]
@@ -996,18 +1169,20 @@ mod tests {
 
         let sel = KernelSelector::new(1_000, Thresholds::default());
         let mut pool = KernelPlans::with_slots(1, 1, 0, 0);
-        assert_eq!(pool.stats().builds, 0);
+        assert_eq!(pool.stats(), PlanStats::default(), "an empty pool holds nothing");
         assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Variant(_)));
 
-        pool.build_getrf(&sel, 0, &diag);
-        pool.build_gessm(&sel, 0, &lu, &upper);
+        let tasks = |add: &mut dyn FnMut(PlanTask<'_, f64>)| {
+            add(PlanTask::Getrf { slot: 0, a: &diag });
+            add(PlanTask::Gessm { slot: 0, diag_lu: &lu, b: &upper });
+        };
+        pool.build(&sel, tasks);
         let stats = pool.stats();
         assert_eq!(stats.builds, 2);
         assert!(stats.bytes > 0);
 
-        // Building a filled slot again is a no-op.
-        pool.build_getrf(&sel, 0, &diag);
-        pool.build_gessm(&sel, 0, &lu, &upper);
+        // Building filled slots again is a no-op, on the build clock too.
+        pool.build(&sel, tasks);
         assert_eq!(pool.stats(), stats);
         assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Plan(..)));
         assert!(matches!(pool.route_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
@@ -1020,20 +1195,22 @@ mod tests {
         // A pool filled under open gates still answers a gate-closed
         // selector with the tree's variant: the selector decides per call.
         let open = KernelSelector::new(1_000, Thresholds::default());
-        pool.build_getrf(&open, 0, &diag);
-        let builds = pool.stats().builds;
+        pool.build(&open, |add| add(PlanTask::Getrf { slot: 0, a: &diag }));
+        let stats = pool.stats();
         for sel in
             [KernelSelector::new(1_000, Thresholds::unplanned()), KernelSelector::baseline(1_000)]
         {
-            pool.build_gessm(&sel, 0, &diag, &upper);
-            pool.build_tstrf(&sel, 0, &diag, &lower);
-            pool.build_ssssm(&sel, 0, 10.0, &lower, &upper, &tail);
+            pool.build(&sel, |add| {
+                add(PlanTask::Gessm { slot: 0, diag_lu: &diag, b: &upper });
+                add(PlanTask::Tstrf { slot: 0, diag_lu: &diag, b: &lower });
+                add(PlanTask::Ssssm { slot: 0, flops: 10.0, a: &lower, b: &upper, c: &tail });
+            });
             assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Variant(_)));
             assert!(matches!(pool.route_gessm(&sel, 0, &diag, &upper), Route::Variant(_)));
             assert!(matches!(pool.route_tstrf(&sel, 0, &diag, &lower), Route::Variant(_)));
             assert!(matches!(pool.route_ssssm(&sel, 0, 10.0, &lower, &tail), Route::Variant(_)));
         }
-        assert_eq!(pool.stats().builds, builds);
+        assert_eq!(pool.stats(), stats);
     }
 
     /// Panel precedence is plan, then tile, then tree: a full block small
@@ -1049,40 +1226,47 @@ mod tests {
         let mut pool = KernelPlans::<f64>::with_slots(0, 2, 2, 3);
 
         let small = dense(8); // 64 nnz, 1 024 FLOPs: under every planned gate
-        pool.build_gessm(&sel, 0, &small, &small);
-        pool.build_tstrf(&sel, 0, &small, &small);
+        pool.build(&sel, |add| {
+            add(PlanTask::Gessm { slot: 0, diag_lu: &small, b: &small });
+            add(PlanTask::Tstrf { slot: 0, diag_lu: &small, b: &small });
+        });
         assert!(matches!(pool.route_gessm(&sel, 0, &small, &small), Route::Plan(..)));
         assert!(matches!(pool.route_tstrf(&sel, 0, &small, &small), Route::Plan(..)));
         let builds = pool.stats().builds;
-        pool.build_ssssm(&sel, 0, 1024.0, &small, &small, &small);
-        let routed = pool.route_ssssm(&sel, 0, 1024.0, &small, &small);
-        assert!(matches!(routed, Route::Variant(SsssmVariant::DV1)));
         // A diagonal `A`: 128 of the padded 1 024 FLOPs, under the fill cut.
         let thin = small.filter_entries(|i, j| i == j);
-        pool.build_ssssm(&sel, 0, 128.0, &thin, &small, &small);
-        let routed = pool.route_ssssm(&sel, 0, 128.0, &thin, &small);
+        pool.build(&sel, |add| {
+            add(PlanTask::Ssssm { slot: 0, flops: 1024.0, a: &small, b: &small, c: &small });
+            add(PlanTask::Ssssm { slot: 1, flops: 128.0, a: &thin, b: &small, c: &small });
+        });
+        let routed = pool.route_ssssm(&sel, 0, 1024.0, &small, &small);
+        assert!(matches!(routed, Route::Variant(SsssmVariant::DV1)));
+        let routed = pool.route_ssssm(&sel, 1, 128.0, &thin, &small);
         assert!(matches!(routed, Route::Variant(SsssmVariant::CV1)));
         assert_eq!(pool.stats().builds, builds, "a full target builds no plan");
         let holed = small.filter_entries(|i, j| (i, j) != (7, 3));
-        pool.build_ssssm(&sel, 2, 126.0, &thin, &holed, &holed);
+        pool.build(&sel, |add| {
+            add(PlanTask::Ssssm { slot: 2, flops: 126.0, a: &thin, b: &holed, c: &holed });
+        });
         assert!(matches!(pool.route_ssssm(&sel, 2, 126.0, &thin, &holed), Route::Plan(..)));
 
         let big = dense(40); // 1 600 nnz, 128 000 FLOPs: past the gates
         let builds = pool.stats().builds;
-        pool.build_gessm(&sel, 1, &big, &big);
-        pool.build_tstrf(&sel, 1, &big, &big);
-        pool.build_ssssm(&sel, 1, 128_000.0, &big, &big, &big);
+        let holed = big.filter_entries(|i, j| (i, j) != (7, 3));
+        pool.build(&sel, |add| {
+            add(PlanTask::Gessm { slot: 1, diag_lu: &big, b: &big });
+            add(PlanTask::Tstrf { slot: 1, diag_lu: &big, b: &big });
+            add(PlanTask::Ssssm { slot: 1, flops: 128_000.0, a: &big, b: &big, c: &big });
+            add(PlanTask::Gessm { slot: 1, diag_lu: &big, b: &holed });
+            add(PlanTask::Ssssm { slot: 1, flops: 127_920.0, a: &big, b: &big, c: &holed });
+        });
+        assert_eq!(pool.stats().builds, builds, "nothing past the gates is planned");
         assert!(matches!(pool.route_gessm(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
         assert!(matches!(pool.route_tstrf(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
         assert!(matches!(
             pool.route_ssssm(&sel, 1, 128_000.0, &big, &big),
             Route::Variant(SsssmVariant::DV1)
         ));
-        assert_eq!(pool.stats().builds, builds, "the tile lane builds no plan");
-
-        let holed = big.filter_entries(|i, j| (i, j) != (7, 3));
-        pool.build_gessm(&sel, 1, &big, &holed);
-        pool.build_ssssm(&sel, 1, 127_920.0, &big, &big, &holed);
         assert!(matches!(
             pool.route_gessm(&sel, 1, &big, &holed),
             Route::Variant(TrsmVariant::CV2)
@@ -1093,9 +1277,10 @@ mod tests {
         ));
     }
 
-    /// `plan_bytes` is what the pool holds, not a lower bound on it: the
-    /// builders leave every table at capacity == length and
-    /// `shrink_to_fit` does the same for the arena they all push into.
+    /// `plan_bytes` is what the pool holds, not a bound on it: the arena
+    /// is reserved at the length the counting pass found, and each class's
+    /// slot table is allocated at its slot count by its first plan — a
+    /// class with no plan holds none.
     #[test]
     fn pool_holds_exactly_what_it_reports() {
         let (diag, upper, lower, _) = setup(2);
@@ -1104,38 +1289,39 @@ mod tests {
         let holed = crate::tile::dense_block(8, 8, 0).filter_entries(|i, j| (i, j) != (7, 3));
         let thin = holed.filter_entries(|i, j| i == j);
         let sel = KernelSelector::new(1_000, Thresholds::default());
-        let mut pool = KernelPlans::<f64>::with_slots(1, 1, 1, 1);
-        pool.build_getrf(&sel, 0, &diag);
-        pool.build_gessm(&sel, 0, &diag, &upper);
-        pool.build_tstrf(&sel, 0, &diag, &lower);
-        pool.build_ssssm(&sel, 0, 126.0, &thin, &holed, &holed);
+        let mut pool = KernelPlans::<f64>::with_slots(3, 2, 2, 5);
+        pool.build(&sel, |add| {
+            add(PlanTask::Getrf { slot: 1, a: &diag });
+            add(PlanTask::Gessm { slot: 0, diag_lu: &diag, b: &upper });
+            add(PlanTask::Tstrf { slot: 1, diag_lu: &diag, b: &lower });
+            add(PlanTask::Ssssm { slot: 4, flops: 126.0, a: &thin, b: &holed, c: &holed });
+        });
         assert_eq!(pool.stats().builds, 4);
-        let bytes = pool.stats().bytes;
-        pool.shrink_to_fit();
-        assert_eq!(pool.stats().bytes, bytes, "the definition of plan_bytes is unchanged");
+        let exact = |v: &Vec<_>, len| v.len() == len && v.capacity() == len;
+        assert!(!pool.arena.is_empty() && pool.arena.capacity() == pool.arena.len());
+        assert!(exact(&pool.getrf.plans, 3) && exact(&pool.gessm.plans, 2));
+        assert!(exact(&pool.tstrf.plans, 2) && exact(&pool.ssssm.plans, 5));
+        let slot = std::mem::size_of::<Plan>();
+        assert_eq!(slot, 16);
+        assert_eq!(pool.stats().bytes as usize, 2 * pool.arena.len() + 12 * slot);
 
-        fn exact<T>(v: &Vec<T>) -> bool {
-            !v.is_empty() && v.capacity() == v.len()
-        }
-        assert!(exact(&pool.arena));
-        let (g, l, u, s) = (&pool.getrf[0], &pool.gessm[0], &pool.tstrf[0], &pool.ssssm[0]);
-        let (g, l) = (g.as_ref().unwrap(), l.as_ref().unwrap());
-        let (u, s) = (u.as_ref().unwrap(), s.as_ref().unwrap());
-        assert!(exact(&g.cols) && exact(&g.uents) && exact(&l.srcs));
-        assert!(exact(&u.cols) && exact(&u.uents) && exact(&s.entries));
+        let mut getrf_only = KernelPlans::<f64>::with_slots(3, 2, 2, 5);
+        getrf_only.build(&sel, |add| add(PlanTask::Getrf { slot: 1, a: &diag }));
+        let arena = getrf_only.arena.len();
+        assert_eq!(getrf_only.stats().bytes as usize, 2 * arena + 3 * slot);
     }
 
     #[test]
     fn empty_blocks_yield_empty_plans() {
         let e = CscMatrix::<f64>::zeros(8, 8);
         let mut arena = Vec::new();
-        let sp = build_ssssm_plan(&e, &e, &e, &mut arena);
-        let gp = build_gessm_plan(&e, &e, &mut arena);
-        let tp = build_tstrf_plan(&e, &e, &mut arena);
-        assert!(sp.entries.is_empty());
-        assert!(gp.srcs.is_empty());
-        assert!(tp.cols.is_empty());
-        assert!(arena.is_empty());
+        let sp = build_ssssm_plan(&e, &e, &e, &mut arena).unwrap();
+        let gp = build_gessm_plan(&e, &e, &mut arena).unwrap();
+        let tp = build_tstrf_plan(&e, &e, &mut arena).unwrap();
+        for p in [sp, gp, tp] {
+            assert_eq!((p.searches_avoided, p.runs, p.run_entries), (0, 0, 0));
+        }
+        assert_eq!(arena, [0; 3], "each plan is its zero column count");
 
         let mut c = CscMatrix::zeros(8, 8);
         ssssm_planned(&e, &e, &mut c, &sp, &arena);

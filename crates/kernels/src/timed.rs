@@ -24,7 +24,7 @@ use pangulu_metrics::{
 };
 use pangulu_sparse::{CscMatrix, Scalar};
 
-use crate::plan::{GessmPlan, GetrfPlan, Route, SsssmPlan, TstrfPlan};
+use crate::plan::{Plan, Route};
 use crate::scratch::KernelScratch;
 use crate::{getrf, plan, ssssm, trsm, GetrfVariant, SsssmVariant, TrsmVariant};
 
@@ -105,11 +105,11 @@ impl TimedKernels {
         mem.run_axpy_entries += self.run_entries;
     }
 
-    fn note_replay(&mut self, searches_avoided: u64, runs: u64, run_entries: u64) {
+    fn note_replay(&mut self, p: &Plan) {
         self.planned_calls += 1;
-        self.searches_avoided += searches_avoided;
-        self.plan_runs += runs;
-        self.run_entries += run_entries;
+        self.searches_avoided += u64::from(p.searches_avoided);
+        self.plan_runs += u64::from(p.runs);
+        self.run_entries += u64::from(p.run_entries);
     }
 
     /// Opens a meter reading: the task's model FLOPs and the clock.
@@ -131,7 +131,7 @@ impl TimedKernels {
     /// invariant is preserved) — likewise for the other three classes.
     pub fn getrf<S: Scalar>(
         &mut self,
-        route: Route<'_, GetrfPlan, S::PlanIdx, GetrfVariant>,
+        route: Route<'_, GetrfVariant>,
         a: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
         pivot_floor: f64,
@@ -140,8 +140,8 @@ impl TimedKernels {
         let meter = self.start(model_flops);
         let (slot, perturbed) = match route {
             Route::Plan(p, arena) => {
-                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
-                (VARIANT_PLANNED, plan::getrf_planned(a, p, arena, pivot_floor))
+                self.note_replay(p);
+                (VARIANT_PLANNED, plan::getrf_planned(a, p, arena, scratch, pivot_floor))
             }
             Route::Variant(v) => (getrf_slot(v), getrf::getrf(a, v, scratch, pivot_floor)),
         };
@@ -152,7 +152,7 @@ impl TimedKernels {
     /// Runs a GESSM task along `route`.
     pub fn gessm<S: Scalar>(
         &mut self,
-        route: Route<'_, GessmPlan, S::PlanIdx, TrsmVariant>,
+        route: Route<'_, TrsmVariant>,
         diag_lu: &CscMatrix<S>,
         b: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
@@ -161,7 +161,7 @@ impl TimedKernels {
         let meter = self.start(model_flops);
         let slot = match route {
             Route::Plan(p, arena) => {
-                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                self.note_replay(p);
                 plan::gessm_planned(diag_lu, b, p, arena);
                 VARIANT_PLANNED
             }
@@ -176,7 +176,7 @@ impl TimedKernels {
     /// Runs a TSTRF task along `route`.
     pub fn tstrf<S: Scalar>(
         &mut self,
-        route: Route<'_, TstrfPlan, S::PlanIdx, TrsmVariant>,
+        route: Route<'_, TrsmVariant>,
         diag_lu: &CscMatrix<S>,
         b: &mut CscMatrix<S>,
         scratch: &mut KernelScratch<S>,
@@ -185,7 +185,7 @@ impl TimedKernels {
         let meter = self.start(model_flops);
         let slot = match route {
             Route::Plan(p, arena) => {
-                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                self.note_replay(p);
                 plan::tstrf_planned(diag_lu, b, p, arena);
                 VARIANT_PLANNED
             }
@@ -201,7 +201,7 @@ impl TimedKernels {
     /// task graph's count, which also routed the task).
     pub fn ssssm<S: Scalar>(
         &mut self,
-        route: Route<'_, SsssmPlan, S::PlanIdx, SsssmVariant>,
+        route: Route<'_, SsssmVariant>,
         a: &CscMatrix<S>,
         b: &CscMatrix<S>,
         c: &mut CscMatrix<S>,
@@ -211,7 +211,7 @@ impl TimedKernels {
         let meter = self.start(model_flops);
         let slot = match route {
             Route::Plan(p, arena) => {
-                self.note_replay(p.searches_avoided, p.runs, p.run_entries);
+                self.note_replay(p);
                 plan::ssssm_planned(a, b, c, p, arena);
                 VARIANT_PLANNED
             }
@@ -344,7 +344,7 @@ mod tests {
             sentinels[0],
         );
         let mut panel = dense_block(5);
-        let gplan = build_gessm_plan(&fac, &panel, &mut arena);
+        let gplan = build_gessm_plan(&fac, &panel, &mut arena).unwrap();
         timed.gessm(Route::Plan(&gplan, &arena), &fac, &mut panel, &mut scratch, sentinels[1]);
         timed.tstrf(
             Route::Variant(TrsmVariant::CV2),
@@ -354,7 +354,7 @@ mod tests {
             sentinels[2],
         );
         let mut c = dense_block(5);
-        let splan = build_ssssm_plan(&a, &b, &c, &mut arena);
+        let splan = build_ssssm_plan(&a, &b, &c, &mut arena).unwrap();
         timed.ssssm(Route::Plan(&splan, &arena), &a, &b, &mut c, &mut scratch, sentinels[3]);
 
         let mut by_class = [0.0f64; 4];
@@ -421,7 +421,7 @@ mod tests {
         let mut arena = Vec::new();
 
         let block = dense_block(6);
-        let gplan = build_getrf_plan(&block, &mut arena);
+        let gplan = build_getrf_plan(&block, &mut arena).unwrap();
         let mut via_timed = block.clone();
         let mut via_raw = block.clone();
         let fl = flops::getrf_flops(&block);
@@ -433,7 +433,7 @@ mod tests {
         let a = dense_block(6);
         let b = dense_block(6);
         let c0 = dense_block(6);
-        let splan = build_ssssm_plan(&a, &b, &c0, &mut arena);
+        let splan = build_ssssm_plan(&a, &b, &c0, &mut arena).unwrap();
         let mut c_timed = c0.clone();
         let mut c_raw = c0.clone();
         let fl = flops::ssssm_flops(&a, &b);
@@ -450,8 +450,9 @@ mod tests {
         let mut mem = MemStats::default();
         timed.add_counts_to(&mut mem);
         assert_eq!(mem.planned_calls, 2);
-        assert_eq!(mem.index_searches_avoided, gplan.searches_avoided + splan.searches_avoided);
-        assert_eq!(mem.plan_runs, gplan.runs + splan.runs);
-        assert_eq!(mem.run_axpy_entries, gplan.run_entries + splan.run_entries);
+        let sum = |f: fn(&Plan) -> u32| u64::from(f(&gplan) + f(&splan));
+        assert_eq!(mem.index_searches_avoided, sum(|p| p.searches_avoided));
+        assert_eq!(mem.plan_runs, sum(|p| p.runs));
+        assert_eq!(mem.run_axpy_entries, sum(|p| p.run_entries));
     }
 }

@@ -7,7 +7,8 @@
 use proptest::prelude::*;
 
 use pangulu_kernels::{
-    getrf, plan, reference, ssssm, trsm, GetrfVariant, KernelScratch, SsssmVariant, TrsmVariant,
+    getrf, plan, reference, ssssm, trsm, GetrfVariant, KernelPlans, KernelScratch, KernelSelector,
+    PlanTask, Route, SsssmVariant, Thresholds, TimedKernels, TrsmVariant,
 };
 use pangulu_sparse::ops::ensure_diagonal;
 use pangulu_sparse::{CooMatrix, CscMatrix, DenseMatrix, Scalar};
@@ -84,9 +85,9 @@ proptest! {
         let mut want = diag.clone();
         let perturbed = getrf::getrf(&mut want, GetrfVariant::CV1, &mut scratch, 1e-12);
         let mut arena = Vec::new();
-        let p = plan::build_getrf_plan(&diag, &mut arena);
+        let p = plan::build_getrf_plan(&diag, &mut arena).unwrap();
         let mut got = diag.clone();
-        let planned_perturbed = plan::getrf_planned(&mut got, &p, &arena, 1e-12);
+        let planned_perturbed = plan::getrf_planned(&mut got, &p, &arena, &mut scratch, 1e-12);
         prop_assert_eq!(want.values(), got.values());
         prop_assert_eq!(perturbed, planned_perturbed);
     }
@@ -98,7 +99,7 @@ proptest! {
         let mut want = upper.clone();
         trsm::gessm(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
         let mut arena = Vec::new();
-        let p = plan::build_gessm_plan(&lu, &upper, &mut arena);
+        let p = plan::build_gessm_plan(&lu, &upper, &mut arena).unwrap();
         let mut got = upper.clone();
         plan::gessm_planned(&lu, &mut got, &p, &arena);
         prop_assert_eq!(want.values(), got.values());
@@ -111,7 +112,7 @@ proptest! {
         let mut want = lower.clone();
         trsm::tstrf(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
         let mut arena = Vec::new();
-        let p = plan::build_tstrf_plan(&lu, &lower, &mut arena);
+        let p = plan::build_tstrf_plan(&lu, &lower, &mut arena).unwrap();
         let mut got = lower.clone();
         plan::tstrf_planned(&lu, &mut got, &p, &arena);
         prop_assert_eq!(want.values(), got.values());
@@ -124,7 +125,7 @@ proptest! {
         let mut want = tail.clone();
         ssssm::ssssm(&l_op, &u_op, &mut want, pangulu_kernels::SsssmVariant::CV1, &mut scratch);
         let mut arena = Vec::new();
-        let p = plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena);
+        let p = plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena).unwrap();
         let mut got = tail.clone();
         plan::ssssm_planned(&l_op, &u_op, &mut got, &p, &arena);
         prop_assert_eq!(want.values(), got.values());
@@ -140,7 +141,7 @@ proptest! {
         let (_, _, _, u_op, l_op, tail) = chain(nb, &entries);
         let mut scratch = KernelScratch::with_capacity(nb);
         let mut arena = Vec::new();
-        let p = plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena);
+        let p = plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena).unwrap();
 
         let mut want = tail.clone();
         ssssm::ssssm(&l_op, &u_op, &mut want, pangulu_kernels::SsssmVariant::CV1, &mut scratch);
@@ -168,21 +169,21 @@ proptest! {
         let mut scratch = KernelScratch::with_capacity(nb);
         let mut arena = Vec::new();
 
-        let p = plan::build_gessm_plan(&lu, &upper, &mut arena);
+        let p = plan::build_gessm_plan(&lu, &upper, &mut arena).unwrap();
         let mut want = upper.clone();
         trsm::gessm(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
         let mut got = upper.clone();
         plan::gessm_planned(&lu, &mut got, &p, &arena);
         prop_assert_eq!(want.values(), got.values());
 
-        let p = plan::build_tstrf_plan(&lu, &lower, &mut arena);
+        let p = plan::build_tstrf_plan(&lu, &lower, &mut arena).unwrap();
         let mut want = lower.clone();
         trsm::tstrf(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
         let mut got = lower.clone();
         plan::tstrf_planned(&lu, &mut got, &p, &arena);
         prop_assert_eq!(want.values(), got.values());
 
-        let p = plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena);
+        let p = plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena).unwrap();
         let mut want = tail.clone();
         ssssm::ssssm(&l_op, &u_op, &mut want, pangulu_kernels::SsssmVariant::CV1, &mut scratch);
         let mut got = tail.clone();
@@ -226,26 +227,26 @@ fn assert_replay_matches<S: Scalar>(
     reference::ref_ssssm(&dense_l, &dense_u, &mut dense_tail);
 
     let mut arena = Vec::new();
-    let p = plan::build_getrf_plan(diag, &mut arena);
+    let p = plan::build_getrf_plan(diag, &mut arena).unwrap();
     let mut got = diag.clone();
-    let got_perturbed = plan::getrf_planned(&mut got, &p, &arena, 1e-12);
+    let got_perturbed = plan::getrf_planned(&mut got, &p, &arena, &mut scratch, 1e-12);
     assert_eq!(lu.values(), got.values(), "GETRF diverged");
     assert_eq!(perturbed, got_perturbed, "GETRF pivot count diverged");
     near_dense(&got, &dense_lu, "GETRF");
 
-    let p = plan::build_gessm_plan(&lu, upper, &mut arena);
+    let p = plan::build_gessm_plan(&lu, upper, &mut arena).unwrap();
     let mut got = upper.clone();
     plan::gessm_planned(&lu, &mut got, &p, &arena);
     assert_eq!(u_op.values(), got.values(), "GESSM diverged");
     near_dense(&got, &dense_u, "GESSM");
 
-    let p = plan::build_tstrf_plan(&lu, lower, &mut arena);
+    let p = plan::build_tstrf_plan(&lu, lower, &mut arena).unwrap();
     let mut got = lower.clone();
     plan::tstrf_planned(&lu, &mut got, &p, &arena);
     assert_eq!(l_op.values(), got.values(), "TSTRF diverged");
     near_dense(&got, &dense_l, "TSTRF");
 
-    let p = plan::build_ssssm_plan(&l_op, &u_op, tail, &mut arena);
+    let p = plan::build_ssssm_plan(&l_op, &u_op, tail, &mut arena).unwrap();
     let mut got = tail.clone();
     plan::ssssm_planned(&l_op, &u_op, &mut got, &p, &arena);
     assert_eq!(want_tail.values(), got.values(), "SSSSM diverged");
@@ -322,7 +323,7 @@ fn run_replay_alternating_gaps_and_single_runs() {
 }
 
 /// A structurally empty panel (zero stored entries): every builder must
-/// produce an empty plan and every executor must be a no-op.
+/// produce a plan with no column and every executor must be a no-op.
 #[test]
 fn structurally_empty_panels_are_noops() {
     let nb = 6;
@@ -337,21 +338,195 @@ fn structurally_empty_panels_are_noops() {
     let empty = CooMatrix::new(nb, nb).to_csc();
 
     let mut arena = Vec::new();
-    let p = plan::build_gessm_plan(&lu, &empty, &mut arena);
+    let p = plan::build_gessm_plan(&lu, &empty, &mut arena).unwrap();
     assert_eq!(p.searches_avoided, 0);
     let mut b = empty.clone();
     plan::gessm_planned(&lu, &mut b, &p, &arena);
     assert_eq!(b.values(), empty.values());
 
-    let p = plan::build_tstrf_plan(&lu, &empty, &mut arena);
+    let p = plan::build_tstrf_plan(&lu, &empty, &mut arena).unwrap();
     let mut b = empty.clone();
     plan::tstrf_planned(&lu, &mut b, &p, &arena);
     assert_eq!(b.values(), empty.values());
 
-    let p = plan::build_ssssm_plan(&empty, &empty, &empty, &mut arena);
+    let p = plan::build_ssssm_plan(&empty, &empty, &empty, &mut arena).unwrap();
     assert_eq!(p.searches_avoided, 0);
     let mut c = empty.clone();
     plan::ssssm_planned(&empty, &empty, &mut c, &p, &arena);
     assert_eq!(c.values(), empty.values());
-    assert!(arena.is_empty(), "degenerate plans must not grow the arena");
+    assert_eq!(arena, [0; 3], "a degenerate plan is its zero column count");
+}
+
+/// The blocks of one `n`-row step, built so every arena element class
+/// reaches `n - 1` or `n`: a diagonal block whose first and last columns
+/// are full (its last column's diagonal sits at offset `n - 1` and takes
+/// one `n - 1`-long run), an upper panel whose full first column takes
+/// that run again as a triple, a lower panel whose full first and last
+/// columns make one `n`-long triple, and an SSSSM whose target column
+/// misses one row, so it is not full and takes an `n - 1`-long run plus
+/// one run per other even row.
+struct TallStep {
+    diag: CscMatrix,
+    upper: CscMatrix,
+    lower: CscMatrix,
+    a: CscMatrix,
+    b: CscMatrix,
+    c: CscMatrix,
+}
+
+fn tall_step(n: usize) -> TallStep {
+    let csc = |ncols: usize, entries: &mut dyn Iterator<Item = (usize, usize)>| {
+        let mut coo = CooMatrix::new(n, ncols);
+        for (i, j) in entries {
+            let v = if i == j { 4.0 } else { 0.25 + (i % 7) as f64 / 8.0 };
+            coo.push(i, j, v).unwrap();
+        }
+        coo.to_csc()
+    };
+    let full = |j: usize| (0..n).map(move |i| (i, j));
+    let diag = csc(n, &mut full(0).chain((1..n - 1).map(|j| (j, j))).chain(full(n - 1)));
+    let evens = |j: usize| (2..n).step_by(2).map(move |i| (i, j));
+    let upper = csc(3, &mut full(0).chain(evens(1)).chain([(n - 1, 2)]));
+    let lower = csc(n, &mut full(0).chain([(3, 1), (5, 1)]).chain(full(n - 1)));
+    let mut coo = CooMatrix::new(3, 2);
+    for (i, j) in [(0, 0), (1, 0), (2, 0), (1, 1)] {
+        coo.push(i, j, 0.5 + i as f64).unwrap();
+    }
+    let b = coo.to_csc();
+    let but_row_1 = |j: usize| full(j).filter(|&(i, _)| i != 1);
+    let a = csc(3, &mut but_row_1(0).chain([(n - 1, 1)]).chain((0..n).step_by(2).map(|i| (i, 2))));
+    let c = csc(2, &mut but_row_1(0).chain([(0, 1), (n - 1, 1)]));
+    TallStep { diag, upper, lower, a, b, c }
+}
+
+fn bits<S: Scalar>(m: &CscMatrix<S>) -> Vec<u64> {
+    m.values().iter().map(|v| v.to_f64().to_bits()).collect()
+}
+
+/// Runs the four tasks of `step` in scalar type `S` along the routes a
+/// pool with every planned gate open gives them, holds each result to
+/// `C_V1` bit for bit, and returns which tasks replayed a plan.
+fn route_tall_step<S: Scalar>(step: &TallStep) -> [bool; 4] {
+    let [diag, upper, lower, a, b, c] =
+        [&step.diag, &step.upper, &step.lower, &step.a, &step.b, &step.c].map(|m| m.cast::<S>());
+    let open = Thresholds {
+        getrf_planned: f64::INFINITY,
+        gessm_planned: f64::INFINITY,
+        tstrf_planned: f64::INFINITY,
+        ssssm_planned: f64::INFINITY,
+        ..Thresholds::default()
+    };
+    let sel = KernelSelector::new(1 << 20, open);
+    let n = diag.nrows();
+    let mut scratch = KernelScratch::<S>::with_capacity(n);
+    let mut lu = diag.clone();
+    getrf::getrf(&mut lu, GetrfVariant::CV1, &mut scratch, 1e-12);
+    let flops = pangulu_kernels::flops::ssssm_flops(&a, &b);
+
+    let mut pool = KernelPlans::<S>::with_slots(1, 1, 1, 1);
+    pool.build(&sel, |add| {
+        add(PlanTask::Getrf { slot: 0, a: &diag });
+        add(PlanTask::Gessm { slot: 0, diag_lu: &lu, b: &upper });
+        add(PlanTask::Tstrf { slot: 0, diag_lu: &lu, b: &lower });
+        add(PlanTask::Ssssm { slot: 0, flops, a: &a, b: &b, c: &c });
+    });
+    let mut timed = TimedKernels::new(false);
+    let mut planned = [false; 4];
+
+    let mut got = diag.clone();
+    let route = pool.route_getrf(&sel, 0, &diag);
+    planned[0] = matches!(route, Route::Plan(..));
+    timed.getrf(route, &mut got, &mut scratch, 1e-12, 0.0);
+    assert_eq!(bits(&got), bits(&lu), "{n} rows: GETRF diverged");
+
+    let (mut want, mut got) = (upper.clone(), upper.clone());
+    trsm::gessm(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
+    let route = pool.route_gessm(&sel, 0, &lu, &upper);
+    planned[1] = matches!(route, Route::Plan(..));
+    timed.gessm(route, &lu, &mut got, &mut scratch, 0.0);
+    assert_eq!(bits(&got), bits(&want), "{n} rows: GESSM diverged");
+
+    let (mut want, mut got) = (lower.clone(), lower.clone());
+    trsm::tstrf(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
+    let route = pool.route_tstrf(&sel, 0, &lu, &lower);
+    planned[2] = matches!(route, Route::Plan(..));
+    timed.tstrf(route, &lu, &mut got, &mut scratch, 0.0);
+    assert_eq!(bits(&got), bits(&want), "{n} rows: TSTRF diverged");
+
+    let (mut want, mut got) = (c.clone(), c.clone());
+    ssssm::ssssm(&a, &b, &mut want, SsssmVariant::CV1, &mut scratch);
+    let route = pool.route_ssssm(&sel, 0, flops, &a, &c);
+    planned[3] = matches!(route, Route::Plan(..));
+    timed.ssssm(route, &a, &b, &mut got, &mut scratch, 0.0);
+    assert_eq!(bits(&got), bits(&want), "{n} rows: SSSSM diverged");
+    planned
+}
+
+/// A 65 535-row block is planned in both widths, its arena elements
+/// reach the top of `u16`, and every replay is `C_V1` bit for bit.
+#[test]
+fn blocks_of_65535_rows_are_planned_at_the_top_of_u16() {
+    let n = usize::from(u16::MAX);
+    assert!(plan::fits(n));
+    let step = tall_step(n);
+    assert_eq!(route_tall_step::<f64>(&step), [true; 4]);
+    assert_eq!(route_tall_step::<f32>(&step), [true; 4]);
+
+    let mut lu = step.diag.clone();
+    let mut scratch = KernelScratch::with_capacity(n);
+    getrf::getrf(&mut lu, GetrfVariant::CV1, &mut scratch, 1e-12);
+    let mut arena = Vec::new();
+    let plans = [
+        plan::build_getrf_plan(&step.diag, &mut arena),
+        plan::build_gessm_plan(&lu, &step.upper, &mut arena),
+        plan::build_tstrf_plan(&lu, &step.lower, &mut arena),
+        plan::build_ssssm_plan(&step.a, &step.b, &step.c, &mut arena),
+    ];
+    assert!(plans.iter().all(Option::is_some));
+    // The TSTRF triple's length and the last diagonal positions.
+    assert_eq!(arena.iter().max(), Some(&u16::MAX));
+    assert!(arena.iter().filter(|&&v| v >= u16::MAX - 1).count() >= 3);
+}
+
+/// One row more and no plan fits: the pool builds nothing and every task
+/// runs its variant, still `C_V1` bit for bit.
+#[test]
+fn blocks_of_65536_rows_run_their_variant() {
+    let n = usize::from(u16::MAX) + 1;
+    assert!(!plan::fits(n));
+    let step = tall_step(n);
+    assert_eq!(route_tall_step::<f64>(&step), [false; 4]);
+    assert_eq!(route_tall_step::<f32>(&step), [false; 4]);
+    let mut arena = Vec::new();
+    assert!(plan::build_getrf_plan(&step.diag, &mut arena).is_none());
+    assert!(plan::build_ssssm_plan(&step.a, &step.b, &step.c, &mut arena).is_none());
+    assert!(arena.is_empty());
+}
+
+/// The width guard is on rows, not entries: an f32 block of 67 600
+/// entries is planned under the shipped gates and replays `C_V1` bit for
+/// bit.
+#[test]
+fn f32_blocks_of_more_than_65535_entries_are_planned() {
+    let n = 260;
+    let mut coo = CooMatrix::new(n, n);
+    for j in 0..n {
+        for i in 0..n {
+            let v = if i == j { n as f64 } else { ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5 };
+            coo.push(i, j, v).unwrap();
+        }
+    }
+    let block = coo.to_csc().cast::<f32>();
+    assert!(block.nnz() > usize::from(u16::MAX));
+    let sel = KernelSelector::new(1 << 20, Thresholds::default());
+    let mut pool = KernelPlans::<f32>::with_slots(1, 0, 0, 0);
+    pool.build(&sel, |add| add(PlanTask::Getrf { slot: 0, a: &block }));
+    let route = pool.route_getrf(&sel, 0, &block);
+    assert!(matches!(route, Route::Plan(..)));
+    let mut scratch = KernelScratch::with_capacity(n);
+    let (mut want, mut got) = (block.clone(), block.clone());
+    let p0 = getrf::getrf(&mut want, GetrfVariant::CV1, &mut scratch, 1e-12);
+    let p1 = TimedKernels::new(false).getrf(route, &mut got, &mut scratch, 1e-12, 0.0);
+    assert_eq!(p0, p1);
+    assert_eq!(bits(&got), bits(&want));
 }

@@ -36,7 +36,7 @@ pub use csr::CsrMatrix;
 pub use dense::DenseMatrix;
 pub use permute::Permutation;
 pub use runs::{collect_runs, for_each_run, RunSeg};
-pub use scalar::{PlanIndex, Scalar};
+pub use scalar::Scalar;
 
 /// Errors produced by the sparse substrate.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -1,61 +1,17 @@
 //! The numeric value type of the solver stack.
 //!
 //! Everything numeric in the stack — matrix values, kernel arithmetic,
-//! message payloads, plan arenas — is generic over [`Scalar`], with `f64`
+//! message payloads — is generic over [`Scalar`], with `f64`
 //! as the default type parameter so existing call sites compile
 //! unchanged. The only implementations are `f64` (the reference
 //! precision) and `f32` (the mixed-precision factorisation path, whose
 //! accuracy is recovered by iterative refinement in the solve phase).
 //!
 //! The trait deliberately exposes *width* alongside arithmetic:
-//! [`Scalar::WIDTH`] drives payload and copy accounting, and
-//! [`Scalar::PlanIdx`] picks the
-//! index width of kernel plan arenas (`u32` for `f64`, `u16` for `f32`),
-//! which is what halves `plan_bytes` in mixed mode.
+//! [`Scalar::WIDTH`] drives payload and copy accounting.
 
 use std::fmt::{Debug, Display};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
-
-/// Index type stored in kernel plan arenas.
-///
-/// Plans hold positions *within a block* (row slots, value offsets), so
-/// narrower indices suffice when blocks are small; the f32 path uses
-/// `u16` and declines to plan any block whose index space does not fit
-/// (see the fits-guards in `pangulu-kernels::plan`).
-pub trait PlanIndex: Copy + Send + Sync + Debug + Eq + 'static {
-    /// Largest representable index.
-    const MAX_INDEX: usize;
-    /// Converts from `usize`; callers must have checked `v <= MAX_INDEX`.
-    fn from_usize(v: usize) -> Self;
-    /// Widens back to `usize`.
-    fn index(self) -> usize;
-}
-
-impl PlanIndex for u32 {
-    const MAX_INDEX: usize = u32::MAX as usize;
-    #[inline(always)]
-    fn from_usize(v: usize) -> Self {
-        debug_assert!(v <= Self::MAX_INDEX);
-        v as u32
-    }
-    #[inline(always)]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
-
-impl PlanIndex for u16 {
-    const MAX_INDEX: usize = u16::MAX as usize;
-    #[inline(always)]
-    fn from_usize(v: usize) -> Self {
-        debug_assert!(v <= Self::MAX_INDEX);
-        v as u16
-    }
-    #[inline(always)]
-    fn index(self) -> usize {
-        self as usize
-    }
-}
 
 /// A floating-point element type the solver can factor in.
 ///
@@ -89,8 +45,6 @@ pub trait Scalar:
     const WIDTH: usize;
     /// Human-readable precision label ("f64" / "f32") for reports.
     const LABEL: &'static str;
-    /// Plan-arena index type (`u32` for f64, `u16` for f32).
-    type PlanIdx: PlanIndex;
 
     /// Rounds an `f64` into this precision.
     fn from_f64(v: f64) -> Self;
@@ -105,7 +59,6 @@ impl Scalar for f64 {
     const ONE: Self = 1.0;
     const WIDTH: usize = 8;
     const LABEL: &'static str = "f64";
-    type PlanIdx = u32;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -126,7 +79,6 @@ impl Scalar for f32 {
     const ONE: Self = 1.0;
     const WIDTH: usize = 4;
     const LABEL: &'static str = "f32";
-    type PlanIdx = u16;
 
     #[inline(always)]
     fn from_f64(v: f64) -> Self {
@@ -157,12 +109,5 @@ mod tests {
         let v = 1.0 + 1e-12; // not representable in f32
         assert_eq!(f32::from_f64(v), 1.0f32);
         assert_eq!(f32::from_f64(v).to_f64(), 1.0);
-    }
-
-    #[test]
-    fn plan_index_bounds() {
-        assert_eq!(<u16 as PlanIndex>::MAX_INDEX, 65535);
-        assert_eq!(u16::from_usize(65535).index(), 65535);
-        assert_eq!(u32::from_usize(70000).index(), 70000);
     }
 }

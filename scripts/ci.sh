@@ -70,7 +70,12 @@
 #           plan-timing contract — no plan after build(), plans built by
 #           the first refactor, flat from the second, first-run variant
 #           route == later planned route on every executor and width
-#           (see docs/KERNEL_PLANS.md "When plans are built")
+#           (see docs/KERNEL_PLANS.md "When plans are built"). First a
+#           grep guard keeps `PlanIdx`/`PlanIndex` out of crates/*/src
+#           (plans hold one u16 arena at every precision), and last
+#           `--test build_peak` (release) holds `plan_bytes` to what the
+#           first refactor keeps and the plan build under the steady
+#           refactor's peak (docs/KERNEL_PLANS.md "Memory")
 #   ordering  fill-reducing-order layer: the reorder and symbolic
 #           packages (postorder properties: equal fill, contiguous
 #           subtrees, idempotent, deterministic; the `amd::` hub rule and
@@ -191,6 +196,12 @@ stage_kernels() {
             "kernels run on their task's thread" >&2
         return 1
     fi
+    echo "--- compact plans: no per-scalar plan index type in the crates"
+    if grep -rnE 'PlanIdx|PlanIndex' crates/*/src; then
+        echo "ci.sh: kernel plans keep one u16 arena of column-relative" \
+            "offsets; there is no per-scalar plan index type" >&2
+        return 1
+    fi
     for profile in "" --release; do
         echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
         # Prints which tile instances this runner checked (avx2 + portable,
@@ -201,6 +212,8 @@ stage_kernels() {
         cargo test $profile -q -p pangulu-core --lib -- plan
         cargo test $profile -q --test solver_equivalence -- negative_zero
     done
+    echo "--- plan pool bytes and first-refactor peak (counting allocator)"
+    cargo test --release -q --test build_peak
 }
 
 stage_ordering() {

@@ -1,10 +1,11 @@
 //! The analysis holds nothing the size of L+U besides the factor itself:
 //! the heap peak of `Solver::build` stays close to the bytes the solver
 //! keeps once it is built, a multi-rank solver keeps no second copy of
-//! the factor, and a mixed-precision solver keeps one factor store, in
-//! f32. A counting global allocator measures all three, so this file is
-//! its own test binary with one test in it — no other test allocates
-//! while it counts.
+//! the factor, a mixed-precision solver keeps one factor store, in f32,
+//! and the kernel plan pool a first refactorisation builds is what
+//! `plan_bytes` reports and does not set the heap peak. A counting global
+//! allocator measures all four, so this file is its own test binary with
+//! one test in it — no other test allocates while it counts.
 
 use pangulu::core::{Precision, Solver};
 use pangulu::sparse::{gen, CscMatrix};
@@ -101,7 +102,24 @@ fn steady_bytes(a: &CscMatrix, precision: Precision) -> (usize, Solver) {
     (LIVE.load(Relaxed) - before, solver)
 }
 
-/// Measured: 1.10 (kkt), 1.05 (lap2d) and 1.06 (kkt, mixed). The bound
+/// What the first refactorisation of an f64 solver leaves live beside
+/// the scatter map it builds, and the heap peak above the live bytes of
+/// the first and of a steady refactorisation: `(grown, first, steady)`.
+fn first_refactor(solver: &mut Solver, a: &CscMatrix) -> (isize, usize, usize) {
+    let mut refactor = || {
+        let before = LIVE.load(Relaxed);
+        PEAK.store(before, Relaxed);
+        solver.refactor(a).unwrap();
+        let after = LIVE.load(Relaxed);
+        (after as isize - before as isize, PEAK.load(Relaxed) - after)
+    };
+    let (grown, first) = refactor();
+    let (_, steady) = refactor();
+    let scatter = a.nnz() * std::mem::size_of::<(usize, usize)>();
+    (grown - scatter as isize, first, steady)
+}
+
+/// Measured: 1.13 (kkt), 1.07 (lap2d) and 1.10 (kkt, mixed). The bound
 /// sits between those and what a build that holds a global filled CSC
 /// beside the tiles, and publishes mixed factors through a widened
 /// copy, reads: 1.98, 1.81 and 1.66.
@@ -120,8 +138,26 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
         assert!(ratio < BOUND, "{tag}: build peak is {ratio:.3}x the live bytes (bound {BOUND})");
     }
 
+    // The kernel plan pool is all a first refactorisation keeps besides
+    // the scatter map, and `plan_bytes` counts every byte of it: arena and
+    // slot tables. The arena is sized before it is written, so building
+    // the plans does not set the refactorisation's peak. Measured: the
+    // first refactor keeps exactly `plan_bytes` (302 980 B) beside the
+    // scatter map; both refactors peak 9 848 B above their live bytes.
+    // Growing the arena by `push`, with per-plan builder scratch, put the
+    // first peak at 180 692 B.
+    let mut solver = Solver::builder().build(&kkt).unwrap();
+    let (grown, first, steady) = first_refactor(&mut solver, &kkt);
+    let plan_bytes = solver.kernel_plan_stats().bytes as f64;
+    let off = (grown as f64 - plan_bytes).abs() / plan_bytes;
+    eprintln!("kkt: first refactor kept {grown} B beside the scatter map, plans {plan_bytes} B");
+    eprintln!("kkt: refactor peak above live: first {first} B, steady {steady} B");
+    assert!(off <= 0.02, "kkt: plan_bytes is {off:.3} off what the first refactor kept");
+    assert!(first <= steady + (64 << 10), "kkt: building plans set the peak ({first} B)");
+    drop(solver);
+
     // Ranks factor their own blocks in the solver's store and keep only
-    // the remote blocks they received. Measured: 1.54; a rank table that
+    // the remote blocks they received. Measured: 1.52; a rank table that
     // clones every owned block reads 2.10.
     const RANKS_BOUND: f64 = 1.8;
     let circuit = gen::circuit(2000, 1);
@@ -130,7 +166,7 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     assert!(ratio < RANKS_BOUND, "circuit: 2 ranks keep {ratio:.3}x 1 rank (bound {RANKS_BOUND})");
 
     // A mixed solver keeps its f32 factors and no f64 store beside them.
-    // Measured: 0.86; with an f64 store resident beside the f32 one it
+    // Measured: 0.897; with an f64 store resident beside the f32 one it
     // reads 1.44.
     const MIXED_BOUND: f64 = 0.9;
     let (f64_bytes, f64_solver) = steady_bytes(&kkt, Precision::F64);

@@ -88,12 +88,12 @@ const LAPLACIAN_2D: Golden = Golden {
     refactor: Row {
         exact: [
             1079, 9065320, 2048, 2048, 85, 323, 323, 1317, 14458192, 714, 1079, 1823, 7511322,
-            18526828, 791916, 6719406, 0, 0, 0, 5, 5,
+            5940004, 791916, 6719406, 0, 0, 0, 5, 5,
         ],
         flops: [43275220.0, 43275220.0],
         residual: 6.624044340585632e-15,
     },
-    mixed: [4545608, 14833846, 4, 0, 4],
+    mixed: [4545608, 5940004, 4, 0, 4],
     mixed_residual: 2.793289535510508e-15,
 };
 
@@ -108,13 +108,13 @@ const CIRCUIT: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            712, 2967984, 1194, 1194, 54, 196, 196, 748, 4714312, 445, 712, 845, 473304, 4122680,
+            712, 2967984, 1194, 1194, 54, 196, 196, 748, 4714312, 445, 712, 845, 473304, 1454448,
             202367, 270937, 0, 0, 0, 5, 5,
         ],
         flops: [5816518.0, 5816518.0],
         residual: 2.678999027185755e-16,
     },
-    mixed: [1492536, 3204646, 2, 0, 4],
+    mixed: [1492536, 1454448, 2, 0, 4],
     mixed_residual: 1.5675144590249424e-16,
 };
 
@@ -128,13 +128,13 @@ const FEM_BLOCKED: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            349, 1558392, 552, 552, 32, 98, 98, 324, 2438624, 225, 349, 527, 1202679, 3758552,
+            349, 1558392, 552, 552, 32, 98, 98, 324, 2438624, 225, 349, 527, 1202679, 1182216,
             143436, 1059243, 0, 0, 0, 5, 5,
         ],
         flops: [2918525.0, 2918525.0],
         residual: 2.8993928746604734e-16,
     },
-    mixed: [783384, 3069840, 2, 0, 4],
+    mixed: [783384, 1182216, 2, 0, 4],
     mixed_residual: 2.0238554785408097e-16,
 };
 
@@ -150,12 +150,12 @@ const KKT: Golden = Golden {
     refactor: Row {
         exact: [
             850, 12801312, 3228, 3228, 30, 262, 262, 2674, 23131688, 553, 850, 1438, 5467581,
-            6313988, 363090, 5104491, 0, 0, 0, 5, 5,
+            2272992, 363090, 5104491, 0, 0, 0, 5, 5,
         ],
         flops: [906155072.0, 906155072.0],
         residual: 8.286217847511829e-16,
     },
-    mixed: [6410856, 4756162, 2, 0, 4],
+    mixed: [6410856, 2272992, 2, 0, 4],
     mixed_residual: 1.5042107669736666e-16,
 };
 
@@ -170,13 +170,13 @@ const CAGE_LIKE: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            490, 5500016, 1442, 1442, 29, 167, 167, 1079, 9625440, 362, 490, 906, 4063413, 9591248,
+            490, 5500016, 1442, 1442, 29, 167, 167, 1079, 9625440, 362, 490, 906, 4063413, 3480570,
             561183, 3502230, 0, 0, 0, 5, 5,
         ],
         flops: [142202518.0, 142202518.0],
         residual: 3.0865232502335987e-16,
     },
-    mixed: [2755888, 7080200, 2, 0, 4],
+    mixed: [2755888, 3480570, 2, 0, 4],
     mixed_residual: 1.376427892445986e-16,
 };
 
@@ -190,13 +190,13 @@ const DENSE_BANDED: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 98, 113, 1045813, 1982212, 88828,
+            98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 98, 113, 1045813, 573698, 88828,
             956985, 0, 0, 0, 5, 5,
         ],
         flops: [2137197.0, 2137197.0],
         residual: 3.577619340292426e-16,
     },
-    mixed: [647548, 1590400, 2, 0, 4],
+    mixed: [647548, 573698, 2, 0, 4],
     mixed_residual: 2.203918045845309e-16,
 };
 
@@ -359,47 +359,48 @@ fn dense_banded() {
     check("dense_banded", &gen::dense_banded(2000, 24, 0.5, 9), &DENSE_BANDED);
 }
 
-/// Per block size `nb`: index searches the three plans avoid, their bytes
-/// (arena plus entry tables), and the FLOPs of one SSSSM call.
+/// Per block size `nb`: index searches the three plans avoid, the bytes a
+/// pool holds for them (arena plus one slot each), and the FLOPs of one
+/// SSSSM call.
 const KERNEL_PLANS: [(usize, u64, u64, f64); 4] = [
-    (16, 2356, 9532, 2032.0),
-    (32, 8024, 24768, 6116.0),
-    (64, 1271, 6944, 1338.0),
-    (128, 2494, 12424, 2644.0),
+    (16, 2356, 3264, 2032.0),
+    (32, 8024, 8482, 6116.0),
+    (64, 1271, 2448, 1338.0),
+    (128, 2494, 4386, 2644.0),
 ];
 
-/// Plans GESSM, TSTRF and SSSSM over one pooled arena, requires each
-/// planned kernel to equal `C_V1` bit for bit, and returns the index
-/// searches the plans avoid and their bytes. The operands of the step:
-/// a factored diagonal, an upper and a lower panel before and after
+/// Plans GESSM, TSTRF and SSSSM over one arena, requires each planned
+/// kernel to equal `C_V1` bit for bit, and returns the index searches the
+/// plans avoid and the bytes a pool holds for them. The operands of the
+/// step: a factored diagonal, an upper and a lower panel before and after
 /// their solve, and the Schur target of the solved pair.
 fn planned_equals_cv1<S: Scalar>(ops: [&CscMatrix<S>; 6], nb: usize, what: &str) -> (u64, u64) {
     let [diag, upper, lower, l_op, u_op, target] = ops;
     let mut scratch = KernelScratch::<S>::with_capacity(nb);
     let mut arena = Vec::new();
-    let p_gessm = plan::build_gessm_plan(diag, upper, &mut arena);
-    let p_tstrf = plan::build_tstrf_plan(diag, lower, &mut arena);
-    let p_ssssm = plan::build_ssssm_plan(l_op, u_op, target, &mut arena);
+    let plans = [
+        plan::build_gessm_plan(diag, upper, &mut arena),
+        plan::build_tstrf_plan(diag, lower, &mut arena),
+        plan::build_ssssm_plan(l_op, u_op, target, &mut arena),
+    ]
+    .map(|p| p.expect("an nb-row block fits a plan"));
+    let [p_gessm, p_tstrf, p_ssssm] = &plans;
 
     let (mut want, mut got) = (upper.clone(), upper.clone());
     trsm::gessm(diag, &mut want, TrsmVariant::CV1, &mut scratch);
-    plan::gessm_planned(diag, &mut got, &p_gessm, &arena);
+    plan::gessm_planned(diag, &mut got, p_gessm, &arena);
     assert_eq!(want.values(), got.values(), "nb{nb}: planned {what} GESSM diverged");
     let (mut want, mut got) = (lower.clone(), lower.clone());
     trsm::tstrf(diag, &mut want, TrsmVariant::CV1, &mut scratch);
-    plan::tstrf_planned(diag, &mut got, &p_tstrf, &arena);
+    plan::tstrf_planned(diag, &mut got, p_tstrf, &arena);
     assert_eq!(want.values(), got.values(), "nb{nb}: planned {what} TSTRF diverged");
     let (mut want, mut got) = (target.clone(), target.clone());
     ssssm::ssssm(l_op, u_op, &mut want, SsssmVariant::CV1, &mut scratch);
-    plan::ssssm_planned(l_op, u_op, &mut got, &p_ssssm, &arena);
+    plan::ssssm_planned(l_op, u_op, &mut got, p_ssssm, &arena);
     assert_eq!(want.values(), got.values(), "nb{nb}: planned {what} SSSSM diverged");
 
-    let bytes = std::mem::size_of_val(arena.as_slice())
-        + std::mem::size_of_val(p_gessm.srcs.as_slice())
-        + std::mem::size_of_val(p_tstrf.cols.as_slice())
-        + std::mem::size_of_val(p_tstrf.uents.as_slice())
-        + std::mem::size_of_val(p_ssssm.entries.as_slice());
-    let searches = p_gessm.searches_avoided + p_tstrf.searches_avoided + p_ssssm.searches_avoided;
+    let bytes = std::mem::size_of_val(arena.as_slice()) + std::mem::size_of_val(&plans);
+    let searches = plans.iter().map(|p| u64::from(p.searches_avoided)).sum();
     (searches, bytes as u64)
 }
 
