@@ -12,6 +12,26 @@
 use pangulu_sparse::{CscMatrix, Result, Scalar, SparseError};
 use pangulu_symbolic::FilledPattern;
 
+/// A row index the tiler reads: `u32` from the symbolic pattern, `usize`
+/// from a filled CSC.
+trait RowIndex: Copy + 'static {
+    fn idx(self) -> usize;
+}
+
+impl RowIndex for usize {
+    #[inline]
+    fn idx(self) -> usize {
+        self
+    }
+}
+
+impl RowIndex for u32 {
+    #[inline]
+    fn idx(self) -> usize {
+        self as usize
+    }
+}
+
 /// The blocked form of the filled matrix, generic over the element
 /// precision (`f64` by default; `f32` on the mixed-precision path, which
 /// halves every block's value storage and wire payload).
@@ -146,7 +166,11 @@ impl<S: Scalar> BlockMatrix<S> {
     /// diagonal, then `L(:, j)`. Every tile is allocated at its exact
     /// size; the other buffers are indexed by unknown, local column or
     /// block row, so none outgrows `n`.
-    fn tile<'p>(n: usize, nb: usize, lower: impl Fn(usize) -> &'p [usize]) -> Result<Self> {
+    fn tile<'p, I: RowIndex>(
+        n: usize,
+        nb: usize,
+        lower: impl Fn(usize) -> &'p [I],
+    ) -> Result<Self> {
         const NONE: usize = usize::MAX;
         if nb == 0 {
             return Err(SparseError::InvalidStructure("block size must be positive".into()));
@@ -175,7 +199,7 @@ impl<S: Scalar> BlockMatrix<S> {
         for bj in 0..nblk {
             let (col_lo, col_hi) = (bj * nb, (bj * nb + nb).min(n));
             let bcols = col_hi - col_lo;
-            let in_block = |j: usize| lower(j).partition_point(|&i| i < col_hi);
+            let in_block = |j: usize| lower(j).partition_point(|&i| i.idx() < col_hi);
 
             // Upper tiles (bi, bj), bi < bj: mirrors of lower tiles (bj, bi).
             upper.clear();
@@ -202,16 +226,16 @@ impl<S: Scalar> BlockMatrix<S> {
             cursor.resize(bcols, 0);
             for j in col_lo..col_hi {
                 let col = lower(j);
-                if col.first().is_some_and(|&i| i <= j)
-                    || col.last().is_some_and(|&i| i >= n)
-                    || col.windows(2).any(|w| w[0] >= w[1])
+                if col.first().is_some_and(|&i| i.idx() <= j)
+                    || col.last().is_some_and(|&i| i.idx() >= n)
+                    || col.windows(2).any(|w| w[0].idx() >= w[1].idx())
                 {
                     return Err(SparseError::InvalidStructure(format!(
                         "strict-lower rows of column {j} are not increasing in ({j}, {n})"
                     )));
                 }
                 for &i in &col[..in_block(j)] {
-                    cursor[i - col_lo] += 1;
+                    cursor[i.idx() - col_lo] += 1;
                 }
             }
             let mut col_ptr = Vec::with_capacity(bcols + 1);
@@ -224,6 +248,7 @@ impl<S: Scalar> BlockMatrix<S> {
             let mut diag_rows = vec![0usize; col_ptr[bcols]];
             for k in col_lo..col_hi {
                 for &i in &lower(k)[..in_block(k)] {
+                    let i = i.idx();
                     diag_rows[cursor[i - col_lo]] = k - col_lo;
                     cursor[i - col_lo] += 1;
                 }
@@ -233,7 +258,7 @@ impl<S: Scalar> BlockMatrix<S> {
                 diag_pos.push(at - col_ptr[lc]);
                 diag_rows[at] = lc;
                 for (dst, &i) in diag_rows[at + 1..].iter_mut().zip(&lower(j)[..in_block(j)]) {
-                    *dst = i - col_lo;
+                    *dst = i.idx() - col_lo;
                 }
             }
             let len = diag_rows.len();
@@ -251,7 +276,7 @@ impl<S: Scalar> BlockMatrix<S> {
             found.clear();
             for j in col_lo..col_hi {
                 for &i in &lower(j)[in_block(j)..] {
-                    let bi = i / nb;
+                    let bi = i.idx() / nb;
                     let mut s = slot_of[bi];
                     if s == NONE {
                         s = found.len();
@@ -276,6 +301,7 @@ impl<S: Scalar> BlockMatrix<S> {
             for j in col_lo..col_hi {
                 let lc = j - col_lo;
                 for &i in &lower(j)[in_block(j)..] {
+                    let i = i.idx();
                     let bi = i / nb;
                     let s = slot_of[bi];
                     // `ptrs[s][lc]` is the next free slot of local column

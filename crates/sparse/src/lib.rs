@@ -66,6 +66,9 @@ pub enum SparseError {
     /// static-pivot floor disabled (`pivot_floor_rel = 0`): the matrix is
     /// numerically singular and the factors are unusable.
     ZeroPivot { pivots: usize },
+    /// The matrix order `n` is above `max`, the largest order a structure
+    /// with 32-bit indices (the symbolic fill pattern) can address.
+    OrderTooLarge { n: usize, max: usize },
 }
 
 impl std::fmt::Display for SparseError {
@@ -90,6 +93,9 @@ impl std::fmt::Display for SparseError {
                 "{pivots} zero pivot(s) with the pivot floor disabled: the matrix is \
                  numerically singular (a positive pivot_floor_rel perturbs them)"
             ),
+            SparseError::OrderTooLarge { n, max } => {
+                write!(f, "matrix order {n} is above {max}, the largest a 32-bit index addresses")
+            }
         }
     }
 }

@@ -104,7 +104,8 @@ pub fn detect(fill: &FilledPattern, opts: SupernodeOptions) -> SupernodePartitio
 
     // Current supernode state.
     let mut cur_start = 0usize;
-    let mut cur_rows: Vec<usize> = fill.l_col(0).to_vec();
+    let rows_of = |j: usize| fill.l_col(j).iter().map(|&i| i as usize).collect::<Vec<_>>();
+    let mut cur_rows = rows_of(0);
     // Padding accumulated inside the open supernode; committed on close.
     let mut cur_padding = 0usize;
 
@@ -140,7 +141,7 @@ pub fn detect(fill: &FilledPattern, opts: SupernodeOptions) -> SupernodePartitio
                 let (mut a, mut b) = (0usize, 0usize);
                 while a < cur_rows.len() || b < col_j.len() {
                     let ra = cur_rows.get(a).copied().unwrap_or(usize::MAX);
-                    let rb = col_j.get(b).copied().unwrap_or(usize::MAX);
+                    let rb = col_j.get(b).map_or(usize::MAX, |&i| i as usize);
                     if ra == j {
                         a += 1;
                         continue;
@@ -185,7 +186,7 @@ pub fn detect(fill: &FilledPattern, opts: SupernodeOptions) -> SupernodePartitio
                 &mut padding,
             );
             cur_start = j;
-            cur_rows = fill.l_col(j).to_vec();
+            cur_rows = rows_of(j);
             cur_padding = 0;
         }
     }

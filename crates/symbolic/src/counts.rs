@@ -1,68 +1,13 @@
 //! Fill counts without materialising the fill.
 //!
-//! The Gilbert–Ng–Peyton style row-subtree count: `nnz(L)` and the
-//! per-column counts of the Cholesky factor of a symmetric pattern come
-//! out of the same elimination-tree walk the full symbolic uses, but
-//! storing only counters — `O(nnz(A)·α)` time, `O(n)` space. The
-//! block-size heuristic and the `FillReducing::Auto` ordering comparison
-//! only need these numbers, not the pattern itself.
+//! The row-subtree count: `nnz(L + U)` of a symmetric pattern under a
+//! candidate ordering comes out of the same elimination-tree walk the
+//! full symbolic uses, but storing only a counter — `O(n)` space. The
+//! `FillReducing::Auto` ordering comparison only needs this number, not
+//! the pattern itself.
 
-use crate::etree::{link, EliminationTree, NO_PARENT};
+use crate::etree::{link, row_subtree, NO_PARENT};
 use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
-
-/// Per-column strict-lower fill counts plus totals.
-#[derive(Debug, Clone)]
-pub struct FillCounts {
-    /// Strict-lower entries of each column of `L`.
-    pub l_col_counts: Vec<usize>,
-    /// The elimination tree (reusable by later phases).
-    pub etree: EliminationTree,
-}
-
-impl FillCounts {
-    /// Total entries of `L + U` including one diagonal copy.
-    pub fn nnz_lu(&self) -> usize {
-        2 * self.l_col_counts.iter().sum::<usize>() + self.l_col_counts.len()
-    }
-
-    /// Scalar factorisation FLOPs (same formula as
-    /// `stats::stats_from_fill`).
-    pub fn flops(&self) -> f64 {
-        self.l_col_counts
-            .iter()
-            .map(|&c| {
-                let lk = c as f64;
-                lk + 2.0 * lk * lk
-            })
-            .sum()
-    }
-}
-
-/// Counts the Cholesky fill of a structurally symmetric pattern with a
-/// full diagonal, without storing it.
-pub fn fill_counts_symmetric(sym: &CscMatrix) -> Result<FillCounts> {
-    let n = sym.ncols();
-    let etree = EliminationTree::from_symmetric_pattern(sym)?;
-    let mut mark = vec![usize::MAX; n];
-    let mut counts = vec![0usize; n];
-    for i in 0..n {
-        mark[i] = i;
-        let (rows, _) = sym.col(i);
-        for &k in rows {
-            if k >= i {
-                break;
-            }
-            let mut j = k;
-            while mark[j] != i {
-                mark[j] = i;
-                counts[j] += 1; // L(i, j) exists
-                j = etree.parent(j);
-                debug_assert!(j != NO_PARENT);
-            }
-        }
-    }
-    Ok(FillCounts { l_col_counts: counts, etree })
-}
 
 /// `nnz(L + U)` of the symmetric pattern `sym` reordered by `perm`
 /// (`perm[new] = old`), or `None` as soon as the running total passes
@@ -95,15 +40,8 @@ pub fn nnz_lu_within(sym: &CscMatrix, perm: &Permutation, limit: usize) -> Resul
             link(&mut parent, &mut ancestor, k, i);
         }
         // Every unmarked vertex on the way from k up to i is an L(i, j).
-        mark[i] = i;
-        for k in rows.iter().map(|&r| new_of.old_of(r)).filter(|&k| k < i) {
-            let mut j = k;
-            while mark[j] != i {
-                mark[j] = i;
-                total += 2;
-                j = parent[j];
-            }
-        }
+        let neighbours = rows.iter().map(|&r| new_of.old_of(r)).filter(|&k| k < i);
+        row_subtree(&parent, &mut mark, i, neighbours, |_| total += 2);
         if total > limit {
             return Ok(None);
         }
@@ -114,7 +52,7 @@ pub fn nnz_lu_within(sym: &CscMatrix, perm: &Permutation, limit: usize) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fill::symbolic_fill_symmetric;
+    use crate::fill::symbolic_fill;
     use pangulu_sparse::gen;
     use pangulu_sparse::ops::{ensure_diagonal, symmetrize};
 
@@ -123,15 +61,14 @@ mod tests {
     }
 
     #[test]
-    fn counts_match_full_symbolic() {
+    fn count_matches_full_symbolic() {
+        // `symbolic_fill` reads the unsymmetric matrix; the count reads
+        // its symmetrised pattern.
         for seed in 0..4 {
-            let a = sym(&gen::random_sparse(40, 0.08, seed));
-            let counts = fill_counts_symmetric(&a).unwrap();
-            let full = symbolic_fill_symmetric(&a).unwrap();
-            for j in 0..40 {
-                assert_eq!(counts.l_col_counts[j], full.l_col(j).len(), "column {j}, seed {seed}");
-            }
-            assert_eq!(counts.nnz_lu(), full.nnz_lu());
+            let a = gen::random_sparse(40, 0.08, seed);
+            let full = symbolic_fill(&a).unwrap().nnz_lu();
+            let identity = Permutation::identity(40);
+            assert_eq!(nnz_lu_within(&sym(&a), &identity, usize::MAX).unwrap(), Some(full));
         }
     }
 
@@ -148,7 +85,7 @@ mod tests {
             for p in perms {
                 let perm = Permutation::from_vec(p).unwrap();
                 let permuted = pangulu_sparse::permute::permute_symmetric(&a, &perm).unwrap();
-                let full = fill_counts_symmetric(&permuted).unwrap().nnz_lu();
+                let full = symbolic_fill(&permuted).unwrap().nnz_lu();
                 assert_eq!(nnz_lu_within(&a, &perm, usize::MAX).unwrap(), Some(full));
                 assert_eq!(nnz_lu_within(&a, &perm, full).unwrap(), Some(full));
                 assert_eq!(nnz_lu_within(&a, &perm, full - 1).unwrap(), None);
@@ -168,19 +105,12 @@ mod tests {
     }
 
     #[test]
-    fn flops_match_stats() {
-        let a = sym(&gen::laplacian_2d(9, 9));
-        let counts = fill_counts_symmetric(&a).unwrap();
-        let full = symbolic_fill_symmetric(&a).unwrap();
-        let stats = crate::stats::stats_from_fill(&a, &full);
-        assert_eq!(counts.flops(), stats.flops);
-    }
-
-    #[test]
     fn tridiagonal_has_unit_counts() {
         let a = gen::tridiagonal(12);
-        let counts = fill_counts_symmetric(&a).unwrap();
-        assert!(counts.l_col_counts[..11].iter().all(|&c| c == 1));
-        assert_eq!(counts.l_col_counts[11], 0);
+        let fill = symbolic_fill(&a).unwrap();
+        assert!((0..11).all(|j| fill.l_col(j) == [j as u32 + 1]));
+        assert!(fill.l_col(11).is_empty());
+        let identity = Permutation::identity(12);
+        assert_eq!(nnz_lu_within(&a, &identity, usize::MAX).unwrap(), Some(a.nnz()));
     }
 }

@@ -31,23 +31,34 @@ pub(crate) fn link(parent: &mut [usize], ancestor: &mut [usize], k: usize, i: us
     }
 }
 
+/// The row-subtree walk of row `i`: from each neighbour `k < i` up the
+/// tree over the rows before `i`, calling `visit(j)` once for every vertex
+/// `j` it reaches before `i` — the entries `L(i, j)` of the Cholesky
+/// fill. `mark` must not hold `i` on entry; the walk leaves it there.
+#[inline]
+pub(crate) fn row_subtree(
+    parent: &[usize],
+    mark: &mut [usize],
+    i: usize,
+    neighbours: impl Iterator<Item = usize>,
+    mut visit: impl FnMut(usize),
+) {
+    mark[i] = i;
+    for k in neighbours {
+        let mut j = k;
+        while mark[j] != i {
+            mark[j] = i;
+            visit(j);
+            j = parent[j];
+            debug_assert!(j != NO_PARENT, "walk must reach row {i}");
+        }
+    }
+}
+
 impl EliminationTree {
-    /// Computes the elimination tree of a structurally symmetric matrix
-    /// pattern (Liu's algorithm, O(nnz · α)).
-    pub fn from_symmetric_pattern(sym: &CscMatrix) -> Result<Self> {
-        if !sym.is_square() {
-            return Err(SparseError::NotSquare { nrows: sym.nrows(), ncols: sym.ncols() });
-        }
-        let n = sym.ncols();
-        let mut parent = vec![NO_PARENT; n];
-        let mut ancestor = vec![NO_PARENT; n];
-        for i in 0..n {
-            // Rows are sorted; only the upper part (k < i) matters.
-            for &k in sym.col(i).0.iter().take_while(|&&k| k < i) {
-                link(&mut parent, &mut ancestor, k, i);
-            }
-        }
-        Ok(EliminationTree { parent })
+    /// Wraps a parent array Liu's [`link`] built.
+    pub(crate) fn from_parents(parent: Vec<usize>) -> Self {
+        EliminationTree { parent }
     }
 
     /// The elimination tree of `sym` reordered symmetrically by `perm`
@@ -166,6 +177,11 @@ mod tests {
     use pangulu_sparse::gen;
     use pangulu_sparse::ops::symmetrize;
 
+    /// The elimination tree symbolic factorisation builds for `a`.
+    fn tree_of(a: &CscMatrix) -> Result<EliminationTree> {
+        Ok(crate::symbolic_fill(a)?.etree)
+    }
+
     /// Brute-force elimination tree: parent(j) = min { i > j : L(i,j) != 0 }
     /// where L is the Cholesky fill pattern computed by dense elimination.
     fn brute_etree(sym: &CscMatrix) -> Vec<usize> {
@@ -189,10 +205,13 @@ mod tests {
 
     #[test]
     fn matches_brute_force_on_random() {
+        // The walk reads A's two halves itself: symmetrising first changes
+        // nothing.
         for seed in 0..4 {
-            let a = symmetrize(&gen::random_sparse(25, 0.12, seed)).unwrap();
-            let t = EliminationTree::from_symmetric_pattern(&a).unwrap();
+            let a = gen::random_sparse(25, 0.12, seed);
+            let t = tree_of(&a).unwrap();
             assert_eq!(t.parents(), brute_etree(&a).as_slice(), "seed {seed}");
+            assert_eq!(t, tree_of(&symmetrize(&a).unwrap()).unwrap(), "seed {seed}");
         }
     }
 
@@ -207,7 +226,7 @@ mod tests {
                 let permuted = pangulu_sparse::permute::permute_symmetric(&a, &perm).unwrap();
                 assert_eq!(
                     EliminationTree::from_permuted_pattern(&a, &perm).unwrap(),
-                    EliminationTree::from_symmetric_pattern(&permuted).unwrap(),
+                    tree_of(&permuted).unwrap(),
                     "seed {seed}"
                 );
             }
@@ -228,7 +247,7 @@ mod tests {
                 coo.push(i + 1, i, -1.0).unwrap();
             }
         }
-        let t = EliminationTree::from_symmetric_pattern(&coo.to_csc()).unwrap();
+        let t = tree_of(&coo.to_csc()).unwrap();
         for j in 0..n - 1 {
             assert_eq!(t.parent(j), j + 1);
         }
@@ -238,7 +257,7 @@ mod tests {
 
     #[test]
     fn diagonal_matrix_is_forest_of_roots() {
-        let t = EliminationTree::from_symmetric_pattern(&CscMatrix::identity(5)).unwrap();
+        let t = tree_of(&CscMatrix::identity(5)).unwrap();
         assert!(t.parents().iter().all(|&p| p == NO_PARENT));
         assert_eq!(t.height(), 1);
         assert_eq!(t.postorder(), vec![0, 1, 2, 3, 4]);
@@ -247,7 +266,7 @@ mod tests {
     #[test]
     fn postorder_is_topological() {
         let a = symmetrize(&gen::random_sparse(40, 0.08, 7)).unwrap();
-        let t = EliminationTree::from_symmetric_pattern(&a).unwrap();
+        let t = tree_of(&a).unwrap();
         let post = t.postorder();
         assert_eq!(post.len(), 40);
         let mut pos = vec![0usize; 40];
@@ -264,7 +283,7 @@ mod tests {
     #[test]
     fn levels_respect_parents() {
         let a = gen::laplacian_2d(6, 6);
-        let t = EliminationTree::from_symmetric_pattern(&a).unwrap();
+        let t = tree_of(&a).unwrap();
         let lv = t.levels();
         for v in 0..36 {
             if t.parent(v) != NO_PARENT {

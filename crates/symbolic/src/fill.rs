@@ -3,12 +3,13 @@
 //! Computes the exact Cholesky fill pattern of `pattern(A + Aᵀ)` in
 //! O(nnz(L)) time using the elimination tree and the classic row-subtree
 //! walk: the pattern of row `i` of `L` consists of the vertices on the
-//! etree paths from each `k` with `A_sym(i, k) ≠ 0, k < i` up towards `i`
-//! (stopping at already-visited vertices). The L pattern is returned by
-//! columns; `U = Lᵀ` structurally.
+//! etree paths from each `k` with `A(i, k) ≠ 0` or `A(k, i) ≠ 0`, `k < i`,
+//! up towards `i` (stopping at already-visited vertices). `A + Aᵀ` is
+//! never built: `A`'s column `i` gives one half of row `i`'s neighbours
+//! and a pattern-only transpose of its strict lower part the other. The
+//! L pattern is returned by columns; `U = Lᵀ` structurally.
 
-use crate::etree::EliminationTree;
-use pangulu_sparse::ops::{ensure_diagonal, symmetrize};
+use crate::etree::{link, row_subtree, EliminationTree, NO_PARENT};
 use pangulu_sparse::{CscMatrix, Result, SparseError};
 
 /// The symbolic factorisation result: the strict-lower fill pattern of L
@@ -19,9 +20,11 @@ pub struct FilledPattern {
     /// Matrix order.
     pub n: usize,
     /// Column pointers of the strict lower pattern of `L` (length `n+1`).
+    /// `usize`, because `nnz(L)` may pass `u32::MAX`.
     pub l_col_ptr: Vec<usize>,
     /// Row indices of the strict lower pattern of `L`, sorted per column.
-    pub l_row_idx: Vec<usize>,
+    /// `u32`: [`symbolic_fill`] refuses an order above `u32::MAX`.
+    pub l_row_idx: Vec<u32>,
     /// The elimination tree of the symmetrised pattern.
     pub etree: EliminationTree,
 }
@@ -34,7 +37,7 @@ impl FilledPattern {
     }
 
     /// Strict-lower entries of column `j` of `L`.
-    pub fn l_col(&self, j: usize) -> &[usize] {
+    pub fn l_col(&self, j: usize) -> &[u32] {
         &self.l_row_idx[self.l_col_ptr[j]..self.l_col_ptr[j + 1]]
     }
 
@@ -56,7 +59,7 @@ impl FilledPattern {
         for j in 0..n {
             for &i in self.l_col(j) {
                 // L(i, j) with i > j mirrors to U(j, i): column i gains row j.
-                upper_counts[i + 1] += 1;
+                upper_counts[i as usize + 1] += 1;
             }
         }
         for j in 0..n {
@@ -68,6 +71,7 @@ impl FilledPattern {
             // Iterating columns ascending writes each upper column's rows
             // in ascending order automatically.
             for &i in self.l_col(j) {
+                let i = i as usize;
                 upper_rows[next[i]] = j;
                 next[i] += 1;
             }
@@ -81,7 +85,7 @@ impl FilledPattern {
             // Upper rows (all < j), then diagonal, then strict lower.
             row_idx.extend_from_slice(&upper_rows[upper_counts[j]..upper_counts[j + 1]]);
             row_idx.push(j);
-            row_idx.extend_from_slice(self.l_col(j));
+            row_idx.extend(self.l_col(j).iter().map(|&i| i as usize));
             col_ptr.push(row_idx.len());
         }
         let mut filled = CscMatrix::from_parts(n, n, col_ptr, row_idx, vec![0.0; total])?;
@@ -101,68 +105,113 @@ impl FilledPattern {
     }
 }
 
+/// Checks that a matrix of order `n` fits a [`FilledPattern`], whose row
+/// indices are `u32`: an order above `u32::MAX` is
+/// [`SparseError::OrderTooLarge`].
+pub(crate) fn check_order(n: usize) -> Result<()> {
+    let max = u32::MAX as usize;
+    if n > max {
+        return Err(SparseError::OrderTooLarge { n, max });
+    }
+    Ok(())
+}
+
 /// Runs PanguLU's symbolic factorisation on a (reordered) square matrix:
-/// symmetrise the pattern, ensure a full diagonal, compute the elimination
-/// tree and the exact fill pattern.
+/// the elimination tree and the exact fill pattern of `pattern(A + Aᵀ)`
+/// with a full diagonal. Two walks over the rows: the first extends the
+/// elimination tree row by row (Liu's algorithm) and counts each column
+/// of `L`, the second writes every row straight into its column, so the
+/// pattern is allocated once, at its exact size. Besides it, the walks
+/// hold only arrays of length `n` and the transpose of `A`'s strict
+/// lower pattern. A non-square matrix is [`SparseError::NotSquare`], an
+/// order above `u32::MAX` [`SparseError::OrderTooLarge`], both before
+/// anything is allocated.
 ///
 /// # Examples
 /// ```
+/// # fn main() -> pangulu_sparse::Result<()> {
 /// // A tridiagonal matrix fills nothing; an arrow matrix pointing
 /// // down-right fills completely.
 /// let tri = pangulu_sparse::gen::tridiagonal(8);
-/// let fill = pangulu_symbolic::symbolic_fill(&tri).unwrap();
+/// let fill = pangulu_symbolic::symbolic_fill(&tri)?;
 /// assert_eq!(fill.nnz_lu(), tri.nnz());
+/// # Ok(())
+/// # }
 /// ```
 pub fn symbolic_fill(a: &CscMatrix) -> Result<FilledPattern> {
-    let sym = ensure_diagonal(&symmetrize(a)?)?;
-    symbolic_fill_symmetric(&sym)
-}
-
-/// As [`symbolic_fill`] but for an already-symmetric pattern with a full
-/// diagonal.
-pub fn symbolic_fill_symmetric(sym: &CscMatrix) -> Result<FilledPattern> {
-    let n = sym.ncols();
-    let etree = EliminationTree::from_symmetric_pattern(sym)?;
-
-    // Row-subtree walk producing the pattern of L by rows; we bucket the
-    // (row i, col j) pairs into columns afterwards.
-    let mut mark = vec![usize::MAX; n];
-    let mut pairs_col: Vec<usize> = Vec::new();
-    let mut pairs_row: Vec<usize> = Vec::new();
-    for i in 0..n {
-        mark[i] = i;
-        let (rows, _) = sym.col(i);
-        for &k in rows {
-            if k >= i {
-                break;
-            }
-            let mut j = k;
-            while mark[j] != i {
-                mark[j] = i;
-                pairs_col.push(j);
-                pairs_row.push(i);
-                j = etree.parent(j);
-                debug_assert!(j != crate::etree::NO_PARENT, "walk must reach row {i}");
-            }
-        }
+    if !a.is_square() {
+        return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
     }
+    let n = a.ncols();
+    check_order(n)?;
+    // Row i's neighbours k < i: A(k, i) from column i, A(i, k) from the
+    // transposed lower part. A k found in both is walked once (`mark`).
+    let (below_ptr, below) = lower_by_rows(a);
+    let neighbours = |i: usize| {
+        let upper = a.col(i).0.iter().copied().filter(move |&k| k < i);
+        upper.chain(below[below_ptr[i]..below_ptr[i + 1]].iter().map(|&k| k as usize))
+    };
 
-    // Bucket into columns; rows ascending because we visited i ascending.
+    // Counting walk. Row i's subtree needs only the tree over the rows
+    // before it, so row i first extends the tree; column j's count lands
+    // in `l_col_ptr[j + 1]`.
+    let mut parent = vec![NO_PARENT; n];
+    let mut ancestor = vec![NO_PARENT; n];
+    let mut mark = vec![NO_PARENT; n];
     let mut l_col_ptr = vec![0usize; n + 1];
-    for &c in &pairs_col {
-        l_col_ptr[c + 1] += 1;
+    for i in 0..n {
+        for k in neighbours(i) {
+            link(&mut parent, &mut ancestor, k, i);
+        }
+        row_subtree(&parent, &mut mark, i, neighbours(i), |j| l_col_ptr[j + 1] += 1);
     }
+    drop(ancestor);
     for j in 0..n {
         l_col_ptr[j + 1] += l_col_ptr[j];
     }
-    let mut l_row_idx = vec![0usize; pairs_col.len()];
-    let mut next = l_col_ptr.clone();
-    for (idx, &c) in pairs_col.iter().enumerate() {
-        l_row_idx[next[c]] = pairs_row[idx];
-        next[c] += 1;
+
+    // Writing walk over the finished tree. `l_col_ptr[j]` is column j's
+    // next free slot, and rows arrive in ascending i, so every column
+    // comes out sorted; the shift below restores the pointers.
+    let mut l_row_idx = vec![0u32; l_col_ptr[n]];
+    mark.fill(NO_PARENT);
+    for i in 0..n {
+        row_subtree(&parent, &mut mark, i, neighbours(i), |j| {
+            l_row_idx[l_col_ptr[j]] = i as u32;
+            l_col_ptr[j] += 1;
+        });
     }
-    // Each column's rows arrive in increasing i (outer loop order): sorted.
-    Ok(FilledPattern { n, l_col_ptr, l_row_idx, etree })
+    l_col_ptr.rotate_right(1);
+    l_col_ptr[0] = 0;
+    Ok(FilledPattern { n, l_col_ptr, l_row_idx, etree: EliminationTree::from_parents(parent) })
+}
+
+/// The strict lower pattern of a square `a` by rows, as row pointers and
+/// `u32` columns: row `i` lists, ascending, the `k < i` with
+/// `A(i, k) ≠ 0`. Exact-sized and pattern-only.
+fn lower_by_rows(a: &CscMatrix) -> (Vec<usize>, Vec<u32>) {
+    let n = a.ncols();
+    let below = |k: usize| a.col(k).0.iter().copied().filter(move |&i| i > k);
+    let mut ptr = vec![0usize; n + 1];
+    for k in 0..n {
+        for i in below(k) {
+            ptr[i + 1] += 1;
+        }
+    }
+    for i in 0..n {
+        ptr[i + 1] += ptr[i];
+    }
+    // `ptr[i]` is row i's next free slot; the shift restores it.
+    let mut cols = vec![0u32; ptr[n]];
+    for k in 0..n {
+        for i in below(k) {
+            cols[ptr[i]] = k as u32;
+            ptr[i] += 1;
+        }
+    }
+    ptr.rotate_right(1);
+    ptr[0] = 0;
+    (ptr, cols)
 }
 
 /// Verifies that a pattern is transitively closed under the LU elimination
@@ -222,7 +271,8 @@ mod tests {
             let brute = brute_fill(&a);
             #[allow(clippy::needless_range_loop)] // index loops read clearest here
             for j in 0..22 {
-                let col: Vec<usize> = (j + 1..22).filter(|&i| brute[i][j]).collect();
+                let col: Vec<u32> =
+                    (j + 1..22).filter(|&i| brute[i][j]).map(|i| i as u32).collect();
                 assert_eq!(f.l_col(j), col.as_slice(), "column {j}, seed {seed}");
             }
         }
@@ -286,6 +336,30 @@ mod tests {
         }
         let f2 = symbolic_fill(&coo2.to_csc()).unwrap();
         assert_eq!(f2.l_row_idx.len(), n - 1);
+    }
+
+    #[test]
+    fn a_missing_diagonal_changes_nothing() {
+        let a = gen::circuit(200, 3);
+        let (f, g) =
+            (symbolic_fill(&a).unwrap(), symbolic_fill(&a.filter_entries(|i, j| i != j)).unwrap());
+        assert_eq!((f.l_col_ptr, f.l_row_idx, f.etree), (g.l_col_ptr, g.l_row_idx, g.etree));
+    }
+
+    #[test]
+    fn an_order_above_u32_max_is_refused() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_order(max), Ok(()));
+        assert_eq!(check_order(0), Ok(()));
+        if let Some(over) = max.checked_add(1) {
+            assert_eq!(check_order(over), Err(SparseError::OrderTooLarge { n: over, max }));
+        }
+    }
+
+    #[test]
+    fn non_square_is_refused() {
+        let a = CscMatrix::zeros(3, 4);
+        assert_eq!(symbolic_fill(&a).err(), Some(SparseError::NotSquare { nrows: 3, ncols: 4 }));
     }
 
     #[test]

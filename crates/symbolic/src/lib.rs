@@ -11,14 +11,16 @@
 //! The crate provides:
 //!
 //! * [`etree`] — elimination trees (Liu's algorithm), postorder, levels;
-//! * [`fill`] — the symmetric-pruned fill pattern (PanguLU's symbolic) and
-//!   the construction of the filled `L+U` matrix the blocking stage
-//!   consumes;
+//! * [`fill`] — the symmetric-pruned fill pattern (PanguLU's symbolic: one
+//!   pattern-only walk, counted then written in place, with `u32` rows)
+//!   and the construction of the filled `L+U` matrix the blocking stage
+//!   is checked against;
 //! * [`gp`] — a Gilbert–Peierls per-column reachability symbolic
 //!   factorisation of the *unsymmetric* pattern, the SuperLU_DIST-style
 //!   comparator used in the Figure 11 experiment;
-//! * [`counts`] — fill *counts* without materialising the pattern (the
-//!   Gilbert–Ng–Peyton style walk), for cheap ordering comparisons;
+//! * [`counts`] — `nnz(L+U)` under a candidate ordering without
+//!   materialising the pattern or the permuted matrix, for the `Auto`
+//!   ordering comparison;
 //! * [`stats`] — nnz/FLOP accounting used by Table 3 and the cost models.
 
 pub mod counts;

@@ -76,8 +76,12 @@
 #           `--test build_peak` (release) holds `plan_bytes` to what the
 #           first refactor keeps and the plan build under the steady
 #           refactor's peak (docs/KERNEL_PLANS.md "Memory")
-#   ordering  fill-reducing-order layer: the reorder and symbolic
-#           packages (postorder properties: equal fill, contiguous
+#   ordering  fill-reducing-order layer. First a grep guard: the
+#           non-test code of crates/symbolic/src may not call
+#           `symmetrize(` or `ensure_diagonal(` or hold `pairs_col` —
+#           symbolic factorisation is one pattern-only walk, counted then
+#           written in place (docs/ALGORITHM.md §2). Then the reorder and
+#           symbolic packages (postorder properties: equal fill, contiguous
 #           subtrees, idempotent, deterministic; the `amd::` hub rule and
 #           its work bound, `order_graph` reads <= 10x its input on
 #           circuits, which is what keeps a later change from
@@ -217,7 +221,17 @@ stage_kernels() {
 }
 
 stage_ordering() {
-    local profile
+    local profile f
+    echo "--- pattern-only symbolic: no symmetrised copy or pair buffer in crates/symbolic/src"
+    for f in crates/symbolic/src/*.rs; do
+        # Non-test code only: a file stops at its first #[cfg(test)].
+        if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E 'symmetrize\(|ensure_diagonal\(|pairs_col'; then
+            echo "ci.sh: symbolic factorisation walks A's pattern and writes L in place;" \
+                "it builds no symmetrised copy of A and no (row, column) pair buffer" >&2
+            return 1
+        fi
+    done
     for profile in "" --release; do
         echo "--- ordering properties and granularity ratchet, profile: ${profile:-debug}"
         cargo test $profile -q -p pangulu-reorder -p pangulu-symbolic
