@@ -57,7 +57,9 @@ fn main() {
             let perm = fill_reducing_ordering(&sym, method).expect("ordering");
             let order_ms = millis(t);
             let t = Instant::now();
-            let nnz_lu = nnz_lu_within(&sym, &perm, usize::MAX).expect("counts").expect("no limit");
+            let nnz_lu = nnz_lu_within(sym.col_ptr(), sym.row_idx(), &perm, usize::MAX)
+                .expect("counts")
+                .expect("no limit");
             let count_ms = millis(t);
             let (blocks, tasks) = granularity(&sym, &perm);
             cells.extend([nnz_lu.to_string(), order_ms, count_ms]);
@@ -69,7 +71,9 @@ fn main() {
         let t = Instant::now();
         let auto = fill_reducing_ordering(&sym, FillReducing::Auto).expect("ordering");
         let auto_ms = millis(t);
-        let nnz_lu = nnz_lu_within(&sym, &auto, usize::MAX).expect("counts").expect("no limit");
+        let nnz_lu = nnz_lu_within(sym.col_ptr(), sym.row_idx(), &auto, usize::MAX)
+            .expect("counts")
+            .expect("no limit");
         let kept = perms.iter().position(|p| *p == auto).expect("auto keeps a candidate");
         cells.extend([nnz_lu.to_string(), methods[kept].0.to_string(), auto_ms]);
         rows.push(cells.join(","));

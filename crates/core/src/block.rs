@@ -106,7 +106,8 @@ impl BlockMatrix<f64> {
             let rows = filled.col(j).0;
             &rows[rows.partition_point(|&i| i <= j)..]
         })?;
-        bm.load(filled)?;
+        let values = filled.values();
+        bm.for_each_slot(filled, |i| i, |j| j, |k, _, _, v| *v = values[k])?;
         if bm.nnz() != filled.nnz() {
             return Err(SparseError::InvalidStructure(format!(
                 "pattern is not structurally symmetric: {} stored entries, {} once the \
@@ -120,14 +121,12 @@ impl BlockMatrix<f64> {
 }
 
 impl<S: Scalar> BlockMatrix<S> {
-    /// Builds the block store straight from symbolic factorisation's
-    /// strict-lower pattern (paper §4.1 steps 2–3) and loads `a`'s values
-    /// into it, each rounded once into `S`; fill-in slots hold explicit
-    /// zeros. Equal, entry for entry, to
-    /// `from_filled(&fill.filled_matrix(a)?, nb).cast::<S>()`, without the
-    /// global filled CSC or an f64 store: besides the tiles, the build
-    /// holds only arrays of length `n` or less. An entry of `a` outside
-    /// the pattern, or a malformed pattern, is
+    /// Builds the zero-valued block store straight from symbolic
+    /// factorisation's strict-lower pattern (paper §4.1 steps 2–3): the
+    /// tiles of `L + I + Lᵀ`, every slot zero, with no global filled CSC
+    /// and no value read — the values are written afterwards by
+    /// [`BlockMatrix::for_each_slot`]. Besides the tiles, the build holds
+    /// only arrays of length `n` or less. A malformed pattern is
     /// [`SparseError::InvalidStructure`].
     ///
     /// # Examples
@@ -136,12 +135,12 @@ impl<S: Scalar> BlockMatrix<S> {
     /// use pangulu_core::BlockMatrix;
     /// let a = pangulu_sparse::gen::laplacian_2d(6, 6);
     /// let fill = pangulu_symbolic::symbolic_fill(&a)?;
-    /// let bm = BlockMatrix::from_fill(&fill, &a, 9)?;
-    /// assert_eq!(bm.to_csc(), fill.filled_matrix(&a)?);
+    /// let bm = BlockMatrix::<f64>::from_fill(&fill, 9)?;
+    /// assert_eq!(bm.nnz(), fill.nnz_lu()); // every slot zero until loaded
     /// # Ok(())
     /// # }
     /// ```
-    pub fn from_fill(fill: &FilledPattern, a: &CscMatrix, nb: usize) -> Result<Self> {
+    pub fn from_fill(fill: &FilledPattern, nb: usize) -> Result<Self> {
         let n = fill.n;
         let ptr = &fill.l_col_ptr;
         if ptr.len() != n + 1
@@ -153,9 +152,7 @@ impl<S: Scalar> BlockMatrix<S> {
                 ptr.len()
             )));
         }
-        let mut bm = Self::tile(n, nb, |j| fill.l_col(j))?;
-        bm.load(a)?;
-        Ok(bm)
+        Self::tile(n, nb, |j| fill.l_col(j))
     }
 
     /// The tiler: builds the zero-valued block store of the pattern
@@ -337,11 +334,22 @@ impl<S: Scalar> BlockMatrix<S> {
         Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
     }
 
-    /// The loader: rounds every stored value of `a` into its tile slot
-    /// (`S::from_f64`, the identity for f64). Slots `a` does not store
-    /// keep their value. An entry outside the tiled pattern is
-    /// [`SparseError::InvalidStructure`].
-    pub(crate) fn load(&mut self, a: &CscMatrix) -> Result<()> {
+    /// The slot walk, which every value load and the refactor's scatter
+    /// map share: for each stored entry `k` of `a` (CSC order, `j` its
+    /// column) it finds the slot of its image `(new_row(i), new_col(j))`
+    /// and calls `visit(k, j, (block id, offset into the block's values),
+    /// value)`; `a`'s values are not read. The image need not be sorted
+    /// within a column: each entry costs two binary searches, one over the
+    /// block column's tiles and one in the tile column. An entry outside
+    /// the tiled pattern is [`SparseError::InvalidStructure`], a matrix of
+    /// another order [`SparseError::DimensionMismatch`].
+    pub fn for_each_slot(
+        &mut self,
+        a: &CscMatrix,
+        new_row: impl Fn(usize) -> usize,
+        new_col: impl Fn(usize) -> usize,
+        mut visit: impl FnMut(usize, usize, (usize, usize), &mut S),
+    ) -> Result<()> {
         if a.nrows() != self.n || a.ncols() != self.n {
             return Err(SparseError::DimensionMismatch(format!(
                 "matrix is {}x{}, the block store has order {}",
@@ -350,39 +358,31 @@ impl<S: Scalar> BlockMatrix<S> {
                 self.n
             )));
         }
+        let (col_ptr, row_idx) = (a.col_ptr(), a.row_idx());
         let nb = self.nb;
         for j in 0..self.n {
-            let (bj, lc) = (j / nb, j % nb);
-            let (mut id, end) = (self.blk_col_ptr[bj], self.blk_col_ptr[bj + 1]);
-            let (rows, vals) = a.col(j);
-            for (&i, &v) in rows.iter().zip(vals) {
-                let bi = i / nb;
-                while id < end && self.blk_row_idx[id] < bi {
-                    id += 1;
-                }
-                let slot = match self.blk_row_idx.get(id) {
-                    Some(&row) if id < end && row == bi => {
-                        let (tile_rows, tile_vals) = self.blocks[id].col_mut(lc);
-                        tile_rows.binary_search(&(i - bi * nb)).ok().map(|p| &mut tile_vals[p])
-                    }
-                    _ => None,
-                };
-                *slot.ok_or_else(|| outside(i, j))? = S::from_f64(v);
+            let c = new_col(j);
+            if c >= self.n {
+                return Err(outside(0, c));
+            }
+            let (bj, lc) = (c / nb, c % nb);
+            let tiles = self.blk_col_ptr[bj]..self.blk_col_ptr[bj + 1];
+            let column = col_ptr[j]..col_ptr[j + 1];
+            for (k, &i) in column.clone().zip(&row_idx[column]) {
+                let r = new_row(i);
+                let bi = r / nb;
+                let found = self.blk_row_idx[tiles.clone()].binary_search(&bi).ok().and_then(|t| {
+                    let id = tiles.start + t;
+                    let start = self.blocks[id].col_ptr()[lc];
+                    let (rows, vals) = self.blocks[id].col_mut(lc);
+                    let p = rows.binary_search(&(r - bi * nb)).ok()?;
+                    Some((id, start + p, &mut vals[p]))
+                });
+                let (id, at, value) = found.ok_or_else(|| outside(r, c))?;
+                visit(k, j, (id, at), value);
             }
         }
         Ok(())
-    }
-
-    /// Where global entry `(i, j)` is stored: its block id and the offset
-    /// into that block's values. An entry outside the pattern is
-    /// [`SparseError::InvalidStructure`].
-    pub(crate) fn slot(&self, i: usize, j: usize) -> Result<(usize, usize)> {
-        let nb = self.nb;
-        (i.max(j) < self.n)
-            .then(|| self.block_id(i / nb, j / nb))
-            .flatten()
-            .and_then(|id| self.blocks[id].find(i % nb, j % nb).map(|p| (id, p)))
-            .ok_or_else(|| outside(i, j))
     }
 
     /// Global matrix order.
@@ -668,6 +668,14 @@ mod tests {
     use pangulu_sparse::ops::ensure_diagonal;
     use pangulu_symbolic::symbolic_fill;
 
+    /// `from_fill`, then `a`'s values written in place, each rounded once.
+    fn tiled<S: Scalar>(fill: &FilledPattern, a: &CscMatrix, nb: usize) -> Result<BlockMatrix<S>> {
+        let mut bm = BlockMatrix::from_fill(fill, nb)?;
+        let vals = a.values();
+        bm.for_each_slot(a, |i| i, |j| j, |k, _, _, v| *v = S::from_f64(vals[k]))?;
+        Ok(bm)
+    }
+
     fn filled(n: usize, density: f64, seed: u64) -> CscMatrix {
         let a = ensure_diagonal(&gen::random_sparse(n, density, seed)).unwrap();
         symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap()
@@ -834,10 +842,9 @@ mod tests {
                 for id in 0..reference.num_blocks() {
                     reference.block(id).validate().unwrap();
                 }
-                let tiled = BlockMatrix::from_fill(&fill, &a, nb).unwrap();
-                assert_same_store(&tiled, &reference, &what);
+                assert_same_store(&tiled(&fill, &a, nb).unwrap(), &reference, &what);
                 // Tiled straight into f32: the f64 store's values, rounded once.
-                let tiled32 = BlockMatrix::<f32>::from_fill(&fill, &a, nb).unwrap();
+                let tiled32 = tiled::<f32>(&fill, &a, nb).unwrap();
                 let rounded = reference.cast::<f32>().cast::<f64>();
                 assert_same_store(&tiled32.cast::<f64>(), &rounded, &format!("{what} f32"));
             }
@@ -855,19 +862,19 @@ mod tests {
         // (19, 0) lies outside the band the natural-order fill stays in.
         let mut coo = a.to_coo();
         coo.push(19, 0, 1.0).unwrap();
-        invalid(BlockMatrix::from_fill(&fill, &coo.to_csc(), 4), "(19, 0)");
-        invalid(BlockMatrix::from_fill(&fill, &a, 0), "block size");
+        invalid(tiled(&fill, &coo.to_csc(), 4), "(19, 0)");
+        invalid(BlockMatrix::from_fill(&fill, 0), "block size");
         invalid(BlockMatrix::from_filled(&fill.filled_matrix(&a).unwrap(), 0), "block size");
         let mut short = fill.clone();
         short.l_col_ptr.pop();
-        invalid(BlockMatrix::from_fill(&short, &a, 4), "column pointers");
+        invalid(BlockMatrix::from_fill(&short, 4), "column pointers");
         let mut unsorted = fill.clone();
         let (lo, hi) = (unsorted.l_col_ptr[0], unsorted.l_col_ptr[1]);
         unsorted.l_row_idx[lo..hi].reverse();
-        invalid(BlockMatrix::from_fill(&unsorted, &a, 4), "column 0");
+        invalid(BlockMatrix::from_fill(&unsorted, 4), "column 0");
         let wrong_order = gen::laplacian_2d(4, 4);
         assert!(matches!(
-            BlockMatrix::<f64>::from_fill(&fill, &wrong_order, 4),
+            tiled::<f64>(&fill, &wrong_order, 4),
             Err(SparseError::DimensionMismatch(_))
         ));
         // [[1, 2], [0, 1]]: (0, 1) stored, its mirror (1, 0) not.

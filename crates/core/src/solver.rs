@@ -20,7 +20,7 @@ use pangulu_kernels::select::{KernelSelector, Thresholds};
 use pangulu_kernels::tile::{tile_rows, TILE_COLS};
 use pangulu_kernels::{isa, KernelPlans, PlanStats};
 use pangulu_metrics::{PhaseCounters, PrecisionCounters, RunReport};
-use pangulu_reorder::{reorder_for_lu, FillReducing, Reordering};
+use pangulu_reorder::{reorder_for_lu, FillReducing, Reordering, ScaledOrdering};
 use pangulu_sparse::{CscMatrix, Permutation, Result, Scalar, SparseError};
 use pangulu_symbolic::{stats::SymbolicStats, symbolic_fill, FilledPattern};
 
@@ -279,7 +279,7 @@ struct MixedState {
     numeric: NumericCache<f32>,
     /// The scaled permuted input `Pr·Dr·A·Dc·Pcᵀ` in f64 on A's own
     /// pattern: the refinement loop forms exact f64 residuals in the
-    /// inner domain on it, and a fallback loads the f64 store from it.
+    /// inner domain on it.
     scaled_a: CscMatrix,
     /// Per input nonzero (CSC order), its offset in `scaled_a`'s values;
     /// pattern-only, built with the scatter map by the first
@@ -328,13 +328,15 @@ impl NumericSummary {
 }
 
 /// One numeric phase's inputs besides the block store: the cached
-/// analysis, the input's nonzero count (the selector's density) and the
-/// absolute pivot floor.
+/// analysis, the input and where it goes (the selector reads its density;
+/// a mixed fallback reloads the f64 store from it) and the absolute pivot
+/// floor.
 struct NumericRun<'a> {
     tg: &'a TaskGraph,
     owners: &'a OwnerMap,
     opts: &'a SolverOptions,
-    nnz: usize,
+    a: &'a CscMatrix,
+    frame: &'a Frame,
     pivot_floor: f64,
 }
 
@@ -382,7 +384,7 @@ impl<S: Scalar> NumericCache<S> {
                 ..opts.thresholds
             }
         };
-        let selector = &KernelSelector::new(run.nnz, thresholds);
+        let selector = &KernelSelector::new(run.a.nnz(), thresholds);
         let executor = self.executor.get_or_insert_with(|| {
             if opts.shared_threads.is_some() || opts.ranks == 1 {
                 Executor::Shared {
@@ -654,22 +656,13 @@ fn refine_with(
 }
 
 impl Factors {
-    /// Where entry `(i, j)` of the scaled permuted matrix is stored in
-    /// the live store (see [`BlockMatrix::slot`]).
-    fn slot(&self, i: usize, j: usize) -> Result<(usize, usize)> {
-        match self {
-            Factors::F64 { bm, .. } => bm.slot(i, j),
-            Factors::Mixed(mx) => mx.factored32.slot(i, j),
-        }
-    }
-
     /// Runs the numeric phase on the loaded store. Mixed factors must
     /// pass the acceptance probe (see [`MixedState::accept`]); an f32
     /// zero pivot or a failed probe falls back to f64, counted and never
     /// surfaced as an error: the f32 store's pattern, zeroed and loaded
-    /// with `scaled_a`, holds the same scaled values in the same slots as
-    /// an f64 store that was never narrowed, and is factored on new f64
-    /// executor state. `refactor` marks a refactorisation (the probe
+    /// from A, holds the same scaled values in the same slots as an f64
+    /// store that was never narrowed, and is factored on new f64 executor
+    /// state. `refactor` marks a refactorisation (the probe
     /// cadence counts those).
     fn factor(&mut self, run: &NumericRun, refactor: bool, stats: &mut FactorStats) -> Result<()> {
         match self {
@@ -690,7 +683,7 @@ impl Factors {
                     c.refined_solves += mx.refined_solves.load(Ordering::Relaxed);
                     let mut bm = mx.factored32.cast::<f64>();
                     bm.clear_values();
-                    bm.load(&mx.scaled_a)?;
+                    run.frame.load(&mut bm, run.a)?;
                     *self = Factors::F64 { bm, numeric: NumericCache::new() };
                     return self.factor(run, refactor, stats);
                 }
@@ -705,7 +698,8 @@ impl Factors {
 }
 
 impl MixedState {
-    /// A mixed state over freshly loaded f32 tiles of `scaled_a`.
+    /// A mixed state over f32 tiles freshly loaded with `scaled_a`'s
+    /// values.
     fn new(factored32: BlockMatrix<f32>, scaled_a: CscMatrix) -> Self {
         MixedState {
             factored32,
@@ -762,27 +756,87 @@ impl MixedState {
     }
 }
 
-/// Tiles the symbolic pattern into a block store of `m`'s values in
-/// precision `S` (fill slots zero), derives the task graph and the
-/// balanced owner map from it, and records the block grid in `stats`.
+/// Tiles the symbolic pattern into a block store in precision `S`, loads
+/// it from `a` through `frame` (fill slots zero), derives the task graph
+/// and the balanced owner map from it, and records the block grid in
+/// `stats`. Also returns the largest |scaled entry| for the pivot floor.
 fn preprocess<S: Scalar>(
     fill: FilledPattern,
-    m: &CscMatrix,
+    a: &CscMatrix,
+    frame: &Frame,
     nb: usize,
     grid: ProcessGrid,
     stats: &mut FactorStats,
-) -> Result<(BlockMatrix<S>, TaskGraph, OwnerMap)> {
-    let bm = BlockMatrix::from_fill(&fill, m, nb)?;
+) -> Result<(BlockMatrix<S>, TaskGraph, OwnerMap, f64)> {
+    let mut bm = BlockMatrix::from_fill(&fill, nb)?;
     drop(fill);
+    let norm = frame.load(&mut bm, a)?;
     let tg = TaskGraph::build(&bm);
     let owners = OwnerMap::balanced(&bm, grid, &tg);
     (stats.block_size, stats.nblk, stats.num_blocks) = (nb, bm.nblk(), bm.num_blocks());
-    Ok((bm, tg, owners))
+    Ok((bm, tg, owners, norm))
+}
+
+/// Where the caller's matrix goes in the factor: the reordering's
+/// permutations and scalings, and their inverses (`pos[old] = new`),
+/// computed once — the loads, the refactor scatter map and the solves'
+/// gather and scatter all walk the caller's index order through them.
+struct Frame {
+    ordering: ScaledOrdering,
+    row_pos: Permutation,
+    col_pos: Permutation,
+}
+
+impl Frame {
+    fn new(ordering: ScaledOrdering) -> Self {
+        let (row_pos, col_pos) = (ordering.row_perm.inverse(), ordering.col_perm.inverse());
+        Frame { ordering, row_pos, col_pos }
+    }
+
+    /// Writes `Pr·Dr·A·Dc·Pcᵀ` into `bm` straight from `a`: entry `v` at
+    /// `(i, j)` lands as `v · d_r[i] · d_c[j]` — the arithmetic of
+    /// `permute::scale`, so bitwise what a reordered copy holds — rounded
+    /// once into `S`; fill slots keep their value. Returns the largest
+    /// |written entry|, the pivot floor's norm (max is order-independent,
+    /// so it equals the reordered copy's `norm_max()` bit for bit).
+    fn load<S: Scalar>(&self, bm: &mut BlockMatrix<S>, a: &CscMatrix) -> Result<f64> {
+        let (rows, vals) = (a.row_idx(), a.values());
+        let (dr, dc) = (&self.ordering.row_scale, &self.ordering.col_scale);
+        let mut norm = 0.0f64;
+        bm.for_each_slot(
+            a,
+            |i| self.row_pos.old_of(i),
+            |j| self.col_pos.old_of(j),
+            |k, j, _, slot| {
+                let scaled = vals[k] * dr[rows[k]] * dc[j];
+                norm = norm.max(scaled.abs());
+                *slot = S::from_f64(scaled);
+            },
+        )?;
+        Ok(norm)
+    }
+
+    /// The refactor's scatter map: for input nonzero `k` (CSC order), the
+    /// slot its scaled, permuted entry lands in.
+    fn slots<S: Scalar>(
+        &self,
+        bm: &mut BlockMatrix<S>,
+        a: &CscMatrix,
+    ) -> Result<Vec<(usize, usize)>> {
+        let mut map = Vec::with_capacity(a.nnz());
+        bm.for_each_slot(
+            a,
+            |i| self.row_pos.old_of(i),
+            |j| self.col_pos.old_of(j),
+            |_, _, slot, _| map.push(slot),
+        )?;
+        Ok(map)
+    }
 }
 
 /// The log-absolute-determinant and sign of `A` from the pivots `U_ii`
 /// (unknown order) of its factors under the reordering `r`.
-fn log_abs_det_of(r: &Reordering, pivots: impl Iterator<Item = f64>) -> (f64, i8) {
+fn log_abs_det_of(r: &ScaledOrdering, pivots: impl Iterator<Item = f64>) -> (f64, i8) {
     let mut log_abs = 0.0f64;
     let mut sign: i8 = r.row_perm.parity() * r.col_perm.parity();
     for u in pivots {
@@ -806,12 +860,9 @@ fn log_abs_det_of(r: &Reordering, pivots: impl Iterator<Item = f64>) -> (f64, i8
 /// A factored system ready to solve right-hand sides.
 pub struct Solver {
     opts: SolverOptions,
-    reordering: Reordering,
-    /// Inverses of `reordering.row_perm` / `col_perm` (`pos[old] = new`),
-    /// computed once: the solves' gather and scatter and the refactor
-    /// scatter map all walk the caller's index order through them.
-    row_pos: Permutation,
-    col_pos: Permutation,
+    /// The reordering without its matrix: A's values live only in the
+    /// factor store (and, for mixed factors, in `scaled_a`).
+    frame: Frame,
     factors: Factors,
     tg: TaskGraph,
     owners: OwnerMap,
@@ -852,32 +903,35 @@ impl Solver {
 
         // Phase 1: reorder.
         let t = Instant::now();
-        let reordering = reorder_for_lu(a, opts.fill_reducing)?;
+        let Reordering { ordering, matrix } = reorder_for_lu(a, opts.fill_reducing)?;
         stats.reorder_time = t.elapsed();
 
-        // Phase 2: symbolic factorisation (symmetric pruning).
+        // Phase 2: symbolic factorisation (symmetric pruning). After it
+        // the reordered matrix is read only by mixed factors, as
+        // `scaled_a`; an f64 build drops it here.
         let t = Instant::now();
-        let fill = symbolic_fill(&reordering.matrix)?;
-        stats.symbolic = Some(pangulu_symbolic::stats::stats_from_fill(&reordering.matrix, &fill));
+        let fill = symbolic_fill(&matrix)?;
+        stats.symbolic = Some(pangulu_symbolic::stats::stats_from_fill(&matrix, &fill));
+        let scaled_a = (opts.precision == Precision::MixedF32).then_some(matrix);
         stats.symbolic_time = t.elapsed();
 
         // Phase 3: preprocess — blocking, owner map, load balancing. The
         // one block store is tiled straight into the precision the factors
-        // will hold.
+        // will hold and loaded from A.
         let t = Instant::now();
+        let frame = Frame::new(ordering);
         let grid = ProcessGrid::new(opts.ranks);
         let nb = opts.block_size.unwrap_or_else(|| {
             BlockMatrix::choose_block_size(n, fill.nnz_lu(), grid.pr().max(grid.pc()))
         });
-        let m = &reordering.matrix;
-        let (mut factors, tg, owners) = match opts.precision {
-            Precision::F64 => {
-                let (bm, tg, owners) = preprocess(fill, m, nb, grid, &mut stats)?;
-                (Factors::F64 { bm, numeric: NumericCache::new() }, tg, owners)
+        let (mut factors, tg, owners, norm) = match scaled_a {
+            None => {
+                let (bm, tg, owners, norm) = preprocess(fill, a, &frame, nb, grid, &mut stats)?;
+                (Factors::F64 { bm, numeric: NumericCache::new() }, tg, owners, norm)
             }
-            Precision::MixedF32 => {
-                let (bm32, tg, owners) = preprocess(fill, m, nb, grid, &mut stats)?;
-                (Factors::Mixed(MixedState::new(bm32, m.clone())), tg, owners)
+            Some(m) => {
+                let (bm32, tg, owners, norm) = preprocess(fill, a, &frame, nb, grid, &mut stats)?;
+                (Factors::Mixed(MixedState::new(bm32, m)), tg, owners, norm)
             }
         };
         stats.preprocess_time = t.elapsed();
@@ -887,8 +941,9 @@ impl Solver {
             tg: &tg,
             owners: &owners,
             opts: &opts,
-            nnz: a.nnz(),
-            pivot_floor: opts.pivot_floor_rel * m.norm_max().max(1.0),
+            a,
+            frame: &frame,
+            pivot_floor: opts.pivot_floor_rel * norm.max(1.0),
         };
         let t = Instant::now();
         factors.factor(&run, false, &mut stats)?;
@@ -901,18 +956,7 @@ impl Solver {
             scatter: None,
         };
 
-        let solver = Solver {
-            opts,
-            row_pos: reordering.row_perm.inverse(),
-            col_pos: reordering.col_perm.inverse(),
-            reordering,
-            factors,
-            tg,
-            owners,
-            plan,
-            stats,
-            n,
-        };
+        let solver = Solver { opts, frame, factors, tg, owners, plan, stats, n };
         solver.check_factors()?;
         Ok(solver)
     }
@@ -940,9 +984,10 @@ impl Solver {
         }
     }
 
-    /// The reordering that was applied.
-    pub fn reordering(&self) -> &Reordering {
-        &self.reordering
+    /// The reordering that was applied: permutations, scalings and how
+    /// the ordering was chosen. The solver keeps no reordered copy of A.
+    pub fn ordering(&self) -> &ScaledOrdering {
+        &self.frame.ordering
     }
 
     /// The cached pattern analysis (see [`Solver::refactor`]).
@@ -1064,29 +1109,28 @@ impl Solver {
         check_finite(a)?;
 
         // First refactorisation: build the scatter map from input
-        // nonzeros to factor-block slots through the cached permutations
-        // and, for mixed factors, the map to `scaled_a`'s values.
+        // nonzeros to factor-block slots — the slot walk the build loaded
+        // the store with — and, for mixed factors, the map to `scaled_a`'s
+        // values.
         if self.plan.scatter.is_none() {
-            let scaled_a = match &self.factors {
-                Factors::F64 { .. } => None,
-                Factors::Mixed(mx) => Some(&mx.scaled_a),
-            };
-            let mut map = Vec::with_capacity(self.plan.row_idx.len());
-            let mut a_pos = Vec::with_capacity(scaled_a.map_or(0, CscMatrix::nnz));
-            for j in 0..self.plan.n {
-                let new_c = self.col_pos.old_of(j);
-                for k in self.plan.col_ptr[j]..self.plan.col_ptr[j + 1] {
-                    let new_r = self.row_pos.old_of(self.plan.row_idx[k]);
-                    map.push(self.factors.slot(new_r, new_c)?);
-                    if let Some(m) = scaled_a {
-                        a_pos.push(m.find(new_r, new_c).ok_or_else(|| outside(new_r, new_c))?);
+            let frame = &self.frame;
+            let map = match &mut self.factors {
+                Factors::F64 { bm, .. } => frame.slots(bm, a)?,
+                Factors::Mixed(mx) => {
+                    let mut a_pos = Vec::with_capacity(a.nnz());
+                    for j in 0..self.plan.n {
+                        let new_c = frame.col_pos.old_of(j);
+                        for &i in a.col(j).0 {
+                            let new_r = frame.row_pos.old_of(i);
+                            let at = mx.scaled_a.find(new_r, new_c);
+                            a_pos.push(at.ok_or_else(|| outside(new_r, new_c))?);
+                        }
                     }
+                    mx.a_pos = a_pos;
+                    frame.slots(&mut mx.factored32, a)?
                 }
-            }
+            };
             self.plan.scatter = Some(map);
-            if let Factors::Mixed(mx) = &mut self.factors {
-                mx.a_pos = a_pos;
-            }
         }
 
         // Reset the live store to the scaled, permuted input: zero every
@@ -1105,7 +1149,7 @@ impl Solver {
             }
         }
         let scatter = self.plan.scatter.as_ref().expect("scatter map built above");
-        let r = &self.reordering;
+        let r = &self.frame.ordering;
         let vals = a.values();
         let mut norm = 0.0f64;
         for j in 0..self.plan.n {
@@ -1131,7 +1175,8 @@ impl Solver {
             tg: &self.tg,
             owners: &self.owners,
             opts: &self.opts,
-            nnz: a.nnz(),
+            a,
+            frame: &self.frame,
             pivot_floor: self.opts.pivot_floor_rel * norm.max(1.0),
         };
         let t = Instant::now();
@@ -1174,7 +1219,7 @@ impl Solver {
     /// precision counter moves.
     fn gather_panel<B: AsRef<[f64]>>(&self, bs: &[B], rhs0: usize) -> Result<Vec<Vec<f64>>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
-        let (pos, scale) = (&self.row_pos, &self.reordering.row_scale);
+        let (pos, scale) = (&self.frame.row_pos, &self.frame.ordering.row_scale);
         if self.factored32().is_some() {
             bs.iter().enumerate().map(|(j, b)| gather_scaled(pos, scale, &[b], rhs0 + j)).collect()
         } else {
@@ -1185,8 +1230,8 @@ impl Solver {
     /// Solves `A x_j = b_j` for the `k` right-hand sides of one gathered
     /// panel: one pass over the factor per sweep, one scatter.
     fn solve_panel(&self, mut gathered: Vec<Vec<f64>>, k: usize) -> Vec<Vec<f64>> {
-        let r = &self.reordering;
-        let outer = |z: &[f64], k: usize| scatter_scaled(&self.col_pos, &r.col_scale, z, k);
+        let r = &self.frame.ordering;
+        let outer = |z: &[f64], k: usize| scatter_scaled(&self.frame.col_pos, &r.col_scale, z, k);
         match &self.factors {
             Factors::Mixed(mx) => {
                 // The f32 triangular solve is only a preconditioner;
@@ -1230,7 +1275,7 @@ impl Solver {
             "phases: reorder {:.1?} | symbolic {:.1?} | preprocess {:.1?} | numeric {:.1?}",
             s.reorder_time, s.symbolic_time, s.preprocess_time, s.numeric_time
         );
-        let _ = writeln!(out, "ordering: {}", self.reordering.ordering_summary());
+        let _ = writeln!(out, "ordering: {}", self.frame.ordering.ordering_summary());
         if let Some(sym) = s.symbolic {
             // The store that is live, in the precision it holds.
             let (bytes, label) = match &self.factors {
@@ -1277,9 +1322,9 @@ impl Solver {
     /// `(ln|det A|, sign)` with sign in `{-1, 0, +1}`.
     pub fn log_abs_det(&self) -> (f64, i8) {
         match &self.factors {
-            Factors::F64 { bm, .. } => log_abs_det_of(&self.reordering, bm.diagonal()),
+            Factors::F64 { bm, .. } => log_abs_det_of(&self.frame.ordering, bm.diagonal()),
             Factors::Mixed(mx) => {
-                log_abs_det_of(&self.reordering, mx.factored32.diagonal().map(f64::from))
+                log_abs_det_of(&self.frame.ordering, mx.factored32.diagonal().map(f64::from))
             }
         }
     }
@@ -1352,8 +1397,8 @@ impl Solver {
             )));
         }
         // Aᵀ x = b  ⇔  Mᵀ (P_r D_r⁻¹ x) = P_c D_c b with M = L U.
-        let r = &self.reordering;
-        let mut z = gather_scaled(&self.col_pos, &r.col_scale, &[b], 0)?;
+        let r = &self.frame.ordering;
+        let mut z = gather_scaled(&self.frame.col_pos, &r.col_scale, &[b], 0)?;
         match &self.factors {
             Factors::Mixed(mx) => {
                 let (zt, _rel, iters) = refine_inner_transpose(
@@ -1372,7 +1417,7 @@ impl Solver {
                 backward_substitute_transpose(bm, &mut z);
             }
         }
-        Ok(scatter_scaled(&self.row_pos, &r.row_scale, &z, 1).pop().expect("one column"))
+        Ok(scatter_scaled(&self.frame.row_pos, &r.row_scale, &z, 1).pop().expect("one column"))
     }
 
     /// Solves several right-hand sides (columns of `bs`) against the one
@@ -2060,7 +2105,7 @@ mod tests {
                 let d = wide.block(wide.block_id(k, k).unwrap());
                 (0..d.ncols()).map(move |c| d.get(c, c))
             });
-            let want = log_abs_det_of(&solver.reordering, pivots);
+            let want = log_abs_det_of(&solver.frame.ordering, pivots);
             let got = solver.log_abs_det();
             assert_eq!((got.0.to_bits(), got.1), (want.0.to_bits(), want.1));
             assert!(got.0.is_finite() && got.1 != 0);
@@ -2272,12 +2317,11 @@ mod tests {
         ] {
             let solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
             let Factors::Mixed(mx) = &solver.factors else { panic!("{tag}: f32 factors rejected") };
-            let m = &solver.reordering.matrix;
-            // The filled-pattern reference: the unfactored store with every
-            // fill slot (zero), reassembled.
-            let fill = symbolic_fill(m).unwrap();
-            let filled = BlockMatrix::from_fill(&fill, m, mx.factored32.nb()).unwrap().to_csc();
-            assert_eq!(mx.scaled_a.nnz(), m.nnz(), "{tag}");
+            let m = &reorder_for_lu(&a, FillReducing::Auto).unwrap().matrix;
+            assert_eq!(&mx.scaled_a, m, "{tag}: the reordered matrix, moved in");
+            // The filled-pattern reference: the scaled input with every
+            // fill slot (zero).
+            let filled = symbolic_fill(m).unwrap().filled_matrix(m).unwrap();
             assert!(filled.nnz() > m.nnz(), "{tag}: the filled pattern has fill");
             let n = a.nrows();
             let ws: Vec<Vec<f64>> =

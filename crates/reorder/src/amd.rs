@@ -34,64 +34,16 @@
 //! The pivot sequence is the output order. The ordered pattern is
 //! `A + Aᵀ` without its diagonal, so a non-symmetric input is accepted.
 
-use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
+use crate::Graph;
+use pangulu_sparse::{CscMatrix, Permutation, Result};
 
 const NONE: usize = usize::MAX;
 
-/// Adjacency structure of `A + Aᵀ` without the diagonal: the neighbours of
-/// vertex `v` are `adj[xadj[v]..xadj[v + 1]]`, ascending.
-pub(crate) struct Graph {
-    pub(crate) xadj: Vec<usize>,
-    pub(crate) adj: Vec<usize>,
-}
-
-impl Graph {
-    /// Builds the graph of a square pattern.
-    pub(crate) fn from_pattern(a: &CscMatrix) -> Result<Graph> {
-        if !a.is_square() {
-            return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
-        }
-        let n = a.ncols();
-        let at = a.transpose();
-        // Merge column j of A with column j of Aᵀ (both ascending).
-        let mut xadj = Vec::with_capacity(n + 1);
-        let mut adj = Vec::with_capacity(2 * a.nnz());
-        xadj.push(0);
-        for j in 0..n {
-            let (mut ra, mut rb) = (a.col(j).0, at.col(j).0);
-            loop {
-                let v = match (ra.first(), rb.first()) {
-                    (Some(&x), Some(&y)) => x.min(y),
-                    (Some(&x), None) | (None, Some(&x)) => x,
-                    (None, None) => break,
-                };
-                if ra.first() == Some(&v) {
-                    ra = &ra[1..];
-                }
-                if rb.first() == Some(&v) {
-                    rb = &rb[1..];
-                }
-                if v != j {
-                    adj.push(v);
-                }
-            }
-            xadj.push(adj.len());
-        }
-        Ok(Graph { xadj, adj })
-    }
-}
-
 /// Computes an approximate-minimum-degree permutation (`perm[new] = old`)
 /// of the pattern of `A + Aᵀ`; the diagonal is ignored.
-pub fn amd_order(sym: &CscMatrix) -> Result<Permutation> {
-    Ok(order_counted(sym)?.0)
-}
-
-/// [`amd_order`] plus the number of hubs it set aside.
-pub(crate) fn order_counted(sym: &CscMatrix) -> Result<(Permutation, usize)> {
-    let g = Graph::from_pattern(sym)?;
-    let o = order_graph(&g.xadj, &g.adj);
-    Ok((Permutation::from_vec(o.order)?, o.deferred))
+pub fn amd_order(a: &CscMatrix) -> Result<Permutation> {
+    let g = Graph::from_pattern(a)?;
+    Permutation::from_vec(order_graph(&g.xadj, &g.adj).order)
 }
 
 /// An elimination order and what it cost to find.
@@ -511,7 +463,7 @@ mod tests {
     use super::*;
     use crate::fill_of;
     use pangulu_sparse::ops::symmetrize;
-    use pangulu_sparse::{gen, CooMatrix};
+    use pangulu_sparse::{gen, CooMatrix, SparseError};
 
     /// Exact minimum degree on the explicit elimination graph, lowest
     /// index among ties: the quality reference.

@@ -17,19 +17,22 @@
 //!
 //! The top-level [`reorder_for_lu`] runs the full PanguLU pipeline:
 //! MC64 row permutation + scaling, then a symmetric fill-reducing
-//! permutation of the result. The minimum-degree and nested-dissection
-//! permutations come back postordered along the elimination tree (same
-//! fill, subtrees contiguous), which is what keeps the regular block grid
-//! of the later phases from being cut into tiny blocks.
+//! permutation of the result. Every ordering reads one pattern-only
+//! graph — `A + Aᵀ` under the matching's row permutation, without its
+//! diagonal — built once from A's pattern; no value of A is copied until
+//! the one final pass that writes `P_r·D_r·A·D_c·P_cᵀ`. The
+//! minimum-degree and nested-dissection permutations come back postordered
+//! along the elimination tree (same fill, subtrees contiguous), which is
+//! what keeps the regular block grid of the later phases from being cut
+//! into tiny blocks.
 
 pub mod amd;
 pub mod mc64;
 pub mod nd;
 pub mod rcm;
 
-use pangulu_sparse::ops::symmetrize;
-use pangulu_sparse::permute::{permute, scale};
-use pangulu_sparse::{CscMatrix, Permutation, Result};
+use pangulu_sparse::permute::permute_scaled;
+use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
 use pangulu_symbolic::counts::nnz_lu_within;
 use pangulu_symbolic::etree::EliminationTree;
 
@@ -75,9 +78,12 @@ pub struct Candidate {
     pub fill: CandidateFill,
 }
 
-/// Output of the full reordering pipeline.
+/// Where the reordering puts A: the permutations and scalings of
+/// `P_r·D_r·A·D_c·P_cᵀ` and how the ordering was chosen, without the
+/// reordered matrix — what a solver keeps once the factor holds A's
+/// values.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Reordering {
+pub struct ScaledOrdering {
     /// Row permutation (`perm[new] = old`), the MC64 matching composed with
     /// the fill-reducing permutation.
     pub row_perm: Permutation,
@@ -88,9 +94,6 @@ pub struct Reordering {
     pub row_scale: Vec<f64>,
     /// Column scaling applied before permutation.
     pub col_scale: Vec<f64>,
-    /// The reordered, scaled matrix `P_r (D_r A D_c) P_c^T` ready for
-    /// symbolic factorisation.
-    pub matrix: CscMatrix,
     /// The ordering that produced `col_perm`: the one asked for, or the
     /// one [`FillReducing::Auto`] kept.
     pub method: FillReducing,
@@ -102,7 +105,26 @@ pub struct Reordering {
     pub deferred: usize,
 }
 
-impl Reordering {
+/// Output of the full reordering pipeline: the [`ScaledOrdering`] (its
+/// fields read through this struct) and the matrix it produces.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Reordering {
+    /// The permutations, scalings and ordering choice.
+    pub ordering: ScaledOrdering,
+    /// The reordered, scaled matrix `P_r (D_r A D_c) P_c^T` ready for
+    /// symbolic factorisation.
+    pub matrix: CscMatrix,
+}
+
+impl std::ops::Deref for Reordering {
+    type Target = ScaledOrdering;
+
+    fn deref(&self) -> &ScaledOrdering {
+        &self.ordering
+    }
+}
+
+impl ScaledOrdering {
     /// One line naming the ordering used, the hubs it set aside, and under
     /// `Auto` what each candidate scored: `amd, 30 hubs last (natural
     /// >219280, rcm >219280, amd 219280, nd >219280 nnz(L+U))`.
@@ -139,36 +161,128 @@ impl std::fmt::Display for FillReducing {
     }
 }
 
+/// The ordering graph: the pattern of `A + Aᵀ` without its diagonal,
+/// values never read. The neighbours of vertex `v` are
+/// `adj[xadj[v]..xadj[v + 1]]`, ascending and without repeats. Every
+/// ordering, the postorder and `Auto`'s fill counts read this one graph.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Graph {
+    pub(crate) xadj: Vec<usize>,
+    pub(crate) adj: Vec<usize>,
+}
+
+impl Graph {
+    /// The graph of a square pattern.
+    pub(crate) fn from_pattern(a: &CscMatrix) -> Result<Graph> {
+        Self::with_rows_moved(a, |i| i)
+    }
+
+    /// The graph of `P·A`'s pattern, where row `i` of `a` becomes row
+    /// `new_row(i)` (a bijection of `0..n`), without building `P·A`. Every
+    /// vertex `w`, in ascending order, is appended to the list of each of
+    /// its neighbours — the rows of column `w` and the columns of row `w` —
+    /// so every list comes out ascending, and a neighbour both ways is
+    /// appended once. One pass counts, the next writes.
+    fn with_rows_moved(a: &CscMatrix, new_row: impl Fn(usize) -> usize) -> Result<Graph> {
+        if !a.is_square() {
+            return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
+        }
+        let n = a.ncols();
+        let (ptr, idx) = (a.col_ptr(), a.row_idx());
+        // Row-wise pattern of P·A: row `r` holds columns
+        // `cols[row_ptr[r]..row_ptr[r + 1]]`, ascending.
+        let mut row_ptr = vec![0usize; n + 1];
+        for &i in idx {
+            row_ptr[new_row(i) + 1] += 1;
+        }
+        for r in 0..n {
+            row_ptr[r + 1] += row_ptr[r];
+        }
+        let mut at = row_ptr[..n].to_vec();
+        let mut cols = vec![0usize; idx.len()];
+        for j in 0..n {
+            for &i in &idx[ptr[j]..ptr[j + 1]] {
+                let r = new_row(i);
+                cols[at[r]] = j;
+                at[r] += 1;
+            }
+        }
+        let neighbours = |w: usize| {
+            let down = idx[ptr[w]..ptr[w + 1]].iter().map(|&i| new_row(i));
+            down.chain(cols[row_ptr[w]..row_ptr[w + 1]].iter().copied()).filter(move |&v| v != w)
+        };
+
+        // Count: `at[v]` is the last vertex appended to `v`'s list.
+        const NONE: usize = usize::MAX;
+        let mut xadj = vec![0usize; n + 1];
+        at.fill(NONE);
+        for w in 0..n {
+            for v in neighbours(w) {
+                if at[v] != w {
+                    at[v] = w;
+                    xadj[v + 1] += 1;
+                }
+            }
+        }
+        for v in 0..n {
+            xadj[v + 1] += xadj[v];
+        }
+        // Write: `at[v]` is the next free slot of `v`'s list.
+        at.copy_from_slice(&xadj[..n]);
+        let mut adj = vec![0usize; xadj[n]];
+        for w in 0..n {
+            for v in neighbours(w) {
+                if at[v] == xadj[v] || adj[at[v] - 1] != w {
+                    adj[at[v]] = w;
+                    at[v] += 1;
+                }
+            }
+        }
+        Ok(Graph { xadj, adj })
+    }
+
+    /// Number of vertices.
+    pub(crate) fn n(&self) -> usize {
+        self.xadj.len() - 1
+    }
+
+    /// The neighbours of `v`, ascending.
+    pub(crate) fn neighbours(&self, v: usize) -> &[usize] {
+        &self.adj[self.xadj[v]..self.xadj[v + 1]]
+    }
+}
+
 /// Runs the PanguLU reordering pipeline on a square matrix:
 /// MC64 maximum-product matching with scaling, then the chosen symmetric
-/// fill-reducing ordering of the matched matrix's symmetrised pattern.
+/// fill-reducing ordering of the matched pattern of `A + Aᵀ`, then one
+/// pass from A writing `P_r·D_r·A·D_c·P_cᵀ`.
 pub fn reorder_for_lu(a: &CscMatrix, fill: FillReducing) -> Result<Reordering> {
     let m = mc64::mc64(a)?;
-    // B = Dr * A * Dc with rows permuted so the matching is on the diagonal.
-    let scaled = scale(a, &m.row_scale, &m.col_scale)?;
-    let matched = permute(&scaled, &m.row_perm, &Permutation::identity(a.ncols()))?;
+    // The matched matrix's pattern, its rows moved so that the matching is
+    // on the diagonal; its values are never formed.
+    let matched_row = m.row_perm.inverse();
+    let graph = Graph::with_rows_moved(a, |i| matched_row.old_of(i))?;
+    let Chosen { perm: fill_perm, method, deferred, candidates } = choose_ordering(&graph, fill)?;
+    drop(graph); // before the reordered matrix is allocated
 
-    let sym = symmetrize(&matched)?;
-    let Chosen { perm: fill_perm, method, deferred, candidates } = choose_ordering(&sym, fill)?;
-
-    let row_perm = fill_perm.compose(&m.row_perm);
-    let matrix = permute(&matched, &fill_perm, &fill_perm)?;
-    Ok(Reordering {
-        row_perm,
+    let ordering = ScaledOrdering {
+        row_perm: fill_perm.compose(&m.row_perm),
         col_perm: fill_perm,
         row_scale: m.row_scale,
         col_scale: m.col_scale,
-        matrix,
         method,
         candidates,
         deferred,
-    })
+    };
+    let o = &ordering;
+    let matrix = permute_scaled(a, &o.row_perm, &o.col_perm, &o.row_scale, &o.col_scale)?;
+    Ok(Reordering { ordering, matrix })
 }
 
-/// Computes a symmetric fill-reducing permutation of a (structurally
-/// symmetric) matrix pattern.
-pub fn fill_reducing_ordering(sym: &CscMatrix, method: FillReducing) -> Result<Permutation> {
-    Ok(choose_ordering(sym, method)?.perm)
+/// Computes a symmetric fill-reducing permutation of the pattern of
+/// `A + Aᵀ` (the diagonal is ignored).
+pub fn fill_reducing_ordering(a: &CscMatrix, method: FillReducing) -> Result<Permutation> {
+    Ok(choose_ordering(&Graph::from_pattern(a)?, method)?.perm)
 }
 
 /// `Auto`'s candidates in tie-rule order: of two candidates with equal
@@ -193,43 +307,79 @@ struct Chosen {
 }
 
 /// The permutation for `method` and how it was arrived at.
-fn choose_ordering(sym: &CscMatrix, method: FillReducing) -> Result<Chosen> {
-    let (perm, deferred) = match method {
-        FillReducing::Natural => (Permutation::identity(sym.ncols()), 0),
+fn choose_ordering(g: &Graph, method: FillReducing) -> Result<Chosen> {
+    match method {
+        FillReducing::Natural => Ok(Chosen::plain(method, Permutation::identity(g.n()))),
         FillReducing::Amd => {
-            let (raw, deferred) = amd::order_counted(sym)?;
-            (postordered(sym, &raw)?, deferred)
+            let o = amd::order_graph(&g.xadj, &g.adj);
+            postordered_chosen(g, method, o.order, o.deferred)
         }
         FillReducing::NestedDissection => {
-            let (raw, deferred) = nd::dissect_counted(sym, nd::NdOptions::default())?;
-            (postordered(sym, &raw)?, deferred)
+            // Without a limit the dissection always finishes.
+            let d = nd::dissect(g, nd::NdOptions::default(), usize::MAX);
+            postordered_chosen(g, method, d.order, d.deferred)
         }
-        FillReducing::Rcm => (rcm::rcm_order(sym)?, 0),
+        FillReducing::Rcm => Ok(Chosen::plain(method, rcm::order(g)?)),
         FillReducing::Auto => {
-            let mut best = (usize::MAX, 0, choose_ordering(sym, FillReducing::Natural)?);
+            let mut best = (usize::MAX, 0, choose_ordering(g, FillReducing::Natural)?);
             let mut fills = [CandidateFill::AbandonedAbove(usize::MAX); 4];
             for rank in SCORING_ORDER {
-                let chosen = choose_ordering(sym, CANDIDATES[rank])?;
-                fills[rank] = match nnz_lu_within(sym, &chosen.perm, best.0)? {
-                    Some(fill) => {
+                let limit = best.0;
+                let chosen = match CANDIDATES[rank] {
+                    // Nested dissection can prove it loses before it ends:
+                    // then it is neither postordered nor counted.
+                    FillReducing::NestedDissection => {
+                        let d = nd::dissect(g, nd::NdOptions::default(), limit);
+                        if d.abandoned {
+                            None
+                        } else {
+                            Some(postordered_chosen(g, CANDIDATES[rank], d.order, d.deferred)?)
+                        }
+                    }
+                    other => Some(choose_ordering(g, other)?),
+                };
+                let scored = match chosen {
+                    Some(c) => nnz_lu_within(&g.xadj, &g.adj, &c.perm, limit)?.map(|f| (f, c)),
+                    None => None,
+                };
+                fills[rank] = match scored {
+                    Some((fill, chosen)) => {
                         if (fill, rank) < (best.0, best.1) {
                             best = (fill, rank, chosen);
                         }
                         CandidateFill::Counted(fill)
                     }
-                    None => CandidateFill::AbandonedAbove(best.0),
+                    None => CandidateFill::AbandonedAbove(limit),
                 };
             }
             let candidates =
                 CANDIDATES.iter().zip(fills).map(|(&method, fill)| Candidate { method, fill });
-            return Ok(Chosen { candidates: candidates.collect(), ..best.2 });
+            Ok(Chosen { candidates: candidates.collect(), ..best.2 })
         }
-    };
+    }
+}
+
+impl Chosen {
+    /// `perm` for a method that sets no hub aside.
+    fn plain(method: FillReducing, perm: Permutation) -> Chosen {
+        Chosen { perm, method, deferred: 0, candidates: Vec::new() }
+    }
+}
+
+/// A minimum-degree family pivot sequence (`order[new] = old`),
+/// postordered: the AMD and nested-dissection candidates.
+fn postordered_chosen(
+    g: &Graph,
+    method: FillReducing,
+    order: Vec<usize>,
+    deferred: usize,
+) -> Result<Chosen> {
+    let perm = postordered(g, &Permutation::from_vec(order)?)?;
     Ok(Chosen { perm, method, deferred, candidates: Vec::new() })
 }
 
 /// `perm` re-sequenced as a postorder of the elimination (assembly) tree
-/// of the pattern it reorders — the last step of the published AMD, and
+/// of the graph it reorders — the last step of the published AMD, and
 /// what METIS's separator trees have by construction. Children come
 /// before parents and every subtree is one contiguous index range, so the
 /// columns of a subtree share blocks of the regular grid instead of being
@@ -237,22 +387,24 @@ fn choose_ordering(sym: &CscMatrix, method: FillReducing) -> Result<Chosen> {
 /// the child eliminated last sits directly before its parent (measured —
 /// largest-subtree-first costs kkt 4× in numeric time). A postorder is an
 /// equivalent reordering: the filled graph, hence nnz(L+U), is unchanged.
-fn postordered(sym: &CscMatrix, perm: &Permutation) -> Result<Permutation> {
-    let tree = EliminationTree::from_permuted_pattern(sym, perm)?;
+fn postordered(g: &Graph, perm: &Permutation) -> Result<Permutation> {
+    let tree = EliminationTree::from_permuted_pattern(&g.xadj, &g.adj, perm)?;
     Permutation::from_vec(tree.postorder().into_iter().map(|v| perm.old_of(v)).collect())
 }
 
 /// nnz(L+U) the permutation would produce, via a counts-only symbolic
 /// pass (no fill pattern is materialised).
 #[cfg(test)]
-pub(crate) fn fill_of(sym: &CscMatrix, perm: &Permutation) -> Result<usize> {
-    Ok(nnz_lu_within(sym, perm, usize::MAX)?.unwrap_or(usize::MAX))
+pub(crate) fn fill_of(a: &CscMatrix, perm: &Permutation) -> Result<usize> {
+    Ok(nnz_lu_within(a.col_ptr(), a.row_idx(), perm, usize::MAX)?.unwrap_or(usize::MAX))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pangulu_sparse::gen;
+    use pangulu_sparse::ops::symmetrize;
+    use pangulu_sparse::permute::{permute, scale};
 
     #[test]
     fn pipeline_produces_valid_permutations() {
@@ -327,7 +479,8 @@ mod tests {
     fn auto_breaks_ties_towards_the_natural_order() {
         // No ordering of a tridiagonal or a diagonal matrix fills at all.
         for a in [gen::tridiagonal(30), CscMatrix::identity(5), CscMatrix::zeros(0, 0)] {
-            let chosen = choose_ordering(&a, FillReducing::Auto).unwrap();
+            let g = Graph::from_pattern(&a).unwrap();
+            let chosen = choose_ordering(&g, FillReducing::Auto).unwrap();
             assert_eq!(chosen.method, FillReducing::Natural);
             assert_eq!(chosen.perm, Permutation::identity(a.ncols()));
         }
@@ -354,12 +507,13 @@ mod tests {
             gen::dense_banded(200, 9, 0.6, 4),
         ] {
             let sym = symmetrize(&a).unwrap();
+            let g = Graph::from_pattern(&sym).unwrap();
             for (method, raw) in raw_orderings(&sym) {
                 let perm = fill_reducing_ordering(&sym, method).unwrap();
-                assert_eq!(perm, postordered(&sym, &raw).unwrap(), "{method}: the last step");
+                assert_eq!(perm, postordered(&g, &raw).unwrap(), "{method}: the last step");
                 assert_eq!(fill_of(&sym, &perm).unwrap(), fill_of(&sym, &raw).unwrap(), "{method}");
                 // Idempotent: a postordered permutation is its own postorder.
-                assert_eq!(postordered(&sym, &perm).unwrap(), perm, "{method}");
+                assert_eq!(postordered(&g, &perm).unwrap(), perm, "{method}");
             }
         }
     }
@@ -374,8 +528,8 @@ mod tests {
             coo.push(i, j, 1.0).unwrap();
             coo.push(j, i, 1.0).unwrap();
         }
-        let sym = coo.to_csc();
-        let post = postordered(&sym, &Permutation::identity(5)).unwrap();
+        let g = Graph::from_pattern(&coo.to_csc()).unwrap();
+        let post = postordered(&g, &Permutation::identity(5)).unwrap();
         assert_eq!(post.as_slice(), &[0, 2, 1, 3, 4]);
     }
 
@@ -384,12 +538,13 @@ mod tests {
         // A chain and a forest of roots are already postordered.
         for a in [gen::tridiagonal(30), CscMatrix::identity(5), CscMatrix::zeros(0, 0)] {
             let id = Permutation::identity(a.ncols());
-            assert_eq!(postordered(&a, &id).unwrap(), id);
+            assert_eq!(postordered(&Graph::from_pattern(&a).unwrap(), &id).unwrap(), id);
         }
         // Natural and RCM are returned as asked for, postorder or not.
         let sym = symmetrize(&gen::circuit(300, 5)).unwrap();
         let rcm = rcm::rcm_order(&sym).unwrap();
-        assert_ne!(postordered(&sym, &rcm).unwrap(), rcm, "the fixture can tell");
+        let g = Graph::from_pattern(&sym).unwrap();
+        assert_ne!(postordered(&g, &rcm).unwrap(), rcm, "the fixture can tell");
         assert_eq!(fill_reducing_ordering(&sym, FillReducing::Rcm).unwrap(), rcm);
         assert_eq!(
             fill_reducing_ordering(&sym, FillReducing::Natural).unwrap(),
@@ -437,5 +592,89 @@ mod tests {
         let scaled = scale(&a, &r.row_scale, &r.col_scale).unwrap();
         let manual = permute(&scaled, &r.row_perm, &r.col_perm).unwrap();
         assert_eq!(manual, r.matrix);
+    }
+
+    /// `A + Aᵀ` without its diagonal, one ordered set per vertex: the
+    /// graph built the slow way.
+    fn set_graph(a: &CscMatrix) -> Graph {
+        let n = a.ncols();
+        let mut sets = vec![std::collections::BTreeSet::new(); n];
+        for (i, j, _) in a.iter().filter(|&(i, j, _)| i != j) {
+            sets[i].insert(j);
+            sets[j].insert(i);
+        }
+        let mut xadj = vec![0];
+        for set in &sets {
+            xadj.push(xadj[xadj.len() - 1] + set.len());
+        }
+        let adj = sets.into_iter().flatten().collect();
+        Graph { xadj, adj }
+    }
+
+    #[test]
+    fn the_shared_graph_is_the_symmetrised_matched_pattern() {
+        for seed in 0..6u64 {
+            let n = 40 + 13 * seed as usize;
+            let a =
+                pangulu_sparse::ops::ensure_diagonal(&gen::random_sparse(n, 0.06, seed)).unwrap();
+            assert!(pangulu_sparse::ops::structural_symmetry(&a) < 1.0, "seed {seed}");
+            let m = mc64::mc64(&a).unwrap();
+            let matched = permute(&a, &m.row_perm, &Permutation::identity(n)).unwrap();
+            let new_row = m.row_perm.inverse();
+            let shared = Graph::with_rows_moved(&a, |i| new_row.old_of(i)).unwrap();
+            let sym = symmetrize(&matched).unwrap();
+            assert_eq!(shared, Graph::from_pattern(&sym).unwrap(), "seed {seed}");
+            assert_eq!(shared, set_graph(&matched), "seed {seed}");
+        }
+        let empty = Graph::from_pattern(&CscMatrix::zeros(0, 0)).unwrap();
+        assert_eq!((empty.n(), empty.adj.len()), (0, 0));
+        assert!(matches!(
+            Graph::from_pattern(&CscMatrix::zeros(2, 3)),
+            Err(SparseError::NotSquare { nrows: 2, ncols: 3 })
+        ));
+    }
+
+    #[test]
+    fn separator_bound_never_exceeds_the_finished_dissections_fill() {
+        // Random, mesh and hub patterns: dissect without a limit, add up
+        // the bound the recursion proves, compare with the true count.
+        let hubs = gen::circuit(2000, 3);
+        for (name, a) in [
+            ("random", symmetrize(&gen::random_sparse(900, 0.004, 2)).unwrap()),
+            ("lap2d", gen::laplacian_2d(40, 31)),
+            ("lap3d", gen::laplacian_3d(11, 9, 10)),
+            ("circuit", symmetrize(&hubs).unwrap()),
+            ("kkt", symmetrize(&gen::kkt(600, 280, 2)).unwrap()),
+        ] {
+            let g = Graph::from_pattern(&a).unwrap();
+            let d = nd::dissect(&g, nd::NdOptions::default(), usize::MAX);
+            assert!(!d.abandoned);
+            let perm = Permutation::from_vec(d.order).unwrap();
+            let fill = fill_of(&a, &perm).unwrap();
+            let within = |limit| nd::dissect(&g, nd::NdOptions::default(), limit);
+            // Its bound is at most its fill: at that limit it finishes,
+            // with the same order. Above n: the fixture has separators.
+            let at_fill = within(fill);
+            assert!(!at_fill.abandoned, "{name}: gave up below its own fill {fill}");
+            assert_eq!(at_fill.order, perm.as_slice(), "{name}");
+            assert!(within(a.ncols()).abandoned, "{name}: no separator to bound");
+        }
+    }
+
+    #[test]
+    fn auto_gives_up_nested_dissection_on_circuit_hubs_and_keeps_its_choice() {
+        let a = gen::circuit(6000, 1);
+        let r = reorder_for_lu(&a, FillReducing::Auto).unwrap();
+        assert_eq!(r.method, FillReducing::Amd);
+        let nd = r.candidates[3];
+        assert_eq!(nd.method, FillReducing::NestedDissection);
+        let CandidateFill::Counted(amd) = r.candidates[2].fill else { panic!("{nd:?}") };
+        assert_eq!(nd.fill, CandidateFill::AbandonedAbove(amd));
+        // The matched graph's dissection does stop early.
+        let m = mc64::mc64(&a).unwrap();
+        let new_row = m.row_perm.inverse();
+        let g = Graph::with_rows_moved(&a, |i| new_row.old_of(i)).unwrap();
+        let d = nd::dissect(&g, nd::NdOptions::default(), amd);
+        assert!(d.abandoned && d.order.len() < a.ncols(), "{} of {}", d.order.len(), a.ncols());
     }
 }

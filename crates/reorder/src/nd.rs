@@ -7,7 +7,8 @@
 //! minimum degree ([`crate::amd`]), matching how graph-partitioning
 //! libraries switch to MD at the bottom of the recursion.
 
-use crate::amd::{order_graph, Graph};
+use crate::amd::order_graph;
+use crate::Graph;
 use pangulu_sparse::{CscMatrix, Permutation, Result};
 
 /// Options for the nested dissection recursion.
@@ -27,16 +28,34 @@ impl Default for NdOptions {
 
 /// Computes a nested-dissection permutation (`perm[new] = old`) of the
 /// pattern of `A + Aᵀ`.
-pub fn nested_dissection(sym: &CscMatrix, opts: NdOptions) -> Result<Permutation> {
-    Ok(dissect_counted(sym, opts)?.0)
+pub fn nested_dissection(a: &CscMatrix, opts: NdOptions) -> Result<Permutation> {
+    Permutation::from_vec(dissect(&Graph::from_pattern(a)?, opts, usize::MAX).order)
 }
 
-/// [`nested_dissection`] plus the number of hubs its leaves set aside.
-pub(crate) fn dissect_counted(sym: &CscMatrix, opts: NdOptions) -> Result<(Permutation, usize)> {
-    let graph = Graph::from_pattern(sym)?;
-    let n = sym.ncols();
+/// A nested-dissection order, or the start of one that was given up.
+pub(crate) struct Dissection {
+    /// `order[new] = old`; complete unless `abandoned`.
+    pub(crate) order: Vec<usize>,
+    /// Hubs the leaves' minimum-degree runs set aside.
+    pub(crate) deferred: usize,
+    /// The separators found proved nnz(L+U) above the limit, and the
+    /// recursion stopped there.
+    pub(crate) abandoned: bool,
+}
+
+/// Orders `g` by nested dissection, giving up once its separators prove
+/// that the order's nnz(L+U) exceeds `limit` — the same strictness as
+/// `nnz_lu_within`, so a candidate given up here would have lost there.
+///
+/// The proof: a separator S is a BFS level, and the part before it is
+/// connected through the levels above S and numbered before S. Any two
+/// vertices of S are joined by a path through that part, so by the path
+/// lemma (Rose–Tarjan–Lueker) S is a clique of the filled graph, and
+/// separators are disjoint: nnz(L+U) ≥ n + Σ|S|(|S| − 1).
+pub(crate) fn dissect(g: &Graph, opts: NdOptions, limit: usize) -> Dissection {
+    let n = g.n();
     let mut d = Dissector {
-        graph,
+        graph: g,
         opts,
         owner: vec![0; n],
         subgraphs: 0,
@@ -46,17 +65,22 @@ pub(crate) fn dissect_counted(sym: &CscMatrix, opts: NdOptions) -> Result<(Permu
         sub_adj: Vec::new(),
         order: Vec::with_capacity(n),
         deferred: 0,
+        fill_bound: n,
+        limit,
     };
-    d.dissect((0..n).collect(), 0);
-    Ok((Permutation::from_vec(d.order)?, d.deferred))
+    let abandoned = d.dissect((0..n).collect(), 0).is_err();
+    Dissection { order: d.order, deferred: d.deferred, abandoned }
 }
+
+/// The dissection passed its limit.
+struct Abandoned;
 
 /// The recursion's state. Subgraph membership is a stamp: the recursion
 /// step (or leaf) at work writes a fresh id into `owner` for its vertices,
 /// so "is this neighbour in my subgraph" is one array read and nothing is
 /// reset when the step returns.
-struct Dissector {
-    graph: Graph,
+struct Dissector<'g> {
+    graph: &'g Graph,
     opts: NdOptions,
     owner: Vec<usize>,
     subgraphs: usize,
@@ -70,11 +94,15 @@ struct Dissector {
     order: Vec<usize>,
     /// Hubs the leaves' minimum-degree runs set aside.
     deferred: usize,
+    /// `n` plus `|S|(|S| − 1)` for every separator so far: a lower bound
+    /// on nnz(L+U) (see [`dissect`]).
+    fill_bound: usize,
+    limit: usize,
 }
 
 const UNREACHED: usize = usize::MAX;
 
-impl Dissector {
+impl Dissector<'_> {
     fn claim(&mut self, vertices: &[usize]) -> usize {
         self.subgraphs += 1;
         for &g in vertices {
@@ -84,10 +112,15 @@ impl Dissector {
     }
 
     /// Appends the ordering of `vertices` (global ids) to `order`,
-    /// separator last.
-    fn dissect(&mut self, vertices: Vec<usize>, depth: usize) {
+    /// separator last, unless the fill bound passes the limit first.
+    fn dissect(
+        &mut self,
+        vertices: Vec<usize>,
+        depth: usize,
+    ) -> std::result::Result<(), Abandoned> {
         if vertices.len() <= self.opts.leaf_size || depth >= self.opts.max_depth {
-            return self.order_leaf(&vertices);
+            self.order_leaf(&vertices);
+            return Ok(());
         }
         let id = self.claim(&vertices);
 
@@ -98,7 +131,8 @@ impl Dissector {
         if levels < 3 {
             // Subgraph too tightly connected (or disconnected remainder):
             // no useful separator, fall back to minimum degree.
-            return self.order_leaf(&vertices);
+            self.order_leaf(&vertices);
+            return Ok(());
         }
 
         // Middle level is the separator; halves are everything before and
@@ -113,14 +147,22 @@ impl Dissector {
             }
         }
         if part_a.is_empty() || part_b.is_empty() {
-            return self.order_leaf(&vertices);
+            self.order_leaf(&vertices);
+            return Ok(());
         }
         drop(vertices);
+        // The separator is a clique of the filled graph (see [`dissect`]).
+        let clique = sep.len().saturating_mul(sep.len() - 1);
+        self.fill_bound = self.fill_bound.saturating_add(clique);
+        if self.fill_bound > self.limit {
+            return Err(Abandoned);
+        }
 
-        self.dissect(part_a, depth + 1);
-        self.dissect(part_b, depth + 1);
+        self.dissect(part_a, depth + 1)?;
+        self.dissect(part_b, depth + 1)?;
         // Separator last, ordered among themselves by minimum degree.
         self.order_leaf(&sep);
+        Ok(())
     }
 
     /// Orders a leaf subgraph with minimum degree on the induced pattern.
@@ -137,7 +179,7 @@ impl Dissector {
         self.sub_adj.clear();
         self.sub_xadj.push(0);
         for &g in vertices {
-            for &nb in &self.graph.adj[self.graph.xadj[g]..self.graph.xadj[g + 1]] {
+            for &nb in self.graph.neighbours(g) {
                 if self.owner[nb] == id {
                     self.sub_adj.push(self.slot[nb]);
                 }
@@ -187,7 +229,7 @@ impl Dissector {
             let level_end = self.queue.len();
             for at in level_start..level_end {
                 let g = self.queue[at];
-                for &nb in &self.graph.adj[self.graph.xadj[g]..self.graph.xadj[g + 1]] {
+                for &nb in self.graph.neighbours(g) {
                     if self.owner[nb] == id && self.slot[nb] == UNREACHED {
                         self.slot[nb] = levels + 1;
                         self.queue.push(nb);

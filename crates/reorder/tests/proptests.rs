@@ -97,7 +97,8 @@ fn assert_pattern_symmetric(m: &CscMatrix, ctx: &str) {
 /// natural / RCM come back as their own functions return them.
 fn assert_equal_fill_postorders(sym: &CscMatrix) {
     let n = sym.ncols();
-    let fill = |p: &Permutation| nnz_lu_within(sym, p, usize::MAX).unwrap();
+    let fill =
+        |p: &Permutation| nnz_lu_within(sym.col_ptr(), sym.row_idx(), p, usize::MAX).unwrap();
     let raws = [
         (FillReducing::Amd, amd::amd_order(sym).unwrap()),
         (
@@ -111,7 +112,8 @@ fn assert_equal_fill_postorders(sym: &CscMatrix) {
         prop_assert_eq!(fill(&perm), fill(&raw), "{:?}: postorder changed the fill", method);
         prop_assert_eq!(&perm, &fill_reducing_ordering(sym, method).unwrap(), "deterministic");
 
-        let tree = EliminationTree::from_permuted_pattern(sym, &perm).unwrap();
+        let tree =
+            EliminationTree::from_permuted_pattern(sym.col_ptr(), sym.row_idx(), &perm).unwrap();
         let (mut size, mut first) = (vec![1usize; n], (0..n).collect::<Vec<_>>());
         for j in 0..n {
             prop_assert_eq!(j + 1 - first[j], size[j], "{:?}: subtree of {} has a gap", method, j);

@@ -132,6 +132,35 @@ impl Permutation {
 /// Applies row and column permutations: `B = A[row_perm, col_perm]`, i.e.
 /// `B[i, j] = A[row_perm[i], col_perm[j]]`.
 pub fn permute(a: &CscMatrix, row_perm: &Permutation, col_perm: &Permutation) -> Result<CscMatrix> {
+    permute_with(a, row_perm, col_perm, |v, _, _| v)
+}
+
+/// `B = P_r·D_r·A·D_c·P_cᵀ` in one pass: `B[i, j]` is
+/// `A[r, c]·dr[r]·dc[c]` for `r = row_perm[i]`, `c = col_perm[j]` — the
+/// arithmetic of [`scale`], so the result equals
+/// `permute(&scale(a, dr, dc)?, row_perm, col_perm)` bit for bit without
+/// the scaled copy.
+pub fn permute_scaled(
+    a: &CscMatrix,
+    row_perm: &Permutation,
+    col_perm: &Permutation,
+    dr: &[f64],
+    dc: &[f64],
+) -> Result<CscMatrix> {
+    if dr.len() != a.nrows() || dc.len() != a.ncols() {
+        return Err(SparseError::DimensionMismatch("scale: diagonal lengths".into()));
+    }
+    permute_with(a, row_perm, col_perm, |v, r, c| v * dr[r] * dc[c])
+}
+
+/// The permutation loop of [`permute`] and [`permute_scaled`]: entry
+/// `(r, c)` of `a` with value `v` lands permuted, holding `value(v, r, c)`.
+fn permute_with(
+    a: &CscMatrix,
+    row_perm: &Permutation,
+    col_perm: &Permutation,
+    value: impl Fn(f64, usize, usize) -> f64,
+) -> Result<CscMatrix> {
     if row_perm.len() != a.nrows() || col_perm.len() != a.ncols() {
         return Err(SparseError::DimensionMismatch(format!(
             "permute: perm lengths {} / {} vs matrix {}x{}",
@@ -152,7 +181,8 @@ pub fn permute(a: &CscMatrix, row_perm: &Permutation, col_perm: &Permutation) ->
         let old_j = col_perm.old_of(new_j);
         let (rows, vals) = a.col(old_j);
         scratch.clear();
-        scratch.extend(rows.iter().zip(vals).map(|(&r, &v)| (row_inv.old_of(r), v)));
+        scratch
+            .extend(rows.iter().zip(vals).map(|(&r, &v)| (row_inv.old_of(r), value(v, r, old_j))));
         scratch.sort_unstable_by_key(|&(r, _)| r);
         for &(r, v) in &scratch {
             row_idx.push(r);
@@ -267,5 +297,21 @@ mod tests {
         let b = scale(&a, &[2.0, 3.0], &[5.0, 7.0]).unwrap();
         assert_eq!(b.get(0, 0), 10.0);
         assert_eq!(b.get(1, 1), 21.0);
+    }
+
+    #[test]
+    fn permute_scaled_equals_scaling_then_permuting_bit_for_bit() {
+        let a = crate::gen::random_sparse(40, 0.1, 3);
+        let dr: Vec<f64> = (0..40).map(|i| 1.0 / (1.0 + i as f64 * 0.37)).collect();
+        let dc: Vec<f64> = (0..40).map(|j| 0.3 + (j % 7) as f64 * 0.71).collect();
+        let rp = Permutation::from_vec((0..40).map(|i| (i * 7 + 3) % 40).collect()).unwrap();
+        let cp = Permutation::from_vec((0..40).rev().collect()).unwrap();
+        let two_pass = permute(&scale(&a, &dr, &dc).unwrap(), &rp, &cp).unwrap();
+        let one_pass = permute_scaled(&a, &rp, &cp, &dr, &dc).unwrap();
+        assert_eq!(one_pass.col_ptr(), two_pass.col_ptr());
+        assert_eq!(one_pass.row_idx(), two_pass.row_idx());
+        let bits = |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one_pass), bits(&two_pass));
+        assert!(permute_scaled(&a, &rp, &cp, &dr[1..], &dc).is_err());
     }
 }

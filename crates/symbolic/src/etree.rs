@@ -4,7 +4,7 @@
 //! computation and the level-set scheduling of the supernodal baseline
 //! (the paper's §2.2 and §3.3).
 
-use pangulu_sparse::{CscMatrix, Permutation, Result, SparseError};
+use pangulu_sparse::{Permutation, Result, SparseError};
 
 /// Sentinel for "no parent" (tree roots).
 pub const NO_PARENT: usize = usize::MAX;
@@ -13,6 +13,33 @@ pub const NO_PARENT: usize = usize::MAX;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EliminationTree {
     parent: Vec<usize>,
+}
+
+/// Checks that (`col_ptr`, `row_idx`) is a pattern of order `perm.len()`
+/// a permuted walk can read: one pointer per column plus one,
+/// non-decreasing, every row index in range.
+pub(crate) fn check_permuted_pattern(
+    col_ptr: &[usize],
+    row_idx: &[usize],
+    perm: &Permutation,
+    what: &str,
+) -> Result<()> {
+    let n = perm.len();
+    if col_ptr.len() != n + 1 {
+        return Err(SparseError::DimensionMismatch(format!(
+            "{what}: permutation of {n} for a pattern of order {}",
+            col_ptr.len().saturating_sub(1)
+        )));
+    }
+    if col_ptr.windows(2).any(|w| w[0] > w[1])
+        || col_ptr[n] > row_idx.len()
+        || row_idx[..col_ptr[n]].iter().any(|&r| r >= n)
+    {
+        return Err(SparseError::InvalidStructure(format!(
+            "{what}: malformed pattern of order {n}"
+        )));
+    }
+    Ok(())
 }
 
 /// Liu's step for an entry `(k, i)`, `k < i`: walks from `k` towards the
@@ -61,26 +88,26 @@ impl EliminationTree {
         EliminationTree { parent }
     }
 
-    /// The elimination tree of `sym` reordered symmetrically by `perm`
-    /// (`perm[new] = old`), vertices numbered in the new order. The
-    /// permuted matrix is not built: row `i` of the reordered pattern is
-    /// column `perm[i]` of `sym` read through the inverse permutation.
-    pub fn from_permuted_pattern(sym: &CscMatrix, perm: &Permutation) -> Result<Self> {
-        let n = sym.ncols();
-        if !sym.is_square() {
-            return Err(SparseError::NotSquare { nrows: sym.nrows(), ncols: n });
-        }
-        if perm.len() != n {
-            return Err(SparseError::DimensionMismatch(format!(
-                "elimination tree: permutation of {} for a matrix of order {n}",
-                perm.len()
-            )));
-        }
+    /// The elimination tree of the symmetric pattern (`col_ptr`,
+    /// `row_idx`) reordered symmetrically by `perm` (`perm[new] = old`),
+    /// vertices numbered in the new order. The permuted matrix is not
+    /// built: row `i` of the reordered pattern is column `perm[i]` read
+    /// through the inverse permutation. A
+    /// [`CscMatrix`](pangulu_sparse::CscMatrix) passes `col_ptr()` and
+    /// `row_idx()`.
+    pub fn from_permuted_pattern(
+        col_ptr: &[usize],
+        row_idx: &[usize],
+        perm: &Permutation,
+    ) -> Result<Self> {
+        check_permuted_pattern(col_ptr, row_idx, perm, "elimination tree")?;
+        let n = perm.len();
         let new_of = perm.inverse();
         let mut parent = vec![NO_PARENT; n];
         let mut ancestor = vec![NO_PARENT; n];
         for i in 0..n {
-            for k in sym.col(perm.old_of(i)).0.iter().map(|&r| new_of.old_of(r)) {
+            let old = perm.old_of(i);
+            for k in row_idx[col_ptr[old]..col_ptr[old + 1]].iter().map(|&r| new_of.old_of(r)) {
                 if k < i {
                     link(&mut parent, &mut ancestor, k, i);
                 }
@@ -174,8 +201,8 @@ impl EliminationTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pangulu_sparse::gen;
     use pangulu_sparse::ops::symmetrize;
+    use pangulu_sparse::{gen, CscMatrix};
 
     /// The elimination tree symbolic factorisation builds for `a`.
     fn tree_of(a: &CscMatrix) -> Result<EliminationTree> {
@@ -225,14 +252,25 @@ mod tests {
                 let perm = Permutation::from_vec(p).unwrap();
                 let permuted = pangulu_sparse::permute::permute_symmetric(&a, &perm).unwrap();
                 assert_eq!(
-                    EliminationTree::from_permuted_pattern(&a, &perm).unwrap(),
+                    EliminationTree::from_permuted_pattern(a.col_ptr(), a.row_idx(), &perm)
+                        .unwrap(),
                     tree_of(&permuted).unwrap(),
                     "seed {seed}"
                 );
             }
         }
+        let t = gen::tridiagonal(4);
+        let (ptr, rows) = (t.col_ptr(), t.row_idx());
         let wrong = Permutation::identity(3);
-        assert!(EliminationTree::from_permuted_pattern(&gen::tridiagonal(4), &wrong).is_err());
+        assert!(EliminationTree::from_permuted_pattern(ptr, rows, &wrong).is_err());
+        // A row index past the order, and pointers that run backwards.
+        let id = Permutation::identity(4);
+        let mut past = rows.to_vec();
+        past[1] = 4;
+        assert!(EliminationTree::from_permuted_pattern(ptr, &past, &id).is_err());
+        let mut backwards = ptr.to_vec();
+        backwards.swap(1, 2);
+        assert!(EliminationTree::from_permuted_pattern(&backwards, rows, &id).is_err());
     }
 
     #[test]

@@ -232,6 +232,15 @@ stage_ordering() {
             return 1
         fi
     done
+    echo "--- pattern-only ordering: no symmetrised copy or list-of-lists graph in crates/reorder/src"
+    for f in crates/reorder/src/*.rs; do
+        if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' "$f" |
+            grep -E 'symmetrize\(|Vec<Vec<usize>>'; then
+            echo "ci.sh: every ordering reads one pattern-only graph of A + Aᵀ built from A's" \
+                "pattern; it builds no symmetrised copy of A and no Vec<Vec<usize>> adjacency" >&2
+            return 1
+        fi
+    done
     for profile in "" --release; do
         echo "--- ordering properties and granularity ratchet, profile: ${profile:-debug}"
         cargo test $profile -q -p pangulu-reorder -p pangulu-symbolic

@@ -225,7 +225,7 @@ fn main() -> ExitCode {
         "reorder {:.1?} | symbolic {:.1?} | preprocess {:.1?} | numeric {:.1?}",
         s.reorder_time, s.symbolic_time, s.preprocess_time, s.numeric_time
     );
-    println!("ordering: {}", solver.reordering().ordering_summary());
+    println!("ordering: {}", solver.ordering().ordering_summary());
     println!("kernel plans: {}", solver.kernel_plans_summary());
     println!(
         "nnz(L+U) {} ({:.2}x fill) | {:.3e} flops | {:.2} gflop/s | nb {} | {} blocks",

@@ -1,11 +1,12 @@
 //! The analysis holds nothing the size of L+U besides the factor itself:
 //! symbolic factorisation peaks close to the pattern it returns, the heap
 //! peak of `Solver::build` stays close to the bytes the solver keeps once
-//! it is built, a multi-rank solver keeps no second copy of the factor, a
+//! it is built, a built solver keeps A's values only in its factor store,
+//! a multi-rank solver keeps no second copy of the factor, a
 //! mixed-precision solver keeps one factor store, in f32, and the kernel
 //! plan pool a first refactorisation builds is what `plan_bytes` reports
 //! and does not set the heap peak. A counting global allocator measures
-//! all five, so this file is its own test binary with one test in it — no
+//! all six, so this file is its own test binary with one test in it — no
 //! other test allocates while it counts.
 
 use pangulu::core::{Precision, Solver};
@@ -106,6 +107,20 @@ fn kept_bytes(a: &CscMatrix, ranks: usize) -> usize {
     kept
 }
 
+/// The bytes a built f64 solver keeps besides its factor store and its
+/// copy of the caller's pattern (`refactor` checks new values against
+/// it), per unknown: the permutations, scalings, task graph and owner
+/// map — and nothing of A's values.
+fn kept_per_unknown_beside_the_factor(a: &CscMatrix) -> f64 {
+    let before = LIVE.load(Relaxed);
+    let solver = Solver::builder().build(a).unwrap();
+    let kept = LIVE.load(Relaxed) - before;
+    let pattern = (a.ncols() + 1 + a.nnz()) * std::mem::size_of::<usize>();
+    let rest = kept - solver.factored().memory_bytes() - pattern;
+    drop(solver);
+    rest as f64 / a.ncols() as f64
+}
+
 /// The bytes a solver keeps after `build` and two refactorisations (its
 /// kernel plans exist from the first), counted above what was live
 /// before it started; the solver comes back with them.
@@ -136,8 +151,11 @@ fn first_refactor(solver: &mut Solver, a: &CscMatrix) -> (isize, usize, usize) {
     (grown - scatter as isize, first, steady)
 }
 
-/// Measured: 1.035 (kkt), 1.000 (lap2d) and 1.000 (kkt, mixed). The
-/// bound sits between those and what a build whose symbolic phase
+/// Measured: 1.044 (kkt), 1.014 (lap2d) and 1.053 (kkt, mixed), with
+/// the tiles loaded from A and no reordered copy of A kept by an f64
+/// solver (keeping one read 1.035, 1.000 and 1.000 against its larger
+/// live bytes; keeping none but tiling from that copy, 1.116 on lap2d).
+/// The bound sits between those and what a build whose symbolic phase
 /// symmetrises A with values and buckets (row, column) pairs reads:
 /// 1.133, 1.070 and 1.096 (a build that also holds a global filled CSC
 /// beside the tiles reads 1.98, 1.81 and 1.66).
@@ -169,6 +187,23 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
         let ratio = build_peak_ratio(a, precision);
         eprintln!("{tag}: build peak / live after build = {ratio:.3}");
         assert!(ratio < BOUND, "{tag}: build peak is {ratio:.3}x the live bytes (bound {BOUND})");
+    }
+
+    // A built f64 solver keeps A's values only in its factor store.
+    // Measured beside the store and the caller's pattern: 161.0 B (kkt)
+    // and 87.3 B (lap2d) per unknown. On kkt: permutations, scalings and
+    // inverse permutations 48, the task graph 76.9, the diagonal table
+    // and tile headers `memory_bytes` leaves out 26.4, the owner map 1.7.
+    // A solver that also keeps the reordered matrix, 16·nnz(A) +
+    // 8·(n + 1) bytes more, reads 268.7 and 174.4.
+    for (tag, a, bound) in [("kkt", &kkt, 215.0), ("lap2d", &lap, 130.0)] {
+        let per_unknown = kept_per_unknown_beside_the_factor(a);
+        eprintln!("{tag}: kept beside factor and pattern = {per_unknown:.1} B per unknown");
+        assert!(
+            per_unknown < bound,
+            "{tag}: {per_unknown:.1} B per unknown beside the factor (bound {bound}): \
+             a value copy of A is kept"
+        );
     }
 
     // The kernel plan pool is all a first refactorisation keeps besides

@@ -87,7 +87,7 @@ fn ascending_child_order_beats_largest_subtree_first() {
     let sym = symmetrize(&a).unwrap();
     let shipped = fill_reducing_ordering(&sym, FillReducing::Amd).unwrap();
     let raw = amd::amd_order(&sym).unwrap();
-    let tree = EliminationTree::from_permuted_pattern(&sym, &raw).unwrap();
+    let tree = EliminationTree::from_permuted_pattern(sym.col_ptr(), sym.row_idx(), &raw).unwrap();
     let largest_first = Permutation::from_vec(
         largest_first_postorder(&tree).into_iter().map(|v| raw.old_of(v)).collect(),
     )

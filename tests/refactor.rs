@@ -77,6 +77,36 @@ fn refactor_same_values_is_bitwise_identical_to_fresh_factor() {
     }
 }
 
+/// A build loads its store straight from A through the reordering: its
+/// factors equal, bit for bit, those of the reordered matrix
+/// `reorder_for_lu` returns, tiled by `from_filled` and factored with the
+/// pivot floor of that matrix's norm — in f64 and in f32.
+#[test]
+fn build_factors_equal_the_reordered_matrix_factored_by_hand() {
+    for a in [gen::circuit(300, 21), gen::kkt(200, 90, 7)] {
+        let solver = Solver::factor_with(&a, opts_for(4)).unwrap();
+        let mixed = Solver::builder().ranks(4).precision(Precision::MixedF32).build(&a).unwrap();
+        assert_eq!(mixed.effective_precision(), Precision::MixedF32, "no fallback");
+        let m = pangulu::reorder::reorder_for_lu(&a, pangulu::reorder::FillReducing::Auto)
+            .unwrap()
+            .matrix;
+        let fill = pangulu::symbolic::symbolic_fill(&m).unwrap();
+        let nb = solver.stats().block_size;
+        let bm = BlockMatrix::from_filled(&fill.filled_matrix(&m).unwrap(), nb).unwrap();
+        let tg = TaskGraph::build(&bm);
+        let owners = OwnerMap::balanced(&bm, ProcessGrid::new(4), &tg);
+        let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+        let floor = 1e-12 * m.norm_max().max(1.0);
+        let config = FactorConfig::default();
+        let mut bm32 = bm.cast::<f32>();
+        let mut bm = bm;
+        factor_distributed_checked(&mut bm, &tg, &owners, &sel, floor, &config).unwrap();
+        assert_eq!(factor_bits(solver.factored()), factor_bits(&bm));
+        factor_distributed_checked(&mut bm32, &tg, &owners, &sel, floor, &config).unwrap();
+        assert_eq!(factor_bits(mixed.factored()), factor_bits(&bm32.cast()));
+    }
+}
+
 /// refactor(new values) must equal a manual pipeline rebuild that holds
 /// the reordering fixed: scale + permute with the *cached* permutations
 /// and scalings, then the numeric phase from scratch. (A fresh
@@ -93,7 +123,7 @@ fn refactor_new_values_matches_manual_rebuild_with_cached_reordering() {
 
     // Manual reference: the five-phase pipeline with phases 1-3 pinned to
     // the solver's cached analysis.
-    let r = solver.reordering();
+    let r = solver.ordering();
     let scaled = scale(&a2, &r.row_scale, &r.col_scale).unwrap();
     let permuted = permute(&scaled, &r.row_perm, &r.col_perm).unwrap();
     let fill = pangulu::symbolic::symbolic_fill(&permuted).unwrap();
