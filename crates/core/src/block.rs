@@ -162,7 +162,10 @@ impl<S: Scalar> BlockMatrix<S> {
     /// earlier block columns, which are already built — then the
     /// diagonal, then `L(:, j)`. Every tile is allocated at its exact
     /// size; the other buffers are indexed by unknown, local column or
-    /// block row, so none outgrows `n`.
+    /// block row, so none outgrows `n`. A full tile — every row of every
+    /// column present, which its column counts show before any row is
+    /// written — writes no rows: it takes the store's one pattern of its
+    /// shape (see [`FullShapes`]).
     fn tile<'p, I: RowIndex>(
         n: usize,
         nb: usize,
@@ -193,6 +196,7 @@ impl<S: Scalar> BlockMatrix<S> {
         let mut found: Vec<usize> = Vec::new();
         let mut ptrs: Vec<Vec<usize>> = Vec::new();
         let mut rows: Vec<Vec<usize>> = Vec::new();
+        let mut full = FullShapes::default();
         for bj in 0..nblk {
             let (col_lo, col_hi) = (bj * nb, (bj * nb + nb).min(n));
             let bcols = col_hi - col_lo;
@@ -208,7 +212,13 @@ impl<S: Scalar> BlockMatrix<S> {
             upper.sort_unstable();
             for &bi in &upper {
                 let id = next_tile[bi];
-                blocks.push(mirrored(&blocks[id]));
+                let src = &blocks[id];
+                let tile = if is_full(src) {
+                    full.tile(&blocks, src.ncols(), src.nrows())
+                } else {
+                    mirrored(src)
+                };
+                blocks.push(tile);
                 blk_row_idx.push(bi);
                 next_tile[bi] = id + 1;
                 if id + 1 < blk_col_ptr[bi + 1] {
@@ -242,30 +252,35 @@ impl<S: Scalar> BlockMatrix<S> {
                 col_ptr.push(start + *c + 1 + in_block(col_lo + lc));
                 *c = start;
             }
-            let mut diag_rows = vec![0usize; col_ptr[bcols]];
-            for k in col_lo..col_hi {
-                for &i in &lower(k)[..in_block(k)] {
-                    let i = i.idx();
-                    diag_rows[cursor[i - col_lo]] = k - col_lo;
-                    cursor[i - col_lo] += 1;
+            if col_ptr[bcols] == bcols * bcols {
+                diag_pos.extend(0..bcols);
+                blocks.push(full.tile(&blocks, bcols, bcols));
+            } else {
+                let mut diag_rows = vec![0usize; col_ptr[bcols]];
+                for k in col_lo..col_hi {
+                    for &i in &lower(k)[..in_block(k)] {
+                        let i = i.idx();
+                        diag_rows[cursor[i - col_lo]] = k - col_lo;
+                        cursor[i - col_lo] += 1;
+                    }
                 }
-            }
-            for (lc, &at) in cursor.iter().enumerate() {
-                let j = col_lo + lc;
-                diag_pos.push(at - col_ptr[lc]);
-                diag_rows[at] = lc;
-                for (dst, &i) in diag_rows[at + 1..].iter_mut().zip(&lower(j)[..in_block(j)]) {
-                    *dst = i.idx() - col_lo;
+                for (lc, &at) in cursor.iter().enumerate() {
+                    let j = col_lo + lc;
+                    diag_pos.push(at - col_ptr[lc]);
+                    diag_rows[at] = lc;
+                    for (dst, &i) in diag_rows[at + 1..].iter_mut().zip(&lower(j)[..in_block(j)]) {
+                        *dst = i.idx() - col_lo;
+                    }
                 }
+                let len = diag_rows.len();
+                blocks.push(CscMatrix::from_parts_unchecked(
+                    bcols,
+                    bcols,
+                    col_ptr,
+                    diag_rows,
+                    vec![S::ZERO; len],
+                ));
             }
-            let len = diag_rows.len();
-            blocks.push(CscMatrix::from_parts_unchecked(
-                bcols,
-                bcols,
-                col_ptr,
-                diag_rows,
-                vec![S::ZERO; len],
-            ));
             blk_row_idx.push(bj);
 
             // Lower tiles (bi, bj), bi > bj: count per local column, then
@@ -289,11 +304,13 @@ impl<S: Scalar> BlockMatrix<S> {
                 }
             }
             rows.resize_with(found.len(), Vec::new);
-            for (p, r) in ptrs.iter_mut().zip(rows.iter_mut()).take(found.len()) {
+            for ((p, r), &bi) in ptrs.iter_mut().zip(rows.iter_mut()).zip(&found) {
                 for lc in 0..bcols {
                     p[lc + 1] += p[lc];
                 }
-                *r = vec![0usize; p[bcols]];
+                // A full tile's rows stay unwritten (left empty).
+                let brows = (bi * nb + nb).min(n) - bi * nb;
+                *r = if p[bcols] == brows * bcols { Vec::new() } else { vec![0usize; p[bcols]] };
             }
             for j in col_lo..col_hi {
                 let lc = j - col_lo;
@@ -301,6 +318,9 @@ impl<S: Scalar> BlockMatrix<S> {
                     let i = i.idx();
                     let bi = i / nb;
                     let s = slot_of[bi];
+                    if rows[s].is_empty() {
+                        continue;
+                    }
                     // `ptrs[s][lc]` is the next free slot of local column
                     // `lc`; the shift below restores the pointers.
                     rows[s][ptrs[s][lc]] = i - bi * nb;
@@ -311,18 +331,23 @@ impl<S: Scalar> BlockMatrix<S> {
             found.sort_unstable();
             for &bi in &found {
                 let s = std::mem::replace(&mut slot_of[bi], NONE);
-                let mut col_ptr = std::mem::take(&mut ptrs[s]);
-                col_ptr.rotate_right(1);
-                col_ptr[0] = 0;
+                let brows = (bi * nb + nb).min(n) - bi * nb;
                 let tile_rows = std::mem::take(&mut rows[s]);
-                let (brows, len) = ((bi * nb + nb).min(n) - bi * nb, tile_rows.len());
-                blocks.push(CscMatrix::from_parts_unchecked(
-                    brows,
-                    bcols,
-                    col_ptr,
-                    tile_rows,
-                    vec![S::ZERO; len],
-                ));
+                if tile_rows.is_empty() {
+                    blocks.push(full.tile(&blocks, brows, bcols));
+                } else {
+                    let mut col_ptr = std::mem::take(&mut ptrs[s]);
+                    col_ptr.rotate_right(1);
+                    col_ptr[0] = 0;
+                    let len = tile_rows.len();
+                    blocks.push(CscMatrix::from_parts_unchecked(
+                        brows,
+                        bcols,
+                        col_ptr,
+                        tile_rows,
+                        vec![S::ZERO; len],
+                    ));
+                }
                 blk_row_idx.push(bi);
             }
             if let Some(&row) = found.first() {
@@ -331,6 +356,9 @@ impl<S: Scalar> BlockMatrix<S> {
             }
             blk_col_ptr.push(blk_row_idx.len());
         }
+        // The tile count is known only now: drop the growth slack.
+        blocks.shrink_to_fit();
+        blk_row_idx.shrink_to_fit();
         Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
     }
 
@@ -468,10 +496,10 @@ impl<S: Scalar> BlockMatrix<S> {
         })
     }
 
-    /// Clones the structure into another precision: patterns are shared
-    /// verbatim, every value is rounded through `f64`. Widening f32
-    /// values is exact, which is how a mixed-precision solver publishes
-    /// the f64 image of its f32 factors.
+    /// Clones the structure into another precision: every tile shares its
+    /// source's pattern (no index is copied), every value is rounded
+    /// through `f64`. Widening f32 values is exact, which is how a
+    /// mixed-precision solver publishes the f64 image of its f32 factors.
     pub fn cast<T: Scalar>(&self) -> BlockMatrix<T> {
         BlockMatrix {
             n: self.n,
@@ -609,21 +637,30 @@ impl<S: Scalar> BlockMatrix<S> {
         coo.to_csc().cast()
     }
 
-    /// Approximate heap bytes of the two-layer structure (the memory the
-    /// paper's preprocessing minimises by allocating per-process blocks
-    /// up front, §4.2).
+    /// Heap bytes the two-layer structure owns (the memory the paper's
+    /// preprocessing minimises by allocating per-process blocks up front,
+    /// §4.2): the first-layer arrays, the diagonal table, the tile
+    /// headers, every tile's values and each distinct pattern once. Within
+    /// a store only full tiles share a pattern, one per shape.
     pub fn memory_bytes(&self) -> usize {
-        let first_layer =
-            (self.blk_col_ptr.len() + self.blk_row_idx.len()) * std::mem::size_of::<usize>();
-        let blocks: usize = self
-            .blocks
-            .iter()
-            .map(|b| {
-                (b.col_ptr().len() + b.row_idx().len()) * std::mem::size_of::<usize>()
-                    + std::mem::size_of_val(b.values())
-            })
-            .sum();
-        first_layer + blocks
+        let word = std::mem::size_of::<usize>();
+        let arrays =
+            (self.blk_col_ptr.capacity() + self.blk_row_idx.capacity() + self.diag_pos.capacity())
+                * word
+                + self.blocks.capacity() * std::mem::size_of::<CscMatrix<S>>();
+        let mut full: Vec<&CscMatrix<S>> = Vec::new();
+        let mut patterns = 0;
+        for b in &self.blocks {
+            if is_full(b) {
+                if full.iter().any(|f| f.shares_pattern(b)) {
+                    continue;
+                }
+                full.push(b);
+            }
+            patterns += b.pattern_bytes();
+        }
+        let values: usize = self.blocks.iter().map(|b| std::mem::size_of_val(b.values())).sum();
+        arrays + patterns + values
     }
 
     /// The elimination step (time slice) of a block: `min(bi, bj)` — the
@@ -637,6 +674,37 @@ impl<S: Scalar> BlockMatrix<S> {
 /// The error for an entry `(i, j)` the block store has no slot for.
 pub(crate) fn outside(i: usize, j: usize) -> SparseError {
     SparseError::InvalidStructure(format!("entry ({i}, {j}) is outside the fill pattern"))
+}
+
+/// Every row of every column stored.
+fn is_full<S: Scalar>(b: &CscMatrix<S>) -> bool {
+    b.nnz() == b.nrows() * b.ncols()
+}
+
+/// The store's full-tile patterns, one per `(rows, cols)` shape: the id of
+/// the first full tile of each shape, whose pattern every later full tile
+/// of that shape shares. Interned by shape, not by hash: a regular tiling
+/// has at most four full shapes, and non-full tiles do not repeat.
+#[derive(Default)]
+struct FullShapes(Vec<(usize, usize, usize)>);
+
+impl FullShapes {
+    /// A zero-valued full `rows x cols` tile, to be pushed next onto
+    /// `blocks`.
+    fn tile<S: Scalar>(
+        &mut self,
+        blocks: &[CscMatrix<S>],
+        rows: usize,
+        cols: usize,
+    ) -> CscMatrix<S> {
+        if let Some(&(.., id)) = self.0.iter().find(|s| (s.0, s.1) == (rows, cols)) {
+            return blocks[id].with_constant_values(S::ZERO);
+        }
+        self.0.push((rows, cols, blocks.len()));
+        let col_ptr = (0..=cols).map(|c| c * rows).collect();
+        let row_idx = (0..cols).flat_map(|_| 0..rows).collect();
+        CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_idx, vec![S::ZERO; rows * cols])
+    }
 }
 
 /// The pattern of `src`ᵀ, zero-valued: each column's rows come out
@@ -884,6 +952,111 @@ mod tests {
         let lower =
             CscMatrix::from_parts(2, 2, vec![0, 2, 3], vec![0, 1, 1], vec![1.0, 2.0, 1.0]).unwrap();
         invalid(BlockMatrix::from_filled(&lower, 2), "symmetric");
+    }
+
+    /// Every full tile shares the first full tile of its shape's pattern
+    /// (buffer and all); no other tile shares a pattern. Returns the
+    /// number of full tiles and of full shapes.
+    fn assert_full_tiles_shared(bm: &BlockMatrix, what: &str) -> (usize, usize) {
+        let mut shapes: Vec<&CscMatrix> = Vec::new();
+        let mut full = 0;
+        for (id, b) in bm.blocks.iter().enumerate() {
+            if is_full(b) {
+                full += 1;
+                match shapes.iter().find(|s| (s.nrows(), s.ncols()) == (b.nrows(), b.ncols())) {
+                    Some(s) => {
+                        assert_eq!(
+                            s.row_idx().as_ptr(),
+                            b.row_idx().as_ptr(),
+                            "{what}: block {id}"
+                        );
+                        assert!(s.shares_pattern(b), "{what}: block {id}");
+                    }
+                    None => shapes.push(b),
+                }
+            } else {
+                let shared =
+                    bm.blocks.iter().enumerate().any(|(o, c)| o != id && c.shares_pattern(b));
+                assert!(!shared, "{what}: non-full block {id} shares its pattern");
+            }
+        }
+        (full, shapes.len())
+    }
+
+    #[test]
+    fn full_tiles_of_one_shape_share_one_pattern_on_kkt() {
+        let a = gen::kkt(600, 280, 1);
+        let m = pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::Auto)
+            .unwrap()
+            .matrix;
+        let fill = symbolic_fill(&m).unwrap();
+        let nb = BlockMatrix::choose_block_size(m.ncols(), fill.nnz_lu(), 1);
+        let bm = tiled::<f64>(&fill, &m, nb).unwrap();
+        let (full, shapes) = assert_full_tiles_shared(&bm, "kkt");
+        assert!(full > shapes && shapes > 0, "kkt: {full} full tiles of {shapes} shapes");
+        let filled = fill.filled_matrix(&m).unwrap();
+        let reference = BlockMatrix::from_filled(&filled, nb).unwrap();
+        assert_eq!(bm.to_csc(), reference.to_csc(), "loaded from_fill equals from_filled");
+        assert_same_store(&bm, &reference, "kkt");
+        assert_full_tiles_shared(&reference, "kkt from_filled");
+        let bm32 = bm.cast::<f32>();
+        assert!(bm.blocks.iter().zip(&bm32.blocks).all(|(p, q)| p.shares_pattern(q)), "cast");
+        assert!(bm.blocks.iter().zip(&bm.clone().blocks).all(|(p, q)| p.shares_pattern(q)));
+    }
+
+    #[test]
+    fn full_tiles_at_the_block_size_extremes() {
+        // nb = 1: every tile is 1 x 1 and full, so the store holds one pattern.
+        let f = filled(40, 0.1, 5);
+        let bm = BlockMatrix::from_filled(&f, 1).unwrap();
+        assert_eq!(assert_full_tiles_shared(&bm, "nb 1"), (f.nnz(), 1));
+        assert!(bm.diag_pos.iter().all(|&p| p == 0));
+        assert_eq!(bm.to_csc(), f);
+        // nb > n: one tile, full only when the matrix is dense.
+        let bm = BlockMatrix::from_filled(&f, 45).unwrap();
+        assert_eq!(assert_full_tiles_shared(&bm, "nb 45"), (0, 0));
+        assert_eq!(bm.to_csc(), f);
+        let n = 5;
+        let dense = CscMatrix::from_parts(
+            n,
+            n,
+            (0..=n).map(|j| j * n).collect(),
+            (0..n * n).map(|k| k % n).collect(),
+            (0..n * n).map(|k| 1.0 + k as f64).collect(),
+        )
+        .unwrap();
+        let bm = BlockMatrix::from_filled(&dense, n + 2).unwrap();
+        assert_eq!(assert_full_tiles_shared(&bm, "dense nb > n"), (1, 1));
+        assert_eq!(bm.diag_pos, (0..n).collect::<Vec<_>>());
+        assert_eq!(bm.to_csc(), dense);
+        // nb = 2 on 5 x 5: shapes 2 x 2, 2 x 1, 1 x 2 and 1 x 1, the upper
+        // ones mirrored from the lower.
+        let bm = BlockMatrix::from_filled(&dense, 2).unwrap();
+        assert_eq!(assert_full_tiles_shared(&bm, "dense nb 2"), (9, 4));
+        assert_eq!(bm.diag_pos, vec![0, 1, 0, 1, 0]);
+        assert_eq!(bm.to_csc(), dense);
+        // memory_bytes counts each shape's pattern once.
+        let first = |r, c| bm.blocks.iter().find(|b| (b.nrows(), b.ncols()) == (r, c)).unwrap();
+        let patterns: usize = [(2, 2), (2, 1), (1, 2), (1, 1)]
+            .iter()
+            .map(|&(r, c)| first(r, c).pattern_bytes())
+            .sum();
+        let word = std::mem::size_of::<usize>();
+        let arrays =
+            (bm.blk_col_ptr.capacity() + bm.blk_row_idx.capacity() + bm.diag_pos.capacity()) * word
+                + bm.blocks.capacity() * std::mem::size_of::<CscMatrix>();
+        assert_eq!(bm.memory_bytes(), arrays + patterns + n * n * 8);
+    }
+
+    #[test]
+    fn a_mixed_solvers_widened_factors_share_the_f32_patterns() {
+        let a = gen::kkt(150, 70, 1);
+        let s = crate::Solver::builder().precision(crate::Precision::MixedF32).build(&a).unwrap();
+        let (narrow, wide) = (s.factored32().expect("mixed factors"), s.factored());
+        assert_eq!(narrow.num_blocks(), wide.num_blocks());
+        for id in 0..wide.num_blocks() {
+            assert!(wide.block(id).shares_pattern(narrow.block(id)), "block {id}");
+        }
     }
 
     #[test]

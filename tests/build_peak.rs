@@ -5,11 +5,12 @@
 //! a multi-rank solver keeps no second copy of the factor, a
 //! mixed-precision solver keeps one factor store, in f32, and the kernel
 //! plan pool a first refactorisation builds is what `plan_bytes` reports
-//! and does not set the heap peak. A counting global allocator measures
-//! all six, so this file is its own test binary with one test in it — no
-//! other test allocates while it counts.
+//! and does not set the heap peak; a block store's `memory_bytes` is the
+//! heap it leaves live. A counting global allocator measures all seven,
+//! so this file is its own test binary with one test in it — no other
+//! test allocates while it counts.
 
-use pangulu::core::{Precision, Solver};
+use pangulu::core::{BlockMatrix, Precision, Solver};
 use pangulu::reorder::{reorder_for_lu, FillReducing};
 use pangulu::sparse::{gen, CscMatrix};
 use pangulu::symbolic::symbolic_fill;
@@ -84,6 +85,18 @@ fn symbolic_peak_ratio(a: &CscMatrix) -> f64 {
     peak as f64 / returned as f64
 }
 
+/// The bytes `BlockMatrix::from_fill` leaves live on `a` reordered and
+/// tiled as the solver does it, and the store's `memory_bytes()`.
+fn store_bytes(a: &CscMatrix) -> (usize, usize) {
+    let reordered = reorder_for_lu(a, FillReducing::Auto).unwrap().matrix;
+    let fill = symbolic_fill(&reordered).unwrap();
+    let nb = BlockMatrix::choose_block_size(a.ncols(), fill.nnz_lu(), 1);
+    let before = LIVE.load(Relaxed);
+    let bm = BlockMatrix::<f64>::from_fill(&fill, nb).unwrap();
+    let live = LIVE.load(Relaxed) - before;
+    (live, bm.memory_bytes())
+}
+
 /// `Solver::build`'s heap peak over the bytes live once it returns, both
 /// counted above what was live before it started.
 fn build_peak_ratio(a: &CscMatrix, precision: Precision) -> f64 {
@@ -151,10 +164,12 @@ fn first_refactor(solver: &mut Solver, a: &CscMatrix) -> (isize, usize, usize) {
     (grown - scatter as isize, first, steady)
 }
 
-/// Measured: 1.044 (kkt), 1.014 (lap2d) and 1.053 (kkt, mixed), with
-/// the tiles loaded from A and no reordered copy of A kept by an f64
-/// solver (keeping one read 1.035, 1.000 and 1.000 against its larger
-/// live bytes; keeping none but tiling from that copy, 1.116 on lap2d).
+/// Measured: 1.067 (kkt), 1.018 (lap2d) and 1.085 (kkt, mixed), with
+/// the tiles loaded from A, full tiles sharing one pattern per shape and
+/// no reordered copy of A kept by an f64 solver. Copying the pattern
+/// into every full tile read 1.044 and 1.053 on kkt: the same transient
+/// over larger live bytes. Keeping the reordered copy read 1.035, 1.000
+/// and 1.000; keeping none but tiling from that copy, 1.116 on lap2d.
 /// The bound sits between those and what a build whose symbolic phase
 /// symmetrises A with values and buckets (row, column) pairs reads:
 /// 1.133, 1.070 and 1.096 (a build that also holds a global filled CSC
@@ -178,6 +193,16 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
         );
     }
 
+    // `memory_bytes` counts what the store owns: values, each distinct
+    // pattern once (full tiles of one shape share one), the diagonal
+    // table, the tile headers and the first-layer arrays.
+    for (tag, a) in [("kkt", &kkt), ("lap2d", &lap)] {
+        let (live, counted) = store_bytes(a);
+        let off = (live as f64 - counted as f64).abs() / live as f64;
+        eprintln!("{tag}: from_fill left {live} B live, memory_bytes() {counted} B");
+        assert!(off <= 0.01, "{tag}: memory_bytes() is {off:.4} off the live store");
+    }
+
     const BOUND: f64 = 1.1;
     for (tag, a, precision) in [
         ("kkt f64", &kkt, Precision::F64),
@@ -190,12 +215,13 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     }
 
     // A built f64 solver keeps A's values only in its factor store.
-    // Measured beside the store and the caller's pattern: 161.0 B (kkt)
-    // and 87.3 B (lap2d) per unknown. On kkt: permutations, scalings and
-    // inverse permutations 48, the task graph 76.9, the diagonal table
-    // and tile headers `memory_bytes` leaves out 26.4, the owner map 1.7.
-    // A solver that also keeps the reordered matrix, 16·nnz(A) +
-    // 8·(n + 1) bytes more, reads 268.7 and 174.4.
+    // Measured beside the store and the caller's pattern: 126.7 B (kkt)
+    // and 68.1 B (lap2d) per unknown. On kkt: permutations, scalings and
+    // inverse permutations 48, the task graph 76.9, the owner map 1.7
+    // (`memory_bytes` counts the diagonal table and tile headers, which
+    // it left out when this read 161.0 and 87.3). A solver that also
+    // keeps the reordered matrix, 16·nnz(A) + 8·(n + 1) bytes more, reads
+    // 268.7 and 174.4 on that older count.
     for (tag, a, bound) in [("kkt", &kkt, 215.0), ("lap2d", &lap, 130.0)] {
         let per_unknown = kept_per_unknown_beside_the_factor(a);
         eprintln!("{tag}: kept beside factor and pattern = {per_unknown:.1} B per unknown");
@@ -225,8 +251,10 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     drop(solver);
 
     // Ranks factor their own blocks in the solver's store and keep only
-    // the remote blocks they received. Measured: 1.52; a rank table that
-    // clones every owned block reads 2.10.
+    // the remote blocks they received, whose zero-valued shells share the
+    // patterns of the blocks they copy. Measured: 1.30 (1.52 when every
+    // tile and shell copied its pattern); a rank table that clones every
+    // owned block read 2.10.
     const RANKS_BOUND: f64 = 1.8;
     let circuit = gen::circuit(2000, 1);
     let ratio = kept_bytes(&circuit, 2) as f64 / kept_bytes(&circuit, 1) as f64;
@@ -234,8 +262,8 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     assert!(ratio < RANKS_BOUND, "circuit: 2 ranks keep {ratio:.3}x 1 rank (bound {RANKS_BOUND})");
 
     // A mixed solver keeps its f32 factors and no f64 store beside them.
-    // Measured: 0.897; with an f64 store resident beside the f32 one it
-    // reads 1.44.
+    // Measured: 0.863 (0.897 when every tile copied its pattern); with an
+    // f64 store resident beside the f32 one it read 1.44.
     const MIXED_BOUND: f64 = 0.9;
     let (f64_bytes, f64_solver) = steady_bytes(&kkt, Precision::F64);
     drop(f64_solver);
@@ -249,8 +277,11 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
 
     // Reading the factors allocates no f64 store: the determinant, the
     // condition estimate, a transpose solve and the report run on the f32
-    // one. Only `factored()` builds the widened image.
-    let store = mixed.factored32().expect("mixed factors").memory_bytes();
+    // one. Only `factored()` builds the widened image, which shares the
+    // f32 store's patterns and allocates its f64 values.
+    let f32_store = mixed.factored32().expect("mixed factors");
+    let store = f32_store.memory_bytes();
+    let widened_values = f32_store.nnz() * std::mem::size_of::<f64>();
     let live = LIVE.load(Relaxed);
     PEAK.store(live, Relaxed);
     let b = gen::test_rhs(kkt.nrows(), 1);
@@ -263,8 +294,8 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     let (grew, peak) = (LIVE.load(Relaxed) - live, PEAK.load(Relaxed) - live);
     eprintln!("kkt mixed: readings grew live by {grew} B, peak by {peak} B; f32 store {store} B");
     assert!(grew < store / 2 && peak < store / 2, "reading the factors built a store");
-    let widened = mixed.factored().memory_bytes();
+    mixed.factored();
     let grew = LIVE.load(Relaxed) - live;
-    assert!(grew >= widened, "factored() widened without allocating ({grew} B)");
+    assert!(grew >= widened_values, "factored() widened without allocating ({grew} B)");
     drop(readings);
 }
