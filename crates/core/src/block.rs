@@ -102,10 +102,11 @@ impl BlockMatrix<f64> {
                 "diagonal entry ({j}, {j}) is not stored"
             )));
         }
-        let mut bm = Self::tile(n, nb, |j| {
+        let mut bm = Tiling::cut(n, nb, |j| {
             let rows = filled.col(j).0;
             &rows[rows.partition_point(|&i| i <= j)..]
-        })?;
+        })?
+        .zeroed();
         let values = filled.values();
         bm.for_each_slot(filled, |i| i, |j| j, |k, _, _, v| *v = values[k])?;
         if bm.nnz() != filled.nnz() {
@@ -125,8 +126,11 @@ impl<S: Scalar> BlockMatrix<S> {
     /// factorisation's strict-lower pattern (paper §4.1 steps 2–3): the
     /// tiles of `L + I + Lᵀ`, every slot zero, with no global filled CSC
     /// and no value read — the values are written afterwards by
-    /// [`BlockMatrix::for_each_slot`]. Besides the tiles, the build holds
-    /// only arrays of length `n` or less. A malformed pattern is
+    /// [`BlockMatrix::for_each_slot`]. The tiles are cut value-less and
+    /// the fill's rows released before any value is allocated, so the
+    /// build peaks at the finished store, not at the store beside the
+    /// pattern it was cut from; besides the tiles it holds only arrays of
+    /// length `n` or less. A malformed pattern is
     /// [`SparseError::InvalidStructure`].
     ///
     /// # Examples
@@ -135,12 +139,13 @@ impl<S: Scalar> BlockMatrix<S> {
     /// use pangulu_core::BlockMatrix;
     /// let a = pangulu_sparse::gen::laplacian_2d(6, 6);
     /// let fill = pangulu_symbolic::symbolic_fill(&a)?;
-    /// let bm = BlockMatrix::<f64>::from_fill(&fill, 9)?;
-    /// assert_eq!(bm.nnz(), fill.nnz_lu()); // every slot zero until loaded
+    /// let nnz_lu = fill.nnz_lu();
+    /// let bm = BlockMatrix::<f64>::from_fill(fill, 9)?;
+    /// assert_eq!(bm.nnz(), nnz_lu); // every slot zero until loaded
     /// # Ok(())
     /// # }
     /// ```
-    pub fn from_fill(fill: &FilledPattern, nb: usize) -> Result<Self> {
+    pub fn from_fill(mut fill: FilledPattern, nb: usize) -> Result<Self> {
         let n = fill.n;
         let ptr = &fill.l_col_ptr;
         if ptr.len() != n + 1
@@ -152,214 +157,15 @@ impl<S: Scalar> BlockMatrix<S> {
                 ptr.len()
             )));
         }
-        Self::tile(n, nb, |j| fill.l_col(j))
-    }
-
-    /// The tiler: builds the zero-valued block store of the pattern
-    /// `L + I + Lᵀ`, `lower(j)` giving the strict-lower rows of column
-    /// `j`. One ascending sweep over block columns fills each tile column
-    /// with its upper rows first — mirrored from the lower tiles of
-    /// earlier block columns, which are already built — then the
-    /// diagonal, then `L(:, j)`. Every tile is allocated at its exact
-    /// size; the other buffers are indexed by unknown, local column or
-    /// block row, so none outgrows `n`. A full tile — every row of every
-    /// column present, which its column counts show before any row is
-    /// written — writes no rows: it takes the store's one pattern of its
-    /// shape (see [`FullShapes`]).
-    fn tile<'p, I: RowIndex>(
-        n: usize,
-        nb: usize,
-        lower: impl Fn(usize) -> &'p [I],
-    ) -> Result<Self> {
-        const NONE: usize = usize::MAX;
-        if nb == 0 {
-            return Err(SparseError::InvalidStructure("block size must be positive".into()));
-        }
-        let nblk = n.div_ceil(nb);
-        let mut blk_col_ptr = Vec::with_capacity(nblk + 1);
-        blk_col_ptr.push(0usize);
-        let mut blk_row_idx: Vec<usize> = Vec::new();
-        let mut blocks: Vec<CscMatrix<S>> = Vec::new();
-        let mut diag_pos = Vec::with_capacity(n);
-        // Mirror queue: every block column with lower tiles left to mirror
-        // waits in the list of the block row of the next one, `next_tile`
-        // being that tile's id.
-        let mut waiting = vec![NONE; nblk];
-        let mut waiting_link = vec![NONE; nblk];
-        let mut next_tile = vec![0usize; nblk];
-        let mut upper: Vec<usize> = Vec::new();
-        // Per block column: the local-column cursors of the diagonal tile
-        // and, per lower tile in discovery order, its block row, column
-        // pointers and rows.
-        let mut cursor: Vec<usize> = Vec::with_capacity(nb.min(n));
-        let mut slot_of = vec![NONE; nblk];
-        let mut found: Vec<usize> = Vec::new();
-        let mut ptrs: Vec<Vec<usize>> = Vec::new();
-        let mut rows: Vec<Vec<usize>> = Vec::new();
-        let mut full = FullShapes::default();
-        for bj in 0..nblk {
-            let (col_lo, col_hi) = (bj * nb, (bj * nb + nb).min(n));
-            let bcols = col_hi - col_lo;
-            let in_block = |j: usize| lower(j).partition_point(|&i| i.idx() < col_hi);
-
-            // Upper tiles (bi, bj), bi < bj: mirrors of lower tiles (bj, bi).
-            upper.clear();
-            let mut bi = std::mem::replace(&mut waiting[bj], NONE);
-            while bi != NONE {
-                upper.push(bi);
-                bi = waiting_link[bi];
-            }
-            upper.sort_unstable();
-            for &bi in &upper {
-                let id = next_tile[bi];
-                let src = &blocks[id];
-                let tile = if is_full(src) {
-                    full.tile(&blocks, src.ncols(), src.nrows())
-                } else {
-                    mirrored(src)
-                };
-                blocks.push(tile);
-                blk_row_idx.push(bi);
-                next_tile[bi] = id + 1;
-                if id + 1 < blk_col_ptr[bi + 1] {
-                    let row = blk_row_idx[id + 1];
-                    waiting_link[bi] = std::mem::replace(&mut waiting[row], bi);
-                }
-            }
-
-            // Diagonal tile: mirrored in-block rows, the diagonal, then
-            // the in-block part of L(:, j).
-            cursor.clear();
-            cursor.resize(bcols, 0);
-            for j in col_lo..col_hi {
-                let col = lower(j);
-                if col.first().is_some_and(|&i| i.idx() <= j)
-                    || col.last().is_some_and(|&i| i.idx() >= n)
-                    || col.windows(2).any(|w| w[0].idx() >= w[1].idx())
-                {
-                    return Err(SparseError::InvalidStructure(format!(
-                        "strict-lower rows of column {j} are not increasing in ({j}, {n})"
-                    )));
-                }
-                for &i in &col[..in_block(j)] {
-                    cursor[i.idx() - col_lo] += 1;
-                }
-            }
-            let mut col_ptr = Vec::with_capacity(bcols + 1);
-            col_ptr.push(0usize);
-            for (lc, c) in cursor.iter_mut().enumerate() {
-                let start = col_ptr[lc];
-                col_ptr.push(start + *c + 1 + in_block(col_lo + lc));
-                *c = start;
-            }
-            if col_ptr[bcols] == bcols * bcols {
-                diag_pos.extend(0..bcols);
-                blocks.push(full.tile(&blocks, bcols, bcols));
-            } else {
-                let mut diag_rows = vec![0usize; col_ptr[bcols]];
-                for k in col_lo..col_hi {
-                    for &i in &lower(k)[..in_block(k)] {
-                        let i = i.idx();
-                        diag_rows[cursor[i - col_lo]] = k - col_lo;
-                        cursor[i - col_lo] += 1;
-                    }
-                }
-                for (lc, &at) in cursor.iter().enumerate() {
-                    let j = col_lo + lc;
-                    diag_pos.push(at - col_ptr[lc]);
-                    diag_rows[at] = lc;
-                    for (dst, &i) in diag_rows[at + 1..].iter_mut().zip(&lower(j)[..in_block(j)]) {
-                        *dst = i.idx() - col_lo;
-                    }
-                }
-                let len = diag_rows.len();
-                blocks.push(CscMatrix::from_parts_unchecked(
-                    bcols,
-                    bcols,
-                    col_ptr,
-                    diag_rows,
-                    vec![S::ZERO; len],
-                ));
-            }
-            blk_row_idx.push(bj);
-
-            // Lower tiles (bi, bj), bi > bj: count per local column, then
-            // place each row of L(:, j) below the diagonal block.
-            found.clear();
-            for j in col_lo..col_hi {
-                for &i in &lower(j)[in_block(j)..] {
-                    let bi = i.idx() / nb;
-                    let mut s = slot_of[bi];
-                    if s == NONE {
-                        s = found.len();
-                        slot_of[bi] = s;
-                        found.push(bi);
-                        if ptrs.len() == s {
-                            ptrs.push(Vec::new());
-                        }
-                        ptrs[s].clear();
-                        ptrs[s].resize(bcols + 1, 0);
-                    }
-                    ptrs[s][j - col_lo + 1] += 1;
-                }
-            }
-            rows.resize_with(found.len(), Vec::new);
-            for ((p, r), &bi) in ptrs.iter_mut().zip(rows.iter_mut()).zip(&found) {
-                for lc in 0..bcols {
-                    p[lc + 1] += p[lc];
-                }
-                // A full tile's rows stay unwritten (left empty).
-                let brows = (bi * nb + nb).min(n) - bi * nb;
-                *r = if p[bcols] == brows * bcols { Vec::new() } else { vec![0usize; p[bcols]] };
-            }
-            for j in col_lo..col_hi {
-                let lc = j - col_lo;
-                for &i in &lower(j)[in_block(j)..] {
-                    let i = i.idx();
-                    let bi = i / nb;
-                    let s = slot_of[bi];
-                    if rows[s].is_empty() {
-                        continue;
-                    }
-                    // `ptrs[s][lc]` is the next free slot of local column
-                    // `lc`; the shift below restores the pointers.
-                    rows[s][ptrs[s][lc]] = i - bi * nb;
-                    ptrs[s][lc] += 1;
-                }
-            }
-            let first_lower = blocks.len();
-            found.sort_unstable();
-            for &bi in &found {
-                let s = std::mem::replace(&mut slot_of[bi], NONE);
-                let brows = (bi * nb + nb).min(n) - bi * nb;
-                let tile_rows = std::mem::take(&mut rows[s]);
-                if tile_rows.is_empty() {
-                    blocks.push(full.tile(&blocks, brows, bcols));
-                } else {
-                    let mut col_ptr = std::mem::take(&mut ptrs[s]);
-                    col_ptr.rotate_right(1);
-                    col_ptr[0] = 0;
-                    let len = tile_rows.len();
-                    blocks.push(CscMatrix::from_parts_unchecked(
-                        brows,
-                        bcols,
-                        col_ptr,
-                        tile_rows,
-                        vec![S::ZERO; len],
-                    ));
-                }
-                blk_row_idx.push(bi);
-            }
-            if let Some(&row) = found.first() {
-                next_tile[bj] = first_lower;
-                waiting_link[bj] = std::mem::replace(&mut waiting[row], bj);
-            }
-            blk_col_ptr.push(blk_row_idx.len());
-        }
-        // The tile count is known only now: drop the growth slack.
-        blocks.shrink_to_fit();
-        blk_row_idx.shrink_to_fit();
-        Ok(BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
+        let tiling = Tiling::cut(n, nb, |j| fill.l_col(j))?;
+        // The rows are read no more: release them before the values exist,
+        // so the values can take their place. The rest of the fill (arrays
+        // of length n) goes once the store is built.
+        fill.l_row_idx.clear();
+        fill.l_row_idx.shrink_to_fit();
+        let bm = tiling.zeroed();
+        drop(fill);
+        Ok(bm)
     }
 
     /// The slot walk, which every value load and the refactor's scatter
@@ -671,13 +477,237 @@ impl<S: Scalar> BlockMatrix<S> {
     }
 }
 
+/// The block store's pattern, cut before any value exists: the tiler's
+/// output, which [`Tiling::zeroed`] turns into a zero-valued store.
+struct Tiling {
+    n: usize,
+    nb: usize,
+    nblk: usize,
+    blk_col_ptr: Vec<usize>,
+    blk_row_idx: Vec<usize>,
+    blocks: Vec<CscMatrix<()>>,
+    diag_pos: Vec<usize>,
+}
+
+impl Tiling {
+    /// The tiler: cuts the value-less tiles of the pattern `L + I + Lᵀ`,
+    /// `lower(j)` giving the strict-lower rows of column `j`. One ascending sweep over block columns fills each tile column
+    /// with its upper rows first — mirrored from the lower tiles of
+    /// earlier block columns, which are already built — then the
+    /// diagonal, then `L(:, j)`. Every tile is allocated at its exact
+    /// size; the other buffers are indexed by unknown, local column or
+    /// block row, so none outgrows `n`. A full tile — every row of every
+    /// column present, which its column counts show before any row is
+    /// written — writes no rows: it takes the store's one pattern of its
+    /// shape (see [`FullShapes`]).
+    fn cut<'p, I: RowIndex>(n: usize, nb: usize, lower: impl Fn(usize) -> &'p [I]) -> Result<Self> {
+        const NONE: usize = usize::MAX;
+        if nb == 0 {
+            return Err(SparseError::InvalidStructure("block size must be positive".into()));
+        }
+        let nblk = n.div_ceil(nb);
+        let mut blk_col_ptr = Vec::with_capacity(nblk + 1);
+        blk_col_ptr.push(0usize);
+        let mut blk_row_idx: Vec<usize> = Vec::new();
+        let mut blocks: Vec<CscMatrix<()>> = Vec::new();
+        let mut diag_pos = Vec::with_capacity(n);
+        // Mirror queue: every block column with lower tiles left to mirror
+        // waits in the list of the block row of the next one, `next_tile`
+        // being that tile's id.
+        let mut waiting = vec![NONE; nblk];
+        let mut waiting_link = vec![NONE; nblk];
+        let mut next_tile = vec![0usize; nblk];
+        let mut upper: Vec<usize> = Vec::new();
+        // Per block column: the local-column cursors of the diagonal tile
+        // and, per lower tile in discovery order, its block row, column
+        // pointers and rows.
+        let mut cursor: Vec<usize> = Vec::with_capacity(nb.min(n));
+        let mut slot_of = vec![NONE; nblk];
+        let mut found: Vec<usize> = Vec::new();
+        let mut ptrs: Vec<Vec<usize>> = Vec::new();
+        let mut rows: Vec<Vec<usize>> = Vec::new();
+        let mut full = FullShapes::default();
+        for bj in 0..nblk {
+            let (col_lo, col_hi) = (bj * nb, (bj * nb + nb).min(n));
+            let bcols = col_hi - col_lo;
+            let in_block = |j: usize| lower(j).partition_point(|&i| i.idx() < col_hi);
+
+            // Upper tiles (bi, bj), bi < bj: mirrors of lower tiles (bj, bi).
+            upper.clear();
+            let mut bi = std::mem::replace(&mut waiting[bj], NONE);
+            while bi != NONE {
+                upper.push(bi);
+                bi = waiting_link[bi];
+            }
+            upper.sort_unstable();
+            for &bi in &upper {
+                let id = next_tile[bi];
+                let src = &blocks[id];
+                let tile = if is_full(src) {
+                    full.tile(&blocks, src.ncols(), src.nrows())
+                } else {
+                    mirrored(src)
+                };
+                blocks.push(tile);
+                blk_row_idx.push(bi);
+                next_tile[bi] = id + 1;
+                if id + 1 < blk_col_ptr[bi + 1] {
+                    let row = blk_row_idx[id + 1];
+                    waiting_link[bi] = std::mem::replace(&mut waiting[row], bi);
+                }
+            }
+
+            // Diagonal tile: mirrored in-block rows, the diagonal, then
+            // the in-block part of L(:, j).
+            cursor.clear();
+            cursor.resize(bcols, 0);
+            for j in col_lo..col_hi {
+                let col = lower(j);
+                if col.first().is_some_and(|&i| i.idx() <= j)
+                    || col.last().is_some_and(|&i| i.idx() >= n)
+                    || col.windows(2).any(|w| w[0].idx() >= w[1].idx())
+                {
+                    return Err(SparseError::InvalidStructure(format!(
+                        "strict-lower rows of column {j} are not increasing in ({j}, {n})"
+                    )));
+                }
+                for &i in &col[..in_block(j)] {
+                    cursor[i.idx() - col_lo] += 1;
+                }
+            }
+            let mut col_ptr = Vec::with_capacity(bcols + 1);
+            col_ptr.push(0usize);
+            for (lc, c) in cursor.iter_mut().enumerate() {
+                let start = col_ptr[lc];
+                col_ptr.push(start + *c + 1 + in_block(col_lo + lc));
+                *c = start;
+            }
+            if col_ptr[bcols] == bcols * bcols {
+                diag_pos.extend(0..bcols);
+                blocks.push(full.tile(&blocks, bcols, bcols));
+            } else {
+                let mut diag_rows = vec![0usize; col_ptr[bcols]];
+                for k in col_lo..col_hi {
+                    for &i in &lower(k)[..in_block(k)] {
+                        let i = i.idx();
+                        diag_rows[cursor[i - col_lo]] = k - col_lo;
+                        cursor[i - col_lo] += 1;
+                    }
+                }
+                for (lc, &at) in cursor.iter().enumerate() {
+                    let j = col_lo + lc;
+                    diag_pos.push(at - col_ptr[lc]);
+                    diag_rows[at] = lc;
+                    for (dst, &i) in diag_rows[at + 1..].iter_mut().zip(&lower(j)[..in_block(j)]) {
+                        *dst = i.idx() - col_lo;
+                    }
+                }
+                let len = diag_rows.len();
+                blocks.push(CscMatrix::from_parts_unchecked(
+                    bcols,
+                    bcols,
+                    col_ptr,
+                    diag_rows,
+                    vec![(); len],
+                ));
+            }
+            blk_row_idx.push(bj);
+
+            // Lower tiles (bi, bj), bi > bj: count per local column, then
+            // place each row of L(:, j) below the diagonal block.
+            found.clear();
+            for j in col_lo..col_hi {
+                for &i in &lower(j)[in_block(j)..] {
+                    let bi = i.idx() / nb;
+                    let mut s = slot_of[bi];
+                    if s == NONE {
+                        s = found.len();
+                        slot_of[bi] = s;
+                        found.push(bi);
+                        if ptrs.len() == s {
+                            ptrs.push(Vec::new());
+                        }
+                        ptrs[s].clear();
+                        ptrs[s].resize(bcols + 1, 0);
+                    }
+                    ptrs[s][j - col_lo + 1] += 1;
+                }
+            }
+            rows.resize_with(found.len(), Vec::new);
+            for ((p, r), &bi) in ptrs.iter_mut().zip(rows.iter_mut()).zip(&found) {
+                for lc in 0..bcols {
+                    p[lc + 1] += p[lc];
+                }
+                // A full tile's rows stay unwritten (left empty).
+                let brows = (bi * nb + nb).min(n) - bi * nb;
+                *r = if p[bcols] == brows * bcols { Vec::new() } else { vec![0usize; p[bcols]] };
+            }
+            for j in col_lo..col_hi {
+                let lc = j - col_lo;
+                for &i in &lower(j)[in_block(j)..] {
+                    let i = i.idx();
+                    let bi = i / nb;
+                    let s = slot_of[bi];
+                    if rows[s].is_empty() {
+                        continue;
+                    }
+                    // `ptrs[s][lc]` is the next free slot of local column
+                    // `lc`; the shift below restores the pointers.
+                    rows[s][ptrs[s][lc]] = i - bi * nb;
+                    ptrs[s][lc] += 1;
+                }
+            }
+            let first_lower = blocks.len();
+            found.sort_unstable();
+            for &bi in &found {
+                let s = std::mem::replace(&mut slot_of[bi], NONE);
+                let brows = (bi * nb + nb).min(n) - bi * nb;
+                let tile_rows = std::mem::take(&mut rows[s]);
+                if tile_rows.is_empty() {
+                    blocks.push(full.tile(&blocks, brows, bcols));
+                } else {
+                    let mut col_ptr = std::mem::take(&mut ptrs[s]);
+                    col_ptr.rotate_right(1);
+                    col_ptr[0] = 0;
+                    let len = tile_rows.len();
+                    blocks.push(CscMatrix::from_parts_unchecked(
+                        brows,
+                        bcols,
+                        col_ptr,
+                        tile_rows,
+                        vec![(); len],
+                    ));
+                }
+                blk_row_idx.push(bi);
+            }
+            if let Some(&row) = found.first() {
+                next_tile[bj] = first_lower;
+                waiting_link[bj] = std::mem::replace(&mut waiting[row], bj);
+            }
+            blk_col_ptr.push(blk_row_idx.len());
+        }
+        // The tile count is known only now: drop the growth slack.
+        blocks.shrink_to_fit();
+        blk_row_idx.shrink_to_fit();
+        Ok(Tiling { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos })
+    }
+
+    /// The zero-valued store on these tiles: each tile takes its values
+    /// on the pattern it was cut with, full tiles still sharing theirs.
+    fn zeroed<S: Scalar>(self) -> BlockMatrix<S> {
+        let Tiling { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos } = self;
+        let blocks = blocks.into_iter().map(|b| b.with_constant_values(S::ZERO)).collect();
+        BlockMatrix { n, nb, nblk, blk_col_ptr, blk_row_idx, blocks, diag_pos }
+    }
+}
+
 /// The error for an entry `(i, j)` the block store has no slot for.
 pub(crate) fn outside(i: usize, j: usize) -> SparseError {
     SparseError::InvalidStructure(format!("entry ({i}, {j}) is outside the fill pattern"))
 }
 
 /// Every row of every column stored.
-fn is_full<S: Scalar>(b: &CscMatrix<S>) -> bool {
+fn is_full<S>(b: &CscMatrix<S>) -> bool {
     b.nnz() == b.nrows() * b.ncols()
 }
 
@@ -689,27 +719,22 @@ fn is_full<S: Scalar>(b: &CscMatrix<S>) -> bool {
 struct FullShapes(Vec<(usize, usize, usize)>);
 
 impl FullShapes {
-    /// A zero-valued full `rows x cols` tile, to be pushed next onto
+    /// A value-less full `rows x cols` tile, to be pushed next onto
     /// `blocks`.
-    fn tile<S: Scalar>(
-        &mut self,
-        blocks: &[CscMatrix<S>],
-        rows: usize,
-        cols: usize,
-    ) -> CscMatrix<S> {
+    fn tile(&mut self, blocks: &[CscMatrix<()>], rows: usize, cols: usize) -> CscMatrix<()> {
         if let Some(&(.., id)) = self.0.iter().find(|s| (s.0, s.1) == (rows, cols)) {
-            return blocks[id].with_constant_values(S::ZERO);
+            return blocks[id].clone();
         }
         self.0.push((rows, cols, blocks.len()));
         let col_ptr = (0..=cols).map(|c| c * rows).collect();
         let row_idx = (0..cols).flat_map(|_| 0..rows).collect();
-        CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_idx, vec![S::ZERO; rows * cols])
+        CscMatrix::from_parts_unchecked(rows, cols, col_ptr, row_idx, vec![(); rows * cols])
     }
 }
 
-/// The pattern of `src`ᵀ, zero-valued: each column's rows come out
-/// increasing because `src`'s columns are read in order.
-fn mirrored<S: Scalar>(src: &CscMatrix<S>) -> CscMatrix<S> {
+/// The pattern of `src`ᵀ: each column's rows come out increasing because
+/// `src`'s columns are read in order.
+fn mirrored(src: &CscMatrix<()>) -> CscMatrix<()> {
     let (m, k) = (src.nrows(), src.ncols());
     let mut col_ptr = vec![0usize; m + 1];
     for &r in src.row_idx() {
@@ -726,7 +751,7 @@ fn mirrored<S: Scalar>(src: &CscMatrix<S>) -> CscMatrix<S> {
             next[r] += 1;
         }
     }
-    CscMatrix::from_parts_unchecked(k, m, col_ptr, rows, vec![S::ZERO; src.nnz()])
+    CscMatrix::from_parts_unchecked(k, m, col_ptr, rows, vec![(); src.nnz()])
 }
 
 #[cfg(test)]
@@ -738,7 +763,7 @@ mod tests {
 
     /// `from_fill`, then `a`'s values written in place, each rounded once.
     fn tiled<S: Scalar>(fill: &FilledPattern, a: &CscMatrix, nb: usize) -> Result<BlockMatrix<S>> {
-        let mut bm = BlockMatrix::from_fill(fill, nb)?;
+        let mut bm = BlockMatrix::from_fill(fill.clone(), nb)?;
         let vals = a.values();
         bm.for_each_slot(a, |i| i, |j| j, |k, _, _, v| *v = S::from_f64(vals[k]))?;
         Ok(bm)
@@ -931,15 +956,15 @@ mod tests {
         let mut coo = a.to_coo();
         coo.push(19, 0, 1.0).unwrap();
         invalid(tiled(&fill, &coo.to_csc(), 4), "(19, 0)");
-        invalid(BlockMatrix::from_fill(&fill, 0), "block size");
+        invalid(BlockMatrix::from_fill(fill.clone(), 0), "block size");
         invalid(BlockMatrix::from_filled(&fill.filled_matrix(&a).unwrap(), 0), "block size");
         let mut short = fill.clone();
         short.l_col_ptr.pop();
-        invalid(BlockMatrix::from_fill(&short, 4), "column pointers");
+        invalid(BlockMatrix::from_fill(short, 4), "column pointers");
         let mut unsorted = fill.clone();
         let (lo, hi) = (unsorted.l_col_ptr[0], unsorted.l_col_ptr[1]);
         unsorted.l_row_idx[lo..hi].reverse();
-        invalid(BlockMatrix::from_fill(&unsorted, 4), "column 0");
+        invalid(BlockMatrix::from_fill(unsorted, 4), "column 0");
         let wrong_order = gen::laplacian_2d(4, 4);
         assert!(matches!(
             tiled::<f64>(&fill, &wrong_order, 4),

@@ -231,6 +231,10 @@ impl FactorStats {
     }
 }
 
+/// One entry of the refactor scatter map: `(block id, offset into the
+/// block's values)` of the slot an input nonzero lands in.
+pub type ScatterSlot = (u32, u32);
+
 /// The pattern-dependent analysis a [`Solver`] caches across
 /// factorisations: the input sparsity structure it was built for (which
 /// [`Solver::refactor`] validates new values against) and the scatter
@@ -238,11 +242,12 @@ impl FactorStats {
 /// the first refactorisation.
 pub struct SolverPlan {
     n: usize,
-    col_ptr: Vec<usize>,
-    row_idx: Vec<usize>,
-    /// For input nonzero `k` (CSC order): `(block id, value index)` where
-    /// the scaled, permuted entry lands in the factor's block storage.
-    scatter: Option<Vec<(usize, usize)>>,
+    /// The caller's pattern, shared with the matrix the solver was built
+    /// from: no index is copied, and it outlives that matrix.
+    pattern: CscMatrix<()>,
+    /// For input nonzero `k` (CSC order): the slot where the scaled,
+    /// permuted entry lands in the factor's block storage.
+    scatter: Option<Vec<ScatterSlot>>,
 }
 
 impl SolverPlan {
@@ -253,7 +258,15 @@ impl SolverPlan {
 
     /// Nonzero count of the analysed pattern.
     pub fn nnz(&self) -> usize {
-        self.row_idx.len()
+        self.pattern.nnz()
+    }
+
+    /// The analysed pattern: a value-less handle on the pattern of the
+    /// matrix the solver was built from. A matrix that
+    /// [`CscMatrix::shares_pattern`] with it passes [`Solver::refactor`]'s
+    /// pattern check without a comparison.
+    pub fn pattern(&self) -> &CscMatrix<()> {
+        &self.pattern
     }
 }
 
@@ -284,7 +297,7 @@ struct MixedState {
     /// Per input nonzero (CSC order), its offset in `scaled_a`'s values;
     /// pattern-only, built with the scatter map by the first
     /// [`Solver::refactor`].
-    a_pos: Vec<usize>,
+    a_pos: Vec<u32>,
     /// The exact widened f64 image of `factored32`, built by the first
     /// [`Solver::factored`] call after each factorisation.
     widened: OnceLock<BlockMatrix>,
@@ -768,8 +781,7 @@ fn preprocess<S: Scalar>(
     grid: ProcessGrid,
     stats: &mut FactorStats,
 ) -> Result<(BlockMatrix<S>, TaskGraph, OwnerMap, f64)> {
-    let mut bm = BlockMatrix::from_fill(&fill, nb)?;
-    drop(fill);
+    let mut bm = BlockMatrix::from_fill(fill, nb)?;
     let norm = frame.load(&mut bm, a)?;
     let tg = TaskGraph::build(&bm);
     let owners = OwnerMap::balanced(&bm, grid, &tg);
@@ -817,21 +829,32 @@ impl Frame {
     }
 
     /// The refactor's scatter map: for input nonzero `k` (CSC order), the
-    /// slot its scaled, permuted entry lands in.
-    fn slots<S: Scalar>(
-        &self,
-        bm: &mut BlockMatrix<S>,
-        a: &CscMatrix,
-    ) -> Result<Vec<(usize, usize)>> {
+    /// slot its scaled, permuted entry lands in. A store with more tiles,
+    /// or a tile with more entries, than a `u32` counts is
+    /// [`SparseError::IndexTooLarge`].
+    fn slots<S: Scalar>(&self, bm: &mut BlockMatrix<S>, a: &CscMatrix) -> Result<Vec<ScatterSlot>> {
+        index32(bm.num_blocks(), "scatter map block id")?;
+        let widest = (0..bm.num_blocks()).map(|id| bm.block(id).nnz()).max().unwrap_or(0);
+        index32(widest, "scatter map offset")?;
         let mut map = Vec::with_capacity(a.nnz());
         bm.for_each_slot(
             a,
             |i| self.row_pos.old_of(i),
             |j| self.col_pos.old_of(j),
-            |_, _, slot, _| map.push(slot),
+            |_, _, (id, at), _| map.push((id as u32, at as u32)),
         )?;
         Ok(map)
     }
+}
+
+/// Checks that every index below `count` fits the `u32` entries of the
+/// per-input-entry table `what`.
+fn index32(count: usize, what: &'static str) -> Result<()> {
+    let (last, max) = (count.saturating_sub(1), u32::MAX as usize);
+    if last > max {
+        return Err(SparseError::IndexTooLarge { what, index: last, max });
+    }
+    Ok(())
 }
 
 /// The log-absolute-determinant and sign of `A` from the pivots `U_ii`
@@ -949,12 +972,7 @@ impl Solver {
         factors.factor(&run, false, &mut stats)?;
         stats.numeric_time = t.elapsed();
 
-        let plan = SolverPlan {
-            n,
-            col_ptr: a.col_ptr().to_vec(),
-            row_idx: a.row_idx().to_vec(),
-            scatter: None,
-        };
+        let plan = SolverPlan { n, pattern: a.pattern(), scatter: None };
 
         let solver = Solver { opts, frame, factors, tg, owners, plan, stats, n };
         solver.check_factors()?;
@@ -1057,26 +1075,38 @@ impl Solver {
     }
 
     /// Rejects a matrix whose order or nonzero positions differ from the
-    /// analysed pattern.
+    /// analysed pattern, naming the first column that differs. A matrix
+    /// sharing the analysed pattern (a clone of the one built from, or one
+    /// with new values on its pattern) passes without a comparison.
     fn check_pattern(&self, a: &CscMatrix) -> Result<()> {
-        if a.nrows() != self.plan.n || a.ncols() != self.plan.n {
+        let (n, analysed) = (self.plan.n, &self.plan.pattern);
+        if a.nrows() != n || a.ncols() != n {
             return Err(SparseError::PatternMismatch(format!(
-                "matrix is {}x{}, the cached analysis is for order {}",
+                "matrix is {}x{}, the cached analysis is for order {n}",
                 a.nrows(),
-                a.ncols(),
-                self.plan.n
+                a.ncols()
             )));
         }
-        if a.col_ptr() != self.plan.col_ptr.as_slice()
-            || a.row_idx() != self.plan.row_idx.as_slice()
-        {
-            return Err(SparseError::PatternMismatch(format!(
-                "nonzero structure differs from the analysed pattern ({} vs {} nonzeros)",
-                a.nnz(),
-                self.plan.row_idx.len()
-            )));
+        if a.shares_pattern(analysed) {
+            return Ok(());
         }
-        Ok(())
+        // Every column before `j` matched, so `j` is also the first column
+        // whose end pointer can differ.
+        let Some(j) = (0..n).find(|&j| a.col(j).0 != analysed.col(j).0) else {
+            return Ok(());
+        };
+        let (rows, expected) = (a.col(j).0, analysed.col(j).0);
+        let detail = match rows.iter().zip(expected).position(|(r, e)| r != e) {
+            Some(t) if rows.len() == expected.len() => {
+                format!("entry {t} is row {} where it is row {}", rows[t], expected[t])
+            }
+            _ => format!("{} entries where it has {}", rows.len(), expected.len()),
+        };
+        Err(SparseError::PatternMismatch(format!(
+            "column {j} differs from the analysed pattern: {detail} ({} vs {} nonzeros)",
+            a.nnz(),
+            analysed.nnz()
+        )))
     }
 
     /// Refactors the system with new numerical values on the **same
@@ -1117,13 +1147,14 @@ impl Solver {
             let map = match &mut self.factors {
                 Factors::F64 { bm, .. } => frame.slots(bm, a)?,
                 Factors::Mixed(mx) => {
+                    index32(mx.scaled_a.nnz(), "scaled input position")?;
                     let mut a_pos = Vec::with_capacity(a.nnz());
                     for j in 0..self.plan.n {
                         let new_c = frame.col_pos.old_of(j);
                         for &i in a.col(j).0 {
                             let new_r = frame.row_pos.old_of(i);
                             let at = mx.scaled_a.find(new_r, new_c);
-                            a_pos.push(at.ok_or_else(|| outside(new_r, new_c))?);
+                            a_pos.push(at.ok_or_else(|| outside(new_r, new_c))? as u32);
                         }
                     }
                     mx.a_pos = a_pos;
@@ -1150,19 +1181,19 @@ impl Solver {
         }
         let scatter = self.plan.scatter.as_ref().expect("scatter map built above");
         let r = &self.frame.ordering;
-        let vals = a.values();
+        let (col_ptr, row_idx, vals) = (a.col_ptr(), a.row_idx(), a.values());
         let mut norm = 0.0f64;
         for j in 0..self.plan.n {
             let cj = r.col_scale[j];
-            for k in self.plan.col_ptr[j]..self.plan.col_ptr[j + 1] {
-                let scaled = vals[k] * r.row_scale[self.plan.row_idx[k]] * cj;
+            for k in col_ptr[j]..col_ptr[j + 1] {
+                let scaled = vals[k] * r.row_scale[row_idx[k]] * cj;
                 norm = norm.max(scaled.abs());
-                let (id, idx) = scatter[k];
+                let (id, idx) = (scatter[k].0 as usize, scatter[k].1 as usize);
                 match &mut self.factors {
                     Factors::F64 { bm, .. } => bm.block_mut(id).values_mut()[idx] = scaled,
                     Factors::Mixed(mx) => {
                         mx.factored32.block_mut(id).values_mut()[idx] = scaled as f32;
-                        mx.scaled_a.values_mut()[mx.a_pos[k]] = scaled;
+                        mx.scaled_a.values_mut()[mx.a_pos[k] as usize] = scaled;
                     }
                 }
             }
@@ -1430,7 +1461,10 @@ impl Solver {
     /// All lengths, then all values, are checked before any sweep runs;
     /// the error names the first offending right-hand side. A NaN or
     /// infinite entry fails with [`SparseError::NonFinite`] `{ row, col }`,
-    /// `col` being the index of its right-hand side.
+    /// `col` being the index of its right-hand side. Only one gathered
+    /// panel is live at a time: the first panel's gather checks its
+    /// values, a scan checks the rest, and each later panel is gathered
+    /// when its turn comes.
     pub fn solve_multi(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         self.check_factors()?;
         if let Some((j, b)) = bs.iter().enumerate().find(|(_, b)| b.len() != self.n) {
@@ -1441,12 +1475,23 @@ impl Solver {
                 self.n
             )));
         }
-        let panels = bs
-            .chunks(PANEL_WIDTH)
-            .enumerate()
-            .map(|(p, panel)| Ok((self.gather_panel(panel, p * PANEL_WIDTH)?, panel.len())))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(panels.into_iter().flat_map(|(gathered, k)| self.solve_panel(gathered, k)).collect())
+        let mut panels = bs.chunks(PANEL_WIDTH);
+        let Some(first) = panels.next() else {
+            return Ok(Vec::new());
+        };
+        let gathered = self.gather_panel(first, 0)?;
+        for (j, b) in bs.iter().enumerate().skip(PANEL_WIDTH) {
+            if let Some(row) = b.iter().position(|v| !v.is_finite()) {
+                return Err(SparseError::NonFinite { row, col: j });
+            }
+        }
+        let mut out = Vec::with_capacity(bs.len());
+        out.extend(self.solve_panel(gathered, first.len()));
+        for (p, panel) in panels.enumerate() {
+            let gathered = self.gather_panel(panel, (p + 1) * PANEL_WIDTH)?;
+            out.extend(self.solve_panel(gathered, panel.len()));
+        }
+        Ok(out)
     }
 
     /// Solves `A x = b` with iterative refinement: repeats
@@ -1832,6 +1877,41 @@ mod tests {
         let xs = solver.solve_multi(&bs).unwrap();
         for (b, x) in bs.iter().zip(&xs) {
             assert_eq!(*x, solver.solve(b).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_table_index_above_u32_is_a_named_error() {
+        let max = u32::MAX as usize;
+        assert_eq!(index32(0, "block id"), Ok(()));
+        assert_eq!(index32(max + 1, "block id"), Ok(()), "the last index is u32::MAX");
+        let err = index32(max + 2, "block id").unwrap_err();
+        assert_eq!(err, SparseError::IndexTooLarge { what: "block id", index: max + 1, max });
+        assert!(err.to_string().starts_with("block id 4294967296 is above 4294967295"), "{err}");
+    }
+
+    #[test]
+    fn solve_multi_over_several_panels_equals_the_solve_loop() {
+        let a = gen::laplacian_2d(8, 8);
+        let n = a.nrows();
+        let bs: Vec<Vec<f64>> =
+            (0..2 * PANEL_WIDTH + 3).map(|s| gen::test_rhs(n, s as u64)).collect();
+        let bits = |xs: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            xs.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
+        };
+        for precision in [Precision::F64, Precision::MixedF32] {
+            let solver = Solver::builder().precision(precision).build(&a).unwrap();
+            let alone: Vec<Vec<f64>> = bs.iter().map(|b| solver.solve(b).unwrap()).collect();
+            assert_eq!(bits(&solver.solve_multi(&bs).unwrap()), bits(&alone), "{precision:?}");
+            // Bad values in the first and the last panel: the first one is
+            // named, and nothing is solved.
+            let solved = solver.precision_counters().refined_solves;
+            let mut bad = bs.clone();
+            bad[2 * PANEL_WIDTH + 1][3] = f64::NAN;
+            bad[1][7] = f64::INFINITY;
+            let want = SparseError::NonFinite { row: 7, col: 1 };
+            assert_eq!(solver.solve_multi(&bad), Err(want), "{precision:?}");
+            assert_eq!(solver.precision_counters().refined_solves, solved, "{precision:?}");
         }
     }
 

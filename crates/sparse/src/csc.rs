@@ -13,6 +13,9 @@
 //! reference-counted: [`Clone`], [`CscMatrix::cast`] and
 //! [`CscMatrix::with_constant_values`] share it and copy only the values,
 //! so matrices that differ only in their values store one pattern.
+//! [`CscMatrix::pattern`] gives a value-less handle on it, a
+//! `CscMatrix<()>` that allocates nothing of its own: the pattern
+//! accessors work for any value type.
 
 use crate::scalar::Scalar;
 use crate::{CooMatrix, CsrMatrix, DenseMatrix, Result, SparseError};
@@ -94,29 +97,7 @@ impl<S> CscMatrix<S> {
             values,
         }
     }
-}
 
-impl<S: PartialEq> PartialEq for CscMatrix<S> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.nrows, self.ncols) == (other.nrows, other.ncols)
-            && self.pattern == other.pattern
-            && self.values == other.values
-    }
-}
-
-impl<S: std::fmt::Debug> std::fmt::Debug for CscMatrix<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CscMatrix")
-            .field("nrows", &self.nrows)
-            .field("ncols", &self.ncols)
-            .field("col_ptr", &self.pattern.col_ptr)
-            .field("row_idx", &self.pattern.row_idx)
-            .field("values", &self.values)
-            .finish()
-    }
-}
-
-impl<S: Scalar> CscMatrix<S> {
     /// Builds a CSC matrix from raw parts, validating all invariants.
     ///
     /// # Examples
@@ -158,16 +139,6 @@ impl<S: Scalar> CscMatrix<S> {
             .expect("from_parts_unchecked given parts of inconsistent lengths");
         debug_assert!(m.validate().is_ok(), "from_parts_unchecked given invalid structure");
         m
-    }
-
-    /// An `nrows x ncols` matrix with no stored entries.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
-        CscMatrix::from_parts_unchecked(nrows, ncols, vec![0; ncols + 1], Vec::new(), Vec::new())
-    }
-
-    /// The `n x n` identity.
-    pub fn identity(n: usize) -> Self {
-        CscMatrix::from_parts_unchecked(n, n, (0..=n).collect(), (0..n).collect(), vec![S::ONE; n])
     }
 
     /// Checks every structural invariant; see module docs. (The lengths
@@ -323,6 +294,74 @@ impl<S: Scalar> CscMatrix<S> {
         col_ptr[j + 1] - col_ptr[j]
     }
 
+    /// Position of entry `(i, j)` in the value array, if stored.
+    pub fn find(&self, i: usize, j: usize) -> Option<usize> {
+        let lo = self.col_ptr()[j];
+        let (rows, _) = self.col(j);
+        rows.binary_search(&i).ok().map(|k| lo + k)
+    }
+
+    /// `true` if `self` and `other` store one pattern, not two equal ones.
+    pub fn shares_pattern<T>(&self, other: &CscMatrix<T>) -> bool {
+        Arc::ptr_eq(&self.pattern, &other.pattern)
+    }
+
+    /// A value-less handle on this matrix's pattern: it shares the
+    /// pattern (no index is copied) and allocates nothing, so it keeps the
+    /// pattern alive and readable without its values.
+    pub fn pattern(&self) -> CscMatrix<()> {
+        self.with_values(vec![(); self.nnz()])
+    }
+
+    /// Heap bytes of the pattern, which every matrix sharing it shares:
+    /// the reference-counted header and both index buffers.
+    pub fn pattern_bytes(&self) -> usize {
+        let Pattern { col_ptr, row_idx } = &*self.pattern;
+        std::mem::size_of::<Pattern>()
+            + 2 * std::mem::size_of::<usize>()
+            + (col_ptr.capacity() + row_idx.capacity()) * std::mem::size_of::<usize>()
+    }
+}
+
+impl CscMatrix<()> {
+    /// A matrix on this (shared) pattern with every stored value `v`:
+    /// how a pattern cut before its values gets them.
+    pub fn with_constant_values<T: Clone>(&self, v: T) -> CscMatrix<T> {
+        self.with_values(vec![v; self.nnz()])
+    }
+}
+
+impl<S: PartialEq> PartialEq for CscMatrix<S> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.nrows, self.ncols) == (other.nrows, other.ncols)
+            && self.pattern == other.pattern
+            && self.values == other.values
+    }
+}
+
+impl<S: std::fmt::Debug> std::fmt::Debug for CscMatrix<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CscMatrix")
+            .field("nrows", &self.nrows)
+            .field("ncols", &self.ncols)
+            .field("col_ptr", &self.pattern.col_ptr)
+            .field("row_idx", &self.pattern.row_idx)
+            .field("values", &self.values)
+            .finish()
+    }
+}
+
+impl<S: Scalar> CscMatrix<S> {
+    /// An `nrows x ncols` matrix with no stored entries.
+    pub fn zeros(nrows: usize, ncols: usize) -> Self {
+        CscMatrix::from_parts_unchecked(nrows, ncols, vec![0; ncols + 1], Vec::new(), Vec::new())
+    }
+
+    /// The `n x n` identity.
+    pub fn identity(n: usize) -> Self {
+        CscMatrix::from_parts_unchecked(n, n, (0..=n).collect(), (0..n).collect(), vec![S::ONE; n])
+    }
+
     /// Value at `(i, j)`, or zero if not stored. O(log col_nnz).
     pub fn get(&self, i: usize, j: usize) -> S {
         let (rows, vals) = self.col(j);
@@ -330,13 +369,6 @@ impl<S: Scalar> CscMatrix<S> {
             Ok(k) => vals[k],
             Err(_) => S::ZERO,
         }
-    }
-
-    /// Position of entry `(i, j)` in the value array, if stored.
-    pub fn find(&self, i: usize, j: usize) -> Option<usize> {
-        let lo = self.col_ptr()[j];
-        let (rows, _) = self.col(j);
-        rows.binary_search(&i).ok().map(|k| lo + k)
     }
 
     /// Iterates over stored entries in column-major order as `(row, col, value)`.
@@ -415,20 +447,6 @@ impl<S: Scalar> CscMatrix<S> {
     /// values back widens them exactly.
     pub fn cast<T: Scalar>(&self) -> CscMatrix<T> {
         self.with_values(self.values.iter().map(|v| T::from_f64(v.to_f64())).collect())
-    }
-
-    /// `true` if `self` and `other` store one pattern, not two equal ones.
-    pub fn shares_pattern<T>(&self, other: &CscMatrix<T>) -> bool {
-        Arc::ptr_eq(&self.pattern, &other.pattern)
-    }
-
-    /// Heap bytes of the pattern, which every matrix sharing it shares:
-    /// the reference-counted header and both index buffers.
-    pub fn pattern_bytes(&self) -> usize {
-        let Pattern { col_ptr, row_idx } = &*self.pattern;
-        std::mem::size_of::<Pattern>()
-            + 2 * std::mem::size_of::<usize>()
-            + (col_ptr.capacity() + row_idx.capacity()) * std::mem::size_of::<usize>()
     }
 
     /// Extracts the sub-matrix `rows x cols` given *sorted* index ranges
@@ -686,6 +704,21 @@ mod tests {
         assert_eq!(m.values(), &[4.0, 2.0, 3.0, 1.0, 5.0], "the source keeps its values");
         assert_eq!(m.pattern_bytes(), copies[0].pattern_bytes());
         assert!(!m.shares_pattern(&sample()) && m == sample(), "equal is not shared");
+    }
+
+    #[test]
+    fn a_value_less_handle_shares_the_pattern_and_outlives_its_matrix() {
+        let m = sample();
+        let handle = m.pattern();
+        assert!(handle.shares_pattern(&m));
+        assert_eq!((handle.nrows(), handle.ncols(), handle.nnz()), (3, 3, 5));
+        let (col_ptr, row_idx) = (m.col_ptr().to_vec(), m.row_idx().to_vec());
+        drop(m);
+        assert_eq!((handle.col_ptr(), handle.row_idx()), (&col_ptr[..], &row_idx[..]));
+        assert_eq!(handle.find(2, 0), Some(1));
+        let zeros: CscMatrix<f32> = handle.with_constant_values(0.0);
+        assert!(zeros.shares_pattern(&handle) && zeros.values() == [0.0; 5]);
+        assert!(handle.validate().is_ok());
     }
 
     #[test]

@@ -69,6 +69,10 @@ pub enum SparseError {
     /// The matrix order `n` is above `max`, the largest order a structure
     /// with 32-bit indices (the symbolic fill pattern) can address.
     OrderTooLarge { n: usize, max: usize },
+    /// A table with one 32-bit entry per input nonzero (`what` names the
+    /// entry, e.g. a refactor scatter map's block id) would have to hold
+    /// `index`, above `max`.
+    IndexTooLarge { what: &'static str, index: usize, max: usize },
 }
 
 impl std::fmt::Display for SparseError {
@@ -95,6 +99,9 @@ impl std::fmt::Display for SparseError {
             ),
             SparseError::OrderTooLarge { n, max } => {
                 write!(f, "matrix order {n} is above {max}, the largest a 32-bit index addresses")
+            }
+            SparseError::IndexTooLarge { what, index, max } => {
+                write!(f, "{what} {index} is above {max}, the largest a 32-bit entry holds")
             }
         }
     }

@@ -40,7 +40,13 @@
 #   precision  mixed-precision layer: the solver's mixed/fallback unit
 #           tests, the ill-conditioned fallback suite, and the
 #           golden-corpus mixed-precision equivalence assertions,
-#           and the probe-cadence tests (see docs/PRECISION.md)
+#           and the probe-cadence tests (see docs/PRECISION.md). First a
+#           grep guard: the non-test code of crates/core/src/solver.rs
+#           may not copy the caller's pattern (`col_ptr().to_vec()`,
+#           `row_idx().to_vec()`) or hold a `(usize, usize)` scatter slot
+#           — a solver shares A's pattern and its scatter map keeps 8-byte
+#           slots (docs/REFACTORISATION.md "What is cached"), which the
+#           counting allocator of `--test build_peak` then measures
 #   solve   solve-phase layer: the panel triangular solve must equal the
 #           per-RHS sweeps bit for bit, and every execution mode (ranks,
 #           shared threads) must solve
@@ -173,6 +179,14 @@ stage_comm() {
 }
 
 stage_precision() {
+    echo "--- shared pattern: no copy of A's pattern and no 16-byte scatter slot in the solver"
+    if awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit } { print FILENAME ":" FNR ": " $0 }' \
+        crates/core/src/solver.rs |
+        grep -E 'col_ptr\(\)\.to_vec\(\)|row_idx\(\)\.to_vec\(\)|\(usize, usize\)'; then
+        echo "ci.sh: a solver holds a value-less handle on the caller's pattern, not a copy," \
+            "and its scatter map stores (u32, u32) slots" >&2
+        return 1
+    fi
     cargo test --release -q -p pangulu-core --lib -- \
         mixed precision scalar_width fallback falls_back widened probe
     cargo test --release -q --test precision_fallback --test solver_equivalence \

@@ -1,15 +1,18 @@
 //! The analysis holds nothing the size of L+U besides the factor itself:
 //! symbolic factorisation peaks close to the pattern it returns, the heap
 //! peak of `Solver::build` stays close to the bytes the solver keeps once
-//! it is built, a built solver keeps A's values only in its factor store,
-//! a multi-rank solver keeps no second copy of the factor, a
-//! mixed-precision solver keeps one factor store, in f32, and the kernel
-//! plan pool a first refactorisation builds is what `plan_bytes` reports
-//! and does not set the heap peak; a block store's `memory_bytes` is the
-//! heap it leaves live. A counting global allocator measures all seven,
-//! so this file is its own test binary with one test in it — no other
-//! test allocates while it counts.
+//! it is built, a built solver keeps A's values only in its factor store
+//! and shares A's pattern, a multi-rank solver keeps no second copy of the
+//! factor, a mixed-precision solver keeps one factor store, in f32, the
+//! kernel plan pool a first refactorisation builds is what `plan_bytes`
+//! reports and does not set the heap peak, and `solve_multi` holds one
+//! gathered panel at a time; a block store's `memory_bytes` is the heap
+//! it leaves live. A counting global allocator measures all eight, so
+//! this file is its own test binary with one test in it — no other test
+//! allocates while it counts.
 
+use pangulu::core::solver::ScatterSlot;
+use pangulu::core::trisolve::PANEL_WIDTH;
 use pangulu::core::{BlockMatrix, Precision, Solver};
 use pangulu::reorder::{reorder_for_lu, FillReducing};
 use pangulu::sparse::{gen, CscMatrix};
@@ -86,13 +89,15 @@ fn symbolic_peak_ratio(a: &CscMatrix) -> f64 {
 }
 
 /// The bytes `BlockMatrix::from_fill` leaves live on `a` reordered and
-/// tiled as the solver does it, and the store's `memory_bytes()`.
+/// tiled as the solver does it, and the store's `memory_bytes()`. The
+/// fill it consumes is counted from before `symbolic_fill`: the store is
+/// all that is left of it.
 fn store_bytes(a: &CscMatrix) -> (usize, usize) {
     let reordered = reorder_for_lu(a, FillReducing::Auto).unwrap().matrix;
+    let before = LIVE.load(Relaxed);
     let fill = symbolic_fill(&reordered).unwrap();
     let nb = BlockMatrix::choose_block_size(a.ncols(), fill.nnz_lu(), 1);
-    let before = LIVE.load(Relaxed);
-    let bm = BlockMatrix::<f64>::from_fill(&fill, nb).unwrap();
+    let bm = BlockMatrix::<f64>::from_fill(fill, nb).unwrap();
     let live = LIVE.load(Relaxed) - before;
     (live, bm.memory_bytes())
 }
@@ -120,16 +125,15 @@ fn kept_bytes(a: &CscMatrix, ranks: usize) -> usize {
     kept
 }
 
-/// The bytes a built f64 solver keeps besides its factor store and its
-/// copy of the caller's pattern (`refactor` checks new values against
-/// it), per unknown: the permutations, scalings, task graph and owner
-/// map — and nothing of A's values.
+/// The bytes a built f64 solver keeps besides its factor store, per
+/// unknown: the permutations, scalings, task graph and owner map — and
+/// nothing of A's values, nor of A's pattern, which it shares with the
+/// caller (`refactor` checks new values against it).
 fn kept_per_unknown_beside_the_factor(a: &CscMatrix) -> f64 {
     let before = LIVE.load(Relaxed);
     let solver = Solver::builder().build(a).unwrap();
     let kept = LIVE.load(Relaxed) - before;
-    let pattern = (a.ncols() + 1 + a.nnz()) * std::mem::size_of::<usize>();
-    let rest = kept - solver.factored().memory_bytes() - pattern;
+    let rest = kept - solver.factored().memory_bytes();
     drop(solver);
     rest as f64 / a.ncols() as f64
 }
@@ -160,24 +164,27 @@ fn first_refactor(solver: &mut Solver, a: &CscMatrix) -> (isize, usize, usize) {
     };
     let (grown, first) = refactor();
     let (_, steady) = refactor();
-    let scatter = a.nnz() * std::mem::size_of::<(usize, usize)>();
+    let scatter = a.nnz() * std::mem::size_of::<ScatterSlot>();
     (grown - scatter as isize, first, steady)
 }
 
-/// Measured: 1.067 (kkt), 1.018 (lap2d) and 1.085 (kkt, mixed), with
-/// the tiles loaded from A, full tiles sharing one pattern per shape and
-/// no reordered copy of A kept by an f64 solver. Copying the pattern
-/// into every full tile read 1.044 and 1.053 on kkt: the same transient
-/// over larger live bytes. Keeping the reordered copy read 1.035, 1.000
-/// and 1.000; keeping none but tiling from that copy, 1.116 on lap2d.
-/// The bound sits between those and what a build whose symbolic phase
-/// symmetrises A with values and buckets (row, column) pairs reads:
-/// 1.133, 1.070 and 1.096 (a build that also holds a global filled CSC
-/// beside the tiles reads 1.98, 1.81 and 1.66).
+/// Measured: 1.027 (kkt), 1.028 (lap2d), 1.052 (kkt, mixed), 1.031 and
+/// 1.033 (`kkt(1200, 560)`, f64 and mixed), with the tiles cut value-less
+/// and the fill's rows released before their values are allocated, and
+/// the caller's pattern shared, not copied. Holding the fill beside the
+/// finished store read 1.067, 1.018 and 1.085 while the solver copied
+/// the pattern, and 1.111, 1.092 and 1.143 once it shared it; the
+/// transient grows with the matrix (1.16 f64 and 1.24 mixed on
+/// `kkt(2400, 1120)`), so the mid-size case guards it. A build whose
+/// symbolic phase symmetrises A with values and buckets (row, column)
+/// pairs read 1.133, 1.070 and 1.096 with the pattern copied (a build
+/// that also holds a global filled CSC beside the tiles reads 1.98, 1.81
+/// and 1.66).
 #[test]
 fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     let kkt = gen::kkt(600, 280, 1);
     let lap = gen::laplacian_2d(64, 64);
+    let kkt_mid = gen::kkt(1200, 560, 1);
 
     // Symbolic factorisation walks A's pattern twice — count, then write
     // in place — and holds no symmetrised copy of A. Measured: 1.12 (kkt)
@@ -203,20 +210,23 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
         assert!(off <= 0.01, "{tag}: memory_bytes() is {off:.4} off the live store");
     }
 
-    const BOUND: f64 = 1.1;
+    const BOUND: f64 = 1.07;
     for (tag, a, precision) in [
         ("kkt f64", &kkt, Precision::F64),
         ("lap2d f64", &lap, Precision::F64),
         ("kkt mixed", &kkt, Precision::MixedF32),
+        ("kkt-mid f64", &kkt_mid, Precision::F64),
+        ("kkt-mid mixed", &kkt_mid, Precision::MixedF32),
     ] {
         let ratio = build_peak_ratio(a, precision);
         eprintln!("{tag}: build peak / live after build = {ratio:.3}");
         assert!(ratio < BOUND, "{tag}: build peak is {ratio:.3}x the live bytes (bound {BOUND})");
     }
 
-    // A built f64 solver keeps A's values only in its factor store.
-    // Measured beside the store and the caller's pattern: 126.7 B (kkt)
-    // and 68.1 B (lap2d) per unknown. On kkt: permutations, scalings and
+    // A built f64 solver keeps A's values only in its factor store, and
+    // shares A's pattern. Measured beside the store: 126.7 B (kkt) and
+    // 68.1 B (lap2d) per unknown; a solver that copied the pattern kept
+    // 8·(n + 1 + nnz(A)) bytes more. On kkt: permutations, scalings and
     // inverse permutations 48, the task graph 76.9, the owner map 1.7
     // (`memory_bytes` counts the diagonal table and tile headers, which
     // it left out when this read 161.0 and 87.3). A solver that also
@@ -224,7 +234,7 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     // 268.7 and 174.4 on that older count.
     for (tag, a, bound) in [("kkt", &kkt, 215.0), ("lap2d", &lap, 130.0)] {
         let per_unknown = kept_per_unknown_beside_the_factor(a);
-        eprintln!("{tag}: kept beside factor and pattern = {per_unknown:.1} B per unknown");
+        eprintln!("{tag}: kept beside the factor = {per_unknown:.1} B per unknown");
         assert!(
             per_unknown < bound,
             "{tag}: {per_unknown:.1} B per unknown beside the factor (bound {bound}): \
@@ -252,9 +262,10 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
 
     // Ranks factor their own blocks in the solver's store and keep only
     // the remote blocks they received, whose zero-valued shells share the
-    // patterns of the blocks they copy. Measured: 1.30 (1.52 when every
-    // tile and shell copied its pattern); a rank table that clones every
-    // owned block read 2.10.
+    // patterns of the blocks they copy. Measured: 1.34 (1.30 while each
+    // solver copied A's pattern, 1.52 when every tile and shell also
+    // copied its own); a rank table that clones every owned block read
+    // 2.10.
     const RANKS_BOUND: f64 = 1.8;
     let circuit = gen::circuit(2000, 1);
     let ratio = kept_bytes(&circuit, 2) as f64 / kept_bytes(&circuit, 1) as f64;
@@ -262,7 +273,8 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     assert!(ratio < RANKS_BOUND, "circuit: 2 ranks keep {ratio:.3}x 1 rank (bound {RANKS_BOUND})");
 
     // A mixed solver keeps its f32 factors and no f64 store beside them.
-    // Measured: 0.863 (0.897 when every tile copied its pattern); with an
+    // Measured: 0.841 (0.863 with A's pattern copied and 16-byte scatter
+    // slots, 0.897 when every tile also copied its pattern); with an
     // f64 store resident beside the f32 one it read 1.44.
     const MIXED_BOUND: f64 = 0.9;
     let (f64_bytes, f64_solver) = steady_bytes(&kkt, Precision::F64);
@@ -298,4 +310,23 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     let grew = LIVE.load(Relaxed) - live;
     assert!(grew >= widened_values, "factored() widened without allocating ({grew} B)");
     drop(readings);
+    drop(mixed);
+
+    // `solve_multi` gathers one panel at a time: 70 right-hand sides (three
+    // panels) peak at one gathered panel above the solutions they return.
+    let solver = Solver::builder().build(&lap).unwrap();
+    let n = lap.ncols();
+    let bs: Vec<Vec<f64>> = (0..70).map(|s| gen::test_rhs(n, s)).collect();
+    let panel = PANEL_WIDTH * n * std::mem::size_of::<f64>();
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    let xs = solver.solve_multi(&bs).unwrap();
+    let (outputs, peak) = (LIVE.load(Relaxed) - live, PEAK.load(Relaxed) - live);
+    eprintln!("lap2d: 70-rhs solve_multi peak {peak} B, solutions {outputs} B, panel {panel} B");
+    assert!(
+        peak <= outputs + panel + panel / 8,
+        "lap2d: solve_multi peaks {} B above its solutions (one panel is {panel} B)",
+        peak - outputs
+    );
+    drop(xs);
 }

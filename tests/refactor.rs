@@ -248,6 +248,88 @@ fn refactor_rejects_pattern_mismatch() {
     assert!(relative_residual(&a, &x, &b).unwrap() < 1e-10);
 }
 
+/// A mismatch names the first column that differs from the analysed
+/// pattern, whether a row moved within a column (same nonzero count, same
+/// column pointers) or an entry moved to another column.
+#[test]
+fn pattern_mismatch_names_the_first_differing_column() {
+    let a = gen::laplacian_2d(8, 8);
+    let n = a.nrows();
+    let mut solver = Solver::factor(&a).unwrap();
+    let mismatch = |solver: &mut Solver, m: &CscMatrix| match solver.refactor(m) {
+        Err(SparseError::PatternMismatch(msg)) => msg,
+        other => panic!("expected PatternMismatch, got {other:?}"),
+    };
+
+    // Column 5's last row moves to n - 1: same nnz, same column pointers.
+    let j0 = 5;
+    let (lo, hi) = (a.col_ptr()[j0], a.col_ptr()[j0 + 1]);
+    let mut row_idx = a.row_idx().to_vec();
+    let was = row_idx[hi - 1];
+    assert!(was < n - 1 && !a.col(j0).0.contains(&(n - 1)));
+    row_idx[hi - 1] = n - 1;
+    let moved =
+        CscMatrix::from_parts(n, n, a.col_ptr().to_vec(), row_idx, a.values().to_vec()).unwrap();
+    assert_eq!(moved.nnz(), a.nnz());
+    let msg = mismatch(&mut solver, &moved);
+    let t = hi - 1 - lo;
+    let want = format!("column {j0} differs from the analysed pattern: entry {t} is row {n_1} where it is row {was}", n_1 = n - 1);
+    assert!(msg.starts_with(&want), "{msg}");
+
+    // An off-diagonal entry of column 3 moves to (0, n - 1): column 3 is
+    // the first whose pointers differ.
+    let mut coo = pangulu::sparse::CooMatrix::new(n, n);
+    let dropped = a.col(3).0.iter().copied().find(|&i| i != 3).unwrap();
+    for (i, j, v) in a.iter().filter(|&(i, j, _)| (i, j) != (dropped, 3)) {
+        coo.push(i, j, v).unwrap();
+    }
+    coo.push(0, n - 1, 1.0).unwrap();
+    let shifted = coo.to_csc();
+    assert_eq!(shifted.nnz(), a.nnz());
+    let msg = mismatch(&mut solver, &shifted);
+    let (had, has) = (a.col_nnz(3), a.col_nnz(3) - 1);
+    assert!(
+        msg.starts_with(&format!(
+            "column 3 differs from the analysed pattern: {has} entries where it has {had}"
+        )),
+        "{msg}"
+    );
+}
+
+/// The solver shares the caller's pattern instead of copying it: a clone
+/// of A passes the pattern check by pointer, an equal pattern built
+/// separately passes by comparison, and once the caller has dropped A the
+/// solver still refactors and solves, bitwise as a fresh build does.
+#[test]
+fn the_analysed_pattern_is_shared_with_the_caller() {
+    let a = gen::circuit(300, 21);
+    let n = a.nrows();
+    let mut solver = Solver::factor(&a).unwrap();
+    assert!(a.shares_pattern(solver.plan().pattern()), "the plan copied A's pattern");
+    assert_eq!((solver.plan().n(), solver.plan().nnz()), (n, a.nnz()));
+    let built = factor_bits(solver.factored());
+
+    let clone = a.clone();
+    assert!(clone.shares_pattern(solver.plan().pattern()), "a clone takes the pointer path");
+    solver.refactor(&clone).unwrap();
+    assert_eq!(factor_bits(solver.factored()), built, "refactor of a clone");
+
+    let (col_ptr, row_idx) = (a.col_ptr().to_vec(), a.row_idx().to_vec());
+    let separate = CscMatrix::from_parts(n, n, col_ptr, row_idx, a.values().to_vec()).unwrap();
+    assert!(!separate.shares_pattern(solver.plan().pattern()));
+    solver.refactor(&separate).unwrap();
+    assert_eq!(factor_bits(solver.factored()), built, "refactor of an equal pattern");
+
+    drop((a, clone));
+    let fresh = Solver::factor(&separate).unwrap();
+    solver.refactor(&perturb(&separate)).unwrap();
+    solver.refactor(&separate).unwrap();
+    assert_eq!(factor_bits(solver.factored()), factor_bits(fresh.factored()), "after A dropped");
+    let b = gen::test_rhs(n, 3);
+    let bits = |x: Vec<f64>| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(solver.solve(&b).unwrap()), bits(fresh.solve(&b).unwrap()));
+}
+
 /// Executor-level workspace reuse: running the cached path twice on the
 /// same workspace — under an adversarial (lossless delay/reorder) fault
 /// plan — yields factors bitwise equal to the one-shot checked run, and
