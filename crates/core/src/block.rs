@@ -292,12 +292,20 @@ impl<S: Scalar> BlockMatrix<S> {
         &self.diag_pos[lo..(lo + self.nb).min(self.n)]
     }
 
+    /// The diagonal block `(bk, bk)`. The tiler cuts one in every block
+    /// column, so it is the first block at or below row `bk` there.
+    pub(crate) fn diag_block(&self, bk: usize) -> &CscMatrix<S> {
+        let (lo, hi) = (self.blk_col_ptr[bk], self.blk_col_ptr[bk + 1]);
+        let id = lo + self.blk_row_idx[lo..hi].partition_point(|&bi| bi < bk);
+        debug_assert_eq!(self.blk_row_idx[id], bk, "block column {bk} has its diagonal tile");
+        &self.blocks[id]
+    }
+
     /// The stored diagonal, unknown by unknown: each entry read at its
     /// [`BlockMatrix::diag_positions`] offset, no search within a column.
     pub(crate) fn diagonal(&self) -> impl Iterator<Item = S> + '_ {
-        let diag_blocks = (0..self.nblk).filter_map(|bk| Some((bk, self.block_id(bk, bk)?)));
-        diag_blocks.flat_map(|(bk, id)| {
-            let d = &self.blocks[id];
+        (0..self.nblk).flat_map(|bk| {
+            let d = self.diag_block(bk);
             self.diag_positions(bk).iter().enumerate().map(move |(c, &p)| d.col(c).1[p])
         })
     }
@@ -801,6 +809,7 @@ mod tests {
         for k in 0..bm.nblk() {
             let id = bm.block_id(k, k).expect("diagonal block must exist");
             let b = bm.block(id);
+            assert!(std::ptr::eq(bm.diag_block(k), b), "diag_block({k}) is block {id}");
             assert!(b.is_square());
             assert!(b.has_full_diagonal());
         }

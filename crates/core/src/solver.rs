@@ -12,7 +12,7 @@
 //! sides against the factorisation.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError, TryLockError};
 use std::time::{Duration, Instant};
 
 use pangulu_comm::ProcessGrid;
@@ -467,15 +467,16 @@ fn check_finite(a: &CscMatrix) -> Result<()> {
     }
 }
 
-/// Gathers `k ≥ 1` right-hand sides into a row-major `n × k` panel,
+/// Gathers `k ≥ 1` right-hand sides into the row-major `n × k` `panel`,
 /// permuting and scaling in one pass:
 /// `panel[pos[old] · k + j] = bs[j][old] · scale[old]`, `pos` being the
 /// inverse of the permutation applied (`pos[old] = new`) — the same one
 /// multiply per entry as scaling first and permuting after, so the bits
-/// are those of the two-pass form. The loop runs in the caller's index
-/// order: every `bs[j]` is read front to back and each panel row is one
-/// contiguous k-lane write. Every `bs[j]` must already be known to have
-/// length `pos.len()`.
+/// are those of the two-pass form. Every entry of `panel` is written, so
+/// a reused panel keeps nothing of an earlier gather. The loop runs in
+/// the caller's index order: every `bs[j]` is read front to back and each
+/// panel row is one contiguous k-lane write. Every `bs[j]` must already
+/// be known to have length `pos.len()`.
 ///
 /// The same pass checks every entry: a NaN or infinite one fails with
 /// [`SparseError::NonFinite`] `{ row, col: rhs0 + j }` for the first such
@@ -486,9 +487,10 @@ fn gather_scaled<B: AsRef<[f64]>>(
     scale: &[f64],
     bs: &[B],
     rhs0: usize,
-) -> Result<Vec<f64>> {
+    panel: &mut [f64],
+) -> Result<()> {
     let k = bs.len();
-    let mut panel = vec![0.0; pos.len() * k];
+    debug_assert_eq!(panel.len(), pos.len() * k, "panel is n × k");
     let mut finite = true;
     for (old, (&new, &s)) in pos.as_slice().iter().zip(scale).enumerate() {
         for (p, b) in panel[new * k..(new + 1) * k].iter_mut().zip(bs) {
@@ -504,17 +506,28 @@ fn gather_scaled<B: AsRef<[f64]>>(
             }
         }
     }
-    Ok(panel)
+    Ok(())
 }
 
-/// The inverse of [`gather_scaled`] on the way out: scatters the `k ≥ 1`
-/// columns of a row-major panel through the inverse permutation, scaling
-/// as it goes: `out[j][old] = panel[pos[old] · k + j] · scale[old]`. Also
-/// in the caller's index order, [`SCATTER_ROWS`] rows at a time through a
-/// column-major tile, so every output grows by in-order block appends and
-/// nothing is zero-filled first.
-fn scatter_scaled(pos: &Permutation, scale: &[f64], panel: &[f64], k: usize) -> Vec<Vec<f64>> {
-    let mut out: Vec<Vec<f64>> = (0..k).map(|_| Vec::with_capacity(pos.len())).collect();
+/// [`gather_scaled`] of one right-hand side into a vector of its own.
+fn gather_one(pos: &Permutation, scale: &[f64], b: &[f64], rhs: usize) -> Result<Vec<f64>> {
+    let mut z = vec![0.0; pos.len()];
+    gather_scaled(pos, scale, &[b], rhs, &mut z)?;
+    Ok(z)
+}
+
+/// The inverse of [`gather_scaled`] on the way out: scatters the
+/// `k = out.len()` columns of a row-major panel through the inverse
+/// permutation, scaling as it goes, onto the empty vectors of `out`:
+/// `out[j][old] = panel[pos[old] · k + j] · scale[old]`. Also in the
+/// caller's index order, [`SCATTER_ROWS`] rows at a time through a
+/// column-major tile, so every output grows by in-order block appends
+/// into its exact capacity and nothing is zero-filled first.
+fn scatter_scaled(pos: &Permutation, scale: &[f64], panel: &[f64], out: &mut [Vec<f64>]) {
+    let k = out.len();
+    for x in out.iter_mut() {
+        x.reserve_exact(pos.len());
+    }
     let mut tile = vec![0.0; SCATTER_ROWS * k];
     for (news, scales) in pos.as_slice().chunks(SCATTER_ROWS).zip(scale.chunks(SCATTER_ROWS)) {
         for (i, (&new, &s)) in news.iter().zip(scales).enumerate() {
@@ -526,7 +539,16 @@ fn scatter_scaled(pos: &Permutation, scale: &[f64], panel: &[f64], k: usize) -> 
             x.extend_from_slice(&col[..news.len()]);
         }
     }
-    out
+}
+
+/// One panel of right-hand sides gathered into the factor's order, with
+/// the factors it is solved against.
+enum Gathered<'a> {
+    /// f64 factors: the row-major `n × k` panel, in the solve workspace.
+    Panel(&'a BlockMatrix, &'a mut [f64]),
+    /// Mixed factors: one vector per right-hand side, each refined on
+    /// its own.
+    Columns(&'a MixedState, Vec<Vec<f64>>),
 }
 
 /// The f32 preconditioner of [`refine_inner`] over a set of `k ≥ 1`
@@ -892,6 +914,11 @@ pub struct Solver {
     plan: SolverPlan,
     stats: FactorStats,
     n: usize,
+    /// The solve workspace: the row-major `n × k` panel the f64 solves
+    /// gather into, sweep and scatter from. Allocated by the first solve
+    /// and grown to the widest panel swept, at most [`PANEL_WIDTH`] lanes
+    /// (see [`Solver::with_panel`]).
+    panel: Mutex<Vec<f64>>,
 }
 
 impl Solver {
@@ -974,7 +1001,8 @@ impl Solver {
 
         let plan = SolverPlan { n, pattern: a.pattern(), scatter: None };
 
-        let solver = Solver { opts, frame, factors, tg, owners, plan, stats, n };
+        let panel = Mutex::new(Vec::new());
+        let solver = Solver { opts, frame, factors, tg, owners, plan, stats, n, panel };
         solver.check_factors()?;
         Ok(solver)
     }
@@ -1238,54 +1266,109 @@ impl Solver {
                 self.n
             )));
         }
-        let gathered = self.gather_panel(&[b], 0)?;
-        Ok(self.solve_panel(gathered, 1).pop().expect("one rhs in, one solution out"))
+        let mut x = [Vec::new()];
+        self.with_panel(self.panel_len(1), |ws| {
+            let gathered = self.gather_panel(&[b], 0, ws)?;
+            self.solve_panel(gathered, &mut x);
+            Ok(())
+        })?;
+        let [x] = x;
+        Ok(x)
+    }
+
+    /// The workspace entries a `k`-lane panel takes: `n · k` on f64
+    /// factors, none on mixed ones (they refine column by column in
+    /// vectors of their own).
+    fn panel_len(&self, k: usize) -> usize {
+        match self.factors {
+            Factors::F64 { .. } => self.n * k,
+            Factors::Mixed(_) => 0,
+        }
+    }
+
+    /// Runs `f` on the first `len` entries of the solve workspace, which
+    /// is first grown to `len` if it is shorter: the narrower panel is
+    /// freed before the wider one is allocated, exactly `len` long. While
+    /// another solve on this solver holds the workspace, `f` runs on a
+    /// buffer of its own instead, so solves through `&self` may run
+    /// concurrently. `f` reads only what it wrote: a gather writes every
+    /// entry of its panel.
+    fn with_panel<R>(&self, len: usize, f: impl FnOnce(&mut [f64]) -> Result<R>) -> Result<R> {
+        let mut guard = match self.panel.try_lock() {
+            Ok(guard) => Some(guard),
+            // A solve that panicked left only entries the next gather
+            // overwrites.
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        };
+        let mut local = Vec::new();
+        let ws = guard.as_deref_mut().unwrap_or(&mut local);
+        if ws.len() < len {
+            *ws = Vec::new();
+            *ws = vec![0.0; len];
+        }
+        f(&mut ws[..len])
+    }
+
+    /// The bytes the solve workspace keeps (0 before the first f64 solve).
+    fn panel_bytes(&self) -> usize {
+        let ws = self.panel.lock().unwrap_or_else(PoisonError::into_inner);
+        ws.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Gathers the `k ≤` [`PANEL_WIDTH`] right-hand sides of one panel
     /// (every length already checked, `rhs0` the caller's index of
-    /// `bs[0]`) into the factor's order, for [`Solver::solve_panel`]: one
-    /// row-major `n × k` panel, or in mixed mode one vector per right-hand
-    /// side. A non-finite entry fails here, before any sweep runs or any
-    /// precision counter moves.
-    fn gather_panel<B: AsRef<[f64]>>(&self, bs: &[B], rhs0: usize) -> Result<Vec<Vec<f64>>> {
+    /// `bs[0]`) into the factor's order, for [`Solver::solve_panel`]: into
+    /// the first `n · k` entries of the workspace `ws`, or in mixed mode
+    /// one vector per right-hand side. A non-finite entry fails here,
+    /// before any sweep runs or any precision counter moves.
+    fn gather_panel<'a, B: AsRef<[f64]>>(
+        &'a self,
+        bs: &[B],
+        rhs0: usize,
+        ws: &'a mut [f64],
+    ) -> Result<Gathered<'a>> {
         // A x = b  ⇔  (Pr Dr A Dc Pc^T)(Pc Dc^{-1} x) = Pr Dr b.
         let (pos, scale) = (&self.frame.row_pos, &self.frame.ordering.row_scale);
-        if self.factored32().is_some() {
-            bs.iter().enumerate().map(|(j, b)| gather_scaled(pos, scale, &[b], rhs0 + j)).collect()
-        } else {
-            Ok(vec![gather_scaled(pos, scale, bs, rhs0)?])
+        match &self.factors {
+            Factors::Mixed(mx) => {
+                let zs = bs.iter().enumerate();
+                let zs = zs.map(|(j, b)| gather_one(pos, scale, b.as_ref(), rhs0 + j));
+                Ok(Gathered::Columns(mx, zs.collect::<Result<_>>()?))
+            }
+            Factors::F64 { bm, .. } => {
+                let panel = &mut ws[..self.n * bs.len()];
+                gather_scaled(pos, scale, bs, rhs0, panel)?;
+                Ok(Gathered::Panel(bm, panel))
+            }
         }
     }
 
-    /// Solves `A x_j = b_j` for the `k` right-hand sides of one gathered
-    /// panel: one pass over the factor per sweep, one scatter.
-    fn solve_panel(&self, mut gathered: Vec<Vec<f64>>, k: usize) -> Vec<Vec<f64>> {
-        let r = &self.frame.ordering;
-        let outer = |z: &[f64], k: usize| scatter_scaled(&self.frame.col_pos, &r.col_scale, z, k);
-        match &self.factors {
-            Factors::Mixed(mx) => {
+    /// Solves `A x_j = b_j` for the `k = out.len()` right-hand sides of
+    /// one gathered panel — one pass over the factor per sweep, one
+    /// scatter — into the empty vectors of `out`.
+    fn solve_panel(&self, gathered: Gathered<'_>, out: &mut [Vec<f64>]) {
+        let (pos, scale) = (&self.frame.col_pos, &self.frame.ordering.col_scale);
+        match gathered {
+            Gathered::Columns(mx, zs) => {
                 // The f32 triangular solve is only a preconditioner;
                 // iterative refinement against the f64 scaled input
                 // recovers full f64 accuracy (or stops at the stagnation
                 // point).
-                let refined = refine_inner(
-                    &mx.factored32,
-                    &mx.scaled_a,
-                    &gathered,
-                    REFINE_TOL,
-                    MAX_REFINE_ITERS,
-                );
+                let refined =
+                    refine_inner(&mx.factored32, &mx.scaled_a, &zs, REFINE_TOL, MAX_REFINE_ITERS);
                 let iters: usize = refined.iter().map(|(_, _, iters)| iters).sum();
                 mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
                 mx.refined_solves.fetch_add(refined.len() as u64, Ordering::Relaxed);
-                refined.iter().flat_map(|(z, _, _)| outer(z, 1)).collect()
+                for ((z, _, _), x) in refined.iter().zip(out) {
+                    scatter_scaled(pos, scale, z, std::slice::from_mut(x));
+                }
             }
-            Factors::F64 { bm, .. } => {
-                let panel = &mut gathered[0];
+            Gathered::Panel(bm, panel) => {
+                let k = out.len();
                 forward_substitute_panel(bm, panel, k);
                 backward_substitute_panel(bm, panel, k);
-                outer(panel, k)
+                scatter_scaled(pos, scale, panel, out);
             }
         }
     }
@@ -1332,6 +1415,10 @@ impl Solver {
             tile_rows::<f64>(),
             tile_rows::<f32>(),
         );
+        // Kept between solves; mixed factors never take it.
+        let ws = self.panel_bytes();
+        let lanes = ws / (self.n * std::mem::size_of::<f64>()).max(1);
+        let _ = writeln!(out, "solve workspace: {ws} B kept ({lanes} of {PANEL_WIDTH} lanes)");
         if let Some(r) = &s.report {
             let _ = writeln!(
                 out,
@@ -1429,10 +1516,12 @@ impl Solver {
         }
         // Aᵀ x = b  ⇔  Mᵀ (P_r D_r⁻¹ x) = P_c D_c b with M = L U.
         let r = &self.frame.ordering;
-        let mut z = gather_scaled(&self.frame.col_pos, &r.col_scale, &[b], 0)?;
+        let (pos, scale) = (&self.frame.col_pos, &r.col_scale);
+        let mut x = [Vec::new()];
         match &self.factors {
             Factors::Mixed(mx) => {
-                let (zt, _rel, iters) = refine_inner_transpose(
+                let z = gather_one(pos, scale, b, 0)?;
+                let (z, _rel, iters) = refine_inner_transpose(
                     &mx.factored32,
                     &mx.scaled_a,
                     z,
@@ -1441,14 +1530,18 @@ impl Solver {
                 );
                 mx.refine_iters.fetch_add(iters as u64, Ordering::Relaxed);
                 mx.refined_solves.fetch_add(1, Ordering::Relaxed);
-                z = zt;
+                scatter_scaled(&self.frame.row_pos, &r.row_scale, &z, &mut x);
             }
-            Factors::F64 { bm, .. } => {
-                forward_substitute_transpose(bm, &mut z);
-                backward_substitute_transpose(bm, &mut z);
-            }
+            Factors::F64 { bm, .. } => self.with_panel(self.n, |z| {
+                gather_scaled(pos, scale, &[b], 0, z)?;
+                forward_substitute_transpose(bm, z);
+                backward_substitute_transpose(bm, z);
+                scatter_scaled(&self.frame.row_pos, &r.row_scale, z, &mut x);
+                Ok(())
+            })?,
         }
-        Ok(scatter_scaled(&self.frame.row_pos, &r.row_scale, &z, 1).pop().expect("one column"))
+        let [x] = x;
+        Ok(x)
     }
 
     /// Solves several right-hand sides (columns of `bs`) against the one
@@ -1461,10 +1554,15 @@ impl Solver {
     /// All lengths, then all values, are checked before any sweep runs;
     /// the error names the first offending right-hand side. A NaN or
     /// infinite entry fails with [`SparseError::NonFinite`] `{ row, col }`,
-    /// `col` being the index of its right-hand side. Only one gathered
-    /// panel is live at a time: the first panel's gather checks its
-    /// values, a scan checks the rest, and each later panel is gathered
-    /// when its turn comes.
+    /// `col` being the index of its right-hand side: the first panel's
+    /// gather checks its values, a scan checks the rest, and each later
+    /// panel is gathered when its turn comes.
+    ///
+    /// Every panel is gathered into the solver's one solve workspace,
+    /// which the first solve allocates and later ones reuse (a solve
+    /// running concurrently on the same solver uses a buffer of its own):
+    /// a call allocates the solutions it returns and a 64-row scatter
+    /// tile per panel, nothing the size of a panel.
     pub fn solve_multi(&self, bs: &[Vec<f64>]) -> Result<Vec<Vec<f64>>> {
         self.check_factors()?;
         if let Some((j, b)) = bs.iter().enumerate().find(|(_, b)| b.len() != self.n) {
@@ -1479,18 +1577,24 @@ impl Solver {
         let Some(first) = panels.next() else {
             return Ok(Vec::new());
         };
-        let gathered = self.gather_panel(first, 0)?;
-        for (j, b) in bs.iter().enumerate().skip(PANEL_WIDTH) {
-            if let Some(row) = b.iter().position(|v| !v.is_finite()) {
-                return Err(SparseError::NonFinite { row, col: j });
-            }
-        }
         let mut out = Vec::with_capacity(bs.len());
-        out.extend(self.solve_panel(gathered, first.len()));
-        for (p, panel) in panels.enumerate() {
-            let gathered = self.gather_panel(panel, (p + 1) * PANEL_WIDTH)?;
-            out.extend(self.solve_panel(gathered, panel.len()));
-        }
+        self.with_panel(self.panel_len(first.len()), |ws| {
+            let gathered = self.gather_panel(first, 0, ws)?;
+            for (j, b) in bs.iter().enumerate().skip(PANEL_WIDTH) {
+                if let Some(row) = b.iter().position(|v| !v.is_finite()) {
+                    return Err(SparseError::NonFinite { row, col: j });
+                }
+            }
+            out.resize_with(first.len(), Vec::new);
+            self.solve_panel(gathered, &mut out);
+            for (p, panel) in panels.enumerate() {
+                let gathered = self.gather_panel(panel, (p + 1) * PANEL_WIDTH, ws)?;
+                let at = out.len();
+                out.resize_with(at + panel.len(), Vec::new);
+                self.solve_panel(gathered, &mut out[at..]);
+            }
+            Ok(())
+        })?;
         Ok(out)
     }
 
@@ -1896,13 +2000,14 @@ mod tests {
         let n = a.nrows();
         let bs: Vec<Vec<f64>> =
             (0..2 * PANEL_WIDTH + 3).map(|s| gen::test_rhs(n, s as u64)).collect();
-        let bits = |xs: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            xs.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
-        };
         for precision in [Precision::F64, Precision::MixedF32] {
             let solver = Solver::builder().precision(precision).build(&a).unwrap();
             let alone: Vec<Vec<f64>> = bs.iter().map(|b| solver.solve(b).unwrap()).collect();
-            assert_eq!(bits(&solver.solve_multi(&bs).unwrap()), bits(&alone), "{precision:?}");
+            assert_eq!(
+                bits_of(&solver.solve_multi(&bs).unwrap()),
+                bits_of(&alone),
+                "{precision:?}"
+            );
             // Bad values in the first and the last panel: the first one is
             // named, and nothing is solved.
             let solved = solver.precision_counters().refined_solves;
@@ -1913,6 +2018,72 @@ mod tests {
             assert_eq!(solver.solve_multi(&bad), Err(want), "{precision:?}");
             assert_eq!(solver.precision_counters().refined_solves, solved, "{precision:?}");
         }
+    }
+
+    fn bits_of(xs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        xs.iter().map(|x| x.iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    #[test]
+    fn solve_multi_reuses_its_panel_bitwise_across_widths() {
+        let a = gen::kkt(60, 25, 2);
+        let n = a.nrows();
+        // Every right-hand side is new, so a stale lane cannot match.
+        let mut seed = 0u64;
+        let mut rhs = |k: usize| -> Vec<Vec<f64>> {
+            let first = seed;
+            seed += k as u64;
+            (first..seed).map(|s| gen::test_rhs(n, s)).collect()
+        };
+        for precision in [Precision::F64, Precision::MixedF32] {
+            let build = || Solver::builder().precision(precision).build(&a).unwrap();
+            let solver = build();
+            // A narrower panel after a wider one must not read the wider
+            // one's stale lanes; single solves run in the same workspace.
+            for k in [PANEL_WIDTH, 5, 1, 2 * PANEL_WIDTH + 6, PANEL_WIDTH] {
+                let bs = rhs(k);
+                let fresh = build().solve_multi(&bs).unwrap();
+                assert_eq!(bits_of(&solver.solve_multi(&bs).unwrap()), bits_of(&fresh), "k = {k}");
+                let b = &rhs(1)[0];
+                let x = solver.solve(b).unwrap();
+                assert_eq!(bits_of(&[x]), bits_of(&[build().solve(b).unwrap()]), "k = {k}");
+                let x = solver.solve_transpose(b).unwrap();
+                let fresh = build().solve_transpose(b).unwrap();
+                assert_eq!(bits_of(&[x]), bits_of(&[fresh]), "k = {k}");
+            }
+        }
+    }
+
+    #[test]
+    fn solve_multi_on_two_threads_matches_the_sequential_bits() {
+        let a = gen::circuit(300, 4);
+        let n = a.nrows();
+        let solver = Solver::factor(&a).unwrap();
+        let sets: Vec<Vec<Vec<f64>>> = (0..2u64)
+            .map(|t| (0..PANEL_WIDTH as u64 + 3).map(|s| gen::test_rhs(n, 100 * t + s)).collect())
+            .collect();
+        let sequential: Vec<_> =
+            sets.iter().map(|bs| bits_of(&solver.solve_multi(bs).unwrap())).collect();
+        // While another caller holds the workspace a solve runs in a
+        // buffer of its own, with the same bits, and does not wait.
+        {
+            let _held = solver.panel.lock().unwrap();
+            assert_eq!(bits_of(&solver.solve_multi(&sets[0]).unwrap()), sequential[0]);
+            let x = solver.solve(&sets[1][0]).unwrap();
+            assert_eq!(bits_of(&[x]), sequential[1][..1]);
+        }
+        let start = std::sync::Barrier::new(sets.len());
+        std::thread::scope(|scope| {
+            for (bs, want) in sets.iter().zip(&sequential) {
+                let (solver, start) = (&solver, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        assert_eq!(&bits_of(&solver.solve_multi(bs).unwrap()), want);
+                    }
+                });
+            }
+        });
     }
 
     #[test]
@@ -1979,6 +2150,26 @@ mod tests {
             let line = format!("kernel plans: {} bytes in {} plans\n", ps.bytes, ps.builds);
             assert!(ps.bytes > 0 && solver.report(&a).contains(&line), "{}", solver.report(&a));
         }
+    }
+
+    #[test]
+    fn report_states_the_kept_solve_workspace() {
+        let a = gen::laplacian_2d(8, 8);
+        let n = a.nrows();
+        let line = |lanes: usize| {
+            format!("solve workspace: {} B kept ({lanes} of {PANEL_WIDTH} lanes)\n", lanes * n * 8)
+        };
+        let solver = Solver::factor(&a).unwrap();
+        assert!(solver.report(&a).contains(&line(0)), "{}", solver.report(&a));
+        solver.solve(&gen::test_rhs(n, 1)).unwrap();
+        assert!(solver.report(&a).contains(&line(1)), "{}", solver.report(&a));
+        let bs: Vec<Vec<f64>> = (0..PANEL_WIDTH as u64 + 1).map(|s| gen::test_rhs(n, s)).collect();
+        solver.solve_multi(&bs).unwrap();
+        assert!(solver.report(&a).contains(&line(PANEL_WIDTH)), "{}", solver.report(&a));
+        // Mixed factors refine column by column and keep no panel.
+        let mixed = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+        mixed.solve_multi(&bs).unwrap();
+        assert!(mixed.report(&a).contains(&line(0)), "{}", mixed.report(&a));
     }
 
     #[test]

@@ -134,7 +134,7 @@ fn sweep<S: Scalar, const FIXED: usize, const UPPER: bool>(
     let nblk = bm.nblk();
     for step in 0..nblk {
         let bk = if UPPER { nblk - 1 - step } else { step };
-        let diag = bm.block(bm.block_id(bk, bk).expect("diagonal block exists"));
+        let diag = bm.diag_block(bk);
         let base = bk * nb;
         let seg = &mut x[base * k..(base + diag.ncols()) * k];
         solve_diag::<S, UPPER>(diag, bm.diag_positions(bk), seg, k);
@@ -263,7 +263,7 @@ pub fn forward_substitute_transpose<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S])
         }
         // Solve Uᵀ(k,k) y_k = x_k: ascending columns, dot over the
         // column's strict-upper entries (which are Uᵀ's row entries).
-        let d = bm.block(bm.block_id(k, k).expect("diagonal block"));
+        let d = bm.diag_block(k);
         for (c, &dpos) in bm.diag_positions(k).iter().enumerate() {
             let (rows, vals) = d.col(c);
             let mut acc = x[base + c];
@@ -301,7 +301,7 @@ pub fn backward_substitute_transpose<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S]
         }
         // Solve Lᵀ(k,k) x_k = y_k: descending columns, dot over the
         // column's strict-lower entries; unit diagonal.
-        let d = bm.block(bm.block_id(k, k).expect("diagonal block"));
+        let d = bm.diag_block(k);
         for (c, &dpos) in bm.diag_positions(k).iter().enumerate().rev() {
             let (rows, vals) = d.col(c);
             let start = dpos + 1;

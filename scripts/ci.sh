@@ -56,7 +56,12 @@
 #           sweep instance each against the scalar oracle; the log names
 #           the instances this runner checked), the block tests (the
 #           diagonal-position table) and tests/solve_panel.rs, each run
-#           without and with --release (see docs/ALGORITHM.md §5)
+#           without and with --release (see docs/ALGORITHM.md §5); the
+#           solve_multi tests include one solver answering a sequence of
+#           widths against fresh solvers and two threads sharing one
+#           solver (the workspace fallback). Last `--test build_peak` in
+#           release: the first solve_multi keeps one panel, a second
+#           allocates none beside its solutions
 #   kernels  kernel layer. One level of parallelism first:
 #           crates/kernels/src may hold no `std::thread`, no `Atomic*` and
 #           no `unsafe impl` — every kernel runs on its task's thread and
@@ -204,6 +209,8 @@ stage_solve() {
             trisolve solve_multi block:: sweep_instance --skip both_sweep_instances
         cargo test $profile -q --test solve_panel
     done
+    echo "--- one kept solve panel, none allocated per call (counting allocator)"
+    cargo test --release -q --test build_peak
 }
 
 stage_kernels() {

@@ -5,11 +5,11 @@
 //! and shares A's pattern, a multi-rank solver keeps no second copy of the
 //! factor, a mixed-precision solver keeps one factor store, in f32, the
 //! kernel plan pool a first refactorisation builds is what `plan_bytes`
-//! reports and does not set the heap peak, and `solve_multi` holds one
-//! gathered panel at a time; a block store's `memory_bytes` is the heap
-//! it leaves live. A counting global allocator measures all eight, so
-//! this file is its own test binary with one test in it — no other test
-//! allocates while it counts.
+//! reports and does not set the heap peak, and `solve_multi` allocates
+//! one panel on its first call and none after; a block store's
+//! `memory_bytes` is the heap it leaves live. A counting global
+//! allocator measures all eight, so this file is its own test binary
+//! with one test in it — no other test allocates while it counts.
 
 use pangulu::core::solver::ScatterSlot;
 use pangulu::core::trisolve::PANEL_WIDTH;
@@ -312,8 +312,14 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     drop(readings);
     drop(mixed);
 
-    // `solve_multi` gathers one panel at a time: 70 right-hand sides (three
-    // panels) peak at one gathered panel above the solutions they return.
+    // `solve_multi` gathers every panel into the solver's one solve
+    // workspace, which the first call allocates and keeps: 70 right-hand
+    // sides (three panels) peak at one panel (+1/8) above the solutions
+    // they return, and leave one panel live beside them. Measured: the
+    // first call peaks 1 051 648 B above its solutions (the 1 MiB panel
+    // and a 3 KiB scatter tile), the second 3 072 B; a solver that
+    // gathered a fresh panel per call peaked one panel above them on
+    // every call.
     let solver = Solver::builder().build(&lap).unwrap();
     let n = lap.ncols();
     let bs: Vec<Vec<f64>> = (0..70).map(|s| gen::test_rhs(n, s)).collect();
@@ -321,12 +327,54 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     let live = LIVE.load(Relaxed);
     PEAK.store(live, Relaxed);
     let xs = solver.solve_multi(&bs).unwrap();
-    let (outputs, peak) = (LIVE.load(Relaxed) - live, PEAK.load(Relaxed) - live);
-    eprintln!("lap2d: 70-rhs solve_multi peak {peak} B, solutions {outputs} B, panel {panel} B");
+    let (grown, peak, outputs) = (LIVE.load(Relaxed) - live, PEAK.load(Relaxed) - live, bytes(&xs));
+    eprintln!(
+        "lap2d: first 70-rhs solve_multi peak {peak} B, kept {grown} B, solutions {outputs} B"
+    );
     assert!(
         peak <= outputs + panel + panel / 8,
         "lap2d: solve_multi peaks {} B above its solutions (one panel is {panel} B)",
         peak - outputs
     );
+    assert_eq!(grown, outputs + panel, "lap2d: the first solve_multi keeps one panel");
     drop(xs);
+
+    // A second call allocates no panel: it peaks at most a scatter tile
+    // above its solutions and leaves exactly them live.
+    let live = LIVE.load(Relaxed);
+    PEAK.store(live, Relaxed);
+    let xs = solver.solve_multi(&bs).unwrap();
+    let (grown, peak, outputs) = (LIVE.load(Relaxed) - live, PEAK.load(Relaxed) - live, bytes(&xs));
+    eprintln!("lap2d: second 70-rhs solve_multi peak {peak} B, solutions {outputs} B");
+    const TILE_SLACK: usize = 32 << 10;
+    assert!(
+        peak <= outputs + TILE_SLACK,
+        "lap2d: a second solve_multi peaks {} B above its solutions: it allocated a panel",
+        peak - outputs
+    );
+    assert_eq!(grown, outputs, "lap2d: a second solve_multi keeps nothing but its solutions");
+    drop((xs, solver));
+
+    // The workspace grows to the widest panel swept and never past one
+    // `PANEL_WIDTH`-lane panel, whatever order the widths come in.
+    // Each call is measured on its own: the harness's captured output
+    // grows between them.
+    let solver = Solver::builder().build(&lap).unwrap();
+    let (mut kept, mut widest) = (0, 0);
+    for k in [1, 5, 20, 70, 32, 3] {
+        let live = LIVE.load(Relaxed);
+        let xs = solver.solve_multi(&bs[..k]).unwrap();
+        kept += LIVE.load(Relaxed) - live - bytes(&xs);
+        widest = widest.max(k.min(PANEL_WIDTH));
+        eprintln!("lap2d: after a {k}-rhs solve_multi the workspace keeps {kept} B");
+        assert_eq!(kept, widest * n * std::mem::size_of::<f64>(), "lap2d: k = {k}");
+        assert!(kept <= panel, "lap2d: the workspace outgrew one panel ({kept} B)");
+    }
+}
+
+/// The heap bytes of a set of solutions: the vector of columns and each
+/// column's values.
+fn bytes(xs: &Vec<Vec<f64>>) -> usize {
+    let columns = xs.capacity() * std::mem::size_of::<Vec<f64>>();
+    columns + xs.iter().map(|x| x.capacity() * std::mem::size_of::<f64>()).sum::<usize>()
 }
