@@ -14,7 +14,7 @@ fn bench_numeric(c: &mut Criterion) {
     g.measurement_time(std::time::Duration::from_secs(2));
     for name in ["ASIC_680k", "ecology1"] {
         let a = pangulu_sparse::gen::paper_matrix(name, 1);
-        let prep = pangulu_bench::prepare(&a, 1);
+        let prep = pangulu_bench::prepare(&a, 1).expect("prepare");
         let adaptive = KernelSelector::new(a.nnz(), Thresholds::default());
         let baseline = KernelSelector::baseline(a.nnz());
 

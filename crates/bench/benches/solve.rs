@@ -29,7 +29,7 @@ fn bench_solve(c: &mut Criterion) {
             "lap2d_256" => pangulu_sparse::gen::laplacian_2d(256, 256),
             paper => pangulu_sparse::gen::paper_matrix(paper, 1),
         };
-        let prep = pangulu_bench::prepare(&a, 1);
+        let prep = pangulu_bench::prepare(&a, 1).expect("prepare");
         let mut bm = prep.bm.clone();
         let sel = KernelSelector::new(a.nnz(), Thresholds::default());
         factor_sequential(&mut bm, &prep.tg, &sel, 1e-12);

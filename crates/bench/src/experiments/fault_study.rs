@@ -6,14 +6,17 @@
 //! up (delay probability/magnitude, reorder depth) and the **real**
 //! multi-threaded executor runs a 2×2-grid numeric factorisation; the
 //! CSV reports wall time, mean sync wait, message counts and receive
-//! timeouts. Usage: `cargo run --release --bin fault_study`.
-//! `PANGULU_MATRICES` / `PANGULU_SCALE` restrict or scale the suite.
+//! timeouts. `PANGULU_MATRICES` / `PANGULU_SCALE` restrict or scale
+//! the suite.
 
 use std::time::Duration;
 
 use pangulu_comm::{FaultPlan, ProcessGrid};
 use pangulu_core::dist::{factor_distributed_checked, FactorConfig};
 use pangulu_core::layout::OwnerMap;
+use pangulu_kernels::select::{KernelSelector, Thresholds};
+
+use crate::{Csv, Result};
 
 /// One severity step of the sweep: `level` in 0..=4, 0 = fault-free.
 fn plan_at(level: u32, seed: u64) -> Option<FaultPlan> {
@@ -28,21 +31,18 @@ fn plan_at(level: u32, seed: u64) -> Option<FaultPlan> {
     )
 }
 
-fn main() {
+pub fn run() -> Result<Csv> {
     let matrices = ["ecology1", "G3_circuit", "cage12"];
-    let wanted = pangulu_bench::suite();
+    let wanted = crate::suite();
     let mut rows = Vec::new();
     for name in matrices {
         if !wanted.contains(&name) {
             continue;
         }
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 4);
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 4)?;
         let owners = OwnerMap::balanced(&prep.bm, ProcessGrid::with_shape(2, 2), &prep.tg);
-        let sel = pangulu_kernels::select::KernelSelector::new(
-            a.nnz(),
-            pangulu_kernels::select::Thresholds::default(),
-        );
+        let sel = KernelSelector::new(a.nnz(), Thresholds::default());
         for level in 0..=4u32 {
             let mut bm = prep.bm.clone();
             let mut cfg = FactorConfig::default();
@@ -50,7 +50,7 @@ fn main() {
                 cfg = cfg.with_fault(plan);
             }
             let run = factor_distributed_checked(&mut bm, &prep.tg, &owners, &sel, 1e-8, &cfg)
-                .unwrap_or_else(|e| panic!("{name} level {level}: {e}"));
+                .map_err(|e| format!("{name} level {level}: {e}"))?;
             let st = &run.stats;
             rows.push(format!(
                 "{name},{level},{:.6},{:.6},{},{}",
@@ -62,9 +62,9 @@ fn main() {
             eprintln!("[fault_study] {name} severity {level} done");
         }
     }
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "fault_study",
         "matrix,severity,wall_s,mean_sync_wait_s,messages,recv_timeouts",
-        &rows,
-    );
+        rows,
+    ))
 }

@@ -7,14 +7,15 @@
 use pangulu_supernodal::stats::supernode_size_histogram;
 use pangulu_supernodal::supernode::{detect, SupernodeOptions};
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let mut rows = Vec::new();
     for name in ["G3_circuit", "audikw_1"] {
-        let a = pangulu_bench::load(name);
+        let a = crate::load(name);
         let r =
-            pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::NestedDissection)
-                .expect("reorder");
-        let fill = pangulu_symbolic::symbolic_fill(&r.matrix).expect("symbolic");
+            pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::NestedDissection)?;
+        let fill = pangulu_symbolic::symbolic_fill(&r.matrix)?;
         let part = detect(&fill, SupernodeOptions::default());
         let h = supernode_size_histogram(&part);
         for (cb, row) in h.counts.iter().enumerate() {
@@ -26,5 +27,5 @@ fn main() {
         }
         eprintln!("[fig03] {name}: {} supernodes", part.len());
     }
-    pangulu_bench::emit_csv("fig03_supernode_sizes", "matrix,rows_bin,cols_bin,count", &rows);
+    Ok(Csv::new("fig03_supernode_sizes", "matrix,rows_bin,cols_bin,count", rows))
 }

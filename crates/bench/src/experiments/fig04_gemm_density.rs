@@ -10,20 +10,22 @@
 //! repeats on every matrix's row. The dense-tile lane takes an update
 //! from `TILE_MIN_FILL` of the padded FLOPs up (operands ≈ 70 % dense).
 
-use pangulu_bench::kernel_timing::lane_gflops;
 use pangulu_supernodal::stats::gemm_density_histogram;
+
+use crate::kernel_timing::lane_gflops;
+use crate::{Csv, Result};
 
 /// Block size of the benchmark's kkt workloads.
 const LANE_NB: usize = 119;
 
-fn main() {
+pub fn run() -> Result<Csv> {
     let lanes: Vec<(f64, f64)> =
         (0..10).map(|bin| lane_gflops(LANE_NB, 0.05 + 0.1 * bin as f64, bin as u64)).collect();
     let mut rows = Vec::new();
     for name in ["CoupCons3D", "ASIC_680k", "audikw_1"] {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let sn = pangulu_bench::prepare_supernodal(&prep.reordered);
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 1)?;
+        let sn = crate::prepare_supernodal(&prep.reordered)?;
         let h = gemm_density_histogram(&sn.sbm);
         for (bin, (sparse, tile)) in lanes.iter().enumerate() {
             rows.push(format!(
@@ -37,9 +39,9 @@ fn main() {
         }
         eprintln!("[fig04] {name}: {} gemms", h.gemms);
     }
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "fig04_gemm_density",
         "matrix,density_bin,pct_A,pct_B,pct_C,gflops_sparse_lane,gflops_tile_lane",
-        &rows,
-    );
+        rows,
+    ))
 }

@@ -9,23 +9,25 @@
 use pangulu_comm::PlatformProfile;
 use pangulu_core::des::{simulate, SimMode};
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let matrices =
         ["Si87H76", "ASIC_680k", "nlpkkt80", "CoupCons3D", "dielFilterV3real", "ecology1"];
     let ranks = [1usize, 2, 4, 8, 16, 32, 64];
     let prof = PlatformProfile::a100_like();
     let mut rows = Vec::new();
     for name in matrices {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let sn = pangulu_bench::prepare_supernodal(&prep.reordered);
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 1)?;
+        let sn = crate::prepare_supernodal(&prep.reordered)?;
         for &p in &ranks {
-            let tasks = pangulu_bench::supernodal_sim_tasks(&sn.dag, p, &prof);
+            let tasks = crate::supernodal_sim_tasks(&sn.dag, p, &prof);
             let r = simulate(&tasks, p, &prof, SimMode::LevelSet);
             let ratio = 100.0 * r.mean_sync_wait() / r.makespan.max(1e-30);
             rows.push(format!("{name},{p},{:.2}", ratio));
         }
         eprintln!("[fig05] {name} done");
     }
-    pangulu_bench::emit_csv("fig05_sync_ratio", "matrix,ranks,sync_pct_of_numeric", &rows);
+    Ok(Csv::new("fig05_sync_ratio", "matrix,ranks,sync_pct_of_numeric", rows))
 }

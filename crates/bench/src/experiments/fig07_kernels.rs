@@ -5,22 +5,18 @@
 //! Use `PANGULU_MATRICES` to restrict the harvest and `PANGULU_SCALE`
 //! to grow the blocks.
 
-use pangulu_bench::kernel_timing::{harvest, HarvestCaps};
+use crate::kernel_timing::{harvest_matrix, HARVEST_SET};
+use crate::{Csv, Result};
 
-fn main() {
+pub fn run() -> Result<Csv> {
     let mut rows = Vec::new();
-    // A representative spread of structure classes keeps the harvest fast.
-    let default_set = ["ASIC_680k", "audikw_1", "cage12", "Si87H76"];
     let names: Vec<&str> = if std::env::var("PANGULU_MATRICES").is_ok() {
-        pangulu_bench::suite()
+        crate::suite()
     } else {
-        default_set.to_vec()
+        HARVEST_SET.to_vec()
     };
     for name in names {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let mut bm = prep.bm.clone();
-        let samples = harvest(&mut bm, &prep.tg, HarvestCaps::default());
+        let samples = harvest_matrix(name)?;
         eprintln!("[fig07] {name}: {} samples", samples.len());
         for s in samples {
             rows.push(format!(
@@ -29,5 +25,5 @@ fn main() {
             ));
         }
     }
-    pangulu_bench::emit_csv("fig07_kernels", "matrix,kernel,variant,feature,seconds", &rows);
+    Ok(Csv::new("fig07_kernels", "matrix,kernel,variant,feature,seconds", rows))
 }

@@ -8,18 +8,17 @@
 //! crossover is printed for information (the shipped cut is the constant
 //! `TILE_MIN_FILL`, which cannot change an answer).
 
-use pangulu_bench::kernel_timing::{
-    crossover, crossover_vs_best, harvest, tile_fill_crossover, HarvestCaps,
-};
 use pangulu_kernels::select::TILE_MIN_FILL;
 
-fn main() {
+use crate::kernel_timing::{
+    crossover, crossover_vs_best, harvest_matrix, tile_fill_crossover, HARVEST_SET,
+};
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let mut samples = Vec::new();
-    for name in ["ASIC_680k", "audikw_1", "cage12", "Si87H76"] {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let mut bm = prep.bm.clone();
-        samples.extend(harvest(&mut bm, &prep.tg, HarvestCaps::default()));
+    for name in HARVEST_SET {
+        samples.extend(harvest_matrix(name)?);
         eprintln!("[fig08] harvested {name}");
     }
 
@@ -79,9 +78,9 @@ fn main() {
              (shipped TILE_MIN_FILL = {TILE_MIN_FILL})"
         ),
     }
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "fig08_calibration",
         "kernel,small_variant,big_variant,threshold_field,crossover_feature",
-        &rows,
-    );
+        rows,
+    ))
 }

@@ -6,49 +6,20 @@
 
 use std::collections::HashMap;
 
-use pangulu_bench::kernel_timing::{harvest, HarvestCaps, Sample};
 use pangulu_kernels::select::{KernelSelector, Thresholds};
-use pangulu_kernels::{GetrfVariant, SsssmVariant, TrsmVariant};
 
-fn getrf_label(v: GetrfVariant) -> &'static str {
-    match v {
-        GetrfVariant::CV1 => "C_V1",
-        GetrfVariant::GV1 => "G_V1",
-        GetrfVariant::GV2 => "G_V2",
-    }
-}
+use crate::kernel_timing::{
+    harvest_matrix, label, Sample, GETRF_VARIANTS, HARVEST_SET, SSSSM_VARIANTS, TRSM_VARIANTS,
+};
+use crate::{Csv, Result};
 
-fn trsm_label(v: TrsmVariant) -> &'static str {
-    match v {
-        TrsmVariant::CV1 => "C_V1",
-        TrsmVariant::CV2 => "C_V2",
-        TrsmVariant::GV1 => "G_V1",
-        TrsmVariant::GV2 => "G_V2",
-        TrsmVariant::GV3 => "G_V3",
-        TrsmVariant::DV1 => "D_V1",
-    }
-}
-
-fn ssssm_label(v: SsssmVariant) -> &'static str {
-    match v {
-        SsssmVariant::CV1 => "C_V1",
-        SsssmVariant::CV2 => "C_V2",
-        SsssmVariant::GV1 => "G_V1",
-        SsssmVariant::GV2 => "G_V2",
-        SsssmVariant::DV1 => "D_V1",
-    }
-}
-
-fn main() {
+pub fn run() -> Result<Csv> {
     // Harvest with the same default caps as Figure 7.
     let mut samples: Vec<(String, Sample)> = Vec::new();
-    for name in ["ASIC_680k", "audikw_1", "cage12", "Si87H76"] {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let mut bm = prep.bm.clone();
+    for name in HARVEST_SET {
         // The trees pick among the Table 1 variants only; the planned
         // and dense-tile samples of the harvest are other gates' business.
-        for s in harvest(&mut bm, &prep.tg, HarvestCaps::default()) {
+        for s in harvest_matrix(name)? {
             if !matches!(s.variant, "P_V1" | "D_V1") {
                 samples.push((name.to_string(), s));
             }
@@ -61,14 +32,10 @@ fn main() {
     type InstanceKey = (String, &'static str, u64, usize);
     let mut instances: HashMap<InstanceKey, Vec<(String, f64)>> = HashMap::new();
     let mut ordinal: HashMap<(String, &'static str, u64), usize> = HashMap::new();
-    let variants_per_class = |class: &str| -> usize {
-        if class == "GETRF" {
-            3
-        } else if class == "SSSSM" {
-            4
-        } else {
-            5
-        }
+    let variants_per_class = |class: &str| match class {
+        "GETRF" => GETRF_VARIANTS.len(),
+        "SSSSM" => SSSSM_VARIANTS.len(),
+        _ => TRSM_VARIANTS.len(),
     };
     for (matrix, s) in &samples {
         let fkey = s.feature.to_bits();
@@ -94,20 +61,20 @@ fn main() {
                 continue;
             }
             let feature = f64::from_bits(*fbits);
+            // `None` for a variant the harvest does not time (`D_V1`).
             let chosen = match class {
-                "GETRF" => getrf_label(selector.getrf(feature as usize)),
-                "GESSM" => trsm_label(selector.gessm(feature as usize)),
-                "TSTRF" => trsm_label(selector.tstrf(feature as usize)),
-                _ => ssssm_label(selector.ssssm(feature)),
+                "GETRF" => label(&GETRF_VARIANTS, selector.getrf(feature as usize)),
+                "GESSM" => label(&TRSM_VARIANTS, selector.gessm(feature as usize)),
+                "TSTRF" => label(&TRSM_VARIANTS, selector.tstrf(feature as usize)),
+                _ => label(&SSSSM_VARIANTS, selector.ssssm(feature)),
             };
-            let best = variants
-                .iter()
-                .min_by(|a, b| a.1.partial_cmp(&b.1).unwrap())
-                .expect("variants timed");
+            let Some(best) = variants.iter().min_by(|a, b| a.1.total_cmp(&b.1)) else {
+                continue;
+            };
             let chosen_time =
-                variants.iter().find(|(v, _)| v == chosen).map(|(_, t)| *t).unwrap_or(best.1);
+                variants.iter().find(|(v, _)| chosen == Some(v)).map(|(_, t)| *t).unwrap_or(best.1);
             total += 1;
-            if best.0 == chosen {
+            if chosen == Some(&best.0) {
                 hits += 1;
             }
             tree_time += chosen_time;
@@ -121,9 +88,5 @@ fn main() {
             ));
         }
     }
-    pangulu_bench::emit_csv(
-        "fig08_validation",
-        "kernel,instances,selection_accuracy_pct,time_vs_oracle",
-        &rows,
-    );
+    Ok(Csv::new("fig08_validation", "kernel,instances,selection_accuracy_pct,time_vs_oracle", rows))
 }

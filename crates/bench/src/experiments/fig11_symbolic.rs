@@ -5,22 +5,23 @@
 
 use std::time::Instant;
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let mut rows = Vec::new();
     let mut geo = 0.0f64;
     let mut count = 0usize;
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
+    for name in crate::suite() {
+        let a = crate::load(name);
         let r =
-            pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::NestedDissection)
-                .expect("reorder");
+            pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::NestedDissection)?;
 
         let t = Instant::now();
-        let gp = pangulu_symbolic::gp_symbolic(&r.matrix, true).expect("gp symbolic");
+        let gp = pangulu_symbolic::gp_symbolic(&r.matrix, true)?;
         let superlu_time = t.elapsed().as_secs_f64();
 
         let t = Instant::now();
-        let fill = pangulu_symbolic::symbolic_fill(&r.matrix).expect("symbolic");
+        let fill = pangulu_symbolic::symbolic_fill(&r.matrix)?;
         let pangulu_time = t.elapsed().as_secs_f64();
 
         let speedup = superlu_time / pangulu_time.max(1e-12);
@@ -34,9 +35,9 @@ fn main() {
         eprintln!("[fig11] {name}: {speedup:.2}x");
     }
     rows.push(format!("geomean,,,{:.2},,", (geo / count.max(1) as f64).exp()));
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "fig11_symbolic",
         "matrix,superlu_style_s,pangulu_s,speedup,gp_nnz_lu,sym_nnz_lu",
-        &rows,
-    );
+        rows,
+    ))
 }

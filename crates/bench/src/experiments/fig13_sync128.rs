@@ -6,22 +6,24 @@
 use pangulu_comm::PlatformProfile;
 use pangulu_core::des::{pangulu_sim_tasks, simulate, SimMode};
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let p = 128usize;
     let prof = PlatformProfile::a100_like();
     let mut rows = Vec::new();
     let mut geo = 0.0f64;
     let mut count = 0usize;
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let sn = pangulu_bench::prepare_supernodal(&prep.reordered);
+    for name in crate::suite() {
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 1)?;
+        let sn = crate::prepare_supernodal(&prep.reordered)?;
 
-        let owners = pangulu_bench::owners_for(&prep, p);
+        let owners = crate::owners_for(&prep, p);
         let ptasks = pangulu_sim_tasks(&prep.bm, &prep.tg, &owners);
         let pr = simulate(&ptasks, p, &prof, SimMode::SyncFree);
 
-        let stasks = pangulu_bench::supernodal_sim_tasks(&sn.dag, p, &prof);
+        let stasks = crate::supernodal_sim_tasks(&sn.dag, p, &prof);
         let sr = simulate(&stasks, p, &prof, SimMode::LevelSet);
 
         let speedup = sr.mean_sync_wait() / pr.mean_sync_wait().max(1e-30);
@@ -35,9 +37,5 @@ fn main() {
         eprintln!("[fig13] {name}: {speedup:.2}x");
     }
     rows.push(format!("geomean,,,{:.2}", (geo / count.max(1) as f64).exp()));
-    pangulu_bench::emit_csv(
-        "fig13_sync128",
-        "matrix,supernodal_sync_s,pangulu_sync_s,speedup",
-        &rows,
-    );
+    Ok(Csv::new("fig13_sync128", "matrix,supernodal_sync_s,pangulu_sync_s,speedup", rows))
 }

@@ -15,19 +15,20 @@ use pangulu_core::des::{pangulu_sim_tasks, simulate, SimMode};
 use pangulu_core::seq::factor_sequential;
 use pangulu_kernels::select::{KernelSelector, Thresholds};
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     // The paper runs this on 128 GPUs where kernel time is still a large
     // share of the makespan. Our container-scale matrices are ~1000x
     // smaller, so at 128 simulated ranks the makespan would be pure
     // message latency and the kernel-selection effect would vanish from
     // the model; 16 ranks keeps the same compute-visible regime.
-    // Override with PANGULU_RANKS.
-    let p: usize = std::env::var("PANGULU_RANKS").ok().and_then(|v| v.parse().ok()).unwrap_or(16);
+    let p = 16usize;
     let prof = PlatformProfile::a100_like();
     let mut rows = Vec::new();
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
+    for name in crate::suite() {
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 1)?;
 
         // Measured kernel-selection factor (real sequential runs).
         let base_sel = KernelSelector::baseline(a.nnz());
@@ -39,7 +40,7 @@ fn main() {
         let kernel_slowdown = (t_base.as_secs_f64() / t_adapt.as_secs_f64().max(1e-12)).max(1.0);
 
         // DES runs: baseline costs are inflated by the measured factor.
-        let owners = pangulu_bench::owners_for(&prep, p);
+        let owners = crate::owners_for(&prep, p);
         let tasks = pangulu_sim_tasks(&prep.bm, &prep.tg, &owners);
         let mut slow_tasks = tasks.clone();
         for t in &mut slow_tasks {
@@ -56,9 +57,9 @@ fn main() {
         ));
         eprintln!("[fig14] {name}: sel {:.2}x, sel+syncfree {:.2}x", t1 / t2, t1 / t3);
     }
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "fig14_ablation",
         "matrix,baseline,kernel_selection,kernel_selection_and_syncfree,measured_kernel_factor",
-        &rows,
-    );
+        rows,
+    ))
 }

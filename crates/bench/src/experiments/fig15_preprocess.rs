@@ -10,21 +10,22 @@ use pangulu_core::block::BlockMatrix;
 use pangulu_core::layout::OwnerMap;
 use pangulu_core::task::TaskGraph;
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let mut rows = Vec::new();
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
+    for name in crate::suite() {
+        let a = crate::load(name);
         let r =
-            pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::NestedDissection)
-                .expect("reorder");
-        let fill = pangulu_symbolic::symbolic_fill(&r.matrix).expect("symbolic");
-        let filled = fill.filled_matrix(&r.matrix).expect("filled");
+            pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::NestedDissection)?;
+        let fill = pangulu_symbolic::symbolic_fill(&r.matrix)?;
+        let filled = fill.filled_matrix(&r.matrix)?;
 
         // PanguLU preprocessing: blocking + task graph + balanced map.
         let grid = ProcessGrid::new(128);
         let t = Instant::now();
         let nb = BlockMatrix::choose_block_size(a.ncols(), fill.nnz_lu(), grid.pr().max(grid.pc()));
-        let bm = BlockMatrix::from_filled(&filled, nb).expect("blocking");
+        let bm = BlockMatrix::from_filled(&filled, nb)?;
         let tg = TaskGraph::build(&bm);
         let _owners = OwnerMap::balanced(&bm, grid, &tg);
         let pangulu_s = t.elapsed().as_secs_f64();
@@ -37,7 +38,7 @@ fn main() {
             &fill,
             pangulu_supernodal::supernode::SupernodeOptions::default(),
         );
-        let sbm = pangulu_supernodal::SnBlockMatrix::from_filled(&filled, part).expect("blocked");
+        let sbm = pangulu_supernodal::SnBlockMatrix::from_filled(&filled, part)?;
         let levels = pangulu_supernodal::dag::supernode_levels(&fill, &sbm);
         let _dag = pangulu_supernodal::dag::build_dag(&sbm, &levels);
         let supernodal_s = t.elapsed().as_secs_f64();
@@ -48,5 +49,5 @@ fn main() {
         ));
         eprintln!("[fig15] {name} done");
     }
-    pangulu_bench::emit_csv("fig15_preprocess", "matrix,supernodal_s,pangulu_s,speedup", &rows);
+    Ok(Csv::new("fig15_preprocess", "matrix,supernodal_s,pangulu_s,speedup", rows))
 }

@@ -11,12 +11,14 @@ use pangulu_comm::{PlatformProfile, ProcessGrid};
 use pangulu_core::des::{pangulu_sim_tasks, simulate, SimMode};
 use pangulu_core::layout::OwnerMap;
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let prof = PlatformProfile::a100_like();
     let mut rows = Vec::new();
     for name in ["ASIC_680k", "nlpkkt80", "audikw_1"] {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 16);
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 16)?;
         for &p in &[16usize, 64] {
             let maps: [(&str, OwnerMap); 4] = [
                 ("1d_row", OwnerMap::row_cyclic(&prep.bm, p)),
@@ -37,9 +39,5 @@ fn main() {
         }
         eprintln!("[mapping] {name} done");
     }
-    pangulu_bench::emit_csv(
-        "mapping_study",
-        "matrix,ranks,mapping,simulated_s,flop_imbalance,messages",
-        &rows,
-    );
+    Ok(Csv::new("mapping_study", "matrix,ranks,mapping,simulated_s,flop_imbalance,messages", rows))
 }

@@ -16,23 +16,31 @@ use pangulu_sparse::{CscMatrix, Permutation};
 use pangulu_symbolic::counts::nnz_lu_within;
 use pangulu_symbolic::symbolic_fill;
 
+use crate::{Csv, Result};
+
 fn millis(since: Instant) -> String {
-    format!("{:.2}", pangulu_bench::secs(since.elapsed()) * 1e3)
+    format!("{:.2}", since.elapsed().as_secs_f64() * 1e3)
 }
 
 /// Blocks and tasks of `sym` reordered by `perm`, filled, and cut at the
 /// block size the solver's heuristic picks: what the ordering's fill
-/// *layout* — not its amount — costs the blocked factorisation.
-fn granularity(sym: &CscMatrix, perm: &Permutation) -> (usize, usize) {
-    let permuted = permute_symmetric(sym, perm).and_then(|m| ensure_diagonal(&m)).expect("permute");
-    let fill = symbolic_fill(&permuted).expect("symbolic");
+/// *layout* — not its amount — costs the blocked factorisation. The
+/// solver's tiler cuts the pattern; no value is needed.
+fn granularity(sym: &CscMatrix, perm: &Permutation) -> Result<(usize, usize)> {
+    let permuted = permute_symmetric(sym, perm).and_then(|m| ensure_diagonal(&m))?;
+    let fill = symbolic_fill(&permuted)?;
     let nb = BlockMatrix::choose_block_size(sym.ncols(), fill.nnz_lu(), 1);
-    let bm = BlockMatrix::from_filled(&fill.filled_matrix(&permuted).expect("filled"), nb)
-        .expect("blocking");
-    (bm.num_blocks(), TaskGraph::build(&bm).num_tasks(bm.num_blocks()))
+    let bm = BlockMatrix::<f64>::from_fill(fill, nb)?;
+    Ok((bm.num_blocks(), TaskGraph::build(&bm).num_tasks(bm.num_blocks())))
 }
 
-fn main() {
+/// nnz(L+U) of `sym` under `perm`, from the unbounded counts-only pass.
+fn count_nnz_lu(sym: &CscMatrix, perm: &Permutation) -> Result<usize> {
+    Ok(nnz_lu_within(sym.col_ptr(), sym.row_idx(), perm, usize::MAX)?
+        .ok_or("an unbounded count never stops early")?)
+}
+
+pub fn run() -> Result<Csv> {
     let methods = [
         ("natural", FillReducing::Natural),
         ("rcm", FillReducing::Rcm),
@@ -47,21 +55,19 @@ fn main() {
     header += ",auto_nnz_lu,auto_method,auto_ms";
 
     let mut rows = Vec::new();
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
-        let sym = symmetrize(&a).expect("symmetrize");
+    for name in crate::suite() {
+        let a = crate::load(name);
+        let sym = symmetrize(&a)?;
         let mut cells = vec![name.to_string()];
         let mut perms = Vec::new();
         for (_, method) in methods {
             let t = Instant::now();
-            let perm = fill_reducing_ordering(&sym, method).expect("ordering");
+            let perm = fill_reducing_ordering(&sym, method)?;
             let order_ms = millis(t);
             let t = Instant::now();
-            let nnz_lu = nnz_lu_within(sym.col_ptr(), sym.row_idx(), &perm, usize::MAX)
-                .expect("counts")
-                .expect("no limit");
+            let nnz_lu = count_nnz_lu(&sym, &perm)?;
             let count_ms = millis(t);
-            let (blocks, tasks) = granularity(&sym, &perm);
+            let (blocks, tasks) = granularity(&sym, &perm)?;
             cells.extend([nnz_lu.to_string(), order_ms, count_ms]);
             cells.extend([blocks.to_string(), tasks.to_string()]);
             perms.push(perm);
@@ -69,15 +75,13 @@ fn main() {
         // Auto computes the same four orderings and scores them with
         // bounded counts; it returns one of them unchanged.
         let t = Instant::now();
-        let auto = fill_reducing_ordering(&sym, FillReducing::Auto).expect("ordering");
+        let auto = fill_reducing_ordering(&sym, FillReducing::Auto)?;
         let auto_ms = millis(t);
-        let nnz_lu = nnz_lu_within(sym.col_ptr(), sym.row_idx(), &auto, usize::MAX)
-            .expect("counts")
-            .expect("no limit");
-        let kept = perms.iter().position(|p| *p == auto).expect("auto keeps a candidate");
+        let nnz_lu = count_nnz_lu(&sym, &auto)?;
+        let kept = perms.iter().position(|p| *p == auto).ok_or("Auto kept no candidate")?;
         cells.extend([nnz_lu.to_string(), methods[kept].0.to_string(), auto_ms]);
         rows.push(cells.join(","));
         eprintln!("[ordering] {name} done");
     }
-    pangulu_bench::emit_csv("ordering_study", &header, &rows);
+    Ok(Csv::new("ordering_study", &header, rows))
 }

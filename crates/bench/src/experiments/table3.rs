@@ -4,12 +4,14 @@
 //! The paper's point: PanguLU's symmetric-pruned symbolic yields ~11%
 //! fewer stored entries than SuperLU_DIST's supernode-padded factor.
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let mut rows = Vec::new();
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let sn = pangulu_bench::prepare_supernodal(&prep.reordered);
+    for name in crate::suite() {
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 1)?;
+        let sn = crate::prepare_supernodal(&prep.reordered)?;
         // SuperLU-style panel storage is the published nnz(L+U) figure;
         // the 2-D dense-block count is what our baseline's GEMMs operate
         // on (reported separately).
@@ -24,9 +26,9 @@ fn main() {
         ));
         eprintln!("[table3] {name} done");
     }
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "table3",
         "matrix,n,nnz_A,supernodal_panel_nnz_LU,supernodal_block_nnz_LU,pangulu_nnz_LU,pangulu_flops",
-        &rows,
-    );
+        rows,
+    ))
 }

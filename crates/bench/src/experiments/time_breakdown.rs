@@ -6,20 +6,22 @@
 use pangulu_comm::PlatformProfile;
 use pangulu_core::des::{pangulu_sim_tasks, simulate, SimMode};
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let prof = PlatformProfile::a100_like();
     let p = 1usize; // single-device breakdown, like Table 4
     let mut rows = Vec::new();
-    for name in pangulu_bench::suite() {
-        let a = pangulu_bench::load(name);
-        let prep = pangulu_bench::prepare(&a, 1);
-        let owners = pangulu_bench::owners_for(&prep, p);
+    for name in crate::suite() {
+        let a = crate::load(name);
+        let prep = crate::prepare(&a, 1)?;
+        let owners = crate::owners_for(&prep, p);
         let tasks = pangulu_sim_tasks(&prep.bm, &prep.tg, &owners);
         let pr = simulate(&tasks, p, &prof, SimMode::SyncFree);
         let ptotal: f64 = pr.class_busy.iter().sum();
 
-        let sn = pangulu_bench::prepare_supernodal(&prep.reordered);
-        let stasks = pangulu_bench::supernodal_sim_tasks(&sn.dag, p, &prof);
+        let sn = crate::prepare_supernodal(&prep.reordered)?;
+        let stasks = crate::supernodal_sim_tasks(&sn.dag, p, &prof);
         let sr = simulate(&stasks, p, &prof, SimMode::LevelSet);
         let stotal: f64 = sr.class_busy.iter().sum();
 
@@ -34,10 +36,10 @@ fn main() {
         ));
         eprintln!("[breakdown] {name} done");
     }
-    pangulu_bench::emit_csv(
+    Ok(Csv::new(
         "time_breakdown",
         "matrix,pangulu_getrf_pct,pangulu_trsm_pct,pangulu_ssssm_pct,\
          supernodal_factor_pct,supernodal_trsm_pct,supernodal_gemm_pct",
-        &rows,
-    );
+        rows,
+    ))
 }

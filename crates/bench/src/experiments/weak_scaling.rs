@@ -12,16 +12,19 @@
 use pangulu_comm::PlatformProfile;
 use pangulu_core::des::{pangulu_sim_tasks, simulate, SimMode};
 
-fn main() {
+use crate::{Csv, Result};
+
+pub fn run() -> Result<Csv> {
     let prof = PlatformProfile::a100_like();
     let mut rows = Vec::new();
-    let mut base: Option<(f64, f64)> = None; // per-rank work rate at p = 1
-                                             // 2-D Laplacian LU costs Θ(n^{3/2}) flops, so constant work per rank
-                                             // needs n ∝ p^{2/3} (nx ∝ p^{1/3}).
+    // Per-rank work rate at p = 1.
+    let mut base: Option<(f64, f64)> = None;
+    // 2-D Laplacian LU costs Θ(n^{3/2}) flops, so constant work per rank
+    // needs n ∝ p^{2/3} (nx ∝ p^{1/3}).
     for &(p, nx) in &[(1usize, 24usize), (4, 38), (16, 60), (64, 96)] {
         let a = pangulu_sparse::gen::laplacian_2d(nx, nx);
-        let prep = pangulu_bench::prepare(&a, p);
-        let owners = pangulu_bench::owners_for(&prep, p);
+        let prep = crate::prepare(&a, p)?;
+        let owners = crate::owners_for(&prep, p);
         let tasks = pangulu_sim_tasks(&prep.bm, &prep.tg, &owners);
         let sf = simulate(&tasks, p, &prof, SimMode::SyncFree);
         let ls = simulate(&tasks, p, &prof, SimMode::LevelSet);
@@ -42,9 +45,5 @@ fn main() {
             rate_ls / b_ls
         );
     }
-    pangulu_bench::emit_csv(
-        "weak_scaling",
-        "ranks,grid,flops,syncfree_efficiency,levelset_efficiency",
-        &rows,
-    );
+    Ok(Csv::new("weak_scaling", "ranks,grid,flops,syncfree_efficiency,levelset_efficiency", rows))
 }

@@ -52,21 +52,39 @@ impl Default for HarvestCaps {
     }
 }
 
-const GETRF_VARIANTS: [(GetrfVariant, &str); 3] =
+pub(crate) const GETRF_VARIANTS: [(GetrfVariant, &str); 3] =
     [(GetrfVariant::CV1, "C_V1"), (GetrfVariant::GV1, "G_V1"), (GetrfVariant::GV2, "G_V2")];
-const TRSM_VARIANTS: [(TrsmVariant, &str); 5] = [
+pub(crate) const TRSM_VARIANTS: [(TrsmVariant, &str); 5] = [
     (TrsmVariant::CV1, "C_V1"),
     (TrsmVariant::CV2, "C_V2"),
     (TrsmVariant::GV1, "G_V1"),
     (TrsmVariant::GV2, "G_V2"),
     (TrsmVariant::GV3, "G_V3"),
 ];
-const SSSSM_VARIANTS: [(SsssmVariant, &str); 4] = [
+pub(crate) const SSSSM_VARIANTS: [(SsssmVariant, &str); 4] = [
     (SsssmVariant::CV1, "C_V1"),
     (SsssmVariant::CV2, "C_V2"),
     (SsssmVariant::GV1, "G_V1"),
     (SsssmVariant::GV2, "G_V2"),
 ];
+
+/// The harvest's label of `variant` in `table`; `None` for a variant
+/// the harvest does not time.
+pub(crate) fn label<V: PartialEq>(table: &[(V, &'static str)], variant: V) -> Option<&'static str> {
+    table.iter().find(|(v, _)| *v == variant).map(|&(_, label)| label)
+}
+
+/// The matrices the kernel figures harvest: a representative spread of
+/// structure classes that keeps the harvest fast.
+pub(crate) const HARVEST_SET: [&str; 4] = ["ASIC_680k", "audikw_1", "cage12", "Si87H76"];
+
+/// Harvests and times kernels, at the default caps, on the blocks of
+/// suite matrix `name` prepared for one rank.
+pub(crate) fn harvest_matrix(name: &str) -> crate::Result<Vec<Sample>> {
+    let prep = crate::prepare(&crate::load(name), 1)?;
+    let mut bm = prep.bm;
+    Ok(harvest(&mut bm, &prep.tg, HarvestCaps::default()))
+}
 
 /// A synthetic `m × n` block for the dense-tile lane's benches: each
 /// entry is kept with probability `fill` (`>= 1.0` keeps all), values in
@@ -90,14 +108,20 @@ pub fn random_block(m: usize, n: usize, fill: f64, seed: u64) -> CscMatrix {
     coo.to_csc()
 }
 
-fn best_of_3(mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
+/// Times `f` best of three and records it as one sample.
+fn time_sample(
+    samples: &mut Vec<Sample>,
+    (class, variant): (&'static str, &'static str),
+    (feature, fill): (f64, f64),
+    mut f: impl FnMut(),
+) {
+    let mut seconds = f64::INFINITY;
     for _ in 0..3 {
         let t = Instant::now();
         f();
-        best = best.min(t.elapsed().as_secs_f64());
+        seconds = seconds.min(t.elapsed().as_secs_f64());
     }
-    best
+    samples.push(Sample { class, variant, feature, seconds, fill });
 }
 
 /// Walks the factorisation of a prepared blocked matrix, timing every
@@ -116,35 +140,18 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
         if sampled && counts[0] < caps.getrf {
             counts[0] += 1;
             let nnz = bm.block(diag_id).nnz() as f64;
+            let blk = bm.block(diag_id).clone();
             for (v, label) in GETRF_VARIANTS {
-                let blk = bm.block(diag_id).clone();
-                let secs = best_of_3(|| {
-                    let mut b = blk.clone();
-                    getrf::getrf(&mut b, v, &mut scratch, 1e-12);
-                });
-                samples.push(Sample {
-                    class: "GETRF",
-                    variant: label,
-                    feature: nnz,
-                    seconds: secs,
-                    fill: 0.0,
+                time_sample(&mut samples, ("GETRF", label), (nnz, 0.0), || {
+                    getrf::getrf(&mut blk.clone(), v, &mut scratch, 1e-12);
                 });
             }
             // Planned execution: the plan is built once outside the timed
             // closure — steady state amortises the build to zero.
-            let blk = bm.block(diag_id).clone();
             let mut arena = Vec::new();
             if let Some(p) = plan::build_getrf_plan(&blk, &mut arena) {
-                let secs = best_of_3(|| {
-                    let mut b = blk.clone();
-                    plan::getrf_planned(&mut b, &p, &arena, &mut scratch, 1e-12);
-                });
-                samples.push(Sample {
-                    class: "GETRF",
-                    variant: "P_V1",
-                    feature: nnz,
-                    seconds: secs,
-                    fill: 0.0,
+                time_sample(&mut samples, ("GETRF", "P_V1"), (nnz, 0.0), || {
+                    plan::getrf_planned(&mut blk.clone(), &p, &arena, &mut scratch, 1e-12);
                 });
             }
         }
@@ -158,43 +165,19 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                 let diag = bm.block(diag_id).clone();
                 let orig = bm.block(b_id).clone();
                 for (v, label) in TRSM_VARIANTS {
-                    let secs = best_of_3(|| {
-                        let mut b = orig.clone();
-                        trsm::gessm(&diag, &mut b, v, &mut scratch);
-                    });
-                    samples.push(Sample {
-                        class: "GESSM",
-                        variant: label,
-                        feature: nnz,
-                        seconds: secs,
-                        fill: 0.0,
+                    time_sample(&mut samples, ("GESSM", label), (nnz, 0.0), || {
+                        trsm::gessm(&diag, &mut orig.clone(), v, &mut scratch);
                     });
                 }
                 let mut arena = Vec::new();
                 if let Some(p) = plan::build_gessm_plan(&diag, &orig, &mut arena) {
-                    let secs = best_of_3(|| {
-                        let mut b = orig.clone();
-                        plan::gessm_planned(&diag, &mut b, &p, &arena);
-                    });
-                    samples.push(Sample {
-                        class: "GESSM",
-                        variant: "P_V1",
-                        feature: nnz,
-                        seconds: secs,
-                        fill: 0.0,
+                    time_sample(&mut samples, ("GESSM", "P_V1"), (nnz, 0.0), || {
+                        plan::gessm_planned(&diag, &mut orig.clone(), &p, &arena);
                     });
                 }
                 if is_full(&diag) && is_full(&orig) {
-                    let secs = best_of_3(|| {
-                        let mut b = orig.clone();
-                        trsm::gessm(&diag, &mut b, TrsmVariant::DV1, &mut scratch);
-                    });
-                    samples.push(Sample {
-                        class: "GESSM",
-                        variant: "D_V1",
-                        feature: nnz,
-                        seconds: secs,
-                        fill: 0.0,
+                    time_sample(&mut samples, ("GESSM", "D_V1"), (nnz, 0.0), || {
+                        trsm::gessm(&diag, &mut orig.clone(), TrsmVariant::DV1, &mut scratch);
                     });
                 }
             }
@@ -209,43 +192,19 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                 let diag = bm.block(diag_id).clone();
                 let orig = bm.block(b_id).clone();
                 for (v, label) in TRSM_VARIANTS {
-                    let secs = best_of_3(|| {
-                        let mut b = orig.clone();
-                        trsm::tstrf(&diag, &mut b, v, &mut scratch);
-                    });
-                    samples.push(Sample {
-                        class: "TSTRF",
-                        variant: label,
-                        feature: nnz,
-                        seconds: secs,
-                        fill: 0.0,
+                    time_sample(&mut samples, ("TSTRF", label), (nnz, 0.0), || {
+                        trsm::tstrf(&diag, &mut orig.clone(), v, &mut scratch);
                     });
                 }
                 let mut arena = Vec::new();
                 if let Some(p) = plan::build_tstrf_plan(&diag, &orig, &mut arena) {
-                    let secs = best_of_3(|| {
-                        let mut b = orig.clone();
-                        plan::tstrf_planned(&diag, &mut b, &p, &arena);
-                    });
-                    samples.push(Sample {
-                        class: "TSTRF",
-                        variant: "P_V1",
-                        feature: nnz,
-                        seconds: secs,
-                        fill: 0.0,
+                    time_sample(&mut samples, ("TSTRF", "P_V1"), (nnz, 0.0), || {
+                        plan::tstrf_planned(&diag, &mut orig.clone(), &p, &arena);
                     });
                 }
                 if is_full(&diag) && is_full(&orig) {
-                    let secs = best_of_3(|| {
-                        let mut b = orig.clone();
-                        trsm::tstrf(&diag, &mut b, TrsmVariant::DV1, &mut scratch);
-                    });
-                    samples.push(Sample {
-                        class: "TSTRF",
-                        variant: "D_V1",
-                        feature: nnz,
-                        seconds: secs,
-                        fill: 0.0,
+                    time_sample(&mut samples, ("TSTRF", "D_V1"), (nnz, 0.0), || {
+                        trsm::tstrf(&diag, &mut orig.clone(), TrsmVariant::DV1, &mut scratch);
                     });
                 }
             }
@@ -270,30 +229,14 @@ pub fn harvest(bm: &mut BlockMatrix, tg: &TaskGraph, caps: HarvestCaps) -> Vec<S
                     let fill = if is_full(&orig) { fl / padded } else { 0.0 };
                     let tile = (fill > 0.0).then_some((SsssmVariant::DV1, "D_V1"));
                     for (v, label) in SSSSM_VARIANTS.into_iter().chain(tile) {
-                        let secs = best_of_3(|| {
-                            let mut c = orig.clone();
-                            ssssm::ssssm(&a, &b, &mut c, v, &mut scratch);
-                        });
-                        samples.push(Sample {
-                            class: "SSSSM",
-                            variant: label,
-                            feature: fl,
-                            seconds: secs,
-                            fill,
+                        time_sample(&mut samples, ("SSSSM", label), (fl, fill), || {
+                            ssssm::ssssm(&a, &b, &mut orig.clone(), v, &mut scratch);
                         });
                     }
                     let mut arena = Vec::new();
                     if let Some(p) = plan::build_ssssm_plan(&a, &b, &orig, &mut arena) {
-                        let secs = best_of_3(|| {
-                            let mut c = orig.clone();
-                            plan::ssssm_planned(&a, &b, &mut c, &p, &arena);
-                        });
-                        samples.push(Sample {
-                            class: "SSSSM",
-                            variant: "P_V1",
-                            feature: fl,
-                            seconds: secs,
-                            fill,
+                        time_sample(&mut samples, ("SSSSM", "P_V1"), (fl, fill), || {
+                            plan::ssssm_planned(&a, &b, &mut orig.clone(), &p, &arena);
                         });
                     }
                 }
@@ -444,7 +387,7 @@ mod tests {
     #[test]
     fn harvest_times_the_tile_lane_on_full_blocks() {
         let a = pangulu_sparse::gen::kkt(400, 180, 7);
-        let prep = crate::prepare(&a, 1);
+        let prep = crate::prepare(&a, 1).unwrap();
         let filled = pangulu_symbolic::symbolic_fill(&prep.reordered)
             .and_then(|f| f.filled_matrix(&prep.reordered))
             .unwrap();
@@ -471,7 +414,7 @@ mod tests {
     #[test]
     fn harvest_produces_all_classes() {
         let a = pangulu_sparse::gen::circuit(250, 4);
-        let prep = crate::prepare(&a, 1);
+        let prep = crate::prepare(&a, 1).unwrap();
         let mut bm = prep.bm.clone();
         let samples = harvest(&mut bm, &prep.tg, HarvestCaps { getrf: 4, trsm: 6, ssssm: 8 });
         for class in ["GETRF", "GESSM", "TSTRF", "SSSSM"] {

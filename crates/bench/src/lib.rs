@@ -1,18 +1,18 @@
-//! Shared harness for the benchmark binaries that regenerate every table
-//! and figure of the paper's evaluation (see `DESIGN.md`, experiment
-//! index, and `EXPERIMENTS.md` for recorded results).
+//! Shared harness for the experiments that regenerate every table and
+//! figure of the paper's evaluation (see `DESIGN.md`, experiment index,
+//! and `EXPERIMENTS.md` for recorded results). The `figures` binary runs
+//! the table in [`experiments::EXPERIMENTS`].
 //!
 //! Conventions:
-//! * every binary prints a CSV table to stdout **and** writes it under
-//!   `data/` (like the artifact's `figureX.sh` scripts);
+//! * every experiment returns one CSV table, which `figures` prints to
+//!   stdout **and** writes under `data/` (like the artifact's
+//!   `figureX.sh` scripts);
 //! * the matrix suite is the 16 SuiteSparse analogs of
 //!   [`pangulu_sparse::gen::PAPER_MATRICES`], scaled by the
 //!   `PANGULU_SCALE` environment variable (default 1);
 //! * `PANGULU_MATRICES=a,b,c` restricts a run to a subset.
 
-use std::io::Write;
 use std::path::PathBuf;
-use std::time::Duration;
 
 use pangulu_comm::cost::KernelCostClass;
 use pangulu_comm::ProcessGrid;
@@ -46,26 +46,41 @@ pub fn load(name: &str) -> CscMatrix {
     paper_matrix(name, scale())
 }
 
-/// Writes a CSV both to stdout and `data/<name>.csv`.
-pub fn emit_csv(name: &str, header: &str, rows: &[String]) {
-    println!("{header}");
-    for r in rows {
-        println!("{r}");
-    }
-    let dir = data_dir();
-    std::fs::create_dir_all(&dir).expect("create data dir");
-    let path = dir.join(format!("{name}.csv"));
-    let mut f = std::fs::File::create(&path).expect("create csv");
-    writeln!(f, "{header}").unwrap();
-    for r in rows {
-        writeln!(f, "{r}").unwrap();
-    }
-    eprintln!("[written] {}", path.display());
+/// What an experiment can fail with: a solver error or a message.
+pub type Result<T> = std::result::Result<T, Box<dyn std::error::Error>>;
+
+/// One experiment's output: the CSV table `data/<file>.csv`.
+pub struct Csv {
+    /// File stem under `data/`.
+    pub file: &'static str,
+    /// Comma-separated column names.
+    pub header: String,
+    /// Comma-separated rows, in output order.
+    pub rows: Vec<String>,
 }
 
-/// The output directory: `PANGULU_DATA_DIR` if set (the smoke tests use
-/// a scratch directory so restricted runs never clobber the committed
-/// CSVs), else `data/` beside the workspace root.
+impl Csv {
+    /// The table `file` with `header` over `rows`.
+    pub fn new(file: &'static str, header: &str, rows: Vec<String>) -> Self {
+        Csv { file, header: header.to_string(), rows }
+    }
+}
+
+/// Writes a CSV both to stdout and `data/<name>.csv`.
+pub fn emit_csv(name: &str, header: &str, rows: &[String]) -> std::io::Result<()> {
+    let text = format!("{header}\n{}", rows.iter().map(|r| format!("{r}\n")).collect::<String>());
+    print!("{text}");
+    let dir = data_dir();
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(format!("{name}.csv"));
+    std::fs::write(&path, text)?;
+    eprintln!("[written] {}", path.display());
+    Ok(())
+}
+
+/// The output directory: `PANGULU_DATA_DIR` if set (the CI gate writes
+/// to a scratch directory and compares it with the committed CSVs), else
+/// `data/` beside the workspace root.
 fn data_dir() -> PathBuf {
     if let Ok(dir) = std::env::var("PANGULU_DATA_DIR") {
         return PathBuf::from(dir);
@@ -77,16 +92,9 @@ fn data_dir() -> PathBuf {
     p.join("data")
 }
 
-/// Duration in fractional seconds (for CSV cells).
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
-
 /// A prepared PanguLU factorisation input: reordered matrix, filled
 /// pattern cut into blocks, task graph and owner map.
 pub struct Prepared {
-    /// The original matrix.
-    pub a: CscMatrix,
     /// The reordered/scaled matrix.
     pub reordered: CscMatrix,
     /// The blocked filled pattern (values = A + zero fill).
@@ -107,17 +115,22 @@ pub struct Prepared {
 /// preserving orders whose block DAGs are nearly sequential: best for a
 /// single device, fatal for scaling. `ordering_study.csv` quantifies
 /// the fill side of that trade.
-pub fn prepare(a: &CscMatrix, ranks: usize) -> Prepared {
-    let r = pangulu_reorder::reorder_for_lu(a, pangulu_reorder::FillReducing::NestedDissection)
-        .expect("reorder");
-    let fill = pangulu_symbolic::symbolic_fill(&r.matrix).expect("symbolic");
+///
+/// The blocks come from the solver's tiler: the fill pattern is cut
+/// value-less ([`BlockMatrix::from_fill`]) and the reordered matrix's
+/// values are loaded into it; fill slots stay zero.
+pub fn prepare(a: &CscMatrix, ranks: usize) -> Result<Prepared> {
+    let r = pangulu_reorder::reorder_for_lu(a, pangulu_reorder::FillReducing::NestedDissection)?;
+    let fill = pangulu_symbolic::symbolic_fill(&r.matrix)?;
     let stats = pangulu_symbolic::stats::stats_from_fill(&r.matrix, &fill);
     let grid = ProcessGrid::new(ranks);
     let nb = BlockMatrix::choose_block_size(a.ncols(), fill.nnz_lu(), grid.pr().max(grid.pc()));
-    let filled = fill.filled_matrix(&r.matrix).expect("filled matrix");
-    let bm = BlockMatrix::from_filled(&filled, nb).expect("blocking");
+    let mut bm = BlockMatrix::from_fill(fill, nb)?;
+    let values = r.matrix.values();
+    bm.for_each_slot(&r.matrix, |i| i, |j| j, |k, _, _, v| *v = values[k])?;
     let tg = TaskGraph::build(&bm);
-    Prepared { a: a.clone(), reordered: r.matrix, bm, tg, flops: stats.flops, nnz_lu: stats.nnz_lu }
+    let (flops, nnz_lu) = (stats.flops, stats.nnz_lu);
+    Ok(Prepared { reordered: r.matrix, bm, tg, flops, nnz_lu })
 }
 
 /// Balanced owner map for `p` ranks over a prepared input.
@@ -170,18 +183,18 @@ pub struct SupernodalPrepared {
 }
 
 /// Runs the baseline's preprocessing on an already reordered matrix.
-pub fn prepare_supernodal(reordered: &CscMatrix) -> SupernodalPrepared {
-    let fill = pangulu_symbolic::symbolic_fill(reordered).expect("symbolic");
-    let filled = fill.filled_matrix(reordered).expect("filled");
+pub fn prepare_supernodal(reordered: &CscMatrix) -> Result<SupernodalPrepared> {
+    let fill = pangulu_symbolic::symbolic_fill(reordered)?;
+    let filled = fill.filled_matrix(reordered)?;
     let part = pangulu_supernodal::supernode::detect(
         &fill,
         pangulu_supernodal::supernode::SupernodeOptions::default(),
     );
-    let sbm = pangulu_supernodal::SnBlockMatrix::from_filled(&filled, part).expect("blocked");
+    let sbm = pangulu_supernodal::SnBlockMatrix::from_filled(&filled, part)?;
     let levels = pangulu_supernodal::dag::supernode_levels(&fill, &sbm);
     let dag = pangulu_supernodal::dag::build_dag(&sbm, &levels);
     let dense_flops = dag.iter().map(|t| t.flops).sum();
-    SupernodalPrepared { sbm, dag, dense_flops }
+    Ok(SupernodalPrepared { sbm, dag, dense_flops })
 }
 
 #[cfg(test)]
@@ -198,7 +211,7 @@ mod tests {
     #[test]
     fn prepare_small_matrix_works() {
         let a = pangulu_sparse::gen::laplacian_2d(12, 12);
-        let prep = prepare(&a, 4);
+        let prep = prepare(&a, 4).unwrap();
         assert!(prep.flops > 0.0);
         assert!(prep.nnz_lu >= a.nnz());
         assert_eq!(prep.bm.n(), 144);
@@ -210,7 +223,7 @@ mod tests {
     fn supernodal_sim_tasks_preserve_count() {
         let a = pangulu_sparse::gen::circuit(150, 3);
         let r = pangulu_reorder::reorder_for_lu(&a, pangulu_reorder::FillReducing::Amd).unwrap();
-        let sp = prepare_supernodal(&r.matrix);
+        let sp = prepare_supernodal(&r.matrix).unwrap();
         let prof = pangulu_comm::PlatformProfile::a100_like();
         let sim = supernodal_sim_tasks(&sp.dag, 4, &prof);
         assert_eq!(sim.len(), sp.dag.len());
@@ -218,4 +231,5 @@ mod tests {
     }
 }
 
+pub mod experiments;
 pub mod kernel_timing;

@@ -1,48 +1,50 @@
-//! Smoke tests: every figure/table generator binary runs to completion on
-//! a restricted matrix set and writes its CSV.
+//! Smoke test: every experiment of the `figures` table runs in process on
+//! a restricted matrix set, and its CSV carries the committed file's
+//! header and the row count that set gives.
 
-use std::process::Command;
+use std::path::Path;
 
-fn scratch_dir() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("pangulu_generator_smoke");
-    std::fs::create_dir_all(&dir).expect("scratch data dir");
-    dir
-}
+use pangulu_bench::experiments::EXPERIMENTS;
 
-fn run(bin: &str, envs: &[(&str, &str)]) {
-    let path = env!("CARGO_BIN_EXE_table3").replace("table3", bin);
-    let mut cmd = Command::new(&path);
-    cmd.env("PANGULU_MATRICES", "ecology1,ASIC_680k");
-    // Keep restricted smoke runs away from the committed data/ CSVs.
-    cmd.env("PANGULU_DATA_DIR", scratch_dir());
-    for (k, v) in envs {
-        cmd.env(k, v);
+/// Data rows of each experiment's CSV on `ecology1,ASIC_680k`, in table
+/// order. Experiments with a matrix list of their own (fig03, fig04,
+/// fig05, fig08, mapping, weak scaling, timeline) give their full count.
+const ROWS: [(&str, usize); 19] = [
+    ("table3", 2),
+    ("fig03_supernode_sizes", 24),
+    ("fig04_gemm_density", 30),
+    ("fig05_sync_ratio", 42),
+    ("fig07_kernels", 4901),
+    ("fig08_calibrate", 13),
+    ("fig08_validate", 4),
+    ("fig11_symbolic", 3),
+    ("fig12_scaling", 32),
+    ("fig13_sync128", 3),
+    ("fig14_ablation", 2),
+    ("fig15_preprocess", 2),
+    ("table4", 3),
+    ("weak_scaling", 4),
+    ("mapping_study", 24),
+    ("time_breakdown", 2),
+    ("ordering_study", 2),
+    ("fault_study", 5),
+    ("timeline", 1223),
+];
+
+#[test]
+fn every_experiment_runs_on_a_restricted_suite() {
+    // The only test in this binary, so no other thread reads these.
+    std::env::set_var("PANGULU_MATRICES", "ecology1,ASIC_680k");
+    std::env::set_var("PANGULU_SCALE", "1");
+    let data = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../data");
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    assert_eq!(names, ROWS.map(|(name, _)| name), "the table and ROWS list the same experiments");
+    for (e, (_, rows)) in EXPERIMENTS.iter().zip(ROWS) {
+        let csv = (e.run)().unwrap_or_else(|err| panic!("{}: {err}", e.name));
+        let path = data.join(format!("{}.csv", csv.file));
+        let committed = std::fs::read_to_string(&path)
+            .unwrap_or_else(|err| panic!("{}: {err}", path.display()));
+        assert_eq!(Some(csv.header.as_str()), committed.lines().next(), "{}: header", e.name);
+        assert_eq!(csv.rows.len(), rows, "{}: data rows", e.name);
     }
-    let out = cmd.output().unwrap_or_else(|e| panic!("launch {bin}: {e}"));
-    assert!(out.status.success(), "{bin} failed: {}", String::from_utf8_lossy(&out.stderr));
-}
-
-#[test]
-fn table_generators_run() {
-    run("table3", &[]);
-    run("table4", &[]);
-}
-
-#[test]
-fn figure_generators_run() {
-    run("fig05_sync_ratio", &[]);
-    run("fig11_symbolic", &[]);
-    run("fig12_scaling", &[]);
-    run("fig13_sync128", &[]);
-    run("fig14_ablation", &[("PANGULU_RANKS", "8")]);
-    run("fig15_preprocess", &[]);
-}
-
-#[test]
-fn csvs_are_written() {
-    run("table3", &[]);
-    let path = scratch_dir().join("table3.csv");
-    let text = std::fs::read_to_string(&path).expect("table3.csv written");
-    assert!(text.starts_with("matrix,"), "missing header in {}", path.display());
-    assert!(text.lines().count() >= 3, "expected at least two data rows");
 }

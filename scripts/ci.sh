@@ -101,6 +101,13 @@
 #           later ordering change from silently re-scattering the block
 #           grid — each run without and with --release (see
 #           docs/ALGORITHM.md §1)
+#   figures  evaluation gate: runs the `figures` binary (release) into
+#           target/ci-logs/figures-data and compares it with the committed
+#           data/ — byte for byte on the CSVs that repeat exactly from run
+#           to run, and by header name on the columns that repeat in the
+#           others (their timing columns vary). A change that moves a
+#           figure on purpose commits the regenerated CSV and says why
+#           (see EXPERIMENTS.md)
 #   benchmark-api  builds and tests the repo benchmark (benchmark/, its
 #           own workspace, compiled only against public items of
 #           crates/*), so an API change that breaks it fails here
@@ -269,12 +276,77 @@ stage_ordering() {
     done
 }
 
+# The evaluation CSVs that repeat byte for byte from run to run.
+figures_exact=(table3 fig03_supernode_sizes fig05_sync_ratio fig12_scaling fig13_sync128
+    mapping_study time_breakdown weak_scaling)
+# file=ERE: the columns of the other CSVs that repeat, by header name.
+figures_columns=(
+    'fig04_gemm_density=matrix|density_bin|pct_.*'
+    'fig07_kernels=matrix|kernel|variant|feature'
+    'fig08_calibration=kernel|small_variant|big_variant|threshold_field'
+    'fig08_validation=kernel|instances'
+    'fig11_symbolic=matrix|gp_nnz_lu|sym_nnz_lu'
+    'fig14_ablation=matrix|baseline'
+    'ordering_study=matrix|.*_nnz_lu|.*_blocks|.*_tasks|auto_method'
+    'fault_study=matrix|severity|messages'
+)
+
+# Prints the columns of CSV $1 whose header name matches the ERE $2 in
+# full, in file order; fails if one of $2's alternatives names no column.
+csv_columns() {
+    awk -F, -v re="$2" '
+        NR == 1 {
+            n = split(re, alt, "|")
+            for (a = 1; a <= n; a++) {
+                hit = 0
+                for (i = 1; i <= NF; i++) if ($i ~ "^(" alt[a] ")$") hit = 1
+                if (!hit) { print FILENAME ": no column matches " alt[a] > "/dev/stderr"; exit 1 }
+            }
+            for (i = 1; i <= NF; i++) if ($i ~ "^(" re ")$") keep[++m] = i
+        }
+        { line = $keep[1]; for (k = 2; k <= m; k++) line = line "," $keep[k]; print line }
+    ' "$1"
+}
+
+stage_figures() {
+    local out="$log_dir/figures-data" t0 name spec cols fail=0
+    cargo build --release -q -p pangulu-bench --bin figures
+    rm -rf "$out"
+    mkdir -p "$out"
+    t0=$SECONDS
+    PANGULU_DATA_DIR="$out" ./target/release/figures >/dev/null
+    echo "--- figures ran in $((SECONDS - t0)) s"
+    for name in "${figures_exact[@]}"; do
+        if ! diff "data/$name.csv" "$out/$name.csv" >"$out/$name.diff"; then
+            echo "ci.sh: data/$name.csv differs from a fresh run ($out/$name.diff):" >&2
+            head -n 20 "$out/$name.diff" >&2
+            fail=1
+        fi
+    done
+    for spec in "${figures_columns[@]}"; do
+        name="${spec%%=*}" cols="${spec#*=}"
+        if ! csv_columns "data/$name.csv" "$cols" >"$out/$name.want" ||
+            ! csv_columns "$out/$name.csv" "$cols" >"$out/$name.got" ||
+            ! diff "$out/$name.want" "$out/$name.got" >"$out/$name.diff"; then
+            echo "ci.sh: data/$name.csv columns $cols differ from a fresh run:" >&2
+            head -n 20 "$out/$name.diff" >&2
+            fail=1
+        fi
+    done
+    if ((fail)); then
+        echo "ci.sh: a figure moved; if on purpose, commit the regenerated CSVs" \
+            "(cargo run --release -p pangulu-bench --bin figures) and say why" >&2
+        return 1
+    fi
+    echo "--- ${#figures_exact[@]} CSVs byte-identical, ${#figures_columns[@]} on their stable columns"
+}
+
 stage_benchmark_api() {
     cargo test --release --offline --manifest-path benchmark/Cargo.toml
 }
 
 all_stages=(fmt clippy build test doc panics trace sched comm precision solve kernels ordering
-    benchmark-api)
+    figures benchmark-api)
 
 only=""
 if [[ "${1:-}" == "--stage" ]]; then

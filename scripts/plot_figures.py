@@ -2,8 +2,8 @@
 """Plot the paper's figures from the CSVs under data/.
 
 The analog of the PanguLU artifact's figureX.py scripts: run the Rust
-generators first (`cargo run --release -p pangulu-bench --bin
-all_figures`), then
+experiments first (`cargo run --release -p pangulu-bench --bin
+figures`), then
 
     python3 scripts/plot_figures.py [fig03|fig04|fig05|fig07|fig11|
                                      fig12|fig13|fig14|fig15|all]
