@@ -18,7 +18,7 @@ pub fn run() -> Result<Csv> {
     for name in names {
         let samples = harvest_matrix(name)?;
         eprintln!("[fig07] {name}: {} samples", samples.len());
-        for s in samples {
+        for s in samples.iter() {
             rows.push(format!(
                 "{name},{},{},{:.6e},{:.6e}",
                 s.class, s.variant, s.feature, s.seconds

@@ -1,11 +1,12 @@
 //! Figure 8: re-calibrates the decision-tree cut points on this machine.
 //!
-//! Harvests and times kernels (as Figure 7), then reports, per tree edge,
+//! Reads the kernel harvest Figure 7 times, then reports, per tree edge,
 //! the crossover feature value where the "bigger" variant starts winning.
-//! The output doubles as a `Thresholds { .. }` literal that can be pasted
-//! into `pangulu_kernels::select`. The dense-tile lane is harvested next
-//! to the sparse variants on every full block; its measured fill-fraction
-//! crossover is printed for information (the shipped cut is the constant
+//! The suggested values go to stderr as a `Thresholds { .. }` literal
+//! that can be pasted into `pangulu_kernels::select`, so stdout carries
+//! only CSVs. The dense-tile lane is harvested next to the sparse
+//! variants on every full block; its measured fill-fraction crossover is
+//! printed for information (the shipped cut is the constant
 //! `TILE_MIN_FILL`, which cannot change an answer).
 
 use pangulu_kernels::select::TILE_MIN_FILL;
@@ -18,7 +19,7 @@ use crate::{Csv, Result};
 pub fn run() -> Result<Csv> {
     let mut samples = Vec::new();
     for name in HARVEST_SET {
-        samples.extend(harvest_matrix(name)?);
+        samples.extend(harvest_matrix(name)?.iter().cloned());
         eprintln!("[fig08] harvested {name}");
     }
 
@@ -45,14 +46,14 @@ pub fn run() -> Result<Csv> {
         ("SSSSM", "ssssm_planned"),
     ];
     let mut rows = Vec::new();
-    println!("// Suggested Thresholds for this machine:");
+    eprintln!("// Suggested Thresholds for this machine:");
     for (class, small, big, field) in edges {
         let x = crossover(&samples, class, small, big);
         let cell = x.map(|v| format!("{v:.3e}")).unwrap_or_else(|| "none".into());
         rows.push(format!("{class},{small},{big},{field},{cell}"));
         match x {
-            Some(v) => println!("//   {field}: {v:.3e},"),
-            None => println!("//   {field}: (no crossover observed; keep default)"),
+            Some(v) => eprintln!("//   {field}: {v:.3e},"),
+            None => eprintln!("//   {field}: (no crossover observed; keep default)"),
         }
     }
     for (class, field) in planned_edges {
@@ -60,8 +61,8 @@ pub fn run() -> Result<Csv> {
         let cell = x.map(|v| format!("{v:.3e}")).unwrap_or_else(|| "none".into());
         rows.push(format!("{class},P_V1,best,{field},{cell}"));
         match x {
-            Some(v) => println!("//   {field}: {v:.3e},"),
-            None => println!("//   {field}: (planned never beaten; keep the gate open)"),
+            Some(v) => eprintln!("//   {field}: {v:.3e},"),
+            None => eprintln!("//   {field}: (planned never beaten; keep the gate open)"),
         }
     }
     let tile_runs = samples.iter().filter(|s| s.class == "SSSSM" && s.variant == "D_V1").count();
@@ -69,11 +70,11 @@ pub fn run() -> Result<Csv> {
     let cell = x.map(|v| format!("{v:.1}")).unwrap_or_else(|| "none".into());
     rows.push(format!("SSSSM,best,D_V1,TILE_MIN_FILL (const {TILE_MIN_FILL}),{cell}"));
     match x {
-        Some(v) => println!(
+        Some(v) => eprintln!(
             "//   dense-tile lane wins from fill {v:.1} up on this host \
              ({tile_runs} full-target updates; shipped TILE_MIN_FILL = {TILE_MIN_FILL})"
         ),
-        None => println!(
+        None => eprintln!(
             "//   dense-tile lane: no winning fill decile in {tile_runs} full-target updates \
              (shipped TILE_MIN_FILL = {TILE_MIN_FILL})"
         ),

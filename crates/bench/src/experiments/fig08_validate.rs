@@ -19,9 +19,9 @@ pub fn run() -> Result<Csv> {
     for name in HARVEST_SET {
         // The trees pick among the Table 1 variants only; the planned
         // and dense-tile samples of the harvest are other gates' business.
-        for s in harvest_matrix(name)? {
+        for s in harvest_matrix(name)?.iter() {
             if !matches!(s.variant, "P_V1" | "D_V1") {
-                samples.push((name.to_string(), s));
+                samples.push((name.to_string(), s.clone()));
             }
         }
         eprintln!("[fig08v] harvested {name}");

@@ -5,6 +5,8 @@
 //! methodology as the paper's Figure 7 (which harvested 4,550 GETRF,
 //! 18,786 GESSM/TSTRF and 86,982 SSSSM sub-matrices from the suite).
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 use pangulu_core::block::BlockMatrix;
@@ -79,11 +81,23 @@ pub(crate) fn label<V: PartialEq>(table: &[(V, &'static str)], variant: V) -> Op
 pub(crate) const HARVEST_SET: [&str; 4] = ["ASIC_680k", "audikw_1", "cage12", "Si87H76"];
 
 /// Harvests and times kernels, at the default caps, on the blocks of
-/// suite matrix `name` prepared for one rank.
-pub(crate) fn harvest_matrix(name: &str) -> crate::Result<Vec<Sample>> {
+/// suite matrix `name` prepared for one rank. Each matrix is harvested
+/// once per process: Figures 7 and 8 and the tree validation read the
+/// same samples.
+pub(crate) fn harvest_matrix(name: &str) -> crate::Result<Arc<[Sample]>> {
+    static HARVESTS: OnceLock<Mutex<HashMap<String, Arc<[Sample]>>>> = OnceLock::new();
+    // The map only ever gains a finished harvest, so a poisoned lock
+    // still guards a valid map.
+    let mut harvests =
+        HARVESTS.get_or_init(Default::default).lock().unwrap_or_else(PoisonError::into_inner);
+    if let Some(samples) = harvests.get(name) {
+        return Ok(Arc::clone(samples));
+    }
     let prep = crate::prepare(&crate::load(name), 1)?;
     let mut bm = prep.bm;
-    Ok(harvest(&mut bm, &prep.tg, HarvestCaps::default()))
+    let samples: Arc<[Sample]> = harvest(&mut bm, &prep.tg, HarvestCaps::default()).into();
+    harvests.insert(name.to_string(), Arc::clone(&samples));
+    Ok(samples)
 }
 
 /// A synthetic `m × n` block for the dense-tile lane's benches: each

@@ -23,6 +23,7 @@ use pangulu_core::task::TaskGraph;
 use pangulu_sparse::gen::{paper_matrix, PAPER_MATRICES};
 use pangulu_sparse::CscMatrix;
 use pangulu_supernodal::dag::{SnTask, SnTaskKind};
+use pangulu_symbolic::FilledPattern;
 
 /// The matrix scale factor from `PANGULU_SCALE`.
 pub fn scale() -> usize {
@@ -116,21 +117,27 @@ pub struct Prepared {
 /// single device, fatal for scaling. `ordering_study.csv` quantifies
 /// the fill side of that trade.
 ///
-/// The blocks come from the solver's tiler: the fill pattern is cut
-/// value-less ([`BlockMatrix::from_fill`]) and the reordered matrix's
-/// values are loaded into it; fill slots stay zero.
+/// The blocks come from the solver's tiler ([`tile`]).
 pub fn prepare(a: &CscMatrix, ranks: usize) -> Result<Prepared> {
     let r = pangulu_reorder::reorder_for_lu(a, pangulu_reorder::FillReducing::NestedDissection)?;
     let fill = pangulu_symbolic::symbolic_fill(&r.matrix)?;
     let stats = pangulu_symbolic::stats::stats_from_fill(&r.matrix, &fill);
     let grid = ProcessGrid::new(ranks);
     let nb = BlockMatrix::choose_block_size(a.ncols(), fill.nnz_lu(), grid.pr().max(grid.pc()));
-    let mut bm = BlockMatrix::from_fill(fill, nb)?;
-    let values = r.matrix.values();
-    bm.for_each_slot(&r.matrix, |i| i, |j| j, |k, _, _, v| *v = values[k])?;
+    let bm = tile(fill, &r.matrix, nb)?;
     let tg = TaskGraph::build(&bm);
     let (flops, nnz_lu) = (stats.flops, stats.nnz_lu);
     Ok(Prepared { reordered: r.matrix, bm, tg, flops, nnz_lu })
+}
+
+/// Tiles as the solver does: the fill pattern is cut value-less
+/// ([`BlockMatrix::from_fill`]) into `nb`-sized blocks and the reordered
+/// matrix's values are loaded into it; fill slots stay zero.
+pub fn tile(fill: FilledPattern, reordered: &CscMatrix, nb: usize) -> Result<BlockMatrix> {
+    let mut bm = BlockMatrix::from_fill(fill, nb)?;
+    let values = reordered.values();
+    bm.for_each_slot(reordered, |i| i, |j| j, |k, _, _, v| *v = values[k])?;
+    Ok(bm)
 }
 
 /// Balanced owner map for `p` ranks over a prepared input.

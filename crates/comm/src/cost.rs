@@ -18,8 +18,6 @@
 //! Absolute numbers are rough public figures; the experiments depend on
 //! their *ratios* (the paper's claims are all comparative).
 
-use crate::msg::BlockMsg;
-
 /// Per-kernel-class effective throughput and fixed launch overhead.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlatformProfile {
@@ -114,11 +112,6 @@ impl PlatformProfile {
         }
     }
 
-    /// Convenience: cost of shipping a block message.
-    pub fn block_msg_cost(&self, from: usize, to: usize, msg: &BlockMsg) -> f64 {
-        self.message_cost(from, to, msg.payload_bytes())
-    }
-
     /// Gather/scatter memory traffic cost for the supernodal baseline's
     /// Schur update on a panel of `bytes` (both directions).
     pub fn gather_scatter_cost(&self, bytes: usize) -> f64 {
@@ -143,7 +136,6 @@ pub enum KernelCostClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::BlockRole;
 
     #[test]
     fn a100_outruns_mi50() {
@@ -170,14 +162,6 @@ mod tests {
         // Overhead dominates tiny kernels: the motivation for CPU kernels
         // on small blocks in the decision trees.
         assert!(tiny < 2.0 * p.launch_overhead);
-    }
-
-    #[test]
-    fn block_msg_cost_matches_bytes() {
-        let p = PlatformProfile::a100_like();
-        let m = BlockMsg { bi: 0, bj: 0, role: BlockRole::LPanel, values: vec![0.0; 1000].into() };
-        let c = p.block_msg_cost(0, 5, &m);
-        assert!((c - (p.net_latency + m.payload_bytes() as f64 / p.net_bandwidth)).abs() < 1e-18);
     }
 
     #[test]

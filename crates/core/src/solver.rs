@@ -66,6 +66,12 @@ const SCATTER_ROWS: usize = 64;
 /// Factor-time probe gate: a mixed factorisation whose probe solve
 /// cannot refine below this inner residual falls back to f64.
 const PROBE_GATE: f64 = 1e-11;
+/// Acceptance-probe cadence of the mixed path: the first factorisation
+/// always probes, then every `PROBE_EVERY`-th refactorisation repeats
+/// the probe solve, unless the perturbed-pivot count drifts from the last
+/// probed factorisation, which forces an early re-probe (the drift gate).
+/// Skipped probes are counted in [`PrecisionCounters::probe_skips`].
+const PROBE_EVERY: usize = 4;
 
 /// Tunable options of the pipeline.
 #[derive(Debug, Clone)]
@@ -89,16 +95,6 @@ pub struct SolverOptions {
     /// Numeric precision of the factorisation: full f64, or the mixed
     /// f32-factor/refined-solve path.
     pub precision: Precision,
-    /// Acceptance-probe cadence of the mixed path: the first
-    /// factorisation always probes, then only every `probe_every`-th
-    /// refactorisation repeats the probe solve — unless the
-    /// perturbed-pivot count drifts from the last probed factorisation,
-    /// which forces an early re-probe (the drift gate). `1` probes every
-    /// time (the pre-cadence behaviour); values are clamped to ≥ 1.
-    /// Skipped probes are counted in
-    /// [`PrecisionCounters::probe_skips`]. Ignored under
-    /// [`Precision::F64`].
-    pub probe_every: usize,
 }
 
 impl Default for SolverOptions {
@@ -111,7 +107,6 @@ impl Default for SolverOptions {
             pivot_floor_rel: 1e-12,
             shared_threads: None,
             precision: Precision::default(),
-            probe_every: 4,
         }
     }
 }
@@ -165,15 +160,6 @@ impl SolverBuilder {
     /// [`Precision::MixedF32`].
     pub fn precision(mut self, p: Precision) -> Self {
         self.opts.precision = p;
-        self
-    }
-
-    /// Sets the mixed-path acceptance-probe cadence: probe on the first
-    /// factorisation, then every `k`-th refactorisation (default 4;
-    /// clamped to ≥ 1, where 1 probes every time). A perturbed-pivot
-    /// drift forces an early re-probe regardless of the cadence.
-    pub fn probe_every(mut self, k: usize) -> Self {
-        self.opts.probe_every = k.max(1);
         self
     }
 
@@ -307,8 +293,7 @@ struct MixedState {
     /// Solves that ran the refinement loop.
     refined_solves: AtomicU64,
     /// Refactorisations since the acceptance probe last ran; the probe
-    /// repeats once this reaches `probe_every` (see
-    /// [`SolverOptions::probe_every`]).
+    /// repeats once this reaches [`PROBE_EVERY`].
     refactors_since_probe: usize,
     /// Perturbed-pivot count of the last *probed* factorisation — the
     /// drift gate: a refactorisation whose count differs re-probes
@@ -708,7 +693,7 @@ impl Factors {
                 // An f32 zero pivot fails like a probe: the f64 run
                 // decides whether the matrix itself is singular.
                 if zero_pivots(run.pivot_floor, perturbed) == 0
-                    && mx.accept(refactor, perturbed, run.opts.probe_every, &mut stats.precision)
+                    && mx.accept(refactor, perturbed, &mut stats.precision)
                 {
                     summary.apply(stats);
                 } else {
@@ -755,7 +740,7 @@ impl MixedState {
     /// factors are kept.
     ///
     /// Refactorisations amortise it: the solve only reruns every
-    /// `probe_every`-th refactorisation or when the perturbed-pivot count
+    /// [`PROBE_EVERY`]-th refactorisation or when the perturbed-pivot count
     /// drifts from the last probed run; skips are counted in
     /// [`PrecisionCounters::probe_skips`]. The first factorisation always
     /// probes.
@@ -763,12 +748,11 @@ impl MixedState {
         &mut self,
         refactor: bool,
         perturbed: usize,
-        probe_every: usize,
         precision: &mut PrecisionCounters,
     ) -> bool {
         // Inside the cadence window with the pivoting unchanged, the
         // factors accepted at the last probe need no new one.
-        let cadence_due = self.refactors_since_probe + 1 >= probe_every.max(1);
+        let cadence_due = self.refactors_since_probe + 1 >= PROBE_EVERY;
         if refactor && !cadence_due && perturbed == self.probed_perturbed {
             precision.probe_skips += 1;
             precision.mixed_factors += 1;
@@ -2522,19 +2506,6 @@ mod tests {
         let b = gen::test_rhs(a.nrows(), 9);
         let x = solver.solve(&b).unwrap();
         assert!(relative_residual(&rescaled(&a, 2.5), &x, &b).unwrap() < 1e-12);
-    }
-
-    #[test]
-    fn mixed_probe_every_one_probes_every_refactor() {
-        let a = gen::laplacian_2d(15, 14);
-        let mut solver =
-            Solver::builder().precision(Precision::MixedF32).probe_every(1).build(&a).unwrap();
-        let first = solver.precision_counters().probe_refine_iters;
-        solver.refactor(&rescaled(&a, 1.5)).unwrap();
-        let c = solver.precision_counters();
-        assert_eq!(c.probe_skips, 0, "cadence 1 never skips");
-        assert!(c.probe_refine_iters >= first, "probe ran again");
-        assert_eq!(c.mixed_factors, 2);
     }
 
     #[test]

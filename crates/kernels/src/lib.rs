@@ -49,31 +49,6 @@ pub use scratch::KernelScratch;
 pub use select::{KernelSelector, Thresholds};
 pub use timed::TimedKernels;
 
-/// The four kernel classes of the numeric factorisation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum KernelClass {
-    /// Diagonal block factorisation.
-    Getrf,
-    /// Lower triangular solve (updates U panel blocks).
-    Gessm,
-    /// Upper triangular solve (updates L panel blocks).
-    Tstrf,
-    /// Schur complement update.
-    Ssssm,
-}
-
-impl std::fmt::Display for KernelClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            KernelClass::Getrf => "GETRF",
-            KernelClass::Gessm => "GESSM",
-            KernelClass::Tstrf => "TSTRF",
-            KernelClass::Ssssm => "SSSSM",
-        };
-        f.write_str(s)
-    }
-}
-
 /// GETRF variants (Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GetrfVariant {
@@ -128,26 +103,3 @@ pub enum SsssmVariant {
     /// Table 1; picked only by [`KernelSelector::ssssm_on`].
     DV1,
 }
-
-/// All 17 kernels of Table 1 as `(class, label)` pairs, for harness
-/// enumeration (the dense-tile lane `D_V1` is this repo's, not the
-/// table's).
-pub const ALL_KERNELS: [(KernelClass, &str); 17] = [
-    (KernelClass::Getrf, "C_V1"),
-    (KernelClass::Getrf, "G_V1"),
-    (KernelClass::Getrf, "G_V2"),
-    (KernelClass::Gessm, "C_V1"),
-    (KernelClass::Gessm, "C_V2"),
-    (KernelClass::Gessm, "G_V1"),
-    (KernelClass::Gessm, "G_V2"),
-    (KernelClass::Gessm, "G_V3"),
-    (KernelClass::Tstrf, "C_V1"),
-    (KernelClass::Tstrf, "C_V2"),
-    (KernelClass::Tstrf, "G_V1"),
-    (KernelClass::Tstrf, "G_V2"),
-    (KernelClass::Tstrf, "G_V3"),
-    (KernelClass::Ssssm, "C_V1"),
-    (KernelClass::Ssssm, "C_V2"),
-    (KernelClass::Ssssm, "G_V1"),
-    (KernelClass::Ssssm, "G_V2"),
-];

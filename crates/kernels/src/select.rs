@@ -192,11 +192,6 @@ impl KernelSelector {
         }
     }
 
-    /// Whether adaptive selection is on.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
     /// Figure 8(a): GETRF from the diagonal block nnz.
     pub fn getrf(&self, nnz_block: usize) -> GetrfVariant {
         if !self.adaptive {
@@ -401,7 +396,6 @@ mod tests {
     #[test]
     fn baseline_always_answers_binsearch_family() {
         let s = KernelSelector::baseline(10_000_000);
-        assert!(!s.is_adaptive());
         assert_eq!(s.getrf(1_000_000), GetrfVariant::GV1);
         assert_eq!(s.gessm(1_000_000), TrsmVariant::GV1);
         assert_eq!(s.tstrf(1_000_000), TrsmVariant::GV1);

@@ -43,7 +43,7 @@
 
 pub mod json;
 
-use json::{Json, JsonError};
+use json::Json;
 
 /// Kernel class labels, indexed by [`KernelTally`] class slot.
 pub const CLASS_LABELS: [&str; 4] = ["GETRF", "GESSM", "TSTRF", "SSSSM"];
@@ -149,10 +149,6 @@ impl KernelTally {
         for s in self.slots.iter_mut().flatten() {
             s.nanos = 0;
         }
-    }
-
-    fn set(&mut self, class: usize, variant: usize, slot: KernelSlot) {
-        self.slots[class][variant] = slot;
     }
 }
 
@@ -309,8 +305,8 @@ pub struct PrecisionCounters {
     /// Refinement iterations spent by factor-time probes.
     pub probe_refine_iters: u64,
     /// Mixed factorisations that skipped the acceptance probe under the
-    /// probe cadence (`probe_every`, see `docs/PRECISION.md`) instead of
-    /// paying its refinement wall.
+    /// probe cadence (every 4th refactorisation, see `docs/PRECISION.md`)
+    /// instead of paying its refinement wall.
     pub probe_skips: u64,
     /// Refinement iterations across all solves.
     pub refine_iters: u64,
@@ -414,8 +410,8 @@ pub struct RunReport {
     /// (0 when the caller did not provide one).
     pub predicted_flops: f64,
     /// Element width (bytes) of the scalar type the run factored in:
-    /// 8 for f64, 4 for the mixed f32 path, 0 when unknown (reports
-    /// predating the field). Deterministic — kept by `without_timings`.
+    /// 8 for f64, 4 for the mixed f32 path, 0 when unknown.
+    /// Deterministic — kept by `without_timings`.
     pub scalar_width: u64,
     /// Mixed factorisations this solver abandoned for f64 because the
     /// refinement probe stalled (cumulative over the solver's lifetime;
@@ -550,36 +546,6 @@ impl RunReport {
         ])
         .pretty()
     }
-
-    /// Parses a report serialised by [`RunReport::to_json`].
-    pub fn from_json(text: &str) -> Result<RunReport, JsonError> {
-        let doc = Json::parse(text)?;
-        if doc.get("schema").and_then(Json::as_str) != Some("pangulu-run-report-v1") {
-            return Err(JsonError { msg: "not a pangulu-run-report-v1 document".into(), at: 0 });
-        }
-        let mut report = RunReport {
-            ranks: doc.req_u64("ranks")? as usize,
-            wall_nanos: doc.req_u64("wall_nanos")?,
-            predicted_flops: doc.req_f64("predicted_flops")?,
-            // Both fields postdate pangulu-run-report-v1's first cut;
-            // absent means an old document, read as 0 ("unknown"/none).
-            scalar_width: doc.get("scalar_width").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            precision_fallbacks: doc
-                .get("precision_fallbacks")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0) as u64,
-            probe_skips: doc.get("probe_skips").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            per_rank: Vec::new(),
-        };
-        for r in doc
-            .req("per_rank")?
-            .as_arr()
-            .ok_or_else(|| JsonError { msg: "per_rank is not an array".into(), at: 0 })?
-        {
-            report.per_rank.push(rank_from_json(r)?);
-        }
-        Ok(report)
-    }
 }
 
 fn rank_to_json(r: &RankMetrics) -> Json {
@@ -652,91 +618,6 @@ fn rank_to_json(r: &RankMetrics) -> Json {
     ])
 }
 
-/// Parses one `per_rank` entry. Documents written while the executor had
-/// a lookahead window carry a `sched` object per rank, ones written while
-/// it fused SSSSM updates a `mem.ssssm_batches` count, ones written
-/// while a shared-memory transport existed two more `comm` counters, and
-/// ones written while the fault layer modelled a lossy network
-/// `comm.retried_sends`, `comm.dropped_msgs` and `comm.undeliverable`;
-/// all are ignored.
-fn rank_from_json(j: &Json) -> Result<RankMetrics, JsonError> {
-    let tasks = j.req("tasks")?;
-    let comm = j.req("comm")?;
-    let mem = j.req("mem")?;
-    let mut r = RankMetrics {
-        rank: j.req_u64("rank")? as usize,
-        busy_nanos: j.req_u64("busy_nanos")?,
-        sync_wait_nanos: j.req_u64("sync_wait_nanos")?,
-        blocked_recvs: j.req_u64("blocked_recvs")?,
-        max_idle_nanos: j.req_u64("max_idle_nanos")?,
-        perturbed_pivots: j.req_u64("perturbed_pivots")?,
-        tasks: TaskCounts {
-            getrf: tasks.req_u64("getrf")?,
-            gessm: tasks.req_u64("gessm")?,
-            tstrf: tasks.req_u64("tstrf")?,
-            ssssm: tasks.req_u64("ssssm")?,
-        },
-        mem: MemStats {
-            payload_allocs: mem.req_u64("payload_allocs")?,
-            bytes_copied: mem.req_u64("bytes_copied")?,
-            pattern_cache_hits: mem.req_u64("pattern_cache_hits")?,
-            planned_calls: mem.req_u64("planned_calls")?,
-            index_searches_avoided: mem.req_u64("index_searches_avoided")?,
-            // Run-encoding counters postdate the schema's first cut;
-            // absent means an old document, read as 0.
-            plan_runs: mem.get("plan_runs").and_then(Json::as_f64).unwrap_or(0.0) as u64,
-            run_axpy_entries: mem.get("run_axpy_entries").and_then(Json::as_f64).unwrap_or(0.0)
-                as u64,
-            plan_bytes: mem.req_u64("plan_bytes")?,
-            plan_build_ns: mem.req_u64("plan_build_ns")?,
-        },
-        comm: CommMetrics {
-            msgs_sent: comm.req_u64("msgs_sent")?,
-            bytes_sent: comm.req_u64("bytes_sent")?,
-            recv_timeouts: comm.req_u64("recv_timeouts")?,
-            max_queue_depth: comm.req_u64("max_queue_depth")?,
-            edges: Vec::new(),
-        },
-        kernels: KernelTally::default(),
-    };
-    for e in comm
-        .req("edges")?
-        .as_arr()
-        .ok_or_else(|| JsonError { msg: "edges is not an array".into(), at: 0 })?
-    {
-        r.comm.edges.push(EdgeStat {
-            to: e.req_u64("to")? as usize,
-            msgs: e.req_u64("msgs")?,
-            bytes: e.req_u64("bytes")?,
-        });
-    }
-    for k in j
-        .req("kernels")?
-        .as_arr()
-        .ok_or_else(|| JsonError { msg: "kernels is not an array".into(), at: 0 })?
-    {
-        let class_label = k.req("class")?.as_str().unwrap_or("");
-        let variant_label = k.req("variant")?.as_str().unwrap_or("");
-        let class = CLASS_LABELS
-            .iter()
-            .position(|&c| c == class_label)
-            .ok_or_else(|| JsonError { msg: format!("unknown class {class_label:?}"), at: 0 })?;
-        let variant = VARIANT_LABELS.iter().position(|&v| v == variant_label).ok_or_else(|| {
-            JsonError { msg: format!("unknown variant {variant_label:?}"), at: 0 }
-        })?;
-        r.kernels.set(
-            class,
-            variant,
-            KernelSlot {
-                calls: k.req_u64("calls")?,
-                nanos: k.req_u64("nanos")?,
-                flops: k.req_f64("flops")?,
-            },
-        );
-    }
-    Ok(r)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,27 +669,15 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip_is_exact() {
+    fn json_writes_the_tile_lane_under_its_own_label() {
         let mut report = sample_report();
-        // The widest slot of the tally (the dense-tile lane) round-trips
-        // under its own label like every other variant.
         report.per_rank[1].kernels.record(CLASS_TSTRF, VARIANT_TILE, 700, 128.0);
-        let text = report.to_json();
-        assert!(text.contains("\"D_V1\""), "tile label missing from the report JSON");
-        let back = RunReport::from_json(&text).unwrap();
-        assert_eq!(report, back);
-        assert!(back
-            .total_kernels()
-            .entries()
-            .any(|(c, v, s)| (c, v, s.calls) == ("TSTRF", "D_V1", 1)));
-        // A document written while the shared-memory transport existed
-        // carries its two wire counters per rank; they are ignored.
-        let old = text.replace(
-            "\"max_queue_depth\":",
-            "\"frames_sent\": 4, \"codec_bytes_encoded\": 736, \"max_queue_depth\":",
-        );
-        assert_eq!(old.matches("codec_bytes_encoded").count(), report.per_rank.len());
-        assert_eq!(RunReport::from_json(&old).unwrap(), report);
+        let doc = Json::parse(&report.to_json()).unwrap();
+        let kernels = doc.get("per_rank").unwrap().as_arr().unwrap()[1].get("kernels").unwrap();
+        let k = &kernels.as_arr().unwrap()[0];
+        assert_eq!(k.get("class").and_then(Json::as_str), Some("TSTRF"));
+        assert_eq!(k.get("variant").and_then(Json::as_str), Some("D_V1"));
+        assert_eq!(k.req_u64("calls").unwrap(), 1);
     }
 
     #[test]
@@ -913,7 +782,7 @@ mod tests {
     }
 
     #[test]
-    fn precision_fields_survive_roundtrip_and_timings_projection() {
+    fn precision_fields_survive_timings_projection() {
         let report = sample_report();
         assert_eq!(report.scalar_width, 8);
         assert_eq!(report.precision_fallbacks, 1);
@@ -921,28 +790,6 @@ mod tests {
         assert_eq!(det.scalar_width, 8, "scalar width is deterministic");
         assert_eq!(det.precision_fallbacks, 1, "fallback count is deterministic");
         assert_eq!(det.probe_skips, 2, "skip count is deterministic");
-        // Old documents without the fields parse as 0.
-        let mut old = report.clone();
-        old.scalar_width = 0;
-        old.precision_fallbacks = 0;
-        old.probe_skips = 0;
-        for r in &mut old.per_rank {
-            r.mem.plan_runs = 0;
-            r.mem.run_axpy_entries = 0;
-        }
-        let text = old
-            .to_json()
-            .replace("\"scalar_width\"", "\"ignored_a\"")
-            .replace("\"precision_fallbacks\"", "\"ignored_b\"")
-            .replace("\"probe_skips\"", "\"ignored_c\"")
-            .replace("\"plan_runs\"", "\"ignored_d\"")
-            .replace("\"run_axpy_entries\"", "\"ignored_e\"");
-        let back = RunReport::from_json(&text).unwrap();
-        assert_eq!(back.scalar_width, 0);
-        assert_eq!(back.precision_fallbacks, 0);
-        assert_eq!(back.probe_skips, 0);
-        assert_eq!(back.per_rank[0].mem.plan_runs, 0);
-        assert_eq!(back.per_rank[0].mem.run_axpy_entries, 0);
     }
 
     #[test]
@@ -973,11 +820,5 @@ mod tests {
                 refined_solves: 3,
             }
         );
-    }
-
-    #[test]
-    fn from_json_rejects_wrong_schema() {
-        assert!(RunReport::from_json("{\"schema\": \"other\"}").is_err());
-        assert!(RunReport::from_json("not json").is_err());
     }
 }

@@ -261,88 +261,6 @@ pub fn mc64(a: &CscMatrix) -> Result<Mc64Result> {
     Ok(Mc64Result { row_perm, row_scale, col_scale })
 }
 
-/// Bottleneck transversal (MC64 job 2 analog): a row permutation
-/// maximising the *smallest* absolute value on the matched diagonal.
-///
-/// Binary search over the distinct entry magnitudes; feasibility at a
-/// threshold is a plain maximum bipartite matching (Kuhn's augmenting
-/// paths) over the entries at or above it. Returns the permutation and
-/// the achieved bottleneck value.
-pub fn mc64_bottleneck(a: &CscMatrix) -> Result<(Permutation, f64)> {
-    if !a.is_square() {
-        return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
-    }
-    let n = a.ncols();
-    if n == 0 {
-        return Ok((Permutation::identity(0), 0.0));
-    }
-    let mut magnitudes: Vec<f64> = a.values().iter().map(|v| v.abs()).collect();
-    magnitudes.sort_by(|x, y| x.partial_cmp(y).unwrap());
-    magnitudes.dedup();
-
-    // Largest threshold admitting a perfect matching, by binary search.
-    let feasible = |thresh: f64| -> Option<Vec<usize>> { max_matching_at(a, thresh) };
-    if feasible(magnitudes[0]).is_none() {
-        return Err(SparseError::InvalidStructure(
-            "matrix is structurally singular: no perfect matching".into(),
-        ));
-    }
-    let (mut lo, mut hi) = (0usize, magnitudes.len() - 1);
-    let mut best = feasible(magnitudes[lo]).expect("checked feasible");
-    while lo < hi {
-        let mid = (lo + hi).div_ceil(2);
-        match feasible(magnitudes[mid]) {
-            Some(m) => {
-                best = m;
-                lo = mid;
-            }
-            None => hi = mid - 1,
-        }
-    }
-    Ok((Permutation::from_vec(best)?, magnitudes[lo]))
-}
-
-/// Kuhn's augmenting-path maximum matching over entries with
-/// `|a(i,j)| >= thresh`; returns `match_col` (column -> row) if perfect.
-fn max_matching_at(a: &CscMatrix, thresh: f64) -> Option<Vec<usize>> {
-    let n = a.ncols();
-    let mut match_row = vec![NONE; n];
-    let mut match_col = vec![NONE; n];
-    let mut visited = vec![u32::MAX; n];
-    for j0 in 0..n {
-        if !try_augment(a, thresh, j0, j0 as u32, &mut visited, &mut match_row, &mut match_col) {
-            return None;
-        }
-    }
-    Some(match_col)
-}
-
-fn try_augment(
-    a: &CscMatrix,
-    thresh: f64,
-    j: usize,
-    stamp: u32,
-    visited: &mut [u32],
-    match_row: &mut [usize],
-    match_col: &mut [usize],
-) -> bool {
-    let (rows, vals) = a.col(j);
-    for (&i, &v) in rows.iter().zip(vals) {
-        if v.abs() < thresh || visited[i] == stamp {
-            continue;
-        }
-        visited[i] = stamp;
-        if match_row[i] == NONE
-            || try_augment(a, thresh, match_row[i], stamp, visited, match_row, match_col)
-        {
-            match_row[i] = j;
-            match_col[j] = i;
-            return true;
-        }
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -442,53 +360,5 @@ mod tests {
         let a = CscMatrix::zeros(0, 0);
         let m = mc64(&a).unwrap();
         assert_eq!(m.row_perm.len(), 0);
-    }
-
-    #[test]
-    fn bottleneck_maximises_smallest_diagonal() {
-        // Two matchings exist: diagonal {1e-6, 1.0} or anti-diagonal
-        // {0.5, 0.5}. The bottleneck matching must take the latter.
-        let mut coo = pangulu_sparse::CooMatrix::new(2, 2);
-        coo.push(0, 0, 1e-6).unwrap();
-        coo.push(1, 1, 1.0).unwrap();
-        coo.push(1, 0, 0.5).unwrap();
-        coo.push(0, 1, 0.5).unwrap();
-        let a = coo.to_csc();
-        let (perm, value) = mc64_bottleneck(&a).unwrap();
-        assert_eq!(value, 0.5);
-        assert_eq!(perm.as_slice(), &[1, 0]);
-    }
-
-    #[test]
-    fn bottleneck_on_diagonal_matrix_is_min_entry() {
-        let a = CscMatrix::from_parts(3, 3, vec![0, 1, 2, 3], vec![0, 1, 2], vec![4.0, 0.25, 9.0])
-            .unwrap();
-        let (perm, value) = mc64_bottleneck(&a).unwrap();
-        assert_eq!(perm, Permutation::identity(3));
-        assert_eq!(value, 0.25);
-    }
-
-    #[test]
-    fn bottleneck_never_below_product_matching_minimum() {
-        for seed in 0..4 {
-            let a = gen::random_sparse(30, 0.15, seed);
-            let (bperm, bval) = mc64_bottleneck(&a).unwrap();
-            let m = mc64(&a).unwrap();
-            let min_of = |p: &Permutation| -> f64 {
-                (0..30).map(|j| a.get(p.old_of(j), j).abs()).fold(f64::INFINITY, f64::min)
-            };
-            assert!((min_of(&bperm) - bval).abs() < 1e-15);
-            assert!(
-                bval >= min_of(&m.row_perm) - 1e-15,
-                "seed {seed}: bottleneck {bval} below product matching {}",
-                min_of(&m.row_perm)
-            );
-        }
-    }
-
-    #[test]
-    fn bottleneck_detects_singularity() {
-        let a = CscMatrix::from_parts(2, 2, vec![0, 2, 2], vec![0, 1], vec![1.0, 1.0]).unwrap();
-        assert!(mc64_bottleneck(&a).is_err());
     }
 }

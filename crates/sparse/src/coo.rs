@@ -72,29 +72,6 @@ impl CooMatrix {
         self.rows.iter().zip(self.cols.iter()).zip(self.vals.iter()).map(|((&r, &c), &v)| (r, c, v))
     }
 
-    /// Builds a triplet matrix from parallel index/value slices.
-    pub fn from_triplets(
-        nrows: usize,
-        ncols: usize,
-        rows: &[usize],
-        cols: &[usize],
-        vals: &[f64],
-    ) -> Result<Self> {
-        if rows.len() != cols.len() || rows.len() != vals.len() {
-            return Err(SparseError::InvalidStructure(format!(
-                "triplet slice lengths differ: {} rows, {} cols, {} vals",
-                rows.len(),
-                cols.len(),
-                vals.len()
-            )));
-        }
-        let mut m = CooMatrix::with_capacity(nrows, ncols, vals.len());
-        for i in 0..vals.len() {
-            m.push(rows[i], cols[i], vals[i])?;
-        }
-        Ok(m)
-    }
-
     /// Converts to CSC, summing duplicate entries.
     pub fn to_csc(&self) -> CscMatrix {
         // Count entries per column, then bucket-sort triplets into columns.
@@ -188,11 +165,6 @@ mod tests {
         let (rows, _) = c.col(0);
         assert_eq!(rows, &[0, 2, 3]);
         c.validate().unwrap();
-    }
-
-    #[test]
-    fn from_triplets_length_mismatch() {
-        assert!(CooMatrix::from_triplets(2, 2, &[0], &[0, 1], &[1.0]).is_err());
     }
 
     #[test]

@@ -475,21 +475,6 @@ impl<S: Scalar> CscMatrix<S> {
         CscMatrix::from_parts_unchecked(nrows, ncols, col_ptr, row_idx, values)
     }
 
-    /// The lower triangle (diagonal included) as its own matrix.
-    pub fn lower_triangle(&self) -> CscMatrix<S> {
-        self.filter_entries(|i, j| i >= j)
-    }
-
-    /// The upper triangle (diagonal included) as its own matrix.
-    pub fn upper_triangle(&self) -> CscMatrix<S> {
-        self.filter_entries(|i, j| i <= j)
-    }
-
-    /// The stored diagonal values (zero where not stored).
-    pub fn diagonal(&self) -> Vec<S> {
-        (0..self.nrows.min(self.ncols)).map(|j| self.get(j, j)).collect()
-    }
-
     /// Keeps the entries for which `keep(row, col)` holds.
     pub fn filter_entries(&self, keep: impl Fn(usize, usize) -> bool) -> CscMatrix<S> {
         let mut col_ptr = Vec::with_capacity(self.ncols + 1);
@@ -522,25 +507,6 @@ impl<S: Scalar> CscMatrix<S> {
     /// `true` if every diagonal position of a square matrix is stored.
     pub fn has_full_diagonal(&self) -> bool {
         self.is_square() && (0..self.ncols).all(|j| self.find(j, j).is_some())
-    }
-
-    /// Drops stored entries with `|value| <= tol`, keeping the diagonal.
-    pub fn drop_tolerance(&self, tol: f64) -> CscMatrix<S> {
-        let mut col_ptr = Vec::with_capacity(self.ncols + 1);
-        col_ptr.push(0);
-        let mut row_idx = Vec::new();
-        let mut values = Vec::new();
-        for j in 0..self.ncols {
-            let (rows, vals) = self.col(j);
-            for (&r, &v) in rows.iter().zip(vals) {
-                if v.to_f64().abs() > tol || r == j {
-                    row_idx.push(r);
-                    values.push(v);
-                }
-            }
-            col_ptr.push(row_idx.len());
-        }
-        CscMatrix::from_parts_unchecked(self.nrows, self.ncols, col_ptr, row_idx, values)
     }
 }
 
@@ -640,41 +606,6 @@ mod tests {
                 assert_eq!(d[(i, j)], m.get(i, j));
             }
         }
-    }
-
-    #[test]
-    fn drop_tolerance_keeps_diagonal() {
-        let m = CscMatrix::<f64>::from_parts(
-            2,
-            2,
-            vec![0, 2, 3],
-            vec![0, 1, 1],
-            vec![1e-30, 2.0, 1e-30],
-        )
-        .unwrap();
-        let d = m.drop_tolerance(1e-12);
-        // Both tiny diagonal entries kept, the large off-diagonal kept.
-        assert_eq!(d.nnz(), 3);
-        assert_eq!(d.get(1, 0), 2.0);
-        assert_eq!(d.get(1, 1), 1e-30);
-    }
-
-    #[test]
-    fn triangles_partition_the_matrix() {
-        let m = sample();
-        let l = m.lower_triangle();
-        let u = m.upper_triangle();
-        // Together they cover every entry, sharing only the diagonal.
-        assert_eq!(l.nnz() + u.nnz(), m.nnz() + m.diagonal().iter().filter(|&&d| d != 0.0).count());
-        for (r, c, v) in l.iter() {
-            assert!(r >= c);
-            assert_eq!(m.get(r, c), v);
-        }
-        for (r, c, v) in u.iter() {
-            assert!(r <= c);
-            assert_eq!(m.get(r, c), v);
-        }
-        assert_eq!(m.diagonal(), vec![4.0, 3.0, 5.0]);
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl DenseMatrix {
         &self.data
     }
 
-    /// Mutable underlying storage.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Column `j` as a slice.
     #[inline]
     pub fn col(&self, j: usize) -> &[f64] {

@@ -243,60 +243,6 @@ pub fn cage_like(n: usize, seed: u64) -> CscMatrix {
     coo.to_csc()
 }
 
-/// Anisotropic 5-point Laplacian: x-coupling `-1`, y-coupling `-eps`.
-/// Strong anisotropy (`eps << 1`) produces the long thin supernodes that
-/// stress supernodal layouts.
-pub fn laplacian_2d_aniso(nx: usize, ny: usize, eps: f64) -> CscMatrix {
-    let n = nx * ny;
-    let mut coo = CooMatrix::with_capacity(n, n, 5 * n);
-    let idx = |x: usize, y: usize| y * nx + x;
-    for y in 0..ny {
-        for x in 0..nx {
-            let i = idx(x, y);
-            coo.push(i, i, 2.0 + 2.0 * eps).unwrap();
-            if x > 0 {
-                coo.push(i, idx(x - 1, y), -1.0).unwrap();
-            }
-            if x + 1 < nx {
-                coo.push(i, idx(x + 1, y), -1.0).unwrap();
-            }
-            if y > 0 {
-                coo.push(i, idx(x, y - 1), -eps).unwrap();
-            }
-            if y + 1 < ny {
-                coo.push(i, idx(x, y + 1), -eps).unwrap();
-            }
-        }
-    }
-    coo.to_csc()
-}
-
-/// 9-point stencil on an `nx x ny` grid (denser coupling than the
-/// 5-point Laplacian; SPD).
-pub fn stencil_9pt(nx: usize, ny: usize) -> CscMatrix {
-    let n = nx * ny;
-    let mut coo = CooMatrix::with_capacity(n, n, 9 * n);
-    let idx = |x: usize, y: usize| y * nx + x;
-    for y in 0..ny {
-        for x in 0..nx {
-            let i = idx(x, y);
-            coo.push(i, i, 8.0).unwrap();
-            for dy in -1i64..=1 {
-                for dx in -1i64..=1 {
-                    if dx == 0 && dy == 0 {
-                        continue;
-                    }
-                    let (xx, yy) = (x as i64 + dx, y as i64 + dy);
-                    if xx >= 0 && yy >= 0 && (xx as usize) < nx && (yy as usize) < ny {
-                        coo.push(i, idx(xx as usize, yy as usize), -1.0).unwrap();
-                    }
-                }
-            }
-        }
-    }
-    coo.to_csc()
-}
-
 /// Recursive-matrix (R-MAT) power-law graph, symmetrised, with a
 /// dominant diagonal — the scale-free structure class of social/web
 /// graphs, the hardest case for supernode formation.
@@ -538,24 +484,6 @@ mod tests {
     #[should_panic(expected = "unknown paper matrix")]
     fn unknown_matrix_panics() {
         paper_matrix("not_a_matrix", 1);
-    }
-
-    #[test]
-    fn anisotropic_laplacian_couplings() {
-        let a = laplacian_2d_aniso(4, 4, 0.01);
-        // Interior node: x-neighbours -1, y-neighbours -0.01.
-        let i = 1 + 4; // (1,1)
-        assert_eq!(a.get(i, i - 1), -1.0);
-        assert_eq!(a.get(i, i + 4), -0.01);
-        assert!((structural_symmetry(&a) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn stencil_9pt_interior_degree() {
-        let a = stencil_9pt(4, 4);
-        let i = 1 + 4; // interior (1,1)
-        assert_eq!(a.col_nnz(i), 9);
-        assert!(a.has_full_diagonal());
     }
 
     #[test]

@@ -156,83 +156,6 @@ pub fn read_matrix_market_from(reader: impl BufRead) -> Result<CscMatrix> {
     Ok(coo.to_csc())
 }
 
-/// Reads a dense `matrix array real general` Matrix Market file (the
-/// format SuiteSparse uses for right-hand-side files like `*_b.mtx`)
-/// into a column-major dense matrix.
-pub fn read_matrix_market_dense(path: impl AsRef<Path>) -> Result<crate::DenseMatrix> {
-    let file = std::fs::File::open(path)?;
-    read_matrix_market_dense_from(BufReader::new(file))
-}
-
-/// Parses dense `matrix array` data from any reader.
-pub fn read_matrix_market_dense_from(reader: impl BufRead) -> Result<crate::DenseMatrix> {
-    let mut lines = reader.lines();
-    let header = loop {
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                if !line.trim().is_empty() {
-                    break line;
-                }
-            }
-            None => return Err(SparseError::Parse("empty file".into())),
-        }
-    };
-    let tokens: Vec<String> = header.split_whitespace().map(|t| t.to_ascii_lowercase()).collect();
-    if tokens.len() < 5 || tokens[0] != "%%matrixmarket" || tokens[1] != "matrix" {
-        return Err(SparseError::Parse(format!("bad header line: {header}")));
-    }
-    if tokens[2] != "array" {
-        return Err(SparseError::Parse(format!("expected array format, found {}", tokens[2])));
-    }
-    if tokens[3] != "real" && tokens[3] != "integer" {
-        return Err(SparseError::Parse(format!("unsupported field {}", tokens[3])));
-    }
-    if tokens[4] != "general" {
-        return Err(SparseError::Parse(format!("unsupported symmetry {}", tokens[4])));
-    }
-    let size_line = loop {
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                let t = line.trim().to_string();
-                if t.is_empty() || t.starts_with('%') {
-                    continue;
-                }
-                break t;
-            }
-            None => return Err(SparseError::Parse("missing size line".into())),
-        }
-    };
-    let dims: Vec<usize> = size_line
-        .split_whitespace()
-        .map(|t| t.parse().map_err(|_| SparseError::Parse(format!("bad size token {t}"))))
-        .collect::<Result<_>>()?;
-    if dims.len() != 2 {
-        return Err(SparseError::Parse(format!("array size line needs 2 numbers: {size_line}")));
-    }
-    let (nrows, ncols) = (dims[0], dims[1]);
-    let len = nrows
-        .checked_mul(ncols)
-        .ok_or_else(|| SparseError::Parse(format!("array size {nrows} x {ncols} overflows")))?;
-    let mut data = Vec::with_capacity(len.min(RESERVE_CAP));
-    for line in lines {
-        let line = line?;
-        for tok in line.split_whitespace() {
-            if tok.starts_with('%') {
-                break;
-            }
-            let v: f64 = tok.parse().map_err(|_| SparseError::Parse(format!("bad value {tok}")))?;
-            data.push(v);
-        }
-    }
-    if data.len() != len {
-        return Err(SparseError::Parse(format!("expected {len} values, found {}", data.len())));
-    }
-    // Matrix Market arrays are column-major, as is DenseMatrix.
-    Ok(crate::DenseMatrix::from_column_major(nrows, ncols, data))
-}
-
 /// Writes a matrix as `matrix coordinate real general` to disk.
 pub fn write_matrix_market(path: impl AsRef<Path>, a: &CscMatrix) -> Result<()> {
     let file = std::fs::File::create(path)?;
@@ -305,30 +228,6 @@ mod tests {
         assert!(read_matrix_market_from(data.as_bytes()).is_err());
     }
 
-    #[test]
-    fn parse_dense_array() {
-        let data =
-            "%%MatrixMarket matrix array real general\n% rhs\n3 2\n1.0\n2.0\n3.0\n4.0\n5.0\n6.0\n";
-        let m = read_matrix_market_dense_from(data.as_bytes()).unwrap();
-        assert_eq!(m.nrows(), 3);
-        assert_eq!(m.ncols(), 2);
-        assert_eq!(m[(0, 0)], 1.0);
-        assert_eq!(m[(2, 0)], 3.0);
-        assert_eq!(m[(0, 1)], 4.0);
-    }
-
-    #[test]
-    fn dense_array_rejects_coordinate() {
-        let data = "%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 1.0\n";
-        assert!(read_matrix_market_dense_from(data.as_bytes()).is_err());
-    }
-
-    #[test]
-    fn dense_array_rejects_wrong_count() {
-        let data = "%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n";
-        assert!(read_matrix_market_dense_from(data.as_bytes()).is_err());
-    }
-
     fn parse_error(r: Result<impl std::fmt::Debug>) -> String {
         match r {
             Err(SparseError::Parse(msg)) => msg,
@@ -357,17 +256,6 @@ mod tests {
             let msg = parse_error(read_matrix_market_from(data.as_bytes()));
             assert!(msg.contains(&format!("expected {max} entries, found 1")), "{msg}");
         }
-    }
-
-    #[test]
-    fn dense_size_whose_product_overflows_is_a_parse_error() {
-        let data = "%%MatrixMarket matrix array real general\n4294967296 4294967296\n1.0\n";
-        let msg = parse_error(read_matrix_market_dense_from(data.as_bytes()));
-        assert!(msg.contains("overflows"), "{msg}");
-        // A product that fits but was never written reserves nothing.
-        let data = format!("%%MatrixMarket matrix array real general\n{} 2\n1.0\n", 1usize << 40);
-        let msg = parse_error(read_matrix_market_dense_from(data.as_bytes()));
-        assert!(msg.contains("found 1"), "{msg}");
     }
 
     #[test]

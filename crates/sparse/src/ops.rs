@@ -148,30 +148,6 @@ pub fn relative_residual(a: &CscMatrix, x: &[f64], b: &[f64]) -> Result<f64> {
     Ok(if den == 0.0 { num } else { num / den })
 }
 
-/// `true` if the two matrices have the same pattern and values within `tol`.
-pub fn approx_eq(a: &CscMatrix, b: &CscMatrix, tol: f64) -> bool {
-    if a.nrows() != b.nrows() || a.ncols() != b.ncols() {
-        return false;
-    }
-    // Compare via dense accessor so differing patterns with equal values
-    // (explicit zeros) still compare equal.
-    for j in 0..a.ncols() {
-        let (ra, va) = a.col(j);
-        for (&r, &v) in ra.iter().zip(va) {
-            if (v - b.get(r, j)).abs() > tol {
-                return false;
-            }
-        }
-        let (rb, vb) = b.col(j);
-        for (&r, &v) in rb.iter().zip(vb) {
-            if (v - a.get(r, j)).abs() > tol {
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Count of structurally symmetric entries over all off-diagonal entries,
 /// in [0, 1]; 1.0 for a structurally symmetric matrix. Used by generators
 /// and the symbolic statistics.
@@ -257,16 +233,6 @@ mod tests {
         let x = vec![1.0, 2.0, 3.0];
         let r = relative_residual(&a, &x, &x).unwrap();
         assert_eq!(r, 0.0);
-    }
-
-    #[test]
-    fn approx_eq_ignores_explicit_zeros() {
-        let a = sample();
-        let mut bigger = ensure_diagonal(&sample()).unwrap();
-        // bigger has the same values plus explicit zeros where diag missing
-        assert!(approx_eq(&a, &bigger, 1e-15));
-        bigger.values_mut()[0] += 1.0;
-        assert!(!approx_eq(&a, &bigger, 1e-15));
     }
 
     #[test]

@@ -95,22 +95,6 @@ proptest! {
             m.validate().unwrap();
         }
     }
-
-    /// The same for the dense `array` reader.
-    #[test]
-    fn dense_matrix_market_reader_never_panics_on_hostile_sizes(
-        size in proptest::collection::vec(mm_count(), 1..4),
-        lines in mm_lines(),
-    ) {
-        let text = format!(
-            "%%MatrixMarket matrix array real general\n{}\n{}\n",
-            size.join(" "),
-            lines.join("\n")
-        );
-        if let Ok(m) = pangulu_sparse::io::read_matrix_market_dense_from(text.as_bytes()) {
-            prop_assert!(m.nrows() * m.ncols() <= 15);
-        }
-    }
 }
 
 proptest! {

@@ -129,11 +129,6 @@ impl SnBlockMatrix {
         &mut self.blocks[id]
     }
 
-    /// True (unpadded) scalar entries of a block.
-    pub fn block_true_nnz(&self, id: usize) -> usize {
-        self.true_nnz[id]
-    }
-
     /// Density of a block: true entries over dense storage.
     pub fn block_density(&self, id: usize) -> f64 {
         let b = &self.blocks[id];
@@ -155,11 +150,6 @@ impl SnBlockMatrix {
     /// reports in Table 3.
     pub fn padded_nnz(&self) -> usize {
         self.blocks.iter().map(|b| b.nrows() * b.ncols()).sum()
-    }
-
-    /// Total true scalar entries across blocks.
-    pub fn total_true_nnz(&self) -> usize {
-        self.true_nnz.iter().sum()
     }
 
     /// Reassembles the global matrix (tests / solves). Padded zeros are
@@ -217,7 +207,6 @@ mod tests {
     fn padding_never_negative() {
         let (filled, sbm) = build(60, 2);
         assert!(sbm.padded_nnz() >= filled.nnz());
-        assert_eq!(sbm.total_true_nnz(), filled.nnz());
     }
 
     #[test]

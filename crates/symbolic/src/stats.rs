@@ -42,39 +42,11 @@ pub fn stats_from_fill(a: &CscMatrix, f: &FilledPattern) -> SymbolicStats {
     }
 }
 
-/// Computes the statistics for an unsymmetric Gilbert–Peierls pattern.
-pub fn stats_from_gp(a: &CscMatrix, g: &crate::gp::GpSymbolic) -> SymbolicStats {
-    let n = g.n;
-    // |L(:,k)| per column is direct; |U(k,:)| needs the row counts of U.
-    let mut u_row_counts = vec![0usize; n];
-    for j in 0..n {
-        for &i in &g.u_row_idx[g.u_col_ptr[j]..g.u_col_ptr[j + 1]] {
-            if i != j {
-                u_row_counts[i] += 1;
-            }
-        }
-    }
-    let mut flops = 0.0f64;
-    for (k, &uk) in u_row_counts.iter().enumerate() {
-        let lk = (g.l_col_ptr[k + 1] - g.l_col_ptr[k]) as f64;
-        flops += lk + 2.0 * lk * uk as f64;
-    }
-    SymbolicStats {
-        n,
-        nnz_a: a.nnz(),
-        nnz_lu: g.nnz_lu(),
-        fill_ratio: g.nnz_lu() as f64 / a.nnz().max(1) as f64,
-        flops,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fill::symbolic_fill;
-    use crate::gp::gp_symbolic;
     use pangulu_sparse::gen;
-    use pangulu_sparse::ops::ensure_diagonal;
 
     #[test]
     fn dense_matrix_flops_are_cubic() {
@@ -110,17 +82,5 @@ mod tests {
         // Each of the first n-1 columns: 1 div + 2 flops.
         assert_eq!(s.flops, 3.0 * (n - 1) as f64);
         assert_eq!(s.fill_ratio, 1.0);
-    }
-
-    #[test]
-    fn gp_stats_consistent_with_fill_stats_on_symmetric_input() {
-        let a = gen::laplacian_2d(8, 8);
-        let f = symbolic_fill(&a).unwrap();
-        let g = gp_symbolic(&ensure_diagonal(&a).unwrap(), true).unwrap();
-        let sf = stats_from_fill(&a, &f);
-        let sg = stats_from_gp(&a, &g);
-        // Symmetric input: identical fill, identical flops.
-        assert_eq!(sf.nnz_lu, sg.nnz_lu);
-        assert_eq!(sf.flops, sg.flops);
     }
 }

@@ -12,7 +12,6 @@
 //!       --ordering <o>     auto | amd | nd | rcm | natural  [default auto]
 //!       --precision <p>    f64 | mixed (f32 factor + refined solve)
 //!                                                            [default f64]
-//!       --probe-every <k>  mixed acceptance-probe cadence     [default 4]
 //!       --refine <tol>     iterative refinement to the given tolerance
 //!       --refactor-reps <n> re-run the numeric-only refactorisation n times
 //!       --rhs <path>       right-hand side file (one value per line)
@@ -37,7 +36,6 @@ struct Cli {
     nb: Option<usize>,
     ordering: FillReducing,
     precision: Precision,
-    probe_every: usize,
     refine: Option<f64>,
     refactor_reps: usize,
     rhs: Option<String>,
@@ -60,9 +58,6 @@ usage: pangulu [OPTIONS] (-F <matrix.mtx> | --gen <name>)
       --ordering <o>     auto | amd | nd | rcm | natural    [default auto]
       --precision <p>    f64 | mixed (f32 factor + refined solve)
                                                            [default f64]
-      --probe-every <k>  mixed acceptance-probe cadence: probe on the
-                         first factor, then every k-th refactor
-                         (pivot drift re-probes early)      [default 4]
       --refine <tol>     iterative refinement to the given tolerance
       --refactor-reps <n> re-run the numeric-only refactorisation n times
       --rhs <path>       right-hand side file (one value per line)
@@ -80,7 +75,6 @@ fn parse_args() -> Cli {
         nb: None,
         ordering: FillReducing::Auto,
         precision: Precision::F64,
-        probe_every: 4,
         refine: None,
         refactor_reps: 0,
         rhs: None,
@@ -125,10 +119,6 @@ fn parse_args() -> Cli {
                         usage()
                     }
                 }
-            }
-            "--probe-every" => {
-                cli.probe_every =
-                    next(&mut args, "--probe-every").parse().unwrap_or_else(|_| usage())
             }
             "--refine" => {
                 let tol: f64 = next(&mut args, "--refine").parse().unwrap_or_else(|_| usage());
@@ -203,11 +193,8 @@ fn main() -> ExitCode {
     };
     println!("matrix: {} x {}, {} nonzeros", a.nrows(), a.ncols(), a.nnz());
 
-    let mut builder = Solver::builder()
-        .ranks(cli.ranks)
-        .fill_reducing(cli.ordering)
-        .precision(cli.precision)
-        .probe_every(cli.probe_every);
+    let mut builder =
+        Solver::builder().ranks(cli.ranks).fill_reducing(cli.ordering).precision(cli.precision);
     if let Some(nb) = cli.nb {
         builder = builder.block_size(nb);
     }
@@ -302,10 +289,8 @@ fn main() -> ExitCode {
         if cli.precision == Precision::MixedF32 {
             let pc = solver.precision_counters();
             println!(
-                "precision: {} probes skipped of {} mixed factors (cadence {})",
-                pc.probe_skips,
-                pc.mixed_factors,
-                cli.probe_every.max(1)
+                "precision: {} probes skipped of {} mixed factors",
+                pc.probe_skips, pc.mixed_factors
             );
         }
     }

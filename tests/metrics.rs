@@ -4,11 +4,11 @@
 //! The determinism contract: for a fixed matrix, grid, owner map and
 //! fault plan, every **work** counter in the [`RunReport`] — messages and
 //! bytes per edge, tasks by kind, kernel invocations per variant, model
-//! FLOPs, perturbed pivots, fault-layer retries/drops — is identical run
-//! to run. Wall-clock readings and scheduling-dependent observables
+//! FLOPs, perturbed pivots — is identical run to run. Wall-clock readings and scheduling-dependent observables
 //! (blocked receives, receive timeouts, queue high-water marks) are not,
 //! and `RunReport::without_timings` projects exactly those away.
 
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
@@ -19,7 +19,9 @@ use pangulu::core::trisolve::{backward_substitute, forward_substitute};
 use pangulu::core::BlockMatrix;
 use pangulu::kernels::flops;
 use pangulu::kernels::select::{KernelSelector, Thresholds};
-use pangulu::metrics::RunReport;
+use pangulu::metrics::json::Json;
+use pangulu::metrics::{EdgeStat, KernelSlot, RunReport};
+use pangulu::prelude::Solver;
 use pangulu::sparse::gen;
 use pangulu::sparse::ops::{ensure_diagonal, relative_residual};
 use pangulu::sparse::{CscMatrix, Scalar};
@@ -186,45 +188,124 @@ fn task_and_kernel_accounting_agree() {
     assert_eq!(r.total_tasks().total(), graph_tasks, "ranks executed a different task set");
 }
 
-/// The JSON round-trip is lossless for a real report.
-#[test]
-fn run_report_json_round_trips() {
-    let prob = problem(25);
-    let (r, _) = factor(&prob, &FactorConfig::default());
-    let back = RunReport::from_json(&r.to_json()).expect("parse back");
-    assert_eq!(r, back);
+/// The object keys of `doc` and `written`, level by level (an array is
+/// described by its first element): the documented schema and the
+/// writer's output must name the same keys.
+fn assert_same_keys(doc: &Json, written: &Json, path: &str) {
+    match (doc, written) {
+        (Json::Obj(d), Json::Obj(w)) => {
+            let dk: BTreeSet<&str> = d.iter().map(|(k, _)| k.as_str()).collect();
+            let wk: BTreeSet<&str> = w.iter().map(|(k, _)| k.as_str()).collect();
+            assert_eq!(dk, wk, "{path}: documented keys vs written keys");
+            for (k, v) in d {
+                assert_same_keys(v, written.get(k).unwrap(), &format!("{path}.{k}"));
+            }
+        }
+        (Json::Arr(d), Json::Arr(w)) => match (d.first(), w.first()) {
+            (Some(d0), Some(w0)) => assert_same_keys(d0, w0, &format!("{path}[0]")),
+            _ => panic!("{path}: the documented and written arrays need an element each"),
+        },
+        (Json::Num(_), Json::Num(_)) | (Json::Str(_), Json::Str(_)) => {}
+        _ => panic!("{path}: documented {doc:?} vs written {written:?}"),
+    }
 }
 
-/// A report written while the executor still counted scheduling
-/// observables carries a `sched` object per rank (with four keys in the
-/// oldest documents), and one written while the fault layer modelled a
-/// lossy network three more `comm` counters. The schema name did not
-/// change, so the reader must still accept both: the extra keys are
-/// ignored, every other field reads back, and a re-serialised report
-/// carries none of them.
+/// The report a real 2-rank run writes parses as JSON, carries the
+/// schema tag and exactly the keys docs/OBSERVABILITY.md documents, per
+/// run and per rank, and its counters read back as the report's own.
 #[test]
-fn legacy_report_with_extra_sched_keys_parses() {
-    let text = include_str!("../data/run_report_v1_legacy_sched.json");
-    assert_eq!(text.matches("\"sched\": {").count(), 2, "fixture has one sched object per rank");
-    const LOSS_KEYS: [&str; 3] = ["retried_sends", "dropped_msgs", "undeliverable"];
-    for key in LOSS_KEYS {
-        assert!(text.contains(&format!("\"{key}\"")), "fixture carries the old `comm.{key}`");
+fn report_json_carries_the_documented_schema() {
+    let a = gen::circuit(300, 21);
+    let solver = Solver::builder().ranks(2).build(&a).unwrap();
+    let r = solver.stats().report.as_ref().expect("multi-rank run report");
+    let doc = Json::parse(&r.to_json()).expect("the writer emits JSON");
+    assert_eq!(doc.get("schema").and_then(Json::as_str), Some("pangulu-run-report-v1"));
+
+    let page = include_str!("../docs/OBSERVABILITY.md");
+    let block = page
+        .split("## `pangulu-run-report-v1` schema")
+        .nth(1)
+        .and_then(|rest| rest.split("```json\n").nth(1))
+        .and_then(|rest| rest.split("```").next())
+        .expect("docs/OBSERVABILITY.md has the schema block");
+    let documented = Json::parse(block).expect("the documented schema is JSON");
+    assert_same_keys(&documented, &doc, "report");
+
+    let num = |j: &Json, key: &str| j.req_f64(key).unwrap_or_else(|e| panic!("{e}"));
+    for (key, want) in [
+        ("ranks", r.ranks as f64),
+        ("wall_nanos", r.wall_nanos as f64),
+        ("predicted_flops", r.predicted_flops),
+        ("scalar_width", r.scalar_width as f64),
+        ("precision_fallbacks", r.precision_fallbacks as f64),
+        ("probe_skips", r.probe_skips as f64),
+        ("observed_flops", r.observed_flops()),
+        ("mean_sync_fraction", r.mean_sync_fraction()),
+    ] {
+        assert_eq!(num(&doc, key), want, "{key}");
     }
-    let r = RunReport::from_json(text).expect("legacy report parses");
-    assert_eq!(r.ranks, 2);
-    assert_eq!(r.per_rank.len(), 2);
-    assert_eq!(r.total_messages(), 1);
-    assert_eq!(r.total_bytes(), 88);
-    assert_eq!(r.total_tasks().total(), 2);
-    assert_eq!(r.total_kernels().total_calls(), 1);
-    // Re-serialised, it is a current document without `sched` that
-    // round-trips exactly.
-    let current = r.to_json();
-    assert!(!current.contains("\"sched\""), "current documents carry no sched object");
-    for key in LOSS_KEYS {
-        assert!(!current.contains(&format!("\"{key}\"")), "current documents carry no {key}");
+    let ranks = doc.get("per_rank").and_then(Json::as_arr).unwrap();
+    assert_eq!(ranks.len(), 2);
+    for (j, m) in ranks.iter().zip(&r.per_rank) {
+        let (tasks, mem, comm) =
+            (j.get("tasks").unwrap(), j.get("mem").unwrap(), j.get("comm").unwrap());
+        for (obj, key, want) in [
+            (j, "rank", m.rank as u64),
+            (j, "busy_nanos", m.busy_nanos),
+            (j, "sync_wait_nanos", m.sync_wait_nanos),
+            (j, "blocked_recvs", m.blocked_recvs),
+            (j, "max_idle_nanos", m.max_idle_nanos),
+            (j, "perturbed_pivots", m.perturbed_pivots),
+            (tasks, "getrf", m.tasks.getrf),
+            (tasks, "gessm", m.tasks.gessm),
+            (tasks, "tstrf", m.tasks.tstrf),
+            (tasks, "ssssm", m.tasks.ssssm),
+            (mem, "payload_allocs", m.mem.payload_allocs),
+            (mem, "bytes_copied", m.mem.bytes_copied),
+            (mem, "pattern_cache_hits", m.mem.pattern_cache_hits),
+            (mem, "planned_calls", m.mem.planned_calls),
+            (mem, "index_searches_avoided", m.mem.index_searches_avoided),
+            (mem, "plan_runs", m.mem.plan_runs),
+            (mem, "run_axpy_entries", m.mem.run_axpy_entries),
+            (mem, "plan_bytes", m.mem.plan_bytes),
+            (mem, "plan_build_ns", m.mem.plan_build_ns),
+            (comm, "msgs_sent", m.comm.msgs_sent),
+            (comm, "bytes_sent", m.comm.bytes_sent),
+            (comm, "recv_timeouts", m.comm.recv_timeouts),
+            (comm, "max_queue_depth", m.comm.max_queue_depth),
+        ] {
+            assert_eq!(obj.req_u64(key).unwrap(), want, "rank {}: {key}", m.rank);
+        }
+        let edges: Vec<EdgeStat> = comm
+            .get("edges")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|e| EdgeStat {
+                to: e.req_u64("to").unwrap() as usize,
+                msgs: e.req_u64("msgs").unwrap(),
+                bytes: e.req_u64("bytes").unwrap(),
+            })
+            .collect();
+        assert_eq!(edges, m.comm.edges, "rank {}: edges", m.rank);
+        let kernels: Vec<(&str, &str, KernelSlot)> = j
+            .get("kernels")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|k| {
+                let label = |key| k.get(key).and_then(Json::as_str).unwrap();
+                let slot = KernelSlot {
+                    calls: k.req_u64("calls").unwrap(),
+                    nanos: k.req_u64("nanos").unwrap(),
+                    flops: num(k, "flops"),
+                };
+                (label("class"), label("variant"), slot)
+            })
+            .collect();
+        let want: Vec<_> = m.kernels.entries().collect();
+        assert_eq!(kernels, want, "rank {}: kernels", m.rank);
     }
-    assert_eq!(RunReport::from_json(&current).expect("parse back"), r);
 }
 
 /// Fig. 13 shape on a 2x2 grid: these matrices are far too small to

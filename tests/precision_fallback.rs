@@ -156,10 +156,15 @@ fn fallback_factors_are_bitwise_the_f64_solvers() {
             f64s.refactor(&nudged).unwrap();
             assert_eq!(factor_bits(&mixed), factor_bits(&f64s), "{what}: after a refactor");
 
-            // Accepted at build, rejected by the probe of the refactorisation.
-            let mut mixed = mixed_solver().probe_every(1).build(&good).unwrap();
+            // Accepted at build, rejected by the probe of the fourth
+            // refactorisation (the first three skip it: cadence 4).
+            let mut mixed = mixed_solver().build(&good).unwrap();
             let mut f64s = f64_solver().build(&good).unwrap();
             assert_eq!(mixed.effective_precision(), Precision::MixedF32, "{what}");
+            for _ in 0..3 {
+                mixed.refactor(&good).unwrap();
+            }
+            assert_eq!(mixed.precision_counters().probe_skips, 3, "{what}");
             mixed.refactor(&a).unwrap();
             f64s.refactor(&a).unwrap();
             assert_eq!(mixed.effective_precision(), Precision::F64, "{what}");
