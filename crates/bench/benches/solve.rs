@@ -1,16 +1,11 @@
 //! Criterion benches of the triangular-solve phase (the paper's phase 5):
 //! sequential forward/backward, the panel sweeps at 1, 8 and 32 lanes
-//! (time per right-hand side), transpose solves, and the distributed
-//! message-driven solve (which the `Solver` no longer runs; kept for
-//! comparison with the panel sweeps). `lap2d_256` is the repo benchmark's
-//! `solve.lap2d.k32` input, whose factor (3.3 M entries) is larger than
-//! cache — the case the panel sweeps exist for; the two paper matrices
-//! fit in cache at scale 1.
+//! (time per right-hand side) and transpose solves. `lap2d_256` is the
+//! repo benchmark's `solve.lap2d.k32` input, whose factor (3.3 M entries)
+//! is larger than cache — the case the panel sweeps exist for; the two
+//! paper matrices fit in cache at scale 1.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pangulu_comm::{ProcessGrid, TransportKind};
-use pangulu_core::dist_solve::solve_distributed_on;
-use pangulu_core::layout::OwnerMap;
 use pangulu_core::seq::factor_sequential;
 use pangulu_core::trisolve::{
     backward_substitute, backward_substitute_panel, backward_substitute_transpose,
@@ -66,10 +61,6 @@ fn bench_solve(c: &mut Criterion) {
                 backward_substitute_transpose(&bm, &mut x);
                 x
             })
-        });
-        let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(4));
-        g.bench_function(BenchmarkId::new("distributed_4_ranks", name), |bch| {
-            bch.iter(|| solve_distributed_on(&bm, &owners, &b, TransportKind, None))
         });
     }
     g.finish();

@@ -13,17 +13,10 @@
 //! serialised, and the wire model charges each send its
 //! [`BlockMsg::payload_bytes`] as the modelled MPI transport would.
 //!
-//! Two deliberate wrinkles:
-//!
-//! * **Loopback.** A send to the own rank is charged full freight on the
-//!   diagonal edge and logged like any other send, but it is delivered
-//!   through this rank's own holdback heap, never through the fault
-//!   layer or the channel. Self-traffic is therefore immune to
-//!   delay and loss plans — a rank cannot lose a message to itself.
-//! * **Injected delays travel as relative nanoseconds.** The fault layer
-//!   stamps `delay_nanos` on the envelope; the *receiver* re-anchors it
-//!   at arrival time, so a delay counts from when the message reaches
-//!   the receiving rank, not from when it was sent.
+//! Injected delays travel as relative nanoseconds: the fault layer stamps
+//! `delay_nanos` on the envelope, and the *receiver* re-anchors it at
+//! arrival time, so a delay counts from when the message reaches the
+//! receiving rank, not from when it was sent.
 //!
 //! A [`MailboxSet`] built with [`MailboxSet::with_faults`] threads every
 //! remote message through the deterministic fault layer ([`crate::fault`]):
@@ -184,7 +177,7 @@ pub struct Mailbox<S: Scalar = f64> {
     senders: Vec<Sender<Envelope<S>>>,
     plan: Option<FaultPlan>,
     edges: Option<Vec<Edge<S>>>,
-    /// Received-but-not-yet-due messages, and loopback deliveries.
+    /// Received-but-not-yet-due messages.
     holdback: BinaryHeap<HeldMsg<S>>,
     send_seq: u64,
     sync_wait: Duration,
@@ -212,13 +205,11 @@ impl<S: Scalar> Mailbox<S> {
         self.world
     }
 
-    /// Sends a block to `to`. Sending to self is allowed and charged
-    /// like any other send, but delivered through this rank's own
-    /// holdback, bypassing the fault layer and the channel (see the
-    /// module docs). Under a fault plan a remote message may be delayed,
-    /// reordered behind later sends, or — if it is the plan's `loss` —
-    /// charged but never transmitted; the runtime's recv-timeout path is
-    /// responsible for surfacing that loss as a structured error.
+    /// Sends a block to `to`. Under a fault plan the message may be
+    /// delayed, reordered behind later sends, or — if it is the plan's
+    /// `loss` — charged but never transmitted; the runtime's
+    /// recv-timeout path is responsible for surfacing that loss as a
+    /// structured error.
     pub fn send(&mut self, to: usize, msg: BlockMsg<S>) {
         assert!(to < self.world, "destination rank {to} out of range");
         let bytes = msg.payload_bytes() as u64;
@@ -226,16 +217,8 @@ impl<S: Scalar> Mailbox<S> {
         self.sent_bytes += bytes;
         self.edge_msgs[to] += 1;
         self.edge_bytes[to] += bytes;
-        let record = DeliveryRecord { from: self.rank, to, bi: msg.bi, bj: msg.bj, role: msg.role };
         self.send_seq += 1;
         let mut env = Envelope { from: self.rank, seq: self.send_seq, delay_nanos: 0, msg };
-
-        if to == self.rank {
-            self.sent_log.push(record);
-            self.hold(env);
-            return;
-        }
-
         let out = match (self.plan.as_ref(), self.edges.as_mut()) {
             (Some(plan), Some(edges)) => {
                 if plan.loss == Some((self.rank, to, self.edge_msgs[to] - 1)) {
@@ -413,8 +396,8 @@ impl<S: Scalar> Mailbox<S> {
         }
     }
 
-    /// Messages actually handed to a peer's channel (or the loopback path),
-    /// by destination and block.
+    /// Messages actually handed to a peer's channel, by destination and
+    /// block.
     pub fn sent_log(&self) -> &[DeliveryRecord] {
         &self.sent_log
     }
@@ -589,33 +572,6 @@ mod tests {
         }
         let order: Vec<usize> = std::iter::from_fn(|| b0.try_recv()).map(|m| m.bi).collect();
         assert_eq!(order, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn loopback_is_charged_logged_and_delivered() {
-        let mut boxes = MailboxSet::<f64>::new(2).into_mailboxes();
-        let mb = &mut boxes[0];
-        mb.send(0, msg(4));
-        assert_eq!(mb.sent_msgs(), 1);
-        assert_eq!(mb.sent_log().len(), 1);
-        let m = mb.metrics();
-        assert_eq!(m.edges.len(), 1, "loopback charged on the diagonal edge");
-        assert_eq!(m.edges[0].to, 0);
-        let got = mb.try_recv().expect("self-delivery");
-        assert_eq!(got.bi, 4);
-        assert_eq!(mb.recv_log().len(), 1);
-    }
-
-    #[test]
-    fn loopback_is_immune_to_loss_plans() {
-        let plan = FaultPlan::reliable(5).with_loss(0, 0, 0);
-        let mut boxes = MailboxSet::with_faults(1, plan).into_mailboxes();
-        let mb = &mut boxes[0];
-        for i in 0..3 {
-            mb.send(0, msg(i));
-        }
-        let got: Vec<usize> = std::iter::from_fn(|| mb.try_recv()).map(|m| m.bi).collect();
-        assert_eq!(got, [0, 1, 2], "a rank cannot lose a message to itself");
     }
 
     #[test]

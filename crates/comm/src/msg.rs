@@ -29,14 +29,6 @@ pub enum BlockRole {
     /// A finished U-panel block `(k, j)`, operand of SSSSM updates down
     /// block column `j`.
     UPanel,
-    /// A solved solution segment `k` of the distributed triangular solve
-    /// (`bi == bj == k`), broadcast to the ranks owning panel blocks that
-    /// consume it.
-    XSegment,
-    /// A partial contribution `blk(i,k)·x_k` to segment `bi = i` of the
-    /// distributed triangular solve, sent to the owner of diagonal `i`
-    /// (`bj` records the source block column).
-    Partial,
 }
 
 /// A block shipped between ranks. Generic over the element precision:

@@ -34,8 +34,8 @@
 //!   destination — the oracle behind the fault-injection test matrix;
 //! * [`trisolve`] — block forward/backward substitution (phase 5), the
 //!   solve every [`Solver`] runs in every mode;
-//! * [`dist_solve`] — the message-driven distributed solve, which the
-//!   [`Solver`] no longer calls;
+//! * [`dist_solve`] — `solve_distributed_on`, the benchmark pipeline's
+//!   entry point, which runs the [`trisolve`] sweeps;
 //! * [`des`] — the discrete-event simulator that replays the real task
 //!   DAG under the platform cost model for the 1→128 rank scalability
 //!   experiments (Figs. 5, 12, 13, 14);

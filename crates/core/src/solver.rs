@@ -1584,11 +1584,14 @@ impl Solver {
 
     /// Solves `A x = b` with iterative refinement: repeats
     /// `x ← x + A⁻¹(b − Ax)` until the relative residual drops below
-    /// `tol` or `max_iters` corrections have been applied. Returns the
-    /// solution, the final relative residual and the number of
-    /// refinement steps taken. This is the standard companion to static
-    /// pivoting: perturbation-induced error washes out in one or two
-    /// corrections.
+    /// `tol` or `max_iters` corrections have been computed. A correction
+    /// that does not lower the residual (stagnation or divergence) is
+    /// discarded and ends the loop, so the returned solution is the best
+    /// iterate, bitwise, and the returned relative residual is its own.
+    /// Returns the solution, that residual and the number of corrections
+    /// computed, a discarded last one included. This is the standard
+    /// companion to static pivoting: perturbation-induced error washes
+    /// out in one or two corrections.
     pub fn solve_refined(
         &self,
         a: &CscMatrix,
@@ -1603,16 +1606,15 @@ impl Solver {
             let ax = pangulu_sparse::ops::spmv(a, &x)?;
             let rvec: Vec<f64> = b.iter().zip(&ax).map(|(p, q)| p - q).collect();
             let dx = self.solve(&rvec)?;
-            for (xi, di) in x.iter_mut().zip(&dx) {
-                *xi += di;
-            }
+            let corrected: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi + di).collect();
             iters += 1;
-            let new_resid = pangulu_sparse::ops::relative_residual(a, &x, b)?;
-            if new_resid >= resid {
-                // Stagnation: undo nothing, report what we have.
-                resid = new_resid;
+            let new_resid = pangulu_sparse::ops::relative_residual(a, &corrected, b)?;
+            if new_resid.partial_cmp(&resid) != Some(std::cmp::Ordering::Less) {
+                // Stagnation (or divergence, incl. NaN): keep the best
+                // iterate and its residual.
                 break;
             }
+            x = corrected;
             resid = new_resid;
         }
         Ok((x, resid, iters))
@@ -1943,6 +1945,43 @@ mod tests {
         assert!(resid < 1e-13, "refined residual {resid}");
         assert!(iters >= 1, "this system needs at least one correction");
         assert!(relative_residual(&a, &x, &b).unwrap() < 1e-13);
+    }
+
+    #[test]
+    fn refinement_returns_its_best_iterate() {
+        // tol = 0 is never met, so the loop runs until a correction fails
+        // to lower the residual (or the budget ends); that correction
+        // must not be kept.
+        let mut stagnated = 0;
+        for seed in 0..8 {
+            let a =
+                pangulu_sparse::ops::ensure_diagonal(&gen::random_sparse(120, 0.05, seed)).unwrap();
+            let solver = Solver::factor(&a).unwrap();
+            let b = gen::test_rhs(a.nrows(), seed);
+            // The loop's residuals, followed by hand.
+            let mut x = solver.solve(&b).unwrap();
+            let mut seen = vec![relative_residual(&a, &x, &b).unwrap()];
+            for _ in 0..8 {
+                let ax = pangulu_sparse::ops::spmv(&a, &x).unwrap();
+                let r: Vec<f64> = b.iter().zip(&ax).map(|(p, q)| p - q).collect();
+                let dx = solver.solve(&r).unwrap();
+                x.iter_mut().zip(&dx).for_each(|(xi, di)| *xi += di);
+                let rel = relative_residual(&a, &x, &b).unwrap();
+                let worse = rel >= *seen.last().unwrap();
+                seen.push(rel);
+                if worse {
+                    stagnated += 1;
+                    break;
+                }
+            }
+            let best = seen.iter().copied().fold(f64::INFINITY, f64::min);
+            let (x, resid, iters) = solver.solve_refined(&a, &b, 0.0, 8).unwrap();
+            assert_eq!(iters, seen.len() - 1, "seed {seed}");
+            assert_eq!(resid.to_bits(), best.to_bits(), "seed {seed}: {resid} vs best {best}");
+            let own = relative_residual(&a, &x, &b).unwrap();
+            assert_eq!(resid.to_bits(), own.to_bits(), "seed {seed}: the residual is x's own");
+        }
+        assert!(stagnated > 0, "no seed reached stagnation");
     }
 
     #[test]

@@ -195,17 +195,6 @@ fn sweep_panel<S: Scalar, const UPPER: bool>(bm: &BlockMatrix<S>, x: &mut [S], k
     sweep_widths::<S, UPPER>(bm, x, k);
 }
 
-/// In-block unit-lower solve on a segment (`L(k,k) y = x` in place);
-/// `dpos` is the block's [`BlockMatrix::diag_positions`].
-pub(crate) fn solve_diag_lower<S: Scalar>(d: &CscMatrix<S>, dpos: &[usize], x: &mut [S]) {
-    solve_diag::<S, false>(d, dpos, x, 1);
-}
-
-/// In-block upper solve on a segment (`U(k,k) x = y` in place).
-pub(crate) fn solve_diag_upper<S: Scalar>(d: &CscMatrix<S>, dpos: &[usize], x: &mut [S]) {
-    solve_diag::<S, true>(d, dpos, x, 1);
-}
-
 /// Solves `L y = b` in place, where `L` is the unit-lower factor stored in
 /// the blocked packed form.
 pub fn forward_substitute<S: Scalar>(bm: &BlockMatrix<S>, x: &mut [S]) {
@@ -446,10 +435,10 @@ mod tests {
         let d = bm.block(bm.block_id(0, 0).unwrap());
         let dpos = bm.diag_positions(0);
         let (mut got, mut want) = (gen::test_rhs(a.nrows(), 5), gen::test_rhs(a.nrows(), 5));
-        solve_diag_lower(d, dpos, &mut got);
+        solve_diag::<f64, false>(d, dpos, &mut got, 1);
         reference_sweep(&bm, &mut want, false);
         assert_eq!(got, want);
-        solve_diag_upper(d, dpos, &mut got);
+        solve_diag::<f64, true>(d, dpos, &mut got, 1);
         reference_sweep(&bm, &mut want, true);
         assert_eq!(got, want);
     }

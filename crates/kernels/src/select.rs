@@ -91,7 +91,14 @@ impl Default for Thresholds {
         // land at: GESSM merge → dense around 4e3 nnz, TSTRF and SSSSM
         // prefer their V2 addressing from small sizes up.
         Thresholds {
-            big_matrix_nnz: 5e6,
+            // Every matrix takes the small-matrix side, whatever its
+            // size: on the big-matrix side a `gessm_gv2` / `tstrf_gv2`
+            // cut at infinity would send every panel solve to `G_V2`,
+            // which copies the diagonal block to CSR on each call (5.8×
+            // and 7.6× `C_V2`'s time on the GESSM / TSTRF tasks of
+            // `data/fig07_kernels.csv`), and the calibration never fits
+            // those two cuts.
+            big_matrix_nnz: f64::INFINITY,
             getrf_cpu: f64::INFINITY,
             getrf_gv1: f64::INFINITY,
             gessm_cv1: 1.3e2,
@@ -391,6 +398,23 @@ mod tests {
         assert_eq!(s.gessm(100_000), TrsmVariant::CV2);
         assert_eq!(s.tstrf(100_000), TrsmVariant::CV2);
         assert_eq!(s.ssssm(1e9), SsssmVariant::CV1);
+    }
+
+    #[test]
+    fn calibrated_defaults_ignore_the_matrix_size() {
+        let small = KernelSelector::new(1_000, Thresholds::default());
+        let big = KernelSelector::new(10_000_000, Thresholds::default());
+        for e in 0..=40 {
+            let x = 10f64.powf(f64::from(e) / 4.0);
+            let nnz = x as usize;
+            assert_eq!(big.getrf(nnz), small.getrf(nnz), "getrf, nnz {nnz}");
+            assert_eq!(big.gessm(nnz), small.gessm(nnz), "gessm, nnz {nnz}");
+            assert_eq!(big.tstrf(nnz), small.tstrf(nnz), "tstrf, nnz {nnz}");
+            assert_eq!(big.ssssm(x), small.ssssm(x), "ssssm, flops {x}");
+            assert_eq!(big.planned_gessm(nnz), small.planned_gessm(nnz));
+            assert_eq!(big.planned_tstrf(nnz), small.planned_tstrf(nnz));
+            assert_eq!(big.planned_ssssm(x), small.planned_ssssm(x));
+        }
     }
 
     #[test]

@@ -31,12 +31,12 @@
 #           without and with --release so the thread-count stress meets
 #           debug timing too (see docs/SCHEDULING.md)
 #   comm    comm layer, wire model and metrics invariants: the
-#           pangulu-comm package (mailboxes, fault layer, loopback rule),
-#           the wire-model accounting guard (the per-edge fixture table,
+#           pangulu-comm package (mailboxes, fault layer), the
+#           wire-model accounting guard (the per-edge fixture table,
 #           f64 and f32), the metrics suite (observed == predicted model
-#           FLOPs on every grid x precision, deterministic
-#           work counters) and peer-death failure modes (see
-#           docs/TRANSPORT.md)
+#           FLOPs on every grid x precision, deterministic work
+#           counters) and the failure modes (a lost message, a
+#           panicking task; see docs/TRANSPORT.md)
 #   precision  mixed-precision layer: the solver's mixed/fallback unit
 #           tests, the ill-conditioned fallback suite, and the
 #           golden-corpus mixed-precision equivalence assertions,
@@ -158,7 +158,7 @@ stage_trace() {
     local seed
     for seed in $(seq "$seed_base" $((seed_base + 4))); do
         echo "--- trace_validate, fault seed $seed"
-        ./target/release/trace_validate "$seed"
+        "${CARGO_TARGET_DIR:-target}/release/trace_validate" "$seed"
     done
 }
 
@@ -314,7 +314,7 @@ stage_figures() {
     rm -rf "$out"
     mkdir -p "$out"
     t0=$SECONDS
-    PANGULU_DATA_DIR="$out" ./target/release/figures >/dev/null
+    PANGULU_DATA_DIR="$out" "${CARGO_TARGET_DIR:-target}/release/figures" >/dev/null
     echo "--- figures ran in $((SECONDS - t0)) s"
     for name in "${figures_exact[@]}"; do
         if ! diff "data/$name.csv" "$out/$name.csv" >"$out/$name.diff"; then

@@ -2,13 +2,7 @@
 //! block sizes, rank counts exceeding the block grid, and tiny systems
 //! through every executor.
 
-use pangulu::comm::{ProcessGrid, TransportKind};
-use pangulu::core::dist_solve::solve_distributed_on;
-use pangulu::core::layout::OwnerMap;
-use pangulu::core::seq::factor_sequential;
-use pangulu::core::task::TaskGraph;
-use pangulu::core::BlockMatrix;
-use pangulu::kernels::select::{KernelSelector, Thresholds};
+use pangulu::comm::ProcessGrid;
 use pangulu::prelude::*;
 use pangulu::sparse::ops::relative_residual;
 use pangulu::sparse::{gen, SparseError};
@@ -51,24 +45,6 @@ fn more_ranks_than_blocks() {
     let b = gen::test_rhs(60, 2);
     let x = solver.solve(&b).unwrap();
     assert!(relative_residual(&a, &x, &b).unwrap() < 1e-10);
-}
-
-#[test]
-fn distributed_solve_single_block() {
-    let a = pangulu::sparse::ops::ensure_diagonal(&gen::random_sparse(12, 0.3, 3)).unwrap();
-    let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
-    let mut bm = BlockMatrix::from_filled(&f, 12).unwrap();
-    let tg = TaskGraph::build(&bm);
-    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-    factor_sequential(&mut bm, &tg, &sel, 0.0);
-    let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(3));
-    let b = gen::test_rhs(12, 4);
-    let x = solve_distributed_on(&bm, &owners, &b, TransportKind, None);
-    // One block: the whole solve happens on the diagonal owner.
-    let mut expect = b.clone();
-    pangulu::core::trisolve::forward_substitute(&bm, &mut expect);
-    pangulu::core::trisolve::backward_substitute(&bm, &mut expect);
-    assert_eq!(x, expect);
 }
 
 #[test]

@@ -16,9 +16,10 @@
 //!    identical across fault plans that only perturb delivery timing and
 //!    order (delays + reordering, no drops), including the new
 //!    [`pangulu::metrics::MemStats`] counters;
-//! 3. loopback (rank → same rank) sends are charged full freight on the
-//!    diagonal edge — placement on the owner map must never make traffic
-//!    disappear from the accounting.
+//! 3. a send to the own rank is an ordinary edge: charged full freight
+//!    on the diagonal edge and run through the fault plan like any other
+//!    — placement on the owner map must never make traffic disappear
+//!    from the accounting.
 
 use std::time::Duration;
 
@@ -114,8 +115,8 @@ fn without_timings_equal_across_fault_plans() {
 
 /// The factorisation's `finish_block` fan-out excludes the producing
 /// rank (a rank never ships a finished block to itself), so the fixture
-/// table has no diagonal rows — pinned explicitly, because the loopback
-/// charging rule below would otherwise silently grow the table.
+/// table has no diagonal rows — pinned explicitly, because a send to the
+/// own rank would be charged on the diagonal edge and grow the table.
 #[test]
 fn factor_fixture_has_no_self_edges() {
     assert!(
@@ -127,31 +128,32 @@ fn factor_fixture_has_no_self_edges() {
     for r in &report.per_rank {
         assert!(
             r.comm.edges.iter().all(|e| e.to != r.rank),
-            "rank {}: factorisation charged a loopback edge",
+            "rank {}: factorisation charged a self-edge",
             r.rank
         );
     }
 }
 
-/// Loopback regression: a send to the own rank is charged and logged on
-/// the diagonal edge at full freight and is immune to a plan that loses a
-/// message on the diagonal edge. The distributed solve once applied self-partials directly,
-/// bypassing this accounting entirely.
+/// A send to the own rank is an ordinary edge: charged and logged on
+/// the diagonal edge at full freight, delivered in order through the
+/// rank's own channel, and subject to the fault plan — a plan that loses
+/// the first message on the diagonal edge loses it.
 #[test]
 fn loopback_charges_are_backend_invariant() {
     let lose_first = FaultPlan::reliable(3).with_loss(0, 0, 0);
     let mut boxes = MailboxSet::with_faults(2, lose_first).into_mailboxes();
     let mb = &mut boxes[0];
-    let msg = |bi| BlockMsg { bi, bj: bi, role: BlockRole::Partial, values: vec![1.0; 16].into() };
+    let msg = |bi| BlockMsg { bi, bj: bi, role: BlockRole::LPanel, values: vec![1.0; 16].into() };
     for bi in 0..5 {
         mb.send(0, msg(bi));
     }
-    for bi in 0..5 {
-        let got = mb.try_recv().unwrap_or_else(|| panic!("loopback delivery {bi}"));
-        assert_eq!(got.bi, bi, "loopback FIFO");
+    for bi in 1..5 {
+        let got = mb.try_recv().unwrap_or_else(|| panic!("self-delivery {bi}"));
+        assert_eq!(got.bi, bi, "self-edge FIFO");
     }
-    assert_eq!(mb.sent_log().len(), 5, "a loss plan must not touch loopback");
-    assert_eq!(mb.recv_log().len(), 5);
+    assert!(mb.try_recv().is_none(), "the plan's loss on the diagonal edge is lost");
+    assert_eq!(mb.sent_log().len(), 4, "the lost message is not logged as sent");
+    assert_eq!(mb.recv_log().len(), 4);
     let m = mb.metrics();
     assert_eq!(m.edges.len(), 1, "exactly the diagonal edge");
     assert_eq!(m.edges[0].to, 0);
