@@ -264,9 +264,10 @@ pub struct FactorRun {
 /// returned; `bm` then holds partly factored values, so scatter the
 /// matrix into it again before the next run.
 ///
-/// Builds a transient [`NumericWorkspace`] for the run; callers that
-/// factor the same pattern repeatedly should build the workspace once
-/// and call [`factor_distributed_cached`] instead.
+/// Builds a transient [`NumericWorkspace`] for the run, whose plan pool
+/// serves this one run and so builds no plan; callers that factor the
+/// same pattern repeatedly should build the workspace once and call
+/// [`factor_distributed_cached`] instead.
 pub fn factor_distributed_checked<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -286,8 +287,9 @@ pub fn factor_distributed_checked<S: Scalar>(
 /// * the receive-side pattern shells: remote blocks delivered in an
 ///   earlier run keep their CSC structure, so every steady-state receive
 ///   is a values-only memcpy ([`MemStats::pattern_cache_hits`]);
-/// * the kernel plans, built on the first run for every task and read
-///   by every rank;
+/// * the kernel plans, read by every rank: none on the workspace's first
+///   run, then built by the second for every task the selector's gates
+///   admit (the shared executor's policy, `build_plans`);
 /// * each block's remote destinations.
 ///
 /// Owned blocks are factored in place in `bm`; the workspace holds no
@@ -470,9 +472,9 @@ impl<S: Scalar> RankState<S> {
 /// steady-state runs then do no pattern-dependent setup at all.
 pub struct NumericWorkspace<S: Scalar = f64> {
     ranks: Vec<RankState<S>>,
-    /// One pool for every rank: built before the ranks start, then only
-    /// read, and — like the rest of this state — reused verbatim across
-    /// numeric-only refactorisations.
+    /// One pool for every rank: empty for the first run, built before the
+    /// ranks of the second start, then only read, and — like the rest of
+    /// this state — reused verbatim across numeric-only refactorisations.
     plans: KernelPlans<S>,
     num_blocks: usize,
     /// Offsets into `dests`, one run per block id.
@@ -851,6 +853,22 @@ mod tests {
         assert_eq!(run.sent.len() as u64, run.stats.messages, "every send is logged");
     }
 
+    /// Factors a copy of `bm0` twice on one workspace, so the second run
+    /// builds and replays what `sel`'s gates admit, and returns that run.
+    fn second_run(
+        bm0: &BlockMatrix,
+        tg: &TaskGraph,
+        owners: &OwnerMap,
+        sel: &KernelSelector,
+    ) -> (BlockMatrix, FactorRun) {
+        let mut ws = NumericWorkspace::new(bm0, tg, owners);
+        let cfg = FactorConfig::default();
+        factor_distributed_cached(&mut bm0.clone(), tg, owners, sel, 0.0, &cfg, &mut ws).unwrap();
+        let mut bm = bm0.clone();
+        let run = factor_distributed_cached(&mut bm, tg, owners, sel, 0.0, &cfg, &mut ws).unwrap();
+        (bm, run)
+    }
+
     #[test]
     fn planned_run_is_bitwise_identical_to_unplanned() {
         // "Unplanned" is a selector whose planned gates are closed: no
@@ -858,16 +876,11 @@ mod tests {
         for p in [1usize, 4] {
             let (a, bm0, tg) = build(60, 8, 15);
             let owners = OwnerMap::block_cyclic(&bm0, ProcessGrid::new(p));
-            let cfg = FactorConfig::default();
 
             let sel = KernelSelector::new(a.nnz(), Thresholds::default());
-            let mut planned_bm = bm0.clone();
-            let run =
-                factor_distributed_checked(&mut planned_bm, &tg, &owners, &sel, 0.0, &cfg).unwrap();
+            let (planned_bm, run) = second_run(&bm0, &tg, &owners, &sel);
             let closed = KernelSelector::new(a.nnz(), Thresholds::unplanned());
-            let mut plain_bm = bm0;
-            let plain = factor_distributed_checked(&mut plain_bm, &tg, &owners, &closed, 0.0, &cfg)
-                .unwrap();
+            let (plain_bm, plain) = second_run(&bm0, &tg, &owners, &closed);
             assert_eq!(
                 planned_bm.to_csc().values(),
                 plain_bm.to_csc().values(),
@@ -896,7 +909,7 @@ mod tests {
         // close the panel/SSSSM gates above their crossovers, so open
         // them explicitly — coverage here guards the executor wiring,
         // not the selector policy.)
-        let (a, mut bm, tg) = build(60, 8, 17);
+        let (a, bm, tg) = build(60, 8, 17);
         let open = Thresholds {
             getrf_planned: f64::INFINITY,
             gessm_planned: f64::INFINITY,
@@ -906,9 +919,7 @@ mod tests {
         };
         let sel = KernelSelector::new(a.nnz(), open);
         let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(4));
-        let run =
-            factor_distributed_checked(&mut bm, &tg, &owners, &sel, 0.0, &FactorConfig::default())
-                .unwrap();
+        let (_, run) = second_run(&bm, &tg, &owners, &sel);
         let full_targets = tg
             .ssssm
             .iter()

@@ -147,7 +147,8 @@ pub fn factor_sequential_partial<S: Scalar>(
 /// Creates an empty kernel-plan pool sized for this block structure:
 /// GETRF slots by elimination step, the panel solves by target block
 /// id, SSSSM by task-graph update index — the slot keying every
-/// executor in this crate uses.
+/// executor in this crate uses. The pool has served no run, so the first
+/// executor run on it builds no plan; the second builds them.
 pub fn empty_plans<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> KernelPlans<S> {
     KernelPlans::with_slots(bm.nblk(), bm.num_blocks(), bm.num_blocks(), tg.ssssm.len())
 }
@@ -155,10 +156,11 @@ pub fn empty_plans<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> KernelPlan
 /// The planned factorisation of the solver's one-rank mode: the countdown
 /// engine's one-worker instance ([`crate::shared::factor_shared_planned`]
 /// at one worker, on the caller's thread). Every task runs along the route
-/// `plans` decides for it — its precomputed index plan where the
-/// selector's planned gate is open, the tree's variant otherwise. Missing
-/// plans are built on the first call and reused verbatim on later calls
-/// (the steady state of `Solver::refactor`). Results are bitwise
+/// `plans` decides for it — its precomputed index plan where one was
+/// built, the dense-tile lane or the tree's variant otherwise. The first
+/// call on a fresh pool builds no plan; the second builds the missing
+/// ones the selector's planned gates admit, and later calls reuse them
+/// verbatim (the steady state of `Solver::refactor`). Results are bitwise
 /// identical to the unplanned sweep [`factor_sequential`].
 pub fn factor_sequential_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
@@ -258,19 +260,24 @@ mod tests {
                     factor_sequential(&mut bm, &tg, &sel, 0.0);
                     bm.to_csc()
                 };
-                let mut bm = BlockMatrix::from_filled(&f, nb).unwrap();
-                let mut plans = empty_plans(&bm, &tg);
-                factor_sequential_planned(&mut bm, &tg, &sel, 0.0, &mut plans);
-                assert_eq!(bm.to_csc().values(), reference.values(), "seed {seed} nb {nb}");
-                let builds = plans.stats().builds;
-                assert!(builds > 0, "no plans were built");
-
-                // Second sweep reuses every plan verbatim: bitwise same
-                // result, build counter flat.
-                let mut bm2 = BlockMatrix::from_filled(&f, nb).unwrap();
-                factor_sequential_planned(&mut bm2, &tg, &sel, 0.0, &mut plans);
-                assert_eq!(bm2.to_csc().values(), reference.values());
-                assert_eq!(plans.stats().builds, builds, "plans were rebuilt on reuse");
+                // The first sweep on a fresh pool is plan-free, the second
+                // builds the plans, the third reuses every plan verbatim:
+                // bitwise the same result each time.
+                let mut plans = empty_plans(&BlockMatrix::from_filled(&f, nb).unwrap(), &tg);
+                let mut builds = Vec::new();
+                for run in 0..3 {
+                    let mut bm = BlockMatrix::from_filled(&f, nb).unwrap();
+                    factor_sequential_planned(&mut bm, &tg, &sel, 0.0, &mut plans);
+                    assert_eq!(
+                        bm.to_csc().values(),
+                        reference.values(),
+                        "seed {seed} nb {nb} {run}"
+                    );
+                    builds.push(plans.stats().builds);
+                }
+                assert_eq!(builds[0], 0, "the first sweep planned");
+                assert!(builds[1] > 0, "no plans were built");
+                assert_eq!(builds[2], builds[1], "plans were rebuilt on reuse");
             }
         }
     }
@@ -289,10 +296,12 @@ mod tests {
             let mut reference = BlockMatrix::from_filled(&f, 8).unwrap();
             let tg = TaskGraph::build(&reference);
             factor_sequential(&mut reference, &tg, &sel, 0.0);
-            let mut bm = BlockMatrix::from_filled(&f, 8).unwrap();
-            let mut plans = empty_plans(&bm, &tg);
-            factor_sequential_planned(&mut bm, &tg, &sel, 0.0, &mut plans);
-            assert_eq!(bm.to_csc().values(), reference.to_csc().values());
+            let mut plans = empty_plans(&reference, &tg);
+            for _ in 0..2 {
+                let mut bm = BlockMatrix::from_filled(&f, 8).unwrap();
+                factor_sequential_planned(&mut bm, &tg, &sel, 0.0, &mut plans);
+                assert_eq!(bm.to_csc().values(), reference.to_csc().values());
+            }
             assert_eq!(plans.stats().builds, 0);
             assert_eq!(plans.stats().bytes, 0);
         }

@@ -219,13 +219,15 @@ pub(crate) struct Engine<'a, S: Scalar> {
 
 /// Factorises `bm` in place with `threads` workers sharing one block
 /// store; one worker runs on the caller's thread. Every task runs along
-/// the route `plans` decides for it (its precomputed index plan where the
-/// selector's planned gate is open, the tree's variant otherwise). Missing
-/// plans are built eagerly (single-threaded, from patterns only) before
-/// the workers start, so the pool is immutable during execution and
-/// reused verbatim on later calls. The factors are bitwise equal to the
-/// unplanned sweep's ([`crate::seq::factor_sequential`]) at any worker
-/// count. The phase times are kernel time summed over the workers.
+/// the route `plans` decides for it (its precomputed index plan where one
+/// was built, the dense-tile lane or the tree's variant otherwise). The
+/// first call on a fresh pool builds no plan; later calls build the
+/// missing ones the selector's gates admit (single-threaded, from
+/// patterns only) before the workers start (`build_plans`), so the pool
+/// is immutable during execution and reused verbatim after. The factors
+/// are bitwise equal to the unplanned sweep's
+/// ([`crate::seq::factor_sequential`]) at any worker count. The phase
+/// times are kernel time summed over the workers.
 pub fn factor_shared_planned<S: Scalar>(
     bm: &mut BlockMatrix<S>,
     tg: &TaskGraph,
@@ -263,20 +265,27 @@ pub fn factor_shared_planned<S: Scalar>(
     stats
 }
 
-/// Builds, for every task, the plan the selector's gates admit, so the
-/// pool exists before any task runs. Patterns are fixed by the symbolic
-/// phase, so the unfactored blocks give the same plans a task would build
-/// mid-factorisation; tasks whose planned gate is closed (the calibrated
-/// cuts send them to the dense-addressed variants) get no plan, keeping
-/// the pool's memory proportional to the planned working set. It reads
-/// the patterns of `bm`'s blocks, so it runs before any engine over
-/// `bm`'s store does.
+/// The plan policy of every executor, run once per factorisation before
+/// any task does. A pool's first run builds nothing: every task then
+/// takes the dense-tile lane or the tree's variant, bitwise what its plan
+/// would replay, so a caller who factors once pays for no plan. From the
+/// second run on it builds, for every task, the plan the selector's gates
+/// admit, so the pool exists before any task runs. Patterns are fixed by
+/// the symbolic phase, so the unfactored blocks give the same plans a
+/// task would build mid-factorisation; tasks whose planned gate is closed
+/// (the calibrated cuts send them to the dense-addressed variants) get no
+/// plan, keeping the pool's memory proportional to the planned working
+/// set. It reads the patterns of `bm`'s blocks, so it runs before any
+/// engine over `bm`'s store does.
 pub(crate) fn build_plans<S: Scalar>(
     bm: &BlockMatrix<S>,
     tg: &TaskGraph,
     selector: &KernelSelector,
     plans: &mut KernelPlans<S>,
 ) {
+    if !plans.serve_run() {
+        return;
+    }
     plans.build(selector, |add| {
         for k in 0..bm.nblk() {
             let diag = bm.block(bm.block_id(k, k).expect("diag exists"));
@@ -503,24 +512,35 @@ mod tests {
             factor_sequential(&mut seq_bm, &tg, &sel, 0.0);
             let want = seq_bm.to_csc();
 
-            let mut par_bm = bm0.clone();
-            let mut plans = empty_plans(&par_bm, &tg);
-            factor_shared_planned(&mut par_bm, &tg, &sel, 0.0, threads, &mut plans);
-            assert_eq!(par_bm.to_csc().values(), want.values(), "threads={threads} seed={seed}");
-            // Every admitted task got a plan, eagerly, before the workers
-            // ran; a second factorisation reuses the pool without rebuilding.
-            let builds = plans.stats().builds;
-            assert!(builds > 0);
-            factor_shared_planned(&mut bm0.clone(), &tg, &sel, 0.0, threads, &mut plans);
-            assert_eq!(plans.stats().builds, builds);
+            // The pool's first run is plan-free; the second builds every
+            // admitted plan, eagerly, before the workers run; a third
+            // reuses the pool without rebuilding. All three give the
+            // sweep's bits.
+            let mut plans = empty_plans(&bm0, &tg);
+            let mut builds = Vec::new();
+            for run in 0..3 {
+                let mut par_bm = bm0.clone();
+                factor_shared_planned(&mut par_bm, &tg, &sel, 0.0, threads, &mut plans);
+                assert_eq!(par_bm.to_csc().values(), want.values(), "threads={threads} run={run}");
+                builds.push(plans.stats().builds);
+            }
+            assert_eq!(builds[0], 0, "threads={threads}: the first run planned");
+            assert!(builds[1] > 0);
+            assert_eq!(builds[2], builds[1]);
 
             // Closed planned gates: same factor from the tree's variants
             // alone, and nothing is ever built.
             let closed = KernelSelector::new(nnz, Thresholds::unplanned());
-            let mut plain_bm = bm0;
-            let mut none = empty_plans(&plain_bm, &tg);
-            factor_shared_planned(&mut plain_bm, &tg, &closed, 0.0, threads, &mut none);
-            assert_eq!(plain_bm.to_csc().values(), want.values(), "threads={threads}: unplanned");
+            let mut none = empty_plans(&bm0, &tg);
+            for _ in 0..2 {
+                let mut plain_bm = bm0.clone();
+                factor_shared_planned(&mut plain_bm, &tg, &closed, 0.0, threads, &mut none);
+                assert_eq!(
+                    plain_bm.to_csc().values(),
+                    want.values(),
+                    "threads={threads}: unplanned"
+                );
+            }
             assert_eq!(none.stats().builds, 0);
         }
     }

@@ -82,8 +82,6 @@ pub struct SolverOptions {
     pub block_size: Option<usize>,
     /// Fill-reducing ordering (default: best of AMD and nested dissection).
     pub fill_reducing: FillReducing,
-    /// Decision-tree thresholds.
-    pub thresholds: Thresholds,
     /// Static-pivot perturbation floor, relative to `max|A|`.
     /// 0 disables perturbation: a zero pivot then fails the factorisation
     /// with [`SparseError::ZeroPivot`].
@@ -103,7 +101,6 @@ impl Default for SolverOptions {
             ranks: 1,
             block_size: None,
             fill_reducing: FillReducing::Auto,
-            thresholds: Thresholds::default(),
             pivot_floor_rel: 1e-12,
             shared_threads: None,
             precision: Precision::default(),
@@ -133,12 +130,6 @@ impl SolverBuilder {
     /// Chooses the fill-reducing ordering.
     pub fn fill_reducing(mut self, f: FillReducing) -> Self {
         self.opts.fill_reducing = f;
-        self
-    }
-
-    /// Overrides the decision-tree thresholds.
-    pub fn thresholds(mut self, t: Thresholds) -> Self {
-        self.opts.thresholds = t;
         self
     }
 
@@ -257,11 +248,11 @@ impl SolverPlan {
 }
 
 /// The one factor store of a [`Solver`], in the precision its factors
-/// hold, with the executor state its numeric runs reuse.
+/// hold, with the executor its numeric runs reuse.
 #[allow(clippy::large_enum_variant)] // one per solver, never in a collection
 enum Factors {
     /// f64 factors: configured, or a mixed solver after its fallback.
-    F64 { bm: BlockMatrix, numeric: NumericCache<f64> },
+    F64 { bm: BlockMatrix, executor: Executor<f64> },
     /// The f32 factors of a mixed-precision solver.
     Mixed(MixedState),
 }
@@ -272,10 +263,10 @@ enum Factors {
 struct MixedState {
     /// The live f32 factors.
     factored32: BlockMatrix<f32>,
-    /// Executor state of the f32 runs (`u16`-indexed kernel plans, rank
-    /// workspace), cached for [`Solver::refactor`] exactly like the f64
+    /// Executor of the f32 runs (`u16`-indexed kernel plans, rank
+    /// workspace), reused by [`Solver::refactor`] exactly like the f64
     /// one.
-    numeric: NumericCache<f32>,
+    executor: Executor<f32>,
     /// The scaled permuted input `Pr·Dr·A·Dc·Pcᵀ` in f64 on A's own
     /// pattern: the refinement loop forms exact f64 residuals in the
     /// inner domain on it.
@@ -326,7 +317,8 @@ impl NumericSummary {
 }
 
 /// One numeric phase's inputs besides the block store: the cached
-/// analysis, the input and where it goes (the selector reads its density;
+/// analysis and options (a mixed fallback builds its f64 executor from
+/// them), the input and where it goes (the selector reads its density;
 /// a mixed fallback reloads the f64 store from it) and the absolute pivot
 /// floor.
 struct NumericRun<'a> {
@@ -338,62 +330,41 @@ struct NumericRun<'a> {
     pivot_floor: f64,
 }
 
-/// The pattern-dependent state of the one executor a solver runs its
-/// numeric phase on, in scalar type `S`: chosen from [`SolverOptions`],
-/// built by the first factorisation and reused verbatim by every
-/// [`Solver::refactor`]. Kernel index plans are part of it whichever
-/// executor runs — from the second run on.
-struct NumericCache<S: Scalar> {
-    /// `None` until the first run. That run closes the planned gates
-    /// (every task takes its tree variant or the dense-tile lane, bitwise
-    /// equal to its plan's replay), so a caller who factors once builds
-    /// no plan; the first refactorisation builds them, like the scatter
-    /// map.
-    executor: Option<Executor<S>>,
-}
-
+/// The one executor a solver runs its numeric phase on, in scalar type
+/// `S`, with its pattern-dependent state: chosen from [`SolverOptions`],
+/// built with its block store and reused verbatim by every
+/// [`Solver::refactor`]. Its kernel plan pool follows the executors' one
+/// policy (`shared::build_plans`): the first run builds no plan, the
+/// second builds them, like the scatter map.
 enum Executor<S: Scalar> {
     /// The countdown engine over one block store: one worker on the
     /// caller's thread for one rank, else shared-memory worker threads,
-    /// with one eagerly built plan pool.
+    /// with one plan pool.
     Shared { threads: usize, plans: KernelPlans<S> },
     /// Message-passing ranks, each the engine's one-worker instance over
     /// the store's owned blocks: the per-rank tables of received copies
-    /// and plan pools live in the workspace.
+    /// and the plan pool live in the workspace.
     Distributed { workspace: NumericWorkspace<S> },
 }
 
-impl<S: Scalar> NumericCache<S> {
-    fn new() -> Self {
-        NumericCache { executor: None }
+impl<S: Scalar> Executor<S> {
+    /// The executor `opts` asks for over the blocks of `bm`.
+    fn new(bm: &BlockMatrix<S>, tg: &TaskGraph, owners: &OwnerMap, opts: &SolverOptions) -> Self {
+        if owners.num_ranks() == 1 {
+            Executor::Shared {
+                threads: opts.shared_threads.unwrap_or(1),
+                plans: empty_plans(bm, tg),
+            }
+        } else {
+            Executor::Distributed { workspace: NumericWorkspace::new(bm, tg, owners) }
+        }
     }
 
     /// Runs the numeric phase over the already loaded blocks `bm`.
     fn factor(&mut self, bm: &mut BlockMatrix<S>, run: &NumericRun) -> NumericSummary {
-        let (opts, tg, owners) = (run.opts, run.tg, run.owners);
-        let thresholds = if self.executor.is_some() {
-            opts.thresholds
-        } else {
-            Thresholds {
-                getrf_planned: 0.0,
-                gessm_planned: 0.0,
-                tstrf_planned: 0.0,
-                ssssm_planned: 0.0,
-                ..opts.thresholds
-            }
-        };
-        let selector = &KernelSelector::new(run.a.nnz(), thresholds);
-        let executor = self.executor.get_or_insert_with(|| {
-            if opts.shared_threads.is_some() || opts.ranks == 1 {
-                Executor::Shared {
-                    threads: opts.shared_threads.unwrap_or(1),
-                    plans: empty_plans(bm, tg),
-                }
-            } else {
-                Executor::Distributed { workspace: NumericWorkspace::new(bm, tg, owners) }
-            }
-        });
-        match executor {
+        let (tg, owners) = (run.tg, run.owners);
+        let selector = &KernelSelector::new(run.a.nnz(), Thresholds::default());
+        match self {
             Executor::Shared { threads, plans } => NumericSummary::in_process(
                 factor_shared_planned(bm, tg, selector, run.pivot_floor, *threads, plans),
             ),
@@ -418,12 +389,11 @@ impl<S: Scalar> NumericCache<S> {
         }
     }
 
-    /// Memory and build accounting of the cached kernel plans.
+    /// Memory and build accounting of the kernel plans.
     fn plan_stats(&self) -> PlanStats {
-        match &self.executor {
-            Some(Executor::Shared { plans, .. }) => plans.stats(),
-            Some(Executor::Distributed { workspace }) => workspace.plan_stats(),
-            None => PlanStats::default(),
+        match self {
+            Executor::Shared { plans, .. } => plans.stats(),
+            Executor::Distributed { workspace } => workspace.plan_stats(),
         }
     }
 }
@@ -686,9 +656,9 @@ impl Factors {
     /// cadence counts those).
     fn factor(&mut self, run: &NumericRun, refactor: bool, stats: &mut FactorStats) -> Result<()> {
         match self {
-            Factors::F64 { bm, numeric } => numeric.factor(bm, run).apply(stats),
+            Factors::F64 { bm, executor } => executor.factor(bm, run).apply(stats),
             Factors::Mixed(mx) => {
-                let summary = mx.numeric.factor(&mut mx.factored32, run);
+                let summary = mx.executor.factor(&mut mx.factored32, run);
                 let perturbed = summary.perturbed_pivots;
                 // An f32 zero pivot fails like a probe: the f64 run
                 // decides whether the matrix itself is singular.
@@ -704,7 +674,8 @@ impl Factors {
                     let mut bm = mx.factored32.cast::<f64>();
                     bm.clear_values();
                     run.frame.load(&mut bm, run.a)?;
-                    *self = Factors::F64 { bm, numeric: NumericCache::new() };
+                    let executor = Executor::new(&bm, run.tg, run.owners, run.opts);
+                    *self = Factors::F64 { bm, executor };
                     return self.factor(run, refactor, stats);
                 }
             }
@@ -719,11 +690,11 @@ impl Factors {
 
 impl MixedState {
     /// A mixed state over f32 tiles freshly loaded with `scaled_a`'s
-    /// values.
-    fn new(factored32: BlockMatrix<f32>, scaled_a: CscMatrix) -> Self {
+    /// values, factored by `executor`.
+    fn new(factored32: BlockMatrix<f32>, executor: Executor<f32>, scaled_a: CscMatrix) -> Self {
         MixedState {
             factored32,
-            numeric: NumericCache::new(),
+            executor,
             scaled_a,
             a_pos: Vec::new(),
             widened: OnceLock::new(),
@@ -775,18 +746,23 @@ impl MixedState {
     }
 }
 
-/// Tiles the symbolic pattern into a block store in precision `S`, loads
-/// it from `a` through `frame` (fill slots zero), derives the task graph
-/// and the balanced owner map from it, and records the block grid in
-/// `stats`. Also returns the largest |scaled entry| for the pivot floor.
+/// Tiles the symbolic pattern into a block store in precision `S` sized
+/// for `opts`' rank grid (one rank in shared mode, where `ranks` is
+/// ignored), loads it from `a` through `frame` (fill slots zero), derives
+/// the task graph and the balanced owner map from it, and records the
+/// block grid in `stats`. Also returns the largest |scaled entry| for the
+/// pivot floor.
 fn preprocess<S: Scalar>(
     fill: FilledPattern,
     a: &CscMatrix,
     frame: &Frame,
-    nb: usize,
-    grid: ProcessGrid,
+    opts: &SolverOptions,
     stats: &mut FactorStats,
 ) -> Result<(BlockMatrix<S>, TaskGraph, OwnerMap, f64)> {
+    let grid = ProcessGrid::new(if opts.shared_threads.is_some() { 1 } else { opts.ranks });
+    let nb = opts.block_size.unwrap_or_else(|| {
+        BlockMatrix::choose_block_size(a.ncols(), fill.nnz_lu(), grid.pr().max(grid.pc()))
+    });
     let mut bm = BlockMatrix::from_fill(fill, nb)?;
     let norm = frame.load(&mut bm, a)?;
     let tg = TaskGraph::build(&bm);
@@ -951,21 +927,19 @@ impl Solver {
 
         // Phase 3: preprocess — blocking, owner map, load balancing. The
         // one block store is tiled straight into the precision the factors
-        // will hold and loaded from A.
+        // will hold and loaded from A; its executor is built beside it.
         let t = Instant::now();
         let frame = Frame::new(ordering);
-        let grid = ProcessGrid::new(opts.ranks);
-        let nb = opts.block_size.unwrap_or_else(|| {
-            BlockMatrix::choose_block_size(n, fill.nnz_lu(), grid.pr().max(grid.pc()))
-        });
         let (mut factors, tg, owners, norm) = match scaled_a {
             None => {
-                let (bm, tg, owners, norm) = preprocess(fill, a, &frame, nb, grid, &mut stats)?;
-                (Factors::F64 { bm, numeric: NumericCache::new() }, tg, owners, norm)
+                let (bm, tg, owners, norm) = preprocess(fill, a, &frame, &opts, &mut stats)?;
+                let executor = Executor::new(&bm, &tg, &owners, &opts);
+                (Factors::F64 { bm, executor }, tg, owners, norm)
             }
             Some(m) => {
-                let (bm32, tg, owners, norm) = preprocess(fill, a, &frame, nb, grid, &mut stats)?;
-                (Factors::Mixed(MixedState::new(bm32, m)), tg, owners, norm)
+                let (bm32, tg, owners, norm) = preprocess(fill, a, &frame, &opts, &mut stats)?;
+                let executor = Executor::new(&bm32, &tg, &owners, &opts);
+                (Factors::Mixed(MixedState::new(bm32, executor, m)), tg, owners, norm)
             }
         };
         stats.preprocess_time = t.elapsed();
@@ -1064,14 +1038,13 @@ impl Solver {
     }
 
     /// Memory and build accounting of the kernel index plans the live
-    /// executor state caches (one pool, which every rank of a multi-rank
-    /// solver reads). All zero until the first [`Solver::refactor`] — plans
-    /// are built on second use — and whenever the selector's planned
-    /// gates are closed.
+    /// executor keeps (one pool, which every rank of a multi-rank solver
+    /// reads). All zero until the first [`Solver::refactor`]: a pool's
+    /// first run builds no plan, its second builds them.
     pub fn kernel_plan_stats(&self) -> PlanStats {
         match &self.factors {
-            Factors::F64 { numeric, .. } => numeric.plan_stats(),
-            Factors::Mixed(mx) => mx.numeric.plan_stats(),
+            Factors::F64 { executor, .. } => executor.plan_stats(),
+            Factors::Mixed(mx) => mx.executor.plan_stats(),
         }
     }
 
@@ -1658,45 +1631,22 @@ mod tests {
     }
 
     #[test]
+    fn shared_mode_ignores_ranks() {
+        // Shared mode sizes and owns its blocks for one rank, whatever
+        // `ranks` says.
+        let a = gen::laplacian_2d(10, 10);
+        let plain = Solver::builder().shared_threads(2).build(&a).unwrap();
+        let ranked = Solver::builder().shared_threads(2).ranks(16).build(&a).unwrap();
+        assert_eq!(ranked.stats().block_size, plain.stats().block_size);
+        assert_eq!(ranked.factored().to_csc().values(), plain.factored().to_csc().values());
+    }
+
+    #[test]
     fn explicit_block_size_respected() {
         let a = gen::laplacian_2d(10, 10);
         let solver = Solver::builder().block_size(13).build(&a).unwrap();
         assert_eq!(solver.stats().block_size, 13);
         assert_eq!(solver.stats().nblk, 100usize.div_ceil(13));
-    }
-
-    #[test]
-    fn closed_planned_gates_give_bitwise_same_factor_and_no_plans() {
-        // `build()` closes the planned gates itself (plans are built on
-        // second use), so the planned arm is the first refactorisation.
-        let a = gen::laplacian_2d(12, 12);
-        for ranks in [1usize, 4] {
-            let mut planned = Solver::builder().ranks(ranks).build(&a).unwrap();
-            let mut plain = Solver::builder()
-                .ranks(ranks)
-                .thresholds(Thresholds::unplanned())
-                .build(&a)
-                .unwrap();
-            let first_run = planned.factored().to_csc();
-            assert_eq!(planned.kernel_plan_stats(), PlanStats::default(), "ranks={ranks}");
-            for solver in [&mut planned, &mut plain] {
-                solver.refactor(&a).unwrap();
-                assert_eq!(
-                    solver.factored().to_csc().values(),
-                    first_run.values(),
-                    "ranks={ranks}: planned, first-run and gate-closed factors must agree"
-                );
-            }
-            let ps = planned.kernel_plan_stats();
-            assert!(ps.bytes > 0, "ranks={ranks}: no plan memory accounted");
-            assert!(ps.builds > 0, "ranks={ranks}: no plan builds accounted");
-            assert_eq!(plain.kernel_plan_stats(), PlanStats::default(), "ranks={ranks}");
-            if let Some(report) = plain.stats().report.as_ref() {
-                assert_eq!(report.total_mem().planned_calls, 0);
-                assert_eq!(report.total_mem().plan_bytes, 0);
-                assert!(planned.stats().report.as_ref().unwrap().total_mem().planned_calls > 0);
-            }
-        }
     }
 
     #[test]
@@ -1715,8 +1665,8 @@ mod tests {
 
     #[test]
     fn a_precision_fallback_starts_plan_building_over() {
-        // The f32 cache had its first (plan-free) run at build(); the
-        // fallback's fresh f64 cache has its own.
+        // The f32 executor had its first (plan-free) run at build(); the
+        // fallback's fresh f64 executor has its own.
         let a = hilbert(10);
         let mut solver = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
         assert_eq!(solver.effective_precision(), Precision::F64);
@@ -2346,17 +2296,17 @@ mod tests {
 
     #[test]
     fn mixed_f32_factors_bitwise_identical_across_modes() {
-        // The determinism contract extends to the f32 factors: sequential,
-        // shared-memory and multi-rank runs produce the same bits.
+        // The determinism contract extends to the f32 factors: sequential
+        // (plan-free and planned), shared-memory and multi-rank runs
+        // produce the same bits.
         let a = gen::circuit(300, 21);
         let base = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
         let want = factor32_bits(&base);
+        let mut refactored = Solver::builder().precision(Precision::MixedF32).build(&a).unwrap();
+        refactored.refactor(&a).unwrap();
+        assert!(refactored.kernel_plan_stats().builds > 0, "the refactor replayed no f32 plan");
         let variants: Vec<Solver> = vec![
-            Solver::builder()
-                .precision(Precision::MixedF32)
-                .thresholds(Thresholds::unplanned())
-                .build(&a)
-                .unwrap(),
+            refactored,
             Solver::builder().precision(Precision::MixedF32).shared_threads(3).build(&a).unwrap(),
             Solver::builder().precision(Precision::MixedF32).ranks(4).build(&a).unwrap(),
         ];

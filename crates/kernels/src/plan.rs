@@ -856,7 +856,9 @@ impl Slots {
 /// a plan, before any task runs; the `route_*` methods then decide
 /// planned-or-variant for one task without writing the pool (so workers
 /// read it without locks), falling back to the variant when no plan was
-/// built.
+/// built. The pool also records whether it has served a run
+/// ([`KernelPlans::serve_run`]), which is how an executor leaves a
+/// pool's first run plan-free.
 #[derive(Debug)]
 pub struct KernelPlans<S: Scalar = f64> {
     arena: Vec<u16>,
@@ -866,6 +868,7 @@ pub struct KernelPlans<S: Scalar = f64> {
     ssssm: Slots,
     builds: u64,
     build_ns: u64,
+    served: bool,
     scalar: PhantomData<fn() -> S>,
 }
 
@@ -888,8 +891,15 @@ impl<S: Scalar> KernelPlans<S> {
             ssssm: slots(ssssm),
             builds: 0,
             build_ns: 0,
+            served: false,
             scalar: PhantomData,
         }
+    }
+
+    /// Records that a run is about to read this pool and returns whether
+    /// an earlier run did. [`KernelPlans::build`] does not consult it.
+    pub fn serve_run(&mut self) -> bool {
+        std::mem::replace(&mut self.served, true)
     }
 
     fn plans_getrf(sel: &KernelSelector, a: &CscMatrix<S>) -> bool {

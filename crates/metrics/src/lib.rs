@@ -480,16 +480,6 @@ impl RunReport {
         t
     }
 
-    /// Sum of per-rank busy time, seconds.
-    pub fn busy_seconds(&self) -> f64 {
-        self.per_rank.iter().map(|r| r.busy_nanos).sum::<u64>() as f64 * 1e-9
-    }
-
-    /// Sum of per-rank synchronisation wait, seconds.
-    pub fn sync_wait_seconds(&self) -> f64 {
-        self.per_rank.iter().map(|r| r.sync_wait_nanos).sum::<u64>() as f64 * 1e-9
-    }
-
     /// Mean of the per-rank sync fractions (Fig. 13's headline number).
     pub fn mean_sync_fraction(&self) -> f64 {
         let active: Vec<f64> = self

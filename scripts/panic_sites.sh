@@ -14,32 +14,37 @@
 #   * A count above its ceiling fails the check. A count below it passes
 #     and prints the new value, so the ceiling can be lowered in the same
 #     change that removed the sites.
+#   * Beside each crate's count it prints the crate's non-test line count
+#     (every line before that first `#[cfg(test)]`), and the total, so a
+#     change can state the lines it added or removed.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 ceiling_file="scripts/panic_ceiling.txt"
 
-# Occurrences in one file, up to its first #[cfg(test)].
+# Occurrences and lines in one file, up to its first #[cfg(test)].
 count_file() {
     awk '
         /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
         {
+            lines++
             n += gsub(/\.unwrap\(\)/, "&")
             n += gsub(/\.expect\(/, "&")
             n += gsub(/panic!\(/, "&")
             n += gsub(/unreachable!\(/, "&")
             n += gsub(/(^|[^_[:alnum:]])assert(_eq|_ne)?!\(/, "&")
         }
-        END { print n + 0 }
+        END { print n + 0, lines + 0 }
     ' "$1"
 }
 
 count_dir() {
-    local total=0 f
+    local sites=0 lines=0 f n l
     while IFS= read -r f; do
-        total=$((total + $(count_file "$f")))
+        read -r n l < <(count_file "$f")
+        sites=$((sites + n)) lines=$((lines + l))
     done < <(find "$1" -name '*.rs' -type f | sort)
-    echo "$total"
+    echo "$sites $lines"
 }
 
 current_counts() {
@@ -61,8 +66,10 @@ done <"$ceiling_file"
 
 fail=0
 total=0
-while read -r name count; do
+total_lines=0
+while read -r name count lines; do
     total=$((total + count))
+    total_lines=$((total_lines + lines))
     limit="${ceiling[$name]:-}"
     if [[ -z "$limit" ]]; then
         echo "panic-sites: $name: $count sites, no ceiling in $ceiling_file (add one)" >&2
@@ -71,10 +78,11 @@ while read -r name count; do
         echo "panic-sites: FAIL: $name: $count sites, ceiling $limit (+$((count - limit)))" >&2
         fail=1
     elif ((count < limit)); then
-        echo "panic-sites: $name: $count sites, below ceiling $limit — lower it to $count"
+        echo "panic-sites: $name: $count sites, below ceiling $limit — lower it to $count;" \
+            "$lines non-test lines"
     else
-        echo "panic-sites: $name: $count sites (at ceiling)"
+        echo "panic-sites: $name: $count sites (at ceiling); $lines non-test lines"
     fi
 done < <(current_counts)
-echo "panic-sites: $total sites in total"
+echo "panic-sites: $total sites in total; $total_lines non-test lines in total"
 exit "$fail"

@@ -6,7 +6,10 @@
 //! grid of {1×1, 1×2, 2×2, 3×2}.
 
 use pangulu::comm::{FaultPlan, ProcessGrid};
-use pangulu::core::dist::{factor_distributed_checked, FactorConfig, FactorRun};
+use pangulu::core::dist::{
+    factor_distributed_cached, factor_distributed_checked, DistError, FactorConfig, FactorRun,
+    NumericWorkspace,
+};
 use pangulu::core::layout::OwnerMap;
 use pangulu::core::task::TaskGraph;
 use pangulu::core::trisolve::{backward_substitute, forward_substitute};
@@ -44,6 +47,24 @@ fn factor_with_config(prob: &Problem, pr: usize, pc: usize, cfg: &FactorConfig) 
     factor_run_with(prob, &prob.sel, pr, pc, cfg).0
 }
 
+/// Factors a copy of `bm0` twice on one workspace and returns the second
+/// run: a fresh plan pool's first run builds no plan, so the second is
+/// the one that builds and replays what `sel`'s gates admit.
+fn second_run<S: pangulu::sparse::Scalar>(
+    bm0: &BlockMatrix<S>,
+    tg: &TaskGraph,
+    owners: &OwnerMap,
+    sel: &KernelSelector,
+    cfg: &FactorConfig,
+) -> Result<(BlockMatrix<S>, FactorRun), DistError> {
+    let mut ws = NumericWorkspace::new(bm0, tg, owners);
+    factor_distributed_cached(&mut bm0.clone(), tg, owners, sel, 1e-12, cfg, &mut ws)?;
+    let mut bm = bm0.clone();
+    let run = factor_distributed_cached(&mut bm, tg, owners, sel, 1e-12, cfg, &mut ws)?;
+    Ok((bm, run))
+}
+
+/// The planned arm on a `pr × pc` grid: a workspace's second run.
 fn factor_run_with(
     prob: &Problem,
     sel: &KernelSelector,
@@ -51,9 +72,8 @@ fn factor_run_with(
     pc: usize,
     cfg: &FactorConfig,
 ) -> (CscMatrix, FactorRun) {
-    let mut bm = prob.bm.clone();
-    let owners = OwnerMap::balanced(&bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
-    let run = factor_distributed_checked(&mut bm, &prob.tg, &owners, sel, 1e-12, cfg)
+    let owners = OwnerMap::balanced(&prob.bm, ProcessGrid::with_shape(pr, pc), &prob.tg);
+    let (bm, run) = second_run(&prob.bm, &prob.tg, &owners, sel, cfg)
         .unwrap_or_else(|e| panic!("{pr}x{pc}: {e}"));
     (bm.to_csc(), run)
 }
@@ -207,8 +227,7 @@ fn factors_agree_across_scheduling_policies() {
         ];
         for (map, owners) in &maps {
             for (tag, cfg) in &configs {
-                let mut bm = prob.bm.clone();
-                factor_distributed_checked(&mut bm, &prob.tg, owners, &prob.sel, 1e-12, cfg)
+                let (bm, _) = second_run(&prob.bm, &prob.tg, owners, &prob.sel, cfg)
                     .unwrap_or_else(|e| panic!("{pr}x{pc} {map} {tag}: {e}"));
                 assert_eq!(
                     reference.values(),
@@ -394,26 +413,32 @@ fn dense_tile_rows<S: Scalar>() {
     let split = ssssm_split(&bm0, &tg);
     assert!(split[0] >= 1 && split[1] >= 1, "{w}: fixture covers both sides: {split:?}");
 
-    let mut bm = bm0.clone();
-    let mut plans = empty_plans(&bm, &tg);
-    factor_sequential_planned(&mut bm, &tg, &sel, 1e-12, &mut plans);
-    assert_eq!(reference, value_bits(&bm), "{w} sequential: tile lane moved a bit");
+    // A pool's first run is plan-free and its second builds the plans;
+    // the routes are read from the pool the second run left.
+    let mut plans = empty_plans(&bm0, &tg);
+    for run in 0..2 {
+        let mut bm = bm0.clone();
+        factor_sequential_planned(&mut bm, &tg, &sel, 1e-12, &mut plans);
+        assert_eq!(reference, value_bits(&bm), "{w} sequential run {run}: tile lane moved a bit");
+    }
     assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} sequential"));
     assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} sequential");
 
     for threads in [1, 3] {
-        let mut bm = bm0.clone();
-        let mut plans = empty_plans(&bm, &tg);
-        factor_shared_planned(&mut bm, &tg, &sel, 1e-12, threads, &mut plans);
-        assert_eq!(reference, value_bits(&bm), "{w} shared x{threads}: tile lane moved a bit");
+        let mut plans = empty_plans(&bm0, &tg);
+        for run in 0..2 {
+            let mut bm = bm0.clone();
+            factor_shared_planned(&mut bm, &tg, &sel, 1e-12, threads, &mut plans);
+            let tag = format!("{w} shared x{threads} run {run}");
+            assert_eq!(reference, value_bits(&bm), "{tag}: tile lane moved a bit");
+        }
         assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} shared"));
         assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} shared");
     }
 
     let run_dist = |pr: usize, pc: usize, cfg: &FactorConfig, tag: &str| {
-        let mut bm = bm0.clone();
         let owners = OwnerMap::balanced(&bm64, ProcessGrid::with_shape(pr, pc), &tg);
-        let run = factor_distributed_checked(&mut bm, &tg, &owners, &sel, 1e-12, cfg)
+        let (bm, run) = second_run(&bm0, &tg, &owners, &sel, cfg)
             .unwrap_or_else(|e| panic!("{w} {pr}x{pc} {tag}: {e}"));
         assert_eq!(reference, value_bits(&bm), "{w} {pr}x{pc} {tag}: tile lane moved a bit");
         assert_lane_ran(tile_calls(&run), &format!("{w} {pr}x{pc} {tag}"));
@@ -453,7 +478,7 @@ fn dense_tile_lane_is_bitwise_neutral_everywhere_f32() {
 
 // ---- Plans on second use -------------------------------------------------
 //
-// `Solver::build` routes its one numeric run with the planned gates closed
+// `Solver::build` runs a fresh plan pool, whose first run builds no plan,
 // and the first `refactor` builds the plans, so the same solver runs the
 // variant route first and the planned route ever after. At the `Solver`
 // level, on every executor and in both widths, the two must agree bit for

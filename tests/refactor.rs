@@ -454,6 +454,67 @@ fn kernel_plan_reuse_keeps_build_counters_flat() {
     assert_eq!((steady.numeric_runs, steady.analysis_reuses), (4, 4));
 }
 
+/// The executors called directly follow the solver's plan policy: a
+/// fresh pool's first run builds no plan, and its second builds exactly
+/// the pool a `Solver`'s first refactor holds — sequential, shared at two
+/// threads and distributed on a 2 × 2 grid, every run keeping the
+/// solver's factor bits.
+#[test]
+fn direct_executor_calls_plan_from_their_second_run_like_the_solver() {
+    use pangulu::core::seq::{empty_plans, factor_sequential_planned};
+    use pangulu::core::shared::factor_shared_planned;
+    enum Exec {
+        Sequential,
+        Shared2,
+        Grid2x2,
+    }
+    let a = gen::circuit(300, 21);
+    let m =
+        pangulu::reorder::reorder_for_lu(&a, pangulu::reorder::FillReducing::Auto).unwrap().matrix;
+    let filled = pangulu::symbolic::symbolic_fill(&m).unwrap().filled_matrix(&m).unwrap();
+    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+    let floor = 1e-12 * m.norm_max().max(1.0);
+    for (tag, exec, builder) in [
+        ("sequential", Exec::Sequential, Solver::builder()),
+        ("shared x2", Exec::Shared2, Solver::builder().shared_threads(2)),
+        ("2x2", Exec::Grid2x2, Solver::builder().ranks(4)),
+    ] {
+        let mut solver = builder.build(&a).unwrap();
+        let want = factor_bits(solver.factored());
+        solver.refactor(&a).unwrap();
+        let pool = solver.kernel_plan_stats();
+        assert!(pool.builds > 0, "{tag}: the solver's first refactor built no plan");
+
+        let bm0 = BlockMatrix::from_filled(&filled, solver.stats().block_size).unwrap();
+        let tg = TaskGraph::build(&bm0);
+        let owners = OwnerMap::balanced(&bm0, ProcessGrid::new(4), &tg);
+        let mut plans = empty_plans(&bm0, &tg);
+        let mut ws = NumericWorkspace::new(&bm0, &tg, &owners);
+        for run in 0..3 {
+            let mut bm = bm0.clone();
+            let stats = match exec {
+                Exec::Sequential => {
+                    factor_sequential_planned(&mut bm, &tg, &sel, floor, &mut plans);
+                    plans.stats()
+                }
+                Exec::Shared2 => {
+                    factor_shared_planned(&mut bm, &tg, &sel, floor, 2, &mut plans);
+                    plans.stats()
+                }
+                Exec::Grid2x2 => {
+                    let cfg = FactorConfig::default();
+                    factor_distributed_cached(&mut bm, &tg, &owners, &sel, floor, &cfg, &mut ws)
+                        .unwrap();
+                    ws.plan_stats()
+                }
+            };
+            assert_eq!(factor_bits(&bm), want, "{tag} run {run}: factor bits moved");
+            let expect = if run == 0 { (0, 0) } else { (pool.bytes, pool.builds) };
+            assert_eq!((stats.bytes, stats.builds), expect, "{tag} run {run}: plan pool");
+        }
+    }
+}
+
 /// A rejected refactor (pattern mismatch) must leave the plan state as
 /// untouched as the factors — "no plans yet" stays "no plans yet" (the
 /// rejection is not the run that builds them), built plans keep their
