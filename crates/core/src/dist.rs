@@ -903,9 +903,10 @@ mod tests {
     #[test]
     fn planned_calls_cover_every_task_when_gates_are_open() {
         // With every planned gate pinned open, every kernel call on
-        // every rank goes through a plan — except an SSSSM onto a full
-        // target, which never has one (a plan resolves nothing where
-        // row `r` sits at `j·m + r`). (The calibrated defaults
+        // every rank goes through a plan — except a GETRF of a full
+        // diagonal block and an SSSSM onto a full target, which never
+        // have one (a plan resolves nothing where row `r` sits at
+        // `j·m + r`). (The calibrated defaults
         // close the panel/SSSSM gates above their crossovers, so open
         // them explicitly — coverage here guards the executor wiring,
         // not the selector policy.)
@@ -926,11 +927,15 @@ mod tests {
             .filter(|&&(i, j, _)| is_full(bm.block(bm.block_id(i, j).expect("target exists"))))
             .count();
         assert!(full_targets > 0 && full_targets < tg.ssssm.len(), "fixture covers both sides");
+        let full_diagonals =
+            (0..bm.nblk()).filter(|&k| is_full(bm.block(bm.block_id(k, k).unwrap()))).count();
+        assert!(full_diagonals > 0 && full_diagonals < bm.nblk(), "fixture covers both sides");
         let total_tasks = bm.nblk()
             + tg.u_panels.iter().map(|v| v.len()).sum::<usize>()
             + tg.l_panels.iter().map(|v| v.len()).sum::<usize>()
             + tg.ssssm.len();
-        assert_eq!(run.report.total_mem().planned_calls, (total_tasks - full_targets) as u64);
+        let unplanned = full_targets + full_diagonals;
+        assert_eq!(run.report.total_mem().planned_calls, (total_tasks - unplanned) as u64);
     }
 
     #[test]

@@ -15,6 +15,9 @@
 //! * `G_V2` — SFLU with a dense working column ("Direct"): the same loop
 //!   as `C_V1`.
 //!
+//! A fourth, `D_V1`, is the dense-tile lane of [`crate::tile`] for a
+//! completely filled block: `C_V1`'s order on register tiles.
+//!
 //! The paper runs the `G_V*` kernels as GPU thread teams; here every
 //! variant runs on the thread of the task that calls it, and the parallelism
 //! is the executor's (workers or ranks), one level only.
@@ -29,7 +32,7 @@ use crate::scratch::{
     axpy_into_runs, find_in_col, gather_zero_runs, run_friendly, scatter_axpy, scatter_runs,
     KernelScratch,
 };
-use crate::GetrfVariant;
+use crate::{tile, GetrfVariant};
 
 /// Factorises `a` in place. Returns the number of perturbed pivots; with
 /// `pivot_floor == 0` that is the number of zero (or NaN) pivots, left in
@@ -48,6 +51,7 @@ pub fn getrf<S: Scalar>(
     match variant {
         GetrfVariant::CV1 | GetrfVariant::GV2 => getrf_cv1(a, scratch, pivot_floor),
         GetrfVariant::GV1 => getrf_binsearch(a, &mut scratch.runs, pivot_floor),
+        GetrfVariant::DV1 => tile::getrf_tile(a, pivot_floor),
     }
 }
 
@@ -70,7 +74,9 @@ pub(crate) fn apply_floor<S: Scalar>(pivot: &mut S, pivot_floor: f64) -> usize {
 
 /// `C_V1` / `G_V2`: left-looking with a dense working column. Sources
 /// (columns `< j`) live strictly left of the split point, so the borrow
-/// split is allocation-free.
+/// split is allocation-free. Each column's part below the diagonal is
+/// found once, when the column is pivoted, and read back by every later
+/// column it updates.
 fn getrf_cv1<S: Scalar>(
     a: &mut CscMatrix<S>,
     scratch: &mut KernelScratch<S>,
@@ -78,7 +84,8 @@ fn getrf_cv1<S: Scalar>(
 ) -> usize {
     let n = a.ncols();
     scratch.ensure(n);
-    let KernelScratch { dense, runs, .. } = scratch;
+    let KernelScratch { dense, runs, splits, .. } = scratch;
+    splits.clear();
     let mut perturbed = 0usize;
     let (col_ptr, row_idx, values) = a.parts_mut();
     for j in 0..n {
@@ -93,18 +100,17 @@ fn getrf_cv1<S: Scalar>(
         for &k in rows_j.iter().take_while(|&&k| k < j) {
             let ukj = dense[k];
             if ukj != S::ZERO {
-                let (klo, khi) = (col_ptr[k], col_ptr[k + 1]);
-                let rows_k = &row_idx[klo..khi];
-                let vals_k = &left[klo..khi];
-                let start = rows_k.partition_point(|&i| i <= k);
-                scatter_axpy(dense, &rows_k[start..], &vals_k[start..], ukj);
+                let (start, end) = (col_ptr[k] + splits[k], col_ptr[k + 1]);
+                scatter_axpy(dense, &row_idx[start..end], &left[start..end], ukj);
             }
         }
         // Pivot and scale the lower part.
+        let below = rows_j.partition_point(|&i| i <= j);
+        splits.push(below);
         let mut pivot = dense[j];
         perturbed += apply_floor(&mut pivot, pivot_floor);
         dense[j] = pivot;
-        for &i in rows_j.iter().skip_while(|&&i| i <= j) {
+        for &i in &rows_j[below..] {
             dense[i] /= pivot;
         }
         // Gather back and clear.

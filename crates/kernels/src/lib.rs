@@ -28,9 +28,9 @@
 //! [`select`] implements the decision trees of Figure 8 that pick a
 //! variant per block from `nnz` / FLOP features. One leaf is not in the
 //! paper's table: the **dense-tile lane** `D_V1` ([`tile`]), which
-//! blocks that fill-in has made completely dense take for SSSSM, GESSM
-//! and TSTRF — bitwise equal to the sparse variants, without their
-//! index traffic.
+//! blocks that fill-in has made completely dense take for all four
+//! classes — bitwise equal to the sparse variants, without their index
+//! traffic.
 
 pub mod flops;
 pub mod getrf;
@@ -60,6 +60,10 @@ pub enum GetrfVariant {
     /// `G_V2`: Direct addressing, SFLU column order, per-column dense
     /// mapping (`C_V1`'s loop).
     GV2,
+    /// `D_V1`: dense-tile lane — register-blocked left-looking LU straight
+    /// on the value array of a full diagonal block (see [`tile`]). Not in
+    /// Table 1; picked only by [`KernelSelector::getrf_on`].
+    DV1,
 }
 
 /// GESSM / TSTRF variants (Table 1 lists the same five for both).

@@ -10,27 +10,33 @@
 //! circuit-simulation solvers use for repeated factorisation speed.
 //!
 //! **Bitwise contract.** Each planned entry point performs *exactly* the
-//! `C_V1` subtraction sequence: same per-column order, same ascending
-//! source-entry order, same value-dependent zero skips (re-checked at
-//! run time, never baked into the plan). The dense scatter/gather and
-//! merge cursors it elides are pure index machinery — they move values
-//! without arithmetic — so planned results are bitwise identical to the
-//! unplanned kernels (`tests/planned_equivalence.rs` holds the crate to
-//! this on random closed patterns).
+//! `C_V1` subtractions: the same steps in the same order, the same
+//! subtraction for every target entry a step updates, the same
+//! value-dependent zero skips (re-checked at run time, never baked into
+//! the plan). The dense scatter/gather and merge cursors it elides are
+//! pure index machinery — they move values without arithmetic — so
+//! planned results are bitwise identical to the unplanned kernels
+//! (`tests/planned_equivalence.rs` holds the crate to this on random
+//! closed patterns).
 //!
 //! **Run segments.** A replay is a walk over the kernel's *steps* — one
-//! per source entry that updates something: an `A(:, k)` scaled by one
-//! `B(k, j)` (SSSSM), an `L(:, k)` scaled by one solved `x_k` (GESSM), a
-//! source column scaled by one `U(k, j)` (TSTRF, GETRF). A builder
-//! compresses each step's target positions into maximal contiguous runs:
-//! `(tgt, len)` pairs where the source is consumed in order (SSSSM,
-//! GETRF), `(src, tgt, len)` triples where both sides must advance in
-//! lockstep (GESSM, TSTRF). Replay executes one slice-level axpy per
-//! segment — `&mut dst[t0..t0+len]` zipped with a contiguous source —
-//! which the compiler autovectorises, `f32` getting twice the lanes per
-//! op. Runs partition each step's positions left to right, so the
-//! per-element arithmetic (mul-then-sub, ascending order, runtime zero
-//! skips) is that of the entry-by-entry walk.
+//! per source column that updates something: an `A(:, k)` scaled by one
+//! `B(k, j)` (SSSSM), the part of `L(:, k)` below the diagonal scaled by
+//! one solved `x_k` (GESSM), a solved `X(:, k)` scaled by one `U(k, j)`
+//! (TSTRF), the part of column `k` below the diagonal scaled by one
+//! `U(k, j)` (GETRF). Every source entry updates exactly one target entry
+//! (symbolic closure), so a step's body stores only where the targets
+//! lie: its target offsets cut into maximal contiguous runs, a run of one
+//! entry as its offset with the [`SINGLE`] tag bit set, a longer run as a
+//! `(tgt, len)` pair, the runs listed last first. Replay takes the source
+//! from its end backwards — each source ends its column, so no step
+//! stores where its source starts — and executes one slice-level axpy per
+//! run, `&mut dst[t0..t0+len]` zipped with `len` source values, which the
+//! compiler autovectorises, `f32` getting twice the lanes per op. A body
+//! that is one one-entry run is that tagged element; any other leads with
+//! its element count, so a step whose scalar is zero is skipped in O(1).
+//! Each target entry takes one subtraction per step, mul-then-sub, so the
+//! order of a step's runs moves no bit.
 //!
 //! **One decision.** Whether a task replays a plan or runs the variant
 //! the Figure 8 tree picks is answered in exactly one place: the
@@ -38,36 +44,40 @@
 //! [`KernelSelector`] planned gates and the slots the pool built. A task
 //! that does not replay a plan gets the selector's leaf for its blocks —
 //! the dense-tile lane when they are full, else the Figure 8 tree's pick
-//! (panel precedence: plan, then tile, then tree). SSSSM asks the target
-//! first: an update onto a full target never has a plan — positions
-//! there are `j·m + r`, a plan would resolve nothing — and takes the
-//! tile or the tree's pick, whose `C_V1` updates full columns in place;
-//! only a target with a hole goes plan, then tree. Executors hand the
-//! resulting [`Route`] to [`crate::TimedKernels`] and never test a gate
-//! or a block's fullness themselves; closing the gates through
-//! [`crate::Thresholds::unplanned`] is how a run without plans is asked
-//! for.
+//! (panel precedence: plan, then tile, then tree). GETRF and SSSSM ask
+//! the block they write first: a full diagonal block or a full update
+//! target never has a plan — positions there are `j·m + r`, a plan would
+//! resolve nothing — and takes the tile or the tree's pick (whose `C_V1`
+//! updates a full target's columns in place); only a block with a hole
+//! goes plan, then tree. Executors hand the resulting [`Route`] to
+//! [`crate::TimedKernels`] and never test a gate or a block's fullness
+//! themselves; closing the gates through [`crate::Thresholds::unplanned`]
+//! is how a run without plans is asked for.
 //!
 //! **Memory model.** A pool holds one `u16` arena and one slot table per
 //! kernel class. A plan lists the block columns that have work: for
 //! each, the column's index (GETRF lists every column, so it needs none),
-//! the diagonal position for GETRF and TSTRF, the step count, one
-//! `(entry, runs)` pair per step — the offset of the step's source entry
-//! in its column and its run count — and then the steps' segments. Every
-//! element is an offset relative to a block column, a count or a length,
-//! so it fits `u16` whenever the blocks' dimensions are at most 65 535
-//! ([`fits`]; a larger block runs its variant, bitwise identically).
-//! Everything else — where a column and a step's scalar sit in the value
-//! arrays, where a step's source column starts, where the next column's
-//! entries begin — the replay derives from the operands' `col_ptr` and
-//! `row_idx` as it walks. A slot is a [`Plan`]: the arena offset of its
-//! first element and the three counters one replay adds to the run's
-//! totals. A class's table is allocated by its first plan, so a pool
-//! whose gates admit nothing holds no bytes. [`KernelPlans::build`]
-//! sizes the arena in a counting pass before it writes, so the arena and
-//! the tables are allocated once at their exact size, and
-//! [`KernelPlans::stats`] reports what the pool holds. Plans are reused
-//! verbatim across refactorisations, with no per-call allocation.
+//! the diagonal position for GETRF, GESSM's step count, and then its
+//! steps' bodies, each GESSM step led by the entries of `B(:, c)` it
+//! passes over. Which source columns have a step SSSSM, TSTRF and GETRF
+//! derive with an O(1) test of the operands' `col_ptr` (and of the
+//! diagonal positions GETRF records as it passes them), exactly as the
+//! builder decided; TSTRF finds `U(j, j)` as it walks the entries above
+//! it. Every element is an offset relative to a block column, a count or
+//! a length below the tag bit, so it fits whenever the blocks'
+//! dimensions are at most 32 767 ([`fits`]; a larger block runs its
+//! variant, bitwise identically). Everything else — where a column and a
+//! step's scalar sit in the value arrays, where a step's source ends,
+//! where the next column's entries begin — the replay derives from the
+//! operands' `col_ptr` and `row_idx` as it walks. A slot is a [`Plan`]:
+//! the arena offset of its first element and the three counters one
+//! replay adds to the run's totals. A class's table is allocated by its
+//! first plan, so a pool whose gates admit nothing holds no bytes.
+//! [`KernelPlans::build`] sizes the arena in a counting pass before it
+//! writes, so the arena and the tables are allocated once at their exact
+//! size, and [`KernelPlans::stats`] reports what the pool holds. Plans
+//! are reused verbatim across refactorisations, with no per-call
+//! allocation.
 //!
 //! [`Solver::refactor`]: ../../pangulu_core/solver/struct.Solver.html
 
@@ -77,17 +87,22 @@ use std::time::Instant;
 use pangulu_sparse::{CscMatrix, Scalar};
 
 use crate::getrf::apply_floor;
-use crate::scratch::KernelScratch;
+use crate::scratch::{reset_splits, split_of, KernelScratch};
 use crate::select::KernelSelector;
 use crate::tile::is_full;
 use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 
+/// The tag bit of a one-entry run: stored as its target offset with this
+/// bit set, where a longer run takes a `(tgt, len)` pair.
+pub const SINGLE: u16 = 1 << 15;
+
 /// `true` if blocks whose rows and columns number at most `dim` can be
 /// planned: every arena element — a column index, an offset within a
-/// block column, a count or a run length — is then at most 65 535.
+/// block column, a count or a run length — is then at most 32 767, below
+/// the [`SINGLE`] tag bit.
 #[inline]
 pub fn fits(dim: usize) -> bool {
-    dim <= usize::from(u16::MAX)
+    dim < usize::from(SINGLE)
 }
 
 /// `true` if an update `C ← C − A·B` can be planned (`A` has `C`'s rows).
@@ -127,7 +142,7 @@ impl Plan {
 /// An arena element: callers have checked the blocks with [`fits`].
 #[inline]
 fn narrow(v: usize) -> u16 {
-    debug_assert!(fits(v), "arena element {v} does not fit u16");
+    debug_assert!(fits(v), "arena element {v} does not fit below the tag bit");
     v as u16
 }
 
@@ -188,54 +203,23 @@ struct Tally {
 }
 
 /// One column's steps, gathered before they are written: each step's
-/// `(entry, runs)` pair — the offset of its source entry in its column and
-/// its run count — and all their segments: the maximal runs of a step's
-/// `(src, tgt)` position pairs in which both advance by one. With
-/// `triples` unset the source is consumed in order and only `(tgt, len)`
-/// is kept.
+/// header, if its class has one, and its body — the maximal runs of
+/// target offsets its source entries, taken in order, update, written
+/// last run first (see [`Cursor::step`]).
+#[derive(Default)]
 struct ColSteps {
-    triples: bool,
-    steps: Vec<u16>,
-    segs: Vec<u16>,
-    /// The step being gathered: its pairs, its runs and its open run.
-    pairs: usize,
-    step_runs: usize,
-    open: Option<(usize, usize, usize)>,
+    elems: Vec<u16>,
+    /// Steps kept in the column so far.
+    steps: usize,
+    /// The runs of the step being gathered: `(tgt, len)`.
+    runs: Vec<(usize, usize)>,
 }
 
 impl ColSteps {
-    fn new(triples: bool) -> Self {
-        ColSteps {
-            triples,
-            steps: Vec::new(),
-            segs: Vec::new(),
-            pairs: 0,
-            step_runs: 0,
-            open: None,
-        }
-    }
-
-    /// Adds the pair `(src, tgt)` to the step being gathered.
-    fn add(&mut self, src: usize, tgt: usize) {
-        self.add_run(src, tgt, 1);
-    }
-
-    /// Adds the `n` pairs `(src + i, tgt + i)`.
-    fn add_run(&mut self, src: usize, tgt: usize, n: usize) {
-        self.pairs += n;
-        match &mut self.open {
-            Some((s, t, len)) if src == *s + *len && tgt == *t + *len => *len += n,
-            _ => {
-                self.flush();
-                self.open = Some((src, tgt, n));
-            }
-        }
-    }
-
     /// Adds the step's sources `rows`, consumed in order, at their offsets
-    /// in the sorted target column `tgt`, one run at a time. Contiguous
-    /// rows that `tgt` holds contiguously are one run, found with one
-    /// search: the common dense case.
+    /// in the sorted target column `tgt`, one maximal run at a time.
+    /// Contiguous rows that `tgt` holds contiguously are one run, found
+    /// with one search: the common dense case.
     ///
     /// # Panics
     /// Panics if a row is missing from `tgt`: the pattern is not closed,
@@ -255,77 +239,64 @@ impl ColSteps {
         };
         let (p0, span) = (offset(first, 0), rows.len() - 1);
         if last - first == span && tgt.get(p0 + span) == Some(&last) {
-            return self.add_run(0, p0, rows.len());
+            return self.runs.push((p0, rows.len()));
         }
         let (mut q0, mut p_start, mut p_prev) = (0, p0, p0);
         for (q, &i) in rows.iter().enumerate().skip(1) {
             let p = offset(i, p_prev + 1);
             if p != p_prev + 1 {
-                self.add_run(q0, p_start, q - q0);
+                self.runs.push((p_start, q - q0));
                 (q0, p_start) = (q, p);
             }
             p_prev = p;
         }
-        self.add_run(q0, p_start, rows.len() - q0);
+        self.runs.push((p_start, rows.len() - q0));
     }
 
-    fn flush(&mut self) {
-        if let Some((s, t, len)) = self.open.take() {
-            if self.triples {
-                self.segs.push(narrow(s));
+    /// Ends the step being gathered, led by `head` if its class has a
+    /// header; returns whether it was kept. A step with no run is dropped,
+    /// as the replay's test of the operands drops it.
+    fn end_step(&mut self, head: Option<usize>, tally: &mut Tally) -> bool {
+        if self.runs.is_empty() {
+            return false;
+        }
+        if let Some(h) = head {
+            self.elems.push(narrow(h));
+        }
+        // One one-entry run is its own tagged element; any other step leads
+        // with its element count, so a replay skips it in O(1).
+        let body: usize = self.runs.iter().map(|&(_, n)| if n == 1 { 1 } else { 2 }).sum();
+        if body > 1 {
+            self.elems.push(narrow(body));
+        }
+        let pairs: usize = self.runs.iter().map(|&(_, n)| n).sum();
+        for &(tgt, n) in self.runs.iter().rev() {
+            if n == 1 {
+                self.elems.push(narrow(tgt) | SINGLE);
+            } else {
+                self.elems.extend_from_slice(&[narrow(tgt), narrow(n)]);
             }
-            self.segs.extend_from_slice(&[narrow(t), narrow(len)]);
-            self.step_runs += 1;
         }
-    }
-
-    /// Ends the step of the column's `entry`-th source entry; a step with
-    /// no pair is dropped.
-    fn end_step(&mut self, entry: usize, tally: &mut Tally) {
-        self.flush();
-        if self.pairs > 0 {
-            self.steps.extend_from_slice(&[narrow(entry), narrow(self.step_runs)]);
-            tally.searches += self.pairs as u64;
-            tally.runs += self.step_runs as u64;
-            tally.run_entries += (self.pairs - self.step_runs) as u64;
-        }
-        self.pairs = 0;
-        self.step_runs = 0;
+        tally.searches += pairs as u64;
+        tally.runs += self.runs.len() as u64;
+        tally.run_entries += (pairs - self.runs.len()) as u64;
+        self.runs.clear();
+        self.steps += 1;
+        true
     }
 
     fn is_empty(&self) -> bool {
-        self.steps.is_empty()
+        self.steps == 0
     }
 
-    /// Writes the column — `head`, its step count, each step's `(entry,
-    /// runs)` pair, then the segments — and clears it. The replay finds a
-    /// step's segments without reading the steps before it.
+    /// Writes the column — `head`, then its steps — and clears it.
     fn write(&mut self, out: &mut impl Out, head: &[usize]) {
-        for &v in head {
-            out.push(v);
+        for &h in head {
+            out.push(h);
         }
-        out.push(self.steps.len() / 2);
-        out.extend(&self.steps);
-        out.extend(&self.segs);
-        self.steps.clear();
-        self.segs.clear();
-    }
-
-    /// Writes the column — `head`, then each step's run count followed by
-    /// its segments — and clears it: for a replay that derives which
-    /// entries have steps.
-    fn write_inline(&mut self, out: &mut impl Out, head: usize) {
-        out.push(head);
-        let width = if self.triples { 3 } else { 2 };
-        let mut segs = &self.segs[..];
-        for step in self.steps.chunks_exact(2) {
-            let (these, rest) = segs.split_at(width * usize::from(step[1]));
-            out.push(usize::from(step[1]));
-            out.extend(these);
-            segs = rest;
-        }
-        self.steps.clear();
-        self.segs.clear();
+        out.extend(&self.elems);
+        self.elems.clear();
+        self.steps = 0;
     }
 }
 
@@ -374,8 +345,8 @@ impl Cols {
 }
 
 /// SSSSM `C ← C − A·B`: the active columns `j` of `C`, each with one step
-/// per `B(k, j)` whose `A(:, k)` is not empty — its offset in `B(:, j)`,
-/// and `(tgt, len)` pairs, `tgt` relative to `C(:, j)`.
+/// per `B(k, j)` whose `A(:, k)` is not empty, its targets relative to
+/// `C(:, j)`.
 fn ssssm_steps<S: Scalar>(
     a: &CscMatrix<S>,
     b: &CscMatrix<S>,
@@ -383,16 +354,16 @@ fn ssssm_steps<S: Scalar>(
     out: &mut impl Out,
 ) -> Tally {
     let mut tally = Tally::default();
-    let mut col = ColSteps::new(false);
+    let mut col = ColSteps::default();
     let mut cols = Cols::open(out);
     for j in 0..c.ncols() {
         let (crows, _) = c.col(j);
         if crows.is_empty() {
             continue;
         }
-        for (p, &k) in b.col(j).0.iter().enumerate() {
+        for &k in b.col(j).0 {
             col.add_sources(crows, a.col(k).0);
-            col.end_step(p, &mut tally);
+            col.end_step(None, &mut tally);
         }
         if !col.is_empty() {
             col.write(out, &[j]);
@@ -403,37 +374,35 @@ fn ssssm_steps<S: Scalar>(
     tally
 }
 
-/// GESSM `L X = B`: the active columns `c` of `B`, each with one step per
-/// `B(k, c)` whose solved `x_k` updates something — its offset in
-/// `B(:, c)`, and `(src, tgt, len)` triples relative to `L(:, k)` and
-/// `B(:, c)`. The walk simulates the `C_V1` merge (unmatched source rows
-/// are skipped exactly as the kernel's cursor skips them).
-fn gessm_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut impl Out) -> Tally {
+/// GESSM `L X = B`: the active columns `c` of `B` with their step counts,
+/// each step one `B(k, c)` whose `L(:, k)` has entries below the diagonal
+/// — the entries of `B(:, c)` passed over since the previous step, and
+/// the targets relative to `B(:, c)`. Each column's split is searched
+/// once per call (`splits`).
+fn gessm_steps<S: Scalar>(
+    diag_lu: &CscMatrix<S>,
+    b: &CscMatrix<S>,
+    splits: &mut Vec<usize>,
+    out: &mut impl Out,
+) -> Tally {
     let mut tally = Tally::default();
-    let mut col = ColSteps::new(true);
+    let mut col = ColSteps::default();
     let mut cols = Cols::open(out);
+    reset_splits(splits, diag_lu.ncols());
     for c in 0..b.ncols() {
         let (rows_c, _) = b.col(c);
+        let mut next = 0;
         for (p, &k) in rows_c.iter().enumerate() {
             let (col_k, _) = diag_lu.col(k);
-            let start = col_k.partition_point(|&i| i <= k);
-            let tail = &rows_c[p + 1..];
-            let mut cur = 0usize;
-            for (q, &i) in col_k[start..].iter().enumerate() {
-                while cur < tail.len() && tail[cur] < i {
-                    cur += 1;
-                }
-                if cur < tail.len() && tail[cur] == i {
-                    col.add(start + q, p + 1 + cur);
-                    cur += 1;
-                } else {
-                    debug_assert!(false, "GESSM plan target missing: pattern not closed");
-                }
+            let start = split_of(splits, col_k, k);
+            col.add_sources(rows_c, &col_k[start..]);
+            if col.end_step(Some(p - next), &mut tally) {
+                next = p + 1;
             }
-            col.end_step(p, &mut tally);
         }
         if !col.is_empty() {
-            col.write(out, &[c]);
+            let steps = col.steps;
+            col.write(out, &[c, steps]);
             cols.n += 1;
         }
     }
@@ -441,17 +410,15 @@ fn gessm_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut im
     tally
 }
 
-/// TSTRF `X U = B`: the non-empty columns `j` of `B`, each with the
-/// position of `U(j, j)` in its column and one step per `U(k, j)` above
-/// it whose `B(:, k)` updates column `j` — its offset in `U(:, j)`, and
-/// `(src, tgt, len)` triples relative to `B(:, k)` and `B(:, j)`. The
-/// walk simulates the `C_V1` merge.
+/// TSTRF `X U = B`: the non-empty columns `j` of `B`, each with one step
+/// per `U(k, j)` above the diagonal whose `B(:, k)` is not empty, its
+/// targets relative to `B(:, j)`.
 ///
 /// # Panics
 /// Panics if the factor's diagonal entry is structurally missing.
 fn tstrf_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut impl Out) -> Tally {
     let mut tally = Tally::default();
-    let mut col = ColSteps::new(true);
+    let mut col = ColSteps::default();
     let mut cols = Cols::open(out);
     for j in 0..b.ncols() {
         let (rows_j, _) = b.col(j);
@@ -461,22 +428,11 @@ fn tstrf_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut im
         let (d_col, _) = diag_lu.col(j);
         let dpos = d_col.partition_point(|&r| r < j);
         assert!(d_col.get(dpos) == Some(&j), "TSTRF plan: diagonal entry missing");
-        for (q, &k) in d_col[..dpos].iter().enumerate() {
-            let mut cur = 0usize;
-            for (t, &r) in b.col(k).0.iter().enumerate() {
-                while cur < rows_j.len() && rows_j[cur] < r {
-                    cur += 1;
-                }
-                if cur < rows_j.len() && rows_j[cur] == r {
-                    col.add(t, cur);
-                    cur += 1;
-                } else {
-                    debug_assert!(false, "TSTRF plan target missing: pattern not closed");
-                }
-            }
-            col.end_step(q, &mut tally);
+        for &k in &d_col[..dpos] {
+            col.add_sources(rows_j, b.col(k).0);
+            col.end_step(None, &mut tally);
         }
-        col.write(out, &[j, dpos]);
+        col.write(out, &[j]);
         cols.n += 1;
     }
     cols.close(out);
@@ -484,36 +440,41 @@ fn tstrf_steps<S: Scalar>(diag_lu: &CscMatrix<S>, b: &CscMatrix<S>, out: &mut im
 }
 
 /// GETRF: every column `j`, with the position of its diagonal and one
-/// step per `U(k, j)` whose column `k` has entries below its diagonal —
-/// its run count and `(tgt, len)` pairs relative to column `j`. Which
-/// `U(k, j)` have a step the replay derives from the diagonal positions
-/// it has passed.
+/// step per `U(k, j)` whose column `k` has entries below its diagonal,
+/// its targets relative to column `j`. Each column's split is recorded
+/// as the builder passes it (`splits`), where the replay records it too.
 ///
 /// # Panics
 /// Panics if a diagonal entry is missing from the pattern.
-fn getrf_steps<S: Scalar>(a: &CscMatrix<S>, out: &mut impl Out) -> Tally {
+fn getrf_steps<S: Scalar>(a: &CscMatrix<S>, splits: &mut Vec<usize>, out: &mut impl Out) -> Tally {
     let mut tally = Tally::default();
-    let mut col = ColSteps::new(false);
+    let mut col = ColSteps::default();
+    splits.clear();
     for j in 0..a.ncols() {
         let (rows_j, _) = a.col(j);
         let diag = rows_j.partition_point(|&r| r < j);
         assert!(rows_j.get(diag) == Some(&j), "GETRF plan: diagonal entry missing");
-        for (u, &k) in rows_j[..diag].iter().enumerate() {
-            let (col_k, _) = a.col(k);
-            col.add_sources(rows_j, &col_k[col_k.partition_point(|&i| i <= k)..]);
-            col.end_step(u, &mut tally);
+        for &k in &rows_j[..diag] {
+            col.add_sources(rows_j, &a.col(k).0[splits[k]..]);
+            col.end_step(None, &mut tally);
         }
-        col.write_inline(out, diag);
+        splits.push(diag + 1);
+        col.write(out, &[diag]);
     }
     tally
 }
 
-/// Writes the plan of `task` into `out` if its blocks fit.
-fn write_plan<S: Scalar, O: Out>(task: &PlanTask<'_, S>, out: &mut O) -> Option<Plan> {
+/// Writes the plan of `task` into `out` if its blocks fit; `splits` is
+/// the builders' split table.
+fn write_plan<S: Scalar, O: Out>(
+    task: &PlanTask<'_, S>,
+    out: &mut O,
+    splits: &mut Vec<usize>,
+) -> Option<Plan> {
     match *task {
-        PlanTask::Getrf { a, .. } => record(out, fits(a.nrows()), |o| getrf_steps(a, o)),
+        PlanTask::Getrf { a, .. } => record(out, fits(a.nrows()), |o| getrf_steps(a, splits, o)),
         PlanTask::Gessm { diag_lu, b, .. } => {
-            record(out, fits_panel(diag_lu, b), |o| gessm_steps(diag_lu, b, o))
+            record(out, fits_panel(diag_lu, b), |o| gessm_steps(diag_lu, b, splits, o))
         }
         PlanTask::Tstrf { diag_lu, b, .. } => {
             record(out, fits_panel(diag_lu, b), |o| tstrf_steps(diag_lu, b, o))
@@ -537,7 +498,7 @@ pub fn build_ssssm_plan<S: Scalar>(
     c: &CscMatrix<S>,
     arena: &mut Vec<u16>,
 ) -> Option<Plan> {
-    write_plan(&PlanTask::Ssssm { slot: 0, flops: 0.0, a, b, c }, arena)
+    write_plan(&PlanTask::Ssssm { slot: 0, flops: 0.0, a, b, c }, arena, &mut Vec::new())
 }
 
 /// Builds the plan of `L X = B` into `arena`, as [`build_ssssm_plan`].
@@ -546,7 +507,7 @@ pub fn build_gessm_plan<S: Scalar>(
     b: &CscMatrix<S>,
     arena: &mut Vec<u16>,
 ) -> Option<Plan> {
-    write_plan(&PlanTask::Gessm { slot: 0, diag_lu, b }, arena)
+    write_plan(&PlanTask::Gessm { slot: 0, diag_lu, b }, arena, &mut Vec::new())
 }
 
 /// Builds the plan of `X U = B` into `arena`, as [`build_ssssm_plan`].
@@ -558,7 +519,7 @@ pub fn build_tstrf_plan<S: Scalar>(
     b: &CscMatrix<S>,
     arena: &mut Vec<u16>,
 ) -> Option<Plan> {
-    write_plan(&PlanTask::Tstrf { slot: 0, diag_lu, b }, arena)
+    write_plan(&PlanTask::Tstrf { slot: 0, diag_lu, b }, arena, &mut Vec::new())
 }
 
 /// Builds the pivot/update plan of a GETRF diagonal block into `arena`,
@@ -568,7 +529,7 @@ pub fn build_tstrf_plan<S: Scalar>(
 /// Panics if an update target or a diagonal entry is missing from the
 /// pattern (closure violation).
 pub fn build_getrf_plan<S: Scalar>(a: &CscMatrix<S>, arena: &mut Vec<u16>) -> Option<Plan> {
-    write_plan(&PlanTask::Getrf { slot: 0, a }, arena)
+    write_plan(&PlanTask::Getrf { slot: 0, a }, arena, &mut Vec::new())
 }
 
 /// A replay's read position in its plan's arena elements.
@@ -589,33 +550,50 @@ impl<'a> Cursor<'a> {
         usize::from(v)
     }
 
-    /// The next `n` elements.
+    /// Replays one step: `dst[t] -= src · coef` at the target offsets
+    /// its runs name, the source taken from the end of `upto` backwards —
+    /// the body lists the runs last first, so no step needs to know where
+    /// its source starts (GESSM's is the tail of `L(:, k)`). Each target
+    /// entry takes one subtraction per step, so the order of the runs
+    /// within a step moves no bit. A `coef` of zero is the runtime skip,
+    /// read past in O(1): a step that is one one-entry run is that tagged
+    /// element, any other leads with its element count.
     #[inline(always)]
-    fn take(&mut self, n: usize) -> &'a [u16] {
-        let s = &self.arena[self.at..self.at + n];
-        self.at += n;
-        s
-    }
-
-    /// A column's steps: `(entry offset, run count)` pairs. They come
-    /// before the segments, so a step's segments are found without
-    /// waiting on the step before it.
-    #[inline(always)]
-    fn steps(&mut self) -> std::slice::ChunksExact<'a, u16> {
-        let n = self.next();
-        self.take(2 * n).chunks_exact(2)
+    fn step<S: Scalar>(&mut self, dst: &mut [S], upto: &[S], coef: S) {
+        let head = self.arena[self.at];
+        if head & SINGLE != 0 {
+            self.at += 1;
+            if coef != S::ZERO {
+                dst[usize::from(head & !SINGLE)] -= upto[upto.len() - 1] * coef;
+            }
+            return;
+        }
+        let (mut at, end) = (self.at + 1, self.at + 1 + usize::from(head));
+        self.at = end;
+        if coef == S::ZERO {
+            return;
+        }
+        let mut s = upto.len();
+        while at < end {
+            let v = self.arena[at];
+            if v & SINGLE != 0 {
+                s -= 1;
+                dst[usize::from(v & !SINGLE)] -= upto[s] * coef;
+                at += 1;
+            } else {
+                let (t0, len) = (usize::from(v), usize::from(self.arena[at + 1]));
+                s -= len;
+                axpy(&mut dst[t0..t0 + len], &upto[s..s + len], coef);
+                at += 2;
+            }
+        }
     }
 }
 
-/// One segment's update `dst -= src · coef`, element by element in
-/// ascending order: the per-entry walk's arithmetic. Most segments are a
-/// single entry, which skips the slice loop's set-up.
+/// One run's update `dst -= src · coef`, element by element in ascending
+/// order: the per-entry walk's arithmetic.
 #[inline(always)]
 fn axpy<S: Scalar>(dst: &mut [S], src: &[S], coef: S) {
-    if let ([d], [v]) = (&mut *dst, src) {
-        *d -= *v * coef;
-        return;
-    }
     for (d, &v) in dst.iter_mut().zip(src) {
         *d -= v * coef;
     }
@@ -637,23 +615,11 @@ pub fn ssssm_planned<S: Scalar>(
     for _ in 0..cur.next() {
         let j = cur.next();
         let col = &mut cvals[c_ptr[j]..c_ptr[j + 1]];
-        let (rows_j, vals_j) = (&b_rows[b_ptr[j]..b_ptr[j + 1]], &bvals[b_ptr[j]..b_ptr[j + 1]]);
-        for step in cur.steps() {
-            let (e, r) = (usize::from(step[0]), step[1]);
-            let segs = cur.take(2 * usize::from(r));
-            let bkj = vals_j[e];
-            if bkj == S::ZERO {
-                continue;
-            }
-            // One slice axpy per (tgt, len) pair, the source consumed
-            // sequentially: the per-element order and arithmetic of the
-            // entry-by-entry walk, so bitwise identical to it.
-            let srcs = &avals[a_ptr[rows_j[e]]..];
-            let mut s = 0usize;
-            for seg in segs.chunks_exact(2) {
-                let (t0, rl) = (usize::from(seg[0]), usize::from(seg[1]));
-                axpy(&mut col[t0..t0 + rl], &srcs[s..s + rl], bkj);
-                s += rl;
+        let (blo, bhi) = (b_ptr[j], b_ptr[j + 1]);
+        for (&k, &bkj) in b_rows[blo..bhi].iter().zip(&bvals[blo..bhi]) {
+            // A step per B(k, j) whose A(:, k) has entries.
+            if a_ptr[k] < a_ptr[k + 1] {
+                cur.step(col, &avals[..a_ptr[k + 1]], bkj);
             }
         }
     }
@@ -671,24 +637,15 @@ pub fn gessm_planned<S: Scalar>(
     let (l_ptr, lvals) = (diag_lu.col_ptr(), diag_lu.values());
     let (b_ptr, b_rows, bvals) = b.parts_mut();
     for _ in 0..cur.next() {
-        let blo = b_ptr[cur.next()];
-        for step in cur.steps() {
-            let (e, r) = (step[0], step[1]);
-            let trs = cur.take(3 * usize::from(r));
-            let p = blo + usize::from(e);
+        let c = cur.next();
+        let (blo, bhi) = (b_ptr[c], b_ptr[c + 1]);
+        let mut p = blo;
+        for _ in 0..cur.next() {
+            p += cur.next();
+            // The source, L(:, k) below the diagonal, ends its column.
             let xk = bvals[p];
-            if xk == S::ZERO {
-                continue;
-            }
-            // (src, tgt, len) triples: both cursors advance in lockstep
-            // inside a run, so the slice loop performs the same
-            // subtractions in the same order as a pair-by-pair walk.
-            let klo = l_ptr[b_rows[p]];
-            for tr in trs.chunks_exact(3) {
-                let (l0, t0) = (klo + usize::from(tr[0]), blo + usize::from(tr[1]));
-                let rl = usize::from(tr[2]);
-                axpy(&mut bvals[t0..t0 + rl], &lvals[l0..l0 + rl], xk);
-            }
+            cur.step(&mut bvals[blo..bhi], &lvals[..l_ptr[b_rows[p] + 1]], xk);
+            p += 1;
         }
     }
 }
@@ -706,37 +663,32 @@ pub fn tstrf_planned<S: Scalar>(
     let (b_ptr, _, bvals) = b.parts_mut();
     for _ in 0..cur.next() {
         let j = cur.next();
-        let (jlo, jhi, dlo) = (b_ptr[j], b_ptr[j + 1], d_ptr[j]);
-        let dpos = cur.next();
-        for step in cur.steps() {
-            let (e, r) = (step[0], step[1]);
-            let trs = cur.take(3 * usize::from(r));
-            let q = dlo + usize::from(e);
-            let ukj = dvals[q];
-            if ukj == S::ZERO {
-                continue;
+        let (jlo, jhi) = (b_ptr[j], b_ptr[j + 1]);
+        // The source columns k precede column j in CSC order, so they
+        // lie wholly left of the split.
+        let (left, right) = bvals.split_at_mut(jlo);
+        let col = &mut right[..jhi - jlo];
+        // U(:, j) above its diagonal, which the build found present.
+        let mut q = d_ptr[j];
+        while d_rows[q] < j {
+            // A step per U(k, j) whose X(:, k) has entries.
+            let k = d_rows[q];
+            if b_ptr[k] < b_ptr[k + 1] {
+                cur.step(col, &left[..b_ptr[k + 1]], dvals[q]);
             }
-            // The source column k precedes column j in CSC order, so it
-            // lies wholly left of the split.
-            let klo = b_ptr[d_rows[q]];
-            let (left, right) = bvals.split_at_mut(jlo);
-            for tr in trs.chunks_exact(3) {
-                let (s0, t0) = (klo + usize::from(tr[0]), usize::from(tr[1]));
-                let rl = usize::from(tr[2]);
-                axpy(&mut right[t0..t0 + rl], &left[s0..s0 + rl], ukj);
-            }
+            q += 1;
         }
-        let ujj = dvals[dlo + dpos];
-        for v in &mut bvals[jlo..jhi] {
+        let ujj = dvals[q];
+        for v in col {
             *v /= ujj;
         }
     }
 }
 
 /// Planned GETRF: bitwise identical to [`crate::getrf::getrf`] with
-/// `C_V1`. Returns the perturbed-pivot count. `scratch` keeps each
-/// column's diagonal position as the replay passes it, which is where
-/// later columns' sources start.
+/// `C_V1`. Returns the perturbed-pivot count. `scratch` keeps where each
+/// column's part below the diagonal starts as the replay passes it,
+/// which is where later columns' sources start.
 pub fn getrf_planned<S: Scalar>(
     a: &mut CscMatrix<S>,
     plan: &Plan,
@@ -746,37 +698,24 @@ pub fn getrf_planned<S: Scalar>(
 ) -> usize {
     let mut cur = Cursor::new(plan, arena);
     let mut perturbed = 0usize;
-    let diags = &mut scratch.stack;
-    diags.clear();
+    let splits = &mut scratch.splits;
+    splits.clear();
     let (col_ptr, row_idx, values) = a.parts_mut();
     for j in 0..col_ptr.len() - 1 {
         let lo = col_ptr[j];
         let diag = cur.next();
-        diags.push(diag);
         let (left, right) = values.split_at_mut(lo);
         let vals_j = &mut right[..col_ptr[j + 1] - lo];
         for (u, &k) in row_idx[lo..lo + diag].iter().enumerate() {
-            // The source: column k below its diagonal, if anything.
-            let (start, end) = (col_ptr[k] + diags[k] + 1, col_ptr[k + 1]);
-            if start == end {
-                continue;
-            }
-            let n = 2 * cur.next();
-            let segs = cur.take(n);
-            let ukj = vals_j[u];
-            if ukj == S::ZERO {
-                continue;
-            }
-            // (tgt, len) pairs of offsets within column j, the source
-            // consumed sequentially.
-            let srcs = &left[start..end];
-            let mut s = 0usize;
-            for seg in segs.chunks_exact(2) {
-                let (t0, rl) = (usize::from(seg[0]), usize::from(seg[1]));
-                axpy(&mut vals_j[t0..t0 + rl], &srcs[s..s + rl], ukj);
-                s += rl;
+            // A step per U(k, j) whose column k has entries below its
+            // diagonal.
+            let end = col_ptr[k + 1];
+            if col_ptr[k] + splits[k] < end {
+                let ukj = vals_j[u];
+                cur.step(vals_j, &left[..end], ukj);
             }
         }
+        splits.push(diag + 1);
         let mut pivot = vals_j[diag];
         perturbed += apply_floor(&mut pivot, pivot_floor);
         vals_j[diag] = pivot;
@@ -902,8 +841,10 @@ impl<S: Scalar> KernelPlans<S> {
         std::mem::replace(&mut self.served, true)
     }
 
+    /// Never on a full block: it takes the dense-tile lane, as an update
+    /// onto a full target does (see [`KernelPlans::plans_ssssm`]).
     fn plans_getrf(sel: &KernelSelector, a: &CscMatrix<S>) -> bool {
-        sel.planned_getrf(a.nnz())
+        sel.planned_getrf(a.nnz()) && !is_full(a)
     }
 
     fn plans_gessm(sel: &KernelSelector, b: &CscMatrix<S>) -> bool {
@@ -951,9 +892,9 @@ impl<S: Scalar> KernelPlans<S> {
     pub fn build(&mut self, sel: &KernelSelector, tasks: impl Fn(&mut dyn FnMut(PlanTask<'_, S>))) {
         let start = Instant::now();
         let mut count = Count(self.arena.len());
-        let mut new = 0usize;
+        let (mut new, mut splits) = (0usize, Vec::new());
         tasks(&mut |t| {
-            if self.wants(sel, &t) && write_plan(&t, &mut count).is_some() {
+            if self.wants(sel, &t) && write_plan(&t, &mut count, &mut splits).is_some() {
                 new += 1;
             }
         });
@@ -965,7 +906,7 @@ impl<S: Scalar> KernelPlans<S> {
             if !self.wants(sel, &t) {
                 return;
             }
-            if let Some(plan) = write_plan(&t, &mut self.arena) {
+            if let Some(plan) = write_plan(&t, &mut self.arena, &mut splits) {
                 let (table, slot) = match t {
                     PlanTask::Getrf { slot, .. } => (&mut self.getrf, slot),
                     PlanTask::Gessm { slot, .. } => (&mut self.gessm, slot),
@@ -983,7 +924,7 @@ impl<S: Scalar> KernelPlans<S> {
     }
 
     /// Routes the GETRF of diagonal block `a`: its plan if one was built,
-    /// else the selector's variant.
+    /// else the selector's leaf (the dense-tile lane for a full block).
     pub fn route_getrf(
         &self,
         sel: &KernelSelector,
@@ -992,7 +933,7 @@ impl<S: Scalar> KernelPlans<S> {
     ) -> Route<'_, GetrfVariant> {
         match self.getrf.get(slot) {
             Some(p) if Self::plans_getrf(sel, a) => Route::Plan(p, &self.arena),
-            _ => Route::Variant(sel.getrf(a.nnz())),
+            _ => Route::Variant(sel.getrf_on(a)),
         }
     }
 
@@ -1148,8 +1089,8 @@ mod tests {
     }
 
     /// Every class's plan in one arena: its element count is what the
-    /// counting pass predicts, each step's run count leads its segments,
-    /// and no element exceeds its block's rows.
+    /// counting pass predicts, and no element exceeds its block's rows
+    /// once a one-entry run's tag bit is cleared.
     #[test]
     fn counting_pass_sizes_the_arena_exactly() {
         let (diag, upper, lower, tail) = setup(1);
@@ -1161,13 +1102,15 @@ mod tests {
             PlanTask::Tstrf { slot: 0, diag_lu: &diag, b: &lower },
             PlanTask::Ssssm { slot: 0, flops: 0.0, a: &lower, b: &upper, c: &tail },
         ];
+        let mut splits = Vec::new();
         for t in &tasks {
-            let counted = write_plan(t, &mut count).unwrap();
-            let written = write_plan(t, &mut arena).unwrap();
+            let counted = write_plan(t, &mut count, &mut splits).unwrap();
+            let written = write_plan(t, &mut arena, &mut splits).unwrap();
             assert_eq!(counted, written);
             assert_eq!(arena.len(), count.0);
         }
-        assert!(arena.iter().all(|&v| usize::from(v) <= 16));
+        assert!(arena.iter().any(|&v| v & SINGLE != 0), "the fixture has one-entry runs");
+        assert!(arena.iter().all(|&v| usize::from(v & !SINGLE) <= 16));
     }
 
     #[test]
@@ -1285,6 +1228,33 @@ mod tests {
             pool.route_ssssm(&sel, 1, 127_920.0, &big, &holed),
             Route::Variant(SsssmVariant::CV1)
         ));
+    }
+
+    /// A full diagonal block never has a GETRF plan — under any gate it
+    /// takes the dense-tile lane — while the same block with one hole is
+    /// planned; both routes give `C_V1`'s bits and pivot count.
+    #[test]
+    fn full_diagonal_blocks_get_no_getrf_plan() {
+        let sel = KernelSelector::new(1_000, Thresholds::default());
+        let full = crate::tile::dense_block(9, 9, 0);
+        // L(8, 0) is the one entry no update of a left-looking LU reaches.
+        let holed = full.filter_entries(|i, j| (i, j) != (8, 0));
+        let mut pool = KernelPlans::<f64>::with_slots(2, 0, 0, 0);
+        pool.build(&sel, |add| {
+            add(PlanTask::Getrf { slot: 0, a: &full });
+            add(PlanTask::Getrf { slot: 1, a: &holed });
+        });
+        assert_eq!(pool.stats().builds, 1, "only the block with a hole is planned");
+        let routes = [pool.route_getrf(&sel, 0, &full), pool.route_getrf(&sel, 1, &holed)];
+        assert!(matches!(routes[0], Route::Variant(GetrfVariant::DV1)));
+        assert!(matches!(routes[1], Route::Plan(..)));
+        let mut s = KernelScratch::default();
+        for (route, block) in routes.into_iter().zip([&full, &holed]) {
+            let (mut want, mut got) = (block.clone(), block.clone());
+            let p0 = getrf(&mut want, GetrfVariant::CV1, &mut s, 0.5);
+            let p1 = crate::TimedKernels::new(false).getrf(route, &mut got, &mut s, 0.5, 0.0);
+            assert_eq!((p0, want.values()), (p1, got.values()));
+        }
     }
 
     /// `plan_bytes` is what the pool holds, not a bound on it: the arena

@@ -12,11 +12,14 @@ use pangulu_sparse::{for_each_run, RunSeg, Scalar};
 pub struct KernelScratch<S = f64> {
     /// Dense accumulation buffer, one slot per block row.
     pub dense: Vec<S>,
-    /// Generic index stack (DFS, merge cursors).
-    pub stack: Vec<usize>,
     /// Per-column contiguous-run list, found once per target column and
     /// reused across that column's whole k-loop (and its scatter/gather).
     pub runs: Vec<RunSeg>,
+    /// Where each column of the factor block a kernel reads starts below
+    /// its diagonal, found at most once per call: GETRF records each
+    /// column's as it passes it, GESSM searches a column on its first
+    /// use.
+    pub splits: Vec<usize>,
     /// Dense-tile lane expansion tiles: an SSSSM operand that is not
     /// full is scattered into one of these (column-major, zero-filled)
     /// once per call. Empty until the lane first needs them, then at
@@ -31,7 +34,7 @@ impl<S: Scalar> KernelScratch<S> {
     pub fn with_capacity(nb: usize) -> Self {
         KernelScratch {
             dense: vec![S::ZERO; nb],
-            stack: Vec::with_capacity(nb),
+            splits: Vec::with_capacity(nb),
             ..Default::default()
         }
     }
@@ -43,6 +46,28 @@ impl<S: Scalar> KernelScratch<S> {
             self.dense.resize(n, S::ZERO);
         }
     }
+}
+
+/// A column whose split no search has found yet in this call.
+const UNSEEN: usize = usize::MAX;
+
+/// Readies `splits` for a call on a factor block of `n` columns: no
+/// column's split is known yet.
+pub(crate) fn reset_splits(splits: &mut Vec<usize>, n: usize) {
+    splits.clear();
+    splits.resize(n, UNSEEN);
+}
+
+/// The offset of column `k`'s first entry below the diagonal (`rows_k`
+/// is its sorted row list): searched on the call's first use of `k`,
+/// read back after.
+#[inline]
+pub(crate) fn split_of(splits: &mut [usize], rows_k: &[usize], k: usize) -> usize {
+    let s = &mut splits[k];
+    if *s == UNSEEN {
+        *s = rows_k.partition_point(|&i| i <= k);
+    }
+    *s
 }
 
 /// Binary search for `row` within a sorted block-column row list,
@@ -181,6 +206,18 @@ mod tests {
         s.ensure(10);
         assert!(s.dense.len() >= 10);
         assert!(s.dense.iter().all(|&v| v == 0.0));
+    }
+
+    #[test]
+    fn splits_are_searched_once_and_read_back() {
+        let mut splits = vec![7; 2];
+        reset_splits(&mut splits, 3);
+        assert_eq!(splits, [UNSEEN; 3]);
+        assert_eq!(split_of(&mut splits, &[0, 1, 4], 1), 2);
+        // The recorded offset is read back, not searched again.
+        assert_eq!(split_of(&mut splits, &[], 1), 2);
+        assert_eq!(split_of(&mut splits, &[0, 2], 2), 2, "a column with nothing below");
+        assert_eq!(splits, [UNSEEN, 2, 2]);
     }
 
     #[test]

@@ -12,10 +12,11 @@
 //! dense-tile lane `D_V1` ([`crate::tile`]) for blocks that fill-in has
 //! made completely dense — the `*_on` methods below, consulted by
 //! [`crate::KernelPlans`]' routing and nowhere else: after the planned
-//! gate for the panel solves, and for every SSSSM that replays no plan,
-//! which includes every update onto a full target (such a target never
-//! has a plan; under the fill cut it gets the tree's pick, and `C_V1`
-//! updates its full columns in place).
+//! gate for the panel solves, and for every GETRF and SSSSM that replays
+//! no plan, which includes every full diagonal block and every update
+//! onto a full target (neither ever has a plan; an update under the fill
+//! cut gets the tree's pick, and `C_V1` updates its full columns in
+//! place).
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -282,6 +283,17 @@ impl KernelSelector {
         self.adaptive && flops < self.thresholds.ssssm_planned
     }
 
+    /// The GETRF leaf for diagonal block `a`: the dense-tile lane when it
+    /// is full, else the Figure 8(a) tree. Structure only — no value is
+    /// read — and never for the baseline selector's fixed kernels.
+    pub fn getrf_on<S: Scalar>(&self, a: &CscMatrix<S>) -> GetrfVariant {
+        if self.adaptive && is_full(a) {
+            GetrfVariant::DV1
+        } else {
+            self.getrf(a.nnz())
+        }
+    }
+
     /// Whether a panel solve on these blocks takes the dense-tile lane:
     /// factor block and panel block both full. Structure only — no value
     /// is read — and never for the baseline selector's fixed kernels.
@@ -437,6 +449,8 @@ mod tests {
         assert_eq!(s.gessm_on(&full, &holed), s.gessm(holed.nnz()));
         assert_eq!(s.tstrf_on(&full, &full), TrsmVariant::DV1);
         assert_eq!(s.tstrf_on(&full, &holed), s.tstrf(holed.nnz()));
+        assert_eq!(s.getrf_on(&full), GetrfVariant::DV1);
+        assert_eq!(s.getrf_on(&holed), s.getrf(holed.nnz()));
 
         // 8 x 8 x 5 update: padded count 2*8*8*5 = 640 FLOPs.
         let at_cut = TILE_MIN_FILL * 640.0;
@@ -449,6 +463,7 @@ mod tests {
         let base = KernelSelector::baseline(1_000);
         assert_eq!(base.gessm_on(&full, &wide), TrsmVariant::GV1);
         assert_eq!(base.tstrf_on(&full, &full), TrsmVariant::GV1);
+        assert_eq!(base.getrf_on(&full), GetrfVariant::GV1);
         assert_eq!(base.ssssm_on(640.0, &full, &wide), SsssmVariant::GV1);
     }
 

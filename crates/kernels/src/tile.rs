@@ -1,5 +1,5 @@
-//! The dense-tile kernel lane (`D_V1`): SSSSM, GESSM and TSTRF as
-//! register-blocked dense updates straight on the blocks' value arrays.
+//! The dense-tile kernel lane (`D_V1`): all four kernel classes as
+//! register-blocked dense loops straight on the blocks' value arrays.
 //!
 //! A block whose pattern is completely filled (`nnz == nrows·ncols`)
 //! stores its values as a column-major dense matrix, so the sparse
@@ -9,28 +9,42 @@
 //! inner-dimension loop and applies `c -= a·b` — a separate multiply and
 //! subtract, `k` ascending — from contiguous slices. GESSM and TSTRF are
 //! the same micro-kernel over the already solved part of the unknown
-//! plus a short in-tile triangular part. An SSSSM operand that is not
-//! full is expanded once per call into a zero-filled tile of
-//! [`KernelScratch`]; the target, and both blocks of a panel solve, are
-//! full by the routing contract ([`crate::KernelSelector::ssssm_on`] and
-//! its GESSM/TSTRF siblings are the only places the lane is chosen).
+//! plus a short in-tile triangular part. GETRF factors a full diagonal
+//! block in place in `C_V1`'s left-looking order: column groups left to
+//! right, each group's `U` rows (the micro-kernel, then a unit-lower
+//! solve in the tile), its diagonal tile (the micro-kernel, then a small
+//! LU that floors each pivot) and its `L` rows (the micro-kernel, then a
+//! solve against the diagonal tile's `U` whose division by the pivot is
+//! each entry's last operation). An SSSSM operand that is not full is
+//! expanded once per call into a zero-filled tile of [`KernelScratch`];
+//! the target, both blocks of a panel solve and a GETRF block are full by
+//! the routing contract ([`crate::KernelSelector::ssssm_on`] and its
+//! GETRF/GESSM/TSTRF siblings are the only places the lane is chosen).
 //!
 //! **Bitwise contract.** For every target entry the lane performs the
 //! sparse variants' subtractions `c -= a[r,k]·b[k,j]` in the same
-//! ascending-`k` order (TSTRF's division by `U(j,j)` stays last), plus
-//! subtractions of `(±0)·x` for padded structural zeros and for the
-//! values the sparse variants skip with `if bkj == 0`. Those leave `c`
-//! unchanged whenever `c` is not `-0.0` and `x` is finite — and no update
-//! target holds `-0.0` (fill starts at `+0.0`,
-//! `x − y` is never `-0.0` for `x ≠ -0.0`, and a division, the one
+//! ascending-`k` order (TSTRF's division by `U(j,j)` stays last), plus,
+//! in SSSSM, GESSM and TSTRF, subtractions of `(±0)·x` for padded
+//! structural zeros and for the values the sparse variants skip with
+//! `if bkj == 0`. Those leave `c` unchanged whenever `c` is not `-0.0`
+//! and `x` is finite — and no update target holds `-0.0` (fill starts at
+//! `+0.0`, `x − y` is never `-0.0` for `x ≠ -0.0`, and a division, the one
 //! operation that can produce `-0.0`, is the last write an entry
 //! receives). With a non-finite operand `0·x` is NaN, so a poisoned
-//! block stays non-finite; it is never silently repaired.
-//! `tests/planned_equivalence.rs` holds the lane to the sparse variants
-//! bit for bit, in `f64` and `f32`, debug and release.
+//! block stays non-finite; it is never silently repaired. GETRF reads its
+//! block's own input values, which may hold `-0.0`, and can make
+//! non-finite `L` entries itself (a zero pivot without a floor), so it
+//! skips a zero `U(k, j)` exactly as `C_V1` does: the product of a
+//! column group runs the micro-kernel's skipping instance once the
+//! group's finished `U` rows hold an exact zero, and the plain one until
+//! then. It is therefore `C_V1` bit for bit on every input, `-0.0` and
+//! NaN included. `tests/planned_equivalence.rs` and
+//! `tests/tile_equivalence.rs` hold the lane to the sparse variants bit
+//! for bit, in `f64` and `f32`, debug and release.
 //!
-//! **Instances and tile shapes.** The three entry points share one
-//! dispatch point: on a CPU with AVX2 ([`crate::isa::avx2`]) they run an
+//! **Instances and tile shapes.** The four entry points dispatch alike
+//! (the panel and update sweep at one point, GETRF's at another): on a
+//! CPU with AVX2 ([`crate::isa::avx2`]) they run an
 //! `#[target_feature(enable = "avx2")]` instance of the generic sweep,
 //! elsewhere its portable (SSE2) instance — the pattern of `pangulu-core`'s
 //! `sweep_panel`. The tile shape belongs to the instance: `NR = 4`
@@ -48,6 +62,7 @@
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
+use crate::getrf::apply_floor;
 use crate::isa;
 use crate::scratch::KernelScratch;
 
@@ -92,8 +107,11 @@ enum Op<'a, S> {
 /// ascending, multiply then subtract. `a` is column-major with leading
 /// dimension `lda`; `b` starts at the tile's first column, leading
 /// dimension `ldb`. One bounds check per `k` step; no index is loaded.
+/// With `SKIP_ZEROS` a `B(k, j)` equal to zero contributes nothing, as
+/// in the sparse variants (GETRF's instance, where the product must be
+/// exact on `-0.0` and non-finite entries).
 #[inline(always)]
-fn sub_product<S: Scalar, const MR: usize, const NR: usize>(
+fn sub_product<S: Scalar, const MR: usize, const NR: usize, const SKIP_ZEROS: bool>(
     acc: &mut [[S; MR]; NR],
     a: &[S],
     lda: usize,
@@ -108,6 +126,9 @@ fn sub_product<S: Scalar, const MR: usize, const NR: usize>(
         let acol = &acol[..MR];
         for (cj, bj) in c.iter_mut().zip(&bcols) {
             let bkj = bj[k];
+            if SKIP_ZEROS && bkj == S::ZERO {
+                continue;
+            }
             for (cv, &av) in cj.iter_mut().zip(acol) {
                 *cv -= av * bkj;
             }
@@ -133,11 +154,13 @@ fn tile<S: Scalar, const MR: usize, const NR: usize>(
         col.copy_from_slice(&x[(j0 + j) * m + i0..][..MR]);
     }
     match op {
-        Op::Ssssm { a, b, k } => sub_product(&mut acc, a, m, i0, &b[j0 * k..], k, k),
+        Op::Ssssm { a, b, k } => {
+            sub_product::<S, MR, NR, false>(&mut acc, a, m, i0, &b[j0 * k..], k, k)
+        }
         Op::Gessm { l } => {
             // Rows above the tile are solved: their contribution first,
             // then the unit-lower triangle inside the tile, ascending k.
-            sub_product(&mut acc, l, m, i0, &x[j0 * m..], m, i0);
+            sub_product::<S, MR, NR, false>(&mut acc, l, m, i0, &x[j0 * m..], m, i0);
             for k in 0..MR {
                 let lcol = &l[(i0 + k) * m + i0..][..MR];
                 for col in acc.iter_mut() {
@@ -152,7 +175,7 @@ fn tile<S: Scalar, const MR: usize, const NR: usize>(
             // Columns left of the tile are solved: their contribution
             // first, then the upper triangle inside the tile; each
             // column's division by U(j,j) is its last operation.
-            sub_product(&mut acc, x, m, i0, &u[j0 * n..], n, j0);
+            sub_product::<S, MR, NR, false>(&mut acc, x, m, i0, &u[j0 * n..], n, j0);
             for j in 0..NR {
                 let ucol = &u[(j0 + j) * n + j0..][..=j];
                 let (solved, rest) = acc.split_at_mut(j);
@@ -259,6 +282,207 @@ fn sweep_dispatched<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
     sweep::<S, TILE_ROWS_F64>(op, x, m, n);
 }
 
+/// Where a GETRF tile sits in its column group: above the group's
+/// diagonal tile, on it, or below it.
+#[derive(Clone, Copy, PartialEq)]
+enum Part {
+    Upper,
+    Diag,
+    Lower,
+}
+
+/// The state of one GETRF sweep over an `n × n` block.
+struct Lu {
+    n: usize,
+    pivot_floor: f64,
+    perturbed: usize,
+    /// Whether the finished `U` rows of the current column group hold an
+    /// exact zero: while they do not, the products skip no `k` and run
+    /// the plain micro-kernel.
+    zero_in_u: bool,
+}
+
+/// One `MR × NR` GETRF tile of `x` at `(i0, j0)`, in `C_V1`'s per-entry
+/// order: the product over the inner range every row of the tile has
+/// finished (`k < min(i0, j0)`), then the part inside the tile — a
+/// unit-lower solve above the group's diagonal, the small LU on it, and
+/// the solve against its `U` below it, each pivot floored and each
+/// division the entry's last operation. A `U(k, j)` equal to zero is
+/// skipped, as `C_V1` skips it.
+#[inline(always)]
+fn lu_tile<S: Scalar, const MR: usize, const NR: usize>(
+    x: &mut [S],
+    lu: &mut Lu,
+    part: Part,
+    i0: usize,
+    j0: usize,
+) {
+    let n = lu.n;
+    let mut acc = [[S::ZERO; MR]; NR];
+    for (j, col) in acc.iter_mut().enumerate() {
+        col.copy_from_slice(&x[(j0 + j) * n + i0..][..MR]);
+    }
+    let (b, k1) = (&x[j0 * n..], i0.min(j0));
+    if lu.zero_in_u {
+        sub_product::<S, MR, NR, true>(&mut acc, x, n, i0, b, n, k1);
+    } else {
+        sub_product::<S, MR, NR, false>(&mut acc, x, n, i0, b, n, k1);
+    }
+    match part {
+        Part::Upper => {
+            for k in 0..MR {
+                let lcol = &x[(i0 + k) * n + i0..][..MR];
+                for col in acc.iter_mut() {
+                    let xk = col[k];
+                    if xk == S::ZERO {
+                        continue;
+                    }
+                    for r in k + 1..MR {
+                        col[r] -= lcol[r] * xk;
+                    }
+                }
+            }
+            lu.zero_in_u |= acc.iter().flatten().any(|&v| v == S::ZERO);
+        }
+        Part::Diag => {
+            for j in 0..NR {
+                let (done, rest) = acc.split_at_mut(j);
+                let col = &mut rest[0];
+                for (k, src) in done.iter().enumerate() {
+                    let ukj = col[k];
+                    if ukj == S::ZERO {
+                        continue;
+                    }
+                    for r in k + 1..MR {
+                        col[r] -= src[r] * ukj;
+                    }
+                }
+                let mut pivot = col[j];
+                lu.perturbed += apply_floor(&mut pivot, lu.pivot_floor);
+                col[j] = pivot;
+                for v in &mut col[j + 1..] {
+                    *v /= pivot;
+                }
+            }
+        }
+        Part::Lower => {
+            for j in 0..NR {
+                let ucol = &x[(j0 + j) * n + j0..][..=j];
+                let (done, rest) = acc.split_at_mut(j);
+                let col = &mut rest[0];
+                for (src, &ukj) in done.iter().zip(ucol) {
+                    if ukj == S::ZERO {
+                        continue;
+                    }
+                    for (cv, &sv) in col.iter_mut().zip(src) {
+                        *cv -= sv * ukj;
+                    }
+                }
+                let pivot = ucol[j];
+                for cv in col.iter_mut() {
+                    *cv /= pivot;
+                }
+            }
+        }
+    }
+    for (j, col) in acc.iter().enumerate() {
+        x[(j0 + j) * n + i0..][..MR].copy_from_slice(col);
+    }
+}
+
+/// All `MR`-row tiles of `part` from `*i0` that fit above `end`.
+#[inline(always)]
+fn lu_tiles<S: Scalar, const MR: usize, const NR: usize>(
+    x: &mut [S],
+    lu: &mut Lu,
+    part: Part,
+    i0: &mut usize,
+    end: usize,
+    j0: usize,
+) {
+    while *i0 + MR <= end {
+        lu_tile::<S, MR, NR>(x, lu, part, *i0, j0);
+        *i0 += MR;
+    }
+}
+
+/// Rows `start..end` of `part` in the instance's tiles, the remainder at
+/// halved heights.
+#[inline(always)]
+fn lu_rows<S: Scalar, const ROWS_F64: usize, const NR: usize>(
+    x: &mut [S],
+    lu: &mut Lu,
+    part: Part,
+    start: usize,
+    end: usize,
+    j0: usize,
+) {
+    let top = tile_height::<S>(ROWS_F64);
+    let mut i0 = start;
+    if top >= 16 {
+        lu_tiles::<S, 16, NR>(x, lu, part, &mut i0, end, j0);
+    }
+    if top >= 8 {
+        lu_tiles::<S, 8, NR>(x, lu, part, &mut i0, end, j0);
+    }
+    lu_tiles::<S, 4, NR>(x, lu, part, &mut i0, end, j0);
+    lu_tiles::<S, 2, NR>(x, lu, part, &mut i0, end, j0);
+    lu_tiles::<S, 1, NR>(x, lu, part, &mut i0, end, j0);
+}
+
+/// One `NR`-wide column group of the left-looking LU: its `U` rows top
+/// to bottom, its diagonal tile, then its `L` rows top to bottom.
+#[inline(always)]
+fn lu_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
+    x: &mut [S],
+    lu: &mut Lu,
+    j0: usize,
+) {
+    lu.zero_in_u = false;
+    lu_rows::<S, ROWS_F64, NR>(x, lu, Part::Upper, 0, j0, j0);
+    lu_tile::<S, NR, NR>(x, lu, Part::Diag, j0, j0);
+    lu_rows::<S, ROWS_F64, NR>(x, lu, Part::Lower, j0 + NR, lu.n, j0);
+}
+
+/// The GETRF sweep: column groups left to right, widths 4 then 2 then 1,
+/// as [`sweep`] visits them. Returns the perturbed-pivot count.
+#[inline(always)]
+fn lu_sweep<S: Scalar, const ROWS_F64: usize>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+    let mut lu = Lu { n, pivot_floor, perturbed: 0, zero_in_u: false };
+    let mut j0 = 0;
+    while j0 + TILE_COLS <= n {
+        lu_group::<S, ROWS_F64, TILE_COLS>(x, &mut lu, j0);
+        j0 += TILE_COLS;
+    }
+    if j0 + 2 <= n {
+        lu_group::<S, ROWS_F64, 2>(x, &mut lu, j0);
+        j0 += 2;
+    }
+    if j0 < n {
+        lu_group::<S, ROWS_F64, 1>(x, &mut lu, j0);
+    }
+    lu.perturbed
+}
+
+/// [`lu_sweep`] compiled for AVX2, as [`sweep_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn lu_sweep_avx2<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+    lu_sweep::<S, TILE_ROWS_F64_AVX2>(x, n, pivot_floor)
+}
+
+/// The GETRF sweep's dispatch point, as [`sweep_dispatched`].
+#[inline(always)]
+fn lu_dispatched<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if isa::avx2() {
+        // SAFETY: `lu_sweep_avx2` enables only `avx2`, which the CPU was
+        // just detected to support.
+        return unsafe { lu_sweep_avx2(x, n, pivot_floor) };
+    }
+    lu_sweep::<S, TILE_ROWS_F64>(x, n, pivot_floor)
+}
+
 /// Whether `blk` stores every entry of its shape, i.e. its value array
 /// is the block as a column-major dense matrix.
 #[inline]
@@ -325,6 +549,18 @@ pub(crate) fn tstrf_tile<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>
     assert!(is_full(diag_lu) && is_full(b), "dense-tile TSTRF routed to blocks that are not full");
     let (m, n) = (b.nrows(), b.ncols());
     sweep_dispatched(Op::Tstrf { u: diag_lu.values() }, b.values_mut(), m, n);
+}
+
+/// Dense-tile GETRF of a full diagonal block in place; returns the
+/// perturbed-pivot count, as [`crate::getrf::getrf`].
+///
+/// # Panics
+/// Panics if `a` is not full (the routing contract).
+#[inline(never)]
+pub(crate) fn getrf_tile<S: Scalar>(a: &mut CscMatrix<S>, pivot_floor: f64) -> usize {
+    assert!(is_full(a), "dense-tile GETRF routed to a block that is not full");
+    let n = a.ncols();
+    lu_dispatched(a.values_mut(), n, pivot_floor)
 }
 
 /// Test fixture shared by this crate's unit tests: a full `m × n` block
@@ -405,16 +641,71 @@ mod tests {
         }
     }
 
+    /// `C_V1`'s GETRF as naive dense loops: column `j` takes `k < j`
+    /// ascending, skips a zero `U(k, j)`, floors its pivot and divides
+    /// last.
+    fn naive_lu<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+        let mut perturbed = 0;
+        for j in 0..n {
+            for k in 0..j {
+                let ukj = x[j * n + k];
+                if ukj == S::ZERO {
+                    continue;
+                }
+                for r in k + 1..n {
+                    x[j * n + r] -= x[k * n + r] * ukj;
+                }
+            }
+            let mut pivot = x[j * n + j];
+            perturbed += apply_floor(&mut pivot, pivot_floor);
+            x[j * n + j] = pivot;
+            for r in j + 1..n {
+                x[j * n + r] /= pivot;
+            }
+        }
+        perturbed
+    }
+
     /// One sweep of the lane over an `m × n` unknown.
     type Sweep<S> = for<'a> fn(Op<'a, S>, &mut [S], usize, usize);
+    /// One GETRF sweep of the lane over an `n × n` block.
+    type LuSweep<S> = fn(&mut [S], usize, f64) -> usize;
 
     /// Both dispatch outcomes — the instance the entry points pick on
     /// this CPU (AVX2 where present, with its taller tile) and the
     /// portable one called directly — give the naive loops' bits for
     /// SSSSM, GESSM and TSTRF, in `f64` and `f32`, at every height up to
-    /// one past the tallest tile and every width up to one past a tile.
+    /// one past the tallest tile and every width up to one past a tile,
+    /// and for GETRF at every order up to one past the tallest tile, with
+    /// and without exact zeros (`+0.0` and `-0.0`) in the block.
     #[test]
     fn both_tile_instances_match_the_naive_loops_bitwise() {
+        fn check_lu<S: Scalar>(instance: LuSweep<S>) {
+            let bits = |x: &[S]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
+            for n in 1..=17 {
+                let block: Vec<S> =
+                    dense_block(n, n, 6).values().iter().map(|&v| S::from_f64(v)).collect();
+                let mut zeros = block.clone();
+                for (p, v) in zeros.iter_mut().enumerate() {
+                    if p % 5 == 1 {
+                        *v = if p % 2 == 0 { S::ZERO } else { -S::ZERO };
+                    }
+                }
+                for x0 in [block, zeros] {
+                    for floor in [0.0, 1e-3] {
+                        let (mut got, mut want) = (x0.clone(), x0.clone());
+                        let perturbed = instance(&mut got, n, floor);
+                        assert_eq!(perturbed, naive_lu(&mut want, n, floor), "{} {n}", S::LABEL);
+                        assert_eq!(bits(&got), bits(&want), "GETRF {} {n}x{n}", S::LABEL);
+                    }
+                }
+            }
+        }
+        check_lu::<f64>(lu_dispatched::<f64>);
+        check_lu::<f64>(lu_sweep::<f64, TILE_ROWS_F64>);
+        check_lu::<f32>(lu_dispatched::<f32>);
+        check_lu::<f32>(lu_sweep::<f32, TILE_ROWS_F64>);
+
         fn check<S: Scalar>(instance: Sweep<S>) {
             let dense = |m: usize, n: usize, salt: usize| -> Vec<S> {
                 dense_block(m, n, salt).values().iter().map(|&v| S::from_f64(v)).collect()
@@ -442,8 +733,10 @@ mod tests {
         check::<f32>(sweep_dispatched::<f32>);
         check::<f32>(sweep::<f32, TILE_ROWS_F64>);
         match isa::lanes() {
-            "avx2" => println!("tile instances checked: avx2 and portable"),
-            _ => println!("tile instances checked: portable only (this CPU has no AVX2)"),
+            "avx2" => println!("tile instances checked (GETRF GESSM TSTRF SSSSM): avx2 and portable"),
+            _ => println!(
+                "tile instances checked (GETRF GESSM TSTRF SSSSM): portable only (this CPU has no AVX2)"
+            ),
         }
     }
 

@@ -34,6 +34,7 @@ fn getrf_slot(v: GetrfVariant) -> usize {
         GetrfVariant::CV1 => 0,
         GetrfVariant::GV1 => 2,
         GetrfVariant::GV2 => 3,
+        GetrfVariant::DV1 => VARIANT_TILE,
     }
 }
 
@@ -374,6 +375,7 @@ mod tests {
         assert_eq!(VARIANT_LABELS[trsm_slot(TrsmVariant::GV3)], "G_V3");
         assert_eq!(VARIANT_LABELS[ssssm_slot(SsssmVariant::CV2)], "C_V2");
         assert_eq!(VARIANT_LABELS[VARIANT_PLANNED], "P_V1");
+        assert_eq!(VARIANT_LABELS[getrf_slot(GetrfVariant::DV1)], "D_V1");
         assert_eq!(VARIANT_LABELS[trsm_slot(TrsmVariant::DV1)], "D_V1");
         assert_eq!(VARIANT_LABELS[ssssm_slot(SsssmVariant::DV1)], "D_V1");
     }
@@ -386,7 +388,8 @@ mod tests {
         let mut scratch = KernelScratch::default();
         let fac = {
             let mut blk = dense_block(6);
-            getrf::getrf(&mut blk, GetrfVariant::CV1, &mut scratch, 1e-12);
+            let fl = flops::getrf_flops(&blk);
+            timed.getrf(Route::Variant(GetrfVariant::DV1), &mut blk, &mut scratch, 1e-12, fl);
             blk
         };
         let mut panel = dense_block(6);
@@ -406,10 +409,11 @@ mod tests {
 
         let tile: Vec<_> = timed.tally().entries().filter(|(_, v, _)| *v == "D_V1").collect();
         let calls = |class: &str| tile.iter().find(|(c, ..)| *c == class).map(|(.., s)| s.calls);
-        assert_eq!((calls("GESSM"), calls("TSTRF"), calls("SSSSM")), (Some(1), Some(1), Some(2)));
+        let tile_calls = [calls("GETRF"), calls("GESSM"), calls("TSTRF"), calls("SSSSM")];
+        assert_eq!(tile_calls, [Some(1), Some(1), Some(1), Some(2)]);
         let ssssm_tile = tile.iter().find(|(c, ..)| *c == "SSSSM").unwrap().2;
         assert_eq!(ssssm_tile.flops, 2.0 * fl);
-        assert_eq!(timed.tally().calls_by_class(), [0, 1, 1, 3]);
+        assert_eq!(timed.tally().calls_by_class(), [1, 1, 1, 3]);
     }
 
     #[test]

@@ -5,9 +5,8 @@
 //!   (producing a `U` panel block).
 //! * **TSTRF** solves `X U = B` where `U` is the upper part of a factored
 //!   diagonal block and `B` is a block below the diagonal (producing an
-//!   `L` panel block). It is computed through the transposed system
-//!   `Uᵀ Xᵀ = Bᵀ`, a non-unit lower solve, so both operations share one
-//!   engine parameterised by the diagonal mode.
+//!   `L` panel block), natively on the CSC blocks, left-looking over the
+//!   columns of `B`.
 //!
 //! Each has the five variants of Table 1 (`C_V1` merge, `C_V2` direct,
 //! `G_V1` bin-search, `G_V2` bin-search row/dot-product formulation,
@@ -23,14 +22,16 @@
 use pangulu_sparse::{collect_runs, for_each_run, CscMatrix, CsrMatrix, RunSeg, Scalar};
 
 use crate::scratch::{
-    axpy_into_runs, find_in_col, run_friendly, scatter_axpy, scatter_runs, try_direct_axpy,
-    KernelScratch,
+    axpy_into_runs, find_in_col, reset_splits, run_friendly, scatter_axpy, scatter_runs, split_of,
+    try_direct_axpy, KernelScratch,
 };
 use crate::{tile, TrsmVariant};
 
 /// Solves `L X = B` in place (`B` becomes `X`); `diag_lu` is the packed
 /// factor of the diagonal block, of which only the strict lower part is
-/// used (unit diagonal implied).
+/// used (unit diagonal implied). The sparse variants find where a factor
+/// column's strict lower part starts once per call, not once per entry
+/// of `B` that reads it.
 pub fn gessm<S: Scalar>(
     diag_lu: &CscMatrix<S>,
     b: &mut CscMatrix<S>,
@@ -38,9 +39,37 @@ pub fn gessm<S: Scalar>(
     scratch: &mut KernelScratch<S>,
 ) {
     debug_assert_eq!(diag_lu.nrows(), b.nrows(), "GESSM dimension mismatch");
+    scratch.ensure(b.nrows());
+    let KernelScratch { dense, splits, .. } = scratch;
+    reset_splits(splits, diag_lu.ncols());
     match variant {
+        TrsmVariant::CV1 => {
+            for c in 0..b.ncols() {
+                let (rows_c, vals_c) = b.col_mut(c);
+                solve_col_merge(diag_lu, splits, rows_c, vals_c);
+            }
+        }
+        TrsmVariant::CV2 | TrsmVariant::GV3 => {
+            for c in 0..b.ncols() {
+                let (rows_c, vals_c) = b.col_mut(c);
+                solve_col_direct(diag_lu, splits, rows_c, vals_c, dense);
+            }
+        }
+        TrsmVariant::GV1 => {
+            for c in 0..b.ncols() {
+                let (rows_c, vals_c) = b.col_mut(c);
+                solve_col_binsearch(diag_lu, splits, rows_c, vals_c);
+            }
+        }
+        TrsmVariant::GV2 => {
+            // Row/dot-product formulation needs the factor by rows.
+            let l_csr = diag_lu.to_csr();
+            for c in 0..b.ncols() {
+                let (rows_c, vals_c) = b.col_mut(c);
+                solve_col_dot(&l_csr, rows_c, vals_c);
+            }
+        }
         TrsmVariant::DV1 => tile::gessm_tile(diag_lu, b),
-        sparse => lower_solve(diag_lu, None, b, sparse, scratch),
     }
 }
 
@@ -216,53 +245,15 @@ fn tstrf_seq<S: Scalar>(
     }
 }
 
-/// Forward substitution engine: solves `(L or D+L) X = B` in place on `B`.
-/// `diag` of `None` means unit diagonal (GESSM); `Some(d)` divides by
-/// `d[k]` before propagating (TSTRF's transposed system).
-fn lower_solve<S: Scalar>(
-    l: &CscMatrix<S>,
-    diag: Option<&[S]>,
-    b: &mut CscMatrix<S>,
-    variant: TrsmVariant,
-    scratch: &mut KernelScratch<S>,
-) {
-    match variant {
-        TrsmVariant::CV1 => {
-            for c in 0..b.ncols() {
-                let (rows_c, vals_c) = b.col_mut(c);
-                solve_col_merge(l, diag, rows_c, vals_c);
-            }
-        }
-        TrsmVariant::CV2 | TrsmVariant::GV3 => {
-            scratch.ensure(b.nrows());
-            for c in 0..b.ncols() {
-                let (rows_c, vals_c) = b.col_mut(c);
-                solve_col_direct(l, diag, rows_c, vals_c, &mut scratch.dense);
-            }
-        }
-        TrsmVariant::GV1 => {
-            for c in 0..b.ncols() {
-                let (rows_c, vals_c) = b.col_mut(c);
-                solve_col_binsearch(l, diag, rows_c, vals_c);
-            }
-        }
-        TrsmVariant::GV2 => {
-            // Row/dot-product formulation needs the factor by rows.
-            let l_csr = l.to_csr();
-            for c in 0..b.ncols() {
-                let (rows_c, vals_c) = b.col_mut(c);
-                solve_col_dot(&l_csr, diag, rows_c, vals_c);
-            }
-        }
-        TrsmVariant::DV1 => unreachable!("gessm dispatches the dense-tile lane itself"),
-    }
-}
-
 /// Strict-lower slice of column `k` of the factor.
 #[inline]
-fn strict_lower<S: Scalar>(l: &CscMatrix<S>, k: usize) -> (&[usize], &[S]) {
+fn strict_lower<'l, S: Scalar>(
+    l: &'l CscMatrix<S>,
+    splits: &mut [usize],
+    k: usize,
+) -> (&'l [usize], &'l [S]) {
     let (rows, vals) = l.col(k);
-    let start = rows.partition_point(|&i| i <= k);
+    let start = split_of(splits, rows, k);
     (&rows[start..], &vals[start..])
 }
 
@@ -270,20 +261,17 @@ fn strict_lower<S: Scalar>(l: &CscMatrix<S>, k: usize) -> (&[usize], &[S]) {
 /// and the unknown column (both sorted).
 fn solve_col_merge<S: Scalar>(
     l: &CscMatrix<S>,
-    diag: Option<&[S]>,
+    splits: &mut [usize],
     rows_c: &[usize],
     vals_c: &mut [S],
 ) {
     for p in 0..rows_c.len() {
         let k = rows_c[p];
-        if let Some(d) = diag {
-            vals_c[p] /= d[k];
-        }
         let xk = vals_c[p];
         if xk == S::ZERO {
             continue;
         }
-        let (lrows, lvals) = strict_lower(l, k);
+        let (lrows, lvals) = strict_lower(l, splits, k);
         let (tail_rows, tail_vals) = (&rows_c[p + 1..], &mut vals_c[p + 1..]);
         if try_direct_axpy(tail_rows, tail_vals, lrows, lvals, xk) {
             continue;
@@ -306,7 +294,7 @@ fn solve_col_merge<S: Scalar>(
 /// `C_V2` / `G_V3` core: direct addressing through a dense buffer.
 fn solve_col_direct<S: Scalar>(
     l: &CscMatrix<S>,
-    diag: Option<&[S]>,
+    splits: &mut [usize],
     rows_c: &[usize],
     vals_c: &mut [S],
     dense: &mut [S],
@@ -315,14 +303,11 @@ fn solve_col_direct<S: Scalar>(
         dense[r.start..r.start + r.len].copy_from_slice(&vals_c[r.off..r.off + r.len]);
     });
     for &k in rows_c {
-        if let Some(d) = diag {
-            dense[k] /= d[k];
-        }
         let xk = dense[k];
         if xk == S::ZERO {
             continue;
         }
-        let (lrows, lvals) = strict_lower(l, k);
+        let (lrows, lvals) = strict_lower(l, splits, k);
         scatter_axpy(dense, lrows, lvals, xk);
     }
     for_each_run(rows_c, |r| {
@@ -335,20 +320,17 @@ fn solve_col_direct<S: Scalar>(
 /// `G_V1` core: bin-search addressing within the column.
 fn solve_col_binsearch<S: Scalar>(
     l: &CscMatrix<S>,
-    diag: Option<&[S]>,
+    splits: &mut [usize],
     rows_c: &[usize],
     vals_c: &mut [S],
 ) {
     for p in 0..rows_c.len() {
         let k = rows_c[p];
-        if let Some(d) = diag {
-            vals_c[p] /= d[k];
-        }
         let xk = vals_c[p];
         if xk == S::ZERO {
             continue;
         }
-        let (lrows, lvals) = strict_lower(l, k);
+        let (lrows, lvals) = strict_lower(l, splits, k);
         for (&i, &lik) in lrows.iter().zip(lvals) {
             let pos = find_in_col(&rows_c[p + 1..], i)
                 .expect("trsm update target missing: pattern not closed");
@@ -358,16 +340,11 @@ fn solve_col_binsearch<S: Scalar>(
 }
 
 /// `G_V2` core: dot-product (row-oriented) formulation. Each unknown
-/// `x_i` is computed as `(b_i − Σ_{k<i} L(i,k)·x_k) / d_i` by scanning the
+/// `x_i` is computed as `b_i − Σ_{k<i} L(i,k)·x_k` by scanning the
 /// factor's row `i` and binary-searching `x_k` in the column pattern;
 /// entries absent from the pattern are structural zeros and contribute
 /// nothing.
-fn solve_col_dot<S: Scalar>(
-    l_csr: &CsrMatrix<S>,
-    diag: Option<&[S]>,
-    rows_c: &[usize],
-    vals_c: &mut [S],
-) {
+fn solve_col_dot<S: Scalar>(l_csr: &CsrMatrix<S>, rows_c: &[usize], vals_c: &mut [S]) {
     for p in 0..rows_c.len() {
         let i = rows_c[p];
         let mut acc = vals_c[p];
@@ -378,10 +355,7 @@ fn solve_col_dot<S: Scalar>(
                 acc -= lik * vals_c[pos];
             }
         }
-        vals_c[p] = match diag {
-            Some(d) => acc / d[i],
-            None => acc,
-        };
+        vals_c[p] = acc;
     }
 }
 

@@ -322,6 +322,46 @@ fn run_replay_alternating_gaps_and_single_runs() {
     );
 }
 
+/// Random closed patterns heavy in one-entry runs: one to three entries
+/// per row of a 2x2-block step leave the fill sparse, so a step's sources
+/// rarely sit next to each other in its target column. Every replay is
+/// `C_V1` bit for bit in both widths, and across the patterns most runs
+/// are one-entry runs (their tagged form), with longer runs among them.
+#[test]
+fn replay_matches_on_patterns_heavy_in_one_entry_runs() {
+    let mut state = 0x5eed_u64;
+    let mut draw = |m: usize| {
+        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((state >> 33) as usize) % m
+    };
+    let (mut runs, mut singles) = (0u64, 0u64);
+    for _ in 0..64 {
+        let nb = 8 + draw(24);
+        let count = nb + draw(2 * nb);
+        let entries: Vec<_> =
+            (0..count).map(|_| (draw(2 * nb), draw(2 * nb), 0.5 + draw(8) as f64 / 4.0)).collect();
+        let (diag, upper, lower, tail) = blocks(nb, &entries);
+        assert_replay_matches(&diag, &upper, &lower, &tail);
+        assert_replay_matches(
+            &diag.cast::<f32>(),
+            &upper.cast::<f32>(),
+            &lower.cast::<f32>(),
+            &tail.cast::<f32>(),
+        );
+        let (lu, _, _, u_op, l_op, _) = chain(nb, &entries);
+        let mut arena = Vec::new();
+        let plans = [
+            plan::build_getrf_plan(&diag, &mut arena),
+            plan::build_gessm_plan(&lu, &upper, &mut arena),
+            plan::build_tstrf_plan(&lu, &lower, &mut arena),
+            plan::build_ssssm_plan(&l_op, &u_op, &tail, &mut arena),
+        ];
+        runs += plans.iter().map(|p| u64::from(p.unwrap().runs)).sum::<u64>();
+        singles += arena.iter().filter(|&&v| v & plan::SINGLE != 0).count() as u64;
+    }
+    assert!(2 * singles > runs && singles < runs, "{singles} one-entry runs of {runs}");
+}
+
 /// A structurally empty panel (zero stored entries): every builder must
 /// produce a plan with no column and every executor must be a no-op.
 #[test]
@@ -361,10 +401,10 @@ fn structurally_empty_panels_are_noops() {
 /// reaches `n - 1` or `n`: a diagonal block whose first and last columns
 /// are full (its last column's diagonal sits at offset `n - 1` and takes
 /// one `n - 1`-long run), an upper panel whose full first column takes
-/// that run again as a triple, a lower panel whose full first and last
-/// columns make one `n`-long triple, and an SSSSM whose target column
-/// misses one row, so it is not full and takes an `n - 1`-long run plus
-/// one run per other even row.
+/// that run again, a lower panel whose full first and last columns make
+/// one `n`-long run, and an SSSSM whose target column misses one row, so
+/// it is not full and takes an `n - 1`-long run plus a one-entry run per
+/// other even row.
 struct TallStep {
     diag: CscMatrix,
     upper: CscMatrix,
@@ -462,11 +502,12 @@ fn route_tall_step<S: Scalar>(step: &TallStep) -> [bool; 4] {
     planned
 }
 
-/// A 65 535-row block is planned in both widths, its arena elements
-/// reach the top of `u16`, and every replay is `C_V1` bit for bit.
+/// A 32 767-row block — the largest below the tag bit — is planned in
+/// both widths, its arena elements reach the top of the untagged range,
+/// and every replay is `C_V1` bit for bit.
 #[test]
-fn blocks_of_65535_rows_are_planned_at_the_top_of_u16() {
-    let n = usize::from(u16::MAX);
+fn blocks_of_32767_rows_are_planned_below_the_tag_bit() {
+    let n = usize::from(plan::SINGLE) - 1;
     assert!(plan::fits(n));
     let step = tall_step(n);
     assert_eq!(route_tall_step::<f64>(&step), [true; 4]);
@@ -483,16 +524,19 @@ fn blocks_of_65535_rows_are_planned_at_the_top_of_u16() {
         plan::build_ssssm_plan(&step.a, &step.b, &step.c, &mut arena),
     ];
     assert!(plans.iter().all(Option::is_some));
-    // The TSTRF triple's length and the last diagonal positions.
-    assert_eq!(arena.iter().max(), Some(&u16::MAX));
-    assert!(arena.iter().filter(|&&v| v >= u16::MAX - 1).count() >= 3);
+    // The TSTRF run's length and the last diagonal positions, and the
+    // SSSSM's one-entry run at row n - 1 (offset n - 2 past the hole).
+    let plain = || arena.iter().filter(|&&v| v & plan::SINGLE == 0);
+    assert_eq!(plain().max(), Some(&(plan::SINGLE - 1)));
+    assert!(plain().filter(|&&v| v >= plan::SINGLE - 2).count() >= 3);
+    assert!(arena.contains(&(plan::SINGLE | (plan::SINGLE - 3))));
 }
 
 /// One row more and no plan fits: the pool builds nothing and every task
 /// runs its variant, still `C_V1` bit for bit.
 #[test]
-fn blocks_of_65536_rows_run_their_variant() {
-    let n = usize::from(u16::MAX) + 1;
+fn blocks_of_32768_rows_run_their_variant() {
+    let n = usize::from(plan::SINGLE);
     assert!(!plan::fits(n));
     let step = tall_step(n);
     assert_eq!(route_tall_step::<f64>(&step), [false; 4]);
@@ -503,15 +547,18 @@ fn blocks_of_65536_rows_run_their_variant() {
     assert!(arena.is_empty());
 }
 
-/// The width guard is on rows, not entries: an f32 block of 67 600
-/// entries is planned under the shipped gates and replays `C_V1` bit for
-/// bit.
+/// The width guard is on rows, not entries: an f32 block of 67 599
+/// entries — full but for `L(n-1, 0)`, so not the dense-tile lane's — is
+/// planned under the shipped gates and replays `C_V1` bit for bit.
 #[test]
 fn f32_blocks_of_more_than_65535_entries_are_planned() {
     let n = 260;
     let mut coo = CooMatrix::new(n, n);
     for j in 0..n {
         for i in 0..n {
+            if (i, j) == (n - 1, 0) {
+                continue;
+            }
             let v = if i == j { n as f64 } else { ((i * 31 + j * 17) % 13) as f64 / 13.0 - 0.5 };
             coo.push(i, j, v).unwrap();
         }

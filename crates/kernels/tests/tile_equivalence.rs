@@ -3,10 +3,13 @@
 //! — every tile remainder in both dimensions, full and expanded (50–99 %
 //! filled) operands, operand values that are exactly `0.0` (the sparse
 //! kernels skip those, the tile multiplies through), `f64` and `f32` —
-//! and, next to it, of `C_V1` updating full target columns **in place**
-//! against `C_V1` scattering the same column. The lane performs the same
-//! `c -= a·b` subtractions in the same ascending-`k` order, so nothing
-//! here is a tolerance.
+//! its GETRF on full diagonal blocks to `C_V1` and to naive dense loops,
+//! perturbed-pivot count included, on every input (pivot floor on and
+//! off, zero and tiny pivots, `-0.0` entries, NaN), and, next to it,
+//! `C_V1` updating full target columns **in place** against `C_V1`
+//! scattering the same column. The lane performs the same `c -= a·b`
+//! subtractions in the same ascending-`k` order, so nothing here is a
+//! tolerance.
 //!
 //! CI runs this file in a debug and a release build: the claim must hold
 //! with and without vectorisation.
@@ -301,5 +304,119 @@ fn non_finite_operands_stay_non_finite_through_the_tile() {
         trsm::tstrf(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
         trsm::tstrf(&lu, &mut got, TrsmVariant::DV1, &mut scratch);
         non_finite_kept(&want, &got, &format!("TSTRF {poison}"));
+    }
+}
+
+/// `C_V1`'s GETRF as naive dense loops on a column-major `n × n` block:
+/// column `j` takes `k < j` ascending, skips a `U(k, j)` equal to zero,
+/// floors its pivot and divides last.
+fn naive_getrf<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+    let mut perturbed = 0;
+    for j in 0..n {
+        for k in 0..j {
+            let ukj = x[j * n + k];
+            if ukj == S::ZERO {
+                continue;
+            }
+            for r in k + 1..n {
+                x[j * n + r] -= x[k * n + r] * ukj;
+            }
+        }
+        let mut pivot = x[j * n + j];
+        // A NaN pivot fails the test and is counted, as a zero one is.
+        let kept = pivot.abs().to_f64() >= pivot_floor && pivot != S::ZERO;
+        if !kept {
+            perturbed += 1;
+            if pivot_floor > 0.0 {
+                let f = S::from_f64(pivot_floor);
+                pivot = if pivot < S::ZERO { -f } else { f };
+            }
+        }
+        x[j * n + j] = pivot;
+        for r in j + 1..n {
+            x[j * n + r] /= pivot;
+        }
+    }
+    perturbed
+}
+
+/// The GETRF lane on `blk` equals `C_V1` and the naive loops: factor
+/// bits and perturbed-pivot count.
+fn assert_getrf_lane<S: Scalar>(blk: &CscMatrix<S>, pivot_floor: f64, tag: &str) {
+    let mut scratch = KernelScratch::<S>::default();
+    let n = blk.nrows();
+    let tag = format!("GETRF {tag} {n}x{n} floor {pivot_floor:e} {}", S::LABEL);
+    let mut got = blk.clone();
+    let p_tile = getrf::getrf(&mut got, GetrfVariant::DV1, &mut scratch, pivot_floor);
+    let mut want = blk.clone();
+    let p_cv1 = getrf::getrf(&mut want, GetrfVariant::CV1, &mut scratch, pivot_floor);
+    assert_eq!((p_cv1, bits(&want)), (p_tile, bits(&got)), "{tag}: tile != C_V1");
+    let mut naive = blk.values().to_vec();
+    let p_naive = naive_getrf(&mut naive, n, pivot_floor);
+    let naive_bits: Vec<u64> = naive.iter().map(|v| v.to_f64().to_bits()).collect();
+    assert_eq!((p_naive, naive_bits), (p_tile, bits(&got)), "{tag}: tile != naive loops");
+}
+
+/// Full diagonal blocks of order `n` that exercise every branch of the
+/// lane's LU: a well-conditioned one, one with exact `+0.0` and `-0.0`
+/// entries (so `U(k, j)` zeros are skipped, in the product and in the
+/// tiles), one with tiny pivots, one whose first column is zero (a zero
+/// pivot: without a floor its `L` column is non-finite) and one holding a
+/// NaN.
+fn getrf_blocks(n: usize, seed: u64) -> Vec<(&'static str, CscMatrix)> {
+    let rng = &mut Lcg(seed);
+    let dominant = block(n, n, 1.0, 0.0, 4.0 * n as f64, rng);
+    let mut zeros = block(n, n, 1.0, 0.0, 4.0 * n as f64, rng);
+    for (p, v) in zeros.values_mut().iter_mut().enumerate() {
+        if rng.unit() < 0.2 && p % (n + 1) != 0 {
+            *v = if rng.unit() < 0.5 { -0.0 } else { 0.0 };
+        }
+    }
+    let mut tiny = block(n, n, 1.0, 0.0, 0.0, rng);
+    for j in 0..n {
+        tiny.values_mut()[j * n + j] = 1e-30 * (1.0 + j as f64);
+    }
+    let mut zero_pivot = dominant.clone();
+    zero_pivot.values_mut()[..n].fill(0.0);
+    let mut nan = zeros.clone();
+    let at = (rng.unit() * (n * n) as f64) as usize;
+    nan.values_mut()[at.min(n * n - 1)] = f64::NAN;
+    vec![
+        ("dominant", dominant),
+        ("signed zeros", zeros),
+        ("tiny pivots", tiny),
+        ("zero pivot", zero_pivot),
+        ("NaN", nan),
+    ]
+}
+
+/// Every order up to one past the AVX2 instance's 16-row `f32` tile (so
+/// every row and column remainder), the named block sizes and two orders
+/// around 32, in both widths, with the pivot floor off, at the solver's
+/// default and large enough to perturb most pivots.
+#[test]
+fn getrf_lane_matches_cv1_and_the_naive_loops() {
+    let orders = (1..=17).chain([31, 33]).chain(DIMS[9..].iter().copied());
+    for (i, n) in orders.enumerate() {
+        for (tag, blk) in getrf_blocks(n, 4_000 + i as u64) {
+            for pivot_floor in [0.0, 1e-12, 0.5] {
+                assert_getrf_lane(&blk, pivot_floor, tag);
+                assert_getrf_lane(&blk.cast::<f32>(), pivot_floor, tag);
+            }
+        }
+    }
+}
+
+/// The 2 × 2 block of ones: an exact zero pivot after one elimination
+/// step, counted and left in place without a floor, floored with one.
+#[test]
+fn getrf_lane_counts_an_eliminated_zero_pivot() {
+    let ones = CscMatrix::from_parts(2, 2, vec![0, 2, 4], vec![0, 1, 0, 1], vec![1.0; 4]).unwrap();
+    for pivot_floor in [0.0, 1e-8] {
+        assert_getrf_lane(&ones, pivot_floor, "ones");
+        let mut got = ones.clone();
+        let p =
+            getrf::getrf(&mut got, GetrfVariant::DV1, &mut KernelScratch::default(), pivot_floor);
+        assert_eq!((p, got.values()[3]), (1, pivot_floor));
     }
 }

@@ -70,8 +70,10 @@
 #           must equal the sparse kernels bit for bit under BOTH codegen
 #           profiles (debug has no vectorisation, release does): the AVX2
 #           and the portable tile instance each against the naive loops
-#           (the log line `tile instances checked: ...` says which ones
-#           this runner ran), the whole pangulu-kernels package (lib +
+#           of all four classes — GETRF's left-looking LU on full diagonal
+#           blocks among them (the log line `tile instances checked
+#           (GETRF GESSM TSTRF SSSSM): ...` says which instances this
+#           runner ran), the whole pangulu-kernels package (lib +
 #           planned_equivalence + tile_equivalence + kernel_properties,
 #           where every Table 1 variant must give its class's `C_V1`
 #           bits) and the determinism /
@@ -236,8 +238,8 @@ stage_kernels() {
     fi
     for profile in "" --release; do
         echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
-        # Prints which tile instances this runner checked (avx2 + portable,
-        # or portable only).
+        # Prints which tile instances this runner checked for the four
+        # classes (avx2 + portable, or portable only).
         cargo test $profile -q -p pangulu-kernels --lib -- both_tile_instances --nocapture
         cargo test $profile -q -p pangulu-kernels -- --skip both_tile_instances
         cargo test $profile -q --test determinism --test refactor -- dense_tile plan

@@ -282,14 +282,14 @@ fn residuals_hold_across_the_full_matrix() {
 //
 // The rows above run 9-wide blocks, which always replay plans. These use
 // a matrix whose trailing blocks fill in completely at a block size past
-// the planned gates, so SSSSM / GESSM / TSTRF tasks take the dense-tile
-// lane in every executor. The oracle is `seq::factor_sequential`, the
+// the planned gates, so GETRF / SSSSM / GESSM / TSTRF tasks take the
+// dense-tile lane in every executor. The oracle is `seq::factor_sequential`, the
 // unplanned reference sweep: it consults only the Figure 8 trees, never
 // `KernelPlans`, so it stays on the sparse variants.
 
 use pangulu::core::seq::{empty_plans, factor_sequential, factor_sequential_planned};
 use pangulu::core::shared::factor_shared_planned;
-use pangulu::kernels::{KernelPlans, Route, SsssmVariant, TrsmVariant};
+use pangulu::kernels::{GetrfVariant, KernelPlans, Route, SsssmVariant, TrsmVariant};
 use pangulu::sparse::Scalar;
 
 const TILE_NB: usize = 33;
@@ -310,41 +310,45 @@ fn value_bits<S: Scalar>(bm: &BlockMatrix<S>) -> Vec<u64> {
         .collect()
 }
 
-/// Tile-routed `[GESSM, TSTRF, SSSSM]` tasks according to a filled plan
-/// pool — what the unmetered sequential and shared executors ran.
+/// Tile-routed `[GETRF, GESSM, TSTRF, SSSSM]` tasks according to a
+/// filled plan pool — what the unmetered sequential and shared executors
+/// ran.
 fn tile_routes<S: Scalar>(
     plans: &KernelPlans<S>,
     bm: &BlockMatrix<S>,
     tg: &TaskGraph,
     sel: &KernelSelector,
-) -> [u64; 3] {
-    let mut n = [0u64; 3];
+) -> [u64; 4] {
+    let mut n = [0u64; 4];
     for k in 0..bm.nblk() {
         let diag = bm.block(bm.block_id(k, k).unwrap());
+        let route = plans.route_getrf(sel, k, diag);
+        n[0] += u64::from(matches!(route, Route::Variant(GetrfVariant::DV1)));
         for &j in &tg.u_panels[k] {
             let id = bm.block_id(k, j).unwrap();
             let route = plans.route_gessm(sel, id, diag, bm.block(id));
-            n[0] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
+            n[1] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
         }
         for &i in &tg.l_panels[k] {
             let id = bm.block_id(i, k).unwrap();
             let route = plans.route_tstrf(sel, id, diag, bm.block(id));
-            n[1] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
+            n[2] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
         }
     }
     for (slot, &(i, j, k)) in tg.ssssm.iter().enumerate() {
         let a = bm.block(bm.block_id(i, k).unwrap());
         let c = bm.block(bm.block_id(i, j).unwrap());
         let route = plans.route_ssssm(sel, slot, tg.ssssm_flops[slot], a, c);
-        n[2] += u64::from(matches!(route, Route::Variant(SsssmVariant::DV1)));
+        n[3] += u64::from(matches!(route, Route::Variant(SsssmVariant::DV1)));
     }
     n
 }
 
-/// `D_V1` calls `[GESSM, TSTRF, SSSSM]` in a distributed run's kernel tally.
-fn tile_calls(run: &FactorRun) -> [u64; 3] {
+/// `D_V1` calls `[GETRF, GESSM, TSTRF, SSSSM]` in a distributed run's
+/// kernel tally.
+fn tile_calls(run: &FactorRun) -> [u64; 4] {
     let tally = run.report.total_kernels();
-    ["GESSM", "TSTRF", "SSSSM"].map(|class| {
+    ["GETRF", "GESSM", "TSTRF", "SSSSM"].map(|class| {
         tally.entries().find(|(c, v, _)| *c == class && *v == "D_V1").map_or(0, |(.., s)| s.calls)
     })
 }
@@ -393,7 +397,7 @@ fn ssssm_routes<S: Scalar>(
     n
 }
 
-fn assert_lane_ran(calls: [u64; 3], tag: &str) {
+fn assert_lane_ran(calls: [u64; 4], tag: &str) {
     assert!(calls.iter().all(|&c| c >= 1), "{tag}: a class never took the tile lane: {calls:?}");
 }
 

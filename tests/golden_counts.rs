@@ -87,13 +87,13 @@ const LAPLACIAN_2D: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            1079, 9065320, 2048, 2048, 85, 323, 323, 1317, 14458192, 714, 1079, 1823, 7511322,
-            5940004, 791916, 6719406, 0, 0, 0, 5, 5,
+            1079, 9065320, 2048, 2048, 85, 323, 323, 1317, 14458192, 714, 1079, 1822, 7288022,
+            4357520, 788088, 6499934, 0, 0, 0, 5, 5,
         ],
         flops: [43275220.0, 43275220.0],
         residual: 6.624044340585632e-15,
     },
-    mixed: [4545608, 5940004, 4, 0, 4],
+    mixed: [4545608, 4357520, 4, 0, 4],
     mixed_residual: 2.793289535510508e-15,
 };
 
@@ -108,13 +108,13 @@ const CIRCUIT: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            712, 2967984, 1194, 1194, 54, 196, 196, 748, 4714312, 445, 712, 845, 473304, 1454448,
-            202367, 270937, 0, 0, 0, 5, 5,
+            712, 2967984, 1194, 1194, 54, 196, 196, 748, 4714312, 445, 712, 844, 472919, 887946,
+            202312, 270607, 0, 0, 0, 5, 5,
         ],
         flops: [5816518.0, 5816518.0],
         residual: 2.678999027185755e-16,
     },
-    mixed: [1492536, 1454448, 2, 0, 4],
+    mixed: [1492536, 887946, 2, 0, 4],
     mixed_residual: 1.5675144590249424e-16,
 };
 
@@ -128,13 +128,13 @@ const FEM_BLOCKED: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            349, 1558392, 552, 552, 32, 98, 98, 324, 2438624, 225, 349, 527, 1202679, 1182216,
-            143436, 1059243, 0, 0, 0, 5, 5,
+            349, 1558392, 552, 552, 32, 98, 98, 324, 2438624, 225, 349, 526, 1175245, 876628,
+            142490, 1032755, 0, 0, 0, 5, 5,
         ],
         flops: [2918525.0, 2918525.0],
         residual: 2.8993928746604734e-16,
     },
-    mixed: [783384, 1182216, 2, 0, 4],
+    mixed: [783384, 876628, 2, 0, 4],
     mixed_residual: 2.0238554785408097e-16,
 };
 
@@ -149,13 +149,13 @@ const KKT: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            850, 12801312, 3228, 3228, 30, 262, 262, 2674, 23131688, 553, 850, 1438, 5467581,
-            2272992, 363090, 5104491, 0, 0, 0, 5, 5,
+            850, 12801312, 3228, 3228, 30, 262, 262, 2674, 23131688, 553, 850, 1429, 923175,
+            1155006, 304576, 618599, 0, 0, 0, 5, 5,
         ],
         flops: [906155072.0, 906155072.0],
         residual: 8.286217847511829e-16,
     },
-    mixed: [6410856, 2272992, 2, 0, 4],
+    mixed: [6410856, 1155006, 2, 0, 4],
     mixed_residual: 1.5042107669736666e-16,
 };
 
@@ -170,13 +170,13 @@ const CAGE_LIKE: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            490, 5500016, 1442, 1442, 29, 167, 167, 1079, 9625440, 362, 490, 906, 4063413, 3480570,
-            561183, 3502230, 0, 0, 0, 5, 5,
+            490, 5500016, 1442, 1442, 29, 167, 167, 1079, 9625440, 362, 490, 901, 2150103, 2167472,
+            535241, 1614862, 0, 0, 0, 5, 5,
         ],
         flops: [142202518.0, 142202518.0],
         residual: 3.0865232502335987e-16,
     },
-    mixed: [2755888, 3480570, 2, 0, 4],
+    mixed: [2755888, 2167472, 2, 0, 4],
     mixed_residual: 1.376427892445986e-16,
 };
 
@@ -190,13 +190,13 @@ const DENSE_BANDED: Golden = Golden {
     },
     refactor: Row {
         exact: [
-            98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 98, 113, 1045813, 573698, 88828,
+            98, 1292744, 113, 113, 29, 28, 28, 28, 1982352, 70, 98, 113, 1045813, 468940, 88828,
             956985, 0, 0, 0, 5, 5,
         ],
         flops: [2137197.0, 2137197.0],
         residual: 3.577619340292426e-16,
     },
-    mixed: [647548, 573698, 2, 0, 4],
+    mixed: [647548, 468940, 2, 0, 4],
     mixed_residual: 2.203918045845309e-16,
 };
 
@@ -363,10 +363,10 @@ fn dense_banded() {
 /// pool holds for them (arena plus one slot each), and the FLOPs of one
 /// SSSSM call.
 const KERNEL_PLANS: [(usize, u64, u64, f64); 4] = [
-    (16, 2356, 3264, 2032.0),
-    (32, 8024, 8482, 6116.0),
-    (64, 1271, 2448, 1338.0),
-    (128, 2494, 4386, 2644.0),
+    (16, 2356, 2308, 2032.0),
+    (32, 8024, 5944, 6116.0),
+    (64, 1271, 1428, 1338.0),
+    (128, 2494, 3090, 2644.0),
 ];
 
 /// Plans GESSM, TSTRF and SSSSM over one arena, requires each planned

@@ -590,10 +590,11 @@ fn phase_counters_track_cached_vs_recomputed_phases() {
     assert_eq!((steady.numeric_runs, steady.analysis_reuses), (2, 2));
 }
 
-/// `D_V1` calls `[GESSM, TSTRF, SSSSM]` of the solver's latest numeric run.
-fn tile_calls(solver: &Solver) -> [u64; 3] {
+/// `D_V1` calls `[GETRF, GESSM, TSTRF, SSSSM]` of the solver's latest
+/// numeric run.
+fn tile_calls(solver: &Solver) -> [u64; 4] {
     let tally = solver.stats().report.as_ref().expect("multi-rank report").total_kernels();
-    ["GESSM", "TSTRF", "SSSSM"].map(|class| {
+    ["GETRF", "GESSM", "TSTRF", "SSSSM"].map(|class| {
         tally.entries().find(|(c, v, _)| *c == class && *v == "D_V1").map_or(0, |(.., s)| s.calls)
     })
 }
@@ -620,7 +621,7 @@ fn dense_tile_lane_steady_state_builds_nothing_new() {
     let original = factor_bits(solver.factored());
 
     let a2 = perturb(&a);
-    let (mut built, mut steady_tile) = (PlanStats::default(), [0; 3]);
+    let (mut built, mut steady_tile) = (PlanStats::default(), [0; 4]);
     for rep in 1..=3 {
         solver.refactor(if rep % 2 == 1 { &a2 } else { &a }).unwrap();
         if rep == 2 {
@@ -630,9 +631,13 @@ fn dense_tile_lane_steady_state_builds_nothing_new() {
         if rep == 1 {
             assert!(s.bytes > 0, "the first refactor built no plans for the sparse tasks");
             (built, steady_tile) = (s, tile_calls(&solver));
-            // SSSSM onto a full target never had a plan to lose the task to.
-            assert!(steady_tile[..2].iter().zip(&first_tile).all(|(s, f)| 1 <= *s && s <= f));
-            assert_eq!(steady_tile[2], first_tile[2]);
+            // A full diagonal block or an SSSSM onto a full target never
+            // had a plan to lose the task to.
+            assert!(steady_tile[1..3]
+                .iter()
+                .zip(&first_tile[1..3])
+                .all(|(s, f)| 1 <= *s && s <= f));
+            assert_eq!((steady_tile[0], steady_tile[3]), (first_tile[0], first_tile[3]));
         }
         assert_eq!(s.bytes, built.bytes, "rep {rep}: the lane grew the plan arena");
         assert_eq!(s.build_ns, built.build_ns, "rep {rep}: something was rebuilt");
