@@ -31,7 +31,7 @@ pub fn run() -> Result<Csv> {
         let prep = crate::prepare(&a, 1)?;
 
         // Measured kernel-selection factor (real sequential runs).
-        let base_sel = KernelSelector::baseline(a.nnz());
+        let base_sel = KernelSelector::baseline();
         let adapt_sel = KernelSelector::new(a.nnz(), Thresholds::default());
         let mut bm1 = prep.bm.clone();
         let t_base = factor_sequential(&mut bm1, &prep.tg, &base_sel, 1e-12).total_time();

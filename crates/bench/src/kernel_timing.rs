@@ -296,9 +296,9 @@ pub fn crossover(samples: &[Sample], class: &str, small: &str, big: &str) -> Opt
 /// *any* unplanned variant beats `planned` in bucket-median time.
 ///
 /// The classic [`crossover`] pits two named variants; the planned gate
-/// needs a harder comparison, because above its cut the tree falls back
-/// to whichever unplanned variant *it* would pick (e.g. the
-/// dense-addressed `C_V2` once `gessm_cv1`/`ssssm_cv1` are exceeded).
+/// needs a harder comparison, because above its cut the selection falls
+/// back to whichever unplanned variant *it* picks (e.g. the
+/// dense-addressed `C_V2` above the GESSM and TSTRF merge cuts).
 /// Comparing planned execution against `C_V1` alone would keep the gate
 /// open in exactly the region where the dense variants win.
 pub fn crossover_vs_best(samples: &[Sample], class: &str, planned: &str) -> Option<f64> {

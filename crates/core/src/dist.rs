@@ -916,7 +916,6 @@ mod tests {
             gessm_planned: f64::INFINITY,
             tstrf_planned: f64::INFINITY,
             ssssm_planned: f64::INFINITY,
-            ..Thresholds::default()
         };
         let sel = KernelSelector::new(a.nnz(), open);
         let owners = OwnerMap::block_cyclic(&bm, ProcessGrid::new(4));

@@ -238,7 +238,7 @@ mod tests {
         };
         let baseline = {
             let mut bm = BlockMatrix::from_filled(&f, 9).unwrap();
-            let sel = KernelSelector::baseline(a.nnz());
+            let sel = KernelSelector::baseline();
             factor_sequential(&mut bm, &tg, &sel, 0.0);
             bm.to_csc()
         };
@@ -289,10 +289,9 @@ mod tests {
         // degrades to the unplanned sweep — same bits — and builds nothing.
         let a = ensure_diagonal(&gen::random_sparse(30, 0.2, 9)).unwrap();
         let f = filled(&a);
-        for sel in [
-            KernelSelector::baseline(a.nnz()),
-            KernelSelector::new(a.nnz(), Thresholds::unplanned()),
-        ] {
+        for sel in
+            [KernelSelector::baseline(), KernelSelector::new(a.nnz(), Thresholds::unplanned())]
+        {
             let mut reference = BlockMatrix::from_filled(&f, 8).unwrap();
             let tg = TaskGraph::build(&reference);
             factor_sequential(&mut reference, &tg, &sel, 0.0);

@@ -25,12 +25,12 @@
 //! transitively closed under the elimination rule, so every update target
 //! structurally exists; kernels `debug_assert` this instead of allocating.
 //!
-//! [`select`] implements the decision trees of Figure 8 that pick a
-//! variant per block from `nnz` / FLOP features. One leaf is not in the
-//! paper's table: the **dense-tile lane** `D_V1` ([`tile`]), which
-//! blocks that fill-in has made completely dense take for all four
-//! classes — bitwise equal to the sparse variants, without their index
-//! traffic.
+//! [`select`] picks a variant per block from `nnz` / FLOP features: the
+//! decision trees of Figure 8 with the leaves this host's calibration
+//! found, as constants. One leaf is not in the paper's table: the
+//! **dense-tile lane** `D_V1` ([`tile`]), which blocks that fill-in has
+//! made completely dense take for all four classes — bitwise equal to
+//! the sparse variants, without their index traffic.
 
 pub mod flops;
 pub mod getrf;

@@ -1150,8 +1150,7 @@ mod tests {
         let open = KernelSelector::new(1_000, Thresholds::default());
         pool.build(&open, |add| add(PlanTask::Getrf { slot: 0, a: &diag }));
         let stats = pool.stats();
-        for sel in
-            [KernelSelector::new(1_000, Thresholds::unplanned()), KernelSelector::baseline(1_000)]
+        for sel in [KernelSelector::new(1_000, Thresholds::unplanned()), KernelSelector::baseline()]
         {
             pool.build(&sel, |add| {
                 add(PlanTask::Gessm { slot: 0, diag_lu: &diag, b: &upper });

@@ -1,12 +1,14 @@
-//! Decision-tree kernel selection (paper §4.3, Figure 8).
+//! Kernel selection (paper §4.3, Figure 8).
 //!
 //! PanguLU picks a kernel variant per block from cheap structural
 //! features: `nnz` of the operand for the panel kernels, the FLOP count
-//! for SSSSM, gated by the global matrix size (`nnz(A) < 5e6` in the
-//! paper). The trees here keep the paper's exact structure; the cut
-//! points are [`Thresholds`] fields so the calibration harness
-//! (`fig08_calibrate`) can re-fit them for this machine — the shipped
-//! defaults come from such a calibration run.
+//! for SSSSM. The paper's trees cut at 1E3.8–1E9.6, fitted to GPU
+//! kernels. Here every variant runs on its task's thread, and the
+//! calibration harness (`fig08_calibrate`) put all but two of those cuts
+//! at infinity on this host: the trees the library ships are the
+//! calibrated leaves below, written as constants, and reach `C_V1` and
+//! `C_V2` only. What stays tunable is the four planned gates of
+//! [`Thresholds`].
 //!
 //! One leaf is decided from structure rather than a threshold: the
 //! dense-tile lane `D_V1` ([`crate::tile`]) for blocks that fill-in has
@@ -37,94 +39,56 @@ use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 /// measures next to it.
 pub const TILE_MIN_FILL: f64 = 0.5;
 
-/// Tunable cut points of the four decision trees.
-///
-/// Field names follow the paper's figure: `1E3.8` becomes `10f64.powf(3.8)`
-/// scaled down to container-size blocks.
+// The calibrated leaves, from `fig08_calibrate` on the reference
+// single-core container. No "G" variant wins a bucket there — each runs
+// on the task's thread, either a CPU variant's loop or a bin-search one
+// that loses to direct and merge addressing — so GETRF always takes
+// `C_V1`, and the paper's matrix-size gate (`nnz(A) < 5e6`) is not
+// carried: its big-matrix side would send every panel solve to `G_V2`,
+// which copies the diagonal block to CSR on each call (5.8× and 7.6×
+// `C_V2`'s time on the GESSM / TSTRF tasks of `data/fig07_kernels.csv`).
+// What adapts is the addressing method, the paper's real decision axis.
+
+/// GESSM: below this operand nnz `C_V1` (merge addressing), else the
+/// dense-addressed `C_V2`.
+const GESSM_MERGE_BELOW: usize = 130;
+
+/// TSTRF: below this operand nnz `C_V1`, else `C_V2` — TSTRF prefers
+/// its dense addressing from small sizes up.
+const TSTRF_MERGE_BELOW: usize = 32;
+
+// SSSSM always takes `C_V1`: total-time wise the direct kernel wins from
+// small sizes up on this host (the scatter overhead is repaid by the
+// contiguous-run fast path).
+
+/// The planned gates: below its cut a block replays its precomputed
+/// index plan (`P_V1`) instead of the variant selection picks. Not in
+/// the paper — plans are this repo's analysis-reuse layer;
+/// `fig08_calibrate` fits the cuts from planned-vs-unplanned crossovers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Thresholds {
-    /// Global gate: below this total matrix nnz the "small matrix" side of
-    /// the GESSM/TSTRF trees is used (paper: 5e6).
-    pub big_matrix_nnz: f64,
-    /// GETRF: below this block nnz use `C_V1` (paper: 1E3.8).
-    pub getrf_cpu: f64,
-    /// GETRF: below this block nnz use `G_V1`, else `G_V2` (paper: 1E4).
-    pub getrf_gv1: f64,
-    /// GESSM small-matrix side: below → `C_V1` (paper: 1E3.9).
-    pub gessm_cv1: f64,
-    /// GESSM small-matrix side: below → `C_V2`, else `G_V1` (paper: 1E4.1).
-    pub gessm_cv2: f64,
-    /// GESSM big-matrix side: below → `G_V2`, else `G_V3` (paper: 1E4.3).
-    pub gessm_gv2: f64,
-    /// TSTRF small-matrix side: below → `C_V1` (paper: 1E3.8).
-    pub tstrf_cv1: f64,
-    /// TSTRF small-matrix side: below → `C_V2`, else `G_V1` (paper: 1E4).
-    pub tstrf_cv2: f64,
-    /// TSTRF big-matrix side: below → `G_V2`, else `G_V3` (paper: 1E4.3).
-    pub tstrf_gv2: f64,
-    /// SSSSM: below this FLOP count → CPU side (paper: 1E7).
-    pub ssssm_cpu: f64,
-    /// SSSSM CPU side: below → `C_V1`, else `C_V2` (paper: 1E4.8).
-    pub ssssm_cv1: f64,
-    /// SSSSM GPU side: below → `G_V1`, else `G_V2` (paper: 1E9.6).
-    pub ssssm_gv1: f64,
-    /// GETRF planned gate: below this block nnz the precomputed index
-    /// plan (`P_V1`) replaces the tree's pick. Not in the paper — plans
-    /// are this repo's analysis-reuse layer; `fig08_calibrate` fits the
-    /// cut from planned-vs-unplanned crossovers.
+    /// GETRF planned gate (diagonal block nnz).
     pub getrf_planned: f64,
-    /// GESSM planned gate (block nnz).
+    /// GESSM planned gate (operand block nnz).
     pub gessm_planned: f64,
-    /// TSTRF planned gate (block nnz).
+    /// TSTRF planned gate (operand block nnz).
     pub tstrf_planned: f64,
     /// SSSSM planned gate (update FLOPs).
     pub ssssm_planned: f64,
 }
 
 impl Default for Thresholds {
+    /// Plans replay the *scalar* index walk, so they win where per-call
+    /// index discovery dominates the arithmetic and lose to the
+    /// dense-addressed variants once blocks fill in (a dense scatter is
+    /// itself search-free and amortises over batched updates). The
+    /// TSTRF/SSSSM cuts are the `fig08_calibrate` planned-vs-best-unplanned
+    /// crossovers; GETRF planning never lost a bucket. The GESSM cut
+    /// mirrors TSTRF's — the single-call harvest keeps its gate open, but
+    /// end-to-end A/B on the smoke corpus shows the merge replay losing to
+    /// `C_V2` above ~1e3 nnz once operand blocks stop being cache-resident.
     fn default() -> Self {
-        // Calibrated by `fig08_calibrate` on the reference single-core
-        // container. Two honest findings of that run: (1) no "G" variant
-        // wins a bucket — each runs on the task's thread, either a CPU
-        // variant's loop or a bin-search one that loses to direct and
-        // merge addressing — so their cut points sit at infinity; (2) the
-        // addressing-method crossovers (the paper's real decision axis)
-        // land at: GESSM merge → dense around 4e3 nnz, TSTRF and SSSSM
-        // prefer their V2 addressing from small sizes up.
         Thresholds {
-            // Every matrix takes the small-matrix side, whatever its
-            // size: on the big-matrix side a `gessm_gv2` / `tstrf_gv2`
-            // cut at infinity would send every panel solve to `G_V2`,
-            // which copies the diagonal block to CSR on each call (5.8×
-            // and 7.6× `C_V2`'s time on the GESSM / TSTRF tasks of
-            // `data/fig07_kernels.csv`), and the calibration never fits
-            // those two cuts.
-            big_matrix_nnz: f64::INFINITY,
-            getrf_cpu: f64::INFINITY,
-            getrf_gv1: f64::INFINITY,
-            gessm_cv1: 1.3e2,
-            gessm_cv2: f64::INFINITY,
-            gessm_gv2: f64::INFINITY,
-            tstrf_cv1: 3.2e1,
-            tstrf_cv2: f64::INFINITY,
-            tstrf_gv2: f64::INFINITY,
-            ssssm_cpu: f64::INFINITY,
-            // Total-time wise, the direct kernel wins from small sizes up
-            // on this host (the scatter overhead is repaid by the
-            // contiguous-run fast path), so C_V1 handles everything.
-            ssssm_cv1: f64::INFINITY,
-            ssssm_gv1: f64::INFINITY,
-            // Planned gates: plans replay the *scalar* index walk, so
-            // they win where per-call index discovery dominates the
-            // arithmetic and lose to the dense-addressed variants once
-            // blocks fill in (a dense scatter is itself search-free and
-            // amortises over batched updates). The TSTRF/SSSSM cuts are
-            // the `fig08_calibrate` planned-vs-best-unplanned
-            // crossovers; GETRF planning never lost a bucket. The GESSM
-            // cut mirrors TSTRF's — the single-call harvest keeps its
-            // gate open, but end-to-end A/B on the smoke corpus shows
-            // the merge replay losing to `C_V2` above ~1e3 nnz once
-            // operand blocks stop being cache-resident.
             getrf_planned: f64::INFINITY,
             gessm_planned: 1.0e3,
             tstrf_planned: 1.0e3,
@@ -134,134 +98,84 @@ impl Default for Thresholds {
 }
 
 impl Thresholds {
-    /// The paper's published cut points (Figure 8), for GPU-class hosts
-    /// and for tests exercising the full tree shape.
-    pub fn paper() -> Self {
-        Thresholds {
-            big_matrix_nnz: 5e6,
-            getrf_cpu: 10f64.powf(3.8),
-            getrf_gv1: 1e4,
-            gessm_cv1: 10f64.powf(3.9),
-            gessm_cv2: 10f64.powf(4.1),
-            gessm_gv2: 10f64.powf(4.3),
-            tstrf_cv1: 10f64.powf(3.8),
-            tstrf_cv2: 1e4,
-            tstrf_gv2: 10f64.powf(4.3),
-            ssssm_cpu: 1e7,
-            ssssm_cv1: 10f64.powf(4.8),
-            ssssm_gv1: 10f64.powf(9.6),
-            getrf_planned: f64::INFINITY,
-            gessm_planned: f64::INFINITY,
-            tstrf_planned: f64::INFINITY,
-            ssssm_planned: f64::INFINITY,
-        }
-    }
-
-    /// The calibrated defaults with all four planned gates closed (cuts
-    /// at 0): every task runs the variant its tree picks and no kernel
-    /// plan is ever built — the unplanned arm of A/B benches and of the
-    /// planned-vs-unplanned bitwise tests.
+    /// All four planned gates closed (cuts at 0): every task runs the
+    /// variant selection picks and no kernel plan is ever built — the
+    /// unplanned arm of A/B benches and of the planned-vs-unplanned
+    /// bitwise tests.
     pub fn unplanned() -> Self {
         Thresholds {
             getrf_planned: 0.0,
             gessm_planned: 0.0,
             tstrf_planned: 0.0,
             ssssm_planned: 0.0,
-            ..Thresholds::default()
         }
     }
 }
 
-/// Selects kernel variants per block; one instance per factorisation,
-/// constructed with the global matrix nnz that gates the trees.
+/// Selects kernel variants per block; one instance per factorisation.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelSelector {
     thresholds: Thresholds,
-    global_nnz: f64,
     /// When `false`, selection is bypassed and the baseline (first CPU)
     /// variant is always returned — the "Baseline" bars of Figure 14.
     adaptive: bool,
 }
 
 impl KernelSelector {
-    /// Creates a selector for a matrix with `global_nnz` stored entries.
-    pub fn new(global_nnz: usize, thresholds: Thresholds) -> Self {
-        KernelSelector { thresholds, global_nnz: global_nnz as f64, adaptive: true }
+    /// Creates a selector with these planned gates. The matrix's stored
+    /// entry count is not read: the calibrated leaves do not depend on
+    /// the matrix size.
+    pub fn new(_global_nnz: usize, thresholds: Thresholds) -> Self {
+        KernelSelector { thresholds, adaptive: true }
     }
 
     /// A selector that always answers with the fixed pre-selection
     /// kernels — the bin-search family PanguLU inherited from the SFLU
     /// line of work — for the Figure 14 ablation's "Baseline" bars.
-    pub fn baseline(global_nnz: usize) -> Self {
-        KernelSelector {
-            thresholds: Thresholds::default(),
-            global_nnz: global_nnz as f64,
-            adaptive: false,
-        }
+    pub fn baseline() -> Self {
+        KernelSelector { thresholds: Thresholds::default(), adaptive: false }
     }
 
-    /// Figure 8(a): GETRF from the diagonal block nnz.
-    pub fn getrf(&self, nnz_block: usize) -> GetrfVariant {
-        if !self.adaptive {
-            return GetrfVariant::GV1;
-        }
-        let t = &self.thresholds;
-        let nnz = nnz_block as f64;
-        if nnz < t.getrf_cpu {
+    /// GETRF from the diagonal block nnz: always `C_V1`.
+    pub fn getrf(&self, _nnz_block: usize) -> GetrfVariant {
+        if self.adaptive {
             GetrfVariant::CV1
-        } else if nnz < t.getrf_gv1 {
+        } else {
             GetrfVariant::GV1
-        } else {
-            GetrfVariant::GV2
         }
     }
 
-    /// Figure 8(b): GESSM from the operand block nnz.
+    /// GESSM from the operand block nnz.
     pub fn gessm(&self, nnz_b: usize) -> TrsmVariant {
-        if !self.adaptive {
-            return TrsmVariant::GV1;
-        }
-        let t = &self.thresholds;
-        let nnz = nnz_b as f64;
-        if self.global_nnz < t.big_matrix_nnz {
-            if nnz < t.gessm_cv1 {
-                TrsmVariant::CV1
-            } else if nnz < t.gessm_cv2 {
-                TrsmVariant::CV2
-            } else {
-                TrsmVariant::GV1
-            }
-        } else if nnz < t.gessm_gv2 {
-            TrsmVariant::GV2
-        } else {
-            TrsmVariant::GV3
-        }
+        self.trsm(nnz_b, GESSM_MERGE_BELOW)
     }
 
-    /// Figure 8(c): TSTRF from the operand block nnz.
+    /// TSTRF from the operand block nnz.
     pub fn tstrf(&self, nnz_b: usize) -> TrsmVariant {
+        self.trsm(nnz_b, TSTRF_MERGE_BELOW)
+    }
+
+    fn trsm(&self, nnz_b: usize, merge_below: usize) -> TrsmVariant {
         if !self.adaptive {
-            return TrsmVariant::GV1;
-        }
-        let t = &self.thresholds;
-        let nnz = nnz_b as f64;
-        if self.global_nnz < t.big_matrix_nnz {
-            if nnz < t.tstrf_cv1 {
-                TrsmVariant::CV1
-            } else if nnz < t.tstrf_cv2 {
-                TrsmVariant::CV2
-            } else {
-                TrsmVariant::GV1
-            }
-        } else if nnz < t.tstrf_gv2 {
-            TrsmVariant::GV2
+            TrsmVariant::GV1
+        } else if nnz_b < merge_below {
+            TrsmVariant::CV1
         } else {
-            TrsmVariant::GV3
+            TrsmVariant::CV2
         }
     }
 
-    /// Whether the precomputed index plan should replace the GETRF tree
-    /// pick for a block with `nnz_block` entries. Always `false` for the
+    /// SSSSM from the update's FLOP count: always `C_V1`.
+    pub fn ssssm(&self, _flops: f64) -> SsssmVariant {
+        if self.adaptive {
+            SsssmVariant::CV1
+        } else {
+            SsssmVariant::GV1
+        }
+    }
+
+    /// Whether the precomputed index plan should replace the GETRF pick
+    /// for a block with `nnz_block` entries. Always `false` for the
     /// baseline (pre-selection) selector — plans are part of the
     /// adaptive layer.
     pub fn planned_getrf(&self, nnz_block: usize) -> bool {
@@ -284,8 +198,8 @@ impl KernelSelector {
     }
 
     /// The GETRF leaf for diagonal block `a`: the dense-tile lane when it
-    /// is full, else the Figure 8(a) tree. Structure only — no value is
-    /// read — and never for the baseline selector's fixed kernels.
+    /// is full, else [`Self::getrf`]. Structure only — no value is read —
+    /// and never for the baseline selector's fixed kernels.
     pub fn getrf_on<S: Scalar>(&self, a: &CscMatrix<S>) -> GetrfVariant {
         if self.adaptive && is_full(a) {
             GetrfVariant::DV1
@@ -302,7 +216,7 @@ impl KernelSelector {
     }
 
     /// The GESSM leaf for `L X = B` on these blocks: the dense-tile lane
-    /// when both are full, else the Figure 8(b) tree.
+    /// when both are full, else [`Self::gessm`].
     pub fn gessm_on<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> TrsmVariant {
         if self.tile_panel(diag_lu, b) {
             TrsmVariant::DV1
@@ -312,7 +226,7 @@ impl KernelSelector {
     }
 
     /// The TSTRF leaf for `X U = B` on these blocks: the dense-tile lane
-    /// when both are full, else the Figure 8(c) tree.
+    /// when both are full, else [`Self::tstrf`].
     pub fn tstrf_on<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> TrsmVariant {
         if self.tile_panel(diag_lu, b) {
             TrsmVariant::DV1
@@ -323,8 +237,8 @@ impl KernelSelector {
 
     /// The SSSSM leaf for `C ← C − A·B` of `flops` model FLOPs: the
     /// dense-tile lane when the target is full and the update is at
-    /// least [`TILE_MIN_FILL`] of the padded dense product, else the
-    /// Figure 8(d) tree. Structure only, like the panel leaves.
+    /// least [`TILE_MIN_FILL`] of the padded dense product, else
+    /// [`Self::ssssm`]. Structure only, like the panel leaves.
     pub fn ssssm_on<S: Scalar>(
         &self,
         flops: f64,
@@ -338,25 +252,6 @@ impl KernelSelector {
             self.ssssm(flops)
         }
     }
-
-    /// Figure 8(d): SSSSM from the update's FLOP count.
-    pub fn ssssm(&self, flops: f64) -> SsssmVariant {
-        if !self.adaptive {
-            return SsssmVariant::GV1;
-        }
-        let t = &self.thresholds;
-        if flops < t.ssssm_cpu {
-            if flops < t.ssssm_cv1 {
-                SsssmVariant::CV1
-            } else {
-                SsssmVariant::CV2
-            }
-        } else if flops < t.ssssm_gv1 {
-            SsssmVariant::GV1
-        } else {
-            SsssmVariant::GV2
-        }
-    }
 }
 
 #[cfg(test)]
@@ -364,78 +259,48 @@ mod tests {
     use super::*;
     use crate::tile::dense_block;
 
+    /// The selection the library ships, pinned on a log grid of the
+    /// features (nnz 0…1e9, FLOPs 0…1e12) plus the cut points: every
+    /// class's variant and planned gate for the default thresholds,
+    /// `unplanned()` and the Figure 14 baseline, whatever matrix size the
+    /// selector was given.
     #[test]
-    fn getrf_tree_is_monotone() {
-        let s = KernelSelector::new(1_000, Thresholds::paper());
-        assert_eq!(s.getrf(10), GetrfVariant::CV1);
-        assert_eq!(s.getrf(8_000), GetrfVariant::GV1);
-        assert_eq!(s.getrf(50_000), GetrfVariant::GV2);
-    }
-
-    #[test]
-    fn gessm_tree_gates_on_matrix_size() {
-        let small = KernelSelector::new(1_000, Thresholds::paper());
-        let big = KernelSelector::new(10_000_000, Thresholds::paper());
-        assert_eq!(small.gessm(100), TrsmVariant::CV1);
-        assert_eq!(small.gessm(10_000), TrsmVariant::CV2);
-        assert_eq!(small.gessm(50_000), TrsmVariant::GV1);
-        assert_eq!(big.gessm(100), TrsmVariant::GV2);
-        assert_eq!(big.gessm(50_000), TrsmVariant::GV3);
-    }
-
-    #[test]
-    fn tstrf_tree_mirrors_gessm_shape() {
-        let s = KernelSelector::new(1_000, Thresholds::paper());
-        assert_eq!(s.tstrf(100), TrsmVariant::CV1);
-        assert_eq!(s.tstrf(8_000), TrsmVariant::CV2);
-        assert_eq!(s.tstrf(30_000), TrsmVariant::GV1);
-    }
-
-    #[test]
-    fn ssssm_tree_uses_flops() {
-        let s = KernelSelector::new(1_000, Thresholds::paper());
-        assert_eq!(s.ssssm(10.0), SsssmVariant::CV1);
-        assert_eq!(s.ssssm(1e5), SsssmVariant::CV2);
-        assert_eq!(s.ssssm(1e8), SsssmVariant::GV1);
-        assert_eq!(s.ssssm(1e10), SsssmVariant::GV2);
-    }
-
-    #[test]
-    fn calibrated_defaults_stay_on_cpu_variants() {
-        // The shipped calibration: "G" kernels are never selected; the
-        // addressing method still adapts.
-        let s = KernelSelector::new(1_000, Thresholds::default());
-        assert_eq!(s.getrf(1_000_000), GetrfVariant::CV1);
-        assert_eq!(s.gessm(100), TrsmVariant::CV1);
-        assert_eq!(s.gessm(100_000), TrsmVariant::CV2);
-        assert_eq!(s.tstrf(100_000), TrsmVariant::CV2);
-        assert_eq!(s.ssssm(1e9), SsssmVariant::CV1);
-    }
-
-    #[test]
-    fn calibrated_defaults_ignore_the_matrix_size() {
-        let small = KernelSelector::new(1_000, Thresholds::default());
-        let big = KernelSelector::new(10_000_000, Thresholds::default());
-        for e in 0..=40 {
-            let x = 10f64.powf(f64::from(e) / 4.0);
-            let nnz = x as usize;
-            assert_eq!(big.getrf(nnz), small.getrf(nnz), "getrf, nnz {nnz}");
-            assert_eq!(big.gessm(nnz), small.gessm(nnz), "gessm, nnz {nnz}");
-            assert_eq!(big.tstrf(nnz), small.tstrf(nnz), "tstrf, nnz {nnz}");
-            assert_eq!(big.ssssm(x), small.ssssm(x), "ssssm, flops {x}");
-            assert_eq!(big.planned_gessm(nnz), small.planned_gessm(nnz));
-            assert_eq!(big.planned_tstrf(nnz), small.planned_tstrf(nnz));
-            assert_eq!(big.planned_ssssm(x), small.planned_ssssm(x));
+    fn selection_table_is_the_calibrated_closed_form() {
+        let cuts = [31.0, 32.0, 129.0, 130.0, 999.0, 1e3, 32_999.0, 3.3e4];
+        let grid: Vec<f64> = std::iter::once(0.0)
+            .chain((0..=48).map(|e| 10f64.powf(f64::from(e) / 4.0)))
+            .chain(cuts)
+            .collect();
+        let selectors = [
+            (KernelSelector::new(1_000, Thresholds::default()), true, true),
+            (KernelSelector::new(10_000_000, Thresholds::default()), true, true),
+            (KernelSelector::new(1_000, Thresholds::unplanned()), true, false),
+            (KernelSelector::new(10_000_000, Thresholds::unplanned()), true, false),
+            (KernelSelector::baseline(), false, false),
+        ];
+        for (s, adaptive, planned) in selectors {
+            for &flops in &grid {
+                let ssssm = if adaptive { SsssmVariant::CV1 } else { SsssmVariant::GV1 };
+                assert_eq!(s.ssssm(flops), ssssm, "ssssm, flops {flops}");
+                assert_eq!(s.planned_ssssm(flops), planned && flops < 3.3e4, "flops {flops}");
+                if flops > 1e9 {
+                    continue;
+                }
+                let nnz = flops as usize;
+                let (getrf, gessm, tstrf) = if !adaptive {
+                    (GetrfVariant::GV1, TrsmVariant::GV1, TrsmVariant::GV1)
+                } else {
+                    let trsm = |cut| if nnz < cut { TrsmVariant::CV1 } else { TrsmVariant::CV2 };
+                    (GetrfVariant::CV1, trsm(130), trsm(32))
+                };
+                assert_eq!(s.getrf(nnz), getrf, "getrf, nnz {nnz}");
+                assert_eq!(s.gessm(nnz), gessm, "gessm, nnz {nnz}");
+                assert_eq!(s.tstrf(nnz), tstrf, "tstrf, nnz {nnz}");
+                assert_eq!(s.planned_getrf(nnz), planned, "getrf gate, nnz {nnz}");
+                assert_eq!(s.planned_gessm(nnz), planned && nnz < 1_000, "gessm gate, nnz {nnz}");
+                assert_eq!(s.planned_tstrf(nnz), planned && nnz < 1_000, "tstrf gate, nnz {nnz}");
+            }
         }
-    }
-
-    #[test]
-    fn baseline_always_answers_binsearch_family() {
-        let s = KernelSelector::baseline(10_000_000);
-        assert_eq!(s.getrf(1_000_000), GetrfVariant::GV1);
-        assert_eq!(s.gessm(1_000_000), TrsmVariant::GV1);
-        assert_eq!(s.tstrf(1_000_000), TrsmVariant::GV1);
-        assert_eq!(s.ssssm(1e12), SsssmVariant::GV1);
     }
 
     #[test]
@@ -460,7 +325,7 @@ mod tests {
         assert_eq!(s.ssssm_on(640.0, &full, &holed), s.ssssm(640.0), "target must be full");
 
         // The fixed pre-selection kernels of the Figure 14 baseline stay.
-        let base = KernelSelector::baseline(1_000);
+        let base = KernelSelector::baseline();
         assert_eq!(base.gessm_on(&full, &wide), TrsmVariant::GV1);
         assert_eq!(base.tstrf_on(&full, &full), TrsmVariant::GV1);
         assert_eq!(base.getrf_on(&full), GetrfVariant::GV1);
@@ -481,7 +346,7 @@ mod tests {
         assert!(!adaptive.planned_ssssm(1e12));
 
         for closed in
-            [KernelSelector::baseline(1_000), KernelSelector::new(1_000, Thresholds::unplanned())]
+            [KernelSelector::baseline(), KernelSelector::new(1_000, Thresholds::unplanned())]
         {
             assert!(!closed.planned_getrf(0));
             assert!(!closed.planned_gessm(0));

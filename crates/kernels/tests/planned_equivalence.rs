@@ -454,7 +454,6 @@ fn route_tall_step<S: Scalar>(step: &TallStep) -> [bool; 4] {
         gessm_planned: f64::INFINITY,
         tstrf_planned: f64::INFINITY,
         ssssm_planned: f64::INFINITY,
-        ..Thresholds::default()
     };
     let sel = KernelSelector::new(1 << 20, open);
     let n = diag.nrows();

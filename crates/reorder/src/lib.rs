@@ -316,7 +316,7 @@ fn choose_ordering(g: &Graph, method: FillReducing) -> Result<Chosen> {
         }
         FillReducing::NestedDissection => {
             // Without a limit the dissection always finishes.
-            let d = nd::dissect(g, nd::NdOptions::default(), usize::MAX);
+            let d = nd::dissect(g, usize::MAX);
             postordered_chosen(g, method, d.order, d.deferred)
         }
         FillReducing::Rcm => Ok(Chosen::plain(method, rcm::order(g)?)),
@@ -329,7 +329,7 @@ fn choose_ordering(g: &Graph, method: FillReducing) -> Result<Chosen> {
                     // Nested dissection can prove it loses before it ends:
                     // then it is neither postordered nor counted.
                     FillReducing::NestedDissection => {
-                        let d = nd::dissect(g, nd::NdOptions::default(), limit);
+                        let d = nd::dissect(g, limit);
                         if d.abandoned {
                             None
                         } else {
@@ -491,10 +491,7 @@ mod tests {
     fn raw_orderings(sym: &CscMatrix) -> [(FillReducing, Permutation); 2] {
         [
             (FillReducing::Amd, amd::amd_order(sym).unwrap()),
-            (
-                FillReducing::NestedDissection,
-                nd::nested_dissection(sym, nd::NdOptions::default()).unwrap(),
-            ),
+            (FillReducing::NestedDissection, nd::nested_dissection(sym).unwrap()),
         ]
     }
 
@@ -647,11 +644,11 @@ mod tests {
             ("kkt", symmetrize(&gen::kkt(600, 280, 2)).unwrap()),
         ] {
             let g = Graph::from_pattern(&a).unwrap();
-            let d = nd::dissect(&g, nd::NdOptions::default(), usize::MAX);
+            let d = nd::dissect(&g, usize::MAX);
             assert!(!d.abandoned);
             let perm = Permutation::from_vec(d.order).unwrap();
             let fill = fill_of(&a, &perm).unwrap();
-            let within = |limit| nd::dissect(&g, nd::NdOptions::default(), limit);
+            let within = |limit| nd::dissect(&g, limit);
             // Its bound is at most its fill: at that limit it finishes,
             // with the same order. Above n: the fixture has separators.
             let at_fill = within(fill);
@@ -674,7 +671,7 @@ mod tests {
         let m = mc64::mc64(&a).unwrap();
         let new_row = m.row_perm.inverse();
         let g = Graph::with_rows_moved(&a, |i| new_row.old_of(i)).unwrap();
-        let d = nd::dissect(&g, nd::NdOptions::default(), amd);
+        let d = nd::dissect(&g, amd);
         assert!(d.abandoned && d.order.len() < a.ncols(), "{} of {}", d.order.len(), a.ncols());
     }
 }

@@ -11,25 +11,16 @@ use crate::amd::order_graph;
 use crate::Graph;
 use pangulu_sparse::{CscMatrix, Permutation, Result};
 
-/// Options for the nested dissection recursion.
-#[derive(Debug, Clone, Copy)]
-pub struct NdOptions {
-    /// Subgraphs at or below this size are ordered with minimum degree.
-    pub leaf_size: usize,
-    /// Maximum recursion depth (safety bound for pathological graphs).
-    pub max_depth: usize,
-}
+/// Subgraphs at or below this size are ordered with minimum degree.
+const LEAF_SIZE: usize = 64;
 
-impl Default for NdOptions {
-    fn default() -> Self {
-        NdOptions { leaf_size: 64, max_depth: 32 }
-    }
-}
+/// Maximum recursion depth (safety bound for pathological graphs).
+const MAX_DEPTH: usize = 32;
 
 /// Computes a nested-dissection permutation (`perm[new] = old`) of the
 /// pattern of `A + Aᵀ`.
-pub fn nested_dissection(a: &CscMatrix, opts: NdOptions) -> Result<Permutation> {
-    Permutation::from_vec(dissect(&Graph::from_pattern(a)?, opts, usize::MAX).order)
+pub fn nested_dissection(a: &CscMatrix) -> Result<Permutation> {
+    Permutation::from_vec(dissect(&Graph::from_pattern(a)?, usize::MAX).order)
 }
 
 /// A nested-dissection order, or the start of one that was given up.
@@ -52,11 +43,10 @@ pub(crate) struct Dissection {
 /// vertices of S are joined by a path through that part, so by the path
 /// lemma (Rose–Tarjan–Lueker) S is a clique of the filled graph, and
 /// separators are disjoint: nnz(L+U) ≥ n + Σ|S|(|S| − 1).
-pub(crate) fn dissect(g: &Graph, opts: NdOptions, limit: usize) -> Dissection {
+pub(crate) fn dissect(g: &Graph, limit: usize) -> Dissection {
     let n = g.n();
     let mut d = Dissector {
         graph: g,
-        opts,
         owner: vec![0; n],
         subgraphs: 0,
         slot: vec![0; n],
@@ -81,7 +71,6 @@ struct Abandoned;
 /// reset when the step returns.
 struct Dissector<'g> {
     graph: &'g Graph,
-    opts: NdOptions,
     owner: Vec<usize>,
     subgraphs: usize,
     /// Per owned vertex: its BFS level during a search, its local index
@@ -118,7 +107,7 @@ impl Dissector<'_> {
         vertices: Vec<usize>,
         depth: usize,
     ) -> std::result::Result<(), Abandoned> {
-        if vertices.len() <= self.opts.leaf_size || depth >= self.opts.max_depth {
+        if vertices.len() <= LEAF_SIZE || depth >= MAX_DEPTH {
             self.order_leaf(&vertices);
             return Ok(());
         }
@@ -254,14 +243,14 @@ mod tests {
     #[test]
     fn valid_permutation_on_grid() {
         let a = gen::laplacian_2d(20, 20);
-        let p = nested_dissection(&a, NdOptions::default()).unwrap();
+        let p = nested_dissection(&a).unwrap();
         assert_eq!(p.len(), 400);
     }
 
     #[test]
     fn beats_natural_order_on_grid() {
         let a = gen::laplacian_2d(24, 24);
-        let p = nested_dissection(&a, NdOptions::default()).unwrap();
+        let p = nested_dissection(&a).unwrap();
         let fill_nd = fill_of(&a, &p).unwrap();
         let fill_nat = fill_of(&a, &Permutation::identity(a.ncols())).unwrap();
         assert!(fill_nd < fill_nat, "ND {fill_nd} should beat natural {fill_nat}");
@@ -270,13 +259,13 @@ mod tests {
     #[test]
     fn small_graph_delegates_to_leaf() {
         let a = gen::laplacian_2d(4, 4);
-        let p = nested_dissection(&a, NdOptions::default()).unwrap();
+        let p = nested_dissection(&a).unwrap();
         assert_eq!(p.len(), 16);
     }
 
     #[test]
     fn disconnected_graph_handled() {
-        // Two disjoint 1-D chains.
+        // Two disjoint 1-D chains, each above the leaf size.
         let n = 140;
         let mut coo = pangulu_sparse::CooMatrix::new(n, n);
         for i in 0..n {
@@ -291,22 +280,22 @@ mod tests {
             coo.push(i + 1, i, -1.0).unwrap();
         }
         let a = coo.to_csc();
-        let p = nested_dissection(&a, NdOptions { leaf_size: 16, max_depth: 32 }).unwrap();
+        let p = nested_dissection(&a).unwrap();
         assert_eq!(p.len(), n);
     }
 
     #[test]
     fn deterministic() {
         let a = gen::laplacian_2d(15, 17);
-        let p1 = nested_dissection(&a, NdOptions::default()).unwrap();
-        let p2 = nested_dissection(&a, NdOptions::default()).unwrap();
+        let p1 = nested_dissection(&a).unwrap();
+        let p2 = nested_dissection(&a).unwrap();
         assert_eq!(p1, p2);
     }
 
     #[test]
     fn empty_graph() {
         let a = CscMatrix::zeros(0, 0);
-        let p = nested_dissection(&a, NdOptions::default()).unwrap();
+        let p = nested_dissection(&a).unwrap();
         assert_eq!(p.len(), 0);
     }
 }

@@ -101,10 +101,7 @@ fn assert_equal_fill_postorders(sym: &CscMatrix) {
         |p: &Permutation| nnz_lu_within(sym.col_ptr(), sym.row_idx(), p, usize::MAX).unwrap();
     let raws = [
         (FillReducing::Amd, amd::amd_order(sym).unwrap()),
-        (
-            FillReducing::NestedDissection,
-            nd::nested_dissection(sym, nd::NdOptions::default()).unwrap(),
-        ),
+        (FillReducing::NestedDissection, nd::nested_dissection(sym).unwrap()),
     ];
     for (method, raw) in raws {
         let perm = fill_reducing_ordering(sym, method).unwrap();

@@ -85,7 +85,12 @@
 #           route == later planned route on every executor and width
 #           (see docs/KERNEL_PLANS.md "When plans are built"). First a
 #           grep guard keeps `PlanIdx`/`PlanIndex` out of crates/*/src
-#           (plans hold one u16 arena at every precision), and last
+#           (plans hold one u16 arena at every precision), and another
+#           fails if the non-test code of crates/kernels/src/select.rs
+#           defines `fn paper` or gives `Thresholds` a field other than
+#           the four planned gates (the calibrated leaves are private
+#           constants: the selection shipped is the one the solver
+#           runs); last
 #           `--test build_peak` (release) holds `plan_bytes` to what the
 #           first refactor keeps and the plan build under the steady
 #           refactor's peak (docs/KERNEL_PLANS.md "Memory")
@@ -234,6 +239,24 @@ stage_kernels() {
     if grep -rnE 'PlanIdx|PlanIndex' crates/*/src; then
         echo "ci.sh: kernel plans keep one u16 arena of column-relative" \
             "offsets; there is no per-scalar plan index type" >&2
+        return 1
+    fi
+    echo "--- one kernel selection: no paper() and only the four planned gates in Thresholds"
+    # Non-test code only: the file stops at its first #[cfg(test)].
+    if awk '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+        /fn paper[[:space:](<]/ { print FILENAME ":" FNR ": " $0; found = 1 }
+        /^pub struct Thresholds/ { inside = 1; next }
+        inside && /^}/ { inside = 0 }
+        inside && /^[[:space:]]*(pub[[:space:]]+)?[[:alnum:]_]+[[:space:]]*:/ &&
+            !/^[[:space:]]*pub (getrf|gessm|tstrf|ssssm)_planned: f64,$/ {
+            print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }
+    ' crates/kernels/src/select.rs; then
+        echo "ci.sh: the selection the library ships is the one the solver runs:" \
+            "its leaves are constants in select.rs, and Thresholds holds only" \
+            "the four planned gates" >&2
         return 1
     fi
     for profile in "" --release; do

@@ -11,7 +11,8 @@
 //! * [`symbolic`] — elimination trees and symmetric-pruning symbolic
 //!   factorisation;
 //! * [`kernels`] — the 17 block-wise sparse BLAS kernels of the paper's
-//!   Table 1 and the decision-tree kernel selection of Figure 8;
+//!   Table 1 and the kernel selection of Figure 8, as calibrated on this
+//!   host;
 //! * [`comm`] — the message-passing runtime substrate (rank mailboxes,
 //!   cost model, platform profiles);
 //! * [`core`] — the two-layer block structure, the static load-balancing

@@ -170,9 +170,10 @@ fn panic_message_within(limit: Duration, factor: impl FnOnce() + Send + 'static)
 /// A 9 × 9 matrix in 3 × 3 blocks whose one step-0 update, onto block
 /// (1, 1), needs fill entries (4, 3) and (3, 4) that were never added
 /// (the pattern is structurally symmetric, as tiling requires, but was
-/// not symbolically filled). `C_V2` finds its target by binary search
-/// there and panics; every other task waits on that update, directly or
-/// through GETRF(1), and both ranks of any two-rank map own one of them.
+/// not symbolically filled). The baseline selector's `G_V1` runs `C_V2`'s
+/// loop, which finds its target by binary search there and panics; every
+/// other task waits on that update, directly or through GETRF(1), and
+/// both ranks of any two-rank map own one of them.
 fn unfilled_problem() -> (BlockMatrix, TaskGraph, KernelSelector) {
     let mut coo = CooMatrix::new(9, 9);
     for i in 0..9 {
@@ -185,8 +186,7 @@ fn unfilled_problem() -> (BlockMatrix, TaskGraph, KernelSelector) {
     let a = coo.to_csc();
     let bm = BlockMatrix::from_filled(&a, 3).unwrap();
     let tg = TaskGraph::build(&bm);
-    let c_v2 = Thresholds { ssssm_cpu: f64::INFINITY, ssssm_cv1: 0.0, ..Thresholds::unplanned() };
-    (bm, tg, KernelSelector::new(a.nnz(), c_v2))
+    (bm, tg, KernelSelector::baseline())
 }
 
 #[test]
