@@ -1367,10 +1367,11 @@ impl Solver {
         let _ = writeln!(out, "kernel plans: {}", self.kernel_plans_summary());
         let _ = writeln!(
             out,
-            "lanes: {} (dense tile {}x{TILE_COLS} f64 / {}x{TILE_COLS} f32, panel sweeps)",
-            isa::lanes(),
+            "lanes: dense tile {} ({}x{TILE_COLS} f64 / {}x{TILE_COLS} f32), panel sweeps {}",
+            isa::tile_lane(),
             tile_rows::<f64>(),
             tile_rows::<f32>(),
+            isa::sweep_lane(),
         );
         // Kept between solves; mixed factors never take it.
         let ws = self.panel_bytes();
@@ -2149,9 +2150,15 @@ mod tests {
     fn report_names_the_sweep_instance() {
         let a = gen::laplacian_2d(8, 8);
         let report = Solver::factor(&a).unwrap().report(&a);
-        let line = match isa::lanes() {
-            "avx2" => "lanes: avx2 (dense tile 8x4 f64 / 16x4 f32, panel sweeps)\n",
-            _ => "lanes: portable (dense tile 4x4 f64 / 8x4 f32, panel sweeps)\n",
+        let line = match (isa::tile_lane(), isa::sweep_lane()) {
+            ("avx512", "avx2") => {
+                "lanes: dense tile avx512 (32x4 f64 / 64x4 f32), panel sweeps avx2\n"
+            }
+            ("avx2", "avx2") => "lanes: dense tile avx2 (8x4 f64 / 16x4 f32), panel sweeps avx2\n",
+            ("portable", "portable") => {
+                "lanes: dense tile portable (4x4 f64 / 8x4 f32), panel sweeps portable\n"
+            }
+            other => panic!("no report line for instances {other:?}"),
         };
         assert!(report.contains(line), "missing {line:?} in:\n{report}");
     }

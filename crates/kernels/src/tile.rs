@@ -44,21 +44,24 @@
 //!
 //! **Instances and tile shapes.** The four entry points dispatch alike
 //! (the panel and update sweep at one point, GETRF's at another): on a
-//! CPU with AVX2 ([`crate::isa::avx2`]) they run an
-//! `#[target_feature(enable = "avx2")]` instance of the generic sweep,
+//! CPU with AVX-512 ([`crate::isa::avx512`]) they run an
+//! `#[target_feature(enable = "avx512f")]` instance of the generic sweep,
+//! else on one with AVX2 ([`crate::isa::avx2`]) an `avx2` instance,
 //! elsewhere its portable (SSE2) instance — the pattern of `pangulu-core`'s
 //! `sweep_panel`. The tile shape belongs to the instance: `NR = 4`
-//! columns in both; `MR = 4` rows for `f64` and 8 for `f32` in the
+//! columns in all three; `MR = 4` rows for `f64` and 8 for `f32` in the
 //! portable one ([`TILE_ROWS_F64`]), 8 and 16 in the AVX2 one
-//! ([`TILE_ROWS_F64_AVX2`]) — eight vector accumulators either way, `f32`
-//! holding the same bytes per tile column as `f64` at twice the lanes.
-//! The taller tile, not the wider vectors alone, is what pays (measured,
-//! see docs/PERFORMANCE.md "Dense-tile lane"). Only `avx2` is enabled,
-//! never `fma`, so both instances perform the same multiplies and
-//! subtractions in the same order and give the same bits. Remainders run
-//! through the same micro-kernel at halved heights and widths (…, 2, 1),
-//! never through a scalar clean-up loop, so every shape keeps the order
-//! *and* the speed.
+//! ([`TILE_ROWS_F64_AVX2`]) — eight vector accumulators either way — and
+//! 32 and 64 in the AVX-512 one ([`TILE_ROWS_F64_AVX512`]), sixteen; `f32`
+//! holds the same bytes per tile column as `f64` at twice the lanes. The
+//! taller tile, not the wider vectors alone, is what pays (measured, see
+//! docs/PERFORMANCE.md "Dense-tile lane"). No instance fuses a multiply
+//! into its subtraction (`avx512f` implies `fma` for code generation, but
+//! Rust never contracts `c - a*b`), so all three perform the same
+//! multiplies and subtractions in the same order and give the same bits.
+//! Remainders run through the same micro-kernel at halved heights and
+//! widths (…, 2, 1), never through a scalar clean-up loop, so every shape
+//! keeps the order *and* the speed.
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -75,6 +78,9 @@ pub const TILE_ROWS_F64: usize = 4;
 /// `f64` tile rows of the AVX2 instance; its `f32` tiles are twice as
 /// tall.
 pub const TILE_ROWS_F64_AVX2: usize = 8;
+/// `f64` tile rows of the AVX-512 instance; its `f32` tiles are twice as
+/// tall.
+pub const TILE_ROWS_F64_AVX512: usize = 32;
 
 /// Tile rows for `S` in the instance whose `f64` tiles are `rows_f64`
 /// tall: `f32` fits twice the lanes in the same bytes.
@@ -88,7 +94,13 @@ const fn tile_height<S: Scalar>(rows_f64: usize) -> usize {
 
 /// Tile rows for `S` in the instance this CPU runs.
 pub fn tile_rows<S: Scalar>() -> usize {
-    tile_height::<S>(if isa::avx2() { TILE_ROWS_F64_AVX2 } else { TILE_ROWS_F64 })
+    tile_height::<S>(if isa::avx512() {
+        TILE_ROWS_F64_AVX512
+    } else if isa::avx2() {
+        TILE_ROWS_F64_AVX2
+    } else {
+        TILE_ROWS_F64
+    })
 }
 
 /// The three operations of the lane, each on an `m × n` column-major
@@ -215,7 +227,7 @@ fn row_tiles<S: Scalar, const MR: usize, const NR: usize>(
 }
 
 /// One `NR`-wide column group: full-height tiles first (the instance's
-/// height for `S`, at most 16), the row remainder at halved heights.
+/// height for `S`, at most 64), the row remainder at halved heights.
 #[inline(always)]
 fn col_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
     op: Op<'_, S>,
@@ -226,6 +238,12 @@ fn col_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
 ) {
     let top = tile_height::<S>(ROWS_F64);
     let mut i0 = 0;
+    if top >= 64 {
+        row_tiles::<S, 64, NR>(op, x, m, n, &mut i0, j0);
+    }
+    if top >= 32 {
+        row_tiles::<S, 32, NR>(op, x, m, n, &mut i0, j0);
+    }
     if top >= 16 {
         row_tiles::<S, 16, NR>(op, x, m, n, &mut i0, j0);
     }
@@ -243,8 +261,8 @@ fn col_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
 /// it — this one order gives both, and SSSSM does not care. The `NR`
 /// columns of `B` stay in L1 while `A` streams past once per group;
 /// measured against rows-outer it is ≈ 20 % faster at `nb = 119`.
-/// `ROWS_F64` names the instance ([`TILE_ROWS_F64`] or
-/// [`TILE_ROWS_F64_AVX2`]).
+/// `ROWS_F64` names the instance ([`TILE_ROWS_F64`],
+/// [`TILE_ROWS_F64_AVX2`] or [`TILE_ROWS_F64_AVX512`]).
 #[inline(always)]
 fn sweep<S: Scalar, const ROWS_F64: usize>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
     let mut j0 = 0;
@@ -261,6 +279,14 @@ fn sweep<S: Scalar, const ROWS_F64: usize>(op: Op<'_, S>, x: &mut [S], m: usize,
     }
 }
 
+/// [`sweep`] compiled for AVX-512 with its 16-accumulator tile. Nothing
+/// is fused, so the bits are the portable instance's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sweep_avx512<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+    sweep::<S, TILE_ROWS_F64_AVX512>(op, x, m, n);
+}
+
 /// [`sweep`] compiled for AVX2 with its taller tile. Only `avx2` is
 /// enabled, not `fma`, so the bits are the portable instance's.
 #[cfg(target_arch = "x86_64")]
@@ -269,10 +295,15 @@ fn sweep_avx2<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
     sweep::<S, TILE_ROWS_F64_AVX2>(op, x, m, n);
 }
 
-/// The lane's one dispatch point: the AVX2 instance where the CPU has
-/// it, else the portable one.
+/// The lane's one dispatch point: the widest instance the CPU runs.
 #[inline(always)]
 fn sweep_dispatched<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+    #[cfg(target_arch = "x86_64")]
+    if isa::avx512() {
+        // SAFETY: `sweep_avx512` enables only `avx512f`, which the CPU
+        // was just detected to support.
+        return unsafe { sweep_avx512(op, x, m, n) };
+    }
     #[cfg(target_arch = "x86_64")]
     if isa::avx2() {
         // SAFETY: `sweep_avx2` enables only `avx2`, which the CPU was
@@ -419,6 +450,12 @@ fn lu_rows<S: Scalar, const ROWS_F64: usize, const NR: usize>(
 ) {
     let top = tile_height::<S>(ROWS_F64);
     let mut i0 = start;
+    if top >= 64 {
+        lu_tiles::<S, 64, NR>(x, lu, part, &mut i0, end, j0);
+    }
+    if top >= 32 {
+        lu_tiles::<S, 32, NR>(x, lu, part, &mut i0, end, j0);
+    }
     if top >= 16 {
         lu_tiles::<S, 16, NR>(x, lu, part, &mut i0, end, j0);
     }
@@ -464,6 +501,13 @@ fn lu_sweep<S: Scalar, const ROWS_F64: usize>(x: &mut [S], n: usize, pivot_floor
     lu.perturbed
 }
 
+/// [`lu_sweep`] compiled for AVX-512, as [`sweep_avx512`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn lu_sweep_avx512<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+    lu_sweep::<S, TILE_ROWS_F64_AVX512>(x, n, pivot_floor)
+}
+
 /// [`lu_sweep`] compiled for AVX2, as [`sweep_avx2`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -474,6 +518,12 @@ fn lu_sweep_avx2<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
 /// The GETRF sweep's dispatch point, as [`sweep_dispatched`].
 #[inline(always)]
 fn lu_dispatched<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if isa::avx512() {
+        // SAFETY: `lu_sweep_avx512` enables only `avx512f`, which the CPU
+        // was just detected to support.
+        return unsafe { lu_sweep_avx512(x, n, pivot_floor) };
+    }
     #[cfg(target_arch = "x86_64")]
     if isa::avx2() {
         // SAFETY: `lu_sweep_avx2` enables only `avx2`, which the CPU was
@@ -671,18 +721,72 @@ mod tests {
     /// One GETRF sweep of the lane over an `n × n` block.
     type LuSweep<S> = fn(&mut [S], usize, f64) -> usize;
 
-    /// Both dispatch outcomes — the instance the entry points pick on
-    /// this CPU (AVX2 where present, with its taller tile) and the
-    /// portable one called directly — give the naive loops' bits for
-    /// SSSSM, GESSM and TSTRF, in `f64` and `f32`, at every height up to
-    /// one past the tallest tile and every width up to one past a tile,
-    /// and for GETRF at every order up to one past the tallest tile, with
-    /// and without exact zeros (`+0.0` and `-0.0`) in the block.
+    /// [`sweep_avx512`] behind its probe, as a safe function.
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_sweep<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+        assert!(isa::avx512());
+        // SAFETY: the CPU runs `avx512f`, checked above.
+        unsafe { sweep_avx512(op, x, m, n) }
+    }
+
+    /// [`lu_sweep_avx512`] behind its probe, as a safe function.
+    #[cfg(target_arch = "x86_64")]
+    fn avx512_lu<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+        assert!(isa::avx512());
+        // SAFETY: the CPU runs `avx512f`, checked above.
+        unsafe { lu_sweep_avx512(x, n, pivot_floor) }
+    }
+
+    /// [`sweep_avx2`] behind its probe, as a safe function.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_sweep<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
+        assert!(isa::avx2());
+        // SAFETY: the CPU runs `avx2`, checked above.
+        unsafe { sweep_avx2(op, x, m, n) }
+    }
+
+    /// [`lu_sweep_avx2`] behind its probe, as a safe function.
+    #[cfg(target_arch = "x86_64")]
+    fn avx2_lu<S: Scalar>(x: &mut [S], n: usize, pivot_floor: f64) -> usize {
+        assert!(isa::avx2());
+        // SAFETY: the CPU runs `avx2`, checked above.
+        unsafe { lu_sweep_avx2(x, n, pivot_floor) }
+    }
+
+    /// Every tile instance this CPU runs, widest (the dispatched one)
+    /// first: its name, its sweep and its GETRF sweep.
+    fn instances<S: Scalar>() -> Vec<(&'static str, Sweep<S>, LuSweep<S>)> {
+        let mut all: Vec<(&'static str, Sweep<S>, LuSweep<S>)> = Vec::new();
+        #[cfg(target_arch = "x86_64")]
+        {
+            if isa::avx512() {
+                all.push(("avx512", avx512_sweep::<S>, avx512_lu::<S>));
+            }
+            if isa::avx2() {
+                all.push(("avx2", avx2_sweep::<S>, avx2_lu::<S>));
+            }
+        }
+        all.push(("portable", sweep::<S, TILE_ROWS_F64>, lu_sweep::<S, TILE_ROWS_F64>));
+        all
+    }
+
+    /// Heights (and GETRF orders) to check: every one up to one past the
+    /// AVX2 instance's 16-row `f32` tile, one below, at and one past the
+    /// AVX-512 instance's 32- and 64-row tiles, and kkt's 69 and 119.
+    fn heights() -> impl Iterator<Item = usize> {
+        (1..=17).chain([31, 32, 33, 63, 64, 65, 69, 119])
+    }
+
+    /// Every instance this CPU runs (AVX-512, AVX2, portable) gives the
+    /// naive loops' bits for SSSSM, GESSM and TSTRF, in `f64` and `f32`,
+    /// at every height of [`heights`] and every width up to 9, and for
+    /// GETRF at every order of [`heights`], with and without exact zeros
+    /// (`+0.0` and `-0.0`) in the block.
     #[test]
     fn both_tile_instances_match_the_naive_loops_bitwise() {
-        fn check_lu<S: Scalar>(instance: LuSweep<S>) {
+        fn check_lu<S: Scalar>(name: &str, instance: LuSweep<S>) {
             let bits = |x: &[S]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
-            for n in 1..=17 {
+            for n in heights() {
                 let block: Vec<S> =
                     dense_block(n, n, 6).values().iter().map(|&v| S::from_f64(v)).collect();
                 let mut zeros = block.clone();
@@ -695,24 +799,21 @@ mod tests {
                     for floor in [0.0, 1e-3] {
                         let (mut got, mut want) = (x0.clone(), x0.clone());
                         let perturbed = instance(&mut got, n, floor);
-                        assert_eq!(perturbed, naive_lu(&mut want, n, floor), "{} {n}", S::LABEL);
-                        assert_eq!(bits(&got), bits(&want), "GETRF {} {n}x{n}", S::LABEL);
+                        let tag = format!("GETRF {name} {} {n}x{n}", S::LABEL);
+                        assert_eq!(perturbed, naive_lu(&mut want, n, floor), "{tag}");
+                        assert_eq!(bits(&got), bits(&want), "{tag}");
                     }
                 }
             }
         }
-        check_lu::<f64>(lu_dispatched::<f64>);
-        check_lu::<f64>(lu_sweep::<f64, TILE_ROWS_F64>);
-        check_lu::<f32>(lu_dispatched::<f32>);
-        check_lu::<f32>(lu_sweep::<f32, TILE_ROWS_F64>);
 
-        fn check<S: Scalar>(instance: Sweep<S>) {
+        fn check<S: Scalar>(name: &str, instance: Sweep<S>) {
             let dense = |m: usize, n: usize, salt: usize| -> Vec<S> {
                 dense_block(m, n, salt).values().iter().map(|&v| S::from_f64(v)).collect()
             };
             let bits = |x: &[S]| x.iter().map(|v| v.to_f64().to_bits()).collect::<Vec<_>>();
-            for m in 1..=17 {
-                for n in 1..=5 {
+            for m in heights() {
+                for n in 1..=9 {
                     let c0 = dense(m, n, 3);
                     let (lu_m, lu_n) = (dense(m, m, 4), dense(n, n, 5));
                     let mut ops = vec![Op::Gessm { l: &lu_m }, Op::Tstrf { u: &lu_n }];
@@ -723,21 +824,26 @@ mod tests {
                         let (mut got, mut want) = (c0.clone(), c0.clone());
                         instance(op, &mut got, m, n);
                         naive(op, &mut want, m, n);
-                        assert_eq!(bits(&got), bits(&want), "{} {m}x{n}", S::LABEL);
+                        assert_eq!(bits(&got), bits(&want), "{name} {} {m}x{n}", S::LABEL);
                     }
                 }
             }
         }
-        check::<f64>(sweep_dispatched::<f64>);
-        check::<f64>(sweep::<f64, TILE_ROWS_F64>);
-        check::<f32>(sweep_dispatched::<f32>);
-        check::<f32>(sweep::<f32, TILE_ROWS_F64>);
-        match isa::lanes() {
-            "avx2" => println!("tile instances checked (GETRF GESSM TSTRF SSSSM): avx2 and portable"),
-            _ => println!(
-                "tile instances checked (GETRF GESSM TSTRF SSSSM): portable only (this CPU has no AVX2)"
-            ),
+
+        for (name, sweep, lu) in instances::<f64>() {
+            check_lu::<f64>(name, lu);
+            check::<f64>(name, sweep);
         }
+        for (name, sweep, lu) in instances::<f32>() {
+            check_lu::<f32>(name, lu);
+            check::<f32>(name, sweep);
+        }
+        let names: Vec<_> = instances::<f64>().iter().map(|i| i.0).collect();
+        let checked = match names.as_slice() {
+            [init @ .., last] if !init.is_empty() => format!("{} and {last}", init.join(", ")),
+            _ => "portable only (this CPU has no AVX2)".to_string(),
+        };
+        println!("tile instances checked (GETRF GESSM TSTRF SSSSM): {checked}");
     }
 
     /// Expansion tiles are grown once and then reused: a second call of

@@ -25,6 +25,10 @@ use pangulu_sparse::{CooMatrix, CscMatrix, Scalar};
 /// block size).
 const DIMS: [usize; 11] = [1, 2, 3, 5, 7, 8, 15, 16, 17, 69, 119];
 
+/// Heights that straddle the AVX-512 instance's tiles: one below, at and
+/// one past its 32-row `f64` and 64-row `f32` tile, then 69 and 119.
+const TALL: [usize; 8] = [31, 32, 33, 63, 64, 65, 69, 119];
+
 struct Lcg(u64);
 
 impl Lcg {
@@ -151,12 +155,12 @@ fn check_shape(m: usize, k: usize, n: usize, fills: (f64, f64), zero_share: f64,
     );
 }
 
-/// Every row remainder of both instances' tiles (up to one past the AVX2
-/// instance's 16-row `f32` tile) and of the 4-column tile, with full and
-/// with expanded operands.
+/// Every row remainder of the instances' tiles (every height up to one
+/// past the AVX2 instance's 16-row `f32` tile, and [`TALL`]) and of the
+/// 4-column tile, with full and with expanded operands.
 #[test]
 fn every_tile_remainder_matches_the_sparse_variants() {
-    for m in 1..=17 {
+    for m in (1..=17).chain(TALL) {
         for n in 1..=9 {
             for (k, fills) in [(1, (1.0, 1.0)), (5, (1.0, 0.8)), (8, (0.7, 1.0)), (11, (0.6, 0.6))]
             {
@@ -391,12 +395,12 @@ fn getrf_blocks(n: usize, seed: u64) -> Vec<(&'static str, CscMatrix)> {
 }
 
 /// Every order up to one past the AVX2 instance's 16-row `f32` tile (so
-/// every row and column remainder), the named block sizes and two orders
-/// around 32, in both widths, with the pivot floor off, at the solver's
-/// default and large enough to perturb most pivots.
+/// every row and column remainder) and [`TALL`], in both widths, with the
+/// pivot floor off, at the solver's default and large enough to perturb
+/// most pivots.
 #[test]
 fn getrf_lane_matches_cv1_and_the_naive_loops() {
-    let orders = (1..=17).chain([31, 33]).chain(DIMS[9..].iter().copied());
+    let orders = (1..=17).chain(TALL);
     for (i, n) in orders.enumerate() {
         for (tag, blk) in getrf_blocks(n, 4_000 + i as u64) {
             for pivot_floor in [0.0, 1e-12, 0.5] {

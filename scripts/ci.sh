@@ -65,15 +65,24 @@
 #   kernels  kernel layer. One level of parallelism first:
 #           crates/kernels/src may hold no `std::thread`, no `Atomic*` and
 #           no `unsafe impl` — every kernel runs on its task's thread and
-#           the executor owns the cores (the tile lane's one `unsafe` call
-#           to its AVX2 instance stays legal). Then the dense-tile lane
+#           the executor owns the cores (the tile lane's `unsafe` calls
+#           to its AVX-512 and AVX2 instances stay legal). Then a grep
+#           guard keeps the instances bitwise equal: the non-test code of
+#           crates/kernels/src and crates/core/src may not call `mul_add`
+#           or enable the `fma` target feature — a fused multiply-add
+#           rounds once where the portable instance rounds twice, so the
+#           factors and solutions would depend on the CPU (`avx512f`
+#           implies `fma` for code generation, but Rust never fuses a
+#           separate multiply and subtraction). Then the dense-tile lane
 #           must equal the sparse kernels bit for bit under BOTH codegen
-#           profiles (debug has no vectorisation, release does): the AVX2
-#           and the portable tile instance each against the naive loops
-#           of all four classes — GETRF's left-looking LU on full diagonal
-#           blocks among them (the log line `tile instances checked
-#           (GETRF GESSM TSTRF SSSSM): ...` says which instances this
-#           runner ran), the whole pangulu-kernels package (lib +
+#           profiles (debug has no vectorisation, release does): every
+#           tile instance this CPU runs (AVX-512, AVX2, portable) against
+#           the naive loops of all four classes at heights straddling
+#           every tile (up to 119) — GETRF's left-looking LU on full
+#           diagonal blocks among them (the log line `tile instances
+#           checked (GETRF GESSM TSTRF SSSSM): avx512, avx2 and portable`,
+#           `avx2 and portable` or `portable only` says which instances
+#           this runner ran), the whole pangulu-kernels package (lib +
 #           planned_equivalence + tile_equivalence + kernel_properties,
 #           where every Table 1 variant must give its class's `C_V1`
 #           bits) and the determinism /
@@ -233,6 +242,20 @@ stage_kernels() {
     if grep -rnE 'std::thread|Atomic|unsafe impl' crates/kernels/src; then
         echo "ci.sh: crates/kernels/src spawns threads or shares state across them;" \
             "kernels run on their task's thread" >&2
+        return 1
+    fi
+    echo "--- bitwise instances: no mul_add and no fma target feature in the kernels or core"
+    # Non-test code only: a file stops at its first #[cfg(test)].
+    if awk '
+        /^[[:space:]]*#\[cfg\(test\)\]/ { nextfile }
+        /^[[:space:]]*\/\// { next }
+        /mul_add|target_feature.*enable[[:space:]]*=[[:space:]]*"[^"]*fma/ {
+            print FILENAME ":" FNR ": " $0; found = 1
+        }
+        END { exit !found }
+    ' crates/kernels/src/*.rs crates/core/src/*.rs; then
+        echo "ci.sh: every kernel and sweep instance performs separate multiplies and" \
+            "subtractions; a fused multiply-add would make the bits depend on the CPU" >&2
         return 1
     fi
     echo "--- compact plans: no per-scalar plan index type in the crates"
