@@ -9,6 +9,9 @@
 //! at the bin's mid density — a property of the bin and this host, so it
 //! repeats on every matrix's row. The dense-tile lane takes an update
 //! from `TILE_MIN_FILL` of the padded FLOPs up (operands ≈ 70 % dense).
+//! Two closing `lane` rows time full 119³ and 128³ updates: 128 rows are
+//! whole tiles in every instance, 119 end in a remainder, so their ratio
+//! is the lane's tail cost on this host's instance.
 
 use pangulu_supernodal::stats::gemm_density_histogram;
 
@@ -38,6 +41,10 @@ pub fn run() -> Result<Csv> {
             ));
         }
         eprintln!("[fig04] {name}: {} gemms", h.gemms);
+    }
+    for nb in [LANE_NB, 128] {
+        let (sparse, tile) = lane_gflops(nb, 1.0, nb as u64);
+        rows.push(format!("lane,full {nb}x{nb},,,,{sparse:.2},{tile:.2}"));
     }
     Ok(Csv::new(
         "fig04_gemm_density",

@@ -347,10 +347,11 @@ fn medians_vs_best<'a>(
 
 /// Model GFLOP/s of the sparse lane (`C_V1`, the calibrated tree's pick)
 /// and of the dense-tile lane (`D_V1`) on synthetic `nb³` updates with a
-/// full target and both operands kept at `density`: best of five passes
-/// over eight distinct operand triples (so no triple stays cache-resident
-/// between its two uses), model FLOPs both times — the padded count never
-/// enters.
+/// full target and both operands kept at `density` (`>= 1.0`: full):
+/// the median of [`LANE_PASSES`] passes, each running eight distinct
+/// operand triples (so no triple stays cache-resident between its two
+/// uses) as many times as fills [`LANE_PASS_SECONDS`], model FLOPs both
+/// times — the padded count never enters.
 pub fn lane_gflops(nb: usize, density: f64, seed: u64) -> (f64, f64) {
     let sets: Vec<_> = (0..8u64)
         .map(|t| {
@@ -366,18 +367,29 @@ pub fn lane_gflops(nb: usize, density: f64, seed: u64) -> (f64, f64) {
     let mut scratch = KernelScratch::with_capacity(nb);
     let mut rate = |v: SsssmVariant| {
         let mut targets: Vec<CscMatrix> = sets.iter().map(|(.., c)| c.clone()).collect();
-        let mut best = f64::INFINITY;
-        for _ in 0..5 {
+        let mut pass = |reps: usize| {
             let t = Instant::now();
-            for ((a, b, _), c) in sets.iter().zip(&mut targets) {
-                ssssm::ssssm(a, b, c, v, &mut scratch);
+            for _ in 0..reps {
+                for ((a, b, _), c) in sets.iter().zip(&mut targets) {
+                    ssssm::ssssm(a, b, c, v, &mut scratch);
+                }
             }
-            best = best.min(t.elapsed().as_secs_f64());
-        }
-        model / best / 1e9
+            t.elapsed().as_secs_f64()
+        };
+        // One untimed pass warms the caches and sizes the timed ones.
+        let reps = (LANE_PASS_SECONDS / pass(1).max(1e-9)).ceil() as usize;
+        let mut rates: Vec<f64> =
+            (0..LANE_PASSES).map(|_| reps as f64 * model / pass(reps) / 1e9).collect();
+        rates.sort_by(f64::total_cmp);
+        rates[LANE_PASSES / 2]
     };
     (rate(SsssmVariant::CV1), rate(SsssmVariant::DV1))
 }
+
+/// Timed passes per lane in [`lane_gflops`] (odd: the median is one).
+const LANE_PASSES: usize = 11;
+/// Wall time one pass of [`lane_gflops`] runs at least.
+const LANE_PASS_SECONDS: f64 = 5e-3;
 
 /// The fill fraction from which the dense-tile lane beats every sparse
 /// variant on the harvested tile-eligible SSSSM instances: the lower

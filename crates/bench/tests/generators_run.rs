@@ -12,7 +12,7 @@ use pangulu_bench::experiments::EXPERIMENTS;
 const ROWS: [(&str, usize); 19] = [
     ("table3", 2),
     ("fig03_supernode_sizes", 24),
-    ("fig04_gemm_density", 30),
+    ("fig04_gemm_density", 32),
     ("fig05_sync_ratio", 42),
     ("fig07_kernels", 4901),
     ("fig08_calibrate", 13),

@@ -454,16 +454,16 @@ impl<'a, S: Scalar> Engine<'a, S> {
                 // final; the panel's updates have finished and its
                 // readers wait on this task.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
-                let route = plans.route_gessm(sel, id, diag, blk);
-                w.kernels.gessm(route, diag, blk, scratch, tg.panel_flops[id]);
+                let fl = tg.panel_flops[id];
+                w.kernels.gessm(plans.route_gessm(sel, id, fl, diag, blk), diag, blk, scratch, fl);
                 w.tasks.gessm += 1;
             }
             Task::Tstrf { k, .. } => {
                 let diag_id = bm.block_id(k, k).expect("diag exists");
                 // SAFETY: as for GESSM.
                 let (diag, blk) = unsafe { (self.blocks.get(diag_id), self.blocks.get_mut(id)) };
-                let route = plans.route_tstrf(sel, id, diag, blk);
-                w.kernels.tstrf(route, diag, blk, scratch, tg.panel_flops[id]);
+                let fl = tg.panel_flops[id];
+                w.kernels.tstrf(plans.route_tstrf(sel, id, fl, diag, blk), diag, blk, scratch, fl);
                 w.tasks.tstrf += 1;
             }
             Task::Ssssm { i, j, k } => {

@@ -72,6 +72,12 @@ const PROBE_GATE: f64 = 1e-11;
 /// probed factorisation, which forces an early re-probe (the drift gate).
 /// Skipped probes are counted in [`PrecisionCounters::probe_skips`].
 const PROBE_EVERY: usize = 4;
+/// Spare entries the solve workspace holds past its panel so the panel
+/// can start on a 64-byte boundary: a fresh multi-MiB `vec!` comes from
+/// the allocator's mmap path at 16 mod 64, and the sweeps then run
+/// ≈ 20 % slower on lap2d(256²) at 32 lanes than at 0 or 32 mod 64,
+/// same bits (docs/PERFORMANCE.md "The panel's alignment").
+const PANEL_SLACK: usize = 64 / std::mem::size_of::<f64>() - 1;
 
 /// Tunable options of the pipeline.
 #[derive(Debug, Clone)]
@@ -790,9 +796,10 @@ impl Frame {
     /// Writes `Pr·Dr·A·Dc·Pcᵀ` into `bm` straight from `a`: entry `v` at
     /// `(i, j)` lands as `v · d_r[i] · d_c[j]` — the arithmetic of
     /// `permute::scale`, so bitwise what a reordered copy holds — rounded
-    /// once into `S`; fill slots keep their value. Returns the largest
-    /// |written entry|, the pivot floor's norm (max is order-independent,
-    /// so it equals the reordered copy's `norm_max()` bit for bit).
+    /// once into `S`, a zero as `+0.0` ([`factor_value`]); fill slots keep
+    /// their value. Returns the largest |written entry|, the pivot floor's
+    /// norm (max is order-independent, so it equals the reordered copy's
+    /// `norm_max()` bit for bit).
     fn load<S: Scalar>(&self, bm: &mut BlockMatrix<S>, a: &CscMatrix) -> Result<f64> {
         let (rows, vals) = (a.row_idx(), a.values());
         let (dr, dc) = (&self.ordering.row_scale, &self.ordering.col_scale);
@@ -804,7 +811,7 @@ impl Frame {
             |k, j, _, slot| {
                 let scaled = vals[k] * dr[rows[k]] * dc[j];
                 norm = norm.max(scaled.abs());
-                *slot = S::from_f64(scaled);
+                *slot = S::from_f64(factor_value(scaled));
             },
         )?;
         Ok(norm)
@@ -827,6 +834,16 @@ impl Frame {
         )?;
         Ok(map)
     }
+}
+
+/// A scaled input entry as the factor store takes it: `-0.0` becomes
+/// `+0.0`, every other value (NaN included) is unchanged. The dense-tile
+/// lane subtracts `(±0)·x` where the sparse variants skip, which moves a
+/// bit only on a target holding `-0.0`; fill starts at `+0.0` and no
+/// subtraction makes `-0.0` from anything else, so with no `-0.0` input
+/// the lane is the sparse variants bit for bit.
+fn factor_value(scaled: f64) -> f64 {
+    scaled + 0.0
 }
 
 /// Checks that every index below `count` fits the `u32` entries of the
@@ -1152,8 +1169,9 @@ impl Solver {
         // Reset the live store to the scaled, permuted input: zero every
         // slot (fill-in positions hold explicit zeros before the numeric
         // phase), then scatter `v · d_r[i] · d_c[j]` — the exact
-        // arithmetic `scale` applies, so the rebuilt blocks are bitwise
-        // what the full pipeline would produce; mixed factors take it
+        // arithmetic `scale` applies, a zero as `+0.0` as the build's load
+        // writes it, so the rebuilt blocks are bitwise what the full
+        // pipeline would produce; mixed factors take it
         // rounded to f32, and `scaled_a` takes it as is. The max-abs norm
         // for the pivot floor is folded in during the same sweep (max is
         // order-independent, so it matches `norm_max()` bit-for-bit).
@@ -1174,10 +1192,11 @@ impl Solver {
                 let scaled = vals[k] * r.row_scale[row_idx[k]] * cj;
                 norm = norm.max(scaled.abs());
                 let (id, idx) = (scatter[k].0 as usize, scatter[k].1 as usize);
+                let v = factor_value(scaled);
                 match &mut self.factors {
-                    Factors::F64 { bm, .. } => bm.block_mut(id).values_mut()[idx] = scaled,
+                    Factors::F64 { bm, .. } => bm.block_mut(id).values_mut()[idx] = v,
                     Factors::Mixed(mx) => {
-                        mx.factored32.block_mut(id).values_mut()[idx] = scaled as f32;
+                        mx.factored32.block_mut(id).values_mut()[idx] = v as f32;
                         mx.scaled_a.values_mut()[mx.a_pos[k] as usize] = scaled;
                     }
                 }
@@ -1243,9 +1262,10 @@ impl Solver {
         }
     }
 
-    /// Runs `f` on the first `len` entries of the solve workspace, which
-    /// is first grown to `len` if it is shorter: the narrower panel is
-    /// freed before the wider one is allocated, exactly `len` long. While
+    /// Runs `f` on `len` entries of the solve workspace starting on a
+    /// 64-byte boundary; the workspace is first grown if it is shorter:
+    /// the narrower panel is freed before the wider one is allocated,
+    /// exactly `len` + [`PANEL_SLACK`] long (none for `len == 0`). While
     /// another solve on this solver holds the workspace, `f` runs on a
     /// buffer of its own instead, so solves through `&self` may run
     /// concurrently. `f` reads only what it wrote: a gather writes every
@@ -1260,11 +1280,15 @@ impl Solver {
         };
         let mut local = Vec::new();
         let ws = guard.as_deref_mut().unwrap_or(&mut local);
-        if ws.len() < len {
+        let held = if len == 0 { 0 } else { len + PANEL_SLACK };
+        if ws.len() < held {
             *ws = Vec::new();
-            *ws = vec![0.0; len];
+            *ws = vec![0.0; held];
         }
-        f(&mut ws[..len])
+        // `align_offset` may decline (usize::MAX); the panel then starts
+        // wherever the slack allows.
+        let at = ws.as_ptr().align_offset(64).min(ws.len() - len);
+        f(&mut ws[at..at + len])
     }
 
     /// The bytes the solve workspace keeps (0 before the first f64 solve).
@@ -1375,7 +1399,8 @@ impl Solver {
         );
         // Kept between solves; mixed factors never take it.
         let ws = self.panel_bytes();
-        let lanes = ws / (self.n * std::mem::size_of::<f64>()).max(1);
+        let entries = (ws / std::mem::size_of::<f64>()).saturating_sub(PANEL_SLACK);
+        let lanes = entries / self.n.max(1);
         let _ = writeln!(out, "solve workspace: {ws} B kept ({lanes} of {PANEL_WIDTH} lanes)");
         if let Some(r) = &s.report {
             let _ = writeln!(
@@ -2131,7 +2156,9 @@ mod tests {
         let a = gen::laplacian_2d(8, 8);
         let n = a.nrows();
         let line = |lanes: usize| {
-            format!("solve workspace: {} B kept ({lanes} of {PANEL_WIDTH} lanes)\n", lanes * n * 8)
+            // The panel's 64-byte alignment slack rides along with it.
+            let bytes = if lanes == 0 { 0 } else { (lanes * n + PANEL_SLACK) * 8 };
+            format!("solve workspace: {bytes} B kept ({lanes} of {PANEL_WIDTH} lanes)\n")
         };
         let solver = Solver::factor(&a).unwrap();
         assert!(solver.report(&a).contains(&line(0)), "{}", solver.report(&a));

@@ -937,33 +937,35 @@ impl<S: Scalar> KernelPlans<S> {
         }
     }
 
-    /// Routes the GESSM `L X = B` on block `b`, as
+    /// Routes the GESSM `L X = B` of `flops` model FLOPs on block `b`, as
     /// [`KernelPlans::route_getrf`].
     pub fn route_gessm(
         &self,
         sel: &KernelSelector,
         slot: usize,
+        flops: f64,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
     ) -> Route<'_, TrsmVariant> {
         match self.gessm.get(slot) {
             Some(p) if Self::plans_gessm(sel, b) => Route::Plan(p, &self.arena),
-            _ => Route::Variant(sel.gessm_on(diag_lu, b)),
+            _ => Route::Variant(sel.gessm_on(flops, diag_lu, b)),
         }
     }
 
-    /// Routes the TSTRF `X U = B` on block `b`, as
+    /// Routes the TSTRF `X U = B` of `flops` model FLOPs on block `b`, as
     /// [`KernelPlans::route_getrf`].
     pub fn route_tstrf(
         &self,
         sel: &KernelSelector,
         slot: usize,
+        flops: f64,
         diag_lu: &CscMatrix<S>,
         b: &CscMatrix<S>,
     ) -> Route<'_, TrsmVariant> {
         match self.tstrf.get(slot) {
             Some(p) if Self::plans_tstrf(sel, b) => Route::Plan(p, &self.arena),
-            _ => Route::Variant(sel.tstrf_on(diag_lu, b)),
+            _ => Route::Variant(sel.tstrf_on(flops, diag_lu, b)),
         }
     }
 
@@ -1138,7 +1140,8 @@ mod tests {
         pool.build(&sel, tasks);
         assert_eq!(pool.stats(), stats);
         assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Plan(..)));
-        assert!(matches!(pool.route_gessm(&sel, 0, &lu, &upper), Route::Plan(..)));
+        let fl = crate::flops::gessm_flops(&lu, &upper);
+        assert!(matches!(pool.route_gessm(&sel, 0, fl, &lu, &upper), Route::Plan(..)));
     }
 
     #[test]
@@ -1158,8 +1161,8 @@ mod tests {
                 add(PlanTask::Ssssm { slot: 0, flops: 10.0, a: &lower, b: &upper, c: &tail });
             });
             assert!(matches!(pool.route_getrf(&sel, 0, &diag), Route::Variant(_)));
-            assert!(matches!(pool.route_gessm(&sel, 0, &diag, &upper), Route::Variant(_)));
-            assert!(matches!(pool.route_tstrf(&sel, 0, &diag, &lower), Route::Variant(_)));
+            assert!(matches!(pool.route_gessm(&sel, 0, 0.0, &diag, &upper), Route::Variant(_)));
+            assert!(matches!(pool.route_tstrf(&sel, 0, 0.0, &diag, &lower), Route::Variant(_)));
             assert!(matches!(pool.route_ssssm(&sel, 0, 10.0, &lower, &tail), Route::Variant(_)));
         }
         assert_eq!(pool.stats(), stats);
@@ -1167,7 +1170,8 @@ mod tests {
 
     /// Panel precedence is plan, then tile, then tree: a full block small
     /// enough for its planned gate still replays its plan; past the gate
-    /// it takes the dense-tile lane; a block with a hole falls to the tree.
+    /// it takes the dense-tile lane, filled blocks with a hole too; a
+    /// panel under the fill cut falls to the tree.
     /// SSSSM asks the target first: a full target never has a plan, under
     /// any gate — it takes the tile, or `C_V1` (in place) below the fill
     /// cut; only a target with a hole goes plan, then tree.
@@ -1182,8 +1186,8 @@ mod tests {
             add(PlanTask::Gessm { slot: 0, diag_lu: &small, b: &small });
             add(PlanTask::Tstrf { slot: 0, diag_lu: &small, b: &small });
         });
-        assert!(matches!(pool.route_gessm(&sel, 0, &small, &small), Route::Plan(..)));
-        assert!(matches!(pool.route_tstrf(&sel, 0, &small, &small), Route::Plan(..)));
+        assert!(matches!(pool.route_gessm(&sel, 0, 448.0, &small, &small), Route::Plan(..)));
+        assert!(matches!(pool.route_tstrf(&sel, 0, 512.0, &small, &small), Route::Plan(..)));
         let builds = pool.stats().builds;
         // A diagonal `A`: 128 of the padded 1 024 FLOPs, under the fill cut.
         let thin = small.filter_entries(|i, j| i == j);
@@ -1205,6 +1209,14 @@ mod tests {
         let big = dense(40); // 1 600 nnz, 128 000 FLOPs: past the gates
         let builds = pool.stats().builds;
         let holed = big.filter_entries(|i, j| (i, j) != (7, 3));
+        // Panels closed under the full factor: one entry short of full
+        // (a column's top for GESSM, a row's first for TSTRF), and only
+        // the last 4 rows, far under the fill cut.
+        let (top_holed, left_holed) = (
+            big.filter_entries(|i, j| (i, j) != (0, 3)),
+            big.filter_entries(|i, j| (i, j) != (7, 0)),
+        );
+        let bottom = big.filter_entries(|i, _| i >= 36);
         pool.build(&sel, |add| {
             add(PlanTask::Gessm { slot: 1, diag_lu: &big, b: &big });
             add(PlanTask::Tstrf { slot: 1, diag_lu: &big, b: &big });
@@ -1213,16 +1225,25 @@ mod tests {
             add(PlanTask::Ssssm { slot: 1, flops: 127_920.0, a: &big, b: &big, c: &holed });
         });
         assert_eq!(pool.stats().builds, builds, "nothing past the gates is planned");
-        assert!(matches!(pool.route_gessm(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
-        assert!(matches!(pool.route_tstrf(&sel, 1, &big, &big), Route::Variant(TrsmVariant::DV1)));
+        let gessm = |diag: &CscMatrix, b: &CscMatrix| {
+            pool.route_gessm(&sel, 1, crate::flops::gessm_flops(diag, b), diag, b)
+        };
+        let tstrf = |diag: &CscMatrix, b: &CscMatrix| {
+            pool.route_tstrf(&sel, 1, crate::flops::tstrf_flops(diag, b), diag, b)
+        };
+        assert!(matches!(gessm(&big, &big), Route::Variant(TrsmVariant::DV1)));
+        assert!(matches!(tstrf(&big, &big), Route::Variant(TrsmVariant::DV1)));
         assert!(matches!(
             pool.route_ssssm(&sel, 1, 128_000.0, &big, &big),
             Route::Variant(SsssmVariant::DV1)
         ));
-        assert!(matches!(
-            pool.route_gessm(&sel, 1, &big, &holed),
-            Route::Variant(TrsmVariant::CV2)
-        ));
+        // Filled but not full, either block: expanded onto the lane.
+        assert!(matches!(gessm(&big, &top_holed), Route::Variant(TrsmVariant::DV1)));
+        assert!(matches!(gessm(&holed, &big), Route::Variant(TrsmVariant::DV1)));
+        assert!(matches!(tstrf(&big, &left_holed), Route::Variant(TrsmVariant::DV1)));
+        // Under the fill cut: the tree.
+        assert!(matches!(gessm(&big, &bottom), Route::Variant(TrsmVariant::CV2)));
+        assert!(matches!(tstrf(&big, &bottom), Route::Variant(TrsmVariant::CV2)));
         assert!(matches!(
             pool.route_ssssm(&sel, 1, 127_920.0, &big, &holed),
             Route::Variant(SsssmVariant::CV1)

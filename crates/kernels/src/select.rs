@@ -12,13 +12,19 @@
 //!
 //! One leaf is decided from structure rather than a threshold: the
 //! dense-tile lane `D_V1` ([`crate::tile`]) for blocks that fill-in has
-//! made completely dense — the `*_on` methods below, consulted by
+//! made dense enough — the `*_on` methods below, consulted by
 //! [`crate::KernelPlans`]' routing and nowhere else: after the planned
 //! gate for the panel solves, and for every GETRF and SSSSM that replays
 //! no plan, which includes every full diagonal block and every update
-//! onto a full target (neither ever has a plan; an update under the fill
-//! cut gets the tree's pick, and `C_V1` updates its full columns in
-//! place).
+//! onto a full target (neither ever has a plan). GETRF takes the lane on
+//! a full block. SSSSM takes it onto a full target when its model FLOPs
+//! reach [`TILE_MIN_FILL`] of the padded dense count (below, the tree's
+//! pick, and `C_V1` updates the full columns in place). A panel solve
+//! takes it when its model FLOPs reach [`PANEL_MIN_FILL`] of its padded
+//! count, with a factor block that is not full only under a panel at
+//! least half as wide as that block's order; blocks that are not full
+//! are expanded into scratch tiles. The model FLOPs are the task graph's
+//! own, so routing costs one comparison.
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -38,6 +44,22 @@ use crate::{GetrfVariant, SsssmVariant, TrsmVariant};
 /// "Reordering cost"); `fig08_calibrate` prints the crossover a host
 /// measures next to it.
 pub const TILE_MIN_FILL: f64 = 0.5;
+
+/// The dense-tile lane's panel cut: a GESSM or TSTRF takes the lane when
+/// its model FLOPs are at least this fraction of the padded dense count,
+/// its factor block and panel block expanded into scratch tiles when not
+/// full (see [`KernelSelector::gessm_on`]).
+///
+/// Lower than [`TILE_MIN_FILL`] because the panel solves' sparse leaf
+/// (`C_V2`) is slower than SSSSM's in-place `C_V1`: on kkt's filled
+/// panel blocks it ran 1.1–2.3 GFLOP/s in situ, the lane 13–30, so the
+/// lane wins from ≈ 0.1 up, and kkt's eighteen filled panel blocks sit at
+/// 0.23–0.39 (docs/PERFORMANCE.md "Shifted tail tiles and filled
+/// panels"). A narrow panel under a factor
+/// block that is not full stays off the lane whatever its fill: the
+/// per-call expansion of the factor is not repaid (circuit(6000)'s two
+/// 11-wide panels at 0.38 read slower on the lane).
+pub const PANEL_MIN_FILL: f64 = 0.2;
 
 // The calibrated leaves, from `fig08_calibrate` on the reference
 // single-core container. No "G" variant wins a bucket there — each runs
@@ -208,27 +230,57 @@ impl KernelSelector {
         }
     }
 
-    /// Whether a panel solve on these blocks takes the dense-tile lane:
-    /// factor block and panel block both full. Structure only — no value
-    /// is read — and never for the baseline selector's fixed kernels.
-    fn tile_panel<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> bool {
-        self.adaptive && is_full(diag_lu) && is_full(b)
+    /// Whether a panel solve of `flops` model FLOPs takes the dense-tile
+    /// lane: they reach [`PANEL_MIN_FILL`] of the `padded` count its
+    /// blocks would take dense (one with no padded work never does), and
+    /// a factor block that is not full, which the lane expands on every
+    /// call, is shared by a panel that spans at least half its order
+    /// (`across` columns of `B` for GESSM, rows for TSTRF). Structure
+    /// only — no value is read — and never for the baseline selector's
+    /// fixed kernels.
+    fn tile_panel<S: Scalar>(
+        &self,
+        flops: f64,
+        padded: usize,
+        diag_lu: &CscMatrix<S>,
+        across: usize,
+    ) -> bool {
+        self.adaptive
+            && padded > 0
+            && flops >= PANEL_MIN_FILL * padded as f64
+            && (is_full(diag_lu) || 2 * across >= diag_lu.nrows())
     }
 
-    /// The GESSM leaf for `L X = B` on these blocks: the dense-tile lane
-    /// when both are full, else [`Self::gessm`].
-    pub fn gessm_on<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> TrsmVariant {
-        if self.tile_panel(diag_lu, b) {
+    /// The GESSM leaf for `L X = B` of `flops` model FLOPs: the dense-tile
+    /// lane by [`Self::tile_panel`]'s rule against the padded count
+    /// `n·m·(m−1)` (two per pair of a unit-lower entry and a column of
+    /// `B`; both blocks full reach it exactly), else [`Self::gessm`].
+    pub fn gessm_on<S: Scalar>(
+        &self,
+        flops: f64,
+        diag_lu: &CscMatrix<S>,
+        b: &CscMatrix<S>,
+    ) -> TrsmVariant {
+        let (m, n) = (b.nrows(), b.ncols());
+        if self.tile_panel(flops, n * m * m.saturating_sub(1), diag_lu, n) {
             TrsmVariant::DV1
         } else {
             self.gessm(b.nnz())
         }
     }
 
-    /// The TSTRF leaf for `X U = B` on these blocks: the dense-tile lane
-    /// when both are full, else [`Self::tstrf`].
-    pub fn tstrf_on<S: Scalar>(&self, diag_lu: &CscMatrix<S>, b: &CscMatrix<S>) -> TrsmVariant {
-        if self.tile_panel(diag_lu, b) {
+    /// The TSTRF leaf for `X U = B` of `flops` model FLOPs: the dense-tile
+    /// lane by [`Self::tile_panel`]'s rule against the padded count `m·n²`
+    /// (the divisions and two per pair of a strict upper entry and a row
+    /// of `B`), else [`Self::tstrf`].
+    pub fn tstrf_on<S: Scalar>(
+        &self,
+        flops: f64,
+        diag_lu: &CscMatrix<S>,
+        b: &CscMatrix<S>,
+    ) -> TrsmVariant {
+        let (m, n) = (b.nrows(), b.ncols());
+        if self.tile_panel(flops, m * n * n, diag_lu, m) {
             TrsmVariant::DV1
         } else {
             self.tstrf(b.nnz())
@@ -263,7 +315,10 @@ mod tests {
     /// features (nnz 0…1e9, FLOPs 0…1e12) plus the cut points: every
     /// class's variant and planned gate for the default thresholds,
     /// `unplanned()` and the Figure 14 baseline, whatever matrix size the
-    /// selector was given.
+    /// selector was given — and the dense-tile lane's rules on kkt's
+    /// shapes, circuit's narrow panels and the remainders, under full and
+    /// holed factor blocks, at eighths of the padded count and one FLOP
+    /// under each cut.
     #[test]
     fn selection_table_is_the_calibrated_closed_form() {
         let cuts = [31.0, 32.0, 129.0, 130.0, 999.0, 1e3, 32_999.0, 3.3e4];
@@ -300,20 +355,76 @@ mod tests {
                 assert_eq!(s.planned_gessm(nnz), planned && nnz < 1_000, "gessm gate, nnz {nnz}");
                 assert_eq!(s.planned_tstrf(nnz), planned && nnz < 1_000, "tstrf gate, nnz {nnz}");
             }
+            // The lane's leaves: a panel solve takes `D_V1` from
+            // `PANEL_MIN_FILL` of its padded count up (`n·m·(m−1)` for
+            // GESSM, `m·n²` for TSTRF; never with no padded work), under
+            // a factor block with a hole only when the panel spans half
+            // its order or more; an update onto a full target from
+            // `TILE_MIN_FILL` of `2·m·k·n`; below, and on the baseline,
+            // the tree's pick.
+            let shapes =
+                [(1, 1), (1, 5), (8, 5), (5, 8), (69, 119), (119, 69), (113, 11), (11, 113)];
+            for (m, n) in shapes {
+                let panel = dense_block(m, n, 2);
+                let padded = [n * m * m.saturating_sub(1), m * n * n, 2 * m * n * n];
+                let mut factors = vec![(dense_block(m, m, 0), dense_block(n, n, 1), true)];
+                if m > 1 && n > 1 {
+                    let hole = |f: CscMatrix| f.filter_entries(|i, j| (i, j) != (1, 0));
+                    factors.push((hole(dense_block(m, m, 0)), hole(dense_block(n, n, 1)), false));
+                }
+                let panel_lane = |fl: f64, p: usize, full: bool, across: usize, order: usize| {
+                    let wide = full || 2 * across >= order;
+                    adaptive && p > 0 && fl >= PANEL_MIN_FILL * p as f64 && wide
+                };
+                for (rows, cols, full) in &factors {
+                    for p in padded {
+                        let cuts = [PANEL_MIN_FILL, TILE_MIN_FILL].map(|c| c * p as f64 - 1.0);
+                        let eighths = (0..=8).map(|e| f64::from(e) / 8.0 * p as f64);
+                        for fl in eighths.chain(cuts).filter(|&f| f >= 0.0) {
+                            let tag = format!("{m}x{n} full factor {full}, {fl} FLOPs");
+                            let want = if panel_lane(fl, padded[0], *full, n, m) {
+                                TrsmVariant::DV1
+                            } else {
+                                s.gessm(m * n)
+                            };
+                            assert_eq!(s.gessm_on(fl, rows, &panel), want, "GESSM {tag}");
+                            let want = if panel_lane(fl, padded[1], *full, m, n) {
+                                TrsmVariant::DV1
+                            } else {
+                                s.tstrf(m * n)
+                            };
+                            assert_eq!(s.tstrf_on(fl, cols, &panel), want, "TSTRF {tag}");
+                            let lane = adaptive && fl >= TILE_MIN_FILL * padded[2] as f64;
+                            let want = if lane { SsssmVariant::DV1 } else { s.ssssm(fl) };
+                            assert_eq!(s.ssssm_on(fl, &panel, &panel), want, "SSSSM {tag}");
+                        }
+                    }
+                }
+            }
         }
     }
 
     #[test]
-    fn tile_leaf_needs_full_blocks_and_the_fill_cut() {
+    fn tile_leaf_needs_the_fill_cuts_and_a_full_update_target() {
         let s = KernelSelector::new(1_000, Thresholds::default());
         let (full, wide) = (dense_block(8, 8, 0), dense_block(8, 5, 1));
         let holed = full.filter_entries(|i, j| (i, j) != (3, 4));
 
-        assert_eq!(s.gessm_on(&full, &wide), TrsmVariant::DV1);
-        assert_eq!(s.gessm_on(&holed, &wide), s.gessm(wide.nnz()));
-        assert_eq!(s.gessm_on(&full, &holed), s.gessm(holed.nnz()));
-        assert_eq!(s.tstrf_on(&full, &full), TrsmVariant::DV1);
-        assert_eq!(s.tstrf_on(&full, &holed), s.tstrf(holed.nnz()));
+        // GESSM of an 8 x 8 factor over an 8 x 5 panel: padded 5*8*7 = 280
+        // FLOPs, cut 56; TSTRF of an 8 x 8 panel over an 8 x 8 factor:
+        // 8*8*8 = 512, cut 102.4. A holed factor under an 8-wide panel
+        // is shared widely enough; under a 3-wide one it is not.
+        assert_eq!(s.gessm_on(280.0, &full, &wide), TrsmVariant::DV1);
+        assert_eq!(s.gessm_on(56.0, &holed, &wide), TrsmVariant::DV1, "at the cut");
+        assert_eq!(s.gessm_on(55.0, &full, &wide), s.gessm(wide.nnz()));
+        let narrow = dense_block(8, 3, 1);
+        assert_eq!(s.gessm_on(168.0, &full, &narrow), TrsmVariant::DV1);
+        assert_eq!(s.gessm_on(168.0, &holed, &narrow), s.gessm(narrow.nnz()), "too narrow");
+        assert_eq!(s.tstrf_on(512.0, &full, &full), TrsmVariant::DV1);
+        assert_eq!(s.tstrf_on(102.4, &full, &holed), TrsmVariant::DV1, "at the cut");
+        assert_eq!(s.tstrf_on(102.0, &full, &holed), s.tstrf(holed.nnz()));
+        let (one, row) = (dense_block(1, 1, 0), dense_block(1, 5, 2));
+        assert_eq!(s.gessm_on(0.0, &one, &row), s.gessm(row.nnz()), "no padded work");
         assert_eq!(s.getrf_on(&full), GetrfVariant::DV1);
         assert_eq!(s.getrf_on(&holed), s.getrf(holed.nnz()));
 
@@ -326,8 +437,8 @@ mod tests {
 
         // The fixed pre-selection kernels of the Figure 14 baseline stay.
         let base = KernelSelector::baseline();
-        assert_eq!(base.gessm_on(&full, &wide), TrsmVariant::GV1);
-        assert_eq!(base.tstrf_on(&full, &full), TrsmVariant::GV1);
+        assert_eq!(base.gessm_on(280.0, &full, &wide), TrsmVariant::GV1);
+        assert_eq!(base.tstrf_on(512.0, &full, &full), TrsmVariant::GV1);
         assert_eq!(base.getrf_on(&full), GetrfVariant::GV1);
         assert_eq!(base.ssssm_on(640.0, &full, &wide), SsssmVariant::GV1);
     }

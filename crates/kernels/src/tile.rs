@@ -7,30 +7,39 @@
 //! information there. This lane reads none of them: one micro-kernel
 //! keeps an `MR × NR` tile of the target in locals across the whole
 //! inner-dimension loop and applies `c -= a·b` — a separate multiply and
-//! subtract, `k` ascending — from contiguous slices. GESSM and TSTRF are
-//! the same micro-kernel over the already solved part of the unknown
-//! plus a short in-tile triangular part. GETRF factors a full diagonal
-//! block in place in `C_V1`'s left-looking order: column groups left to
-//! right, each group's `U` rows (the micro-kernel, then a unit-lower
-//! solve in the tile), its diagonal tile (the micro-kernel, then a small
-//! LU that floors each pivot) and its `L` rows (the micro-kernel, then a
-//! solve against the diagonal tile's `U` whose division by the pivot is
-//! each entry's last operation). An SSSSM operand that is not full is
-//! expanded once per call into a zero-filled tile of [`KernelScratch`];
-//! the target, both blocks of a panel solve and a GETRF block are full by
-//! the routing contract ([`crate::KernelSelector::ssssm_on`] and its
-//! GETRF/GESSM/TSTRF siblings are the only places the lane is chosen).
+//! subtract, `k` ascending — from contiguous slices. TSTRF is the same
+//! micro-kernel over the already solved columns of the unknown plus an
+//! `NR × NR` in-tile triangle. GESSM runs as TSTRF on transposed blocks
+//! (`L X = B` is `Xᵀ Lᵀ = Bᵀ`): `Bᵀ` is copied into a scratch tile and
+//! `Lᵀ` read from `L` by rows, so its in-tile triangle is `NR × NR` too
+//! instead of an `MR × MR` one that would run scalar. GETRF factors a full
+//! diagonal block in place in `C_V1`'s left-looking order: column groups
+//! left to right, each group's `U` rows (the micro-kernel, then a
+//! unit-lower solve in the tile), its diagonal tile (the micro-kernel,
+//! then a small LU that floors each pivot) and its `L` rows (the
+//! micro-kernel, then a solve against the diagonal tile's `U` whose
+//! division by the pivot is each entry's last operation). An SSSSM
+//! operand that is not full is expanded once per call into a zero-filled
+//! tile of [`KernelScratch`], and so are a panel solve's factor block and
+//! panel block (only the panel's stored entries are written back); the
+//! SSSSM target and a GETRF block are full by the routing contract
+//! ([`crate::KernelSelector::ssssm_on`] and its GETRF/GESSM/TSTRF
+//! siblings are the only places the lane is chosen).
 //!
 //! **Bitwise contract.** For every target entry the lane performs the
 //! sparse variants' subtractions `c -= a[r,k]·b[k,j]` in the same
-//! ascending-`k` order (TSTRF's division by `U(j,j)` stays last), plus,
+//! ascending-`k` order (TSTRF's division by `U(j,j)` stays last; GESSM's
+//! transposed products `x_k·L(r, k)` are the same IEEE products), plus,
 //! in SSSSM, GESSM and TSTRF, subtractions of `(±0)·x` for padded
 //! structural zeros and for the values the sparse variants skip with
 //! `if bkj == 0`. Those leave `c` unchanged whenever `c` is not `-0.0`
-//! and `x` is finite — and no update target holds `-0.0` (fill starts at
-//! `+0.0`, `x − y` is never `-0.0` for `x ≠ -0.0`, and a division, the one
-//! operation that can produce `-0.0`, is the last write an entry
-//! receives). With a non-finite operand `0·x` is NaN, so a poisoned
+//! and `x` is finite — and no update target holds `-0.0` (the solver
+//! loads a zero input as `+0.0`, fill starts at `+0.0`, `x − y` is never
+//! `-0.0` for `x ≠ -0.0`, and a division, the one operation that can
+//! produce `-0.0`, is the last write an entry receives). A panel block
+//! that is not full is closed under its factor block (symbolic fill), so
+//! the zeros its expansion pads in stay `+0.0` and are never written
+//! back. With a non-finite operand `0·x` is NaN, so a poisoned
 //! block stays non-finite; it is never silently repaired. GETRF reads its
 //! block's own input values, which may hold `-0.0`, and can make
 //! non-finite `L` entries itself (a zero pivot without a floor), so it
@@ -59,9 +68,17 @@
 //! into its subtraction (`avx512f` implies `fma` for code generation, but
 //! Rust never contracts `c - a*b`), so all three perform the same
 //! multiplies and subtractions in the same order and give the same bits.
-//! Remainders run through the same micro-kernel at halved heights and
-//! widths (…, 2, 1), never through a scalar clean-up loop, so every shape
-//! keeps the order *and* the speed.
+//! A row remainder past half a full-height tile is covered by one more
+//! full-height tile shifted up to end at the last row: it recomputes the
+//! rows the tile above it stored and stores only the new ones (every row
+//! of an SSSSM or TSTRF sweep is computed independently of the others,
+//! so the bits are the same). On kkt's 119 rows that is 64 + 64 tiles in
+//! `f32` and 32 + 32 + 32 + 32 in `f64`, where the cascade ran
+//! 64 + 32 + 16 + 4 + 2 + 1 and 32 + 32 + 32 + 16 + 4 + 2 + 1. Blocks
+//! shorter than one tile and smaller remainders run the same micro-kernel
+//! at halved heights (…, 2, 1), and column remainders at widths 2 and 1,
+//! never through a scalar clean-up loop, so every shape keeps the order
+//! *and* the speed. GETRF keeps the cascade for its row remainders.
 
 use pangulu_sparse::{CscMatrix, Scalar};
 
@@ -103,17 +120,21 @@ pub fn tile_rows<S: Scalar>() -> usize {
     })
 }
 
-/// The three operations of the lane, each on an `m × n` column-major
+/// The three operations of the sweep, each on an `m × n` column-major
 /// unknown/target `x` that the sweep owns mutably.
 #[derive(Clone, Copy)]
 enum Op<'a, S> {
     /// `X ← X − A·B` with `A` `m × k` and `B` `k × n`.
     Ssssm { a: &'a [S], b: &'a [S], k: usize },
-    /// `L X = B` in place, `L` the unit-lower part of an `m × m` factor.
-    Gessm { l: &'a [S] },
     /// `X U = B` in place, `U` the upper part of an `n × n` factor.
     Tstrf { u: &'a [S] },
+    /// `X Lᵀ = B` in place, `L` the unit-lower part of an `n × n`
+    /// factor: GESSM's `L Y = C` on `X = Yᵀ` ([`gessm_with`]).
+    GessmT { l: &'a [S] },
 }
+
+/// One sweep instance of the lane over an `m × n` unknown.
+type Sweep<S> = for<'a> fn(Op<'a, S>, &mut [S], usize, usize);
 
 /// The micro-kernel: `acc -= A[i0..i0+MR, 0..k1] · B[0..k1, 0..NR]`, `k`
 /// ascending, multiply then subtract. `a` is column-major with leading
@@ -149,17 +170,46 @@ fn sub_product<S: Scalar, const MR: usize, const NR: usize, const SKIP_ZEROS: bo
     *acc = c;
 }
 
+/// [`sub_product`] with `B` read by rows: `B(k, j)` at `b[k·ldb + j]`,
+/// `b` starting at the tile's first column — how GESSM's transposed
+/// solve reads `Lᵀ` straight from `L` ([`gessm_with`]).
+#[inline(always)]
+fn sub_product_rows<S: Scalar, const MR: usize, const NR: usize>(
+    acc: &mut [[S; MR]; NR],
+    a: &[S],
+    lda: usize,
+    i0: usize,
+    b: &[S],
+    ldb: usize,
+    k1: usize,
+) {
+    let mut c = *acc;
+    for (k, acol) in a[i0..].chunks(lda).take(k1).enumerate() {
+        let acol = &acol[..MR];
+        let brow = &b[k * ldb..][..NR];
+        for (cj, &bkj) in c.iter_mut().zip(brow) {
+            for (cv, &av) in cj.iter_mut().zip(acol) {
+                *cv -= av * bkj;
+            }
+        }
+    }
+    *acc = c;
+}
+
 /// One `MR × NR` tile of `x` at `(i0, j0)`: load, the shared product
 /// loop over the finished inner range, the operation's in-tile part,
-/// store.
+/// store. Its first `done` rows were stored by an earlier tile of the
+/// group (a tail tile shifted up to end at row `m`): every row of `x` is
+/// computed independently of the others, so they are recomputed with
+/// the rest and not stored.
 #[inline(always)]
 fn tile<S: Scalar, const MR: usize, const NR: usize>(
     op: Op<'_, S>,
     x: &mut [S],
     m: usize,
     n: usize,
-    i0: usize,
-    j0: usize,
+    (i0, j0): (usize, usize),
+    done: usize,
 ) {
     let mut acc = [[S::ZERO; MR]; NR];
     for (j, col) in acc.iter_mut().enumerate() {
@@ -169,16 +219,17 @@ fn tile<S: Scalar, const MR: usize, const NR: usize>(
         Op::Ssssm { a, b, k } => {
             sub_product::<S, MR, NR, false>(&mut acc, a, m, i0, &b[j0 * k..], k, k)
         }
-        Op::Gessm { l } => {
-            // Rows above the tile are solved: their contribution first,
-            // then the unit-lower triangle inside the tile, ascending k.
-            sub_product::<S, MR, NR, false>(&mut acc, l, m, i0, &x[j0 * m..], m, i0);
-            for k in 0..MR {
-                let lcol = &l[(i0 + k) * m + i0..][..MR];
-                for col in acc.iter_mut() {
-                    let xk = col[k];
-                    for r in k + 1..MR {
-                        col[r] -= lcol[r] * xk;
+        Op::GessmT { l } => {
+            // As TSTRF with `U = Lᵀ`, read from `L` by rows, and a unit
+            // diagonal: no division.
+            sub_product_rows::<S, MR, NR>(&mut acc, x, m, i0, &l[j0..], n, j0);
+            for j in 1..NR {
+                let (solved, rest) = acc.split_at_mut(j);
+                let col = &mut rest[0];
+                for (k, src) in solved.iter().enumerate() {
+                    let lkj = l[(j0 + k) * n + j0 + j];
+                    for (cv, &sv) in col.iter_mut().zip(src) {
+                        *cv -= sv * lkj;
                     }
                 }
             }
@@ -205,29 +256,47 @@ fn tile<S: Scalar, const MR: usize, const NR: usize>(
         }
     }
     for (j, col) in acc.iter().enumerate() {
-        x[(j0 + j) * m + i0..][..MR].copy_from_slice(col);
+        x[(j0 + j) * m + i0 + done..][..MR - done].copy_from_slice(&col[done..]);
     }
 }
 
+/// Whether a remainder of `rest` rows under full-height `mr`-row tiles
+/// is covered by one more full-height tile shifted up to end at the last
+/// row: when it is more than half a tile. The shifted tile recomputes
+/// the rows the tile above stored, which pays against the halved-height
+/// cascade only past half a tile (at 69 rows, five past one 64-row
+/// tile, shifting lost 13–18 %; docs/PERFORMANCE.md "Shifted tail tiles
+/// and filled panels").
+const fn shifts(rest: usize, mr: usize) -> bool {
+    2 * rest > mr
+}
+
 /// All `MR`-row tiles of the `NR`-wide column group at `j0` that still
-/// fit below `*i0`, top to bottom.
+/// fit below `*i0`, top to bottom. At the instance's full height, a
+/// remainder that [`shifts`] is then covered by one tile shifted up to
+/// end at row `m`; a block shorter than one tile has none.
 #[inline(always)]
-fn row_tiles<S: Scalar, const MR: usize, const NR: usize>(
+fn row_tiles<S: Scalar, const ROWS_F64: usize, const MR: usize, const NR: usize>(
     op: Op<'_, S>,
     x: &mut [S],
-    m: usize,
-    n: usize,
+    (m, n): (usize, usize),
     i0: &mut usize,
     j0: usize,
 ) {
     while *i0 + MR <= m {
-        tile::<S, MR, NR>(op, x, m, n, *i0, j0);
+        tile::<S, MR, NR>(op, x, m, n, (*i0, j0), 0);
         *i0 += MR;
+    }
+    let rest = m - *i0;
+    if MR == tile_height::<S>(ROWS_F64) && *i0 > 0 && shifts(rest, MR) {
+        tile::<S, MR, NR>(op, x, m, n, (m - MR, j0), MR - rest);
+        *i0 = m;
     }
 }
 
 /// One `NR`-wide column group: full-height tiles first (the instance's
-/// height for `S`, at most 64), the row remainder at halved heights.
+/// height for `S`, at most 64), then either one shifted tail tile or the
+/// remainder at halved heights.
 #[inline(always)]
 fn col_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
     op: Op<'_, S>,
@@ -237,22 +306,22 @@ fn col_group<S: Scalar, const ROWS_F64: usize, const NR: usize>(
     j0: usize,
 ) {
     let top = tile_height::<S>(ROWS_F64);
-    let mut i0 = 0;
+    let (mut i0, dims) = (0, (m, n));
     if top >= 64 {
-        row_tiles::<S, 64, NR>(op, x, m, n, &mut i0, j0);
+        row_tiles::<S, ROWS_F64, 64, NR>(op, x, dims, &mut i0, j0);
     }
     if top >= 32 {
-        row_tiles::<S, 32, NR>(op, x, m, n, &mut i0, j0);
+        row_tiles::<S, ROWS_F64, 32, NR>(op, x, dims, &mut i0, j0);
     }
     if top >= 16 {
-        row_tiles::<S, 16, NR>(op, x, m, n, &mut i0, j0);
+        row_tiles::<S, ROWS_F64, 16, NR>(op, x, dims, &mut i0, j0);
     }
     if top >= 8 {
-        row_tiles::<S, 8, NR>(op, x, m, n, &mut i0, j0);
+        row_tiles::<S, ROWS_F64, 8, NR>(op, x, dims, &mut i0, j0);
     }
-    row_tiles::<S, 4, NR>(op, x, m, n, &mut i0, j0);
-    row_tiles::<S, 2, NR>(op, x, m, n, &mut i0, j0);
-    row_tiles::<S, 1, NR>(op, x, m, n, &mut i0, j0);
+    row_tiles::<S, ROWS_F64, 4, NR>(op, x, dims, &mut i0, j0);
+    row_tiles::<S, ROWS_F64, 2, NR>(op, x, dims, &mut i0, j0);
+    row_tiles::<S, ROWS_F64, 1, NR>(op, x, dims, &mut i0, j0);
 }
 
 /// Visits every tile of the `m × n` unknown: column groups left to right
@@ -540,23 +609,46 @@ pub fn is_full<S: Scalar>(blk: &CscMatrix<S>) -> bool {
     blk.nnz() == blk.nrows() * blk.ncols()
 }
 
-/// `blk` as a column-major dense matrix: its own value array when full,
-/// otherwise `buf` zero-filled and scattered into (grown on demand,
-/// reused across calls).
-fn dense_view<'s, S: Scalar>(blk: &'s CscMatrix<S>, buf: &'s mut Vec<S>) -> &'s [S] {
-    if is_full(blk) {
-        return blk.values();
-    }
+/// `blk` scattered into `buf`, zero-filled and column-major (grown on
+/// demand, reused across calls).
+fn expand<S: Scalar>(blk: &CscMatrix<S>, buf: &mut Vec<S>) {
     let m = blk.nrows();
     buf.clear();
     buf.resize(m * blk.ncols(), S::ZERO);
-    for (j, col) in buf.chunks_exact_mut(m).enumerate() {
+    for (j, col) in buf.chunks_exact_mut(m.max(1)).enumerate() {
         let (rows, vals) = blk.col(j);
         for (&r, &v) in rows.iter().zip(vals) {
             col[r] = v;
         }
     }
+}
+
+/// `blk` as a column-major dense matrix: its own value array when full,
+/// otherwise `buf` expanded from it.
+fn dense_view<'s, S: Scalar>(blk: &'s CscMatrix<S>, buf: &'s mut Vec<S>) -> &'s [S] {
+    if is_full(blk) {
+        return blk.values();
+    }
+    expand(blk, buf);
     buf
+}
+
+/// Runs `f` on `blk` as a column-major dense matrix: its own value array
+/// when full, otherwise `buf` expanded from it, of which only the
+/// entries `blk` stores are written back.
+fn on_dense<S: Scalar>(blk: &mut CscMatrix<S>, buf: &mut Vec<S>, f: impl FnOnce(&mut [S])) {
+    if is_full(blk) {
+        return f(blk.values_mut());
+    }
+    expand(blk, buf);
+    f(buf);
+    let m = blk.nrows();
+    for (j, col) in buf.chunks_exact(m.max(1)).enumerate() {
+        let (rows, vals) = blk.col_mut(j);
+        for (&r, v) in rows.iter().zip(vals) {
+            *v = col[r];
+        }
+    }
 }
 
 /// Dense-tile `C ← C − A·B` on a full target `c`.
@@ -579,26 +671,86 @@ pub(crate) fn ssssm_tile<S: Scalar>(
     sweep_dispatched(op, c.values_mut(), m, n);
 }
 
-/// Dense-tile `L X = B` on a full factor block and a full panel block.
-///
-/// # Panics
-/// Panics if either block is not full (the routing contract).
+/// Dense-tile `L X = B`, as [`gessm_with`] on the widest instance.
 #[inline(never)]
-pub(crate) fn gessm_tile<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>) {
-    assert!(is_full(diag_lu) && is_full(b), "dense-tile GESSM routed to blocks that are not full");
-    let (m, n) = (b.nrows(), b.ncols());
-    sweep_dispatched(Op::Gessm { l: diag_lu.values() }, b.values_mut(), m, n);
+pub(crate) fn gessm_tile<S: Scalar>(
+    diag_lu: &CscMatrix<S>,
+    b: &mut CscMatrix<S>,
+    tile_a: &mut Vec<S>,
+    tile_b: &mut Vec<S>,
+) {
+    gessm_with(sweep_dispatched, diag_lu, b, tile_a, tile_b);
 }
 
-/// Dense-tile `X U = B` on a full factor block and a full panel block.
-///
-/// # Panics
-/// Panics if either block is not full (the routing contract).
-#[inline(never)]
-pub(crate) fn tstrf_tile<S: Scalar>(diag_lu: &CscMatrix<S>, b: &mut CscMatrix<S>) {
-    assert!(is_full(diag_lu) && is_full(b), "dense-tile TSTRF routed to blocks that are not full");
+/// `L X = B` as `Xᵀ Lᵀ = Bᵀ` on `sweep`: `Bᵀ` (zero where `B` stores
+/// nothing) goes into `tile_b`, the sweep solves it by TSTRF's tiles
+/// reading `Lᵀ` from `L` (a factor block that is not full expanded into
+/// `tile_a` first) — their in-tile triangle is `NR × NR`, where GESSM's
+/// own would be `MR × MR` and scalar — and `B`'s stored entries are
+/// read back. Each entry sees `x_r −= x_k·L(r, k)`, `k` ascending: the
+/// bits of `C_V1`'s `x_r −= L(r, k)·x_k` (the same IEEE product).
+#[inline(always)]
+fn gessm_with<S: Scalar>(
+    sweep: Sweep<S>,
+    diag_lu: &CscMatrix<S>,
+    b: &mut CscMatrix<S>,
+    tile_a: &mut Vec<S>,
+    tile_b: &mut Vec<S>,
+) {
     let (m, n) = (b.nrows(), b.ncols());
-    sweep_dispatched(Op::Tstrf { u: diag_lu.values() }, b.values_mut(), m, n);
+    let op = Op::GessmT { l: dense_view(diag_lu, tile_a) };
+    tile_b.clear();
+    tile_b.resize(m * n, S::ZERO);
+    if is_full(b) {
+        transpose(b.values(), m, n, tile_b);
+        sweep(op, tile_b, n, m);
+        return transpose(tile_b, n, m, b.values_mut());
+    }
+    for j in 0..n {
+        let (rows, vals) = b.col(j);
+        for (&r, &v) in rows.iter().zip(vals) {
+            tile_b[r * n + j] = v;
+        }
+    }
+    sweep(op, tile_b, n, m);
+    for j in 0..n {
+        let (rows, vals) = b.col_mut(j);
+        for (&r, v) in rows.iter().zip(vals) {
+            *v = tile_b[r * n + j];
+        }
+    }
+}
+
+/// `dst ← srcᵀ` for a column-major `rows × cols` `src`, in 16 × 16
+/// blocks: a block writes 16 destination lines, where a whole source
+/// column would write `rows` lines a power-of-two stride apart, which
+/// share cache sets (at 128 rows GESSM read 0.6× its 119-row rate so).
+fn transpose<S: Scalar>(src: &[S], rows: usize, cols: usize, dst: &mut [S]) {
+    const B: usize = 16;
+    for j0 in (0..cols).step_by(B) {
+        let j1 = cols.min(j0 + B);
+        for i0 in (0..rows).step_by(B) {
+            let i1 = rows.min(i0 + B);
+            for j in j0..j1 {
+                for (i, &v) in (i0..i1).zip(&src[j * rows + i0..j * rows + i1]) {
+                    dst[i * cols + j] = v;
+                }
+            }
+        }
+    }
+}
+
+/// Dense-tile `X U = B`, expanding its blocks as [`gessm_tile`] does.
+#[inline(never)]
+pub(crate) fn tstrf_tile<S: Scalar>(
+    diag_lu: &CscMatrix<S>,
+    b: &mut CscMatrix<S>,
+    tile_a: &mut Vec<S>,
+    tile_b: &mut Vec<S>,
+) {
+    let (m, n) = (b.nrows(), b.ncols());
+    let op = Op::Tstrf { u: dense_view(diag_lu, tile_a) };
+    on_dense(b, tile_b, |x| sweep_dispatched(op, x, m, n));
 }
 
 /// Dense-tile GETRF of a full diagonal block in place; returns the
@@ -631,7 +783,19 @@ pub(crate) fn dense_block(m: usize, n: usize, salt: usize) -> CscMatrix {
 mod tests {
     use super::*;
 
-    /// The naive per-entry loops the lane must reproduce bit for bit:
+    /// GESSM's `L X = B` as naive per-entry loops on a column-major
+    /// `m × n` `x`: `x_r -= L(r, k)·x_k`, `k` ascending.
+    fn naive_gessm<S: Scalar>(l: &[S], x: &mut [S], m: usize, n: usize) {
+        for j in 0..n {
+            for kk in 0..m {
+                for r in kk + 1..m {
+                    x[j * m + r] -= l[kk * m + r] * x[j * m + kk];
+                }
+            }
+        }
+    }
+
+    /// The naive per-entry loops the sweep must reproduce bit for bit:
     /// every target entry's subtractions in ascending `k`, TSTRF's
     /// division last.
     fn naive<S: Scalar>(op: Op<'_, S>, x: &mut [S], m: usize, n: usize) {
@@ -644,10 +808,10 @@ mod tests {
                         }
                     }
                 }
-                Op::Gessm { l } => {
-                    for kk in 0..m {
-                        for r in kk + 1..m {
-                            x[j * m + r] -= l[kk * m + r] * x[j * m + kk];
+                Op::GessmT { l } => {
+                    for kk in 0..j {
+                        for r in 0..m {
+                            x[j * m + r] -= x[kk * m + r] * l[kk * n + j];
                         }
                     }
                 }
@@ -677,16 +841,16 @@ mod tests {
 
             let lu = dense_block(m, m, 4);
             let mut want = c0.values().to_vec();
-            naive(Op::Gessm { l: lu.values() }, &mut want, m, n);
+            naive_gessm(lu.values(), &mut want, m, n);
             let mut x = c0.clone();
-            gessm_tile(&lu, &mut x);
+            gessm_tile(&lu, &mut x, &mut Vec::new(), &mut Vec::new());
             assert_eq!(x.values(), &want[..], "GESSM {m}x{n}");
 
             let lu = dense_block(n, n, 5);
             let mut want = c0.values().to_vec();
             naive(Op::Tstrf { u: lu.values() }, &mut want, m, n);
             let mut x = c0.clone();
-            tstrf_tile(&lu, &mut x);
+            tstrf_tile(&lu, &mut x, &mut Vec::new(), &mut Vec::new());
             assert_eq!(x.values(), &want[..], "TSTRF {m}x{n}");
         }
     }
@@ -716,8 +880,6 @@ mod tests {
         perturbed
     }
 
-    /// One sweep of the lane over an `m × n` unknown.
-    type Sweep<S> = for<'a> fn(Op<'a, S>, &mut [S], usize, usize);
     /// One GETRF sweep of the lane over an `n × n` block.
     type LuSweep<S> = fn(&mut [S], usize, f64) -> usize;
 
@@ -771,10 +933,13 @@ mod tests {
     }
 
     /// Heights (and GETRF orders) to check: every one up to one past the
-    /// AVX2 instance's 16-row `f32` tile, one below, at and one past the
-    /// AVX-512 instance's 32- and 64-row tiles, and kkt's 69 and 119.
+    /// AVX-512 instance's 32-row `f64` tile (the portable and AVX2
+    /// instances shift their tail tiles at 7, 13–15 and 25–31), 49–65
+    /// (AVX-512 `f64` shifts from 49, and 64 is its `f32` tile), kkt's 69
+    /// (too small a remainder to shift), 97 (`f32` shifts, `f64` does
+    /// not), 113 (both shift), kkt's 119, and 127–128.
     fn heights() -> impl Iterator<Item = usize> {
-        (1..=17).chain([31, 32, 33, 63, 64, 65, 69, 119])
+        (1..=33).chain(49..=65).chain([69, 97, 113, 119, 127, 128])
     }
 
     /// Every instance this CPU runs (AVX-512, AVX2, portable) gives the
@@ -815,8 +980,8 @@ mod tests {
             for m in heights() {
                 for n in 1..=9 {
                     let c0 = dense(m, n, 3);
-                    let (lu_m, lu_n) = (dense(m, m, 4), dense(n, n, 5));
-                    let mut ops = vec![Op::Gessm { l: &lu_m }, Op::Tstrf { u: &lu_n }];
+                    let lu_n = dense(n, n, 5);
+                    let mut ops = vec![Op::Tstrf { u: &lu_n }, Op::GessmT { l: &lu_n }];
                     let operands: Vec<_> =
                         [1, 6, 17].map(|k| (k, dense(m, k, 1), dense(k, n, 2))).into();
                     ops.extend(operands.iter().map(|(k, a, b)| Op::Ssssm { a, b, k: *k }));
@@ -825,6 +990,31 @@ mod tests {
                         instance(op, &mut got, m, n);
                         naive(op, &mut want, m, n);
                         assert_eq!(bits(&got), bits(&want), "{name} {} {m}x{n}", S::LABEL);
+                    }
+                    // GESSM on `m × n` (through transposes: the sweep runs
+                    // `n × m`) and on `n × m`, full and with a hole in each
+                    // block.
+                    for (rows, cols) in [(m, n), (n, m)] {
+                        let lu = dense_block(rows, rows, 4).cast::<S>();
+                        let b = dense_block(rows, cols, 3).cast::<S>();
+                        // The last row is no other row's `x_k`, so its
+                        // first entry may go missing from `B`.
+                        let hole = |i: usize, j: usize| (i, j) != (rows - 1, 0);
+                        let holed = (lu.filter_entries(hole), b.filter_entries(hole));
+                        for (l, x0) in [(lu.clone(), b.clone()), holed] {
+                            let (mut dense_l, mut want) = (Vec::new(), Vec::new());
+                            expand(&l, &mut dense_l);
+                            expand(&x0, &mut want);
+                            naive_gessm(&dense_l, &mut want, rows, cols);
+                            let stored = (0..cols).flat_map(|j| {
+                                x0.col(j).0.iter().map(move |&r| j * rows + r).collect::<Vec<_>>()
+                            });
+                            let want: Vec<S> = stored.map(|p| want[p]).collect();
+                            let mut got = x0.clone();
+                            gessm_with(instance, &l, &mut got, &mut Vec::new(), &mut Vec::new());
+                            let tag = format!("GESSM {name} {} {rows}x{cols}", S::LABEL);
+                            assert_eq!(bits(got.values()), bits(&want), "{tag}, nnz {}", l.nnz());
+                        }
                     }
                 }
             }
@@ -838,7 +1028,27 @@ mod tests {
             check_lu::<f32>(name, lu);
             check::<f32>(name, sweep);
         }
-        let names: Vec<_> = instances::<f64>().iter().map(|i| i.0).collect();
+        // Each instance with the row remainders its full-height tiles
+        // cover by one shifted tail tile.
+        let tails = |mr: usize| {
+            let rest: Vec<usize> = (1..mr).filter(|&r| shifts(r, mr)).collect();
+            match rest.as_slice() {
+                [one] => one.to_string(),
+                [first, .., last] => format!("{first}-{last}"),
+                [] => "none".to_string(),
+            }
+        };
+        let names: Vec<_> = instances::<f64>()
+            .iter()
+            .map(|(name, ..)| {
+                let rows = match *name {
+                    "avx512" => TILE_ROWS_F64_AVX512,
+                    "avx2" => TILE_ROWS_F64_AVX2,
+                    _ => TILE_ROWS_F64,
+                };
+                format!("{name} (tails {} f64 / {} f32 shifted)", tails(rows), tails(2 * rows))
+            })
+            .collect();
         let checked = match names.as_slice() {
             [init @ .., last] if !init.is_empty() => format!("{} and {last}", init.join(", ")),
             _ => "portable only (this CPU has no AVX2)".to_string(),

@@ -14,8 +14,8 @@
 //! here every variant runs on its task's thread and keeps only its
 //! addressing method, so `G_V3` runs `C_V2`'s loop. The parallelism is
 //! the executor's (workers or ranks). A sixth, `D_V1`, is the dense-tile
-//! lane of [`crate::tile`] for a completely filled factor block and panel
-//! block.
+//! lane of [`crate::tile`] for panel solves whose blocks are filled
+//! enough (see [`crate::KernelSelector::gessm_on`]).
 //!
 //! All writes stay inside `B`'s stored pattern (symbolic closure).
 
@@ -40,7 +40,7 @@ pub fn gessm<S: Scalar>(
 ) {
     debug_assert_eq!(diag_lu.nrows(), b.nrows(), "GESSM dimension mismatch");
     scratch.ensure(b.nrows());
-    let KernelScratch { dense, splits, .. } = scratch;
+    let KernelScratch { dense, splits, tile_a, tile_b, .. } = scratch;
     reset_splits(splits, diag_lu.ncols());
     match variant {
         TrsmVariant::CV1 => {
@@ -69,7 +69,7 @@ pub fn gessm<S: Scalar>(
                 solve_col_dot(&l_csr, rows_c, vals_c);
             }
         }
-        TrsmVariant::DV1 => tile::gessm_tile(diag_lu, b),
+        TrsmVariant::DV1 => tile::gessm_tile(diag_lu, b, tile_a, tile_b),
     }
 }
 
@@ -94,7 +94,7 @@ pub fn tstrf<S: Scalar>(
         TrsmVariant::CV2 | TrsmVariant::GV3 => tstrf_seq(diag_lu, b, TstrfAddr::Dense, scratch),
         TrsmVariant::GV1 => tstrf_seq(diag_lu, b, TstrfAddr::BinSearch, scratch),
         TrsmVariant::GV2 => tstrf_seq(diag_lu, b, TstrfAddr::RowDot, scratch),
-        TrsmVariant::DV1 => tile::tstrf_tile(diag_lu, b),
+        TrsmVariant::DV1 => tile::tstrf_tile(diag_lu, b, &mut scratch.tile_a, &mut scratch.tile_b),
     }
 }
 

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 
 use pangulu_kernels::{
-    getrf, plan, reference, ssssm, trsm, GetrfVariant, KernelPlans, KernelScratch, KernelSelector,
-    PlanTask, Route, SsssmVariant, Thresholds, TimedKernels, TrsmVariant,
+    flops, getrf, plan, reference, ssssm, trsm, GetrfVariant, KernelPlans, KernelScratch,
+    KernelSelector, PlanTask, Route, SsssmVariant, Thresholds, TimedKernels, TrsmVariant,
 };
 use pangulu_sparse::ops::ensure_diagonal;
 use pangulu_sparse::{CooMatrix, CscMatrix, DenseMatrix, Scalar};
@@ -460,14 +460,14 @@ fn route_tall_step<S: Scalar>(step: &TallStep) -> [bool; 4] {
     let mut scratch = KernelScratch::<S>::with_capacity(n);
     let mut lu = diag.clone();
     getrf::getrf(&mut lu, GetrfVariant::CV1, &mut scratch, 1e-12);
-    let flops = pangulu_kernels::flops::ssssm_flops(&a, &b);
+    let update_flops = flops::ssssm_flops(&a, &b);
 
     let mut pool = KernelPlans::<S>::with_slots(1, 1, 1, 1);
     pool.build(&sel, |add| {
         add(PlanTask::Getrf { slot: 0, a: &diag });
         add(PlanTask::Gessm { slot: 0, diag_lu: &lu, b: &upper });
         add(PlanTask::Tstrf { slot: 0, diag_lu: &lu, b: &lower });
-        add(PlanTask::Ssssm { slot: 0, flops, a: &a, b: &b, c: &c });
+        add(PlanTask::Ssssm { slot: 0, flops: update_flops, a: &a, b: &b, c: &c });
     });
     let mut timed = TimedKernels::new(false);
     let mut planned = [false; 4];
@@ -480,21 +480,21 @@ fn route_tall_step<S: Scalar>(step: &TallStep) -> [bool; 4] {
 
     let (mut want, mut got) = (upper.clone(), upper.clone());
     trsm::gessm(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
-    let route = pool.route_gessm(&sel, 0, &lu, &upper);
+    let route = pool.route_gessm(&sel, 0, flops::gessm_flops(&lu, &upper), &lu, &upper);
     planned[1] = matches!(route, Route::Plan(..));
     timed.gessm(route, &lu, &mut got, &mut scratch, 0.0);
     assert_eq!(bits(&got), bits(&want), "{n} rows: GESSM diverged");
 
     let (mut want, mut got) = (lower.clone(), lower.clone());
     trsm::tstrf(&lu, &mut want, TrsmVariant::CV1, &mut scratch);
-    let route = pool.route_tstrf(&sel, 0, &lu, &lower);
+    let route = pool.route_tstrf(&sel, 0, flops::tstrf_flops(&lu, &lower), &lu, &lower);
     planned[2] = matches!(route, Route::Plan(..));
     timed.tstrf(route, &lu, &mut got, &mut scratch, 0.0);
     assert_eq!(bits(&got), bits(&want), "{n} rows: TSTRF diverged");
 
     let (mut want, mut got) = (c.clone(), c.clone());
     ssssm::ssssm(&a, &b, &mut want, SsssmVariant::CV1, &mut scratch);
-    let route = pool.route_ssssm(&sel, 0, flops, &a, &c);
+    let route = pool.route_ssssm(&sel, 0, update_flops, &a, &c);
     planned[3] = matches!(route, Route::Plan(..));
     timed.ssssm(route, &a, &b, &mut got, &mut scratch, 0.0);
     assert_eq!(bits(&got), bits(&want), "{n} rows: SSSSM diverged");

@@ -1,7 +1,9 @@
 //! Property tests of the dense-tile lane (`D_V1`): on full targets it
 //! must be **bitwise identical** to the sparse variants `C_V1` and `C_V2`
-//! — every tile remainder in both dimensions, full and expanded (50–99 %
-//! filled) operands, operand values that are exactly `0.0` (the sparse
+//! — every tile remainder in both dimensions (shifted tail tiles
+//! included), full and expanded (50–99 % filled) operands, panel solves
+//! on closed patterns with holes in the factor block, the panel block or
+//! both (25–90 % fill), operand values that are exactly `0.0` (the sparse
 //! kernels skip those, the tile multiplies through), `f64` and `f32` —
 //! its GETRF on full diagonal blocks to `C_V1` and to naive dense loops,
 //! perturbed-pivot count included, on every input (pivot floor on and
@@ -26,8 +28,11 @@ use pangulu_sparse::{CooMatrix, CscMatrix, Scalar};
 const DIMS: [usize; 11] = [1, 2, 3, 5, 7, 8, 15, 16, 17, 69, 119];
 
 /// Heights that straddle the AVX-512 instance's tiles: one below, at and
-/// one past its 32-row `f64` and 64-row `f32` tile, then 69 and 119.
-const TALL: [usize; 8] = [31, 32, 33, 63, 64, 65, 69, 119];
+/// one past its 32-row `f64` and 64-row `f32` tile, remainders it covers
+/// with one shifted tail tile (49–63 and 113 in `f64`, 97, 113 and 119 in
+/// `f32`, 127 in both) or with the cascade (69, and 97 in `f64`), and
+/// 128.
+const TALL: [usize; 15] = [31, 32, 33, 49, 50, 56, 63, 64, 65, 69, 97, 113, 119, 127, 128];
 
 struct Lcg(u64);
 
@@ -156,11 +161,12 @@ fn check_shape(m: usize, k: usize, n: usize, fills: (f64, f64), zero_share: f64,
 }
 
 /// Every row remainder of the instances' tiles (every height up to one
-/// past the AVX2 instance's 16-row `f32` tile, and [`TALL`]) and of the
-/// 4-column tile, with full and with expanded operands.
+/// past the AVX2 instance's 16-row `f32` tile and its shifted `f32` tails
+/// at 25–31, and [`TALL`]) and of the 4-column tile, with full and with
+/// expanded operands.
 #[test]
 fn every_tile_remainder_matches_the_sparse_variants() {
-    for m in (1..=17).chain(TALL) {
+    for m in (1..=17).chain(25..=30).chain(TALL) {
         for n in 1..=9 {
             for (k, fills) in [(1, (1.0, 1.0)), (5, (1.0, 0.8)), (8, (0.7, 1.0)), (11, (0.6, 0.6))]
             {
@@ -267,16 +273,6 @@ fn in_place_cv1_matches_scatter_cv1_on_full_and_partly_full_columns() {
 /// leave non-finite is never silently finite through the tile.
 #[test]
 fn non_finite_operands_stay_non_finite_through_the_tile() {
-    let non_finite_kept = |want: &CscMatrix, got: &CscMatrix, tag: &str| {
-        let mut poisoned = 0;
-        for (w, g) in want.values().iter().zip(got.values()) {
-            if !w.is_finite() {
-                poisoned += 1;
-                assert!(!g.is_finite(), "{tag}: the tile turned {w} into finite {g}");
-            }
-        }
-        assert!(poisoned > 0, "{tag}: the poison never reached the result");
-    };
     let (m, k, n) = (13, 9, 7);
     for (p, poison) in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN].into_iter().enumerate() {
         let rng = &mut Lcg(900 + p as u64);
@@ -309,6 +305,139 @@ fn non_finite_operands_stay_non_finite_through_the_tile() {
         trsm::tstrf(&lu, &mut got, TrsmVariant::DV1, &mut scratch);
         non_finite_kept(&want, &got, &format!("TSTRF {poison}"));
     }
+}
+
+/// `pattern` (column-major `m × n`, `true` = stored) closed as a
+/// factorisation's panels are: under GESSM (`lower`) an entry `(k, j)`
+/// stores every `(r, j)` with `L(r, k)` stored, `r > k`; under TSTRF
+/// (`upper`) an entry `(i, k)` stores every `(i, j)` with `U(k, j)`
+/// stored, `j > k`. One ascending pass suffices: fill only moves down
+/// (GESSM) or right (TSTRF).
+fn close(
+    pattern: &mut [bool],
+    m: usize,
+    n: usize,
+    lower: Option<&CscMatrix>,
+    upper: Option<&CscMatrix>,
+) {
+    if let Some(l) = lower {
+        for j in 0..n {
+            for k in 0..m {
+                if pattern[j * m + k] {
+                    for &r in l.col(k).0.iter().filter(|&&r| r > k) {
+                        pattern[j * m + r] = true;
+                    }
+                }
+            }
+        }
+    }
+    if let Some(u) = upper {
+        for j in 0..n {
+            for (&k, _) in u.col(j).0.iter().zip(u.col(j).1).filter(|(&k, _)| k < j) {
+                for i in 0..m {
+                    if pattern[k * m + i] {
+                        pattern[j * m + i] = true;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `lu` keeping its diagonal and each off-diagonal entry with
+/// probability `fill`.
+fn thin(lu: &CscMatrix, fill: f64, rng: &mut Lcg) -> CscMatrix {
+    let keep: Vec<bool> = (0..lu.nrows() * lu.ncols()).map(|_| rng.unit() < fill).collect();
+    let m = lu.nrows();
+    lu.filter_entries(|i, j| i == j || keep[j * m + i])
+}
+
+/// An `m × n` panel over `pattern`, `zero_share` of its values exactly
+/// `0.0`.
+fn panel_over(pattern: &[bool], m: usize, n: usize, zero_share: f64, rng: &mut Lcg) -> CscMatrix {
+    let mut coo = CooMatrix::new(m, n);
+    for j in 0..n {
+        for i in (0..m).filter(|&i| pattern[j * m + i]) {
+            coo.push(i, j, if rng.unit() < zero_share { 0.0 } else { rng.value() }).unwrap();
+        }
+    }
+    coo.to_csc()
+}
+
+/// Filled panel blocks that are not full take the lane expanded into the
+/// scratch tiles (a factor block with holes, a panel block with holes,
+/// or both), and only the panel's stored entries come back: at 25–90 %
+/// fill of the factor and of the panel before closure, with exact zeros
+/// in the panel and in `U`, the bits are `C_V1`'s and `C_V2`'s in `f64`
+/// and `f32`, at heights where the instances shift their tail tiles and
+/// where they do not; with a non-finite panel entry, every entry the
+/// sparse variants leave non-finite stays non-finite.
+#[test]
+fn expanded_panel_solves_match_the_sparse_variants() {
+    let shapes = [(7, 5), (13, 9), (29, 30), (56, 23), (69, 119), (119, 69), (119, 119)];
+    for (s, &(m, n)) in shapes.iter().enumerate() {
+        for (f, fill) in [0.25, 0.5, 0.75, 0.9].into_iter().enumerate() {
+            let rng = &mut Lcg(11_000 + 10 * s as u64 + f as u64);
+            let tag = format!("{m}x{n} fill {fill}");
+            let zeros = 0.15;
+            let (lu_rows, lu_cols) = (factor(m, zeros, rng), factor(n, zeros, rng));
+            // Full factors over holed panels, holed factors over full
+            // and over holed panels.
+            for (factor_fill, panel_fill) in [(1.0, fill), (fill, 1.0), (fill, fill)] {
+                let lu_rows =
+                    if factor_fill < 1.0 { thin(&lu_rows, fill, rng) } else { lu_rows.clone() };
+                let lu_cols =
+                    if factor_fill < 1.0 { thin(&lu_cols, fill, rng) } else { lu_cols.clone() };
+                let seed = |rng: &mut Lcg| -> Vec<bool> {
+                    (0..m * n).map(|_| panel_fill >= 1.0 || rng.unit() < panel_fill).collect()
+                };
+                let (mut up, mut low) = (seed(rng), seed(rng));
+                close(&mut up, m, n, Some(&lu_rows), None);
+                close(&mut low, m, n, None, Some(&lu_cols));
+                let upper = panel_over(&up, m, n, zeros, rng);
+                let lower = panel_over(&low, m, n, 0.0, rng);
+                let tag = format!("{tag} factor {factor_fill} panel {panel_fill}");
+                assert_panel_lanes(&lu_rows, &upper, &lu_cols, &lower, &tag);
+                assert_panel_lanes(
+                    &lu_rows.cast::<f32>(),
+                    &upper.cast::<f32>(),
+                    &lu_cols.cast::<f32>(),
+                    &lower.cast::<f32>(),
+                    &tag,
+                );
+
+                for poison in [f64::INFINITY, f64::NAN] {
+                    let mut scratch = KernelScratch::default();
+                    let tag = format!("{tag} poison {poison}");
+                    let mut bad = upper.clone();
+                    bad.values_mut()[0] = poison;
+                    let (mut want, mut got) = (bad.clone(), bad);
+                    trsm::gessm(&lu_rows, &mut want, TrsmVariant::CV1, &mut scratch);
+                    trsm::gessm(&lu_rows, &mut got, TrsmVariant::DV1, &mut scratch);
+                    non_finite_kept(&want, &got, &format!("GESSM {tag}"));
+                    let mut bad = lower.clone();
+                    bad.values_mut()[0] = poison;
+                    let (mut want, mut got) = (bad.clone(), bad);
+                    trsm::tstrf(&lu_cols, &mut want, TrsmVariant::CV1, &mut scratch);
+                    trsm::tstrf(&lu_cols, &mut got, TrsmVariant::DV1, &mut scratch);
+                    non_finite_kept(&want, &got, &format!("TSTRF {tag}"));
+                }
+            }
+        }
+    }
+}
+
+/// Every entry `want` holds non-finite is non-finite in `got`, and there
+/// is at least one.
+fn non_finite_kept(want: &CscMatrix, got: &CscMatrix, tag: &str) {
+    let mut poisoned = 0;
+    for (w, g) in want.values().iter().zip(got.values()) {
+        if !w.is_finite() {
+            poisoned += 1;
+            assert!(!g.is_finite(), "{tag}: the tile turned {w} into finite {g}");
+        }
+    }
+    assert!(poisoned > 0, "{tag}: the poison never reached the result");
 }
 
 /// `C_V1`'s GETRF as naive dense loops on a column-major `n × n` block:

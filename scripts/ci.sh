@@ -78,11 +78,15 @@
 #           profiles (debug has no vectorisation, release does): every
 #           tile instance this CPU runs (AVX-512, AVX2, portable) against
 #           the naive loops of all four classes at heights straddling
-#           every tile (up to 119) — GETRF's left-looking LU on full
-#           diagonal blocks among them (the log line `tile instances
-#           checked (GETRF GESSM TSTRF SSSSM): avx512, avx2 and portable`,
-#           `avx2 and portable` or `portable only` says which instances
-#           this runner ran), the whole pangulu-kernels package (lib +
+#           every tile and every shifted tail tile (up to 128) — GETRF's
+#           left-looking LU on full diagonal blocks among them (the log
+#           line `tile instances checked (GETRF GESSM TSTRF SSSSM):
+#           avx512 (tails 17-31 f64 / 33-63 f32 shifted), avx2 (tails 5-7
+#           f64 / 9-15 f32 shifted) and portable (tails 3 f64 / 5-7 f32
+#           shifted)` names the instances this runner ran and the row
+#           remainders each covers with one shifted full-height tile
+#           instead of the halved-height cascade; `portable only` on a
+#           CPU without AVX2), the whole pangulu-kernels package (lib +
 #           planned_equivalence + tile_equivalence + kernel_properties,
 #           where every Table 1 variant must give its class's `C_V1`
 #           bits) and the determinism /
@@ -285,7 +289,8 @@ stage_kernels() {
     for profile in "" --release; do
         echo "--- dense-tile lane equivalence, profile: ${profile:-debug}"
         # Prints which tile instances this runner checked for the four
-        # classes (avx2 + portable, or portable only).
+        # classes (avx512, avx2 and portable, or fewer) and each one's
+        # shifted row tails.
         cargo test $profile -q -p pangulu-kernels --lib -- both_tile_instances --nocapture
         cargo test $profile -q -p pangulu-kernels -- --skip both_tile_instances
         cargo test $profile -q --test determinism --test refactor -- dense_tile plan

@@ -323,7 +323,10 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
     let solver = Solver::builder().build(&lap).unwrap();
     let n = lap.ncols();
     let bs: Vec<Vec<f64>> = (0..70).map(|s| gen::test_rhs(n, s)).collect();
-    let panel = PANEL_WIDTH * n * std::mem::size_of::<f64>();
+    // The workspace holds 7 spare entries (56 B) past its panel so the
+    // panel can start on a 64-byte boundary.
+    const SLACK: usize = 56;
+    let panel = PANEL_WIDTH * n * std::mem::size_of::<f64>() + SLACK;
     let live = LIVE.load(Relaxed);
     PEAK.store(live, Relaxed);
     let xs = solver.solve_multi(&bs).unwrap();
@@ -367,7 +370,7 @@ fn build_peak_stays_near_the_bytes_the_solver_keeps() {
         kept += LIVE.load(Relaxed) - live - bytes(&xs);
         widest = widest.max(k.min(PANEL_WIDTH));
         eprintln!("lap2d: after a {k}-rhs solve_multi the workspace keeps {kept} B");
-        assert_eq!(kept, widest * n * std::mem::size_of::<f64>(), "lap2d: k = {k}");
+        assert_eq!(kept, widest * n * std::mem::size_of::<f64>() + SLACK, "lap2d: k = {k}");
         assert!(kept <= panel, "lap2d: the workspace outgrew one panel ({kept} B)");
     }
 }

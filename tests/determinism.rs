@@ -292,10 +292,12 @@ use pangulu::core::shared::factor_shared_planned;
 use pangulu::kernels::{GetrfVariant, KernelPlans, Route, SsssmVariant, TrsmVariant};
 use pangulu::sparse::Scalar;
 
-const TILE_NB: usize = 33;
+const TILE_NB: usize = 36;
 
-/// `gen::kkt(200, 90, 7)` (the golden-corpus KKT system) cut at 33: the
-/// trailing 4 × 4 blocks are full.
+/// `gen::kkt(200, 90, 7)` (the golden-corpus KKT system) cut at 36: the
+/// trailing blocks are full, and two GESSM and two TSTRF panel blocks
+/// past the planned gates are filled but not full (at 33 there are
+/// none).
 fn filled_problem() -> (BlockMatrix, TaskGraph, KernelSelector) {
     let a = gen::kkt(200, 90, 7);
     let f = pangulu::symbolic::symbolic_fill(&a).unwrap().filled_matrix(&a).unwrap();
@@ -326,12 +328,12 @@ fn tile_routes<S: Scalar>(
         n[0] += u64::from(matches!(route, Route::Variant(GetrfVariant::DV1)));
         for &j in &tg.u_panels[k] {
             let id = bm.block_id(k, j).unwrap();
-            let route = plans.route_gessm(sel, id, diag, bm.block(id));
+            let route = plans.route_gessm(sel, id, tg.panel_flops[id], diag, bm.block(id));
             n[1] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
         }
         for &i in &tg.l_panels[k] {
             let id = bm.block_id(i, k).unwrap();
-            let route = plans.route_tstrf(sel, id, diag, bm.block(id));
+            let route = plans.route_tstrf(sel, id, tg.panel_flops[id], diag, bm.block(id));
             n[2] += u64::from(matches!(route, Route::Variant(TrsmVariant::DV1)));
         }
     }
@@ -397,6 +399,40 @@ fn ssssm_routes<S: Scalar>(
     n
 }
 
+/// Panel solves `[GESSM, TSTRF]` the fill rule sends to the lane, from
+/// structure alone: past the planned gate, with model FLOPs at least
+/// `PANEL_MIN_FILL` of the padded dense count (`n·m·(m−1)` for GESSM,
+/// `m·n²` for TSTRF), and, under a factor block that is not full, a
+/// panel at least half as wide (GESSM) or tall (TSTRF) as the factor's
+/// order; the second pair counts those whose factor or panel block is
+/// not full and is expanded.
+fn panel_split<S: Scalar>(bm: &BlockMatrix<S>, tg: &TaskGraph) -> ([u64; 2], [u64; 2]) {
+    let (mut lane, mut expanded) = ([0u64; 2], [0u64; 2]);
+    let full = pangulu::kernels::tile::is_full::<S>;
+    let gate = Thresholds::default();
+    for k in 0..bm.nblk() {
+        let diag = bm.block(bm.block_id(k, k).unwrap());
+        let ids = tg.u_panels[k].iter().map(|&j| (0, bm.block_id(k, j).unwrap()));
+        let ids = ids.chain(tg.l_panels[k].iter().map(|&i| (1, bm.block_id(i, k).unwrap())));
+        for (class, id) in ids {
+            let b = bm.block(id);
+            let (m, n) = (b.nrows(), b.ncols());
+            let (padded, across, planned) = if class == 0 {
+                (n * m * m.saturating_sub(1), n, gate.gessm_planned)
+            } else {
+                (m * n * n, m, gate.tstrf_planned)
+            };
+            let cut = pangulu::kernels::select::PANEL_MIN_FILL * padded as f64;
+            let shared = full(diag) || 2 * across >= diag.nrows();
+            if (b.nnz() as f64) >= planned && padded > 0 && tg.panel_flops[id] >= cut && shared {
+                lane[class] += 1;
+                expanded[class] += u64::from(!full(diag) || !full(b));
+            }
+        }
+    }
+    (lane, expanded)
+}
+
 fn assert_lane_ran(calls: [u64; 4], tag: &str) {
     assert!(calls.iter().all(|&c| c >= 1), "{tag}: a class never took the tile lane: {calls:?}");
 }
@@ -416,6 +452,10 @@ fn dense_tile_rows<S: Scalar>() {
     // and no plan replay is one of them.
     let split = ssssm_split(&bm0, &tg);
     assert!(split[0] >= 1 && split[1] >= 1, "{w}: fixture covers both sides: {split:?}");
+    // Filled panel blocks that are not full take the lane too, expanded.
+    let (panels, expanded) = panel_split(&bm0, &tg);
+    assert!(expanded.iter().all(|&e| e >= 1), "{w}: no panel is expanded: {expanded:?}");
+    let panel_routes = |routes: [u64; 4]| [routes[1], routes[2]];
 
     // A pool's first run is plan-free and its second builds the plans;
     // the routes are read from the pool the second run left.
@@ -425,7 +465,9 @@ fn dense_tile_rows<S: Scalar>() {
         factor_sequential_planned(&mut bm, &tg, &sel, 1e-12, &mut plans);
         assert_eq!(reference, value_bits(&bm), "{w} sequential run {run}: tile lane moved a bit");
     }
-    assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} sequential"));
+    let routes = tile_routes(&plans, &bm0, &tg, &sel);
+    assert_lane_ran(routes, &format!("{w} sequential"));
+    assert_eq!(panel_routes(routes), panels, "{w} sequential: panel routes");
     assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} sequential");
 
     for threads in [1, 3] {
@@ -436,7 +478,9 @@ fn dense_tile_rows<S: Scalar>() {
             let tag = format!("{w} shared x{threads} run {run}");
             assert_eq!(reference, value_bits(&bm), "{tag}: tile lane moved a bit");
         }
-        assert_lane_ran(tile_routes(&plans, &bm0, &tg, &sel), &format!("{w} shared"));
+        let routes = tile_routes(&plans, &bm0, &tg, &sel);
+        assert_lane_ran(routes, &format!("{w} shared"));
+        assert_eq!(panel_routes(routes), panels, "{w} shared x{threads}: panel routes");
         assert_eq!(ssssm_routes(&plans, &bm0, &tg, &sel), split, "{w} shared");
     }
 
@@ -446,6 +490,8 @@ fn dense_tile_rows<S: Scalar>() {
             .unwrap_or_else(|e| panic!("{w} {pr}x{pc} {tag}: {e}"));
         assert_eq!(reference, value_bits(&bm), "{w} {pr}x{pc} {tag}: tile lane moved a bit");
         assert_lane_ran(tile_calls(&run), &format!("{w} {pr}x{pc} {tag}"));
+        let calls = panel_routes(tile_calls(&run));
+        assert_eq!(calls, panels, "{w} {pr}x{pc} {tag}: panel D_V1 calls");
         let tally = run.report.total_kernels();
         let calls = |variant: &str| {
             let hit = tally.entries().find(|(c, v, _)| *c == "SSSSM" && *v == variant);

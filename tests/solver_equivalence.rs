@@ -4,9 +4,13 @@
 //! checked bit for bit per kernel in `pangulu-kernels`'
 //! `kernel_properties.rs`.)
 
+use pangulu::core::BlockMatrix;
 use pangulu::prelude::*;
+use pangulu::reorder::FillReducing;
 use pangulu::sparse::gen;
 use pangulu::sparse::ops::relative_residual;
+use pangulu::sparse::permute::{permute, scale};
+use pangulu::sparse::{CooMatrix, CscMatrix};
 use pangulu::supernodal::{SupernodalLu, SupernodalOptions};
 
 fn agree(name: &str, a: &pangulu::sparse::CscMatrix, tol: f64) {
@@ -168,6 +172,119 @@ fn golden_corpus_factors_hold_no_negative_zero() {
             assert_eq!((neg64, neg32), (0, 0), "{name}: block {id} stores -0.0");
         }
     }
+}
+
+/// A dense 80 × 80 system cut at 40 (four full blocks, all past the
+/// planned gates) with `zero` (`-0.0` or `+0.0`) at two entries: update
+/// target `(43, 40)` of the trailing block, which receives nothing but
+/// zero products (row 43 of the `L` block and column 40 of the `U` block
+/// are explicit zeros, and half the leading block's pivots are negative,
+/// so `L(43, k)` holds `-0.0` where they are), and `(0, 45)`, the first
+/// row of a `U` panel, which no kernel writes.
+fn signed_zero_system(zero: f64) -> CscMatrix {
+    let (n, nb, row, col) = (80, 40, 43, 40);
+    let mut coo = CooMatrix::new(n, n);
+    for j in 0..n {
+        for i in 0..n {
+            let v = if i == j {
+                let d = 100.0 + i as f64;
+                if i < nb && i % 2 == 0 {
+                    -d
+                } else {
+                    d
+                }
+            } else if (i, j) == (row, col) || (i, j) == (0, 45) {
+                zero
+            } else if (i == row && j < nb) || (j == col && i < nb) {
+                0.0
+            } else {
+                0.25 + ((i * 31 + j * 17) % 23) as f64 / 16.0
+            };
+            coo.push(i, j, v).unwrap();
+        }
+    }
+    coo.to_csc()
+}
+
+/// The solver's factors of `a` (natural order, cut at 40) after the
+/// build and after a refactor, and its reordering's scaled, permuted
+/// copy of `a`.
+fn solver_factors(a: &CscMatrix) -> (Vec<u64>, Vec<u64>, CscMatrix) {
+    let mut solver =
+        Solver::builder().block_size(40).fill_reducing(FillReducing::Natural).build(a).unwrap();
+    let built = value_bits(solver.factored());
+    solver.refactor(a).unwrap();
+    let r = solver.ordering();
+    let permuted =
+        permute(&scale(a, &r.row_scale, &r.col_scale).unwrap(), &r.row_perm, &r.col_perm).unwrap();
+    (built, value_bits(solver.factored()), permuted)
+}
+
+/// `a` factored by the unplanned sparse sweep under the Figure 14
+/// baseline selector, and by a planned sweep's second run under the
+/// default one (the dense-tile lane on every full block).
+fn baseline_and_lane(a: &CscMatrix) -> (Vec<u64>, Vec<u64>) {
+    use pangulu::core::seq::{empty_plans, factor_sequential, factor_sequential_planned};
+    use pangulu::core::task::TaskGraph;
+    use pangulu::kernels::select::{KernelSelector, Thresholds};
+    use pangulu::kernels::{Route, SsssmVariant, TrsmVariant};
+    let f = pangulu::symbolic::symbolic_fill(a).unwrap().filled_matrix(a).unwrap();
+    let bm0 = BlockMatrix::from_filled(&f, 40).unwrap();
+    let tg = TaskGraph::build(&bm0);
+    let floor = 1e-12 * a.norm_max().max(1.0);
+    let mut base = bm0.clone();
+    factor_sequential(&mut base, &tg, &KernelSelector::baseline(), floor);
+    let sel = KernelSelector::new(a.nnz(), Thresholds::default());
+    let mut plans = empty_plans(&bm0, &tg);
+    let mut lane = bm0.clone();
+    for _ in 0..2 {
+        lane = bm0.clone();
+        factor_sequential_planned(&mut lane, &tg, &sel, floor, &mut plans);
+    }
+    let (u, l) = (bm0.block_id(0, 1).unwrap(), bm0.block_id(1, 0).unwrap());
+    let diag = bm0.block(bm0.block_id(0, 0).unwrap());
+    let routes = [
+        plans.route_gessm(&sel, u, tg.panel_flops[u], diag, bm0.block(u)),
+        plans.route_tstrf(&sel, l, tg.panel_flops[l], diag, bm0.block(l)),
+    ];
+    assert!(
+        routes.iter().all(|r| matches!(r, Route::Variant(TrsmVariant::DV1))),
+        "panel off the lane"
+    );
+    let target = bm0.block(bm0.block_id(1, 1).unwrap());
+    let update = plans.route_ssssm(&sel, 0, tg.ssssm_flops[0], bm0.block(l), target);
+    assert!(matches!(update, Route::Variant(SsssmVariant::DV1)), "update off the lane");
+    (value_bits(&base), value_bits(&lane))
+}
+
+/// An explicit `-0.0` input in a full off-diagonal block: handed to the
+/// kernels as is, the lane and the baseline part on its sign — so the
+/// solver writes a zero input as `+0.0`, at the build's load and in the
+/// refactor's scatter, and its factors are the baseline's bits on the
+/// load it makes, build and refactor alike.
+#[test]
+fn negative_zero_input_factors_as_the_baseline_selector_does() {
+    let a = signed_zero_system(-0.0);
+    let (built, refactored, permuted) = solver_factors(&a);
+    // The kernels part on a `-0.0` target ...
+    let (base, lane) = baseline_and_lane(&permuted);
+    assert_ne!(base, lane, "the fixture no longer reaches a -0.0 target through the lane");
+    // ... and agree on the load the solver makes, `+0.0` for every zero.
+    let mut loaded = permuted.clone();
+    loaded.values_mut().iter_mut().for_each(|v| *v += 0.0);
+    let (base, lane) = baseline_and_lane(&loaded);
+    assert_eq!(base, lane, "lane != baseline on +0.0 inputs");
+    assert_eq!(built, base, "the solver's build != the baseline");
+    assert_eq!(refactored, base, "the solver's refactor != the baseline");
+    // The same system with a `+0.0` input factors to the same bits.
+    assert_eq!(solver_factors(&signed_zero_system(0.0)).0, built, "-0.0 and +0.0 inputs differ");
+}
+
+/// Raw bits of every stored factor value, block by block.
+fn value_bits<S: pangulu::sparse::Scalar>(bm: &BlockMatrix<S>) -> Vec<u64> {
+    (0..bm.num_blocks())
+        .flat_map(|id| bm.block(id).values().iter().map(|v| v.to_f64().to_bits()))
+        .collect()
 }
 
 #[test]
